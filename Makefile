@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt fmt-check lint vuln bench bench-smoke bench-query bench-publish bench-sweep bench-baseline bench-compare bench-overhead endpoint-smoke memprofile examples-check recovery-check recovery-scaling ci
+.PHONY: build test race vet fmt fmt-check lint vuln bench bench-build bench-smoke bench-query bench-publish bench-sweep bench-baseline bench-compare bench-overhead endpoint-smoke memprofile examples-check recovery-check recovery-scaling ci
 
 ## build: compile every package
 build:
@@ -11,7 +11,8 @@ test: build
 	$(GO) test ./...
 
 ## race: full test suite under the race detector (exercises the parallel
-## stratum executor; see internal/datalog), with shuffled test order so
+## stratum executor, see internal/datalog, and internal/core's seeded
+## query == instance interleaving schedules), with shuffled test order so
 ## hidden inter-test state dependencies cannot hide
 race:
 	$(GO) test -race -shuffle=on ./...
@@ -51,6 +52,13 @@ vuln:
 ## bench: full benchmark run with allocation profiles
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
+
+## bench-build: vet and unit-test the repo benchmark (bench/ is its own Go
+## module over the engine's internal packages, so `./...` never reaches it;
+## this keeps it compiling against them)
+bench-build:
+	$(GO) vet -C bench .
+	$(GO) test -C bench .
 
 ## bench-smoke: every benchmark in every package executes exactly once —
 ## keeps the root bench files and the internal benchmarks (e.g.
@@ -140,4 +148,4 @@ examples-check:
 ## ci: everything the CI workflow runs, in one command (lint and vuln are
 ## separate because they need tools on PATH; run `make lint vuln` too when
 ## you have them installed)
-ci: build vet fmt-check race bench-smoke bench-compare bench-overhead recovery-check recovery-scaling examples-check endpoint-smoke
+ci: build vet fmt-check race bench-build bench-smoke bench-compare bench-overhead recovery-check recovery-scaling examples-check endpoint-smoke

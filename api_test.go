@@ -101,6 +101,20 @@ func TestKeyViolationOnPublishPath(t *testing.T) {
 	if _, err := alice.Begin().Insert("Gene", gene("BRCA1", 17)).Commit(); err != nil {
 		t.Fatalf("identical re-insert: %v", err)
 	}
+	// Two inserts colliding inside one transaction are a violation too, with
+	// the same sentinel and detail record, and nothing is applied.
+	_, err = alice.Begin().Insert("Gene", gene("TP53", 17)).Insert("Gene", gene("TP53", 18)).Commit()
+	kv = nil
+	if !errors.Is(err, orchestra.ErrKeyViolation) || !errors.As(err, &kv) {
+		t.Fatalf("intra-transaction collision: err = %v", err)
+	}
+	if !kv.Existing.Equal(gene("TP53", 17)) || !kv.New.Equal(gene("TP53", 18)) {
+		t.Fatalf("violation detail = %+v", kv)
+	}
+	rows, err := alice.Rows("Gene")
+	if err != nil || len(rows) != 1 {
+		t.Fatalf("failed commit applied data: %v, %v", rows, err)
+	}
 }
 
 func TestTypedErrors(t *testing.T) {

@@ -5,10 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"log"
 	"time"
 
-	"orchestra/internal/datalog"
 	"orchestra/internal/exchange"
 	"orchestra/internal/lsm"
 	"orchestra/internal/p2p"
@@ -35,9 +33,8 @@ import (
 //	r/<esc peer><seq be64>               -> JSON resolveDecision
 //
 // The tuple decodes from the row key itself; the value holds only the
-// stored annotation. That makes a checkpoint relation a contiguous,
-// key-ordered range — which is what lets CheckpointEDB serve it as a lazy
-// datalog extent straight off an LSM snapshot scan.
+// stored annotation, so a checkpoint relation is a contiguous, key-ordered
+// range.
 //
 // The "e/" blob turns recovery from O(history) into O(suffix): it captures
 // the translation engine (union database, token log, base tokens, applied
@@ -373,9 +370,7 @@ func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 // recovered peer is indistinguishable — instance rows, provenance, trust
 // state, dependency tracker, engine state, unpublished queue, sequence
 // counter, settled conflicts — from the same peer having processed the same
-// history live, with one documented exception (the published snapshot
-// equals the reconciled instance rather than the instant of the last
-// Publish).
+// history live.
 //
 // With an engine snapshot ("e/" blob) the whole recovery is O(suffix): the
 // engine, trust state, and tracker restore from the blob, only
@@ -724,50 +719,5 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 	if E > p.lastEpoch {
 		p.lastEpoch = E
 	}
-	// The published snapshot is approximated by the recovered instance; when
-	// the unpublished queue is nonempty the two diverge until the next
-	// Publish refreshes it, exactly as documented in DESIGN.md.
-	p.published = p.local.Snapshot()
 	return p, nil
-}
-
-// CheckpointEDB opens the named peer's last durable checkpoint as a
-// lazily-loading datalog EDB over one pinned LSM snapshot: each relation's
-// extent materializes only when a query plan reaches it, by a key-ordered
-// range scan of the checkpoint rows. The returned release function unpins
-// the snapshot; queries against the EDB must finish before calling it. The
-// boolean reports whether a checkpoint exists (when false the EDB is empty).
-func CheckpointEDB(db *lsm.DB, peer string, sch *schema.Schema) (*datalog.DB, func(), bool, error) {
-	sn := db.Snapshot()
-	_, found, err := sn.Get(ckMetaKey(peer))
-	if err != nil {
-		sn.Close()
-		return nil, nil, false, fmt.Errorf("core: open checkpoint for %s: %w", peer, err)
-	}
-	edb := datalog.NewDB()
-	for _, rel := range sch.Relations() {
-		relName := rel.Name
-		pfx := ckRelPrefix(peer, relName)
-		edb.SetLazy(relName, func(add func(schema.Tuple, provenance.Poly)) {
-			var pd provDecoder
-			scanErr := sn.Scan(pfx, ckPrefixEnd(pfx), func(k, v []byte) bool {
-				tu, e := lsm.DecodeTuple(k[len(pfx):])
-				if e != nil {
-					log.Printf("core: checkpoint %s/%s: bad row key: %v", peer, relName, e)
-					return false
-				}
-				prov, e := pd.decode(v)
-				if e != nil {
-					log.Printf("core: checkpoint %s/%s: bad provenance: %v", peer, relName, e)
-					return false
-				}
-				add(tu, prov)
-				return true
-			})
-			if scanErr != nil {
-				log.Printf("core: checkpoint %s/%s: scan: %v", peer, relName, scanErr)
-			}
-		})
-	}
-	return edb, func() { sn.Close() }, found, nil
 }

@@ -303,64 +303,6 @@ func TestRecoverAfterUncleanCrash(t *testing.T) {
 	}
 }
 
-// TestCheckpointEDBServesCheckpointRows: the checkpoint doubles as a
-// queryable EDB — relations materialize lazily off LSM range scans and
-// match the instance that was checkpointed.
-func TestCheckpointEDBServesCheckpointRows(t *testing.T) {
-	dir := t.TempDir()
-	db, ds := openDurableTier(t, dir)
-	defer db.Close()
-	sys, err := NewSystem(workload.Figure2Peers(), workload.Figure2Mappings())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresden, err := NewPeer(workload.Dresden, sys, ds, recon.TrustAll(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Before any checkpoint: no meta record.
-	if _, release, found, err := CheckpointEDB(db, workload.Dresden, sys.Schema(workload.Dresden)); err != nil {
-		t.Fatal(err)
-	} else {
-		release()
-		if found {
-			t.Error("phantom checkpoint found")
-		}
-	}
-
-	commit(t, dresden.NewTransaction().
-		Insert("OPS", workload.OPSTuple("mouse", "p53", "AAAA")).
-		Insert("OPS", workload.OPSTuple("rat", "brca1", "TTTT")))
-	checkpoint(t, dresden, db)
-
-	edb, release, found, err := CheckpointEDB(db, workload.Dresden, sys.Schema(workload.Dresden))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	if !found {
-		t.Fatal("checkpoint not found")
-	}
-	rel := edb.Rel("OPS")
-	if rel == nil || rel.Len() != 2 {
-		t.Fatalf("OPS extent: %v", rel)
-	}
-	for _, tu := range []string{"mouse", "rat"} {
-		want := workload.OPSTuple(tu, map[string]string{"mouse": "p53", "rat": "brca1"}[tu],
-			map[string]string{"mouse": "AAAA", "rat": "TTTT"}[tu])
-		fact, ok := rel.Get(want)
-		if !ok {
-			t.Fatalf("missing %v", want)
-		}
-		// Annotations round-trip through the wire codec.
-		row, _ := dresden.Instance().Table("OPS").Get(want)
-		if !fact.Prov.Equal(row.Prov) {
-			t.Errorf("provenance of %v: %v != %v", want, fact.Prov, row.Prov)
-		}
-	}
-}
-
 // TestQuickDurableMatchesMemoryOracle: the same randomized insert-only
 // workload drives two systems — one over a MemoryStore, one over the LSM
 // tier with periodic checkpoints and a kill-and-restart of a random durable

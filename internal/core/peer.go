@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"orchestra/internal/datalog"
 	"orchestra/internal/exchange"
 	"orchestra/internal/lsm"
 	"orchestra/internal/p2p"
@@ -19,8 +18,9 @@ import (
 	"orchestra/internal/updates"
 )
 
-// Peer is one CDSS participant: a local editable instance, a public
-// snapshot, a trust policy, and the machinery to publish and reconcile.
+// Peer is one CDSS participant: a local editable instance, a trust policy,
+// and the machinery to publish and reconcile. Its published state is the
+// archive in the shared store, not a second copy of the instance.
 // A Peer is safe for use from one goroutine; the shared Store handles
 // cross-peer concurrency.
 type Peer struct {
@@ -30,7 +30,6 @@ type Peer struct {
 	store     p2p.Store
 	policy    *recon.Policy
 	local     *storage.Instance
-	published *storage.Instance
 	engine    *exchange.Engine
 	state     *recon.State
 	tracker   *updates.Tracker
@@ -51,15 +50,6 @@ type Peer struct {
 	engineDirty bool
 	// unpublished holds committed local transactions awaiting Publish.
 	unpublished []*updates.Transaction
-	// qdb mirrors the local instance as a datalog EDB for the query path:
-	// queries take an O(#relations) copy-on-write snapshot of it instead of
-	// copying every table row per call. It is built lazily on first query
-	// and maintained incrementally by applyUpdates; qdbVersion records the
-	// local-instance version the mirror matches, so out-of-band instance
-	// writes (anything bypassing applyUpdates) are detected and trigger a
-	// rebuild rather than stale answers. Guarded by mu.
-	qdb        *datalog.DB
-	qdbVersion uint64
 	// db is the durable tier backing this peer (nil for in-memory systems):
 	// RecoverPeerWith attaches it so Resolve can archive its decision in the
 	// "r/" keyspace and rebuildEngine can restore from the last engine
@@ -125,18 +115,17 @@ func NewPeerWith(name string, sys *System, store p2p.Store, policy *recon.Policy
 		return r.KeyOf(tu)
 	}
 	return &Peer{
-		name:      name,
-		sys:       sys,
-		store:     store,
-		policy:    policy,
-		engCfg:    cfg,
-		win:       exchange.NewAdaptiveWindow(cfg.ReconcileWindow),
-		local:     storage.NewInstance(s),
-		published: storage.NewInstance(s),
-		engine:    eng,
-		state:     recon.NewState(keyOf),
-		tracker:   updates.NewTracker(keyOf),
-		nextSeq:   1,
+		name:    name,
+		sys:     sys,
+		store:   store,
+		policy:  policy,
+		engCfg:  cfg,
+		win:     exchange.NewAdaptiveWindow(cfg.ReconcileWindow),
+		local:   storage.NewInstance(s),
+		engine:  eng,
+		state:   recon.NewState(keyOf),
+		tracker: updates.NewTracker(keyOf),
+		nextSeq: 1,
 	}, nil
 }
 
@@ -145,9 +134,6 @@ func (p *Peer) Name() string { return p.name }
 
 // Instance returns the local editable instance.
 func (p *Peer) Instance() *storage.Instance { return p.local }
-
-// PublishedSnapshot returns the public snapshot made at the last Publish.
-func (p *Peer) PublishedSnapshot() *storage.Instance { return p.published }
 
 // Epoch returns the last epoch this peer has reconciled up to.
 func (p *Peer) Epoch() uint64 { return p.lastEpoch }
@@ -205,7 +191,11 @@ func (t *Txn) Commit() (*updates.Transaction, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := p.sys.Schema(p.name)
-	// Validate against the schema and the current local state.
+	// Validate against the schema, the current local state, and the
+	// transaction's own earlier writes. held maps relation+key to the tuple
+	// this transaction has put under that key so far.
+	type slot struct{ rel, key string }
+	held := map[slot]schema.Tuple{}
 	for _, u := range t.ups {
 		rel := s.Relation(u.Rel)
 		if rel == nil {
@@ -219,16 +209,37 @@ func (t *Txn) Commit() (*updates.Transaction, error) {
 				return nil, err
 			}
 		}
-		// A local *insert* that collides with a stored tuple under the same
-		// primary key is a key violation — unlike Modify, which declares the
-		// overwrite, or translated candidates, which reconciliation has
-		// already vetted and applies with upsert semantics.
-		if u.Op == updates.OpInsert {
-			if row, ok := p.local.Table(u.Rel).GetByKey(rel.KeyOf(u.New)); ok && !row.Tuple.Equal(u.New) {
-				return nil, fmt.Errorf("core: commit at peer %s: %w", p.name,
-					&storage.ErrKeyViolation{Relation: u.Rel, Key: rel.KeyOf(u.New), Existing: row.Tuple, New: u.New})
+		// A Delete or Modify of exactly the tuple this transaction wrote
+		// frees its key again.
+		if u.Old != nil {
+			if k := (slot{u.Rel, rel.KeyOf(u.Old).Key()}); held[k].Equal(u.Old) {
+				delete(held, k)
 			}
 		}
+		if u.New == nil {
+			continue
+		}
+		key := rel.KeyOf(u.New)
+		k := slot{u.Rel, key.Key()}
+		// A local *insert* that collides with a different tuple under the same
+		// primary key — stored, or written earlier in this transaction — is a
+		// key violation: applied as an upsert it would silently drop the
+		// earlier tuple here while reconciling peers keep it. Modify declares
+		// the overwrite, and translated candidates, which reconciliation has
+		// already vetted, apply with upsert semantics.
+		if u.Op == updates.OpInsert {
+			existing, ok := held[k]
+			if !ok {
+				var row storage.Row
+				row, ok = p.local.Table(u.Rel).GetByKey(key)
+				existing = row.Tuple
+			}
+			if ok && !existing.Equal(u.New) {
+				return nil, fmt.Errorf("core: commit at peer %s: %w", p.name,
+					&storage.ErrKeyViolation{Relation: u.Rel, Key: key, Existing: existing, New: u.New})
+			}
+		}
+		held[k] = u.New
 	}
 	txn := &updates.Transaction{
 		ID:      updates.TxnID{Peer: p.name, Seq: p.nextSeq},
@@ -252,137 +263,42 @@ func (t *Txn) Commit() (*updates.Transaction, error) {
 // Abort discards the transaction.
 func (t *Txn) Abort() { t.done = true }
 
-// applyUpdates applies translated or local updates to the local instance,
-// keeping the query mirror in lockstep when one is live.
+// applyUpdates applies translated or local updates to the local instance —
+// the one in-memory copy of the peer's rows, which queries read directly
+// (QueryGoal evaluates over Instance.EDB).
 func (p *Peer) applyUpdates(ups []updates.Update) error {
 	for _, u := range ups {
 		prov := u.Prov
 		if prov.IsZero() {
 			prov = provenance.One()
 		}
-		sync := p.mirrorInSync()
 		switch u.Op {
 		case updates.OpInsert:
-			replaced, err := p.local.Upsert(u.Rel, u.New, prov)
-			if err != nil {
+			if _, err := p.local.Upsert(u.Rel, u.New, prov); err != nil {
 				return err
-			}
-			if sync {
-				p.mirrorUpsert(u.Rel, u.New, replaced)
 			}
 		case updates.OpDelete:
 			if _, err := p.local.Delete(u.Rel, u.Old); err != nil {
 				return err
-			}
-			if sync {
-				p.mirrorDelete(u.Rel, u.Old)
 			}
 		case updates.OpModify:
 			if u.Old != nil {
 				if _, err := p.local.Delete(u.Rel, u.Old); err != nil {
 					return err
 				}
-				if sync {
-					p.mirrorDelete(u.Rel, u.Old)
-				}
 			}
-			sync = p.mirrorInSync()
-			replaced, err := p.local.Upsert(u.Rel, u.New, prov)
-			if err != nil {
+			if _, err := p.local.Upsert(u.Rel, u.New, prov); err != nil {
 				return err
-			}
-			if sync {
-				p.mirrorUpsert(u.Rel, u.New, replaced)
 			}
 		}
 	}
 	return nil
 }
 
-// mirrorInSync reports whether the query mirror exists and matches the
-// local instance exactly (no out-of-band writes since it was last synced).
-// Callers must hold p.mu.
-func (p *Peer) mirrorInSync() bool {
-	return p.qdb != nil && p.qdbVersion == p.local.Version()
-}
-
-// mirrorAdvance accounts one instance write in the mirror's version: if
-// anything else wrote the instance between the peer's write and this
-// bookkeeping (an out-of-band writer does not hold p.mu), the observed
-// version is not exactly one ahead and the mirror is dropped rather than
-// silently absorbing the foreign write's version. It reports whether the
-// mirror is still authoritative.
-func (p *Peer) mirrorAdvance() bool {
-	if v := p.local.Version(); v != p.qdbVersion+1 {
-		p.qdb = nil
-		return false
-	}
-	p.qdbVersion++
-	return true
-}
-
-// mirrorUpsert folds one applied upsert into the query mirror: the
-// key-replaced tuple (if any) leaves, and the stored row's exact merged
-// annotation is copied over. Callers must hold p.mu and have verified
-// mirrorInSync before the instance write.
-func (p *Peer) mirrorUpsert(rel string, tu schema.Tuple, replaced *schema.Tuple) {
-	if !p.mirrorAdvance() {
-		return
-	}
-	if replaced != nil {
-		p.qdb.Remove(rel, *replaced)
-	}
-	if row, ok := p.local.Table(rel).Get(tu); ok {
-		p.qdb.Set(rel, tu, row.Prov)
-	}
-}
-
-// mirrorDelete folds one applied delete into the query mirror.
-func (p *Peer) mirrorDelete(rel string, tu schema.Tuple) {
-	if !p.mirrorAdvance() {
-		return
-	}
-	p.qdb.Remove(rel, tu)
-}
-
-// queryEDB returns the local instance as a datalog EDB in O(#relations):
-// a copy-on-write snapshot of the maintained mirror, rebuilt only on first
-// use or after an out-of-band instance write. The rebuild is lazy per
-// relation: each extent is declared with a fill that scans a COW snapshot
-// of the instance, so a query materializes only the relations its plan
-// reaches, and the incremental maintenance in mirrorUpsert/mirrorDelete
-// composes with it (a delta for an unmaterialized relation first pulls the
-// snapshot rows, then applies on top). Evaluation derives into its own
-// extents, so the mirror itself is never mutated by a query. Callers must
-// hold p.mu.
-func (p *Peer) queryEDB() *datalog.DB {
-	if !p.mirrorInSync() {
-		// Capture the version before snapshotting: an out-of-band write
-		// racing the snapshot then leaves qdbVersion behind Version(), so the
-		// next query rebuilds instead of trusting a possibly torn mirror.
-		v := p.local.Version()
-		snap := p.local.Snapshot()
-		db := datalog.NewDB()
-		s := p.sys.Schema(p.name)
-		for _, rel := range s.Relations() {
-			name := rel.Name
-			db.SetLazy(name, func(add func(schema.Tuple, provenance.Poly)) {
-				rows, _ := snap.Rows(name)
-				for _, row := range rows {
-					add(row.Tuple, row.Prov)
-				}
-			})
-		}
-		p.qdb = db
-		p.qdbVersion = v
-	}
-	return p.qdb.Snapshot()
-}
-
-// Publish archives all committed-but-unpublished transactions in the store,
-// advances the logical clock, and refreshes the public snapshot. The
-// context is checked before the store round-trip; a store backed by the
-// network should additionally bound its own I/O.
+// Publish archives all committed-but-unpublished transactions in the store
+// and advances the logical clock. The context is checked before the store
+// round-trip; a store backed by the network should additionally bound its
+// own I/O.
 func (p *Peer) Publish(ctx context.Context) (uint64, error) {
 	epoch, _, err := p.PublishAll(ctx)
 	return epoch, err
@@ -411,10 +327,6 @@ func (p *Peer) PublishAll(ctx context.Context) (uint64, int, error) {
 	}
 	p.unpublished = nil
 	p.obsv.publishedTx.Add(int64(len(published)))
-	// O(#relations) copy-on-write snapshot: tables are only copied if later
-	// local edits touch them, so publishing is cheap even for large
-	// instances.
-	p.published = p.local.Snapshot()
 	if p.applyHook != nil {
 		for _, txn := range published {
 			p.applyHook(ApplyEvent{Txn: txn.ID, Epoch: txn.Epoch, Local: true, Updates: txn.Updates})

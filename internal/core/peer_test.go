@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"orchestra/internal/p2p"
 	"orchestra/internal/recon"
 	"orchestra/internal/schema"
+	"orchestra/internal/storage"
 	"orchestra/internal/updates"
 	"orchestra/internal/workload"
 )
@@ -62,7 +64,46 @@ func TestCommitValidation(t *testing.T) {
 	if alaska.Instance().Size() != 0 {
 		t.Error("failed commit leaked data")
 	}
-	txn := commit(t, alaska.NewTransaction().Insert("O", workload.OTuple("mouse", 1)))
+	// Two inserts under one key inside a single transaction: applied as
+	// upserts they would leave the second tuple here and the first at a
+	// reconciling peer. Rejected whole, with the detail record.
+	_, err := alaska.NewTransaction().
+		Insert("P", workload.PTuple("p53", 10)).
+		Insert("O", workload.OTuple("mouse", 1)).
+		Insert("O", workload.OTuple("rat", 1)).Commit()
+	var kv *storage.ErrKeyViolation
+	if !errors.As(err, &kv) {
+		t.Fatalf("intra-transaction key collision: err = %v", err)
+	}
+	if kv.Relation != "O" || !kv.Existing.Equal(workload.OTuple("mouse", 1)) || !kv.New.Equal(workload.OTuple("rat", 1)) {
+		t.Errorf("violation detail = %+v", kv)
+	}
+	// Failed commit applies nothing and does not consume a sequence number.
+	if alaska.Instance().Size() != 0 {
+		t.Error("failed commit leaked data")
+	}
+	// A Delete or Modify of exactly the tuple written earlier frees its key;
+	// deleting some other tuple under that key does not.
+	for i, tx := range []*Txn{
+		alaska.NewTransaction().Insert("O", workload.OTuple("mouse", 1)).
+			Delete("O", workload.OTuple("rat", 1)).Insert("O", workload.OTuple("cat", 1)),
+		alaska.NewTransaction().Insert("O", workload.OTuple("mouse", 1)).
+			Modify("O", workload.OTuple("mouse", 1), workload.OTuple("rat", 1)).Insert("O", workload.OTuple("cat", 1)),
+	} {
+		if _, err := tx.Commit(); !errors.As(err, &kv) {
+			t.Errorf("case %d: err = %v, want key violation", i, err)
+		}
+	}
+	if alaska.Instance().Size() != 0 {
+		t.Error("failed commit leaked data")
+	}
+	txn := commit(t, alaska.NewTransaction().
+		Insert("O", workload.OTuple("mouse", 1)).
+		Delete("O", workload.OTuple("mouse", 1)).
+		Insert("O", workload.OTuple("vole", 1)).
+		Modify("O", workload.OTuple("vole", 1), workload.OTuple("vole", 7)).
+		Insert("O", workload.OTuple("mouse", 1)).
+		Insert("O", workload.OTuple("mouse", 1)))
 	if txn.ID.Seq != 1 {
 		t.Errorf("seq = %d", txn.ID.Seq)
 	}
@@ -82,23 +123,37 @@ func TestCommitValidation(t *testing.T) {
 	}
 }
 
-func TestPublishSnapshotSemantics(t *testing.T) {
-	peers, _ := fig2(t)
+// The published state is the archive: a commit reaches it at Publish, and
+// later local edits stay out of it until republished.
+func TestPublishedStateIsTheArchive(t *testing.T) {
+	peers, store := fig2(t)
 	alaska := peers[workload.Alaska]
+	archived := func(tu schema.Tuple) bool {
+		txns, _, err := store.Since(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, txn := range txns {
+			for _, u := range txn.Updates {
+				if u.Rel == "O" && u.New.Equal(tu) {
+					return true
+				}
+			}
+		}
+		return false
+	}
 	commit(t, alaska.NewTransaction().Insert("O", workload.OTuple("mouse", 1)))
 	publish(t, alaska)
-	// The snapshot reflects the published state.
-	if !alaska.PublishedSnapshot().Contains("O", workload.OTuple("mouse", 1)) {
-		t.Error("snapshot missing published tuple")
+	if !archived(workload.OTuple("mouse", 1)) {
+		t.Error("archive missing published tuple")
 	}
-	// Further local edits do not leak into the snapshot until republished.
 	commit(t, alaska.NewTransaction().Insert("O", workload.OTuple("rat", 2)))
-	if alaska.PublishedSnapshot().Contains("O", workload.OTuple("rat", 2)) {
-		t.Error("snapshot leaked unpublished edit")
+	if archived(workload.OTuple("rat", 2)) {
+		t.Error("archive leaked unpublished edit")
 	}
 	publish(t, alaska)
-	if !alaska.PublishedSnapshot().Contains("O", workload.OTuple("rat", 2)) {
-		t.Error("snapshot not refreshed")
+	if !archived(workload.OTuple("rat", 2)) {
+		t.Error("archive not extended by republish")
 	}
 }
 

@@ -111,12 +111,13 @@ func (p *Peer) Query(ctx context.Context, q Query) ([]Answer, error) {
 
 // QueryGoal solves a goal query over the peer's current local instance.
 //
-// The instance is exposed to the evaluator as an O(#relations)
-// copy-on-write snapshot of a maintained datalog mirror — queries never
-// copy table rows, and the fixpoint only clones the extents it derives
-// into. Under the default GoalDirected mode the program is magic-rewritten
-// for the goal's binding pattern first, so selective queries touch only the
-// data their bindings can reach.
+// The evaluator reads the instance's own extents through an O(#relations)
+// copy-on-write snapshot (storage.Instance.EDB), returned to the instance
+// when the query is done — queries never copy table rows, the fixpoint only
+// clones the extents it derives into, and a write between two queries keeps
+// the indexes the first one built. Under the default GoalDirected mode the
+// program is magic-rewritten for the goal's binding pattern first, so
+// selective queries touch only the data their bindings can reach.
 //
 // Answers list one tuple per binding of the goal's distinct free variables
 // (first-occurrence order), in deterministic order, annotated with exactly
@@ -134,7 +135,11 @@ func (p *Peer) QueryGoal(ctx context.Context, q GoalQuery) ([]Answer, error) {
 	defer p.obsv.endSpan(sp, p.name)
 	p.obsv.queries.Inc()
 	defer p.obsv.observeRounds(p.obsv.roundsNow())
-	edb := p.queryEDB()
+	// The peer mutex serializes this evaluation against the peer's own
+	// writes, and the answers below are copied out of the evaluator's
+	// extents, so the borrowed EDB is dead when QueryGoal returns.
+	edb, release := p.local.EDB()
+	defer release()
 	opts := datalog.Options{
 		Provenance:  !q.NoProvenance,
 		Parallelism: p.engCfg.Parallelism,

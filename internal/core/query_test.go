@@ -182,48 +182,6 @@ func TestQueryGoalValidation(t *testing.T) {
 	}
 }
 
-// The query mirror must track commits: interleaved writes and queries see
-// exactly the current instance, including provenance merges and deletes.
-func TestQueryMirrorTracksWrites(t *testing.T) {
-	peers, _ := fig2(t)
-	alaska := peers[workload.Alaska]
-	ctx := context.Background()
-	q := Query{
-		Select: []string{"org"},
-		Body:   []datalog.Literal{datalog.Pos(datalog.NewAtom("O", datalog.V("org"), datalog.V("oid")))},
-	}
-	commit(t, alaska.NewTransaction().Insert("O", workload.OTuple("mouse", 1)))
-	ans, err := alaska.Query(ctx, q)
-	if err != nil || len(ans) != 1 {
-		t.Fatalf("first query: %v %v", ans, err)
-	}
-	commit(t, alaska.NewTransaction().Insert("O", workload.OTuple("rat", 2)))
-	ans, err = alaska.Query(ctx, q)
-	if err != nil || len(ans) != 2 {
-		t.Fatalf("after insert: %v %v", ans, err)
-	}
-	commit(t, alaska.NewTransaction().Delete("O", workload.OTuple("mouse", 1)))
-	ans, err = alaska.Query(ctx, q)
-	if err != nil || len(ans) != 1 || !ans[0].Tuple[0].Equal(schema.String("rat")) {
-		t.Fatalf("after delete: %v %v", ans, err)
-	}
-	// Key-replacing modify: the mirror must drop the replaced tuple.
-	commit(t, alaska.NewTransaction().Modify("O", workload.OTuple("rat", 2), workload.OTuple("gerbil", 2)))
-	ans, err = alaska.Query(ctx, q)
-	if err != nil || len(ans) != 1 || !ans[0].Tuple[0].Equal(schema.String("gerbil")) {
-		t.Fatalf("after modify: %v %v", ans, err)
-	}
-	// Out-of-band instance write (bypassing the peer API) must invalidate
-	// the mirror via the version check, not serve stale answers.
-	if err := alaska.Instance().Insert("O", workload.OTuple("heron", 9), provenance.One()); err != nil {
-		t.Fatal(err)
-	}
-	ans, err = alaska.Query(ctx, q)
-	if err != nil || len(ans) != 2 {
-		t.Fatalf("after out-of-band insert: %v %v", ans, err)
-	}
-}
-
 func TestQueryGoalNoProvenance(t *testing.T) {
 	peers, _ := fig2(t)
 	alaska := peers[workload.Alaska]

@@ -2,7 +2,6 @@ package datalog
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"orchestra/internal/provenance"
@@ -23,11 +22,13 @@ type Fact struct {
 // object per fact, which densifies the long-lived union database and cuts
 // the GC's pointer-chasing scan load on large accumulated extents.
 //
-// A Rel captured by DB.Snapshot is marked shared: every DB holding it must
-// copy-on-write (DB.MutableRel) before its next mutation, because both the
-// facts map and the *Fact structs it points to are reachable from the frozen
-// view. Read paths (Get, Contains, lookup, Facts) never need the copy; lazy
-// index builds are semantically read-only and stay safe on a shared Rel.
+// A Rel may be mutated in place only by the DB that owns it (see ownership).
+// DB.Snapshot retires the ownership of every extent the two sides then
+// share: each must copy-on-write (DB.MutableRel) before its next mutation,
+// because both the facts map and the *Fact structs it points to are
+// reachable from the other view. Read paths (Get, Contains, Lookup, Facts)
+// never need the copy; lazy index builds are semantically read-only and stay
+// safe on a shared Rel.
 type Rel struct {
 	facts map[string]*Fact
 	// slab is the current allocation slab. Slabs are fixed-capacity and
@@ -39,12 +40,17 @@ type Rel struct {
 	// behind a few live stragglers.
 	free []*Fact
 	idx  relIndex // see index.go
-	// shared marks the extent as reachable from a snapshot. Once set it is
-	// never cleared: each holder clones on its first subsequent mutation.
-	// Atomic so that concurrent evaluations over one shared EDB — each
-	// snapshotting it at entry — stay race-free.
-	shared atomic.Bool
+	// owner is the ownership the extent was created (or cloned) under; it
+	// never changes. A DB holding any other ownership clones before mutating.
+	owner *ownership
 }
+
+// ownership is an identity token for copy-on-write: a DB may mutate in place
+// exactly the extents stamped with the token it currently holds. Snapshot
+// hands both sides a fresh token, so every extent they share is stamped with
+// a token neither holds any more — the first write on either side clones.
+// (One byte wide: zero-size allocations need not have distinct addresses.)
+type ownership struct{ _ byte }
 
 // NewRel creates an empty extent.
 func NewRel() *Rel {
@@ -158,130 +164,50 @@ func (r *Rel) Facts() []Fact {
 	return out
 }
 
-// lazyExtents is a shared registry of extents that materialize on first
-// access: each declared predicate carries a fill function that streams its
-// facts in (from a storage snapshot, an LSM checkpoint scan, ...) the first
-// time any attached DB touches the predicate. The registry is shared by a DB
-// and all its Snapshots, so one materialization serves every view; it is the
-// only concurrency-safe piece of a DB, because snapshots taken from one
-// mirror are evaluated on separate goroutines.
-type lazyExtents struct {
-	mu   sync.Mutex
-	fill map[string]func(add func(schema.Tuple, provenance.Poly))
-	done map[string]*Rel
-}
-
-// get materializes (or returns the cached) extent for pred. The extent
-// comes back marked shared: many DBs may attach it, so each must
-// copy-on-write before mutating, exactly as with snapshot-shared extents.
-func (l *lazyExtents) get(pred string) (*Rel, bool) {
-	if l == nil {
-		return nil, false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if r, ok := l.done[pred]; ok {
-		return r, true
-	}
-	fill, ok := l.fill[pred]
-	if !ok {
-		return nil, false
-	}
-	r := NewRel()
-	fill(func(t schema.Tuple, p provenance.Poly) { r.put(t, p) })
-	r.shared.Store(true)
-	l.done[pred] = r
-	return r, true
-}
-
-func (l *lazyExtents) has(pred string) bool {
-	if l == nil {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, ok := l.fill[pred]
-	return ok
-}
-
-func (l *lazyExtents) preds() []string {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.fill))
-	for p := range l.fill {
-		out = append(out, p)
-	}
-	return out
-}
-
 // DB maps predicate names to extents.
 type DB struct {
 	rels map[string]*Rel
-	// lazy holds declared-but-unmaterialized extents; nil for fully eager
-	// databases. Shared (by pointer) with snapshots.
-	lazy *lazyExtents
+	// owner is the ownership db currently holds. Atomic because concurrent
+	// evaluations over one shared EDB each snapshot it at entry, and a
+	// snapshot replaces the token.
+	owner atomic.Pointer[ownership]
+	// lentFrom and lentTo record, on a snapshot, the ownership its source
+	// held before the snapshot and the one it was handed; see Release.
+	lentFrom, lentTo *ownership
 }
 
 // NewDB creates an empty database.
-func NewDB() *DB { return &DB{rels: map[string]*Rel{}} }
-
-// SetLazy declares that pred's extent exists but materializes on first
-// access: fill streams the facts in when (if) the predicate is first
-// touched. Queries then pay only for the relations their plan reaches —
-// the point of the hook is feeding pull-based pipelines from sources
-// (instance snapshots, durable checkpoint scans) without loading every
-// relation up front. fill must be deterministic and safe to call from any
-// goroutine; it runs at most once per registry, under the registry lock.
-// An eager extent later created or mutated under the same name shadows the
-// lazy declaration.
-func (db *DB) SetLazy(pred string, fill func(add func(schema.Tuple, provenance.Poly))) {
-	if db.lazy == nil {
-		db.lazy = &lazyExtents{fill: map[string]func(add func(schema.Tuple, provenance.Poly)){}, done: map[string]*Rel{}}
-	}
-	db.lazy.mu.Lock()
-	db.lazy.fill[pred] = fill
-	db.lazy.mu.Unlock()
+func NewDB() *DB {
+	db := &DB{rels: map[string]*Rel{}}
+	db.owner.Store(new(ownership))
+	return db
 }
 
-// Rel returns the extent for pred, creating it if needed (materializing a
-// lazy declaration first). The returned extent may be shared with a
-// snapshot or a lazy registry: callers must treat it as read-only and
-// obtain mutable extents through MutableRel.
+// Rel returns the extent for pred, creating it if needed. The returned
+// extent may be shared with a snapshot: callers must treat it as read-only
+// and obtain mutable extents through MutableRel.
 func (db *DB) Rel(pred string) *Rel {
 	r, ok := db.rels[pred]
 	if !ok {
-		if lr, lok := db.lazy.get(pred); lok {
-			db.rels[pred] = lr
-			return lr
-		}
 		r = NewRel()
+		r.owner = db.owner.Load()
 		db.rels[pred] = r
 	}
 	return r
 }
 
 // MutableRel returns an extent for pred that is exclusively owned by db,
-// copy-on-write-cloning it first if it is shared with a snapshot or a lazy
-// registry. All mutation paths (put, remove, in-place provenance writes)
-// must go through it; with no snapshot outstanding it is a map lookup and a
-// flag test.
+// copy-on-write-cloning it first if it is shared with a snapshot. All
+// mutation paths (put, remove, in-place provenance writes) must go through
+// it; with no snapshot outstanding it is a map lookup and a pointer test.
 func (db *DB) MutableRel(pred string) *Rel {
 	r, ok := db.rels[pred]
 	if !ok {
-		if lr, lok := db.lazy.get(pred); lok {
-			r = lr.cowClone()
-			db.rels[pred] = r
-			return r
-		}
-		r = NewRel()
-		db.rels[pred] = r
-		return r
+		return db.Rel(pred)
 	}
-	if r.shared.Load() {
+	if own := db.owner.Load(); r.owner != own {
 		r = r.cowClone()
+		r.owner = own
 		db.rels[pred] = r
 	}
 	return r
@@ -303,26 +229,17 @@ func (r *Rel) cowClone() *Rel {
 	return nr
 }
 
-// Has reports whether the predicate has a (possibly empty or still
-// unmaterialized) extent.
+// Has reports whether the predicate has a (possibly empty) extent.
 func (db *DB) Has(pred string) bool {
-	if _, ok := db.rels[pred]; ok {
-		return true
-	}
-	return db.lazy.has(pred)
+	_, ok := db.rels[pred]
+	return ok
 }
 
-// Preds returns the sorted predicate names present, including lazy
-// declarations not yet materialized.
+// Preds returns the sorted predicate names present.
 func (db *DB) Preds() []string {
 	out := make([]string, 0, len(db.rels))
 	for p := range db.rels {
 		out = append(out, p)
-	}
-	for _, p := range db.lazy.preds() {
-		if _, ok := db.rels[p]; !ok {
-			out = append(out, p)
-		}
 	}
 	sort.Strings(out)
 	return out
@@ -339,8 +256,9 @@ func (db *DB) AddTuple(pred string, t schema.Tuple) bool {
 }
 
 // Set stores the fact, replacing (not merging) any existing annotation for
-// the tuple. Mirrors of external stores use it to track the store's exact
-// annotation instead of Add's alternative-derivation accumulation. An
+// the tuple. Callers that compute the annotation themselves (the storage
+// view's exact provenance sum, the snapshot codec) use it instead of Add's
+// subsumption-checked alternative-derivation accumulation. An
 // annotation-only change writes the stored fact in place — the tuple's
 // index entries are unaffected, so no index maintenance runs.
 func (db *DB) Set(pred string, t schema.Tuple, p provenance.Poly) {
@@ -364,12 +282,8 @@ func (db *DB) Remove(pred string, t schema.Tuple) {
 	db.MutableRel(pred).remove(t.Key())
 }
 
-// Size returns the total number of facts; lazy extents materialize so the
-// count is truthful.
+// Size returns the total number of facts.
 func (db *DB) Size() int {
-	for _, p := range db.lazy.preds() {
-		db.Rel(p)
-	}
 	n := 0
 	for _, r := range db.rels {
 		n += len(r.facts)
@@ -378,34 +292,47 @@ func (db *DB) Size() int {
 }
 
 // Snapshot returns an O(#preds) frozen view of the database: the snapshot
-// shares every extent with db, and both sides mark the extents shared so
-// the first mutation of each extent — on either side — clones it first
-// (copy-on-write, see MutableRel). Extents that are never mutated are never
-// copied, which is what makes snapshot-based evaluation cheap: Eval only
-// pays for the head relations it actually derives into.
+// shares every extent with db, and both sides give up ownership of the
+// shared extents, so the first mutation of each extent — on either side —
+// clones it first (copy-on-write, see MutableRel). Extents that are never
+// mutated are never copied, which is what makes snapshot-based evaluation
+// cheap: Eval only pays for the head relations it actually derives into.
 //
 // The snapshot observes none of db's later changes and vice versa, exactly
 // like the deep Clone it replaces, provided all mutations go through the DB
 // API (Add, MutableRel, and the evaluator's merge paths).
 func (db *DB) Snapshot() *DB {
-	c := &DB{rels: make(map[string]*Rel, len(db.rels)), lazy: db.lazy}
+	c := &DB{rels: make(map[string]*Rel, len(db.rels)), lentTo: new(ownership)}
+	c.owner.Store(new(ownership))
 	for p, r := range db.rels {
-		r.shared.Store(true)
 		c.rels[p] = r
 	}
+	c.lentFrom = db.owner.Swap(c.lentTo)
 	return c
+}
+
+// Release ends snap's life: the caller promises that neither snap nor
+// anything derived from it (snapshots of it, evaluations over it) will be
+// read again. If snap is db's latest snapshot (or every later one has been
+// released too), db takes back the ownership it held before snap was taken,
+// so the extents that only snap shared are db's to mutate in place again —
+// indexes intact, nothing cloned. Extents that an earlier, still unreleased
+// snapshot shares carry an older ownership and stay copy-on-write, and a
+// release out of order simply does nothing. Not calling Release is always
+// safe; it only costs the clone.
+func (db *DB) Release(snap *DB) {
+	db.owner.CompareAndSwap(snap.lentTo, snap.lentFrom)
 }
 
 // Clone deep-copies the database eagerly (indexes are not copied). Most
 // callers want Snapshot instead; Clone remains for tests and for callers
 // that need a guaranteed-private copy regardless of mutation patterns.
 func (db *DB) Clone() *DB {
-	for _, p := range db.lazy.preds() {
-		db.Rel(p)
-	}
 	c := NewDB()
 	for p, r := range db.rels {
-		c.rels[p] = r.cowClone()
+		r = r.cowClone()
+		r.owner = c.owner.Load()
+		c.rels[p] = r
 	}
 	return c
 }

@@ -668,7 +668,7 @@ func subsumedByExisting(rel *Rel, t schema.Tuple) bool {
 			vals = append(vals, v)
 		}
 	}
-	for _, f := range rel.lookup(cols, vals) {
+	for _, f := range rel.Lookup(cols, vals) {
 		if f.Tuple.Equal(t) {
 			continue // the tuple itself (or an identical copy) — not a subsumer
 		}

@@ -90,11 +90,13 @@ func (r *Rel) lookupBucket(colKey string, cols []int, valKey []byte) []*Fact {
 	return r.ensureIndex(colKey, cols).buckets[string(valKey)]
 }
 
-// lookup returns the facts whose projection on cols equals vals. With no
-// bound columns it returns all facts. The returned slice is shared with the
-// index: callers must not mutate it.
-func (r *Rel) lookup(cols []int, vals schema.Tuple) []*Fact {
-	var kb []byte
+// Lookup returns the facts whose projection on cols equals vals, building
+// the index on cols on first use. With no bound columns it returns all
+// facts. The returned slice and the facts it points to are shared with the
+// index: callers must not mutate them.
+func (r *Rel) Lookup(cols []int, vals schema.Tuple) []*Fact {
+	var buf [64]byte // keeps typical keys off the heap
+	kb := buf[:0]
 	for _, v := range vals {
 		kb = appendProjKey(kb, v)
 	}

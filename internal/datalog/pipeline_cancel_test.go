@@ -125,7 +125,7 @@ func TestIncrementalCancellationReleasesArena(t *testing.T) {
 	if len(cs) != want {
 		t.Fatalf("follow-up insert reported %d changes, want %d", len(cs), want)
 	}
-	if got := inc.DB().Rel("Pair").lookup([]int{0}, schema.NewTuple(schema.Int(9999))); len(got) != 1500 {
+	if got := inc.DB().Rel("Pair").Lookup([]int{0}, schema.NewTuple(schema.Int(9999))); len(got) != 1500 {
 		t.Fatalf("follow-up insert derived %d pairs, want 1500", len(got))
 	}
 }

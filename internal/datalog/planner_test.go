@@ -483,26 +483,26 @@ func TestIndexMaintainedAcrossPutAndRemove(t *testing.T) {
 		r.put(tu(i%2, i), provenance.One())
 	}
 	// Build two indexes, then mutate and re-probe.
-	if n := len(r.lookup([]int{0}, schema.NewTuple(schema.Int(0)))); n != 5 {
+	if n := len(r.Lookup([]int{0}, schema.NewTuple(schema.Int(0)))); n != 5 {
 		t.Fatalf("col-0 probe = %d, want 5", n)
 	}
-	if n := len(r.lookup(nil, nil)); n != 10 {
+	if n := len(r.Lookup(nil, nil)); n != 10 {
 		t.Fatalf("full scan = %d, want 10", n)
 	}
 	r.put(tu(0, 100), provenance.One())
-	if n := len(r.lookup([]int{0}, schema.NewTuple(schema.Int(0)))); n != 6 {
+	if n := len(r.Lookup([]int{0}, schema.NewTuple(schema.Int(0)))); n != 6 {
 		t.Fatalf("col-0 probe after insert = %d, want 6", n)
 	}
 	r.remove(tu(0, 100).Key())
 	r.remove(tu(0, 0).Key())
-	if n := len(r.lookup([]int{0}, schema.NewTuple(schema.Int(0)))); n != 4 {
+	if n := len(r.Lookup([]int{0}, schema.NewTuple(schema.Int(0)))); n != 4 {
 		t.Fatalf("col-0 probe after remove = %d, want 4", n)
 	}
-	if n := len(r.lookup(nil, nil)); n != 9 {
+	if n := len(r.Lookup(nil, nil)); n != 9 {
 		t.Fatalf("full scan after remove = %d, want 9", n)
 	}
 	// Probing a drained bucket must be empty, not stale.
-	if n := len(r.lookup([]int{1}, schema.NewTuple(schema.Int(100)))); n != 0 {
+	if n := len(r.Lookup([]int{1}, schema.NewTuple(schema.Int(100)))); n != 0 {
 		t.Fatalf("removed key still indexed: %d facts", n)
 	}
 }
@@ -514,19 +514,19 @@ func TestOversizedBucketDropsIndexOnRemove(t *testing.T) {
 	for i := int64(0); i < 3*bucketScanLimit; i++ {
 		r.put(schema.NewTuple(schema.Int(0), schema.Int(i)), provenance.One())
 	}
-	if n := len(r.lookup(nil, nil)); n != 3*bucketScanLimit {
+	if n := len(r.Lookup(nil, nil)); n != 3*bucketScanLimit {
 		t.Fatalf("full scan = %d", n)
 	}
-	if n := len(r.lookup([]int{0}, schema.NewTuple(schema.Int(0)))); n != 3*bucketScanLimit {
+	if n := len(r.Lookup([]int{0}, schema.NewTuple(schema.Int(0)))); n != 3*bucketScanLimit {
 		t.Fatalf("col-0 probe = %d", n)
 	}
 	for i := int64(0); i < bucketScanLimit; i++ {
 		r.remove(schema.NewTuple(schema.Int(0), schema.Int(i)).Key())
 	}
-	if n := len(r.lookup(nil, nil)); n != 2*bucketScanLimit {
+	if n := len(r.Lookup(nil, nil)); n != 2*bucketScanLimit {
 		t.Fatalf("full scan after bulk remove = %d, want %d", n, 2*bucketScanLimit)
 	}
-	if n := len(r.lookup([]int{0}, schema.NewTuple(schema.Int(0)))); n != 2*bucketScanLimit {
+	if n := len(r.Lookup([]int{0}, schema.NewTuple(schema.Int(0)))); n != 2*bucketScanLimit {
 		t.Fatalf("col-0 probe after bulk remove = %d, want %d", n, 2*bucketScanLimit)
 	}
 }

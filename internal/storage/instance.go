@@ -4,68 +4,64 @@ import (
 	"fmt"
 	"sync"
 
+	"orchestra/internal/datalog"
 	"orchestra/internal/provenance"
 	"orchestra/internal/schema"
 )
 
-// Instance is a database instance over one schema: one table per relation.
-// An Instance is safe for concurrent use; a coarse RW mutex suffices at the
-// scales a single CDSS peer handles between update exchanges.
+// Instance is a database instance over one schema: a keyed view (one Table
+// per relation) over a single datalog.DB that holds every row. An Instance
+// is safe for concurrent use; a coarse RW mutex suffices at the scales a
+// single CDSS peer handles between update exchanges. Readers of a Snapshot
+// or an EDB never take the lock: the DB's copy-on-write protocol keeps every
+// extent they can reach frozen.
 type Instance struct {
 	mu     sync.RWMutex
 	schema *schema.Schema
-	tables map[string]*Table
-	// version counts successful mutations (Insert/Upsert/Delete). Derived
-	// caches over the instance — notably the peer's datalog-EDB query mirror
-	// — compare versions to detect out-of-band writes and rebuild instead of
-	// serving stale data.
-	version uint64
+	db     *datalog.DB
 }
 
-// NewInstance creates an empty instance with one table per relation.
+// NewInstance creates an empty instance with one extent per relation. The
+// extents are created up front so that no read path ever has to create one
+// (a map write under the read lock).
 func NewInstance(s *schema.Schema) *Instance {
-	inst := &Instance{schema: s, tables: map[string]*Table{}}
+	db := datalog.NewDB()
 	for _, r := range s.Relations() {
-		inst.tables[r.Name] = NewTable(r)
+		db.Rel(r.Name)
 	}
-	return inst
+	return &Instance{schema: s, db: db}
 }
 
 // Schema returns the instance's schema.
 func (in *Instance) Schema() *schema.Schema { return in.schema }
 
-// Table returns the table for a relation name, or nil. The returned table
-// may be shared with a snapshot: callers must treat it as read-only and
-// mutate only through the Instance methods, which copy-on-write as needed.
-func (in *Instance) Table(name string) *Table {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return in.tables[name]
+// view returns the keyed view of a relation; ok is false for a relation the
+// schema does not declare.
+func (in *Instance) view(name string) (Table, bool) {
+	rel := in.schema.Relation(name)
+	return Table{rel: rel, db: in.db}, rel != nil
 }
 
-// mutable returns the exclusively owned table for rel, copy-on-write-cloning
-// it first if a snapshot shares it. Callers must hold in.mu for writing.
-func (in *Instance) mutable(rel string) (*Table, bool) {
-	t, ok := in.tables[rel]
+// Table returns the table for a relation name, or nil. The table reads the
+// instance's rows without its lock: use it on a snapshot, or where nothing
+// writes the instance concurrently, and mutate only through the Instance
+// methods.
+func (in *Instance) Table(name string) *Table {
+	t, ok := in.view(name)
 	if !ok {
-		return nil, false
+		return nil
 	}
-	if t.shared.Load() {
-		t = t.cowClone()
-		in.tables[rel] = t
-	}
-	return t, true
+	return &t
 }
 
 // Insert adds a tuple to the named relation.
 func (in *Instance) Insert(rel string, tu schema.Tuple, prov provenance.Poly) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	t, ok := in.mutable(rel)
+	t, ok := in.view(rel)
 	if !ok {
 		return fmt.Errorf("%w %s", ErrUnknownRelation, rel)
 	}
-	in.version++
 	return t.Insert(tu, prov)
 }
 
@@ -73,11 +69,10 @@ func (in *Instance) Insert(rel string, tu schema.Tuple, prov provenance.Poly) er
 func (in *Instance) Upsert(rel string, tu schema.Tuple, prov provenance.Poly) (*schema.Tuple, error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	t, ok := in.mutable(rel)
+	t, ok := in.view(rel)
 	if !ok {
 		return nil, fmt.Errorf("%w %s", ErrUnknownRelation, rel)
 	}
-	in.version++
 	return t.Upsert(tu, prov)
 }
 
@@ -85,21 +80,11 @@ func (in *Instance) Upsert(rel string, tu schema.Tuple, prov provenance.Poly) (*
 func (in *Instance) Delete(rel string, tu schema.Tuple) (bool, error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	t, ok := in.mutable(rel)
+	t, ok := in.view(rel)
 	if !ok {
 		return false, fmt.Errorf("%w %s", ErrUnknownRelation, rel)
 	}
-	in.version++
 	return t.Delete(tu), nil
-}
-
-// Version returns the instance's mutation counter: it advances on every
-// Insert, Upsert, or Delete (successful or not — it only ever
-// over-invalidates). Snapshots and clones start their own counter.
-func (in *Instance) Version() uint64 {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return in.version
 }
 
 // Rows returns the named relation's rows sorted by tuple order, under the
@@ -109,7 +94,7 @@ func (in *Instance) Version() uint64 {
 func (in *Instance) Rows(rel string) (rows []Row, ok bool) {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
-	t, ok := in.tables[rel]
+	t, ok := in.view(rel)
 	if !ok {
 		return nil, false
 	}
@@ -120,7 +105,7 @@ func (in *Instance) Rows(rel string) (rows []Row, ok bool) {
 func (in *Instance) Contains(rel string, tu schema.Tuple) bool {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
-	t, ok := in.tables[rel]
+	t, ok := in.view(rel)
 	return ok && t.Contains(tu)
 }
 
@@ -128,39 +113,37 @@ func (in *Instance) Contains(rel string, tu schema.Tuple) bool {
 func (in *Instance) Size() int {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
-	n := 0
-	for _, t := range in.tables {
-		n += t.Len()
-	}
-	return n
+	return in.db.Size()
 }
 
-// Snapshot returns an O(#relations) copy-on-write frozen view — the
-// mechanism behind the CDSS "public snapshot": the published view shares
-// every table with the live instance, and the first post-snapshot mutation
-// of a table (on either side) clones it, so later local edits never show
-// through the snapshot. Tables that are never edited are never copied.
+// EDB lends the instance's rows to an evaluation as a datalog EDB, one
+// predicate per relation: an O(#relations) copy-on-write snapshot of the DB
+// the instance itself writes, so queries read the stored extents (and build
+// their indexes on them) instead of a copy. The borrower owns the returned DB
+// — evaluation may derive into it — and neither side observes the other's
+// writes. Calling release when the evaluation is over (the EDB and everything
+// derived from it must not be read again) lets the instance go on writing
+// its extents in place, indexes intact, instead of cloning each one on its
+// next write; skipping release is safe and merely costs those clones.
+func (in *Instance) EDB() (edb *datalog.DB, release func()) {
+	in.mu.Lock() // a snapshot replaces the DB's ownership token
+	defer in.mu.Unlock()
+	edb = in.db.Snapshot()
+	return edb, func() {
+		in.mu.Lock()
+		defer in.mu.Unlock()
+		in.db.Release(edb)
+	}
+}
+
+// Snapshot returns an O(#relations) copy-on-write frozen view: it shares
+// every extent with the live instance, and the first post-snapshot mutation
+// of an extent (on either side) clones it, so later edits never show
+// through. Extents that are never edited are never copied.
 func (in *Instance) Snapshot() *Instance {
-	in.mu.RLock() // shared flags are atomic; only the map iteration needs the lock
-	defer in.mu.RUnlock()
-	c := &Instance{schema: in.schema, tables: make(map[string]*Table, len(in.tables))}
-	for name, t := range in.tables {
-		t.shared.Store(true)
-		c.tables[name] = t
-	}
-	return c
-}
-
-// Clone returns an eager deep copy. Most callers want Snapshot instead;
-// Clone remains for tests and callers that need a guaranteed-private copy.
-func (in *Instance) Clone() *Instance {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	c := &Instance{schema: in.schema, tables: map[string]*Table{}}
-	for name, t := range in.tables {
-		c.tables[name] = t.Clone()
-	}
-	return c
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return &Instance{schema: in.schema, db: in.db.Snapshot()}
 }
 
 // Delta is the difference between two instances over the same schema,
@@ -210,14 +193,16 @@ func (in *Instance) Diff(base *Instance) (Delta, error) {
 	defer base.mu.RUnlock()
 
 	d := Delta{Inserts: map[string][]schema.Tuple{}, Deletes: map[string][]schema.Tuple{}}
-	for name, t := range in.tables {
-		bt := base.tables[name]
+	for _, rel := range in.schema.Relations() {
+		name := rel.Name
+		t, _ := in.view(name)
+		bt, inBase := base.view(name)
 		for _, row := range t.Rows() {
-			if bt == nil || !bt.Contains(row.Tuple) {
+			if !inBase || !bt.Contains(row.Tuple) {
 				d.Inserts[name] = append(d.Inserts[name], row.Tuple)
 			}
 		}
-		if bt != nil {
+		if inBase {
 			for _, row := range bt.Rows() {
 				if !t.Contains(row.Tuple) {
 					d.Deletes[name] = append(d.Deletes[name], row.Tuple)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -52,13 +53,13 @@ func TestInstanceBasics(t *testing.T) {
 	}
 }
 
-func TestInstanceCloneSnapshot(t *testing.T) {
+func TestInstanceSnapshot(t *testing.T) {
 	in := NewInstance(sigma1())
 	tu := schema.NewTuple(schema.String("mouse"), schema.Int(1))
 	if err := in.Insert("O", tu, provenance.One()); err != nil {
 		t.Fatal(err)
 	}
-	snap := in.Clone()
+	snap := in.Snapshot()
 	// Continue editing the local instance; the snapshot must not change.
 	tu2 := schema.NewTuple(schema.String("rat"), schema.Int(2))
 	if err := in.Insert("O", tu2, provenance.One()); err != nil {
@@ -148,8 +149,58 @@ func TestInstanceConcurrentAccess(t *testing.T) {
 			}
 		}(g)
 	}
+	// Key-replacing writers, lock-taking readers, and readers of EDB
+	// snapshots (which probe the shared extents and build their indexes
+	// outside the instance lock) all run against the inserters: every read
+	// path must stay a read, and every write must copy a shared extent first.
+	for g := 0; g < 2; g++ {
+		wg.Add(3)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				tu := schema.NewTuple(schema.String(fmt.Sprint("org", i)), schema.Int(int64(g)))
+				if _, err := in.Upsert("O", tu, provenance.One()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				for _, rel := range []string{"O", "P", "S"} {
+					if _, ok := in.Rows(rel); !ok {
+						t.Errorf("Rows(%s) not ok", rel)
+						return
+					}
+				}
+			}
+		}()
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				edb, release := in.EDB()
+				n := edb.Rel("S").Len()
+				if got := len(edb.Rel("S").Lookup(nil, nil)); got != n {
+					t.Errorf("EDB scan saw %d of %d facts", got, n)
+					return
+				}
+				edb.Rel("O").Lookup([]int{1}, schema.NewTuple(schema.Int(int64(g))))
+				if edb.Rel("view").Len() != 0 { // creating an extent in the EDB is the caller's own write
+					t.Error("fresh predicate not empty")
+					return
+				}
+				if g == 0 {
+					release() // the other reader never releases: both must be safe
+				}
+			}
+		}(g)
+	}
 	wg.Wait()
-	if in.Size() != 800 {
-		t.Errorf("size = %d, want 800", in.Size())
+	if in.Size() != 802 { // 800 S rows, two O keys
+		t.Errorf("size = %d, want 802", in.Size())
+	}
+	if edb, _ := in.EDB(); edb.Has("view") {
+		t.Error("a write to an EDB created an extent in the instance")
 	}
 }

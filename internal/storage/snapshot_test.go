@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"orchestra/internal/provenance"
-	"orchestra/internal/schema"
 )
 
 // instFingerprint renders an instance's full observable state — relations,
@@ -30,9 +29,9 @@ func instFingerprint(in *Instance) string {
 }
 
 // TestInstanceSnapshotIsolationProperty drives random insert/upsert/delete
-// scripts against an instance with a live snapshot — the Peer.Publish
-// pattern — and asserts after every step that the frozen public snapshot
-// is unchanged, including through the indexed-lookup path.
+// scripts against an instance with a live snapshot — the query path's
+// pattern — and asserts after every step that the frozen snapshot is
+// unchanged, including through the key-index lookup path.
 func TestInstanceSnapshotIsolationProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for round := 0; round < 15; round++ {
@@ -44,12 +43,13 @@ func TestInstanceSnapshotIsolationProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Force an index on the soon-to-be-shared table, so the frozen side
-		// holds bucket state built before the snapshot.
-		in.Table("S").LookupIndex([]int{1}, schema.NewTuple(schema.Int(3)))
+		key3 := in.Schema().Relation("S").KeyOf(in.Table("S").Rows()[3].Tuple)
+		// Force the key index on the soon-to-be-shared extent, so the frozen
+		// side holds bucket state built before the snapshot.
+		in.Table("S").GetByKey(key3)
 		snap := in.Snapshot()
 		want := instFingerprint(snap)
-		wantRows := fmt.Sprint(snap.Table("S").LookupIndex([]int{1}, schema.NewTuple(schema.Int(3))))
+		wantRows := fmt.Sprint(snap.Table("S").GetByKey(key3))
 
 		for step := 0; step < 50; step++ {
 			k := rng.Int63n(40)
@@ -73,7 +73,7 @@ func TestInstanceSnapshotIsolationProperty(t *testing.T) {
 				t.Fatalf("round %d step %d: mutation leaked into snapshot:\nwant:\n%s\ngot:\n%s", round, step, want, got)
 			}
 		}
-		if got := fmt.Sprint(snap.Table("S").LookupIndex([]int{1}, schema.NewTuple(schema.Int(3)))); got != wantRows {
+		if got := fmt.Sprint(snap.Table("S").GetByKey(key3)); got != wantRows {
 			t.Fatalf("round %d: snapshot index rows changed:\nwant %s\ngot  %s", round, wantRows, got)
 		}
 	}

@@ -1,9 +1,11 @@
-// Package storage provides the in-memory relational storage engine that
-// backs each CDSS peer's local database instance. It supports set-semantics
-// tables with primary-key enforcement, hash secondary indexes, per-tuple
-// provenance annotations, deep snapshots (the "public snapshot" the CDSS
-// exposes after publishing), and instance diffing (to derive the update
-// stream from local edits).
+// Package storage is the keyed, schema-validating view over a CDSS peer's
+// local database instance. The rows themselves live in one copy-on-write
+// datalog.DB — one extent per relation — which is the same structure the
+// query evaluator reads, so an applied update is written exactly once. This
+// package adds what the evaluator's extents do not have: schema validation,
+// primary-key enforcement (answered from the extent's own lazily built
+// column index), set-semantics provenance merging, O(#relations) snapshots,
+// and instance comparison.
 //
 // The full ORCHESTRA prototype sat on an RDBMS; this embedded engine is the
 // laptop-scale substitute documented in DESIGN.md. It preserves the
@@ -12,11 +14,8 @@ package storage
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
 
+	"orchestra/internal/datalog"
 	"orchestra/internal/provenance"
 	"orchestra/internal/schema"
 )
@@ -24,65 +23,34 @@ import (
 // Row is a stored tuple together with its provenance annotation. Base
 // tuples (locally inserted) carry a single provenance token; tuples derived
 // by update exchange carry the polynomial computed by the mapping rules.
-type Row struct {
-	Tuple schema.Tuple
-	Prov  provenance.Poly
-}
+type Row = datalog.Fact
 
-// Table stores the extent of one relation. It enforces the relation's
-// primary key: two distinct tuples with the same key cannot coexist.
-// Table methods are not safe for concurrent mutation; Instance provides
-// the locking.
+// Table is the keyed view of one relation's extent in a datalog.DB. It
+// enforces the relation's primary key: two distinct tuples with the same
+// key cannot coexist. Table methods are not safe for concurrent mutation;
+// Instance provides the locking.
 type Table struct {
 	rel *schema.Relation
-	// rows maps full-tuple key -> row.
-	rows map[string]Row
-	// pk maps key-columns key -> full-tuple key.
-	pk map[string]string
-	// indexes maps a canonical column-set name to a hash index.
-	indexes map[string]*hashIndex
-	// shared marks the table as captured by an Instance.Snapshot: the next
-	// mutation (on any holder) must copy-on-write first. Never cleared once
-	// set; Instance.mutable performs the clone. Atomic because snapshots of
-	// two instances sharing this table synchronize on different mutexes.
-	shared atomic.Bool
-	// idxMu guards the indexes map: lazy index creation (LookupIndex) can
-	// run on a snapshot-shared table, concurrently from the instances that
-	// share it, while row mutations always happen on an exclusively owned
-	// table under its instance's lock.
-	idxMu sync.Mutex
+	db  *datalog.DB
 }
 
-// hashIndex maps the key of a column projection to the set of full-tuple
-// keys having that projection.
-type hashIndex struct {
-	cols    []int
-	buckets map[string]map[string]struct{}
-}
-
-func indexName(cols []int) string {
-	parts := make([]string, len(cols))
-	for i, c := range cols {
-		parts[i] = fmt.Sprint(c)
-	}
-	return strings.Join(parts, ",")
-}
-
-// NewTable creates an empty table for the relation.
+// NewTable creates an empty standalone table for the relation.
 func NewTable(rel *schema.Relation) *Table {
-	return &Table{
-		rel:     rel,
-		rows:    map[string]Row{},
-		pk:      map[string]string{},
-		indexes: map[string]*hashIndex{},
-	}
+	db := datalog.NewDB()
+	db.Rel(rel.Name)
+	return &Table{rel: rel, db: db}
 }
+
+// ext returns the relation's current extent, read-only. Every Table is
+// built over a DB that already holds the extent (NewTable, NewInstance), so
+// Rel never takes its creating branch here — reads stay reads.
+func (t *Table) ext() *datalog.Rel { return t.db.Rel(t.rel.Name) }
 
 // Relation returns the table's relation descriptor.
 func (t *Table) Relation() *schema.Relation { return t.rel }
 
 // Len returns the number of stored tuples.
-func (t *Table) Len() int { return len(t.rows) }
+func (t *Table) Len() int { return t.ext().Len() }
 
 // ErrKeyViolation is returned by Insert when a different tuple with the
 // same primary key already exists.
@@ -106,26 +74,15 @@ func (t *Table) Insert(tu schema.Tuple, prov provenance.Poly) error {
 	if err := t.rel.Validate(tu); err != nil {
 		return err
 	}
-	fk := tu.Key()
-	if existing, ok := t.rows[fk]; ok {
-		existing.Prov = existing.Prov.Add(prov).Intern()
-		t.rows[fk] = existing
+	key := t.rel.KeyOf(tu)
+	if prev, ok := t.GetByKey(key); ok {
+		if !prev.Tuple.Equal(tu) {
+			return &ErrKeyViolation{Relation: t.rel.Name, Key: key, Existing: prev.Tuple, New: tu}
+		}
+		t.merge(prev, prov)
 		return nil
 	}
-	kk := t.rel.KeyOf(tu).Key()
-	if prevFK, ok := t.pk[kk]; ok {
-		prev := t.rows[prevFK]
-		return &ErrKeyViolation{Relation: t.rel.Name, Key: t.rel.KeyOf(tu), Existing: prev.Tuple, New: tu}
-	}
-	// Stored annotations are interned so identical provenance across rows,
-	// tables, and snapshots shares one allocation.
-	t.rows[fk] = Row{Tuple: tu.Clone(), Prov: prov.Intern()}
-	t.pk[kk] = fk
-	t.idxMu.Lock()
-	for _, idx := range t.indexes {
-		idx.add(tu, fk)
-	}
-	t.idxMu.Unlock()
+	t.put(tu, prov)
 	return nil
 }
 
@@ -135,145 +92,65 @@ func (t *Table) Upsert(tu schema.Tuple, prov provenance.Poly) (replaced *schema.
 	if err := t.rel.Validate(tu); err != nil {
 		return nil, err
 	}
-	kk := t.rel.KeyOf(tu).Key()
-	if prevFK, ok := t.pk[kk]; ok {
-		prev := t.rows[prevFK].Tuple
-		if prev.Equal(tu) {
-			r := t.rows[prevFK]
-			r.Prov = r.Prov.Add(prov).Intern()
-			t.rows[prevFK] = r
+	if prev, ok := t.GetByKey(t.rel.KeyOf(tu)); ok {
+		if prev.Tuple.Equal(tu) {
+			t.merge(prev, prov)
 			return nil, nil
 		}
-		t.deleteByFullKey(prevFK)
-		if err := t.Insert(tu, prov); err != nil {
-			return nil, err
-		}
-		return &prev, nil
+		t.db.Remove(t.rel.Name, prev.Tuple)
+		replaced = &prev.Tuple
 	}
-	return nil, t.Insert(tu, prov)
+	t.put(tu, prov)
+	return replaced, nil
+}
+
+// put stores a tuple not yet in the extent. Stored tuples are immutable:
+// the clone keeps the caller's slice from aliasing a row snapshots share.
+func (t *Table) put(tu schema.Tuple, prov provenance.Poly) {
+	t.db.Set(t.rel.Name, tu.Clone(), prov)
+}
+
+// merge adds prov to a stored row's annotation (an alternative derivation
+// of the same tuple). The sum replaces the stored annotation outright —
+// DB.Set interns it — instead of going through the evaluator's
+// subsumption-checked merge, so the row holds exactly old + new.
+func (t *Table) merge(row Row, prov provenance.Poly) {
+	t.db.Set(t.rel.Name, row.Tuple, row.Prov.Add(prov))
 }
 
 // Delete removes the exact tuple. It reports whether the tuple was present.
 func (t *Table) Delete(tu schema.Tuple) bool {
-	fk := tu.Key()
-	if _, ok := t.rows[fk]; !ok {
+	if !t.ext().Contains(tu) {
 		return false
 	}
-	t.deleteByFullKey(fk)
+	t.db.Remove(t.rel.Name, tu)
 	return true
-}
-
-func (t *Table) deleteByFullKey(fk string) {
-	row, ok := t.rows[fk]
-	if !ok {
-		return
-	}
-	delete(t.rows, fk)
-	delete(t.pk, t.rel.KeyOf(row.Tuple).Key())
-	t.idxMu.Lock()
-	for _, idx := range t.indexes {
-		idx.remove(row.Tuple, fk)
-	}
-	t.idxMu.Unlock()
 }
 
 // Contains reports whether the exact tuple is stored.
-func (t *Table) Contains(tu schema.Tuple) bool {
-	_, ok := t.rows[tu.Key()]
-	return ok
-}
+func (t *Table) Contains(tu schema.Tuple) bool { return t.ext().Contains(tu) }
 
 // Get returns the row for the exact tuple.
-func (t *Table) Get(tu schema.Tuple) (Row, bool) {
-	r, ok := t.rows[tu.Key()]
-	return r, ok
-}
+func (t *Table) Get(tu schema.Tuple) (Row, bool) { return t.ext().Get(tu) }
 
-// GetByKey returns the row whose primary key matches, if any.
+// GetByKey returns the row whose primary key matches, if any. The probe
+// goes through the extent's index on the key columns — built on first use,
+// maintained incrementally afterwards, and shared with any query that binds
+// the same columns. A relation without a declared key is keyed by the whole
+// tuple, which the extent's tuple map already answers.
 func (t *Table) GetByKey(key schema.Tuple) (Row, bool) {
-	fk, ok := t.pk[key.Key()]
-	if !ok {
-		return Row{}, false
+	if len(t.rel.Key) == 0 {
+		return t.ext().Get(key)
 	}
-	return t.rows[fk], true
+	if fs := t.ext().Lookup(t.rel.Key, key); len(fs) > 0 {
+		return *fs[0], true
+	}
+	return Row{}, false
 }
 
-// SetProvenance replaces the provenance annotation of an existing tuple.
-func (t *Table) SetProvenance(tu schema.Tuple, prov provenance.Poly) bool {
-	fk := tu.Key()
-	r, ok := t.rows[fk]
-	if !ok {
-		return false
-	}
-	r.Prov = prov.Intern()
-	t.rows[fk] = r
-	return true
-}
-
-// CreateIndex builds (or returns) a hash index on the given columns.
-func (t *Table) CreateIndex(cols []int) {
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	t.createIndexLocked(cols)
-}
-
-func (t *Table) createIndexLocked(cols []int) *hashIndex {
-	name := indexName(cols)
-	if idx, ok := t.indexes[name]; ok {
-		return idx
-	}
-	idx := &hashIndex{cols: append([]int(nil), cols...), buckets: map[string]map[string]struct{}{}}
-	for fk, row := range t.rows {
-		idx.add(row.Tuple, fk)
-	}
-	t.indexes[name] = idx
-	return idx
-}
-
-// LookupIndex returns rows whose projection on cols equals vals. If no
-// index exists on cols one is created on first use — safe even when the
-// table is snapshot-shared between instances (idxMu serializes the lazy
-// build; rows on a shared table are immutable by the COW contract).
-func (t *Table) LookupIndex(cols []int, vals schema.Tuple) []Row {
-	t.idxMu.Lock()
-	idx, ok := t.indexes[indexName(cols)]
-	if !ok {
-		idx = t.createIndexLocked(cols)
-	}
-	bucket := idx.buckets[vals.Key()]
-	out := make([]Row, 0, len(bucket))
-	for fk := range bucket {
-		out = append(out, t.rows[fk])
-	}
-	t.idxMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Tuple.Compare(out[j].Tuple) < 0 })
-	return out
-}
-
-func (ix *hashIndex) add(tu schema.Tuple, fk string) {
-	k := tu.Project(ix.cols).Key()
-	b, ok := ix.buckets[k]
-	if !ok {
-		b = map[string]struct{}{}
-		ix.buckets[k] = b
-	}
-	b[fk] = struct{}{}
-}
-
-func (ix *hashIndex) remove(tu schema.Tuple, fk string) {
-	k := tu.Project(ix.cols).Key()
-	if b, ok := ix.buckets[k]; ok {
-		delete(b, fk)
-		if len(b) == 0 {
-			delete(ix.buckets, k)
-		}
-	}
-}
-
-// Scan calls fn for every row in unspecified order; returning false stops
-// the scan early.
+// Scan calls fn for every row; returning false stops the scan early.
 func (t *Table) Scan(fn func(Row) bool) {
-	for _, row := range t.rows {
+	for _, row := range t.Rows() {
 		if !fn(row) {
 			return
 		}
@@ -281,37 +158,4 @@ func (t *Table) Scan(fn func(Row) bool) {
 }
 
 // Rows returns all rows sorted by tuple order (deterministic).
-func (t *Table) Rows() []Row {
-	out := make([]Row, 0, len(t.rows))
-	for _, r := range t.rows {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tuple.Compare(out[j].Tuple) < 0 })
-	return out
-}
-
-// Clone returns a deep copy of the table (indexes are rebuilt lazily).
-func (t *Table) Clone() *Table {
-	c := NewTable(t.rel)
-	for fk, row := range t.rows {
-		c.rows[fk] = Row{Tuple: row.Tuple.Clone(), Prov: row.Prov}
-		c.pk[t.rel.KeyOf(row.Tuple).Key()] = fk
-	}
-	return c
-}
-
-// cowClone copies the table's row and key maps for copy-on-write after a
-// snapshot. Stored tuples are immutable once inserted (Insert defensively
-// clones its input and mutations replace whole rows), so the tuple slices
-// and provenance values are shared with the frozen side; only the maps are
-// rebuilt. Indexes are dropped and rebuilt lazily on the next lookup.
-func (t *Table) cowClone() *Table {
-	c := NewTable(t.rel)
-	for fk, row := range t.rows {
-		c.rows[fk] = row
-	}
-	for kk, fk := range t.pk {
-		c.pk[kk] = fk
-	}
-	return c
-}
+func (t *Table) Rows() []Row { return t.ext().Facts() }

@@ -102,75 +102,6 @@ func TestTableGetByKey(t *testing.T) {
 	}
 }
 
-func TestTableIndex(t *testing.T) {
-	tbl := NewTable(seqRel())
-	for i := int64(0); i < 10; i++ {
-		if err := tbl.Insert(seqTuple(i%3, i, "s"), provenance.One()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rows := tbl.LookupIndex([]int{0}, schema.NewTuple(schema.Int(0)))
-	if len(rows) != 4 { // oids 0,3,6,9
-		t.Errorf("index lookup returned %d rows", len(rows))
-	}
-	// Index maintained under delete.
-	tbl.Delete(seqTuple(0, 0, "s"))
-	rows = tbl.LookupIndex([]int{0}, schema.NewTuple(schema.Int(0)))
-	if len(rows) != 3 {
-		t.Errorf("after delete: %d rows", len(rows))
-	}
-	// Index maintained under insert after creation.
-	if err := tbl.Insert(seqTuple(0, 100, "s"), provenance.One()); err != nil {
-		t.Fatal(err)
-	}
-	rows = tbl.LookupIndex([]int{0}, schema.NewTuple(schema.Int(0)))
-	if len(rows) != 4 {
-		t.Errorf("after insert: %d rows", len(rows))
-	}
-	// Deterministic order.
-	for i := 1; i < len(rows); i++ {
-		if rows[i-1].Tuple.Compare(rows[i].Tuple) >= 0 {
-			t.Error("index rows not sorted")
-		}
-	}
-}
-
-func TestTableSetProvenance(t *testing.T) {
-	tbl := NewTable(seqRel())
-	tu := seqTuple(1, 1, "x")
-	if err := tbl.Insert(tu, provenance.One()); err != nil {
-		t.Fatal(err)
-	}
-	if !tbl.SetProvenance(tu, provenance.NewVar("q")) {
-		t.Error("SetProvenance failed")
-	}
-	row, _ := tbl.Get(tu)
-	if !row.Prov.Equal(provenance.NewVar("q")) {
-		t.Errorf("prov = %v", row.Prov)
-	}
-	if tbl.SetProvenance(seqTuple(9, 9, "z"), provenance.One()) {
-		t.Error("SetProvenance on missing tuple succeeded")
-	}
-}
-
-func TestTableCloneIsolation(t *testing.T) {
-	tbl := NewTable(seqRel())
-	if err := tbl.Insert(seqTuple(1, 1, "x"), provenance.One()); err != nil {
-		t.Fatal(err)
-	}
-	c := tbl.Clone()
-	if err := c.Insert(seqTuple(2, 2, "y"), provenance.One()); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 1 || c.Len() != 2 {
-		t.Error("clone aliases original")
-	}
-	c.Delete(seqTuple(1, 1, "x"))
-	if !tbl.Contains(seqTuple(1, 1, "x")) {
-		t.Error("delete in clone affected original")
-	}
-}
-
 func TestTableScanEarlyStop(t *testing.T) {
 	tbl := NewTable(seqRel())
 	for i := int64(0); i < 5; i++ {

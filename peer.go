@@ -79,8 +79,8 @@ func (p *Peer) Explain(rel string, tu Tuple) (Provenance, []Support, bool) {
 func (p *Peer) Begin() *Txn { return &Txn{peer: p, inner: p.core.NewTransaction()} }
 
 // Publish archives every committed-but-unpublished transaction in the
-// shared store, advances the logical clock, refreshes the public snapshot,
-// and pushes the new epoch to other peers' subscriptions.
+// shared store, advances the logical clock, and pushes the new epoch to
+// other peers' subscriptions.
 func (p *Peer) Publish(ctx context.Context) (uint64, error) {
 	epoch, _, err := p.PublishAll(ctx)
 	return epoch, err

@@ -82,8 +82,8 @@ func opsPointQuery(peer *orchestra.Peer, org string) *orchestra.Query {
 
 func runPointLookup(b *testing.B, full bool) {
 	peer, keySpace := benchJoinPeer(b, benchJoinRows)
-	// Warm the peer's query mirror so both modes measure evaluation, not
-	// the one-time EDB build.
+	// Warm the extents' probed indexes so both modes measure evaluation,
+	// not the one-time index build.
 	if _, err := opsPointQuery(peer, "org0").All(); err != nil {
 		b.Fatal(err)
 	}

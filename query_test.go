@@ -179,7 +179,7 @@ func TestQueryContextAndClose(t *testing.T) {
 }
 
 // Query answers must observe the current instance across commits and
-// reconciliations (the COW mirror is maintained, not rebuilt per call).
+// reconciliations (queries read the instance's own extents).
 func TestQuerySeesCommittedWrites(t *testing.T) {
 	_, alice := graphSystem(t)
 	ctx := context.Background()
