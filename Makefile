@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt fmt-check lint vuln bench bench-build bench-smoke bench-query bench-publish bench-sweep bench-baseline bench-compare bench-overhead endpoint-smoke memprofile examples-check recovery-check recovery-scaling ci
+.PHONY: build test race vet fmt fmt-check lint vuln bench bench-build bench-e2e bench-smoke bench-query bench-publish bench-sweep bench-baseline bench-compare bench-overhead endpoint-smoke memprofile examples-check recovery-check recovery-scaling ci
 
 ## build: compile every package
 build:
@@ -11,9 +11,11 @@ test: build
 	$(GO) test ./...
 
 ## race: full test suite under the race detector (exercises the parallel
-## stratum executor, see internal/datalog, and internal/core's seeded
-## query == instance interleaving schedules), with shuffled test order so
-## hidden inter-test state dependencies cannot hide
+## stratum executor, see internal/datalog; internal/lsm's lock-free memtable
+## readers and model schedules; and internal/core's seeded schedules —
+## query == instance, and delta checkpoint == full / recovered == twin, each
+## over its fixed default seed set), with shuffled test order so hidden
+## inter-test state dependencies cannot hide
 race:
 	$(GO) test -race -shuffle=on ./...
 
@@ -59,6 +61,18 @@ bench:
 bench-build:
 	$(GO) vet -C bench .
 	$(GO) test -C bench .
+
+## bench-e2e: the repo benchmark (BENCHMARK.json) — each of its four
+## workloads, timed run only, through the same entry point the merge gate
+## uses. Every run verifies its own output and exits non-zero if anything
+## differs, which fails the target. SECONDS=15 is the length the gate
+## measures at; CI runs SECONDS=3 for correctness alone.
+SEED ?= 1
+SECONDS ?= 15
+bench-e2e:
+	@for w in exchange-insert durable-pipeline query-point conflict-churn; do \
+		bash bench/run.sh --workload $$w --seed $(SEED) --seconds $(SECONDS) --trace 0 || exit 1; \
+	done
 
 ## bench-smoke: every benchmark in every package executes exactly once —
 ## keeps the root bench files and the internal benchmarks (e.g.

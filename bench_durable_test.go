@@ -117,11 +117,13 @@ func BenchmarkRecovery(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sub, err := core.NewPeer(topo.Names[len(topo.Names)-1], sys, ds, recon.TrustAll(1))
+			// The subscriber checkpoints, so it comes up attached to db — the
+			// way the SDK creates a durable peer: through recovery.
+			ctx := context.Background()
+			sub, err := core.RecoverPeerWith(ctx, topo.Names[len(topo.Names)-1], sys, ds, recon.TrustAll(1), exchange.Config{}, db)
 			if err != nil {
 				b.Fatal(err)
 			}
-			ctx := context.Background()
 			key := int64(0)
 			for epoch := 0; epoch < epochs; epoch++ {
 				// One epoch = a burst of single-insert transactions archived

@@ -7,6 +7,8 @@ package orchestra_test
 
 import (
 	"context"
+	"encoding/json"
+	"net/http/httptest"
 	"testing"
 
 	"orchestra"
@@ -145,5 +147,49 @@ func TestCheckpointOnDemandAndOnMemorySystems(t *testing.T) {
 	_ = memSys
 	if err := memAlice.Checkpoint(); err == nil {
 		t.Error("Checkpoint on an in-memory system accepted")
+	}
+}
+
+// The steady state of the durable tier is on the debug endpoint: what the
+// memtable holds, how many frozen memtables, WAL segments and tables there
+// are, and how many checkpoint rows and engine blobs have been written.
+func TestDurableSteadyStateSeriesOnDebugEndpoint(t *testing.T) {
+	ctx := context.Background()
+	sys, err := orchestra.Open(geneSchema(t), orchestra.WithDurableDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	alice, err := sys.Peer("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.Begin().Insert("Gene", gene("BRCA1", 17)).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.Publish(ctx); err != nil { // the ride-along checkpoint writes the row and the first blob
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(sys.DebugHandler())
+	defer srv.Close()
+	res, err := srv.Client().Get(srv.URL + "/debug/orchestra")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var m orchestra.MetricsSnapshot
+	if err := json.NewDecoder(res.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"lsm_memtable_bytes", "lsm_frozen_memtables", "lsm_wal_segments", "lsm_tables"} {
+		if _, ok := m.Gauges[name]; !ok {
+			t.Errorf("gauge %s missing from /debug/orchestra: %v", name, m.Gauges)
+		}
+	}
+	if m.Gauges["lsm_memtable_bytes"] == 0 || m.Gauges["lsm_wal_segments"] != 1 || m.Gauges["lsm_frozen_memtables"] != 0 {
+		t.Errorf("steady-state gauges after one publish: %v", m.Gauges)
+	}
+	if m.Counters["core_checkpoint_rows_written_total"] != 1 || m.Counters["core_engine_blob_writes_total"] != 1 {
+		t.Errorf("checkpoint counters after one single-row publish: %v", m.Counters)
 	}
 }

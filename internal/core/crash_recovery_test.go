@@ -7,13 +7,13 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"orchestra/internal/lsm"
 	"orchestra/internal/recon"
 	"orchestra/internal/workload"
 )
@@ -57,14 +57,8 @@ func TestTornEngineCheckpointRecoveryFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alaska, err := NewPeer(workload.Alaska, sys, ds, recon.TrustAll(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresden, err := NewPeer(workload.Dresden, sys, ds, recon.TrustAll(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	alaska := durablePeer(t, workload.Alaska, sys, ds, recon.TrustAll(1), db)
+	dresden := durablePeer(t, workload.Dresden, sys, ds, recon.TrustAll(1), db)
 
 	// History up to checkpoint #1.
 	commit(t, alaska.NewTransaction().
@@ -158,14 +152,8 @@ func testResolveSurvivesCrash(t *testing.T, ckBeforeResolve bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alaska, err := NewPeer(workload.Alaska, sys, ds, recon.TrustAll(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	beijing, err := NewPeer(workload.Beijing, sys, ds, recon.TrustAll(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	alaska := durablePeer(t, workload.Alaska, sys, ds, recon.TrustAll(1), db)
+	beijing := durablePeer(t, workload.Beijing, sys, ds, recon.TrustAll(1), db)
 	// The durable peer comes up through recovery (as the SDK creates it), so
 	// it is attached to the LSM tier and Resolve archives its decision.
 	dresden := recoverPeer(t, workload.Dresden, ds, recon.TrustAll(1), db)
@@ -243,7 +231,7 @@ func testResolveSurvivesCrash(t *testing.T, ckBeforeResolve bool) {
 	sn := db2.Snapshot()
 	rb := rkBase(workload.Dresden)
 	archived := 0
-	if err := sn.Scan(rb, ckPrefixEnd(rb), func(k, v []byte) bool { archived++; return true }); err != nil {
+	if err := sn.Scan(rb, lsm.PrefixEnd(rb), func(k, v []byte) bool { archived++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	sn.Close()
@@ -276,8 +264,8 @@ func TestResolveSurvivesCrashRecovery(t *testing.T) {
 }
 
 // TestResolveSurvivesDirtyCheckpointCrash: a checkpoint taken while the
-// engine is dirty cannot snapshot, so it keeps the decision archive but marks
-// each record instance-applied (its effects are in the checkpoint rows).
+// engine is dirty cannot write a blob, so it keeps the decision archive but
+// marks each record instance-applied (its effects are in the checkpoint rows).
 // Recovery must repair the trust state from the archive without re-applying
 // the winner's updates — double application would corrupt provenance.
 func TestResolveSurvivesDirtyCheckpointCrash(t *testing.T) {
@@ -287,14 +275,8 @@ func TestResolveSurvivesDirtyCheckpointCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alaska, err := NewPeer(workload.Alaska, sys, ds, recon.TrustAll(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	beijing, err := NewPeer(workload.Beijing, sys, ds, recon.TrustAll(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	alaska := durablePeer(t, workload.Alaska, sys, ds, recon.TrustAll(1), db)
+	beijing := durablePeer(t, workload.Beijing, sys, ds, recon.TrustAll(1), db)
 	dresden := recoverPeer(t, workload.Dresden, ds, recon.TrustAll(1), db)
 	bTxn := commit(t, beijing.NewTransaction().
 		Insert("O", workload.OTuple("fly", 3)).
@@ -312,8 +294,8 @@ func TestResolveSurvivesDirtyCheckpointCrash(t *testing.T) {
 	}
 
 	// Simulate a failed Apply having left the engine undefined, then
-	// checkpoint: the dirty path drops the stale snapshot and rewrites the
-	// archived decision as instance-applied.
+	// checkpoint: no blob can be written (there was none before, either), and
+	// the archived decision is rewritten as instance-applied.
 	dresden.mu.Lock()
 	dresden.engineDirty = true
 	dresden.mu.Unlock()
@@ -323,18 +305,22 @@ func TestResolveSurvivesDirtyCheckpointCrash(t *testing.T) {
 	}
 	sn := db.Snapshot()
 	rb := rkBase(workload.Dresden)
-	var decisions []resolveDecision
-	err = sn.Scan(rb, ckPrefixEnd(rb), func(k, v []byte) bool {
-		var d resolveDecision
+	// The journal holds the round that deferred the conflict, then the
+	// decision; only the decision carries instance effects to mark.
+	var decisions []trustEvent
+	err = sn.Scan(rb, lsm.PrefixEnd(rb), func(k, v []byte) bool {
+		var d trustEvent
 		if e := json.Unmarshal(v, &d); e != nil {
-			t.Errorf("bad archived decision: %v", e)
+			t.Errorf("bad archived event: %v", e)
 			return false
 		}
-		decisions = append(decisions, d)
-		if len(k) < len(rb)+8 {
-			t.Errorf("short decision key %x", k)
-		} else if seq := binary.BigEndian.Uint64(k[len(rb):]); seq != 0 {
-			t.Errorf("decision seq = %d, want 0", seq)
+		if len(k) != len(rb)+8 {
+			t.Errorf("malformed event key %x", k)
+		}
+		if d.isResolve(workload.Dresden) {
+			decisions = append(decisions, d)
+		} else if d.InstanceApplied {
+			t.Errorf("event %+v marked instance-applied, and is not a decision", d)
 		}
 		return true
 	})

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"sort"
 	"time"
 
 	"orchestra/internal/exchange"
@@ -17,10 +18,12 @@ import (
 )
 
 // This file is the peer-side half of the durable tier: peers checkpoint
-// their full engine state into the same LSM database that holds the
-// published archive (p2p.DurableStore, prefix "a/"), and recover after a
-// crash by loading the checkpoint and replaying only the published suffix
-// the checkpoint does not already cover.
+// their state into the same LSM database that holds the published archive
+// (p2p.DurableStore, prefix "a/"), and recover after a crash by loading the
+// checkpoint and replaying only the published suffix it does not already
+// cover. A checkpoint costs what changed since the previous one: the rows
+// applyUpdates touched, the meta record, the unpublished queue, and — on a
+// geometric schedule (blobRebaseDue) — the engine blob.
 //
 // Checkpoint key layout (esc is lsm.AppendString, the order-preserving
 // escaped string encoding); the "c/", "e/", and "r/" prefixes cannot
@@ -30,7 +33,7 @@ import (
 //	c/<esc peer>r<esc rel><tuple bytes>  -> binary provenance polynomial (encodeProv)
 //	c/<esc peer>u<index be32>            -> JSON p2p.WireTxn (unpublished)
 //	e/<esc peer>                         -> engine snapshot blob (engineblob.go)
-//	r/<esc peer><seq be64>               -> JSON resolveDecision
+//	r/<esc peer><seq be64>               -> JSON trustEvent
 //
 // The tuple decodes from the row key itself; the value holds only the
 // stored annotation, so a checkpoint relation is a contiguous, key-ordered
@@ -39,10 +42,16 @@ import (
 // The "e/" blob turns recovery from O(history) into O(suffix): it captures
 // the translation engine (union database, token log, base tokens, applied
 // set), the reconciliation state, the dependency tracker, and the adaptive
-// window's learned drain latency, all valid at the checkpoint epoch. The
-// "r/" archive makes Resolve decisions durable between checkpoints:
-// recovery re-applies them at their recorded position instead of letting
-// settled conflicts regress to deferred.
+// window's learned drain latency, all valid at its watermark epoch W — the
+// epoch of the checkpoint that wrote it, at or before the epoch E of the
+// newest rows. The published archive is the blob's delta log: recovery
+// restores the blob and replays Since(W). The "r/" archive holds what that
+// log cannot — when the peer did what with it since the blob: where each
+// reconciliation round ended (candidates judged together defer each other,
+// candidates of separate rounds do not), where each local commit was
+// accepted (the archive has the transaction, but at the epoch it was
+// published), and each Resolve decision, which would otherwise regress to
+// deferred.
 
 const (
 	ckPrefix = "c/"
@@ -91,32 +100,30 @@ func rkKey(peer string, seq uint64) []byte {
 	return binary.BigEndian.AppendUint64(rkBase(peer), seq)
 }
 
-// resolveDecision is one archived Peer.Resolve outcome. AfterEpoch is the
-// peer's lastEpoch when the decision was made: recovery re-applies the
-// decision after replaying every transaction up to that epoch and before
-// any later one, reproducing the live ordering. InstanceApplied is set when
-// a later checkpoint captured the decision's instance effects in its rows
-// but could not fold the trust-state transition into an engine snapshot (a
-// dirty-engine checkpoint): recovery then repairs the trust state without
-// double-applying the winner's updates.
-type resolveDecision struct {
+// trustEvent is one entry of the peer's journal of what it did to its trust
+// state, told apart by whose transaction it names: nobody's — a
+// reconciliation round that judged every candidate up to AfterEpoch; the
+// peer's own — a local commit, accepted unconditionally the moment it was
+// made; anyone else's — a Peer.Resolve in favour of that winner. For the
+// last two AfterEpoch is the peer's lastEpoch at the time. Recovery replays
+// the journal in order against the published history: a round judges the
+// candidates up to its epoch together, a commit or decision lands after the
+// round its epoch names and before any later one. InstanceApplied is set on
+// a Resolve when a later checkpoint captured its instance effects in its
+// rows without folding the trust-state transition into a new engine blob:
+// recovery then repairs the trust state without double-applying the
+// winner's updates. (The field names predate the other two kinds; the
+// format of a Resolve record is unchanged.)
+type trustEvent struct {
 	WinnerPeer      string `json:"winner_peer"`
 	WinnerSeq       uint64 `json:"winner_seq"`
 	AfterEpoch      uint64 `json:"after_epoch"`
 	InstanceApplied bool   `json:"instance_applied,omitempty"`
 }
 
-// ckPrefixEnd returns the tightest exclusive upper bound for a key prefix
-// (nil means "to the end of the keyspace").
-func ckPrefixEnd(p []byte) []byte {
-	out := append([]byte(nil), p...)
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i] != 0xFF {
-			out[i]++
-			return out[:i+1]
-		}
-	}
-	return nil
+// isResolve reports whether the event is a Resolve decision at peer self.
+func (d trustEvent) isResolve(self string) bool {
+	return d.WinnerPeer != "" && d.WinnerPeer != self
 }
 
 // encodeProv/decodeProv are the binary form of a provenance polynomial: a
@@ -230,138 +237,136 @@ func (d *provDecoder) decode(data []byte) (provenance.Poly, error) {
 	return provenance.FromCanonicalMonomials(ms), nil
 }
 
-// SaveCheckpoint writes the peer's durable state — every local instance row
-// with its provenance, the committed-but-unpublished transaction queue, the
-// (nextSeq, lastEpoch) meta record, and (engine permitting) the engine
-// snapshot blob — as ONE atomic, fsynced lsm.Batch that also deletes
-// whatever the previous checkpoint wrote and this one did not. A crash
-// therefore leaves either the old checkpoint or the new one, never a blend:
-// the batch is a single WAL record, and recovery replays it all or not at
-// all.
+// blobRebaseDue is the rule that decides which checkpoints carry an engine
+// blob. A blob is the whole engine, so writing one costs O(history); the
+// archive already holds every transaction since the last one, so skipping
+// it costs only replay at recovery. Rewriting once the engine has applied
+// an eighth as many transactions again as the last blob covered keeps both
+// bounded: blob bytes written per transaction stay constant (a geometric
+// series, about nine times the final blob in total), and recovery replays
+// at most a ninth of the history. The rule counts transactions, nothing
+// timed, so two runs of one schedule write the same bytes.
+func blobRebaseDue(covered, applied int) bool {
+	return applied > covered && (applied-covered)*8 >= covered
+}
+
+// SaveCheckpoint brings the peer's durable image in db — the database the
+// peer was recovered from — up to date as ONE atomic, fsynced lsm.Batch: a
+// Put of the current annotation (or a Delete, if the tuple is gone) for
+// every row applyUpdates touched since the previous checkpoint, the
+// (nextSeq, lastEpoch) meta record, the committed-but-unpublished queue, and
+// — when there is none yet or blobRebaseDue says so — the engine blob. A
+// crash leaves either the old image or the new one, never a blend: the
+// batch is a single WAL record, and recovery replays it all or not at all.
 //
-// The engine snapshot folds every archived Resolve decision into the saved
-// trust state, so the same batch clears the decision archive. A dirty
-// engine (a failed Apply left it undefined) cannot snapshot: the stale blob
-// is deleted in the batch, and the decision archive is instead rewritten to
-// record that its instance effects are now covered by the checkpoint rows.
+// A checkpoint that writes the blob folds the whole trust journal into the
+// saved trust state, so the same batch clears the "r/" archive. One that
+// does not (not due yet, or a failed Apply left the engine undefined and
+// unencodable) keeps the previous blob and the journal, and marks the
+// Resolve decisions in it: their instance effects are covered by the rows
+// it writes.
 func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if db == nil || p.db != db {
+		return fmt.Errorf("core: checkpoint %s: peer was not recovered from this database", p.name)
+	}
 	sp := p.obsv.startSpan("core_checkpoint", p.name)
 	defer p.obsv.endSpan(sp, p.name)
 	p.obsv.checkpoints.Inc()
+	fail := func(stage string, err error) error {
+		return fmt.Errorf("core: checkpoint %s: %s: %w", p.name, stage, err)
+	}
 	b := lsm.NewBatch()
 	var totalBytes int64
-	live := map[string]bool{}
-	s := p.sys.Schema(p.name)
-	for _, rel := range s.Relations() {
-		rows, _ := p.local.Rows(rel.Name)
-		for _, row := range rows {
-			key := ckRowKey(p.name, rel.Name, row.Tuple)
-			val, err := encodeProv(row.Prov)
-			if err != nil {
-				return fmt.Errorf("core: checkpoint %s: encode provenance: %w", p.name, err)
-			}
-			b.Put(key, val)
-			totalBytes += int64(len(key) + len(val))
-			live[string(key)] = true
+	put := func(key, val []byte) {
+		b.Put(key, val)
+		totalBytes += int64(len(key) + len(val))
+	}
+
+	// Sorted, so the batch — and with it the WAL — is a function of the
+	// schedule, not of map iteration order.
+	keys := make([]string, 0, len(p.dirty))
+	for k := range p.dirty {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		d := p.dirty[k]
+		row, ok := p.local.Table(d.rel).Get(d.tu)
+		if !ok {
+			b.Delete([]byte(k))
+			continue
 		}
+		val, err := encodeProv(row.Prov)
+		if err != nil {
+			return fail("encode provenance", err)
+		}
+		put([]byte(k), val)
 	}
 	for i, t := range p.unpublished {
 		data, err := json.Marshal(p2p.EncodeTxn(t))
 		if err != nil {
-			return fmt.Errorf("core: checkpoint %s: encode unpublished txn: %w", p.name, err)
+			return fail("encode unpublished txn", err)
 		}
-		key := ckUnpubKey(p.name, i)
-		b.Put(key, data)
-		totalBytes += int64(len(key) + len(data))
-		live[string(key)] = true
+		put(ckUnpubKey(p.name, i), data)
+	}
+	for i := len(p.unpublished); i < p.ckUnpub; i++ {
+		b.Delete(ckUnpubKey(p.name, i))
 	}
 	meta, err := json.Marshal(checkpointMeta{NextSeq: p.nextSeq, LastEpoch: p.lastEpoch})
 	if err != nil {
-		return err
+		return fail("encode meta", err)
 	}
-	mk := ckMetaKey(p.name)
-	b.Put(mk, meta)
-	totalBytes += int64(len(mk) + len(meta))
-	live[string(mk)] = true
+	put(ckMetaKey(p.name), meta)
 
-	sn := db.Snapshot()
-	defer sn.Close()
-	ek := ekKey(p.name)
-	rb := rkBase(p.name)
-	snapshotted := !p.engineDirty
-	if snapshotted {
+	applied := p.engine.AppliedCount()
+	writeBlob := !p.engineDirty && (!p.hasBlob || blobRebaseDue(p.blobTxns, applied))
+	if writeBlob {
 		engBlob, err := p.engine.SaveState()
 		if err != nil {
-			return fmt.Errorf("core: checkpoint %s: engine state: %w", p.name, err)
+			return fail("engine state", err)
 		}
 		blob, err := encodeEngineBlob(p.lastEpoch, p.win.PerTxnSeconds(), engBlob, p.state.Save(), p.tracker.Save())
 		if err != nil {
-			return fmt.Errorf("core: checkpoint %s: engine snapshot: %w", p.name, err)
+			return fail("engine snapshot", err)
 		}
-		b.Put(ek, blob)
-		totalBytes += int64(len(ek) + len(blob))
-		// The saved trust state already reflects every archived decision;
-		// clear the archive in the same atomic batch.
-		err = sn.Scan(rb, ckPrefixEnd(rb), func(k, v []byte) bool {
-			b.Delete(append([]byte(nil), k...))
-			return true
-		})
-		if err != nil {
-			return fmt.Errorf("core: checkpoint %s: sweep decisions: %w", p.name, err)
+		put(ekKey(p.name), blob)
+		// The saved trust state already reflects every journaled event.
+		for i := range p.events {
+			b.Delete(rkKey(p.name, uint64(i)))
 		}
 	} else {
-		b.Delete(ek)
-		// Keep the decisions (a snapshot-less recovery still needs them to
-		// repair the trust state) but mark their instance effects as covered
-		// by the rows this checkpoint writes.
-		var derr error
-		err = sn.Scan(rb, ckPrefixEnd(rb), func(k, v []byte) bool {
-			var d resolveDecision
-			if e := json.Unmarshal(v, &d); e != nil {
-				derr = e
-				return false
+		for i, d := range p.events {
+			if d.InstanceApplied || !d.isResolve(p.name) {
+				continue
 			}
-			if !d.InstanceApplied {
-				d.InstanceApplied = true
-				data, e := json.Marshal(d)
-				if e != nil {
-					derr = e
-					return false
-				}
-				b.Put(append([]byte(nil), k...), data)
+			d.InstanceApplied = true
+			data, err := json.Marshal(d)
+			if err != nil {
+				return fail("rewrite decision", err)
 			}
-			return true
-		})
-		if err == nil {
-			err = derr
-		}
-		if err != nil {
-			return fmt.Errorf("core: checkpoint %s: rewrite decisions: %w", p.name, err)
+			put(rkKey(p.name, uint64(i)), data)
 		}
 	}
 
-	// Sweep the previous checkpoint: any key under this peer's prefix that
-	// the new checkpoint does not reassert is deleted in the same batch, so
-	// deleted rows and drained unpublished slots cannot leak back in.
-	base := ckBase(p.name)
-	err = sn.Scan(base, ckPrefixEnd(base), func(k, v []byte) bool {
-		if !live[string(k)] {
-			b.Delete(append([]byte(nil), k...))
-		}
-		return true
-	})
-	if err != nil {
-		return fmt.Errorf("core: checkpoint %s: sweep previous: %w", p.name, err)
-	}
 	if err := db.Apply(b, true); err != nil {
 		return fmt.Errorf("core: checkpoint %s: %w", p.name, err)
 	}
-	if snapshotted {
-		p.resolveSeq = 0
-	}
+	// The image now matches memory; only now forget what made it differ.
+	p.obsv.checkpointRows.Add(int64(len(keys)))
 	p.obsv.checkpointBytes.Set(totalBytes)
+	clear(p.dirty)
+	p.ckUnpub = len(p.unpublished)
+	if writeBlob {
+		p.obsv.blobWrites.Inc()
+		p.hasBlob, p.blobTxns = true, applied
+		p.events = nil
+	} else {
+		for i := range p.events {
+			p.events[i].InstanceApplied = p.events[i].isResolve(p.name)
+		}
+	}
 	return nil
 }
 
@@ -372,22 +377,22 @@ func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 // counter, settled conflicts — from the same peer having processed the same
 // history live.
 //
-// With an engine snapshot ("e/" blob) the whole recovery is O(suffix): the
-// engine, trust state, and tracker restore from the blob, only
-// transactions with epoch > the snapshot's watermark are fetched and
-// replayed, and archived Resolve decisions re-apply at their recorded
-// positions. Without a snapshot (no checkpoint ever, or the last one found
-// the engine dirty) recovery falls back to a full-history replay: the
-// checkpoint rows still spare the instance re-application for epochs ≤
-// LastEpoch (E), while translations and trust decisions replay from epoch
-// 0 — relying on ApplyAll's pinned batch-composition property — and
-// archived decisions repair the otherwise-regressed conflict state.
+// There is one path. The engine, trust state and tracker restore from the
+// "e/" blob, valid at its watermark W ≤ E (the rows' epoch); with no blob
+// they start empty and W is 0. Everything published after W is fetched and
+// its translations replayed — relying on ApplyAll's pinned
+// batch-composition property — then its trust decisions replay in epoch
+// order: outcomes at epochs ≤ E rebuild the trust state only (the rows
+// already hold their effects), outcomes after E also apply to the
+// instance, and archived Resolve decisions re-apply at their recorded
+// positions. blobRebaseDue keeps W close enough to the head that the
+// replay is at most a ninth of the history.
 func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.Store, policy *recon.Policy, cfg exchange.Config, db *lsm.DB) (*Peer, error) {
 	p, err := NewPeerWith(name, sys, store, policy, cfg)
 	if err != nil {
 		return nil, err
 	}
-	p.db = db
+	p.db, p.dirty = db, map[string]dirtyRow{}
 	fail := func(stage string, err error) (*Peer, error) {
 		return nil, fmt.Errorf("core: recover peer %s: %s: %w", name, stage, err)
 	}
@@ -400,7 +405,6 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 	meta := checkpointMeta{NextSeq: 1}
 	var ckUnpublished []*updates.Transaction
 	var snap *engineSnapshot
-	var decisions []resolveDecision
 	sn := db.Snapshot()
 	if raw, ok, err := sn.Get(ckMetaKey(name)); err != nil {
 		sn.Close()
@@ -423,7 +427,7 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 	rp := ckRowPrefix(name)
 	var derr error
 	var pd provDecoder
-	err = sn.Scan(rp, ckPrefixEnd(rp), func(k, v []byte) bool {
+	err = sn.Scan(rp, lsm.PrefixEnd(rp), func(k, v []byte) bool {
 		rel, rest, e := lsm.DecodeString(k[len(rp):])
 		if e != nil {
 			derr = e
@@ -454,7 +458,7 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 	}
 	up := ckUnpubPrefix(name)
 	derr = nil
-	err = sn.Scan(up, ckPrefixEnd(up), func(k, v []byte) bool {
+	err = sn.Scan(up, lsm.PrefixEnd(up), func(k, v []byte) bool {
 		var w p2p.WireTxn
 		if e := json.Unmarshal(v, &w); e != nil {
 			derr = e
@@ -477,17 +481,24 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 	}
 	rb := rkBase(name)
 	derr = nil
-	err = sn.Scan(rb, ckPrefixEnd(rb), func(k, v []byte) bool {
-		var d resolveDecision
+	err = sn.Scan(rb, lsm.PrefixEnd(rb), func(k, v []byte) bool {
+		var d trustEvent
 		if e := json.Unmarshal(v, &d); e != nil {
 			derr = e
 			return false
 		}
-		decisions = append(decisions, d)
-		if len(k) >= len(rb)+8 {
-			if seq := binary.BigEndian.Uint64(k[len(rb):]); seq >= p.resolveSeq {
-				p.resolveSeq = seq + 1
-			}
+		// The archive is written at consecutive sequences from 0 and cleared
+		// as a whole; Resolve relies on that to key the next decision.
+		if len(k) != len(rb)+8 || binary.BigEndian.Uint64(k[len(rb):]) != uint64(len(p.events)) {
+			derr = fmt.Errorf("decision archive key %x out of sequence", k)
+			return false
+		}
+		p.events = append(p.events, d)
+		// A commit record whose transaction the crash took back still burns
+		// its sequence number: reissuing it would leave two records for one
+		// transaction id.
+		if d.WinnerPeer == name && d.WinnerSeq >= p.nextSeq {
+			p.nextSeq = d.WinnerSeq + 1
 		}
 		return true
 	})
@@ -498,15 +509,20 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 	if err != nil {
 		return fail("checkpoint decisions", err)
 	}
-	p.nextSeq = meta.NextSeq
+	if meta.NextSeq > p.nextSeq {
+		p.nextSeq = meta.NextSeq
+	}
+	p.ckUnpub = len(ckUnpublished)
+	events := p.events
 	E := meta.LastEpoch
 
-	restored := snap != nil
-	if restored {
-		if snap.Watermark != E {
-			// Blob and meta are written in the same atomic batch; a mismatch
-			// means the keyspace was tampered with.
-			return fail("engine snapshot", fmt.Errorf("watermark %d != checkpoint epoch %d", snap.Watermark, E))
+	W := uint64(0)
+	if snap != nil {
+		if snap.Watermark > E {
+			// A blob is written in the same atomic batch as a meta record of
+			// its own epoch, and later checkpoints only raise E; a blob from
+			// the future means the keyspace was tampered with.
+			return fail("engine snapshot", fmt.Errorf("watermark %d is past checkpoint epoch %d", snap.Watermark, E))
 		}
 		if err := p.engine.LoadState(snap.Engine); err != nil {
 			return fail("restore engine", err)
@@ -516,19 +532,16 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 		}
 		p.tracker.Restore(snap.Writers)
 		p.win.SeedPerTxn(snap.PerTxn)
+		W = snap.Watermark
+		p.hasBlob, p.blobTxns = true, p.engine.AppliedCount()
 	}
 	p.recLoadNs = time.Since(loadStart).Nanoseconds()
 
-	// Phase 2 — fetch the history the restored state does not cover (the
-	// suffix after E with a snapshot, everything without one) and replay
-	// translations through the engine in adaptive windows (same
+	// Phase 2 — fetch the history the restored state does not cover and
+	// replay translations through the engine in adaptive windows (same
 	// group-commit shape as Reconcile), leaving the engine exactly where a
 	// live peer's would be.
-	sinceEpoch := uint64(0)
-	if restored {
-		sinceEpoch = E
-	}
-	txns, storeEpoch, err := store.Since(sinceEpoch)
+	txns, storeEpoch, err := store.Since(W)
 	if err != nil {
 		return fail("fetch history", err)
 	}
@@ -547,33 +560,34 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 		rest = rest[n:]
 	}
 
-	// A checkpoint-unpublished transaction that later shows up in the store
-	// was published in the window between the checkpoint and the crash: it
-	// re-enters the trust state at its epoch slot and must NOT be restored
-	// to the unpublished queue (the archive already has it).
-	ownInStore := map[updates.TxnID]bool{}
+	// The bodies of our own transactions this recovery can see: published
+	// after W, or queued at the checkpoint. A queued one that also shows up in
+	// the store was published between the checkpoint and the crash and must
+	// NOT be restored to the unpublished queue (the archive already has it).
+	own := map[updates.TxnID]*updates.Transaction{}
+	for _, t := range ckUnpublished {
+		own[t.ID] = t
+	}
+	published := map[updates.TxnID]bool{}
 	for _, t := range txns {
 		if t.ID.Peer == name {
-			ownInStore[t.ID] = true
+			own[t.ID] = t
+			published[t.ID] = true
 		}
 	}
-	inCk := map[updates.TxnID]bool{}
-	for _, t := range ckUnpublished {
-		inCk[t.ID] = true
-	}
 
-	// Phase 3 — replay decisions in epoch order. Candidate runs are flushed
-	// through state.Reconcile at every boundary that changes what "applying
-	// the outcome" means: at each of our own transactions (AcceptLocal must
-	// interleave at its true position — acceptance order decides write
-	// conflicts), at each archived Resolve decision (the decision settled
-	// conflicts exactly between the epochs its AfterEpoch records), and at
-	// the E boundary (outcomes at epochs ≤ E are already reflected in the
-	// checkpoint rows and must not re-apply; outcomes after E must).
-	// Batch-insensitivity of state.Reconcile makes the coarser replay
-	// partitioning equivalent to the original round structure. With a
-	// restored snapshot every fetched transaction is post-E, so every
-	// outcome applies and the trust state picks up where the blob left off.
+	// Phase 3 — replay the trust state's events in their live order.
+	// Candidate runs are flushed through state.Reconcile at every archived
+	// trust event — the end of a live round, which judged exactly the
+	// candidates up to its epoch together; a local commit or a Resolve
+	// decision, which happened exactly between the epochs its AfterEpoch
+	// records (acceptance order decides write conflicts) — and at the E
+	// boundary (outcomes at epochs ≤ E are already reflected in the
+	// checkpoint rows and must not re-apply; outcomes after E must). What
+	// lies past the last archived round is judged as one round, as the
+	// Reconcile the peer would run next would. What the blob's trust state
+	// already holds is recognised by its status, never by which path led
+	// here.
 	var run []*updates.Transaction
 	var runRes []*exchange.Result
 	runPre := false
@@ -607,30 +621,55 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 		run, runRes = nil, nil
 		return nil
 	}
+	// acceptOwn re-enters one of our own transactions into the trust state
+	// and the tracker, unless the blob already holds it. Its effects are in
+	// the checkpoint rows if it committed before the checkpoint, which its
+	// sequence number tells; a later commit re-applies.
+	acceptOwn := func(t *updates.Transaction) error {
+		if p.state.Status(t.ID) != recon.StatusUnknown {
+			return nil
+		}
+		if t.ID.Seq >= meta.NextSeq {
+			if err := p.applyUpdates(t.Updates); err != nil {
+				return err
+			}
+		}
+		if err := p.state.AcceptLocal(t); err != nil {
+			return err
+		}
+		p.tracker.RecordWrites(t)
+		return nil
+	}
 	restoreUnpublished := func() error {
 		for _, t := range ckUnpublished {
-			if ownInStore[t.ID] {
+			if published[t.ID] {
 				continue
 			}
-			// With a restored snapshot the blob's trust state and tracker
-			// already hold these (they were accepted at commit time, before
-			// the checkpoint); only the queue needs rebuilding.
-			if !restored {
-				if err := p.state.AcceptLocal(t); err != nil {
-					return err
-				}
-				p.tracker.RecordWrites(t)
+			if err := acceptOwn(t); err != nil {
+				return err
 			}
 			p.unpublished = append(p.unpublished, t)
 		}
 		return nil
 	}
-	applyDecision := func(d resolveDecision) error {
-		winner := updates.TxnID{Peer: d.WinnerPeer, Seq: d.WinnerSeq}
-		if p.state.Status(winner) == recon.StatusAccepted {
+	applyEvent := func(d trustEvent) error {
+		id := updates.TxnID{Peer: d.WinnerPeer, Seq: d.WinnerSeq}
+		if id.Peer == "" {
+			return nil // the end of a round: the flush before this call was it
+		}
+		if id.Peer == name {
+			// A local commit. Its record reaches the log before anything that
+			// could make the transaction itself durable, so a record without
+			// a body is a commit the crash took back.
+			if t := own[id]; t != nil {
+				return acceptOwn(t)
+			}
+			return nil
+		}
+		if p.state.Status(id) == recon.StatusAccepted {
 			return nil // already settled; re-application is a no-op
 		}
-		outcome, err := p.state.Resolve(winner)
+		outcome, err := p.state.Resolve(id)
 		if err != nil {
 			return err
 		}
@@ -647,12 +686,12 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 	di := 0
 	crossed := false
 	for i, txn := range txns {
-		for di < len(decisions) && decisions[di].AfterEpoch < txn.Epoch {
+		for di < len(events) && events[di].AfterEpoch < txn.Epoch {
 			if err := flush(runPre); err != nil {
 				return fail("replay decisions", err)
 			}
-			if err := applyDecision(decisions[di]); err != nil {
-				return fail("reapply resolve decision", err)
+			if err := applyEvent(events[di]); err != nil {
+				return fail("reapply trust event", err)
 			}
 			di++
 		}
@@ -671,26 +710,17 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 			crossed = true
 		}
 		if txn.ID.Peer == name {
-			if err := flush(runPre); err != nil {
-				return fail("replay decisions", err)
-			}
-			// Our own published transaction. With a restored snapshot it may
-			// already be in the trust state (it sat in the unpublished queue
-			// at checkpoint time and published before the crash); otherwise
-			// its effects are in the checkpoint if it published before the
-			// checkpoint (epoch ≤ E) or was in the checkpointed unpublished
-			// queue, and it must re-apply if it committed after.
-			known := p.state.Status(txn.ID) != recon.StatusUnknown
-			if !known {
-				if !pre && !inCk[txn.ID] {
-					if err := p.applyUpdates(txn.Updates); err != nil {
-						return fail("reapply own txn", err)
-					}
+			// Our own published transaction: accepted already, where its
+			// commit record stood. Only a commit made while the peer was not
+			// attached to this database has none, and enters here, at the
+			// one position the archive can give it.
+			if p.state.Status(txn.ID) == recon.StatusUnknown {
+				if err := flush(runPre); err != nil {
+					return fail("replay decisions", err)
 				}
-				if err := p.state.AcceptLocal(txn); err != nil {
+				if err := acceptOwn(txn); err != nil {
 					return fail("accept own txn", err)
 				}
-				p.tracker.RecordWrites(txn)
 			}
 			if txn.ID.Seq >= p.nextSeq {
 				p.nextSeq = txn.ID.Seq + 1
@@ -701,12 +731,16 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 		runRes = append(runRes, results[i])
 		runPre = pre
 	}
+	// Whatever is still unjudged lies past the last archived round: judging
+	// it now is a round of this peer's like any Reconcile, and journaled as
+	// one, so the next recovery cuts its replay here too.
+	newRound := len(run) > 0
 	if err := flush(runPre); err != nil {
 		return fail("replay decisions", err)
 	}
-	for ; di < len(decisions); di++ {
-		if err := applyDecision(decisions[di]); err != nil {
-			return fail("reapply resolve decision", err)
+	for ; di < len(events); di++ {
+		if err := applyEvent(events[di]); err != nil {
+			return fail("reapply trust event", err)
 		}
 	}
 	if !crossed {
@@ -718,6 +752,11 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 	p.lastEpoch = storeEpoch
 	if E > p.lastEpoch {
 		p.lastEpoch = E
+	}
+	if newRound {
+		if err := p.archiveEvent(trustEvent{AfterEpoch: p.lastEpoch}, false); err != nil {
+			return fail("journal the recovery round", err)
+		}
 	}
 	return p, nil
 }

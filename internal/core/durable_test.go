@@ -71,17 +71,26 @@ func checkpoint(t *testing.T, p *Peer, db *lsm.DB) {
 	}
 }
 
+// durablePeer brings a peer up the way the SDK does on a durable system —
+// through recovery, from whatever image db holds (none, for a new peer) —
+// so it is attached to db: it notes the rows it dirties, archives Resolve
+// decisions, and may checkpoint.
+func durablePeer(t *testing.T, name string, sys *System, store p2p.Store, policy *recon.Policy, db *lsm.DB) *Peer {
+	t.Helper()
+	p, err := RecoverPeerWith(context.Background(), name, sys, store, policy, exchange.Config{}, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func recoverPeer(t *testing.T, name string, store p2p.Store, policy *recon.Policy, db *lsm.DB) *Peer {
 	t.Helper()
 	sys, err := NewSystem(workload.Figure2Peers(), workload.Figure2Mappings())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := RecoverPeerWith(context.Background(), name, sys, store, policy, exchange.Config{}, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return durablePeer(t, name, sys, store, policy, db)
 }
 
 // TestDurablePeerKillRestartEquivalence: a full history — foreign publishes
@@ -96,14 +105,8 @@ func TestDurablePeerKillRestartEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alaska, err := NewPeer(workload.Alaska, sys, ds, recon.TrustAll(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresden, err := NewPeer(workload.Dresden, sys, ds, recon.TrustAll(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	alaska := durablePeer(t, workload.Alaska, sys, ds, recon.TrustAll(1), db)
+	dresden := durablePeer(t, workload.Dresden, sys, ds, recon.TrustAll(1), db)
 
 	// Pre-checkpoint history: a foreign publish, a reconcile, an own publish.
 	commit(t, alaska.NewTransaction().
@@ -173,10 +176,7 @@ func TestRecoverRestoresUnpublishedQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dresden, err := NewPeer(workload.Dresden, sys, ds, recon.TrustAll(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	dresden := durablePeer(t, workload.Dresden, sys, ds, recon.TrustAll(1), db)
 	published := commit(t, dresden.NewTransaction().Insert("OPS", workload.OPSTuple("mouse", "p53", "AAAA")))
 	publish(t, dresden)
 	reconcile(t, dresden)
@@ -223,14 +223,8 @@ func TestRecoverWithoutCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alaska, err := NewPeer(workload.Alaska, sys, ds, recon.TrustAll(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	beijing, err := NewPeer(workload.Beijing, sys, ds, recon.TrustAll(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	alaska := durablePeer(t, workload.Alaska, sys, ds, recon.TrustAll(1), db)
+	beijing := durablePeer(t, workload.Beijing, sys, ds, recon.TrustAll(1), db)
 	commit(t, alaska.NewTransaction().
 		Insert("O", workload.OTuple("mouse", 1)).
 		Insert("P", workload.PTuple("p53", 10)).
@@ -263,10 +257,7 @@ func TestRecoverAfterUncleanCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dresden, err := NewPeer(workload.Dresden, sys, ds, recon.TrustAll(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	dresden := durablePeer(t, workload.Dresden, sys, ds, recon.TrustAll(1), db)
 	commit(t, dresden.NewTransaction().Insert("OPS", workload.OPSTuple("mouse", "p53", "AAAA")))
 	publish(t, dresden)
 	reconcile(t, dresden)
@@ -332,10 +323,7 @@ func TestQuickDurableMatchesMemoryOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			memPeers[name] = mp
-			dp, err := NewPeer(name, sysD, durStore, recon.TrustAll(1))
-			if err != nil {
-				t.Fatal(err)
-			}
+			dp := durablePeer(t, name, sysD, durStore, recon.TrustAll(1), db)
 			durPeers[name] = dp
 		}
 

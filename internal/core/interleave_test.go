@@ -27,14 +27,47 @@ var interleaveSeeds = flag.Int("interleave-seeds", 24, "seeded schedules for Tes
 // provenance-merging re-insert), publishes, reconciles, resolves, and direct
 // writes to Instance(), a goal query over R(x…) returns exactly
 // Instance().Rows(R) — tuples and (linearized) polynomials — at every peer
-// after every step. Instance snapshots held across the schedule pin the
-// copy-on-write boundary in both directions: a held snapshot keeps answering
-// Rows, Get and GetByKey as of the step it was taken, and writes into a
-// snapshot never reach the live instance.
+// after every step. The trust state and the instance move together too:
+// after every step, a Resolve that fails included, every transaction a peer
+// holds as Accepted has had its updates applied there. Instance snapshots
+// held across the schedule pin the copy-on-write boundary in both
+// directions: a held snapshot keeps answering Rows, Get and GetByKey as of
+// the step it was taken, and writes into a snapshot never reach the live
+// instance.
 func TestQueryEqualsInstance(t *testing.T) {
 	for seed := int64(1); seed <= int64(*interleaveSeeds); seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { runInterleaving(t, seed) })
 	}
+}
+
+// smallSeqs is the sequence alphabet of the seeded schedules.
+var smallSeqs = []string{"AAAA", "CCCC", "GGGG"}
+
+// randomSmallTuple draws a tuple of rel (a Figure 2 relation) from a small
+// value space, so keys collide across peers and transactions.
+func randomSmallTuple(rng *rand.Rand, rel *schema.Relation) schema.Tuple {
+	seq := func() string { return smallSeqs[rng.Intn(len(smallSeqs))] }
+	switch rel.Name {
+	case "O":
+		return workload.OTuple(workload.Organism(rng.Intn(3)), rng.Int63n(3))
+	case "P":
+		return workload.PTuple(workload.Protein(rng.Intn(3)), rng.Int63n(3))
+	case "S":
+		return workload.STuple(rng.Int63n(3), rng.Int63n(3), seq())
+	default:
+		return workload.OPSTuple(workload.Organism(rng.Intn(3)), workload.Protein(rng.Intn(3)), seq())
+	}
+}
+
+// withNewValue keeps the tuple's key and changes a non-key column.
+func withNewValue(rng *rand.Rand, rel *schema.Relation, tu schema.Tuple) schema.Tuple {
+	out := tu.Clone()
+	if rel.Name == "O" || rel.Name == "P" {
+		out[0] = schema.String(out[0].Str() + "'")
+	} else {
+		out[len(out)-1] = schema.String(smallSeqs[rng.Intn(len(smallSeqs))] + "T")
+	}
+	return out
 }
 
 // heldSnapshot is an Instance.Snapshot with the rows it held when taken.
@@ -53,30 +86,8 @@ func runInterleaving(t *testing.T, seed int64) {
 	for i, n := range names {
 		peers[i] = byName[n]
 	}
-	// A small value space, so keys collide across peers and transactions.
-	seqs := []string{"AAAA", "CCCC", "GGGG"}
-	randomTuple := func(rel *schema.Relation) schema.Tuple {
-		switch rel.Name {
-		case "O":
-			return workload.OTuple(workload.Organism(rng.Intn(3)), rng.Int63n(3))
-		case "P":
-			return workload.PTuple(workload.Protein(rng.Intn(3)), rng.Int63n(3))
-		case "S":
-			return workload.STuple(rng.Int63n(3), rng.Int63n(3), seqs[rng.Intn(len(seqs))])
-		default:
-			return workload.OPSTuple(workload.Organism(rng.Intn(3)), workload.Protein(rng.Intn(3)), seqs[rng.Intn(len(seqs))])
-		}
-	}
-	// withNewValue keeps the tuple's key and changes a non-key column.
-	withNewValue := func(rel *schema.Relation, tu schema.Tuple) schema.Tuple {
-		out := tu.Clone()
-		if rel.Name == "O" || rel.Name == "P" {
-			out[0] = schema.String(out[0].Str() + "'")
-		} else {
-			out[len(out)-1] = schema.String(seqs[rng.Intn(len(seqs))] + "T")
-		}
-		return out
-	}
+	randomTuple := func(rel *schema.Relation) schema.Tuple { return randomSmallTuple(rng, rel) }
+	withNewValue := func(rel *schema.Relation, tu schema.Tuple) schema.Tuple { return withNewValue(rng, rel, tu) }
 	randomRel := func(p *Peer) *schema.Relation {
 		rels := p.Instance().Schema().Relations()
 		return rels[rng.Intn(len(rels))]
@@ -95,6 +106,18 @@ func runInterleaving(t *testing.T, seed int64) {
 	}
 	deferred := make([][]updates.TxnID, len(peers))
 	var held []heldSnapshot
+	// applied[i] is every foreign transaction whose updates reached peer i's
+	// instance, as the apply hook saw them go in.
+	applied := make([]map[updates.TxnID]bool, len(peers))
+	for i, p := range peers {
+		seen := map[updates.TxnID]bool{}
+		applied[i] = seen
+		p.SetApplyHook(func(ev ApplyEvent) {
+			if !ev.Local {
+				seen[ev.Txn] = true
+			}
+		})
+	}
 
 	for step := 0; step < 60; step++ {
 		pi := rng.Intn(len(peers))
@@ -138,8 +161,9 @@ func runInterleaving(t *testing.T, seed int64) {
 			for _, id := range deferred[pi] {
 				if p.Status(id) == recon.StatusDeferred {
 					// Resolve refuses a winner that has meanwhile lost to data
-					// the peer accepted after deferring it; the property must
-					// hold whichever way the decision went.
+					// the peer accepted after deferring it, and then must have
+					// changed nothing; the properties must hold whichever way
+					// the decision went.
 					if _, err := p.Resolve(ctx, id); err != nil {
 						t.Logf("step %d: resolve %s at %s: %v", step, id, p.Name(), err)
 					}
@@ -192,7 +216,12 @@ func runInterleaving(t *testing.T, seed int64) {
 			requireSameRows(t, fmt.Sprintf("step %d: %s.%s after a write into its snapshot", step, p.Name(), rel.Name), after, before)
 		}
 
-		for _, q := range peers {
+		for qi, q := range peers {
+			for _, id := range q.state.Graph().IDs() {
+				if id.Peer != q.Name() && q.Status(id) == recon.StatusAccepted && !applied[qi][id] {
+					t.Fatalf("step %d (%s at %s): %s holds %s as accepted but never applied its updates", step, what, p.Name(), q.Name(), id)
+				}
+			}
 			for _, rel := range q.Instance().Schema().Relations() {
 				terms := make([]datalog.Term, rel.Arity())
 				for i := range terms {

@@ -39,6 +39,8 @@ type observer struct {
 	recoveryTxns    *obs.Histogram // recovery_replay_txns (suffix length per recovery)
 	recoveryLoadNs  *obs.Histogram // recovery_load_ns (checkpoint+snapshot load time)
 	checkpointBytes *obs.Gauge     // checkpoint_bytes (last checkpoint batch size)
+	checkpointRows  *obs.Counter   // core_checkpoint_rows_written_total (row Puts + Deletes)
+	blobWrites      *obs.Counter   // core_engine_blob_writes_total (checkpoints that rebased the blob)
 }
 
 // SetObserver installs the peer's observability surface: operation spans and
@@ -73,6 +75,8 @@ func (p *Peer) SetObserver(reg *obs.Registry, slowOp time.Duration) {
 		recoveryTxns:    reg.Histogram("recovery_replay_txns"),
 		recoveryLoadNs:  reg.Histogram("recovery_load_ns"),
 		checkpointBytes: reg.Gauge("checkpoint_bytes"),
+		checkpointRows:  reg.Counter("core_checkpoint_rows_written_total"),
+		blobWrites:      reg.Counter("core_engine_blob_writes_total"),
 	}
 	// Recovery runs before the observer is installed (RecoverPeerWith is
 	// called by the facade before SetObserver); the peer buffers its

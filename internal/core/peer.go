@@ -52,12 +52,27 @@ type Peer struct {
 	unpublished []*updates.Transaction
 	// db is the durable tier backing this peer (nil for in-memory systems):
 	// RecoverPeerWith attaches it so Resolve can archive its decision in the
-	// "r/" keyspace and rebuildEngine can restore from the last engine
-	// snapshot instead of replaying the full history.
+	// "r/" keyspace, applyUpdates can note which checkpoint rows went stale,
+	// and rebuildEngine can restore from the last engine snapshot instead of
+	// replaying the full history. The fields after it, up to blobTxns, describe the
+	// peer's image in db and are unused without one.
 	db *lsm.DB
-	// resolveSeq numbers the next archived Resolve decision; a clean
-	// checkpoint folds the archive into the engine snapshot and resets it.
-	resolveSeq uint64
+	// dirty holds the checkpoint row key of every tuple applyUpdates has
+	// written or removed since the last checkpoint — all that the next one
+	// has to bring up to date.
+	dirty map[string]dirtyRow
+	// ckUnpub is how many unpublished-queue slots the last checkpoint wrote.
+	ckUnpub int
+	// events mirrors the "r/" archive: the trust events (reconciliation
+	// rounds, local commits, Resolve outcomes) since the last engine blob,
+	// at key sequence = index; the checkpoint that writes the next blob
+	// folds them into it and clears the archive.
+	events []trustEvent
+	// hasBlob reports whether db holds an engine blob for this peer, and
+	// blobTxns how many transactions its engine had applied (see
+	// blobRebaseDue).
+	hasBlob  bool
+	blobTxns int
 	// pendingRecovery buffers recovery metrics until SetObserver installs
 	// the registry (recovery runs before the observer exists — see
 	// orchestra's System.Peer).
@@ -245,6 +260,16 @@ func (t *Txn) Commit() (*updates.Transaction, error) {
 		ID:      updates.TxnID{Peer: p.name, Seq: p.nextSeq},
 		Updates: append([]updates.Update(nil), t.ups...),
 	}
+	if p.db != nil {
+		// Where this commit stands among the peer's reconciliations decides
+		// which later candidates it outranks; the archive holds the
+		// transaction but not that. No fsync: the record needs to be durable
+		// only if the transaction becomes so, and whatever makes it so — a
+		// publish, a checkpoint — syncs the same log after this append.
+		if err := p.archiveEvent(trustEvent{WinnerPeer: p.name, WinnerSeq: txn.ID.Seq, AfterEpoch: p.lastEpoch}, false); err != nil {
+			return nil, fmt.Errorf("core: commit at peer %s: %w", p.name, err)
+		}
+	}
 	// Dependencies: the last writers of every key this txn touches.
 	p.tracker.Record(txn)
 	// Apply to the local instance.
@@ -263,36 +288,66 @@ func (t *Txn) Commit() (*updates.Transaction, error) {
 // Abort discards the transaction.
 func (t *Txn) Abort() { t.done = true }
 
+// dirtyRow names a tuple whose checkpoint row is out of date.
+type dirtyRow struct {
+	rel string
+	tu  schema.Tuple
+}
+
+// touch notes that the tuple's checkpoint row no longer matches the
+// instance. Only a durable peer keeps the set: without a database there is
+// no checkpoint to bring up to date, and nothing would ever clear it.
+func (p *Peer) touch(rel string, tu schema.Tuple) {
+	if p.db != nil {
+		p.dirty[string(ckRowKey(p.name, rel, tu))] = dirtyRow{rel, tu}
+	}
+}
+
 // applyUpdates applies translated or local updates to the local instance —
 // the one in-memory copy of the peer's rows, which queries read directly
-// (QueryGoal evaluates over Instance.EDB).
+// (QueryGoal evaluates over Instance.EDB) — and is the one place that does,
+// so it is also where a durable peer learns which checkpoint rows changed:
+// the tuple written, the tuple removed, and the tuple an upsert pushed out
+// from under the same key.
 func (p *Peer) applyUpdates(ups []updates.Update) error {
 	for _, u := range ups {
-		prov := u.Prov
-		if prov.IsZero() {
-			prov = provenance.One()
-		}
+		var err error
 		switch u.Op {
 		case updates.OpInsert:
-			if _, err := p.local.Upsert(u.Rel, u.New, prov); err != nil {
-				return err
-			}
+			err = p.upsertRow(u.Rel, u.New, u.Prov)
 		case updates.OpDelete:
-			if _, err := p.local.Delete(u.Rel, u.Old); err != nil {
-				return err
-			}
+			err = p.removeRow(u.Rel, u.Old)
 		case updates.OpModify:
 			if u.Old != nil {
-				if _, err := p.local.Delete(u.Rel, u.Old); err != nil {
-					return err
-				}
+				err = p.removeRow(u.Rel, u.Old)
 			}
-			if _, err := p.local.Upsert(u.Rel, u.New, prov); err != nil {
-				return err
+			if err == nil {
+				err = p.upsertRow(u.Rel, u.New, u.Prov)
 			}
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+func (p *Peer) removeRow(rel string, tu schema.Tuple) error {
+	p.touch(rel, tu)
+	_, err := p.local.Delete(rel, tu)
+	return err
+}
+
+func (p *Peer) upsertRow(rel string, tu schema.Tuple, prov provenance.Poly) error {
+	if prov.IsZero() {
+		prov = provenance.One()
+	}
+	p.touch(rel, tu)
+	replaced, err := p.local.Upsert(rel, tu, prov)
+	if replaced != nil {
+		p.touch(rel, *replaced)
+	}
+	return err
 }
 
 // Publish archives all committed-but-unpublished transactions in the store
@@ -436,6 +491,15 @@ func (p *Peer) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 		return nil, err
 	}
 	p.lastEpoch = epoch
+	if p.db != nil && len(candidates) > 0 {
+		// Candidates judged together defer each other where candidates of
+		// separate rounds accept the first and reject the second, so a
+		// recovery has to cut its replay into the rounds that happened. Like
+		// a commit record, this one rides the next fsync.
+		if err := p.archiveEvent(trustEvent{AfterEpoch: epoch}, false); err != nil {
+			return nil, fmt.Errorf("core: reconcile at peer %s: %w", p.name, err)
+		}
+	}
 	report.sort()
 	return report, nil
 }
@@ -510,23 +574,26 @@ func (p *Peer) Resolve(ctx context.Context, winner updates.TxnID) (*ReconcileRep
 		return nil, err
 	}
 	if p.db != nil {
-		data, err := json.Marshal(resolveDecision{
-			WinnerPeer: winner.Peer,
-			WinnerSeq:  winner.Seq,
-			AfterEpoch: p.lastEpoch,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: archive resolve at %s: %w", p.name, err)
+		if err := p.archiveEvent(trustEvent{WinnerPeer: winner.Peer, WinnerSeq: winner.Seq, AfterEpoch: p.lastEpoch}, true); err != nil {
+			return nil, fmt.Errorf("core: resolve at peer %s: %w", p.name, err)
 		}
-		b := lsm.NewBatch()
-		b.Put(rkKey(p.name, p.resolveSeq), data)
-		if err := p.db.Apply(b, true); err != nil {
-			return nil, fmt.Errorf("core: archive resolve at %s: %w", p.name, err)
-		}
-		p.resolveSeq++
 	}
 	report.sort()
 	return report, nil
+}
+
+// archiveEvent appends one trust event to the peer's "r/" archive, at the
+// next sequence, and to its in-memory mirror.
+func (p *Peer) archiveEvent(d trustEvent, sync bool) error {
+	data, err := json.Marshal(d)
+	if err == nil {
+		err = p.db.Put(rkKey(p.name, uint64(len(p.events))), data, sync)
+	}
+	if err != nil {
+		return fmt.Errorf("archive trust event: %w", err)
+	}
+	p.events = append(p.events, d)
+	return nil
 }
 
 func (p *Peer) applyOutcome(outcome *recon.Outcome, report *ReconcileReport) error {

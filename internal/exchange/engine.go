@@ -155,6 +155,9 @@ type Result struct {
 // Applied reports whether the transaction has already been fed in.
 func (e *Engine) Applied(id updates.TxnID) bool { return e.applied[id] }
 
+// AppliedCount returns how many transactions the engine has applied.
+func (e *Engine) AppliedCount() int { return len(e.applied) }
+
 // UnionDB exposes the maintained union database as an O(#preds)
 // copy-on-write snapshot: the returned view is frozen — later transactions
 // applied to the engine do not show through it, and mutating it cannot

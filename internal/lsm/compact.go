@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 )
@@ -60,42 +59,18 @@ func (db *DB) pickRun() (start, n int) {
 func (db *DB) compactRun(start, n int) error {
 	in := db.tables[start : start+n]
 	dropTombstones := start == 0
-	// Newest-wins merge using the same source machinery scans use; input
-	// index order must be newest first.
-	it := &Iterator{}
-	for i := n - 1; i >= 0; i-- {
-		it.srcs = append(it.srcs, &sstSource{it: in[i].iter(nil)})
-	}
+	// Newest-wins merge, the same one scans and flushes use; tombstones
+	// survive it unless the run sits at the bottom.
+	m := newMerger(nil, in, nil, 0)
 	var entries []sstEntry
-	for {
-		// The scan Iterator skips tombstones; compaction must keep them
-		// (unless merging at the bottom), so drive the merge manually.
-		win := -1
-		for i, s := range it.srcs {
-			if e := s.err(); e != nil {
-				return e
-			}
-			if !s.valid() {
-				continue
-			}
-			if win < 0 || bytes.Compare(s.key(), it.srcs[win].key()) < 0 {
-				win = i
-			}
-		}
-		if win < 0 {
-			break
-		}
-		k := append([]byte(nil), it.srcs[win].key()...)
-		e := sstEntry{key: k, val: append([]byte(nil), it.srcs[win].val()...), del: it.srcs[win].del()}
-		for _, s := range it.srcs {
-			for s.valid() && bytes.Equal(s.key(), k) {
-				s.next()
-			}
-		}
-		if e.del && dropTombstones {
+	for m.next() {
+		if m.del && dropTombstones {
 			continue
 		}
-		entries = append(entries, e)
+		entries = append(entries, sstEntry{key: m.k, val: m.v, del: m.del})
+	}
+	if m.fail != nil {
+		return m.fail
 	}
 
 	oldMetas := append([]tableMeta(nil), db.man.Tables[start:start+n]...)

@@ -1,12 +1,10 @@
 package lsm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -57,13 +55,22 @@ func (o Options) withDefaults() Options {
 // and structural changes serialize on one mutex, which is the group-commit
 // point — a Batch is the unit of atomicity and of fsync.
 type DB struct {
-	mu     sync.Mutex
-	dir    string
-	opt    Options
-	man    *manifest
-	wal    *wal
-	mut    *memtable
-	imm    []*memtable  // frozen, oldest first
+	mu  sync.Mutex
+	dir string
+	opt Options
+	man *manifest
+	wal *wal
+	// walSegs counts the WAL segment files on disk (the replay set plus the
+	// active segment).
+	walSegs int
+	// seq numbers every write; a Snapshot is this counter's value plus the
+	// tiers it pins. It restarts at 0 on Open — segments carry no
+	// sequences, their age order is the manifest's.
+	seq uint64
+	// mems lists the memtables oldest first. The last is the mutable one;
+	// any before it are frozen, which happens only inside a flush: they are
+	// gone when it returns, or stay readable if it failed.
+	mems   []*memtable
 	tables []*sstReader // oldest first, parallel to man.Tables
 	met    dbMetrics
 	closed bool
@@ -98,7 +105,7 @@ func Open(dir string, opt Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{dir: dir, opt: opt, man: man, mut: newMemtable(), met: newDBMetrics(opt.Metrics)}
+	db := &DB{dir: dir, opt: opt, man: man, mems: []*memtable{newMemtable()}, met: newDBMetrics(opt.Metrics)}
 	for _, tm := range man.Tables {
 		r, err := openSSTable(dir, tm)
 		if err != nil {
@@ -127,9 +134,7 @@ func Open(dir string, opt Options) (*DB, error) {
 			maxSeq = s
 		}
 	}
-	if err := replayWAL(dir, replay, func(payload []byte) error {
-		return applyEncodedBatch(db.mut, payload)
-	}); err != nil {
+	if err := replayWAL(dir, replay, db.applyEncodedBatch); err != nil {
 		db.closeTables()
 		return nil, err
 	}
@@ -141,8 +146,13 @@ func Open(dir string, opt Options) (*DB, error) {
 		db.closeTables()
 		return nil, err
 	}
+	db.walSegs = len(replay) + 1
+	db.setGauges()
 	return db, nil
 }
+
+// mut returns the mutable memtable.
+func (db *DB) mut() *memtable { return db.mems[len(db.mems)-1] }
 
 func (db *DB) closeTables() {
 	for _, r := range db.tables {
@@ -229,30 +239,51 @@ func (b *Batch) encode() []byte {
 	return out
 }
 
-// applyEncodedBatch replays one WAL payload into a memtable.
-func applyEncodedBatch(m *memtable, payload []byte) error {
+var errMalformedBatch = fmt.Errorf("lsm: malformed wal batch")
+
+// decodeField splits one uvarint-length-prefixed field off b.
+func decodeField(b []byte) (field, rest []byte, ok bool) {
+	l, n := binary.Uvarint(b)
+	if n <= 0 || uint64(len(b[n:])) < l {
+		return nil, nil, false
+	}
+	return b[n : n+int(l) : n+int(l)], b[n+int(l):], true
+}
+
+// decodeOp splits the first operation off an encoded batch. Key and value
+// are sub-slices of payload.
+func decodeOp(payload []byte) (op batchOp, rest []byte, err error) {
+	kind := payload[0]
+	if kind != opPut && kind != opDel {
+		return op, nil, fmt.Errorf("lsm: unknown wal batch op %d", kind)
+	}
+	var ok bool
+	if op.key, rest, ok = decodeField(payload[1:]); !ok {
+		return op, nil, errMalformedBatch
+	}
+	if op.del = kind == opDel; op.del {
+		return op, rest, nil
+	}
+	if op.val, rest, ok = decodeField(rest); !ok {
+		return op, nil, errMalformedBatch
+	}
+	return op, rest, nil
+}
+
+// applyEncodedBatch writes one encoded batch — a WAL record being replayed
+// or the payload Apply just logged — into the mutable memtable. The
+// memtable retains sub-slices of payload, so the caller must never reuse
+// it. The sequence advances per operation: the later of two writes to one
+// key in the same batch wins.
+func (db *DB) applyEncodedBatch(payload []byte) error {
 	for len(payload) > 0 {
-		op := payload[0]
-		payload = payload[1:]
-		klen, n := binary.Uvarint(payload)
-		if n <= 0 || uint64(len(payload[n:])) < klen {
-			return fmt.Errorf("lsm: malformed wal batch")
+		op, rest, err := decodeOp(payload)
+		if err != nil {
+			return err
 		}
-		key := payload[n : n+int(klen)]
-		payload = payload[n+int(klen):]
-		switch op {
-		case opDel:
-			m.set(key, nil, true)
-		case opPut:
-			vlen, n := binary.Uvarint(payload)
-			if n <= 0 || uint64(len(payload[n:])) < vlen {
-				return fmt.Errorf("lsm: malformed wal batch")
-			}
-			m.set(key, append([]byte(nil), payload[n:n+int(vlen)]...), false)
-			payload = payload[n+int(vlen):]
-		default:
-			return fmt.Errorf("lsm: unknown wal batch op %d", op)
-		}
+		db.seq++
+		db.mut().set(op.key, op.val, op.del, db.seq)
+		payload = rest
 	}
 	return nil
 }
@@ -288,14 +319,14 @@ func (db *DB) Apply(b *Batch, sync bool) error {
 			db.met.fsyncNs.Observe(time.Since(start).Nanoseconds())
 		}
 	}
-	for _, op := range b.ops {
-		if op.del {
-			db.mut.set(op.key, nil, true)
-		} else {
-			db.mut.set(op.key, append([]byte(nil), op.val...), false)
-		}
+	// What reaches the memtable is what the log says: the same decoder
+	// recovery uses, over the payload just written.
+	if err := db.applyEncodedBatch(payload); err != nil {
+		return err
 	}
-	return db.maybeFlushLocked()
+	err := db.maybeFlushLocked()
+	db.setGauges()
+	return err
 }
 
 // Put writes one key (a one-op batch).
@@ -330,40 +361,13 @@ func (db *DB) Get(key []byte) ([]byte, bool, error) {
 		return nil, false, fmt.Errorf("lsm: db is closed")
 	}
 	db.met.gets.Inc()
-	if e, ok := db.mut.get(key); ok {
-		return getEntry(e)
-	}
-	for i := len(db.imm) - 1; i >= 0; i-- {
-		if e, ok := db.imm[i].get(key); ok {
-			return getEntry(e)
-		}
-	}
-	for i := len(db.tables) - 1; i >= 0; i-- {
-		val, del, ok, err := db.tables[i].get(key)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			if del {
-				return nil, false, nil
-			}
-			return val, true, nil
-		}
-	}
-	return nil, false, nil
-}
-
-func getEntry(e *mentry) ([]byte, bool, error) {
-	if e.del {
-		return nil, false, nil
-	}
-	return e.val, true, nil
+	return lookup(db.mems, db.tables, key, db.seq)
 }
 
 // maybeFlushLocked flushes when the memtable passes its bound, and rotates
 // an oversized WAL segment otherwise.
 func (db *DB) maybeFlushLocked() error {
-	if db.mut.bytes >= db.opt.MemtableBytes {
+	if db.mut().bytes >= db.opt.MemtableBytes {
 		return db.flushLocked()
 	}
 	if db.wal.full() {
@@ -373,6 +377,7 @@ func (db *DB) maybeFlushLocked() error {
 			db.broken = err
 			return err
 		}
+		db.walSegs++
 	}
 	return nil
 }
@@ -391,6 +396,7 @@ func (db *DB) Flush() error {
 }
 
 func (db *DB) flushLocked() error {
+	defer db.setGauges()
 	if err := db.doFlush(); err != nil {
 		db.broken = err
 		return err
@@ -403,11 +409,11 @@ func (db *DB) flushLocked() error {
 }
 
 func (db *DB) doFlush() error {
-	if db.mut.len() > 0 {
-		db.imm = append(db.imm, db.mut)
-		db.mut = newMemtable()
+	if db.mut().len() > 0 {
+		db.mems = append(db.mems, newMemtable()) // freezes the previous one
 	}
-	if len(db.imm) == 0 {
+	frozen := db.mems[:len(db.mems)-1]
+	if len(frozen) == 0 {
 		return nil
 	}
 	// New writes land in a fresh WAL segment; everything frozen lives in
@@ -415,23 +421,21 @@ func (db *DB) doFlush() error {
 	if err := db.wal.rotate(); err != nil {
 		return err
 	}
+	db.walSegs++
 	floor := db.wal.seq
-	// Newest-wins merge across the frozen memtables.
-	merged := map[string]*mentry{}
-	for _, m := range db.imm {
-		for k, e := range m.index {
-			merged[k] = e
-		}
-	}
-	entries := make([]sstEntry, 0, len(merged))
-	for _, e := range merged {
-		if e.del && len(db.tables) == 0 {
+	// Newest-wins merge across the frozen memtables, already in key order.
+	m := newMerger(frozen, nil, nil, db.seq)
+	var entries []sstEntry
+	for m.next() {
+		if m.del && len(db.tables) == 0 {
 			// Nothing older to mask: the tombstone is already meaningless.
 			continue
 		}
-		entries = append(entries, sstEntry{key: []byte(e.key), val: e.val, del: e.del})
+		entries = append(entries, sstEntry{key: m.k, val: m.v, del: m.del})
 	}
-	sortEntries(entries)
+	if m.fail != nil {
+		return m.fail
+	}
 	if len(entries) > 0 {
 		num := db.man.NextFile
 		tm, err := writeSSTable(db.dir, num, entries, db.opt.BlockBytes)
@@ -459,25 +463,23 @@ func (db *DB) doFlush() error {
 			return err
 		}
 	}
-	db.imm = nil
+	db.mems = []*memtable{db.mut()}
 	db.removeOldWALs(floor)
 	return nil
 }
 
-// sortEntries orders flush/compaction output; keys are unique post-merge,
-// so an unstable sort is fine.
-func sortEntries(entries []sstEntry) {
-	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].key, entries[j].key) < 0 })
-}
-
+// removeOldWALs unlinks the segments below the floor. A segment that will
+// not unlink is only dead weight — the next Open skips and retries it — so
+// it stays counted instead of failing the flush.
 func (db *DB) removeOldWALs(floor uint64) {
 	seqs, err := listWALs(db.dir)
 	if err != nil {
 		return
 	}
+	db.walSegs = len(seqs)
 	for _, s := range seqs {
-		if s < floor {
-			os.Remove(filepath.Join(db.dir, walName(s)))
+		if s < floor && os.Remove(filepath.Join(db.dir, walName(s))) == nil {
+			db.walSegs--
 		}
 	}
 }
@@ -496,8 +498,8 @@ func (db *DB) Stats() Stats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	st := Stats{
-		MemtableBytes:   db.mut.bytes,
-		FrozenMemtables: len(db.imm),
+		MemtableBytes:   db.mut().bytes,
+		FrozenMemtables: len(db.mems) - 1,
 		Tables:          len(db.tables),
 		WALSegment:      db.wal.seq,
 	}
@@ -505,4 +507,12 @@ func (db *DB) Stats() Stats {
 		st.TableBytes += t.Size
 	}
 	return st
+}
+
+// setGauges publishes the steady-state series. Callers hold db.mu.
+func (db *DB) setGauges() {
+	db.met.memBytes.Set(int64(db.mut().bytes))
+	db.met.frozen.Set(int64(len(db.mems) - 1))
+	db.met.walSegs.Set(int64(db.walSegs))
+	db.met.tables.Set(int64(len(db.tables)))
 }

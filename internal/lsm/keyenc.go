@@ -1,9 +1,9 @@
 // Package lsm is the durable storage tier beneath the CDSS: a
 // log-structured merge engine with an order-preserving key encoding for
 // schema tuples, a segmented CRC-framed write-ahead log with batched fsync,
-// slab-backed memtables flushed to sorted checksummed SSTable segments
-// (sparse index + bloom filter), size-tiered compaction, and crash recovery
-// from a manifest + WAL replay. The upper layers (the p2p published-update
+// an ordered multi-version memtable flushed to sorted checksummed SSTable
+// segments (sparse index + bloom filter), size-tiered compaction, and crash
+// recovery from a manifest + WAL replay. The upper layers (the p2p published-update
 // archive and peer instance checkpoints) store their keyspaces side by side
 // in one DB so a whole deployment shares a single WAL and group-commit
 // window. See DESIGN.md §11.
@@ -184,4 +184,18 @@ func DecodeTuple(b []byte) (schema.Tuple, error) {
 		b = rest
 	}
 	return t, nil
+}
+
+// PrefixEnd returns the tightest key upper-bounding every key with the
+// given prefix — the hi of a [prefix, PrefixEnd(prefix)) range scan. nil
+// means "to the end of the keyspace".
+func PrefixEnd(p []byte) []byte {
+	out := append([]byte(nil), p...)
+	for i := len(out) - 1; i >= 0; i-- {
+		if out[i] != 0xFF {
+			out[i]++
+			return out[:i+1]
+		}
+	}
+	return nil
 }

@@ -1,72 +1,158 @@
 package lsm
 
-import "sort"
+import (
+	"bytes"
+	"sync/atomic"
+)
 
-// memtable is the mutable in-memory tier: a hash index over entries
-// allocated from contiguous fixed-capacity slabs, the same address-stable
-// layout the datalog union shards use (PR 5). Appends never move existing
-// entries, so the index holds stable pointers and a freeze is free — the
-// slabs are simply never written again. Ordering is deferred to flush/scan
-// time, when sortedEntries sorts the index keys once.
+// memtable is the in-memory tier: a multi-version skiplist ordered by key
+// ascending, then write sequence descending, so the newest version of a key
+// comes first and a reader bounded at sequence S takes the first version
+// with seq <= S. Nothing is ever overwritten or unlinked: a write of an
+// existing key links a new node in front of the older versions. That is
+// what lets DB.Snapshot be a sequence number instead of a freeze — readers
+// holding an older bound keep skipping the newer nodes.
+//
+// One writer at a time (the DB mutex) inserts; any number of readers
+// traverse without a lock. A node is fully built before the writer links it
+// bottom level first, and every link is an atomic pointer, so a reader sees
+// either the list without the node or the complete node.
 type memtable struct {
-	index map[string]*mentry
-	slabs [][]mentry
-	// bytes approximates resident size (keys + values) to trigger flushes.
+	head *mnode
+	// height is the tallest tower linked so far; only the writer touches it.
+	height int
+	// rnd drives tower heights (xorshift; seeded constant, so a memtable's
+	// shape is a function of its insert sequence alone).
+	rnd uint64
+	// bytes approximates resident size (keys + values + node overhead) to
+	// trigger flushes; n counts nodes. Both are writer-side only.
 	bytes int
+	n     int
 }
 
-// mentry is one keyed write. del marks a tombstone (masking any older
-// value of the key in lower tiers).
-type mentry struct {
-	key string
-	val []byte
-	del bool
+// mnode is one version of one key. del marks a tombstone (masking older
+// versions here and any value of the key in lower tiers).
+type mnode struct {
+	key  []byte
+	val  []byte
+	seq  uint64
+	del  bool
+	next []atomic.Pointer[mnode]
 }
 
-const memSlabSize = 256
+const (
+	memMaxHeight = 12
+	// memNodeOverhead is the accounted cost of a node beyond its key and
+	// value bytes: the struct, its slice headers and an average tower.
+	memNodeOverhead = 96
+)
 
 func newMemtable() *memtable {
-	return &memtable{index: map[string]*mentry{}}
-}
-
-func (m *memtable) len() int { return len(m.index) }
-
-// set records a put (del=false) or delete (del=true). The latest write to a
-// key wins in place; slab entries of overwritten versions stay allocated
-// until flush, matching the slab layout's remove-by-zeroing discipline.
-func (m *memtable) set(key []byte, val []byte, del bool) {
-	k := string(key)
-	if e, ok := m.index[k]; ok {
-		m.bytes += len(val) - len(e.val)
-		e.val = val
-		e.del = del
-		return
+	return &memtable{
+		head:   &mnode{next: make([]atomic.Pointer[mnode], memMaxHeight)},
+		height: 1,
+		rnd:    0x9E3779B97F4A7C15,
 	}
-	n := len(m.slabs)
-	if n == 0 || len(m.slabs[n-1]) == cap(m.slabs[n-1]) {
-		m.slabs = append(m.slabs, make([]mentry, 0, memSlabSize))
-		n++
-	}
-	slab := &m.slabs[n-1]
-	*slab = append(*slab, mentry{key: k, val: val, del: del})
-	m.index[k] = &(*slab)[len(*slab)-1]
-	m.bytes += len(k) + len(val) + 48
 }
 
-// get returns the entry for key, if any.
-func (m *memtable) get(key []byte) (*mentry, bool) {
-	e, ok := m.index[string(key)]
-	return e, ok
+func (m *memtable) len() int { return m.n }
+
+// randomHeight grows a tower one level with probability 1/4.
+func (m *memtable) randomHeight() int {
+	m.rnd ^= m.rnd << 13
+	m.rnd ^= m.rnd >> 7
+	m.rnd ^= m.rnd << 17
+	h := 1
+	for r := m.rnd; h < memMaxHeight && r&3 == 0; r >>= 2 {
+		h++
+	}
+	return h
 }
 
-// sortedEntries returns the live entries in ascending key order. Keys are
-// encoded with the order-preserving codec, so plain string order is tuple
-// order.
-func (m *memtable) sortedEntries() []*mentry {
-	out := make([]*mentry, 0, len(m.index))
-	for _, e := range m.index {
-		out = append(out, e)
+// set links a new version of key. seq must exceed every sequence already in
+// the memtable, so the new node sorts in front of the key's older versions
+// and the insert position depends on the key alone. key and val are
+// retained; callers hand over private copies.
+func (m *memtable) set(key, val []byte, del bool, seq uint64) {
+	var prev [memMaxHeight]*mnode
+	x := m.head
+	for lvl := m.height - 1; lvl >= 0; lvl-- {
+		for nx := x.next[lvl].Load(); nx != nil && bytes.Compare(nx.key, key) < 0; nx = x.next[lvl].Load() {
+			x = nx
+		}
+		prev[lvl] = x
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return out
+	h := m.randomHeight()
+	for ; m.height < h; m.height++ {
+		prev[m.height] = m.head
+	}
+	n := &mnode{key: key, val: val, seq: seq, del: del, next: make([]atomic.Pointer[mnode], h)}
+	for lvl := 0; lvl < h; lvl++ {
+		n.next[lvl].Store(prev[lvl].next[lvl].Load())
+	}
+	for lvl := 0; lvl < h; lvl++ {
+		prev[lvl].next[lvl].Store(n)
+	}
+	m.bytes += len(key) + len(val) + memNodeOverhead
+	m.n++
 }
+
+// seek returns the first node at or after (key, bound) in list order: the
+// newest version of key visible at bound, or else the first node of the
+// next key (which the caller must still check against the bound).
+func (m *memtable) seek(key []byte, bound uint64) *mnode {
+	x := m.head
+	for lvl := memMaxHeight - 1; lvl >= 0; lvl-- {
+		for nx := x.next[lvl].Load(); nx != nil; nx = x.next[lvl].Load() {
+			if c := bytes.Compare(nx.key, key); c > 0 || (c == 0 && nx.seq <= bound) {
+				break
+			}
+			x = nx
+		}
+	}
+	return x.next[0].Load()
+}
+
+// get returns the version of key visible at bound, if any.
+func (m *memtable) get(key []byte, bound uint64) (*mnode, bool) {
+	if n := m.seek(key, bound); n != nil && bytes.Equal(n.key, key) {
+		return n, true
+	}
+	return nil, false
+}
+
+// memSource walks the versions visible at bound in key order: one node per
+// key, the newest with seq <= bound.
+type memSource struct {
+	m       *memtable
+	bound   uint64
+	lo      []byte
+	cur     *mnode
+	started bool
+}
+
+func (s *memSource) next() {
+	var n *mnode
+	if !s.started {
+		s.started = true
+		if s.lo == nil {
+			n = s.m.head.next[0].Load()
+		} else {
+			n = s.m.seek(s.lo, s.bound)
+		}
+	} else {
+		// Step over the remaining (older) versions of the current key.
+		for n = s.cur.next[0].Load(); n != nil && bytes.Equal(n.key, s.cur.key); n = n.next[0].Load() {
+		}
+	}
+	// Step over versions written after the snapshot.
+	for n != nil && n.seq > s.bound {
+		n = n.next[0].Load()
+	}
+	s.cur = n
+}
+func (s *memSource) valid() bool { return s.cur != nil }
+func (s *memSource) key() []byte { return s.cur.key }
+func (s *memSource) val() []byte { return s.cur.val }
+func (s *memSource) del() bool   { return s.cur.del }
+func (s *memSource) err() error  { return nil }

@@ -18,6 +18,10 @@ type dbMetrics struct {
 	bloomChecks  *obs.Counter   // lsm_bloom_checks_total: segment bloom probes
 	bloomSkips   *obs.Counter   // lsm_bloom_skips_total: segments bloom ruled out
 	blockReads   *obs.Counter   // lsm_block_reads_total: data blocks read+verified
+	memBytes     *obs.Gauge     // lsm_memtable_bytes: resident size of the mutable memtable
+	frozen       *obs.Gauge     // lsm_frozen_memtables: memtables frozen and not yet flushed
+	walSegs      *obs.Gauge     // lsm_wal_segments: WAL segment files on disk
+	tables       *obs.Gauge     // lsm_tables: live SSTable segments
 }
 
 func newDBMetrics(r *obs.Registry) dbMetrics {
@@ -35,5 +39,9 @@ func newDBMetrics(r *obs.Registry) dbMetrics {
 		bloomChecks:  r.Counter("lsm_bloom_checks_total"),
 		bloomSkips:   r.Counter("lsm_bloom_skips_total"),
 		blockReads:   r.Counter("lsm_block_reads_total"),
+		memBytes:     r.Gauge("lsm_memtable_bytes"),
+		frozen:       r.Gauge("lsm_frozen_memtables"),
+		walSegs:      r.Gauge("lsm_wal_segments"),
+		tables:       r.Gauge("lsm_tables"),
 	}
 }

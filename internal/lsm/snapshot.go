@@ -2,18 +2,23 @@ package lsm
 
 import "bytes"
 
-// Snapshot is a consistent point-in-time view of the DB. Taking one freezes
-// the mutable memtable (an O(1) operation thanks to the slab layout — no
-// copying, the slabs are simply never written again), so later writes and
-// flushes cannot show through. Snapshots serve point reads and — the reason
-// they exist — ordered batch scans that stream disk-resident relations
-// straight into the pull-based iterator pipelines.
+// Snapshot is a consistent point-in-time view of the DB: the DB's write
+// sequence at the moment it was taken, plus references to the memtables and
+// segments that existed then. Taking one changes nothing in the DB — the
+// memtable keeps accepting writes, and the snapshot's reads skip every
+// version sequenced after its bound — so a snapshot costs the same whether
+// it is the first or the ten-thousandth since the last write. Snapshots
+// serve point reads and — the reason they exist — ordered range scans that
+// stream disk-resident relations straight into the pull-based iterator
+// pipelines.
 //
 // Close releases the snapshot's references on the SSTable segments it pins;
 // compaction can unlink segment files while snapshots still read them, and
-// the bytes go away only when the last reader lets go.
+// the bytes go away only when the last reader lets go. A memtable the DB has
+// since flushed stays reachable from the snapshot and is collected with it.
 type Snapshot struct {
-	mems   []*memtable  // oldest first, all frozen
+	seq    uint64       // versions with a higher sequence are invisible
+	mems   []*memtable  // oldest first; the last is the DB's mutable one
 	tables []*sstReader // oldest first
 	closed bool
 }
@@ -22,12 +27,9 @@ type Snapshot struct {
 func (db *DB) Snapshot() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.mut.len() > 0 {
-		db.imm = append(db.imm, db.mut)
-		db.mut = newMemtable()
-	}
 	sn := &Snapshot{
-		mems:   append([]*memtable(nil), db.imm...),
+		seq:    db.seq,
+		mems:   append([]*memtable(nil), db.mems...),
 		tables: append([]*sstReader(nil), db.tables...),
 	}
 	for _, r := range sn.tables {
@@ -50,13 +52,22 @@ func (sn *Snapshot) Close() {
 
 // Get returns the value of key as of the snapshot.
 func (sn *Snapshot) Get(key []byte) ([]byte, bool, error) {
-	for i := len(sn.mems) - 1; i >= 0; i-- {
-		if e, ok := sn.mems[i].get(key); ok {
-			return getEntry(e)
+	return lookup(sn.mems, sn.tables, key, sn.seq)
+}
+
+// lookup is the point read: memtables newest first at the given sequence
+// bound, then segments newest first; the first tier holding the key decides.
+func lookup(mems []*memtable, tables []*sstReader, key []byte, bound uint64) ([]byte, bool, error) {
+	for i := len(mems) - 1; i >= 0; i-- {
+		if n, ok := mems[i].get(key, bound); ok {
+			if n.del {
+				return nil, false, nil
+			}
+			return n.val, true, nil
 		}
 	}
-	for i := len(sn.tables) - 1; i >= 0; i-- {
-		val, del, ok, err := sn.tables[i].get(key)
+	for i := len(tables) - 1; i >= 0; i-- {
+		val, del, ok, err := tables[i].get(key)
 		if err != nil {
 			return nil, false, err
 		}
@@ -85,25 +96,13 @@ func (sn *Snapshot) Scan(lo, hi []byte, fn func(key, val []byte) bool) error {
 
 // Iter returns a pull-based iterator over live keys in [lo, hi) — the shape
 // the PR 7 pipeline cursors consume: position with Next, read Key/Value,
-// check Err at the end.
+// check Err at the end. Every source seeks to lo, so a bounded scan costs
+// the range it covers, not the tiers it covers it in.
 func (sn *Snapshot) Iter(lo, hi []byte) *Iterator {
-	it := &Iterator{hi: hi}
-	// Source order is priority: lower index wins key ties (newer data).
-	// Memtables are newer than every table; within each group, later
-	// elements are newer.
-	for i := len(sn.mems) - 1; i >= 0; i-- {
-		it.srcs = append(it.srcs, &memSource{entries: sn.mems[i].sortedEntries(), lo: lo})
-	}
-	for i := len(sn.tables) - 1; i >= 0; i-- {
-		it.srcs = append(it.srcs, &sstSource{it: sn.tables[i].iter(lo)})
-	}
-	for _, s := range it.srcs {
-		s.next()
-	}
-	return it
+	return &Iterator{m: newMerger(sn.mems, sn.tables, lo, sn.seq), hi: hi}
 }
 
-// source is one ordered input to the merge: a frozen memtable or a segment.
+// source is one ordered input to the merge: a memtable or a segment.
 type source interface {
 	valid() bool
 	key() []byte
@@ -112,32 +111,6 @@ type source interface {
 	next()
 	err() error
 }
-
-type memSource struct {
-	entries []*mentry
-	i       int
-	started bool
-	lo      []byte
-}
-
-func (s *memSource) next() {
-	if !s.started {
-		s.started = true
-		s.i = 0
-		if s.lo != nil {
-			for s.i < len(s.entries) && s.entries[s.i].key < string(s.lo) {
-				s.i++
-			}
-		}
-		return
-	}
-	s.i++
-}
-func (s *memSource) valid() bool { return s.i < len(s.entries) }
-func (s *memSource) key() []byte { return []byte(s.entries[s.i].key) }
-func (s *memSource) val() []byte { return s.entries[s.i].val }
-func (s *memSource) del() bool   { return s.entries[s.i].del }
-func (s *memSource) err() error  { return nil }
 
 type sstSource struct {
 	it      *sstIter
@@ -157,63 +130,94 @@ func (s *sstSource) val() []byte { return s.it.cur.val }
 func (s *sstSource) del() bool   { return s.it.cur.del }
 func (s *sstSource) err() error  { return s.it.err }
 
-// Iterator k-way-merges the snapshot's sources newest-first: for each key,
-// the newest source wins and older versions (and tombstoned keys) are
-// skipped.
-type Iterator struct {
+// merger k-way-merges sources newest-first: for each key the newest source
+// wins and the versions it shadows are skipped. Tombstones come out like
+// any other entry — scans drop them, flushes and compactions decide by what
+// lies beneath. The source count is bounded by the compaction fan-in, so
+// the minimum is found by a plain pass.
+type merger struct {
 	srcs []source // index order = priority, 0 newest
-	hi   []byte
-	k    []byte
-	v    []byte
+	k, v []byte
+	del  bool
 	fail error
+}
+
+// newMerger positions a merge at lo (nil: the start) over the given tiers,
+// reading memtables at the sequence bound. Memtables are newer than every
+// table; within each group, later elements are newer.
+func newMerger(mems []*memtable, tables []*sstReader, lo []byte, bound uint64) *merger {
+	m := &merger{srcs: make([]source, 0, len(mems)+len(tables))}
+	for i := len(mems) - 1; i >= 0; i-- {
+		m.srcs = append(m.srcs, &memSource{m: mems[i], bound: bound, lo: lo})
+	}
+	for i := len(tables) - 1; i >= 0; i-- {
+		m.srcs = append(m.srcs, &sstSource{it: tables[i].iter(lo)})
+	}
+	for _, s := range m.srcs {
+		s.next()
+	}
+	return m
+}
+
+// next advances to the next key, tombstones included; it returns false at
+// the end or on error. k and v stay valid until the following call.
+func (m *merger) next() bool {
+	// Find the minimal key; ties resolve to the lowest index (newest).
+	win := -1
+	for i, s := range m.srcs {
+		if e := s.err(); e != nil {
+			m.fail = e
+			return false
+		}
+		if !s.valid() {
+			continue
+		}
+		if win < 0 || bytes.Compare(s.key(), m.srcs[win].key()) < 0 {
+			win = i
+		}
+	}
+	if win < 0 {
+		return false
+	}
+	w := m.srcs[win]
+	m.k, m.v, m.del = w.key(), w.val(), w.del()
+	// Advance every source sitting on this key (the winner and the versions
+	// it shadows). Keys and values point into memtable nodes and loaded
+	// blocks, neither of which is recycled, so m.k and m.v stay readable.
+	for _, s := range m.srcs {
+		for s.valid() && bytes.Equal(s.key(), m.k) {
+			s.next()
+		}
+	}
+	return true
+}
+
+// Iterator is a snapshot scan: the merge of the snapshot's tiers with
+// tombstoned keys dropped, bounded above by hi.
+type Iterator struct {
+	m  *merger
+	hi []byte
 }
 
 // Next advances to the next live key; it returns false at the end of the
 // range or on error.
 func (it *Iterator) Next() bool {
-	for {
-		// Find the minimal key; ties resolve to the lowest index (newest).
-		win := -1
-		for i, s := range it.srcs {
-			if e := s.err(); e != nil {
-				it.fail = e
-				return false
-			}
-			if !s.valid() {
-				continue
-			}
-			if win < 0 || bytes.Compare(s.key(), it.srcs[win].key()) < 0 {
-				win = i
-			}
-		}
-		if win < 0 {
+	for it.m.next() {
+		if it.hi != nil && bytes.Compare(it.m.k, it.hi) >= 0 {
 			return false
 		}
-		k := it.srcs[win].key()
-		if it.hi != nil && bytes.Compare(k, it.hi) >= 0 {
-			return false
+		if !it.m.del {
+			return true
 		}
-		deleted := it.srcs[win].del()
-		it.k = k
-		it.v = it.srcs[win].val()
-		// Advance every source sitting on this key (shadowed versions).
-		for _, s := range it.srcs {
-			for s.valid() && bytes.Equal(s.key(), k) {
-				s.next()
-			}
-		}
-		if deleted {
-			continue
-		}
-		return true
 	}
+	return false
 }
 
 // Key returns the current key; valid until the next call to Next.
-func (it *Iterator) Key() []byte { return it.k }
+func (it *Iterator) Key() []byte { return it.m.k }
 
 // Value returns the current value; valid until the next call to Next.
-func (it *Iterator) Value() []byte { return it.v }
+func (it *Iterator) Value() []byte { return it.m.v }
 
 // Err returns the first error the iterator hit, if any.
-func (it *Iterator) Err() error { return it.fail }
+func (it *Iterator) Err() error { return it.m.fail }

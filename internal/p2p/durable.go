@@ -78,19 +78,6 @@ func durSeenKey(id updates.TxnID) []byte {
 	return k
 }
 
-// prefixEnd returns the tightest key upper-bounding every key with the
-// given prefix (nil means "to the end of the keyspace").
-func prefixEnd(p []byte) []byte {
-	out := append([]byte(nil), p...)
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i] != 0xFF {
-			out[i]++
-			return out[:i+1]
-		}
-	}
-	return nil
-}
-
 // NewDurableStore opens the archive keyspace inside db, recovering the
 // epoch counter from the highest archived key. The scan touches keys only
 // (values stream lazily per block), so open cost is bounded by index size,
@@ -99,7 +86,7 @@ func NewDurableStore(db *lsm.DB) (*DurableStore, error) {
 	s := &DurableStore{db: db}
 	sn := db.Snapshot()
 	defer sn.Close()
-	err := sn.Scan(durTxnPrefix, prefixEnd(durTxnPrefix), func(k, v []byte) bool {
+	err := sn.Scan(durTxnPrefix, lsm.PrefixEnd(durTxnPrefix), func(k, v []byte) bool {
 		if len(k) >= len(durTxnPrefix)+8 {
 			if e := binary.BigEndian.Uint64(k[len(durTxnPrefix):]); e > s.epoch {
 				s.epoch = e
@@ -174,7 +161,7 @@ func (s *DurableStore) Since(since uint64) ([]*updates.Transaction, uint64, erro
 	lo = binary.BigEndian.AppendUint64(lo, since+1)
 	var out []*updates.Transaction
 	var derr error
-	err := sn.Scan(lo, prefixEnd(durTxnPrefix), func(k, v []byte) bool {
+	err := sn.Scan(lo, lsm.PrefixEnd(durTxnPrefix), func(k, v []byte) bool {
 		var w WireTxn
 		if e := json.Unmarshal(v, &w); e != nil {
 			derr = fmt.Errorf("p2p: corrupt archived transaction: %w", e)

@@ -76,6 +76,54 @@ type State struct {
 	prio           map[updates.TxnID]int
 	acceptedWrites map[string]writeVal
 	appliedOrder   []updates.TxnID
+	// undo, while non-nil, journals every status and accepted-write change
+	// so Resolve can take back a resolution that fails (see rollback).
+	undo *undoLog
+}
+
+// undoLog is what one Resolve call changed, in order: the previous value of
+// each status and accepted write it overwrote, and how long appliedOrder
+// was when it began.
+type undoLog struct {
+	status  []undoStatus
+	writes  []undoWrite
+	applied int
+}
+
+type undoStatus struct {
+	id   updates.TxnID
+	prev Status
+}
+
+type undoWrite struct {
+	key  string
+	prev writeVal
+	had  bool
+}
+
+// setStatus assigns a status to a transaction the state already knows.
+func (s *State) setStatus(id updates.TxnID, st Status) {
+	if s.undo != nil {
+		s.undo.status = append(s.undo.status, undoStatus{id, s.status[id]})
+	}
+	s.status[id] = st
+}
+
+// rollback restores the state to where the journal began and drops it.
+func (s *State) rollback() {
+	u := s.undo
+	s.undo = nil
+	for i := len(u.status) - 1; i >= 0; i-- {
+		s.status[u.status[i].id] = u.status[i].prev
+	}
+	for i := len(u.writes) - 1; i >= 0; i-- {
+		if w := u.writes[i]; w.had {
+			s.acceptedWrites[w.key] = w.prev
+		} else {
+			delete(s.acceptedWrites, w.key)
+		}
+	}
+	s.appliedOrder = s.appliedOrder[:u.applied]
 }
 
 // NewState creates reconciliation state. keyOf must project a tuple of the
@@ -210,13 +258,18 @@ func (s *State) buildGroup(cand *updates.Transaction) (g *group, blocked Status,
 	}
 	cl := map[updates.TxnID]bool{cand.ID: true}
 	var pendingMembers []*updates.Transaction
+	deferred := false
 	for _, a := range closure {
 		cl[a] = true
 		switch s.status[a] {
 		case StatusRejected:
+			// Rejection outranks deferral wherever it sits in the closure:
+			// reject() cascades to deferred dependents, so a candidate judged
+			// after its antecedent was rejected must end where one judged
+			// before it does.
 			return nil, StatusRejected, nil
 		case StatusDeferred:
-			return nil, StatusDeferred, nil
+			deferred = true
 		case StatusAccepted:
 			// already applied; not re-applied
 		default:
@@ -226,6 +279,9 @@ func (s *State) buildGroup(cand *updates.Transaction) (g *group, blocked Status,
 			}
 			pendingMembers = append(pendingMembers, t)
 		}
+	}
+	if deferred {
+		return nil, StatusDeferred, nil
 	}
 	// Application order: antecedents before dependents. Sort pending
 	// members topologically using a local pass over closure depth.
@@ -360,11 +416,15 @@ func (s *State) accept(g *group, out *Outcome) {
 		if s.status[m.ID] == StatusAccepted {
 			continue
 		}
-		s.status[m.ID] = StatusAccepted
+		s.setStatus(m.ID, StatusAccepted)
 		s.appliedOrder = append(s.appliedOrder, m.ID)
 		out.Accepted = append(out.Accepted, m)
 	}
 	for k, w := range g.writes {
+		if s.undo != nil {
+			prev, had := s.acceptedWrites[k]
+			s.undo.writes = append(s.undo.writes, undoWrite{k, prev, had})
+		}
 		s.acceptedWrites[k] = w
 	}
 }
@@ -516,11 +576,11 @@ func (s *State) reject(id updates.TxnID, out *Outcome) {
 	if s.status[id] == StatusRejected {
 		return
 	}
-	s.status[id] = StatusRejected
+	s.setStatus(id, StatusRejected)
 	out.Rejected = append(out.Rejected, id)
 	for _, dep := range s.graph.DependentClosure(id) {
 		if st := s.status[dep]; st == StatusPending || st == StatusDeferred {
-			s.status[dep] = StatusRejected
+			s.setStatus(dep, StatusRejected)
 			out.Rejected = append(out.Rejected, dep)
 		}
 	}
@@ -531,7 +591,7 @@ func (s *State) defer1(id updates.TxnID, out *Outcome) {
 	if s.status[id] == StatusDeferred {
 		return
 	}
-	s.status[id] = StatusDeferred
+	s.setStatus(id, StatusDeferred)
 	out.Deferred = append(out.Deferred, id)
 }
 
@@ -540,10 +600,17 @@ func (s *State) defer1(id updates.TxnID, out *Outcome) {
 // (with their dependents), then the winner and all remaining deferred
 // transactions are re-evaluated — transactions that depended on the winner
 // are accepted automatically (demo scenario 4).
+//
+// A winner that cannot be applied after all (it has meanwhile lost to data
+// the peer accepted, or an antecedent of it has) fails the call and leaves
+// the state exactly as it was: the rejections and the acceptances the
+// attempt made along the way are taken back, so no transaction is ever
+// Accepted here without its updates having been handed to the caller.
 func (s *State) Resolve(winner updates.TxnID) (*Outcome, error) {
 	if s.status[winner] != StatusDeferred {
 		return nil, fmt.Errorf("%w: %s (status %s)", ErrNotDeferred, winner, s.status[winner])
 	}
+	s.undo = &undoLog{applied: len(s.appliedOrder)}
 	out := &Outcome{}
 	wt, _ := s.graph.Get(winner)
 	wWrites := s.netWrites([]*updates.Transaction{wt})
@@ -581,22 +648,25 @@ func (s *State) Resolve(winner updates.TxnID) (*Outcome, error) {
 	}
 	// Re-open the winner and every surviving deferred transaction, then
 	// re-run the greedy pass.
-	s.status[winner] = StatusPending
+	s.setStatus(winner, StatusPending)
 	for _, id := range s.graph.IDs() {
 		if s.status[id] == StatusDeferred {
-			s.status[id] = StatusPending
+			s.setStatus(id, StatusPending)
 		}
 	}
 	more, err := s.process()
 	if err != nil {
+		s.rollback()
 		return nil, err
 	}
 	out.Accepted = append(out.Accepted, more.Accepted...)
 	out.Rejected = append(out.Rejected, more.Rejected...)
 	out.Deferred = append(out.Deferred, more.Deferred...)
 	out.Pending = more.Pending
-	if s.status[winner] != StatusAccepted {
-		return nil, fmt.Errorf("recon: winner %s could not be applied after resolution (status %s)", winner, s.status[winner])
+	if st := s.status[winner]; st != StatusAccepted {
+		s.rollback()
+		return nil, fmt.Errorf("recon: winner %s could not be applied after resolution (status %s)", winner, st)
 	}
+	s.undo = nil
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package recon
 
 import (
+	"reflect"
 	"testing"
 
 	"orchestra/internal/schema"
@@ -380,5 +381,52 @@ func TestAppliedOrderAccumulates(t *testing.T) {
 	order := s.AppliedOrder()
 	if len(order) != 2 || order[0] != a.ID || order[1] != b.ID {
 		t.Errorf("order = %v", order)
+	}
+}
+
+// A Resolve whose winner turns out not to be applicable — here it lost to a
+// local write made after it was deferred — fails and changes nothing: the
+// loser it rejected on the way is deferred again, and the bystander it
+// accepted on the way (x, freed by that rejection) is not left Accepted with
+// its updates never handed to anyone.
+func TestFailedResolveLeavesStateUntouched(t *testing.T) {
+	s := NewState(keyFirst)
+	a := txn("a", 1, updates.Insert("R", tup(1, 10)))
+	b := txn("b", 1, updates.Insert("R", tup(1, 20)), updates.Insert("R", tup(2, 20)))
+	x := txn("x", 1, updates.Insert("R", tup(2, 30)))
+	o, err := s.Reconcile(TrustAll(1), []*updates.Transaction{a, b, x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(o.Deferred) != 3 {
+		t.Fatalf("want a, b and x deferred, got %+v", o)
+	}
+	local := txn("me", 1, updates.Insert("R", tup(1, 99)))
+	if err := s.AcceptLocal(local); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Save()
+	if o, err := s.Resolve(a.ID); err == nil {
+		t.Fatalf("resolving in favour of a transaction that lost to a local write succeeded: %+v", o)
+	}
+	for _, tx := range []*updates.Transaction{a, b, x} {
+		if st := s.Status(tx.ID); st != StatusDeferred {
+			t.Errorf("%s is %s after the failed Resolve, want deferred", tx.ID, st)
+		}
+	}
+	if after := s.Save(); !reflect.DeepEqual(before, after) {
+		t.Errorf("failed Resolve changed the state:\nbefore %+v\n after %+v", before, after)
+	}
+	// The state is still live: resolving for b settles all three.
+	o, err = s.Resolve(b.ID)
+	if err == nil {
+		t.Fatalf("b also lost key 1 to the local write, yet resolved: %+v", o)
+	}
+	o, err = s.Resolve(x.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(o.Accepted) != 1 || o.Accepted[0].ID != x.ID || s.Status(b.ID) != StatusRejected {
+		t.Errorf("resolve for x: %+v, b is %s", o, s.Status(b.ID))
 	}
 }
