@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt fmt-check lint vuln bench bench-build bench-e2e bench-smoke bench-query bench-publish bench-sweep bench-baseline bench-compare bench-overhead endpoint-smoke memprofile examples-check recovery-check recovery-scaling ci
+.PHONY: build test race vet fmt fmt-check lint vuln bench bench-build bench-e2e bench-smoke bench-query bench-publish bench-sweep bench-baseline bench-compare bench-overhead endpoint-smoke memprofile examples-check recovery-check recovery-scaling reconcile-scaling ci
 
 ## build: compile every package
 build:
@@ -152,6 +152,15 @@ recovery-check:
 recovery-scaling:
 	sh scripts/recovery_scaling.sh
 
+## reconcile-scaling: the O(delta) in-memory round gate —
+## BenchmarkReconcileHistory over a small and a large history of accepted
+## transactions, asserting that the same sixteen-transaction round costs at
+## most 1.5x as much on the large one (DESIGN.md §4.2; the count-based twin
+## is TestReconcileWorkIndependentOfHistory). Tunables: SMALL LARGE
+## BENCHTIME COUNT MAX_RATIO.
+reconcile-scaling:
+	sh scripts/reconcile_scaling.sh
+
 ## examples-check: build every example and golden-check quickstart's output,
 ## so API drift that breaks user-facing examples fails the gate
 examples-check:
@@ -162,4 +171,4 @@ examples-check:
 ## ci: everything the CI workflow runs, in one command (lint and vuln are
 ## separate because they need tools on PATH; run `make lint vuln` too when
 ## you have them installed)
-ci: build vet fmt-check race bench-build bench-smoke bench-compare bench-overhead recovery-check recovery-scaling examples-check endpoint-smoke
+ci: build vet fmt-check race bench-build bench-smoke bench-compare bench-overhead recovery-check recovery-scaling reconcile-scaling examples-check endpoint-smoke

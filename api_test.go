@@ -197,9 +197,18 @@ func TestStrictConflictsOption(t *testing.T) {
 	if report == nil || len(report.Deferred) != 2 {
 		t.Fatalf("report = %+v, want both transactions deferred", report)
 	}
+	m := sys.Metrics()
+	visited := m.Counters["recon_visited_txns_total"]
+	if m.Gauges["recon_deferred_txns"] != 2 || m.Gauges["recon_pending_txns"] != 0 || visited == 0 {
+		t.Errorf("after the deferral: recon gauges %v, %d nodes visited", m.Gauges, visited)
+	}
 	// Resolving in favor of a's transaction settles the conflict.
 	if _, err := c.Resolve(ctx, report.Deferred[0]); err != nil {
 		t.Fatal(err)
+	}
+	m = sys.Metrics()
+	if m.Gauges["recon_deferred_txns"] != 0 || m.Counters["recon_visited_txns_total"] <= visited {
+		t.Errorf("after the resolution: recon gauges %v, %d nodes visited (was %d)", m.Gauges, m.Counters["recon_visited_txns_total"], visited)
 	}
 	rows, err := c.Rows("Gene")
 	if err != nil {

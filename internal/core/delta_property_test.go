@@ -227,7 +227,7 @@ func requireTwin(t *testing.T, label string, got, want *Peer) {
 	}
 	ids := map[updates.TxnID]bool{}
 	for _, p := range []*Peer{got, want} {
-		for _, id := range p.state.Graph().IDs() {
+		for _, id := range p.state.IDs() {
 			ids[id] = true
 		}
 	}

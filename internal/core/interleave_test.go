@@ -217,7 +217,7 @@ func runInterleaving(t *testing.T, seed int64) {
 		}
 
 		for qi, q := range peers {
-			for _, id := range q.state.Graph().IDs() {
+			for _, id := range q.state.IDs() {
 				if id.Peer != q.Name() && q.Status(id) == recon.StatusAccepted && !applied[qi][id] {
 					t.Fatalf("step %d (%s at %s): %s holds %s as accepted but never applied its updates", step, what, p.Name(), q.Name(), id)
 				}

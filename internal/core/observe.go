@@ -7,6 +7,7 @@ import (
 	"orchestra/internal/datalog"
 	"orchestra/internal/exchange"
 	"orchestra/internal/obs"
+	"orchestra/internal/recon"
 )
 
 // observer is a peer's resolved observability surface: span tracing for the
@@ -35,6 +36,13 @@ type observer struct {
 	drainTxnNs  *obs.Histogram // exchange_drain_txn_ns (per-txn drain latency)
 	fixRounds   *obs.Histogram // datalog_fixpoint_rounds (per reconcile/query)
 	windowEwma  *obs.Gauge     // exchange_window_pertxn_ns (adaptive EWMA)
+
+	reconVisited  *obs.Counter // recon_visited_txns_total (nodes examined by Reconcile/Resolve)
+	reconPending  *obs.Gauge   // recon_pending_txns (seen, unapplied: distrusted or missing antecedents)
+	reconDeferred *obs.Gauge   // recon_deferred_txns (conflicts awaiting Resolve)
+	// visitedSeen is the part of the state's cumulative work counter that
+	// predates the observer or is already in reconVisited.
+	visitedSeen uint64
 
 	recoveryTxns    *obs.Histogram // recovery_replay_txns (suffix length per recovery)
 	recoveryLoadNs  *obs.Histogram // recovery_load_ns (checkpoint+snapshot load time)
@@ -71,6 +79,11 @@ func (p *Peer) SetObserver(reg *obs.Registry, slowOp time.Duration) {
 		drainTxnNs:  reg.Histogram("exchange_drain_txn_ns"),
 		fixRounds:   reg.Histogram("datalog_fixpoint_rounds"),
 		windowEwma:  reg.Gauge("exchange_window_pertxn_ns"),
+
+		reconVisited:  reg.Counter("recon_visited_txns_total"),
+		reconPending:  reg.Gauge("recon_pending_txns"),
+		reconDeferred: reg.Gauge("recon_deferred_txns"),
+		visitedSeen:   p.state.Stats().Visited,
 
 		recoveryTxns:    reg.Histogram("recovery_replay_txns"),
 		recoveryLoadNs:  reg.Histogram("recovery_load_ns"),
@@ -126,6 +139,18 @@ func (o *observer) observeRounds(before int64) {
 	if d := o.stats.Rounds.Load() - before; d > 0 {
 		o.fixRounds.Observe(d)
 	}
+}
+
+// observeRecon exports the trust state's work counter and open-set sizes
+// after a Reconcile or Resolve.
+func (o *observer) observeRecon(st recon.Stats) {
+	if o.reg == nil {
+		return
+	}
+	o.reconVisited.Add(int64(st.Visited - o.visitedSeen))
+	o.visitedSeen = st.Visited
+	o.reconPending.Set(int64(st.Pending))
+	o.reconDeferred.Set(int64(st.Deferred))
 }
 
 // observeDrain records one drained group-commit window: batch size, per-txn

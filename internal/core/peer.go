@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -484,6 +484,7 @@ func (p *Peer) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 		candidates = append(candidates, cand)
 	}
 	outcome, err := p.state.Reconcile(p.policy, candidates)
+	p.obsv.observeRecon(p.state.Stats())
 	if err != nil {
 		return nil, err
 	}
@@ -566,6 +567,7 @@ func (p *Peer) Resolve(ctx context.Context, winner updates.TxnID) (*ReconcileRep
 		return nil, err
 	}
 	outcome, err := p.state.Resolve(winner)
+	p.obsv.observeRecon(p.state.Stats())
 	if err != nil {
 		return nil, err
 	}
@@ -617,13 +619,10 @@ func (p *Peer) applyOutcome(outcome *recon.Outcome, report *ReconcileReport) err
 }
 
 func (r *ReconcileReport) sort() {
-	less := func(ids []updates.TxnID) func(i, j int) bool {
-		return func(i, j int) bool { return ids[i].Less(ids[j]) }
-	}
 	// Accepted preserves application order; the others sort by id.
-	sort.Slice(r.Rejected, less(r.Rejected))
-	sort.Slice(r.Deferred, less(r.Deferred))
-	sort.Slice(r.Pending, less(r.Pending))
+	slices.SortFunc(r.Rejected, updates.TxnID.Compare)
+	slices.SortFunc(r.Deferred, updates.TxnID.Compare)
+	slices.SortFunc(r.Pending, updates.TxnID.Compare)
 }
 
 func mergeDeps(a, b []updates.TxnID) []updates.TxnID {
@@ -641,6 +640,6 @@ func mergeDeps(a, b []updates.TxnID) []updates.TxnID {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, updates.TxnID.Compare)
 	return out
 }

@@ -2,6 +2,8 @@ package p2p
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,6 +56,55 @@ func TestMemoryStorePublishSince(t *testing.T) {
 	}
 	if s.Len() != 2 {
 		t.Errorf("Len = %d", s.Len())
+	}
+}
+
+// TestMemoryStoreSinceSeeks: Since answers from the epoch-ordered log's tail.
+// After any interleaving of Publish and anti-entropy merges (which splice
+// another replica's epochs in between this one's) it must return what the
+// linear filter over the whole log returns, for every epoch, and hand out a
+// slice that does not alias the log.
+func TestMemoryStoreSinceSeeks(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	a, b := NewMemoryStore(), NewMemoryStore()
+	seq := map[*MemoryStore]uint64{}
+	for step := 0; step < 200; step++ {
+		s, peer := a, "a"
+		if rng.Intn(2) == 0 {
+			s, peer = b, "b"
+		}
+		if rng.Intn(5) == 0 {
+			AntiEntropy(a, b)
+		} else {
+			var batch []*updates.Transaction
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				seq[s]++
+				batch = append(batch, txn(peer, seq[s], updates.Insert("R", tup("x"))))
+			}
+			if _, err := s.Publish(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, s := range []*MemoryStore{a, b} {
+			for since := uint64(0); since <= s.epoch+1; since++ {
+				var want []*updates.Transaction
+				for _, tx := range s.log {
+					if tx.Epoch > since {
+						want = append(want, tx)
+					}
+				}
+				got, epoch, err := s.Since(since)
+				if err != nil || epoch != s.epoch || !slices.Equal(got, want) {
+					t.Fatalf("step %d: Since(%d) = %v, %d, %v; the log holds %v", step, since, got, epoch, err, want)
+				}
+				if len(got) > 0 {
+					got[0] = nil
+					if s.log[len(s.log)-len(got)] == nil {
+						t.Fatalf("step %d: Since(%d) aliases the log", step, since)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -72,17 +72,15 @@ func (s *MemoryStore) Publish(txns []*updates.Transaction) (uint64, error) {
 	return s.epoch, nil
 }
 
-// Since returns transactions published after the given epoch.
+// Since returns transactions published after the given epoch. The log is
+// in epoch order (Publish and commit append at a new highest epoch, merge
+// re-sorts), so the answer is its tail from the first later epoch on, copied
+// out so that the caller never aliases the log.
 func (s *MemoryStore) Since(since uint64) ([]*updates.Transaction, uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []*updates.Transaction
-	for _, t := range s.log {
-		if t.Epoch > since {
-			out = append(out, t)
-		}
-	}
-	return out, s.epoch, nil
+	i := sort.Search(len(s.log), func(i int) bool { return s.log[i].Epoch > since })
+	return append([]*updates.Transaction(nil), s.log[i:]...), s.epoch, nil
 }
 
 // Epoch returns the current epoch.

@@ -60,12 +60,8 @@ func checkInvariants(t *testing.T, s *State, txns []*updates.Transaction) {
 		if !ok {
 			continue
 		}
-		cl, _ := s.graph.AntecedentClosure(id)
-		inCl := map[updates.TxnID]bool{}
-		for _, a := range cl {
-			inCl[a] = true
-		}
-		for k, w := range s.netWrites([]*updates.Transaction{tx}) {
+		inCl, _, _ := s.antecedents(s.nodes[id])
+		for k, w := range s.netWrites(tx) {
 			if prev, ok := writes[k]; ok && !prev.sameValue(w) && !inCl[prev.writer] {
 				t.Fatalf("accepted set conflicts: %s overwrites %s on %s without dependency",
 					id, prev.writer, k)
@@ -75,13 +71,13 @@ func checkInvariants(t *testing.T, s *State, txns []*updates.Transaction) {
 	}
 	// (2) dependency-closed: every accepted txn's antecedents accepted.
 	for id := range accepted {
-		cl, missing := s.graph.AntecedentClosure(id)
-		if len(missing) > 0 {
-			t.Fatalf("accepted %s has missing antecedents %v", id, missing)
+		_, cl, complete := s.antecedents(s.nodes[id])
+		if !complete {
+			t.Fatalf("accepted %s has missing antecedents", id)
 		}
 		for _, a := range cl {
-			if !accepted[a] {
-				t.Fatalf("accepted %s depends on non-accepted %s (%s)", id, a, s.Status(a))
+			if !accepted[a.id] {
+				t.Fatalf("accepted %s depends on non-accepted %s (%s)", id, a.id, a.status)
 			}
 		}
 	}
@@ -92,12 +88,10 @@ func checkInvariants(t *testing.T, s *State, txns []*updates.Transaction) {
 		}
 		// It is fine for a rejected txn to be blocked by a rejected
 		// antecedent; otherwise it must clash with an accepted write.
-		cl, _ := s.graph.AntecedentClosure(tx.ID)
+		inCl, cl, _ := s.antecedents(s.nodes[tx.ID])
 		blockedByAntecedent := false
-		inCl := map[updates.TxnID]bool{tx.ID: true}
 		for _, a := range cl {
-			inCl[a] = true
-			if s.Status(a) == StatusRejected {
+			if a.status == StatusRejected {
 				blockedByAntecedent = true
 			}
 		}
@@ -109,7 +103,7 @@ func checkInvariants(t *testing.T, s *State, txns []*updates.Transaction) {
 		// dependent overwrite may have made the current value compatible
 		// again).
 		clash := false
-		mine := s.netWrites([]*updates.Transaction{tx})
+		mine := s.netWrites(tx)
 		for k, w := range mine {
 			if aw, ok := s.acceptedWrites[k]; ok && !aw.sameValue(w) && !inCl[aw.writer] {
 				clash = true
@@ -121,7 +115,7 @@ func checkInvariants(t *testing.T, s *State, txns []*updates.Transaction) {
 				if other == nil {
 					continue
 				}
-				for k, w := range s.netWrites([]*updates.Transaction{other}) {
+				for k, w := range s.netWrites(other) {
 					if mw, ok := mine[k]; ok && !mw.sameValue(w) && !inCl[id] {
 						clash = true
 					}
@@ -189,10 +183,10 @@ func TestQuickEqualPriorityDeferralInvariants(t *testing.T) {
 			if s.Status(tx.ID) != StatusDeferred {
 				continue
 			}
-			cl, _ := s.graph.AntecedentClosure(tx.ID)
+			_, cl, _ := s.antecedents(s.nodes[tx.ID])
 			deferredAntecedent := false
 			for _, a := range cl {
-				if s.Status(a) == StatusDeferred {
+				if a.status == StatusDeferred {
 					deferredAntecedent = true
 				}
 			}
@@ -200,12 +194,12 @@ func TestQuickEqualPriorityDeferralInvariants(t *testing.T) {
 				continue
 			}
 			found := false
-			mine := s.netWrites([]*updates.Transaction{tx})
+			mine := s.netWrites(tx)
 			for _, other := range txns {
 				if other.ID == tx.ID || s.Status(other.ID) == StatusRejected {
 					continue
 				}
-				for k, w := range s.netWrites([]*updates.Transaction{other}) {
+				for k, w := range s.netWrites(other) {
 					if mw, ok := mine[k]; ok && !mw.sameValue(w) {
 						found = true
 					}

@@ -3,7 +3,8 @@ package recon
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"orchestra/internal/schema"
 	"orchestra/internal/updates"
@@ -66,19 +67,71 @@ func (w writeVal) sameValue(o writeVal) bool {
 	return w.del == o.del && (w.del || w.tupKey == o.tupKey)
 }
 
+// node is everything the state knows about one transaction id: the
+// transaction itself (nil while the id has only been named as an antecedent
+// that has not arrived), its disposition and priority, and its dependency
+// edges in both directions as direct pointers.
+type node struct {
+	id     updates.TxnID
+	txn    *updates.Transaction
+	status Status
+	prio   int
+	deps   []*node // antecedents
+	rdeps  []*node // dependents
+}
+
+// nodeSet is a set of nodes kept in TxnID order.
+type nodeSet []*node
+
+func (ns nodeSet) search(n *node) (int, bool) {
+	return slices.BinarySearchFunc(ns, n.id, func(m *node, id updates.TxnID) int { return m.id.Compare(id) })
+}
+
+func (ns nodeSet) add(n *node) nodeSet {
+	if i, ok := ns.search(n); !ok {
+		return slices.Insert(ns, i, n)
+	}
+	return ns
+}
+
+func (ns nodeSet) remove(n *node) nodeSet {
+	if i, ok := ns.search(n); ok {
+		return slices.Delete(ns, i, i+1)
+	}
+	return ns
+}
+
 // State is a peer's persistent reconciliation state across update-exchange
-// rounds: every candidate seen, its status and priority, and the writes of
-// accepted transactions.
+// rounds: one node per transaction id seen, the writes of accepted
+// transactions, and indexes over the open transactions — the ones a round
+// can still decide about. Accepted and rejected transactions are closed: a
+// round reaches them only by walking the dependency closure of an open one,
+// so its cost does not grow with how many there are (DESIGN.md §4.2).
 type State struct {
-	keyOf          func(rel string, tu schema.Tuple) schema.Tuple
-	graph          *updates.Graph
-	status         map[updates.TxnID]Status
-	prio           map[updates.TxnID]int
+	keyOf func(rel string, tu schema.Tuple) schema.Tuple
+	nodes map[updates.TxnID]*node
+	// The open-set indexes, written by move and nothing else: every pending
+	// node (what Outcome.Pending reports), the trusted ones among them by
+	// priority (pass's worklist), every deferred node, and the deferred
+	// nodes' writes by (relation, key).
+	pending        nodeSet
+	trusted        map[int]nodeSet
+	deferred       nodeSet
+	deferredWrites map[string][]writeVal
+	// undeferred holds the nodes that stopped being deferred since the last
+	// pass began. Their writes leave deferredWrites when the next pass
+	// begins, not before: a deferred transaction rejected by a cascade in
+	// the middle of a pass still blocks the candidates judged after it in
+	// that pass.
+	undeferred     []*node
 	acceptedWrites map[string]writeVal
 	appliedOrder   []updates.TxnID
 	// undo, while non-nil, journals every status and accepted-write change
 	// so Resolve can take back a resolution that fails (see rollback).
 	undo *undoLog
+	// visited counts the nodes examined so far: worklist and open-set
+	// entries, and every node a closure walk reached.
+	visited uint64
 }
 
 // undoLog is what one Resolve call changed, in order: the previous value of
@@ -91,7 +144,7 @@ type undoLog struct {
 }
 
 type undoStatus struct {
-	id   updates.TxnID
+	n    *node
 	prev Status
 }
 
@@ -101,12 +154,66 @@ type undoWrite struct {
 	had  bool
 }
 
-// setStatus assigns a status to a transaction the state already knows.
-func (s *State) setStatus(id updates.TxnID, st Status) {
+// setStatus changes the status of a transaction, journalling the previous
+// one while a Resolve is in flight.
+func (s *State) setStatus(n *node, st Status) {
 	if s.undo != nil {
-		s.undo.status = append(s.undo.status, undoStatus{id, s.status[id]})
+		s.undo.status = append(s.undo.status, undoStatus{n, n.status})
 	}
-	s.status[id] = st
+	s.move(n, st)
+}
+
+// move is the only writer of node.status: it takes the node out of the open
+// set of its old status and puts it into the one of its new status, so the
+// indexes can never disagree with the statuses. n.txn and n.prio must be set.
+func (s *State) move(n *node, st Status) {
+	switch n.status {
+	case StatusPending:
+		s.pending = s.pending.remove(n)
+		if n.prio > Distrusted {
+			if rest := s.trusted[n.prio].remove(n); len(rest) > 0 {
+				s.trusted[n.prio] = rest
+			} else {
+				delete(s.trusted, n.prio)
+			}
+		}
+	case StatusDeferred:
+		s.deferred = s.deferred.remove(n)
+		s.undeferred = append(s.undeferred, n)
+	}
+	n.status = st
+	switch st {
+	case StatusPending:
+		s.pending = s.pending.add(n)
+		if n.prio > Distrusted {
+			s.trusted[n.prio] = s.trusted[n.prio].add(n)
+		}
+	case StatusDeferred:
+		s.deferred = s.deferred.add(n)
+		for k, w := range s.netWrites(n.txn) {
+			s.deferredWrites[k] = append(s.deferredWrites[k], w)
+		}
+	}
+}
+
+// dropUndeferred takes the writes of the nodes in undeferred out of the
+// deferred-writes index: one entry per key for each time a node stopped
+// being deferred, so a node that was deferred again in the meantime keeps
+// the entries its return added.
+func (s *State) dropUndeferred() {
+	for _, n := range s.undeferred {
+		s.visited++
+		for k := range s.netWrites(n.txn) {
+			ws := s.deferredWrites[k]
+			i := slices.IndexFunc(ws, func(w writeVal) bool { return w.writer == n.id })
+			if ws = slices.Delete(ws, i, i+1); len(ws) > 0 {
+				s.deferredWrites[k] = ws
+			} else {
+				delete(s.deferredWrites, k)
+			}
+		}
+	}
+	s.undeferred = s.undeferred[:0]
 }
 
 // rollback restores the state to where the journal began and drops it.
@@ -114,7 +221,7 @@ func (s *State) rollback() {
 	u := s.undo
 	s.undo = nil
 	for i := len(u.status) - 1; i >= 0; i-- {
-		s.status[u.status[i].id] = u.status[i].prev
+		s.move(u.status[i].n, u.status[i].prev)
 	}
 	for i := len(u.writes) - 1; i >= 0; i-- {
 		if w := u.writes[i]; w.had {
@@ -131,18 +238,73 @@ func (s *State) rollback() {
 func NewState(keyOf func(rel string, tu schema.Tuple) schema.Tuple) *State {
 	return &State{
 		keyOf:          keyOf,
-		graph:          updates.NewGraph(),
-		status:         map[updates.TxnID]Status{},
-		prio:           map[updates.TxnID]int{},
+		nodes:          map[updates.TxnID]*node{},
+		trusted:        map[int]nodeSet{},
+		deferredWrites: map[string][]writeVal{},
 		acceptedWrites: map[string]writeVal{},
 	}
 }
 
-// Status returns the disposition of a transaction.
-func (s *State) Status(id updates.TxnID) Status { return s.status[id] }
+// node returns the node for id, creating an empty one the first time the
+// id is named.
+func (s *State) node(id updates.TxnID) *node {
+	n := s.nodes[id]
+	if n == nil {
+		n = &node{id: id}
+		s.nodes[id] = n
+	}
+	return n
+}
 
-// Graph exposes the accumulated candidate dependency graph.
-func (s *State) Graph() *updates.Graph { return s.graph }
+// add records a transaction and its dependency edges. An antecedent that
+// has not been seen gets an empty node, which the closure walks report as
+// missing until the transaction arrives.
+func (s *State) add(t *updates.Transaction) *node {
+	n := s.node(t.ID)
+	n.txn = t
+	for _, d := range t.Deps {
+		dn := s.node(d)
+		n.deps = append(n.deps, dn)
+		dn.rdeps = append(dn.rdeps, n)
+	}
+	return n
+}
+
+// Status returns the disposition of a transaction.
+func (s *State) Status(id updates.TxnID) Status {
+	if n := s.nodes[id]; n != nil {
+		return n.status
+	}
+	return StatusUnknown
+}
+
+// IDs returns the id of every transaction seen, in TxnID order. It is the
+// one walk over all of history, for Save and for tests; no round takes it.
+func (s *State) IDs() []updates.TxnID {
+	out := make([]updates.TxnID, 0, len(s.nodes))
+	for id, n := range s.nodes {
+		if n.txn != nil {
+			out = append(out, id)
+		}
+	}
+	slices.SortFunc(out, updates.TxnID.Compare)
+	return out
+}
+
+// Stats is the work a State has done and how much of it is still open.
+type Stats struct {
+	// Visited counts the nodes examined by every call so far. What one
+	// round adds depends on its candidates, the open transactions and
+	// their dependency closures — not on how many transactions are closed.
+	Visited uint64
+	// Pending and Deferred are the sizes of the two open sets.
+	Pending, Deferred int
+}
+
+// Stats returns the state's work counter and open-set sizes.
+func (s *State) Stats() Stats {
+	return Stats{Visited: s.visited, Pending: len(s.pending), Deferred: len(s.deferred)}
+}
 
 // AppliedOrder returns all accepted transactions in application order.
 func (s *State) AppliedOrder() []updates.TxnID {
@@ -169,15 +331,14 @@ type Outcome struct {
 // dependent).
 func (s *State) Reconcile(policy *Policy, candidates []*updates.Transaction) (*Outcome, error) {
 	for _, c := range candidates {
-		if st := s.status[c.ID]; st != StatusUnknown {
+		if st := s.Status(c.ID); st != StatusUnknown {
 			return nil, fmt.Errorf("%w: %s (status %s)", ErrAlreadyReconciled, c.ID, st)
 		}
-		if err := s.graph.Add(c); err != nil {
-			return nil, err
-		}
-		s.status[c.ID] = StatusPending
-		s.prio[c.ID] = policy.PriorityOf(c)
+		n := s.add(c)
+		n.prio = policy.PriorityOf(c)
+		s.move(n, StatusPending)
 	}
+	s.visited += uint64(len(candidates))
 	return s.process()
 }
 
@@ -186,49 +347,93 @@ func (s *State) Reconcile(policy *Policy, candidates []*updates.Transaction) (*O
 // the local instance at commit time. Their writes still participate in
 // conflict detection against incoming candidates.
 func (s *State) AcceptLocal(t *updates.Transaction) error {
-	if st := s.status[t.ID]; st != StatusUnknown {
+	if st := s.Status(t.ID); st != StatusUnknown {
 		return fmt.Errorf("%w: %s (status %s)", ErrAlreadyReconciled, t.ID, st)
 	}
-	if err := s.graph.Add(t); err != nil {
-		return err
-	}
-	s.status[t.ID] = StatusAccepted
+	s.move(s.add(t), StatusAccepted)
 	s.appliedOrder = append(s.appliedOrder, t.ID)
-	for k, w := range s.netWrites([]*updates.Transaction{t}) {
+	for k, w := range s.netWrites(t) {
 		s.acceptedWrites[k] = w
 	}
 	return nil
 }
 
 // netWrites computes the final (relation, key) -> value effect of applying
-// the given transactions in order.
-func (s *State) netWrites(txns []*updates.Transaction) map[string]writeVal {
+// the transaction.
+func (s *State) netWrites(t *updates.Transaction) map[string]writeVal {
 	out := map[string]writeVal{}
-	for _, t := range txns {
-		for _, u := range t.Updates {
-			k := u.Rel + "/" + s.keyOf(u.Rel, u.Target()).Key()
-			w := writeVal{writer: t.ID, del: u.Op == updates.OpDelete}
-			if !w.del {
-				w.tupKey = u.New.Key()
-			}
-			out[k] = w
-			if u.Op == updates.OpModify && u.Old != nil {
-				// A modify may move the tuple to a new key; the old key is
-				// written (vacated) too.
-				ok := u.Rel + "/" + s.keyOf(u.Rel, u.Old).Key()
-				if ok != k {
-					out[ok] = writeVal{writer: t.ID, del: true}
-				}
+	for _, u := range t.Updates {
+		k := u.Rel + "/" + s.keyOf(u.Rel, u.Target()).Key()
+		w := writeVal{writer: t.ID, del: u.Op == updates.OpDelete}
+		if !w.del {
+			w.tupKey = u.New.Key()
+		}
+		out[k] = w
+		if u.Op == updates.OpModify && u.Old != nil {
+			// A modify may move the tuple to a new key; the old key is
+			// written (vacated) too.
+			ok := u.Rel + "/" + s.keyOf(u.Rel, u.Old).Key()
+			if ok != k {
+				out[ok] = writeVal{writer: t.ID, del: true}
 			}
 		}
 	}
 	return out
 }
 
+// antecedents walks everything n transitively depends on. ids holds those
+// transactions' ids and n's own, closure their nodes (n excluded, in no
+// particular order); complete is false when some antecedent has not
+// arrived, and then the other two results are partial.
+func (s *State) antecedents(n *node) (ids map[updates.TxnID]bool, closure []*node, complete bool) {
+	ids = map[updates.TxnID]bool{n.id: true}
+	complete = true
+	stack := slices.Clone(n.deps)
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if ids[cur.id] {
+			continue
+		}
+		ids[cur.id] = true
+		s.visited++
+		if cur.txn == nil {
+			complete = false
+			continue
+		}
+		closure = append(closure, cur)
+		stack = append(stack, cur.deps...)
+	}
+	return ids, closure, complete
+}
+
+// dependents returns every node that transitively depends on n, n excluded,
+// in TxnID order — the set that is rejected along with it.
+func (s *State) dependents(n *node) []*node {
+	seen := map[*node]bool{n: true}
+	var out []*node
+	stack := slices.Clone(n.rdeps)
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[cur] {
+			continue
+		}
+		seen[cur] = true
+		s.visited++
+		out = append(out, cur)
+		stack = append(stack, cur.rdeps...)
+	}
+	slices.SortFunc(out, compareNodes)
+	return out
+}
+
+func compareNodes(a, b *node) int { return a.id.Compare(b.id) }
+
 // group is a candidate plus the pending antecedents that must be co-applied.
 type group struct {
-	cand    *updates.Transaction
-	members []*updates.Transaction // in application order, candidate last
+	cand    *node
+	members []*node                // in application order, candidate last
 	closure map[updates.TxnID]bool // full antecedent closure incl. members
 	// writes is the group's net effect (used for same-level conflict
 	// detection and for recording accepted state).
@@ -239,29 +444,26 @@ type group struct {
 	// member's conflicting intermediate write is a conflict even when a
 	// later member of the same group overwrites it).
 	memberWrites []memberWrite
-	prio         int
 }
 
 // memberWrite is one member's writes plus its personal closure.
 type memberWrite struct {
-	id      updates.TxnID
+	n       *node
 	writes  map[string]writeVal
 	closure map[updates.TxnID]bool
 }
 
 // buildGroup assembles the applicable transaction group for cand, or
 // reports why it cannot be applied.
-func (s *State) buildGroup(cand *updates.Transaction) (g *group, blocked Status, err error) {
-	closure, missing := s.graph.AntecedentClosure(cand.ID)
-	if len(missing) > 0 {
+func (s *State) buildGroup(cand *node) (g *group, blocked Status, err error) {
+	cl, closure, complete := s.antecedents(cand)
+	if !complete {
 		return nil, StatusPending, nil // incomplete antecedents: wait
 	}
-	cl := map[updates.TxnID]bool{cand.ID: true}
-	var pendingMembers []*updates.Transaction
+	members := []*node{cand}
 	deferred := false
 	for _, a := range closure {
-		cl[a] = true
-		switch s.status[a] {
+		switch a.status {
 		case StatusRejected:
 			// Rejection outranks deferral wherever it sits in the closure:
 			// reject() cascades to deferred dependents, so a candidate judged
@@ -273,94 +475,69 @@ func (s *State) buildGroup(cand *updates.Transaction) (g *group, blocked Status,
 		case StatusAccepted:
 			// already applied; not re-applied
 		default:
-			t, ok := s.graph.Get(a)
-			if !ok {
-				return nil, StatusPending, nil
-			}
-			pendingMembers = append(pendingMembers, t)
+			members = append(members, a)
 		}
 	}
 	if deferred {
 		return nil, StatusDeferred, nil
 	}
-	// Application order: antecedents before dependents. Sort pending
-	// members topologically using a local pass over closure depth.
-	ordered, err := topoWithin(append(pendingMembers, cand), s.graph)
-	if err != nil {
+	// Application order: antecedents before dependents.
+	if members, err = topoWithin(members); err != nil {
 		return nil, StatusUnknown, err
 	}
-	g = &group{
-		cand:    cand,
-		members: ordered,
-		closure: cl,
-		prio:    s.prio[cand.ID],
-	}
-	g.writes = s.netWrites(g.members)
-	for _, m := range ordered {
-		mcl := map[updates.TxnID]bool{m.ID: true}
-		mClosure, _ := s.graph.AntecedentClosure(m.ID)
-		for _, a := range mClosure {
-			mcl[a] = true
+	g = &group{cand: cand, members: members, closure: cl, writes: map[string]writeVal{}}
+	for _, m := range members {
+		mcl := cl
+		if m != cand {
+			mcl, _, _ = s.antecedents(m)
 		}
-		g.memberWrites = append(g.memberWrites, memberWrite{
-			id:      m.ID,
-			writes:  s.netWrites([]*updates.Transaction{m}),
-			closure: mcl,
-		})
+		mw := memberWrite{n: m, writes: s.netWrites(m.txn), closure: mcl}
+		g.memberWrites = append(g.memberWrites, mw)
+		maps.Copy(g.writes, mw.writes) // in application order: later members overwrite
 	}
 	return g, StatusUnknown, nil
 }
 
-// topoWithin orders the given transactions so that dependencies come first;
-// dependencies outside the set are ignored.
-func topoWithin(txns []*updates.Transaction, g *updates.Graph) ([]*updates.Transaction, error) {
-	in := map[updates.TxnID]*updates.Transaction{}
-	for _, t := range txns {
-		in[t.ID] = t
+// topoWithin orders the given transactions so that dependencies come first,
+// ties broken by TxnID; dependencies outside the set are ignored.
+func topoWithin(members []*node) ([]*node, error) {
+	indeg := make(map[*node]int, len(members))
+	for _, m := range members {
+		indeg[m] = 0
 	}
-	indeg := map[updates.TxnID]int{}
-	for _, t := range txns {
-		for _, d := range t.Deps {
-			if _, ok := in[d]; ok {
-				indeg[t.ID]++
+	for _, m := range members {
+		for _, d := range m.deps {
+			if _, ok := indeg[d]; ok {
+				indeg[m]++
 			}
 		}
 	}
-	var ready []updates.TxnID
-	for _, t := range txns {
-		if indeg[t.ID] == 0 {
-			ready = append(ready, t.ID)
+	var ready []*node
+	for _, m := range members {
+		if indeg[m] == 0 {
+			ready = append(ready, m)
 		}
 	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i].Less(ready[j]) })
-	var out []*updates.Transaction
+	slices.SortFunc(ready, compareNodes)
+	out := make([]*node, 0, len(members))
 	for len(ready) > 0 {
 		cur := ready[0]
 		ready = ready[1:]
-		out = append(out, in[cur])
-		var next []updates.TxnID
-		for _, dep := range g.Dependents(cur) {
-			if _, ok := in[dep]; !ok {
+		out = append(out, cur)
+		var next []*node
+		for _, r := range cur.rdeps {
+			if _, ok := indeg[r]; !ok {
 				continue
 			}
-			found := false
-			for _, d := range in[dep].Deps {
-				if d == cur {
-					found = true
-				}
-			}
-			if !found {
-				continue
-			}
-			indeg[dep]--
-			if indeg[dep] == 0 {
-				next = append(next, dep)
+			indeg[r]--
+			if indeg[r] == 0 {
+				next = append(next, r)
 			}
 		}
-		sort.Slice(next, func(i, j int) bool { return next[i].Less(next[j]) })
+		slices.SortFunc(next, compareNodes)
 		ready = append(ready, next...)
 	}
-	if len(out) != len(txns) {
+	if len(out) != len(members) {
 		return nil, fmt.Errorf("recon: cyclic dependencies within transaction group")
 	}
 	return out, nil
@@ -374,7 +551,7 @@ func topoWithin(txns []*updates.Transaction, g *updates.Graph) ([]*updates.Trans
 // member would overwrite the key again.
 func (s *State) conflictsWithAccepted(g *group) bool {
 	for _, mw := range g.memberWrites {
-		if s.status[mw.id] == StatusAccepted {
+		if mw.n.status == StatusAccepted {
 			// Already applied (e.g. as a shared antecedent accepted
 			// earlier in this pass): its writes are part of the accepted
 			// state, not a pending application.
@@ -399,9 +576,9 @@ func (s *State) conflictsWithAccepted(g *group) bool {
 
 // deferredConflict reports whether the group's writes clash with any write
 // in the deferred-writes index.
-func deferredConflict(g *group, deferredWrites map[string][]writeVal) bool {
+func (s *State) deferredConflict(g *group) bool {
 	for k, gw := range g.writes {
-		for _, w := range deferredWrites[k] {
+		for _, w := range s.deferredWrites[k] {
 			if !gw.sameValue(w) {
 				return true
 			}
@@ -413,12 +590,12 @@ func deferredConflict(g *group, deferredWrites map[string][]writeVal) bool {
 // accept applies a group: marks members accepted and records their writes.
 func (s *State) accept(g *group, out *Outcome) {
 	for _, m := range g.members {
-		if s.status[m.ID] == StatusAccepted {
+		if m.status == StatusAccepted {
 			continue
 		}
-		s.setStatus(m.ID, StatusAccepted)
-		s.appliedOrder = append(s.appliedOrder, m.ID)
-		out.Accepted = append(out.Accepted, m)
+		s.setStatus(m, StatusAccepted)
+		s.appliedOrder = append(s.appliedOrder, m.id)
+		out.Accepted = append(out.Accepted, m.txn)
 	}
 	for k, w := range g.writes {
 		if s.undo != nil {
@@ -429,8 +606,8 @@ func (s *State) accept(g *group, out *Outcome) {
 	}
 }
 
-// process runs the greedy pass over all pending transactions until no more
-// status changes occur.
+// process runs the greedy pass over the trusted pending transactions until
+// no more status changes occur.
 func (s *State) process() (*Outcome, error) {
 	out := &Outcome{}
 	for {
@@ -443,80 +620,54 @@ func (s *State) process() (*Outcome, error) {
 		}
 	}
 	// Report transactions still pending (seen but unapplied) this round.
-	for _, id := range s.graph.IDs() {
-		if s.status[id] == StatusPending {
-			out.Pending = append(out.Pending, id)
-		}
+	s.visited += uint64(len(s.pending))
+	for _, n := range s.pending {
+		out.Pending = append(out.Pending, n.id)
 	}
 	return out, nil
 }
 
-// pass performs one priority-descending sweep; it reports whether any
-// status changed.
+// pass performs one priority-descending sweep over the worklist; it reports
+// whether any status changed. Nothing becomes pending during a pass, so the
+// worklist only shrinks under it and each level is swept from a copy.
 func (s *State) pass(out *Outcome) (bool, error) {
-	// Gather pending, trusted candidates by priority level, and index the
-	// writes of currently-deferred transactions once for the whole sweep.
-	byPrio := map[int][]updates.TxnID{}
-	var prios []int
-	deferredWrites := map[string][]writeVal{}
-	for _, id := range s.graph.IDs() {
-		if s.status[id] == StatusDeferred {
-			t, _ := s.graph.Get(id)
-			for k, w := range s.netWrites([]*updates.Transaction{t}) {
-				deferredWrites[k] = append(deferredWrites[k], w)
-			}
-			continue
-		}
-		if s.status[id] != StatusPending {
-			continue
-		}
-		p := s.prio[id]
-		if p <= Distrusted {
-			continue
-		}
-		if _, ok := byPrio[p]; !ok {
-			prios = append(prios, p)
-		}
-		byPrio[p] = append(byPrio[p], id)
+	s.dropUndeferred()
+	prios := make([]int, 0, len(s.trusted))
+	for p := range s.trusted {
+		prios = append(prios, p)
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(prios)))
-	deferWithWrites := func(id updates.TxnID) {
-		s.defer1(id, out)
-		t, _ := s.graph.Get(id)
-		for k, w := range s.netWrites([]*updates.Transaction{t}) {
-			deferredWrites[k] = append(deferredWrites[k], w)
-		}
-	}
+	slices.Sort(prios)
+	slices.Reverse(prios)
 	changed := false
 	for _, p := range prios {
 		var eligible []*group
-		for _, id := range byPrio[p] {
-			if s.status[id] != StatusPending {
+		for _, n := range slices.Clone(s.trusted[p]) {
+			s.visited++
+			if n.status != StatusPending {
 				continue // may have been co-accepted by an earlier group
 			}
-			cand, _ := s.graph.Get(id)
-			g, blocked, err := s.buildGroup(cand)
+			g, blocked, err := s.buildGroup(n)
 			if err != nil {
 				return false, err
 			}
 			if g == nil {
 				switch blocked {
 				case StatusRejected:
-					s.reject(id, out)
+					s.reject(n, out)
 					changed = true
 				case StatusDeferred:
-					deferWithWrites(id)
+					s.defer1(n, out)
 					changed = true
 				}
 				continue
 			}
 			if s.conflictsWithAccepted(g) {
-				s.reject(id, out)
+				s.reject(n, out)
 				changed = true
 				continue
 			}
-			if deferredConflict(g, deferredWrites) {
-				deferWithWrites(id)
+			if s.deferredConflict(g) {
+				s.defer1(n, out)
 				changed = true
 				continue
 			}
@@ -524,7 +675,7 @@ func (s *State) pass(out *Outcome) (bool, error) {
 		}
 		// Same-priority conflict detection among eligible groups, indexed
 		// by written key so disjoint groups never meet.
-		conflicted := map[updates.TxnID]bool{}
+		conflicted := map[*node]bool{}
 		byKey := map[string][]*group{}
 		for _, g := range eligible {
 			for k := range g.writes {
@@ -535,32 +686,32 @@ func (s *State) pass(out *Outcome) (bool, error) {
 			for i := 0; i < len(gs); i++ {
 				for j := i + 1; j < len(gs); j++ {
 					a, b := gs[i], gs[j]
-					if a.closure[b.cand.ID] || b.closure[a.cand.ID] {
+					if a.closure[b.cand.id] || b.closure[a.cand.id] {
 						continue // dependency, not a conflict
 					}
 					if !a.writes[k].sameValue(b.writes[k]) {
-						conflicted[a.cand.ID] = true
-						conflicted[b.cand.ID] = true
+						conflicted[a.cand] = true
+						conflicted[b.cand] = true
 					}
 				}
 			}
 		}
 		for _, g := range eligible {
-			if conflicted[g.cand.ID] {
-				deferWithWrites(g.cand.ID)
+			if conflicted[g.cand] {
+				s.defer1(g.cand, out)
 				changed = true
 			}
 		}
 		for _, g := range eligible {
-			if conflicted[g.cand.ID] {
+			if conflicted[g.cand] {
 				continue
 			}
-			if s.status[g.cand.ID] != StatusPending {
+			if g.cand.status != StatusPending {
 				continue // accepted earlier in this loop as an antecedent
 			}
 			// Re-validate against writes accepted earlier in this level.
 			if s.conflictsWithAccepted(g) {
-				s.reject(g.cand.ID, out)
+				s.reject(g.cand, out)
 				changed = true
 				continue
 			}
@@ -572,27 +723,28 @@ func (s *State) pass(out *Outcome) (bool, error) {
 }
 
 // reject marks a transaction rejected and cascades to its dependents.
-func (s *State) reject(id updates.TxnID, out *Outcome) {
-	if s.status[id] == StatusRejected {
+func (s *State) reject(n *node, out *Outcome) {
+	if n.status == StatusRejected {
 		return
 	}
-	s.setStatus(id, StatusRejected)
-	out.Rejected = append(out.Rejected, id)
-	for _, dep := range s.graph.DependentClosure(id) {
-		if st := s.status[dep]; st == StatusPending || st == StatusDeferred {
+	s.setStatus(n, StatusRejected)
+	out.Rejected = append(out.Rejected, n.id)
+	for _, dep := range s.dependents(n) {
+		if dep.status == StatusPending || dep.status == StatusDeferred {
 			s.setStatus(dep, StatusRejected)
-			out.Rejected = append(out.Rejected, dep)
+			out.Rejected = append(out.Rejected, dep.id)
 		}
 	}
 }
 
-// defer1 marks a transaction deferred.
-func (s *State) defer1(id updates.TxnID, out *Outcome) {
-	if s.status[id] == StatusDeferred {
+// defer1 marks a transaction deferred; its writes enter the deferred-writes
+// index with it.
+func (s *State) defer1(n *node, out *Outcome) {
+	if n.status == StatusDeferred {
 		return
 	}
-	s.setStatus(id, StatusDeferred)
-	out.Deferred = append(out.Deferred, id)
+	s.setStatus(n, StatusDeferred)
+	out.Deferred = append(out.Deferred, n.id)
 }
 
 // Resolve settles a deferred conflict in favor of winner: deferred
@@ -607,51 +759,43 @@ func (s *State) defer1(id updates.TxnID, out *Outcome) {
 // attempt made along the way are taken back, so no transaction is ever
 // Accepted here without its updates having been handed to the caller.
 func (s *State) Resolve(winner updates.TxnID) (*Outcome, error) {
-	if s.status[winner] != StatusDeferred {
-		return nil, fmt.Errorf("%w: %s (status %s)", ErrNotDeferred, winner, s.status[winner])
+	wn := s.nodes[winner]
+	if wn == nil || wn.status != StatusDeferred {
+		return nil, fmt.Errorf("%w: %s (status %s)", ErrNotDeferred, winner, s.Status(winner))
 	}
 	s.undo = &undoLog{applied: len(s.appliedOrder)}
 	out := &Outcome{}
-	wt, _ := s.graph.Get(winner)
-	wWrites := s.netWrites([]*updates.Transaction{wt})
+	wWrites := s.netWrites(wn.txn)
 	// Reject conflicting deferred losers. Deferred transactions that
 	// *depend* on the winner are dependents, not competitors: their
 	// overwrites of the winner's data are legitimate and they are
 	// re-evaluated below.
-	for _, id := range s.graph.IDs() {
-		if id == winner || s.status[id] != StatusDeferred {
+	open := slices.Clone(s.deferred)
+	s.visited += uint64(len(open))
+	for _, n := range open {
+		if n == wn || n.status != StatusDeferred {
 			continue
 		}
-		cl, _ := s.graph.AntecedentClosure(id)
-		dependsOnWinner := false
-		for _, a := range cl {
-			if a == winner {
-				dependsOnWinner = true
-				break
-			}
-		}
-		if dependsOnWinner {
+		if cl, _, _ := s.antecedents(n); cl[winner] {
 			continue
 		}
-		t, _ := s.graph.Get(id)
-		lw := s.netWrites([]*updates.Transaction{t})
 		clash := false
-		for k, w := range lw {
+		for k, w := range s.netWrites(n.txn) {
 			if ww, ok := wWrites[k]; ok && !w.sameValue(ww) {
 				clash = true
 				break
 			}
 		}
 		if clash {
-			s.reject(id, out)
+			s.reject(n, out)
 		}
 	}
 	// Re-open the winner and every surviving deferred transaction, then
 	// re-run the greedy pass.
-	s.setStatus(winner, StatusPending)
-	for _, id := range s.graph.IDs() {
-		if s.status[id] == StatusDeferred {
-			s.setStatus(id, StatusPending)
+	s.setStatus(wn, StatusPending)
+	for _, n := range open {
+		if n.status == StatusDeferred {
+			s.setStatus(n, StatusPending)
 		}
 	}
 	more, err := s.process()
@@ -663,7 +807,8 @@ func (s *State) Resolve(winner updates.TxnID) (*Outcome, error) {
 	out.Rejected = append(out.Rejected, more.Rejected...)
 	out.Deferred = append(out.Deferred, more.Deferred...)
 	out.Pending = more.Pending
-	if st := s.status[winner]; st != StatusAccepted {
+	if wn.status != StatusAccepted {
+		st := wn.status
 		s.rollback()
 		return nil, fmt.Errorf("recon: winner %s could not be applied after resolution (status %s)", winner, st)
 	}

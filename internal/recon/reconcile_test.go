@@ -430,3 +430,110 @@ func TestFailedResolveLeavesStateUntouched(t *testing.T) {
 		t.Errorf("resolve for x: %+v, b is %s", o, s.Status(b.ID))
 	}
 }
+
+// historyState returns a state that has accepted n independent single-insert
+// transactions from peer "h" (keys 1000+i), reconciled sixteen at a time,
+// and holds a small open set on top: one distrusted pending transaction and
+// one deferred pair.
+func historyState(tb testing.TB, n int) (*State, *Policy) {
+	tb.Helper()
+	policy := &Policy{Conditions: []Condition{FromPeer("u", Distrusted)}, Default: 1}
+	s := NewState(keyFirst)
+	for i := 0; i < n; i += 16 {
+		var batch []*updates.Transaction
+		for j := i; j < min(i+16, n); j++ {
+			batch = append(batch, txn("h", uint64(j+1), updates.Insert("R", tup(int64(1000+j), 0))))
+		}
+		if _, err := s.Reconcile(policy, batch); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	open := []*updates.Transaction{
+		txn("u", 1, updates.Insert("R", tup(1, 1))),
+		txn("x", 1, updates.Insert("R", tup(2, 1))),
+		txn("y", 1, updates.Insert("R", tup(2, 2))),
+	}
+	if _, err := s.Reconcile(policy, open); err != nil {
+		tb.Fatal(err)
+	}
+	if st := s.Stats(); st.Pending != 1 || st.Deferred != 2 {
+		tb.Fatalf("open set = %+v, want 1 pending and 2 deferred", st)
+	}
+	return s, policy
+}
+
+// historyDelta is one round's sixteen candidates over historyState, all from
+// round r so that rounds never collide: fresh inserts, modifies of old
+// history rows (one antecedent each), a same-priority conflict that defers,
+// a write that loses to accepted data and takes its dependent with it, a
+// dependent of the distrusted transaction, and one whose antecedent never
+// arrives.
+func historyDelta(r int) []*updates.Transaction {
+	seq := uint64(16 * r)
+	next := func(us ...updates.Update) *updates.Transaction {
+		seq++
+		return txn("d", seq, us...)
+	}
+	h := func(i int) *updates.Transaction { return txn("h", uint64(i+1)) }
+	var out []*updates.Transaction
+	for i := 0; i < 6; i++ {
+		out = append(out, next(updates.Insert("R", tup(int64(100000+16*r+i), 1))))
+	}
+	for i := 0; i < 4; i++ {
+		k := int64(1000 + 4*r + i)
+		out = append(out, dep(next(updates.Modify("R", tup(k, 0), tup(k, int64(r+1)))), h(4*r+i)))
+	}
+	c1 := next(updates.Insert("R", tup(int64(200000+r), 1)))
+	c2 := next(updates.Insert("R", tup(int64(200000+r), 2)))
+	loser := next(updates.Insert("R", tup(int64(1500+r), 9))) // history holds (1500+r, 0)
+	child := dep(next(updates.Insert("R", tup(int64(300000+r), 1))), loser)
+	onDistrusted := dep(next(updates.Insert("R", tup(int64(400000+r), 1))), txn("u", 1))
+	waiting := dep(next(updates.Insert("R", tup(int64(500000+r), 1))), txn("never", uint64(r+1)))
+	return append(out, c1, c2, loser, child, onDistrusted, waiting)
+}
+
+// TestReconcileWorkIndependentOfHistory is the count-based O(delta) gate:
+// the same rounds over 1 k and over 16 k accepted transactions examine
+// exactly the same number of nodes, and reach the same decisions.
+func TestReconcileWorkIndependentOfHistory(t *testing.T) {
+	type result struct {
+		visited  []uint64
+		outcomes []*Outcome
+	}
+	run := func(history int) result {
+		s, policy := historyState(t, history)
+		var res result
+		step := func(o *Outcome, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.outcomes = append(res.outcomes, o)
+		}
+		for r := 0; r < 3; r++ {
+			before := s.Stats().Visited
+			step(s.Reconcile(policy, historyDelta(r)))
+			res.visited = append(res.visited, s.Stats().Visited-before)
+		}
+		before := s.Stats().Visited
+		step(s.Resolve(updates.TxnID{Peer: "x", Seq: 1}))
+		res.visited = append(res.visited, s.Stats().Visited-before)
+		return res
+	}
+	small, large := run(1_000), run(16_000)
+	if !reflect.DeepEqual(small.visited, large.visited) {
+		t.Errorf("nodes visited per call: %v over 1k accepted transactions, %v over 16k", small.visited, large.visited)
+	}
+	for i := range small.outcomes {
+		a, b := small.outcomes[i], large.outcomes[i]
+		if !reflect.DeepEqual(ids(a.Accepted), ids(b.Accepted)) || !reflect.DeepEqual(a.Rejected, b.Rejected) ||
+			!reflect.DeepEqual(a.Deferred, b.Deferred) || !reflect.DeepEqual(a.Pending, b.Pending) {
+			t.Errorf("call %d decided differently over the longer history: %+v vs %+v", i, a, b)
+		}
+	}
+	for i, v := range small.visited {
+		if v == 0 || v > 200 {
+			t.Errorf("call %d visited %d nodes for a 16-transaction delta", i, v)
+		}
+	}
+	t.Logf("nodes visited per call: %v", small.visited)
+}

@@ -2,7 +2,7 @@ package recon
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"orchestra/internal/updates"
 )
@@ -48,19 +48,19 @@ func NeedsFullTxn(st Status) bool {
 	return st == StatusPending || st == StatusDeferred
 }
 
-// Save flattens the state. The returned transactions are the graph's own
+// Save flattens the state. The returned transactions are the state's own
 // (not copies); callers serialize, they do not mutate.
 func (s *State) Save() *SavedState {
 	sv := &SavedState{AppliedOrder: s.AppliedOrder()}
-	for _, id := range s.graph.IDs() {
-		t, _ := s.graph.Get(id)
-		sv.Txns = append(sv.Txns, SavedTxn{Txn: t, Status: s.status[id], Prio: s.prio[id]})
+	for _, id := range s.IDs() {
+		n := s.nodes[id]
+		sv.Txns = append(sv.Txns, SavedTxn{Txn: n.txn, Status: n.status, Prio: n.prio})
 	}
 	keys := make([]string, 0, len(s.acceptedWrites))
 	for k := range s.acceptedWrites {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
 		w := s.acceptedWrites[k]
 		sv.Writes = append(sv.Writes, SavedWrite{Key: k, Writer: w.writer, Del: w.del, TupKey: w.tupKey})
@@ -69,26 +69,27 @@ func (s *State) Save() *SavedState {
 }
 
 // Restore replaces the state's accumulated contents with a saved snapshot.
-// The keyOf projection is kept; everything else is rebuilt. On error the
-// state is unusable and must be discarded.
+// The keyOf projection and the work counter are kept; everything else,
+// the open-set indexes included, is rebuilt from the saved statuses. On
+// error the state is unusable and must be discarded.
 func (s *State) Restore(sv *SavedState) error {
-	s.graph = updates.NewGraph()
-	s.status = make(map[updates.TxnID]Status, len(sv.Txns))
-	s.prio = make(map[updates.TxnID]int, len(sv.Txns))
-	s.acceptedWrites = make(map[string]writeVal, len(sv.Writes))
-	s.appliedOrder = append([]updates.TxnID(nil), sv.AppliedOrder...)
+	fresh := NewState(s.keyOf)
+	fresh.visited = s.visited
+	fresh.appliedOrder = append([]updates.TxnID(nil), sv.AppliedOrder...)
 	for _, st := range sv.Txns {
 		if st.Txn == nil {
 			return fmt.Errorf("recon: saved state has a nil transaction")
 		}
-		if err := s.graph.Add(st.Txn); err != nil {
-			return err
+		if n := fresh.nodes[st.Txn.ID]; n != nil && n.txn != nil {
+			return fmt.Errorf("recon: saved state has transaction %s twice", st.Txn.ID)
 		}
-		s.status[st.Txn.ID] = st.Status
-		s.prio[st.Txn.ID] = st.Prio
+		n := fresh.add(st.Txn)
+		n.prio = st.Prio
+		fresh.move(n, st.Status)
 	}
 	for _, w := range sv.Writes {
-		s.acceptedWrites[w.Key] = writeVal{writer: w.Writer, del: w.Del, tupKey: w.TupKey}
+		fresh.acceptedWrites[w.Key] = writeVal{writer: w.Writer, del: w.Del, tupKey: w.TupKey}
 	}
+	*s = *fresh
 	return nil
 }

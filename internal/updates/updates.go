@@ -1,13 +1,15 @@
 // Package updates defines the CDSS's basic unit of information transfer:
 // tuple-level updates grouped into transactions, together with the logical
-// clock (epochs) and the transaction dependency graph. As Section 2 of the
-// ORCHESTRA paper describes, the CDSS propagates, translates, and detects
-// conflicts among *transactions*, not bare tuples, and data dependencies
-// between transactions (one modifies a tuple inserted by another) induce a
-// dependency graph that reconciliation must respect.
+// clock (epochs) and the tracker that derives a transaction's dependencies.
+// As Section 2 of the ORCHESTRA paper describes, the CDSS propagates,
+// translates, and detects conflicts among *transactions*, not bare tuples,
+// and data dependencies between transactions (one modifies a tuple inserted
+// by another) induce a dependency graph that reconciliation must respect
+// (internal/recon holds that graph, one node per transaction).
 package updates
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strconv"
@@ -117,13 +119,17 @@ func ParseTxnID(s string) (TxnID, error) {
 	return TxnID{Peer: s[:i], Seq: seq}, nil
 }
 
-// Less orders transaction ids (peer, then seq) for determinism.
-func (id TxnID) Less(o TxnID) bool {
-	if id.Peer != o.Peer {
-		return id.Peer < o.Peer
+// Compare orders transaction ids (peer, then seq) for determinism; it is the
+// comparison slices.SortFunc and slices.BinarySearchFunc take.
+func (id TxnID) Compare(o TxnID) int {
+	if c := strings.Compare(id.Peer, o.Peer); c != 0 {
+		return c
 	}
-	return id.Seq < o.Seq
+	return cmp.Compare(id.Seq, o.Seq)
 }
+
+// Less reports whether id sorts before o.
+func (id TxnID) Less(o TxnID) bool { return id.Compare(o) < 0 }
 
 // Transaction is an atomic group of updates published by one peer at one
 // epoch, with explicit antecedent dependencies.

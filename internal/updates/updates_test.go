@@ -62,6 +62,10 @@ func TestTxnIDRoundTrip(t *testing.T) {
 	if !(TxnID{Peer: "a", Seq: 1}).Less(TxnID{Peer: "a", Seq: 2}) {
 		t.Error("seq order wrong")
 	}
+	a2 := TxnID{Peer: "a", Seq: 2}
+	if a2.Compare(TxnID{Peer: "b", Seq: 1}) >= 0 || a2.Compare(TxnID{Peer: "a", Seq: 1}) <= 0 || a2.Compare(a2) != 0 {
+		t.Error("Compare disagrees with Less")
+	}
 }
 
 func TestTokenRoundTrip(t *testing.T) {
@@ -123,92 +127,6 @@ func TestWriteSet(t *testing.T) {
 	ws := txn.WriteSet(keyFirst)
 	if len(ws) != 3 {
 		t.Errorf("WriteSet = %v", ws)
-	}
-}
-
-func TestGraphClosures(t *testing.T) {
-	g := NewGraph()
-	id := func(n uint64) TxnID { return TxnID{Peer: "p", Seq: n} }
-	//   1 <- 2 <- 3
-	//        ^
-	//        4
-	add := func(n uint64, deps ...uint64) {
-		t1 := &Transaction{ID: id(n)}
-		for _, d := range deps {
-			t1.Deps = append(t1.Deps, id(d))
-		}
-		if err := g.Add(t1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	add(1)
-	add(2, 1)
-	add(3, 2)
-	add(4, 2)
-	if g.Len() != 4 {
-		t.Errorf("Len = %d", g.Len())
-	}
-	if err := g.Add(&Transaction{ID: id(1)}); err == nil {
-		t.Error("duplicate add accepted")
-	}
-	cl, missing := g.AntecedentClosure(id(3))
-	if len(cl) != 2 || cl[0] != id(1) || cl[1] != id(2) || len(missing) != 0 {
-		t.Errorf("antecedents of 3 = %v missing %v", cl, missing)
-	}
-	dep := g.DependentClosure(id(1))
-	if len(dep) != 3 {
-		t.Errorf("dependents of 1 = %v", dep)
-	}
-	dep = g.DependentClosure(id(3))
-	if len(dep) != 0 {
-		t.Errorf("dependents of 3 = %v", dep)
-	}
-	// Missing antecedent surfaces in missing list.
-	add(5, 99)
-	_, missing = g.AntecedentClosure(id(5))
-	if len(missing) != 1 || missing[0] != id(99) {
-		t.Errorf("missing = %v", missing)
-	}
-}
-
-func TestGraphTopoOrder(t *testing.T) {
-	g := NewGraph()
-	id := func(p string, n uint64) TxnID { return TxnID{Peer: p, Seq: n} }
-	txns := []*Transaction{
-		{ID: id("b", 1), Deps: []TxnID{id("a", 1)}},
-		{ID: id("a", 1)},
-		{ID: id("c", 1), Deps: []TxnID{id("b", 1), id("a", 1)}},
-	}
-	for _, txn := range txns {
-		if err := g.Add(txn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := map[TxnID]int{}
-	for i, txn := range order {
-		pos[txn.ID] = i
-	}
-	if !(pos[id("a", 1)] < pos[id("b", 1)] && pos[id("b", 1)] < pos[id("c", 1)]) {
-		t.Errorf("order = %v", order)
-	}
-}
-
-func TestGraphTopoOrderCycle(t *testing.T) {
-	g := NewGraph()
-	a := TxnID{Peer: "p", Seq: 1}
-	b := TxnID{Peer: "p", Seq: 2}
-	if err := g.Add(&Transaction{ID: a, Deps: []TxnID{b}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Add(&Transaction{ID: b, Deps: []TxnID{a}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.TopoOrder(); err == nil {
-		t.Error("cyclic graph accepted")
 	}
 }
 
