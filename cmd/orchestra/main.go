@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	orchestra serve -addr 127.0.0.1:7070 [-log store.log]   # run a store replica
+//	orchestra serve -addr 127.0.0.1:7070 [-durable DIR]     # run a store replica
 //	orchestra node  -config cdss.conf -peer NAME \
 //	                [-store HOST:PORT,HOST:PORT]            # interactive peer
 //	                [-durable DIR]                          # ...on the durable LSM tier
@@ -102,16 +102,16 @@ func main() {
 	case "serve":
 		fs := flag.NewFlagSet("serve", flag.ExitOnError)
 		addr := fs.String("addr", "127.0.0.1:7070", "listen address")
-		logPath := fs.String("log", "", "durable append-only log file (empty = in-memory)")
+		durableDir := fs.String("durable", "", "durable LSM archive directory (empty = in-memory)")
 		_ = fs.Parse(os.Args[2:])
 		var store orchestra.Store = orchestra.NewMemoryStore()
-		if *logPath != "" {
-			fstore, err := orchestra.OpenFileStore(*logPath)
+		if *durableDir != "" {
+			dstore, err := orchestra.OpenDurableStore(*durableDir)
 			if err != nil {
 				log.Fatal(err)
 			}
-			defer fstore.Close()
-			store = fstore
+			defer dstore.Close()
+			store = dstore
 		}
 		srv, err := orchestra.NewStoreServer(store, *addr)
 		if err != nil {
@@ -213,7 +213,7 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   orchestra node  -config FILE -peer NAME [-store ADDRS | -durable DIR]  interactive CDSS peer
                   [-metrics-addr HOST:PORT]                 ...serving live metrics + pprof
-  orchestra serve -addr HOST:PORT [-log FILE]               run a store replica
+  orchestra serve -addr HOST:PORT [-durable DIR]            run a store replica
   orchestra epoch -addr HOST:PORT                           print the current epoch
   orchestra log   -addr HOST:PORT [-since N]                dump archived transactions
   orchestra inspect -config FILE -peer NAME -durable DIR    dump a recovered durable peer

@@ -95,6 +95,51 @@ func TestDurableSystemSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestDurableStoreReplicaSurvivesRestart is `orchestra serve -durable DIR`
+// through the SDK: a store replica over OpenDurableStore archives what
+// peers publish to it, and a replica restarted on the same directory serves
+// it to a peer that was never there.
+func TestDurableStoreReplicaSurvivesRestart(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	serve := func() (*orchestra.DurableStore, *orchestra.StoreServer) {
+		store, err := orchestra.OpenDurableStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := orchestra.NewStoreServer(store, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store, srv
+	}
+	store, srv := serve()
+	_, alice, _ := openGenes(t, orchestra.WithStore(orchestra.DialStore(srv.Addr())))
+	if _, err := alice.Begin().Insert("Gene", gene("BRCA1", 17)).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.Publish(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store2, srv2 := serve()
+	defer store2.Close()
+	defer srv2.Close()
+	_, _, bob := openGenes(t, orchestra.WithStore(orchestra.DialStore(srv2.Addr())))
+	if _, err := bob.Reconcile(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := bob.Rows("Gene"); err != nil || len(rows) != 1 {
+		t.Fatalf("bob has %d rows (%v) from the restarted replica, want 1", len(rows), err)
+	}
+}
+
 func TestDurableDirExcludesWithStore(t *testing.T) {
 	_, err := orchestra.Open(geneSchema(t),
 		orchestra.WithDurableDir(t.TempDir()),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -41,17 +42,16 @@ import (
 //
 // The "e/" blob turns recovery from O(history) into O(suffix): it captures
 // the translation engine (union database, token log, base tokens, applied
-// set), the reconciliation state, the dependency tracker, and the adaptive
-// window's learned drain latency, all valid at its watermark epoch W — the
-// epoch of the checkpoint that wrote it, at or before the epoch E of the
-// newest rows. The published archive is the blob's delta log: recovery
-// restores the blob and replays Since(W). The "r/" archive holds what that
-// log cannot — when the peer did what with it since the blob: where each
-// reconciliation round ended (candidates judged together defer each other,
-// candidates of separate rounds do not), where each local commit was
-// accepted (the archive has the transaction, but at the epoch it was
-// published), and each Resolve decision, which would otherwise regress to
-// deferred.
+// set), the reconciliation state and the dependency tracker, all valid at
+// its watermark epoch W — the epoch of the checkpoint that wrote it, at or
+// before the epoch E of the newest rows. The published archive is the
+// blob's delta log: recovery restores the blob and replays Since(W). The
+// "r/" archive holds what that log cannot — when the peer did what with it
+// since the blob: where each reconciliation round ended (candidates judged
+// together defer each other, candidates of separate rounds do not), where
+// each local commit was accepted (the archive has the transaction, but at
+// the epoch it was published), and each Resolve decision, which would
+// otherwise regress to deferred.
 
 const (
 	ckPrefix = "c/"
@@ -327,7 +327,7 @@ func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 		if err != nil {
 			return fail("engine state", err)
 		}
-		blob, err := encodeEngineBlob(p.lastEpoch, p.win.PerTxnSeconds(), engBlob, p.state.Save(), p.tracker.Save())
+		blob, err := encodeEngineBlob(p.lastEpoch, engBlob, p.state.Save(), p.tracker.Save())
 		if err != nil {
 			return fail("engine snapshot", err)
 		}
@@ -419,7 +419,12 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 		sn.Close()
 		return fail("read engine snapshot", err)
 	} else if ok {
-		if snap, err = decodeEngineBlob(raw); err != nil {
+		// A blob from another layout version is dropped, which leaves the
+		// full-replay path below. The rounds and commits its trust state had
+		// folded in are gone from the journal, so everything up to the
+		// checkpoint epoch is judged as one round: exact when that history
+		// held no conflict, and a valid reconciliation of it otherwise.
+		if snap, err = decodeEngineBlob(raw); err != nil && !errors.Is(err, errBlobVersion) {
 			sn.Close()
 			return fail("decode engine snapshot", err)
 		}
@@ -531,16 +536,14 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 			return fail("restore trust state", err)
 		}
 		p.tracker.Restore(snap.Writers)
-		p.win.SeedPerTxn(snap.PerTxn)
 		W = snap.Watermark
 		p.hasBlob, p.blobTxns = true, p.engine.AppliedCount()
 	}
 	p.recLoadNs = time.Since(loadStart).Nanoseconds()
 
 	// Phase 2 — fetch the history the restored state does not cover and
-	// replay translations through the engine in adaptive windows (same
-	// group-commit shape as Reconcile), leaving the engine exactly where a
-	// live peer's would be.
+	// replay translations through the engine in the batches Reconcile would
+	// use, leaving the engine exactly where a live peer's would be.
 	txns, storeEpoch, err := store.Since(W)
 	if err != nil {
 		return fail("fetch history", err)
@@ -549,13 +552,11 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 	p.pendingRecovery = true
 	results := make([]*exchange.Result, 0, len(txns))
 	for rest := txns; len(rest) > 0; {
-		n := p.win.Next(len(rest))
-		start := time.Now()
+		n := cfg.BatchLen(len(rest))
 		rs, err := p.engine.ApplyAll(ctx, rest[:n])
 		if err != nil {
 			return fail("replay translations", err)
 		}
-		p.win.Observe(n, time.Since(start))
 		results = append(results, rs...)
 		rest = rest[n:]
 	}

@@ -166,6 +166,70 @@ func TestDurablePeerKillRestartEquivalence(t *testing.T) {
 	}
 }
 
+// TestRecoverDropsEngineBlobOfOldVersion: a directory whose engine blob was
+// written in an earlier layout (its magic ends in another version digit)
+// recovers cleanly — the blob is dropped and the whole archive replayed —
+// to the state of the never-killed twin, and the next checkpoint writes a
+// blob in the current layout.
+func TestRecoverDropsEngineBlobOfOldVersion(t *testing.T) {
+	dir := t.TempDir()
+	db, ds := openDurableTier(t, dir)
+	sys, err := NewSystem(workload.Figure2Peers(), workload.Figure2Mappings())
+	if err != nil {
+		t.Fatal(err)
+	}
+	alaska := durablePeer(t, workload.Alaska, sys, ds, recon.TrustAll(1), db)
+	dresden := durablePeer(t, workload.Dresden, sys, ds, recon.TrustAll(1), db)
+	commit(t, alaska.NewTransaction().
+		Insert("O", workload.OTuple("mouse", 1)).
+		Insert("P", workload.PTuple("p53", 10)).
+		Insert("S", workload.STuple(1, 10, "AAAA")))
+	publish(t, alaska)
+	reconcile(t, dresden)
+	own := commit(t, dresden.NewTransaction().Insert("OPS", workload.OPSTuple("rat", "brca1", "TTTT")))
+	publish(t, dresden)
+	reconcile(t, dresden)
+	checkpoint(t, dresden, db)
+	commit(t, alaska.NewTransaction().
+		Modify("S", workload.STuple(1, 10, "AAAA"), workload.STuple(1, 10, "CCCC")))
+	publish(t, alaska)
+	reconcile(t, dresden)
+
+	sn := db.Snapshot()
+	blob, ok, err := sn.Get(ekKey(workload.Dresden))
+	sn.Close()
+	if err != nil || !ok || string(blob[:4]) != engineBlobMagic {
+		t.Fatalf("checkpoint left no current-version engine blob (ok=%v, err=%v)", ok, err)
+	}
+	old := append([]byte("OEB1"), blob[4:]...)
+	if err := db.Put(ekKey(workload.Dresden), old, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, ds2 := openDurableTier(t, dir)
+	defer db2.Close()
+	dresden2 := recoverPeer(t, workload.Dresden, ds2, recon.TrustAll(1), db2)
+	if got, want := dresden2.recReplayTxns, int64(ds2.Len()); got != want {
+		t.Errorf("recovery replayed %d transactions, want the whole archive (%d)", got, want)
+	}
+	requireEqualWithProvenance(t, "old-blob", sys.Schema(workload.Dresden),
+		dresden.Instance(), dresden2.Instance())
+	if dresden2.Epoch() != dresden.Epoch() {
+		t.Errorf("epoch: recovered %d, live %d", dresden2.Epoch(), dresden.Epoch())
+	}
+	if got, want := dresden2.Status(own.ID), dresden.Status(own.ID); got != want {
+		t.Errorf("status of %v: recovered %v, live %v", own.ID, got, want)
+	}
+	checkpoint(t, dresden2, db2)
+	if _, watermark, ok, err := EngineSnapshotStats(db2, workload.Dresden); err != nil || !ok || watermark != dresden2.Epoch() {
+		t.Errorf("after the next checkpoint: blob ok=%v watermark=%d err=%v, want a current one at epoch %d",
+			ok, watermark, err, dresden2.Epoch())
+	}
+}
+
 // TestRecoverRestoresUnpublishedQueue: a transaction committed before the
 // checkpoint but never published survives the crash in the checkpoint and
 // is publishable after recovery.

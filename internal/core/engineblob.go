@@ -2,8 +2,8 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
 
 	"orchestra/internal/datalog"
 	"orchestra/internal/exchange"
@@ -16,17 +16,16 @@ import (
 // Engine-snapshot blob (DESIGN.md §13): the single value under the "e/"
 // keyspace that captures everything a peer accumulates outside its instance
 // rows — the translation engine (through exchange.Engine.SaveState), the
-// reconciliation state, the dependency tracker, the adaptive-window EWMA
-// seed, and the epoch watermark the snapshot is valid at. A recovered peer
-// that finds this blob restores instead of replaying: only transactions with
-// epoch > the watermark re-enter the engine and the trust state.
+// reconciliation state, the dependency tracker, and the epoch watermark the
+// snapshot is valid at. A recovered peer that finds this blob restores
+// instead of replaying: only transactions with epoch > the watermark
+// re-enter the engine and the trust state.
 //
 // Layout (uvarint integers, uvarint-length-prefixed strings, provenance as
 // the checkpoint codec's binary encodeProv bytes):
 //
-//	magic "OEB1"
+//	magic "OEB2"
 //	watermark epoch
-//	window EWMA (8 bytes, IEEE-754 bits big-endian)
 //	engLen, then the exchange.Engine.SaveState blob
 //	nTxns · { peer, seq, epoch, status, prio (zig-zag), full flag,
 //	          [full: nUps · { rel, op, oldKey, newKey, provBytes }],
@@ -40,21 +39,24 @@ import (
 // recon.NeedsFullTxn — and stripping them keeps the blob proportional to
 // the live conflict frontier, not the whole history.
 
-const engineBlobMagic = "OEB1"
+const engineBlobMagic = "OEB2"
+
+// errBlobVersion reports an engine blob written in another version of the
+// layout (its magic differs in the version digit only). Such a blob is
+// well-formed but unreadable; recovery treats it as absent.
+var errBlobVersion = errors.New("core: engine snapshot of another format version")
 
 // engineSnapshot is the decoded form of the blob.
 type engineSnapshot struct {
 	Watermark uint64
-	PerTxn    float64
 	Engine    []byte
 	State     *recon.SavedState
 	Writers   []updates.SavedWriter
 }
 
-func encodeEngineBlob(watermark uint64, perTxn float64, engineBlob []byte, st *recon.SavedState, writers []updates.SavedWriter) ([]byte, error) {
+func encodeEngineBlob(watermark uint64, engineBlob []byte, st *recon.SavedState, writers []updates.SavedWriter) ([]byte, error) {
 	buf := append([]byte(nil), engineBlobMagic...)
 	buf = binary.AppendUvarint(buf, watermark)
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(perTxn))
 	buf = binary.AppendUvarint(buf, uint64(len(engineBlob)))
 	buf = append(buf, engineBlob...)
 
@@ -118,13 +120,15 @@ func encodeEngineBlob(watermark uint64, perTxn float64, engineBlob []byte, st *r
 }
 
 func decodeEngineBlob(blob []byte) (*engineSnapshot, error) {
-	if len(blob) < len(engineBlobMagic) || string(blob[:len(engineBlobMagic)]) != engineBlobMagic {
+	if len(blob) < len(engineBlobMagic) || string(blob[:3]) != engineBlobMagic[:3] {
 		return nil, fmt.Errorf("core: not an engine snapshot (bad magic)")
+	}
+	if string(blob[:len(engineBlobMagic)]) != engineBlobMagic {
+		return nil, fmt.Errorf("%w: %q", errBlobVersion, blob[:len(engineBlobMagic)])
 	}
 	r := &blobReader{buf: blob[len(engineBlobMagic):]}
 	snap := &engineSnapshot{State: &recon.SavedState{}}
 	snap.Watermark = r.uvarint()
-	snap.PerTxn = math.Float64frombits(r.be64())
 	snap.Engine = r.bytes()
 
 	nTxns := r.uvarint()
@@ -288,19 +292,6 @@ func (r *blobReader) byte() byte {
 	b := r.buf[0]
 	r.buf = r.buf[1:]
 	return b
-}
-
-func (r *blobReader) be64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 8 {
-		r.err = fmt.Errorf("core: truncated engine snapshot (missing word)")
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.buf)
-	r.buf = r.buf[8:]
-	return v
 }
 
 func (r *blobReader) bytes() []byte {

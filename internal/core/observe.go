@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"orchestra/internal/datalog"
-	"orchestra/internal/exchange"
 	"orchestra/internal/obs"
 	"orchestra/internal/recon"
 )
@@ -35,7 +34,6 @@ type observer struct {
 	batchTxns   *obs.Histogram // exchange_applyall_batch_txns
 	drainTxnNs  *obs.Histogram // exchange_drain_txn_ns (per-txn drain latency)
 	fixRounds   *obs.Histogram // datalog_fixpoint_rounds (per reconcile/query)
-	windowEwma  *obs.Gauge     // exchange_window_pertxn_ns (adaptive EWMA)
 
 	reconVisited  *obs.Counter // recon_visited_txns_total (nodes examined by Reconcile/Resolve)
 	reconPending  *obs.Gauge   // recon_pending_txns (seen, unapplied: distrusted or missing antecedents)
@@ -78,7 +76,6 @@ func (p *Peer) SetObserver(reg *obs.Registry, slowOp time.Duration) {
 		batchTxns:   reg.Histogram("exchange_applyall_batch_txns"),
 		drainTxnNs:  reg.Histogram("exchange_drain_txn_ns"),
 		fixRounds:   reg.Histogram("datalog_fixpoint_rounds"),
-		windowEwma:  reg.Gauge("exchange_window_pertxn_ns"),
 
 		reconVisited:  reg.Counter("recon_visited_txns_total"),
 		reconPending:  reg.Gauge("recon_pending_txns"),
@@ -153,13 +150,12 @@ func (o *observer) observeRecon(st recon.Stats) {
 	o.reconDeferred.Set(int64(st.Deferred))
 }
 
-// observeDrain records one drained group-commit window: batch size, per-txn
-// drain latency, and the adaptive controller's current EWMA.
-func (o *observer) observeDrain(win *exchange.AdaptiveWindow, n int, elapsed time.Duration) {
+// observeDrain records one drained ApplyAll batch: its size and per-txn
+// drain latency.
+func (o *observer) observeDrain(n int, elapsed time.Duration) {
 	if o.reg == nil || n <= 0 {
 		return
 	}
 	o.batchTxns.Observe(int64(n))
 	o.drainTxnNs.Observe(elapsed.Nanoseconds() / int64(n))
-	o.windowEwma.Set(win.PerTxn().Nanoseconds())
 }

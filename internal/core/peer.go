@@ -38,10 +38,6 @@ type Peer struct {
 	// engCfg is retained so the engine can be rebuilt after a mid-Apply
 	// failure leaves it in an undefined state (see engineDirty).
 	engCfg exchange.Config
-	// win sizes Reconcile's group-commit windows from observed drain
-	// latency; its estimate survives engine rebuilds (the replacement engine
-	// drains at the same speed the dirty one did).
-	win *exchange.AdaptiveWindow
 	// engineDirty marks the translation engine as unusable: an Apply
 	// failed partway through a transaction (cooperative cancellation can
 	// abandon a half-propagated fixpoint), which exchange.Engine declares
@@ -135,7 +131,6 @@ func NewPeerWith(name string, sys *System, store p2p.Store, policy *recon.Policy
 		store:   store,
 		policy:  policy,
 		engCfg:  cfg,
-		win:     exchange.NewAdaptiveWindow(cfg.ReconcileWindow),
 		local:   storage.NewInstance(s),
 		engine:  eng,
 		state:   recon.NewState(keyOf),
@@ -443,13 +438,11 @@ func (p *Peer) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 	// Group-commit: the fetched backlog translates through one seeded
 	// fixpoint per insert-only run (exchange.Engine.ApplyAll) instead of one
 	// per transaction, which is what lets the subscription push pump
-	// coalesce publication bursts. The backlog feeds through in windows
-	// sized by observed drain latency (exchange.AdaptiveWindow): ApplyAll
-	// over consecutive sub-batches is defined to equal one batched call, so
-	// windowing bounds each fixpoint's working set without changing results.
+	// coalesce publication bursts. A configured ReconcileWindow caps each
+	// batch; otherwise the whole backlog is one.
 	results := make([]*exchange.Result, 0, len(fresh))
 	for rest := fresh; len(rest) > 0; {
-		n := p.win.Next(len(rest))
+		n := p.engCfg.BatchLen(len(rest))
 		dsp := sp.Child("exchange_drain")
 		start := time.Now()
 		rs, err := p.engine.ApplyAll(ctx, rest[:n])
@@ -462,9 +455,8 @@ func (p *Peer) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 			return nil, err
 		}
 		elapsed := time.Since(start)
-		p.win.Observe(n, elapsed)
 		dsp.End()
-		p.obsv.observeDrain(p.win, n, elapsed)
+		p.obsv.observeDrain(n, elapsed)
 		results = append(results, rs...)
 		rest = rest[n:]
 	}

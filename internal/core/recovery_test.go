@@ -2,13 +2,12 @@ package core
 
 // Peer recovery: a CDSS peer holds no private durable state — its instance
 // is reconstructible by replaying the published archive through its trust
-// policy. These tests pin that property, which is what makes the FileStore
-// the only durability point in a deployment.
+// policy. These tests pin that property, which is what makes the archive
+// the only durability point a deployment needs.
 
 import (
 	"testing"
 
-	"orchestra/internal/p2p"
 	"orchestra/internal/recon"
 	"orchestra/internal/workload"
 )
@@ -54,13 +53,10 @@ func TestPeerRecoveryFromArchive(t *testing.T) {
 }
 
 func TestPeerRecoveryOverDurableStore(t *testing.T) {
-	// Same, but across a FileStore restart: archive durability + peer
-	// statelessness compose into full crash recovery.
+	// Same, but across a restart of a durable archive: archive durability +
+	// peer statelessness compose into full crash recovery.
 	dir := t.TempDir()
-	fs, err := p2p.OpenFileStore(dir + "/store.log")
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, fs := openDurableTier(t, dir)
 	sys, err := NewSystem(workload.Figure2Peers(), workload.Figure2Mappings())
 	if err != nil {
 		t.Fatal(err)
@@ -74,16 +70,13 @@ func TestPeerRecoveryOverDurableStore(t *testing.T) {
 		Insert("P", workload.PTuple("p53", 10)).
 		Insert("S", workload.STuple(1, 10, "ACGT")))
 	publish(t, alaska)
-	if err := fs.Close(); err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Everything restarts.
-	fs2, err := p2p.OpenFileStore(dir + "/store.log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs2.Close()
+	db2, fs2 := openDurableTier(t, dir)
+	defer db2.Close()
 	crete, err := NewPeer(workload.Crete, sys, fs2, &recon.Policy{
 		Conditions: []recon.Condition{recon.FromPeer(workload.Alaska, 1)},
 		Default:    recon.Distrusted,

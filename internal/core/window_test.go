@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"orchestra/internal/exchange"
+	"orchestra/internal/obs"
 	"orchestra/internal/p2p"
 	"orchestra/internal/recon"
 	"orchestra/internal/workload"
@@ -13,10 +14,12 @@ import (
 
 // TestReconcileWindowEquivalence drains the same publication burst through
 // peers configured with every ReconcileWindow shape — per-transaction
-// windows, a small fixed window, adaptive, and the whole backlog at once —
+// batches, a small cap, and the whole backlog at once (unset and negative) —
 // and checks they all converge to the identical instance. This is the
-// windowed counterpart of the batched==sequential property: ApplyAll over
-// consecutive sub-batches must equal one batched call.
+// batch-cap counterpart of the batched==sequential property: ApplyAll over
+// consecutive sub-batches must equal one batched call. The batching rule
+// itself is pinned through exchange_applyall_batch_txns: a positive window n
+// cuts the backlog into batches of n, anything else hands it over whole.
 func TestReconcileWindowEquivalence(t *testing.T) {
 	sys, err := NewSystem(workload.Figure2Peers(), workload.Figure2Mappings())
 	if err != nil {
@@ -27,9 +30,10 @@ func TestReconcileWindowEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One multi-epoch burst: several published transactions across the
-	// mapped relations, so windows of size 1 and 2 genuinely split it.
-	for i := int64(0); i < 7; i++ {
+	// One multi-epoch burst: many published transactions across the mapped
+	// relations, so windows of size 1 and 2 genuinely split it.
+	const burst = 200
+	for i := int64(0); i < burst; i++ {
 		commit(t, alaska.NewTransaction().
 			Insert("O", workload.OTuple(fmt.Sprintf("org%d", i), i)).
 			Insert("P", workload.PTuple(fmt.Sprintf("prot%d", i), 100+i)).
@@ -45,12 +49,23 @@ func TestReconcileWindowEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		reg := obs.NewRegistry()
+		p.SetObserver(reg, 0)
 		rep, err := p.Reconcile(context.Background())
 		if err != nil {
 			t.Fatalf("window %d: %v", win, err)
 		}
-		if rep.Fetched != 7 || len(rep.Accepted) != 7 {
-			t.Fatalf("window %d: fetched %d accepted %d, want 7/7", win, rep.Fetched, len(rep.Accepted))
+		if rep.Fetched != burst || len(rep.Accepted) != burst {
+			t.Fatalf("window %d: fetched %d accepted %d, want %d/%d", win, rep.Fetched, len(rep.Accepted), burst, burst)
+		}
+		size := int64(burst)
+		if win > 0 {
+			size = int64(win)
+		}
+		h := reg.Snapshot().Histograms["exchange_applyall_batch_txns"]
+		if h.Count != burst/size || h.Min != size || h.Max != size {
+			t.Errorf("window %d: %d ApplyAll batches of %d..%d transactions, want %d of %d",
+				win, h.Count, h.Min, h.Max, burst/size, size)
 		}
 		receivers[i] = p
 	}
@@ -61,14 +76,13 @@ func TestReconcileWindowEquivalence(t *testing.T) {
 				windows[0], receivers[0].Instance().Size())
 		}
 	}
-	if n := receivers[0].Instance().Table("O").Len(); n != 7 {
-		t.Errorf("O has %d tuples, want 7", n)
+	if n := receivers[0].Instance().Table("O").Len(); n != burst {
+		t.Errorf("O has %d tuples, want %d", n, burst)
 	}
 }
 
 // TestReconcileWindowAcrossRounds checks a fixed tiny window keeps working
-// over multiple Reconcile rounds with interleaved publishes (the window
-// state persists on the peer between rounds).
+// over multiple Reconcile rounds with interleaved publishes.
 func TestReconcileWindowAcrossRounds(t *testing.T) {
 	sys, err := NewSystem(workload.Figure2Peers(), workload.Figure2Mappings())
 	if err != nil {

@@ -56,12 +56,6 @@ type Options struct {
 	// still float to the earliest point where their variables are bound —
 	// an unbound filter cannot run at all).
 	NoReorder bool
-	// Materialized selects the recursive reference evaluator that buffers
-	// each rule firing's head facts before merging, instead of the default
-	// streaming iterator pipelines (pipeline.go). Results are byte-identical
-	// either way; the switch exists as the equivalence-test oracle and as an
-	// escape hatch.
-	Materialized bool
 	// Stats, when non-nil, receives evaluation counters (probe counts,
 	// pushdown hit rate, peak live intermediate tuples — see EvalStats). The
 	// struct may be shared across evaluations; counters accumulate.
@@ -192,15 +186,6 @@ func evalExact(ctx context.Context, p *Program, db *DB, pl *planner, opts Option
 	for _, r := range p.Rules {
 		rulesByHead[r.Head.Pred] = append(rulesByHead[r.Head.Pred], r)
 	}
-	emit := func(pred string, t schema.Tuple, prov provenance.Poly) {
-		rel := db.MutableRel(pred)
-		k := t.Key()
-		if f := rel.facts[k]; f != nil {
-			f.Prov = f.Prov.Add(prov).Intern()
-			return
-		}
-		rel.putKeyed(k, t, prov)
-	}
 	processed := 0
 	var sc pipeScratch
 	for len(ready) > 0 {
@@ -212,12 +197,6 @@ func evalExact(ctx context.Context, p *Program, db *DB, pl *planner, opts Option
 		processed++
 		for _, r := range rulesByHead[pred] {
 			pln := pl.planFor(r, -1, db)
-			if opts.Materialized {
-				if err := fireRule(r, pln, db, nil, opts, emit); err != nil {
-					return err
-				}
-				continue
-			}
 			sink := &exactSink{rel: db.MutableRel(r.Head.Pred)}
 			if err := fireRuleStream(ctx, r, pln, db, nil, opts, sink, &sc); err != nil {
 				return err
@@ -488,121 +467,6 @@ func diffNew(merged, existing provenance.Poly) provenance.Poly {
 	return provenance.FromMonomials(fresh)
 }
 
-// fireRule enumerates all satisfying assignments of the rule body in the
-// compiled plan's order and calls emit for each resulting head fact. If the
-// plan's delta position is set, that body literal ranges over the delta
-// slice (with delta annotations) instead of the full extent. Enumeration
-// terminates early the moment any step's candidate set is empty.
-//
-// Variable bindings live in a flat slot environment; which slots a step
-// binds or checks was decided at plan time, so no undo bookkeeping is
-// needed — a slot is always rewritten before any deeper step reads it.
-func fireRule(r Rule, pln *plan, db *DB, delta []deltaFact, opts Options,
-	emit func(string, schema.Tuple, provenance.Poly)) error {
-
-	env := make([]schema.Value, pln.nslots)
-	var keyBuf []byte
-	steps := pln.steps
-	// Provenance-neutral rules skip every annotation product: prov stays 1
-	// through the whole enumeration and the head fact is emitted annotated 1.
-	useProv := opts.Provenance && !pln.provNeutral
-	var rec func(depth int, prov provenance.Poly) error
-	rec = func(depth int, prov provenance.Poly) error {
-		if depth == len(steps) {
-			return emitHead(r, pln, env, prov, db, opts, emit)
-		}
-		st := &steps[depth]
-		if st.unbound {
-			// The planner floats filters to where their variables are
-			// bound; Validate rejects bodies where they never bind.
-			return fmt.Errorf("datalog: rule %q: unbound filter literal", r.ID)
-		}
-		switch st.kind {
-		case stepCmp:
-			if !compare(st.op, st.left.value(env), st.right.value(env)) {
-				return nil
-			}
-			return rec(depth+1, prov)
-		case stepNeg:
-			keyBuf = keyBuf[:0]
-			for _, pt := range st.negTerms {
-				keyBuf = appendProjKey(keyBuf, pt.value(env))
-			}
-			if db.Rel(st.pred).containsKey(keyBuf) {
-				return nil
-			}
-			return rec(depth+1, prov)
-		}
-		arity := len(st.lit.Atom.Terms)
-		if st.isDelta {
-			for di := range delta {
-				df := &delta[di]
-				if len(df.tuple) != arity || !matchDelta(st, df.tuple, env) {
-					continue
-				}
-				np := prov
-				if useProv {
-					np = np.Mul(df.prov)
-				}
-				if err := rec(depth+1, np); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		keyBuf = keyBuf[:0]
-		for _, pt := range st.probes {
-			keyBuf = appendProjKey(keyBuf, pt.value(env))
-		}
-		bucket := db.Rel(st.pred).lookupBucket(st.colKey, st.boundCols, keyBuf)
-	cand:
-		for _, f := range bucket {
-			if len(f.Tuple) != arity {
-				continue
-			}
-			for _, a := range st.actions {
-				if a.check {
-					if !env[a.slot].Equal(f.Tuple[a.col]) {
-						continue cand
-					}
-				} else {
-					env[a.slot] = f.Tuple[a.col]
-				}
-			}
-			np := prov
-			if useProv {
-				np = np.Mul(f.Prov)
-			}
-			if err := rec(depth+1, np); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return rec(0, provenance.One())
-}
-
-// matchDelta checks a delta candidate against the step's probe columns
-// (which the hash index would otherwise guarantee) and applies its
-// bind/check actions.
-func matchDelta(st *planStep, tu schema.Tuple, env []schema.Value) bool {
-	for i, c := range st.boundCols {
-		if !st.probes[i].value(env).Equal(tu[c]) {
-			return false
-		}
-	}
-	for _, a := range st.actions {
-		if a.check {
-			if !env[a.slot].Equal(tu[a.col]) {
-				return false
-			}
-		} else {
-			env[a.slot] = tu[a.col]
-		}
-	}
-	return true
-}
-
 // compare applies a builtin comparison to two values.
 func compare(op CmpOp, l, r schema.Value) bool {
 	switch op {
@@ -621,39 +485,6 @@ func compare(op CmpOp, l, r schema.Value) bool {
 	default:
 		return false
 	}
-}
-
-// emitHead instantiates the compiled rule head over the slot environment
-// and emits the fact.
-func emitHead(r Rule, pln *plan, env []schema.Value, prov provenance.Poly, db *DB, opts Options,
-	emit func(string, schema.Tuple, provenance.Poly)) error {
-
-	if pln.headErr != nil {
-		return pln.headErr
-	}
-	out := make(schema.Tuple, len(pln.head))
-	for i, ha := range pln.head {
-		if ha.skolem != nil {
-			args := make([]string, len(ha.args))
-			for j, at := range ha.args {
-				args[j] = at.value(env).Key()
-			}
-			out[i] = schema.LabeledNull(ha.skolem.Fn + "(" + strings.Join(args, ",") + ")")
-			continue
-		}
-		out[i] = ha.term.value(env)
-	}
-	if opts.Provenance && !pln.tokProv.IsZero() {
-		prov = prov.Mul(pln.tokProv)
-	}
-	if !opts.Provenance {
-		prov = provenance.One()
-	}
-	if opts.ChaseSubsumption && out.HasLabeledNull() && subsumedByExisting(db.Rel(r.Head.Pred), out) {
-		return nil
-	}
-	emit(r.Head.Pred, out, prov)
-	return nil
 }
 
 // subsumedByExisting reports whether some stored tuple is a homomorphic

@@ -67,11 +67,8 @@ func AdaptiveWorkers(parallelism, est int) int {
 
 // emission is one buffered head fact produced by a parallel firing. The
 // head predicate is implicit: a job fires one rule, so a whole buffer
-// belongs to that rule's head shard. key is the tuple's storage key when
-// the emission came through a streaming pipeline (which already encoded
-// it), and "" from the materialized path, whose merge re-derives it via
-// Tuple.Key. (An empty head tuple also keys to "", which is harmless: both
-// branches merge identically under that key.)
+// belongs to that rule's head shard. key is the tuple's storage key, which
+// the pipeline already encoded.
 type emission struct {
 	key   string
 	tuple schema.Tuple
@@ -90,9 +87,8 @@ func canSkipParallel(opts Options) bool {
 
 // mergeSink is the sequential streaming sink: every emitted head fact is
 // merged into the live relation immediately, so a later rule of the same
-// round sees facts merged by an earlier one — the materialized sequential
-// schedule, preserved exactly. Its skip check consults the live relation,
-// so it is exact in every mode.
+// round sees facts merged by an earlier one. Its skip check consults the
+// live relation, so it is exact in every mode.
 type mergeSink struct {
 	rel    *Rel
 	pred   string
@@ -407,25 +403,6 @@ func (re *roundExec) runRound(ctx context.Context, jobs []job, db *DB, opts Opti
 		}
 	}
 	if workers <= 1 {
-		if opts.Materialized {
-			emit := func(pred string, t schema.Tuple, p provenance.Poly) {
-				mr, changed := merge(db.MutableRel(pred), t, p, opts)
-				if changed && keep(pred) {
-					mr.pred = pred
-					absorb(mr)
-				}
-			}
-			for i := range jobs {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				j := &jobs[i]
-				if err := fireRule(j.rule, j.pln, db, j.delta, opts, emit); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
 		sink := mergeSink{opts: opts, absorb: absorb}
 		for i := range jobs {
 			if err := ctx.Err(); err != nil {
@@ -449,41 +426,25 @@ func (re *roundExec) runRound(ctx context.Context, jobs []job, db *DB, opts Opti
 		ar.buffers = append(ar.buffers, nil)
 		ar.errs = append(ar.errs, nil)
 	}
-	// Phase 1: probe.
-	if opts.Materialized {
-		re.pool.dispatch(len(jobs), workers-1, func(i int) {
-			if err := ctx.Err(); err != nil {
-				ar.errs[i] = err
-				return
-			}
-			j := &jobs[i]
-			buf := ar.buffers[i]
-			ar.errs[i] = fireRule(j.rule, j.pln, db, j.delta, opts, func(_ string, t schema.Tuple, p provenance.Poly) {
-				buf = append(buf, emission{tuple: t, prov: p})
-			})
-			ar.buffers[i] = buf
-		})
-	} else {
-		// Head relations are resolved on the coordinator: workers must not
-		// race on the db.rels map, and the sinks' frozen-state skip checks
-		// read these extents concurrently (reads only — merges wait for the
-		// phase barrier).
-		canSkip := canSkipParallel(opts)
-		rels := make([]*Rel, len(jobs))
-		for i := range jobs {
-			rels[i] = db.Rel(jobs[i].rule.Head.Pred)
-		}
-		re.pool.dispatch(len(jobs), workers-1, func(i int) {
-			if err := ctx.Err(); err != nil {
-				ar.errs[i] = err
-				return
-			}
-			j := &jobs[i]
-			sink := bufSink{rel: rels[i], buf: ar.buffers[i], opts: opts, canSkip: canSkip}
-			ar.errs[i] = fireRuleStream(ctx, j.rule, j.pln, db, j.delta, opts, &sink, nil)
-			ar.buffers[i] = sink.buf
-		})
+	// Phase 1: probe. Head relations are resolved on the coordinator: workers
+	// must not race on the db.rels map, and the sinks' frozen-state skip
+	// checks read these extents concurrently (reads only — merges wait for
+	// the phase barrier).
+	canSkip := canSkipParallel(opts)
+	rels := make([]*Rel, len(jobs))
+	for i := range jobs {
+		rels[i] = db.Rel(jobs[i].rule.Head.Pred)
 	}
+	re.pool.dispatch(len(jobs), workers-1, func(i int) {
+		if err := ctx.Err(); err != nil {
+			ar.errs[i] = err
+			return
+		}
+		j := &jobs[i]
+		sink := bufSink{rel: rels[i], buf: ar.buffers[i], opts: opts, canSkip: canSkip}
+		ar.errs[i] = fireRuleStream(ctx, j.rule, j.pln, db, j.delta, opts, &sink, nil)
+		ar.buffers[i] = sink.buf
+	})
 	for _, err := range ar.errs[:len(jobs)] {
 		if err != nil {
 			ar.reset(len(jobs))
@@ -539,13 +500,7 @@ func (re *roundExec) runRound(ctx context.Context, jobs []job, db *DB, opts Opti
 				if opts.ChaseSubsumption && e.tuple.HasLabeledNull() && subsumedByExisting(g.rel, e.tuple) {
 					continue
 				}
-				var mr mergeResult
-				var changed bool
-				if e.key != "" {
-					mr, changed = mergeKeyed(g.rel, e.key, e.tuple, e.prov, opts)
-				} else {
-					mr, changed = merge(g.rel, e.tuple, e.prov, opts)
-				}
+				mr, changed := mergeKeyed(g.rel, e.key, e.tuple, e.prov, opts)
 				if changed && keepPred {
 					mr.pred = g.pred
 					g.results = append(g.results, mr)

@@ -147,13 +147,67 @@ func (inc *Incremental) DeadTokens() []provenance.Var {
 // dead set seed the deletion index lazily, exactly as a live engine keeps
 // them. Ownership of db transfers to the returned Incremental.
 func RestoreIncremental(p *Program, db *DB, opts Options, occurrences []TokenEntry, dead []provenance.Var) (*Incremental, error) {
+	if err := requireNegationFree(p); err != nil {
+		return nil, err
+	}
+	inc, err := newIncremental(p, db, opts)
+	if err != nil {
+		return nil, err
+	}
+	inc.tokenLog = make([]tokenEntry, 0, len(occurrences))
+	for _, e := range occurrences {
+		inc.tokenLog = append(inc.tokenLog, tokenEntry{v: e.Var, pred: e.Pred, key: e.Key})
+	}
+	for _, v := range dead {
+		inc.dead[v] = true
+	}
+	return inc, nil
+}
+
+// NewIncremental computes the initial fixpoint over edb and returns the
+// maintained state. The input database is captured by copy-on-write
+// snapshot, never mutated: extents the maintained fixpoint later touches
+// are cloned lazily, on first write.
+func NewIncremental(p *Program, edb *DB, opts Options) (*Incremental, error) {
+	if err := requireNegationFree(p); err != nil {
+		return nil, err
+	}
+	opts.Provenance = true
+	opts.Exact = false
+	res, err := Eval(p, edb, opts)
+	if err != nil {
+		return nil, err
+	}
+	inc, err := newIncremental(p, res, opts)
+	if err != nil {
+		return nil, err
+	}
+	for _, pred := range res.Preds() {
+		for _, f := range res.Rel(pred).Facts() {
+			inc.indexFact(pred, f.Tuple.Key(), f.Prov)
+		}
+	}
+	return inc, nil
+}
+
+// requireNegationFree rejects programs incremental maintenance cannot
+// serve: deletion propagation relies on provenance annotations, which do
+// not record negative dependencies (tgd mapping programs are negation-free).
+func requireNegationFree(p *Program) error {
 	for _, r := range p.Rules {
 		for _, l := range r.Body {
 			if l.Negated {
-				return nil, fmt.Errorf("datalog: incremental maintenance requires a negation-free program (rule %s)", r.ID)
+				return fmt.Errorf("datalog: incremental maintenance requires a negation-free program (rule %s)", r.ID)
 			}
 		}
 	}
+	return nil
+}
+
+// newIncremental builds the maintained state around db, which must already
+// be the fixpoint of p: everything derived from the program text (strata,
+// compiled plans, need tables), with an empty token index.
+func newIncremental(p *Program, db *DB, opts Options) (*Incremental, error) {
 	strata, err := p.Stratify()
 	if err != nil {
 		return nil, err
@@ -174,12 +228,11 @@ func RestoreIncremental(p *Program, db *DB, opts Options, occurrences []TokenEnt
 			MaxMonomials:     opts.MaxMonomials,
 			Parallelism:      opts.Parallelism,
 			NoReorder:        opts.NoReorder,
-			Materialized:     opts.Materialized,
 			Stats:            opts.Stats,
 		},
 		maxIter:    maxIter,
 		tokenIndex: map[provenance.Var]map[string]map[string]bool{},
-		dead:       make(map[provenance.Var]bool, len(dead)),
+		dead:       map[provenance.Var]bool{},
 	}
 	inc.planTab = make([][]rulePlans, len(strata))
 	for si, stratum := range strata {
@@ -200,88 +253,6 @@ func RestoreIncremental(p *Program, db *DB, opts Options, occurrences []TokenEnt
 			m[p] = true
 		}
 		inc.needTab[si] = m
-	}
-	inc.tokenLog = make([]tokenEntry, 0, len(occurrences))
-	for _, e := range occurrences {
-		inc.tokenLog = append(inc.tokenLog, tokenEntry{v: e.Var, pred: e.Pred, key: e.Key})
-	}
-	for _, v := range dead {
-		inc.dead[v] = true
-	}
-	return inc, nil
-}
-
-// NewIncremental computes the initial fixpoint over edb and returns the
-// maintained state. The input database is captured by copy-on-write
-// snapshot, never mutated: extents the maintained fixpoint later touches
-// are cloned lazily, on first write.
-func NewIncremental(p *Program, edb *DB, opts Options) (*Incremental, error) {
-	// Deletion propagation relies on provenance annotations, which do not
-	// record negative dependencies; tgd mapping programs are negation-free.
-	for _, r := range p.Rules {
-		for _, l := range r.Body {
-			if l.Negated {
-				return nil, fmt.Errorf("datalog: incremental maintenance requires a negation-free program (rule %s)", r.ID)
-			}
-		}
-	}
-	opts.Provenance = true
-	opts.Exact = false
-	res, err := Eval(p, edb, opts)
-	if err != nil {
-		return nil, err
-	}
-	strata, err := p.Stratify()
-	if err != nil {
-		return nil, err
-	}
-	maxIter := opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
-	}
-	ensurePreds(p, res)
-	inc := &Incremental{
-		prog:   p,
-		strata: strata,
-		db:     res,
-		pl:     newPlanner(opts.NoReorder),
-		opts: Options{
-			Provenance:       true,
-			ChaseSubsumption: opts.ChaseSubsumption,
-			MaxMonomials:     opts.MaxMonomials,
-			Parallelism:      opts.Parallelism,
-			NoReorder:        opts.NoReorder,
-			Materialized:     opts.Materialized,
-			Stats:            opts.Stats,
-		},
-		maxIter:    maxIter,
-		tokenIndex: map[provenance.Var]map[string]map[string]bool{},
-		dead:       map[provenance.Var]bool{},
-	}
-	inc.planTab = make([][]rulePlans, len(strata))
-	for si, stratum := range strata {
-		inc.planTab[si] = inc.pl.plansFor(stratum, res)
-	}
-	inc.needTab = make([]map[string]bool, len(strata))
-	suffix := map[string]bool{}
-	for si := len(strata) - 1; si >= 0; si-- {
-		for _, r := range strata[si] {
-			for _, l := range r.Body {
-				if l.Builtin == nil && !l.Negated {
-					suffix[l.Atom.Pred] = true
-				}
-			}
-		}
-		m := make(map[string]bool, len(suffix))
-		for p := range suffix {
-			m[p] = true
-		}
-		inc.needTab[si] = m
-	}
-	for _, pred := range res.Preds() {
-		for _, f := range res.Rel(pred).Facts() {
-			inc.indexFact(pred, f.Tuple.Key(), f.Prov)
-		}
 	}
 	return inc, nil
 }

@@ -1,0 +1,263 @@
+package datalog
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+
+	"orchestra/internal/provenance"
+	"orchestra/internal/schema"
+)
+
+// The reference evaluator the streaming pipelines (pipeline.go) and the
+// round executor (executor.go) are tested against. It shares the compiled
+// plans and the merge algebra with production — those have their own tests —
+// and nothing else: rule bodies are enumerated by plain recursion, head
+// facts are built fresh, and rounds run one rule at a time on the calling
+// goroutine, each emission merged before the next is derived.
+
+// oracleEval is Eval by the reference evaluator.
+func oracleEval(p *Program, edb *DB, opts Options) (*DB, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	strata, err := p.Stratify()
+	if err != nil {
+		return nil, err
+	}
+	db := edb.Snapshot()
+	ensurePreds(p, db)
+	pl := newPlanner(opts.NoReorder)
+	if opts.Exact && opts.Provenance {
+		if cyc := recursivePreds(p); len(cyc) > 0 {
+			return nil, fmt.Errorf("datalog: exact provenance requires a non-recursive program; recursive predicates: %s",
+				strings.Join(cyc, ", "))
+		}
+		return db, oracleExact(p, db, pl, opts)
+	}
+	maxIter := opts.MaxIterations
+	if maxIter <= 0 {
+		maxIter = DefaultMaxIterations
+	}
+	for _, rules := range strata {
+		if err := oracleStratum(rules, db, pl, opts, maxIter); err != nil {
+			return nil, err
+		}
+	}
+	return db, nil
+}
+
+// oracleExact fires every rule once, a predicate only after every other
+// predicate its rules read, accumulating annotations in N[X].
+func oracleExact(p *Program, db *DB, pl *planner, opts Options) error {
+	idb := p.IDBPreds()
+	done := map[string]bool{}
+	ready := func(pred string) bool {
+		for _, r := range p.Rules {
+			if r.Head.Pred != pred {
+				continue
+			}
+			for _, l := range r.Body {
+				if q := l.Atom.Pred; l.Builtin == nil && idb[q] && q != pred && !done[q] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	preds := make([]string, 0, len(idb))
+	for pred := range idb {
+		preds = append(preds, pred)
+	}
+	sort.Strings(preds)
+	for len(done) < len(preds) {
+		progressed := false
+		for _, pred := range preds {
+			if done[pred] || !ready(pred) {
+				continue
+			}
+			for _, r := range p.Rules {
+				if r.Head.Pred != pred {
+					continue
+				}
+				err := oracleFire(r, pl.planFor(r, -1, db), db, nil, opts, func(t schema.Tuple, prov provenance.Poly) {
+					rel := db.MutableRel(pred)
+					if f := rel.facts[t.Key()]; f != nil {
+						f.Prov = f.Prov.Add(prov).Intern()
+						return
+					}
+					rel.put(t, prov)
+				})
+				if err != nil {
+					return err
+				}
+			}
+			done[pred], progressed = true, true
+		}
+		if !progressed {
+			return fmt.Errorf("oracle: dependency cycle among %v", preds)
+		}
+	}
+	return nil
+}
+
+// oracleStratum runs one stratum to fixpoint: a naive round, then semi-naive
+// rounds joining each rule with the previous round's delta at one position.
+func oracleStratum(rules []Rule, db *DB, pl *planner, opts Options, maxIter int) error {
+	plans := pl.plansFor(rules, db)
+	var delta map[string]map[string]deltaFact
+	fire := func(r Rule, pln *plan, dl []deltaFact) error {
+		pred := r.Head.Pred
+		return oracleFire(r, pln, db, dl, opts, func(t schema.Tuple, prov provenance.Poly) {
+			mr, changed := merge(db.MutableRel(pred), t, prov, opts)
+			if !changed {
+				return
+			}
+			m := delta[pred]
+			if m == nil {
+				m = map[string]deltaFact{}
+				delta[pred] = m
+			}
+			df, ok := m[mr.key]
+			if !ok {
+				m[mr.key] = deltaFact{tuple: mr.tuple, prov: mr.newPart}
+				return
+			}
+			df.prov = df.prov.Add(mr.newPart)
+			if opts.Provenance && !opts.Exact {
+				df.prov = df.prov.Linearize()
+			}
+			m[mr.key] = df
+		})
+	}
+	delta = map[string]map[string]deltaFact{}
+	for ri, r := range rules {
+		if err := fire(r, plans[ri].full, nil); err != nil {
+			return err
+		}
+	}
+	for iter := 0; len(delta) > 0; iter++ {
+		if iter >= maxIter {
+			return fmt.Errorf("datalog: fixpoint not reached after %d iterations", maxIter)
+		}
+		prev := delta
+		delta = map[string]map[string]deltaFact{}
+		for ri, r := range rules {
+			for i, l := range r.Body {
+				if l.Builtin != nil || l.Negated || len(prev[l.Atom.Pred]) == 0 {
+					continue
+				}
+				if err := fire(r, plans[ri].delta[i], deltaList(prev[l.Atom.Pred])); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// oracleFire enumerates every satisfying assignment of the rule body in the
+// plan's step order and calls emit with each head fact. When the plan has a
+// delta step, that literal ranges over delta instead of its stored extent.
+func oracleFire(r Rule, pln *plan, db *DB, delta []deltaFact, opts Options,
+	emit func(schema.Tuple, provenance.Poly)) error {
+
+	env := make([]schema.Value, pln.nslots)
+	useProv := opts.Provenance && !pln.provNeutral
+	key := func(terms []planTerm) []byte {
+		var k []byte
+		for _, pt := range terms {
+			k = appendProjKey(k, pt.value(env))
+		}
+		return k
+	}
+	var rec func(depth int, prov provenance.Poly) error
+	rec = func(depth int, prov provenance.Poly) error {
+		if depth == len(pln.steps) {
+			if pln.headErr != nil {
+				return pln.headErr
+			}
+			out := make(schema.Tuple, len(pln.head))
+			for i, ha := range pln.head {
+				if ha.skolem == nil {
+					out[i] = ha.term.value(env)
+					continue
+				}
+				args := make([]string, len(ha.args))
+				for j, at := range ha.args {
+					args[j] = at.value(env).Key()
+				}
+				out[i] = schema.LabeledNull(ha.skolem.Fn + "(" + strings.Join(args, ",") + ")")
+			}
+			if !opts.Provenance {
+				prov = provenance.One()
+			} else if !pln.tokProv.IsZero() {
+				prov = prov.Mul(pln.tokProv)
+			}
+			if opts.ChaseSubsumption && out.HasLabeledNull() && subsumedByExisting(db.Rel(r.Head.Pred), out) {
+				return nil
+			}
+			emit(out, prov)
+			return nil
+		}
+		st := &pln.steps[depth]
+		if st.unbound {
+			return fmt.Errorf("datalog: rule %q: unbound filter literal", r.ID)
+		}
+		switch st.kind {
+		case stepCmp:
+			if !compare(st.op, st.left.value(env), st.right.value(env)) {
+				return nil
+			}
+			return rec(depth+1, prov)
+		case stepNeg:
+			if db.Rel(st.pred).containsKey(key(st.negTerms)) {
+				return nil
+			}
+			return rec(depth+1, prov)
+		}
+		// A scan: candidates are (tuple, annotation) pairs from the delta or
+		// from the stored extent's index bucket; the delta has no index, so
+		// its probe columns are compared here.
+		try := func(tu schema.Tuple, ann provenance.Poly, checkProbes bool) error {
+			if len(tu) != len(st.lit.Atom.Terms) {
+				return nil
+			}
+			if checkProbes {
+				for i, c := range st.boundCols {
+					if !st.probes[i].value(env).Equal(tu[c]) {
+						return nil
+					}
+				}
+			}
+			for _, a := range st.actions {
+				if !a.check {
+					env[a.slot] = tu[a.col]
+				} else if !env[a.slot].Equal(tu[a.col]) {
+					return nil
+				}
+			}
+			if useProv {
+				ann = prov.Mul(ann)
+			} else {
+				ann = prov
+			}
+			return rec(depth+1, ann)
+		}
+		if st.isDelta {
+			for i := range delta {
+				if err := try(delta[i].tuple, delta[i].prov, true); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		for _, f := range db.Rel(st.pred).lookupBucket(st.colKey, st.boundCols, key(st.probes)) {
+			if err := try(f.Tuple, f.Prov, false); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return rec(0, provenance.One())
+}

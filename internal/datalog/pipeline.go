@@ -68,8 +68,7 @@ type EvalStats struct {
 	// bound by a pushed-down equality filter rather than a join variable or
 	// an atom constant (see planner.go).
 	PushdownProbes atomic.Int64
-	// Candidates counts facts surfaced by scan steps after the index probe —
-	// the rows a materialized evaluator would have buffered per step.
+	// Candidates counts facts surfaced by scan steps after the index probe.
 	Candidates atomic.Int64
 	// Emitted counts head facts handed to the merge layer.
 	Emitted atomic.Int64
@@ -175,10 +174,10 @@ type pipeScratch struct {
 }
 
 // fireRuleStream enumerates all satisfying assignments of the rule body as
-// a composed iterator pipeline, feeding each head fact to sink. It produces
-// exactly the rows fireRule produces, in the same order — the two paths are
-// interchangeable (Options.Materialized selects the recursive reference).
-// sc may be nil; when given, its buffers are borrowed for this firing and
+// a composed iterator pipeline, feeding each head fact to sink, in the
+// plan's step order (depth-first, candidates in bucket or delta order). If
+// the plan's delta position is set, that body literal ranges over the delta
+// slice (with delta annotations) instead of the full extent. sc may be nil; when given, its buffers are borrowed for this firing and
 // returned grown.
 func fireRuleStream(ctx context.Context, r Rule, pln *plan, db *DB, delta []deltaFact,
 	opts Options, sink rowSink, sc *pipeScratch) error {
@@ -218,9 +217,9 @@ func fireRuleStream(ctx context.Context, r Rule, pln *plan, db *DB, delta []delt
 }
 
 // run drives the operator stack: advance the deepest cursor, descend on a
-// row, back up on exhaustion, emit at the bottom. Depth-first over the same
-// candidate orders as the recursive enumerator, so results (and their
-// deterministic order) are byte-identical.
+// row, back up on exhaustion, emit at the bottom: a depth-first walk in
+// candidate order, which the recursive test oracle (oracle_test.go) mirrors
+// row for row.
 func (p *pipeline) run(ctx context.Context, sink rowSink) error {
 	n := len(p.pln.steps)
 	if n == 0 {
@@ -413,7 +412,7 @@ func (p *pipeline) next(depth int) (bool, error) {
 					return false, err
 				}
 			}
-			if len(df.tuple) != arity || !matchDelta(st, df.tuple, p.env) {
+			if len(df.tuple) != arity || !probesMatch(st, df.tuple, p.env) || !applyActions(st, df.tuple, p.env) {
 				continue
 			}
 			cs.prov = p.stepProv(depth, df.prov)
@@ -451,6 +450,17 @@ func (p *pipeline) next(depth int) (bool, error) {
 func (p *pipeline) bump(n int) {
 	p.ticks += n
 	p.candidates += int64(n)
+}
+
+// probesMatch checks a delta candidate against the step's probe columns,
+// which the hash index guarantees for every other candidate source.
+func probesMatch(st *planStep, tu schema.Tuple, env []schema.Value) bool {
+	for i, c := range st.boundCols {
+		if !st.probes[i].value(env).Equal(tu[c]) {
+			return false
+		}
+	}
+	return true
 }
 
 // applyActions binds and checks a scan step's non-probed columns against

@@ -85,7 +85,7 @@ type planStep struct {
 	left, right planTerm
 
 	// unbound marks a filter whose variables never bind — rejected by
-	// Validate, but fireRule may be handed unvalidated rules.
+	// Validate, but fireRuleStream may be handed unvalidated rules.
 	unbound bool
 }
 
@@ -517,7 +517,7 @@ func buildPlan(r Rule, deltaIdx int, db *DB, noReorder bool) *plan {
 		}
 	}
 	// Defensive: filters whose variables never bind (rejected by Validate,
-	// but fireRule may be handed unvalidated rules) run last and fail there.
+	// but fireRuleStream may be handed unvalidated rules) run last and fail there.
 	for _, fi := range filters {
 		if !placed[fi] {
 			p.steps = append(p.steps, compileFilter(fi))

@@ -9,27 +9,27 @@ import (
 	"orchestra/internal/schema"
 )
 
-// The streaming iterator pipelines (pipeline.go) must produce byte-identical
-// databases — tuples AND provenance polynomials — to the materialized
-// reference evaluator, across every workload shape, provenance mode, and
-// parallelism setting. Options.Materialized selects the reference.
+// The streaming iterator pipelines (pipeline.go) and the round executor
+// (executor.go) must produce byte-identical databases — tuples AND
+// provenance polynomials — to the recursive reference evaluator
+// (oracle_test.go), across every workload shape, provenance mode, and
+// parallelism setting.
 
-func TestStreamingEquivalentToMaterialized(t *testing.T) {
+func TestStreamingEquivalentToOracle(t *testing.T) {
 	for name, build := range equivPrograms() {
 		for _, prov := range []bool{false, true} {
 			for _, maxMono := range []int{0, 2} {
 				if maxMono != 0 && !prov {
 					continue
 				}
-				for _, par := range []int{-1, 2, 8} {
-					prog, edb := build()
-					opts := Options{Provenance: prov, MaxMonomials: maxMono, Parallelism: par}
-					mat := opts
-					mat.Materialized = true
-					want, err := Eval(prog, edb, mat)
-					if err != nil {
-						t.Fatal(err)
-					}
+				prog, edb := build()
+				opts := Options{Provenance: prov, MaxMonomials: maxMono}
+				want, err := oracleEval(prog, edb, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, par := range []int{1, 2, 3, 4} {
+					opts.Parallelism = par
 					got, err := Eval(prog, edb, opts)
 					if err != nil {
 						t.Fatal(err)
@@ -41,7 +41,7 @@ func TestStreamingEquivalentToMaterialized(t *testing.T) {
 	}
 }
 
-func TestStreamingExactProvenanceMatchesMaterialized(t *testing.T) {
+func TestStreamingExactProvenanceMatchesOracle(t *testing.T) {
 	// Exact N[X] mode takes the dedicated non-recursive path (evalExact),
 	// which has its own streaming sink.
 	prog := &Program{Rules: []Rule{
@@ -56,9 +56,7 @@ func TestStreamingExactProvenanceMatchesMaterialized(t *testing.T) {
 			provenance.NewVar(provenance.Var(fmt.Sprint("e", i))))
 	}
 	opts := Options{Provenance: true, Exact: true}
-	mat := opts
-	mat.Materialized = true
-	want, err := Eval(prog, edb, mat)
+	want, err := oracleEval(prog, edb, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,125 +67,186 @@ func TestStreamingExactProvenanceMatchesMaterialized(t *testing.T) {
 	requireDBsEqual(t, "exact", want, got)
 }
 
-func TestStreamingIncrementalMatchesMaterialized(t *testing.T) {
-	build := func(materialized bool) (*Incremental, error) {
+// incOracle pairs a maintained fixpoint with the base facts it has been
+// given, so every step can be checked against the reference evaluator's
+// full evaluation of the accumulated base.
+type incOracle struct {
+	t    *testing.T
+	prog *Program
+	inc  *Incremental
+	base *DB
+}
+
+func newIncOracle(t *testing.T, prog *Program, edb *DB, opts Options) *incOracle {
+	t.Helper()
+	inc, err := NewIncremental(prog, edb, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := &incOracle{t: t, prog: prog, inc: inc, base: edb.Snapshot()}
+	o.check("initial-fixpoint")
+	return o
+}
+
+// check requires the maintained database to equal the oracle's full
+// evaluation of the accumulated base facts, and returns that evaluation.
+func (o *incOracle) check(label string) *DB {
+	o.t.Helper()
+	want, err := oracleEval(o.prog, o.base, Options{Provenance: true})
+	if err != nil {
+		o.t.Fatal(err)
+	}
+	requireDBsEqual(o.t, label, want, o.inc.DB())
+	return want
+}
+
+// insert runs groups through Insert (one group) or InsertGroups and checks
+// the state and the change log against full evaluations before and after:
+// a tuple's reported annotation deltas, added to what it carried before,
+// give what it carries now; a change is Fresh exactly when the tuple was
+// absent; and every tuple whose annotation grew is reported.
+func (o *incOracle) insert(label string, groups ...[]Fact2) {
+	o.t.Helper()
+	before := o.check(label + "/before")
+	var changes []Change
+	if len(groups) == 1 {
+		cs, err := o.inc.Insert(context.Background(), groups[0])
+		if err != nil {
+			o.t.Fatal(err)
+		}
+		changes = cs
+	} else {
+		css, err := o.inc.InsertGroups(context.Background(), groups)
+		if err != nil {
+			o.t.Fatal(err)
+		}
+		for _, cs := range css {
+			changes = append(changes, cs...)
+		}
+	}
+	for _, g := range groups {
+		for _, f := range g {
+			o.base.Add(f.Pred, f.Tuple, f.Prov)
+		}
+	}
+	after := o.check(label)
+	sums := map[string]provenance.Poly{}
+	for _, c := range changes {
+		k := c.Pred + "\x00" + c.Key
+		sum, seen := sums[k]
+		if !seen {
+			if f, ok := before.Rel(c.Pred).Get(c.Tuple); ok {
+				sum = f.Prov
+			}
+		}
+		if c.Fresh != sum.IsZero() {
+			o.t.Fatalf("%s: change %v %v: Fresh=%v but prior annotation %v", label, c.Pred, c.Tuple, c.Fresh, sum)
+		}
+		sums[k] = sum.Add(c.Prov).Linearize()
+	}
+	for _, pred := range after.Preds() {
+		for _, f := range after.Rel(pred).Facts() {
+			got, reported := sums[pred+"\x00"+f.Tuple.Key()]
+			if !reported {
+				if old, ok := before.Rel(pred).Get(f.Tuple); !ok || !old.Prov.Equal(f.Prov) {
+					o.t.Fatalf("%s: %s %v changed without a change record", label, pred, f.Tuple)
+				}
+				continue
+			}
+			if !got.Equal(f.Prov) {
+				o.t.Fatalf("%s: %s %v: prior + reported deltas = %v, want %v", label, pred, f.Tuple, got, f.Prov)
+			}
+		}
+	}
+}
+
+func (o *incOracle) delete(label string, tokens ...provenance.Var) {
+	o.t.Helper()
+	o.inc.DeleteBase(tokens)
+	dead := map[provenance.Var]bool{}
+	for _, v := range tokens {
+		dead[v] = true
+	}
+	kept := NewDB()
+	for _, pred := range o.base.Preds() {
+		kept.Rel(pred)
+		for _, f := range o.base.Rel(pred).Facts() {
+			if rest := f.Prov.Restrict(func(v provenance.Var) bool { return !dead[v] }); !rest.IsZero() {
+				kept.Add(pred, f.Tuple, rest)
+			}
+		}
+	}
+	o.base = kept
+	o.check(label)
+}
+
+func TestIncrementalMatchesOracleFullEval(t *testing.T) {
+	for _, par := range []int{-1, 4} {
 		edb := NewDB()
 		for i := 0; i < 8; i++ {
 			edb.Add("E", edge(fmt.Sprint("n", i), fmt.Sprint("n", i+1)),
 				provenance.NewVar(provenance.Var(fmt.Sprint("e", i))))
 		}
-		return NewIncremental(tcProgram(), edb, Options{Materialized: materialized})
+		o := newIncOracle(t, tcProgram(), edb, Options{Parallelism: par})
+		o.insert(fmt.Sprintf("par=%d/insert", par), []Fact2{
+			{Pred: "E", Tuple: edge("n8", "n0"), Prov: provenance.NewVar("loop")},
+			{Pred: "E", Tuple: edge("x", "y"), Prov: provenance.NewVar("xy")},
+		})
+		o.delete(fmt.Sprintf("par=%d/delete", par), "loop", "e3")
+		// A group-committed burst: two groups meeting in one derived tuple
+		// (y→z and z→n0 both extend x→y), and a second witness for one that
+		// is already stored.
+		o.insert(fmt.Sprintf("par=%d/groups", par),
+			[]Fact2{{Pred: "E", Tuple: edge("y", "z"), Prov: provenance.NewVar("yz")}},
+			[]Fact2{{Pred: "E", Tuple: edge("z", "n0"), Prov: provenance.NewVar("zn0")}},
+			[]Fact2{{Pred: "E", Tuple: edge("n3", "n4"), Prov: provenance.NewVar("e3b")}},
+		)
+		o.delete(fmt.Sprintf("par=%d/delete-group", par), "yz")
 	}
-	matInc, err := build(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strInc, err := build(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireDBsEqual(t, "initial-fixpoint", matInc.DB(), strInc.DB())
-	batch := []Fact2{
-		{Pred: "E", Tuple: edge("n8", "n0"), Prov: provenance.NewVar("loop")},
-		{Pred: "E", Tuple: edge("x", "y"), Prov: provenance.NewVar("xy")},
-	}
-	matCh, err := matInc.Insert(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strCh, err := strInc.Insert(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matCh) != len(strCh) {
-		t.Fatalf("change count: streaming %d vs materialized %d", len(strCh), len(matCh))
-	}
-	for i := range matCh {
-		if matCh[i].Pred != strCh[i].Pred || !matCh[i].Tuple.Equal(strCh[i].Tuple) ||
-			!matCh[i].Prov.Equal(strCh[i].Prov) || matCh[i].Fresh != strCh[i].Fresh {
-			t.Fatalf("change %d diverges: %+v vs %+v", i, strCh[i], matCh[i])
-		}
-	}
-	requireDBsEqual(t, "after-insert", matInc.DB(), strInc.DB())
-	matInc.DeleteBase([]provenance.Var{"loop", "e3"})
-	strInc.DeleteBase([]provenance.Var{"loop", "e3"})
-	requireDBsEqual(t, "after-delete", matInc.DB(), strInc.DB())
 }
 
 func TestStreamingChunkedParallelEquivalence(t *testing.T) {
 	// A delta far beyond chunkMin with few jobs forces partitionJobs to
 	// split one firing across workers; the streaming buffer sinks must
 	// preserve the deterministic (job, emission) merge order.
-	build := func(materialized bool) (*DB, []Change) {
-		edb := NewDB()
-		for i := int64(0); i < 8; i++ {
-			edb.AddTuple("E", schema.NewTuple(schema.Int(i), schema.Int(i+1)))
-		}
-		inc, err := NewIncremental(tcProgram(), edb,
-			Options{Parallelism: 4, Materialized: materialized})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Disjoint edges: a big delta (forcing chunk partitioning) without a
-		// combinatorial closure.
-		batch := make([]Fact2, 0, 1200)
-		for i := int64(0); i < 1200; i++ {
-			batch = append(batch, Fact2{
-				Pred:  "E",
-				Tuple: schema.NewTuple(schema.Int(1000+2*i), schema.Int(1000+2*i+1)),
-				Prov:  provenance.NewVar(provenance.Var(fmt.Sprint("t", i))),
-			})
-		}
-		cs, err := inc.Insert(context.Background(), batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return inc.DB(), cs
+	edb := NewDB()
+	for i := int64(0); i < 8; i++ {
+		edb.AddTuple("E", schema.NewTuple(schema.Int(i), schema.Int(i+1)))
 	}
-	wantDB, wantCh := build(true)
-	gotDB, gotCh := build(false)
-	if len(wantCh) != len(gotCh) {
-		t.Fatalf("change count: streaming %d vs materialized %d", len(gotCh), len(wantCh))
+	o := newIncOracle(t, tcProgram(), edb, Options{Parallelism: 4})
+	// Disjoint edges: a big delta (forcing chunk partitioning) without a
+	// combinatorial closure.
+	batch := make([]Fact2, 0, 1200)
+	for i := int64(0); i < 1200; i++ {
+		batch = append(batch, Fact2{
+			Pred:  "E",
+			Tuple: schema.NewTuple(schema.Int(1000+2*i), schema.Int(1000+2*i+1)),
+			Prov:  provenance.NewVar(provenance.Var(fmt.Sprint("t", i))),
+		})
 	}
-	requireDBsEqual(t, "chunked-parallel", wantDB, gotDB)
+	o.insert("chunked-parallel", batch)
 }
 
 func TestDeltaHashJoinEquivalence(t *testing.T) {
 	// A delta atom with a constant column and a delta extent beyond
 	// deltaHashMin takes the transient-hash path; results must match the
-	// materialized linear scan exactly, and the build must be observable.
+	// oracle's linear scan exactly, and the build must be observable.
 	prog := &Program{Rules: []Rule{{
 		ID:   "sel",
 		Head: NewHead("Out", HV("y")),
 		Body: []Literal{Pos(NewAtom("P", C(schema.Int(7)), V("y")))},
 	}}}
-	run := func(materialized bool, stats *EvalStats) (*DB, []Change) {
-		inc, err := NewIncremental(prog, NewDB(),
-			Options{Materialized: materialized, Stats: stats})
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch := make([]Fact2, 0, 4*deltaHashMin)
-		for i := int64(0); i < 4*deltaHashMin; i++ {
-			batch = append(batch, Fact2{
-				Pred:  "P",
-				Tuple: schema.NewTuple(schema.Int(i%9), schema.Int(i)),
-				Prov:  provenance.NewVar(provenance.Var(fmt.Sprint("p", i))),
-			})
-		}
-		cs, err := inc.Insert(context.Background(), batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return inc.DB(), cs
-	}
-	wantDB, wantCh := run(true, nil)
 	var stats EvalStats
-	gotDB, gotCh := run(false, &stats)
-	if len(wantCh) != len(gotCh) {
-		t.Fatalf("change count: streaming %d vs materialized %d", len(gotCh), len(wantCh))
+	o := newIncOracle(t, prog, NewDB(), Options{Stats: &stats})
+	batch := make([]Fact2, 0, 4*deltaHashMin)
+	for i := int64(0); i < 4*deltaHashMin; i++ {
+		batch = append(batch, Fact2{
+			Pred:  "P",
+			Tuple: schema.NewTuple(schema.Int(i%9), schema.Int(i)),
+			Prov:  provenance.NewVar(provenance.Var(fmt.Sprint("p", i))),
+		})
 	}
-	requireDBsEqual(t, "delta-hash", wantDB, gotDB)
+	o.insert("delta-hash", batch)
 	if stats.HashJoinBuilds.Load() == 0 {
 		t.Error("expected at least one delta hash build on a probed delta this large")
 	}

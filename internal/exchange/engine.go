@@ -65,28 +65,33 @@ type Config struct {
 	// any negative value evaluates sequentially. Results are byte-identical
 	// at every setting (see datalog.Options.Parallelism).
 	Parallelism int
-	// NoReorder disables the greedy join-order planner, joining mapping rule
-	// bodies strictly in compiled order — the pre-planner behavior, kept as
-	// an escape hatch and for A/B benchmarking.
-	NoReorder bool
 	// MaxMonomials bounds each stored annotation's witness set; 0 means
 	// DefaultMaxMonomials, negative means unbounded (exact witness sets, at
 	// combinatorial cost on dense mapping graphs).
 	MaxMonomials int
-	// ReconcileWindow bounds how many fetched transactions a reconciliation
-	// feeds through one ApplyAll group-commit window. 0 (unset) sizes
-	// windows adaptively from observed backlog and drain latency (see
-	// AdaptiveWindow); n > 0 pins the window to n transactions; negative
-	// translates the whole backlog as a single batch. Results are identical
+	// ReconcileWindow caps how many fetched transactions a reconciliation
+	// feeds through one ApplyAll batch: n > 0 means at most n, anything else
+	// the whole fetched backlog at once (see BatchLen). Tuples are identical
 	// at every setting — ApplyAll over consecutive sub-batches equals one
-	// batched call — so the window only trades peak memory and
-	// time-to-first-change against per-batch fixpoint amortization.
+	// batched call — so the cap only trades peak memory and
+	// time-to-first-change against per-batch fixpoint amortization; under a
+	// binding MaxMonomials bound the surviving witnesses can differ between
+	// settings, but never between two runs at one setting.
 	ReconcileWindow int
 	// Stats, when non-nil, receives the engine's datalog evaluation counters
 	// (probes, emissions, fixpoint rounds, worker utilization). The struct is
 	// shared with the evaluator's workers and survives engine rebuilds, so an
 	// owner installs one struct for the peer's lifetime.
 	Stats *datalog.EvalStats
+}
+
+// BatchLen returns how many of a backlog of fetched transactions the next
+// ApplyAll takes under the configured ReconcileWindow.
+func (c Config) BatchLen(backlog int) int {
+	if c.ReconcileWindow > 0 && c.ReconcileWindow < backlog {
+		return c.ReconcileWindow
+	}
+	return backlog
 }
 
 // maxMonomials resolves the configured witness bound.
@@ -118,7 +123,6 @@ func NewEngineWith(peers map[string]*schema.Schema, mappings []*mapping.Mapping,
 		ChaseSubsumption: true,
 		MaxMonomials:     cfg.maxMonomials(),
 		Parallelism:      cfg.Parallelism,
-		NoReorder:        cfg.NoReorder,
 		Stats:            cfg.Stats,
 	}
 	inc, err := datalog.NewIncremental(prog, datalog.NewDB(), opts)

@@ -88,18 +88,6 @@ func TestParallelismOverridePath(t *testing.T) {
 	requireUnionDBsEqual(t, forced.UnionDB(), auto.UnionDB())
 }
 
-// TestNoReorderEngineMatchesPlanned does the same for the planner knob.
-func TestNoReorderEngineMatchesPlanned(t *testing.T) {
-	planned := fig2Engine(t)
-	unplanned, err := NewEngineWith(workload.Figure2Peers(), workload.Figure2Mappings(), Config{NoReorder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	applyScript(t, planned)
-	applyScript(t, unplanned)
-	requireUnionDBsEqual(t, unplanned.UnionDB(), planned.UnionDB())
-}
-
 func requireUnionDBsEqual(t *testing.T, want, got *datalog.DB) {
 	t.Helper()
 	if fmt.Sprint(want.Preds()) != fmt.Sprint(got.Preds()) {

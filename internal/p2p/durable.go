@@ -11,13 +11,11 @@ import (
 	"orchestra/internal/updates"
 )
 
-// DurableStore is the published-transaction archive on the LSM tier. Where
-// FileStore replays its whole log into memory at open and serves reads from
-// there, DurableStore keeps the archive disk-resident: Publish commits one
-// lsm.Batch (one WAL record, one fsync — the group-commit window a
-// PublishAll hands us), and Since streams transactions out of a snapshot
-// range scan. Only the epoch counter and a record count live in memory, so
-// the archive is no longer capped by RAM.
+// DurableStore is the published-transaction archive on the LSM tier. The
+// archive is disk-resident: Publish commits one lsm.Batch (one WAL record,
+// one fsync — the group-commit window a PublishAll hands us), and Since
+// streams transactions out of a snapshot range scan. Only the epoch counter
+// and a record count live in memory, so the archive is not capped by RAM.
 //
 // The store may share its lsm.DB with other keyspaces (peer checkpoints use
 // the same database under a different prefix); all its keys live under

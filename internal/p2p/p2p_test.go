@@ -108,21 +108,65 @@ func TestMemoryStoreSinceSeeks(t *testing.T) {
 	}
 }
 
-func TestMemoryStoreDuplicate(t *testing.T) {
-	s := NewMemoryStore()
-	t1 := txn("a", 1, updates.Insert("R", tup("x")))
-	if _, err := s.Publish([]*updates.Transaction{t1}); err != nil {
-		t.Fatal(err)
+// forEachStore runs the test against every way a peer reaches an archive:
+// in process, on the durable tier, and through a client to a served store
+// of either kind (what `orchestra serve` and `serve -durable` run).
+func forEachStore(t *testing.T, test func(t *testing.T, s Store)) {
+	t.Run("memory", func(t *testing.T) { test(t, NewMemoryStore()) })
+	t.Run("durable", func(t *testing.T) {
+		db, ds := openDurable(t, t.TempDir())
+		defer db.Close()
+		test(t, ds)
+	})
+	serve := func(t *testing.T, backing Store) {
+		srv, err := NewServer(backing, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		test(t, NewClient(srv.Addr()))
 	}
-	dup := txn("a", 1, updates.Insert("R", tup("z")))
-	if _, err := s.Publish([]*updates.Transaction{dup}); err == nil {
-		t.Error("duplicate publish accepted")
-	}
-	// Empty publish does not advance the epoch.
-	e, err := s.Publish(nil)
-	if err != nil || e != 1 {
-		t.Errorf("empty publish: epoch=%d err=%v", e, err)
-	}
+	t.Run("client-server", func(t *testing.T) { serve(t, NewMemoryStore()) })
+	t.Run("client-durable-server", func(t *testing.T) {
+		db, ds := openDurable(t, t.TempDir())
+		defer db.Close()
+		serve(t, ds)
+	})
+}
+
+// A transaction id is archived at most once, whether the second copy comes
+// in a later batch or in the same one; a rejected batch leaves no trace. (A
+// store that archived [t, t] would fail every reconciler's ApplyAll with
+// ErrAlreadyApplied on each round, forever.)
+func TestStoreRejectsDuplicatePublish(t *testing.T) {
+	forEachStore(t, func(t *testing.T, s Store) {
+		if _, err := s.Publish([]*updates.Transaction{txn("a", 1, updates.Insert("R", tup("x")))}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Publish([]*updates.Transaction{txn("a", 1, updates.Insert("R", tup("z")))}); !errors.Is(err, ErrAlreadyPublished) {
+			t.Errorf("duplicate of an archived transaction: %v", err)
+		}
+		twice := []*updates.Transaction{
+			txn("b", 1, updates.Insert("R", tup("y"))),
+			txn("c", 1, updates.Insert("R", tup("w"))),
+			txn("b", 1, updates.Insert("R", tup("y"))),
+		}
+		if _, err := s.Publish(twice); !errors.Is(err, ErrAlreadyPublished) {
+			t.Errorf("duplicate within one batch: %v", err)
+		}
+		got, epoch, err := s.Since(0)
+		if err != nil || len(got) != 1 || epoch != 1 {
+			t.Fatalf("after two rejected batches: %d transactions at epoch %d, %v; want 1 at 1", len(got), epoch, err)
+		}
+		// Nothing of the rejected batch was remembered either.
+		if e, err := s.Publish(twice[:2]); err != nil || e != 2 {
+			t.Errorf("publishing the batch without its duplicate: epoch %d, %v", e, err)
+		}
+		// Empty publish does not advance the epoch.
+		if e, err := s.Publish(nil); err != nil || e != 2 {
+			t.Errorf("empty publish: epoch=%d err=%v", e, err)
+		}
+	})
 }
 
 func TestWireRoundTrip(t *testing.T) {

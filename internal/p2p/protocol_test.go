@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -51,6 +52,42 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 	// The connection survives bad requests: a good request still works.
 	if resp := rawRequest(t, srv.Addr(), `{"op":"epoch"}`); !resp.OK {
 		t.Errorf("epoch after errors: %+v", resp)
+	}
+}
+
+// A request that never ends must not make the replica buffer without bound:
+// once MaxRequestBytes have arrived without a terminator the server answers
+// with the typed error and drops the connection, and goes on serving others.
+func TestServerCapsRequestFrame(t *testing.T) {
+	srv, err := NewServer(NewMemoryStore(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
+	go func() {
+		// One read buffer past the cap, so the server sees the overflow
+		// without waiting for more; it may hang up before the last write.
+		_, _ = conn.Write(bytes.Repeat([]byte{'x'}, MaxRequestBytes+4096))
+	}()
+	r := bufio.NewReader(conn)
+	var resp response
+	if err := json.NewDecoder(r).Decode(&resp); err != nil {
+		t.Fatalf("no answer to an oversized frame: %v", err)
+	}
+	if resp.OK || !errors.Is(sentinelForCode(resp.Code), ErrFrameTooLarge) {
+		t.Errorf("oversized frame answered %+v, want ErrFrameTooLarge", resp)
+	}
+	if _, err := r.ReadByte(); err == nil {
+		t.Error("connection survived an oversized frame")
+	}
+	if resp := rawRequest(t, srv.Addr(), `{"op":"epoch"}`); !resp.OK {
+		t.Errorf("epoch after an oversized frame: %+v", resp)
 	}
 }
 

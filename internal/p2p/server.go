@@ -3,6 +3,7 @@ package p2p
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -24,8 +25,8 @@ type Server struct {
 }
 
 // NewServer starts a store server on addr (e.g. "127.0.0.1:0"). Any Store
-// implementation can back a replica — in-memory for tests, FileStore for a
-// durable archive.
+// implementation can back a replica — in-memory for tests, DurableStore for
+// a durable archive.
 func NewServer(store Store, addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -87,17 +88,43 @@ func (s *Server) serve(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	enc := json.NewEncoder(conn)
 	for {
-		line, err := r.ReadBytes('\n')
+		line, err := readFrame(r)
 		if err != nil {
+			if errors.Is(err, ErrFrameTooLarge) {
+				// The rest of the frame is still in flight and there is no
+				// way to find the next one: answer, then drop the connection.
+				_ = enc.Encode(response{Error: err.Error(), Code: errCodeFor(err)})
+			}
 			return
 		}
-		var req request
-		if err := json.Unmarshal(line, &req); err != nil {
-			_ = enc.Encode(response{Error: fmt.Sprintf("bad request: %v", err)})
-			continue
-		}
-		_ = enc.Encode(s.handle(req))
+		_ = enc.Encode(s.respond(line))
 	}
+}
+
+// readFrame reads one newline-terminated request, giving up with
+// ErrFrameTooLarge once it has buffered MaxRequestBytes without seeing the
+// terminator.
+func readFrame(r *bufio.Reader) ([]byte, error) {
+	var frame []byte
+	for {
+		chunk, err := r.ReadSlice('\n')
+		if len(frame)+len(chunk) > MaxRequestBytes {
+			return nil, ErrFrameTooLarge
+		}
+		frame = append(frame, chunk...)
+		if err != bufio.ErrBufferFull {
+			return frame, err
+		}
+	}
+}
+
+// respond answers one request frame.
+func (s *Server) respond(line []byte) response {
+	var req request
+	if err := json.Unmarshal(line, &req); err != nil {
+		return response{Error: fmt.Sprintf("bad request: %v", err)}
+	}
+	return s.handle(req)
 }
 
 func (s *Server) handle(req request) response {

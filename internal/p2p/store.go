@@ -58,10 +58,12 @@ func (s *MemoryStore) Publish(txns []*updates.Transaction) (uint64, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	dup := map[updates.TxnID]bool{}
 	for _, t := range txns {
-		if s.seen[t.ID] {
+		if s.seen[t.ID] || dup[t.ID] {
 			return 0, fmt.Errorf("%w: %s", ErrAlreadyPublished, t.ID)
 		}
+		dup[t.ID] = true
 	}
 	s.epoch++
 	for _, t := range txns {
@@ -73,9 +75,9 @@ func (s *MemoryStore) Publish(txns []*updates.Transaction) (uint64, error) {
 }
 
 // Since returns transactions published after the given epoch. The log is
-// in epoch order (Publish and commit append at a new highest epoch, merge
-// re-sorts), so the answer is its tail from the first later epoch on, copied
-// out so that the caller never aliases the log.
+// in epoch order (Publish appends at a new highest epoch, merge re-sorts),
+// so the answer is its tail from the first later epoch on, copied out so
+// that the caller never aliases the log.
 func (s *MemoryStore) Since(since uint64) ([]*updates.Transaction, uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -97,38 +99,6 @@ func (s *MemoryStore) Len() int {
 	return len(s.log)
 }
 
-// prepare validates that the batch is publishable and returns the epoch it
-// would be assigned, without mutating the store. Durable stores call it
-// before writing to disk so that a validation failure leaves no trace, and
-// commit afterwards so the in-memory state never runs ahead of the log.
-// Callers must serialize prepare/commit pairs externally.
-func (s *MemoryStore) prepare(txns []*updates.Transaction) (uint64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	dup := map[updates.TxnID]bool{}
-	for _, t := range txns {
-		if s.seen[t.ID] || dup[t.ID] {
-			return 0, fmt.Errorf("%w: %s", ErrAlreadyPublished, t.ID)
-		}
-		dup[t.ID] = true
-	}
-	return s.epoch + 1, nil
-}
-
-// commit applies a batch validated by prepare at the epoch prepare returned.
-func (s *MemoryStore) commit(txns []*updates.Transaction, epoch uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if epoch > s.epoch {
-		s.epoch = epoch
-	}
-	for _, t := range txns {
-		t.Epoch = epoch
-		s.seen[t.ID] = true
-		s.log = append(s.log, t)
-	}
-}
-
 // merge folds remote transactions into the store during anti-entropy,
 // keeping the maximum epoch. Duplicates are skipped.
 func (s *MemoryStore) merge(txns []*updates.Transaction, epoch uint64) {
@@ -146,3 +116,7 @@ func (s *MemoryStore) merge(txns []*updates.Transaction, epoch uint64) {
 		s.epoch = epoch
 	}
 }
+
+var _ Store = (*MemoryStore)(nil)
+var _ Store = (*Client)(nil)
+var _ Store = (*ReplicatedStore)(nil)

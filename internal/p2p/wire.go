@@ -14,6 +14,15 @@ import (
 // dispatch with errors.Is/errors.As like the rest of the error taxonomy.
 var ErrBadWire = errors.New("p2p: malformed wire transaction")
 
+// MaxRequestBytes caps one request frame a Server will buffer. A publish of
+// a hundred thousand typical transactions fits; a peer that never sends the
+// terminator cannot make a replica allocate more than this per connection.
+const MaxRequestBytes = 32 << 20
+
+// ErrFrameTooLarge reports a request frame longer than MaxRequestBytes. The
+// server answers with it and closes the connection.
+var ErrFrameTooLarge = errors.New("p2p: request frame too large")
+
 // Wire representations: transactions travel as JSON with tuples encoded by
 // their canonical injective keys (schema.Tuple.Key), which round-trip
 // exactly. Provenance does not travel — published transactions carry
@@ -113,23 +122,24 @@ type response struct {
 
 // Wire error codes. Every sentinel that must survive the TCP protocol gets
 // a stable code; unknown codes degrade to a plain string error.
-const codeAlreadyPublished = "already_published"
+var wireSentinels = map[string]error{
+	"already_published": ErrAlreadyPublished,
+	"frame_too_large":   ErrFrameTooLarge,
+}
 
 // errCodeFor maps an error to its wire code ("" when it has none).
 func errCodeFor(err error) string {
-	if errors.Is(err, ErrAlreadyPublished) {
-		return codeAlreadyPublished
+	for code, sentinel := range wireSentinels {
+		if errors.Is(err, sentinel) {
+			return code
+		}
 	}
 	return ""
 }
 
-// sentinelForCode maps a wire code back to the sentinel it stands for.
-func sentinelForCode(code string) error {
-	if code == codeAlreadyPublished {
-		return ErrAlreadyPublished
-	}
-	return nil
-}
+// sentinelForCode maps a wire code back to the sentinel it stands for (nil
+// for an unknown code).
+func sentinelForCode(code string) error { return wireSentinels[code] }
 
 // wireError is a server-reported error rebuilt on the client with its
 // sentinel identity: Error() keeps the server's exact message, Unwrap makes

@@ -12,8 +12,8 @@ import (
 // (enabled by default; WithMetrics(false) turns it off) that every layer
 // records into: the LSM tier (WAL fsync latency, flushes, compactions,
 // bloom-filter hit rate), the published archive (batch sizes and bytes), the
-// exchange layer (group-commit window sizes, per-transaction drain latency,
-// the adaptive controller's EWMA), the datalog evaluator (via the shared
+// exchange layer (group-commit batch sizes, per-transaction drain
+// latency), the datalog evaluator (via the shared
 // EvalStats, folded into every snapshot), and the core operations
 // (publish/reconcile/checkpoint/query spans with parent/child timing).
 //
@@ -80,7 +80,7 @@ type MetricsSnapshot struct {
 	// Counters holds every named monotonic counter (lsm_*, core_*, p2p_*,
 	// datalog_* series; see DESIGN.md §12 for the inventory).
 	Counters map[string]int64 `json:"counters"`
-	// Gauges holds instantaneous values, e.g. exchange_window_pertxn_ns.
+	// Gauges holds instantaneous values, e.g. recon_deferred_txns.
 	Gauges map[string]int64 `json:"gauges"`
 	// Histograms holds latency and size distributions, e.g. lsm_wal_fsync_ns
 	// and the <span>_ns series fed by operation tracing.

@@ -41,13 +41,11 @@ func (s settings) apply(opts []Option) settings {
 // Results are byte-identical at every setting.
 func WithParallelism(n int) Option { return func(s *settings) { s.parallelism = n } }
 
-// WithReconcileWindow bounds how many fetched transactions one Reconcile
-// feeds through a single group-committed translation fixpoint. 0 (the
-// default) sizes windows adaptively from the observed backlog and drain
-// latency; n > 0 pins the window to n transactions; negative translates
-// the whole backlog as one batch. Results are identical at every setting —
-// the window only trades peak memory and time-to-first-change against
-// per-batch amortization.
+// WithReconcileWindow caps how many fetched transactions one Reconcile
+// feeds through a single group-committed translation batch: n > 0 means at
+// most n; 0 (the default) or negative translates the whole backlog as one
+// batch. Tuples are identical at every setting — the cap only trades peak
+// memory and time-to-first-change against per-batch amortization.
 func WithReconcileWindow(n int) Option { return func(s *settings) { s.reconcileWindow = n } }
 
 // WithMaxMonomials bounds each tuple's provenance witness set. 0 (the

@@ -71,16 +71,10 @@ func Open(sch *Schema, opts ...Option) (*System, error) {
 		if store != nil {
 			return nil, fmt.Errorf("orchestra: WithDurableDir and WithStore are mutually exclusive — the durable tier is the store")
 		}
-		db, err = lsm.Open(base.durableDir, lsm.Options{Metrics: reg})
-		if err != nil {
-			return nil, fmt.Errorf("orchestra: open durable tier: %w", err)
+		var ds *p2p.DurableStore
+		if db, ds, err = openDurableTier(base.durableDir, reg); err != nil {
+			return nil, err
 		}
-		ds, err := p2p.NewDurableStore(db)
-		if err != nil {
-			db.Close()
-			return nil, fmt.Errorf("orchestra: open durable tier: %w", err)
-		}
-		ds.SetMetrics(reg)
 		store = ds
 	}
 	if store == nil {
@@ -99,6 +93,21 @@ func Open(sch *Schema, opts ...Option) (*System, error) {
 		cancel:   cancel,
 		peers:    map[string]*Peer{},
 	}, nil
+}
+
+// openDurableTier opens the LSM database in dir and the archive inside it.
+func openDurableTier(dir string, reg *obs.Registry) (*lsm.DB, *p2p.DurableStore, error) {
+	db, err := lsm.Open(dir, lsm.Options{Metrics: reg})
+	if err != nil {
+		return nil, nil, fmt.Errorf("orchestra: open durable tier: %w", err)
+	}
+	ds, err := p2p.NewDurableStore(db)
+	if err != nil {
+		db.Close()
+		return nil, nil, fmt.Errorf("orchestra: open durable tier: %w", err)
+	}
+	ds.SetMetrics(reg)
+	return db, ds, nil
 }
 
 // Peer opens (or returns the already-open handle for) the named peer.
@@ -162,11 +171,11 @@ func (s *System) Epoch() (uint64, error) { return s.store.Epoch() }
 
 // ReconcileAll reconciles every open peer once, in deterministic (name)
 // order, and returns the per-peer reports. Each peer translates its
-// fetched backlog in group-commit windows sized adaptively from observed
-// drain latency (see Peer.Reconcile and WithReconcileWindow), so draining
-// a publication burst across the confederation costs a handful of seeded
-// fixpoints per peer rather than one per transaction. On error the partial report map
-// is returned alongside it; with WithStrictConflicts a deferred conflict at
+// fetched backlog as one group-committed batch (see Peer.Reconcile and
+// WithReconcileWindow), so draining a publication burst across the
+// confederation costs a handful of seeded fixpoints per peer rather than
+// one per transaction. On error the partial report map is returned
+// alongside it; with WithStrictConflicts a deferred conflict at
 // any peer surfaces as ErrConflictPending, after later peers have still
 // been reconciled.
 func (s *System) ReconcileAll(ctx context.Context) (map[string]*ReconcileReport, error) {

@@ -179,12 +179,11 @@ func (p *Peer) SnapshotStats() (stats SnapshotStats, ok bool, err error) {
 // Reconcile fetches newly published transactions, translates them into the
 // local schema through the mappings (maintaining provenance), applies the
 // trust policy, and applies the accepted transactions locally. The fetched
-// batch group-commits in windows sized adaptively from observed drain
-// latency (tunable with WithReconcileWindow): within a window, every run
-// of insert-only transactions propagates through one seeded semi-naive
-// fixpoint with per-transaction provenance attribution, so reconciling
-// after a burst of publications costs far less
-// than reconciling after each. The context bounds the translation
+// backlog group-commits as one batch (WithReconcileWindow caps it): within
+// a batch, every run of insert-only transactions propagates through one
+// seeded semi-naive fixpoint with per-transaction provenance attribution,
+// so reconciling after a burst of publications costs far less than
+// reconciling after each. The context bounds the translation
 // fixpoints: an expired context returns before any local state changes, and
 // a runaway recursive chase stops within one fixpoint iteration of the
 // deadline.

@@ -2,6 +2,7 @@ package orchestra
 
 import (
 	"orchestra/internal/core"
+	"orchestra/internal/lsm"
 	"orchestra/internal/mapping"
 	"orchestra/internal/p2p"
 	"orchestra/internal/provenance"
@@ -174,8 +175,6 @@ type (
 	Store = p2p.Store
 	// StoreServer serves a Store over TCP.
 	StoreServer = p2p.Server
-	// FileStore is a Store durably backed by an append-only log file.
-	FileStore = p2p.FileStore
 	// WireTxn is the JSON wire form of a Transaction.
 	WireTxn = p2p.WireTxn
 )
@@ -183,8 +182,26 @@ type (
 // NewMemoryStore creates an empty in-process store.
 func NewMemoryStore() *p2p.MemoryStore { return p2p.NewMemoryStore() }
 
-// OpenFileStore opens (or creates) a durable store log at path.
-func OpenFileStore(path string) (*FileStore, error) { return p2p.OpenFileStore(path) }
+// DurableStore is a Store archived in an LSM directory of its own (see
+// OpenDurableStore). A System opened WithDurableDir has its store inside the
+// system's directory instead and needs none of this.
+type DurableStore struct {
+	*p2p.DurableStore
+	db *lsm.DB
+}
+
+// OpenDurableStore opens (or creates) a durable store in dir: every Publish
+// is one fsynced write, and a reopened store serves what was acknowledged.
+func OpenDurableStore(dir string) (*DurableStore, error) {
+	db, ds, err := openDurableTier(dir, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &DurableStore{DurableStore: ds, db: db}, nil
+}
+
+// Close releases the directory.
+func (s *DurableStore) Close() error { return s.db.Close() }
 
 // NewStoreServer serves store over TCP at addr ("host:0" picks a port).
 func NewStoreServer(store Store, addr string) (*StoreServer, error) {
