@@ -149,7 +149,8 @@ func requireImageEqualsInstance(t *testing.T, label string, db *lsm.DB, p *Peer)
 			derr = e
 			return false
 		}
-		prov, e := decodeProv(v)
+		var pd provDecoder
+		prov, e := pd.decode(v)
 		if e != nil {
 			derr = e
 			return false

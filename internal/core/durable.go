@@ -147,46 +147,12 @@ func encodeProv(p provenance.Poly) ([]byte, error) {
 	return buf, nil
 }
 
-func decodeProv(data []byte) (provenance.Poly, error) {
-	var d provDecoder
-	return d.decode(data)
-}
-
-// provDecoder decodes a run of encodeProv values, carving the monomial and
-// variable-power slices from chunked arenas so a recovery scan over
-// thousands of rows pays a handful of allocations instead of several per
-// row. FromCanonicalMonomials takes ownership of the slices it is handed,
-// which is what makes arena-backed sub-slices sound: each decoded value
-// gets its own disjoint reservation, never recycled.
+// provDecoder decodes a run of encodeProv values — a recovery scan over
+// thousands of checkpoint rows, an engine blob's transactions — carving
+// their storage from one provenance.Arena, so the run pays a handful of
+// allocations instead of several per value.
 type provDecoder struct {
-	monoArena []provenance.Monomial
-	vpArena   []provenance.VarPow
-}
-
-func (d *provDecoder) monos(n int) []provenance.Monomial {
-	if n > cap(d.monoArena)-len(d.monoArena) {
-		size := 1024
-		if n > size {
-			size = n
-		}
-		d.monoArena = make([]provenance.Monomial, 0, size)
-	}
-	s := d.monoArena[len(d.monoArena) : len(d.monoArena) : len(d.monoArena)+n]
-	d.monoArena = d.monoArena[:len(d.monoArena)+n]
-	return s
-}
-
-func (d *provDecoder) varPows(n int) []provenance.VarPow {
-	if n > cap(d.vpArena)-len(d.vpArena) {
-		size := 2048
-		if n > size {
-			size = n
-		}
-		d.vpArena = make([]provenance.VarPow, 0, size)
-	}
-	s := d.vpArena[len(d.vpArena) : len(d.vpArena) : len(d.vpArena)+n]
-	d.vpArena = d.vpArena[:len(d.vpArena)+n]
-	return s
+	arena provenance.Arena
 }
 
 func (d *provDecoder) decode(data []byte) (provenance.Poly, error) {
@@ -201,27 +167,30 @@ func (d *provDecoder) decode(data []byte) (provenance.Poly, error) {
 		data = data[n:]
 		return v, true
 	}
+	// Every monomial takes at least two bytes and every variable power at
+	// least two, so a count the remaining bytes cannot hold is corrupt —
+	// refused before it sizes an arena reservation.
 	nMonos, ok := uvar()
-	if !ok {
+	if !ok || nMonos > uint64(len(data))/2 {
 		return bad()
 	}
-	ms := d.monos(int(nMonos))
+	ms := d.arena.Monomials(int(nMonos))
 	for i := uint64(0); i < nMonos; i++ {
 		m := provenance.Monomial{}
 		if m.Coef, ok = uvar(); !ok {
 			return bad()
 		}
 		nVars, ok := uvar()
-		if !ok {
+		if !ok || nVars > uint64(len(data))/2 {
 			return bad()
 		}
-		m.Vars = d.varPows(int(nVars))
+		m.Vars = d.arena.VarPows(int(nVars))
 		for j := uint64(0); j < nVars; j++ {
 			l, ok := uvar()
 			if !ok || uint64(len(data)) < l {
 				return bad()
 			}
-			v := provenance.Var(data[:l])
+			v := d.arena.Var(data[:l])
 			data = data[l:]
 			pow, ok := uvar()
 			if !ok {
@@ -234,7 +203,11 @@ func (d *provDecoder) decode(data []byte) (provenance.Poly, error) {
 	if len(data) != 0 {
 		return provenance.Poly{}, fmt.Errorf("core: %d trailing bytes after provenance encoding", len(data))
 	}
-	return provenance.FromCanonicalMonomials(ms), nil
+	p, err := d.arena.Poly(ms)
+	if err != nil {
+		return provenance.Poly{}, fmt.Errorf("core: provenance encoding: %w", err)
+	}
+	return p, nil
 }
 
 // blobRebaseDue is the rule that decides which checkpoints carry an engine

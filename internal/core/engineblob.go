@@ -160,7 +160,7 @@ func decodeEngineBlob(blob []byte) (*engineSnapshot, error) {
 				if r.err != nil {
 					break
 				}
-				if u.Prov, r.err = decodeProv(pv); r.err != nil {
+				if u.Prov, r.err = r.pd.decode(pv); r.err != nil {
 					break
 				}
 				t.Updates = append(t.Updates, u)
@@ -253,6 +253,7 @@ func appendBlobString(buf []byte, s string) []byte {
 type blobReader struct {
 	buf []byte
 	err error
+	pd  provDecoder
 }
 
 func (r *blobReader) uvarint() uint64 {

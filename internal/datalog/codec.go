@@ -2,7 +2,9 @@ package datalog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"orchestra/internal/provenance"
@@ -29,9 +31,10 @@ import (
 //	    { tupleKey, polyIndex }*
 //
 // Tuples travel as schema.Tuple.Key() strings (injective, parsed back with
-// schema.ParseTupleKey); polynomials rebuild through provenance.FromMonomials
-// and re-intern on decode. A polynomial table entry with zero monomials is
-// the zero polynomial.
+// schema.ParseTupleKey); polynomials rebuild through a provenance.Arena
+// and re-intern on decode. A polynomial
+// table entry with zero monomials is the zero polynomial. A predicate with
+// no facts is written (and decoded back) as an empty extent.
 
 // codecMagic identifies (and versions) the snapshot format. Bump the digit
 // on any layout change: DecodeDB refuses unknown magics instead of
@@ -140,20 +143,18 @@ func EncodeDB(db *DB) ([]byte, error) {
 	return buf, nil
 }
 
+// ErrBadSnapshot reports bytes DecodeDB or StatDB refuses: not a DB
+// snapshot, cut short, holding a count its remaining bytes cannot, or not
+// in the one canonical form EncodeDB writes for its content. Every blob
+// DecodeDB accepts re-encodes to exactly its own bytes.
+var ErrBadSnapshot = errors.New("datalog: malformed DB snapshot")
+
 // DecodeDB materializes a database from an EncodeDB snapshot. Each
 // polynomial table entry is rebuilt and interned exactly once, then shared
 // by every fact that references it.
 func DecodeDB(blob []byte) (*DB, error) {
 	db := NewDB()
-	_, err := walkSnapshot(blob, func(pred string, key string, p provenance.Poly) error {
-		t, err := schema.ParseTupleKey(key)
-		if err != nil {
-			return fmt.Errorf("datalog: snapshot tuple in %s: %w", pred, err)
-		}
-		db.setKeyed(pred, key, t, p)
-		return nil
-	})
-	if err != nil {
+	if _, err := walkSnapshot(blob, db); err != nil {
 		return nil, err
 	}
 	return db, nil
@@ -165,104 +166,165 @@ func StatDB(blob []byte) (DBStats, error) {
 	return walkSnapshot(blob, nil)
 }
 
-// walkSnapshot decodes the snapshot, invoking visit (when non-nil) for
-// every fact, and returns the structural stats either way.
-func walkSnapshot(blob []byte, visit func(pred, tupleKey string, p provenance.Poly) error) (DBStats, error) {
+// walkSnapshot decodes the snapshot into db (when non-nil; tuples are only
+// parsed then) and returns the structural stats either way. Every count is
+// checked against the bytes left before it sizes anything — an entry of
+// any section takes at least one byte per counted item, two for monomials,
+// variable powers, predicates and facts — and every ordering EncodeDB
+// guarantees is checked as it is read, so hostile bytes fail with
+// ErrBadSnapshot instead of panicking or allocating without bound.
+func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 	var stats DBStats
 	stats.Bytes = len(blob)
 	if len(blob) < len(codecMagic) || string(blob[:len(codecMagic)]) != codecMagic {
-		return stats, fmt.Errorf("datalog: not a DB snapshot (bad magic)")
+		return stats, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
 	r := &reader{buf: blob[len(codecMagic):]}
 
-	nVars := r.uvarint()
+	nVars := r.count("variable", 1)
 	vars := make([]provenance.Var, 0, nVars)
-	for i := uint64(0); i < nVars; i++ {
-		vars = append(vars, provenance.Var(r.string()))
+	for i := 0; i < nVars && r.err == nil; i++ {
+		v := provenance.Var(r.string())
+		if i > 0 && vars[i-1] >= v {
+			r.fail("variables out of order")
+		}
+		vars = append(vars, v)
 	}
+	used := make([]bool, nVars)
 	stats.Vars = len(vars)
 
-	nPolys := r.uvarint()
+	nPolys := r.count("polynomial", 1)
 	table := make([]provenance.Poly, 0, nPolys)
-	// Monomials and their variable-power lists are tiny, numerous, and all
-	// long-lived together once the poly table retains them, so carve them
-	// from chunked arenas instead of paying one heap allocation (and one
-	// GC mark) per monomial. FromCanonicalMonomials takes ownership, which
-	// is what makes handing out arena-backed slices sound.
-	var monoArena []provenance.Monomial
-	var vpArena []provenance.VarPow
-	for i := uint64(0); i < nPolys; i++ {
-		nMonos := r.uvarint()
-		if int(nMonos) > cap(monoArena)-len(monoArena) {
-			size := 4096
-			if int(nMonos) > size {
-				size = int(nMonos)
-			}
-			monoArena = make([]provenance.Monomial, 0, size)
-		}
-		monos := monoArena[len(monoArena) : len(monoArena) : len(monoArena)+int(nMonos)]
-		monoArena = monoArena[:len(monoArena)+int(nMonos)]
-		for j := uint64(0); j < nMonos; j++ {
+	hashes := make(map[uint64]struct{}, nPolys)
+	// The polynomials are tiny, numerous, and all long-lived together once
+	// the table retains them, so their storage comes from one arena.
+	var arena provenance.Arena
+	for i := 0; i < nPolys && r.err == nil; i++ {
+		monos := arena.Monomials(r.count("monomial", 2))
+		for j := 0; j < cap(monos) && r.err == nil; j++ {
 			m := provenance.Monomial{Coef: r.uvarint()}
-			nvp := r.uvarint()
-			if int(nvp) > cap(vpArena)-len(vpArena) {
-				size := 8192
-				if int(nvp) > size {
-					size = int(nvp)
+			m.Vars = arena.VarPows(r.count("variable power", 2))
+			for k := 0; k < cap(m.Vars) && r.err == nil; k++ {
+				vi, pow := r.uvarint(), r.uvarint()
+				switch {
+				case r.err != nil:
+				case vi >= uint64(len(vars)):
+					r.fail(fmt.Sprintf("variable index %d out of range", vi))
+				case pow > math.MaxInt:
+					r.fail(fmt.Sprintf("power %d out of range", pow))
+				default:
+					used[vi] = true
+					m.Vars = append(m.Vars, provenance.VarPow{Var: vars[vi], Pow: int(pow)})
 				}
-				vpArena = make([]provenance.VarPow, 0, size)
-			}
-			m.Vars = vpArena[len(vpArena) : len(vpArena) : len(vpArena)+int(nvp)]
-			vpArena = vpArena[:len(vpArena)+int(nvp)]
-			for k := uint64(0); k < nvp; k++ {
-				vi := r.uvarint()
-				pow := r.uvarint()
-				if r.err == nil && vi >= uint64(len(vars)) {
-					r.err = fmt.Errorf("datalog: snapshot var index %d out of range", vi)
-				}
-				if r.err != nil {
-					return stats, r.err
-				}
-				m.Vars = append(m.Vars, provenance.VarPow{Var: vars[vi], Pow: int(pow)})
 			}
 			monos = append(monos, m)
 		}
 		if r.err != nil {
-			return stats, r.err
+			break
 		}
-		table = append(table, provenance.FromCanonicalMonomials(monos).Intern())
+		p, err := arena.Poly(monos)
+		if err != nil {
+			return stats, fmt.Errorf("%w: polynomial %d: %w", ErrBadSnapshot, i, err)
+		}
+		// EncodeDB writes each distinct polynomial once. A repeated hash is
+		// a repeated entry or, all but never, a collision: compare.
+		if _, seen := hashes[p.Hash()]; seen {
+			for j := range table {
+				if table[j].Equal(p) {
+					return stats, fmt.Errorf("%w: polynomials %d and %d are equal", ErrBadSnapshot, j, i)
+				}
+			}
+		}
+		hashes[p.Hash()] = struct{}{}
+		table = append(table, p)
+	}
+	for i := range used {
+		if !used[i] && r.err == nil {
+			r.fail(fmt.Sprintf("variable %d unused", i))
+		}
 	}
 	stats.PolyNodes = len(table)
 
-	nPreds := r.uvarint()
-	for i := uint64(0); i < nPreds; i++ {
+	// Polynomial indices are handed out in first-reference order over the
+	// fact walk, so a fact may reference an earlier-referenced entry or the
+	// next one; at the end every entry must have been referenced.
+	nextPoly := 0
+	var prevPred string
+	var keyBuf []byte
+	nPreds := r.count("predicate", 2)
+	for i := 0; i < nPreds && r.err == nil; i++ {
 		pred := r.string()
-		nFacts := r.uvarint()
-		for j := uint64(0); j < nFacts; j++ {
+		if i > 0 && pred <= prevPred {
+			r.fail("predicates out of order")
+		}
+		prevPred = pred
+		nFacts := r.count("fact", 2)
+		var rel *Rel
+		if db != nil && r.err == nil {
+			// A fresh extent takes the whole count in one map and one slab.
+			rel = db.MutableRel(pred)
+			rel.facts = make(map[string]*Fact, nFacts)
+			rel.reserve(nFacts)
+		}
+		var prev schema.Tuple
+		for j := 0; j < nFacts && r.err == nil; j++ {
 			key := r.string()
 			pi := r.uvarint()
-			if r.err == nil && pi >= uint64(len(table)) {
-				r.err = fmt.Errorf("datalog: snapshot poly index %d out of range", pi)
+			switch {
+			case r.err != nil:
+				continue
+			case pi > uint64(nextPoly) || pi >= uint64(len(table)):
+				r.fail(fmt.Sprintf("polynomial index %d out of order", pi))
+				continue
+			case pi == uint64(nextPoly):
+				nextPoly++
 			}
-			if r.err != nil {
-				return stats, r.err
-			}
-			if visit != nil {
-				if err := visit(pred, key, table[pi]); err != nil {
-					return stats, err
+			if rel != nil {
+				t, err := schema.ParseTupleKey(key)
+				if err != nil {
+					return stats, fmt.Errorf("%w: tuple in %s: %w", ErrBadSnapshot, pred, err)
 				}
+				keyBuf = t.AppendKeyTo(keyBuf[:0])
+				switch {
+				case string(keyBuf) != key:
+					r.fail(fmt.Sprintf("tuple key %q in %s is not canonical", key, pred))
+				case hasNaN(t):
+					r.fail(fmt.Sprintf("tuple key %q in %s has a NaN, which no order places", key, pred))
+				case j > 0 && prev.Compare(t) >= 0:
+					r.fail(fmt.Sprintf("tuples of %s out of order", pred))
+				default:
+					// The extent is fresh and the key unseen: no merge, no
+					// index to maintain, and the table entry is interned.
+					rel.facts[key] = rel.newFact(t, table[pi])
+				}
+				prev = t
 			}
 			stats.Facts++
 		}
 		stats.Preds++
 	}
+	if r.err == nil && nextPoly != len(table) {
+		r.fail(fmt.Sprintf("polynomial %d unreferenced", nextPoly))
+	}
 	if r.err != nil {
 		return stats, r.err
 	}
 	if len(r.buf) != 0 {
-		return stats, fmt.Errorf("datalog: %d trailing bytes after DB snapshot", len(r.buf))
+		return stats, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(r.buf))
 	}
 	return stats, nil
+}
+
+// hasNaN reports whether t holds a NaN float: Compare cannot order it, so
+// EncodeDB's sort could not reproduce a snapshot that contains one beside
+// other floats.
+func hasNaN(t schema.Tuple) bool {
+	for _, v := range t {
+		if v.Kind() == schema.KindFloat && math.IsNaN(v.FloatVal()) {
+			return true
+		}
+	}
+	return false
 }
 
 // appendString appends a varint-length-prefixed string.
@@ -277,17 +339,41 @@ type reader struct {
 	err error
 }
 
+// fail records the first error, wrapping ErrBadSnapshot.
+func (r *reader) fail(msg string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s", ErrBadSnapshot, msg)
+	}
+}
+
 func (r *reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.buf)
 	if n <= 0 {
-		r.err = fmt.Errorf("datalog: truncated DB snapshot (bad varint)")
+		r.fail("truncated (bad varint)")
+		return 0
+	}
+	if n > 1 && r.buf[n-1] == 0 {
+		r.fail("overlong varint")
 		return 0
 	}
 	r.buf = r.buf[n:]
 	return v
+}
+
+// count reads the number of items of a section whose every item encodes to
+// at least minBytes, refusing a count the remaining bytes cannot hold.
+func (r *reader) count(what string, minBytes int) int {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.buf)/minBytes) {
+		r.fail(fmt.Sprintf("%s count %d exceeds what the %d remaining bytes can hold", what, n, len(r.buf)))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
 }
 
 func (r *reader) string() string {
@@ -296,7 +382,7 @@ func (r *reader) string() string {
 		return ""
 	}
 	if n > uint64(len(r.buf)) {
-		r.err = fmt.Errorf("datalog: truncated DB snapshot (string overruns buffer)")
+		r.fail("truncated (string overruns buffer)")
 		return ""
 	}
 	s := string(r.buf[:n])

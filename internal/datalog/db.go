@@ -257,18 +257,12 @@ func (db *DB) AddTuple(pred string, t schema.Tuple) bool {
 
 // Set stores the fact, replacing (not merging) any existing annotation for
 // the tuple. Callers that compute the annotation themselves (the storage
-// view's exact provenance sum, the snapshot codec) use it instead of Add's
+// view's exact provenance sum) use it instead of Add's
 // subsumption-checked alternative-derivation accumulation. An
 // annotation-only change writes the stored fact in place — the tuple's
 // index entries are unaffected, so no index maintenance runs.
 func (db *DB) Set(pred string, t schema.Tuple, p provenance.Poly) {
-	db.setKeyed(pred, t.Key(), t, p)
-}
-
-// setKeyed is Set for callers that already hold the tuple's canonical key
-// (the snapshot codec decodes keys before tuples, and the key computation is
-// measurable on the recovery path).
-func (db *DB) setKeyed(pred, k string, t schema.Tuple, p provenance.Poly) {
+	k := t.Key()
 	r := db.MutableRel(pred)
 	if f := r.facts[k]; f != nil {
 		f.Prov = p.Intern()

@@ -23,7 +23,7 @@ type Options struct {
 	// MaxIterations bounds the fixpoint loop; 0 means the default (100000).
 	MaxIterations int
 	// MaxMonomials, when positive, bounds every stored annotation to that
-	// many lowest-degree witness monomials (provenance.Poly.Truncate). On
+	// many lowest-degree witness monomials (provenance.MergeWitness). On
 	// dense or cyclic mapping graphs the number of alternative derivation
 	// paths grows combinatorially; bounded witness sets keep evaluation
 	// polynomial while preserving the short derivations that trust
@@ -292,9 +292,10 @@ func absorbInto(delta map[string]map[string]deltaFact, opts Options) func(mergeR
 			delta[mr.pred] = m
 		}
 		if df, ok := m[mr.key]; ok {
-			df.prov = df.prov.Add(mr.newPart)
 			if opts.Provenance && !opts.Exact {
-				df.prov = df.prov.Linearize()
+				df.prov = provenance.UnionWitness(df.prov, mr.newPart)
+			} else {
+				df.prov = df.prov.Add(mr.newPart)
 			}
 			m[mr.key] = df
 		} else {
@@ -409,62 +410,35 @@ func mergeKeyed(rel *Rel, k string, t schema.Tuple, p provenance.Poly, opts Opti
 		rel.putKeyed(k, t, provenance.One())
 		return mergeResult{key: k, tuple: t, newPart: provenance.One(), fresh: true}, true
 	}
-	if !opts.Exact {
-		p = p.Linearize()
-	}
 	existing := rel.facts[k]
-	if existing == nil {
-		if !opts.Exact {
-			p = p.Truncate(opts.MaxMonomials)
-		}
-		rel.putKeyed(k, t, p)
-		return mergeResult{key: k, tuple: t, newPart: p, fresh: true}, true
-	}
 	if opts.Exact {
 		// Exact mode runs on non-recursive programs where each derivation
 		// is enumerated exactly once: always accumulate.
+		if existing == nil {
+			rel.putKeyed(k, t, p)
+			return mergeResult{key: k, tuple: t, newPart: p, fresh: true}, true
+		}
 		prior := existing.Prov
 		rel.putKeyed(k, t, p)
 		return mergeResult{key: k, tuple: t, newPart: p, prior: prior}, true
 	}
-	// Fast path: a re-derivation whose witnesses are already stored changes
-	// nothing. The containment walk over cached keys avoids the
-	// Add/Linearize/Truncate allocation chain that dominates convergence
-	// rounds.
-	if existing.Prov.Subsumes(p) {
+	var stored provenance.Poly
+	if existing != nil {
+		stored = existing.Prov
+	}
+	merged, newPart, changed, truncated := provenance.MergeWitness(stored, p, opts.MaxMonomials)
+	if truncated && opts.Stats != nil {
+		opts.Stats.Truncations.Add(1)
+	}
+	if existing == nil {
+		rel.putKeyed(k, t, merged)
+		return mergeResult{key: k, tuple: t, newPart: merged, fresh: true}, true
+	}
+	if !changed {
 		return mergeResult{key: k, tuple: t}, false
 	}
-	merged := existing.Prov.Add(p).Linearize().Truncate(opts.MaxMonomials)
-	if merged.Equal(existing.Prov) {
-		return mergeResult{key: k, tuple: t}, false
-	}
-	newPart := diffNew(merged, existing.Prov)
-	prior := existing.Prov
 	existing.Prov = merged.Intern()
-	return mergeResult{key: k, tuple: t, newPart: newPart, prior: prior}, true
-}
-
-// diffNew returns the monomials of merged that existing lacks (truncation
-// only drops monomials, so merged != existing implies at least one new
-// one). Both polynomials are canonical, so their cached key lists are
-// sorted and a two-pointer walk finds the difference without building a
-// map.
-func diffNew(merged, existing provenance.Poly) provenance.Poly {
-	exKeys := existing.Keys()
-	mKeys, mMonos := merged.Keys(), merged.Monomials()
-	var fresh []provenance.Monomial
-	i := 0
-	for j, key := range mKeys {
-		for i < len(exKeys) && exKeys[i] < key {
-			i++
-		}
-		if i < len(exKeys) && exKeys[i] == key {
-			i++
-			continue
-		}
-		fresh = append(fresh, mMonos[j])
-	}
-	return provenance.FromMonomials(fresh)
+	return mergeResult{key: k, tuple: t, newPart: newPart, prior: stored}, true
 }
 
 // compare applies a builtin comparison to two values.

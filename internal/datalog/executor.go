@@ -78,9 +78,9 @@ type emission struct {
 // canSkipParallel reports whether a parallel probe phase may suppress an
 // emission because the frozen pre-round fact already subsumes it. Stored
 // annotations only grow monotonically when no truncation is in play
-// (Poly.Truncate keeps lowest-degree monomials, so a later Add can drop
-// exactly the monomials that justified the skip); exact mode always
-// accumulates and never skips.
+// (provenance.MergeWitness's cut keeps the lowest-degree monomials, so a
+// later merge can drop exactly the monomials that justified the skip);
+// exact mode always accumulates and never skips.
 func canSkipParallel(opts Options) bool {
 	return !opts.Provenance || (!opts.Exact && opts.MaxMonomials == 0)
 }

@@ -365,7 +365,7 @@ func addDelta(delta map[string]map[string]deltaFact, pred, k string, tu schema.T
 		delta[pred] = m
 	}
 	if df, ok := m[k]; ok {
-		df.prov = df.prov.Add(newPart).Linearize()
+		df.prov = provenance.UnionWitness(df.prov, newPart)
 		m[k] = df
 	} else {
 		m[k] = deltaFact{tuple: tu, prov: newPart}
@@ -411,9 +411,9 @@ type groupAcc struct {
 // exactly the group whose sequential Insert would first derive it, since
 // evaluation is monotone and earlier groups' facts are all in place by
 // then. For each touched tuple the per-group annotation deltas are then
-// replayed in group order through the same Add/Linearize/Truncate algebra
-// the sequential merges use, so reported Prov deltas and Fresh flags match
-// the sequential ones. Two groups seeding the SAME tuple would defeat this
+// replayed in group order through provenance.MergeWitness, the merge the
+// sequential inserts run, so reported Prov deltas and Fresh flags match the
+// sequential ones. Two groups seeding the SAME tuple would defeat this
 // (their pooled delta annotation makes downstream rule firings emit
 // monomial mixes that sequential insertion splits across separate merges),
 // so the batch is partitioned into runs at every seed overlap and the runs
@@ -625,11 +625,10 @@ func (inc *Incremental) insertGroupRun(ctx context.Context, groups [][]Fact2) ([
 				if p.group != gi {
 					continue
 				}
-				merged := prev.Add(p.prov).Linearize().Truncate(opts.MaxMonomials)
-				if merged.Equal(prev) {
+				merged, newPart, changed, _ := provenance.MergeWitness(prev, p.prov, opts.MaxMonomials)
+				if !changed {
 					continue
 				}
-				newPart := diffNew(merged, prev)
 				out[gi] = append(out[gi], Change{Pred: a.pred, Tuple: a.tuple, Key: a.key, Prov: newPart, Fresh: p.seed || !present})
 				present = true
 				prev = merged
@@ -712,7 +711,7 @@ func copyInto(dst, src map[string]map[string]deltaFact) {
 		}
 		for k, df := range m {
 			if prev, ok := dm[k]; ok {
-				prev.prov = prev.prov.Add(df.prov).Linearize()
+				prev.prov = provenance.UnionWitness(prev.prov, df.prov)
 				dm[k] = prev
 			} else {
 				dm[k] = df

@@ -90,6 +90,9 @@ type EvalStats struct {
 	// eagerly and buffers nothing, so it reports 0; parallel rounds report
 	// their probe-phase buffer occupancy.
 	PeakLive atomic.Int64
+	// Truncations counts merges whose MaxMonomials cut dropped at least one
+	// witness monomial (provenance.MergeWitness).
+	Truncations atomic.Int64
 }
 
 // PushdownRate returns the fraction of index probes whose key carried at
@@ -105,10 +108,10 @@ func (s *EvalStats) PushdownRate() float64 {
 // String renders the counters on one line, for logs and test failures.
 func (s *EvalStats) String() string {
 	return fmt.Sprintf(
-		"probes=%d pushdown=%d candidates=%d emitted=%d suppressed=%d hashjoins=%d rounds=%d parrounds=%d workers=%d peaklive=%d",
+		"probes=%d pushdown=%d candidates=%d emitted=%d suppressed=%d hashjoins=%d rounds=%d parrounds=%d workers=%d peaklive=%d truncations=%d",
 		s.Probes.Load(), s.PushdownProbes.Load(), s.Candidates.Load(), s.Emitted.Load(),
 		s.Suppressed.Load(), s.HashJoinBuilds.Load(), s.Rounds.Load(),
-		s.ParallelRounds.Load(), s.WorkersUsed.Load(), s.PeakLive.Load())
+		s.ParallelRounds.Load(), s.WorkersUsed.Load(), s.PeakLive.Load(), s.Truncations.Load())
 }
 
 // atomicMax raises a to at least v.
@@ -333,9 +336,19 @@ func (p *pipeline) prevProv(depth int) provenance.Poly {
 func (p *pipeline) stepProv(depth int, f provenance.Poly) provenance.Poly {
 	pr := p.prevProv(depth)
 	if p.useProv {
-		pr = pr.Mul(f)
+		pr = p.mul(pr, f)
 	}
 	return pr
+}
+
+// mul is the annotation product: N[X] in Exact mode, the witness-set (B[X])
+// product otherwise — every merge linearizes anyway, so the fixpoint never
+// needs the N[X] intermediate.
+func (p *pipeline) mul(a, b provenance.Poly) provenance.Poly {
+	if p.opts.Exact {
+		return a.Mul(b)
+	}
+	return provenance.MulWitness(a, b)
 }
 
 // next advances the cursor at depth to its following row, binding slots as
@@ -500,7 +513,7 @@ func (p *pipeline) emitRow(prov provenance.Poly, sink rowSink) error {
 	}
 	p.headBuf = out
 	if p.opts.Provenance && !pln.tokProv.IsZero() {
-		prov = prov.Mul(pln.tokProv)
+		prov = p.mul(prov, pln.tokProv)
 	}
 	if !p.opts.Provenance {
 		prov = provenance.One()

@@ -110,32 +110,34 @@ func (e *Engine) LoadState(blob []byte) error {
 	r.buf = r.buf[dbLen:]
 
 	nOcc := r.uvarint()
-	occ := make([]datalog.TokenEntry, 0, nOcc)
+	occ := make([]datalog.TokenEntry, 0, r.capHint(nOcc))
+	// The entries are sorted by variable, then predicate, so those two
+	// mostly repeat the previous entry's: share its strings.
+	var te datalog.TokenEntry
 	for i := uint64(0); i < nOcc && r.err == nil; i++ {
-		occ = append(occ, datalog.TokenEntry{
-			Var:  provenance.Var(r.string()),
-			Pred: r.string(),
-			Key:  r.string(),
-		})
+		te.Var = provenance.Var(r.stringAgain(string(te.Var)))
+		te.Pred = r.stringAgain(te.Pred)
+		te.Key = r.string()
+		occ = append(occ, te)
 	}
 	nDead := r.uvarint()
-	dead := make([]provenance.Var, 0, nDead)
+	dead := make([]provenance.Var, 0, r.capHint(nDead))
 	for i := uint64(0); i < nDead && r.err == nil; i++ {
 		dead = append(dead, provenance.Var(r.string()))
 	}
 	nBase := r.uvarint()
-	base := make(map[string][]provenance.Var, nBase)
+	base := make(map[string][]provenance.Var, r.capHint(nBase))
 	for i := uint64(0); i < nBase && r.err == nil; i++ {
 		k := r.string()
 		nToks := r.uvarint()
-		toks := make([]provenance.Var, 0, nToks)
+		toks := make([]provenance.Var, 0, r.capHint(nToks))
 		for j := uint64(0); j < nToks && r.err == nil; j++ {
 			toks = append(toks, provenance.Var(r.string()))
 		}
 		base[k] = toks
 	}
 	nApplied := r.uvarint()
-	applied := make(map[updates.TxnID]bool, nApplied)
+	applied := make(map[updates.TxnID]bool, r.capHint(nApplied))
 	for i := uint64(0); i < nApplied && r.err == nil; i++ {
 		id := updates.TxnID{Peer: r.string()}
 		id.Seq = r.uvarint()
@@ -200,7 +202,18 @@ func (r *stateReader) uvarint() uint64 {
 	return v
 }
 
-func (r *stateReader) string() string {
+// capHint bounds a decoded count used as a capacity hint by the bytes left:
+// every counted item takes at least one, so a larger count is corrupt and
+// fails on the read that runs out, not on the allocation.
+func (r *stateReader) capHint(n uint64) int {
+	return int(min(n, uint64(len(r.buf))))
+}
+
+func (r *stateReader) string() string { return r.stringAgain("") }
+
+// stringAgain reads a string, returning prev itself when the bytes spell
+// it, so a run of equal strings shares one allocation.
+func (r *stateReader) stringAgain(prev string) string {
 	n := r.uvarint()
 	if r.err != nil {
 		return ""
@@ -209,7 +222,10 @@ func (r *stateReader) string() string {
 		r.err = fmt.Errorf("exchange: truncated engine snapshot (string overruns buffer)")
 		return ""
 	}
-	s := string(r.buf[:n])
+	b := r.buf[:n]
 	r.buf = r.buf[n:]
-	return s
+	if string(b) == prev {
+		return prev
+	}
+	return string(b)
 }

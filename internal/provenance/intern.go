@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -35,28 +36,55 @@ const internSlots = 1 << 15
 
 var internCache [internSlots]atomic.Pointer[polyNode]
 
-// fnv-1a over the canonical monomial list: coefficient bytes then varKey.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
+// hashMonos hashes the canonical monomial list — each coefficient, then its
+// variable key — a machine word at a time: every word is folded in by one
+// 64×64→128-bit multiply whose halves are xored (the wyhash mixer). The hash
+// only picks intern slots and pre-screens Equal, so it must be a function of
+// the monomial list and spread well over its low bits; it is never
+// persisted, and a collision costs only a structural comparison.
 func hashMonos(monos []Monomial, keys []string) uint64 {
-	h := uint64(fnvOffset)
+	h := uint64(0x243f6a8885a308d3)
 	for i, m := range monos {
-		c := m.Coef
-		for b := 0; b < 8; b++ {
-			h ^= c & 0xff
-			h *= fnvPrime
-			c >>= 8
-		}
-		k := keys[i]
-		for j := 0; j < len(k); j++ {
-			h ^= uint64(k[j])
-			h *= fnvPrime
-		}
+		h = hashMix(h, m.Coef)
+		h = hashString(h, keys[i])
 	}
-	return h
+	return hashMix(h, uint64(len(monos)))
+}
+
+// hashString folds s into h eight bytes per step. The last, partial word is
+// read as two overlapping 4-byte loads (or three single bytes below four),
+// and the length rides along so keys that differ only in trailing zero
+// bytes hash apart.
+func hashString(h uint64, s string) uint64 {
+	n := len(s)
+	for len(s) > 8 {
+		h = hashMix(h, load64(s))
+		s = s[8:]
+	}
+	var w uint64
+	switch {
+	case len(s) >= 4:
+		w = uint64(load32(s))<<32 | uint64(load32(s[len(s)-4:]))
+	case len(s) > 0:
+		w = uint64(s[0])<<16 | uint64(s[len(s)>>1])<<8 | uint64(s[len(s)-1])
+	}
+	return hashMix(h^uint64(n), w)
+}
+
+func hashMix(h, w uint64) uint64 {
+	hi, lo := bits.Mul64(h^w, 0x9e3779b97f4a7c15)
+	return hi ^ lo
+}
+
+func load64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+func load32(s string) uint32 {
+	_ = s[3]
+	return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
 }
 
 // sameMonos reports structural equality of two canonical monomial lists.
@@ -86,6 +114,12 @@ func sameMonos(a, b []Monomial) bool {
 // published to its slot. The caller hands over ownership of both slices.
 // An empty list is the zero polynomial (nil node).
 func newNode(monos []Monomial, keys []string) Poly {
+	return newNodeIn(monos, keys, nil)
+}
+
+// newNodeIn is newNode building into spare, an unused zero node, when no
+// equal node is resident (nil: allocate one).
+func newNodeIn(monos []Monomial, keys []string, spare *polyNode) Poly {
 	if len(monos) == 0 {
 		return Poly{}
 	}
@@ -94,7 +128,11 @@ func newNode(monos []Monomial, keys []string) Poly {
 	if n := slot.Load(); n != nil && n.hash == h && sameMonos(n.monos, monos) {
 		return Poly{n: n}
 	}
-	n := &polyNode{monos: monos, keys: keys, hash: h}
+	n := spare
+	if n == nil {
+		n = new(polyNode)
+	}
+	n.monos, n.keys, n.hash = monos, keys, h
 	slot.Store(n)
 	return Poly{n: n}
 }

@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -82,5 +83,22 @@ func TestInternedLinearizeCache(t *testing.T) {
 	}
 	if l1.Linearize().n != l1.n {
 		t.Errorf("linearized polynomial is not its own quotient")
+	}
+}
+
+// TestHashStringUsesEveryByte checks the word-at-a-time string hash at
+// every length around its word and half-word boundaries: flipping any one
+// byte changes the hash.
+func TestHashStringUsesEveryByte(t *testing.T) {
+	for n := 1; n <= 33; n++ {
+		s := []byte(strings.Repeat("k", n))
+		base := hashString(1, string(s))
+		for i := range s {
+			s[i] ^= 1
+			if hashString(1, string(s)) == base {
+				t.Errorf("length %d: flipping byte %d leaves the hash unchanged", n, i)
+			}
+			s[i] ^= 1
+		}
 	}
 }

@@ -29,12 +29,27 @@ type Monomial struct {
 // computed once per interned monomial (see intern.go) and cached alongside
 // the canonical monomial list, so it avoids fmt.
 func (m Monomial) varKey() string {
+	var b strings.Builder
+	b.Grow(varKeyLen(m))
+	writeVarKey(&b, m)
+	return b.String()
+}
+
+// varKeyLen bounds the length of m's variable key from above.
+func varKeyLen(m Monomial) int {
 	n := 0
 	for _, vp := range m.Vars {
-		n += len(vp.Var) + 2
+		n += len(vp.Var) + 1
+		if vp.Pow != 1 {
+			n += 21 // '^' and at most 20 characters of an int
+		}
 	}
-	var b strings.Builder
-	b.Grow(n)
+	return n
+}
+
+// writeVarKey writes m's variable key: each variable, its power when not
+// 1, and a ';'.
+func writeVarKey(b *strings.Builder, m Monomial) {
 	for _, vp := range m.Vars {
 		b.WriteString(string(vp.Var))
 		if vp.Pow != 1 {
@@ -43,7 +58,6 @@ func (m Monomial) varKey() string {
 		}
 		b.WriteByte(';')
 	}
-	return b.String()
 }
 
 // Key returns the canonical key of the monomial's variable part (ignoring
@@ -205,33 +219,6 @@ func FromMonomials(monos []Monomial) Poly {
 		keys = append(keys, m.varKey())
 	}
 	return canonicalize(out, keys, false)
-}
-
-// FromCanonicalMonomials builds a polynomial from monomials already in
-// canonical form: strictly increasing variable keys, no zero coefficients.
-// That is exactly the order Monomials() reports and the snapshot codecs
-// preserve, so decode paths can skip both the sort-and-merge normalization
-// and the defensive copy FromMonomials makes. Ownership of monos and its
-// Vars slices transfers to the polynomial — the caller must not retain or
-// mutate them afterwards. The canonical-form invariant is verified on the
-// way in; input that violates it falls back to FromMonomials (which
-// copies), so a hand-crafted or corrupted monomial list can never produce
-// a non-canonical node.
-func FromCanonicalMonomials(monos []Monomial) Poly {
-	if len(monos) == 0 {
-		return Poly{}
-	}
-	keys := make([]string, 0, len(monos))
-	for i, m := range monos {
-		if m.Coef == 0 {
-			return FromMonomials(monos)
-		}
-		keys = append(keys, m.varKey())
-		if i > 0 && keys[i-1] >= keys[i] {
-			return FromMonomials(monos)
-		}
-	}
-	return newNode(monos, keys)
 }
 
 // canonicalize sorts a raw (owned) monomial list by variable key, merges
@@ -507,40 +494,21 @@ func (p Poly) Linearize() Poly {
 	if lin := p.n.lin.Load(); lin != nil {
 		return Poly{n: lin}
 	}
-	changed := false
-	for _, m := range p.n.monos {
-		if m.Coef != 1 {
-			changed = true
-			break
-		}
-		for _, vp := range m.Vars {
-			if vp.Pow != 1 {
-				changed = true
-				break
-			}
-		}
-		if changed {
-			break
-		}
+	if p.n.linear() {
+		return p
 	}
-	q := p
-	if changed {
-		out := make([]Monomial, len(p.n.monos))
-		keys := make([]string, len(p.n.monos))
-		for i, m := range p.n.monos {
-			nm := Monomial{Coef: 1, Vars: make([]VarPow, len(m.Vars))}
-			for j, vp := range m.Vars {
-				nm.Vars[j] = VarPow{Var: vp.Var, Pow: 1}
-			}
-			out[i] = nm
-			keys[i] = nm.varKey()
+	out := make([]Monomial, len(p.n.monos))
+	keys := make([]string, len(p.n.monos))
+	for i, m := range p.n.monos {
+		nm := Monomial{Coef: 1, Vars: make([]VarPow, len(m.Vars))}
+		for j, vp := range m.Vars {
+			nm.Vars[j] = VarPow{Var: vp.Var, Pow: 1}
 		}
-		q = canonicalize(out, keys, true)
+		out[i] = nm
+		keys[i] = nm.varKey()
 	}
+	q := markLinear(canonicalize(out, keys, true))
 	p.n.lin.Store(q.n)
-	if q.n != nil && q.n.lin.Load() == nil {
-		q.n.lin.Store(q.n) // a linearized polynomial is its own quotient
-	}
 	return q
 }
 

@@ -60,6 +60,9 @@ type EvalCounters struct {
 	// PeakLive is the maximum number of intermediate emissions buffered at
 	// any round barrier.
 	PeakLive int64 `json:"peak_live"`
+	// Truncations counts merges whose witness-set bound (WithMaxMonomials)
+	// dropped at least one derivation.
+	Truncations int64 `json:"truncations"`
 }
 
 // PushdownRate returns the fraction of probes that carried a pushed-down
@@ -108,6 +111,7 @@ func (s *System) evalCounters() EvalCounters {
 		ParallelRounds: st.ParallelRounds.Load(),
 		WorkersUsed:    st.WorkersUsed.Load(),
 		PeakLive:       st.PeakLive.Load(),
+		Truncations:    st.Truncations.Load(),
 	}
 }
 
@@ -128,6 +132,7 @@ func (s *System) obsSnapshot() (*obs.Snapshot, EvalCounters) {
 		snap.Counters["datalog_parallel_rounds_total"] = ev.ParallelRounds
 		snap.Counters["datalog_workers_used_total"] = ev.WorkersUsed
 		snap.Gauges["datalog_peak_live"] = ev.PeakLive
+		snap.Counters["provenance_truncations_total"] = ev.Truncations
 	}
 	return snap, ev
 }

@@ -64,6 +64,9 @@ func TestMetricsDurableRoundTrip(t *testing.T) {
 	if m.Eval.Rounds == 0 || m.Eval.Emitted == 0 {
 		t.Errorf("eval counters not folded in: %+v", m.Eval)
 	}
+	if got, ok := m.Counters["provenance_truncations_total"]; !ok || got != m.Eval.Truncations {
+		t.Errorf("provenance_truncations_total = %d (exported %v), want the evaluator's %d", got, ok, m.Eval.Truncations)
+	}
 	// Reconcile must have traced a parent span with a drain child.
 	var reconcileID uint64
 	for _, sp := range m.Spans {
