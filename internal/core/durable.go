@@ -190,7 +190,7 @@ func (d *provDecoder) decode(data []byte) (provenance.Poly, error) {
 			if !ok || uint64(len(data)) < l {
 				return bad()
 			}
-			v := d.arena.Var(data[:l])
+			v := provenance.Var(data[:l])
 			data = data[l:]
 			pow, ok := uvar()
 			if !ok {

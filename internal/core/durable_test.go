@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,6 +18,7 @@ import (
 
 	"orchestra/internal/exchange"
 	"orchestra/internal/lsm"
+	"orchestra/internal/mapping"
 	"orchestra/internal/p2p"
 	"orchestra/internal/recon"
 	"orchestra/internal/schema"
@@ -227,6 +229,79 @@ func TestRecoverDropsEngineBlobOfOldVersion(t *testing.T) {
 	if _, watermark, ok, err := EngineSnapshotStats(db2, workload.Dresden); err != nil || !ok || watermark != dresden2.Epoch() {
 		t.Errorf("after the next checkpoint: blob ok=%v watermark=%d err=%v, want a current one at epoch %d",
 			ok, watermark, err, dresden2.Epoch())
+	}
+}
+
+// TestRecoverFloatsCompareCannotOrder: tuples holding a NaN, and a pair that
+// differs only in 0.0 vs -0.0, are distinct facts (distinct keys) that
+// Value.Compare cannot put in a strict order. A checkpoint that holds them
+// must still recover from its engine blob, to the never-killed twin's rows.
+func TestRecoverFloatsCompareCannotOrder(t *testing.T) {
+	sigma := func() *schema.Schema {
+		s := schema.NewSchema("Σf")
+		s.MustAddRelation(schema.MustRelation("R",
+			[]schema.Attribute{{Name: "k", Type: schema.KindString}, {Name: "x", Type: schema.KindFloat}},
+			"k", "x"))
+		return s
+	}
+	var ms []*mapping.Mapping
+	ms = append(ms, mapping.Identity("M_ab", "a", "b", sigma())...)
+	ms = append(ms, mapping.Identity("M_ba", "b", "a", sigma())...)
+	newSys := func() *System {
+		sys, err := NewSystem(map[string]*schema.Schema{"a": sigma(), "b": sigma()}, ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	row := func(k string, x float64) schema.Tuple {
+		return schema.NewTuple(schema.String(k), schema.Float(x))
+	}
+
+	dir := t.TempDir()
+	db, ds := openDurableTier(t, dir)
+	sys := newSys()
+	a := durablePeer(t, "a", sys, ds, recon.TrustAll(1), db)
+	b := durablePeer(t, "b", sys, ds, recon.TrustAll(1), db)
+	commit(t, a.NewTransaction().
+		Insert("R", row("z", 0)).
+		Insert("R", row("z", math.Copysign(0, -1))).
+		Insert("R", row("n", math.NaN())).
+		Insert("R", row("n", 1.5)).
+		Insert("R", row("n", -2)))
+	publish(t, a)
+	reconcile(t, b)
+	checkpoint(t, b, db)
+	commit(t, a.NewTransaction().Insert("R", row("m", math.NaN())))
+	publish(t, a)
+	reconcile(t, b)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, ds2 := openDurableTier(t, dir)
+	defer db2.Close()
+	b2 := durablePeer(t, "b", newSys(), ds2, recon.TrustAll(1), db2)
+	if got, all := b2.recReplayTxns, int64(ds2.Len()); got >= all {
+		t.Errorf("recovery replayed %d of %d transactions: the engine blob was not used", got, all)
+	}
+	want, _ := b.Instance().Rows("R")
+	got, _ := b2.Instance().Rows("R")
+	if len(want) != 6 || len(got) != len(want) {
+		t.Fatalf("recovered %d rows, live peer holds %d (want 6)", len(got), len(want))
+	}
+	byKey := map[string]storage.Row{}
+	for _, r := range got {
+		byKey[r.Tuple.Key()] = r
+	}
+	for _, w := range want {
+		g, ok := byKey[w.Tuple.Key()]
+		if !ok {
+			t.Fatalf("recovered peer lost %v", w.Tuple)
+		}
+		if !g.Prov.Equal(w.Prov) {
+			t.Fatalf("%v: provenance %v, live %v", w.Tuple, g.Prov, w.Prov)
+		}
 	}
 }
 

@@ -144,9 +144,12 @@ func EncodeDB(db *DB) ([]byte, error) {
 }
 
 // ErrBadSnapshot reports bytes DecodeDB or StatDB refuses: not a DB
-// snapshot, cut short, holding a count its remaining bytes cannot, or not
-// in the one canonical form EncodeDB writes for its content. Every blob
-// DecodeDB accepts re-encodes to exactly its own bytes.
+// snapshot, cut short, holding a count its remaining bytes cannot, or
+// breaking a rule EncodeDB's output always keeps. A blob DecodeDB accepts
+// re-encodes to one that decodes to an Equal database. Only the order of
+// tuples within an extent goes unchecked: Value.Compare ties 0.0 with -0.0
+// and cannot place a NaN, so EncodeDB's own tuple order is not a rule it
+// keeps for every database.
 var ErrBadSnapshot = errors.New("datalog: malformed DB snapshot")
 
 // DecodeDB materializes a database from an EncodeDB snapshot. Each
@@ -170,9 +173,9 @@ func StatDB(blob []byte) (DBStats, error) {
 // parsed then) and returns the structural stats either way. Every count is
 // checked against the bytes left before it sizes anything — an entry of
 // any section takes at least one byte per counted item, two for monomials,
-// variable powers, predicates and facts — and every ordering EncodeDB
-// guarantees is checked as it is read, so hostile bytes fail with
-// ErrBadSnapshot instead of panicking or allocating without bound.
+// variable powers, predicates and facts — and the rules of ErrBadSnapshot
+// are checked as they are read, so hostile bytes fail with ErrBadSnapshot
+// instead of panicking or allocating without bound.
 func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 	var stats DBStats
 	stats.Bytes = len(blob)
@@ -261,12 +264,8 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 		nFacts := r.count("fact", 2)
 		var rel *Rel
 		if db != nil && r.err == nil {
-			// A fresh extent takes the whole count in one map and one slab.
 			rel = db.MutableRel(pred)
-			rel.facts = make(map[string]*Fact, nFacts)
-			rel.reserve(nFacts)
 		}
-		var prev schema.Tuple
 		for j := 0; j < nFacts && r.err == nil; j++ {
 			key := r.string()
 			pi := r.uvarint()
@@ -288,16 +287,13 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 				switch {
 				case string(keyBuf) != key:
 					r.fail(fmt.Sprintf("tuple key %q in %s is not canonical", key, pred))
-				case hasNaN(t):
-					r.fail(fmt.Sprintf("tuple key %q in %s has a NaN, which no order places", key, pred))
-				case j > 0 && prev.Compare(t) >= 0:
-					r.fail(fmt.Sprintf("tuples of %s out of order", pred))
+				case rel.facts[key] != nil:
+					r.fail(fmt.Sprintf("tuple key %q in %s repeats", key, pred))
 				default:
 					// The extent is fresh and the key unseen: no merge, no
 					// index to maintain, and the table entry is interned.
 					rel.facts[key] = rel.newFact(t, table[pi])
 				}
-				prev = t
 			}
 			stats.Facts++
 		}
@@ -313,18 +309,6 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 		return stats, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(r.buf))
 	}
 	return stats, nil
-}
-
-// hasNaN reports whether t holds a NaN float: Compare cannot order it, so
-// EncodeDB's sort could not reproduce a snapshot that contains one beside
-// other floats.
-func hasNaN(t schema.Tuple) bool {
-	for _, v := range t {
-		if v.Kind() == schema.KindFloat && math.IsNaN(v.FloatVal()) {
-			return true
-		}
-	}
-	return false
 }
 
 // appendString appends a varint-length-prefixed string.

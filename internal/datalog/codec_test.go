@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -201,10 +202,8 @@ func TestCodecRejectsHostileSnapshots(t *testing.T) {
 		"unreferenced poly":    snapshot(0, 2, 0, 1, 2, 0, 1, "P", 1, key, 0),
 		"poly out of order":    snapshot(0, 2, 0, 1, 2, 0, 1, "P", 2, key, 1, "3|i:2", 0),
 		"preds unsorted":       snapshot(0, 0, 2, "Q", 0, "P", 0),
-		"tuples unsorted":      snapshot(0, 1, 0, 1, "P", 2, "3|i:2", 0, key, 0),
 		"duplicate tuple":      snapshot(0, 1, 0, 1, "P", 2, key, 0, key, 0),
 		"non-canonical key":    snapshot(0, 1, 0, 1, "P", 1, "4|i:01", 0),
-		"NaN component":        snapshot(0, 1, 0, 1, "P", 1, "5|f:NaN", 0),
 		"malformed key":        snapshot(0, 1, 0, 1, "P", 1, "9|"+x, 0),
 	}
 	for name, blob := range cases {
@@ -246,9 +245,65 @@ func TestCodecKeepsEmptyExtents(t *testing.T) {
 	}
 }
 
+// sameFacts reports how a and b differ as sets of (predicate, tuple key,
+// provenance) facts, or nil when they hold the same ones. It matches facts
+// by key, not by Facts() position: Value.Compare cannot order every pair of
+// distinct tuples, so the two sides may sort differently.
+func sameFacts(a, b *DB) error {
+	if ap, bp := a.Preds(), b.Preds(); fmt.Sprint(ap) != fmt.Sprint(bp) {
+		return fmt.Errorf("predicates %v vs %v", ap, bp)
+	}
+	for _, pred := range a.Preds() {
+		ra, rb := a.Rel(pred), b.Rel(pred)
+		if ra.Len() != rb.Len() {
+			return fmt.Errorf("%s: %d vs %d facts", pred, ra.Len(), rb.Len())
+		}
+		for key, f := range ra.facts {
+			g := rb.facts[key]
+			if g == nil {
+				return fmt.Errorf("%s: %q missing", pred, key)
+			}
+			if !g.Prov.Equal(f.Prov) {
+				return fmt.Errorf("%s %q: provenance %s vs %s", pred, key, f.Prov, g.Prov)
+			}
+		}
+	}
+	return nil
+}
+
+// TestCodecFloatsCompareCannotOrder: a NaN, and a pair of tuples that differ
+// only in 0.0 vs -0.0, are legitimate facts — the float parsers of csvio,
+// the REPL and the wire codec all accept "NaN" and "-0" — that Value.Compare
+// cannot put in a strict order. Their snapshot must still decode.
+func TestCodecFloatsCompareCannotOrder(t *testing.T) {
+	db := buildCodecDB()
+	x := provenance.NewVar("f:1/0")
+	for _, f := range []float64{0, math.Copysign(0, -1), math.NaN(), 1.5, -2} {
+		db.Set("F", schema.NewTuple(schema.String("k"), schema.Float(f)), x)
+	}
+	db.Set("F", schema.NewTuple(schema.Float(math.NaN())), provenance.One())
+	blob, err := EncodeDB(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeDB(blob)
+	if err != nil {
+		t.Fatalf("DecodeDB refused EncodeDB's snapshot: %v", err)
+	}
+	if err := sameFacts(db, got); err != nil {
+		t.Fatalf("round trip changed the database: %v", err)
+	}
+	if _, err := StatDB(blob); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzDecodeDB: whatever bytes arrive as a snapshot — a corrupted engine
 // blob on recovery — DecodeDB refuses them with ErrBadSnapshot or decodes a
-// database that re-encodes to exactly those bytes, and never panics.
+// database whose re-encoding decodes to the same database, and never
+// panics. The re-encoding need not match the input byte for byte: the
+// decoder does not check the order of tuples within an extent (see
+// ErrBadSnapshot).
 func FuzzDecodeDB(f *testing.F) {
 	for _, db := range []*DB{buildCodecDB(), NewDB()} {
 		blob, err := EncodeDB(db)
@@ -259,6 +314,7 @@ func FuzzDecodeDB(f *testing.F) {
 	}
 	f.Add(snapshot(uint64(1 << 62)))
 	f.Add(snapshot(1, "x", 1, 1, 1, 1, 0, 1, 2, "P", 1, "4|i:-1", 0, "Q", 0))
+	f.Add(snapshot(0, 1, 0, 1, "P", 3, "5|f:NaN", 0, "3|f:0", 0, "4|f:-0", 0))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		db, err := DecodeDB(blob)
 		if err != nil {
@@ -267,15 +323,19 @@ func FuzzDecodeDB(f *testing.F) {
 			}
 			return
 		}
+		if _, err := StatDB(blob); err != nil {
+			t.Fatalf("StatDB refuses what DecodeDB accepts: %v", err)
+		}
 		again, err := EncodeDB(db)
 		if err != nil {
 			t.Fatalf("re-encoding: %v", err)
 		}
-		if !bytes.Equal(again, blob) {
-			t.Fatalf("round trip changed the snapshot:\n%q\n%q", blob, again)
+		back, err := DecodeDB(again)
+		if err != nil {
+			t.Fatalf("DecodeDB refuses its own re-encoding: %v\n%q", err, again)
 		}
-		if _, err := StatDB(blob); err != nil {
-			t.Fatalf("StatDB refuses what DecodeDB accepts: %v", err)
+		if err := sameFacts(db, back); err != nil {
+			t.Fatalf("re-encoding changed the database: %v", err)
 		}
 	})
 }

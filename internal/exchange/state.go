@@ -111,14 +111,12 @@ func (e *Engine) LoadState(blob []byte) error {
 
 	nOcc := r.uvarint()
 	occ := make([]datalog.TokenEntry, 0, r.capHint(nOcc))
-	// The entries are sorted by variable, then predicate, so those two
-	// mostly repeat the previous entry's: share its strings.
-	var te datalog.TokenEntry
 	for i := uint64(0); i < nOcc && r.err == nil; i++ {
-		te.Var = provenance.Var(r.stringAgain(string(te.Var)))
-		te.Pred = r.stringAgain(te.Pred)
-		te.Key = r.string()
-		occ = append(occ, te)
+		occ = append(occ, datalog.TokenEntry{
+			Var:  provenance.Var(r.string()),
+			Pred: r.string(),
+			Key:  r.string(),
+		})
 	}
 	nDead := r.uvarint()
 	dead := make([]provenance.Var, 0, r.capHint(nDead))
@@ -209,11 +207,7 @@ func (r *stateReader) capHint(n uint64) int {
 	return int(min(n, uint64(len(r.buf))))
 }
 
-func (r *stateReader) string() string { return r.stringAgain("") }
-
-// stringAgain reads a string, returning prev itself when the bytes spell
-// it, so a run of equal strings shares one allocation.
-func (r *stateReader) stringAgain(prev string) string {
+func (r *stateReader) string() string {
 	n := r.uvarint()
 	if r.err != nil {
 		return ""
@@ -222,10 +216,7 @@ func (r *stateReader) stringAgain(prev string) string {
 		r.err = fmt.Errorf("exchange: truncated engine snapshot (string overruns buffer)")
 		return ""
 	}
-	b := r.buf[:n]
+	s := string(r.buf[:n])
 	r.buf = r.buf[n:]
-	if string(b) == prev {
-		return prev
-	}
-	return string(b)
+	return s
 }

@@ -11,7 +11,7 @@ import (
 var ErrNotCanonical = errors.New("provenance: monomial list is not in canonical form")
 
 // Arena carves the storage of decoded polynomials — monomial lists,
-// variable powers, variable names, cached keys and nodes — from shared
+// variable powers, cached keys and nodes — from shared
 // chunks. A snapshot or checkpoint decoder builds thousands of small
 // polynomials that then live together in one table, so one allocation per
 // chunk replaces several per polynomial, and the collector marks a few
@@ -42,14 +42,6 @@ func (a *Arena) Monomials(n int) []Monomial { return carve(&a.monos, n, 4096) }
 
 // VarPows returns room for n variable powers of one monomial.
 func (a *Arena) VarPows(n int) []VarPow { return carve(&a.vars, n, 8192) }
-
-// Var returns b as a variable name whose bytes live in the arena.
-func (a *Arena) Var(b []byte) Var {
-	a.reserveText(len(b))
-	start := a.text.Len()
-	a.text.Write(b)
-	return Var(a.text.String()[start:])
-}
 
 // reserveText makes room for n more bytes without moving what the arena's
 // strings already share: a full builder is replaced, never grown.

@@ -119,10 +119,7 @@ func (t Tuple) String() string {
 
 // ParseTupleKey decodes a canonical tuple key produced by Tuple.Key.
 func ParseTupleKey(key string) (Tuple, error) {
-	// Components collect in a stack buffer and leave in one exactly sized
-	// copy: decoders parse a key per stored row.
-	var buf [8]Value
-	t := buf[:0]
+	var t Tuple
 	for len(key) > 0 {
 		bar := strings.IndexByte(key, '|')
 		if bar < 0 {
@@ -142,10 +139,5 @@ func ParseTupleKey(key string) (Tuple, error) {
 		t = append(t, v)
 		key = key[bar+1+n:]
 	}
-	if len(t) == 0 {
-		return nil, nil
-	}
-	out := make(Tuple, len(t))
-	copy(out, t)
-	return out, nil
+	return t, nil
 }
