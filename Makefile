@@ -57,15 +57,16 @@ series-check:
 	./scripts/check_series_docs.sh
 
 ## fuzz-smoke: each native fuzz target for FUZZTIME — wire transactions and
-## store-server request frames (internal/p2p), DB snapshots (internal/datalog)
-## and the witness-set merge kernel against its N[X] definition
-## (internal/provenance); `go test -fuzz` takes one target per run. A failing
-## input lands in the package's testdata/fuzz/.
+## store-server request frames (internal/p2p), DB snapshots (internal/datalog),
+## engine snapshots (internal/exchange) and the witness-set merge kernel
+## against its N[X] definition (internal/provenance); `go test -fuzz` takes
+## one target per run. A failing input lands in the package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTxn$$' -fuzztime $(FUZZTIME) ./internal/p2p/
 	$(GO) test -run '^$$' -fuzz '^FuzzServerRequest$$' -fuzztime $(FUZZTIME) ./internal/p2p/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDB$$' -fuzztime $(FUZZTIME) ./internal/datalog/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadState$$' -fuzztime $(FUZZTIME) ./internal/exchange/
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeWitness$$' -fuzztime $(FUZZTIME) ./internal/provenance/
 
 ## bench: full benchmark run with allocation profiles

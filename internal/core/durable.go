@@ -41,7 +41,7 @@ import (
 // range.
 //
 // The "e/" blob turns recovery from O(history) into O(suffix): it captures
-// the translation engine (union database, token log, base tokens, applied
+// the translation engine (union database, dead and base tokens, applied
 // set), the reconciliation state and the dependency tracker, all valid at
 // its watermark epoch W — the epoch of the checkpoint that wrote it, at or
 // before the epoch E of the newest rows. The published archive is the

@@ -24,7 +24,7 @@ import (
 // Layout (uvarint integers, uvarint-length-prefixed strings, provenance as
 // the checkpoint codec's binary encodeProv bytes):
 //
-//	magic "OEB2"
+//	magic "OEB3"
 //	watermark epoch
 //	engLen, then the exchange.Engine.SaveState blob
 //	nTxns · { peer, seq, epoch, status, prio (zig-zag), full flag,
@@ -39,7 +39,7 @@ import (
 // recon.NeedsFullTxn — and stripping them keeps the blob proportional to
 // the live conflict frontier, not the whole history.
 
-const engineBlobMagic = "OEB2"
+const engineBlobMagic = "OEB3"
 
 // errBlobVersion reports an engine blob written in another version of the
 // layout (its magic differs in the version digit only). Such a blob is

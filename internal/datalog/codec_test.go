@@ -272,8 +272,8 @@ func sameFacts(a, b *DB) error {
 }
 
 // TestCodecFloatsCompareCannotOrder: a NaN, and a pair of tuples that differ
-// only in 0.0 vs -0.0, are legitimate facts — the float parsers of csvio,
-// the REPL and the wire codec all accept "NaN" and "-0" — that Value.Compare
+// only in 0.0 vs -0.0, are legitimate facts — the float parsers of the REPL
+// and the wire codec both accept "NaN" and "-0" — that Value.Compare
 // cannot put in a strict order. Their snapshot must still decode.
 func TestCodecFloatsCompareCannotOrder(t *testing.T) {
 	db := buildCodecDB()

@@ -45,16 +45,22 @@ type Incremental struct {
 	planTab [][]rulePlans // resolved plans, aligned with strata
 	opts    Options
 	maxIter int
-	// tokenIndex maps a provenance variable to the set of facts whose
-	// annotation currently mentions it, as pred -> tuple keys. It is built
-	// lazily: insertions append to tokenLog (a flat, duplicate-tolerant
-	// record of token occurrences), and the deletion-side consumers fold
-	// the log into the maps on demand. Insert-heavy streams — the common
-	// update-exchange shape — therefore never pay the nested-map
-	// maintenance or its GC scan load.
+	// tokenIndex maps a provenance variable to the facts whose annotation
+	// mentions it, as pred -> tuple keys; only deletions read it. It stays
+	// nil until the first deletion-side call (DeleteBase, Affected,
+	// DependentCount), which builds it with one scan of the database (see
+	// tokens); from then on every merge records its new occurrences here.
+	// Insert-only streams — the common update-exchange shape — never pay
+	// for it. Beyond a killed token's own entry, nothing is pruned when a
+	// fact is removed or the witness cut drops a monomial, so readers check
+	// each candidate's current annotation.
 	tokenIndex map[provenance.Var]map[string]map[string]bool
-	tokenLog   []tokenEntry
-	dead       map[provenance.Var]bool
+	// ruleToks holds the rules' ProvTokens. They name mappings, not base
+	// facts, so they are never deleted and the index leaves them out: a
+	// mapping's token is in every fact derived through it, so its entries
+	// would be most of the index.
+	ruleToks map[provenance.Var]bool
+	dead     map[provenance.Var]bool
 	// arena holds the round executor's reusable buffers. It persists across
 	// Insert/InsertGroups calls, so consecutive incremental fixpoints reuse
 	// the same emission buffers and shard groups instead of reallocating
@@ -78,53 +84,6 @@ func (inc *Incremental) seedNeed() map[string]bool {
 	return inc.needTab[0]
 }
 
-// tokenEntry records that the fact stored under key in pred mentioned the
-// token at some point; duplicates are harmless (folding is idempotent).
-type tokenEntry struct {
-	v    provenance.Var
-	pred string
-	key  string
-}
-
-// TokenEntry is the exported form of one token-occurrence record: the fact
-// stored under Key in Pred mentioned Var in its annotation at some point.
-// Duplicates are tolerated everywhere (folding is idempotent), which is
-// what lets the engine snapshot carry the flat log instead of the folded
-// nested-map index.
-type TokenEntry struct {
-	Var  provenance.Var
-	Pred string
-	Key  string
-}
-
-// TokenOccurrences returns the maintained token-occurrence state flattened
-// into one deterministic (sorted, deduplicated) list — the serializable
-// form of tokenIndex plus the pending tokenLog. RestoreIncremental accepts
-// it back verbatim; the lazy index refolds on the first deletion-side
-// consumer.
-func (inc *Incremental) TokenOccurrences() []TokenEntry {
-	inc.foldTokenLog()
-	out := make([]TokenEntry, 0, len(inc.tokenLog))
-	for v, preds := range inc.tokenIndex {
-		for pred, keys := range preds {
-			for k := range keys {
-				out = append(out, TokenEntry{Var: v, Pred: pred, Key: k})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Var != b.Var {
-			return a.Var < b.Var
-		}
-		if a.Pred != b.Pred {
-			return a.Pred < b.Pred
-		}
-		return a.Key < b.Key
-	})
-	return out
-}
-
 // DeadTokens returns the sorted set of tokens killed by DeleteBase since
 // construction — part of the serializable engine state: a restored engine
 // must keep treating them as dead when later deletions restrict
@@ -143,20 +102,16 @@ func (inc *Incremental) DeadTokens() []provenance.Var {
 // the initial evaluation entirely (the caller warrants db is the fixpoint
 // of p over its base facts, e.g. a DecodeDB of a snapshot taken from a
 // live Incremental) but rebuilds everything derived from the program text:
-// strata, compiled plans, and the need tables. The token occurrences and
-// dead set seed the deletion index lazily, exactly as a live engine keeps
-// them. Ownership of db transfers to the returned Incremental.
-func RestoreIncremental(p *Program, db *DB, opts Options, occurrences []TokenEntry, dead []provenance.Var) (*Incremental, error) {
+// strata, compiled plans, and the need tables. The dead set is restored;
+// the deletion index is not saved, and is built on first use like a live
+// engine's. Ownership of db transfers to the returned Incremental.
+func RestoreIncremental(p *Program, db *DB, opts Options, dead []provenance.Var) (*Incremental, error) {
 	if err := requireNegationFree(p); err != nil {
 		return nil, err
 	}
 	inc, err := newIncremental(p, db, opts)
 	if err != nil {
 		return nil, err
-	}
-	inc.tokenLog = make([]tokenEntry, 0, len(occurrences))
-	for _, e := range occurrences {
-		inc.tokenLog = append(inc.tokenLog, tokenEntry{v: e.Var, pred: e.Pred, key: e.Key})
 	}
 	for _, v := range dead {
 		inc.dead[v] = true
@@ -178,16 +133,7 @@ func NewIncremental(p *Program, edb *DB, opts Options) (*Incremental, error) {
 	if err != nil {
 		return nil, err
 	}
-	inc, err := newIncremental(p, res, opts)
-	if err != nil {
-		return nil, err
-	}
-	for _, pred := range res.Preds() {
-		for _, f := range res.Rel(pred).Facts() {
-			inc.indexFact(pred, f.Tuple.Key(), f.Prov)
-		}
-	}
-	return inc, nil
+	return newIncremental(p, res, opts)
 }
 
 // requireNegationFree rejects programs incremental maintenance cannot
@@ -206,7 +152,7 @@ func requireNegationFree(p *Program) error {
 
 // newIncremental builds the maintained state around db, which must already
 // be the fixpoint of p: everything derived from the program text (strata,
-// compiled plans, need tables), with an empty token index.
+// compiled plans, need tables); the token index is left unbuilt.
 func newIncremental(p *Program, db *DB, opts Options) (*Incremental, error) {
 	strata, err := p.Stratify()
 	if err != nil {
@@ -230,9 +176,14 @@ func newIncremental(p *Program, db *DB, opts Options) (*Incremental, error) {
 			NoReorder:        opts.NoReorder,
 			Stats:            opts.Stats,
 		},
-		maxIter:    maxIter,
-		tokenIndex: map[provenance.Var]map[string]map[string]bool{},
-		dead:       map[provenance.Var]bool{},
+		maxIter:  maxIter,
+		ruleToks: map[provenance.Var]bool{},
+		dead:     map[provenance.Var]bool{},
+	}
+	for _, r := range p.Rules {
+		if r.ProvToken != "" {
+			inc.ruleToks[provenance.Var(r.ProvToken)] = true
+		}
 	}
 	inc.planTab = make([][]rulePlans, len(strata))
 	for si, stratum := range strata {
@@ -261,47 +212,60 @@ func newIncremental(p *Program, db *DB, opts Options) (*Incremental, error) {
 func (inc *Incremental) DB() *DB { return inc.db }
 
 // indexFact records, for every token mentioned in p, that the fact stored
-// under key k in pred currently depends on it. k must be t.Key() of the
-// stored tuple; callers on the hot path already have it.
-// tokenLogFoldThreshold bounds the pending occurrence log: beyond this many
-// entries the log folds into the deduplicated maps even without a
-// deletion-side consumer, so insert-only streams cannot grow it without
-// bound (occurrences repeat on every re-derivation; the maps store each
-// (token, pred, key) once).
-const tokenLogFoldThreshold = 1 << 18
-
+// under key k in pred depends on it. k must be t.Key() of the stored tuple;
+// callers on the hot path already have it. Before the index is built there
+// is nothing to maintain: the build scans what the merges stored.
 func (inc *Incremental) indexFact(pred, k string, p provenance.Poly) {
-	// Append raw variable occurrences; foldTokenLog dedups into the nested
-	// maps when a deletion-side consumer needs them or the log grows large.
+	if inc.tokenIndex == nil {
+		return
+	}
 	for _, m := range p.Monomials() {
 		for _, vp := range m.Vars {
-			inc.tokenLog = append(inc.tokenLog, tokenEntry{v: vp.Var, pred: pred, key: k})
+			if inc.ruleToks[vp.Var] {
+				continue
+			}
+			preds := inc.tokenIndex[vp.Var]
+			if preds == nil {
+				preds = map[string]map[string]bool{}
+				inc.tokenIndex[vp.Var] = preds
+			}
+			keys := preds[pred]
+			if keys == nil {
+				keys = map[string]bool{}
+				preds[pred] = keys
+			}
+			keys[k] = true
 		}
-	}
-	if len(inc.tokenLog) >= tokenLogFoldThreshold {
-		inc.foldTokenLog()
 	}
 }
 
-// foldTokenLog drains the pending occurrence log into tokenIndex.
-func (inc *Incremental) foldTokenLog() {
-	if len(inc.tokenLog) == 0 {
-		return
-	}
-	for _, e := range inc.tokenLog {
-		preds := inc.tokenIndex[e.v]
-		if preds == nil {
-			preds = map[string]map[string]bool{}
-			inc.tokenIndex[e.v] = preds
+// tokens returns the token index, building it on first use with one scan of
+// the database.
+func (inc *Incremental) tokens() map[provenance.Var]map[string]map[string]bool {
+	if inc.tokenIndex == nil {
+		inc.tokenIndex = map[provenance.Var]map[string]map[string]bool{}
+		for pred, rel := range inc.db.rels {
+			for k, f := range rel.facts {
+				inc.indexFact(pred, k, f.Prov)
+			}
 		}
-		keys := preds[e.pred]
-		if keys == nil {
-			keys = map[string]bool{}
-			preds[e.pred] = keys
+		if inc.opts.Stats != nil {
+			inc.opts.Stats.TokenIndexBuilds.Add(1)
 		}
-		keys[e.key] = true
 	}
-	inc.tokenLog = inc.tokenLog[:0]
+	return inc.tokenIndex
+}
+
+// mentions reports whether some monomial of p uses the variable v.
+func mentions(p provenance.Poly, v provenance.Var) bool {
+	for _, m := range p.Monomials() {
+		for _, vp := range m.Vars {
+			if vp.Var == v {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Insert adds base facts and propagates them through the program. It
@@ -729,13 +693,17 @@ func copyInto(dst, src map[string]map[string]deltaFact) {
 // The tokens killed are exactly the variables of the given facts' CURRENT
 // base annotations that look like update tokens owned by those facts; in
 // ORCHESTRA each published tuple carries a unique token, which the exchange
-// layer passes in.
+// layer passes in. A rule's ProvToken is not a base fact's and is ignored
+// here, as by Affected and DependentCount.
 func (inc *Incremental) DeleteBase(tokens []provenance.Var) []Change {
-	inc.foldTokenLog()
+	index := inc.tokens()
 	touched := map[string]map[string]bool{} // pred -> keys
 	for _, tok := range tokens {
+		if inc.ruleToks[tok] {
+			continue
+		}
 		inc.dead[tok] = true
-		for pred, keys := range inc.tokenIndex[tok] {
+		for pred, keys := range index[tok] {
 			tm := touched[pred]
 			if tm == nil {
 				tm = map[string]bool{}
@@ -745,6 +713,8 @@ func (inc *Incremental) DeleteBase(tokens []provenance.Var) []Change {
 				tm[k] = true
 			}
 		}
+		// Once killed, the token leaves every annotation below.
+		delete(index, tok)
 	}
 	alive := func(v provenance.Var) bool { return !inc.dead[v] }
 	var changes []Change
@@ -773,14 +743,20 @@ func (inc *Incremental) DeleteBase(tokens []provenance.Var) []Change {
 	return changes
 }
 
-// DependentCount returns how many facts currently mention the token in
-// their provenance — a cheap measure of the collateral damage of killing
-// it, used by the exchange layer's view-deletion heuristic.
+// DependentCount returns how many stored facts currently mention the token
+// in their provenance — a cheap measure of the collateral damage of killing
+// it, used by the exchange layer's view-deletion heuristic. Facts the index
+// still lists but that were removed, or whose mention of the token the
+// witness cut dropped, do not count.
 func (inc *Incremental) DependentCount(tok provenance.Var) int {
-	inc.foldTokenLog()
 	n := 0
-	for _, keys := range inc.tokenIndex[tok] {
-		n += len(keys)
+	for pred, keys := range inc.tokens()[tok] {
+		rel := inc.db.Rel(pred)
+		for k := range keys {
+			if f, ok := rel.facts[k]; ok && mentions(f.Prov, tok) {
+				n++
+			}
+		}
 	}
 	return n
 }
@@ -792,16 +768,16 @@ func (inc *Incremental) DependentCount(tok provenance.Var) int {
 // (other peers may keep trusting them), while the deleting peer's candidate
 // transaction carries the would-be deletions.
 func (inc *Incremental) Affected(tokens []provenance.Var) []Change {
-	inc.foldTokenLog()
+	index := inc.tokens()
 	tmpDead := map[provenance.Var]bool{}
 	for _, tok := range tokens {
-		tmpDead[tok] = true
+		tmpDead[tok] = !inc.ruleToks[tok]
 	}
 	alive := func(v provenance.Var) bool { return !inc.dead[v] && !tmpDead[v] }
 	var changes []Change
 	seen := map[string]bool{}
 	for _, tok := range tokens {
-		for pred, keys := range inc.tokenIndex[tok] {
+		for pred, keys := range index[tok] {
 			rel := inc.db.Rel(pred)
 			for k := range keys {
 				if seen[pred+"\x00"+k] {

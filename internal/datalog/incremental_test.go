@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"orchestra/internal/provenance"
+	"orchestra/internal/schema"
 )
 
 func tok(i, j int) provenance.Var { return provenance.Var(fmt.Sprintf("e%d_%d", i, j)) }
@@ -182,6 +183,133 @@ func TestIncrementalRejectsNegation(t *testing.T) {
 	}}}
 	if _, err := NewIncremental(prog, NewDB(), Options{}); err == nil {
 		t.Error("negation accepted by incremental engine")
+	}
+}
+
+// joinProgram is J(x) :- A(x), B(x), plus J(x) :- C(x) — a one-token
+// derivation that beats the two-token one under a binding witness cut. Each
+// rule multiplies in its mapping token, as compiled mappings do.
+func joinProgram() *Program {
+	return &Program{Rules: []Rule{
+		{ID: "ab", ProvToken: "Mab", Head: NewHead("J", HV("x")), Body: []Literal{Pos(NewAtom("A", V("x"))), Pos(NewAtom("B", V("x")))}},
+		{ID: "c", ProvToken: "Mc", Head: NewHead("J", HV("x")), Body: []Literal{Pos(NewAtom("C", V("x")))}},
+	}}
+}
+
+func insertOne(t *testing.T, inc *Incremental, pred, x string, v provenance.Var) {
+	t.Helper()
+	f := Fact2{Pred: pred, Tuple: schema.NewTuple(schema.String(x)), Prov: provenance.NewVar(v)}
+	if _, err := inc.Insert(context.Background(), []Fact2{f}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// DependentCount counts the stored facts whose annotation mentions the
+// token now — not a fact DeleteBase removed, nor one whose only mention of
+// it the witness cut dropped.
+func TestDependentCountCountsLiveMentionsOnly(t *testing.T) {
+	inc, err := NewIncremental(joinProgram(), NewDB(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertOne(t, inc, "A", "1", "a")
+	insertOne(t, inc, "B", "1", "b")
+	if n := inc.DependentCount("b"); n != 2 { // B(1), J(1)
+		t.Fatalf("DependentCount(b) = %d before the deletion, want 2", n)
+	}
+	inc.DeleteBase([]provenance.Var{"a"})
+	if inc.DB().Rel("J").Len() != 0 {
+		t.Fatalf("J = %v after killing a", inc.DB().Rel("J").Facts())
+	}
+	if n := inc.DependentCount("b"); n != 1 { // B(1) only
+		t.Errorf("DependentCount(b) = %d after J(1) was removed, want 1", n)
+	}
+
+	cut, err := NewIncremental(joinProgram(), NewDB(), Options{MaxMonomials: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertOne(t, cut, "A", "1", "a")
+	insertOne(t, cut, "B", "1", "b")
+	if n := cut.DependentCount("b"); n != 2 {
+		t.Fatalf("DependentCount(b) = %d before the cut, want 2", n)
+	}
+	insertOne(t, cut, "C", "1", "c") // J(1) keeps c·Mc and drops a·b·Mab
+	j1 := schema.NewTuple(schema.String("1"))
+	if f, _ := cut.DB().Rel("J").Get(j1); mentions(f.Prov, "b") || !mentions(f.Prov, "c") {
+		t.Fatalf("J(1) @ %s, want the cut to keep c·Mc", f.Prov)
+	}
+	if n := cut.DependentCount("b"); n != 1 {
+		t.Errorf("DependentCount(b) = %d after the cut dropped J(1)'s a·b·Mab, want 1", n)
+	}
+
+	// A mapping's token is no base fact's: nothing depends on it, and
+	// killing it deletes nothing.
+	if n := cut.DependentCount("Mc"); n != 0 {
+		t.Errorf("DependentCount(Mc) = %d, want 0", n)
+	}
+	if cs := cut.Affected([]provenance.Var{"Mc"}); len(cs) != 0 {
+		t.Errorf("Affected(Mc) = %v, want no change", cs)
+	}
+	if cs := cut.DeleteBase([]provenance.Var{"Mc"}); len(cs) != 0 || !cut.DB().Rel("J").Contains(j1) {
+		t.Errorf("DeleteBase(Mc) = %v, want no change", cs)
+	}
+}
+
+// The deletion index is built by the first deletion-side call, once, and
+// kept up to date by later merges; inserts alone never build it, and a
+// restored engine builds its own on first use.
+func TestTokenIndexBuiltOnFirstDeletion(t *testing.T) {
+	var st EvalStats
+	edb := NewDB()
+	edb.Add("E", edge("a", "b"), provenance.NewVar("ab"))
+	inc, err := NewIncremental(tcProgram(), edb, Options{Stats: &st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range [][2]string{{"b", "c"}, {"c", "d"}} {
+		if _, err := inc.Insert(context.Background(), []Fact2{{Pred: "E", Tuple: edge(e[0], e[1]), Prov: provenance.NewVar(tok(0, i))}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := st.TokenIndexBuilds.Load(); n != 0 {
+		t.Fatalf("inserts built the token index %d times", n)
+	}
+	inc.DeleteBase([]provenance.Var{tok(0, 1)}) // c->d
+	if n := st.TokenIndexBuilds.Load(); n != 1 {
+		t.Fatalf("first DeleteBase: %d index builds, want 1", n)
+	}
+	// Facts merged after the build are found through the maintained index.
+	if _, err := inc.Insert(context.Background(), []Fact2{{Pred: "E", Tuple: edge("c", "e"), Prov: provenance.NewVar("ce")}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := inc.DependentCount("ce"); n != 4 { // E(c,e), T(c,e), T(b,e), T(a,e)
+		t.Errorf("DependentCount(ce) = %d, want 4", n)
+	}
+	if cs := inc.Affected([]provenance.Var{"ce"}); len(cs) != 4 {
+		t.Errorf("Affected(ce) = %v, want 4 removals", cs)
+	}
+	inc.DeleteBase([]provenance.Var{"ce"})
+	if inc.DB().Rel("T").Contains(edge("a", "e")) {
+		t.Error("T(a,e) survived the deletion of c->e")
+	}
+	if n := st.TokenIndexBuilds.Load(); n != 1 {
+		t.Fatalf("%d index builds after later deletions, want 1", n)
+	}
+
+	restored, err := RestoreIncremental(tcProgram(), inc.DB().Snapshot(), Options{Stats: &st}, inc.DeadTokens())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := st.TokenIndexBuilds.Load(); n != 1 {
+		t.Fatalf("RestoreIncremental built the index (%d builds)", n)
+	}
+	restored.DeleteBase([]provenance.Var{"ab"})
+	if n := st.TokenIndexBuilds.Load(); n != 2 {
+		t.Fatalf("restored engine's first DeleteBase: %d builds in all, want 2", n)
+	}
+	if restored.DB().Rel("T").Contains(edge("a", "c")) {
+		t.Error("restored engine kept T(a,c) after a->b died")
 	}
 }
 

@@ -93,6 +93,10 @@ type EvalStats struct {
 	// Truncations counts merges whose MaxMonomials cut dropped at least one
 	// witness monomial (provenance.MergeWitness).
 	Truncations atomic.Int64
+	// TokenIndexBuilds counts scans that built an incremental engine's
+	// deletion index: at most one per engine, at its first DeleteBase,
+	// Affected or DependentCount — after a restore too.
+	TokenIndexBuilds atomic.Int64
 }
 
 // PushdownRate returns the fraction of index probes whose key carried at
@@ -108,10 +112,11 @@ func (s *EvalStats) PushdownRate() float64 {
 // String renders the counters on one line, for logs and test failures.
 func (s *EvalStats) String() string {
 	return fmt.Sprintf(
-		"probes=%d pushdown=%d candidates=%d emitted=%d suppressed=%d hashjoins=%d rounds=%d parrounds=%d workers=%d peaklive=%d truncations=%d",
+		"probes=%d pushdown=%d candidates=%d emitted=%d suppressed=%d hashjoins=%d rounds=%d parrounds=%d workers=%d peaklive=%d truncations=%d tokenindexbuilds=%d",
 		s.Probes.Load(), s.PushdownProbes.Load(), s.Candidates.Load(), s.Emitted.Load(),
 		s.Suppressed.Load(), s.HashJoinBuilds.Load(), s.Rounds.Load(),
-		s.ParallelRounds.Load(), s.WorkersUsed.Load(), s.PeakLive.Load(), s.Truncations.Load())
+		s.ParallelRounds.Load(), s.WorkersUsed.Load(), s.PeakLive.Load(), s.Truncations.Load(),
+		s.TokenIndexBuilds.Load())
 }
 
 // atomicMax raises a to at least v.

@@ -10,7 +10,12 @@ import (
 
 func fig2Engine(t *testing.T) *Engine {
 	t.Helper()
-	e, err := NewEngine(workload.Figure2Peers(), workload.Figure2Mappings())
+	return fig2EngineWith(t, Config{})
+}
+
+func fig2EngineWith(t testing.TB, cfg Config) *Engine {
+	t.Helper()
+	e, err := NewEngineWith(workload.Figure2Peers(), workload.Figure2Mappings(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,4 +13,8 @@ var (
 	ErrUnknownRelation = errors.New("exchange: unknown relation")
 	// ErrAlreadyApplied reports a transaction fed to Apply twice.
 	ErrAlreadyApplied = errors.New("exchange: transaction already applied")
+	// ErrBadState reports engine-snapshot bytes LoadState cannot read: a
+	// wrong magic, a truncated or overlong section, or a malformed union
+	// database (which also wraps datalog.ErrBadSnapshot).
+	ErrBadState = errors.New("exchange: malformed engine snapshot")
 )

@@ -12,28 +12,26 @@ import (
 
 // Engine state serialization (DESIGN.md §13). SaveState captures everything
 // the translation engine accumulates over its lifetime — the union database
-// (through the datalog snapshot codec), the flat token-occurrence log the
-// lazy deletion index refolds from, the dead-token set, the base-token map,
-// and the applied-transaction set — so a recovered peer restores the engine
-// and replays only the post-checkpoint archive suffix instead of its whole
-// fetched history.
+// (through the datalog snapshot codec), the dead-token set, the base-token
+// map, and the applied-transaction set — so a recovered peer restores the
+// engine and replays only the post-checkpoint archive suffix instead of its
+// whole fetched history. The deletion index is not saved: the restored
+// engine builds it from the union database at its first deletion.
 //
 // Layout (uvarint integers, uvarint-length-prefixed strings):
 //
-//	magic "OES1"
+//	magic "OES2"
 //	dbLen, then the EncodeDB blob
-//	occCount · { var, pred, tupleKey }   (sorted — TokenOccurrences order)
 //	deadCount · { var }                  (sorted)
 //	baseCount · { key, tokCount · tok }  (sorted by key)
 //	appliedCount · { peer, seq }         (sorted by TxnID)
 
 // stateMagic versions the engine-state layout; see codecMagic in
 // internal/datalog for the refusal contract.
-const stateMagic = "OES1"
+const stateMagic = "OES2"
 
-// SaveState serializes the engine's accumulated state. The engine is not
-// mutated (the token log folds into its index, which is an internal
-// representation change only).
+// SaveState serializes the engine's accumulated state without mutating the
+// engine.
 func (e *Engine) SaveState() ([]byte, error) {
 	dbBlob, err := datalog.EncodeDB(e.inc.DB())
 	if err != nil {
@@ -42,14 +40,6 @@ func (e *Engine) SaveState() ([]byte, error) {
 	buf := append([]byte(nil), stateMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(dbBlob)))
 	buf = append(buf, dbBlob...)
-
-	occ := e.inc.TokenOccurrences()
-	buf = binary.AppendUvarint(buf, uint64(len(occ)))
-	for _, o := range occ {
-		buf = appendStateString(buf, string(o.Var))
-		buf = appendStateString(buf, o.Pred)
-		buf = appendStateString(buf, o.Key)
-	}
 
 	dead := e.inc.DeadTokens()
 	buf = binary.AppendUvarint(buf, uint64(len(dead)))
@@ -89,35 +79,18 @@ func (e *Engine) SaveState() ([]byte, error) {
 // snapshot: the union database is decoded and wrapped in restored
 // incremental maintenance (no re-evaluation — the snapshot is already at
 // fixpoint), and the base-token map and applied set are rebuilt exactly.
-// On error the engine is left unchanged.
+// Malformed bytes fail with an error wrapping ErrBadState, and on any error
+// the engine is left unchanged.
 func (e *Engine) LoadState(blob []byte) error {
-	if len(blob) < len(stateMagic) || string(blob[:len(stateMagic)]) != stateMagic {
-		return fmt.Errorf("exchange: not an engine snapshot (bad magic)")
-	}
-	r := &stateReader{buf: blob[len(stateMagic):]}
-
-	dbLen := r.uvarint()
-	if r.err == nil && dbLen > uint64(len(r.buf)) {
-		r.err = fmt.Errorf("exchange: truncated engine snapshot (db blob overruns buffer)")
-	}
-	if r.err != nil {
-		return r.err
-	}
-	db, err := datalog.DecodeDB(r.buf[:dbLen])
+	dbBlob, r, err := openState(blob)
 	if err != nil {
 		return err
 	}
-	r.buf = r.buf[dbLen:]
-
-	nOcc := r.uvarint()
-	occ := make([]datalog.TokenEntry, 0, r.capHint(nOcc))
-	for i := uint64(0); i < nOcc && r.err == nil; i++ {
-		occ = append(occ, datalog.TokenEntry{
-			Var:  provenance.Var(r.string()),
-			Pred: r.string(),
-			Key:  r.string(),
-		})
+	db, err := datalog.DecodeDB(dbBlob)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrBadState, err)
 	}
+
 	nDead := r.uvarint()
 	dead := make([]provenance.Var, 0, r.capHint(nDead))
 	for i := uint64(0); i < nDead && r.err == nil; i++ {
@@ -145,10 +118,10 @@ func (e *Engine) LoadState(blob []byte) error {
 		return r.err
 	}
 	if len(r.buf) != 0 {
-		return fmt.Errorf("exchange: %d trailing bytes after engine snapshot", len(r.buf))
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadState, len(r.buf))
 	}
 
-	inc, err := datalog.RestoreIncremental(e.prog, db, e.opts, occ, dead)
+	inc, err := datalog.RestoreIncremental(e.prog, db, e.opts, dead)
 	if err != nil {
 		return err
 	}
@@ -162,18 +135,30 @@ func (e *Engine) LoadState(blob []byte) error {
 // StatState summarizes an engine snapshot's union-database section without
 // materializing it — the path behind `orchestra inspect`.
 func StatState(blob []byte) (datalog.DBStats, error) {
+	dbBlob, _, err := openState(blob)
+	if err != nil {
+		return datalog.DBStats{}, err
+	}
+	return datalog.StatDB(dbBlob)
+}
+
+// openState checks a snapshot's magic and splits off its union-database
+// section, returning a reader positioned after it.
+func openState(blob []byte) ([]byte, *stateReader, error) {
 	if len(blob) < len(stateMagic) || string(blob[:len(stateMagic)]) != stateMagic {
-		return datalog.DBStats{}, fmt.Errorf("exchange: not an engine snapshot (bad magic)")
+		return nil, nil, fmt.Errorf("%w: bad magic", ErrBadState)
 	}
 	r := &stateReader{buf: blob[len(stateMagic):]}
 	dbLen := r.uvarint()
 	if r.err == nil && dbLen > uint64(len(r.buf)) {
-		r.err = fmt.Errorf("exchange: truncated engine snapshot (db blob overruns buffer)")
+		r.err = fmt.Errorf("%w: db blob overruns buffer", ErrBadState)
 	}
 	if r.err != nil {
-		return datalog.DBStats{}, r.err
+		return nil, nil, r.err
 	}
-	return datalog.StatDB(r.buf[:dbLen])
+	dbBlob := r.buf[:dbLen]
+	r.buf = r.buf[dbLen:]
+	return dbBlob, r, nil
 }
 
 func appendStateString(buf []byte, s string) []byte {
@@ -193,7 +178,7 @@ func (r *stateReader) uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(r.buf)
 	if n <= 0 {
-		r.err = fmt.Errorf("exchange: truncated engine snapshot (bad varint)")
+		r.err = fmt.Errorf("%w: bad varint", ErrBadState)
 		return 0
 	}
 	r.buf = r.buf[n:]
@@ -213,7 +198,7 @@ func (r *stateReader) string() string {
 		return ""
 	}
 	if n > uint64(len(r.buf)) {
-		r.err = fmt.Errorf("exchange: truncated engine snapshot (string overruns buffer)")
+		r.err = fmt.Errorf("%w: string overruns buffer", ErrBadState)
 		return ""
 	}
 	s := string(r.buf[:n])

@@ -2,11 +2,13 @@ package exchange
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"orchestra/internal/datalog"
 	"orchestra/internal/updates"
 	"orchestra/internal/workload"
 )
@@ -28,8 +30,8 @@ func unionFingerprint(e *Engine) string {
 
 // applyHistory drives a mixed workload: cross-peer inserts that derive
 // joined tuples, a modify, and a delete — exercising base tokens, dead
-// tokens, and the token-occurrence index.
-func applyHistory(t *testing.T, e *Engine) []*Result {
+// tokens, and the deletion index.
+func applyHistory(t testing.TB, e *Engine) []*Result {
 	t.Helper()
 	var results []*Result
 	txns := []*updates.Transaction{
@@ -57,17 +59,34 @@ func applyHistory(t *testing.T, e *Engine) []*Result {
 // TestEngineStateRoundTrip pins that SaveState→LoadState reproduces the
 // engine exactly: same union database (tuples AND provenance), same applied
 // set, and identical behavior on subsequent transactions — including
-// deletions, which depend on the restored base tokens, dead set, and token
-// occurrences.
+// deletions, which depend on the restored base tokens and dead set, and on a
+// deletion index the restored engine builds from its union database while
+// the live one has maintained (stale entries and all) since its first
+// deletion. It runs at the default witness bound and again at MaxMonomials
+// 2, where the cut binds.
 func TestEngineStateRoundTrip(t *testing.T) {
-	live := fig2Engine(t)
+	t.Run("default", func(t *testing.T) { checkEngineStateRoundTrip(t, Config{}) })
+	t.Run("maxmonomials=2", func(t *testing.T) {
+		var st datalog.EvalStats
+		checkEngineStateRoundTrip(t, Config{MaxMonomials: 2, Stats: &st})
+		if st.Truncations.Load() == 0 {
+			t.Error("the witness cut never bound; the history does not test it")
+		}
+	})
+}
+
+func checkEngineStateRoundTrip(t *testing.T, cfg Config) {
+	live := fig2EngineWith(t, cfg)
 	applyHistory(t, live)
 	blob, err := live.SaveState()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	restored := fig2Engine(t)
+	var restoredStats datalog.EvalStats
+	restoredCfg := cfg
+	restoredCfg.Stats = &restoredStats
+	restored := fig2EngineWith(t, restoredCfg)
 	if err := restored.LoadState(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +103,18 @@ func TestEngineStateRoundTrip(t *testing.T) {
 		t.Fatal("restored engine invented an applied txn")
 	}
 
-	// Both engines must now translate the same future identically — a
-	// delete of a base tuple (kills restored base tokens) and a fresh
-	// insert joining against restored state.
+	// Both engines must now translate the same future identically — Beijing
+	// deleting an S row it received from Alaska (derived data: the kill set
+	// and Affected run first on the restored engine, over the index its first
+	// use scans), a delete of a base tuple (kills restored base tokens) and a
+	// fresh insert joining against restored state.
 	future := []*updates.Transaction{
+		txn(workload.Beijing, 3, updates.Delete("S", workload.STuple(1, 10, "GGGG"))),
 		txn(workload.Alaska, 3, updates.Delete("O", workload.OTuple("mouse", 1))),
-		txn(workload.Beijing, 3, updates.Insert("O", workload.OTuple("rat", 2))),
+		txn(workload.Beijing, 4, updates.Insert("O", workload.OTuple("rat", 2))),
+	}
+	if n := restoredStats.TokenIndexBuilds.Load(); n != 0 {
+		t.Fatalf("LoadState built the deletion index (%d builds)", n)
 	}
 	for _, tx := range future {
 		cp := *tx
@@ -104,9 +129,15 @@ func TestEngineStateRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(describeResult(wantRes), describeResult(gotRes)) {
 			t.Fatalf("txn %s diverged:\nlive: %v\nrestored: %v", tx.ID, describeResult(wantRes), describeResult(gotRes))
 		}
+		if tx == future[0] && len(gotRes.ExtraDeps[workload.Beijing]) == 0 {
+			t.Fatalf("Beijing's delete of derived data found no supporting txn: %v", describeResult(gotRes))
+		}
 	}
 	if want, got := unionFingerprint(live), unionFingerprint(restored); want != got {
 		t.Fatalf("union DBs diverged after post-restore traffic:\nlive:\n%s\nrestored:\n%s", want, got)
+	}
+	if n := restoredStats.TokenIndexBuilds.Load(); n != 1 {
+		t.Errorf("restored engine built its deletion index %d times, want 1", n)
 	}
 }
 
@@ -133,17 +164,19 @@ func TestEngineStateRejectsCorruptBlobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := fig2Engine(t)
-	if err := fresh.LoadState([]byte("nope")); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	for _, cut := range []int{5, len(blob) / 2, len(blob) - 1} {
-		if err := fresh.LoadState(blob[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+	refused := func(what string, b []byte) {
+		t.Helper()
+		if err := fresh.LoadState(b); !errors.Is(err, ErrBadState) {
+			t.Fatalf("%s: LoadState = %v, want ErrBadState", what, err)
 		}
 	}
-	if err := fresh.LoadState(append(append([]byte(nil), blob...), 1)); err == nil {
-		t.Fatal("trailing garbage accepted")
+	refused("bad magic", []byte("nope"))
+	// The previous layout carried a token-occurrence section.
+	refused("OES1 blob", append([]byte("OES1"), blob[len(stateMagic):]...))
+	for _, cut := range []int{5, len(blob) / 2, len(blob) - 1} {
+		refused(fmt.Sprintf("truncation at %d", cut), blob[:cut])
 	}
+	refused("trailing garbage", append(append([]byte(nil), blob...), 1))
 	// A failed load leaves the engine usable and empty.
 	if fresh.Applied(updates.TxnID{Peer: workload.Alaska, Seq: 1}) {
 		t.Fatal("failed LoadState mutated the engine")
@@ -154,4 +187,73 @@ func TestEngineStateRejectsCorruptBlobs(t *testing.T) {
 	if stats, err := StatState(blob); err != nil || stats.Facts == 0 || stats.Preds == 0 {
 		t.Fatalf("StatState = %+v, %v", stats, err)
 	}
+}
+
+// FuzzLoadState: whatever bytes arrive as an engine snapshot — a corrupted
+// engine blob on recovery — LoadState refuses them with ErrBadState or
+// loads an engine whose SaveState loads again into the same union database,
+// dead set, base-token map and applied set, and never panics. Seeds are the
+// histories above at both witness bounds, and an empty engine.
+func FuzzLoadState(f *testing.F) {
+	empty := fig2EngineWith(f, Config{})
+	histories := []*Engine{fig2EngineWith(f, Config{}), fig2EngineWith(f, Config{MaxMonomials: 2})}
+	for _, e := range histories {
+		applyHistory(f, e)
+	}
+	for _, e := range append(histories, empty) {
+		blob, err := e.SaveState()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	// LoadState replaces an engine's whole state (and leaves it untouched on
+	// error), so two engines serve every input: building one per input made
+	// each run, and so the fuzzer's input minimization, several times slower.
+	e, back := fig2EngineWith(f, Config{}), fig2EngineWith(f, Config{})
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		if err := e.LoadState(blob); err != nil {
+			if !errors.Is(err, ErrBadState) {
+				t.Fatalf("untyped LoadState error: %v", err)
+			}
+			return
+		}
+		again, err := e.SaveState()
+		if err != nil {
+			t.Fatalf("SaveState of a loaded engine: %v", err)
+		}
+		if err := back.LoadState(again); err != nil {
+			t.Fatalf("LoadState refuses its own SaveState: %v", err)
+		}
+		if err := sameUnion(e.inc.DB(), back.inc.DB()); err != nil {
+			t.Fatalf("save/load changed the union database: %v", err)
+		}
+		if !reflect.DeepEqual(e.inc.DeadTokens(), back.inc.DeadTokens()) ||
+			!reflect.DeepEqual(e.baseTokens, back.baseTokens) ||
+			!reflect.DeepEqual(e.applied, back.applied) {
+			t.Fatal("save/load changed the dead set, base tokens or applied set")
+		}
+	})
+}
+
+// sameUnion compares two databases fact by fact (tuple key, provenance
+// Equal): extent order is not compared, since Value.Compare cannot order
+// every tuple (see datalog.FuzzDecodeDB).
+func sameUnion(a, b *datalog.DB) error {
+	if pa, pb := a.Preds(), b.Preds(); !reflect.DeepEqual(pa, pb) {
+		return fmt.Errorf("predicates %v vs %v", pa, pb)
+	}
+	for _, pred := range a.Preds() {
+		ra, rb := a.Rel(pred), b.Rel(pred)
+		if ra.Len() != rb.Len() {
+			return fmt.Errorf("%s: %d facts vs %d", pred, ra.Len(), rb.Len())
+		}
+		for _, f := range ra.Facts() {
+			g, ok := rb.Get(f.Tuple)
+			if !ok || !g.Prov.Equal(f.Prov) {
+				return fmt.Errorf("%s%v @ %s: got %v (present %v)", pred, f.Tuple, f.Prov, g.Prov, ok)
+			}
+		}
+	}
+	return nil
 }

@@ -63,6 +63,10 @@ type EvalCounters struct {
 	// Truncations counts merges whose witness-set bound (WithMaxMonomials)
 	// dropped at least one derivation.
 	Truncations int64 `json:"truncations"`
+	// TokenIndexBuilds counts scans that built a translation engine's
+	// deletion index, one at each engine's first deletion — so a slow first
+	// deletion, e.g. the first after recovery, shows what it paid for.
+	TokenIndexBuilds int64 `json:"token_index_builds"`
 }
 
 // PushdownRate returns the fraction of probes that carried a pushed-down
@@ -101,17 +105,18 @@ func (s *System) evalCounters() EvalCounters {
 		return EvalCounters{}
 	}
 	return EvalCounters{
-		Probes:         st.Probes.Load(),
-		PushdownProbes: st.PushdownProbes.Load(),
-		Candidates:     st.Candidates.Load(),
-		Emitted:        st.Emitted.Load(),
-		Suppressed:     st.Suppressed.Load(),
-		HashJoinBuilds: st.HashJoinBuilds.Load(),
-		Rounds:         st.Rounds.Load(),
-		ParallelRounds: st.ParallelRounds.Load(),
-		WorkersUsed:    st.WorkersUsed.Load(),
-		PeakLive:       st.PeakLive.Load(),
-		Truncations:    st.Truncations.Load(),
+		Probes:           st.Probes.Load(),
+		PushdownProbes:   st.PushdownProbes.Load(),
+		Candidates:       st.Candidates.Load(),
+		Emitted:          st.Emitted.Load(),
+		Suppressed:       st.Suppressed.Load(),
+		HashJoinBuilds:   st.HashJoinBuilds.Load(),
+		Rounds:           st.Rounds.Load(),
+		ParallelRounds:   st.ParallelRounds.Load(),
+		WorkersUsed:      st.WorkersUsed.Load(),
+		PeakLive:         st.PeakLive.Load(),
+		Truncations:      st.Truncations.Load(),
+		TokenIndexBuilds: st.TokenIndexBuilds.Load(),
 	}
 }
 
@@ -133,6 +138,7 @@ func (s *System) obsSnapshot() (*obs.Snapshot, EvalCounters) {
 		snap.Counters["datalog_workers_used_total"] = ev.WorkersUsed
 		snap.Gauges["datalog_peak_live"] = ev.PeakLive
 		snap.Counters["provenance_truncations_total"] = ev.Truncations
+		snap.Counters["datalog_token_index_builds_total"] = ev.TokenIndexBuilds
 	}
 	return snap, ev
 }

@@ -67,6 +67,10 @@ func TestMetricsDurableRoundTrip(t *testing.T) {
 	if got, ok := m.Counters["provenance_truncations_total"]; !ok || got != m.Eval.Truncations {
 		t.Errorf("provenance_truncations_total = %d (exported %v), want the evaluator's %d", got, ok, m.Eval.Truncations)
 	}
+	// Nothing was deleted, so no engine built its deletion index.
+	if got, ok := m.Counters["datalog_token_index_builds_total"]; !ok || got != 0 || m.Eval.TokenIndexBuilds != 0 {
+		t.Errorf("datalog_token_index_builds_total = %d (exported %v, evaluator %d), want 0 after inserts only", got, ok, m.Eval.TokenIndexBuilds)
+	}
 	// Reconcile must have traced a parent span with a drain child.
 	var reconcileID uint64
 	for _, sp := range m.Spans {
