@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt fmt-check lint vuln series-check fuzz-smoke bench bench-build bench-e2e bench-smoke bench-query bench-publish bench-sweep bench-baseline bench-compare bench-overhead endpoint-smoke memprofile examples-check recovery-check recovery-scaling reconcile-scaling ci
+.PHONY: build test race vet fmt fmt-check lint vuln series-check fuzz-smoke bench-build bench-e2e bench-smoke bench-overhead endpoint-smoke examples-check recovery-check recovery-scaling reconcile-scaling ci
 
 ## build: compile every package
 build:
@@ -58,20 +58,18 @@ series-check:
 
 ## fuzz-smoke: each native fuzz target for FUZZTIME — wire transactions and
 ## store-server request frames (internal/p2p), DB snapshots (internal/datalog),
-## engine snapshots (internal/exchange) and the witness-set merge kernel
-## against its N[X] definition (internal/provenance); `go test -fuzz` takes
-## one target per run. A failing input lands in the package's testdata/fuzz/.
+## engine snapshots (internal/exchange), the peer's engine blob
+## (internal/core) and the witness-set merge kernel against its N[X]
+## definition (internal/provenance); `go test -fuzz` takes one target per
+## run. A failing input lands in the package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTxn$$' -fuzztime $(FUZZTIME) ./internal/p2p/
 	$(GO) test -run '^$$' -fuzz '^FuzzServerRequest$$' -fuzztime $(FUZZTIME) ./internal/p2p/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDB$$' -fuzztime $(FUZZTIME) ./internal/datalog/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadState$$' -fuzztime $(FUZZTIME) ./internal/exchange/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEngineBlob$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeWitness$$' -fuzztime $(FUZZTIME) ./internal/provenance/
-
-## bench: full benchmark run with allocation profiles
-bench:
-	$(GO) test -bench=. -benchmem -run '^$$' .
 
 ## bench-build: vet and unit-test the repo benchmark (bench/ is its own Go
 ## module over the engine's internal packages, so `./...` never reaches it;
@@ -92,44 +90,16 @@ bench-e2e:
 		bash bench/run.sh --workload $$w --seed $(SEED) --seconds $(SECONDS) --trace 0 || exit 1; \
 	done
 
-## bench-smoke: every benchmark in every package executes exactly once —
-## keeps the root bench files and the internal benchmarks (e.g.
-## internal/datalog) compiling and running in CI
+## bench-smoke: every go benchmark in every package executes exactly once —
+## keeps the ones the gates below run (BenchmarkRecovery,
+## BenchmarkReconcileHistory, BenchmarkOverhead*) and the two internal ones
+## (internal/datalog, internal/provenance) compiling and running
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
 
-## bench-query: goal-directed vs full-fixpoint query benchmarks (the
-## magic-sets acceptance pair; see internal/datalog/magic)
-bench-query:
-	$(GO) test -bench 'BenchmarkQuery(GoalDirected|FullFixpoint)' -benchmem -run '^$$' .
-
-## bench-publish: group-commit publication benchmarks (the E9 acceptance
-## pair; sequential per-publish reconcile vs coalesced batch — DESIGN.md §8).
-## BENCHTIME is tunable so the CI smoke can run it at 1x.
-BENCHTIME ?= 10x
-bench-publish:
-	$(GO) test -bench 'BenchmarkPublishBatch' -benchtime=$(BENCHTIME) -benchmem -run '^$$' .
-
-## bench-sweep: the multi-core worker sweep — parallel stratum benchmarks
-## across -cpu values with a speedup-ratio summary (tunable: CPUS=1,2,4
-## BENCHTIME=3x; pass an argument file via the script to keep raw output)
-bench-sweep:
-	./scripts/bench_sweep.sh
-
-## bench-baseline: regenerate the committed BENCH_baseline.json snapshot
-bench-baseline:
-	./scripts/bench_baseline.sh > BENCH_baseline.json
-	@echo wrote BENCH_baseline.json
-
-## bench-compare: diff a fresh benchmark run against BENCH_baseline.json —
-## ns/op, B/op, and allocs/op are all gated (tunable: TOLERANCE=6.0
-## MEM_TOLERANCE=2.0 BENCHTIME=1x)
-bench-compare:
-	./scripts/bench_compare.sh
-
-## bench-overhead: the instrumentation-overhead gate — the E2/E4/E10
-## workload shapes with the evaluator stats sink off vs on, best-of-COUNT
-## ns/op, failing past OVERHEAD_TOLERANCE percent (tunable:
+## bench-overhead: the instrumentation-overhead gate — three evaluator
+## workloads (bench_overhead_test.go) with the stats sink off vs on,
+## best-of-COUNT ns/op, failing past OVERHEAD_TOLERANCE percent (tunable:
 ## OVERHEAD_TOLERANCE=3 BENCHTIME=50x COUNT=7; see DESIGN.md §12)
 bench-overhead:
 	./scripts/bench_overhead.sh
@@ -139,18 +109,6 @@ bench-overhead:
 ## /debug/orchestra/metrics (Prometheus text), and /debug/pprof/
 endpoint-smoke:
 	./scripts/endpoint_smoke.sh
-
-## memprofile: heap profiles for the two memory-heaviest workloads — E2
-## incremental maintenance (mem_e2.out) and the E10 parallel stratum under
-## the adaptive worker gate (mem_e10.out). Inspect with
-##   go tool pprof -top -sample_index=alloc_space mem_e10.out
-## (alloc_space shows cumulative allocation, the column the streaming
-## evaluator targets; inuse_space shows the live fixpoint). See README
-## "Measuring memory".
-memprofile:
-	$(GO) test -bench 'BenchmarkE2IncrementalVsFull/incremental-delta4' -benchtime=5x -benchmem -memprofile mem_e2.out -run '^$$' .
-	$(GO) test -bench 'BenchmarkParallelStratum/workers=adaptive' -benchtime=3x -benchmem -memprofile mem_e10.out -run '^$$' .
-	@echo "wrote mem_e2.out and mem_e10.out; inspect with: go tool pprof -top -sample_index=alloc_space mem_e2.out"
 
 ## recovery-check: the storage fault-injection gate, under the race
 ## detector — WAL randomized cut harnesses (torn tails, mid-log corruption)
@@ -190,4 +148,4 @@ examples-check:
 ## ci: everything the CI workflow runs, in one command (lint and vuln are
 ## separate because they need tools on PATH; run `make lint vuln` too when
 ## you have them installed)
-ci: build vet fmt-check series-check race fuzz-smoke bench-build bench-smoke bench-compare bench-overhead recovery-check recovery-scaling reconcile-scaling examples-check endpoint-smoke
+ci: build vet fmt-check series-check race fuzz-smoke bench-build bench-smoke bench-overhead recovery-check recovery-scaling reconcile-scaling examples-check endpoint-smoke

@@ -1,12 +1,9 @@
 package orchestra_test
 
-// Durable-tier benchmarks. BenchmarkDurablePublish prices the write path:
-// one group-committed Publish of an N-transaction burst through the LSM
-// archive (one WAL record, one fsync per batch), against the same burst on
-// the in-memory store — the fsync is the cost of durability, the batching
-// is what amortizes it. BenchmarkRecovery prices the read path: bringing a
-// crashed peer back from its checkpoint plus the published suffix, the
-// startup cost WithDurableDir adds over an empty open.
+// BenchmarkRecovery prices bringing a crashed peer back from its checkpoint
+// plus the published suffix, the startup cost WithDurableDir adds over an
+// empty open. The durable write path is the benchmark's durable-pipeline
+// workload (bench/).
 
 import (
 	"context"
@@ -23,55 +20,8 @@ import (
 	"orchestra/internal/workload"
 )
 
+// durableBurst is the number of transactions one Publish archives.
 const durableBurst = 32
-
-func benchPublishBurst(b *testing.B, store p2p.Store) {
-	topo := workload.Chain(2)
-	sys, err := core.NewSystem(topo.Peers, topo.Mappings)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pub, err := core.NewPeer(topo.Names[0], sys, store, recon.TrustAll(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	key := int64(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < durableBurst; j++ {
-			if _, err := pub.NewTransaction().
-				Insert("S", workload.STuple(key, key, workload.Sequence(key, key))).
-				Commit(); err != nil {
-				b.Fatal(err)
-			}
-			key++
-		}
-		// One Publish archives the whole burst: on the durable store that
-		// is one atomic WAL record and one fsync.
-		if _, err := pub.Publish(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDurablePublish(b *testing.B) {
-	b.Run("memory", func(b *testing.B) {
-		benchPublishBurst(b, p2p.NewMemoryStore())
-	})
-	b.Run("lsm", func(b *testing.B) {
-		db, err := lsm.Open(b.TempDir(), lsm.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer db.Close()
-		ds, err := p2p.NewDurableStore(db)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchPublishBurst(b, ds)
-	})
-}
 
 // BenchmarkRecovery: recover a peer whose checkpoint covers all but a fixed
 // two-epoch suffix of the published history, versus recovering from the

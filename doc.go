@@ -42,8 +42,7 @@
 // reachable from the goal's bound arguments drive the fixpoint, with
 // answers (tuples and provenance) identical to the full fixpoint.
 //
-// See README for a tour, DESIGN.md for the system inventory and experiment
-// index (goal-directed querying is §7), and EXPERIMENTS.md for
-// paper-vs-measured results. The benchmarks in bench_test.go regenerate
-// the experiment tables E1–E8.
+// See README for a tour and DESIGN.md for the system inventory, the design
+// decisions (goal-directed querying is §7), and what measures each of them
+// (§2: the repo benchmark declared by BENCHMARK.json, in bench/).
 package orchestra

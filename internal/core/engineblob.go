@@ -8,6 +8,7 @@ import (
 	"orchestra/internal/datalog"
 	"orchestra/internal/exchange"
 	"orchestra/internal/lsm"
+	"orchestra/internal/provenance"
 	"orchestra/internal/recon"
 	"orchestra/internal/schema"
 	"orchestra/internal/updates"
@@ -45,6 +46,11 @@ const engineBlobMagic = "OEB3"
 // layout (its magic differs in the version digit only). Such a blob is
 // well-formed but unreadable; recovery treats it as absent.
 var errBlobVersion = errors.New("core: engine snapshot of another format version")
+
+// ErrBadEngineBlob reports bytes decodeEngineBlob refuses: not an engine
+// blob, truncated, or carrying content encodeEngineBlob never writes. A
+// recovery that meets one fails; only errBlobVersion means "absent".
+var ErrBadEngineBlob = errors.New("core: malformed engine snapshot")
 
 // engineSnapshot is the decoded form of the blob.
 type engineSnapshot struct {
@@ -121,7 +127,7 @@ func encodeEngineBlob(watermark uint64, engineBlob []byte, st *recon.SavedState,
 
 func decodeEngineBlob(blob []byte) (*engineSnapshot, error) {
 	if len(blob) < len(engineBlobMagic) || string(blob[:3]) != engineBlobMagic[:3] {
-		return nil, fmt.Errorf("core: not an engine snapshot (bad magic)")
+		return nil, fmt.Errorf("%w: bad magic", ErrBadEngineBlob)
 	}
 	if string(blob[:len(engineBlobMagic)]) != engineBlobMagic {
 		return nil, fmt.Errorf("%w: %q", errBlobVersion, blob[:len(engineBlobMagic)])
@@ -139,30 +145,22 @@ func decodeEngineBlob(blob []byte) (*engineSnapshot, error) {
 		t.Epoch = r.uvarint()
 		status := recon.Status(r.uvarint())
 		if r.err == nil && status > recon.StatusDeferred {
-			r.err = fmt.Errorf("core: engine snapshot has unknown status %d", status)
+			r.failf("unknown status %d", status)
 		}
 		prio := int(r.varint())
-		if r.byte() == 1 {
+		// The full flag follows from the status; any other byte is corrupt.
+		if full := r.byte(); r.err == nil && (full > 1 || (full == 1) != recon.NeedsFullTxn(status)) {
+			r.failf("full flag %d on a %v transaction", full, status)
+		} else if full == 1 {
 			nUps := r.uvarint()
 			for j := uint64(0); j < nUps && r.err == nil; j++ {
 				u := updates.Update{Rel: r.string(), Op: updates.Op(r.byte())}
 				if r.err == nil && u.Op > updates.OpModify {
-					r.err = fmt.Errorf("core: engine snapshot has unknown op %d", u.Op)
-					break
+					r.failf("unknown op %d", u.Op)
 				}
-				if u.Old, r.err = parseTupleKey(r.string(), r.err); r.err != nil {
-					break
-				}
-				if u.New, r.err = parseTupleKey(r.string(), r.err); r.err != nil {
-					break
-				}
-				pv := r.bytes()
-				if r.err != nil {
-					break
-				}
-				if u.Prov, r.err = r.pd.decode(pv); r.err != nil {
-					break
-				}
+				u.Old = r.tuple()
+				u.New = r.tuple()
+				u.Prov = r.prov()
 				t.Updates = append(t.Updates, u)
 			}
 		}
@@ -195,11 +193,11 @@ func decodeEngineBlob(blob []byte) (*engineSnapshot, error) {
 		w.Writer.Seq = r.uvarint()
 		snap.Writers = append(snap.Writers, w)
 	}
+	if r.err == nil && len(r.buf) != 0 {
+		r.failf("%d trailing bytes", len(r.buf))
+	}
 	if r.err != nil {
 		return nil, r.err
-	}
-	if len(r.buf) != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes after engine snapshot", len(r.buf))
 	}
 	return snap, nil
 }
@@ -234,16 +232,6 @@ func tupleKeyOrEmpty(t schema.Tuple) string {
 	return t.Key()
 }
 
-// parseTupleKey threads the sticky reader error: an empty key means a nil
-// tuple (updates never carry empty tuples on their nil side; schema-level
-// empty tuples do not appear in update old/new slots).
-func parseTupleKey(key string, err error) (schema.Tuple, error) {
-	if err != nil || key == "" {
-		return nil, err
-	}
-	return schema.ParseTupleKey(key)
-}
-
 func appendBlobString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
@@ -256,13 +244,20 @@ type blobReader struct {
 	pd  provDecoder
 }
 
+// failf records the first error, wrapping ErrBadEngineBlob.
+func (r *blobReader) failf(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: "+format, append([]any{ErrBadEngineBlob}, args...)...)
+	}
+}
+
 func (r *blobReader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.buf)
 	if n <= 0 {
-		r.err = fmt.Errorf("core: truncated engine snapshot (bad varint)")
+		r.failf("truncated (bad varint)")
 		return 0
 	}
 	r.buf = r.buf[n:]
@@ -275,7 +270,7 @@ func (r *blobReader) varint() int64 {
 	}
 	v, n := binary.Varint(r.buf)
 	if n <= 0 {
-		r.err = fmt.Errorf("core: truncated engine snapshot (bad varint)")
+		r.failf("truncated (bad varint)")
 		return 0
 	}
 	r.buf = r.buf[n:]
@@ -287,7 +282,7 @@ func (r *blobReader) byte() byte {
 		return 0
 	}
 	if len(r.buf) == 0 {
-		r.err = fmt.Errorf("core: truncated engine snapshot (missing byte)")
+		r.failf("truncated (missing byte)")
 		return 0
 	}
 	b := r.buf[0]
@@ -301,7 +296,7 @@ func (r *blobReader) bytes() []byte {
 		return nil
 	}
 	if n > uint64(len(r.buf)) {
-		r.err = fmt.Errorf("core: truncated engine snapshot (bytes overrun buffer)")
+		r.failf("truncated (bytes overrun buffer)")
 		return nil
 	}
 	b := r.buf[:n]
@@ -310,3 +305,31 @@ func (r *blobReader) bytes() []byte {
 }
 
 func (r *blobReader) string() string { return string(r.bytes()) }
+
+// tuple reads an update's old or new tuple key: an empty key means a nil
+// tuple (updates never carry empty tuples on their nil side; schema-level
+// empty tuples do not appear in update old/new slots).
+func (r *blobReader) tuple() schema.Tuple {
+	key := r.string()
+	if r.err != nil || key == "" {
+		return nil
+	}
+	t, err := schema.ParseTupleKey(key)
+	if err != nil {
+		r.failf("%w", err)
+	}
+	return t
+}
+
+// prov reads one length-prefixed encodeProv value.
+func (r *blobReader) prov() provenance.Poly {
+	pv := r.bytes()
+	if r.err != nil {
+		return provenance.Poly{}
+	}
+	p, err := r.pd.decode(pv)
+	if err != nil {
+		r.failf("%w", err)
+	}
+	return p
+}

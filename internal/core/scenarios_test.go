@@ -18,7 +18,7 @@ import (
 )
 
 // fig2 builds the demo CDSS on a fresh in-memory store.
-func fig2(t *testing.T) (map[string]*Peer, p2p.Store) {
+func fig2(t testing.TB) (map[string]*Peer, p2p.Store) {
 	t.Helper()
 	sys, err := NewSystem(workload.Figure2Peers(), workload.Figure2Mappings())
 	if err != nil {
@@ -45,7 +45,7 @@ func fig2(t *testing.T) (map[string]*Peer, p2p.Store) {
 	return peers, store
 }
 
-func commit(t *testing.T, tx *Txn) *updates.Transaction {
+func commit(t testing.TB, tx *Txn) *updates.Transaction {
 	t.Helper()
 	txn, err := tx.Commit()
 	if err != nil {
@@ -54,14 +54,14 @@ func commit(t *testing.T, tx *Txn) *updates.Transaction {
 	return txn
 }
 
-func publish(t *testing.T, p *Peer) {
+func publish(t testing.TB, p *Peer) {
 	t.Helper()
 	if _, err := p.Publish(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func reconcile(t *testing.T, p *Peer) *ReconcileReport {
+func reconcile(t testing.TB, p *Peer) *ReconcileReport {
 	t.Helper()
 	r, err := p.Reconcile(context.Background())
 	if err != nil {

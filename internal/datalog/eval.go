@@ -45,7 +45,9 @@ type Options struct {
 	// sequential path — the automatic setting is never slower than
 	// Parallelism=-1 by more than the estimate itself costs (a per-job
 	// extent-size read). See AdaptiveWorkers. 1 evaluates sequentially, as
-	// does any negative value (the explicit escape hatch). Workers probe a
+	// does any negative value (the explicit escape hatch); n > 1 gives every
+	// round up to n workers, bypassing the gate even past runtime.NumCPU() —
+	// an explicit count is the caller's decision, never a hint. Workers probe a
 	// frozen database and buffer their head facts; the coordinator then
 	// merges the buffers in deterministic job order, so fixpoints and
 	// provenance polynomials do not depend on goroutine scheduling —

@@ -15,8 +15,8 @@ import (
 // their relations shard by shard, and reports changes deterministically.
 //
 // Three costs dominated the old per-round implementation and made
-// parallelism a net loss on small machines (BenchmarkParallelStratum:
-// workers=2/4/8 ~40% slower than workers=1 on one core):
+// parallelism a net loss on small machines (a stratum of independent joins
+// ran ~40% slower at workers=2/4/8 than at workers=1 on one core):
 //
 //   - one goroutine per job per round, re-spawned every round of the
 //     fixpoint;
@@ -46,7 +46,7 @@ const parallelGrain = 1024
 const chunkMin = 256
 
 // AdaptiveWorkers resolves Options.Parallelism against a round's estimated
-// probe work (see parallelGrain): explicit settings are honored as-is
+// probe work (see parallelGrain): explicit settings bypass the gate
 // (positive taken literally, negative forcing sequential), while the
 // automatic setting (0) picks min(runtime.NumCPU(), est/parallelGrain)
 // workers and degrades to the sequential path — never below it — when the

@@ -27,8 +27,8 @@ func TestEffectiveParallelism(t *testing.T) {
 			t.Errorf("EffectiveParallelism(%d) = %d, want 1 (forced sequential)", n, got)
 		}
 	}
-	// A request beyond the machine is honored as-is: explicit settings are
-	// the caller's to waste (the benchmark sweep depends on this).
+	// A request beyond the machine is honored as-is: an explicit worker
+	// count is the caller's decision, never a hint.
 	if over := runtime.NumCPU() * 4; EffectiveParallelism(over) != over {
 		t.Errorf("EffectiveParallelism(%d) = %d, want %d (explicit overcommit honored)",
 			over, EffectiveParallelism(over), over)
@@ -74,8 +74,8 @@ func TestAdaptiveWorkers(t *testing.T) {
 
 // TestAdaptiveTinyDeltaMatchesSequential checks the Parallelism=0 path on a
 // round far below the cost gate produces exactly the sequential result —
-// the "never degrades below the sequential path" contract, verified on
-// results (timing is CI-hostile; the benchmark sweep covers speed).
+// the adaptive setting takes the sequential path on such a round, verified
+// on results (DESIGN.md §9 says what measures speed).
 func TestAdaptiveTinyDeltaMatchesSequential(t *testing.T) {
 	build := func() (*Incremental, error) {
 		edb := NewDB()

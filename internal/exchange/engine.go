@@ -61,9 +61,9 @@ type Engine struct {
 type Config struct {
 	// Parallelism bounds the worker pool used to fire independent mapping
 	// rules (and delta positions) within a stratum round of the maintained
-	// fixpoint. 0 (unset) means automatic — runtime.NumCPU() workers; 1 or
-	// any negative value evaluates sequentially. Results are byte-identical
-	// at every setting (see datalog.Options.Parallelism).
+	// fixpoint, as datalog.Options.Parallelism does: 0 (unset) adapts to
+	// each round's work, n > 1 allows n workers even past the CPU count, and
+	// 1 or less is sequential. Results are byte-identical at every setting.
 	Parallelism int
 	// MaxMonomials bounds each stored annotation's witness set; 0 means
 	// DefaultMaxMonomials, negative means unbounded (exact witness sets, at
@@ -823,8 +823,8 @@ func asKeyViolation(err error, target **storage.ErrKeyViolation) bool {
 }
 
 // Recompute rebuilds the union database from scratch using the base facts
-// currently alive — the non-incremental baseline for benchmarking
-// incremental maintenance (experiment E2).
+// currently alive — the non-incremental baseline incremental maintenance is
+// checked and priced against (the repo benchmark's exchange.recompute_ms).
 func (e *Engine) Recompute(ctx context.Context) (*datalog.DB, error) {
 	edb := datalog.NewDB()
 	for k, toks := range e.baseTokens {

@@ -109,8 +109,8 @@ func requireUnionDBsEqual(t *testing.T, want, got *datalog.DB) {
 	}
 }
 
-// TestParallelRecompute exercises the from-scratch evaluation path (used by
-// the E2 baseline) under parallelism. Incremental maintenance and full
+// TestParallelRecompute exercises the from-scratch evaluation path (the
+// Recompute baseline) under parallelism. Incremental maintenance and full
 // recomputation may legitimately keep different same-degree witness subsets
 // once MaxMonomials truncation kicks in, so the parallel recompute is
 // compared against a sequential recompute of identical state, where exact

@@ -99,18 +99,21 @@ func (m *memtable) set(key, val []byte, del bool, seq uint64) {
 
 // seek returns the first node at or after (key, bound) in list order: the
 // newest version of key visible at bound, or else the first node of the
-// next key (which the caller must still check against the bound).
+// next key (which the caller must still check against the bound) — the node
+// the level-0 walk stopped at, not a reload of x.next[0], which a concurrent
+// writer may have re-pointed at a newer version of key.
 func (m *memtable) seek(key []byte, bound uint64) *mnode {
 	x := m.head
+	var nx *mnode
 	for lvl := memMaxHeight - 1; lvl >= 0; lvl-- {
-		for nx := x.next[lvl].Load(); nx != nil; nx = x.next[lvl].Load() {
+		for nx = x.next[lvl].Load(); nx != nil; nx = x.next[lvl].Load() {
 			if c := bytes.Compare(nx.key, key); c > 0 || (c == 0 && nx.seq <= bound) {
 				break
 			}
 			x = nx
 		}
 	}
-	return x.next[0].Load()
+	return nx
 }
 
 // get returns the version of key visible at bound, if any.

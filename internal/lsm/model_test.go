@@ -236,8 +236,13 @@ func TestModelConcurrentScanners(t *testing.T) {
 					n++
 					return true
 				})
-				if v, ok, gerr := sn.Get([]byte("k07")); gerr != nil || !ok || string(v) != fmt.Sprint(gen) {
-					t.Errorf("scanner %d: Get(k07) = %q/%v/%v in a snapshot of generation %d", s, v, ok, gerr, gen)
+				// Point reads through the same snapshot must agree with the
+				// scan on every key while the writer links newer versions.
+				for i := 0; i < nKeys; i++ {
+					k := fmt.Sprintf("k%02d", i)
+					if v, ok, gerr := sn.Get([]byte(k)); gerr != nil || !ok || string(v) != fmt.Sprint(gen) {
+						t.Errorf("scanner %d: Get(%s) = %q/%v/%v in a snapshot of generation %d", s, k, v, ok, gerr, gen)
+					}
 				}
 				sn.Close()
 				if err != nil || n != nKeys || gen < last {

@@ -2,8 +2,8 @@
 // atomic counters and gauges, lock-cheap fixed-bucket histograms with
 // percentile estimation, and lightweight span tracing with parent/child
 // timing. Every layer of the system records into one Registry owned by the
-// facade; cmd/orchestra serves its snapshot over HTTP and orchestra-bench
-// prints per-experiment deltas.
+// facade; cmd/orchestra serves its snapshot over HTTP, and the repo
+// benchmark (bench/) reads it per workload.
 //
 // The package is designed so that DISABLED instrumentation costs almost
 // nothing on hot paths: every method is safe on a nil receiver and returns

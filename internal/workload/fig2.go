@@ -1,7 +1,7 @@
 // Package workload provides the paper's Figure 2 bioinformatics CDSS as a
 // reusable fixture, plus synthetic workload generators (peers, mapping
-// topologies, update streams with tunable conflict rates) for the
-// experiment harness.
+// topologies, update streams with tunable conflict rates) for the tests
+// and the repo benchmark in bench/.
 package workload
 
 import (

@@ -9,7 +9,7 @@ import (
 	"orchestra/internal/updates"
 )
 
-// Topology is a synthetic CDSS configuration for the experiment harness.
+// Topology is a synthetic CDSS configuration: peers, schemas, mappings.
 type Topology struct {
 	Names    []string
 	Peers    map[string]*schema.Schema
@@ -53,27 +53,6 @@ func Star(n int) *Topology {
 		sp := peerName(i)
 		t.Mappings = append(t.Mappings, mapping.Identity(fmt.Sprintf("M_%s_%s", hub, sp), hub, sp, s1)...)
 		t.Mappings = append(t.Mappings, mapping.Identity(fmt.Sprintf("M_%s_%s", sp, hub), sp, hub, s1)...)
-	}
-	return t
-}
-
-// Pipeline builds n peers sharing Σ1 linked p0 → p1 → ... → pn-1 with
-// one-directional identity mappings — the ingest/distribution pipeline
-// shape: upstream peers publish, downstream peers serve, and nothing echoes
-// back. Because every hop adds exactly one derivation, per-transaction
-// fixed costs dominate translation here, which is what the group-commit
-// benchmarks (E9) measure.
-func Pipeline(n int) *Topology {
-	t := &Topology{Peers: map[string]*schema.Schema{}}
-	s1 := Sigma1()
-	for i := 0; i < n; i++ {
-		name := peerName(i)
-		t.Names = append(t.Names, name)
-		t.Peers[name] = s1
-	}
-	for i := 0; i+1 < n; i++ {
-		a, b := peerName(i), peerName(i+1)
-		t.Mappings = append(t.Mappings, mapping.Identity(fmt.Sprintf("M_%s_%s", a, b), a, b, s1)...)
 	}
 	return t
 }
@@ -210,8 +189,8 @@ func Stream(peer string, startSeq uint64, n int, o StreamOpts) []*updates.Transa
 
 // ConflictingStreams generates two same-length transaction streams from two
 // peers where approximately conflictRate of the transaction pairs write the
-// same S key with different sequences — the workload of the reconciliation
-// experiment (E5).
+// same S key with different sequences — the publishers of the benchmark's
+// conflict-churn workload.
 func ConflictingStreams(peerA, peerB string, n int, conflictRate float64, seed int64) (a, b []*updates.Transaction) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {

@@ -20,8 +20,8 @@ import (
 // Three ways to read it: System.Metrics returns a point-in-time
 // MetricsSnapshot for programmatic use; System.DebugHandler serves the same
 // snapshot as JSON and Prometheus text over HTTP (cmd/orchestra mounts it,
-// with net/http/pprof, under -metrics-addr); and orchestra-bench -metrics
-// prints per-experiment snapshot deltas.
+// with net/http/pprof, under -metrics-addr); and the repo benchmark
+// (bench/) derives its per-layer metrics from snapshot deltas.
 
 // HistogramSnapshot is a point-in-time view of one latency/size histogram:
 // count, sum, min/max, p50/p95/p99, and the non-empty log2 buckets.

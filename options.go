@@ -37,8 +37,8 @@ func (s settings) apply(opts []Option) settings {
 // rules within a fixpoint round. 0 (the default) adapts: each round picks
 // a worker count from its delta size and the CPU count, falling back to
 // sequential evaluation when the round is too small to amortize fan-out.
-// n > 1 forces n workers; 1 or negative forces sequential evaluation.
-// Results are byte-identical at every setting.
+// n > 1 allows n workers, even past the CPU count; 1 or negative forces
+// sequential evaluation. Results are byte-identical at every setting.
 func WithParallelism(n int) Option { return func(s *settings) { s.parallelism = n } }
 
 // WithReconcileWindow caps how many fetched transactions one Reconcile
