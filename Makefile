@@ -58,10 +58,11 @@ series-check:
 
 ## fuzz-smoke: each native fuzz target for FUZZTIME — wire transactions and
 ## store-server request frames (internal/p2p), DB snapshots (internal/datalog),
-## engine snapshots (internal/exchange), the peer's engine blob
-## (internal/core) and the witness-set merge kernel against its N[X]
-## definition (internal/provenance); `go test -fuzz` takes one target per
-## run. A failing input lands in the package's testdata/fuzz/.
+## engine snapshots (internal/exchange), the peer's engine blob and its
+## checkpoint-row annotations (internal/core) and the witness-set merge
+## kernel against its set definition (internal/provenance); `go test -fuzz`
+## takes one target per run. A failing input lands in the package's
+## testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTxn$$' -fuzztime $(FUZZTIME) ./internal/p2p/
@@ -69,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDB$$' -fuzztime $(FUZZTIME) ./internal/datalog/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadState$$' -fuzztime $(FUZZTIME) ./internal/exchange/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEngineBlob$$' -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeProv$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeWitness$$' -fuzztime $(FUZZTIME) ./internal/provenance/
 
 ## bench-build: vet and unit-test the repo benchmark (bench/ is its own Go

@@ -126,26 +126,33 @@ func (d trustEvent) isResolve(self string) bool {
 	return d.WinnerPeer != "" && d.WinnerPeer != self
 }
 
-// encodeProv/decodeProv are the binary form of a provenance polynomial: a
-// sum of coef·x1^k1·…·xn^kn monomials as varints with length-prefixed
-// variable names. Serializing through Monomials keeps the codec independent
-// of the polynomial's interned in-memory representation; checkpoint rows
-// decode on every recovery, so the format is sized for that hot path (the
-// earlier JSON form dominated snapshot-restore time).
+// encodeProv/provDecoder are the binary form of a provenance polynomial: a
+// sum of monomials as varints with length-prefixed variable names, in the
+// layout of N[X]'s coef·x1^k1·…·xn^kn — encodeProv writes 1 in every
+// coefficient and power slot. Serializing through Monomials keeps the codec
+// independent of the polynomial's interned in-memory representation;
+// checkpoint rows decode on every recovery, so the format is sized for that
+// hot path (the earlier JSON form dominated snapshot-restore time).
 func encodeProv(p provenance.Poly) ([]byte, error) {
 	ms := p.Monomials()
 	buf := binary.AppendUvarint(nil, uint64(len(ms)))
 	for _, m := range ms {
-		buf = binary.AppendUvarint(buf, m.Coef)
-		buf = binary.AppendUvarint(buf, uint64(len(m.Vars)))
-		for _, vp := range m.Vars {
-			buf = binary.AppendUvarint(buf, uint64(len(vp.Var)))
-			buf = append(buf, vp.Var...)
-			buf = binary.AppendUvarint(buf, uint64(vp.Pow))
+		buf = binary.AppendUvarint(buf, 1) // coefficient
+		buf = binary.AppendUvarint(buf, uint64(len(m)))
+		for _, x := range m {
+			buf = binary.AppendUvarint(buf, uint64(len(x)))
+			buf = append(buf, x...)
+			buf = binary.AppendUvarint(buf, 1) // power
 		}
 	}
 	return buf, nil
 }
+
+// ErrBadProv reports bytes provDecoder refuses: cut short, followed by
+// trailing bytes, or holding a zero coefficient, a power other than 1, or
+// monomials out of canonical order. Any coefficient from 1 up reads as
+// presence: rows written while the instance summed re-inserts hold 2.
+var ErrBadProv = errors.New("core: malformed provenance encoding")
 
 // provDecoder decodes a run of encodeProv values — a recovery scan over
 // thousands of checkpoint rows, an engine blob's transactions — carving
@@ -156,8 +163,8 @@ type provDecoder struct {
 }
 
 func (d *provDecoder) decode(data []byte) (provenance.Poly, error) {
-	bad := func() (provenance.Poly, error) {
-		return provenance.Poly{}, fmt.Errorf("core: truncated provenance encoding")
+	bad := func(what string) (provenance.Poly, error) {
+		return provenance.Poly{}, fmt.Errorf("%w: %s", ErrBadProv, what)
 	}
 	uvar := func() (uint64, bool) {
 		v, n := binary.Uvarint(data)
@@ -167,45 +174,51 @@ func (d *provDecoder) decode(data []byte) (provenance.Poly, error) {
 		data = data[n:]
 		return v, true
 	}
-	// Every monomial takes at least two bytes and every variable power at
-	// least two, so a count the remaining bytes cannot hold is corrupt —
-	// refused before it sizes an arena reservation.
+	// Every monomial takes at least two bytes and every variable at least
+	// two, so a count the remaining bytes cannot hold is corrupt — refused
+	// before it sizes an arena reservation.
 	nMonos, ok := uvar()
 	if !ok || nMonos > uint64(len(data))/2 {
-		return bad()
+		return bad("truncated")
 	}
 	ms := d.arena.Monomials(int(nMonos))
 	for i := uint64(0); i < nMonos; i++ {
-		m := provenance.Monomial{}
-		if m.Coef, ok = uvar(); !ok {
-			return bad()
+		coef, ok := uvar()
+		if !ok {
+			return bad("truncated")
+		}
+		if coef == 0 {
+			return bad("zero coefficient")
 		}
 		nVars, ok := uvar()
 		if !ok || nVars > uint64(len(data))/2 {
-			return bad()
+			return bad("truncated")
 		}
-		m.Vars = d.arena.VarPows(int(nVars))
+		m := d.arena.Vars(int(nVars))
 		for j := uint64(0); j < nVars; j++ {
 			l, ok := uvar()
 			if !ok || uint64(len(data)) < l {
-				return bad()
+				return bad("truncated")
 			}
-			v := provenance.Var(data[:l])
+			x := provenance.Var(data[:l])
 			data = data[l:]
 			pow, ok := uvar()
 			if !ok {
-				return bad()
+				return bad("truncated")
 			}
-			m.Vars = append(m.Vars, provenance.VarPow{Var: v, Pow: int(pow)})
+			if pow != 1 {
+				return bad(fmt.Sprintf("power %d: a witness holds each variable once", pow))
+			}
+			m = append(m, x)
 		}
 		ms = append(ms, m)
 	}
 	if len(data) != 0 {
-		return provenance.Poly{}, fmt.Errorf("core: %d trailing bytes after provenance encoding", len(data))
+		return bad(fmt.Sprintf("%d trailing bytes", len(data)))
 	}
 	p, err := d.arena.Poly(ms)
 	if err != nil {
-		return provenance.Poly{}, fmt.Errorf("core: provenance encoding: %w", err)
+		return provenance.Poly{}, fmt.Errorf("%w: %w", ErrBadProv, err)
 	}
 	return p, nil
 }

@@ -26,7 +26,7 @@ var interleaveSeeds = flag.Int("interleave-seeds", 24, "seeded schedules for Tes
 // under any interleaving of commits (insert, delete, key-replacing modify,
 // provenance-merging re-insert), publishes, reconciles, resolves, and direct
 // writes to Instance(), a goal query over R(x…) returns exactly
-// Instance().Rows(R) — tuples and (linearized) polynomials — at every peer
+// Instance().Rows(R) — tuples and polynomials — at every peer
 // after every step. The trust state and the instance move together too:
 // after every step, a Resolve that fails included, every transaction a peer
 // holds as Accepted has had its updates applied there. Instance snapshots
@@ -235,13 +235,9 @@ func runInterleaving(t *testing.T, seed int64) {
 				for i, a := range ans {
 					got[i] = storage.Row{Tuple: a.Tuple, Prov: a.Prov}
 				}
-				// The evaluator annotates answers in the witness-set quotient
-				// (coefficients and powers collapse to 1); the instance keeps
-				// the N[X] sum, so a twice-inserted row reads 2 there.
+				// The instance stores the witness set the evaluator
+				// computes: answer and row agree polynomial for polynomial.
 				want, _ := q.Instance().Rows(rel.Name)
-				for i := range want {
-					want[i].Prov = want[i].Prov.Linearize()
-				}
 				requireSameRows(t, fmt.Sprintf("step %d (%s at %s): query %s at %s", step, what, p.Name(), rel.Name, q.Name()), got, want)
 			}
 		}

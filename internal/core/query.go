@@ -253,20 +253,17 @@ func DecodeSupports(p provenance.Poly) []Support {
 	for _, m := range p.Monomials() {
 		var sup Support
 		seenTxn := map[updates.TxnID]bool{}
-		seenMap := map[string]bool{}
-		for _, vp := range m.Vars {
-			if id, isTok := updates.TokenTxn(vp.Var); isTok {
+		for _, x := range m {
+			if id, isTok := updates.TokenTxn(x); isTok {
 				if !seenTxn[id] {
 					seenTxn[id] = true
 					sup.Txns = append(sup.Txns, id)
 				}
-			} else if !seenMap[string(vp.Var)] {
-				seenMap[string(vp.Var)] = true
-				sup.Mappings = append(sup.Mappings, string(vp.Var))
+			} else {
+				sup.Mappings = append(sup.Mappings, string(x))
 			}
 		}
 		sort.Slice(sup.Txns, func(i, j int) bool { return sup.Txns[i].Less(sup.Txns[j]) })
-		sort.Strings(sup.Mappings)
 		out = append(out, sup)
 	}
 	return out

@@ -265,6 +265,37 @@ func TestExplainLocalTuple(t *testing.T) {
 	}
 }
 
+// A row inserted twice reads the same annotation in the instance, in
+// Explain and in a query answer: the instance stores the witness set the
+// evaluator derives, not a count of inserts.
+func TestReinsertedRowReadsOneWitness(t *testing.T) {
+	peers, _ := fig2(t)
+	alaska, beijing := peers[workload.Alaska], peers[workload.Beijing]
+	tu := workload.OTuple("mouse", 1)
+	for i := 0; i < 2; i++ {
+		commit(t, alaska.NewTransaction().Insert("O", tu))
+	}
+	commit(t, beijing.NewTransaction().Insert("O", tu))
+	publish(t, beijing)
+	reconcile(t, alaska)
+	rows, _ := alaska.Instance().Rows("O")
+	local := func(provenance.Var) bool { return false }
+	if len(rows) != 1 || !rows[0].Prov.Restrict(local).IsOne() {
+		t.Fatalf("rows = %v, want one row whose token-free part is 1: two local commits are one witness", rows)
+	}
+	want := rows[0].Prov
+	if prov, supports, ok := alaska.Explain("O", tu); !ok || !prov.Equal(want) || len(supports) != want.NumMonomials() {
+		t.Errorf("Explain = %v %+v %v, want %v with one support per witness", prov, supports, ok, want)
+	}
+	ans, err := alaska.QueryGoal(context.Background(), GoalQuery{Goal: datalog.NewAtom("O", datalog.V("org"), datalog.V("oid"))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans) != 1 || !ans[0].Prov.Equal(want) {
+		t.Errorf("answers = %+v, want one answer annotated %v", ans, want)
+	}
+}
+
 // Query answers respect reconciliation: rejected data never shows up.
 func TestQuerySeesOnlyAcceptedData(t *testing.T) {
 	peers, _ := fig2(t)

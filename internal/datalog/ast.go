@@ -4,14 +4,14 @@
 // (producing labeled nulls for existentials), and provenance-annotated
 // semi-naive evaluation.
 //
-// Provenance mode computes, for every derived tuple, a polynomial over the
-// provenance tokens of the base (EDB) tuples and the rule/mapping tokens,
-// kept in the B[X] witness-set quotient (provenance.Poly.Linearize). B[X]
-// is a finite lattice over any finite token set, so recursive programs —
-// including the mapping cycles created by ORCHESTRA's bidirectional peer
-// mappings — reach a fixpoint. Evaluation of the resulting polynomials
-// under idempotent semirings (boolean derivability, trust, security) is
-// exactly as in full N[X]; see internal/provenance.
+// Provenance mode computes, for every derived tuple, a polynomial in B[X]
+// over the provenance tokens of the base (EDB) tuples and the rule/mapping
+// tokens: the set of witnesses, each a set of tokens that jointly derive
+// the tuple (provenance.Poly). B[X] is finite over any finite token set, so
+// recursive programs — including the mapping cycles created by ORCHESTRA's
+// bidirectional peer mappings — reach a fixpoint, and it answers every
+// question asked of provenance under an idempotent semiring (boolean
+// derivability, trust, security); see internal/provenance.
 package datalog
 
 import (

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"orchestra/internal/provenance"
@@ -26,13 +25,15 @@ import (
 //	magic "ODB1"
 //	varCount, then each provenance.Var (sorted ascending)
 //	polyCount, then each polynomial: monoCount ·
-//	    { coef, varPowCount, { varIndex, pow }* }*
+//	    { coef, varCount, { varIndex, pow }* }*
 //	predCount, then each predicate (sorted ascending): name, factCount,
 //	    { tupleKey, polyIndex }*
 //
-// Tuples travel as schema.Tuple.Key() strings (injective, parsed back with
-// schema.ParseTupleKey); polynomials rebuild through a provenance.Arena
-// and re-intern on decode. A polynomial
+// The coefficient and power slots date from N[X] annotations: EncodeDB
+// writes 1 in both, DecodeDB reads any coefficient ≥ 1 as presence and
+// refuses a power other than 1. Tuples travel as schema.Tuple.Key() strings
+// (injective, parsed back with schema.ParseTupleKey); polynomials rebuild
+// through a provenance.Arena and re-intern on decode. A polynomial
 // table entry with zero monomials is the zero polynomial. A predicate with
 // no facts is written (and decoded back) as an empty extent.
 
@@ -96,8 +97,8 @@ func EncodeDB(db *DB) ([]byte, error) {
 		for j, f := range ext.facts {
 			factPolys[i][j] = polyIndex(f.Prov)
 			for _, m := range f.Prov.Monomials() {
-				for _, vp := range m.Vars {
-					varSet[vp.Var] = struct{}{}
+				for _, x := range m {
+					varSet[x] = struct{}{}
 				}
 			}
 		}
@@ -123,11 +124,11 @@ func EncodeDB(db *DB) ([]byte, error) {
 		monos := p.Monomials()
 		buf = binary.AppendUvarint(buf, uint64(len(monos)))
 		for _, m := range monos {
-			buf = binary.AppendUvarint(buf, m.Coef)
-			buf = binary.AppendUvarint(buf, uint64(len(m.Vars)))
-			for _, vp := range m.Vars {
-				buf = binary.AppendUvarint(buf, uint64(varIdx[vp.Var]))
-				buf = binary.AppendUvarint(buf, uint64(vp.Pow))
+			buf = binary.AppendUvarint(buf, 1) // coefficient
+			buf = binary.AppendUvarint(buf, uint64(len(m)))
+			for _, x := range m {
+				buf = binary.AppendUvarint(buf, uint64(varIdx[x]))
+				buf = binary.AppendUvarint(buf, 1) // power
 			}
 		}
 	}
@@ -173,7 +174,7 @@ func StatDB(blob []byte) (DBStats, error) {
 // parsed then) and returns the structural stats either way. Every count is
 // checked against the bytes left before it sizes anything — an entry of
 // any section takes at least one byte per counted item, two for monomials,
-// variable powers, predicates and facts — and the rules of ErrBadSnapshot
+// monomial variables, predicates and facts — and the rules of ErrBadSnapshot
 // are checked as they are read, so hostile bytes fail with ErrBadSnapshot
 // instead of panicking or allocating without bound.
 func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
@@ -205,19 +206,21 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 	for i := 0; i < nPolys && r.err == nil; i++ {
 		monos := arena.Monomials(r.count("monomial", 2))
 		for j := 0; j < cap(monos) && r.err == nil; j++ {
-			m := provenance.Monomial{Coef: r.uvarint()}
-			m.Vars = arena.VarPows(r.count("variable power", 2))
-			for k := 0; k < cap(m.Vars) && r.err == nil; k++ {
+			if coef := r.uvarint(); coef == 0 && r.err == nil {
+				r.fail("zero coefficient")
+			}
+			m := arena.Vars(r.count("monomial variable", 2))
+			for k := 0; k < cap(m) && r.err == nil; k++ {
 				vi, pow := r.uvarint(), r.uvarint()
 				switch {
 				case r.err != nil:
 				case vi >= uint64(len(vars)):
 					r.fail(fmt.Sprintf("variable index %d out of range", vi))
-				case pow > math.MaxInt:
-					r.fail(fmt.Sprintf("power %d out of range", pow))
+				case pow != 1:
+					r.fail(fmt.Sprintf("power %d: a witness holds each variable once", pow))
 				default:
 					used[vi] = true
-					m.Vars = append(m.Vars, provenance.VarPow{Var: vars[vi], Pow: int(pow)})
+					m = append(m, vars[vi])
 				}
 			}
 			monos = append(monos, m)

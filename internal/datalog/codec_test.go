@@ -14,7 +14,7 @@ import (
 )
 
 // buildCodecDB constructs a database with shared annotations, multi-variable
-// monomials, constants, and several predicates — the shapes the snapshot
+// monomials, the constant monomial, and several predicates — the shapes the snapshot
 // codec must carry exactly.
 func buildCodecDB() *DB {
 	db := NewDB()
@@ -24,7 +24,7 @@ func buildCodecDB() *DB {
 	shared := x.Mul(y).Add(z).Intern()
 	db.Set("G", schema.NewTuple(schema.Int(1), schema.Int(2)), shared)
 	db.Set("G", schema.NewTuple(schema.Int(2), schema.Int(3)), shared)
-	db.Set("G", schema.NewTuple(schema.Int(3), schema.Int(1)), x.Mul(x).Add(provenance.Const(2)).Intern())
+	db.Set("G", schema.NewTuple(schema.Int(3), schema.Int(1)), x.Add(provenance.One()).Intern())
 	db.Set("H", schema.NewTuple(schema.String("a"), schema.Int(-7)), provenance.One())
 	db.Set("H", schema.NewTuple(schema.String("b\x00c"), schema.Int(0)), y)
 	db.Set("Empty0", schema.NewTuple(), provenance.One())
@@ -80,7 +80,7 @@ func TestCodecPreservesSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 5 distinct annotations: shared, x²+2, 1, y — and 1 again for Empty0,
+	// 5 distinct annotations: shared, x+1, 1, y — and 1 again for Empty0,
 	// which dedups with H's constant. Distinct vars: x, y, z.
 	if stats.PolyNodes != 4 {
 		t.Fatalf("PolyNodes = %d, want 4 (polynomial table must dedup)", stats.PolyNodes)
@@ -104,10 +104,14 @@ func TestCodecOrderIndependent(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		v := provenance.NewVar(provenance.Var(fmt.Sprintf("p:%d/0", i%7)))
 		w := provenance.NewVar(provenance.Var(fmt.Sprintf("q:%d/0", i%5)))
+		p := v.Mul(w)
+		if i%2 == 0 {
+			p = p.Add(provenance.One())
+		}
 		entries = append(entries, entry{
 			pred: fmt.Sprintf("R%d", i%3),
 			t:    schema.NewTuple(schema.Int(int64(i)), schema.String(fmt.Sprint(i%4))),
-			p:    v.Mul(w).Add(provenance.Const(uint64(i%2 + 1))).Intern(),
+			p:    p.Intern(),
 		})
 	}
 	build := func(order []int) *DB {
@@ -193,12 +197,14 @@ func TestCodecRejectsHostileSnapshots(t *testing.T) {
 		"pred count 2^63":      snapshot(0, 0, uint64(1<<63)),
 		"fact count 2^62":      snapshot(0, 0, 1, "P", uint64(1<<62)),
 		"power 0":              snapshot(1, "x", 1, 1, 1, 1, 0, 0, 1, "P", 1, key, 0),
+		"power 2":              snapshot(1, "x", 1, 1, 1, 1, 0, 2, 1, "P", 1, key, 0),
 		"power 2^63":           snapshot(1, "x", 1, 1, 1, 1, 0, uint64(1<<63), 1, "P", 1, key, 0),
 		"vars not increasing":  snapshot(2, "x", "y", 1, 1, 1, 2, 1, 1, 0, 1, 1, "P", 1, key, 0),
 		"zero coefficient":     snapshot(1, "x", 1, 1, 0, 1, 0, 1, 1, "P", 1, key, 0),
 		"var table unsorted":   snapshot(2, "y", "x", 1, 1, 1, 2, 0, 1, 1, 1, 1, "P", 1, key, 0),
 		"unused var":           snapshot(2, "x", "y", 1, 1, 1, 1, 0, 1, 1, "P", 1, key, 0),
 		"duplicate poly":       snapshot(1, "x", 2, 1, 1, 1, 0, 1, 1, 1, 1, 0, 1, 1, "P", 2, key, 0, "3|i:2", 1),
+		"duplicate witnesses":  snapshot(1, "x", 2, 1, 1, 1, 0, 1, 1, 2, 1, 0, 1, 1, "P", 2, key, 0, "3|i:2", 1),
 		"unreferenced poly":    snapshot(0, 2, 0, 1, 2, 0, 1, "P", 1, key, 0),
 		"poly out of order":    snapshot(0, 2, 0, 1, 2, 0, 1, "P", 2, key, 1, "3|i:2", 0),
 		"preds unsorted":       snapshot(0, 0, 2, "Q", 0, "P", 0),
@@ -215,8 +221,18 @@ func TestCodecRejectsHostileSnapshots(t *testing.T) {
 	}
 	// The same assembly, made canonical, is accepted: the cases above fail
 	// for the reason they name.
-	if _, err := DecodeDB(snapshot(1, "x", 1, 1, 1, 1, 0, 1, 1, "P", 1, key, 0)); err != nil {
+	want, err := DecodeDB(snapshot(1, "x", 1, 1, 1, 1, 0, 1, 1, "P", 1, key, 0))
+	if err != nil {
 		t.Fatalf("canonical blob refused: %v", err)
+	}
+	// A coefficient above 1, which an N[X] sum could write, reads as
+	// presence: the witness set is the coefficient-1 one.
+	got, err := DecodeDB(snapshot(1, "x", 1, 1, 2, 1, 0, 1, 1, "P", 1, key, 0))
+	if err != nil {
+		t.Fatalf("coefficient 2 refused: %v", err)
+	}
+	if err := sameFacts(want, got); err != nil {
+		t.Fatalf("coefficient 2 decoded differently from coefficient 1: %v", err)
 	}
 }
 
@@ -314,6 +330,8 @@ func FuzzDecodeDB(f *testing.F) {
 	}
 	f.Add(snapshot(uint64(1 << 62)))
 	f.Add(snapshot(1, "x", 1, 1, 1, 1, 0, 1, 2, "P", 1, "4|i:-1", 0, "Q", 0))
+	// Coefficients above 1 (x·2 + 1 and 3) from an N[X] sum.
+	f.Add(snapshot(1, "x", 2, 2, 1, 0, 2, 1, 0, 1, 1, 3, 0, 1, "P", 2, "4|i:-1", 0, "3|i:2", 1))
 	f.Add(snapshot(0, 1, 0, 1, "P", 3, "5|f:NaN", 0, "3|f:0", 0, "4|f:-0", 0))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		db, err := DecodeDB(blob)

@@ -125,12 +125,13 @@ func (r *Rel) put(t schema.Tuple, p provenance.Poly) bool {
 // are folded incrementally into every maintained index.
 func (r *Rel) putKeyed(k string, t schema.Tuple, p provenance.Poly) bool {
 	if f := r.facts[k]; f != nil {
-		if f.Prov.Subsumes(p) {
+		merged, _, changed, _ := provenance.MergeWitness(f.Prov, p, 0)
+		if !changed {
 			return false
 		}
 		// Stored annotations are interned (hash-consed): equal polynomials
 		// across the database share one allocation and compare by pointer.
-		f.Prov = f.Prov.Add(p).Intern()
+		f.Prov = merged.Intern()
 		return true
 	}
 	f := r.newFact(t, p.Intern())

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
-	"strings"
 
 	"orchestra/internal/provenance"
 	"orchestra/internal/schema"
@@ -16,10 +14,6 @@ type Options struct {
 	// Provenance enables annotation computation. When false all facts are
 	// annotated 1 and only tuple sets are computed (fastest).
 	Provenance bool
-	// Exact requests exact N[X] provenance. Exact evaluation requires a
-	// non-recursive program; the fixpoint engine otherwise computes the
-	// B[X] witness-set quotient (see package comment).
-	Exact bool
 	// MaxIterations bounds the fixpoint loop; 0 means the default (100000).
 	MaxIterations int
 	// MaxMonomials, when positive, bounds every stored annotation to that
@@ -113,16 +107,6 @@ func EvalCtx(ctx context.Context, p *Program, edb *DB, opts Options) (*DB, error
 	result := edb.Snapshot()
 	ensurePreds(p, result)
 	pl := newPlanner(opts.NoReorder)
-	if opts.Exact && opts.Provenance {
-		if cyc := recursivePreds(p); len(cyc) > 0 {
-			return nil, fmt.Errorf("datalog: exact provenance requires a non-recursive program; recursive predicates: %s",
-				strings.Join(cyc, ", "))
-		}
-		if err := evalExact(ctx, p, result, pl, opts); err != nil {
-			return nil, err
-		}
-		return result, nil
-	}
 	maxIter := opts.MaxIterations
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIterations
@@ -153,130 +137,6 @@ func ensurePreds(p *Program, db *DB) {
 	}
 }
 
-// evalExact evaluates a non-recursive program with exact N[X] provenance:
-// predicates are processed in dependency order and every rule fires exactly
-// once over complete extents, so each derivation is counted exactly once.
-func evalExact(ctx context.Context, p *Program, db *DB, pl *planner, opts Options) error {
-	idb := p.IDBPreds()
-	// Kahn topological sort of IDB predicates by body dependencies.
-	deps := map[string]map[string]bool{}  // head -> IDB body preds
-	rdeps := map[string]map[string]bool{} // body pred -> heads
-	for pred := range idb {
-		deps[pred] = map[string]bool{}
-	}
-	for _, r := range p.Rules {
-		for _, l := range r.Body {
-			if l.Builtin == nil && idb[l.Atom.Pred] && l.Atom.Pred != r.Head.Pred {
-				deps[r.Head.Pred][l.Atom.Pred] = true
-				if rdeps[l.Atom.Pred] == nil {
-					rdeps[l.Atom.Pred] = map[string]bool{}
-				}
-				rdeps[l.Atom.Pred][r.Head.Pred] = true
-			}
-		}
-	}
-	var ready []string
-	indeg := map[string]int{}
-	for pred, ds := range deps {
-		indeg[pred] = len(ds)
-		if len(ds) == 0 {
-			ready = append(ready, pred)
-		}
-	}
-	sort.Strings(ready)
-	rulesByHead := map[string][]Rule{}
-	for _, r := range p.Rules {
-		rulesByHead[r.Head.Pred] = append(rulesByHead[r.Head.Pred], r)
-	}
-	processed := 0
-	var sc pipeScratch
-	for len(ready) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		pred := ready[0]
-		ready = ready[1:]
-		processed++
-		for _, r := range rulesByHead[pred] {
-			pln := pl.planFor(r, -1, db)
-			sink := &exactSink{rel: db.MutableRel(r.Head.Pred)}
-			if err := fireRuleStream(ctx, r, pln, db, nil, opts, sink, &sc); err != nil {
-				return err
-			}
-		}
-		var next []string
-		for dep := range rdeps[pred] {
-			indeg[dep]--
-			if indeg[dep] == 0 {
-				next = append(next, dep)
-			}
-		}
-		sort.Strings(next)
-		ready = append(ready, next...)
-	}
-	if processed != len(idb) {
-		return fmt.Errorf("datalog: internal: exact evaluation left %d predicates unprocessed", len(idb)-processed)
-	}
-	return nil
-}
-
-// exactSink merges streamed head facts under exact N[X] semantics: every
-// derivation is enumerated exactly once (non-recursive programs in
-// dependency order), so annotations always accumulate and no emission can
-// be skipped.
-type exactSink struct {
-	rel *Rel
-}
-
-func (s *exactSink) skip(key []byte, prov provenance.Poly) bool { return false }
-
-func (s *exactSink) emit(key []byte, t schema.Tuple, prov provenance.Poly) {
-	k := string(key)
-	if f := s.rel.facts[k]; f != nil {
-		f.Prov = f.Prov.Add(prov).Intern()
-		return
-	}
-	s.rel.putKeyed(k, t, prov)
-}
-
-// recursivePreds returns IDB predicates involved in dependency cycles.
-func recursivePreds(p *Program) []string {
-	idb := p.IDBPreds()
-	adj := map[string]map[string]bool{}
-	for _, r := range p.Rules {
-		for _, l := range r.Body {
-			if l.Builtin == nil && idb[l.Atom.Pred] {
-				if adj[r.Head.Pred] == nil {
-					adj[r.Head.Pred] = map[string]bool{}
-				}
-				adj[r.Head.Pred][l.Atom.Pred] = true
-			}
-		}
-	}
-	// A pred is recursive if it can reach itself.
-	var cyc []string
-	for start := range idb {
-		seen := map[string]bool{}
-		stack := []string{start}
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for next := range adj[cur] {
-				if next == start {
-					cyc = append(cyc, start)
-					stack = nil
-					break
-				}
-				if !seen[next] {
-					seen[next] = true
-					stack = append(stack, next)
-				}
-			}
-		}
-	}
-	return cyc
-}
-
 // deltaFact pairs a tuple with the annotation portion that is new this
 // iteration and must still be propagated.
 type deltaFact struct {
@@ -286,7 +146,7 @@ type deltaFact struct {
 
 // absorbInto returns the post-merge callback for one round: it accumulates
 // each merge's genuinely new annotation part in delta.
-func absorbInto(delta map[string]map[string]deltaFact, opts Options) func(mergeResult) {
+func absorbInto(delta map[string]map[string]deltaFact) func(mergeResult) {
 	return func(mr mergeResult) {
 		m := delta[mr.pred]
 		if m == nil {
@@ -294,11 +154,7 @@ func absorbInto(delta map[string]map[string]deltaFact, opts Options) func(mergeR
 			delta[mr.pred] = m
 		}
 		if df, ok := m[mr.key]; ok {
-			if opts.Provenance && !opts.Exact {
-				df.prov = provenance.UnionWitness(df.prov, mr.newPart)
-			} else {
-				df.prov = df.prov.Add(mr.newPart)
-			}
+			df.prov = df.prov.Add(mr.newPart)
 			m[mr.key] = df
 		} else {
 			m[mr.key] = deltaFact{tuple: mr.tuple, prov: mr.newPart}
@@ -333,7 +189,7 @@ func evalStratum(ctx context.Context, rules []Rule, db *DB, pl *planner, re *rou
 	for ri, r := range rules {
 		jobs = append(jobs, job{rule: r, pln: plans[ri].full})
 	}
-	if err := re.runRound(ctx, jobs, db, opts, need, absorbInto(delta, opts)); err != nil {
+	if err := re.runRound(ctx, jobs, db, opts, need, absorbInto(delta)); err != nil {
 		return err
 	}
 	// Semi-naive rounds: join each rule with the delta at one position.
@@ -363,7 +219,7 @@ func evalStratum(ctx context.Context, rules []Rule, db *DB, pl *planner, re *rou
 				}
 			}
 		}
-		if err := re.runRound(ctx, jobs, db, opts, need, absorbInto(delta, opts)); err != nil {
+		if err := re.runRound(ctx, jobs, db, opts, need, absorbInto(delta)); err != nil {
 			return err
 		}
 	}
@@ -413,17 +269,6 @@ func mergeKeyed(rel *Rel, k string, t schema.Tuple, p provenance.Poly, opts Opti
 		return mergeResult{key: k, tuple: t, newPart: provenance.One(), fresh: true}, true
 	}
 	existing := rel.facts[k]
-	if opts.Exact {
-		// Exact mode runs on non-recursive programs where each derivation
-		// is enumerated exactly once: always accumulate.
-		if existing == nil {
-			rel.putKeyed(k, t, p)
-			return mergeResult{key: k, tuple: t, newPart: p, fresh: true}, true
-		}
-		prior := existing.Prov
-		rel.putKeyed(k, t, p)
-		return mergeResult{key: k, tuple: t, newPart: p, prior: prior}, true
-	}
 	var stored provenance.Poly
 	if existing != nil {
 		stored = existing.Prov

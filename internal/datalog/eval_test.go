@@ -235,8 +235,10 @@ func TestSkolemHeads(t *testing.T) {
 	}
 }
 
+// The exact provenance of a tuple is its untruncated witness set
+// (MaxMonomials 0).
 func TestExactProvenance(t *testing.T) {
-	// A(x) :- B(x), C(x): provenance must be b·c.
+	// A(x) :- B(x), C(x) and A(x) :- D(x): provenance must be b·c + d.
 	prog := &Program{Rules: []Rule{
 		{ID: "r1", Head: NewHead("A", HV("x")), Body: []Literal{
 			Pos(NewAtom("B", V("x"))), Pos(NewAtom("C", V("x")))}},
@@ -248,7 +250,7 @@ func TestExactProvenance(t *testing.T) {
 	edb.Add("B", one, provenance.NewVar("b"))
 	edb.Add("C", one, provenance.NewVar("c"))
 	edb.Add("D", one, provenance.NewVar("d"))
-	res, err := Eval(prog, edb, Options{Provenance: true, Exact: true})
+	res, err := Eval(prog, edb, Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,21 +274,15 @@ func TestExactProvenanceMultiLevel(t *testing.T) {
 	one := schema.NewTuple(schema.Int(1))
 	edb := NewDB()
 	edb.Add("A", one, provenance.NewVar("a"))
-	res, err := Eval(prog, edb, Options{Provenance: true, Exact: true})
+	res, err := Eval(prog, edb, Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	f, _ := res.Rel("N").Get(one)
-	// N's provenance is a² — exact N[X] keeps the square.
-	want := provenance.NewVar("a").Mul(provenance.NewVar("a"))
+	// N's provenance is a: joining a witness with itself adds no token.
+	want := provenance.NewVar("a")
 	if !f.Prov.Equal(want) {
 		t.Errorf("prov = %v, want %v", f.Prov, want)
-	}
-}
-
-func TestExactRejectsRecursion(t *testing.T) {
-	if _, err := Eval(tcProgram(), NewDB(), Options{Provenance: true, Exact: true}); err == nil {
-		t.Error("exact provenance accepted recursive program")
 	}
 }
 
@@ -299,7 +295,7 @@ func TestRuleProvToken(t *testing.T) {
 	one := schema.NewTuple(schema.Int(1))
 	edb := NewDB()
 	edb.Add("A", one, provenance.NewVar("a"))
-	res, err := Eval(prog, edb, Options{Provenance: true, Exact: true})
+	res, err := Eval(prog, edb, Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,16 +79,15 @@ type emission struct {
 // emission because the frozen pre-round fact already subsumes it. Stored
 // annotations only grow monotonically when no truncation is in play
 // (provenance.MergeWitness's cut keeps the lowest-degree monomials, so a
-// later merge can drop exactly the monomials that justified the skip);
-// exact mode always accumulates and never skips.
+// later merge can drop exactly the monomials that justified the skip).
 func canSkipParallel(opts Options) bool {
-	return !opts.Provenance || (!opts.Exact && opts.MaxMonomials == 0)
+	return !opts.Provenance || opts.MaxMonomials == 0
 }
 
 // mergeSink is the sequential streaming sink: every emitted head fact is
 // merged into the live relation immediately, so a later rule of the same
 // round sees facts merged by an earlier one. Its skip check consults the
-// live relation, so it is exact in every mode.
+// live relation, so it is exact at every bound.
 type mergeSink struct {
 	rel    *Rel
 	pred   string
@@ -104,9 +103,6 @@ func (s *mergeSink) skip(key []byte, prov provenance.Poly) bool {
 	}
 	if !s.opts.Provenance {
 		return true
-	}
-	if s.opts.Exact {
-		return false
 	}
 	return f.Prov.Subsumes(prov)
 }

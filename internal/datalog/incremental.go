@@ -3,6 +3,7 @@ package datalog
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"orchestra/internal/provenance"
@@ -128,7 +129,6 @@ func NewIncremental(p *Program, edb *DB, opts Options) (*Incremental, error) {
 		return nil, err
 	}
 	opts.Provenance = true
-	opts.Exact = false
 	res, err := Eval(p, edb, opts)
 	if err != nil {
 		return nil, err
@@ -220,14 +220,14 @@ func (inc *Incremental) indexFact(pred, k string, p provenance.Poly) {
 		return
 	}
 	for _, m := range p.Monomials() {
-		for _, vp := range m.Vars {
-			if inc.ruleToks[vp.Var] {
+		for _, x := range m {
+			if inc.ruleToks[x] {
 				continue
 			}
-			preds := inc.tokenIndex[vp.Var]
+			preds := inc.tokenIndex[x]
 			if preds == nil {
 				preds = map[string]map[string]bool{}
-				inc.tokenIndex[vp.Var] = preds
+				inc.tokenIndex[x] = preds
 			}
 			keys := preds[pred]
 			if keys == nil {
@@ -259,10 +259,8 @@ func (inc *Incremental) tokens() map[provenance.Var]map[string]map[string]bool {
 // mentions reports whether some monomial of p uses the variable v.
 func mentions(p provenance.Poly, v provenance.Var) bool {
 	for _, m := range p.Monomials() {
-		for _, vp := range m.Vars {
-			if vp.Var == v {
-				return true
-			}
+		if slices.Contains(m, v) {
+			return true
 		}
 	}
 	return false
@@ -329,7 +327,7 @@ func addDelta(delta map[string]map[string]deltaFact, pred, k string, tu schema.T
 		delta[pred] = m
 	}
 	if df, ok := m[k]; ok {
-		df.prov = provenance.UnionWitness(df.prov, newPart)
+		df.prov = df.prov.Add(newPart)
 		m[k] = df
 	} else {
 		m[k] = deltaFact{tuple: tu, prov: newPart}
@@ -396,7 +394,7 @@ func (inc *Incremental) InsertGroups(ctx context.Context, groups [][]Fact2) ([][
 	for _, facts := range groups {
 		for _, bf := range facts {
 			for _, m := range bf.Prov.Monomials() {
-				if len(m.Vars) == 0 {
+				if len(m) == 0 {
 					tokenFree = true
 				}
 			}
@@ -470,9 +468,9 @@ func (inc *Incremental) insertGroupRun(ctx context.Context, groups [][]Fact2) ([
 	for gi, facts := range groups {
 		for _, bf := range facts {
 			for _, m := range bf.Prov.Monomials() {
-				for _, vp := range m.Vars {
-					if old, ok := tokenGroup[vp.Var]; !ok || gi > old {
-						tokenGroup[vp.Var] = gi
+				for _, x := range m {
+					if old, ok := tokenGroup[x]; !ok || gi > old {
+						tokenGroup[x] = gi
 					}
 				}
 			}
@@ -493,8 +491,8 @@ func (inc *Incremental) insertGroupRun(ctx context.Context, groups [][]Fact2) ([
 	// pre-batch data) do not contribute.
 	owner := func(m provenance.Monomial) int {
 		gi := 0
-		for _, vp := range m.Vars {
-			if g, ok := tokenGroup[vp.Var]; ok && g > gi {
+		for _, x := range m {
+			if g, ok := tokenGroup[x]; ok && g > gi {
 				gi = g
 			}
 		}
@@ -675,7 +673,7 @@ func copyInto(dst, src map[string]map[string]deltaFact) {
 		}
 		for k, df := range m {
 			if prev, ok := dm[k]; ok {
-				prev.prov = provenance.UnionWitness(prev.prov, df.prov)
+				prev.prov = prev.prov.Add(df.prov)
 				dm[k] = prev
 			} else {
 				dm[k] = df

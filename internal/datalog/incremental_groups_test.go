@@ -99,7 +99,7 @@ func changesEqual(t *testing.T, label string, a, b []Change) {
 				visible = append(visible, fmt.Sprintf("%s|%s|fresh=%v|removed=%v", c.Pred, c.Key, c.Fresh, c.Removed))
 			}
 			k := c.Pred + "|" + c.Key
-			growth[k] = growth[k].Add(c.Prov).Linearize()
+			growth[k] = growth[k].Add(c.Prov)
 		}
 		sort.Strings(visible)
 		return visible, growth

@@ -24,7 +24,7 @@ func TestMergeRederivationAllocatesNothing(t *testing.T) {
 	}
 	for name, p := range map[string]provenance.Poly{
 		"stored witness": x,
-		"cut witness":    provenance.MulWitness(y, z),
+		"cut witness":    y.Mul(z),
 	} {
 		if n := testing.AllocsPerRun(100, func() {
 			if _, changed := mergeKeyed(rel, k, tu, p, opts); changed {

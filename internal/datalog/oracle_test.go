@@ -2,7 +2,6 @@ package datalog
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"orchestra/internal/provenance"
@@ -28,13 +27,6 @@ func oracleEval(p *Program, edb *DB, opts Options) (*DB, error) {
 	db := edb.Snapshot()
 	ensurePreds(p, db)
 	pl := newPlanner(opts.NoReorder)
-	if opts.Exact && opts.Provenance {
-		if cyc := recursivePreds(p); len(cyc) > 0 {
-			return nil, fmt.Errorf("datalog: exact provenance requires a non-recursive program; recursive predicates: %s",
-				strings.Join(cyc, ", "))
-		}
-		return db, oracleExact(p, db, pl, opts)
-	}
 	maxIter := opts.MaxIterations
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIterations
@@ -45,60 +37,6 @@ func oracleEval(p *Program, edb *DB, opts Options) (*DB, error) {
 		}
 	}
 	return db, nil
-}
-
-// oracleExact fires every rule once, a predicate only after every other
-// predicate its rules read, accumulating annotations in N[X].
-func oracleExact(p *Program, db *DB, pl *planner, opts Options) error {
-	idb := p.IDBPreds()
-	done := map[string]bool{}
-	ready := func(pred string) bool {
-		for _, r := range p.Rules {
-			if r.Head.Pred != pred {
-				continue
-			}
-			for _, l := range r.Body {
-				if q := l.Atom.Pred; l.Builtin == nil && idb[q] && q != pred && !done[q] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	preds := make([]string, 0, len(idb))
-	for pred := range idb {
-		preds = append(preds, pred)
-	}
-	sort.Strings(preds)
-	for len(done) < len(preds) {
-		progressed := false
-		for _, pred := range preds {
-			if done[pred] || !ready(pred) {
-				continue
-			}
-			for _, r := range p.Rules {
-				if r.Head.Pred != pred {
-					continue
-				}
-				err := oracleFire(r, pl.planFor(r, -1, db), db, nil, opts, func(t schema.Tuple, prov provenance.Poly) {
-					rel := db.MutableRel(pred)
-					if f := rel.facts[t.Key()]; f != nil {
-						f.Prov = f.Prov.Add(prov).Intern()
-						return
-					}
-					rel.put(t, prov)
-				})
-				if err != nil {
-					return err
-				}
-			}
-			done[pred], progressed = true, true
-		}
-		if !progressed {
-			return fmt.Errorf("oracle: dependency cycle among %v", preds)
-		}
-	}
-	return nil
 }
 
 // oracleStratum runs one stratum to fixpoint: a naive round, then semi-naive
@@ -124,9 +62,6 @@ func oracleStratum(rules []Rule, db *DB, pl *planner, opts Options, maxIter int)
 				return
 			}
 			df.prov = df.prov.Add(mr.newPart)
-			if opts.Provenance && !opts.Exact {
-				df.prov = df.prov.Linearize()
-			}
 			m[mr.key] = df
 		})
 	}

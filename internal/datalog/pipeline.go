@@ -341,19 +341,9 @@ func (p *pipeline) prevProv(depth int) provenance.Poly {
 func (p *pipeline) stepProv(depth int, f provenance.Poly) provenance.Poly {
 	pr := p.prevProv(depth)
 	if p.useProv {
-		pr = p.mul(pr, f)
+		pr = pr.Mul(f)
 	}
 	return pr
-}
-
-// mul is the annotation product: N[X] in Exact mode, the witness-set (B[X])
-// product otherwise — every merge linearizes anyway, so the fixpoint never
-// needs the N[X] intermediate.
-func (p *pipeline) mul(a, b provenance.Poly) provenance.Poly {
-	if p.opts.Exact {
-		return a.Mul(b)
-	}
-	return provenance.MulWitness(a, b)
 }
 
 // next advances the cursor at depth to its following row, binding slots as
@@ -518,7 +508,7 @@ func (p *pipeline) emitRow(prov provenance.Poly, sink rowSink) error {
 	}
 	p.headBuf = out
 	if p.opts.Provenance && !pln.tokProv.IsZero() {
-		prov = p.mul(prov, pln.tokProv)
+		prov = prov.Mul(pln.tokProv)
 	}
 	if !p.opts.Provenance {
 		prov = provenance.One()

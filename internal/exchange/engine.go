@@ -20,7 +20,9 @@ package exchange
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
+	"strings"
 
 	"orchestra/internal/datalog"
 	"orchestra/internal/mapping"
@@ -437,9 +439,9 @@ func (e *Engine) minimalKillSet(p provenance.Poly) []provenance.Var {
 	var monos []mono
 	for _, m := range p.Monomials() {
 		var toks []provenance.Var
-		for _, vp := range m.Vars {
-			if _, isTok := updates.TokenTxn(vp.Var); isTok {
-				toks = append(toks, vp.Var)
+		for _, x := range m {
+			if _, isTok := updates.TokenTxn(x); isTok {
+				toks = append(toks, x)
 			}
 		}
 		if len(toks) == 0 {
@@ -690,33 +692,19 @@ func tokenNewer(a, b provenance.Var) bool {
 
 // splitToken parses "peer:seq/idx" into the transaction id, the update
 // index, and whether the token is an update token at all. idx is -1 when no
-// well-formed index follows the slash — including the trailing-slash form
-// "peer:seq/", which the old digit loop silently parsed as index 0.
+// canonical index (see updates.ParseSeq) follows the slash, as in the
+// trailing-slash form "peer:seq/".
 func splitToken(v provenance.Var) (updates.TxnID, int, bool) {
 	id, ok := updates.TokenTxn(v)
 	if !ok {
 		return updates.TxnID{}, -1, false
 	}
 	s := string(v)
-	idx := -1
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			digits := s[i+1:]
-			if len(digits) == 0 {
-				return id, -1, true
-			}
-			n := 0
-			for _, c := range digits {
-				if c < '0' || c > '9' {
-					return id, -1, true
-				}
-				n = n*10 + int(c-'0')
-			}
-			idx = n
-			break
-		}
+	n, ok := updates.ParseSeq(s[strings.LastIndexByte(s, '/')+1:])
+	if !ok || n > math.MaxInt {
+		return id, -1, true
 	}
-	return id, idx, true
+	return id, int(n), true
 }
 
 // minimalDeps returns the foreign transaction set of the monomial of p with
@@ -727,8 +715,8 @@ func minimalDeps(p provenance.Poly, self updates.TxnID) []updates.TxnID {
 	var ids []updates.TxnID // reused across monomials; winners are copied out
 	for _, m := range p.Monomials() {
 		ids = ids[:0]
-		for _, vp := range m.Vars {
-			id, ok := updates.TokenTxn(vp.Var)
+		for _, x := range m {
+			id, ok := updates.TokenTxn(x)
 			if !ok || id == self {
 				continue
 			}

@@ -20,8 +20,13 @@ func TestSplitToken(t *testing.T) {
 		// Trailing slash: no digits follow, so there is no update index.
 		// The old parser's empty digit loop fell through to index 0.
 		{"peer:3/", updates.TxnID{Peer: "peer", Seq: 3}, -1, true},
-		// Garbage after the slash is not an index either.
+		// Garbage after the slash is not an index either, nor is a padded
+		// or overflowing one.
 		{"p:3/x1", updates.TxnID{Peer: "p", Seq: 3}, -1, true},
+		{"p:3/07", updates.TxnID{Peer: "p", Seq: 3}, -1, true},
+		{"p:3/18446744073709551623", updates.TxnID{Peer: "p", Seq: 3}, -1, true},
+		// A non-canonical seq does not name a transaction.
+		{"p:03/0", updates.TxnID{}, -1, false},
 		// Mapping tokens (no slash) are not update tokens.
 		{"M_AC", updates.TxnID{}, -1, false},
 		{"", updates.TxnID{}, -1, false},

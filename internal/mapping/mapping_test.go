@@ -113,7 +113,7 @@ func TestJoinMappingEvaluation(t *testing.T) {
 	edb.Add("alaska.S", schema.NewTuple(schema.Int(1), schema.Int(10), str("ACGT")), provenance.NewVar("s1"))
 	// A dangling S tuple with no matching P: must not produce OPS.
 	edb.Add("alaska.S", schema.NewTuple(schema.Int(1), schema.Int(99), str("TTTT")), provenance.NewVar("s2"))
-	res, err := datalog.Eval(prog, edb, datalog.Options{Provenance: true, Exact: true})
+	res, err := datalog.Eval(prog, edb, datalog.Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestSplitMappingSharedSkolems(t *testing.T) {
 	edb := datalog.NewDB()
 	edb.AddTuple("crete.OPS", schema.NewTuple(str("mouse"), str("p53"), str("ACGT")))
 	edb.AddTuple("crete.OPS", schema.NewTuple(str("mouse"), str("brca1"), str("GGGG")))
-	res, err := datalog.Eval(prog, edb, datalog.Options{Provenance: true, Exact: true})
+	res, err := datalog.Eval(prog, edb, datalog.Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}

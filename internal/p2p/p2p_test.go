@@ -219,6 +219,10 @@ func TestWireRoundTrip(t *testing.T) {
 		"bad new tuple": {Peer: "x", Updates: []WireUpdate{{Rel: "R", Op: 0, New: "zz"}}},
 		"bad old tuple": {Peer: "x", Updates: []WireUpdate{{Rel: "R", Op: 1, Old: "zz"}}},
 		"bad dep":       {Peer: "x", Deps: []string{"nocolon"}},
+		// A padded or wrapping seq would name a real transaction under a
+		// second string.
+		"padded dep seq":   {Peer: "x", Deps: []string{"a:007"}},
+		"wrapping dep seq": {Peer: "x", Deps: []string{"a:18446744073709551623"}},
 	} {
 		if _, err := DecodeTxn(w); !errors.Is(err, ErrBadWire) {
 			t.Errorf("%s: err = %v, want ErrBadWire", name, err)

@@ -11,15 +11,15 @@ import (
 var ErrNotCanonical = errors.New("provenance: monomial list is not in canonical form")
 
 // Arena carves the storage of decoded polynomials — monomial lists,
-// variable powers, cached keys and nodes — from shared
-// chunks. A snapshot or checkpoint decoder builds thousands of small
-// polynomials that then live together in one table, so one allocation per
-// chunk replaces several per polynomial, and the collector marks a few
-// large objects instead of many small ones. The zero value is ready to
-// use; an Arena belongs to one goroutine.
+// variables, cached keys and nodes — from shared chunks. A snapshot or
+// checkpoint decoder builds thousands of small polynomials that then live
+// together in one table, so one allocation per chunk replaces several per
+// polynomial, and the collector marks a few large objects instead of many
+// small ones. The zero value is ready to use; an Arena belongs to one
+// goroutine.
 type Arena struct {
 	monos []Monomial
-	vars  []VarPow
+	vars  []Var
 	keys  []string
 	nodes []polyNode
 	text  strings.Builder
@@ -40,8 +40,8 @@ func carve[T any](chunk *[]T, n, limit int) []T {
 // Monomials returns room for n monomials, to fill by append and hand to Poly.
 func (a *Arena) Monomials(n int) []Monomial { return carve(&a.monos, n, 4096) }
 
-// VarPows returns room for n variable powers of one monomial.
-func (a *Arena) VarPows(n int) []VarPow { return carve(&a.vars, n, 8192) }
+// Vars returns room for the n variables of one monomial.
+func (a *Arena) Vars(n int) []Var { return carve(&a.vars, n, 8192) }
 
 // reserveText makes room for n more bytes without moving what the arena's
 // strings already share: a full builder is replaced, never grown.
@@ -54,26 +54,22 @@ func (a *Arena) reserveText(n int) {
 }
 
 // Poly builds the polynomial whose canonical monomial list is monos (from
-// Monomials, filled with VarPows): no zero coefficient, every monomial's
-// variables strictly increasing with powers ≥ 1, and strictly increasing
-// variable keys — exactly what Monomials() reports and the codecs write, so
-// a decoder skips the sort-and-merge normalization FromMonomials does.
-// Ownership of monos transfers to the polynomial. The invariant is checked,
-// not assumed: input that violates it is refused with ErrNotCanonical, so a
-// corrupted list never produces a node, and a decoder that accepts a list
-// can re-encode it byte for byte.
+// Monomials, each filled from Vars): every monomial's variables strictly
+// increasing, and strictly increasing keys — exactly what Monomials()
+// reports and the codecs write, so a decoder skips the sort-and-merge
+// normalization FromMonomials does. Ownership of monos transfers to the
+// polynomial. The invariant is checked, not assumed: input that violates
+// it is refused with ErrNotCanonical, so a corrupted list never produces a
+// node, and a decoder that accepts a list can re-encode it byte for byte.
 func (a *Arena) Poly(monos []Monomial) (Poly, error) {
 	if len(monos) == 0 {
 		return Poly{}, nil
 	}
 	keys := carve(&a.keys, len(monos), 4096)
 	for i, m := range monos {
-		if m.Coef == 0 {
-			return Poly{}, fmt.Errorf("%w: zero coefficient", ErrNotCanonical)
-		}
-		for j, vp := range m.Vars {
-			if vp.Pow < 1 || (j > 0 && m.Vars[j-1].Var >= vp.Var) {
-				return Poly{}, fmt.Errorf("%w: variables must strictly increase, each with a power ≥ 1", ErrNotCanonical)
+		for j := 1; j < len(m); j++ {
+			if m[j-1] >= m[j] {
+				return Poly{}, fmt.Errorf("%w: variables must strictly increase", ErrNotCanonical)
 			}
 		}
 		a.reserveText(varKeyLen(m))

@@ -2,22 +2,19 @@ package provenance
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
 // polyNode is the canonical (hash-consed) representation behind a Poly: the
-// sorted monomial list, the cached variable key of each monomial, and a
-// precomputed structural hash. Nodes are immutable after construction; the
-// cached linearization is the only field written later, through an atomic
-// pointer. Canonical polynomials that recur share one node through the
-// intern cache below, making equality on them a pointer comparison.
+// sorted monomial list, the cached key of each monomial, and a precomputed
+// structural hash. Nodes are immutable after construction. Canonical
+// polynomials that recur share one node through the intern cache below,
+// making equality on them a pointer comparison.
 type polyNode struct {
 	monos []Monomial
-	keys  []string // varKey per monomial, aligned with monos
+	keys  []string // key per monomial, aligned with monos
 	hash  uint64
-	// lin caches the node of Linearize(p); nil until first computed. A node
-	// that is its own linearization stores itself.
-	lin atomic.Pointer[polyNode]
 }
 
 // The intern cache is a fixed-size, direct-mapped, lock-free table of
@@ -36,19 +33,18 @@ const internSlots = 1 << 15
 
 var internCache [internSlots]atomic.Pointer[polyNode]
 
-// hashMonos hashes the canonical monomial list — each coefficient, then its
-// variable key — a machine word at a time: every word is folded in by one
-// 64×64→128-bit multiply whose halves are xored (the wyhash mixer). The hash
+// hashMonos hashes the canonical monomial list — each monomial's key — a
+// machine word at a time: every word is folded in by one 64×64→128-bit
+// multiply whose halves are xored (the wyhash mixer). The hash
 // only picks intern slots and pre-screens Equal, so it must be a function of
 // the monomial list and spread well over its low bits; it is never
 // persisted, and a collision costs only a structural comparison.
-func hashMonos(monos []Monomial, keys []string) uint64 {
+func hashMonos(keys []string) uint64 {
 	h := uint64(0x243f6a8885a308d3)
-	for i, m := range monos {
-		h = hashMix(h, m.Coef)
-		h = hashString(h, keys[i])
+	for _, k := range keys {
+		h = hashString(h, k)
 	}
-	return hashMix(h, uint64(len(monos)))
+	return hashMix(h, uint64(len(keys)))
 }
 
 // hashString folds s into h eight bytes per step. The last, partial word is
@@ -88,31 +84,18 @@ func load32(s string) uint32 {
 }
 
 // sameMonos reports structural equality of two canonical monomial lists.
-// Keys alone are not decisive (a pathological variable name can collide
-// with a power suffix), so variable lists are compared directly.
+// Keys alone are not decisive (a variable name holding ';' can collide with
+// two variables), so variable lists are compared directly.
 func sameMonos(a, b []Monomial) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Coef != b[i].Coef || len(a[i].Vars) != len(b[i].Vars) {
-			return false
-		}
-		for j := range a[i].Vars {
-			if a[i].Vars[j] != b[i].Vars[j] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, slices.Equal)
 }
 
 // newNode returns the canonical polynomial for an already-canonical monomial
-// list (sorted by varKey, duplicates merged, no zero coefficients),
-// consulting the intern cache: if an equal node is resident it is shared
-// and the caller's slices are discarded; otherwise a new node is built and
-// published to its slot. The caller hands over ownership of both slices.
-// An empty list is the zero polynomial (nil node).
+// list (sorted by key, no repeats), consulting the intern cache: if an
+// equal node is resident it is shared and the caller's slices are
+// discarded; otherwise a new node is built and published to its slot. The
+// caller hands over ownership of both slices. An empty list is the zero
+// polynomial (nil node).
 func newNode(monos []Monomial, keys []string) Poly {
 	return newNodeIn(monos, keys, nil)
 }
@@ -123,7 +106,7 @@ func newNodeIn(monos []Monomial, keys []string, spare *polyNode) Poly {
 	if len(monos) == 0 {
 		return Poly{}
 	}
-	h := hashMonos(monos, keys)
+	h := hashMonos(keys)
 	slot := &internCache[h&(internSlots-1)]
 	if n := slot.Load(); n != nil && n.hash == h && sameMonos(n.monos, monos) {
 		return Poly{n: n}

@@ -1,9 +1,8 @@
 package provenance
 
 import (
-	"fmt"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -12,99 +11,67 @@ import (
 // combinations of published data derive a tuple.
 type Var string
 
-// VarPow is one factor x^k of a monomial.
-type VarPow struct {
-	Var Var
-	Pow int
-}
+// Monomial is one witness: the set of tokens that jointly derive a tuple,
+// sorted and without repeats. The empty monomial is the constant 1.
+type Monomial []Var
 
-// Monomial is coef · x1^k1 · ... · xn^kn with Vars sorted by name and all
-// powers ≥ 1. A Monomial with no vars is a constant.
-type Monomial struct {
-	Coef uint64
-	Vars []VarPow
-}
-
-// varKey returns the canonical key of the monomial's variable part. It is
-// computed once per interned monomial (see intern.go) and cached alongside
-// the canonical monomial list, so it avoids fmt.
-func (m Monomial) varKey() string {
+// Key returns the canonical key of the monomial: each variable followed by
+// ';'. Two monomials with the same Key are one witness.
+func (m Monomial) Key() string {
 	var b strings.Builder
 	b.Grow(varKeyLen(m))
 	writeVarKey(&b, m)
 	return b.String()
 }
 
-// varKeyLen bounds the length of m's variable key from above.
+// varKeyLen returns the length of m's key.
 func varKeyLen(m Monomial) int {
 	n := 0
-	for _, vp := range m.Vars {
-		n += len(vp.Var) + 1
-		if vp.Pow != 1 {
-			n += 21 // '^' and at most 20 characters of an int
-		}
+	for _, x := range m {
+		n += len(x) + 1
 	}
 	return n
 }
 
-// writeVarKey writes m's variable key: each variable, its power when not
-// 1, and a ';'.
+// writeVarKey writes m's key: each variable and a ';'.
 func writeVarKey(b *strings.Builder, m Monomial) {
-	for _, vp := range m.Vars {
-		b.WriteString(string(vp.Var))
-		if vp.Pow != 1 {
-			b.WriteByte('^')
-			b.WriteString(strconv.Itoa(vp.Pow))
-		}
+	for _, x := range m {
+		b.WriteString(string(x))
 		b.WriteByte(';')
 	}
 }
 
-// Key returns the canonical key of the monomial's variable part (ignoring
-// the coefficient); two monomials with the same Key merge under addition.
-func (m Monomial) Key() string { return m.varKey() }
-
-// Degree returns the total degree of the monomial.
-func (m Monomial) Degree() int {
-	d := 0
-	for _, vp := range m.Vars {
-		d += vp.Pow
-	}
-	return d
-}
-
-// String renders the monomial, e.g. "2·x·y^2".
+// String renders the monomial, e.g. "x·y"; the empty monomial is "1".
 func (m Monomial) String() string {
-	if len(m.Vars) == 0 {
-		return fmt.Sprintf("%d", m.Coef)
+	if len(m) == 0 {
+		return "1"
 	}
-	parts := []string{}
-	if m.Coef != 1 {
-		parts = append(parts, fmt.Sprintf("%d", m.Coef))
-	}
-	for _, vp := range m.Vars {
-		if vp.Pow == 1 {
-			parts = append(parts, string(vp.Var))
-		} else {
-			parts = append(parts, fmt.Sprintf("%s^%d", vp.Var, vp.Pow))
-		}
+	parts := make([]string, len(m))
+	for i, x := range m {
+		parts[i] = string(x)
 	}
 	return strings.Join(parts, "·")
 }
 
-// Poly is a provenance polynomial in N[X], kept in canonical form: monomials
-// sorted by variable key, no zero coefficients, variable lists sorted and
-// deduplicated. The zero polynomial is the zero value. Poly values are
-// immutable; operations return new polynomials.
+// Poly is a provenance polynomial in B[X], the witness-set semiring: a set
+// of monomials, each a set of tokens. + is set union and · the pairwise
+// union of monomials, so p + p = p and x·x = x. Evaluation into any
+// semiring whose + and · are idempotent factors through B[X], so witness
+// sets answer every question those semirings ask — derivability
+// (BoolSemiring), trust (TrustSemiring), clearance (SecuritySemiring) —
+// exactly; see Eval.
+//
+// A Poly is kept in canonical form: monomials sorted by key, no repeats.
+// The zero polynomial is the zero value. Poly values are immutable;
+// operations return new polynomials.
 //
 // Every polynomial points at a canonical node carrying a precomputed
-// structural hash and the cached variable key of each monomial, built
-// through the bounded hash-consing cache in intern.go: recurring
-// polynomials share one allocation, so equality on them is a pointer
-// comparison (with a hash-guarded structural fallback when two equal values
-// missed each other in the cache), and Add/Linearize/Subsumes reuse the
-// cached sorted keys instead of rebuilding map-and-sort state per
-// operation. Linearizations are memoized per node.
+// structural hash and the cached key of each monomial, built through the
+// bounded hash-consing cache in intern.go: recurring polynomials share one
+// allocation, so equality on them is a pointer comparison (with a
+// hash-guarded structural fallback when two equal values missed each other
+// in the cache), and Add/Subsumes walk the cached sorted keys instead of
+// rebuilding map-and-sort state per operation.
 type Poly struct {
 	n *polyNode
 }
@@ -113,27 +80,15 @@ type Poly struct {
 func Zero() Poly { return Poly{} }
 
 // One returns the constant polynomial 1.
-func One() Poly { return Const(1) }
-
-// Const returns the constant polynomial c.
-func Const(c uint64) Poly {
-	if c == 0 {
-		return Poly{}
-	}
-	if c == 1 {
-		return polyOne
-	}
-	return newNode([]Monomial{{Coef: c}}, []string{""})
-}
+func One() Poly { return polyOne }
 
 // polyOne is the interned constant 1 — the most common annotation in the
 // system (every set-semantics fact), shared process-wide.
-var polyOne = newNode([]Monomial{{Coef: 1}}, []string{""}).Intern()
+var polyOne = newNode([]Monomial{{}}, []string{""}).Intern()
 
 // NewVar returns the polynomial consisting of the single variable x.
 func NewVar(x Var) Poly {
-	m := Monomial{Coef: 1, Vars: []VarPow{{Var: x, Pow: 1}}}
-	return newNode([]Monomial{m}, []string{m.varKey()})
+	return newNode([]Monomial{{x}}, []string{string(x) + ";"})
 }
 
 // IsZero reports whether p is the zero polynomial.
@@ -141,7 +96,7 @@ func (p Poly) IsZero() bool { return p.n == nil }
 
 // IsOne reports whether p is the constant 1.
 func (p Poly) IsOne() bool {
-	return p.n != nil && len(p.n.monos) == 1 && p.n.monos[0].Coef == 1 && len(p.n.monos[0].Vars) == 0
+	return p.n != nil && len(p.n.monos) == 1 && len(p.n.monos[0]) == 0
 }
 
 // Monomials returns the canonical monomial list (shared; do not modify).
@@ -152,7 +107,7 @@ func (p Poly) Monomials() []Monomial {
 	return p.n.monos
 }
 
-// Keys returns the canonical variable key of each monomial, aligned with
+// Keys returns the canonical key of each monomial, aligned with
 // Monomials() and sorted ascending. The slice is the interned node's cache:
 // shared, do not modify.
 func (p Poly) Keys() []string {
@@ -170,7 +125,7 @@ func (p Poly) Hash() uint64 {
 	return p.n.hash
 }
 
-// NumMonomials returns the number of monomials (distinct derivation shapes).
+// NumMonomials returns the number of monomials (distinct witnesses).
 func (p Poly) NumMonomials() int {
 	if p.n == nil {
 		return 0
@@ -182,9 +137,7 @@ func (p Poly) NumMonomials() int {
 func (p Poly) Degree() int {
 	d := 0
 	for _, m := range p.Monomials() {
-		if md := m.Degree(); md > d {
-			d = md
-		}
+		d = max(d, len(m))
 	}
 	return d
 }
@@ -193,133 +146,60 @@ func (p Poly) Degree() int {
 func (p Poly) Vars() []Var {
 	set := map[Var]bool{}
 	for _, m := range p.Monomials() {
-		for _, vp := range m.Vars {
-			set[vp.Var] = true
+		for _, x := range m {
+			set[x] = true
 		}
 	}
 	out := make([]Var, 0, len(set))
-	for v := range set {
-		out = append(out, v)
+	for x := range set {
+		out = append(out, x)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// FromMonomials builds a polynomial from raw monomials, normalizing into
-// canonical form (merging duplicates, dropping zero coefficients). The
-// input monomials are copied; the caller keeps ownership of its slices.
+// FromMonomials builds the polynomial whose witnesses are monos: each
+// monomial's variables are sorted and deduplicated, then repeated monomials
+// merge. The input is copied; the caller keeps ownership of its slices.
 func FromMonomials(monos []Monomial) Poly {
-	out := make([]Monomial, 0, len(monos))
-	keys := make([]string, 0, len(monos))
-	for _, m := range monos {
-		if m.Coef == 0 {
-			continue
-		}
-		out = append(out, Monomial{Coef: m.Coef, Vars: append([]VarPow(nil), m.Vars...)})
-		keys = append(keys, m.varKey())
+	out := make([]Monomial, len(monos))
+	keys := make([]string, len(monos))
+	for i, m := range monos {
+		m = slices.Compact(slices.Sorted(slices.Values(m)))
+		out[i], keys[i] = m, m.Key()
 	}
-	return canonicalize(out, keys, false)
+	return canonicalize(out, keys)
 }
 
-// canonicalize sorts a raw (owned) monomial list by variable key, merges
-// duplicate keys by coefficient addition (capped at 1 when capCoef is set),
-// drops zero coefficients, and interns the result. It replaces the old
-// map[string]*Monomial + sort.Strings normalizer with one sort and a linear
-// in-place merge.
-func canonicalize(monos []Monomial, keys []string, capCoef bool) Poly {
+// canonicalize sorts a raw (owned) monomial list by key, drops repeated
+// keys, and interns the result.
+func canonicalize(monos []Monomial, keys []string) Poly {
 	if len(monos) == 0 {
 		return Poly{}
 	}
 	sort.Sort(&monoSorter{monos: monos, keys: keys})
 	w := 0
-	for r := 0; r < len(monos); {
-		m := monos[r]
-		k := keys[r]
-		coef := m.Coef
-		for r++; r < len(monos) && keys[r] == k; r++ {
-			coef += monos[r].Coef
-		}
-		if capCoef && coef > 1 {
-			coef = 1
-		}
-		if coef == 0 {
+	for r := range monos {
+		if r > 0 && keys[r] == keys[w-1] {
 			continue
 		}
-		monos[w] = Monomial{Coef: coef, Vars: m.Vars}
-		keys[w] = k
+		monos[w], keys[w] = monos[r], keys[r]
 		w++
 	}
 	return newNode(monos[:w], keys[:w])
 }
 
-// Add returns p + q: a single merge of the two canonical (sorted) monomial
-// lists using the cached keys — no map, no re-sort, no key recomputation.
+// Add returns p + q, the union of the two witness sets: one merge of the
+// two sorted key lists that returns an operand unchanged when it already
+// contains the other.
 func (p Poly) Add(q Poly) Poly {
-	if p.IsZero() {
-		return q
-	}
-	if q.IsZero() {
-		return p
-	}
-	am, ak := p.n.monos, p.n.keys
-	bm, bk := q.n.monos, q.n.keys
-	monos := make([]Monomial, 0, len(am)+len(bm))
-	keys := make([]string, 0, len(am)+len(bm))
-	i, j := 0, 0
-	for i < len(am) && j < len(bm) {
-		switch {
-		case ak[i] < bk[j]:
-			monos = append(monos, am[i])
-			keys = append(keys, ak[i])
-			i++
-		case ak[i] > bk[j]:
-			monos = append(monos, bm[j])
-			keys = append(keys, bk[j])
-			j++
-		default:
-			if c := am[i].Coef + bm[j].Coef; c != 0 {
-				monos = append(monos, Monomial{Coef: c, Vars: am[i].Vars})
-				keys = append(keys, ak[i])
-			}
-			i++
-			j++
-		}
-	}
-	for ; i < len(am); i++ {
-		monos = append(monos, am[i])
-		keys = append(keys, ak[i])
-	}
-	for ; j < len(bm); j++ {
-		monos = append(monos, bm[j])
-		keys = append(keys, bk[j])
-	}
-	return newNode(monos, keys)
+	merged, _, _, _ := mergeWitness(p, q, 0, false)
+	return merged
 }
 
-// mulMono multiplies two monomials.
-func mulMono(a, b Monomial) Monomial {
-	out := Monomial{Coef: a.Coef * b.Coef, Vars: make([]VarPow, 0, len(a.Vars)+len(b.Vars))}
-	i, j := 0, 0
-	for i < len(a.Vars) && j < len(b.Vars) {
-		switch {
-		case a.Vars[i].Var < b.Vars[j].Var:
-			out.Vars = append(out.Vars, a.Vars[i])
-			i++
-		case a.Vars[i].Var > b.Vars[j].Var:
-			out.Vars = append(out.Vars, b.Vars[j])
-			j++
-		default:
-			out.Vars = append(out.Vars, VarPow{Var: a.Vars[i].Var, Pow: a.Vars[i].Pow + b.Vars[j].Pow})
-			i++
-			j++
-		}
-	}
-	out.Vars = append(out.Vars, a.Vars[i:]...)
-	out.Vars = append(out.Vars, b.Vars[j:]...)
-	return out
-}
-
-// Mul returns p · q.
+// Mul returns p · q: each pair of monomials contributes the sorted union of
+// their variables, written once into one shared variable array and one key
+// string, and the pairs are then sorted and deduplicated.
 func (p Poly) Mul(q Poly) Poly {
 	if p.IsZero() || q.IsZero() {
 		return Poly{}
@@ -331,19 +211,47 @@ func (p Poly) Mul(q Poly) Poly {
 		return p
 	}
 	pm, qm := p.n.monos, q.n.monos
+	nv, nb := 0, 0
+	for _, a := range pm {
+		nv += len(qm) * len(a)
+		nb += len(qm) * varKeyLen(a)
+	}
+	for _, b := range qm {
+		nv += len(pm) * len(b)
+		nb += len(pm) * varKeyLen(b)
+	}
+	vars := make([]Var, 0, nv)
 	monos := make([]Monomial, 0, len(pm)*len(qm))
 	keys := make([]string, 0, len(pm)*len(qm))
+	var kb strings.Builder
+	kb.Grow(nb)
 	for _, a := range pm {
 		for _, b := range qm {
-			m := mulMono(a, b)
-			if m.Coef == 0 {
-				continue
+			start, kstart := len(vars), kb.Len()
+			i, j := 0, 0
+			for i < len(a) || j < len(b) {
+				var x Var
+				switch {
+				case j == len(b) || (i < len(a) && a[i] < b[j]):
+					x = a[i]
+					i++
+				case i == len(a) || b[j] < a[i]:
+					x = b[j]
+					j++
+				default:
+					x = a[i]
+					i++
+					j++
+				}
+				vars = append(vars, x)
+				kb.WriteString(string(x))
+				kb.WriteByte(';')
 			}
-			monos = append(monos, m)
-			keys = append(keys, m.varKey())
+			monos = append(monos, vars[start:len(vars):len(vars)])
+			keys = append(keys, kb.String()[kstart:])
 		}
 	}
-	return canonicalize(monos, keys, false)
+	return canonicalize(monos, keys)
 }
 
 // Equal reports canonical equality of two polynomials. Every canonical
@@ -361,7 +269,7 @@ func (p Poly) Equal(q Poly) bool {
 	return sameMonos(p.n.monos, q.n.monos)
 }
 
-// String renders the polynomial, e.g. "x·y + 2·z".
+// String renders the polynomial, e.g. "x·y + z".
 func (p Poly) String() string {
 	if p.IsZero() {
 		return "0"
@@ -375,57 +283,18 @@ func (p Poly) String() string {
 
 // Eval evaluates p under the semiring homomorphism determined by assign:
 // each variable x is replaced by assign(x) and +/· are interpreted in s.
-// This is the "factorization" property of N[X]: a single polynomial answers
-// trust, derivability, counting, and cost queries.
-//
-// Coefficients are interpreted as c-fold sums of 1 and powers as k-fold
-// products, both computed by double-and-add / square-and-multiply, so the
-// cost is O(log c + log k) semiring operations rather than O(c + k).
+// For every s whose + and · are idempotent — BoolSemiring, TrustSemiring,
+// SecuritySemiring — this is a homomorphism from B[X]: Eval(p + q) =
+// Eval(p) + Eval(q) and Eval(p · q) = Eval(p) · Eval(q). So one witness set
+// answers derivability, trust and clearance questions alike.
 func Eval[T any](p Poly, s Semiring[T], assign func(Var) T) T {
 	acc := s.Zero()
 	for _, m := range p.Monomials() {
-		term := addTimes(s, m.Coef)
-		for _, vp := range m.Vars {
-			v := assign(vp.Var)
-			if vp.Pow == 1 {
-				term = s.Mul(term, v)
-			} else if vp.Pow > 1 {
-				term = s.Mul(term, powTimes(s, v, vp.Pow))
-			}
+		term := s.One()
+		for _, x := range m {
+			term = s.Mul(term, assign(x))
 		}
 		acc = s.Add(acc, term)
-	}
-	return acc
-}
-
-// addTimes returns the c-fold sum 1 + 1 + ... + 1 in s, by double-and-add.
-func addTimes[T any](s Semiring[T], c uint64) T {
-	acc := s.Zero()
-	base := s.One()
-	for c > 0 {
-		if c&1 != 0 {
-			acc = s.Add(acc, base)
-		}
-		c >>= 1
-		if c != 0 {
-			base = s.Add(base, base)
-		}
-	}
-	return acc
-}
-
-// powTimes returns v^k in s (k ≥ 1), by square-and-multiply.
-func powTimes[T any](s Semiring[T], v T, k int) T {
-	acc := s.One()
-	base := v
-	for k > 0 {
-		if k&1 != 0 {
-			acc = s.Mul(acc, base)
-		}
-		k >>= 1
-		if k != 0 {
-			base = s.Mul(base, base)
-		}
 	}
 	return acc
 }
@@ -436,18 +305,20 @@ func powTimes[T any](s Semiring[T], v T, k int) T {
 // that drives provenance-based deletion propagation in update exchange.
 func (p Poly) Derivable(alive func(Var) bool) bool {
 	for _, m := range p.Monomials() {
-		ok := true
-		for _, vp := range m.Vars {
-			if !alive(vp.Var) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if allAlive(m, alive) {
 			return true
 		}
 	}
 	return false
+}
+
+func allAlive(m Monomial, alive func(Var) bool) bool {
+	for _, x := range m {
+		if !alive(x) {
+			return false
+		}
+	}
+	return true
 }
 
 // Restrict returns p with all monomials mentioning a dead variable removed —
@@ -459,14 +330,7 @@ func (p Poly) Restrict(alive func(Var) bool) Poly {
 	out := make([]Monomial, 0, len(p.n.monos))
 	keys := make([]string, 0, len(p.n.monos))
 	for i, m := range p.n.monos {
-		ok := true
-		for _, vp := range m.Vars {
-			if !alive(vp.Var) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if allAlive(m, alive) {
 			out = append(out, m)
 			keys = append(keys, p.n.keys[i])
 		}
@@ -477,90 +341,15 @@ func (p Poly) Restrict(alive func(Var) bool) Poly {
 	return newNode(out, keys)
 }
 
-// Linearize maps p from N[X] onto the B[X] "witness set" quotient: every
-// coefficient becomes 1 and every variable power becomes 1, then duplicate
-// monomials merge. The result enumerates the distinct sets of base tuples
-// that each support a derivation. Evaluation under any semiring with
-// idempotent + and · (boolean, trust, security) is unchanged by
-// linearization, which is why the datalog engine can use it to obtain a
-// finite fixpoint for recursive mapping programs (see internal/datalog).
-//
-// The result is cached on the interned node: linearizing the same shared
-// polynomial twice costs one atomic load.
-func (p Poly) Linearize() Poly {
-	if p.IsZero() {
-		return p
-	}
-	if lin := p.n.lin.Load(); lin != nil {
-		return Poly{n: lin}
-	}
-	if p.n.linear() {
-		return p
-	}
-	out := make([]Monomial, len(p.n.monos))
-	keys := make([]string, len(p.n.monos))
-	for i, m := range p.n.monos {
-		nm := Monomial{Coef: 1, Vars: make([]VarPow, len(m.Vars))}
-		for j, vp := range m.Vars {
-			nm.Vars[j] = VarPow{Var: vp.Var, Pow: 1}
-		}
-		out[i] = nm
-		keys[i] = nm.varKey()
-	}
-	q := markLinear(canonicalize(out, keys, true))
-	p.n.lin.Store(q.n)
-	return q
-}
-
-// Truncate returns p with at most k monomials, keeping those with the
-// lowest degree (shortest derivations) and breaking ties canonically. The
-// datalog engine uses it to bound witness-set growth on dense mapping
-// graphs, where the number of alternative derivation paths — and hence
-// monomials — can grow combinatorially. Short derivations are the ones
-// trust conditions and deletion propagation care about; see DESIGN.md §4.
-func (p Poly) Truncate(k int) Poly {
-	if k <= 0 || p.NumMonomials() <= k {
-		return p
-	}
-	idx := make([]int, len(p.n.monos))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		da, db := p.n.monos[idx[a]].Degree(), p.n.monos[idx[b]].Degree()
-		if da != db {
-			return da < db
-		}
-		return idx[a] < idx[b] // canonical order as tiebreak
-	})
-	keep := idx[:k]
-	sort.Ints(keep)
-	out := make([]Monomial, 0, k)
-	keys := make([]string, 0, k)
-	for _, i := range keep {
-		out = append(out, p.n.monos[i])
-		keys = append(keys, p.n.keys[i])
-	}
-	return newNode(out, keys)
-}
-
-// Subsumes reports whether every monomial of q is present in p (ignoring
-// coefficients and powers after linearization). It is the ≤ test of the
-// B[X] lattice used by the fixpoint convergence check. Both linearized key
-// lists are sorted, so this is a two-pointer containment walk over the
-// cached keys — no map is built.
+// Subsumes reports whether every monomial of q is present in p: the ≤ test
+// of the B[X] lattice used by the fixpoint convergence check. Both key lists
+// are sorted, so this is a two-pointer containment walk over the cached
+// keys — no map is built.
 func (p Poly) Subsumes(q Poly) bool {
-	if q.IsZero() {
+	if q.IsZero() || p.n == q.n {
 		return true
 	}
-	if p.n == q.n {
-		return true
-	}
-	lp, lq := p.Linearize(), q.Linearize()
-	if lp.n == lq.n {
-		return true
-	}
-	pk, qk := lp.Keys(), lq.Keys()
+	pk, qk := p.Keys(), q.Keys()
 	if len(qk) > len(pk) {
 		return false
 	}
@@ -576,16 +365,3 @@ func (p Poly) Subsumes(q Poly) bool {
 	}
 	return true
 }
-
-// polySemiring makes Poly itself a Semiring[Poly] — N[X] is the free
-// commutative semiring, so datalog evaluation can run directly over it.
-type polySemiring struct{}
-
-func (polySemiring) Zero() Poly         { return Zero() }
-func (polySemiring) One() Poly          { return One() }
-func (polySemiring) Add(a, b Poly) Poly { return a.Add(b) }
-func (polySemiring) Mul(a, b Poly) Poly { return a.Mul(b) }
-func (polySemiring) Eq(a, b Poly) bool  { return a.Equal(b) }
-
-// PolySemiring returns N[X] as a Semiring[Poly].
-func PolySemiring() Semiring[Poly] { return polySemiring{} }

@@ -1,11 +1,13 @@
 // Package provenance implements the semiring provenance framework of Green,
 // Karvounarakis, and Tannen ("Provenance Semirings", PODS 2007), which is
 // the formal foundation ORCHESTRA uses to trace where exchanged data came
-// from. Derived tuples carry provenance polynomials in N[X] — the most
-// general ("universal") provenance semiring — and any concrete annotation
-// (trust, boolean derivability, counting, cost) is obtained by evaluating
-// the polynomial under the unique semiring homomorphism determined by an
-// assignment of the variables.
+// from. Derived tuples carry polynomials in B[X], the witness-set semiring:
+// each monomial is a set of base-tuple tokens that jointly derive the tuple.
+// ORCHESTRA reads provenance for trust conditions and for deletion, and both
+// evaluate it under semirings whose + and · are idempotent. Evaluation into
+// any such semiring factors through B[X], so each of those annotations is
+// obtained by evaluating the witness set under the homomorphism determined
+// by an assignment of the variables (see Eval).
 package provenance
 
 // Semiring describes a commutative semiring (K, +, ·, 0, 1): both
@@ -27,8 +29,8 @@ type Semiring[T any] interface {
 }
 
 // BoolSemiring is the boolean semiring (B, ∨, ∧, false, true): evaluating
-// an N[X] polynomial under it answers "is this tuple still derivable?",
-// which drives provenance-based deletion propagation.
+// a witness set under it answers "is this tuple still derivable?", which
+// drives provenance-based deletion propagation.
 type BoolSemiring struct{}
 
 // Zero returns false.
@@ -45,58 +47,6 @@ func (BoolSemiring) Mul(a, b bool) bool { return a && b }
 
 // Eq is boolean equality.
 func (BoolSemiring) Eq(a, b bool) bool { return a == b }
-
-// CountSemiring is (N, +, ·, 0, 1): evaluation counts the number of
-// distinct derivations of a tuple (bag semantics).
-type CountSemiring struct{}
-
-// Zero returns 0.
-func (CountSemiring) Zero() uint64 { return 0 }
-
-// One returns 1.
-func (CountSemiring) One() uint64 { return 1 }
-
-// Add is addition.
-func (CountSemiring) Add(a, b uint64) uint64 { return a + b }
-
-// Mul is multiplication.
-func (CountSemiring) Mul(a, b uint64) uint64 { return a * b }
-
-// Eq is numeric equality.
-func (CountSemiring) Eq(a, b uint64) bool { return a == b }
-
-// TropicalSemiring is (N ∪ {∞}, min, +, ∞, 0): evaluation computes the
-// cheapest derivation, used e.g. for "distance from origin peer" scoring.
-// Infinity is represented by TropicalInf.
-type TropicalSemiring struct{}
-
-// TropicalInf represents +∞ in the tropical semiring.
-const TropicalInf = int64(1) << 62
-
-// Zero returns +∞.
-func (TropicalSemiring) Zero() int64 { return TropicalInf }
-
-// One returns 0.
-func (TropicalSemiring) One() int64 { return 0 }
-
-// Add is min.
-func (TropicalSemiring) Add(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Mul is saturating addition.
-func (TropicalSemiring) Mul(a, b int64) int64 {
-	if a >= TropicalInf || b >= TropicalInf || a+b >= TropicalInf {
-		return TropicalInf
-	}
-	return a + b
-}
-
-// Eq is numeric equality.
-func (TropicalSemiring) Eq(a, b int64) bool { return a == b }
 
 // TrustSemiring is the fuzzy/confidence semiring ([0,1], max, min, 0, 1):
 // evaluation computes the confidence of the *most trusted* derivation,

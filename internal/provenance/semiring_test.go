@@ -5,8 +5,8 @@ import (
 	"testing/quick"
 )
 
-// checkSemiringLaws verifies the commutative-semiring axioms on sampled
-// elements of any semiring.
+// checkSemiringLaws verifies the commutative-semiring axioms, and the
+// idempotence of + every semiring here has, on sampled elements.
 func checkSemiringLaws[T any](t *testing.T, name string, s Semiring[T], gen func() T) {
 	t.Helper()
 	f := func() bool {
@@ -35,6 +35,10 @@ func checkSemiringLaws[T any](t *testing.T, name string, s Semiring[T], gen func
 		if !s.Eq(s.Mul(a, b), s.Mul(b, a)) {
 			return false
 		}
+		// Idempotence of +.
+		if !s.Eq(s.Add(a, a), a) {
+			return false
+		}
 		// Distributivity.
 		return s.Eq(s.Mul(a, s.Add(b, c)), s.Add(s.Mul(a, b), s.Mul(a, c)))
 	}
@@ -45,34 +49,29 @@ func checkSemiringLaws[T any](t *testing.T, name string, s Semiring[T], gen func
 	}
 }
 
+// checkMulIdempotent verifies a · a = a on sampled elements.
+func checkMulIdempotent[T any](t *testing.T, name string, s Semiring[T], gen func() T) {
+	t.Helper()
+	for i := 0; i < 200; i++ {
+		if a := gen(); !s.Eq(s.Mul(a, a), a) {
+			t.Fatalf("%s: %v · %v = %v", name, a, a, s.Mul(a, a))
+		}
+	}
+}
+
 func TestSemiringLaws(t *testing.T) {
 	var seed uint64 = 12345
 	next := func() uint64 { seed = seed*6364136223846793005 + 1442695040888963407; return seed }
 
-	checkSemiringLaws[bool](t, "bool", BoolSemiring{}, func() bool { return next()%2 == 0 })
-	checkSemiringLaws[uint64](t, "count", CountSemiring{}, func() uint64 { return next() % 100 })
-	checkSemiringLaws[int64](t, "tropical", TropicalSemiring{}, func() int64 {
-		v := int64(next() % 1000)
-		if v > 990 {
-			return TropicalInf
-		}
-		return v
-	})
-	checkSemiringLaws[float64](t, "trust", TrustSemiring{}, func() float64 { return float64(next()%101) / 100 })
-	checkSemiringLaws[int8](t, "security", SecuritySemiring{}, func() int8 { return int8(next() % 5) })
-}
-
-func TestTropicalSaturation(t *testing.T) {
-	s := TropicalSemiring{}
-	if s.Mul(TropicalInf, TropicalInf) != TropicalInf {
-		t.Error("∞+∞ must saturate at ∞")
-	}
-	if s.Mul(TropicalInf, 5) != TropicalInf {
-		t.Error("∞+5 must be ∞")
-	}
-	if s.Add(TropicalInf, 5) != 5 {
-		t.Error("min(∞,5) must be 5")
-	}
+	genBool := func() bool { return next()%2 == 0 }
+	genTrust := func() float64 { return float64(next()%101) / 100 }
+	genLevel := func() int8 { return int8(next() % 5) }
+	checkSemiringLaws[bool](t, "bool", BoolSemiring{}, genBool)
+	checkSemiringLaws[float64](t, "trust", TrustSemiring{}, genTrust)
+	checkSemiringLaws[int8](t, "security", SecuritySemiring{}, genLevel)
+	checkMulIdempotent[bool](t, "bool", BoolSemiring{}, genBool)
+	checkMulIdempotent[float64](t, "trust", TrustSemiring{}, genTrust)
+	checkMulIdempotent[int8](t, "security", SecuritySemiring{}, genLevel)
 }
 
 func TestSecurityLevels(t *testing.T) {
@@ -102,23 +101,12 @@ func TestTrustSemiringWeakestLink(t *testing.T) {
 	}
 }
 
-// Property-based law checks via testing/quick for the two semirings whose
-// carrier types quick can generate directly.
+// Property-based law check via testing/quick, which generates the boolean
+// carrier directly.
 func TestQuickBoolDistributivity(t *testing.T) {
 	s := BoolSemiring{}
 	f := func(a, b, c bool) bool {
 		return s.Mul(a, s.Add(b, c)) == s.Add(s.Mul(a, b), s.Mul(a, c))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickCountDistributivity(t *testing.T) {
-	s := CountSemiring{}
-	f := func(a, b, c uint32) bool {
-		A, B, C := uint64(a), uint64(b), uint64(c)
-		return s.Mul(A, s.Add(B, C)) == s.Add(s.Mul(A, B), s.Mul(A, C))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,22 +1,54 @@
 package provenance
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math/rand"
-	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
-// chainMerge is the witness merge spelled out as the N[X] operations it
-// stands for — the definition MergeWitness must reproduce.
-func chainMerge(stored, derived Poly, k int) (merged, fresh Poly, changed, truncated bool) {
-	d := derived.Linearize()
-	if stored.Subsumes(d) {
+// byDegreeThenKey orders monomials the way the cut ranks them.
+func byDegreeThenKey(a, b Monomial) int {
+	return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a.Key(), b.Key()))
+}
+
+// truncate keeps the k monomials of p of lowest degree, ties broken by key;
+// k ≤ 0 means unbounded.
+func truncate(p Poly, k int) Poly {
+	if k <= 0 || p.NumMonomials() <= k {
+		return p
+	}
+	ms := slices.Clone(p.Monomials())
+	slices.SortFunc(ms, byDegreeThenKey)
+	return FromMonomials(ms[:k])
+}
+
+// refMerge is the witness merge spelled out on sets — the definition
+// MergeWitness must reproduce: the union of the two key sets, sorted by
+// (degree, key) and cut to k, then what the stored side lacks.
+func refMerge(stored, derived Poly, k int) (merged, fresh Poly, changed, truncated bool) {
+	union := map[string]Monomial{}
+	for _, m := range stored.Monomials() {
+		union[m.Key()] = m
+	}
+	grows := false
+	for _, m := range derived.Monomials() {
+		if _, ok := union[m.Key()]; !ok {
+			union[m.Key()] = m
+			grows = true
+		}
+	}
+	if !grows {
 		return stored, Zero(), false, false
 	}
-	sum := stored.Add(d).Linearize()
-	merged = sum.Truncate(k)
-	truncated = merged.NumMonomials() < sum.NumMonomials()
+	ms := slices.SortedFunc(maps.Values(union), byDegreeThenKey)
+	if k > 0 && len(ms) > k {
+		ms, truncated = ms[:k], true
+	}
+	merged = FromMonomials(ms)
 	if merged.Equal(stored) {
 		return stored, Zero(), false, truncated
 	}
@@ -25,114 +57,108 @@ func chainMerge(stored, derived Poly, k int) (merged, fresh Poly, changed, trunc
 		had[key] = true
 	}
 	var add []Monomial
-	for i, key := range merged.Keys() {
-		if !had[key] {
-			add = append(add, merged.Monomials()[i])
+	for _, m := range ms {
+		if !had[m.Key()] {
+			add = append(add, m)
 		}
 	}
 	return merged, FromMonomials(add), true, truncated
 }
 
-// samePoly reports equality as values, as monomial lists (coefficient and
-// variable powers, in order) and as key lists.
-func samePoly(a, b Poly) bool {
-	am, bm := a.Monomials(), b.Monomials()
-	if !a.Equal(b) || len(am) != len(bm) || !reflect.DeepEqual(a.Keys(), b.Keys()) {
-		return false
-	}
-	for i := range am {
-		if am[i].Coef != bm[i].Coef || len(am[i].Vars) != len(bm[i].Vars) {
-			return false
-		}
-		for j := range am[i].Vars {
-			if am[i].Vars[j] != bm[i].Vars[j] {
-				return false
-			}
+// refMul is the B[X] product spelled out: the union of every pair of
+// monomials.
+func refMul(p, q Poly) Poly {
+	var ms []Monomial
+	for _, a := range p.Monomials() {
+		for _, b := range q.Monomials() {
+			ms = append(ms, append(slices.Clone(a), b...))
 		}
 	}
-	return true
+	return FromMonomials(ms)
 }
 
-// checkMergeWitness compares the kernel against the chain on one input.
+// samePoly reports equality as values, as monomial lists and as key lists.
+func samePoly(a, b Poly) bool {
+	return a.Equal(b) && slices.Equal(a.Keys(), b.Keys()) &&
+		slices.EqualFunc(a.Monomials(), b.Monomials(), slices.Equal)
+}
+
+// checkMergeWitness compares the kernel, Add and Mul against their set
+// definitions on one input.
 func checkMergeWitness(t *testing.T, stored, derived Poly, k int) {
 	t.Helper()
-	wm, wf, wc, wt := chainMerge(stored, derived, k)
+	wm, wf, wc, wt := refMerge(stored, derived, k)
 	gm, gf, gc, gt := MergeWitness(stored, derived, k)
 	if !samePoly(gm, wm) || !samePoly(gf, wf) || gc != wc || gt != wt {
 		t.Fatalf("MergeWitness(%v, %v, %d)\n got merged=%v fresh=%v changed=%v truncated=%v\nwant merged=%v fresh=%v changed=%v truncated=%v",
 			stored, derived, k, gm, gf, gc, gt, wm, wf, wc, wt)
 	}
-	if got, want := UnionWitness(stored, derived), stored.Add(derived).Linearize(); !samePoly(got, want) {
-		t.Fatalf("UnionWitness(%v, %v) = %v, want %v", stored, derived, got, want)
+	if got, want := stored.Add(derived), FromMonomials(append(slices.Clone(stored.Monomials()), derived.Monomials()...)); !samePoly(got, want) {
+		t.Fatalf("%v + %v = %v, want %v", stored, derived, got, want)
 	}
-	if got, want := MulWitness(stored, derived), stored.Mul(derived).Linearize(); !samePoly(got, want) {
-		t.Fatalf("MulWitness(%v, %v) = %v, want %v", stored, derived, got, want)
+	if got, want := stored.Mul(derived), refMul(stored, derived); !samePoly(got, want) {
+		t.Fatalf("%v · %v = %v, want %v", stored, derived, got, want)
 	}
 }
 
 // randPoly draws a polynomial over a five-variable alphabet — small enough
 // that monomials of different operands overlap often — with up to six
-// monomials of degree 0–5; repeated draws of one variable make powers, and
-// coefficients reach 3 unless linear is set.
-func randPoly(rng *rand.Rand, linear bool) Poly {
+// monomials of up to five draws each; a repeated draw adds nothing.
+func randPoly(rng *rand.Rand) Poly {
 	var ms []Monomial
 	for i := rng.Intn(7); i > 0; i-- {
-		pows := map[Var]int{}
+		var m Monomial
 		for d := rng.Intn(6); d > 0; d-- {
-			pows[Var(string(rune('a'+rng.Intn(5))))]++
-		}
-		m := Monomial{Coef: uint64(1 + rng.Intn(3))}
-		for _, x := range []Var{"a", "b", "c", "d", "e"} {
-			if pows[x] > 0 {
-				m.Vars = append(m.Vars, VarPow{Var: x, Pow: pows[x]})
-			}
+			m = append(m, Var(string(rune('a'+rng.Intn(5)))))
 		}
 		ms = append(ms, m)
 	}
-	p := FromMonomials(ms)
-	if linear {
-		p = p.Linearize()
-	}
-	return p
+	return FromMonomials(ms)
 }
 
 // TestMergeWitnessMatchesChain is the kernel's differential test: random
-// stored and derived annotations — linear and not, either side zero — at
-// every bound the engine meets, and the products and sums beside them.
+// stored and derived annotations — either side zero — at every bound the
+// engine meets, and the products and sums beside them.
 func TestMergeWitnessMatchesChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 20000; i++ {
-		stored := randPoly(rng, rng.Intn(4) != 0)
-		derived := randPoly(rng, rng.Intn(2) == 0)
+		stored, derived := randPoly(rng), randPoly(rng)
 		for _, k := range []int{0, 1, 2, 3, 8} {
 			checkMergeWitness(t, stored, derived, k)
 			// The stored side as the engine keeps it: already cut to k.
-			if stored.n.linear() {
-				checkMergeWitness(t, stored.Truncate(k), derived, k)
-			}
+			checkMergeWitness(t, truncate(stored, k), derived, k)
 		}
 	}
 }
 
-// TestMergeWitnessDeepDerivation covers a union holding a monomial of 64 or
-// more tokens, whose degree the cut's histogram does not index.
+// TestMergeWitnessDeepDerivation covers unions holding monomials of 63 or
+// more tokens, whose degrees the cut's histogram lumps into one bucket —
+// including cuts that land among them.
 func TestMergeWitnessDeepDerivation(t *testing.T) {
-	long := One()
-	for i := 0; i < 70; i++ {
-		long = long.Mul(NewVar(Var(fmt.Sprintf("t%02d", i))))
+	deep := func(n int, prefix string) Poly {
+		p := One()
+		for i := 0; i < n; i++ {
+			p = p.Mul(NewVar(Var(fmt.Sprintf("%s%02d", prefix, i))))
+		}
+		return p
 	}
+	long := deep(70, "t")
 	x, y, z := NewVar("x"), NewVar("y"), NewVar("z")
-	for _, k := range []int{0, 1, 2, 3} {
+	deeps := deep(63, "a").Add(deep(66, "b")).Add(deep(64, "c")).Add(deep(66, "d"))
+	for _, k := range []int{0, 1, 2, 3, 4, 5} {
 		checkMergeWitness(t, x.Add(y), long, k)
 		checkMergeWitness(t, long, z, k)
 		checkMergeWitness(t, x.Add(long), y.Add(z), k)
+		checkMergeWitness(t, deeps, long, k)
+		checkMergeWitness(t, long.Add(x), deeps, k)
+		checkMergeWitness(t, deep(66, "e"), deeps, k)
 	}
 }
 
 // decodeFuzzPoly reads one polynomial from data: each monomial is a header
-// byte (coefficient 1–4 and 0–5 variables) followed by one byte per
-// variable drawn from a five-letter alphabet, so repeats make powers. A
-// 0xff byte ends the polynomial.
+// byte (0–5 variables) followed by one byte per variable drawn from a
+// five-letter alphabet, so repeats collapse. A 0xff byte ends the
+// polynomial.
 func decodeFuzzPoly(data []byte) (Poly, []byte) {
 	var ms []Monomial
 	for len(data) > 0 {
@@ -141,26 +167,20 @@ func decodeFuzzPoly(data []byte) (Poly, []byte) {
 		if h == 0xff {
 			break
 		}
-		pows := map[Var]int{}
+		var m Monomial
 		for n := int(h&7) % 6; n > 0 && len(data) > 0; n-- {
-			pows[Var(string(rune('a'+data[0]%5)))]++
+			m = append(m, Var(string(rune('a'+data[0]%5))))
 			data = data[1:]
-		}
-		m := Monomial{Coef: uint64(1 + (h>>3)%4)}
-		for _, x := range []Var{"a", "b", "c", "d", "e"} {
-			if pows[x] > 0 {
-				m.Vars = append(m.Vars, VarPow{Var: x, Pow: pows[x]})
-			}
 		}
 		ms = append(ms, m)
 	}
 	return FromMonomials(ms), data
 }
 
-// FuzzMergeWitness holds MergeWitness, UnionWitness and MulWitness to their
-// N[X] definitions on arbitrary polynomial pairs. The first byte picks the
-// bound and whether the stored side is linear, as every stored annotation
-// of the engine is.
+// FuzzMergeWitness holds MergeWitness, Add and Mul to their set definitions
+// on arbitrary polynomial pairs. The first byte picks the bound and whether
+// the stored side is already cut to it, as every stored annotation of the
+// engine is.
 func FuzzMergeWitness(f *testing.F) {
 	f.Add([]byte{0x02, 0x01, 0x00, 0x02, 0x01, 0x02, 0xff, 0x03, 0x00, 0x01, 0x03})
 	f.Add([]byte{0x13, 0x0a, 0x00, 0x01, 0x02, 0xff, 0x0b, 0x00, 0x00, 0x01})
@@ -171,11 +191,10 @@ func FuzzMergeWitness(f *testing.F) {
 			return
 		}
 		k := []int{0, 1, 2, 3, 8}[int(data[0]&7)%5]
-		linear := data[0]&0x10 != 0
 		stored, rest := decodeFuzzPoly(data[1:])
 		derived, _ := decodeFuzzPoly(rest)
-		if linear {
-			stored = stored.Linearize()
+		if data[0]&0x10 != 0 {
+			stored = truncate(stored, k)
 		}
 		checkMergeWitness(t, stored, derived, k)
 	})
@@ -192,32 +211,26 @@ func benchWitnessSet() Poly {
 		}
 		p = p.Add(m)
 	}
-	return p.Linearize()
+	return p
 }
 
-// BenchmarkMergeWitness runs one merge into a saturated eight-witness set
-// through the kernel and through the chain it replaced: reject folds in a
-// four-token witness the cut drops, grow a one-token witness that displaces
-// a three-token one.
+// BenchmarkMergeWitness runs one merge into a saturated eight-witness set:
+// reject folds in a four-token witness the cut drops, grow a one-token
+// witness that displaces a three-token one.
 func BenchmarkMergeWitness(b *testing.B) {
 	stored := benchWitnessSet()
-	reject := MulWitness(MulWitness(NewVar("p:9/0"), NewVar("m:0")), MulWitness(NewVar("m:1"), NewVar("m:2")))
+	reject := NewVar("p:9/0").Mul(NewVar("m:0")).Mul(NewVar("m:1").Mul(NewVar("m:2")))
 	grow := NewVar("p:10/0")
-	for _, impl := range []struct {
-		name  string
-		merge func(stored, derived Poly, k int) (Poly, Poly, bool, bool)
-	}{{"kernel", MergeWitness}, {"chain", chainMerge}} {
-		for _, c := range []struct {
-			name    string
-			derived Poly
-		}{{"reject", reject}, {"grow", grow}} {
-			b.Run(impl.name+"/"+c.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					benchSink, _, _, _ = impl.merge(stored, c.derived, 8)
-				}
-			})
-		}
+	for _, c := range []struct {
+		name    string
+		derived Poly
+	}{{"reject", reject}, {"grow", grow}} {
+		b.Run("kernel/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink, _, _, _ = MergeWitness(stored, c.derived, 8)
+			}
+		})
 	}
 }
 

@@ -68,7 +68,7 @@ func (e *ErrKeyViolation) Error() string {
 }
 
 // Insert adds a tuple with provenance. Inserting an identical tuple merges
-// provenance by addition (alternative derivations). Inserting a different
+// provenance by addition — the union of the two witness sets. Inserting a different
 // tuple with an existing key returns *ErrKeyViolation.
 func (t *Table) Insert(tu schema.Tuple, prov provenance.Poly) error {
 	if err := t.rel.Validate(tu); err != nil {
@@ -111,9 +111,10 @@ func (t *Table) put(tu schema.Tuple, prov provenance.Poly) {
 }
 
 // merge adds prov to a stored row's annotation (an alternative derivation
-// of the same tuple). The sum replaces the stored annotation outright —
-// DB.Set interns it — instead of going through the evaluator's
-// subsumption-checked merge, so the row holds exactly old + new.
+// of the same tuple): the witness-set union, so re-inserting a row under a
+// token it already holds leaves it as it was, and the row reads what the
+// evaluator derives for it. The union replaces the stored annotation
+// outright; DB.Set interns it.
 func (t *Table) merge(row Row, prov provenance.Poly) {
 	t.db.Set(t.rel.Name, row.Tuple, row.Prov.Add(prov))
 }

@@ -19,6 +19,25 @@ func seqTuple(oid, pid int64, s string) schema.Tuple {
 	return schema.NewTuple(schema.Int(oid), schema.Int(pid), schema.String(s))
 }
 
+// TestTableReinsertKeepsWitnessSet: inserting a row again under a witness
+// it already holds leaves its annotation as it was (x + x = x), and a new
+// witness joins the set.
+func TestTableReinsertKeepsWitnessSet(t *testing.T) {
+	tbl := NewTable(seqRel())
+	tu := seqTuple(1, 2, "ACGT")
+	x, y := provenance.NewVar("x"), provenance.NewVar("y")
+	for _, step := range []struct {
+		prov, want provenance.Poly
+	}{{x, x}, {x, x}, {y, x.Add(y)}, {x.Add(y), x.Add(y)}} {
+		if err := tbl.Insert(tu, step.prov); err != nil {
+			t.Fatal(err)
+		}
+		if rows := tbl.Rows(); len(rows) != 1 || !rows[0].Prov.Equal(step.want) {
+			t.Fatalf("after inserting under %v: rows = %v, want one row annotated %v", step.prov, rows, step.want)
+		}
+	}
+}
+
 func TestTableInsertDelete(t *testing.T) {
 	tbl := NewTable(seqRel())
 	tu := seqTuple(1, 2, "ACGT")

@@ -11,6 +11,7 @@ package updates
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -100,23 +101,41 @@ type TxnID struct {
 // String renders the id as peer:seq.
 func (id TxnID) String() string { return fmt.Sprintf("%s:%d", id.Peer, id.Seq) }
 
-// ParseTxnID parses peer:seq. The digits are parsed by hand: this sits on
-// the token-parsing hot path (provenance attribution, kill sets, dependency
-// extraction), where fmt.Sscanf cost dominated whole-profile collation.
+// ParseTxnID parses peer:seq, refusing any seq String would not write (see
+// ParseSeq), so one transaction has one id string. The digits are parsed by
+// hand: this sits on the token-parsing hot path (provenance attribution,
+// kill sets, dependency extraction), where fmt.Sscanf cost dominated
+// whole-profile collation.
 func ParseTxnID(s string) (TxnID, error) {
 	i := strings.LastIndexByte(s, ':')
-	if i < 0 || i == len(s)-1 {
+	if i < 0 {
 		return TxnID{}, fmt.Errorf("updates: malformed txn id %q", s)
 	}
-	var seq uint64
-	for j := i + 1; j < len(s); j++ {
-		c := s[j]
-		if c < '0' || c > '9' {
-			return TxnID{}, fmt.Errorf("updates: malformed txn id %q", s)
-		}
-		seq = seq*10 + uint64(c-'0')
+	seq, ok := ParseSeq(s[i+1:])
+	if !ok {
+		return TxnID{}, fmt.Errorf("updates: malformed txn id %q", s)
 	}
 	return TxnID{Peer: s[:i], Seq: seq}, nil
+}
+
+// ParseSeq parses a sequence number or update index written in decimal as
+// strconv.FormatUint writes it: digits only, no leading zero unless the
+// number is 0, and a value that fits in a uint64. Any other spelling — a
+// padded "007", or digits that wrap around 2^64 — would let a second string
+// name the same number.
+func ParseSeq(d string) (uint64, bool) {
+	if d == "" || (d[0] == '0' && len(d) > 1) {
+		return 0, false
+	}
+	var n uint64
+	for i := 0; i < len(d); i++ {
+		c := d[i]
+		if c < '0' || c > '9' || n > (math.MaxUint64-uint64(c-'0'))/10 {
+			return 0, false
+		}
+		n = n*10 + uint64(c-'0')
+	}
+	return n, true
 }
 
 // Compare orders transaction ids (peer, then seq) for determinism; it is the

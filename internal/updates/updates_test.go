@@ -1,6 +1,7 @@
 package updates
 
 import (
+	"math"
 	"testing"
 
 	"orchestra/internal/schema"
@@ -41,7 +42,7 @@ func TestUpdateConstructors(t *testing.T) {
 }
 
 func TestTxnIDRoundTrip(t *testing.T) {
-	ids := []TxnID{{Peer: "alaska", Seq: 0}, {Peer: "a:b", Seq: 42}, {Peer: "x", Seq: 1 << 60}}
+	ids := []TxnID{{Peer: "alaska", Seq: 0}, {Peer: "a:b", Seq: 42}, {Peer: "x", Seq: 1 << 60}, {Peer: "max", Seq: math.MaxUint64}}
 	for _, id := range ids {
 		got, err := ParseTxnID(id.String())
 		if err != nil {
@@ -51,7 +52,8 @@ func TestTxnIDRoundTrip(t *testing.T) {
 			t.Errorf("round trip %v -> %v", id, got)
 		}
 	}
-	for _, bad := range []string{"", "nope", "x:y"} {
+	// Only the string String writes parses: no padding, no seq past 2^64-1.
+	for _, bad := range []string{"", "nope", "x:y", "a:", "a:007", "a:18446744073709551616", "a:18446744073709551623"} {
 		if _, err := ParseTxnID(bad); err == nil {
 			t.Errorf("ParseTxnID(%q) accepted", bad)
 		}
