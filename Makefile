@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt fmt-check lint vuln series-check fuzz-smoke bench-build bench-e2e bench-smoke bench-overhead endpoint-smoke examples-check recovery-check recovery-scaling reconcile-scaling ci
+.PHONY: build test race vet fmt fmt-check lint vuln series-check fuzz-smoke bench-build bench-e2e bench-pairs bench-smoke bench-overhead endpoint-smoke examples-check recovery-check recovery-scaling reconcile-scaling ci
 
 ## build: compile every package
 build:
@@ -11,7 +11,8 @@ test: build
 	$(GO) test ./...
 
 ## race: full test suite under the race detector (exercises the parallel
-## stratum executor, see internal/datalog; internal/lsm's lock-free memtable
+## probe fan-out of the stratum executor, see internal/datalog/executor.go;
+## internal/lsm's lock-free memtable
 ## readers and model schedules; and internal/core's seeded schedules —
 ## query == instance, and delta checkpoint == full / recovered == twin, each
 ## over its fixed default seed set), with shuffled test order so hidden
@@ -92,6 +93,20 @@ bench-e2e:
 		bash bench/run.sh --workload $$w --seed $(SEED) --seconds $(SECONDS) --trace 0 || exit 1; \
 	done
 
+## bench-pairs: the repo benchmark, parent against change — PAIRS
+## alternating pairs of bench/run.sh per workload in WORKLOADS, with BASE
+## checked out into a temporary git worktree as the parent side and this
+## working tree as the change side. Prints every end-to-end metric's median
+## [quartiles] per side and the change-better count, and writes them to OUT
+## (scripts/bench_pairs.sh). Not part of ci: ten 15 s pairs take minutes.
+BASE ?= HEAD
+PAIRS ?= 10
+WORKLOADS ?= query-point
+OUT ?= bench-pairs.json
+bench-pairs:
+	BASE='$(BASE)' PAIRS='$(PAIRS)' WORKLOADS='$(WORKLOADS)' SEED='$(SEED)' \
+		BENCH_SECONDS='$(SECONDS)' OUT='$(OUT)' bash scripts/bench_pairs.sh
+
 ## bench-smoke: every go benchmark in every package executes exactly once —
 ## keeps the ones the gates below run (BenchmarkRecovery,
 ## BenchmarkReconcileHistory, BenchmarkOverhead*) and the two internal ones
@@ -100,9 +115,10 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
 
 ## bench-overhead: the instrumentation-overhead gate — three evaluator
-## workloads (bench_overhead_test.go) with the stats sink off vs on,
-## best-of-COUNT ns/op, failing past OVERHEAD_TOLERANCE percent (tunable:
-## OVERHEAD_TOLERANCE=3 BENCHTIME=50x COUNT=7; see DESIGN.md §12)
+## workloads (bench_overhead_test.go) with the stats sink off vs on, timed
+## in pairs; fails when the median on/off ratio over COUNT runs exceeds
+## 1 + OVERHEAD_TOLERANCE percent (tunable: OVERHEAD_TOLERANCE=3
+## BENCHTIME=200x COUNT=7; see DESIGN.md §12)
 bench-overhead:
 	./scripts/bench_overhead.sh
 

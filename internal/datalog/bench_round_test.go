@@ -10,10 +10,10 @@ import (
 )
 
 // BenchmarkIncrementalRounds measures consecutive incremental fixpoints on
-// one maintained Incremental — the executor's steady state, where the
-// arena's buffers (and within a fixpoint, the worker pool) are reused
-// round after round. Sweeps the parallelism settings so allocation and
-// coordination overhead per setting show up in -benchmem.
+// one maintained Incremental — the executor's steady state, small delta
+// rounds one after another. Sweeps the parallelism settings so allocation
+// and fan-out overhead per setting show up in -benchmem: workers=4 sends
+// every round of two or more jobs through the parallel fan-out.
 func BenchmarkIncrementalRounds(b *testing.B) {
 	prog := &Program{Rules: []Rule{{
 		ID:   "tc",

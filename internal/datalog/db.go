@@ -78,21 +78,6 @@ func (r *Rel) newFact(t schema.Tuple, p provenance.Poly) *Fact {
 	return &r.slab[len(r.slab)-1]
 }
 
-// reserve sizes the next slab for an expected burst of n inserts, so a
-// large merge lands in one bulk allocation instead of n/relSlabSize slab
-// starts. It only acts when the current slab is exhausted and no freed
-// slots are pending — partially filled slabs keep filling as usual — and
-// caps the pre-allocation so a wildly overestimated n cannot pin memory.
-func (r *Rel) reserve(n int) {
-	if n <= relSlabSize || len(r.slab) < cap(r.slab) || len(r.free) > 0 {
-		return
-	}
-	if n > 1<<16 {
-		n = 1 << 16
-	}
-	r.slab = make([]Fact, 0, n)
-}
-
 // Len returns the number of facts.
 func (r *Rel) Len() int { return len(r.facts) }
 

@@ -31,27 +31,20 @@ type Options struct {
 	// C→A split — from echoing Skolem-padded variants of data the target
 	// already has in concrete form.
 	ChaseSubsumption bool
-	// Parallelism bounds the worker pool that fires independent rules (and
-	// delta positions, in semi-naive rounds) of one stratum concurrently.
-	// 0 (the zero value) means adaptive: each round picks a worker count
-	// from its estimated probe work, up to runtime.NumCPU(), and rounds too
-	// small to amortize the snapshot and merge barriers run on the plain
-	// sequential path — the automatic setting is never slower than
-	// Parallelism=-1 by more than the estimate itself costs (a per-job
-	// extent-size read). See AdaptiveWorkers. 1 evaluates sequentially, as
-	// does any negative value (the explicit escape hatch); n > 1 gives every
-	// round up to n workers, bypassing the gate even past runtime.NumCPU() —
-	// an explicit count is the caller's decision, never a hint. Workers probe a
-	// frozen database and buffer their head facts; the coordinator then
-	// merges the buffers in deterministic job order, so fixpoints and
-	// provenance polynomials do not depend on goroutine scheduling —
-	// results are byte-identical at every setting.
+	// Parallelism bounds how many goroutines fire the independent rules (and
+	// delta positions, in semi-naive rounds) of one stratum round
+	// concurrently. 0 (the zero value) means adaptive: each round picks a
+	// worker count from its estimated probe work, up to
+	// runtime.GOMAXPROCS(0), and rounds too small to amortize the fan-out
+	// and merge barrier run on the plain sequential path (see
+	// AdaptiveWorkers). 1 evaluates sequentially, as does any negative value
+	// (the explicit escape hatch); n > 1 gives every round up to n workers,
+	// bypassing the gate even past the CPU count — an explicit count is the
+	// caller's decision, never a hint. Workers probe a frozen database and
+	// buffer their head facts; the coordinator then merges the buffers in
+	// job order, so fixpoints and provenance polynomials do not depend on
+	// goroutine scheduling — results are byte-identical at every setting.
 	Parallelism int
-	// NoReorder disables the greedy join-order planner: positive body atoms
-	// are joined strictly in their written order (negations and comparisons
-	// still float to the earliest point where their variables are bound —
-	// an unbound filter cannot run at all).
-	NoReorder bool
 	// Stats, when non-nil, receives evaluation counters (probe counts,
 	// pushdown hit rate, peak live intermediate tuples — see EvalStats). The
 	// struct may be shared across evaluations; counters accumulate.
@@ -62,13 +55,13 @@ type Options struct {
 const DefaultMaxIterations = 100000
 
 // EffectiveParallelism resolves Options.Parallelism to a concrete worker
-// count: 0 (unset) auto-detects runtime.NumCPU(), negative values force
-// sequential evaluation, and positive values are taken as-is. runRound is
-// the single choke point that applies it.
+// cap: 0 (unset) takes runtime.GOMAXPROCS(0) — the goroutines that can
+// actually run at once — negative values force sequential evaluation, and
+// positive values are taken as-is. AdaptiveWorkers applies it per round.
 func EffectiveParallelism(n int) int {
 	switch {
 	case n == 0:
-		return runtime.NumCPU()
+		return runtime.GOMAXPROCS(0)
 	case n < 0:
 		return 1
 	default:
@@ -106,18 +99,14 @@ func EvalCtx(ctx context.Context, p *Program, edb *DB, opts Options) (*DB, error
 	// mutates (head predicates) are ever copied.
 	result := edb.Snapshot()
 	ensurePreds(p, result)
-	pl := newPlanner(opts.NoReorder)
+	pl := newPlanner(false)
 	maxIter := opts.MaxIterations
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIterations
 	}
-	// One executor for the whole evaluation: its worker pool and buffer
-	// arena are shared by every stratum's rounds instead of being rebuilt
-	// per round (see executor.go).
-	re := newRoundExec(opts, nil)
-	defer re.close()
+	var re roundExec
 	for _, stratum := range strata {
-		if err := evalStratum(ctx, stratum, result, pl, re, opts, maxIter); err != nil {
+		if err := evalStratum(ctx, stratum, result, pl, &re, opts, maxIter); err != nil {
 			return nil, err
 		}
 	}
@@ -144,28 +133,49 @@ type deltaFact struct {
 	prov  provenance.Poly
 }
 
-// absorbInto returns the post-merge callback for one round: it accumulates
-// each merge's genuinely new annotation part in delta.
-func absorbInto(delta map[string]map[string]deltaFact) func(mergeResult) {
-	return func(mr mergeResult) {
-		m := delta[mr.pred]
-		if m == nil {
-			m = map[string]deltaFact{}
-			delta[mr.pred] = m
-		}
-		if df, ok := m[mr.key]; ok {
-			df.prov = df.prov.Add(mr.newPart)
-			m[mr.key] = df
-		} else {
-			m[mr.key] = deltaFact{tuple: mr.tuple, prov: mr.newPart}
+// addDelta folds one merge's genuinely new annotation part into a pending
+// delta. The same tuple can reach a delta more than once (distinct
+// derivations or tokens): its delta annotation accumulates, never
+// overwrites.
+func addDelta(delta map[string]map[string]deltaFact, pred, k string, tu schema.Tuple, newPart provenance.Poly) {
+	m := delta[pred]
+	if m == nil {
+		m = map[string]deltaFact{}
+		delta[pred] = m
+	}
+	if df, ok := m[k]; ok {
+		df.prov = df.prov.Add(newPart)
+		m[k] = df
+	} else {
+		m[k] = deltaFact{tuple: tu, prov: newPart}
+	}
+}
+
+// deltaJobs appends one semi-naive job per (rule, positive body position)
+// whose predicate has pending delta, each joining the rule with that
+// predicate's delta at the position. Each predicate's delta is flattened
+// once and shared by every job that reads it.
+func deltaJobs(jobs []job, rules []Rule, plans []rulePlans, delta map[string]map[string]deltaFact) []job {
+	lists := map[string][]deltaFact{}
+	for ri, r := range rules {
+		for i, l := range r.Body {
+			if l.Builtin != nil || l.Negated || len(delta[l.Atom.Pred]) == 0 {
+				continue
+			}
+			dl, ok := lists[l.Atom.Pred]
+			if !ok {
+				dl = deltaList(delta[l.Atom.Pred])
+				lists[l.Atom.Pred] = dl
+			}
+			jobs = append(jobs, job{rule: r, pln: plans[ri].delta[i], delta: dl})
 		}
 	}
+	return jobs
 }
 
 // evalStratum runs semi-naive evaluation of one stratum to fixpoint,
 // checking the context once per iteration so runaway recursion stops on
-// cancellation or deadline. Rounds execute on the caller's executor, whose
-// worker pool and buffers persist across rounds (see executor.go).
+// cancellation or deadline.
 func evalStratum(ctx context.Context, rules []Rule, db *DB, pl *planner, re *roundExec, opts Options, maxIter int) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -185,11 +195,12 @@ func evalStratum(ctx context.Context, rules []Rule, db *DB, pl *planner, re *rou
 	}
 	// Round 0: naive firing of every rule over the current database.
 	delta := map[string]map[string]deltaFact{}
+	absorb := func(mr mergeResult) { addDelta(delta, mr.pred, mr.key, mr.tuple, mr.newPart) }
 	jobs := make([]job, 0, len(rules))
 	for ri, r := range rules {
 		jobs = append(jobs, job{rule: r, pln: plans[ri].full})
 	}
-	if err := re.runRound(ctx, jobs, db, opts, need, absorbInto(delta)); err != nil {
+	if err := re.runRound(ctx, jobs, db, opts, need, absorb); err != nil {
 		return err
 	}
 	// Semi-naive rounds: join each rule with the delta at one position.
@@ -200,26 +211,9 @@ func evalStratum(ctx context.Context, rules []Rule, db *DB, pl *planner, re *rou
 		if iter >= maxIter {
 			return fmt.Errorf("datalog: fixpoint not reached after %d iterations", maxIter)
 		}
-		prev := delta
+		jobs = deltaJobs(jobs[:0], rules, plans, delta)
 		delta = map[string]map[string]deltaFact{}
-		jobs = jobs[:0]
-		lists := map[string][]deltaFact{}
-		for ri, r := range rules {
-			for i, l := range r.Body {
-				if l.Builtin != nil || l.Negated {
-					continue
-				}
-				if dm, ok := prev[l.Atom.Pred]; ok && len(dm) > 0 {
-					dl, ok := lists[l.Atom.Pred]
-					if !ok {
-						dl = deltaList(dm)
-						lists[l.Atom.Pred] = dl
-					}
-					jobs = append(jobs, job{rule: r, pln: plans[ri].delta[i], delta: dl})
-				}
-			}
-		}
-		if err := re.runRound(ctx, jobs, db, opts, need, absorbInto(delta)); err != nil {
+		if err := re.runRound(ctx, jobs, db, opts, need, absorb); err != nil {
 			return err
 		}
 	}
@@ -228,8 +222,7 @@ func evalStratum(ctx context.Context, rules []Rule, db *DB, pl *planner, re *rou
 
 // job is one rule firing scheduled within a stratum round: a rule, its
 // compiled plan, and (for semi-naive rounds) the delta slice substituted at
-// the plan's delta position. Chunk partitioning subslices delta to split one
-// firing across workers (see partitionJobs).
+// the plan's delta position.
 type job struct {
 	rule  Rule
 	pln   *plan

@@ -62,11 +62,6 @@ type Incremental struct {
 	// would be most of the index.
 	ruleToks map[provenance.Var]bool
 	dead     map[provenance.Var]bool
-	// arena holds the round executor's reusable buffers. It persists across
-	// Insert/InsertGroups calls, so consecutive incremental fixpoints reuse
-	// the same emission buffers and shard groups instead of reallocating
-	// them per propagation (see executor.go).
-	arena roundArena
 	// needTab[si] is the union of positive body predicates of strata si and
 	// later: the only predicates whose changes can seed further semi-naive
 	// rounds once propagation has reached stratum si. Delta entries for any
@@ -167,13 +162,12 @@ func newIncremental(p *Program, db *DB, opts Options) (*Incremental, error) {
 		prog:   p,
 		strata: strata,
 		db:     db,
-		pl:     newPlanner(opts.NoReorder),
+		pl:     newPlanner(false),
 		opts: Options{
 			Provenance:       true,
 			ChaseSubsumption: opts.ChaseSubsumption,
 			MaxMonomials:     opts.MaxMonomials,
 			Parallelism:      opts.Parallelism,
-			NoReorder:        opts.NoReorder,
 			Stats:            opts.Stats,
 		},
 		maxIter:  maxIter,
@@ -298,16 +292,14 @@ func (inc *Incremental) Insert(ctx context.Context, facts []Fact2) ([]Change, er
 	}
 	if len(delta) > 0 {
 		// Propagate stratum by stratum; the delta from earlier strata feeds
-		// later ones. One executor serves every stratum's rounds, borrowing
-		// the maintained arena so consecutive Inserts reuse its buffers.
+		// later ones. One executor serves every stratum's rounds.
 		sink := func(mr mergeResult) {
 			changes = append(changes, Change{Pred: mr.pred, Tuple: mr.tuple, Key: mr.key, Prov: mr.newPart, Fresh: mr.fresh})
 		}
-		re := newRoundExec(inc.opts, &inc.arena)
-		defer re.close()
+		var re roundExec
 		for si, stratum := range inc.strata {
 			var err error
-			delta, err = inc.propagate(ctx, stratum, inc.planTab[si], re, inc.needTab[si], delta, sink)
+			delta, err = inc.propagate(ctx, stratum, inc.planTab[si], &re, inc.needTab[si], delta, sink)
 			if err != nil {
 				return nil, err
 			}
@@ -315,23 +307,6 @@ func (inc *Incremental) Insert(ctx context.Context, facts []Fact2) ([]Change, er
 	}
 	sortChanges(changes)
 	return changes, nil
-}
-
-// addDelta folds one merge's genuinely new annotation part into a pending
-// delta. The same tuple can appear more than once in a batch (distinct
-// tokens): its delta annotation accumulates, never overwrites.
-func addDelta(delta map[string]map[string]deltaFact, pred, k string, tu schema.Tuple, newPart provenance.Poly) {
-	m := delta[pred]
-	if m == nil {
-		m = map[string]deltaFact{}
-		delta[pred] = m
-	}
-	if df, ok := m[k]; ok {
-		df.prov = df.prov.Add(newPart)
-		m[k] = df
-	} else {
-		m[k] = deltaFact{tuple: tu, prov: newPart}
-	}
 }
 
 // Fact2 is a base fact targeted at a predicate (the name Fact is taken by
@@ -548,11 +523,10 @@ func (inc *Incremental) insertGroupRun(ctx context.Context, groups [][]Fact2) ([
 				a.parts = append(a.parts, groupPart{group: g, prov: provenance.FromMonomials(byGroup[g])})
 			}
 		}
-		re := newRoundExec(inc.opts, &inc.arena)
-		defer re.close()
+		var re roundExec
 		for si, stratum := range inc.strata {
 			var err error
-			delta, err = inc.propagate(ctx, stratum, inc.planTab[si], re, inc.needTab[si], delta, sink)
+			delta, err = inc.propagate(ctx, stratum, inc.planTab[si], &re, inc.needTab[si], delta, sink)
 			if err != nil {
 				return nil, err
 			}
@@ -606,8 +580,7 @@ func (inc *Incremental) insertGroupRun(ctx context.Context, groups [][]Fact2) ([
 // propagate runs semi-naive rounds of one stratum starting from seed; it
 // returns the accumulated delta (seed plus everything newly derived) so
 // later strata can consume it, and reports every effective merge to sink in
-// deterministic order. Rounds run on the caller's executor, so one worker
-// pool and buffer arena serve the whole propagation.
+// deterministic order. Rounds run on the caller's executor.
 //
 // need (needTab[si] of the stratum being propagated) filters which merges
 // grow the pending delta: a head predicate no body of this or any later
@@ -638,23 +611,7 @@ func (inc *Incremental) propagate(ctx context.Context, rules []Rule, plans []rul
 			}
 			sink(mr)
 		}
-		jobs = jobs[:0]
-		lists := map[string][]deltaFact{}
-		for ri, r := range rules {
-			for i, l := range r.Body {
-				if l.Builtin != nil || l.Negated {
-					continue
-				}
-				if dm, ok := cur[l.Atom.Pred]; ok && len(dm) > 0 {
-					dl, ok := lists[l.Atom.Pred]
-					if !ok {
-						dl = deltaList(dm)
-						lists[l.Atom.Pred] = dl
-					}
-					jobs = append(jobs, job{rule: r, pln: plans[ri].delta[i], delta: dl})
-				}
-			}
-		}
+		jobs = deltaJobs(jobs[:0], rules, plans, cur)
 		if err := re.runRound(ctx, jobs, inc.db, opts, nil, absorb); err != nil {
 			return nil, err
 		}
@@ -666,18 +623,8 @@ func (inc *Incremental) propagate(ctx context.Context, rules []Rule, plans []rul
 
 func copyInto(dst, src map[string]map[string]deltaFact) {
 	for pred, m := range src {
-		dm := dst[pred]
-		if dm == nil {
-			dm = map[string]deltaFact{}
-			dst[pred] = dm
-		}
 		for k, df := range m {
-			if prev, ok := dm[k]; ok {
-				prev.prov = prev.prov.Add(df.prov)
-				dm[k] = prev
-			} else {
-				dm[k] = df
-			}
+			addDelta(dst, pred, k, df.tuple, df.prov)
 		}
 	}
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // The reference evaluator the streaming pipelines (pipeline.go) and the
-// round executor (executor.go) are tested against. It shares the compiled
-// plans and the merge algebra with production — those have their own tests —
-// and nothing else: rule bodies are enumerated by plain recursion, head
+// round executor (executor.go) are tested against. It shares plan
+// compilation and the merge algebra with production — those have their own
+// tests — and nothing else: its plans join in written order rather than the
+// greedy planner's, rule bodies are enumerated by plain recursion, head
 // facts are built fresh, and rounds run one rule at a time on the calling
 // goroutine, each emission merged before the next is derived.
 
@@ -26,7 +27,7 @@ func oracleEval(p *Program, edb *DB, opts Options) (*DB, error) {
 	}
 	db := edb.Snapshot()
 	ensurePreds(p, db)
-	pl := newPlanner(opts.NoReorder)
+	pl := newPlanner(true)
 	maxIter := opts.MaxIterations
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIterations
@@ -47,22 +48,9 @@ func oracleStratum(rules []Rule, db *DB, pl *planner, opts Options, maxIter int)
 	fire := func(r Rule, pln *plan, dl []deltaFact) error {
 		pred := r.Head.Pred
 		return oracleFire(r, pln, db, dl, opts, func(t schema.Tuple, prov provenance.Poly) {
-			mr, changed := merge(db.MutableRel(pred), t, prov, opts)
-			if !changed {
-				return
+			if mr, changed := merge(db.MutableRel(pred), t, prov, opts); changed {
+				addDelta(delta, pred, mr.key, mr.tuple, mr.newPart)
 			}
-			m := delta[pred]
-			if m == nil {
-				m = map[string]deltaFact{}
-				delta[pred] = m
-			}
-			df, ok := m[mr.key]
-			if !ok {
-				m[mr.key] = deltaFact{tuple: mr.tuple, prov: mr.newPart}
-				return
-			}
-			df.prov = df.prov.Add(mr.newPart)
-			m[mr.key] = df
 		})
 	}
 	delta = map[string]map[string]deltaFact{}

@@ -7,14 +7,15 @@ import (
 	"testing"
 
 	"orchestra/internal/provenance"
+	"orchestra/internal/schema"
 )
 
 // TestEffectiveParallelism pins the Options.Parallelism override path:
-// 0 (unset) auto-detects the CPU count, explicit positive values are taken
-// as-is, and negative values force sequential evaluation.
+// 0 (unset) takes GOMAXPROCS, explicit positive values are taken as-is, and
+// negative values force sequential evaluation.
 func TestEffectiveParallelism(t *testing.T) {
-	if got, want := EffectiveParallelism(0), runtime.NumCPU(); got != want {
-		t.Errorf("EffectiveParallelism(0) = %d, want runtime.NumCPU() = %d", got, want)
+	if got, want := EffectiveParallelism(0), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("EffectiveParallelism(0) = %d, want runtime.GOMAXPROCS(0) = %d", got, want)
 	}
 	if got := EffectiveParallelism(1); got != 1 {
 		t.Errorf("EffectiveParallelism(1) = %d, want 1", got)
@@ -39,7 +40,7 @@ func TestEffectiveParallelism(t *testing.T) {
 // entirely, while the automatic setting sizes workers from estimated probe
 // work and falls back to sequential on tiny rounds.
 func TestAdaptiveWorkers(t *testing.T) {
-	ncpu := runtime.NumCPU()
+	ncpu := runtime.GOMAXPROCS(0)
 	huge := 1 << 30
 	// Explicit settings are honored regardless of round size.
 	if got := AdaptiveWorkers(4, 1); got != 4 {
@@ -66,9 +67,24 @@ func TestAdaptiveWorkers(t *testing.T) {
 			t.Errorf("AdaptiveWorkers(0, 2 grains) = %d, want 2", got)
 		}
 	}
-	// ...and huge rounds cap at the CPU count.
+	// ...and huge rounds cap at GOMAXPROCS.
 	if got := AdaptiveWorkers(0, huge); got != ncpu {
-		t.Errorf("AdaptiveWorkers(0, huge) = %d, want NumCPU = %d", got, ncpu)
+		t.Errorf("AdaptiveWorkers(0, huge) = %d, want GOMAXPROCS = %d", got, ncpu)
+	}
+}
+
+// TestAdaptiveWorkersHonorsGOMAXPROCS checks the automatic setting caps at
+// the goroutines that can run at once, not at the machine's CPU count:
+// under GOMAXPROCS=1 a parallel round would pay for buffering and the
+// merge barrier without running anything concurrently.
+func TestAdaptiveWorkersHonorsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := AdaptiveWorkers(0, 1<<30); got != 1 {
+		t.Errorf("AdaptiveWorkers(0, huge) under GOMAXPROCS=1 = %d, want 1", got)
+	}
+	// An explicit count is still the caller's decision.
+	if got := AdaptiveWorkers(4, 1<<30); got != 4 {
+		t.Errorf("AdaptiveWorkers(4, huge) under GOMAXPROCS=1 = %d, want 4", got)
 	}
 }
 
@@ -110,12 +126,11 @@ func TestAdaptiveTinyDeltaMatchesSequential(t *testing.T) {
 	requireDBsEqual(t, "tiny-delta-adaptive", seq.DB(), adapt.DB())
 }
 
-// TestPoolReuseAcrossConsecutiveInserts drives several incremental
-// fixpoints through one Incremental at forced parallelism, so the arena —
-// and within each fixpoint, the worker pool — is reused round after round.
-// This is the -race CI job's probe for executor state leaking between
-// rounds or fixpoints.
-func TestPoolReuseAcrossConsecutiveInserts(t *testing.T) {
+// TestConsecutiveParallelInsertsMatchSequential drives several incremental
+// fixpoints through one Incremental at forced parallelism and checks each
+// against a sequential twin. This is the -race CI job's probe for executor
+// state leaking between rounds or fixpoints.
+func TestConsecutiveParallelInsertsMatchSequential(t *testing.T) {
 	edb := NewDB()
 	for i := 0; i < 4; i++ {
 		edb.AddTuple("E", edge(fmt.Sprint("n", i), fmt.Sprint("n", i+1)))
@@ -145,40 +160,38 @@ func TestPoolReuseAcrossConsecutiveInserts(t *testing.T) {
 	}
 }
 
-// TestChunkedDeltaMatchesUnchunked inserts a batch large enough that
-// partitionJobs splits the delta into concurrent chunks (few rules, many
-// delta facts), and checks the chunked parallel run agrees with the
-// sequential one on facts and provenance.
-func TestChunkedDeltaMatchesUnchunked(t *testing.T) {
+// TestParallelMergeRechecksChaseSubsumption pins the merge-time chase
+// check of a parallel round. Both rules fire in round 0 against the same
+// frozen (empty) T, so the emit-time check cannot see that the first job's
+// concrete T(k, v) subsumes the second job's Skolem-padded T(k, f(k)); only
+// the re-check at merge can, as the sequential schedule's eager merge does.
+func TestParallelMergeRechecksChaseSubsumption(t *testing.T) {
 	prog := &Program{Rules: []Rule{
-		{ID: "copy", Head: NewHead("Out", HV("a"), HV("b")), Body: []Literal{Pos(NewAtom("In", V("a"), V("b")))}},
+		{ID: "concrete", Head: NewHead("T", HV("k"), HV("v")), Body: []Literal{Pos(NewAtom("A", V("k"), V("v")))}},
+		{ID: "padded", Head: NewHead("T", HV("k"), HSkolem("f", V("k"))), Body: []Literal{Pos(NewAtom("B", V("k")))}},
 	}}
-	build := func(par int) (*Incremental, error) {
-		return NewIncremental(prog, NewDB(), Options{Provenance: true, Parallelism: par})
+	edb := NewDB()
+	for i := int64(0); i < 4; i++ {
+		edb.AddTuple("A", schema.NewTuple(schema.Int(i), schema.Int(10+i)))
+		edb.AddTuple("B", schema.NewTuple(schema.Int(i)))
 	}
-	seq, err := build(-1)
+	edb.AddTuple("B", schema.NewTuple(schema.Int(99))) // no concrete subsumer
+	opts := Options{Provenance: true, ChaseSubsumption: true, Parallelism: -1}
+	seq, err := Eval(prog, edb, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := build(4)
+	var stats EvalStats
+	opts.Parallelism, opts.Stats = 4, &stats
+	par, err := Eval(prog, edb, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var batch []Fact2
-	for i := 0; i < 4*chunkMin; i++ { // one rule, 4 chunks' worth of delta
-		batch = append(batch, Fact2{Pred: "In", Tuple: edge(fmt.Sprint("a", i), fmt.Sprint("b", i)),
-			Prov: provenance.NewVar(provenance.Var(fmt.Sprint("t", i)))})
+	if stats.ParallelRounds.Load() == 0 {
+		t.Fatal("no parallel round: the test no longer exercises the parallel merge")
 	}
-	seqCh, err := seq.Insert(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
+	if got := seq.Rel("T").Len(); got != 5 {
+		t.Fatalf("sequential T has %d facts, want 5 (4 concrete + 1 padded)", got)
 	}
-	parCh, err := par.Insert(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqCh) != len(parCh) {
-		t.Fatalf("changes: chunked %d vs sequential %d", len(parCh), len(seqCh))
-	}
-	requireDBsEqual(t, "chunked-delta", seq.DB(), par.DB())
+	requireDBsEqual(t, "chase-recheck", seq, par)
 }

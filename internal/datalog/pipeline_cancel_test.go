@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -13,7 +14,8 @@ import (
 
 // Cancellation must land mid-pipeline — inside one rule firing's
 // enumeration, not just at round boundaries — and a half-consumed pipeline
-// must leave the caller's EDB untouched and the executor's arena reusable.
+// must leave the caller's EDB untouched, no worker goroutine behind, and the
+// maintained state usable.
 
 // crossProductWorkload is a three-way cross product big enough that a single
 // firing enumerates millions of candidate rows (far past pipeCancelStride),
@@ -86,10 +88,11 @@ func TestEvalPreCancelledContextTouchesNothing(t *testing.T) {
 	requireEDBUntouched(t, edb, 4)
 }
 
-func TestIncrementalCancellationReleasesArena(t *testing.T) {
-	// A cancelled propagation must leave the Incremental's shared arena
-	// reusable: the next Insert on the same instance runs on the same
-	// buffers. The -race CI job watches the worker pool here.
+func TestIncrementalCancellationJoinsWorkers(t *testing.T) {
+	// A cancelled parallel propagation must join every worker it started
+	// and leave the Incremental usable: the next Insert on the same
+	// instance derives everything. The -race CI job watches the fan-out
+	// here.
 	prog := &Program{Rules: []Rule{{
 		ID:   "pair",
 		Head: NewHead("Pair", HV("x"), HV("y")),
@@ -109,12 +112,20 @@ func TestIncrementalCancellationReleasesArena(t *testing.T) {
 		batch = append(batch, Fact2{Pred: "L", Tuple: schema.NewTuple(schema.Int(i)),
 			Prov: provenance.NewVar(provenance.Var(fmt.Sprint("l", i)))})
 	}
+	goroutines := runtime.NumGoroutine()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 	if _, err := inc.Insert(ctx, batch); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want nil or context.DeadlineExceeded", err)
 	}
-	// Whatever the first insert managed, the arena must serve the next one.
+	// A joined worker can still be between its wg.Done and its exit.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got != goroutines {
+		t.Fatalf("%d goroutines after the cancelled Insert, want %d", got, goroutines)
+	}
+	// Whatever the first insert managed, the next one must run in full.
 	cs, err := inc.Insert(context.Background(), []Fact2{
 		{Pred: "L", Tuple: schema.NewTuple(schema.Int(9999)), Prov: provenance.NewVar("fresh")},
 	})

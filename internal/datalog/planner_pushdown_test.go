@@ -102,7 +102,7 @@ func TestPushdownEquivalenceOnData(t *testing.T) {
 			edb.AddTuple("S", schema.NewTuple(schema.Int(i)))
 		}
 	}
-	want, err := oracleEval(prog, edb, Options{Provenance: true, NoReorder: true})
+	want, err := oracleEval(prog, edb, Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestConstGateEquivalenceOnData(t *testing.T) {
 		if flagged {
 			edb.AddTuple("Flag", schema.NewTuple(schema.String("on")))
 		}
-		want, err := oracleEval(prog, edb, Options{NoReorder: true})
+		want, err := oracleEval(prog, edb, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,7 +97,7 @@ func TestPlanDeltaLiteralAlwaysFirst(t *testing.T) {
 	}
 }
 
-func TestPlanNoReorderKeepsWrittenOrder(t *testing.T) {
+func TestPlanWrittenOrderKeepsBodyOrder(t *testing.T) {
 	r := Rule{ID: "n", Head: NewHead("Out", HV("x"), HV("z")), Body: []Literal{
 		Pos(NewAtom("Wide", V("x"), V("y"))),
 		Pos(NewAtom("Mid", V("y"), V("z"))),
@@ -105,7 +105,7 @@ func TestPlanNoReorderKeepsWrittenOrder(t *testing.T) {
 	}}
 	p := buildPlan(r, -1, NewDB(), true)
 	if got := fmt.Sprint(p.order()); got != "[0 1 2]" {
-		t.Fatalf("NoReorder plan order = %v, want [0 1 2]", got)
+		t.Fatalf("written-order plan order = %v, want [0 1 2]", got)
 	}
 }
 
@@ -318,7 +318,26 @@ func requireDBsEqual(t *testing.T, name string, want, got *DB) {
 	}
 }
 
-func TestPlannerEquivalentToNoReorder(t *testing.T) {
+// evalWrittenOrder is Eval with every plan joining in written order: the
+// production executor without the greedy planner.
+func evalWrittenOrder(p *Program, edb *DB, opts Options) (*DB, error) {
+	strata, err := p.Stratify()
+	if err != nil {
+		return nil, err
+	}
+	db := edb.Snapshot()
+	ensurePreds(p, db)
+	pl := newPlanner(true)
+	var re roundExec
+	for _, stratum := range strata {
+		if err := evalStratum(context.Background(), stratum, db, pl, &re, opts, DefaultMaxIterations); err != nil {
+			return nil, err
+		}
+	}
+	return db, nil
+}
+
+func TestPlannerEquivalentToWrittenOrder(t *testing.T) {
 	for name, build := range equivPrograms() {
 		for _, prov := range []bool{false, true} {
 			for _, maxMono := range []int{0, 2} {
@@ -327,9 +346,7 @@ func TestPlannerEquivalentToNoReorder(t *testing.T) {
 				}
 				prog, edb := build()
 				base := Options{Provenance: prov, MaxMonomials: maxMono}
-				ordered := base
-				ordered.NoReorder = true
-				want, err := Eval(prog, edb, ordered)
+				want, err := evalWrittenOrder(prog, edb, base)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -453,7 +470,7 @@ func TestEmptyBodyIntermediateTerminatesEarly(t *testing.T) {
 
 func TestParallelStressTransitiveClosure(t *testing.T) {
 	// A denser graph with provenance, run at high parallelism — the -race
-	// CI job exercises the worker pool here.
+	// CI job exercises the parallel fan-out here.
 	edb := NewDB()
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 25; i++ {

@@ -205,17 +205,16 @@ func TestIncrementalMatchesOracleFullEval(t *testing.T) {
 	}
 }
 
-func TestStreamingChunkedParallelEquivalence(t *testing.T) {
-	// A delta far beyond chunkMin with few jobs forces partitionJobs to
-	// split one firing across workers; the streaming buffer sinks must
-	// preserve the deterministic (job, emission) merge order.
+func TestStreamingLargeDeltaParallelEquivalence(t *testing.T) {
+	// A large delta over few jobs: each job buffers a long emission run,
+	// and the merge must replay the runs in deterministic (job, emission)
+	// order.
 	edb := NewDB()
 	for i := int64(0); i < 8; i++ {
 		edb.AddTuple("E", schema.NewTuple(schema.Int(i), schema.Int(i+1)))
 	}
 	o := newIncOracle(t, tcProgram(), edb, Options{Parallelism: 4})
-	// Disjoint edges: a big delta (forcing chunk partitioning) without a
-	// combinatorial closure.
+	// Disjoint edges: a big delta without a combinatorial closure.
 	batch := make([]Fact2, 0, 1200)
 	for i := int64(0); i < 1200; i++ {
 		batch = append(batch, Fact2{
@@ -224,7 +223,7 @@ func TestStreamingChunkedParallelEquivalence(t *testing.T) {
 			Prov:  provenance.NewVar(provenance.Var(fmt.Sprint("t", i))),
 		})
 	}
-	o.insert("chunked-parallel", batch)
+	o.insert("large-delta-parallel", batch)
 }
 
 func TestDeltaHashJoinEquivalence(t *testing.T) {

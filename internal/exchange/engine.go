@@ -61,11 +61,12 @@ type Engine struct {
 // Config tunes the datalog evaluation behind the engine's provenance-aware
 // translation. The zero value is the default configuration.
 type Config struct {
-	// Parallelism bounds the worker pool used to fire independent mapping
-	// rules (and delta positions) within a stratum round of the maintained
+	// Parallelism bounds how many goroutines fire independent mapping rules
+	// (and delta positions) within a stratum round of the maintained
 	// fixpoint, as datalog.Options.Parallelism does: 0 (unset) adapts to
-	// each round's work, n > 1 allows n workers even past the CPU count, and
-	// 1 or less is sequential. Results are byte-identical at every setting.
+	// each round's work, up to runtime.GOMAXPROCS(0); n > 1 allows n workers
+	// even past the CPU count; 1 or less is sequential. Results are
+	// byte-identical at every setting.
 	Parallelism int
 	// MaxMonomials bounds each stored annotation's witness set; 0 means
 	// DefaultMaxMonomials, negative means unbounded (exact witness sets, at

@@ -66,9 +66,9 @@ func TestParallelEngineMatchesSequential(t *testing.T) {
 }
 
 // TestParallelismOverridePath pins the Config.Parallelism resolution: an
-// unset config (0 → automatic, runtime.NumCPU() workers) and an explicitly
-// forced-sequential config (negative) must produce byte-identical union
-// databases and per-peer results on the same script.
+// unset config (0 → automatic, up to runtime.GOMAXPROCS(0) workers) and an
+// explicitly forced-sequential config (negative) must produce
+// byte-identical union databases and per-peer results on the same script.
 func TestParallelismOverridePath(t *testing.T) {
 	auto, err := NewEngineWith(workload.Figure2Peers(), workload.Figure2Mappings(), Config{})
 	if err != nil {

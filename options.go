@@ -33,10 +33,11 @@ func (s settings) apply(opts []Option) settings {
 	return s
 }
 
-// WithParallelism bounds the worker pool evaluating independent mapping
+// WithParallelism bounds how many goroutines evaluate independent mapping
 // rules within a fixpoint round. 0 (the default) adapts: each round picks
-// a worker count from its delta size and the CPU count, falling back to
-// sequential evaluation when the round is too small to amortize fan-out.
+// a worker count from its delta size, up to runtime.GOMAXPROCS(0), falling
+// back to sequential evaluation when the round is too small to amortize
+// fan-out.
 // n > 1 allows n workers, even past the CPU count; 1 or negative forces
 // sequential evaluation. Results are byte-identical at every setting.
 func WithParallelism(n int) Option { return func(s *settings) { s.parallelism = n } }
