@@ -57,7 +57,8 @@ vuln:
 series-check:
 	./scripts/check_series_docs.sh
 
-## fuzz-smoke: each native fuzz target for FUZZTIME — wire transactions and
+## fuzz-smoke: each native fuzz target for FUZZTIME — tuple keys
+## (internal/schema), wire transactions and
 ## store-server request frames (internal/p2p), DB snapshots (internal/datalog),
 ## engine snapshots (internal/exchange), the peer's engine blob and its
 ## checkpoint-row annotations (internal/core) and the witness-set merge
@@ -66,6 +67,7 @@ series-check:
 ## testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTupleKey$$' -fuzztime $(FUZZTIME) ./internal/schema/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTxn$$' -fuzztime $(FUZZTIME) ./internal/p2p/
 	$(GO) test -run '^$$' -fuzz '^FuzzServerRequest$$' -fuzztime $(FUZZTIME) ./internal/p2p/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDB$$' -fuzztime $(FUZZTIME) ./internal/datalog/

@@ -228,14 +228,7 @@ func testResolveSurvivesCrash(t *testing.T, ckBeforeResolve bool) {
 	// A clean checkpoint folds the decision into the engine snapshot and
 	// clears the archive; a second crash must still come back settled.
 	checkpoint(t, d2, db2)
-	sn := db2.Snapshot()
-	rb := rkBase(workload.Dresden)
-	archived := 0
-	if err := sn.Scan(rb, lsm.PrefixEnd(rb), func(k, v []byte) bool { archived++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	sn.Close()
-	if archived != 0 {
+	if archived := countKeys(t, db2, rkBase(workload.Dresden)); archived != 0 {
 		t.Errorf("decision archive holds %d records after a clean checkpoint, want 0", archived)
 	}
 	if err := db2.Close(); err != nil {
@@ -264,10 +257,10 @@ func TestResolveSurvivesCrashRecovery(t *testing.T) {
 }
 
 // TestResolveSurvivesDirtyCheckpointCrash: a checkpoint taken while the
-// engine is dirty cannot write a blob, so it keeps the decision archive but
-// marks each record instance-applied (its effects are in the checkpoint rows).
-// Recovery must repair the trust state from the archive without re-applying
-// the winner's updates — double application would corrupt provenance.
+// engine is dirty cannot write an image, so it writes neither rows nor blob
+// and keeps the journal. Recovery replays the whole archive and re-applies
+// the decision from the journal — exactly once: double application would
+// corrupt provenance.
 func TestResolveSurvivesDirtyCheckpointCrash(t *testing.T) {
 	dir := t.TempDir()
 	db, ds := openDurableTier(t, dir)
@@ -294,8 +287,7 @@ func TestResolveSurvivesDirtyCheckpointCrash(t *testing.T) {
 	}
 
 	// Simulate a failed Apply having left the engine undefined, then
-	// checkpoint: no blob can be written (there was none before, either), and
-	// the archived decision is rewritten as instance-applied.
+	// checkpoint: no image can be written (there was none before, either).
 	dresden.mu.Lock()
 	dresden.engineDirty = true
 	dresden.mu.Unlock()
@@ -303,10 +295,13 @@ func TestResolveSurvivesDirtyCheckpointCrash(t *testing.T) {
 	if _, _, ok, err := EngineSnapshotStats(db, workload.Dresden); err != nil || ok {
 		t.Fatalf("dirty checkpoint left an engine snapshot: ok=%v err=%v", ok, err)
 	}
+	if rows := countKeys(t, db, ckRowPrefix(workload.Dresden)); rows != 0 {
+		t.Fatalf("dirty checkpoint wrote %d instance rows", rows)
+	}
 	sn := db.Snapshot()
 	rb := rkBase(workload.Dresden)
 	// The journal holds the round that deferred the conflict, then the
-	// decision; only the decision carries instance effects to mark.
+	// decision.
 	var decisions []trustEvent
 	err = sn.Scan(rb, lsm.PrefixEnd(rb), func(k, v []byte) bool {
 		var d trustEvent
@@ -317,10 +312,8 @@ func TestResolveSurvivesDirtyCheckpointCrash(t *testing.T) {
 		if len(k) != len(rb)+8 {
 			t.Errorf("malformed event key %x", k)
 		}
-		if d.isResolve(workload.Dresden) {
+		if d.WinnerPeer != "" && d.WinnerPeer != workload.Dresden {
 			decisions = append(decisions, d)
-		} else if d.InstanceApplied {
-			t.Errorf("event %+v marked instance-applied, and is not a decision", d)
 		}
 		return true
 	})
@@ -328,7 +321,7 @@ func TestResolveSurvivesDirtyCheckpointCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decisions) != 1 || !decisions[0].InstanceApplied {
+	if len(decisions) != 1 || decisions[0].WinnerSeq != bTxn.ID.Seq {
 		t.Fatalf("archived decisions after dirty checkpoint: %+v", decisions)
 	}
 
@@ -346,7 +339,7 @@ func TestResolveSurvivesDirtyCheckpointCrash(t *testing.T) {
 			d2.Instance().Size(), dresden.Instance().Size())
 	}
 	// The decisive check: the winner's row carries the live provenance, not a
-	// doubled polynomial from re-applying updates the rows already held.
+	// doubled polynomial from applying the winner's updates twice.
 	winRow := workload.OPSTuple("fly", "tnf", "XXXX")
 	got, ok := d2.Instance().Table("OPS").Get(winRow)
 	if !ok {

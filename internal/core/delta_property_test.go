@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 
 	"orchestra/internal/exchange"
 	"orchestra/internal/lsm"
+	"orchestra/internal/obs"
 	"orchestra/internal/p2p"
 	"orchestra/internal/recon"
 	"orchestra/internal/storage"
@@ -27,30 +29,32 @@ import (
 var deltaSeeds = flag.Int("seeds", 8, "seeded schedules for TestDeltaCheckpointAndRecovery")
 
 // recoveryKinds counts, over a whole test run, where recoveries started
-// from: no blob, a blob as new as the rows (W == E), a blob behind them.
-type recoveryKinds struct{ noBlob, blobAtE, blobBehind int }
+// from: no image, an image at the archive's head, an image behind it.
+type recoveryKinds struct{ noImage, atHead, behind int }
 
 // TestDeltaCheckpointAndRecovery: two properties of the O(delta) durable
 // round, under random schedules of commit (insert / delete / key-replacing
 // modify / identical re-insert), publish, reconcile, resolve, checkpoint,
 // forced engine failure, and kill-and-reopen from a copy of the directory.
 //
-// delta == full: after every checkpoint the peer's durable image, decoded,
-// is exactly what a full rewrite would have left — every instance row with
-// its polynomial and nothing else, the unpublished queue slot for slot with
-// no stale slot behind it, and the meta record.
+// delta == full: after every checkpoint the unpublished queue is slot for
+// slot what memory holds, with no stale slot behind it, and so is the meta
+// record. After every checkpoint that writes an image, the image's rows,
+// decoded, are exactly what a full rewrite would have left — every instance
+// row with its polynomial and nothing else; a checkpoint that writes no
+// image writes no row.
 //
 // recovered == never-crashed: after every reopen each recovered peer equals
 // the twin that was never killed — rows, polynomials, trust statuses,
 // unpublished queue, next sequence number, epoch — whether recovery started
-// from no blob, from a blob as new as the rows, or from one behind them.
+// from no image, from one at the archive's head, or from one behind it.
 func TestDeltaCheckpointAndRecovery(t *testing.T) {
 	var kinds recoveryKinds
 	for seed := int64(1); seed <= int64(*deltaSeeds); seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { runDeltaSchedule(t, seed, &kinds) })
 	}
-	t.Logf("recoveries started from: no blob %d, blob at E %d, blob behind E %d", kinds.noBlob, kinds.blobAtE, kinds.blobBehind)
-	if *deltaSeeds >= 8 && !t.Failed() && (kinds.noBlob == 0 || kinds.blobAtE == 0 || kinds.blobBehind == 0) {
+	t.Logf("recoveries started from: no image %d, image at the head %d, image behind it %d", kinds.noImage, kinds.atHead, kinds.behind)
+	if *deltaSeeds >= 8 && !t.Failed() && (kinds.noImage == 0 || kinds.atHead == 0 || kinds.behind == 0) {
 		t.Errorf("the schedules never recovered from every kind of image: %+v", kinds)
 	}
 }
@@ -67,6 +71,7 @@ func TestDeltaCheckpointAndRecovery(t *testing.T) {
 type deltaSystem struct {
 	dir   string
 	db    *lsm.DB
+	store *p2p.DurableStore
 	peers []*Peer
 }
 
@@ -86,9 +91,10 @@ func deltaPolicy(name string) *recon.Policy {
 }
 
 // openDeltaSystem opens dir and brings every peer up through recovery, the
-// only way a durable peer is made. The small memtable bound makes flushes
-// and compactions part of every schedule; NoSync only skips the fsync
-// itself — what a crash may take back is modelled by the kill step.
+// only way a durable peer is made, with its own metrics registry. The small
+// memtable bound makes flushes and compactions part of every schedule;
+// NoSync only skips the fsync itself — what a crash may take back is
+// modelled by the kill step.
 func openDeltaSystem(t *testing.T, dir string) *deltaSystem {
 	t.Helper()
 	db, err := lsm.Open(dir, lsm.Options{MemtableBytes: 48 << 10, NoSync: true})
@@ -103,12 +109,13 @@ func openDeltaSystem(t *testing.T, dir string) *deltaSystem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &deltaSystem{dir: dir, db: db}
+	s := &deltaSystem{dir: dir, db: db, store: ds}
 	for _, n := range deltaTopology.Names {
 		p, err := RecoverPeerWith(context.Background(), n, sys, ds, deltaPolicy(n), exchange.Config{MaxMonomials: -1}, db)
 		if err != nil {
 			t.Fatalf("recover %s from %s: %v", n, dir, err)
 		}
+		p.SetObserver(obs.NewRegistry(), 0)
 		s.peers = append(s.peers, p)
 	}
 	return s
@@ -129,38 +136,29 @@ func activeWAL(t *testing.T, dir string) (string, int64) {
 	return filepath.Base(segs[len(segs)-1]), st.Size()
 }
 
-// requireImageEqualsInstance decodes the peer's durable image and compares
-// it with the peer's memory: delta == full.
+// requireImageEqualsInstance decodes the rows of the peer's durable image
+// and compares them with the peer's memory, then does the same for the
+// queue and meta record: delta == full.
 func requireImageEqualsInstance(t *testing.T, label string, db *lsm.DB, p *Peer) {
 	t.Helper()
 	sn := db.Snapshot()
 	defer sn.Close()
 	byRel := map[string][]storage.Row{}
 	rp := ckRowPrefix(p.name)
-	var derr error
-	err := sn.Scan(rp, lsm.PrefixEnd(rp), func(k, v []byte) bool {
-		rel, rest, e := lsm.DecodeString(k[len(rp):])
-		if e != nil {
-			derr = e
-			return false
+	err := sn.Walk(rp, lsm.PrefixEnd(rp), func(k, v []byte) error {
+		rel, rest, err := lsm.DecodeString(k[len(rp):])
+		if err != nil {
+			return err
 		}
-		tu, e := lsm.DecodeTuple(rest)
-		if e != nil {
-			derr = e
-			return false
+		tu, err := lsm.DecodeTuple(rest)
+		if err != nil {
+			return err
 		}
 		var pd provDecoder
-		prov, e := pd.decode(v)
-		if e != nil {
-			derr = e
-			return false
-		}
+		prov, err := pd.decode(v)
 		byRel[rel] = append(byRel[rel], storage.Row{Tuple: tu, Prov: prov})
-		return true
+		return err
 	})
-	if err == nil {
-		err = derr
-	}
 	if err != nil {
 		t.Fatalf("%s: decode image rows: %v", label, err)
 	}
@@ -172,9 +170,17 @@ func requireImageEqualsInstance(t *testing.T, label string, db *lsm.DB, p *Peer)
 	if len(byRel) != 0 {
 		t.Fatalf("%s: image holds rows of undeclared relations: %v", label, byRel)
 	}
+	requireQueueAndMeta(t, label, sn, p)
+}
+
+// requireQueueAndMeta compares the unpublished queue and the meta record in
+// sn with the peer's memory.
+func requireQueueAndMeta(t *testing.T, label string, sn *lsm.Snapshot, p *Peer) {
+	t.Helper()
+	var derr error
 	var queued []updates.TxnID
 	up := ckUnpubPrefix(p.name)
-	err = sn.Scan(up, lsm.PrefixEnd(up), func(k, v []byte) bool {
+	err := sn.Scan(up, lsm.PrefixEnd(up), func(k, v []byte) bool {
 		var w p2p.WireTxn
 		if derr = json.Unmarshal(v, &w); derr != nil {
 			return false
@@ -208,6 +214,22 @@ func requireImageEqualsInstance(t *testing.T, label string, db *lsm.DB, p *Peer)
 	if meta.NextSeq != p.nextSeq || meta.LastEpoch != p.lastEpoch {
 		t.Fatalf("%s: image meta %+v, memory next_seq=%d last_epoch=%d", label, meta, p.nextSeq, p.lastEpoch)
 	}
+}
+
+// imageRows returns the peer's image rows in db, raw key to raw value.
+func imageRows(t *testing.T, db *lsm.DB, peer string) map[string]string {
+	t.Helper()
+	sn := db.Snapshot()
+	defer sn.Close()
+	rows := map[string]string{}
+	rp := ckRowPrefix(peer)
+	if err := sn.Scan(rp, lsm.PrefixEnd(rp), func(k, v []byte) bool {
+		rows[string(k)] = string(v)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
 func txnIDs(ts []*updates.Transaction) []updates.TxnID {
@@ -293,12 +315,24 @@ func runDeltaSchedule(t *testing.T, seed int64, kinds *recoveryKinds) {
 	acked := func() { ackSeg, ackSize = activeWAL(t, sys.dir); loose = 0 }
 	checkpointPeer := func(step, pi int) {
 		p := sys.peers[pi]
+		label := fmt.Sprintf("step %d: checkpoint of %s", step, p.Name())
+		rows, rowsWritten, images := imageRows(t, sys.db, p.name), p.obsv.checkpointRows.Value(), p.obsv.blobWrites.Value()
 		if err := p.SaveCheckpoint(sys.db); err != nil {
 			t.Fatalf("step %d: checkpoint %s: %v", step, p.Name(), err)
 		}
 		uncovered[pi] = false
 		acked()
-		requireImageEqualsInstance(t, fmt.Sprintf("step %d: checkpoint of %s", step, p.Name()), sys.db, p)
+		if p.obsv.blobWrites.Value() != images {
+			requireImageEqualsInstance(t, label, sys.db, p)
+			return
+		}
+		if got := imageRows(t, sys.db, p.name); !maps.Equal(got, rows) || p.obsv.checkpointRows.Value() != rowsWritten {
+			t.Fatalf("%s: wrote no image, but rows changed (%d -> %d rows, %d -> %d written)",
+				label, len(rows), len(got), rowsWritten, p.obsv.checkpointRows.Value())
+		}
+		sn := sys.db.Snapshot()
+		defer sn.Close()
+		requireQueueAndMeta(t, label, sn, p)
 	}
 	publishPeer := func(step, pi int) {
 		if _, err := sys.peers[pi].Publish(ctx); err != nil {
@@ -394,25 +428,22 @@ func runDeltaSchedule(t *testing.T, seed int64, kinds *recoveryKinds) {
 				}
 			}
 			next := openDeltaSystem(t, dst)
+			head, err := next.store.Epoch()
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i, q := range next.peers {
 				_, w, ok, err := EngineSnapshotStats(next.db, q.Name())
 				if err != nil {
 					t.Fatal(err)
 				}
-				raw, hasMeta, _ := next.db.Get(ckMetaKey(q.Name()))
-				var meta checkpointMeta
-				if hasMeta {
-					if err := json.Unmarshal(raw, &meta); err != nil {
-						t.Fatal(err)
-					}
-				}
 				switch {
 				case !ok:
-					kinds.noBlob++
-				case w == meta.LastEpoch:
-					kinds.blobAtE++
+					kinds.noImage++
+				case w == head:
+					kinds.atHead++
 				default:
-					kinds.blobBehind++
+					kinds.behind++
 				}
 				if i != volatile {
 					requireTwin(t, fmt.Sprintf("step %d: reopened %s", step, q.Name()), q, sys.peers[i])
@@ -434,8 +465,8 @@ func runDeltaSchedule(t *testing.T, seed int64, kinds *recoveryKinds) {
 }
 
 // An accepted insert under a primary key that holds another tuple pushes
-// that tuple out (storage.Upsert reports it as replaced); its checkpoint row
-// must go with it, though no update names it.
+// that tuple out (storage.Upsert reports it as replaced); its row must go
+// from the next image with it, though no update names it.
 func TestCheckpointDeletesRowReplacedByUpsert(t *testing.T) {
 	sys := openDeltaSystem(t, t.TempDir())
 	defer sys.db.Close()
@@ -450,8 +481,18 @@ func TestCheckpointDeletesRowReplacedByUpsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The engine translating the published commit makes the next image due.
+	publish(t, p)
+	reconcile(t, p)
+	if !blobRebaseDue(p.blobTxns, p.engine.AppliedCount()) {
+		t.Fatalf("no image due: the blob covers %d transactions, the engine applied %d", p.blobTxns, p.engine.AppliedCount())
+	}
+	images := p.obsv.blobWrites.Value()
 	if err := p.SaveCheckpoint(sys.db); err != nil {
 		t.Fatal(err)
+	}
+	if p.obsv.blobWrites.Value() != images+1 {
+		t.Fatal("the checkpoint wrote no image")
 	}
 	requireImageEqualsInstance(t, "after a key-replacing upsert", sys.db, p)
 }

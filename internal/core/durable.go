@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"math"
+	"slices"
 	"time"
 
 	"orchestra/internal/exchange"
@@ -21,10 +23,11 @@ import (
 // This file is the peer-side half of the durable tier: peers checkpoint
 // their state into the same LSM database that holds the published archive
 // (p2p.DurableStore, prefix "a/"), and recover after a crash by loading the
-// checkpoint and replaying only the published suffix it does not already
-// cover. A checkpoint costs what changed since the previous one: the rows
-// applyUpdates touched, the meta record, the unpublished queue, and — on a
-// geometric schedule (blobRebaseDue) — the engine blob.
+// checkpoint image and replaying only the published suffix it does not
+// already cover. The image is the engine blob and the instance rows, both at
+// one epoch W; a checkpoint rewrites it when there is none yet or
+// blobRebaseDue says so, and otherwise writes only the meta record and the
+// unpublished queue.
 //
 // Checkpoint key layout (esc is lsm.AppendString, the order-preserving
 // escaped string encoding); the "c/", "e/", and "r/" prefixes cannot
@@ -40,18 +43,17 @@ import (
 // stored annotation, so a checkpoint relation is a contiguous, key-ordered
 // range.
 //
-// The "e/" blob turns recovery from O(history) into O(suffix): it captures
-// the translation engine (union database, dead and base tokens, applied
-// set), the reconciliation state and the dependency tracker, all valid at
-// its watermark epoch W — the epoch of the checkpoint that wrote it, at or
-// before the epoch E of the newest rows. The published archive is the
-// blob's delta log: recovery restores the blob and replays Since(W). The
-// "r/" archive holds what that log cannot — when the peer did what with it
-// since the blob: where each reconciliation round ended (candidates judged
-// together defer each other, candidates of separate rounds do not), where
-// each local commit was accepted (the archive has the transaction, but at
-// the epoch it was published), and each Resolve decision, which would
-// otherwise regress to deferred.
+// The image turns recovery from O(history) into O(suffix): the "e/" blob
+// captures the translation engine (union database, dead and base tokens,
+// applied set), the reconciliation state and the dependency tracker, and the
+// "c/" rows the instance, all valid at the blob's watermark W. The published
+// archive is the image's delta log: recovery restores the image and replays
+// Since(W). The "r/" journal holds what that log cannot — when the peer did
+// what with it since the image: where each reconciliation round ended
+// (candidates judged together defer each other, candidates of separate
+// rounds do not), where each local commit was accepted (the archive has the
+// transaction, but at the epoch it was published), and each Resolve
+// decision, which would otherwise regress to deferred.
 
 const (
 	ckPrefix = "c/"
@@ -59,8 +61,9 @@ const (
 	rkPrefix = "r/"
 )
 
-// checkpointMeta is the atomically-swapped summary record: which epoch the
-// rows reflect, and where the local transaction counter stood.
+// checkpointMeta is the record every checkpoint rewrites: the epoch the
+// peer had reconciled up to, and where the local transaction counter stood.
+// Both can be ahead of the image, whose own epoch is the blob's watermark.
 type checkpointMeta struct {
 	NextSeq   uint64 `json:"next_seq"`
 	LastEpoch uint64 `json:"last_epoch"`
@@ -101,29 +104,19 @@ func rkKey(peer string, seq uint64) []byte {
 }
 
 // trustEvent is one entry of the peer's journal of what it did to its trust
-// state, told apart by whose transaction it names: nobody's — a
-// reconciliation round that judged every candidate up to AfterEpoch; the
+// state since the image, told apart by whose transaction it names: nobody's
+// — a reconciliation round that judged every candidate up to AfterEpoch; the
 // peer's own — a local commit, accepted unconditionally the moment it was
 // made; anyone else's — a Peer.Resolve in favour of that winner. For the
 // last two AfterEpoch is the peer's lastEpoch at the time. Recovery replays
 // the journal in order against the published history: a round judges the
 // candidates up to its epoch together, a commit or decision lands after the
-// round its epoch names and before any later one. InstanceApplied is set on
-// a Resolve when a later checkpoint captured its instance effects in its
-// rows without folding the trust-state transition into a new engine blob:
-// recovery then repairs the trust state without double-applying the
-// winner's updates. (The field names predate the other two kinds; the
-// format of a Resolve record is unchanged.)
+// round its epoch names and before any later one. (The field names predate
+// the other two kinds.)
 type trustEvent struct {
-	WinnerPeer      string `json:"winner_peer"`
-	WinnerSeq       uint64 `json:"winner_seq"`
-	AfterEpoch      uint64 `json:"after_epoch"`
-	InstanceApplied bool   `json:"instance_applied,omitempty"`
-}
-
-// isResolve reports whether the event is a Resolve decision at peer self.
-func (d trustEvent) isResolve(self string) bool {
-	return d.WinnerPeer != "" && d.WinnerPeer != self
+	WinnerPeer string `json:"winner_peer"`
+	WinnerSeq  uint64 `json:"winner_seq"`
+	AfterEpoch uint64 `json:"after_epoch"`
 }
 
 // encodeProv/provDecoder are the binary form of a provenance polynomial: a
@@ -236,21 +229,21 @@ func blobRebaseDue(covered, applied int) bool {
 	return applied > covered && (applied-covered)*8 >= covered
 }
 
-// SaveCheckpoint brings the peer's durable image in db — the database the
-// peer was recovered from — up to date as ONE atomic, fsynced lsm.Batch: a
-// Put of the current annotation (or a Delete, if the tuple is gone) for
-// every row applyUpdates touched since the previous checkpoint, the
-// (nextSeq, lastEpoch) meta record, the committed-but-unpublished queue, and
-// — when there is none yet or blobRebaseDue says so — the engine blob. A
-// crash leaves either the old image or the new one, never a blend: the
-// batch is a single WAL record, and recovery replays it all or not at all.
+// SaveCheckpoint brings the peer's durable state in db — the database the
+// peer was recovered from — up to date as ONE atomic, fsynced lsm.Batch.
+// Every checkpoint writes the (nextSeq, lastEpoch) meta record and the
+// committed-but-unpublished queue, and its fsync makes the trust journal
+// durable with them. When there is no image yet or blobRebaseDue says so,
+// the batch also rewrites the image: the engine blob, and a Put of the
+// current annotation (or a Delete, if the tuple is gone) for every row
+// applyUpdates touched since the previous image. A crash leaves either the
+// old state or the new one, never a blend: the batch is a single WAL record,
+// and recovery replays it all or not at all.
 //
-// A checkpoint that writes the blob folds the whole trust journal into the
-// saved trust state, so the same batch clears the "r/" archive. One that
-// does not (not due yet, or a failed Apply left the engine undefined and
-// unencodable) keeps the previous blob and the journal, and marks the
-// Resolve decisions in it: their instance effects are covered by the rows
-// it writes.
+// An image folds the whole trust journal into the saved trust state, so the
+// same batch clears the "r/" archive. A checkpoint without one (not due yet,
+// or a failed Apply left the engine undefined and unencodable) keeps the
+// previous image and the journal, and its dirty rows wait for the next.
 func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -270,26 +263,6 @@ func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 		totalBytes += int64(len(key) + len(val))
 	}
 
-	// Sorted, so the batch — and with it the WAL — is a function of the
-	// schedule, not of map iteration order.
-	keys := make([]string, 0, len(p.dirty))
-	for k := range p.dirty {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		d := p.dirty[k]
-		row, ok := p.local.Table(d.rel).Get(d.tu)
-		if !ok {
-			b.Delete([]byte(k))
-			continue
-		}
-		val, err := encodeProv(row.Prov)
-		if err != nil {
-			return fail("encode provenance", err)
-		}
-		put([]byte(k), val)
-	}
 	for i, t := range p.unpublished {
 		data, err := json.Marshal(p2p.EncodeTxn(t))
 		if err != nil {
@@ -307,8 +280,9 @@ func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 	put(ckMetaKey(p.name), meta)
 
 	applied := p.engine.AppliedCount()
-	writeBlob := !p.engineDirty && (!p.hasBlob || blobRebaseDue(p.blobTxns, applied))
-	if writeBlob {
+	image := !p.engineDirty && (!p.hasBlob || blobRebaseDue(p.blobTxns, applied))
+	var keys []string
+	if image {
 		engBlob, err := p.engine.SaveState()
 		if err != nil {
 			return fail("engine state", err)
@@ -318,42 +292,67 @@ func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 			return fail("engine snapshot", err)
 		}
 		put(ekKey(p.name), blob)
-		// The saved trust state already reflects every journaled event.
-		for i := range p.events {
-			b.Delete(rkKey(p.name, uint64(i)))
-		}
-	} else {
-		for i, d := range p.events {
-			if d.InstanceApplied || !d.isResolve(p.name) {
+		// Sorted, so the batch — and with it the WAL — is a function of the
+		// schedule, not of map iteration order.
+		keys = slices.Sorted(maps.Keys(p.dirty))
+		for _, k := range keys {
+			d := p.dirty[k]
+			row, ok := p.local.Table(d.rel).Get(d.tu)
+			if !ok {
+				b.Delete([]byte(k))
 				continue
 			}
-			d.InstanceApplied = true
-			data, err := json.Marshal(d)
+			val, err := encodeProv(row.Prov)
 			if err != nil {
-				return fail("rewrite decision", err)
+				return fail("encode provenance", err)
 			}
-			put(rkKey(p.name, uint64(i)), data)
+			put([]byte(k), val)
+		}
+		// The saved trust state already reflects every journaled event.
+		for i := range p.journalLen {
+			b.Delete(rkKey(p.name, uint64(i)))
 		}
 	}
 
 	if err := db.Apply(b, true); err != nil {
 		return fmt.Errorf("core: checkpoint %s: %w", p.name, err)
 	}
-	// The image now matches memory; only now forget what made it differ.
-	p.obsv.checkpointRows.Add(int64(len(keys)))
 	p.obsv.checkpointBytes.Set(totalBytes)
-	clear(p.dirty)
 	p.ckUnpub = len(p.unpublished)
-	if writeBlob {
+	if image {
+		// The image now matches memory; only now forget what made it differ.
+		p.obsv.checkpointRows.Add(int64(len(keys)))
 		p.obsv.blobWrites.Inc()
-		p.hasBlob, p.blobTxns = true, applied
-		p.events = nil
-	} else {
-		for i := range p.events {
-			p.events[i].InstanceApplied = p.events[i].isResolve(p.name)
-		}
+		clear(p.dirty)
+		p.hasBlob, p.blobTxns, p.journalLen = true, applied, 0
 	}
 	return nil
+}
+
+// replayEngine brings an engine restored to epoch since — loaded from an
+// engine blob of that watermark, or fresh at 0 — to where a live peer's
+// stood at epoch upTo: it replays through eng, in the batches Reconcile
+// would use, what was published after since up to upTo. It returns the
+// replayed transactions with their translations, and the store's epoch.
+func replayEngine(ctx context.Context, eng *exchange.Engine, cfg exchange.Config, store p2p.Store, since, upTo uint64) ([]*updates.Transaction, []*exchange.Result, uint64, error) {
+	txns, head, err := store.Since(since)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("fetch history: %w", err)
+	}
+	if i := slices.IndexFunc(txns, func(t *updates.Transaction) bool { return t.Epoch > upTo }); i >= 0 {
+		txns = txns[:i]
+	}
+	results := make([]*exchange.Result, 0, len(txns))
+	for rest := txns; len(rest) > 0; {
+		n := cfg.BatchLen(len(rest))
+		rs, err := eng.ApplyAll(ctx, rest[:n])
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("replay translations: %w", err)
+		}
+		results = append(results, rs...)
+		rest = rest[n:]
+	}
+	return txns, results, head, nil
 }
 
 // RecoverPeerWith reconstructs a peer from its durable checkpoint in db
@@ -363,16 +362,15 @@ func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 // counter, settled conflicts — from the same peer having processed the same
 // history live.
 //
-// There is one path. The engine, trust state and tracker restore from the
-// "e/" blob, valid at its watermark W ≤ E (the rows' epoch); with no blob
-// they start empty and W is 0. Everything published after W is fetched and
-// its translations replayed — relying on ApplyAll's pinned
+// There is one path. The image — engine, trust state, tracker and instance
+// rows — restores as a whole at its watermark W; with no usable blob
+// everything starts empty and W is 0. Everything published after W is
+// fetched and its translations replayed — relying on ApplyAll's pinned
 // batch-composition property — then its trust decisions replay in epoch
-// order: outcomes at epochs ≤ E rebuild the trust state only (the rows
-// already hold their effects), outcomes after E also apply to the
-// instance, and archived Resolve decisions re-apply at their recorded
-// positions. blobRebaseDue keeps W close enough to the head that the
-// replay is at most a ninth of the history.
+// order, every outcome into the trust state, the tracker and the instance,
+// with the journaled rounds, commits and Resolve decisions at their recorded
+// positions. blobRebaseDue keeps W close enough to the head that the replay
+// is at most a ninth of the history.
 func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.Store, policy *recon.Policy, cfg exchange.Config, db *lsm.DB) (*Peer, error) {
 	p, err := NewPeerWith(name, sys, store, policy, cfg)
 	if err != nil {
@@ -385,118 +383,104 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 	loadStart := time.Now()
 
 	// Phase 1 — load the checkpoint: meta record, engine snapshot blob,
-	// instance rows, unpublished queue, archived decisions. No meta record
-	// means no checkpoint was ever taken: recovery degenerates to a
-	// full-history replay from a fresh peer (E = 0), the same code path.
+	// instance rows, unpublished queue, journal. No meta record means no
+	// checkpoint was ever taken: recovery degenerates to a full-history
+	// replay from a fresh peer, the same code path.
 	meta := checkpointMeta{NextSeq: 1}
 	var ckUnpublished []*updates.Transaction
-	var snap *engineSnapshot
 	sn := db.Snapshot()
-	if raw, ok, err := sn.Get(ckMetaKey(name)); err != nil {
-		sn.Close()
-		return fail("read meta", err)
-	} else if ok {
-		if err := json.Unmarshal(raw, &meta); err != nil {
-			sn.Close()
-			return fail("decode meta", err)
-		}
+	raw, ok, err := sn.Get(ckMetaKey(name))
+	if err == nil && ok {
+		err = json.Unmarshal(raw, &meta)
 	}
-	if raw, ok, err := sn.Get(ekKey(name)); err != nil {
+	if err != nil {
 		sn.Close()
-		return fail("read engine snapshot", err)
-	} else if ok {
-		// A blob from another layout version is dropped, which leaves the
-		// full-replay path below. The rounds and commits its trust state had
-		// folded in are gone from the journal, so everything up to the
-		// checkpoint epoch is judged as one round: exact when that history
-		// held no conflict, and a valid reconciliation of it otherwise.
-		if snap, err = decodeEngineBlob(raw); err != nil && !errors.Is(err, errBlobVersion) {
-			sn.Close()
-			return fail("decode engine snapshot", err)
-		}
+		return fail("meta", err)
+	}
+	// A blob from another layout version is dropped, which leaves the
+	// full-replay path below. The rounds and commits its trust state had
+	// folded in are gone from the journal, so everything up to its epoch is
+	// judged as one round: exact when that history held no conflict, and a
+	// valid reconciliation of it otherwise.
+	snap, err := readEngineBlob(sn.Get, name)
+	if err == nil && snap != nil && snap.Watermark > meta.LastEpoch {
+		// A blob is written in the same atomic batch as a meta record of its
+		// own epoch, and later checkpoints only raise that; a blob from the
+		// future means the keyspace was tampered with.
+		err = fmt.Errorf("watermark %d is past checkpoint epoch %d", snap.Watermark, meta.LastEpoch)
+	}
+	if err != nil {
+		sn.Close()
+		return fail("engine snapshot", err)
 	}
 	rp := ckRowPrefix(name)
-	var derr error
 	var pd provDecoder
-	err = sn.Scan(rp, lsm.PrefixEnd(rp), func(k, v []byte) bool {
-		rel, rest, e := lsm.DecodeString(k[len(rp):])
-		if e != nil {
-			derr = e
-			return false
+	err = sn.Walk(rp, lsm.PrefixEnd(rp), func(k, v []byte) error {
+		rel, rest, err := lsm.DecodeString(k[len(rp):])
+		if err != nil {
+			return err
 		}
-		tu, e := lsm.DecodeTuple(rest)
-		if e != nil {
-			derr = e
-			return false
+		tu, err := lsm.DecodeTuple(rest)
+		if err != nil {
+			return err
 		}
-		prov, e := pd.decode(v)
-		if e != nil {
-			derr = e
-			return false
+		if snap == nil {
+			// Rows without a usable blob are at an epoch the replay cannot
+			// start from: loading them and replaying the whole archive would
+			// apply their history twice. They are dropped, and the next
+			// image deletes whichever the replay does not rewrite.
+			p.touch(rel, tu)
+			return nil
 		}
-		if _, e := p.local.Upsert(rel, tu, prov); e != nil {
-			derr = e
-			return false
+		prov, err := pd.decode(v)
+		if err != nil {
+			return err
 		}
-		return true
+		_, err = p.local.Upsert(rel, tu, prov)
+		return err
 	})
-	if err == nil {
-		err = derr
-	}
 	if err != nil {
 		sn.Close()
 		return fail("checkpoint rows", err)
 	}
 	up := ckUnpubPrefix(name)
-	derr = nil
-	err = sn.Scan(up, lsm.PrefixEnd(up), func(k, v []byte) bool {
+	err = sn.Walk(up, lsm.PrefixEnd(up), func(k, v []byte) error {
 		var w p2p.WireTxn
-		if e := json.Unmarshal(v, &w); e != nil {
-			derr = e
-			return false
+		if err := json.Unmarshal(v, &w); err != nil {
+			return err
 		}
-		t, e := p2p.DecodeTxn(w)
-		if e != nil {
-			derr = e
-			return false
+		t, err := p2p.DecodeTxn(w)
+		if err == nil {
+			ckUnpublished = append(ckUnpublished, t)
 		}
-		ckUnpublished = append(ckUnpublished, t)
-		return true
+		return err
 	})
-	if err == nil {
-		err = derr
-	}
 	if err != nil {
 		sn.Close()
 		return fail("checkpoint unpublished", err)
 	}
+	var events []trustEvent
 	rb := rkBase(name)
-	derr = nil
-	err = sn.Scan(rb, lsm.PrefixEnd(rb), func(k, v []byte) bool {
+	err = sn.Walk(rb, lsm.PrefixEnd(rb), func(k, v []byte) error {
 		var d trustEvent
-		if e := json.Unmarshal(v, &d); e != nil {
-			derr = e
-			return false
+		if err := json.Unmarshal(v, &d); err != nil {
+			return err
 		}
-		// The archive is written at consecutive sequences from 0 and cleared
-		// as a whole; Resolve relies on that to key the next decision.
-		if len(k) != len(rb)+8 || binary.BigEndian.Uint64(k[len(rb):]) != uint64(len(p.events)) {
-			derr = fmt.Errorf("decision archive key %x out of sequence", k)
-			return false
+		// The journal is written at consecutive sequences from 0 and cleared
+		// as a whole; archiveEvent relies on that to key the next record.
+		if len(k) != len(rb)+8 || binary.BigEndian.Uint64(k[len(rb):]) != uint64(len(events)) {
+			return fmt.Errorf("decision archive key %x out of sequence", k)
 		}
-		p.events = append(p.events, d)
+		events = append(events, d)
 		// A commit record whose transaction the crash took back still burns
 		// its sequence number: reissuing it would leave two records for one
 		// transaction id.
 		if d.WinnerPeer == name && d.WinnerSeq >= p.nextSeq {
 			p.nextSeq = d.WinnerSeq + 1
 		}
-		return true
+		return nil
 	})
 	sn.Close()
-	if err == nil {
-		err = derr
-	}
 	if err != nil {
 		return fail("checkpoint decisions", err)
 	}
@@ -504,17 +488,10 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 		p.nextSeq = meta.NextSeq
 	}
 	p.ckUnpub = len(ckUnpublished)
-	events := p.events
-	E := meta.LastEpoch
+	p.journalLen = len(events)
 
 	W := uint64(0)
 	if snap != nil {
-		if snap.Watermark > E {
-			// A blob is written in the same atomic batch as a meta record of
-			// its own epoch, and later checkpoints only raise E; a blob from
-			// the future means the keyspace was tampered with.
-			return fail("engine snapshot", fmt.Errorf("watermark %d is past checkpoint epoch %d", snap.Watermark, E))
-		}
 		if err := p.engine.LoadState(snap.Engine); err != nil {
 			return fail("restore engine", err)
 		}
@@ -522,121 +499,75 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 			return fail("restore trust state", err)
 		}
 		p.tracker.Restore(snap.Writers)
-		W = snap.Watermark
-		p.hasBlob, p.blobTxns = true, p.engine.AppliedCount()
+		W, p.hasBlob, p.blobTxns = snap.Watermark, true, p.engine.AppliedCount()
 	}
 	p.recLoadNs = time.Since(loadStart).Nanoseconds()
 
-	// Phase 2 — fetch the history the restored state does not cover and
-	// replay translations through the engine in the batches Reconcile would
-	// use, leaving the engine exactly where a live peer's would be.
-	txns, storeEpoch, err := store.Since(W)
+	// Phase 2 — replay translations of the history the image does not
+	// cover, leaving the engine exactly where a live peer's would be.
+	txns, results, storeEpoch, err := replayEngine(ctx, p.engine, cfg, store, W, math.MaxUint64)
 	if err != nil {
-		return fail("fetch history", err)
+		return fail("replay history", err)
 	}
 	p.recReplayTxns = int64(len(txns))
 	p.pendingRecovery = true
-	results := make([]*exchange.Result, 0, len(txns))
-	for rest := txns; len(rest) > 0; {
-		n := cfg.BatchLen(len(rest))
-		rs, err := p.engine.ApplyAll(ctx, rest[:n])
-		if err != nil {
-			return fail("replay translations", err)
-		}
-		results = append(results, rs...)
-		rest = rest[n:]
-	}
 
 	// The bodies of our own transactions this recovery can see: published
-	// after W, or queued at the checkpoint. A queued one that also shows up in
-	// the store was published between the checkpoint and the crash and must
-	// NOT be restored to the unpublished queue (the archive already has it).
+	// after W, or queued at the checkpoint.
 	own := map[updates.TxnID]*updates.Transaction{}
 	for _, t := range ckUnpublished {
 		own[t.ID] = t
 	}
-	published := map[updates.TxnID]bool{}
 	for _, t := range txns {
 		if t.ID.Peer == name {
 			own[t.ID] = t
-			published[t.ID] = true
 		}
 	}
 
 	// Phase 3 — replay the trust state's events in their live order.
-	// Candidate runs are flushed through state.Reconcile at every archived
+	// Candidate runs are flushed through state.Reconcile at every journaled
 	// trust event — the end of a live round, which judged exactly the
 	// candidates up to its epoch together; a local commit or a Resolve
 	// decision, which happened exactly between the epochs its AfterEpoch
-	// records (acceptance order decides write conflicts) — and at the E
-	// boundary (outcomes at epochs ≤ E are already reflected in the
-	// checkpoint rows and must not re-apply; outcomes after E must). What
-	// lies past the last archived round is judged as one round, as the
-	// Reconcile the peer would run next would. What the blob's trust state
-	// already holds is recognised by its status, never by which path led
-	// here.
+	// records (acceptance order decides write conflicts). What lies past the
+	// last journaled round is judged as one round, as the Reconcile the peer
+	// would run next would. Every outcome applies to the instance too: the
+	// rows are the image's, at W. What the blob's trust state already holds
+	// is recognised by its status, never by which path led here.
 	var run []*updates.Transaction
-	var runRes []*exchange.Result
-	runPre := false
-	flush := func(pre bool) error {
+	flush := func() error {
 		if len(run) == 0 {
 			return nil
 		}
-		cands := make([]*updates.Transaction, 0, len(run))
-		for i, txn := range run {
-			cands = append(cands, &updates.Transaction{
-				ID:      txn.ID,
-				Epoch:   txn.Epoch,
-				Updates: runRes[i].PerPeer[name],
-				Deps:    mergeDeps(txn.Deps, runRes[i].ExtraDeps[name]),
-			})
-		}
-		outcome, err := p.state.Reconcile(policy, cands)
+		outcome, err := p.state.Reconcile(policy, run)
 		if err != nil {
 			return err
 		}
 		for _, t := range outcome.Accepted {
-			if !pre {
-				if err := p.applyUpdates(t.Updates); err != nil {
-					return err
-				}
+			if err := p.applyUpdates(t.Updates); err != nil {
+				return err
 			}
 			// RecordWrites, not Record: replay must restore the archived
 			// dependency edges, not recompute them against replay-time state.
 			p.tracker.RecordWrites(t)
 		}
-		run, runRes = nil, nil
+		run = nil
 		return nil
 	}
-	// acceptOwn re-enters one of our own transactions into the trust state
-	// and the tracker, unless the blob already holds it. Its effects are in
-	// the checkpoint rows if it committed before the checkpoint, which its
-	// sequence number tells; a later commit re-applies.
+	// acceptOwn re-enters one of our own transactions into the trust state,
+	// the tracker and the instance, unless the blob already holds it — and
+	// then so do the rows.
 	acceptOwn := func(t *updates.Transaction) error {
 		if p.state.Status(t.ID) != recon.StatusUnknown {
 			return nil
 		}
-		if t.ID.Seq >= meta.NextSeq {
-			if err := p.applyUpdates(t.Updates); err != nil {
-				return err
-			}
+		if err := p.applyUpdates(t.Updates); err != nil {
+			return err
 		}
 		if err := p.state.AcceptLocal(t); err != nil {
 			return err
 		}
 		p.tracker.RecordWrites(t)
-		return nil
-	}
-	restoreUnpublished := func() error {
-		for _, t := range ckUnpublished {
-			if published[t.ID] {
-				continue
-			}
-			if err := acceptOwn(t); err != nil {
-				return err
-			}
-			p.unpublished = append(p.unpublished, t)
-		}
 		return nil
 	}
 	applyEvent := func(d trustEvent) error {
@@ -661,20 +592,17 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 			return err
 		}
 		for _, t := range outcome.Accepted {
-			if !d.InstanceApplied {
-				if err := p.applyUpdates(t.Updates); err != nil {
-					return err
-				}
+			if err := p.applyUpdates(t.Updates); err != nil {
+				return err
 			}
 			p.tracker.RecordWrites(t)
 		}
 		return nil
 	}
 	di := 0
-	crossed := false
 	for i, txn := range txns {
 		for di < len(events) && events[di].AfterEpoch < txn.Epoch {
-			if err := flush(runPre); err != nil {
+			if err := flush(); err != nil {
 				return fail("replay decisions", err)
 			}
 			if err := applyEvent(events[di]); err != nil {
@@ -682,27 +610,13 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 			}
 			di++
 		}
-		pre := txn.Epoch <= E
-		if !pre && !crossed {
-			// Entering the post-checkpoint suffix: settle everything the
-			// checkpoint covers, then re-accept the never-published local
-			// commits — they were trusted before the crash, so they must be
-			// in the trust state before any suffix candidate is judged.
-			if err := flush(true); err != nil {
-				return fail("replay decisions", err)
-			}
-			if err := restoreUnpublished(); err != nil {
-				return fail("restore unpublished", err)
-			}
-			crossed = true
-		}
 		if txn.ID.Peer == name {
 			// Our own published transaction: accepted already, where its
 			// commit record stood. Only a commit made while the peer was not
 			// attached to this database has none, and enters here, at the
 			// one position the archive can give it.
 			if p.state.Status(txn.ID) == recon.StatusUnknown {
-				if err := flush(runPre); err != nil {
+				if err := flush(); err != nil {
 					return fail("replay decisions", err)
 				}
 				if err := acceptOwn(txn); err != nil {
@@ -714,15 +628,13 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 			}
 			continue
 		}
-		run = append(run, txn)
-		runRes = append(runRes, results[i])
-		runPre = pre
+		run = append(run, p.candidate(txn, results[i]))
 	}
-	// Whatever is still unjudged lies past the last archived round: judging
+	// Whatever is still unjudged lies past the last journaled round: judging
 	// it now is a round of this peer's like any Reconcile, and journaled as
 	// one, so the next recovery cuts its replay here too.
 	newRound := len(run) > 0
-	if err := flush(runPre); err != nil {
+	if err := flush(); err != nil {
 		return fail("replay decisions", err)
 	}
 	for ; di < len(events); di++ {
@@ -730,16 +642,22 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 			return fail("reapply trust event", err)
 		}
 	}
-	if !crossed {
-		if err := restoreUnpublished(); err != nil {
+	// The queue the checkpoint saved, less what was published between the
+	// checkpoint and the crash: the archive has that, and the engine has
+	// just replayed it. The queued commits are in the trust state by now —
+	// from the blob or from their journal records — unless the blob that
+	// folded them in was dropped; those re-enter here.
+	for _, t := range ckUnpublished {
+		if p.engine.Applied(t.ID) {
+			continue
+		}
+		if err := acceptOwn(t); err != nil {
 			return fail("restore unpublished", err)
 		}
+		p.unpublished = append(p.unpublished, t)
 	}
 
-	p.lastEpoch = storeEpoch
-	if E > p.lastEpoch {
-		p.lastEpoch = E
-	}
+	p.lastEpoch = max(storeEpoch, meta.LastEpoch)
 	if newRound {
 		if err := p.archiveEvent(trustEvent{AfterEpoch: p.lastEpoch}, false); err != nil {
 			return fail("journal the recovery round", err)

@@ -20,6 +20,7 @@ import (
 	"orchestra/internal/lsm"
 	"orchestra/internal/mapping"
 	"orchestra/internal/p2p"
+	"orchestra/internal/provenance"
 	"orchestra/internal/recon"
 	"orchestra/internal/schema"
 	"orchestra/internal/storage"
@@ -64,6 +65,18 @@ func openDurableTier(t *testing.T, dir string) (*lsm.DB, *p2p.DurableStore) {
 		t.Fatal(err)
 	}
 	return db, ds
+}
+
+// countKeys counts the live keys under prefix in db.
+func countKeys(t *testing.T, db *lsm.DB, prefix []byte) int {
+	t.Helper()
+	sn := db.Snapshot()
+	defer sn.Close()
+	n := 0
+	if err := sn.Scan(prefix, lsm.PrefixEnd(prefix), func(k, v []byte) bool { n++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func checkpoint(t *testing.T, p *Peer, db *lsm.DB) {
@@ -169,11 +182,25 @@ func TestDurablePeerKillRestartEquivalence(t *testing.T) {
 }
 
 // TestRecoverDropsEngineBlobOfOldVersion: a directory whose engine blob was
-// written in an earlier layout (its magic ends in another version digit)
-// recovers cleanly — the blob is dropped and the whole archive replayed —
-// to the state of the never-killed twin, and the next checkpoint writes a
-// blob in the current layout.
+// written in an earlier layout (its magic ends in another version digit), or
+// that holds instance rows and no blob at all, recovers cleanly — the rows
+// are dropped with the blob and the whole archive replayed — to the state of
+// the never-killed twin. The next checkpoint writes an image in the current
+// layout, without the dropped rows.
 func TestRecoverDropsEngineBlobOfOldVersion(t *testing.T) {
+	t.Run("old-version-blob", func(t *testing.T) {
+		testRecoverDropsImage(t, func(db *lsm.DB, blob []byte) error {
+			return db.Put(ekKey(workload.Dresden), append([]byte("OEB3"), blob[4:]...), true)
+		})
+	})
+	t.Run("rows-without-blob", func(t *testing.T) {
+		testRecoverDropsImage(t, func(db *lsm.DB, blob []byte) error {
+			return db.Delete(ekKey(workload.Dresden), true)
+		})
+	})
+}
+
+func testRecoverDropsImage(t *testing.T, spoil func(db *lsm.DB, blob []byte) error) {
 	dir := t.TempDir()
 	db, ds := openDurableTier(t, dir)
 	sys, err := NewSystem(workload.Figure2Peers(), workload.Figure2Mappings())
@@ -203,8 +230,14 @@ func TestRecoverDropsEngineBlobOfOldVersion(t *testing.T) {
 	if err != nil || !ok || string(blob[:4]) != engineBlobMagic {
 		t.Fatalf("checkpoint left no current-version engine blob (ok=%v, err=%v)", ok, err)
 	}
-	old := append([]byte("OEB1"), blob[4:]...)
-	if err := db.Put(ekKey(workload.Dresden), old, true); err != nil {
+	if err := spoil(db, blob); err != nil {
+		t.Fatal(err)
+	}
+	// A row no history produced stands for rows the image holds at another
+	// epoch than any blob recovery can use: loaded, it would stay.
+	stale := ckRowKey(workload.Dresden, "OPS", workload.OPSTuple("stale", "row", "NNNN"))
+	val, _ := encodeProv(provenance.One())
+	if err := db.Put(stale, val, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -217,7 +250,7 @@ func TestRecoverDropsEngineBlobOfOldVersion(t *testing.T) {
 	if got, want := dresden2.recReplayTxns, int64(ds2.Len()); got != want {
 		t.Errorf("recovery replayed %d transactions, want the whole archive (%d)", got, want)
 	}
-	requireEqualWithProvenance(t, "old-blob", sys.Schema(workload.Dresden),
+	requireEqualWithProvenance(t, "dropped image", sys.Schema(workload.Dresden),
 		dresden.Instance(), dresden2.Instance())
 	if dresden2.Epoch() != dresden.Epoch() {
 		t.Errorf("epoch: recovered %d, live %d", dresden2.Epoch(), dresden.Epoch())
@@ -230,6 +263,10 @@ func TestRecoverDropsEngineBlobOfOldVersion(t *testing.T) {
 		t.Errorf("after the next checkpoint: blob ok=%v watermark=%d err=%v, want a current one at epoch %d",
 			ok, watermark, err, dresden2.Epoch())
 	}
+	if _, ok, err := db2.Get(stale); err != nil || ok {
+		t.Errorf("the next image kept a dropped row (ok=%v, err=%v)", ok, err)
+	}
+	requireImageEqualsInstance(t, "the next image", db2, dresden2)
 }
 
 // TestRecoverFloatsCompareCannotOrder: tuples holding a NaN, and a pair that

@@ -25,7 +25,7 @@ import (
 // Layout (uvarint integers, uvarint-length-prefixed strings, provenance as
 // the checkpoint codec's binary encodeProv bytes):
 //
-//	magic "OEB3"
+//	magic "OEB4"
 //	watermark epoch
 //	engLen, then the exchange.Engine.SaveState blob
 //	nTxns · { peer, seq, epoch, status, prio (zig-zag), full flag,
@@ -40,11 +40,16 @@ import (
 // recon.NeedsFullTxn — and stripping them keeps the blob proportional to
 // the live conflict frontier, not the whole history.
 
-const engineBlobMagic = "OEB3"
+// engineBlobMagic names the layout. Version 4 has version 3's bytes; what
+// changed is the rows beside it, which since version 4 are at the blob's
+// watermark. A version-3 image has rows ahead of its blob, so it must take
+// the errBlobVersion path with its rows.
+const engineBlobMagic = "OEB4"
 
 // errBlobVersion reports an engine blob written in another version of the
 // layout (its magic differs in the version digit only). Such a blob is
-// well-formed but unreadable; recovery treats it as absent.
+// well-formed but unreadable; recovery treats it as absent, and drops the
+// instance rows beside it.
 var errBlobVersion = errors.New("core: engine snapshot of another format version")
 
 // ErrBadEngineBlob reports bytes decodeEngineBlob refuses: not an engine
@@ -200,6 +205,20 @@ func decodeEngineBlob(blob []byte) (*engineSnapshot, error) {
 		return nil, r.err
 	}
 	return snap, nil
+}
+
+// readEngineBlob reads the peer's engine blob through get; it returns nil
+// when there is none or it was written in another layout version.
+func readEngineBlob(get func([]byte) ([]byte, bool, error), peer string) (*engineSnapshot, error) {
+	raw, ok, err := get(ekKey(peer))
+	if err != nil || !ok {
+		return nil, err
+	}
+	snap, err := decodeEngineBlob(raw)
+	if errors.Is(err, errBlobVersion) {
+		return nil, nil
+	}
+	return snap, err
 }
 
 // EngineSnapshotStats summarizes the union-database section of a peer's

@@ -47,23 +47,24 @@ type Peer struct {
 	// unpublished holds committed local transactions awaiting Publish.
 	unpublished []*updates.Transaction
 	// db is the durable tier backing this peer (nil for in-memory systems):
-	// RecoverPeerWith attaches it so Resolve can archive its decision in the
-	// "r/" keyspace, applyUpdates can note which checkpoint rows went stale,
-	// and rebuildEngine can restore from the last engine snapshot instead of
-	// replaying the full history. The fields after it, up to blobTxns, describe the
-	// peer's image in db and are unused without one.
+	// RecoverPeerWith attaches it so Commit, Reconcile and Resolve can
+	// journal their trust events in the "r/" keyspace, applyUpdates can note
+	// which image rows went stale, and rebuildEngine can restore from the
+	// engine blob instead of replaying the full history. The fields after it,
+	// up to blobTxns, describe the peer's checkpoint in db and are unused
+	// without one.
 	db *lsm.DB
 	// dirty holds the checkpoint row key of every tuple applyUpdates has
-	// written or removed since the last checkpoint — all that the next one
-	// has to bring up to date.
+	// written or removed since the last image — all that the next one has to
+	// bring up to date.
 	dirty map[string]dirtyRow
 	// ckUnpub is how many unpublished-queue slots the last checkpoint wrote.
 	ckUnpub int
-	// events mirrors the "r/" archive: the trust events (reconciliation
-	// rounds, local commits, Resolve outcomes) since the last engine blob,
-	// at key sequence = index; the checkpoint that writes the next blob
-	// folds them into it and clears the archive.
-	events []trustEvent
+	// journalLen is how many trust events (reconciliation rounds, local
+	// commits, Resolve outcomes) the "r/" journal holds since the last image,
+	// at key sequences 0 up to it; the next image folds them into its blob
+	// and clears the journal.
+	journalLen int
 	// hasBlob reports whether db holds an engine blob for this peer, and
 	// blobTxns how many transactions its engine had applied (see
 	// blobRebaseDue).
@@ -467,13 +468,7 @@ func (p *Peer) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 			// locally at commit time.
 			continue
 		}
-		cand := &updates.Transaction{
-			ID:      txn.ID,
-			Epoch:   txn.Epoch,
-			Updates: results[i].PerPeer[p.name],
-			Deps:    mergeDeps(txn.Deps, results[i].ExtraDeps[p.name]),
-		}
-		candidates = append(candidates, cand)
+		candidates = append(candidates, p.candidate(txn, results[i]))
 	}
 	outcome, err := p.state.Reconcile(p.policy, candidates)
 	p.obsv.observeRecon(p.state.Stats())
@@ -497,15 +492,14 @@ func (p *Peer) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 	return report, nil
 }
 
-// rebuildEngine replaces a dirty translation engine with a fresh one. On a
-// durable peer it restores the last engine snapshot first and replays only
-// the published suffix between the snapshot's watermark and lastEpoch;
-// without a usable snapshot it replays the whole history up to lastEpoch
-// (those transactions already reached reconciliation in completed rounds;
-// everything later re-enters through the normal Reconcile loop, which also
-// regenerates its candidates). Called under the peer mutex. If the replay
-// itself fails — e.g. the caller's deadline expires again — the engine
-// stays dirty and the next Reconcile retries the rebuild.
+// rebuildEngine replaces a dirty translation engine with a fresh one,
+// restored the way recovery restores it: from the engine blob, when a
+// durable peer has one, plus the published history after its watermark up to
+// lastEpoch (those transactions already reached reconciliation in completed
+// rounds; everything later re-enters through the normal Reconcile loop,
+// which also regenerates its candidates). Called under the peer mutex. If
+// the replay itself fails — e.g. the caller's deadline expires again — the
+// engine stays dirty and the next Reconcile retries the rebuild.
 func (p *Peer) rebuildEngine(ctx context.Context) error {
 	eng, err := exchange.NewEngineWith(p.sys.Peers(), p.sys.Mappings(), p.engCfg)
 	if err != nil {
@@ -513,31 +507,16 @@ func (p *Peer) rebuildEngine(ctx context.Context) error {
 	}
 	since := uint64(0)
 	if p.db != nil {
-		sn := p.db.Snapshot()
-		raw, ok, gerr := sn.Get(ekKey(p.name))
-		sn.Close()
-		if gerr == nil && ok {
-			// Best-effort: a snapshot that fails to decode or load just
-			// leaves the fresh engine on the full-replay path.
-			if snap, derr := decodeEngineBlob(raw); derr == nil && snap.Watermark <= p.lastEpoch {
-				if eng.LoadState(snap.Engine) == nil {
-					since = snap.Watermark
-				}
-			}
+		snap, err := readEngineBlob(p.db.Get, p.name)
+		if err == nil && snap != nil {
+			err = eng.LoadState(snap.Engine)
+			since = snap.Watermark
+		}
+		if err != nil {
+			return err
 		}
 	}
-	txns, _, err := p.store.Since(since)
-	if err != nil {
-		return err
-	}
-	replay := txns[:0:0]
-	for _, txn := range txns {
-		if txn.Epoch > p.lastEpoch {
-			break
-		}
-		replay = append(replay, txn)
-	}
-	if _, err := eng.ApplyAll(ctx, replay); err != nil {
+	if _, _, _, err := replayEngine(ctx, eng, p.engCfg, p.store, since, p.lastEpoch); err != nil {
 		return err
 	}
 	p.engine = eng
@@ -576,17 +555,17 @@ func (p *Peer) Resolve(ctx context.Context, winner updates.TxnID) (*ReconcileRep
 	return report, nil
 }
 
-// archiveEvent appends one trust event to the peer's "r/" archive, at the
-// next sequence, and to its in-memory mirror.
+// archiveEvent appends one trust event to the peer's "r/" journal, at the
+// next sequence.
 func (p *Peer) archiveEvent(d trustEvent, sync bool) error {
 	data, err := json.Marshal(d)
 	if err == nil {
-		err = p.db.Put(rkKey(p.name, uint64(len(p.events))), data, sync)
+		err = p.db.Put(rkKey(p.name, uint64(p.journalLen)), data, sync)
 	}
 	if err != nil {
 		return fmt.Errorf("archive trust event: %w", err)
 	}
-	p.events = append(p.events, d)
+	p.journalLen++
 	return nil
 }
 
@@ -615,6 +594,18 @@ func (r *ReconcileReport) sort() {
 	slices.SortFunc(r.Rejected, updates.TxnID.Compare)
 	slices.SortFunc(r.Deferred, updates.TxnID.Compare)
 	slices.SortFunc(r.Pending, updates.TxnID.Compare)
+}
+
+// candidate is a fetched transaction as this peer's reconciliation judges
+// it: translated into the peer's schema, with the dependencies the
+// translation adds.
+func (p *Peer) candidate(txn *updates.Transaction, res *exchange.Result) *updates.Transaction {
+	return &updates.Transaction{
+		ID:      txn.ID,
+		Epoch:   txn.Epoch,
+		Updates: res.PerPeer[p.name],
+		Deps:    mergeDeps(txn.Deps, res.ExtraDeps[p.name]),
+	}
 }
 
 func mergeDeps(a, b []updates.TxnID) []updates.TxnID {

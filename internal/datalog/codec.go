@@ -32,10 +32,11 @@ import (
 // The coefficient and power slots date from N[X] annotations: EncodeDB
 // writes 1 in both, DecodeDB reads any coefficient ≥ 1 as presence and
 // refuses a power other than 1. Tuples travel as schema.Tuple.Key() strings
-// (injective, parsed back with schema.ParseTupleKey); polynomials rebuild
-// through a provenance.Arena and re-intern on decode. A polynomial
-// table entry with zero monomials is the zero polynomial. A predicate with
-// no facts is written (and decoded back) as an empty extent.
+// (injective, parsed back with schema.ParseTupleKey, which refuses any other
+// spelling of a tuple); polynomials rebuild through a provenance.Arena and
+// re-intern on decode. A polynomial table entry with zero monomials is the
+// zero polynomial. A predicate with no facts is written (and decoded back)
+// as an empty extent.
 
 // codecMagic identifies (and versions) the snapshot format. Bump the digit
 // on any layout change: DecodeDB refuses unknown magics instead of
@@ -256,7 +257,6 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 	// next one; at the end every entry must have been referenced.
 	nextPoly := 0
 	var prevPred string
-	var keyBuf []byte
 	nPreds := r.count("predicate", 2)
 	for i := 0; i < nPreds && r.err == nil; i++ {
 		pred := r.string()
@@ -286,13 +286,9 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 				if err != nil {
 					return stats, fmt.Errorf("%w: tuple in %s: %w", ErrBadSnapshot, pred, err)
 				}
-				keyBuf = t.AppendKeyTo(keyBuf[:0])
-				switch {
-				case string(keyBuf) != key:
-					r.fail(fmt.Sprintf("tuple key %q in %s is not canonical", key, pred))
-				case rel.facts[key] != nil:
+				if rel.facts[key] != nil {
 					r.fail(fmt.Sprintf("tuple key %q in %s repeats", key, pred))
-				default:
+				} else {
 					// The extent is fresh and the key unseen: no merge, no
 					// index to maintain, and the table entry is interned.
 					rel.facts[key] = rel.newFact(t, table[pi])

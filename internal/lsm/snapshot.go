@@ -94,6 +94,19 @@ func (sn *Snapshot) Scan(lo, hi []byte, fn func(key, val []byte) bool) error {
 	return it.Err()
 }
 
+// Walk is Scan for callbacks that can fail: it streams live keys in
+// [lo, hi) in ascending order until fn returns an error, and returns that
+// error or the iterator's.
+func (sn *Snapshot) Walk(lo, hi []byte, fn func(key, val []byte) error) error {
+	it := sn.Iter(lo, hi)
+	for it.Next() {
+		if err := fn(it.Key(), it.Value()); err != nil {
+			return err
+		}
+	}
+	return it.Err()
+}
+
 // Iter returns a pull-based iterator over live keys in [lo, hi) — the shape
 // the PR 7 pipeline cursors consume: position with Next, read Key/Value,
 // check Err at the end. Every source seeks to lo, so a bounded scan costs

@@ -158,24 +158,18 @@ func (s *DurableStore) Since(since uint64) ([]*updates.Transaction, uint64, erro
 	lo = append(lo, durTxnPrefix...)
 	lo = binary.BigEndian.AppendUint64(lo, since+1)
 	var out []*updates.Transaction
-	var derr error
-	err := sn.Scan(lo, lsm.PrefixEnd(durTxnPrefix), func(k, v []byte) bool {
+	err := sn.Walk(lo, lsm.PrefixEnd(durTxnPrefix), func(k, v []byte) error {
 		var w WireTxn
-		if e := json.Unmarshal(v, &w); e != nil {
-			derr = fmt.Errorf("p2p: corrupt archived transaction: %w", e)
-			return false
+		if err := json.Unmarshal(v, &w); err != nil {
+			return fmt.Errorf("p2p: corrupt archived transaction: %w", err)
 		}
-		t, e := DecodeTxn(w)
-		if e != nil {
-			derr = fmt.Errorf("p2p: corrupt archived transaction: %w", e)
-			return false
+		t, err := DecodeTxn(w)
+		if err != nil {
+			return fmt.Errorf("p2p: corrupt archived transaction: %w", err)
 		}
 		out = append(out, t)
-		return true
+		return nil
 	})
-	if err == nil {
-		err = derr
-	}
 	if err != nil {
 		return nil, 0, err
 	}

@@ -21,8 +21,9 @@ var wireSeeds = []string{
 }
 
 // FuzzDecodeTxn: whatever JSON names a wire transaction, DecodeTxn either
-// refuses it with ErrBadWire or returns a transaction that survives the
-// wire exactly — encoding it and decoding that yields the same encoding.
+// refuses it with ErrBadWire or returns a transaction of a named peer with a
+// sequence number from 1 that survives the wire exactly — encoding it and
+// decoding that yields the same encoding.
 func FuzzDecodeTxn(f *testing.F) {
 	for _, seed := range wireSeeds {
 		var req request
@@ -48,6 +49,9 @@ func FuzzDecodeTxn(f *testing.F) {
 				t.Fatalf("untyped decode error: %v", err)
 			}
 			return
+		}
+		if txn.ID.Peer == "" || txn.ID.Seq == 0 {
+			t.Fatalf("decoded transaction id %s, which no commit has", txn.ID)
 		}
 		if txn.ID.Peer != w.Peer || txn.ID.Seq != w.Seq || txn.Epoch != w.Epoch ||
 			len(txn.Updates) != len(w.Updates) || len(txn.Deps) != len(w.Deps) {

@@ -354,7 +354,7 @@ func TestConcurrentClients(t *testing.T) {
 		go func(g int) {
 			c := NewClient(srv.Addr())
 			for i := 0; i < 10; i++ {
-				tx := txn("peer", uint64(g*100+i), updates.Insert("R", tup("v")))
+				tx := txn("peer", uint64(g*100+i+1), updates.Insert("R", tup("v")))
 				if _, err := c.Publish([]*updates.Transaction{tx}); err != nil {
 					done <- err
 					return

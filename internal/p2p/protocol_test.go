@@ -55,6 +55,32 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 	}
 }
 
+// A transaction with no publishing peer, or with sequence number 0, names
+// no commit any peer made. Archived, it would be a transaction every
+// reconciling peer fails to translate; the server refuses it and archives
+// nothing.
+func TestServerRefusesTxnWithoutCommitID(t *testing.T) {
+	store := NewMemoryStore()
+	srv, err := NewServer(store, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, frame := range []string{
+		`{"op":"publish","txns":[{}]}`,
+		`{"op":"publish","txns":[{"peer":"a","seq":0}]}`,
+		`{"op":"publish","txns":[{"seq":3,"updates":[{"rel":"R","op":0,"new":"3|s:x"}]}]}`,
+		`{"op":"publish","txns":[{"peer":"a","seq":1},{"peer":"","seq":2}]}`,
+	} {
+		if resp := rawRequest(t, srv.Addr(), frame); resp.OK || resp.Error == "" {
+			t.Errorf("%s answered %+v, want an error", frame, resp)
+		}
+	}
+	if txns, epoch, err := store.Since(0); err != nil || len(txns) != 0 || epoch != 0 {
+		t.Errorf("archive after refused publishes: %d txns at epoch %d (%v)", len(txns), epoch, err)
+	}
+}
+
 // A request that never ends must not make the replica buffer without bound:
 // once MaxRequestBytes have arrived without a terminator the server answers
 // with the typed error and drops the connection, and goes on serving others.

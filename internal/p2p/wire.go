@@ -8,8 +8,9 @@ import (
 	"orchestra/internal/updates"
 )
 
-// ErrBadWire reports a malformed wire transaction: an unknown update op or
-// an undecodable tuple/transaction-id encoding. Every DecodeTxn failure
+// ErrBadWire reports a malformed wire transaction: no publishing peer, a
+// sequence number 0 (no peer commits one: sequences start at 1), an unknown
+// update op, or an undecodable tuple/transaction-id encoding. Every DecodeTxn failure
 // wraps it (and the underlying parse error, when there is one), so callers
 // dispatch with errors.Is/errors.As like the rest of the error taxonomy.
 var ErrBadWire = errors.New("p2p: malformed wire transaction")
@@ -67,6 +68,9 @@ func EncodeTxn(t *updates.Transaction) WireTxn {
 
 // DecodeTxn converts wire form back to a transaction.
 func DecodeTxn(w WireTxn) (*updates.Transaction, error) {
+	if w.Peer == "" || w.Seq == 0 {
+		return nil, fmt.Errorf("%w: transaction id %q:%d", ErrBadWire, w.Peer, w.Seq)
+	}
 	t := &updates.Transaction{
 		ID:    updates.TxnID{Peer: w.Peer, Seq: w.Seq},
 		Epoch: w.Epoch,

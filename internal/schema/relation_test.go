@@ -1,6 +1,8 @@
 package schema
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -177,4 +179,57 @@ func TestQuickTupleRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// ParseTupleKey refuses every spelling of a tuple but the one Key writes:
+// a sign or a leading zero in a component length, a boolean other than 0
+// or 1, a signed or zero-padded int, and a float in any form but the
+// shortest.
+func TestParseTupleKeyRefusesNonCanonicalKeys(t *testing.T) {
+	for _, key := range []string{
+		"3|b:7", "4|i:+1", "4|i:01", "4|i:-0", "5|f:1.0", "5|f:inf", "5|f:nan", "7|f:1e+00",
+		"03|s:x", "+3|s:x", "-0|", "3|s:x03|s:y",
+	} {
+		if got, err := ParseTupleKey(key); !errors.Is(err, ErrBadKey) {
+			t.Errorf("ParseTupleKey(%q) = %v, %v; want ErrBadKey", key, got, err)
+		}
+	}
+	// The floats whose keys Compare cannot order still round-trip.
+	for _, tu := range []Tuple{
+		NewTuple(Float(math.NaN())), NewTuple(Float(0)), NewTuple(Float(math.Copysign(0, -1))),
+		NewTuple(Float(1), Int(-3), Bool(false), Float(math.Inf(-1))),
+	} {
+		got, err := ParseTupleKey(tu.Key())
+		if err != nil || got.Key() != tu.Key() {
+			t.Errorf("ParseTupleKey(%q) = %v (key %q), %v", tu.Key(), got, got.Key(), err)
+		}
+	}
+}
+
+// FuzzParseTupleKey: whatever text it is given, ParseTupleKey either refuses
+// it with ErrBadKey or returns the tuple whose Key is exactly that text.
+func FuzzParseTupleKey(f *testing.F) {
+	for _, tu := range []Tuple{
+		{},
+		NewTuple(Int(1), String("x|y"), Bool(true)),
+		NewTuple(LabeledNull("f(1|2)"), Float(1.5), Float(math.NaN()), Float(math.Copysign(0, -1))),
+		NewTuple(Value{}, Int(math.MinInt64), Float(1e300)),
+	} {
+		f.Add(tu.Key())
+	}
+	f.Add("3|b:7")
+	f.Add("4|i:+1")
+	f.Add("5|f:1.0")
+	f.Fuzz(func(t *testing.T, key string) {
+		tu, err := ParseTupleKey(key)
+		if err != nil {
+			if !errors.Is(err, ErrBadKey) {
+				t.Fatalf("untyped error for %q: %v", key, err)
+			}
+			return
+		}
+		if got := tu.Key(); got != key {
+			t.Fatalf("ParseTupleKey(%q) = %v, whose key is %q", key, tu, got)
+		}
+	})
 }

@@ -117,20 +117,23 @@ func (t Tuple) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// ParseTupleKey decodes a canonical tuple key produced by Tuple.Key.
+// ParseTupleKey decodes a canonical tuple key produced by Tuple.Key, and
+// refuses any other text: a key it accepts is the Key of the tuple it
+// returns.
 func ParseTupleKey(key string) (Tuple, error) {
 	var t Tuple
 	for len(key) > 0 {
 		bar := strings.IndexByte(key, '|')
 		if bar < 0 {
-			return nil, fmt.Errorf("schema: malformed tuple key %q", key)
+			return nil, fmt.Errorf("%w: tuple %q", ErrBadKey, key)
 		}
 		n, err := strconv.Atoi(key[:bar])
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("schema: malformed tuple key length %q: %v", key[:bar], err)
+		// Atoi also reads "+3", "-0" and "03", which Key never writes.
+		if err != nil || key[0] == '+' || key[0] == '-' || key[0] == '0' && bar > 1 {
+			return nil, fmt.Errorf("%w: component length %q", ErrBadKey, key[:bar])
 		}
 		if bar+1+n > len(key) {
-			return nil, fmt.Errorf("schema: truncated tuple key %q", key)
+			return nil, fmt.Errorf("%w: truncated tuple %q", ErrBadKey, key)
 		}
 		v, verr := ParseValue(key[bar+1 : bar+1+n])
 		if verr != nil {

@@ -6,6 +6,7 @@
 package schema
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -221,16 +222,23 @@ func (v Value) String() string {
 	}
 }
 
-// ParseValue parses the canonical Key encoding back into a Value. It is the
+// ErrBadKey reports text ParseValue or ParseTupleKey refuses: not a key
+// that Value.Key or Tuple.Key writes.
+var ErrBadKey = errors.New("schema: malformed key")
+
+// ParseValue parses the canonical Key encoding back into a Value, and
+// refuses any other spelling of a number or boolean ("i:+1", "b:7",
+// "f:1.0"): a key it accepts is the Key of the value it returns. It is the
 // inverse of Key and is used by the wire codec in the p2p package.
 func ParseValue(key string) (Value, error) {
-	if len(key) < 2 || (key != "_" && key[1] != ':') {
-		if key == "_" {
-			return Value{}, nil
-		}
-		return Value{}, fmt.Errorf("schema: malformed value key %q", key)
+	if key == "_" {
+		return Value{}, nil
+	}
+	if len(key) < 2 || key[1] != ':' {
+		return Value{}, fmt.Errorf("%w: value %q", ErrBadKey, key)
 	}
 	payload := key[2:]
+	var v Value
 	switch key[0] {
 	case 's':
 		return String(payload), nil
@@ -239,18 +247,23 @@ func ParseValue(key string) (Value, error) {
 	case 'i':
 		i, err := strconv.ParseInt(payload, 10, 64)
 		if err != nil {
-			return Value{}, fmt.Errorf("schema: malformed int key %q: %v", key, err)
+			return Value{}, fmt.Errorf("%w: int %q: %v", ErrBadKey, key, err)
 		}
-		return Int(i), nil
+		v = Int(i)
 	case 'b':
-		return Bool(payload == "1"), nil
+		v = Bool(payload == "1")
 	case 'f':
 		f, err := strconv.ParseFloat(payload, 64)
 		if err != nil {
-			return Value{}, fmt.Errorf("schema: malformed float key %q: %v", key, err)
+			return Value{}, fmt.Errorf("%w: float %q: %v", ErrBadKey, key, err)
 		}
-		return Float(f), nil
+		v = Float(f)
 	default:
-		return Value{}, fmt.Errorf("schema: unknown value kind in key %q", key)
+		return Value{}, fmt.Errorf("%w: unknown value kind in %q", ErrBadKey, key)
 	}
+	var scratch [32]byte
+	if string(v.AppendKeyTo(scratch[:0])) != key {
+		return Value{}, fmt.Errorf("%w: value %q is not canonical", ErrBadKey, key)
+	}
+	return v, nil
 }

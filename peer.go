@@ -103,10 +103,11 @@ func (p *Peer) PublishAll(ctx context.Context) (uint64, int, error) {
 	if published > 0 { // a no-op publish pushes nothing
 		if p.sys.db != nil {
 			// Ride the publish: the batch just became durable in the archive,
-			// and writing the rows it dirtied now keeps the checkpoint image
-			// one publish behind at most. The publish itself succeeded even
-			// if the checkpoint fails — recovery would simply replay from
-			// the previous checkpoint — so the epoch is still returned.
+			// so the queue the checkpoint rewrites shrinks to what is still
+			// unpublished, and the image follows whenever its rebase is due.
+			// The publish itself succeeded even if the checkpoint fails —
+			// recovery would simply replay from the previous checkpoint — so
+			// the epoch is still returned.
 			if err := p.core.SaveCheckpoint(p.sys.db); err != nil {
 				return epoch, published, fmt.Errorf("orchestra: checkpoint after publish at %s: %w", p.name, err)
 			}
@@ -117,17 +118,17 @@ func (p *Peer) PublishAll(ctx context.Context) (uint64, int, error) {
 }
 
 // Checkpoint makes the peer's current state durable in the system's LSM
-// tier, as one atomic fsynced batch that costs what changed since the
-// previous checkpoint: the instance rows written or removed since then
-// (with provenance), the committed-but-unpublished transaction queue and the
-// sequence/epoch record — plus, on a geometric schedule (whenever the engine
-// has translated an eighth as many transactions again as the last one
-// covered), a fresh snapshot of the translation engine, the trust state and
-// the dependency tracker. It bounds the *loss* window: local commits made
-// after the last checkpoint or publish are the only thing a crash can lose.
-// Recovery *time* is bounded by that schedule, not by this call: System.Peer
-// restores the last engine snapshot and replays the published history after
-// it, at most a ninth of the total. On a durable system checkpoints also
+// tier, as one atomic fsynced batch: the committed-but-unpublished
+// transaction queue and the sequence/epoch record, plus, on a geometric
+// schedule (whenever the engine has translated an eighth as many
+// transactions again as the last image covered), a new image — a snapshot
+// of the translation engine, the trust state and the dependency tracker,
+// with the instance rows written or removed since the previous image (with
+// provenance). It bounds the *loss* window: local commits made after the
+// last checkpoint or publish are the only thing a crash can lose. Recovery
+// *time* is bounded by that schedule, not by this call: System.Peer
+// restores the last image and replays the published history after it, at
+// most a ninth of the total. On a durable system checkpoints also
 // happen automatically after every successful publish and at System.Close;
 // call this to bound the loss window between publishes. Returns an error on
 // in-memory systems.
