@@ -61,8 +61,9 @@ series-check:
 ## (internal/schema), wire transactions and
 ## store-server request frames (internal/p2p), DB snapshots (internal/datalog),
 ## engine snapshots (internal/exchange), the peer's engine blob and its
-## checkpoint-row annotations (internal/core) and the witness-set merge
-## kernel against its set definition (internal/provenance); `go test -fuzz`
+## checkpoint-row annotations (internal/core), the witness-set merge
+## kernel against its set definition (internal/provenance) and the
+## order-preserving tuple key codec (internal/lsm); `go test -fuzz`
 ## takes one target per run. A failing input lands in the package's
 ## testdata/fuzz/.
 FUZZTIME ?= 10s
@@ -75,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEngineBlob$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeProv$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeWitness$$' -fuzztime $(FUZZTIME) ./internal/provenance/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTuple$$' -fuzztime $(FUZZTIME) ./internal/lsm/
 
 ## bench-build: vet and unit-test the repo benchmark (bench/ is its own Go
 ## module over the engine's internal packages, so `./...` never reaches it;

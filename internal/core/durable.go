@@ -132,7 +132,8 @@ func encodeProv(p provenance.Poly) ([]byte, error) {
 	for _, m := range ms {
 		buf = binary.AppendUvarint(buf, 1) // coefficient
 		buf = binary.AppendUvarint(buf, uint64(len(m)))
-		for _, x := range m {
+		for _, t := range m {
+			x := t.Var()
 			buf = binary.AppendUvarint(buf, uint64(len(x)))
 			buf = append(buf, x...)
 			buf = binary.AppendUvarint(buf, 1) // power
@@ -187,13 +188,13 @@ func (d *provDecoder) decode(data []byte) (provenance.Poly, error) {
 		if !ok || nVars > uint64(len(data))/2 {
 			return bad("truncated")
 		}
-		m := d.arena.Vars(int(nVars))
+		m := d.arena.Tokens(int(nVars))
 		for j := uint64(0); j < nVars; j++ {
 			l, ok := uvar()
 			if !ok || uint64(len(data)) < l {
 				return bad("truncated")
 			}
-			x := provenance.Var(data[:l])
+			x := provenance.Mint(provenance.Var(data[:l]))
 			data = data[l:]
 			pow, ok := uvar()
 			if !ok {

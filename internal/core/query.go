@@ -253,7 +253,8 @@ func DecodeSupports(p provenance.Poly) []Support {
 	for _, m := range p.Monomials() {
 		var sup Support
 		seenTxn := map[updates.TxnID]bool{}
-		for _, x := range m {
+		for _, t := range m {
+			x := t.Var()
 			if id, isTok := updates.TokenTxn(x); isTok {
 				if !seenTxn[id] {
 					seenTxn[id] = true

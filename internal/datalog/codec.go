@@ -1,10 +1,11 @@
 package datalog
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"orchestra/internal/provenance"
 	"orchestra/internal/schema"
@@ -73,7 +74,7 @@ func EncodeDB(db *DB) ([]byte, error) {
 	// content (hash-bucketed, Equal-confirmed), so structurally equal
 	// annotations share one table entry even when the bounded intern cache
 	// let them diverge into distinct nodes in memory.
-	varSet := map[provenance.Var]struct{}{}
+	varSet := map[provenance.Token]struct{}{}
 	type bucket struct {
 		poly provenance.Poly
 		idx  int
@@ -104,21 +105,21 @@ func EncodeDB(db *DB) ([]byte, error) {
 			}
 		}
 	}
-	vars := make([]provenance.Var, 0, len(varSet))
-	for v := range varSet {
-		vars = append(vars, v)
+	vars := make([]provenance.Token, 0, len(varSet))
+	for t := range varSet {
+		vars = append(vars, t)
 	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-	varIdx := make(map[provenance.Var]int, len(vars))
-	for i, v := range vars {
-		varIdx[v] = i
+	slices.SortFunc(vars, func(a, b provenance.Token) int { return cmp.Compare(a.Var(), b.Var()) })
+	varIdx := make(map[provenance.Token]int, len(vars))
+	for i, t := range vars {
+		varIdx[t] = i
 	}
 
 	// Pass 2: emit.
 	buf := append([]byte(nil), codecMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(vars)))
-	for _, v := range vars {
-		buf = appendString(buf, string(v))
+	for _, t := range vars {
+		buf = appendString(buf, string(t.Var()))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(table)))
 	for _, p := range table {
@@ -187,13 +188,15 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 	r := &reader{buf: blob[len(codecMagic):]}
 
 	nVars := r.count("variable", 1)
-	vars := make([]provenance.Var, 0, nVars)
+	vars := make([]provenance.Token, 0, nVars)
+	var prev string
 	for i := 0; i < nVars && r.err == nil; i++ {
-		v := provenance.Var(r.string())
-		if i > 0 && vars[i-1] >= v {
+		v := r.string()
+		if i > 0 && prev >= v {
 			r.fail("variables out of order")
 		}
-		vars = append(vars, v)
+		prev = v
+		vars = append(vars, provenance.Mint(provenance.Var(v)))
 	}
 	used := make([]bool, nVars)
 	stats.Vars = len(vars)
@@ -210,7 +213,7 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 			if coef := r.uvarint(); coef == 0 && r.err == nil {
 				r.fail("zero coefficient")
 			}
-			m := arena.Vars(r.count("monomial variable", 2))
+			m := arena.Tokens(r.count("monomial variable", 2))
 			for k := 0; k < cap(m) && r.err == nil; k++ {
 				vi, pow := r.uvarint(), r.uvarint()
 				switch {

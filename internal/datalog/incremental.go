@@ -46,7 +46,7 @@ type Incremental struct {
 	planTab [][]rulePlans // resolved plans, aligned with strata
 	opts    Options
 	maxIter int
-	// tokenIndex maps a provenance variable to the facts whose annotation
+	// tokenIndex maps a provenance token to the facts whose annotation
 	// mentions it, as pred -> tuple keys; only deletions read it. It stays
 	// nil until the first deletion-side call (DeleteBase, Affected,
 	// DependentCount), which builds it with one scan of the database (see
@@ -55,13 +55,13 @@ type Incremental struct {
 	// for it. Beyond a killed token's own entry, nothing is pruned when a
 	// fact is removed or the witness cut drops a monomial, so readers check
 	// each candidate's current annotation.
-	tokenIndex map[provenance.Var]map[string]map[string]bool
+	tokenIndex map[provenance.Token]map[string]map[string]bool
 	// ruleToks holds the rules' ProvTokens. They name mappings, not base
 	// facts, so they are never deleted and the index leaves them out: a
 	// mapping's token is in every fact derived through it, so its entries
 	// would be most of the index.
-	ruleToks map[provenance.Var]bool
-	dead     map[provenance.Var]bool
+	ruleToks map[provenance.Token]bool
+	dead     map[provenance.Token]bool
 	// needTab[si] is the union of positive body predicates of strata si and
 	// later: the only predicates whose changes can seed further semi-naive
 	// rounds once propagation has reached stratum si. Delta entries for any
@@ -86,10 +86,10 @@ func (inc *Incremental) seedNeed() map[string]bool {
 // annotations.
 func (inc *Incremental) DeadTokens() []provenance.Var {
 	out := make([]provenance.Var, 0, len(inc.dead))
-	for v := range inc.dead {
-		out = append(out, v)
+	for t := range inc.dead {
+		out = append(out, t.Var())
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -110,7 +110,7 @@ func RestoreIncremental(p *Program, db *DB, opts Options, dead []provenance.Var)
 		return nil, err
 	}
 	for _, v := range dead {
-		inc.dead[v] = true
+		inc.dead[provenance.Mint(v)] = true
 	}
 	return inc, nil
 }
@@ -171,12 +171,12 @@ func newIncremental(p *Program, db *DB, opts Options) (*Incremental, error) {
 			Stats:            opts.Stats,
 		},
 		maxIter:  maxIter,
-		ruleToks: map[provenance.Var]bool{},
-		dead:     map[provenance.Var]bool{},
+		ruleToks: map[provenance.Token]bool{},
+		dead:     map[provenance.Token]bool{},
 	}
 	for _, r := range p.Rules {
 		if r.ProvToken != "" {
-			inc.ruleToks[provenance.Var(r.ProvToken)] = true
+			inc.ruleToks[provenance.Mint(provenance.Var(r.ProvToken))] = true
 		}
 	}
 	inc.planTab = make([][]rulePlans, len(strata))
@@ -235,9 +235,9 @@ func (inc *Incremental) indexFact(pred, k string, p provenance.Poly) {
 
 // tokens returns the token index, building it on first use with one scan of
 // the database.
-func (inc *Incremental) tokens() map[provenance.Var]map[string]map[string]bool {
+func (inc *Incremental) tokens() map[provenance.Token]map[string]map[string]bool {
 	if inc.tokenIndex == nil {
-		inc.tokenIndex = map[provenance.Var]map[string]map[string]bool{}
+		inc.tokenIndex = map[provenance.Token]map[string]map[string]bool{}
 		for pred, rel := range inc.db.rels {
 			for k, f := range rel.facts {
 				inc.indexFact(pred, k, f.Prov)
@@ -250,8 +250,8 @@ func (inc *Incremental) tokens() map[provenance.Var]map[string]map[string]bool {
 	return inc.tokenIndex
 }
 
-// mentions reports whether some monomial of p uses the variable v.
-func mentions(p provenance.Poly, v provenance.Var) bool {
+// mentions reports whether some monomial of p uses the token v.
+func mentions(p provenance.Poly, v provenance.Token) bool {
 	for _, m := range p.Monomials() {
 		if slices.Contains(m, v) {
 			return true
@@ -439,7 +439,7 @@ func (inc *Incremental) insertGroupRun(ctx context.Context, groups [][]Fact2) ([
 		return nil, err
 	}
 	// Map each seed token to the latest group that mints it.
-	tokenGroup := map[provenance.Var]int{}
+	tokenGroup := map[provenance.Token]int{}
 	for gi, facts := range groups {
 		for _, bf := range facts {
 			for _, m := range bf.Prov.Monomials() {
@@ -643,7 +643,8 @@ func copyInto(dst, src map[string]map[string]deltaFact) {
 func (inc *Incremental) DeleteBase(tokens []provenance.Var) []Change {
 	index := inc.tokens()
 	touched := map[string]map[string]bool{} // pred -> keys
-	for _, tok := range tokens {
+	for _, v := range tokens {
+		tok := provenance.Mint(v)
 		if inc.ruleToks[tok] {
 			continue
 		}
@@ -661,7 +662,7 @@ func (inc *Incremental) DeleteBase(tokens []provenance.Var) []Change {
 		// Once killed, the token leaves every annotation below.
 		delete(index, tok)
 	}
-	alive := func(v provenance.Var) bool { return !inc.dead[v] }
+	alive := func(t provenance.Token) bool { return !inc.dead[t] }
 	var changes []Change
 	for pred, keys := range touched {
 		rel := inc.db.MutableRel(pred)
@@ -670,7 +671,7 @@ func (inc *Incremental) DeleteBase(tokens []provenance.Var) []Change {
 			if !ok {
 				continue
 			}
-			rest := f.Prov.Restrict(alive)
+			rest := f.Prov.RestrictTokens(alive)
 			if rest.Equal(f.Prov) {
 				continue
 			}
@@ -693,8 +694,8 @@ func (inc *Incremental) DeleteBase(tokens []provenance.Var) []Change {
 // it, used by the exchange layer's view-deletion heuristic. Facts the index
 // still lists but that were removed, or whose mention of the token the
 // witness cut dropped, do not count.
-func (inc *Incremental) DependentCount(tok provenance.Var) int {
-	n := 0
+func (inc *Incremental) DependentCount(v provenance.Var) int {
+	n, tok := 0, provenance.Mint(v)
 	for pred, keys := range inc.tokens()[tok] {
 		rel := inc.db.Rel(pred)
 		for k := range keys {
@@ -714,14 +715,16 @@ func (inc *Incremental) DependentCount(tok provenance.Var) int {
 // transaction carries the would-be deletions.
 func (inc *Incremental) Affected(tokens []provenance.Var) []Change {
 	index := inc.tokens()
-	tmpDead := map[provenance.Var]bool{}
-	for _, tok := range tokens {
-		tmpDead[tok] = !inc.ruleToks[tok]
+	toks := make([]provenance.Token, len(tokens))
+	tmpDead := map[provenance.Token]bool{}
+	for i, v := range tokens {
+		toks[i] = provenance.Mint(v)
+		tmpDead[toks[i]] = !inc.ruleToks[toks[i]]
 	}
-	alive := func(v provenance.Var) bool { return !inc.dead[v] && !tmpDead[v] }
+	alive := func(t provenance.Token) bool { return !inc.dead[t] && !tmpDead[t] }
 	var changes []Change
 	seen := map[string]bool{}
-	for _, tok := range tokens {
+	for _, tok := range toks {
 		for pred, keys := range index[tok] {
 			rel := inc.db.Rel(pred)
 			for k := range keys {
@@ -733,7 +736,7 @@ func (inc *Incremental) Affected(tokens []provenance.Var) []Change {
 				if !ok {
 					continue
 				}
-				rest := f.Prov.Restrict(alive)
+				rest := f.Prov.RestrictTokens(alive)
 				if rest.Equal(f.Prov) {
 					continue
 				}

@@ -236,7 +236,7 @@ func TestDependentCountCountsLiveMentionsOnly(t *testing.T) {
 	}
 	insertOne(t, cut, "C", "1", "c") // J(1) keeps c·Mc and drops a·b·Mab
 	j1 := schema.NewTuple(schema.String("1"))
-	if f, _ := cut.DB().Rel("J").Get(j1); mentions(f.Prov, "b") || !mentions(f.Prov, "c") {
+	if f, _ := cut.DB().Rel("J").Get(j1); mentions(f.Prov, provenance.Mint("b")) || !mentions(f.Prov, provenance.Mint("c")) {
 		t.Fatalf("J(1) @ %s, want the cut to keep c·Mc", f.Prov)
 	}
 	if n := cut.DependentCount("b"); n != 1 {

@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -272,15 +273,19 @@ func (e *Engine) ApplyAll(ctx context.Context, txns []*updates.Transaction) ([]*
 func (e *Engine) applyInsertRun(ctx context.Context, txns []*updates.Transaction, results []*Result) error {
 	groups := make([][]datalog.Fact2, len(txns))
 	toks := make([][]provenance.Var, len(txns)) // minted once, reused below
+	// laterTokens maps each token the run mints to its transaction's index.
+	laterTokens := map[provenance.Token]int{}
 	for i, txn := range txns {
 		origin := txn.ID.Peer
 		toks[i] = make([]provenance.Var, len(txn.Updates))
 		for ui, u := range txn.Updates {
 			toks[i][ui] = txn.Token(ui)
+			t := provenance.Mint(toks[i][ui])
+			laterTokens[t] = i
 			groups[i] = append(groups[i], datalog.Fact2{
 				Pred:  mapping.Qualify(origin, u.Rel),
 				Tuple: u.New,
-				Prov:  provenance.NewVar(toks[i][ui]),
+				Prov:  provenance.NewToken(t),
 			})
 		}
 	}
@@ -293,12 +298,6 @@ func (e *Engine) applyInsertRun(ctx context.Context, txns []*updates.Transaction
 	// restricting to the tokens published up to each transaction recovers
 	// the annotation exactly as that transaction's own Apply would have left
 	// it.
-	laterTokens := map[provenance.Var]int{}
-	for i := range txns {
-		for _, tok := range toks[i] {
-			laterTokens[tok] = i
-		}
-	}
 	for i, txn := range txns {
 		for ui, u := range txn.Updates {
 			k := mapping.Qualify(txn.ID.Peer, u.Rel) + "/" + u.New.Key()
@@ -307,8 +306,8 @@ func (e *Engine) applyInsertRun(ctx context.Context, txns []*updates.Transaction
 		e.applied[txn.ID] = true
 		upTo := i
 		asOf := func(p provenance.Poly) provenance.Poly {
-			return p.Restrict(func(v provenance.Var) bool {
-				gi, ok := laterTokens[v]
+			return p.RestrictTokens(func(t provenance.Token) bool {
+				gi, ok := laterTokens[t]
 				return !ok || gi <= upTo
 			})
 		}
@@ -435,13 +434,13 @@ func (e *Engine) delete(pred string, tu schema.Tuple, self updates.TxnID, depSet
 // sequence kills the S-tuple token, not the organism or protein rows.
 func (e *Engine) minimalKillSet(p provenance.Poly) []provenance.Var {
 	type mono struct {
-		toks []provenance.Var
+		toks []provenance.Token
 	}
 	var monos []mono
 	for _, m := range p.Monomials() {
-		var toks []provenance.Var
+		var toks []provenance.Token
 		for _, x := range m {
-			if _, isTok := updates.TokenTxn(x); isTok {
+			if _, isTok := updates.TokenTxn(x.Var()); isTok {
 				toks = append(toks, x)
 			}
 		}
@@ -450,7 +449,7 @@ func (e *Engine) minimalKillSet(p provenance.Poly) []provenance.Var {
 		}
 		monos = append(monos, mono{toks: toks})
 	}
-	alive := func(i int, kill map[provenance.Var]bool) bool {
+	alive := func(i int, kill map[provenance.Token]bool) bool {
 		for _, t := range monos[i].toks {
 			if kill[t] {
 				return false
@@ -458,10 +457,10 @@ func (e *Engine) minimalKillSet(p provenance.Poly) []provenance.Var {
 		}
 		return true
 	}
-	kill := map[provenance.Var]bool{}
+	kill := map[provenance.Token]bool{}
 	for {
 		remaining := 0
-		counts := map[provenance.Var]int{}
+		counts := map[provenance.Token]int{}
 		for i := range monos {
 			if !alive(i, kill) {
 				continue
@@ -480,24 +479,26 @@ func (e *Engine) minimalKillSet(p provenance.Poly) []provenance.Var {
 		// Figure 2 join this picks the sequence row over the organism or
 		// protein rows when collateral counts tie.
 		var best provenance.Var
+		var bestTok provenance.Token
 		bestCollateral := -1
 		bestHits := 0
 		for t, hits := range counts {
-			collateral := e.inc.DependentCount(t)
+			v := t.Var()
+			collateral := e.inc.DependentCount(v)
 			better := bestCollateral == -1 || hits > bestHits ||
 				(hits == bestHits && (collateral < bestCollateral ||
-					(collateral == bestCollateral && tokenNewer(t, best))))
+					(collateral == bestCollateral && tokenNewer(v, best))))
 			if better {
-				best, bestCollateral, bestHits = t, collateral, hits
+				best, bestTok, bestCollateral, bestHits = v, t, collateral, hits
 			}
 		}
-		kill[best] = true
+		kill[bestTok] = true
 	}
 	out := make([]provenance.Var, 0, len(kill))
 	for t := range kill {
-		out = append(out, t)
+		out = append(out, t.Var())
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -717,7 +718,7 @@ func minimalDeps(p provenance.Poly, self updates.TxnID) []updates.TxnID {
 	for _, m := range p.Monomials() {
 		ids = ids[:0]
 		for _, x := range m {
-			id, ok := updates.TokenTxn(x)
+			id, ok := updates.TokenTxn(x.Var())
 			if !ok || id == self {
 				continue
 			}

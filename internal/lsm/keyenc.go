@@ -11,6 +11,7 @@ package lsm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -58,6 +59,12 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, stringTerm1, stringTerm2)
 }
 
+// ErrBadKey reports key bytes DecodeValue, DecodeTuple or DecodeString
+// refuses: cut short, holding an unknown kind tag or escape, or not in the
+// one form the encoder writes (a bool byte other than 0 or 1). A value
+// they accept re-encodes to exactly the bytes it was decoded from.
+var ErrBadKey = errors.New("lsm: malformed key encoding")
+
 // DecodeString decodes one AppendString-encoded string from the front of b,
 // returning the string and the remaining bytes. Composite-key layers (the
 // checkpoint keyspace) use it to take keys back apart.
@@ -73,7 +80,7 @@ func decodeString(b []byte) (string, []byte, error) {
 			continue
 		}
 		if i+1 >= len(b) {
-			return "", nil, fmt.Errorf("lsm: truncated string encoding")
+			return "", nil, fmt.Errorf("%w: truncated string", ErrBadKey)
 		}
 		switch b[i+1] {
 		case stringEsc:
@@ -82,10 +89,10 @@ func decodeString(b []byte) (string, []byte, error) {
 		case stringTerm2:
 			return string(out), b[i+2:], nil
 		default:
-			return "", nil, fmt.Errorf("lsm: malformed string escape 0x%02x", b[i+1])
+			return "", nil, fmt.Errorf("%w: string escape 0x%02x", ErrBadKey, b[i+1])
 		}
 	}
-	return "", nil, fmt.Errorf("lsm: unterminated string encoding")
+	return "", nil, fmt.Errorf("%w: unterminated string", ErrBadKey)
 }
 
 // AppendValue appends the order-preserving encoding of one value.
@@ -115,9 +122,10 @@ func AppendValue(b []byte, v schema.Value) []byte {
 }
 
 // DecodeValue decodes one value off the front of b, returning the rest.
+// Every failure wraps ErrBadKey.
 func DecodeValue(b []byte) (schema.Value, []byte, error) {
 	if len(b) == 0 {
-		return schema.Value{}, nil, fmt.Errorf("lsm: empty value encoding")
+		return schema.Value{}, nil, fmt.Errorf("%w: empty value", ErrBadKey)
 	}
 	kind := schema.Kind(b[0])
 	b = b[1:]
@@ -133,18 +141,21 @@ func DecodeValue(b []byte) (schema.Value, []byte, error) {
 		return schema.LabeledNull(s), rest, nil
 	case schema.KindInt:
 		if len(b) < 8 {
-			return schema.Value{}, nil, fmt.Errorf("lsm: truncated int encoding")
+			return schema.Value{}, nil, fmt.Errorf("%w: truncated int", ErrBadKey)
 		}
 		u := binary.BigEndian.Uint64(b[:8])
 		return schema.Int(int64(u ^ (1 << 63))), b[8:], nil
 	case schema.KindBool:
 		if len(b) < 1 {
-			return schema.Value{}, nil, fmt.Errorf("lsm: truncated bool encoding")
+			return schema.Value{}, nil, fmt.Errorf("%w: truncated bool", ErrBadKey)
+		}
+		if b[0] > 1 {
+			return schema.Value{}, nil, fmt.Errorf("%w: bool byte 0x%02x", ErrBadKey, b[0])
 		}
 		return schema.Bool(b[0] == 1), b[1:], nil
 	case schema.KindFloat:
 		if len(b) < 8 {
-			return schema.Value{}, nil, fmt.Errorf("lsm: truncated float encoding")
+			return schema.Value{}, nil, fmt.Errorf("%w: truncated float", ErrBadKey)
 		}
 		u := binary.BigEndian.Uint64(b[:8])
 		if u&(1<<63) != 0 {
@@ -156,7 +167,7 @@ func DecodeValue(b []byte) (schema.Value, []byte, error) {
 	case schema.KindNull:
 		return schema.Value{}, b, nil
 	default:
-		return schema.Value{}, nil, fmt.Errorf("lsm: unknown value kind %d", kind)
+		return schema.Value{}, nil, fmt.Errorf("%w: unknown value kind %d", ErrBadKey, kind)
 	}
 }
 
@@ -172,7 +183,7 @@ func AppendTuple(b []byte, t schema.Tuple) []byte {
 func EncodeTuple(t schema.Tuple) []byte { return AppendTuple(nil, t) }
 
 // DecodeTuple decodes a tuple encoding produced by AppendTuple, consuming
-// b entirely.
+// b entirely. Every failure wraps ErrBadKey.
 func DecodeTuple(b []byte) (schema.Tuple, error) {
 	var t schema.Tuple
 	for len(b) > 0 {

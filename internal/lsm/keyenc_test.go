@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -101,4 +102,48 @@ func sign(x int) int {
 		return 1
 	}
 	return 0
+}
+
+// TestDecodeRefusesNonCanonicalBytes: bytes the encoder never writes are
+// refused with ErrBadKey rather than read as some nearby value.
+func TestDecodeRefusesNonCanonicalBytes(t *testing.T) {
+	for _, b := range [][]byte{
+		{byte(schema.KindBool), 0x07},
+		{byte(schema.KindBool), 0x02},
+		{byte(schema.KindBool)},
+		{byte(schema.KindInt), 0x80},
+		{byte(schema.KindString), 'a', 0x00, 0x05},
+		{byte(schema.KindString), 'a'},
+		{0x7f},
+	} {
+		if tu, err := DecodeTuple(b); !errors.Is(err, ErrBadKey) {
+			t.Errorf("DecodeTuple(% x) = %v, %v; want ErrBadKey", b, tu, err)
+		}
+	}
+	if _, _, err := DecodeString([]byte{'a', 0x00}); !errors.Is(err, ErrBadKey) {
+		t.Errorf("DecodeString of a cut terminator: %v, want ErrBadKey", err)
+	}
+}
+
+// FuzzDecodeTuple holds DecodeTuple to its contract on arbitrary bytes: a
+// typed error, or a tuple that re-encodes to exactly the input.
+func FuzzDecodeTuple(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 8; i++ {
+		f.Add(EncodeTuple(randTuple(rng)))
+	}
+	f.Add([]byte{byte(schema.KindBool), 0x07})
+	f.Add([]byte{byte(schema.KindString), 0x00, 0xff, 0x00, 0x01, byte(schema.KindNull)})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tu, err := DecodeTuple(b)
+		if err != nil {
+			if !errors.Is(err, ErrBadKey) {
+				t.Fatalf("DecodeTuple(% x): untyped error %v", b, err)
+			}
+			return
+		}
+		if got := EncodeTuple(tu); !bytes.Equal(got, b) {
+			t.Fatalf("DecodeTuple(% x) = %v, which re-encodes as % x", b, tu, got)
+		}
+	})
 }

@@ -3,15 +3,14 @@ package provenance
 import (
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // ErrNotCanonical reports a monomial list Arena.Poly refuses: one that
 // Monomials() of no polynomial could have returned.
 var ErrNotCanonical = errors.New("provenance: monomial list is not in canonical form")
 
-// Arena carves the storage of decoded polynomials — monomial lists,
-// variables, cached keys and nodes — from shared chunks. A snapshot or
+// Arena carves the storage of decoded polynomials — monomial lists, token
+// ids and nodes — from shared chunks. A snapshot or
 // checkpoint decoder builds thousands of small polynomials that then live
 // together in one table, so one allocation per chunk replaces several per
 // polynomial, and the collector marks a few large objects instead of many
@@ -19,10 +18,8 @@ var ErrNotCanonical = errors.New("provenance: monomial list is not in canonical 
 // goroutine.
 type Arena struct {
 	monos []Monomial
-	vars  []Var
-	keys  []string
+	vars  []Token
 	nodes []polyNode
-	text  strings.Builder
 }
 
 // carve returns a zero-length slice with capacity n from *chunk. A full
@@ -40,22 +37,13 @@ func carve[T any](chunk *[]T, n, limit int) []T {
 // Monomials returns room for n monomials, to fill by append and hand to Poly.
 func (a *Arena) Monomials(n int) []Monomial { return carve(&a.monos, n, 4096) }
 
-// Vars returns room for the n variables of one monomial.
-func (a *Arena) Vars(n int) []Var { return carve(&a.vars, n, 8192) }
-
-// reserveText makes room for n more bytes without moving what the arena's
-// strings already share: a full builder is replaced, never grown.
-func (a *Arena) reserveText(n int) {
-	if a.text.Cap()-a.text.Len() < n {
-		size := min(max(2*a.text.Cap(), 1<<10), 64<<10)
-		a.text = strings.Builder{}
-		a.text.Grow(max(size, n))
-	}
-}
+// Tokens returns room for the n tokens of one monomial.
+func (a *Arena) Tokens(n int) []Token { return carve(&a.vars, n, 8192) }
 
 // Poly builds the polynomial whose canonical monomial list is monos (from
-// Monomials, each filled from Vars): every monomial's variables strictly
-// increasing, and strictly increasing keys — exactly what Monomials()
+// Monomials, each filled from Tokens): every monomial's names strictly
+// increasing, and monomials strictly increasing in canonical (key) order —
+// exactly what Monomials()
 // reports and the codecs write, so a decoder skips the sort-and-merge
 // normalization FromMonomials does. Ownership of monos transfers to the
 // polynomial. The invariant is checked, not assumed: input that violates
@@ -65,23 +53,18 @@ func (a *Arena) Poly(monos []Monomial) (Poly, error) {
 	if len(monos) == 0 {
 		return Poly{}, nil
 	}
-	keys := carve(&a.keys, len(monos), 4096)
 	for i, m := range monos {
 		for j := 1; j < len(m); j++ {
-			if m[j-1] >= m[j] {
+			if cmpName(m[j-1], m[j]) >= 0 {
 				return Poly{}, fmt.Errorf("%w: variables must strictly increase", ErrNotCanonical)
 			}
 		}
-		a.reserveText(varKeyLen(m))
-		start := a.text.Len()
-		writeVarKey(&a.text, m)
-		keys = append(keys, a.text.String()[start:])
-		if i > 0 && keys[i-1] >= keys[i] {
+		if i > 0 && cmpMono(monos[i-1], m) >= 0 {
 			return Poly{}, fmt.Errorf("%w: monomials must strictly increase by key", ErrNotCanonical)
 		}
 	}
 	spare := &carve(&a.nodes, 1, 1024)[:1][0]
-	p := newNodeIn(monos, keys, spare)
+	p := newNodeIn(monos, spare)
 	if p.n != spare {
 		// An equal node was resident: the reserved one goes back.
 		a.nodes = a.nodes[:len(a.nodes)-1]

@@ -7,13 +7,12 @@ import (
 )
 
 // polyNode is the canonical (hash-consed) representation behind a Poly: the
-// sorted monomial list, the cached key of each monomial, and a precomputed
-// structural hash. Nodes are immutable after construction. Canonical
-// polynomials that recur share one node through the intern cache below,
-// making equality on them a pointer comparison.
+// sorted monomial list and a precomputed structural hash of its token ids.
+// Nodes are immutable after construction. Canonical polynomials that recur
+// share one node through the intern cache below, making equality on them a
+// pointer comparison.
 type polyNode struct {
 	monos []Monomial
-	keys  []string // key per monomial, aligned with monos
 	hash  uint64
 }
 
@@ -33,38 +32,26 @@ const internSlots = 1 << 15
 
 var internCache [internSlots]atomic.Pointer[polyNode]
 
-// hashMonos hashes the canonical monomial list — each monomial's key — a
-// machine word at a time: every word is folded in by one 64×64→128-bit
-// multiply whose halves are xored (the wyhash mixer). The hash
-// only picks intern slots and pre-screens Equal, so it must be a function of
-// the monomial list and spread well over its low bits; it is never
-// persisted, and a collision costs only a structural comparison.
-func hashMonos(keys []string) uint64 {
+// hashMonos hashes the canonical monomial list — each monomial's length
+// and token ids, two ids to a machine word — folding every word in by one
+// 64×64→128-bit multiply whose halves are xored (the wyhash mixer). The
+// hash only picks intern slots and pre-screens Equal, so it must be a
+// function of the monomial list and spread well over its low bits; it is
+// never persisted (ids differ between processes), and a collision costs
+// only a structural comparison.
+func hashMonos(monos []Monomial) uint64 {
 	h := uint64(0x243f6a8885a308d3)
-	for _, k := range keys {
-		h = hashString(h, k)
+	for _, m := range monos {
+		h = hashMix(h, uint64(len(m)))
+		for len(m) >= 2 {
+			h = hashMix(h, uint64(m[0])<<32|uint64(m[1]))
+			m = m[2:]
+		}
+		if len(m) == 1 {
+			h = hashMix(h, uint64(m[0]))
+		}
 	}
-	return hashMix(h, uint64(len(keys)))
-}
-
-// hashString folds s into h eight bytes per step. The last, partial word is
-// read as two overlapping 4-byte loads (or three single bytes below four),
-// and the length rides along so keys that differ only in trailing zero
-// bytes hash apart.
-func hashString(h uint64, s string) uint64 {
-	n := len(s)
-	for len(s) > 8 {
-		h = hashMix(h, load64(s))
-		s = s[8:]
-	}
-	var w uint64
-	switch {
-	case len(s) >= 4:
-		w = uint64(load32(s))<<32 | uint64(load32(s[len(s)-4:]))
-	case len(s) > 0:
-		w = uint64(s[0])<<16 | uint64(s[len(s)>>1])<<8 | uint64(s[len(s)-1])
-	}
-	return hashMix(h^uint64(n), w)
+	return hashMix(h, uint64(len(monos)))
 }
 
 func hashMix(h, w uint64) uint64 {
@@ -72,41 +59,28 @@ func hashMix(h, w uint64) uint64 {
 	return hi ^ lo
 }
 
-func load64(s string) uint64 {
-	_ = s[7]
-	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
-}
-
-func load32(s string) uint32 {
-	_ = s[3]
-	return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
-}
-
 // sameMonos reports structural equality of two canonical monomial lists.
-// Keys alone are not decisive (a variable name holding ';' can collide with
-// two variables), so variable lists are compared directly.
 func sameMonos(a, b []Monomial) bool {
 	return slices.EqualFunc(a, b, slices.Equal)
 }
 
 // newNode returns the canonical polynomial for an already-canonical monomial
-// list (sorted by key, no repeats), consulting the intern cache: if an
-// equal node is resident it is shared and the caller's slices are
-// discarded; otherwise a new node is built and published to its slot. The
-// caller hands over ownership of both slices. An empty list is the zero
-// polynomial (nil node).
-func newNode(monos []Monomial, keys []string) Poly {
-	return newNodeIn(monos, keys, nil)
+// list (sorted by cmpMono, no repeats), consulting the intern cache: if an
+// equal node is resident it is shared and the caller's slice is discarded;
+// otherwise a new node is built and published to its slot. The caller hands
+// over ownership of the slice. An empty list is the zero polynomial (nil
+// node).
+func newNode(monos []Monomial) Poly {
+	return newNodeIn(monos, nil)
 }
 
 // newNodeIn is newNode building into spare, an unused zero node, when no
 // equal node is resident (nil: allocate one).
-func newNodeIn(monos []Monomial, keys []string, spare *polyNode) Poly {
+func newNodeIn(monos []Monomial, spare *polyNode) Poly {
 	if len(monos) == 0 {
 		return Poly{}
 	}
-	h := hashMonos(keys)
+	h := hashMonos(monos)
 	slot := &internCache[h&(internSlots-1)]
 	if n := slot.Load(); n != nil && n.hash == h && sameMonos(n.monos, monos) {
 		return Poly{n: n}
@@ -115,7 +89,7 @@ func newNodeIn(monos []Monomial, keys []string, spare *polyNode) Poly {
 	if n == nil {
 		n = new(polyNode)
 	}
-	n.monos, n.keys, n.hash = monos, keys, h
+	n.monos, n.hash = monos, h
 	slot.Store(n)
 	return Poly{n: n}
 }
@@ -152,19 +126,4 @@ func InternTableSize() int {
 		}
 	}
 	return n
-}
-
-// monoSorter sorts a raw monomial list and its aligned keys by key; it is
-// the canonical order of Poly (identical to the sort.Strings order the
-// map-based normalizer used).
-type monoSorter struct {
-	monos []Monomial
-	keys  []string
-}
-
-func (s *monoSorter) Len() int           { return len(s.monos) }
-func (s *monoSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *monoSorter) Swap(i, j int) {
-	s.monos[i], s.monos[j] = s.monos[j], s.monos[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }

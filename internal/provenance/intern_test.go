@@ -2,7 +2,7 @@ package provenance
 
 import (
 	"fmt"
-	"strings"
+	"sync"
 	"testing"
 )
 
@@ -34,9 +34,9 @@ func TestInternSharing(t *testing.T) {
 // (simulating a slot eviction between their constructions) still compare
 // equal through the hash-guarded structural path.
 func TestEqualStructuralFallback(t *testing.T) {
-	m := Monomial{"a", "b"}
-	a := Poly{n: &polyNode{monos: []Monomial{m}, keys: []string{m.Key()}, hash: hashMonos([]string{m.Key()})}}
-	b := Poly{n: &polyNode{monos: []Monomial{m}, keys: []string{m.Key()}, hash: a.n.hash}}
+	m := mono("a", "b")
+	a := Poly{n: &polyNode{monos: []Monomial{m}, hash: hashMonos([]Monomial{m})}}
+	b := Poly{n: &polyNode{monos: []Monomial{m}, hash: a.n.hash}}
 	if a.n == b.n {
 		t.Fatal("test needs two distinct nodes")
 	}
@@ -70,19 +70,79 @@ func TestInternEviction(t *testing.T) {
 	}
 }
 
-// TestHashStringUsesEveryByte checks the word-at-a-time string hash at
-// every length around its word and half-word boundaries: flipping any one
-// byte changes the hash.
-func TestHashStringUsesEveryByte(t *testing.T) {
-	for n := 1; n <= 33; n++ {
-		s := []byte(strings.Repeat("k", n))
-		base := hashString(1, string(s))
-		for i := range s {
-			s[i] ^= 1
-			if hashString(1, string(s)) == base {
-				t.Errorf("length %d: flipping byte %d leaves the hash unchanged", n, i)
+// TestHashMonosUsesEveryToken checks the id hash at every monomial length
+// around its two-ids-to-a-word boundary: changing any one id, or moving the
+// boundary between two monomials, changes the hash.
+func TestHashMonosUsesEveryToken(t *testing.T) {
+	for n := 1; n <= 9; n++ {
+		m := make(Monomial, n)
+		for i := range m {
+			m[i] = Token(i + 1)
+		}
+		base := hashMonos([]Monomial{m})
+		for i := range m {
+			m[i] ^= 1 << 20
+			if hashMonos([]Monomial{m}) == base {
+				t.Errorf("length %d: changing id %d leaves the hash unchanged", n, i)
 			}
-			s[i] ^= 1
+			m[i] ^= 1 << 20
+		}
+		for cut := 1; cut < n; cut++ {
+			if hashMonos([]Monomial{m[:cut], m[cut:]}) == base {
+				t.Errorf("length %d: splitting at %d leaves the hash unchanged", n, cut)
+			}
 		}
 	}
+}
+
+// TestTokenTableConcurrent mints fresh tokens — enough to open new chunks
+// of the table — on some goroutines while others multiply, merge and
+// intern polynomials over tokens minted before, reading their names
+// without a lock. Run under -race (make race) it checks that reading a
+// name never races with minting; every result is also checked against
+// one computed before the goroutines started.
+func TestTokenTableConcurrent(t *testing.T) {
+	base := make([]Poly, 8)
+	for i := range base {
+		base[i] = NewVar(Var(fmt.Sprintf("conc:%d/0", i))).Mul(NewVar(Var(fmt.Sprint("conc:m", i%3))))
+	}
+	sum := Zero()
+	for _, p := range base {
+		sum = sum.Add(p)
+	}
+	wantMul := sum.Mul(base[0]).String()
+	wantMerge, _, _, _ := MergeWitness(base[1], sum, 4)
+	wantMergeS := wantMerge.String()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3000; i++ {
+				name := Var(fmt.Sprintf("conc-fresh:%d/%d", g, i))
+				if got := Mint(name).Var(); got != name {
+					t.Errorf("Mint(%q).Var() = %q", name, got)
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				if got := sum.Mul(base[0]).Intern().String(); got != wantMul {
+					t.Errorf("Mul = %s, want %s", got, wantMul)
+					return
+				}
+				m, _, _, _ := MergeWitness(base[1], sum, 4)
+				if got := m.Intern().String(); got != wantMergeS {
+					t.Errorf("MergeWitness = %s, want %s", got, wantMergeS)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

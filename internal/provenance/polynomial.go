@@ -1,45 +1,39 @@
+// Package provenance implements the semiring provenance framework of Green,
+// Karvounarakis, and Tannen ("Provenance Semirings", PODS 2007), which is
+// the formal foundation ORCHESTRA uses to trace where exchanged data came
+// from. Derived tuples carry polynomials in B[X], the witness-set semiring:
+// each monomial is a set of base-tuple tokens that jointly derive the tuple.
+// ORCHESTRA reads provenance for trust conditions and for deletion, and both
+// evaluate it under semirings whose + and · are idempotent. Evaluation into
+// any such semiring factors through B[X], so each of those annotations is
+// obtained by evaluating the witness set under the homomorphism determined
+// by an assignment of the variables (see Eval).
+//
+// Inside a polynomial a token is a Token, a dense uint32 id from one
+// append-only, process-wide table (token.go); a monomial is a slice of ids
+// sorted by name and a node holds only its monomials and a hash. No key
+// string is cached per monomial: canonical order is defined on names — a
+// monomial's key is each name followed by ';', compared as bytes — and is
+// computed id by id, reading names only where two monomials first differ.
+// Ids exist only in memory: every codec writes names, so an encoding and
+// every order the package reports are the same in every process.
 package provenance
 
 import (
 	"slices"
-	"sort"
 	"strings"
 )
 
-// Var identifies a provenance token: in ORCHESTRA, one token is minted per
-// base (published) tuple, so a polynomial over Vars describes exactly which
-// combinations of published data derive a tuple.
+// Var names a provenance token: in ORCHESTRA, one token is minted per base
+// (published) tuple, so a polynomial over Vars describes exactly which
+// combinations of published data derive a tuple. Inside a polynomial a Var
+// is held as its Token id; Vars are what the API, the codecs and the wire
+// carry.
 type Var string
 
 // Monomial is one witness: the set of tokens that jointly derive a tuple,
-// sorted and without repeats. The empty monomial is the constant 1.
-type Monomial []Var
-
-// Key returns the canonical key of the monomial: each variable followed by
-// ';'. Two monomials with the same Key are one witness.
-func (m Monomial) Key() string {
-	var b strings.Builder
-	b.Grow(varKeyLen(m))
-	writeVarKey(&b, m)
-	return b.String()
-}
-
-// varKeyLen returns the length of m's key.
-func varKeyLen(m Monomial) int {
-	n := 0
-	for _, x := range m {
-		n += len(x) + 1
-	}
-	return n
-}
-
-// writeVarKey writes m's key: each variable and a ';'.
-func writeVarKey(b *strings.Builder, m Monomial) {
-	for _, x := range m {
-		b.WriteString(string(x))
-		b.WriteByte(';')
-	}
-}
+// sorted by name and without repeats. The empty monomial is the constant 1.
+type Monomial []Token
 
 // String renders the monomial, e.g. "x·y"; the empty monomial is "1".
 func (m Monomial) String() string {
@@ -48,7 +42,7 @@ func (m Monomial) String() string {
 	}
 	parts := make([]string, len(m))
 	for i, x := range m {
-		parts[i] = string(x)
+		parts[i] = string(x.Var())
 	}
 	return strings.Join(parts, "·")
 }
@@ -61,17 +55,20 @@ func (m Monomial) String() string {
 // (BoolSemiring), trust (TrustSemiring), clearance (SecuritySemiring) —
 // exactly; see Eval.
 //
-// A Poly is kept in canonical form: monomials sorted by key, no repeats.
-// The zero polynomial is the zero value. Poly values are immutable;
-// operations return new polynomials.
+// A Poly is kept in canonical form: monomials sorted by key (each name
+// followed by ';', compared as bytes; see cmpMono), no repeats. The order
+// is defined on names, never on Token ids, so it is the same in every
+// process. The zero polynomial is the zero value. Poly values are
+// immutable; operations return new polynomials.
 //
-// Every polynomial points at a canonical node carrying a precomputed
-// structural hash and the cached key of each monomial, built through the
-// bounded hash-consing cache in intern.go: recurring polynomials share one
+// Every polynomial points at a canonical node carrying its monomials and a
+// precomputed structural hash over their ids, built through the bounded
+// hash-consing cache in intern.go: recurring polynomials share one
 // allocation, so equality on them is a pointer comparison (with a
 // hash-guarded structural fallback when two equal values missed each other
-// in the cache), and Add/Subsumes walk the cached sorted keys instead of
-// rebuilding map-and-sort state per operation.
+// in the cache). No key string is stored: Add, Subsumes and the witness
+// kernel merge the sorted monomial lists id by id, reading names only where
+// two monomials first differ.
 type Poly struct {
 	n *polyNode
 }
@@ -84,12 +81,13 @@ func One() Poly { return polyOne }
 
 // polyOne is the interned constant 1 — the most common annotation in the
 // system (every set-semantics fact), shared process-wide.
-var polyOne = newNode([]Monomial{{}}, []string{""}).Intern()
+var polyOne = newNode([]Monomial{{}}).Intern()
 
 // NewVar returns the polynomial consisting of the single variable x.
-func NewVar(x Var) Poly {
-	return newNode([]Monomial{{x}}, []string{string(x) + ";"})
-}
+func NewVar(x Var) Poly { return NewToken(Mint(x)) }
+
+// NewToken returns the polynomial consisting of the single token t.
+func NewToken(t Token) Poly { return newNode([]Monomial{{t}}) }
 
 // IsZero reports whether p is the zero polynomial.
 func (p Poly) IsZero() bool { return p.n == nil }
@@ -107,17 +105,8 @@ func (p Poly) Monomials() []Monomial {
 	return p.n.monos
 }
 
-// Keys returns the canonical key of each monomial, aligned with
-// Monomials() and sorted ascending. The slice is the interned node's cache:
-// shared, do not modify.
-func (p Poly) Keys() []string {
-	if p.n == nil {
-		return nil
-	}
-	return p.n.keys
-}
-
-// Hash returns the precomputed structural hash of the polynomial.
+// Hash returns the precomputed structural hash of the polynomial. It is a
+// function of the token ids, so it is meaningful only within one process.
 func (p Poly) Hash() uint64 {
 	if p.n == nil {
 		return 0
@@ -144,7 +133,7 @@ func (p Poly) Degree() int {
 
 // Vars returns the sorted set of variables mentioned in p.
 func (p Poly) Vars() []Var {
-	set := map[Var]bool{}
+	set := map[Token]bool{}
 	for _, m := range p.Monomials() {
 		for _, x := range m {
 			set[x] = true
@@ -152,54 +141,55 @@ func (p Poly) Vars() []Var {
 	}
 	out := make([]Var, 0, len(set))
 	for x := range set {
-		out = append(out, x)
+		out = append(out, x.Var())
 	}
 	slices.Sort(out)
 	return out
 }
 
 // FromMonomials builds the polynomial whose witnesses are monos: each
-// monomial's variables are sorted and deduplicated, then repeated monomials
-// merge. The input is copied; the caller keeps ownership of its slices.
+// monomial's tokens are sorted by name and deduplicated, then repeated
+// monomials merge. The input is copied; the caller keeps ownership of its
+// slices.
 func FromMonomials(monos []Monomial) Poly {
 	out := make([]Monomial, len(monos))
-	keys := make([]string, len(monos))
 	for i, m := range monos {
-		m = slices.Compact(slices.Sorted(slices.Values(m)))
-		out[i], keys[i] = m, m.Key()
+		m = slices.Clone(m)
+		slices.SortFunc(m, cmpName)
+		out[i] = slices.Compact(m)
 	}
-	return canonicalize(out, keys)
+	return canonicalize(out)
 }
 
-// canonicalize sorts a raw (owned) monomial list by key, drops repeated
-// keys, and interns the result.
-func canonicalize(monos []Monomial, keys []string) Poly {
+// canonicalize sorts a raw (owned) monomial list into canonical order,
+// drops repeats, and interns the result.
+func canonicalize(monos []Monomial) Poly {
 	if len(monos) == 0 {
 		return Poly{}
 	}
-	sort.Sort(&monoSorter{monos: monos, keys: keys})
+	slices.SortFunc(monos, cmpMono)
 	w := 0
 	for r := range monos {
-		if r > 0 && keys[r] == keys[w-1] {
+		if r > 0 && slices.Equal(monos[r], monos[w-1]) {
 			continue
 		}
-		monos[w], keys[w] = monos[r], keys[r]
+		monos[w] = monos[r]
 		w++
 	}
-	return newNode(monos[:w], keys[:w])
+	return newNode(monos[:w])
 }
 
 // Add returns p + q, the union of the two witness sets: one merge of the
-// two sorted key lists that returns an operand unchanged when it already
-// contains the other.
+// two sorted monomial lists that returns an operand unchanged when it
+// already contains the other.
 func (p Poly) Add(q Poly) Poly {
 	merged, _, _, _ := mergeWitness(p, q, 0, false)
 	return merged
 }
 
-// Mul returns p · q: each pair of monomials contributes the sorted union of
-// their variables, written once into one shared variable array and one key
-// string, and the pairs are then sorted and deduplicated.
+// Mul returns p · q: each pair of monomials contributes the union of their
+// tokens, merged in name order into one shared token array, and the pairs
+// are then sorted and deduplicated.
 func (p Poly) Mul(q Poly) Poly {
 	if p.IsZero() || q.IsZero() {
 		return Poly{}
@@ -211,47 +201,38 @@ func (p Poly) Mul(q Poly) Poly {
 		return p
 	}
 	pm, qm := p.n.monos, q.n.monos
-	nv, nb := 0, 0
+	nv := 0
 	for _, a := range pm {
 		nv += len(qm) * len(a)
-		nb += len(qm) * varKeyLen(a)
 	}
 	for _, b := range qm {
 		nv += len(pm) * len(b)
-		nb += len(pm) * varKeyLen(b)
 	}
-	vars := make([]Var, 0, nv)
+	vars := make([]Token, 0, nv)
 	monos := make([]Monomial, 0, len(pm)*len(qm))
-	keys := make([]string, 0, len(pm)*len(qm))
-	var kb strings.Builder
-	kb.Grow(nb)
 	for _, a := range pm {
 		for _, b := range qm {
-			start, kstart := len(vars), kb.Len()
+			start := len(vars)
 			i, j := 0, 0
-			for i < len(a) || j < len(b) {
-				var x Var
-				switch {
-				case j == len(b) || (i < len(a) && a[i] < b[j]):
-					x = a[i]
+			for i < len(a) && j < len(b) {
+				switch c := cmpName(a[i], b[j]); {
+				case c < 0:
+					vars = append(vars, a[i])
 					i++
-				case i == len(a) || b[j] < a[i]:
-					x = b[j]
+				case c > 0:
+					vars = append(vars, b[j])
 					j++
 				default:
-					x = a[i]
+					vars = append(vars, a[i])
 					i++
 					j++
 				}
-				vars = append(vars, x)
-				kb.WriteString(string(x))
-				kb.WriteByte(';')
 			}
+			vars = append(append(vars, a[i:]...), b[j:]...)
 			monos = append(monos, vars[start:len(vars):len(vars)])
-			keys = append(keys, kb.String()[kstart:])
 		}
 	}
-	return canonicalize(monos, keys)
+	return canonicalize(monos)
 }
 
 // Equal reports canonical equality of two polynomials. Every canonical
@@ -292,7 +273,7 @@ func Eval[T any](p Poly, s Semiring[T], assign func(Var) T) T {
 	for _, m := range p.Monomials() {
 		term := s.One()
 		for _, x := range m {
-			term = s.Mul(term, assign(x))
+			term = s.Mul(term, assign(x.Var()))
 		}
 		acc = s.Add(acc, term)
 	}
@@ -304,15 +285,16 @@ func Eval[T any](p Poly, s Semiring[T], assign func(Var) T) T {
 // semiring with the characteristic assignment of alive, and is the test
 // that drives provenance-based deletion propagation in update exchange.
 func (p Poly) Derivable(alive func(Var) bool) bool {
+	live := func(t Token) bool { return alive(t.Var()) }
 	for _, m := range p.Monomials() {
-		if allAlive(m, alive) {
+		if allAlive(m, live) {
 			return true
 		}
 	}
 	return false
 }
 
-func allAlive(m Monomial, alive func(Var) bool) bool {
+func allAlive(m Monomial, alive func(Token) bool) bool {
 	for _, x := range m {
 		if !alive(x) {
 			return false
@@ -324,41 +306,43 @@ func allAlive(m Monomial, alive func(Var) bool) bool {
 // Restrict returns p with all monomials mentioning a dead variable removed —
 // the polynomial of the instance after deleting those base tuples.
 func (p Poly) Restrict(alive func(Var) bool) Poly {
+	return p.RestrictTokens(func(t Token) bool { return alive(t.Var()) })
+}
+
+// RestrictTokens is Restrict with liveness decided on token ids.
+func (p Poly) RestrictTokens(alive func(Token) bool) Poly {
 	if p.IsZero() {
 		return p
 	}
 	out := make([]Monomial, 0, len(p.n.monos))
-	keys := make([]string, 0, len(p.n.monos))
-	for i, m := range p.n.monos {
+	for _, m := range p.n.monos {
 		if allAlive(m, alive) {
 			out = append(out, m)
-			keys = append(keys, p.n.keys[i])
 		}
 	}
 	if len(out) == len(p.n.monos) {
 		return p
 	}
-	return newNode(out, keys)
+	return newNode(out)
 }
 
 // Subsumes reports whether every monomial of q is present in p: the ≤ test
-// of the B[X] lattice used by the fixpoint convergence check. Both key lists
-// are sorted, so this is a two-pointer containment walk over the cached
-// keys — no map is built.
+// of the B[X] lattice used by the fixpoint convergence check. Both lists
+// are sorted, so this is a two-pointer containment walk — no map is built.
 func (p Poly) Subsumes(q Poly) bool {
 	if q.IsZero() || p.n == q.n {
 		return true
 	}
-	pk, qk := p.Keys(), q.Keys()
-	if len(qk) > len(pk) {
+	pm, qm := p.Monomials(), q.Monomials()
+	if len(qm) > len(pm) {
 		return false
 	}
 	i := 0
-	for _, k := range qk {
-		for i < len(pk) && pk[i] < k {
+	for _, m := range qm {
+		for i < len(pm) && cmpMono(pm[i], m) < 0 {
 			i++
 		}
-		if i == len(pk) || pk[i] != k {
+		if i == len(pm) || !slices.Equal(pm[i], m) {
 			return false
 		}
 		i++

@@ -119,11 +119,10 @@ func TestEvalHomomorphism(t *testing.T) {
 func checkEvalCommutes[T any](t *testing.T, name string, s Semiring[T], draw func(*rand.Rand) T) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
-	names := []Var{"a", "b", "c", "d", "e"}
 	for i := 0; i < 500; i++ {
 		p, q := randPoly(rng), randPoly(rng)
 		assign := map[Var]T{}
-		for _, n := range names {
+		for _, n := range alphabet {
 			assign[n] = draw(rng)
 		}
 		get := func(x Var) T { return assign[x] }

@@ -1,13 +1,3 @@
-// Package provenance implements the semiring provenance framework of Green,
-// Karvounarakis, and Tannen ("Provenance Semirings", PODS 2007), which is
-// the formal foundation ORCHESTRA uses to trace where exchanged data came
-// from. Derived tuples carry polynomials in B[X], the witness-set semiring:
-// each monomial is a set of base-tuple tokens that jointly derive the tuple.
-// ORCHESTRA reads provenance for trust conditions and for deletion, and both
-// evaluate it under semirings whose + and · are idempotent. Evaluation into
-// any such semiring factors through B[X], so each of those annotations is
-// obtained by evaluating the witness set under the homomorphism determined
-// by an assignment of the variables (see Eval).
 package provenance
 
 // Semiring describes a commutative semiring (K, +, ·, 0, 1): both

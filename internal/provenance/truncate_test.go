@@ -1,6 +1,8 @@
 package provenance
 
 import (
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -53,10 +55,32 @@ func TestTruncatePreservesDerivabilityOfKept(t *testing.T) {
 	}
 }
 
+// TestMonomialKey pins the canonical order to the byte order of monomial
+// keys (each name followed by ';'): a name sorts after its own extension,
+// "x:1/23" before "x:1/2", whatever order the ids were minted in.
 func TestMonomialKey(t *testing.T) {
 	x := v("x").Mul(v("x")).Mul(v("y"))
-	if m := x.Monomials()[0]; m.Key() != "x;y;" {
-		t.Errorf("Key = %q", m.Key())
+	if m := x.Monomials()[0]; monoKey(m) != "x;y;" {
+		t.Errorf("key = %q", monoKey(m))
+	}
+	p := v("x:1/2").Add(v("x:1/23")).Add(v("x:1/2").Mul(v("z")))
+	if got, want := p.String(), "x:1/23 + x:1/2 + x:1/2·z"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	// Names holding ';' spell other monomials' keys: "a;b" has the key of
+	// a·b, and "a;" sorts after both.
+	p = p.Add(v("a;b")).Add(v("a").Mul(v("b"))).Add(v("a;")).Add(v("a").Mul(v("c"))).
+		Add(v("a")).Add(v("a").Mul(v("b;")))
+	for _, m := range p.Monomials() {
+		for _, n := range p.Monomials() {
+			got, want := cmpMono(m, n), strings.Compare(monoKey(m), monoKey(n))
+			switch {
+			case want != 0 && got != want:
+				t.Errorf("cmpMono(%v, %v) = %d, key order says %d", m, n, got, want)
+			case want == 0 && (got != -cmpMono(n, m) || (got == 0) != slices.Equal(m, n)):
+				t.Errorf("cmpMono(%v, %v) = %d does not order one key's two monomials", m, n, got)
+			}
+		}
 	}
 }
 

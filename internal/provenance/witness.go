@@ -3,55 +3,54 @@ package provenance
 import (
 	"math"
 	"sort"
-	"strings"
 )
 
 // This file is the witness-set kernel: the fold of a derived annotation into
 // a stored one under the MaxMonomials cut, which is also Poly.Add when no
-// cut applies. A node's key list is the sorted set of its witnesses, so the
-// union of two nodes is a merge of two sorted key lists, and a monomial that
-// survives into a result is carried over together with its key: no variable
-// list is copied and no key string is rebuilt.
+// cut applies. A node's monomial list is the sorted set of its witnesses, so
+// the union of two nodes is a merge of two sorted lists, compared id by id
+// (cmpMono), and a monomial that survives into a result is carried over
+// as it is: no token list is copied and no key is built.
 
-// witnessWalk enumerates the union of two nodes (either may be nil) in key
-// order — the monomial order of their sum — reporting for each monomial
-// whether only b carries it. A key both carry yields a's monomial.
+// witnessWalk enumerates the union of two nodes (either may be nil) in
+// canonical order — the monomial order of their sum — reporting for each
+// monomial whether only b carries it. A monomial both carry yields a's.
 type witnessWalk struct {
 	a, b *polyNode
 	i, j int
 }
 
-func (w *witnessWalk) next() (m Monomial, key string, onlyB, ok bool) {
-	inA := w.a != nil && w.i < len(w.a.keys)
-	inB := w.b != nil && w.j < len(w.b.keys)
+func (w *witnessWalk) next() (m Monomial, onlyB, ok bool) {
+	inA := w.a != nil && w.i < len(w.a.monos)
+	inB := w.b != nil && w.j < len(w.b.monos)
 	switch {
 	case inA && inB:
-		ka, kb := w.a.keys[w.i], w.b.keys[w.j]
-		switch c := strings.Compare(ka, kb); {
+		ma, mb := w.a.monos[w.i], w.b.monos[w.j]
+		switch c := cmpMono(ma, mb); {
 		case c < 0:
 			w.i++
-			return w.a.monos[w.i-1], ka, false, true
+			return ma, false, true
 		case c > 0:
 			w.j++
-			return w.b.monos[w.j-1], kb, true, true
+			return mb, true, true
 		}
 		w.i++
 		w.j++
-		return w.a.monos[w.i-1], ka, false, true
+		return ma, false, true
 	case inA:
 		w.i++
-		return w.a.monos[w.i-1], w.a.keys[w.i-1], false, true
+		return w.a.monos[w.i-1], false, true
 	case inB:
 		w.j++
-		return w.b.monos[w.j-1], w.b.keys[w.j-1], true, true
+		return w.b.monos[w.j-1], true, true
 	}
-	return nil, "", false, false
+	return nil, false, false
 }
 
 // witnessCut is the cut's choice over a union whose degrees are known: every
 // monomial of degree below deg survives, and of those of degree deg exactly
 // the first tie in canonical (key) order — the lowest-degree k, ties broken
-// canonically. keeps must see the union in key order.
+// canonically. keeps must see the union in canonical order.
 type witnessCut struct {
 	deg, tie, taken int
 }
@@ -72,7 +71,8 @@ func (c *witnessCut) keeps(m Monomial) bool {
 // k truncates an annotation. Its result is defined on sets:
 //
 //	union  = stored ∪ derived
-//	merged = the k monomials of union of lowest degree, ties broken by key
+//	merged = the k monomials of union of lowest degree, ties broken in
+//	         canonical (key) order
 //	         (all of union when k ≤ 0 or |union| ≤ k)
 //	fresh  = merged \ stored
 //
@@ -80,11 +80,11 @@ func (c *witnessCut) keeps(m Monomial) bool {
 // changed, and truncated reporting that the cut dropped at least one
 // monomial (a derivation already in stored never reaches the cut).
 //
-// The merge is one pass over the two key lists that finds the new monomials
+// The merge is one pass over the two monomial lists that finds the new monomials
 // and builds a degree histogram of the union, from which the cut follows. It
 // allocates nothing when no new monomial survives the cut (the
 // re-derivation of a known or of a too-long witness); otherwise it builds
-// exactly the two result nodes, from the monomials and keys of its inputs.
+// exactly the two result nodes, from the monomials of its inputs.
 func MergeWitness(stored, derived Poly, k int) (merged, fresh Poly, changed, truncated bool) {
 	return mergeWitness(stored, derived, k, true)
 }
@@ -98,7 +98,7 @@ func mergeWitness(stored, derived Poly, k int, wantFresh bool) (merged, fresh Po
 	var hist [deepDegree + 1]int32
 	total, added := 0, 0
 	w := witnessWalk{a: s, b: d}
-	for m, _, onlyD, ok := w.next(); ok; m, _, onlyD, ok = w.next() {
+	for m, onlyD, ok := w.next(); ok; m, onlyD, ok = w.next() {
 		total++
 		if onlyD {
 			added++
@@ -129,7 +129,7 @@ func mergeWitness(stored, derived Poly, k int, wantFresh bool) (merged, fresh Po
 	if truncated {
 		keptNew, keptOld = 0, 0
 		w, c := witnessWalk{a: s, b: d}, cut
-		for m, _, onlyD, ok := w.next(); ok; m, _, onlyD, ok = w.next() {
+		for m, onlyD, ok := w.next(); ok; m, onlyD, ok = w.next() {
 			if !c.keeps(m) {
 				continue
 			}
@@ -150,35 +150,34 @@ func mergeWitness(stored, derived Poly, k int, wantFresh bool) (merged, fresh Po
 	reuseFresh := keptNew == dn
 	buildFresh := wantFresh && !reuseFresh && s != nil
 	var monos, fmonos []Monomial
-	var keys, fkeys []string
 	if !reuseMerged {
-		monos, keys = make([]Monomial, 0, keptNew+keptOld), make([]string, 0, keptNew+keptOld)
+		monos = make([]Monomial, 0, keptNew+keptOld)
 	}
 	if buildFresh {
-		fmonos, fkeys = make([]Monomial, 0, keptNew), make([]string, 0, keptNew)
+		fmonos = make([]Monomial, 0, keptNew)
 	}
 	w = witnessWalk{a: s, b: d}
-	for m, key, onlyD, ok := w.next(); ok; m, key, onlyD, ok = w.next() {
+	for m, onlyD, ok := w.next(); ok; m, onlyD, ok = w.next() {
 		if !cut.keeps(m) {
 			continue
 		}
 		if !reuseMerged {
-			monos, keys = append(monos, m), append(keys, key)
+			monos = append(monos, m)
 		}
 		if onlyD && buildFresh {
-			fmonos, fkeys = append(fmonos, m), append(fkeys, key)
+			fmonos = append(fmonos, m)
 		}
 	}
 	merged, fresh = derived, derived
 	if !reuseMerged {
-		merged = newNode(monos, keys)
+		merged = newNode(monos)
 	}
 	switch {
 	case s == nil:
 		// Nothing was stored: the new part is the whole result.
 		fresh = merged
 	case buildFresh:
-		fresh = newNode(fmonos, fkeys)
+		fresh = newNode(fmonos)
 	}
 	return merged, fresh, true, truncated
 }
@@ -193,7 +192,7 @@ const deepDegree = 63
 func deepCut(s, d *polyNode, r int) witnessCut {
 	var degs []int
 	w := witnessWalk{a: s, b: d}
-	for m, _, _, ok := w.next(); ok; m, _, _, ok = w.next() {
+	for m, _, ok := w.next(); ok; m, _, ok = w.next() {
 		if len(m) >= deepDegree {
 			degs = append(degs, len(m))
 		}

@@ -10,9 +10,19 @@ import (
 	"testing"
 )
 
-// byDegreeThenKey orders monomials the way the cut ranks them.
+// byDegreeThenKey orders monomials the way the cut ranks them, spelling
+// each key out as a string.
 func byDegreeThenKey(a, b Monomial) int {
-	return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a.Key(), b.Key()))
+	return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(monoKey(a), monoKey(b)))
+}
+
+// mono mints the named tokens into a monomial, in the order given.
+func mono(xs ...Var) Monomial {
+	m := make(Monomial, len(xs))
+	for i, x := range xs {
+		m[i] = Mint(x)
+	}
+	return m
 }
 
 // truncate keeps the k monomials of p of lowest degree, ties broken by key;
@@ -26,18 +36,18 @@ func truncate(p Poly, k int) Poly {
 	return FromMonomials(ms[:k])
 }
 
-// refMerge is the witness merge spelled out on sets — the definition
-// MergeWitness must reproduce: the union of the two key sets, sorted by
-// (degree, key) and cut to k, then what the stored side lacks.
+// refMerge is the witness merge spelled out on sets of key strings — the
+// definition MergeWitness must reproduce: the union of the two key sets,
+// sorted by (degree, key) and cut to k, then what the stored side lacks.
 func refMerge(stored, derived Poly, k int) (merged, fresh Poly, changed, truncated bool) {
 	union := map[string]Monomial{}
 	for _, m := range stored.Monomials() {
-		union[m.Key()] = m
+		union[monoKey(m)] = m
 	}
 	grows := false
 	for _, m := range derived.Monomials() {
-		if _, ok := union[m.Key()]; !ok {
-			union[m.Key()] = m
+		if _, ok := union[monoKey(m)]; !ok {
+			union[monoKey(m)] = m
 			grows = true
 		}
 	}
@@ -53,12 +63,12 @@ func refMerge(stored, derived Poly, k int) (merged, fresh Poly, changed, truncat
 		return stored, Zero(), false, truncated
 	}
 	had := map[string]bool{}
-	for _, key := range stored.Keys() {
-		had[key] = true
+	for _, m := range stored.Monomials() {
+		had[monoKey(m)] = true
 	}
 	var add []Monomial
 	for _, m := range ms {
-		if !had[m.Key()] {
+		if !had[monoKey(m)] {
 			add = append(add, m)
 		}
 	}
@@ -77,10 +87,22 @@ func refMul(p, q Poly) Poly {
 	return FromMonomials(ms)
 }
 
-// samePoly reports equality as values, as monomial lists and as key lists.
+// samePoly reports equality as values and as monomial lists, and that a is
+// in canonical order by names: each monomial's names strictly increasing,
+// and each monomial's key, spelled out as a string, above the one before.
 func samePoly(a, b Poly) bool {
-	return a.Equal(b) && slices.Equal(a.Keys(), b.Keys()) &&
-		slices.EqualFunc(a.Monomials(), b.Monomials(), slices.Equal)
+	ms := a.Monomials()
+	for i, m := range ms {
+		if i > 0 && monoKey(ms[i-1]) >= monoKey(m) {
+			return false
+		}
+		for j := 1; j < len(m); j++ {
+			if m[j-1].Var() >= m[j].Var() {
+				return false
+			}
+		}
+	}
+	return a.Equal(b) && slices.EqualFunc(ms, b.Monomials(), slices.Equal)
 }
 
 // checkMergeWitness compares the kernel, Add and Mul against their set
@@ -101,15 +123,20 @@ func checkMergeWitness(t *testing.T, stored, derived Poly, k int) {
 	}
 }
 
-// randPoly draws a polynomial over a five-variable alphabet — small enough
-// that monomials of different operands overlap often — with up to six
-// monomials of up to five draws each; a repeated draw adds nothing.
+// alphabet is the five names randPoly and the fuzz target draw from: few
+// enough that monomials of different operands overlap often, and holding a
+// name and its extensions ("a", "ab"; "x:1/2", "x:1/23"), whose key order
+// differs from their name order.
+var alphabet = []Var{"a", "ab", "b", "x:1/2", "x:1/23"}
+
+// randPoly draws a polynomial over alphabet with up to six monomials of up
+// to five draws each; a repeated draw adds nothing.
 func randPoly(rng *rand.Rand) Poly {
 	var ms []Monomial
 	for i := rng.Intn(7); i > 0; i-- {
 		var m Monomial
 		for d := rng.Intn(6); d > 0; d-- {
-			m = append(m, Var(string(rune('a'+rng.Intn(5)))))
+			m = append(m, Mint(alphabet[rng.Intn(len(alphabet))]))
 		}
 		ms = append(ms, m)
 	}
@@ -156,9 +183,8 @@ func TestMergeWitnessDeepDerivation(t *testing.T) {
 }
 
 // decodeFuzzPoly reads one polynomial from data: each monomial is a header
-// byte (0–5 variables) followed by one byte per variable drawn from a
-// five-letter alphabet, so repeats collapse. A 0xff byte ends the
-// polynomial.
+// byte (0–5 variables) followed by one byte per variable drawn from
+// alphabet, so repeats collapse. A 0xff byte ends the polynomial.
 func decodeFuzzPoly(data []byte) (Poly, []byte) {
 	var ms []Monomial
 	for len(data) > 0 {
@@ -169,7 +195,7 @@ func decodeFuzzPoly(data []byte) (Poly, []byte) {
 		}
 		var m Monomial
 		for n := int(h&7) % 6; n > 0 && len(data) > 0; n-- {
-			m = append(m, Var(string(rune('a'+data[0]%5))))
+			m = append(m, Mint(alphabet[int(data[0])%len(alphabet)]))
 			data = data[1:]
 		}
 		ms = append(ms, m)

@@ -6,6 +6,7 @@ import (
 
 	"orchestra/internal/datalog"
 	"orchestra/internal/obs"
+	"orchestra/internal/provenance"
 )
 
 // Observability surface of the SDK. The system owns one metrics registry
@@ -121,8 +122,9 @@ func (s *System) evalCounters() EvalCounters {
 }
 
 // obsSnapshot captures the registry and folds the evaluator counters into
-// the counter map (datalog_* names), so the JSON and Prometheus renderings
-// carry them without a side channel.
+// the counter map (datalog_* names) and the token table's size into the
+// gauges, so the JSON and Prometheus renderings carry them without a side
+// channel.
 func (s *System) obsSnapshot() (*obs.Snapshot, EvalCounters) {
 	snap := s.reg.Snapshot()
 	ev := s.evalCounters()
@@ -139,6 +141,7 @@ func (s *System) obsSnapshot() (*obs.Snapshot, EvalCounters) {
 		snap.Gauges["datalog_peak_live"] = ev.PeakLive
 		snap.Counters["provenance_truncations_total"] = ev.Truncations
 		snap.Counters["datalog_token_index_builds_total"] = ev.TokenIndexBuilds
+		snap.Gauges["provenance_tokens"] = int64(provenance.NumTokens())
 	}
 	return snap, ev
 }

@@ -67,6 +67,10 @@ func TestMetricsDurableRoundTrip(t *testing.T) {
 	if got, ok := m.Counters["provenance_truncations_total"]; !ok || got != m.Eval.Truncations {
 		t.Errorf("provenance_truncations_total = %d (exported %v), want the evaluator's %d", got, ok, m.Eval.Truncations)
 	}
+	// The published row minted at least one token in the process-wide table.
+	if got := m.Gauges["provenance_tokens"]; got < 1 {
+		t.Errorf("provenance_tokens = %d after a publish and a reconcile, want ≥ 1", got)
+	}
 	// Nothing was deleted, so no engine built its deletion index.
 	if got, ok := m.Counters["datalog_token_index_builds_total"]; !ok || got != 0 || m.Eval.TokenIndexBuilds != 0 {
 		t.Errorf("datalog_token_index_builds_total = %d (exported %v, evaluator %d), want 0 after inserts only", got, ok, m.Eval.TokenIndexBuilds)
@@ -240,6 +244,7 @@ func TestDebugEndpoint(t *testing.T) {
 		"# TYPE orchestra_core_publish_total counter",
 		"orchestra_core_reconcile_ns{quantile=\"0.99\"}",
 		"orchestra_datalog_rounds_total",
+		"orchestra_provenance_tokens",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("prom scrape missing %q", want)
