@@ -62,8 +62,9 @@ series-check:
 ## store-server request frames (internal/p2p), DB snapshots (internal/datalog),
 ## engine snapshots (internal/exchange), the peer's engine blob and its
 ## checkpoint-row annotations (internal/core), the witness-set merge
-## kernel against its set definition (internal/provenance) and the
-## order-preserving tuple key codec (internal/lsm); `go test -fuzz`
+## kernel against its set definition (internal/provenance), the
+## order-preserving tuple key codec (internal/lsm) and the rule parser the
+## REPL's query command feeds (internal/parser); `go test -fuzz`
 ## takes one target per run. A failing input lands in the package's
 ## testdata/fuzz/.
 FUZZTIME ?= 10s
@@ -77,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeProv$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeWitness$$' -fuzztime $(FUZZTIME) ./internal/provenance/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTuple$$' -fuzztime $(FUZZTIME) ./internal/lsm/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME) ./internal/parser/
 
 ## bench-build: vet and unit-test the repo benchmark (bench/ is its own Go
 ## module over the engine's internal packages, so `./...` never reaches it;

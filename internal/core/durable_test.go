@@ -271,8 +271,9 @@ func testRecoverDropsImage(t *testing.T, spoil func(db *lsm.DB, blob []byte) err
 
 // TestRecoverFloatsCompareCannotOrder: tuples holding a NaN, and a pair that
 // differs only in 0.0 vs -0.0, are distinct facts (distinct keys) that
-// Value.Compare cannot put in a strict order. A checkpoint that holds them
-// must still recover from its engine blob, to the never-killed twin's rows.
+// Value.Compare could not put in a strict order before it followed
+// Value.Key. A checkpoint that holds them must recover from its engine
+// blob, to the never-killed twin's rows.
 func TestRecoverFloatsCompareCannotOrder(t *testing.T) {
 	sigma := func() *schema.Schema {
 		s := schema.NewSchema("Σf")

@@ -31,6 +31,8 @@ type observer struct {
 	appliedUps  *obs.Counter   // core_applied_updates_total
 	checkpoints *obs.Counter   // core_checkpoint_total
 	queries     *obs.Counter   // core_query_total
+	prepares    *obs.Counter   // core_query_prepares_total (query shapes compiled)
+	replans     *obs.Counter   // core_query_replans_total (plans rebuilt: a size tie flipped)
 	batchTxns   *obs.Histogram // exchange_applyall_batch_txns
 	drainTxnNs  *obs.Histogram // exchange_drain_txn_ns (per-txn drain latency)
 	fixRounds   *obs.Histogram // datalog_fixpoint_rounds (per reconcile/query)
@@ -73,6 +75,8 @@ func (p *Peer) SetObserver(reg *obs.Registry, slowOp time.Duration) {
 		appliedUps:  reg.Counter("core_applied_updates_total"),
 		checkpoints: reg.Counter("core_checkpoint_total"),
 		queries:     reg.Counter("core_query_total"),
+		prepares:    reg.Counter("core_query_prepares_total"),
+		replans:     reg.Counter("core_query_replans_total"),
 		batchTxns:   reg.Histogram("exchange_applyall_batch_txns"),
 		drainTxnNs:  reg.Histogram("exchange_drain_txn_ns"),
 		fixRounds:   reg.Histogram("datalog_fixpoint_rounds"),

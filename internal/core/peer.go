@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"orchestra/internal/datalog/magic"
 	"orchestra/internal/exchange"
 	"orchestra/internal/lsm"
 	"orchestra/internal/p2p"
@@ -86,6 +87,11 @@ type Peer struct {
 	// obsv is the peer's observability surface (spans, counters, slow-op
 	// logging); the zero value is disabled. See SetObserver.
 	obsv observer
+	// shapes holds the goal queries this peer has compiled, by shape
+	// (magic.Shape), at most queryShapeCap of them; shapeKey is the buffer
+	// the next key is encoded into. See QueryGoal.
+	shapes   map[string]*magic.Prepared
+	shapeKey []byte
 }
 
 // ApplyEvent is one observed transaction application; see SetApplyHook.

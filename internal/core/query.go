@@ -116,8 +116,10 @@ func (p *Peer) Query(ctx context.Context, q Query) ([]Answer, error) {
 // when the query is done — queries never copy table rows, the fixpoint only
 // clones the extents it derives into, and a write between two queries keeps
 // the indexes the first one built. Under the default GoalDirected mode the
-// program is magic-rewritten for the goal's binding pattern first, so
-// selective queries touch only the data their bindings can reach.
+// program is magic-rewritten for the goal's binding pattern, so selective
+// queries touch only the data their bindings can reach; the rewrite, its
+// validation and its plans are kept per query shape (see evalShape), and a
+// later query of the shape only seeds the goal's constants.
 //
 // Answers list one tuple per binding of the goal's distinct free variables
 // (first-occurrence order), in deterministic order, annotated with exactly
@@ -155,7 +157,7 @@ func (p *Peer) QueryGoal(ctx context.Context, q GoalQuery) ([]Answer, error) {
 	if q.Mode == FullFixpoint {
 		facts, err = magic.EvalGoalFull(ctx, q.Rules, q.Goal, edb, opts)
 	} else {
-		facts, _, err = magic.EvalGoal(ctx, q.Rules, q.Goal, edb, opts, magic.Options{SIP: q.SIP})
+		facts, err = p.evalShape(ctx, q, edb, opts)
 	}
 	if err != nil {
 		return nil, err
@@ -168,6 +170,34 @@ func (p *Peer) QueryGoal(ctx context.Context, q GoalQuery) ([]Answer, error) {
 		}
 	}
 	return out, nil
+}
+
+// queryShapeCap bounds how many compiled goal query shapes a peer keeps
+// (DESIGN.md §14). An application asks a handful of shapes; a caller that
+// builds a fresh shape per query overflows the cache, which then starts
+// over rather than tracking recency.
+const queryShapeCap = 64
+
+// evalShape answers a GoalDirected query through the peer's compiled shape
+// for it, compiling the shape on a miss. The caller holds p.mu.
+func (p *Peer) evalShape(ctx context.Context, q GoalQuery, edb *datalog.DB, opts datalog.Options) ([]datalog.Fact, error) {
+	p.shapeKey = magic.Shape(p.shapeKey[:0], q.Rules, q.Goal, q.SIP)
+	prep := p.shapes[string(p.shapeKey)]
+	if prep == nil {
+		var err error
+		if prep, err = magic.Prepare(q.Rules, q.Goal, magic.Options{SIP: q.SIP}); err != nil {
+			return nil, err
+		}
+		if p.shapes == nil || len(p.shapes) >= queryShapeCap {
+			p.shapes = make(map[string]*magic.Prepared, queryShapeCap)
+		}
+		p.shapes[string(p.shapeKey)] = prep
+		p.obsv.prepares.Inc()
+	}
+	replans := prep.Replans()
+	facts, err := prep.Eval(ctx, q.Goal, edb, opts)
+	p.obsv.replans.Add(prep.Replans() - replans)
+	return facts, err
 }
 
 // validateGoalQuery rejects malformed goal queries with ErrInvalidQuery

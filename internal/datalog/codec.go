@@ -150,9 +150,10 @@ func EncodeDB(db *DB) ([]byte, error) {
 // snapshot, cut short, holding a count its remaining bytes cannot, or
 // breaking a rule EncodeDB's output always keeps. A blob DecodeDB accepts
 // re-encodes to one that decodes to an Equal database. Only the order of
-// tuples within an extent goes unchecked: Value.Compare ties 0.0 with -0.0
-// and cannot place a NaN, so EncodeDB's own tuple order is not a rule it
-// keeps for every database.
+// tuples within an extent goes unchecked: EncodeDB writes Tuple.Compare
+// order, a total order since Value.Compare follows Value.Key, but a
+// snapshot written while Compare tied 0.0 with -0.0 and could not place a
+// NaN may hold such tuples in another order, and must still decode.
 var ErrBadSnapshot = errors.New("datalog: malformed DB snapshot")
 
 // DecodeDB materializes a database from an EncodeDB snapshot. Each

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"orchestra/internal/provenance"
@@ -289,8 +290,10 @@ func sameFacts(a, b *DB) error {
 
 // TestCodecFloatsCompareCannotOrder: a NaN, and a pair of tuples that differ
 // only in 0.0 vs -0.0, are legitimate facts — the float parsers of the REPL
-// and the wire codec both accept "NaN" and "-0" — that Value.Compare
-// cannot put in a strict order. Their snapshot must still decode.
+// and the wire codec both accept "NaN" and "-0" — that Value.Compare could
+// not put in a strict order before it followed Value.Key. Their snapshot
+// must decode and encode in Compare order (-0 < 0 < NaN), and one written
+// in the old, tied order must still decode.
 func TestCodecFloatsCompareCannotOrder(t *testing.T) {
 	db := buildCodecDB()
 	x := provenance.NewVar("f:1/0")
@@ -311,6 +314,20 @@ func TestCodecFloatsCompareCannotOrder(t *testing.T) {
 	}
 	if _, err := StatDB(blob); err != nil {
 		t.Fatal(err)
+	}
+	if again, err := EncodeDB(got); err != nil || !bytes.Equal(again, blob) {
+		t.Fatalf("re-encoding moved the floats (err %v)", err)
+	}
+	old, err := DecodeDB(snapshot(0, 1, 0, 1, "P", 3, "5|f:NaN", 0, "3|f:0", 0, "4|f:-0", 0))
+	if err != nil {
+		t.Fatalf("DecodeDB refused a snapshot in the old tied order: %v", err)
+	}
+	var keys []string
+	for _, f := range old.Rel("P").Facts() {
+		keys = append(keys, f.Tuple.Key())
+	}
+	if want := []string{"4|f:-0", "3|f:0", "5|f:NaN"}; !slices.Equal(keys, want) {
+		t.Fatalf("decoded P = %q, want %q", keys, want)
 	}
 }
 

@@ -18,9 +18,11 @@ type Fact struct {
 // a DB. Facts are stored once, by pointer, and shared with the hash-index
 // layer (index.go), so a provenance update is a single in-place write. The
 // *Fact structs themselves are allocated from contiguous slabs (see
-// newFact): one bulk allocation per relSlabSize facts instead of one heap
-// object per fact, which densifies the long-lived union database and cuts
-// the GC's pointer-chasing scan load on large accumulated extents.
+// newFact) that grow geometrically up to relSlabSize facts: one bulk
+// allocation per relSlabSize facts instead of one heap object per fact on a
+// large extent, which densifies the long-lived union database and cuts the
+// GC's pointer-chasing scan load, while the many tiny extents a goal query
+// derives stay tiny.
 //
 // A Rel may be mutated in place only by the DB that owns it (see ownership).
 // DB.Snapshot retires the ownership of every extent the two sides then
@@ -57,13 +59,14 @@ func NewRel() *Rel {
 	return &Rel{facts: map[string]*Fact{}}
 }
 
-// relSlabSize is the number of facts allocated per contiguous slab.
+// relSlabSize is the most facts one contiguous slab holds.
 const relSlabSize = 256
 
 // newFact allocates storage for one fact, reusing a freed slot when one
-// exists and otherwise appending to the shard's current slab (starting a
-// fresh slab when full). Callers must store the returned pointer in the
-// facts map before the next newFact call.
+// exists and otherwise appending to the shard's current slab. A full slab
+// is followed by one of min(relSlabSize, Len()+1) facts, so an extent's
+// slabs double until they reach relSlabSize. Callers must store the
+// returned pointer in the facts map before the next newFact call.
 func (r *Rel) newFact(t schema.Tuple, p provenance.Poly) *Fact {
 	if n := len(r.free); n > 0 {
 		f := r.free[n-1]
@@ -72,7 +75,7 @@ func (r *Rel) newFact(t schema.Tuple, p provenance.Poly) *Fact {
 		return f
 	}
 	if len(r.slab) == cap(r.slab) {
-		r.slab = make([]Fact, 0, relSlabSize)
+		r.slab = make([]Fact, 0, min(relSlabSize, len(r.facts)+1))
 	}
 	r.slab = append(r.slab, Fact{Tuple: t, Prov: p})
 	return &r.slab[len(r.slab)-1]

@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"orchestra/internal/provenance"
 	"orchestra/internal/schema"
@@ -77,16 +80,52 @@ func Eval(p *Program, edb *DB, opts Options) (*DB, error) {
 	return EvalCtx(context.Background(), p, edb, opts)
 }
 
-// EvalCtx is Eval under a context. Cancellation is cooperative: the context
-// is checked before evaluation starts, before every fixpoint iteration of
-// each stratum, and before each rule firing of a round (including on the
-// parallel workers), so an expired context returns ctx.Err() — typically
-// context.DeadlineExceeded — without completing a single iteration, and a
-// runaway recursive program stops within one round of the deadline.
+// EvalCtx is Eval under a context: Prepare followed by one Prepared.Eval.
+// Cancellation is cooperative: the context is checked before evaluation
+// starts, before every fixpoint iteration of each stratum, and before each
+// rule firing of a round (including on the parallel workers), so an expired
+// context returns ctx.Err() — typically context.DeadlineExceeded — without
+// completing a single iteration, and a runaway recursive program stops
+// within one round of the deadline.
 func EvalCtx(ctx context.Context, p *Program, edb *DB, opts Options) (*DB, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	pp, err := Prepare(p)
+	if err != nil {
+		return nil, err
+	}
+	return pp.Eval(ctx, edb, opts)
+}
+
+// Prepared is a program validated and stratified once, whose plans are
+// kept from one evaluation to the next. A plan is built at the start of
+// its stratum, as an Eval of the program alone would build it, and reused
+// while the relation sizes it broke ties by still order the same way (see
+// planTie); otherwise it is rebuilt. A Prepared is safe for concurrent
+// Evals and holds no database state.
+type Prepared struct {
+	prog   *Program
+	strata []preparedStratum
+	// replans counts rules re-planned because a size tie came out
+	// differently.
+	replans atomic.Int64
+
+	mu sync.Mutex // guards each stratum's plans
+}
+
+// preparedStratum is one stratum's rules, the predicates whose changes can
+// seed further rounds, and the plans of its last evaluation (nil before the
+// first). A plan set is replaced, never mutated, so an Eval keeps using the
+// set it validated.
+type preparedStratum struct {
+	rules []Rule
+	need  map[string]bool
+	plans []rulePlans
+}
+
+// Prepare validates and stratifies p. Its Eval runs p as EvalCtx would.
+func Prepare(p *Program) (*Prepared, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -94,23 +133,91 @@ func EvalCtx(ctx context.Context, p *Program, edb *DB, opts Options) (*DB, error
 	if err != nil {
 		return nil, err
 	}
+	pp := &Prepared{prog: p, strata: make([]preparedStratum, len(strata))}
+	for si, rules := range strata {
+		pp.strata[si] = preparedStratum{rules: rules, need: stratumNeed(rules)}
+	}
+	return pp, nil
+}
+
+// stratumNeed names the predicates that appear positively in some body of
+// the stratum: only their changes can seed further rounds (strata are
+// closed under dependencies), so delta entries for anything else are dead
+// weight that the merge barrier filters out.
+func stratumNeed(rules []Rule) map[string]bool {
+	need := map[string]bool{}
+	for _, r := range rules {
+		for _, l := range r.Body {
+			if l.Builtin == nil && !l.Negated {
+				need[l.Atom.Pred] = true
+			}
+		}
+	}
+	return need
+}
+
+// Replans reports how many times the Prepared has re-planned a rule because
+// a relation-size tie one of its plans was built on came out differently.
+func (pp *Prepared) Replans() int64 { return pp.replans.Load() }
+
+// Eval evaluates the prepared program over the EDB and returns a database
+// holding both EDB and derived facts; edb is not modified. Cancellation
+// behaves as in EvalCtx.
+func (pp *Prepared) Eval(ctx context.Context, edb *DB, opts Options) (*DB, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	// An O(#preds) copy-on-write snapshot replaces the old deep clone: the
 	// caller's EDB is untouched, and only relations evaluation actually
 	// mutates (head predicates) are ever copied.
 	result := edb.Snapshot()
-	ensurePreds(p, result)
-	pl := newPlanner(false)
+	ensurePreds(pp.prog, result)
 	maxIter := opts.MaxIterations
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIterations
 	}
 	var re roundExec
-	for _, stratum := range strata {
-		if err := evalStratum(ctx, stratum, result, pl, &re, opts, maxIter); err != nil {
+	for si := range pp.strata {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		st := &pp.strata[si]
+		if err := evalStratum(ctx, st.rules, pp.plansAt(si, result), st.need, result, &re, opts, maxIter); err != nil {
 			return nil, err
 		}
 	}
 	return result, nil
+}
+
+// plansAt returns stratum si's plans for db as it stands at the stratum's
+// start: the kept ones whose size ties still hold, and fresh ones for the
+// rest (all of them on the first evaluation).
+func (pp *Prepared) plansAt(si int, db *DB) []rulePlans {
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	st := &pp.strata[si]
+	if st.plans == nil {
+		st.plans = make([]rulePlans, len(st.rules))
+		for i, r := range st.rules {
+			st.plans[i] = buildRulePlans(r, db)
+		}
+		return st.plans
+	}
+	var fresh []rulePlans // copy-on-write: another Eval may hold st.plans
+	for i, rp := range st.plans {
+		if rp.tiesHold(db) {
+			continue
+		}
+		if fresh == nil {
+			fresh = slices.Clone(st.plans)
+		}
+		fresh[i] = buildRulePlans(st.rules[i], db)
+		pp.replans.Add(1)
+	}
+	if fresh != nil {
+		st.plans = fresh
+	}
+	return st.plans
 }
 
 // ensurePreds materializes an extent for every predicate the program can
@@ -173,25 +280,13 @@ func deltaJobs(jobs []job, rules []Rule, plans []rulePlans, delta map[string]map
 	return jobs
 }
 
-// evalStratum runs semi-naive evaluation of one stratum to fixpoint,
-// checking the context once per iteration so runaway recursion stops on
-// cancellation or deadline.
-func evalStratum(ctx context.Context, rules []Rule, db *DB, pl *planner, re *roundExec, opts Options, maxIter int) error {
+// evalStratum runs semi-naive evaluation of one stratum to fixpoint under
+// its plans, checking the context once per iteration so runaway recursion
+// stops on cancellation or deadline. need names the predicates whose
+// changes can seed further rounds.
+func evalStratum(ctx context.Context, rules []Rule, plans []rulePlans, need map[string]bool, db *DB, re *roundExec, opts Options, maxIter int) error {
 	if err := ctx.Err(); err != nil {
 		return err
-	}
-	plans := pl.plansFor(rules, db)
-	// Only predicates that appear positively in some body of this (or, for
-	// full Eval, any later — strata are closed under dependencies, so "this")
-	// stratum can seed further rounds: delta entries for anything else are
-	// dead weight. need filters them out at the merge barrier.
-	need := map[string]bool{}
-	for _, r := range rules {
-		for _, l := range r.Body {
-			if l.Builtin == nil && !l.Negated {
-				need[l.Atom.Pred] = true
-			}
-		}
 	}
 	// Round 0: naive firing of every rule over the current database.
 	delta := map[string]map[string]deltaFact{}

@@ -3,14 +3,18 @@ package magic
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"orchestra/internal/datalog"
 	"orchestra/internal/provenance"
 	"orchestra/internal/schema"
 )
 
-// AnswerPred is the reserved head predicate of the synthetic answer rule
-// that wraps a goal atom. Programs handed to EvalGoal must not define it.
+// AnswerPred is the reserved head predicate of the synthetic rules that
+// wrap a goal: EvalGoalFull's answer rule, and the view a goal on a stored
+// relation is prepared through. Programs handed to EvalGoal must not define
+// it.
 const AnswerPred = "@goal"
 
 // AnswerRule wraps a goal atom in the synthetic answer rule
@@ -18,8 +22,8 @@ const AnswerPred = "@goal"
 //	@goal(x1, ..., xk) :- goal
 //
 // whose head lists the goal's distinct free variables in first-occurrence
-// order. Constants in the goal stay in the body, where adornment sees them
-// as bound — this is how constant bindings enter the magic rewrite.
+// order. It is how EvalGoalFull, the reference, reads a goal's answers out
+// of the full fixpoint.
 func AnswerRule(goal datalog.Atom) datalog.Rule {
 	var head []datalog.HeadTerm
 	seen := map[string]bool{}
@@ -36,16 +40,179 @@ func AnswerRule(goal datalog.Atom) datalog.Rule {
 	}
 }
 
-// EvalGoal evaluates the goal atom over edb, under the given view rules,
-// goal-directedly: the program (rules + answer rule) is magic-rewritten for
-// the goal's binding pattern, the demand seed is planted, and the rewritten
-// program runs through the ordinary planner/parallel-stratum executor. Only
-// demanded facts drive the fixpoint.
+// Prepared is a goal query compiled for its shape: the view rules, the goal
+// predicate, the goal's binding pattern (which positions hold constants,
+// and which variables repeat) and the SIP. Everything a query of that shape
+// needs but its constants — the magic rewrite, validation, stratification
+// and the plans — is done once; Eval then seeds the demand predicate with
+// one goal's constants, runs the kept plans, and reads the answers from the
+// adorned goal's extent. A Prepared holds no database state and is safe for
+// concurrent Evals.
+type Prepared struct {
+	prog *datalog.Prepared
+	// seedPred is the demand predicate the constants seed; empty when the
+	// rewrite was unusable and prog is the full program.
+	seedPred   string
+	answerPred string
+	arity      int
+	bound      []int    // the goal positions holding constants
+	repeats    [][2]int // {position, its variable's first position}
+	free       []int    // first positions of the distinct variables
+}
+
+// Shape appends an injective encoding of a goal query's shape (see
+// Prepared) to b: two queries with equal encodings differ at most in the
+// goal's constants and variable names, so one Prepared answers both.
+func Shape(b []byte, rules []datalog.Rule, goal datalog.Atom, sip SIP) []byte {
+	b = strconv.AppendInt(b, int64(len(rules)), 10)
+	b = append(b, ':')
+	for _, r := range rules {
+		b = datalog.AppendRuleKey(b, r)
+		b = append(b, 0)
+	}
+	b = strconv.AppendInt(b, int64(len(goal.Pred)), 10)
+	b = append(b, ':')
+	b = append(b, goal.Pred...)
+	b = append(b, byte('0'+sip))
+	for i, t := range goal.Terms {
+		switch {
+		case !t.IsVar():
+			b = append(b, 'b')
+		default:
+			b = append(b, 'f')
+			b = strconv.AppendInt(b, int64(firstUse(goal.Terms, i)), 10)
+		}
+	}
+	return b
+}
+
+// firstUse returns the first position holding the same variable as
+// position i.
+func firstUse(terms []datalog.Term, i int) int {
+	for j, t := range terms[:i] {
+		if t.IsVar() && t.Name == terms[i].Name {
+			return j
+		}
+	}
+	return i
+}
+
+// Prepare compiles the goal query's shape. A goal on a predicate no rule
+// defines (a stored relation) is answered through the constant-free view
 //
-// edb is never modified (the seed is planted in a copy-on-write snapshot).
-// The returned facts are the goal's answers — one per binding of the goal's
-// distinct free variables, in deterministic order — annotated with exactly
-// the provenance polynomials full evaluation would compute.
+//	@goal(v0, ..., vn-1) :- p(v0, ..., vn-1)
+//
+// so every goal is an IDB goal. When adornment makes the rewrite
+// unusable, the full program is prepared instead and Eval filters its
+// extent of the goal predicate — the answers are the same either way.
+// Errors are the input program's (unsafe rules, unstratifiable negation).
+func Prepare(rules []datalog.Rule, goal datalog.Atom, opts Options) (*Prepared, error) {
+	p := &Prepared{arity: len(goal.Terms)}
+	pattern := make([]byte, len(goal.Terms))
+	for i, t := range goal.Terms {
+		switch first := firstUse(goal.Terms, i); {
+		case !t.IsVar():
+			pattern[i] = 'b'
+			p.bound = append(p.bound, i)
+		case first != i:
+			pattern[i] = 'f'
+			p.repeats = append(p.repeats, [2]int{i, first})
+		default:
+			pattern[i] = 'f'
+			p.free = append(p.free, i)
+		}
+	}
+	prog := &datalog.Program{Rules: rules}
+	pred := goal.Pred
+	if !prog.IDBPreds()[pred] {
+		pred = AnswerPred
+		vars := make([]datalog.Term, len(goal.Terms))
+		head := make([]datalog.HeadTerm, len(goal.Terms))
+		for i := range vars {
+			v := "v" + strconv.Itoa(i)
+			vars[i], head[i] = datalog.V(v), datalog.HV(v)
+		}
+		prog = &datalog.Program{Rules: append(append([]datalog.Rule(nil), rules...), datalog.Rule{
+			ID:   AnswerPred,
+			Head: datalog.Head{Pred: AnswerPred, Terms: head},
+			Body: []datalog.Literal{datalog.Pos(datalog.NewAtom(goal.Pred, vars...))},
+		})}
+	}
+	if res, err := Rewrite(prog, pred, string(pattern), opts); err == nil {
+		p.prog, p.seedPred, p.answerPred = res.Prepared, res.SeedPred, res.AnswerPred
+		return p, nil
+	}
+	// Stratification conflicts introduced by adornment, a goal whose arity
+	// is not its rules' (it has no answers), or unsafe input rules, whose
+	// error the full program's preparation re-surfaces.
+	pp, err := datalog.Prepare(prog)
+	if err != nil {
+		return nil, fmt.Errorf("magic: goal evaluation: %w", err)
+	}
+	p.prog, p.answerPred = pp, pred
+	return p, nil
+}
+
+// GoalDirected reports whether the magic rewrite is in use; false means the
+// full program is evaluated and filtered.
+func (p *Prepared) GoalDirected() bool { return p.seedPred != "" }
+
+// Replans reports how many times evaluation has re-planned a rule because
+// a relation-size tie its plans were built on came out differently (see
+// datalog.Prepared).
+func (p *Prepared) Replans() int64 { return p.prog.Replans() }
+
+// Eval answers goal, which must have the shape p was prepared for, over
+// edb. edb is never modified (the seed is planted in a copy-on-write
+// snapshot). The returned facts are the goal's answers — one per binding
+// of the goal's distinct free variables, in first-occurrence order and in
+// tuple order — annotated with exactly the provenance polynomials full
+// evaluation computes: each is an adorned (or, in the fallback, a full)
+// fact of the goal predicate that agrees with the goal's constants and
+// repeated variables, projected onto the free positions. The projection
+// merges no two facts, since they agree everywhere else.
+func (p *Prepared) Eval(ctx context.Context, goal datalog.Atom, edb *datalog.DB, opts datalog.Options) ([]datalog.Fact, error) {
+	if len(goal.Terms) != p.arity {
+		return nil, fmt.Errorf("magic: goal %v does not have the prepared shape", goal)
+	}
+	consts := make(schema.Tuple, len(p.bound))
+	for i, pos := range p.bound {
+		consts[i] = goal.Terms[pos].Value
+	}
+	db := edb
+	if p.seedPred != "" {
+		db = edb.Snapshot()
+		db.Set(p.seedPred, consts, provenance.One())
+	}
+	out, err := p.prog.Eval(ctx, db, opts)
+	if err != nil {
+		return nil, fmt.Errorf("magic: goal evaluation: %w", err)
+	}
+	cands := out.Rel(p.answerPred).Lookup(p.bound, consts)
+	answers := make([]datalog.Fact, 0, len(cands))
+next:
+	for _, f := range cands {
+		if len(f.Tuple) != p.arity {
+			continue
+		}
+		for _, rp := range p.repeats {
+			if !f.Tuple[rp[0]].Equal(f.Tuple[rp[1]]) {
+				continue next
+			}
+		}
+		tu := make(schema.Tuple, len(p.free))
+		for i, pos := range p.free {
+			tu[i] = f.Tuple[pos]
+		}
+		answers = append(answers, datalog.Fact{Tuple: tu, Prov: f.Prov})
+	}
+	slices.SortFunc(answers, func(a, b datalog.Fact) int { return a.Tuple.Compare(b.Tuple) })
+	return answers, nil
+}
+
+// EvalGoal evaluates the goal atom over edb, under the given view rules,
+// goal-directedly: it prepares the goal's shape (see Prepare) and evaluates
+// it once, with no cache. Only demanded facts drive the fixpoint.
 //
 // goalDirected reports whether the magic rewrite was used; when the rewrite
 // is unusable (see Rewrite) EvalGoal transparently falls back to full
@@ -53,46 +220,27 @@ func AnswerRule(goal datalog.Atom) datalog.Rule {
 func EvalGoal(ctx context.Context, rules []datalog.Rule, goal datalog.Atom, edb *datalog.DB,
 	opts datalog.Options, mopts Options) (answers []datalog.Fact, goalDirected bool, err error) {
 
-	prog := program(rules, goal)
-	res, rerr := Rewrite(prog, AnswerPred, mopts)
-	if rerr != nil {
-		// Stratification conflicts introduced by adornment (or unsafe input
-		// rules, whose error full evaluation re-surfaces) — evaluate in full.
-		facts, err := evalProgram(ctx, prog, AnswerPred, edb, opts)
-		return facts, false, err
+	p, err := Prepare(rules, goal, mopts)
+	if err != nil {
+		return nil, false, err
 	}
-	seeded := edb.Snapshot()
-	seeded.Set(res.SeedPred, schema.Tuple{}, provenance.One())
-	facts, err := evalProgram(ctx, res.Program, res.AnswerPred, seeded, opts)
-	return facts, true, err
+	answers, err = p.Eval(ctx, goal, edb, opts)
+	return answers, p.GoalDirected(), err
 }
 
 // EvalGoalFull evaluates the same query by the baseline strategy: the full
 // fixpoint of rules over edb, with the answer rule extracting the goal's
 // bindings. It is the reference EvalGoal is equivalent to (and measured
-// against).
+// against), and shares none of its answer extraction.
 func EvalGoalFull(ctx context.Context, rules []datalog.Rule, goal datalog.Atom, edb *datalog.DB,
 	opts datalog.Options) ([]datalog.Fact, error) {
 
-	return evalProgram(ctx, program(rules, goal), AnswerPred, edb, opts)
-}
-
-// program assembles rules + answer rule, validating nothing: EvalCtx
-// validates, and Rewrite re-checks its own output.
-func program(rules []datalog.Rule, goal datalog.Atom) *datalog.Program {
 	all := make([]datalog.Rule, 0, len(rules)+1)
 	all = append(all, rules...)
 	all = append(all, AnswerRule(goal))
-	return &datalog.Program{Rules: all}
-}
-
-// evalProgram runs the program and extracts the answer predicate's extent.
-func evalProgram(ctx context.Context, p *datalog.Program, answerPred string, edb *datalog.DB,
-	opts datalog.Options) ([]datalog.Fact, error) {
-
-	out, err := datalog.EvalCtx(ctx, p, edb, opts)
+	out, err := datalog.EvalCtx(ctx, &datalog.Program{Rules: all}, edb, opts)
 	if err != nil {
 		return nil, fmt.Errorf("magic: goal evaluation: %w", err)
 	}
-	return out.Rel(answerPred).Facts(), nil
+	return out.Rel(AnswerPred).Facts(), nil
 }

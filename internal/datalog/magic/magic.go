@@ -10,8 +10,11 @@
 //
 //   - Every IDB predicate is specialized per binding pattern ("adornment"):
 //     a string of 'b'/'f' marking which argument positions arrive bound.
-//     Bindings originate in the goal's constants and propagate sideways
-//     through rule bodies in SIP order.
+//     Bindings originate in the goal's binding pattern and propagate
+//     sideways through rule bodies in SIP order. The goal's constants are
+//     not part of the rewrite: they are the tuple that seeds the goal's
+//     magic predicate, so one rewritten program (see Prepare) answers every
+//     goal of its shape.
 //   - For each adorned predicate p^a a magic predicate magic@a@p holds the
 //     demanded bindings of p's bound positions. Each adorned rule for p^a
 //     is guarded by its magic literal, and each IDB body occurrence q^b
@@ -33,8 +36,8 @@
 // rewrite even when the input is stratified (a magic predicate's prefix can
 // pull an adorned predicate into a recursive component that a negation
 // crosses). Rewrite detects this — it validates and stratifies its output —
-// and returns an error; callers fall back to full evaluation, which EvalGoal
-// does automatically.
+// and returns an error; callers fall back to full evaluation, which Prepare
+// (and so EvalGoal) does automatically.
 package magic
 
 import (
@@ -85,11 +88,15 @@ type Options struct {
 type Result struct {
 	// Program is the rewritten (adorned + magic) program.
 	Program *datalog.Program
-	// SeedPred is the goal's nullary magic predicate: evaluation must seed
-	// it with the empty tuple (annotated 1) to switch the demand cascade on.
+	// Prepared is Program validated and stratified, ready to evaluate.
+	Prepared *datalog.Prepared
+	// SeedPred is the goal's magic (demand) predicate: evaluation must seed
+	// it, annotated 1, with the tuple of the goal's constants in position
+	// order to switch the demand cascade on.
 	SeedPred string
-	// AnswerPred is the adorned goal predicate; after evaluation its extent
-	// holds exactly the goal's answers.
+	// AnswerPred is the adorned goal predicate. After evaluation its extent
+	// holds the goal's answers among other demanded facts of the goal
+	// predicate: those that agree with the seed at the bound positions.
 	AnswerPred string
 }
 
@@ -110,18 +117,20 @@ type demand struct {
 	pattern string
 }
 
-// Rewrite performs the magic-sets rewrite of p for the given goal
-// predicate, demanded with the all-free adornment (bindings enter through
-// constants in the goal rule's body — see EvalGoal's answer rule). The goal
-// must be an IDB predicate of p. Predicate names containing '@' are
-// reserved for the rewrite's adorned and magic predicates; callers must not
-// feed programs that use them.
+// Rewrite performs the magic-sets rewrite of p for the goal predicate
+// demanded with the given adornment: a 'b' for each position the goal binds
+// to a constant, an 'f' for each variable. The constants themselves are not
+// part of the rewrite — they arrive as the seed tuple of SeedPred — so one
+// rewrite serves every goal of its binding pattern. The goal must be an IDB
+// predicate of p. Predicate names containing '@' are reserved for the
+// rewrite's adorned and magic predicates; callers must not feed programs
+// that use them.
 //
 // The returned program is validated and stratified; an error means the
 // rewrite cannot be used (most notably a stratification conflict introduced
 // by adornment under negation) and the caller should evaluate the original
 // program in full.
-func Rewrite(p *datalog.Program, goal string, opts Options) (*Result, error) {
+func Rewrite(p *datalog.Program, goal, pattern string, opts Options) (*Result, error) {
 	idb := p.IDBPreds()
 	if !idb[goal] {
 		return nil, fmt.Errorf("magic: goal predicate %q is not defined by any rule", goal)
@@ -135,10 +144,12 @@ func Rewrite(p *datalog.Program, goal string, opts Options) (*Result, error) {
 		}
 		arities[r.Head.Pred] = len(r.Head.Terms)
 	}
-	goalPattern := strings.Repeat("f", arities[goal])
+	if len(pattern) != arities[goal] || strings.Trim(pattern, "bf") != "" {
+		return nil, fmt.Errorf("magic: adornment %q does not fit goal %s of arity %d", pattern, goal, arities[goal])
+	}
 	out := &datalog.Program{}
-	seen := map[demand]bool{{goal, goalPattern}: true}
-	worklist := []demand{{goal, goalPattern}}
+	seen := map[demand]bool{{goal, pattern}: true}
+	worklist := []demand{{goal, pattern}}
 	for len(worklist) > 0 {
 		d := worklist[0]
 		worklist = worklist[1:]
@@ -154,16 +165,15 @@ func Rewrite(p *datalog.Program, goal string, opts Options) (*Result, error) {
 			}
 		}
 	}
-	if err := out.Validate(); err != nil {
-		return nil, fmt.Errorf("magic: rewrite produced an unsafe program: %w", err)
-	}
-	if _, err := out.Stratify(); err != nil {
-		return nil, fmt.Errorf("magic: rewrite is not stratifiable: %w", err)
+	pp, err := datalog.Prepare(out)
+	if err != nil {
+		return nil, fmt.Errorf("magic: rewrite is not usable: %w", err)
 	}
 	return &Result{
 		Program:    out,
-		SeedPred:   magicName(goal, goalPattern),
-		AnswerPred: adornedName(goal, goalPattern),
+		Prepared:   pp,
+		SeedPred:   magicName(goal, pattern),
+		AnswerPred: adornedName(goal, pattern),
 	}, nil
 }
 

@@ -78,13 +78,12 @@ func TestRewriteBoundReachability(t *testing.T) {
 // that is the whole point of the rewrite.
 func TestRewriteDerivesOnlyDemandedFacts(t *testing.T) {
 	edb := edgeDB(twoComponents)
-	prog := program(tcRules(), datalog.NewAtom("reach", datalog.C(str("a")), datalog.V("y")))
-	res, err := Rewrite(prog, AnswerPred, Options{})
+	res, err := Rewrite(&datalog.Program{Rules: tcRules()}, "reach", "bf", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	seeded := edb.Snapshot()
-	seeded.Set(res.SeedPred, schema.Tuple{}, provenance.One())
+	seeded.Set(res.SeedPred, schema.NewTuple(str("a")), provenance.One())
 	out, err := datalog.Eval(res.Program, seeded, datalog.Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
@@ -113,13 +112,12 @@ func TestRewriteDerivesOnlyDemandedFacts(t *testing.T) {
 // product of the prefix they were derived through.
 func TestMagicFactsCarryNoProvenance(t *testing.T) {
 	edb := edgeDB(twoComponents)
-	prog := program(tcRules(), datalog.NewAtom("reach", datalog.C(str("a")), datalog.V("y")))
-	res, err := Rewrite(prog, AnswerPred, Options{})
+	res, err := Rewrite(&datalog.Program{Rules: tcRules()}, "reach", "bf", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	seeded := edb.Snapshot()
-	seeded.Set(res.SeedPred, schema.Tuple{}, provenance.One())
+	seeded.Set(res.SeedPred, schema.NewTuple(str("a")), provenance.One())
 	out, err := datalog.Eval(res.Program, seeded, datalog.Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +196,7 @@ func TestRewriteSkolemHeadDemoted(t *testing.T) {
 }
 
 func TestRewriteRejectsNonIDBGoal(t *testing.T) {
-	if _, err := Rewrite(&datalog.Program{Rules: tcRules()}, "edge", Options{}); err == nil {
+	if _, err := Rewrite(&datalog.Program{Rules: tcRules()}, "edge", "ff", Options{}); err == nil {
 		t.Fatal("EDB goal accepted")
 	}
 }
@@ -252,5 +250,20 @@ func assertSameAnswers(t *testing.T, got, want []datalog.Fact) {
 			t.Fatalf("answer %d (%v): provenance diverged\n got: %v\nwant: %v",
 				i, got[i].Tuple, got[i].Prov, want[i].Prov)
 		}
+	}
+}
+
+// A goal whose arity is not its predicate's has no answers, as under the
+// full fixpoint: the rewrite refuses the adornment and Prepare falls back.
+func TestEvalGoalArityMismatch(t *testing.T) {
+	goal := datalog.NewAtom("reach", datalog.C(str("a")))
+	got, goalDirected, err := EvalGoal(context.Background(), tcRules(), goal, edgeDB(twoComponents),
+		datalog.Options{Provenance: true}, Options{})
+	if err != nil || len(got) != 0 || goalDirected {
+		t.Fatalf("answers %v, goal-directed %v, err %v", got, goalDirected, err)
+	}
+	want, err := EvalGoalFull(context.Background(), tcRules(), goal, edgeDB(twoComponents), datalog.Options{Provenance: true})
+	if err != nil || len(want) != 0 {
+		t.Fatalf("full: answers %v, err %v", want, err)
 	}
 }

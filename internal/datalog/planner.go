@@ -112,6 +112,34 @@ type plan struct {
 	// provNeutral mirrors Rule.ProvNeutral: firings skip all annotation
 	// products and emit 1.
 	provNeutral bool
+	// ties lists the greedy choices that relation sizes decided.
+	ties []planTie
+}
+
+// planTie is one greedy step at which several atoms tied on boundness, so
+// the smallest relation (then the earliest body position) was taken. The
+// plan is what buildPlan builds over any database on which every tie picks
+// the same atom: the steps before a tie are fixed by the ties before it.
+type planTie struct {
+	preds  []string // the tied atoms' predicates, in body order
+	chosen int      // index into preds of the atom taken
+}
+
+// tiesHold reports whether buildPlan over db would make every one of the
+// plan's size-decided choices the same way.
+func (p *plan) tiesHold(db *DB) bool {
+	for _, t := range p.ties {
+		best, bestCard := 0, db.Rel(t.preds[0]).Len()
+		for i, pred := range t.preds[1:] {
+			if c := db.Rel(pred).Len(); c < bestCard {
+				best, bestCard = i+1, c
+			}
+		}
+		if best != t.chosen {
+			return false
+		}
+	}
+	return true
 }
 
 // String renders the plan's literal order, for tests and debugging.
@@ -154,7 +182,7 @@ func newPlanner(noReorder bool) *planner {
 // constant "x" and Int(1) with Float(1), which would make semantically
 // different rules share one compiled plan.
 func (pl *planner) planFor(r Rule, deltaIdx int, db *DB) *plan {
-	key := string(appendRuleKey(nil, r)) + "\x00" + strconv.Itoa(deltaIdx)
+	key := string(AppendRuleKey(nil, r)) + "\x00" + strconv.Itoa(deltaIdx)
 	pl.mu.Lock()
 	p, ok := pl.plans[key]
 	pl.mu.Unlock()
@@ -188,15 +216,17 @@ func appendTermKey(b []byte, t Term) []byte {
 	return appendLP(b, t.Value.Key())
 }
 
-// appendRuleKey appends an injective structural encoding of the rule (ID
-// included, since plans bake the ID into their defensive error messages).
-func appendRuleKey(b []byte, r Rule) []byte {
+// AppendRuleKey appends an injective structural encoding of the rule (ID
+// included, since plans bake the ID into their defensive error messages,
+// and the provenance token, which plans multiply in).
+func AppendRuleKey(b []byte, r Rule) []byte {
 	if r.ProvNeutral {
 		b = append(b, '0')
 	} else {
 		b = append(b, '1')
 	}
 	b = appendLP(b, r.ID)
+	b = appendLP(b, r.ProvToken)
 	b = appendLP(b, r.Head.Pred)
 	for _, ht := range r.Head.Terms {
 		if ht.Skolem != nil {
@@ -255,6 +285,31 @@ func (pl *planner) plansFor(rules []Rule, db *DB) []rulePlans {
 		}
 	}
 	return out
+}
+
+// tiesHold reports whether every one of the rule's plans would be built the
+// same way over db (see plan.tiesHold).
+func (rp rulePlans) tiesHold(db *DB) bool {
+	if !rp.full.tiesHold(db) {
+		return false
+	}
+	for _, d := range rp.delta {
+		if d != nil && !d.tiesHold(db) {
+			return false
+		}
+	}
+	return true
+}
+
+// buildRulePlans builds one rule's full plan and its delta plans over db.
+func buildRulePlans(r Rule, db *DB) rulePlans {
+	rp := rulePlans{full: buildPlan(r, -1, db, false), delta: make([]*plan, len(r.Body))}
+	for j, l := range r.Body {
+		if l.Builtin == nil && !l.Negated {
+			rp.delta[j] = buildPlan(r, j, db, false)
+		}
+	}
+	return rp
 }
 
 // buildPlan orders one rule body greedily and compiles it to slots:
@@ -481,6 +536,7 @@ func buildPlan(r Rule, deltaIdx int, db *DB, noReorder bool) *plan {
 	} else {
 		for len(remaining) > 0 {
 			best, bestFull, bestBound, bestCard := -1, false, -1, -1
+			var tied []int // the candidates level with best on boundness
 			for _, bi := range remaining {
 				a := r.Body[bi].Atom
 				nb := 0
@@ -497,7 +553,7 @@ func buildPlan(r Rule, deltaIdx int, db *DB, noReorder bool) *plan {
 				}
 				full := nb == len(a.Terms)
 				card := db.Rel(a.Pred).Len()
-				better := false
+				better, level := false, false
 				switch {
 				case best == -1:
 					better = true
@@ -505,12 +561,29 @@ func buildPlan(r Rule, deltaIdx int, db *DB, noReorder bool) *plan {
 					better = full
 				case nb != bestBound:
 					better = nb > bestBound
-				case card != bestCard:
+				default:
+					level = true
 					better = card < bestCard
+				}
+				switch {
+				case better && !level:
+					tied = append(tied[:0], bi)
+				case level:
+					tied = append(tied, bi)
 				}
 				if better {
 					best, bestFull, bestBound, bestCard = bi, full, nb, card
 				}
+			}
+			if len(tied) > 1 {
+				t := planTie{preds: make([]string, len(tied))}
+				for i, bi := range tied {
+					t.preds[i] = r.Body[bi].Atom.Pred
+					if bi == best {
+						t.chosen = i
+					}
+				}
+				p.ties = append(p.ties, t)
 			}
 			take(best, false)
 			remaining = removeIdx(remaining, best)

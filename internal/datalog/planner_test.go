@@ -330,7 +330,7 @@ func evalWrittenOrder(p *Program, edb *DB, opts Options) (*DB, error) {
 	pl := newPlanner(true)
 	var re roundExec
 	for _, stratum := range strata {
-		if err := evalStratum(context.Background(), stratum, db, pl, &re, opts, DefaultMaxIterations); err != nil {
+		if err := evalStratum(context.Background(), stratum, pl.plansFor(stratum, db), stratumNeed(stratum), db, &re, opts, DefaultMaxIterations); err != nil {
 			return nil, err
 		}
 	}

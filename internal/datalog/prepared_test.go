@@ -1,0 +1,81 @@
+package datalog
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"orchestra/internal/provenance"
+	"orchestra/internal/schema"
+)
+
+// A prepared program keeps its plans while the relation sizes they broke
+// ties by order the same way, and rebuilds exactly the plans whose ties
+// flipped: every kept plan renders as the plan buildPlan would build now.
+func TestPreparedPlansFollowSizeTies(t *testing.T) {
+	prog := &Program{Rules: []Rule{
+		{ID: "h", Head: NewHead("h", HV("x"), HV("y")), Body: []Literal{
+			Pos(NewAtom("a", V("x"), V("z"))), Pos(NewAtom("b", V("z"), V("y")))}},
+		{ID: "k", Head: NewHead("k", HV("x"), HV("w")), Body: []Literal{
+			Pos(NewAtom("h", V("x"), V("y"))), Pos(NewAtom("c", V("y"), V("w")))}},
+	}}
+	pp, err := Prepare(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edb := NewDB()
+	fill := func(pred string, n int) {
+		for i := edb.Rel(pred).Len(); i < n; i++ {
+			edb.Add(pred, schema.NewTuple(schema.Int(int64(i)), schema.Int(int64(i+1))),
+				provenance.NewVar(provenance.Var(fmt.Sprintf("%s%d", pred, i))))
+		}
+	}
+	fill("a", 3)
+	fill("b", 5)
+	fill("c", 2)
+	check := func(step string, wantReplans int64) []string {
+		t.Helper()
+		out, err := pp.Eval(context.Background(), edb, Options{Provenance: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Eval(prog, edb, Options{Provenance: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireDBsEqual(t, step, want, out)
+		if got := pp.Replans(); got != wantReplans {
+			t.Fatalf("%s: %d replans, want %d", step, got, wantReplans)
+		}
+		// The stratum starts with the EDB alone: h is still empty.
+		start := edb.Snapshot()
+		start.Rel("h")
+		var plans []string
+		for i, rp := range pp.strata[0].plans {
+			r := pp.strata[0].rules[i]
+			if got, fresh := rp.full.String(), buildPlan(r, -1, start, false).String(); got != fresh {
+				t.Fatalf("%s: rule %s kept plan [%s], a fresh plan is [%s]", step, r.ID, got, fresh)
+			}
+			for j, d := range rp.delta {
+				if d == nil {
+					continue
+				}
+				if got, fresh := d.String(), buildPlan(r, j, start, false).String(); got != fresh {
+					t.Fatalf("%s: rule %s delta %d kept plan [%s], a fresh plan is [%s]", step, r.ID, j, got, fresh)
+				}
+			}
+			plans = append(plans, rp.full.String())
+		}
+		return plans
+	}
+	first := check("first evaluation", 0)
+	check("sizes unchanged", 0)
+	fill("c", 4) // c grows, but h (empty at the start) still wins k's tie
+	check("tie holds", 0)
+	fill("a", 8) // b is now the smaller of h's tied atoms
+	flipped := check("tie flipped", 1)
+	if first[0] == flipped[0] {
+		t.Fatalf("h's plan did not change when its tie flipped: [%s]", first[0])
+	}
+	check("flipped tie holds", 1)
+}

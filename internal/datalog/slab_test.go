@@ -103,3 +103,23 @@ func TestSlabCowCloneDense(t *testing.T) {
 		}
 	}
 }
+
+// Slabs double from one fact up to relSlabSize: a one-fact extent costs one
+// fact of slab, and a large extent still allocates relSlabSize at a time.
+func TestSlabGrowsGeometrically(t *testing.T) {
+	r := NewRel()
+	var caps []int
+	for i := 0; i < 3*relSlabSize; i++ {
+		r.put(slabTuple(i), provenance.NewVar("x"))
+		if c := cap(r.slab); len(caps) == 0 || caps[len(caps)-1] != c {
+			caps = append(caps, c)
+		}
+	}
+	want := []int{}
+	for c := 1; c <= relSlabSize; c *= 2 {
+		want = append(want, c)
+	}
+	if fmt.Sprint(caps) != fmt.Sprint(want) {
+		t.Fatalf("slab capacities %v, want %v", caps, want)
+	}
+}

@@ -32,9 +32,9 @@ import (
 //     literal byte, so prefixes sort first;
 //   - ints and bools: 8-byte big-endian with the sign bit flipped;
 //   - floats: IEEE-754 bits, sign-flipped for positives and complemented
-//     for negatives (the classic total-order trick). -0.0 and +0.0 compare
-//     equal in Value.Compare but encode distinctly, matching Value.Key's
-//     injectivity.
+//     for negatives (the classic total-order trick). -0.0 sorts below +0.0
+//     and the NaN that math.NaN and strconv.ParseFloat return above +Inf,
+//     as in Value.Compare.
 //
 // Values are self-delimiting, so tuple encodings concatenate and a tuple
 // that is a strict prefix of another sorts first — exactly Tuple.Compare.

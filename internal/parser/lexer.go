@@ -20,7 +20,6 @@
 package parser
 
 import (
-	"fmt"
 	"strings"
 	"unicode"
 )
@@ -91,7 +90,7 @@ func lex(src string) ([]token, error) {
 			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '-' {
 				l.emitN(tokArrow, ":-", 2)
 			} else {
-				return nil, fmt.Errorf("parser: line %d: unexpected ':'", l.line)
+				return nil, syntaxErrorf("parser: line %d: unexpected ':'", l.line)
 			}
 		case c == '=':
 			l.emit(tokOp, "=")
@@ -119,7 +118,7 @@ func lex(src string) ([]token, error) {
 			if isIdentStart(rune(c)) {
 				l.lexIdent()
 			} else {
-				return nil, fmt.Errorf("parser: line %d: unexpected character %q", l.line, c)
+				return nil, syntaxErrorf("parser: line %d: unexpected character %q", l.line, c)
 			}
 		}
 	}
@@ -182,7 +181,7 @@ func (l *lexer) lexString() error {
 			case 't':
 				sb.WriteByte('\t')
 			default:
-				return fmt.Errorf("parser: line %d: unknown escape \\%c", l.line, next)
+				return syntaxErrorf("parser: line %d: unknown escape \\%c", l.line, next)
 			}
 			l.pos += 2
 			continue
@@ -193,12 +192,12 @@ func (l *lexer) lexString() error {
 			return nil
 		}
 		if c == '\n' {
-			return fmt.Errorf("parser: line %d: unterminated string", l.line)
+			return syntaxErrorf("parser: line %d: unterminated string", l.line)
 		}
 		sb.WriteByte(c)
 		l.pos++
 	}
-	return fmt.Errorf("parser: line %d: unterminated string", l.line)
+	return syntaxErrorf("parser: line %d: unterminated string", l.line)
 }
 
 func (l *lexer) lexNumber() error {
@@ -220,7 +219,7 @@ func (l *lexer) lexNumber() error {
 		}
 	}
 	if digits == 0 {
-		return fmt.Errorf("parser: line %d: malformed number", l.line)
+		return syntaxErrorf("parser: line %d: malformed number", l.line)
 	}
 	l.tokens = append(l.tokens, token{kind: tokNumber, text: l.src[start:l.pos], pos: start, line: l.line})
 	return nil

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -9,6 +10,24 @@ import (
 	"orchestra/internal/mapping"
 	"orchestra/internal/schema"
 )
+
+// ErrSyntax is wrapped by every error ParseRules, ParseMapping and
+// ParseMappings report about their input's text: whatever text they are
+// given, they return its rules or mappings, or an error that matches
+// ErrSyntax with errors.Is. (A mapping that parses can still fail the
+// mapping package's validation, with its error.)
+var ErrSyntax = errors.New("parser: syntax error")
+
+// syntaxError is one ErrSyntax with its message.
+type syntaxError struct{ msg string }
+
+func (e *syntaxError) Error() string { return e.msg }
+func (e *syntaxError) Unwrap() error { return ErrSyntax }
+
+// syntaxErrorf formats an ErrSyntax.
+func syntaxErrorf(format string, args ...any) error {
+	return &syntaxError{msg: fmt.Sprintf(format, args...)}
+}
 
 // parser walks a token stream.
 type parser struct {
@@ -23,13 +42,9 @@ func (p *parser) at(k tokKind) bool { return p.toks[p.i].kind == k }
 func (p *parser) expect(k tokKind, what string) (token, error) {
 	t := p.next()
 	if t.kind != k {
-		return t, fmt.Errorf("parser: line %d: expected %s, got %q", t.line, what, t.text)
+		return t, syntaxErrorf("parser: line %d: expected %s, got %q", t.line, what, t.text)
 	}
 	return t, nil
-}
-
-func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("parser: line %d: %s", p.peek().line, fmt.Sprintf(format, args...))
 }
 
 // parseTerm parses a variable or constant.
@@ -44,7 +59,7 @@ func (p *parser) parseTerm() (datalog.Term, error) {
 			return datalog.C(schema.Bool(false)), nil
 		}
 		if strings.Contains(t.text, ".") {
-			return datalog.Term{}, fmt.Errorf("parser: line %d: qualified name %q cannot be a term", t.line, t.text)
+			return datalog.Term{}, syntaxErrorf("parser: line %d: qualified name %q cannot be a term", t.line, t.text)
 		}
 		return datalog.V(t.text), nil
 	case tokString:
@@ -53,17 +68,17 @@ func (p *parser) parseTerm() (datalog.Term, error) {
 		if strings.Contains(t.text, ".") {
 			f, err := strconv.ParseFloat(t.text, 64)
 			if err != nil {
-				return datalog.Term{}, fmt.Errorf("parser: line %d: bad float %q", t.line, t.text)
+				return datalog.Term{}, syntaxErrorf("parser: line %d: bad float %q", t.line, t.text)
 			}
 			return datalog.C(schema.Float(f)), nil
 		}
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
-			return datalog.Term{}, fmt.Errorf("parser: line %d: bad int %q", t.line, t.text)
+			return datalog.Term{}, syntaxErrorf("parser: line %d: bad int %q", t.line, t.text)
 		}
 		return datalog.C(schema.Int(n)), nil
 	default:
-		return datalog.Term{}, fmt.Errorf("parser: line %d: expected term, got %q", t.line, t.text)
+		return datalog.Term{}, syntaxErrorf("parser: line %d: expected term, got %q", t.line, t.text)
 	}
 }
 
@@ -132,7 +147,7 @@ func (p *parser) parseLiteral() (datalog.Literal, error) {
 	}
 	op, ok := ops[opTok.text]
 	if !ok {
-		return datalog.Literal{}, fmt.Errorf("parser: line %d: unknown operator %q", opTok.line, opTok.text)
+		return datalog.Literal{}, syntaxErrorf("parser: line %d: unknown operator %q", opTok.line, opTok.text)
 	}
 	right, err := p.parseTerm()
 	if err != nil {
@@ -207,7 +222,7 @@ func ParseRules(src string) ([]datalog.Rule, error) {
 			return nil, err
 		}
 		if len(rt.heads) != 1 {
-			return nil, fmt.Errorf("parser: datalog rules take exactly one head atom (got %d); use ParseMapping for tgds", len(rt.heads))
+			return nil, syntaxErrorf("parser: datalog rules take exactly one head atom (got %d); use ParseMapping for tgds", len(rt.heads))
 		}
 		terms := make([]datalog.HeadTerm, len(rt.heads[0].Terms))
 		for i, t := range rt.heads[0].Terms {
@@ -240,7 +255,7 @@ func ParseMapping(id, src string) (*mapping.Mapping, error) {
 		return nil, err
 	}
 	if !p.at(tokEOF) {
-		return nil, fmt.Errorf("parser: mapping %s: trailing input after rule", id)
+		return nil, syntaxErrorf("parser: mapping %s: trailing input after rule", id)
 	}
 	return mappingFromRule(id, rt)
 }
@@ -290,23 +305,23 @@ func mappingFromRule(id string, rt *ruleText) (*mapping.Mapping, error) {
 		}
 		peer, _, err := mapping.SplitQualified(l.Atom.Pred)
 		if err != nil {
-			return nil, fmt.Errorf("parser: mapping %s: predicate %q must be peer-qualified", id, l.Atom.Pred)
+			return nil, syntaxErrorf("parser: mapping %s: predicate %q must be peer-qualified", id, l.Atom.Pred)
 		}
 		if source == "" {
 			source = peer
 		} else if source != peer {
-			return nil, fmt.Errorf("parser: mapping %s: body mixes peers %s and %s", id, source, peer)
+			return nil, syntaxErrorf("parser: mapping %s: body mixes peers %s and %s", id, source, peer)
 		}
 	}
 	for _, a := range rt.heads {
 		peer, _, err := mapping.SplitQualified(a.Pred)
 		if err != nil {
-			return nil, fmt.Errorf("parser: mapping %s: predicate %q must be peer-qualified", id, a.Pred)
+			return nil, syntaxErrorf("parser: mapping %s: predicate %q must be peer-qualified", id, a.Pred)
 		}
 		if target == "" {
 			target = peer
 		} else if target != peer {
-			return nil, fmt.Errorf("parser: mapping %s: head mixes peers %s and %s", id, target, peer)
+			return nil, syntaxErrorf("parser: mapping %s: head mixes peers %s and %s", id, target, peer)
 		}
 	}
 	m := &mapping.Mapping{ID: id, Source: source, Target: target, Body: rt.body, Head: rt.heads}

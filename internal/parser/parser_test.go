@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -96,8 +97,8 @@ func TestParseErrors(t *testing.T) {
 		"T(-) :- E(x).",          // bare minus
 	}
 	for _, c := range cases[1:] {
-		if _, err := ParseRules(c); err == nil {
-			t.Errorf("accepted %q", c)
+		if _, err := ParseRules(c); !errors.Is(err, ErrSyntax) {
+			t.Errorf("ParseRules(%q) = %v, want ErrSyntax", c, err)
 		}
 	}
 	rules, err := ParseRules(cases[0])

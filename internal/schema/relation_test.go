@@ -194,7 +194,7 @@ func TestParseTupleKeyRefusesNonCanonicalKeys(t *testing.T) {
 			t.Errorf("ParseTupleKey(%q) = %v, %v; want ErrBadKey", key, got, err)
 		}
 	}
-	// The floats whose keys Compare cannot order still round-trip.
+	// The floats Compare orders only by following their keys round-trip.
 	for _, tu := range []Tuple{
 		NewTuple(Float(math.NaN())), NewTuple(Float(0)), NewTuple(Float(math.Copysign(0, -1))),
 		NewTuple(Float(1), Int(-3), Bool(false), Float(math.Inf(-1))),

@@ -8,6 +8,7 @@ package schema
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -106,7 +107,9 @@ func (v Value) FloatVal() float64 { return v.f }
 // BoolVal returns the boolean payload (false for non-bool values).
 func (v Value) BoolVal() bool { return v.kind == KindBool && v.i == 1 }
 
-// Equal reports whether two values are identical in kind and payload.
+// Equal reports whether two values are identical in kind and payload. It
+// agrees with Key, which identifies tuples: -0 and 0 are different floats,
+// and every NaN is the same one.
 func (v Value) Equal(o Value) bool {
 	if v.kind != o.kind {
 		return false
@@ -117,14 +120,16 @@ func (v Value) Equal(o Value) bool {
 	case KindInt, KindBool:
 		return v.i == o.i
 	case KindFloat:
-		return v.f == o.f
+		return cmpFloat(v.f, o.f) == 0
 	default:
 		return true
 	}
 }
 
 // Compare orders values: first by kind, then by payload. It provides a
-// total order used for deterministic iteration and canonical encodings.
+// total order used for deterministic iteration and canonical encodings,
+// and it ties exactly the values Key does: -0 sorts below 0, and NaN
+// equals NaN and sorts above +Inf.
 func (v Value) Compare(o Value) int {
 	if v.kind != o.kind {
 		if v.kind < o.kind {
@@ -144,16 +149,40 @@ func (v Value) Compare(o Value) int {
 		}
 		return 0
 	case KindFloat:
-		switch {
-		case v.f < o.f:
-			return -1
-		case v.f > o.f:
-			return 1
-		}
-		return 0
+		return cmpFloat(v.f, o.f)
 	default:
 		return 0
 	}
+}
+
+// cmpFloat is the float order of Compare and Equal: IEEE order, except that
+// -0 < 0 and that all NaNs are one value above +Inf.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		// Equal under IEEE: only ±0 can still differ.
+		sa, sb := math.Signbit(a), math.Signbit(b)
+		switch {
+		case sa == sb:
+			return 0
+		case sa:
+			return -1
+		}
+		return 1
+	}
+	// At least one NaN.
+	na, nb := math.IsNaN(a), math.IsNaN(b)
+	switch {
+	case na && nb:
+		return 0
+	case na:
+		return 1
+	}
+	return -1
 }
 
 // Key returns a canonical, injective string encoding of the value, usable

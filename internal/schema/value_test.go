@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"cmp"
 	"math"
 	"testing"
 	"testing/quick"
@@ -176,5 +177,27 @@ func TestQuickKeyInjective(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Equal and Compare tie exactly the floats Key ties: -0 and 0 are two
+// values with -0 first, and every NaN is one value, above +Inf.
+func TestFloatOrderFollowsKey(t *testing.T) {
+	negNaN := math.Copysign(math.NaN(), -1)
+	asc := []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 1, math.Inf(1), math.NaN()}
+	for i, a := range asc {
+		for j, b := range asc {
+			va, vb := Float(a), Float(b)
+			if got, want := va.Compare(vb), cmp.Compare(i, j); got != want {
+				t.Errorf("Compare(%v, %v) = %d, want %d", va, vb, got, want)
+			}
+			if va.Equal(vb) != (va.Key() == vb.Key()) {
+				t.Errorf("Equal(%v, %v) = %v, but keys %q and %q", va, vb, va.Equal(vb), va.Key(), vb.Key())
+			}
+		}
+	}
+	nan := Float(math.NaN())
+	if other := Float(negNaN); !nan.Equal(other) || nan.Compare(other) != 0 || nan.Key() != other.Key() {
+		t.Errorf("NaNs of two signs differ: Equal %v, Compare %d", nan.Equal(other), nan.Compare(other))
 	}
 }

@@ -215,6 +215,9 @@ func TestDebugEndpoint(t *testing.T) {
 	if _, err := bob.Reconcile(ctx); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := bob.Query(ctx, "Gene", orchestra.Bind(orchestra.String("BRCA1")), orchestra.Free("chrom")).All(); err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(sys.DebugHandler())
 	defer srv.Close()
 
@@ -230,7 +233,7 @@ func TestDebugEndpoint(t *testing.T) {
 	if err := json.NewDecoder(res.Body).Decode(&m); err != nil {
 		t.Fatalf("JSON endpoint did not decode: %v", err)
 	}
-	if m.Counters["core_publish_total"] == 0 || m.Eval.Rounds == 0 {
+	if m.Counters["core_publish_total"] == 0 || m.Eval.Rounds == 0 || m.Counters["core_query_prepares_total"] != 1 {
 		t.Errorf("JSON snapshot missing data: %+v", m.Counters)
 	}
 
@@ -245,6 +248,8 @@ func TestDebugEndpoint(t *testing.T) {
 		"orchestra_core_reconcile_ns{quantile=\"0.99\"}",
 		"orchestra_datalog_rounds_total",
 		"orchestra_provenance_tokens",
+		"orchestra_core_query_prepares_total 1",
+		"# TYPE orchestra_core_query_replans_total counter",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("prom scrape missing %q", want)
