@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt fmt-check lint vuln series-check fuzz-smoke bench-build bench-e2e bench-pairs bench-smoke bench-overhead endpoint-smoke examples-check recovery-check recovery-scaling reconcile-scaling ci
+.PHONY: build test race vet fmt fmt-check lint vuln series-check fuzz-smoke bench-build bench-e2e bench-pairs same-program bench-smoke bench-overhead endpoint-smoke examples-check recovery-check recovery-scaling reconcile-scaling ci
 
 ## build: compile every package
 build:
@@ -112,6 +112,14 @@ OUT ?= bench-pairs.json
 bench-pairs:
 	BASE='$(BASE)' PAIRS='$(PAIRS)' WORKLOADS='$(WORKLOADS)' SEED='$(SEED)' \
 		BENCH_SECONDS='$(SECONDS)' OUT='$(OUT)' bash scripts/bench_pairs.sh
+
+## same-program: the repo benchmark's results at BASE against this working
+## tree — one traced 3 s run per workload per side, failing on any
+## difference in the final-state digests, the failed count or the traced
+## lsm.wal_bytes, exchange.state_bytes and core.checkpoint_bytes
+## (scripts/same_program.sh). Not part of ci: it builds and runs BASE too.
+same-program:
+	BASE='$(BASE)' bash scripts/same_program.sh
 
 ## bench-smoke: every go benchmark in every package executes exactly once —
 ## keeps the ones the gates below run (BenchmarkRecovery,

@@ -172,17 +172,12 @@ func (pp *Prepared) Eval(ctx context.Context, edb *DB, opts Options) (*DB, error
 	// mutates (head predicates) are ever copied.
 	result := edb.Snapshot()
 	ensurePreds(pp.prog, result)
-	maxIter := opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
-	}
-	var re roundExec
 	for si := range pp.strata {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		st := &pp.strata[si]
-		if err := evalStratum(ctx, st.rules, pp.plansAt(si, result), st.need, result, &re, opts, maxIter); err != nil {
+		if err := evalStratum(ctx, st.rules, pp.plansAt(si, result), st.need, result, opts, nil, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -191,7 +186,8 @@ func (pp *Prepared) Eval(ctx context.Context, edb *DB, opts Options) (*DB, error
 
 // plansAt returns stratum si's plans for db as it stands at the stratum's
 // start: the kept ones whose size ties still hold, and fresh ones for the
-// rest (all of them on the first evaluation).
+// rest (all of them on the first evaluation). Queries, Recompute and update
+// exchange all take their plans from here.
 func (pp *Prepared) plansAt(si int, db *DB) []rulePlans {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
@@ -280,23 +276,40 @@ func deltaJobs(jobs []job, rules []Rule, plans []rulePlans, delta map[string]map
 	return jobs
 }
 
-// evalStratum runs semi-naive evaluation of one stratum to fixpoint under
-// its plans, checking the context once per iteration so runaway recursion
-// stops on cancellation or deadline. need names the predicates whose
-// changes can seed further rounds.
-func evalStratum(ctx context.Context, rules []Rule, plans []rulePlans, need map[string]bool, db *DB, re *roundExec, opts Options, maxIter int) error {
+// evalStratum runs one stratum to fixpoint under its plans, checking the
+// context once per iteration so runaway recursion stops on cancellation or
+// deadline. With a nil seed it opens with a naive round that fires every
+// rule over the whole database (full evaluation); with a seed it starts
+// semi-naive from that delta, which it takes over (incremental insertion).
+// need names the predicates whose changes can seed further rounds; observe,
+// when non-nil, sees every effective merge, needed or not.
+func evalStratum(ctx context.Context, rules []Rule, plans []rulePlans, need map[string]bool, db *DB, opts Options, seed map[string]map[string]deltaFact, observe func(mergeResult)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// Round 0: naive firing of every rule over the current database.
-	delta := map[string]map[string]deltaFact{}
-	absorb := func(mr mergeResult) { addDelta(delta, mr.pred, mr.key, mr.tuple, mr.newPart) }
-	jobs := make([]job, 0, len(rules))
-	for ri, r := range rules {
-		jobs = append(jobs, job{rule: r, pln: plans[ri].full})
+	maxIter := opts.MaxIterations
+	if maxIter <= 0 {
+		maxIter = DefaultMaxIterations
 	}
-	if err := re.runRound(ctx, jobs, db, opts, need, absorb); err != nil {
-		return err
+	var re roundExec
+	delta := seed
+	absorb := func(mr mergeResult) {
+		if observe != nil {
+			observe(mr)
+		}
+		if need[mr.pred] {
+			addDelta(delta, mr.pred, mr.key, mr.tuple, mr.newPart)
+		}
+	}
+	jobs := make([]job, 0, len(rules))
+	if seed == nil {
+		delta = map[string]map[string]deltaFact{}
+		for ri, r := range rules {
+			jobs = append(jobs, job{rule: r, pln: plans[ri].full})
+		}
+		if err := re.runRound(ctx, jobs, db, opts, absorb); err != nil {
+			return err
+		}
 	}
 	// Semi-naive rounds: join each rule with the delta at one position.
 	for iter := 0; len(delta) > 0; iter++ {
@@ -308,7 +321,7 @@ func evalStratum(ctx context.Context, rules []Rule, plans []rulePlans, need map[
 		}
 		jobs = deltaJobs(jobs[:0], rules, plans, delta)
 		delta = map[string]map[string]deltaFact{}
-		if err := re.runRound(ctx, jobs, db, opts, need, absorb); err != nil {
+		if err := re.runRound(ctx, jobs, db, opts, absorb); err != nil {
 			return err
 		}
 	}

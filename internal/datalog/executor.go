@@ -72,7 +72,6 @@ type mergeSink struct {
 	rel    *Rel
 	pred   string
 	opts   Options
-	keep   bool // head pred can seed further rounds (need filter)
 	absorb func(mergeResult)
 }
 
@@ -89,7 +88,7 @@ func (s *mergeSink) skip(key []byte, prov provenance.Poly) bool {
 
 func (s *mergeSink) emit(key []byte, t schema.Tuple, prov provenance.Poly) {
 	mr, changed := mergeKeyed(s.rel, string(key), t, prov, s.opts)
-	if changed && s.keep {
+	if changed {
 		mr.pred = s.pred
 		s.absorb(mr)
 	}
@@ -171,20 +170,13 @@ func jobCost(j *job, db *DB) int {
 // goroutine scheduling. Facts a parallel round withholds from its sibling
 // jobs are still in the round's delta, so the semi-naive loop derives
 // everything the eager schedule would — at worst one round later.
-//
-// need, when non-nil, names the predicates whose changes can seed further
-// rounds (they appear positively in some body of the stratum); changes to
-// any other head predicate are merged but not reported to absorb, so dead
-// delta maps are never built. nil keeps every change (incremental
-// evaluation must observe all of them for its change log).
-func (re *roundExec) runRound(ctx context.Context, jobs []job, db *DB, opts Options, need map[string]bool, absorb func(mergeResult)) error {
+func (re *roundExec) runRound(ctx context.Context, jobs []job, db *DB, opts Options, absorb func(mergeResult)) error {
 	if len(jobs) == 0 {
 		return nil
 	}
 	if opts.Stats != nil {
 		opts.Stats.Rounds.Add(1)
 	}
-	keep := func(pred string) bool { return need == nil || need[pred] }
 	est := 0
 	for i := range jobs {
 		est += jobCost(&jobs[i], db)
@@ -205,7 +197,6 @@ func (re *roundExec) runRound(ctx context.Context, jobs []job, db *DB, opts Opti
 			j := &jobs[i]
 			sink.pred = j.rule.Head.Pred
 			sink.rel = db.MutableRel(sink.pred)
-			sink.keep = keep(sink.pred)
 			if err := fireRuleStream(ctx, j.rule, j.pln, db, j.delta, opts, &sink, &re.scratch); err != nil {
 				return err
 			}
@@ -263,13 +254,12 @@ func (re *roundExec) runRound(ctx context.Context, jobs []job, db *DB, opts Opti
 		}
 		pred := jobs[i].rule.Head.Pred
 		rel := db.MutableRel(pred)
-		keepPred := keep(pred)
 		for k := range buf {
 			e := &buf[k]
 			if opts.ChaseSubsumption && e.tuple.HasLabeledNull() && subsumedByExisting(rel, e.tuple) {
 				continue
 			}
-			if mr, changed := mergeKeyed(rel, e.key, e.tuple, e.prov, opts); changed && keepPred {
+			if mr, changed := mergeKeyed(rel, e.key, e.tuple, e.prov, opts); changed {
 				mr.pred = pred
 				absorb(mr)
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"orchestra/internal/provenance"
 	"orchestra/internal/schema"
@@ -37,15 +38,16 @@ type Change struct {
 // their derivations, avoiding full recomputation.
 //
 // Incremental evaluation always computes witness-set (B[X]) provenance —
-// deletion propagation is impossible without annotations.
+// deletion propagation is impossible without annotations. It runs on a
+// Prepared: insertions take their plans from the same per-stratum store,
+// with the same size-tie re-check, as queries and full evaluation, and run
+// on the same stratum loop (evalStratum), seeded with the insertion's delta.
 type Incremental struct {
-	prog    *Program
-	strata  [][]Rule
-	db      *DB
-	pl      *planner
-	planTab [][]rulePlans // resolved plans, aligned with strata
-	opts    Options
-	maxIter int
+	// pp is the program prepared once. A negation-free program has exactly
+	// one stratum, so every propagation runs pp.strata[0].
+	pp   *Prepared
+	db   *DB
+	opts Options
 	// tokenIndex maps a provenance token to the facts whose annotation
 	// mentions it, as pred -> tuple keys; only deletions read it. It stays
 	// nil until the first deletion-side call (DeleteBase, Affected,
@@ -62,22 +64,6 @@ type Incremental struct {
 	// would be most of the index.
 	ruleToks map[provenance.Token]bool
 	dead     map[provenance.Token]bool
-	// needTab[si] is the union of positive body predicates of strata si and
-	// later: the only predicates whose changes can seed further semi-naive
-	// rounds once propagation has reached stratum si. Delta entries for any
-	// other predicate are dead weight (heads that no body consumes — the
-	// common update-exchange shape) and are never built.
-	needTab []map[string]bool
-}
-
-// seedNeed returns the need set for seed-time delta construction (stratum 0
-// sees everything later strata consume), or nil when the program has no
-// strata.
-func (inc *Incremental) seedNeed() map[string]bool {
-	if len(inc.needTab) == 0 {
-		return nil
-	}
-	return inc.needTab[0]
 }
 
 // DeadTokens returns the sorted set of tokens killed by DeleteBase since
@@ -97,18 +83,16 @@ func (inc *Incremental) DeadTokens() []provenance.Var {
 // fixpoint — the snapshot-restore counterpart of NewIncremental. It skips
 // the initial evaluation entirely (the caller warrants db is the fixpoint
 // of p over its base facts, e.g. a DecodeDB of a snapshot taken from a
-// live Incremental) but rebuilds everything derived from the program text:
-// strata, compiled plans, and the need tables. The dead set is restored;
-// the deletion index is not saved, and is built on first use like a live
+// live Incremental) and prepares the program; plans are built at the first
+// insertion, over db as it then stands. The dead set is restored; the
+// deletion index is not saved, and is built on first use like a live
 // engine's. Ownership of db transfers to the returned Incremental.
 func RestoreIncremental(p *Program, db *DB, opts Options, dead []provenance.Var) (*Incremental, error) {
-	if err := requireNegationFree(p); err != nil {
-		return nil, err
-	}
-	inc, err := newIncremental(p, db, opts)
+	pp, err := prepareIncremental(p)
 	if err != nil {
 		return nil, err
 	}
+	inc := newIncremental(pp, db, opts)
 	for _, v := range dead {
 		inc.dead[provenance.Mint(v)] = true
 	}
@@ -120,86 +104,69 @@ func RestoreIncremental(p *Program, db *DB, opts Options, dead []provenance.Var)
 // snapshot, never mutated: extents the maintained fixpoint later touches
 // are cloned lazily, on first write.
 func NewIncremental(p *Program, edb *DB, opts Options) (*Incremental, error) {
-	if err := requireNegationFree(p); err != nil {
+	pp, err := prepareIncremental(p)
+	if err != nil {
 		return nil, err
 	}
 	opts.Provenance = true
-	res, err := Eval(p, edb, opts)
+	res, err := pp.Eval(context.Background(), edb, opts)
 	if err != nil {
 		return nil, err
 	}
-	return newIncremental(p, res, opts)
+	return newIncremental(pp, res, opts), nil
 }
 
-// requireNegationFree rejects programs incremental maintenance cannot
-// serve: deletion propagation relies on provenance annotations, which do
-// not record negative dependencies (tgd mapping programs are negation-free).
-func requireNegationFree(p *Program) error {
+// prepareIncremental prepares a program incremental maintenance can serve:
+// deletion propagation relies on provenance annotations, which do not
+// record negative dependencies (tgd mapping programs are negation-free).
+func prepareIncremental(p *Program) (*Prepared, error) {
 	for _, r := range p.Rules {
 		for _, l := range r.Body {
 			if l.Negated {
-				return fmt.Errorf("datalog: incremental maintenance requires a negation-free program (rule %s)", r.ID)
+				return nil, fmt.Errorf("datalog: incremental maintenance requires a negation-free program (rule %s)", r.ID)
 			}
 		}
 	}
-	return nil
+	return Prepare(p)
 }
 
-// newIncremental builds the maintained state around db, which must already
-// be the fixpoint of p: everything derived from the program text (strata,
-// compiled plans, need tables); the token index is left unbuilt.
-func newIncremental(p *Program, db *DB, opts Options) (*Incremental, error) {
-	strata, err := p.Stratify()
-	if err != nil {
-		return nil, err
-	}
-	maxIter := opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
-	}
-	ensurePreds(p, db)
+// newIncremental wraps db, which must already be the fixpoint of pp's
+// program; the token index is left unbuilt.
+func newIncremental(pp *Prepared, db *DB, opts Options) *Incremental {
+	ensurePreds(pp.prog, db)
+	opts.Provenance = true
 	inc := &Incremental{
-		prog:   p,
-		strata: strata,
-		db:     db,
-		pl:     newPlanner(false),
-		opts: Options{
-			Provenance:       true,
-			ChaseSubsumption: opts.ChaseSubsumption,
-			MaxMonomials:     opts.MaxMonomials,
-			Parallelism:      opts.Parallelism,
-			Stats:            opts.Stats,
-		},
-		maxIter:  maxIter,
+		pp:       pp,
+		db:       db,
+		opts:     opts,
 		ruleToks: map[provenance.Token]bool{},
 		dead:     map[provenance.Token]bool{},
 	}
-	for _, r := range p.Rules {
+	for _, r := range pp.prog.Rules {
 		if r.ProvToken != "" {
 			inc.ruleToks[provenance.Mint(provenance.Var(r.ProvToken))] = true
 		}
 	}
-	inc.planTab = make([][]rulePlans, len(strata))
-	for si, stratum := range strata {
-		inc.planTab[si] = inc.pl.plansFor(stratum, db)
-	}
-	inc.needTab = make([]map[string]bool, len(strata))
-	suffix := map[string]bool{}
-	for si := len(strata) - 1; si >= 0; si-- {
-		for _, r := range strata[si] {
-			for _, l := range r.Body {
-				if l.Builtin == nil && !l.Negated {
-					suffix[l.Atom.Pred] = true
-				}
+	return inc
+}
+
+// Plans renders the plans the last evaluation ran, one line per rule, for
+// tests and debugging.
+func (inc *Incremental) Plans() string {
+	var b strings.Builder
+	inc.pp.mu.Lock()
+	defer inc.pp.mu.Unlock()
+	st := &inc.pp.strata[0]
+	for i, rp := range st.plans {
+		fmt.Fprintf(&b, "%s: [%s]", st.rules[i].ID, rp.full)
+		for j, d := range rp.delta {
+			if d != nil {
+				fmt.Fprintf(&b, " Δ%d [%s]", j, d)
 			}
 		}
-		m := make(map[string]bool, len(suffix))
-		for p := range suffix {
-			m[p] = true
-		}
-		inc.needTab[si] = m
+		b.WriteByte('\n')
 	}
-	return inc, nil
+	return b.String()
 }
 
 // DB returns the maintained database (read-only by convention).
@@ -270,43 +237,47 @@ func (inc *Incremental) Insert(ctx context.Context, facts []Fact2) ([]Change, er
 		return nil, err
 	}
 	var changes []Change
-	// Seed: merge the base facts, collecting genuine delta — but only for
-	// predicates some rule body consumes (seedNeed); a seed no rule reads
-	// cannot propagate, so its delta entry would only be dead weight.
-	delta := map[string]map[string]deltaFact{}
-	need := inc.seedNeed()
-	opts := inc.opts
-	for _, bf := range facts {
-		mr, changed := merge(inc.db.MutableRel(bf.Pred), bf.Tuple, bf.Prov, opts)
-		if !changed {
-			continue
-		}
-		inc.indexFact(bf.Pred, mr.key, mr.newPart)
-		if need == nil || need[bf.Pred] {
-			addDelta(delta, bf.Pred, mr.key, bf.Tuple, mr.newPart)
-		}
-		changes = append(changes, Change{Pred: bf.Pred, Tuple: bf.Tuple, Key: mr.key, Prov: mr.newPart, Fresh: true})
-	}
-	if len(changes) == 0 {
-		return nil, nil
-	}
-	if len(delta) > 0 {
-		// Propagate stratum by stratum; the delta from earlier strata feeds
-		// later ones. One executor serves every stratum's rounds.
-		sink := func(mr mergeResult) {
-			changes = append(changes, Change{Pred: mr.pred, Tuple: mr.tuple, Key: mr.key, Prov: mr.newPart, Fresh: mr.fresh})
-		}
-		var re roundExec
-		for si, stratum := range inc.strata {
-			var err error
-			delta, err = inc.propagate(ctx, stratum, inc.planTab[si], &re, inc.needTab[si], delta, sink)
-			if err != nil {
-				return nil, err
-			}
-		}
+	err := inc.insertSeeded(ctx, [][]Fact2{facts}, func(_ int, mr mergeResult) {
+		changes = append(changes, Change{Pred: mr.pred, Tuple: mr.tuple, Key: mr.key, Prov: mr.newPart, Fresh: true})
+	}, func(mr mergeResult) {
+		changes = append(changes, Change{Pred: mr.pred, Tuple: mr.tuple, Key: mr.key, Prov: mr.newPart, Fresh: mr.fresh})
+	})
+	if err != nil {
+		return nil, err
 	}
 	sortChanges(changes)
 	return changes, nil
+}
+
+// insertSeeded merges each group's base facts, in group order, reporting
+// every effective merge to seeded, and then runs the program's stratum
+// semi-naive from their delta, reporting every effective derived merge to
+// derived. Only seeds of predicates some rule body reads enter the delta: a
+// seed no rule reads cannot propagate.
+func (inc *Incremental) insertSeeded(ctx context.Context, groups [][]Fact2, seeded func(gi int, mr mergeResult), derived func(mergeResult)) error {
+	st := &inc.pp.strata[0]
+	delta := map[string]map[string]deltaFact{}
+	for gi, facts := range groups {
+		for _, bf := range facts {
+			mr, changed := merge(inc.db.MutableRel(bf.Pred), bf.Tuple, bf.Prov, inc.opts)
+			if !changed {
+				continue
+			}
+			mr.pred = bf.Pred
+			inc.indexFact(mr.pred, mr.key, mr.newPart)
+			if st.need[mr.pred] {
+				addDelta(delta, mr.pred, mr.key, mr.tuple, mr.newPart)
+			}
+			seeded(gi, mr)
+		}
+	}
+	if len(delta) == 0 {
+		return nil
+	}
+	return evalStratum(ctx, st.rules, inc.pp.plansAt(0, inc.db), st.need, inc.db, inc.opts, delta, func(mr mergeResult) {
+		inc.indexFact(mr.pred, mr.key, mr.newPart)
+		derived(mr)
+	})
 }
 
 // Fact2 is a base fact targeted at a predicate (the name Fact is taken by
@@ -452,11 +423,11 @@ func (inc *Incremental) insertGroupRun(ctx context.Context, groups [][]Fact2) ([
 		}
 	}
 	accs := map[string]*groupAcc{}
-	touch := func(pred string, mr mergeResult) *groupAcc {
-		ak := pred + "\x00" + mr.key
+	touch := func(mr mergeResult) *groupAcc {
+		ak := mr.pred + "\x00" + mr.key
 		a := accs[ak]
 		if a == nil {
-			a = &groupAcc{pred: pred, key: mr.key, tuple: mr.tuple, existed: !mr.fresh, prior: mr.prior}
+			a = &groupAcc{pred: mr.pred, key: mr.key, tuple: mr.tuple, existed: !mr.fresh, prior: mr.prior}
 			accs[ak] = a
 		}
 		return a
@@ -473,64 +444,44 @@ func (inc *Incremental) insertGroupRun(ctx context.Context, groups [][]Fact2) ([
 		}
 		return gi
 	}
-	opts := inc.opts
-	delta := map[string]map[string]deltaFact{}
-	need := inc.seedNeed()
-	// Seed every group's base facts, in group order.
-	for gi, facts := range groups {
-		for _, bf := range facts {
-			mr, changed := merge(inc.db.MutableRel(bf.Pred), bf.Tuple, bf.Prov, opts)
-			if !changed {
-				continue
+	// Seed every group's base facts, in group order, then run one
+	// propagation for the whole batch. Each merge's new monomials are split
+	// by owning group, preserving arrival order.
+	seeded := func(gi int, mr mergeResult) {
+		a := touch(mr)
+		a.parts = append(a.parts, groupPart{group: gi, seed: true, prov: mr.newPart})
+	}
+	derived := func(mr mergeResult) {
+		a := touch(mr)
+		monos := mr.newPart.Monomials()
+		single := true
+		gi := owner(monos[0])
+		for _, m := range monos[1:] {
+			if owner(m) != gi {
+				single = false
+				break
 			}
-			inc.indexFact(bf.Pred, mr.key, mr.newPart)
-			if need == nil || need[bf.Pred] {
-				addDelta(delta, bf.Pred, mr.key, bf.Tuple, mr.newPart)
+		}
+		if single {
+			a.parts = append(a.parts, groupPart{group: gi, prov: mr.newPart})
+			return
+		}
+		byGroup := map[int][]provenance.Monomial{}
+		order := []int{}
+		for _, m := range monos {
+			g := owner(m)
+			if _, ok := byGroup[g]; !ok {
+				order = append(order, g)
 			}
-			a := touch(bf.Pred, mr)
-			a.parts = append(a.parts, groupPart{group: gi, seed: true, prov: mr.newPart})
+			byGroup[g] = append(byGroup[g], m)
+		}
+		sort.Ints(order)
+		for _, g := range order {
+			a.parts = append(a.parts, groupPart{group: g, prov: provenance.FromMonomials(byGroup[g])})
 		}
 	}
-	if len(delta) > 0 {
-		// One propagation for the whole batch. Each merge's new monomials
-		// are split by owning group, preserving arrival order.
-		sink := func(mr mergeResult) {
-			a := touch(mr.pred, mr)
-			monos := mr.newPart.Monomials()
-			single := true
-			gi := owner(monos[0])
-			for _, m := range monos[1:] {
-				if owner(m) != gi {
-					single = false
-					break
-				}
-			}
-			if single {
-				a.parts = append(a.parts, groupPart{group: gi, prov: mr.newPart})
-				return
-			}
-			byGroup := map[int][]provenance.Monomial{}
-			order := []int{}
-			for _, m := range monos {
-				g := owner(m)
-				if _, ok := byGroup[g]; !ok {
-					order = append(order, g)
-				}
-				byGroup[g] = append(byGroup[g], m)
-			}
-			sort.Ints(order)
-			for _, g := range order {
-				a.parts = append(a.parts, groupPart{group: g, prov: provenance.FromMonomials(byGroup[g])})
-			}
-		}
-		var re roundExec
-		for si, stratum := range inc.strata {
-			var err error
-			delta, err = inc.propagate(ctx, stratum, inc.planTab[si], &re, inc.needTab[si], delta, sink)
-			if err != nil {
-				return nil, err
-			}
-		}
+	if err := inc.insertSeeded(ctx, groups, seeded, derived); err != nil {
+		return nil, err
 	}
 	// Replay each touched tuple's contributions in group order, rebasing
 	// every part onto the group-ordered annotation chain, so each group's
@@ -561,7 +512,7 @@ func (inc *Incremental) insertGroupRun(ctx context.Context, groups [][]Fact2) ([
 				if p.group != gi {
 					continue
 				}
-				merged, newPart, changed, _ := provenance.MergeWitness(prev, p.prov, opts.MaxMonomials)
+				merged, newPart, changed, _ := provenance.MergeWitness(prev, p.prov, inc.opts.MaxMonomials)
 				if !changed {
 					continue
 				}
@@ -575,58 +526,6 @@ func (inc *Incremental) insertGroupRun(ctx context.Context, groups [][]Fact2) ([
 		sortChanges(out[gi])
 	}
 	return out, nil
-}
-
-// propagate runs semi-naive rounds of one stratum starting from seed; it
-// returns the accumulated delta (seed plus everything newly derived) so
-// later strata can consume it, and reports every effective merge to sink in
-// deterministic order. Rounds run on the caller's executor.
-//
-// need (needTab[si] of the stratum being propagated) filters which merges
-// grow the pending delta: a head predicate no body of this or any later
-// stratum consumes cannot seed further rounds, so its delta entries are
-// never built. sink still observes every merge — the change log is
-// unfiltered.
-func (inc *Incremental) propagate(ctx context.Context, rules []Rule, plans []rulePlans, re *roundExec, need map[string]bool, seed map[string]map[string]deltaFact, sink func(mergeResult)) (map[string]map[string]deltaFact, error) {
-	opts := inc.opts
-	// The caller hands over ownership of seed (Insert rebinds its delta to
-	// the return value), so the accumulator aliases it instead of copying:
-	// per-round results merge into the seed maps after the round has
-	// finished reading them.
-	accum := seed
-	cur := seed
-	var jobs []job
-	for iter := 0; len(cur) > 0; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if iter >= inc.maxIter {
-			return nil, fmt.Errorf("datalog: incremental fixpoint not reached after %d iterations", inc.maxIter)
-		}
-		next := map[string]map[string]deltaFact{}
-		absorb := func(mr mergeResult) {
-			inc.indexFact(mr.pred, mr.key, mr.newPart)
-			if need == nil || need[mr.pred] {
-				addDelta(next, mr.pred, mr.key, mr.tuple, mr.newPart)
-			}
-			sink(mr)
-		}
-		jobs = deltaJobs(jobs[:0], rules, plans, cur)
-		if err := re.runRound(ctx, jobs, inc.db, opts, nil, absorb); err != nil {
-			return nil, err
-		}
-		copyInto(accum, next)
-		cur = next
-	}
-	return accum, nil
-}
-
-func copyInto(dst, src map[string]map[string]deltaFact) {
-	for pred, m := range src {
-		for k, df := range m {
-			addDelta(dst, pred, k, df.tuple, df.prov)
-		}
-	}
 }
 
 // DeleteBase removes base facts by killing their provenance tokens. Every

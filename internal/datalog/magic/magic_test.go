@@ -267,3 +267,62 @@ func TestEvalGoalArityMismatch(t *testing.T) {
 		t.Fatalf("full: answers %v, err %v", want, err)
 	}
 }
+
+// Shape is the key of a peer's query-shape cache, so it must tell apart view
+// rules that Rule.String renders alike: the variable x and the constant "x",
+// and Int(1) and Float(1). Each query, answered through a cache keyed by
+// Shape, must get the reference answers of its own rules.
+func TestShapeTellsTermKindsApart(t *testing.T) {
+	view := func(second datalog.Term) []datalog.Rule {
+		return []datalog.Rule{{ID: "v", Head: datalog.NewHead("v", datalog.HV("y")),
+			Body: []datalog.Literal{datalog.Pos(datalog.NewAtom("r", datalog.V("y"), second))}}}
+	}
+	views := []struct {
+		name  string
+		rules []datalog.Rule
+	}{
+		{"var x", view(datalog.V("x"))},
+		{`const "x"`, view(datalog.C(str("x")))},
+		{"Int(1)", view(datalog.C(schema.Int(1)))},
+		{"Float(1)", view(datalog.C(schema.Float(1)))},
+	}
+	edb := datalog.NewDB()
+	for i, v := range []schema.Value{str("x"), str("other"), schema.Int(1), schema.Float(1)} {
+		edb.Add("r", schema.NewTuple(str(fmt.Sprintf("row%d", i)), v),
+			provenance.NewVar(provenance.Var(fmt.Sprintf("r%d", i))))
+	}
+	goal := datalog.NewAtom("v", datalog.V("y"))
+	ctx := context.Background()
+	opts := datalog.Options{Provenance: true}
+	cache := map[string]*Prepared{}
+	answers := map[string]string{}
+	for _, v := range views {
+		key := string(Shape(nil, v.rules, goal, LeftToRight))
+		p, ok := cache[key]
+		if !ok {
+			var err error
+			if p, err = Prepare(v.rules, goal, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			cache[key] = p
+		}
+		got, err := p.Eval(ctx, goal, edb, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := EvalGoalFull(ctx, v.rules, goal, edb, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameAnswers(t, got, want)
+		answers[v.name] = fmt.Sprint(got)
+	}
+	if len(cache) != len(views) {
+		t.Errorf("%d views share %d shape keys", len(views), len(cache))
+	}
+	for _, pair := range [][2]string{{"var x", `const "x"`}, {"Int(1)", "Float(1)"}} {
+		if answers[pair[0]] == answers[pair[1]] {
+			t.Errorf("%s and %s answer alike (%s): the rules do not tell them apart", pair[0], pair[1], answers[pair[0]])
+		}
+	}
+}

@@ -27,23 +27,38 @@ func oracleEval(p *Program, edb *DB, opts Options) (*DB, error) {
 	}
 	db := edb.Snapshot()
 	ensurePreds(p, db)
-	pl := newPlanner(true)
 	maxIter := opts.MaxIterations
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIterations
 	}
 	for _, rules := range strata {
-		if err := oracleStratum(rules, db, pl, opts, maxIter); err != nil {
+		if err := oracleStratum(rules, db, opts, maxIter); err != nil {
 			return nil, err
 		}
 	}
 	return db, nil
 }
 
+// writtenOrderPlans compiles each rule's plans with the positive atoms in
+// written order: the reference plans, which buildPlan's noReorder switch
+// exists for.
+func writtenOrderPlans(rules []Rule, db *DB) []rulePlans {
+	out := make([]rulePlans, len(rules))
+	for i, r := range rules {
+		out[i] = rulePlans{full: buildPlan(r, -1, db, true), delta: make([]*plan, len(r.Body))}
+		for j, l := range r.Body {
+			if l.Builtin == nil && !l.Negated {
+				out[i].delta[j] = buildPlan(r, j, db, true)
+			}
+		}
+	}
+	return out
+}
+
 // oracleStratum runs one stratum to fixpoint: a naive round, then semi-naive
 // rounds joining each rule with the previous round's delta at one position.
-func oracleStratum(rules []Rule, db *DB, pl *planner, opts Options, maxIter int) error {
-	plans := pl.plansFor(rules, db)
+func oracleStratum(rules []Rule, db *DB, opts Options, maxIter int) error {
+	plans := writtenOrderPlans(rules, db)
 	var delta map[string]map[string]deltaFact
 	fire := func(r Rule, pln *plan, dl []deltaFact) error {
 		pred := r.Head.Pred

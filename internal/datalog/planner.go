@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"orchestra/internal/provenance"
 	"orchestra/internal/schema"
@@ -160,42 +159,6 @@ func (p *plan) order() []int {
 	return out
 }
 
-// planner computes and caches plans. One planner serves one evaluation (an
-// Eval call, or the lifetime of an Incremental); plans are cached per
-// (rule shape, delta position), so each shape is compiled exactly once per
-// evaluation rather than re-ordered at every binding during every firing.
-// Relation cardinalities for tie-breaking are sampled when the shape is
-// first planned.
-type planner struct {
-	noReorder bool
-	mu        sync.Mutex
-	plans     map[string]*plan
-}
-
-func newPlanner(noReorder bool) *planner {
-	return &planner{noReorder: noReorder, plans: map[string]*plan{}}
-}
-
-// planFor returns the cached plan for (rule, delta position), building it on
-// first use. The cache key is an injective structural encoding — the display
-// rendering (Rule.String) conflates e.g. the variable x with the string
-// constant "x" and Int(1) with Float(1), which would make semantically
-// different rules share one compiled plan.
-func (pl *planner) planFor(r Rule, deltaIdx int, db *DB) *plan {
-	key := string(AppendRuleKey(nil, r)) + "\x00" + strconv.Itoa(deltaIdx)
-	pl.mu.Lock()
-	p, ok := pl.plans[key]
-	pl.mu.Unlock()
-	if ok {
-		return p
-	}
-	p = buildPlan(r, deltaIdx, db, pl.noReorder)
-	pl.mu.Lock()
-	pl.plans[key] = p
-	pl.mu.Unlock()
-	return p
-}
-
 // appendLP appends a length-prefixed string, keeping concatenations of
 // arbitrary names unambiguous.
 func appendLP(b []byte, s string) []byte {
@@ -216,9 +179,10 @@ func appendTermKey(b []byte, t Term) []byte {
 	return appendLP(b, t.Value.Key())
 }
 
-// AppendRuleKey appends an injective structural encoding of the rule (ID
-// included, since plans bake the ID into their defensive error messages,
-// and the provenance token, which plans multiply in).
+// AppendRuleKey appends an injective structural encoding of the rule:
+// unlike Rule.String, it tells the variable x from the constant "x" and
+// Int(1) from Float(1), and it covers the ID and provenance token, which
+// compiled plans bake in.
 func AppendRuleKey(b []byte, r Rule) []byte {
 	if r.ProvNeutral {
 		b = append(b, '0')
@@ -268,23 +232,6 @@ func AppendRuleKey(b []byte, r Rule) []byte {
 type rulePlans struct {
 	full  *plan
 	delta []*plan // indexed by body position; nil for filter literals
-}
-
-// plansFor resolves plans for a whole rule set up front, so per-round job
-// construction indexes a table instead of re-encoding each rule's (
-// structural) cache key once per rule per round.
-func (pl *planner) plansFor(rules []Rule, db *DB) []rulePlans {
-	out := make([]rulePlans, len(rules))
-	for i, r := range rules {
-		out[i].full = pl.planFor(r, -1, db)
-		out[i].delta = make([]*plan, len(r.Body))
-		for j, l := range r.Body {
-			if l.Builtin == nil && !l.Negated {
-				out[i].delta[j] = pl.planFor(r, j, db)
-			}
-		}
-	}
-	return out
 }
 
 // tiesHold reports whether every one of the rule's plans would be built the

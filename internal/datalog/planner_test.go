@@ -146,23 +146,9 @@ func TestPlanComparisonStaysAfterVariablesBind(t *testing.T) {
 	}
 }
 
-func TestPlanCacheReusesShapes(t *testing.T) {
-	pl := newPlanner(false)
-	r := tcProgram().Rules[1]
-	db := NewDB()
-	p1 := pl.planFor(r, -1, db)
-	p2 := pl.planFor(r, -1, db)
-	if p1 != p2 {
-		t.Error("same (rule, delta) shape compiled twice")
-	}
-	if pd := pl.planFor(r, 0, db); pd == p1 {
-		t.Error("distinct delta positions share a plan")
-	}
-}
-
 func TestPlanCacheKeyIsStructural(t *testing.T) {
 	// Rule.String renders the variable x and the string constant "x"
-	// identically, and Int(1) and Float(1) both as "1"; the cache must not
+	// identically, and Int(1) and Float(1) both as "1"; evaluation must not
 	// conflate them.
 	prog := &Program{Rules: []Rule{
 		{ID: "int", Head: NewHead("H", HV("y")), Body: []Literal{
@@ -327,10 +313,8 @@ func evalWrittenOrder(p *Program, edb *DB, opts Options) (*DB, error) {
 	}
 	db := edb.Snapshot()
 	ensurePreds(p, db)
-	pl := newPlanner(true)
-	var re roundExec
 	for _, stratum := range strata {
-		if err := evalStratum(context.Background(), stratum, pl.plansFor(stratum, db), stratumNeed(stratum), db, &re, opts, DefaultMaxIterations); err != nil {
+		if err := evalStratum(context.Background(), stratum, writtenOrderPlans(stratum, db), stratumNeed(stratum), db, opts, nil, nil); err != nil {
 			return nil, err
 		}
 	}

@@ -79,3 +79,66 @@ func TestPreparedPlansFollowSizeTies(t *testing.T) {
 	}
 	check("flipped tie holds", 1)
 }
+
+// Update exchange takes its plans from the same store: a live Incremental
+// keeps them while every size tie holds, re-plans the rule whose tie flipped,
+// and runs the plans an Incremental restored from its snapshot runs.
+func TestIncrementalPlansFollowSizeTies(t *testing.T) {
+	// With the delta at d, b(z) and c(z) tie on boundness: the smaller
+	// relation goes first.
+	prog := &Program{Rules: []Rule{
+		{ID: "h", Head: NewHead("h", HV("x")), Body: []Literal{
+			Pos(NewAtom("d", V("x"), V("z"))), Pos(NewAtom("b", V("z"))), Pos(NewAtom("c", V("z")))}},
+	}}
+	n := 0
+	fact := func(pred string, vals ...int64) Fact2 {
+		n++
+		tu := make(schema.Tuple, len(vals))
+		for i, v := range vals {
+			tu[i] = schema.Int(v)
+		}
+		return Fact2{Pred: pred, Tuple: tu, Prov: provenance.NewVar(provenance.Var(fmt.Sprintf("t%d", n)))}
+	}
+	live, err := NewIncremental(prog, NewDB(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// step restores a twin from the live engine's snapshot, inserts facts
+	// into both, and checks that they ran the same plans.
+	step := func(name string, wantReplans int64, facts ...Fact2) string {
+		t.Helper()
+		blob, err := EncodeDB(live.DB())
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := DecodeDB(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := RestoreIncremental(prog, db, Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, inc := range []*Incremental{live, twin} {
+			if _, err := inc.Insert(context.Background(), facts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := live.pp.Replans(); got != wantReplans {
+			t.Fatalf("%s: %d replans, want %d", name, got, wantReplans)
+		}
+		plans := live.Plans()
+		if got := twin.Plans(); got != plans {
+			t.Fatalf("%s: live plans\n%s\nrestored plans\n%s", name, plans, got)
+		}
+		return plans
+	}
+	// Planned on the empty database, where b wins the tie by body position.
+	first := step("b smaller", 0, fact("b", 1), fact("c", 1), fact("c", 2))
+	step("tie holds", 0, fact("d", 7, 1), fact("c", 3))
+	flipped := step("tie flipped", 1, fact("b", 2), fact("b", 3), fact("b", 4))
+	if first == flipped {
+		t.Fatalf("plans did not change when the tie flipped:\n%s", first)
+	}
+	step("flipped tie holds", 1, fact("d", 8, 2))
+}

@@ -257,3 +257,51 @@ func sameUnion(a, b *datalog.DB) error {
 	}
 	return nil
 }
+
+// A recovered engine and a never-crashed one run the same join orders: both
+// take their plans from the prepared program's store, which rebuilds a plan
+// once a relation-size tie it was built on flips, so it does not matter
+// that one engine was first planned over an empty union database and the
+// other over a restored one.
+func TestRecoveredEnginePlansLikeLiveEngine(t *testing.T) {
+	ctx := context.Background()
+	// More organisms than proteins. With S as the delta, the join mapping's
+	// O and P atoms tie on boundness, so relation sizes order them.
+	history := []*updates.Transaction{
+		txn(workload.Alaska, 1,
+			updates.Insert("O", workload.OTuple("mouse", 1)),
+			updates.Insert("O", workload.OTuple("rat", 2)),
+			updates.Insert("O", workload.OTuple("fly", 3)),
+			updates.Insert("P", workload.PTuple("p53", 10))),
+		txn(workload.Beijing, 1,
+			updates.Insert("O", workload.OTuple("yeast", 4))),
+	}
+	next := []*updates.Transaction{
+		txn(workload.Alaska, 2,
+			updates.Insert("S", workload.STuple(1, 10, "ACGT")),
+			updates.Insert("S", workload.STuple(2, 10, "GGCC"))),
+	}
+	live := fig2Engine(t)
+	if _, err := live.ApplyAll(ctx, history); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := live.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered := fig2Engine(t)
+	if err := recovered.LoadState(blob); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*Engine{live, recovered} {
+		if _, err := e.ApplyAll(ctx, next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := recovered.Plans(), live.Plans(); got != want {
+		t.Fatalf("recovered engine plans\n%s\nlive engine plans\n%s", got, want)
+	}
+	if got, want := unionFingerprint(recovered), unionFingerprint(live); got != want {
+		t.Fatalf("recovered union database\n%s\nlive\n%s", got, want)
+	}
+}

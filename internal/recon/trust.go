@@ -21,7 +21,6 @@
 package recon
 
 import (
-	"orchestra/internal/provenance"
 	"orchestra/internal/schema"
 	"orchestra/internal/updates"
 )
@@ -98,16 +97,6 @@ func DerivedFromPeer(peer string, priority int) Condition {
 			}
 		}
 		return false
-	}}
-}
-
-// MinTrust matches updates whose provenance, evaluated under the trust
-// semiring with the supplied per-token confidence assignment, reaches at
-// least threshold. It demonstrates semiring evaluation as a trust policy.
-func MinTrust(confidence func(provenance.Var) float64, threshold float64, priority int) Condition {
-	return Condition{Priority: priority, Matches: func(origin string, u updates.Update) bool {
-		got := provenance.Eval[float64](u.Prov, provenance.TrustSemiring{}, confidence)
-		return got >= threshold
 	}}
 }
 

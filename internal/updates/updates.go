@@ -12,7 +12,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -197,62 +196,4 @@ func (t *Transaction) String() string {
 		parts[i] = u.String()
 	}
 	return fmt.Sprintf("txn %s@%d {%s}", t.ID, t.Epoch, strings.Join(parts, "; "))
-}
-
-// WriteSet returns the (relation, key) pairs the transaction writes, using
-// the relation's primary key columns as supplied by keyOf.
-func (t *Transaction) WriteSet(keyOf func(rel string, tu schema.Tuple) schema.Tuple) []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(rel string, tu schema.Tuple) {
-		if tu == nil {
-			return
-		}
-		k := rel + "/" + keyOf(rel, tu).Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
-		}
-	}
-	for _, u := range t.Updates {
-		add(u.Rel, u.Old)
-		add(u.Rel, u.New)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Conflicts reports whether two transactions write overlapping keys with
-// incompatible values: both write the same (relation, key) and at least one
-// of the writes differs. Following Taylor & Ives, two transactions that
-// perform the identical write do not conflict.
-func Conflicts(a, b *Transaction, keyOf func(string, schema.Tuple) schema.Tuple) bool {
-	type write struct {
-		del bool
-		tup string
-	}
-	aw := map[string]write{}
-	for _, u := range a.Updates {
-		k := u.Rel + "/" + keyOf(u.Rel, u.Target()).Key()
-		w := write{del: u.Op == OpDelete}
-		if !w.del {
-			w.tup = u.New.Key()
-		}
-		aw[k] = w
-	}
-	for _, u := range b.Updates {
-		k := u.Rel + "/" + keyOf(u.Rel, u.Target()).Key()
-		w, ok := aw[k]
-		if !ok {
-			continue
-		}
-		bd := u.Op == OpDelete
-		if w.del != bd {
-			return true
-		}
-		if !w.del && w.tup != u.New.Key() {
-			return true
-		}
-	}
-	return false
 }

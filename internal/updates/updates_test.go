@@ -81,57 +81,6 @@ func TestTokenRoundTrip(t *testing.T) {
 		t.Error("mapping token misparsed as update token")
 	}
 }
-
-func TestConflicts(t *testing.T) {
-	mk := func(id uint64, us ...Update) *Transaction {
-		return &Transaction{ID: TxnID{Peer: "p", Seq: id}, Updates: us}
-	}
-	// Same key, different values: conflict.
-	a := mk(1, Insert("R", tup(1, 10)))
-	b := mk(2, Insert("R", tup(1, 20)))
-	if !Conflicts(a, b, keyFirst) {
-		t.Error("divergent writes must conflict")
-	}
-	// Same key, identical write: no conflict.
-	c := mk(3, Insert("R", tup(1, 10)))
-	if Conflicts(a, c, keyFirst) {
-		t.Error("identical writes must not conflict")
-	}
-	// Different keys: no conflict.
-	d := mk(4, Insert("R", tup(2, 10)))
-	if Conflicts(a, d, keyFirst) {
-		t.Error("disjoint writes must not conflict")
-	}
-	// Insert vs delete of same key: conflict.
-	e := mk(5, Delete("R", tup(1, 10)))
-	if !Conflicts(a, e, keyFirst) {
-		t.Error("insert vs delete must conflict")
-	}
-	// Modify vs modify to different values: conflict.
-	f := mk(6, Modify("R", tup(1, 10), tup(1, 30)))
-	g := mk(7, Modify("R", tup(1, 10), tup(1, 40)))
-	if !Conflicts(f, g, keyFirst) {
-		t.Error("divergent modifies must conflict")
-	}
-	// Same relation name matters.
-	h := mk(8, Insert("Q", tup(1, 99)))
-	if Conflicts(a, h, keyFirst) {
-		t.Error("different relations must not conflict")
-	}
-}
-
-func TestWriteSet(t *testing.T) {
-	txn := &Transaction{ID: TxnID{Peer: "p", Seq: 1}, Updates: []Update{
-		Insert("R", tup(1, 10)),
-		Modify("R", tup(2, 20), tup(2, 25)),
-		Insert("Q", tup(1, 1)),
-	}}
-	ws := txn.WriteSet(keyFirst)
-	if len(ws) != 3 {
-		t.Errorf("WriteSet = %v", ws)
-	}
-}
-
 func TestTrackerDependencies(t *testing.T) {
 	tr := NewTracker(keyFirst)
 	t1 := &Transaction{ID: TxnID{Peer: "alaska", Seq: 1}, Updates: []Update{Insert("R", tup(1, 10))}}
