@@ -59,7 +59,8 @@ series-check:
 
 ## fuzz-smoke: each native fuzz target for FUZZTIME — tuple keys
 ## (internal/schema), wire transactions and
-## store-server request frames (internal/p2p), DB snapshots (internal/datalog),
+## store-server request frames (internal/p2p), DB snapshots and extent
+## operations against a naive model (internal/datalog),
 ## engine snapshots (internal/exchange), the peer's engine blob and its
 ## checkpoint-row annotations (internal/core), the witness-set merge
 ## kernel against its set definition (internal/provenance), the
@@ -73,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTxn$$' -fuzztime $(FUZZTIME) ./internal/p2p/
 	$(GO) test -run '^$$' -fuzz '^FuzzServerRequest$$' -fuzztime $(FUZZTIME) ./internal/p2p/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDB$$' -fuzztime $(FUZZTIME) ./internal/datalog/
+	$(GO) test -run '^$$' -fuzz '^FuzzRelOps$$' -fuzztime $(FUZZTIME) ./internal/datalog/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadState$$' -fuzztime $(FUZZTIME) ./internal/exchange/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEngineBlob$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeProv$$' -fuzztime $(FUZZTIME) ./internal/core/

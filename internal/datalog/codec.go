@@ -15,7 +15,7 @@ import (
 // engine's union database (DESIGN.md §13). The format is a pure function
 // of the database's logical content — the set of (predicate, tuple,
 // polynomial) facts — so two databases that are Equal encode to identical
-// bytes regardless of insertion order, intern-cache state, or slab layout.
+// bytes regardless of insertion order, intern-cache state, or slot layout.
 // Provenance polynomials are encoded once each against a node table and
 // referenced by index, so the hash-consed sharing the in-memory
 // representation relies on survives the round trip: every fact that shared
@@ -290,12 +290,13 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 				if err != nil {
 					return stats, fmt.Errorf("%w: tuple in %s: %w", ErrBadSnapshot, pred, err)
 				}
-				if rel.facts[key] != nil {
+				h := t.Hash()
+				if _, dup := rel.find(h, t); dup {
 					r.fail(fmt.Sprintf("tuple key %q in %s repeats", key, pred))
 				} else {
-					// The extent is fresh and the key unseen: no merge, no
+					// The extent is fresh and the tuple unseen: no merge, no
 					// index to maintain, and the table entry is interned.
-					rel.facts[key] = rel.newFact(t, table[pi])
+					rel.insert(h, t, table[pi])
 				}
 			}
 			stats.Facts++

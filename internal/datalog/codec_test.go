@@ -275,9 +275,10 @@ func sameFacts(a, b *DB) error {
 		if ra.Len() != rb.Len() {
 			return fmt.Errorf("%s: %d vs %d facts", pred, ra.Len(), rb.Len())
 		}
-		for key, f := range ra.facts {
-			g := rb.facts[key]
-			if g == nil {
+		for _, f := range ra.Facts() {
+			key := f.Tuple.Key()
+			g, ok := rb.Get(f.Tuple)
+			if !ok {
 				return fmt.Errorf("%s: %q missing", pred, key)
 			}
 			if !g.Prov.Equal(f.Prov) {

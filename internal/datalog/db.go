@@ -1,6 +1,9 @@
 package datalog
 
 import (
+	"cmp"
+	"maps"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -15,37 +18,59 @@ type Fact struct {
 }
 
 // Rel is the annotated extent of one predicate — the per-predicate shard of
-// a DB. Facts are stored once, by pointer, and shared with the hash-index
-// layer (index.go), so a provenance update is a single in-place write. The
-// *Fact structs themselves are allocated from contiguous slabs (see
-// newFact) that grow geometrically up to relSlabSize facts: one bulk
-// allocation per relSlabSize facts instead of one heap object per fact on a
-// large extent, which densifies the long-lived union database and cuts the
-// GC's pointer-chasing scan load, while the many tiny extents a goal query
-// derives stay tiny.
+// a DB. Facts are addressed by slot: a uint32 that names the fact's place
+// in fixed chunks of relChunkSize facts, so the extent is a few large
+// allocations rather than one heap object per fact, which keeps the
+// long-lived union database dense and the GC's pointer-chasing scan load
+// low. The first chunk grows geometrically up to relChunkSize, so the many
+// tiny extents a goal query derives stay tiny. Per-slot metadata (hash,
+// same-hash link, insertion number) sits in a pointer-free array beside
+// the chunks, and membership is a pointer-free table from a tuple's
+// structural hash (schema.Tuple.Hash) to its first slot; a shared hash is
+// settled with Tuple.Equal. Freed slots are reused. A provenance update is
+// a single in-place write to the slot's fact.
 //
 // A Rel may be mutated in place only by the DB that owns it (see ownership).
 // DB.Snapshot retires the ownership of every extent the two sides then
 // share: each must copy-on-write (DB.MutableRel) before its next mutation,
-// because both the facts map and the *Fact structs it points to are
-// reachable from the other view. Read paths (Get, Contains, Lookup, Facts)
-// never need the copy; lazy index builds are semantically read-only and stay
-// safe on a shared Rel.
+// because the chunks are reachable from the other view. Read paths (Get,
+// Contains, Lookup, Facts) never need the copy; lazy index builds are
+// semantically read-only and stay safe on a shared Rel.
 type Rel struct {
-	facts map[string]*Fact
-	// slab is the current allocation slab. Slabs are fixed-capacity and
-	// never reallocated, so &slab[i] stays valid for the extent's lifetime —
-	// the address stability the facts map and index buckets rely on.
-	slab []Fact
-	// free lists zeroed slots of removed facts for reuse, so delete-heavy
-	// churn recycles slab capacity instead of pinning mostly dead slabs
+	// chunks hold the facts: slot s lives at
+	// chunks[s/relChunkSize][s%relChunkSize]. Every chunk but the first is
+	// allocated at full size; the first is reallocated as it doubles, so a
+	// fact is read through its slot, never through a retained pointer.
+	chunks [][]Fact
+	meta   []slotMeta
+	// table maps a tuple hash to the first live slot holding that hash;
+	// slotMeta.next links the rest.
+	table map[uint64]uint32
+	// free lists the slots of removed facts for reuse, so delete-heavy
+	// churn recycles chunk capacity instead of pinning mostly dead chunks
 	// behind a few live stragglers.
-	free []*Fact
-	idx  relIndex // see index.go
+	free []uint32
+	// clock numbers insertions, so a reused slot still reports when its
+	// fact arrived; reused records that some slot was, so slot order may
+	// differ from insertion order.
+	clock  uint64
+	reused bool
+	n      int      // live facts
+	idx    relIndex // see index.go
 	// owner is the ownership the extent was created (or cloned) under; it
 	// never changes. A DB holding any other ownership clones before mutating.
 	owner *ownership
 }
+
+// slotMeta is one slot's pointer-free bookkeeping.
+type slotMeta struct {
+	hash uint64 // the fact's Tuple.Hash
+	seq  uint64 // the fact's insertion number; 0 for a free slot
+	next uint32 // next slot with the same hash, or noSlot
+}
+
+// noSlot ends a slot chain.
+const noSlot = ^uint32(0)
 
 // ownership is an identity token for copy-on-write: a DB may mutate in place
 // exactly the extents stamped with the token it currently holds. Snapshot
@@ -56,63 +81,94 @@ type ownership struct{ _ byte }
 
 // NewRel creates an empty extent.
 func NewRel() *Rel {
-	return &Rel{facts: map[string]*Fact{}}
+	return &Rel{table: map[uint64]uint32{}}
 }
 
-// relSlabSize is the most facts one contiguous slab holds.
-const relSlabSize = 256
+// relChunkSize is the most facts one contiguous chunk holds.
+const relChunkSize = 256
 
-// newFact allocates storage for one fact, reusing a freed slot when one
-// exists and otherwise appending to the shard's current slab. A full slab
-// is followed by one of min(relSlabSize, Len()+1) facts, so an extent's
-// slabs double until they reach relSlabSize. Callers must store the
-// returned pointer in the facts map before the next newFact call.
-func (r *Rel) newFact(t schema.Tuple, p provenance.Poly) *Fact {
+// fact returns the fact at slot s. The pointer is valid until the next
+// insertion (which may move the first chunk).
+func (r *Rel) fact(s uint32) *Fact {
+	return &r.chunks[s/relChunkSize][s%relChunkSize]
+}
+
+// find returns the live slot holding t, whose hash is h.
+func (r *Rel) find(h uint64, t schema.Tuple) (uint32, bool) {
+	s, ok := r.table[h]
+	if !ok {
+		return noSlot, false
+	}
+	for ; s != noSlot; s = r.meta[s].next {
+		if r.fact(s).Tuple.Equal(t) {
+			return s, true
+		}
+	}
+	return noSlot, false
+}
+
+// insert stores a fact known to be absent and folds it into every
+// maintained index. It returns the fact's slot: a freed one when one
+// exists, otherwise the next slot of the current chunk. A full first chunk
+// doubles (up to relChunkSize); later chunks are allocated at full size.
+func (r *Rel) insert(h uint64, t schema.Tuple, p provenance.Poly) uint32 {
+	var s uint32
 	if n := len(r.free); n > 0 {
-		f := r.free[n-1]
+		s = r.free[n-1]
 		r.free = r.free[:n-1]
-		*f = Fact{Tuple: t, Prov: p}
-		return f
+		r.reused = true
+		*r.fact(s) = Fact{Tuple: t, Prov: p}
+	} else {
+		s = uint32(len(r.meta))
+		c := int(s / relChunkSize)
+		if c == len(r.chunks) {
+			n := relChunkSize
+			if c == 0 {
+				n = 1 // the first chunk doubles from one fact
+			}
+			r.chunks = append(r.chunks, make([]Fact, 0, n))
+		}
+		ch := r.chunks[c]
+		if len(ch) == cap(ch) { // only the first chunk fills before relChunkSize
+			ch = append(make([]Fact, 0, min(relChunkSize, 2*cap(ch))), ch...)
+		}
+		r.chunks[c] = append(ch, Fact{Tuple: t, Prov: p})
+		r.meta = append(r.meta, slotMeta{})
 	}
-	if len(r.slab) == cap(r.slab) {
-		r.slab = make([]Fact, 0, min(relSlabSize, len(r.facts)+1))
+	next := noSlot
+	if head, ok := r.table[h]; ok {
+		next = head
 	}
-	r.slab = append(r.slab, Fact{Tuple: t, Prov: p})
-	return &r.slab[len(r.slab)-1]
+	r.clock++
+	r.meta[s] = slotMeta{hash: h, seq: r.clock, next: next}
+	r.table[h] = s
+	r.n++
+	r.indexInsert(s)
+	return s
 }
 
 // Len returns the number of facts.
-func (r *Rel) Len() int { return len(r.facts) }
+func (r *Rel) Len() int { return r.n }
 
 // Get returns the fact for the tuple, if present.
 func (r *Rel) Get(t schema.Tuple) (Fact, bool) {
-	if f := r.facts[t.Key()]; f != nil {
-		return *f, true
+	if s, ok := r.find(t.Hash(), t); ok {
+		return *r.fact(s), true
 	}
 	return Fact{}, false
 }
 
 // Contains reports tuple membership.
 func (r *Rel) Contains(t schema.Tuple) bool {
-	_, ok := r.facts[t.Key()]
-	return ok
-}
-
-// containsKey reports membership by pre-encoded tuple key.
-func (r *Rel) containsKey(key []byte) bool {
-	_, ok := r.facts[string(key)]
+	_, ok := r.find(t.Hash(), t)
 	return ok
 }
 
 // put inserts or merges a fact; it reports whether the extent changed.
 func (r *Rel) put(t schema.Tuple, p provenance.Poly) bool {
-	return r.putKeyed(t.Key(), t, p)
-}
-
-// putKeyed is put with the tuple key already computed. Genuine insertions
-// are folded incrementally into every maintained index.
-func (r *Rel) putKeyed(k string, t schema.Tuple, p provenance.Poly) bool {
-	if f := r.facts[k]; f != nil {
+	h := t.Hash()
+	if s, ok := r.find(h, t); ok {
+		f := r.fact(s)
 		merged, _, changed, _ := provenance.MergeWitness(f.Prov, p, 0)
 		if !changed {
 			return false
@@ -122,32 +178,63 @@ func (r *Rel) putKeyed(k string, t schema.Tuple, p provenance.Poly) bool {
 		f.Prov = merged.Intern()
 		return true
 	}
-	f := r.newFact(t, p.Intern())
-	r.facts[k] = f
-	r.indexInsert(f)
+	r.insert(h, t, p.Intern())
 	return true
 }
 
-// remove deletes the fact stored under key k, keeping indexes in sync. The
-// dead slab slot is zeroed so it stops pinning the tuple and annotation,
-// and queued for reuse by the next insertion; callers that still need the
-// fact's contents must copy them out first.
-func (r *Rel) remove(k string) {
-	f, ok := r.facts[k]
-	if !ok {
-		return
+// remove deletes the fact at live slot s, keeping indexes in sync. The dead
+// slot is zeroed so it stops pinning the tuple and annotation, and queued
+// for reuse by the next insertion; callers that still need the fact's
+// contents must copy them out first.
+func (r *Rel) remove(s uint32) {
+	r.indexRemove(s)
+	h := r.meta[s].hash
+	if head := r.table[h]; head == s {
+		if nx := r.meta[s].next; nx == noSlot {
+			delete(r.table, h)
+		} else {
+			r.table[h] = nx
+		}
+	} else {
+		for p := head; ; p = r.meta[p].next {
+			if r.meta[p].next == s {
+				r.meta[p].next = r.meta[s].next
+				break
+			}
+		}
 	}
-	delete(r.facts, k)
-	r.indexRemove(f)
-	*f = Fact{}
-	r.free = append(r.free, f)
+	*r.fact(s) = Fact{}
+	r.meta[s] = slotMeta{}
+	r.free = append(r.free, s)
+	r.n--
+}
+
+// live reports whether slot s holds a fact.
+func (r *Rel) live(s uint32) bool {
+	return int(s) < len(r.meta) && r.meta[s].seq != 0
+}
+
+// slotsInOrder returns the live slots in insertion order.
+func (r *Rel) slotsInOrder() []uint32 {
+	out := make([]uint32, 0, r.n)
+	for s := range r.meta {
+		if r.meta[s].seq != 0 {
+			out = append(out, uint32(s))
+		}
+	}
+	if r.reused {
+		slices.SortFunc(out, func(a, b uint32) int { return cmp.Compare(r.meta[a].seq, r.meta[b].seq) })
+	}
+	return out
 }
 
 // Facts returns all facts in deterministic (tuple) order.
 func (r *Rel) Facts() []Fact {
-	out := make([]Fact, 0, len(r.facts))
-	for _, f := range r.facts {
-		out = append(out, *f)
+	out := make([]Fact, 0, r.n)
+	for s := range r.meta {
+		if r.meta[s].seq != 0 {
+			out = append(out, *r.fact(uint32(s)))
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tuple.Compare(out[j].Tuple) < 0 })
 	return out
@@ -202,18 +289,22 @@ func (db *DB) MutableRel(pred string) *Rel {
 	return r
 }
 
-// cowClone deep-copies the extent's facts (the *Fact structs are mutated in
-// place by provenance merges, so they cannot be shared across the COW
-// boundary). The clone's facts land in one exactly-sized slab — a cloned
-// shard is maximally dense regardless of the original's slab fill. Indexes
-// are not copied — the clone rebuilds them lazily on first probe, while the
-// frozen side keeps its own.
+// cowClone copies the extent's arrays (facts are mutated in place by
+// provenance merges, so the chunks cannot be shared across the COW
+// boundary). Every fact keeps its slot. Indexes are not copied — the clone
+// rebuilds them lazily on first probe, while the frozen side keeps its own.
 func (r *Rel) cowClone() *Rel {
-	nr := NewRel()
-	nr.slab = make([]Fact, 0, len(r.facts))
-	for k, f := range r.facts {
-		nr.slab = append(nr.slab, *f)
-		nr.facts[k] = &nr.slab[len(nr.slab)-1]
+	nr := &Rel{
+		chunks: make([][]Fact, len(r.chunks)),
+		meta:   slices.Clone(r.meta),
+		table:  maps.Clone(r.table),
+		free:   slices.Clone(r.free),
+		clock:  r.clock,
+		reused: r.reused,
+		n:      r.n,
+	}
+	for i, ch := range r.chunks {
+		nr.chunks[i] = append(make([]Fact, 0, cap(ch)), ch...)
 	}
 	return nr
 }
@@ -251,25 +342,28 @@ func (db *DB) AddTuple(pred string, t schema.Tuple) bool {
 // annotation-only change writes the stored fact in place — the tuple's
 // index entries are unaffected, so no index maintenance runs.
 func (db *DB) Set(pred string, t schema.Tuple, p provenance.Poly) {
-	k := t.Key()
+	h := t.Hash()
 	r := db.MutableRel(pred)
-	if f := r.facts[k]; f != nil {
-		f.Prov = p.Intern()
+	if s, ok := r.find(h, t); ok {
+		r.fact(s).Prov = p.Intern()
 		return
 	}
-	r.putKeyed(k, t, p)
+	r.insert(h, t, p.Intern())
 }
 
 // Remove deletes the tuple from pred's extent, if present.
 func (db *DB) Remove(pred string, t schema.Tuple) {
-	db.MutableRel(pred).remove(t.Key())
+	r := db.MutableRel(pred)
+	if s, ok := r.find(t.Hash(), t); ok {
+		r.remove(s)
+	}
 }
 
 // Size returns the total number of facts.
 func (db *DB) Size() int {
 	n := 0
 	for _, r := range db.rels {
-		n += len(r.facts)
+		n += r.n
 	}
 	return n
 }

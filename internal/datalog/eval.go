@@ -236,21 +236,24 @@ type deltaFact struct {
 	prov  provenance.Poly
 }
 
-// addDelta folds one merge's genuinely new annotation part into a pending
-// delta. The same tuple can reach a delta more than once (distinct
-// derivations or tokens): its delta annotation accumulates, never
-// overwrites.
-func addDelta(delta map[string]map[string]deltaFact, pred, k string, tu schema.Tuple, newPart provenance.Poly) {
-	m := delta[pred]
+// pendingDelta is a stratum's delta under construction: per predicate, the
+// new annotation part of each changed fact, keyed by the fact's slot.
+type pendingDelta map[string]map[uint32]deltaFact
+
+// add folds one merge's genuinely new annotation part into the delta. The
+// same tuple can reach a delta more than once (distinct derivations or
+// tokens): its delta annotation accumulates, never overwrites.
+func (delta pendingDelta) add(mr mergeResult) {
+	m := delta[mr.pred]
 	if m == nil {
-		m = map[string]deltaFact{}
-		delta[pred] = m
+		m = map[uint32]deltaFact{}
+		delta[mr.pred] = m
 	}
-	if df, ok := m[k]; ok {
-		df.prov = df.prov.Add(newPart)
-		m[k] = df
+	if df, ok := m[mr.slot]; ok {
+		df.prov = df.prov.Add(mr.newPart)
+		m[mr.slot] = df
 	} else {
-		m[k] = deltaFact{tuple: tu, prov: newPart}
+		m[mr.slot] = deltaFact{tuple: mr.tuple, prov: mr.newPart}
 	}
 }
 
@@ -258,7 +261,7 @@ func addDelta(delta map[string]map[string]deltaFact, pred, k string, tu schema.T
 // whose predicate has pending delta, each joining the rule with that
 // predicate's delta at the position. Each predicate's delta is flattened
 // once and shared by every job that reads it.
-func deltaJobs(jobs []job, rules []Rule, plans []rulePlans, delta map[string]map[string]deltaFact) []job {
+func deltaJobs(jobs []job, rules []Rule, plans []rulePlans, delta pendingDelta) []job {
 	lists := map[string][]deltaFact{}
 	for ri, r := range rules {
 		for i, l := range r.Body {
@@ -283,7 +286,7 @@ func deltaJobs(jobs []job, rules []Rule, plans []rulePlans, delta map[string]map
 // semi-naive from that delta, which it takes over (incremental insertion).
 // need names the predicates whose changes can seed further rounds; observe,
 // when non-nil, sees every effective merge, needed or not.
-func evalStratum(ctx context.Context, rules []Rule, plans []rulePlans, need map[string]bool, db *DB, opts Options, seed map[string]map[string]deltaFact, observe func(mergeResult)) error {
+func evalStratum(ctx context.Context, rules []Rule, plans []rulePlans, need map[string]bool, db *DB, opts Options, seed pendingDelta, observe func(mergeResult)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -298,12 +301,12 @@ func evalStratum(ctx context.Context, rules []Rule, plans []rulePlans, need map[
 			observe(mr)
 		}
 		if need[mr.pred] {
-			addDelta(delta, mr.pred, mr.key, mr.tuple, mr.newPart)
+			delta.add(mr)
 		}
 	}
 	jobs := make([]job, 0, len(rules))
 	if seed == nil {
-		delta = map[string]map[string]deltaFact{}
+		delta = pendingDelta{}
 		for ri, r := range rules {
 			jobs = append(jobs, job{rule: r, pln: plans[ri].full})
 		}
@@ -320,7 +323,7 @@ func evalStratum(ctx context.Context, rules []Rule, plans []rulePlans, need map[
 			return fmt.Errorf("datalog: fixpoint not reached after %d iterations", maxIter)
 		}
 		jobs = deltaJobs(jobs[:0], rules, plans, delta)
-		delta = map[string]map[string]deltaFact{}
+		delta = pendingDelta{}
 		if err := re.runRound(ctx, jobs, db, opts, absorb); err != nil {
 			return err
 		}
@@ -338,13 +341,13 @@ type job struct {
 }
 
 // mergeResult describes the outcome of folding one derived fact into its
-// relation: the genuinely new annotation part, whether the tuple itself was
-// absent before the merge, and the annotation the tuple carried before
-// (zero when fresh) — batched insertion replays per-transaction merges from
-// it (see Incremental.InsertGroups).
+// relation: the slot it is stored at, the genuinely new annotation part,
+// whether the tuple itself was absent before the merge, and the annotation
+// the tuple carried before (zero when fresh) — batched insertion replays
+// per-transaction merges from it (see Incremental.InsertGroups).
 type mergeResult struct {
 	pred    string
-	key     string
+	slot    uint32
 	tuple   schema.Tuple
 	newPart provenance.Poly
 	fresh   bool
@@ -355,38 +358,38 @@ type mergeResult struct {
 // merge outcome (pred left for the caller to fill) and whether anything
 // changed.
 func merge(rel *Rel, t schema.Tuple, p provenance.Poly, opts Options) (mergeResult, bool) {
-	return mergeKeyed(rel, t.Key(), t, p, opts)
+	return mergeHashed(rel, t.Hash(), t, p, opts)
 }
 
-// mergeKeyed is merge with the tuple's storage key supplied by the caller.
-// The streaming pipelines encode head keys into a reused buffer, so they
-// merge without paying Tuple.Key's memoization clone per derived fact.
-func mergeKeyed(rel *Rel, k string, t schema.Tuple, p provenance.Poly, opts Options) (mergeResult, bool) {
+// mergeHashed is merge with the tuple's Hash supplied by the caller: the
+// streaming pipelines hash head tuples once, for the skip check and the
+// merge alike.
+func mergeHashed(rel *Rel, h uint64, t schema.Tuple, p provenance.Poly, opts Options) (mergeResult, bool) {
+	s, ok := rel.find(h, t)
 	if !opts.Provenance {
-		if _, ok := rel.facts[k]; ok {
-			return mergeResult{key: k, tuple: t}, false
+		if ok {
+			return mergeResult{slot: s, tuple: t}, false
 		}
-		rel.putKeyed(k, t, provenance.One())
-		return mergeResult{key: k, tuple: t, newPart: provenance.One(), fresh: true}, true
+		s = rel.insert(h, t, provenance.One().Intern())
+		return mergeResult{slot: s, tuple: t, newPart: provenance.One(), fresh: true}, true
 	}
-	existing := rel.facts[k]
 	var stored provenance.Poly
-	if existing != nil {
-		stored = existing.Prov
+	if ok {
+		stored = rel.fact(s).Prov
 	}
 	merged, newPart, changed, truncated := provenance.MergeWitness(stored, p, opts.MaxMonomials)
 	if truncated && opts.Stats != nil {
 		opts.Stats.Truncations.Add(1)
 	}
-	if existing == nil {
-		rel.putKeyed(k, t, merged)
-		return mergeResult{key: k, tuple: t, newPart: merged, fresh: true}, true
+	if !ok {
+		s = rel.insert(h, t, merged.Intern())
+		return mergeResult{slot: s, tuple: t, newPart: merged, fresh: true}, true
 	}
 	if !changed {
-		return mergeResult{key: k, tuple: t}, false
+		return mergeResult{slot: s, tuple: t}, false
 	}
-	existing.Prov = merged.Intern()
-	return mergeResult{key: k, tuple: t, newPart: newPart, prior: stored}, true
+	rel.fact(s).Prov = merged.Intern()
+	return mergeResult{slot: s, tuple: t, newPart: newPart, prior: stored}, true
 }
 
 // compare applies a builtin comparison to two values.
@@ -411,38 +414,55 @@ func compare(op CmpOp, l, r schema.Value) bool {
 
 // subsumedByExisting reports whether some stored tuple is a homomorphic
 // image of t: equal at t's concrete positions, with a consistent
-// substitution for t's labeled nulls.
+// substitution for t's labeled nulls. Candidates come from the index on t's
+// concrete columns; a null's image is checked against its first
+// occurrence's, so no substitution map is built.
 func subsumedByExisting(rel *Rel, t schema.Tuple) bool {
-	var cols []int
-	var vals schema.Tuple
+	var colBuf [8]int
+	cols := colBuf[:0]
+	h := schema.HashStart
 	for i, v := range t {
 		if !v.IsLabeledNull() {
 			cols = append(cols, i)
-			vals = append(vals, v)
+			h = v.FoldHash(h)
 		}
 	}
-	for _, f := range rel.Lookup(cols, vals) {
-		if f.Tuple.Equal(t) {
-			continue // the tuple itself (or an identical copy) — not a subsumer
-		}
-		subst := map[string]schema.Value{}
-		ok := true
-		for i, v := range t {
-			if !v.IsLabeledNull() {
-				continue
-			}
-			if prev, seen := subst[v.Str()]; seen {
-				if !prev.Equal(f.Tuple[i]) {
-					ok = false
-					break
-				}
-			} else {
-				subst[v.Str()] = f.Tuple[i]
-			}
-		}
-		if ok {
+	ci := rel.ensureIndex(cols)
+	for s, end := ci.probe(h); s != noSlot; s = ci.next[s] {
+		if subsumes(rel.fact(s).Tuple, t, cols) {
 			return true
+		}
+		if s == end {
+			break
 		}
 	}
 	return false
+}
+
+// subsumes reports whether stored tuple u is a homomorphic image of t other
+// than t itself: of t's arity, equal on t's concrete columns cols, and
+// mapping every occurrence of one labeled null of t to one value.
+func subsumes(u, t schema.Tuple, cols []int) bool {
+	if len(u) != len(t) || u.Equal(t) {
+		return false
+	}
+	for _, c := range cols {
+		if !u[c].Equal(t[c]) {
+			return false
+		}
+	}
+	for i, v := range t {
+		if !v.IsLabeledNull() {
+			continue
+		}
+		for j := 0; j < i; j++ {
+			if t[j].Equal(v) {
+				if !u[i].Equal(u[j]) {
+					return false
+				}
+				break
+			}
+		}
+	}
+	return true
 }

@@ -2,7 +2,7 @@ package datalog
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,10 +47,10 @@ func AdaptiveWorkers(parallelism, est int) int {
 
 // emission is one buffered head fact produced by a parallel firing. The
 // head predicate is implicit: a job fires one rule, so a whole buffer
-// belongs to that rule's head shard. key is the tuple's storage key, which
-// the pipeline already encoded.
+// belongs to that rule's head shard. hash is the tuple's Hash, which the
+// pipeline already computed.
 type emission struct {
-	key   string
+	hash  uint64
 	tuple schema.Tuple
 	prov  provenance.Poly
 }
@@ -75,19 +75,12 @@ type mergeSink struct {
 	absorb func(mergeResult)
 }
 
-func (s *mergeSink) skip(key []byte, prov provenance.Poly) bool {
-	f := s.rel.facts[string(key)]
-	if f == nil {
-		return false
-	}
-	if !s.opts.Provenance {
-		return true
-	}
-	return f.Prov.Subsumes(prov)
+func (s *mergeSink) skip(h uint64, t schema.Tuple, prov provenance.Poly) bool {
+	return storedSubsumes(s.rel, h, t, prov, s.opts)
 }
 
-func (s *mergeSink) emit(key []byte, t schema.Tuple, prov provenance.Poly) {
-	mr, changed := mergeKeyed(s.rel, string(key), t, prov, s.opts)
+func (s *mergeSink) emit(h uint64, t schema.Tuple, prov provenance.Poly) {
+	mr, changed := mergeHashed(s.rel, h, t, prov, s.opts)
 	if changed {
 		mr.pred = s.pred
 		s.absorb(mr)
@@ -95,7 +88,7 @@ func (s *mergeSink) emit(key []byte, t schema.Tuple, prov provenance.Poly) {
 }
 
 // bufSink is the parallel streaming sink: one per probe-phase job, appending
-// emissions (with their pre-encoded keys) to the job's own buffer. Its skip
+// emissions (with their hashes) to the job's own buffer. Its skip
 // check reads the frozen pre-round relation — safe because probing workers
 // only read and merges wait until every worker has joined — and is gated by
 // canSkipParallel.
@@ -106,22 +99,22 @@ type bufSink struct {
 	canSkip bool
 }
 
-func (s *bufSink) skip(key []byte, prov provenance.Poly) bool {
-	if !s.canSkip {
-		return false
-	}
-	f := s.rel.facts[string(key)]
-	if f == nil {
-		return false
-	}
-	if !s.opts.Provenance {
-		return true
-	}
-	return f.Prov.Subsumes(prov)
+func (s *bufSink) skip(h uint64, t schema.Tuple, prov provenance.Poly) bool {
+	return s.canSkip && storedSubsumes(s.rel, h, t, prov, s.opts)
 }
 
-func (s *bufSink) emit(key []byte, t schema.Tuple, prov provenance.Poly) {
-	s.buf = append(s.buf, emission{key: string(key), tuple: t, prov: prov})
+func (s *bufSink) emit(h uint64, t schema.Tuple, prov provenance.Poly) {
+	s.buf = append(s.buf, emission{hash: h, tuple: t, prov: prov})
+}
+
+// storedSubsumes reports whether rel already stores t (hash h) with an
+// annotation that absorbs prov, so merging it could change nothing.
+func storedSubsumes(rel *Rel, h uint64, t schema.Tuple, prov provenance.Poly, opts Options) bool {
+	s, ok := rel.find(h, t)
+	if !ok {
+		return false
+	}
+	return !opts.Provenance || rel.fact(s).Prov.Subsumes(prov)
 }
 
 // roundExec runs the rounds of one fixpoint. It owns the sequential path's
@@ -259,7 +252,7 @@ func (re *roundExec) runRound(ctx context.Context, jobs []job, db *DB, opts Opti
 			if opts.ChaseSubsumption && e.tuple.HasLabeledNull() && subsumedByExisting(rel, e.tuple) {
 				continue
 			}
-			if mr, changed := mergeKeyed(rel, e.key, e.tuple, e.prov, opts); changed {
+			if mr, changed := mergeHashed(rel, e.hash, e.tuple, e.prov, opts); changed {
 				mr.pred = pred
 				absorb(mr)
 			}
@@ -269,18 +262,15 @@ func (re *roundExec) runRound(ctx context.Context, jobs []job, db *DB, opts Opti
 }
 
 // deltaList flattens one predicate's pending delta into the slice form jobs
-// consume, in storage-key order, so the enumeration order of every
-// downstream join — and with it the change log — is identical across runs
-// instead of following map iteration order.
-func deltaList(m map[string]deltaFact) []deltaFact {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+// consume, in storage-key order (schema.CompareKeys: the order of the
+// tuples' Key encodings), so the enumeration order of every downstream
+// join — and with it the change log — is identical across runs instead of
+// following map iteration order.
+func deltaList(m map[uint32]deltaFact) []deltaFact {
 	out := make([]deltaFact, 0, len(m))
-	for _, k := range keys {
-		out = append(out, m[k])
+	for _, df := range m {
+		out = append(out, df)
 	}
+	slices.SortFunc(out, func(a, b deltaFact) int { return schema.CompareKeys(a.tuple, b.tuple) })
 	return out
 }

@@ -3,6 +3,7 @@ package datalog
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -15,10 +16,6 @@ import (
 type Change struct {
 	Pred  string
 	Tuple schema.Tuple
-	// Key is Tuple.Key(), carried from the merge that produced the change
-	// so downstream consumers (e.g. exchange collation) need not re-encode
-	// the tuple.
-	Key string
 	// Prov is the annotation delta: for insertions, the new provenance
 	// part; for deletions, the remaining provenance (zero if the fact was
 	// removed entirely).
@@ -49,15 +46,16 @@ type Incremental struct {
 	db   *DB
 	opts Options
 	// tokenIndex maps a provenance token to the facts whose annotation
-	// mentions it, as pred -> tuple keys; only deletions read it. It stays
+	// mentions it, as pred -> slots; only deletions read it. It stays
 	// nil until the first deletion-side call (DeleteBase, Affected,
 	// DependentCount), which builds it with one scan of the database (see
 	// tokens); from then on every merge records its new occurrences here.
 	// Insert-only streams — the common update-exchange shape — never pay
 	// for it. Beyond a killed token's own entry, nothing is pruned when a
 	// fact is removed or the witness cut drops a monomial, so readers check
-	// each candidate's current annotation.
-	tokenIndex map[provenance.Token]map[string]map[string]bool
+	// each candidate's current annotation; a slot freed and reused by
+	// another fact since fails that check like any stale entry.
+	tokenIndex map[provenance.Token]map[string]map[uint32]struct{}
 	// ruleToks holds the rules' ProvTokens. They name mappings, not base
 	// facts, so they are never deleted and the index leaves them out: a
 	// mapping's token is in every fact derived through it, so its entries
@@ -173,10 +171,9 @@ func (inc *Incremental) Plans() string {
 func (inc *Incremental) DB() *DB { return inc.db }
 
 // indexFact records, for every token mentioned in p, that the fact stored
-// under key k in pred depends on it. k must be t.Key() of the stored tuple;
-// callers on the hot path already have it. Before the index is built there
-// is nothing to maintain: the build scans what the merges stored.
-func (inc *Incremental) indexFact(pred, k string, p provenance.Poly) {
+// at slot s of pred depends on it. Before the index is built there is
+// nothing to maintain: the build scans what the merges stored.
+func (inc *Incremental) indexFact(pred string, s uint32, p provenance.Poly) {
 	if inc.tokenIndex == nil {
 		return
 	}
@@ -187,27 +184,29 @@ func (inc *Incremental) indexFact(pred, k string, p provenance.Poly) {
 			}
 			preds := inc.tokenIndex[x]
 			if preds == nil {
-				preds = map[string]map[string]bool{}
+				preds = map[string]map[uint32]struct{}{}
 				inc.tokenIndex[x] = preds
 			}
-			keys := preds[pred]
-			if keys == nil {
-				keys = map[string]bool{}
-				preds[pred] = keys
+			slots := preds[pred]
+			if slots == nil {
+				slots = map[uint32]struct{}{}
+				preds[pred] = slots
 			}
-			keys[k] = true
+			slots[s] = struct{}{}
 		}
 	}
 }
 
 // tokens returns the token index, building it on first use with one scan of
 // the database.
-func (inc *Incremental) tokens() map[provenance.Token]map[string]map[string]bool {
+func (inc *Incremental) tokens() map[provenance.Token]map[string]map[uint32]struct{} {
 	if inc.tokenIndex == nil {
-		inc.tokenIndex = map[provenance.Token]map[string]map[string]bool{}
+		inc.tokenIndex = map[provenance.Token]map[string]map[uint32]struct{}{}
 		for pred, rel := range inc.db.rels {
-			for k, f := range rel.facts {
-				inc.indexFact(pred, k, f.Prov)
+			for s := range rel.meta {
+				if rel.live(uint32(s)) {
+					inc.indexFact(pred, uint32(s), rel.fact(uint32(s)).Prov)
+				}
 			}
 		}
 		if inc.opts.Stats != nil {
@@ -238,9 +237,9 @@ func (inc *Incremental) Insert(ctx context.Context, facts []Fact2) ([]Change, er
 	}
 	var changes []Change
 	err := inc.insertSeeded(ctx, [][]Fact2{facts}, func(_ int, mr mergeResult) {
-		changes = append(changes, Change{Pred: mr.pred, Tuple: mr.tuple, Key: mr.key, Prov: mr.newPart, Fresh: true})
+		changes = append(changes, Change{Pred: mr.pred, Tuple: mr.tuple, Prov: mr.newPart, Fresh: true})
 	}, func(mr mergeResult) {
-		changes = append(changes, Change{Pred: mr.pred, Tuple: mr.tuple, Key: mr.key, Prov: mr.newPart, Fresh: mr.fresh})
+		changes = append(changes, Change{Pred: mr.pred, Tuple: mr.tuple, Prov: mr.newPart, Fresh: mr.fresh})
 	})
 	if err != nil {
 		return nil, err
@@ -256,7 +255,7 @@ func (inc *Incremental) Insert(ctx context.Context, facts []Fact2) ([]Change, er
 // seed no rule reads cannot propagate.
 func (inc *Incremental) insertSeeded(ctx context.Context, groups [][]Fact2, seeded func(gi int, mr mergeResult), derived func(mergeResult)) error {
 	st := &inc.pp.strata[0]
-	delta := map[string]map[string]deltaFact{}
+	delta := pendingDelta{}
 	for gi, facts := range groups {
 		for _, bf := range facts {
 			mr, changed := merge(inc.db.MutableRel(bf.Pred), bf.Tuple, bf.Prov, inc.opts)
@@ -264,9 +263,9 @@ func (inc *Incremental) insertSeeded(ctx context.Context, groups [][]Fact2, seed
 				continue
 			}
 			mr.pred = bf.Pred
-			inc.indexFact(mr.pred, mr.key, mr.newPart)
+			inc.indexFact(mr.pred, mr.slot, mr.newPart)
 			if st.need[mr.pred] {
-				addDelta(delta, mr.pred, mr.key, mr.tuple, mr.newPart)
+				delta.add(mr)
 			}
 			seeded(gi, mr)
 		}
@@ -275,9 +274,35 @@ func (inc *Incremental) insertSeeded(ctx context.Context, groups [][]Fact2, seed
 		return nil
 	}
 	return evalStratum(ctx, st.rules, inc.pp.plansAt(0, inc.db), st.need, inc.db, inc.opts, delta, func(mr mergeResult) {
-		inc.indexFact(mr.pred, mr.key, mr.newPart)
+		inc.indexFact(mr.pred, mr.slot, mr.newPart)
 		derived(mr)
 	})
+}
+
+// predSlot names a stored fact: its predicate and its slot there.
+type predSlot struct {
+	pred string
+	slot uint32
+}
+
+// seedSet holds the base facts of a run of insertion groups by tuple hash,
+// the predicate and Tuple.Equal settling a shared hash.
+type seedSet map[uint64][]Fact2
+
+func (ss seedSet) has(bf Fact2) bool {
+	for _, f := range ss[bf.Tuple.Hash()] {
+		if f.Pred == bf.Pred && f.Tuple.Equal(bf.Tuple) {
+			return true
+		}
+	}
+	return false
+}
+
+func (ss seedSet) add(bf Fact2) {
+	if !ss.has(bf) {
+		h := bf.Tuple.Hash()
+		ss[h] = append(ss[h], bf)
+	}
 }
 
 // Fact2 is a base fact targeted at a predicate (the name Fact is taken by
@@ -300,7 +325,6 @@ type groupPart struct {
 // arrival order, so per-group change lists can be replayed afterwards.
 type groupAcc struct {
 	pred    string
-	key     string
 	tuple   schema.Tuple
 	existed bool            // stored before the batch
 	prior   provenance.Poly // annotation before the batch (zero if !existed)
@@ -357,7 +381,7 @@ func (inc *Incremental) InsertGroups(ctx context.Context, groups [][]Fact2) ([][
 		return out, nil
 	}
 	start := 0
-	seen := map[string]bool{}
+	seen := seedSet{}
 	flush := func(end int) error {
 		if start >= end {
 			return nil
@@ -373,7 +397,7 @@ func (inc *Incremental) InsertGroups(ctx context.Context, groups [][]Fact2) ([][
 	for gi, facts := range groups {
 		overlap := false
 		for _, bf := range facts {
-			if seen[bf.Pred+"\x00"+bf.Tuple.Key()] {
+			if seen.has(bf) {
 				overlap = true
 				break
 			}
@@ -382,10 +406,10 @@ func (inc *Incremental) InsertGroups(ctx context.Context, groups [][]Fact2) ([][
 			if err := flush(gi); err != nil {
 				return nil, err
 			}
-			seen = map[string]bool{}
+			clear(seen)
 		}
 		for _, bf := range facts {
-			seen[bf.Pred+"\x00"+bf.Tuple.Key()] = true
+			seen.add(bf)
 		}
 	}
 	if err := flush(len(groups)); err != nil {
@@ -422,12 +446,12 @@ func (inc *Incremental) insertGroupRun(ctx context.Context, groups [][]Fact2) ([
 			}
 		}
 	}
-	accs := map[string]*groupAcc{}
+	accs := map[predSlot]*groupAcc{}
 	touch := func(mr mergeResult) *groupAcc {
-		ak := mr.pred + "\x00" + mr.key
+		ak := predSlot{mr.pred, mr.slot}
 		a := accs[ak]
 		if a == nil {
-			a = &groupAcc{pred: mr.pred, key: mr.key, tuple: mr.tuple, existed: !mr.fresh, prior: mr.prior}
+			a = &groupAcc{pred: mr.pred, tuple: mr.tuple, existed: !mr.fresh, prior: mr.prior}
 			accs[ak] = a
 		}
 		return a
@@ -500,7 +524,7 @@ func (inc *Incremental) insertGroupRun(ctx context.Context, groups [][]Fact2) ([
 			gi := a.parts[0].group
 			present := a.existed
 			for _, p := range a.parts {
-				out[gi] = append(out[gi], Change{Pred: a.pred, Tuple: a.tuple, Key: a.key, Prov: p.prov, Fresh: p.seed || !present})
+				out[gi] = append(out[gi], Change{Pred: a.pred, Tuple: a.tuple, Prov: p.prov, Fresh: p.seed || !present})
 				present = true
 			}
 			continue
@@ -516,7 +540,7 @@ func (inc *Incremental) insertGroupRun(ctx context.Context, groups [][]Fact2) ([
 				if !changed {
 					continue
 				}
-				out[gi] = append(out[gi], Change{Pred: a.pred, Tuple: a.tuple, Key: a.key, Prov: newPart, Fresh: p.seed || !present})
+				out[gi] = append(out[gi], Change{Pred: a.pred, Tuple: a.tuple, Prov: newPart, Fresh: p.seed || !present})
 				present = true
 				prev = merged
 			}
@@ -541,21 +565,21 @@ func (inc *Incremental) insertGroupRun(ctx context.Context, groups [][]Fact2) ([
 // here, as by Affected and DependentCount.
 func (inc *Incremental) DeleteBase(tokens []provenance.Var) []Change {
 	index := inc.tokens()
-	touched := map[string]map[string]bool{} // pred -> keys
+	touched := map[string]map[uint32]struct{}{} // pred -> slots
 	for _, v := range tokens {
 		tok := provenance.Mint(v)
 		if inc.ruleToks[tok] {
 			continue
 		}
 		inc.dead[tok] = true
-		for pred, keys := range index[tok] {
+		for pred, slots := range index[tok] {
 			tm := touched[pred]
 			if tm == nil {
-				tm = map[string]bool{}
+				tm = map[uint32]struct{}{}
 				touched[pred] = tm
 			}
-			for k := range keys {
-				tm[k] = true
+			for s := range slots {
+				tm[s] = struct{}{}
 			}
 		}
 		// Once killed, the token leaves every annotation below.
@@ -563,24 +587,26 @@ func (inc *Incremental) DeleteBase(tokens []provenance.Var) []Change {
 	}
 	alive := func(t provenance.Token) bool { return !inc.dead[t] }
 	var changes []Change
-	for pred, keys := range touched {
+	for pred, slots := range touched {
 		rel := inc.db.MutableRel(pred)
-		for k := range keys {
-			f, ok := rel.facts[k]
-			if !ok {
+		// Ascending slots: the order slots are freed in, and so reused in,
+		// does not depend on map iteration.
+		for _, s := range slices.Sorted(maps.Keys(slots)) {
+			if !rel.live(s) {
 				continue
 			}
+			f := rel.fact(s)
 			rest := f.Prov.RestrictTokens(alive)
 			if rest.Equal(f.Prov) {
 				continue
 			}
 			if rest.IsZero() {
-				tu := f.Tuple // remove zeroes the slab slot; copy out first
-				rel.remove(k) // maintains the hash indexes incrementally
-				changes = append(changes, Change{Pred: pred, Tuple: tu, Key: k, Removed: true})
+				tu := f.Tuple // remove zeroes the slot; copy out first
+				rel.remove(s) // maintains the hash indexes incrementally
+				changes = append(changes, Change{Pred: pred, Tuple: tu, Removed: true})
 			} else {
-				f.Prov = rest.Intern() // facts are stored by pointer; in-place update
-				changes = append(changes, Change{Pred: pred, Tuple: f.Tuple, Key: k, Prov: rest})
+				f.Prov = rest.Intern() // in-place update of the stored fact
+				changes = append(changes, Change{Pred: pred, Tuple: f.Tuple, Prov: rest})
 			}
 		}
 	}
@@ -595,10 +621,10 @@ func (inc *Incremental) DeleteBase(tokens []provenance.Var) []Change {
 // witness cut dropped, do not count.
 func (inc *Incremental) DependentCount(v provenance.Var) int {
 	n, tok := 0, provenance.Mint(v)
-	for pred, keys := range inc.tokens()[tok] {
+	for pred, slots := range inc.tokens()[tok] {
 		rel := inc.db.Rel(pred)
-		for k := range keys {
-			if f, ok := rel.facts[k]; ok && mentions(f.Prov, tok) {
+		for s := range slots {
+			if rel.live(s) && mentions(rel.fact(s).Prov, tok) {
 				n++
 			}
 		}
@@ -622,27 +648,27 @@ func (inc *Incremental) Affected(tokens []provenance.Var) []Change {
 	}
 	alive := func(t provenance.Token) bool { return !inc.dead[t] && !tmpDead[t] }
 	var changes []Change
-	seen := map[string]bool{}
+	seen := map[predSlot]bool{}
 	for _, tok := range toks {
-		for pred, keys := range index[tok] {
+		for pred, slots := range index[tok] {
 			rel := inc.db.Rel(pred)
-			for k := range keys {
-				if seen[pred+"\x00"+k] {
+			for s := range slots {
+				if seen[predSlot{pred, s}] {
 					continue
 				}
-				seen[pred+"\x00"+k] = true
-				f, ok := rel.facts[k]
-				if !ok {
+				seen[predSlot{pred, s}] = true
+				if !rel.live(s) {
 					continue
 				}
+				f := rel.fact(s)
 				rest := f.Prov.RestrictTokens(alive)
 				if rest.Equal(f.Prov) {
 					continue
 				}
 				if rest.IsZero() {
-					changes = append(changes, Change{Pred: pred, Tuple: f.Tuple, Key: k, Removed: true})
+					changes = append(changes, Change{Pred: pred, Tuple: f.Tuple, Removed: true})
 				} else {
-					changes = append(changes, Change{Pred: pred, Tuple: f.Tuple, Key: k, Prov: rest})
+					changes = append(changes, Change{Pred: pred, Tuple: f.Tuple, Prov: rest})
 				}
 			}
 		}

@@ -96,9 +96,9 @@ func changesEqual(t *testing.T, label string, a, b []Change) {
 		growth = map[string]provenance.Poly{}
 		for _, c := range cs {
 			if c.Fresh || c.Removed {
-				visible = append(visible, fmt.Sprintf("%s|%s|fresh=%v|removed=%v", c.Pred, c.Key, c.Fresh, c.Removed))
+				visible = append(visible, fmt.Sprintf("%s|%s|fresh=%v|removed=%v", c.Pred, c.Tuple.Key(), c.Fresh, c.Removed))
 			}
-			k := c.Pred + "|" + c.Key
+			k := c.Pred + "|" + c.Tuple.Key()
 			growth[k] = growth[k].Add(c.Prov)
 		}
 		sort.Strings(visible)

@@ -1,158 +1,213 @@
 package datalog
 
 import (
+	"slices"
 	"sync"
 
 	"orchestra/internal/schema"
 )
 
 // relIndex is the per-relation hash-index layer. For every bound-column set
-// that evaluation has probed, it keeps a map from the projected value key to
-// the matching facts. An index is built once, on first probe, and from then
-// on is maintained incrementally as facts merge in (Rel.put) or die
-// (Rel.remove) — it is never rebuilt per probe or invalidated wholesale on
-// deletion. The empty column set is an index too: its single bucket is the
-// relation's full-scan order.
+// that evaluation has probed, it keeps a table from the hash of a fact's
+// projection on those columns to a chain of the slots that carry it. An
+// index is built once, on first probe, and from then on is maintained
+// incrementally as facts merge in (Rel.insert) or die (Rel.remove) — it is
+// never rebuilt per probe or invalidated wholesale on deletion. The empty
+// column set is an index too: its single chain is the relation's full-scan
+// order.
 //
-// Buckets hold *Fact, so probes return shared slices with no per-probe
-// copying, and a provenance update through the pointer is visible in every
-// index at once. Callers must treat returned buckets as read-only.
+// Chains are insertion-ordered and doubly linked through per-slot next/prev
+// arrays, so appending and unlinking are O(1) and nothing in the layer holds
+// a pointer. A lazy build walks the slots in insertion order (slot order,
+// unless a freed slot was reused), so no chain's order comes from map
+// iteration. Distinct projections
+// can share a hash and so a chain: a probe compares each candidate's probed
+// columns (see pipeline.next).
 //
 // The mutex doubles as the relation's merge lock: during a parallel stratum
 // round many workers probe the same relation concurrently (read lock), and a
 // worker that needs a not-yet-built index takes the write lock to build it
 // against the fact set, which is frozen for the duration of the probe phase.
-// Bucket contents are only mutated between rounds (eager sequential merges,
-// the coordinator's buffered merge, or incremental deletion), never while
+// Chains are only mutated between rounds (eager sequential merges, the
+// coordinator's buffered merge, or incremental deletion), never while
 // workers are probing.
 type relIndex struct {
 	mu     sync.RWMutex
-	byCols map[string]*colIndex
+	byCols []*colIndex
 }
 
 // colIndex is one hash index over a fixed bound-column set.
 type colIndex struct {
-	cols    []int
-	buckets map[string][]*Fact // projected value key -> facts
+	cols []int
+	// minArity is max(cols)+1: shorter tuples have no projection on cols
+	// and are left out of the index.
+	minArity int
+	chains   map[uint64]chain // projection hash -> slots
+	// next and prev link each indexed slot to its chain neighbors (noSlot
+	// at the ends); they are indexed by slot.
+	next, prev []uint32
 }
 
-func encodeCols(cols []int) string {
-	b := make([]byte, 0, len(cols)*2)
+// chain is one hash bucket's ends.
+type chain struct{ head, tail uint32 }
+
+// projHash hashes t's projection on cols.
+func projHash(t schema.Tuple, cols []int) uint64 {
+	h := schema.HashStart
 	for _, c := range cols {
-		// Arities are tiny; one byte per column is plenty.
-		b = append(b, byte(c), ';')
+		h = t[c].FoldHash(h)
 	}
-	return string(b)
+	return h
 }
 
-// ensureIndex returns the index on cols, building it on first use. colKey
-// must equal encodeCols(cols); callers on the hot path have it precomputed.
-func (r *Rel) ensureIndex(colKey string, cols []int) *colIndex {
+// ensureIndex returns the index on cols, building it on first use.
+func (r *Rel) ensureIndex(cols []int) *colIndex {
 	r.idx.mu.RLock()
-	ci := r.idx.byCols[colKey]
+	ci := r.idx.lookup(cols)
 	r.idx.mu.RUnlock()
 	if ci != nil {
 		return ci
 	}
 	r.idx.mu.Lock()
 	defer r.idx.mu.Unlock()
-	if ci := r.idx.byCols[colKey]; ci != nil {
+	if ci := r.idx.lookup(cols); ci != nil {
 		return ci
 	}
-	ci = &colIndex{cols: append([]int(nil), cols...), buckets: map[string][]*Fact{}}
-	var kb []byte
-	for _, f := range r.facts {
-		kb = kb[:0]
-		for _, c := range ci.cols {
-			kb = appendProjKey(kb, f.Tuple[c])
-		}
-		ci.buckets[string(kb)] = append(ci.buckets[string(kb)], f)
+	ci = &colIndex{cols: slices.Clone(cols), chains: map[uint64]chain{}}
+	for _, c := range cols {
+		ci.minArity = max(ci.minArity, c+1)
 	}
-	if r.idx.byCols == nil {
-		r.idx.byCols = map[string]*colIndex{}
+	for _, s := range r.slotsInOrder() {
+		ci.link(s, r.fact(s).Tuple)
 	}
-	r.idx.byCols[colKey] = ci
+	r.idx.byCols = append(r.idx.byCols, ci)
 	return ci
 }
 
-// appendProjKey appends one length-prefixed component of a projection key.
-// Delegating to the schema package keeps this encoding byte-identical to
-// the Tuple.Key encoding of the facts map, which negation membership
-// probes (containsKey) rely on.
-func appendProjKey(b []byte, v schema.Value) []byte {
-	return schema.AppendComponentKeyTo(b, v)
-}
-
-// lookupBucket returns the facts whose projection on the index's columns
-// has the given (pre-encoded) value key. The returned slice is shared with
-// the index: callers must not mutate it.
-func (r *Rel) lookupBucket(colKey string, cols []int, valKey []byte) []*Fact {
-	return r.ensureIndex(colKey, cols).buckets[string(valKey)]
-}
-
-// Lookup returns the facts whose projection on cols equals vals, building
-// the index on cols on first use. With no bound columns it returns all
-// facts. The returned slice and the facts it points to are shared with the
-// index: callers must not mutate them.
-func (r *Rel) Lookup(cols []int, vals schema.Tuple) []*Fact {
-	var buf [64]byte // keeps typical keys off the heap
-	kb := buf[:0]
-	for _, v := range vals {
-		kb = appendProjKey(kb, v)
-	}
-	return r.lookupBucket(encodeCols(cols), cols, kb)
-}
-
-// indexInsert adds a freshly stored fact to every maintained index.
-func (r *Rel) indexInsert(f *Fact) {
-	r.idx.mu.Lock()
-	var kb []byte
-	for _, ci := range r.idx.byCols {
-		kb = kb[:0]
-		for _, c := range ci.cols {
-			kb = appendProjKey(kb, f.Tuple[c])
+// lookup returns the index on cols, if built. Callers hold mu.
+func (x *relIndex) lookup(cols []int) *colIndex {
+	for _, ci := range x.byCols {
+		if slices.Equal(ci.cols, cols) {
+			return ci
 		}
-		ci.buckets[string(kb)] = append(ci.buckets[string(kb)], f)
+	}
+	return nil
+}
+
+// link appends slot s, holding t, to the tail of its chain.
+func (ci *colIndex) link(s uint32, t schema.Tuple) {
+	if len(t) < ci.minArity {
+		return
+	}
+	if n := int(s) + 1; n > len(ci.next) {
+		ci.next = append(ci.next, make([]uint32, n-len(ci.next))...)
+		ci.prev = append(ci.prev, make([]uint32, n-len(ci.prev))...)
+	}
+	h := projHash(t, ci.cols)
+	ci.next[s] = noSlot
+	c, ok := ci.chains[h]
+	if !ok {
+		ci.prev[s] = noSlot
+		ci.chains[h] = chain{head: s, tail: s}
+		return
+	}
+	ci.prev[s] = c.tail
+	ci.next[c.tail] = s
+	c.tail = s
+	ci.chains[h] = c
+}
+
+// unlink removes slot s, holding t, from its chain.
+func (ci *colIndex) unlink(s uint32, t schema.Tuple) {
+	if len(t) < ci.minArity {
+		return
+	}
+	h := projHash(t, ci.cols)
+	c := ci.chains[h]
+	p, n := ci.prev[s], ci.next[s]
+	if p == noSlot {
+		c.head = n
+	} else {
+		ci.next[p] = n
+	}
+	if n == noSlot {
+		c.tail = p
+	} else {
+		ci.prev[n] = p
+	}
+	if c.head == noSlot {
+		delete(ci.chains, h)
+	} else {
+		ci.chains[h] = c
+	}
+}
+
+// probe returns the chain of slots whose projection on ci's columns hashes
+// to h, as its first and last slot (noSlot, noSlot when empty). Capturing
+// the last slot bounds a scan to the facts present at the probe: a fact
+// merged later links in after it.
+func (ci *colIndex) probe(h uint64) (head, tail uint32) {
+	c, ok := ci.chains[h]
+	if !ok {
+		return noSlot, noSlot
+	}
+	return c.head, c.tail
+}
+
+// Lookup returns the facts whose projection on cols equals vals, in
+// insertion order, building the index on cols on first use. With no bound
+// columns it returns all facts. The returned facts are copies.
+func (r *Rel) Lookup(cols []int, vals schema.Tuple) []Fact {
+	if len(vals) != len(cols) {
+		return nil
+	}
+	h := schema.HashStart
+	for _, v := range vals {
+		h = v.FoldHash(h)
+	}
+	ci := r.ensureIndex(cols)
+	var out []Fact
+	for s, end := ci.probe(h); s != noSlot; s = ci.next[s] {
+		f := r.fact(s)
+		if projEqual(f.Tuple, cols, vals) {
+			out = append(out, *f)
+		}
+		if s == end {
+			break
+		}
+	}
+	return out
+}
+
+// projEqual reports whether t's projection on cols equals vals.
+func projEqual(t schema.Tuple, cols []int, vals schema.Tuple) bool {
+	for i, c := range cols {
+		if !t[c].Equal(vals[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// indexInsert adds a freshly stored slot to every maintained index.
+func (r *Rel) indexInsert(s uint32) {
+	r.idx.mu.Lock()
+	if len(r.idx.byCols) > 0 {
+		t := r.fact(s).Tuple
+		for _, ci := range r.idx.byCols {
+			ci.link(s, t)
+		}
 	}
 	r.idx.mu.Unlock()
 }
 
-// bucketScanLimit bounds the work indexRemove spends shifting one bucket.
-// Removal from a bucket is a linear scan, so on huge buckets — notably the
-// single full-scan bucket of the empty column set — per-fact maintenance
-// would make bulk deletions quadratic. Beyond this size the whole index is
-// dropped instead and rebuilt lazily on the next probe (one O(n) rebuild
-// per deletion batch, like the pre-index-layer engine), while selective
-// indexes with small buckets keep their cheap incremental updates.
-const bucketScanLimit = 64
-
-// indexRemove drops a deleted fact from every maintained index, preserving
-// bucket order so candidate enumeration stays deterministic.
-func (r *Rel) indexRemove(f *Fact) {
+// indexRemove drops a slot about to be freed from every maintained index,
+// keeping every chain's order.
+func (r *Rel) indexRemove(s uint32) {
 	r.idx.mu.Lock()
-	var kb []byte
-	for colKey, ci := range r.idx.byCols {
-		kb = kb[:0]
-		for _, c := range ci.cols {
-			kb = appendProjKey(kb, f.Tuple[c])
-		}
-		vk := string(kb)
-		b := ci.buckets[vk]
-		if len(b) > bucketScanLimit {
-			delete(r.idx.byCols, colKey)
-			continue
-		}
-		for i, ff := range b {
-			if ff == f {
-				b = append(b[:i], b[i+1:]...)
-				break
-			}
-		}
-		if len(b) == 0 {
-			delete(ci.buckets, vk)
-		} else {
-			ci.buckets[vk] = b
-		}
+	t := r.fact(s).Tuple
+	for _, ci := range r.idx.byCols {
+		ci.unlink(s, t)
 	}
 	r.idx.mu.Unlock()
 }

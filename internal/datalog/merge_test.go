@@ -15,10 +15,10 @@ func TestMergeRederivationAllocatesNothing(t *testing.T) {
 	x, y, z := provenance.NewVar("x"), provenance.NewVar("y"), provenance.NewVar("z")
 	rel := NewRel()
 	tu := schema.NewTuple(schema.Int(1))
-	k := tu.Key()
+	h := tu.Hash()
 	opts := Options{Provenance: true, MaxMonomials: 2, Stats: &EvalStats{}}
 	for _, p := range []provenance.Poly{x, y} {
-		if _, changed := mergeKeyed(rel, k, tu, p, opts); !changed {
+		if _, changed := mergeHashed(rel, h, tu, p, opts); !changed {
 			t.Fatalf("merging %v into a fresh witness set changed nothing", p)
 		}
 	}
@@ -27,7 +27,7 @@ func TestMergeRederivationAllocatesNothing(t *testing.T) {
 		"cut witness":    y.Mul(z),
 	} {
 		if n := testing.AllocsPerRun(100, func() {
-			if _, changed := mergeKeyed(rel, k, tu, p, opts); changed {
+			if _, changed := mergeHashed(rel, h, tu, p, opts); changed {
 				t.Fatalf("%s: re-derivation changed the fact", name)
 			}
 		}); n != 0 {

@@ -59,16 +59,17 @@ func writtenOrderPlans(rules []Rule, db *DB) []rulePlans {
 // rounds joining each rule with the previous round's delta at one position.
 func oracleStratum(rules []Rule, db *DB, opts Options, maxIter int) error {
 	plans := writtenOrderPlans(rules, db)
-	var delta map[string]map[string]deltaFact
+	var delta pendingDelta
 	fire := func(r Rule, pln *plan, dl []deltaFact) error {
 		pred := r.Head.Pred
 		return oracleFire(r, pln, db, dl, opts, func(t schema.Tuple, prov provenance.Poly) {
 			if mr, changed := merge(db.MutableRel(pred), t, prov, opts); changed {
-				addDelta(delta, pred, mr.key, mr.tuple, mr.newPart)
+				mr.pred = pred
+				delta.add(mr)
 			}
 		})
 	}
-	delta = map[string]map[string]deltaFact{}
+	delta = pendingDelta{}
 	for ri, r := range rules {
 		if err := fire(r, plans[ri].full, nil); err != nil {
 			return err
@@ -79,7 +80,7 @@ func oracleStratum(rules []Rule, db *DB, opts Options, maxIter int) error {
 			return fmt.Errorf("datalog: fixpoint not reached after %d iterations", maxIter)
 		}
 		prev := delta
-		delta = map[string]map[string]deltaFact{}
+		delta = pendingDelta{}
 		for ri, r := range rules {
 			for i, l := range r.Body {
 				if l.Builtin != nil || l.Negated || len(prev[l.Atom.Pred]) == 0 {
@@ -102,12 +103,12 @@ func oracleFire(r Rule, pln *plan, db *DB, delta []deltaFact, opts Options,
 
 	env := make([]schema.Value, pln.nslots)
 	useProv := opts.Provenance && !pln.provNeutral
-	key := func(terms []planTerm) []byte {
-		var k []byte
-		for _, pt := range terms {
-			k = appendProjKey(k, pt.value(env))
+	ground := func(terms []planTerm) schema.Tuple {
+		t := make(schema.Tuple, len(terms))
+		for i, pt := range terms {
+			t[i] = pt.value(env)
 		}
-		return k
+		return t
 	}
 	var rec func(depth int, prov provenance.Poly) error
 	rec = func(depth int, prov provenance.Poly) error {
@@ -149,14 +150,14 @@ func oracleFire(r Rule, pln *plan, db *DB, delta []deltaFact, opts Options,
 			}
 			return rec(depth+1, prov)
 		case stepNeg:
-			if db.Rel(st.pred).containsKey(key(st.negTerms)) {
+			if db.Rel(st.pred).Contains(ground(st.negTerms)) {
 				return nil
 			}
 			return rec(depth+1, prov)
 		}
 		// A scan: candidates are (tuple, annotation) pairs from the delta or
-		// from the stored extent's index bucket; the delta has no index, so
-		// its probe columns are compared here.
+		// from the stored extent's index, whose Lookup already matched the
+		// probe columns; the delta has no index, so they are compared here.
 		try := func(tu schema.Tuple, ann provenance.Poly, checkProbes bool) error {
 			if len(tu) != len(st.lit.Atom.Terms) {
 				return nil
@@ -190,8 +191,13 @@ func oracleFire(r Rule, pln *plan, db *DB, delta []deltaFact, opts Options,
 			}
 			return nil
 		}
-		for _, f := range db.Rel(st.pred).lookupBucket(st.colKey, st.boundCols, key(st.probes)) {
-			if err := try(f.Tuple, f.Prov, false); err != nil {
+		// Lookup copies the facts present at the probe; an annotation is
+		// read as it stands when its candidate is visited, since merges
+		// earlier in the walk may have grown it in place.
+		rel := db.Rel(st.pred)
+		for _, f := range rel.Lookup(st.boundCols, ground(st.probes)) {
+			cur, _ := rel.Get(f.Tuple)
+			if err := try(f.Tuple, cur.Prov, false); err != nil {
 				return err
 			}
 		}

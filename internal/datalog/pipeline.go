@@ -3,7 +3,6 @@ package datalog
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"orchestra/internal/provenance"
@@ -21,16 +20,15 @@ import (
 // intermediate binding sets.
 //
 // Re-iteration needs no extra buffering: a step that is re-entered re-probes
-// its relation, and the hash-index layer (index.go) already keeps every
-// probed bucket — including the empty-column full-scan bucket — as a stable
-// shared slice. Those buckets are the plan's re-scan buffers, built once per
-// (relation, column set) and never copied.
+// its relation, and the hash-index layer (index.go) keeps every probed
+// chain — including the empty-column full-scan chain — linked in place. A
+// scan cursor holds the chain's first slot and the last slot present at the
+// probe, so it walks exactly the facts stored when it was entered.
 //
 // Head rows leave the pipeline through a rowSink. The sink sees the head
-// tuple's storage key before the tuple is materialized, so it can both
-// merge without re-encoding the key (the old Tuple.Key memoization cloned
-// every derived tuple) and veto provably redundant emissions before they
-// allocate anything.
+// tuple's hash and values (in a reused buffer) before the tuple is
+// materialized, so it can both merge without hashing again and veto
+// provably redundant emissions before they allocate anything.
 
 // pipeCancelStride is how many candidate rows a pipeline examines between
 // cooperative context checks, so cancellation lands mid-enumeration instead
@@ -45,16 +43,15 @@ const deltaHashMin = 16
 
 // rowSink consumes the head facts a pipeline emits.
 type rowSink interface {
-	// skip reports whether emitting (key, prov) provably could not change
+	// skip reports whether emitting (t, prov) provably could not change
 	// the target relation, letting the pipeline drop the row before the
-	// head tuple is materialized. Implementations must be conservative:
-	// false is always safe.
-	skip(key []byte, prov provenance.Poly) bool
-	// emit delivers one head fact. key is t's storage key (Tuple.Key
-	// encoding) and is only valid for the duration of the call — it aliases
-	// a reused buffer; retaining implementations must copy (a string
-	// conversion does).
-	emit(key []byte, t schema.Tuple, prov provenance.Poly)
+	// head tuple is materialized. h is t.Hash(), and t aliases a reused
+	// buffer valid only for the call. Implementations must be
+	// conservative: false is always safe.
+	skip(h uint64, t schema.Tuple, prov provenance.Poly) bool
+	// emit delivers one head fact; t is freshly allocated and h is its
+	// Hash.
+	emit(h uint64, t schema.Tuple, prov provenance.Poly)
 }
 
 // EvalStats collects evaluation counters when installed via Options.Stats.
@@ -62,7 +59,7 @@ type rowSink interface {
 // workers of a round, and by concurrent evaluations. Counters accumulate
 // across rounds, strata, and (if the caller reuses the struct) evaluations.
 type EvalStats struct {
-	// Probes counts index-bucket probes issued by scan steps.
+	// Probes counts index probes issued by scan steps.
 	Probes atomic.Int64
 	// PushdownProbes counts probes whose key included at least one column
 	// bound by a pushed-down equality filter rather than a join variable or
@@ -132,12 +129,16 @@ func atomicMax(a *atomic.Int64, v int64) {
 // pipeCursor is one operator's mutable state: its candidate source, scan
 // position, and the annotation product up to and including its current row.
 type pipeCursor struct {
-	bucket []*Fact // index bucket (stored-relation scans)
-	hash   []int32 // delta hash bucket: indices into the delta slice
-	hashed bool    // delta step resolved through the transient hash table
-	pos    int
-	done   bool // filter/negation steps: condition already consumed
-	prov   provenance.Poly
+	// Stored-relation scans walk one index chain from slot to end (the
+	// chain's last slot at enter); slot is noSlot once the walk is done.
+	rel       *Rel
+	ci        *colIndex
+	slot, end uint32
+	hash      []int32 // delta hash bucket: indices into the delta slice
+	hashed    bool    // delta step resolved through the transient hash table
+	pos       int
+	done      bool // filter/negation steps: condition already consumed
+	prov      provenance.Poly
 }
 
 // pipeline executes one rule firing as a composed pull pipeline over the
@@ -153,7 +154,8 @@ type pipeline struct {
 
 	env     []schema.Value
 	cur     []pipeCursor
-	keyBuf  []byte       // probe keys, negation keys, and the head key
+	keyBuf  []byte       // Skolem terms under construction
+	tupBuf  schema.Tuple // negation probe tuples
 	headBuf schema.Tuple // head values, reused across emissions
 
 	// deltaHash is the transient hash table over the delta extent, built on
@@ -163,7 +165,7 @@ type pipeline struct {
 	// their lazily built persistent indexes, so the delta slice is the only
 	// stream-side input, and hashing it once replaces a linear re-scan per
 	// outer row.
-	deltaHash map[string][]int32
+	deltaHash map[uint64][]int32
 
 	ticks                                                         int
 	probes, pushProbes, candidates, emitted, suppressed, hjBuilds int64
@@ -178,12 +180,13 @@ type pipeScratch struct {
 	env     []schema.Value
 	cur     []pipeCursor
 	keyBuf  []byte
+	tupBuf  schema.Tuple
 	headBuf schema.Tuple
 }
 
 // fireRuleStream enumerates all satisfying assignments of the rule body as
 // a composed iterator pipeline, feeding each head fact to sink, in the
-// plan's step order (depth-first, candidates in bucket or delta order). If
+// plan's step order (depth-first, candidates in chain or delta order). If
 // the plan's delta position is set, that body literal ranges over the delta
 // slice (with delta annotations) instead of the full extent. sc may be nil; when given, its buffers are borrowed for this firing and
 // returned grown.
@@ -200,7 +203,7 @@ func fireRuleStream(ctx context.Context, r Rule, pln *plan, db *DB, delta []delt
 		useProv: opts.Provenance && !pln.provNeutral,
 	}
 	if sc != nil {
-		p.env, p.cur, p.keyBuf, p.headBuf = sc.env, sc.cur, sc.keyBuf, sc.headBuf
+		p.env, p.cur, p.keyBuf, p.tupBuf, p.headBuf = sc.env, sc.cur, sc.keyBuf, sc.tupBuf, sc.headBuf
 	}
 	if cap(p.env) < pln.nslots {
 		p.env = make([]schema.Value, pln.nslots)
@@ -212,14 +215,14 @@ func fireRuleStream(ctx context.Context, r Rule, pln *plan, db *DB, delta []delt
 		p.cur = make([]pipeCursor, len(pln.steps))
 	} else {
 		// enter() resets every cursor field the operators read; stale
-		// bucket references only live until the next firing overwrites
+		// relation references only live until the next firing overwrites
 		// them.
 		p.cur = p.cur[:len(pln.steps)]
 	}
 	err := p.run(ctx, sink)
 	p.flushStats()
 	if sc != nil {
-		sc.env, sc.cur, sc.keyBuf, sc.headBuf = p.env, p.cur, p.keyBuf, p.headBuf
+		sc.env, sc.cur, sc.keyBuf, sc.tupBuf, sc.headBuf = p.env, p.cur, p.keyBuf, p.tupBuf, p.headBuf
 	}
 	return err
 }
@@ -265,10 +268,11 @@ func (p *pipeline) run(ctx context.Context, sink rowSink) error {
 }
 
 // enter resets the cursor at depth and resolves a scan step's candidate
-// source. For stored relations the probe key is encoded from the
-// environment — constants, join slots, and pushed-down filter columns alike
-// — and the shared index bucket becomes the candidate slice. For a probed
-// delta step the (lazily built) delta hash table is consulted instead.
+// source. For stored relations the probe values — constants, join slots,
+// and pushed-down filter columns alike — are hashed from the environment,
+// and the index chain under that hash becomes the candidate walk. For a
+// probed delta step the (lazily built) delta hash table is consulted
+// instead.
 func (p *pipeline) enter(depth int) {
 	st := &p.pln.steps[depth]
 	cs := &p.cur[depth]
@@ -278,52 +282,51 @@ func (p *pipeline) enter(depth int) {
 		return
 	}
 	if st.isDelta {
-		cs.bucket = nil
+		cs.rel, cs.ci = nil, nil
 		cs.hash = nil
 		cs.hashed = len(st.boundCols) > 0 && len(p.delta) >= deltaHashMin
 		if cs.hashed {
 			if p.deltaHash == nil {
 				p.buildDeltaHash(st)
 			}
-			p.keyBuf = p.keyBuf[:0]
-			for _, pt := range st.probes {
-				p.keyBuf = appendProjKey(p.keyBuf, pt.value(p.env))
-			}
-			cs.hash = p.deltaHash[string(p.keyBuf)]
+			cs.hash = p.deltaHash[p.probeHash(st)]
 		}
 		return
-	}
-	p.keyBuf = p.keyBuf[:0]
-	for _, pt := range st.probes {
-		p.keyBuf = appendProjKey(p.keyBuf, pt.value(p.env))
 	}
 	p.probes++
 	if st.pushed > 0 {
 		p.pushProbes++
 	}
-	cs.bucket = p.db.Rel(st.pred).lookupBucket(st.colKey, st.boundCols, p.keyBuf)
+	cs.rel = p.db.Rel(st.pred)
+	cs.ci = cs.rel.ensureIndex(st.boundCols)
+	cs.slot, cs.end = cs.ci.probe(p.probeHash(st))
+}
+
+// probeHash hashes a scan step's probe values, as projHash hashes a
+// stored tuple's projection on the probed columns.
+func (p *pipeline) probeHash(st *planStep) uint64 {
+	h := schema.HashStart
+	for _, pt := range st.probes {
+		h = pt.value(p.env).FoldHash(h)
+	}
+	return h
 }
 
 // buildDeltaHash materializes the transient hash table over the delta
-// extent, keyed by the step's probe columns. Bucket entries keep ascending
-// delta order, so hashed enumeration matches the linear scan's order
-// exactly. Value-key encoding is injective and Value.Equal is kind-strict,
-// so key equality on the probe columns is exactly the probe check the
-// linear path performs.
+// extent, keyed by the hash of the step's probe columns. Bucket entries keep
+// ascending delta order, so hashed enumeration matches the linear scan's
+// order exactly; candidates still pass the probe check, which settles
+// projections that share a hash.
 func (p *pipeline) buildDeltaHash(st *planStep) {
-	h := make(map[string][]int32, len(p.delta))
+	h := make(map[uint64][]int32, len(p.delta))
 	arity := len(st.lit.Atom.Terms)
-	var kb []byte
 	for i := range p.delta {
 		tu := p.delta[i].tuple
 		if len(tu) != arity {
 			continue
 		}
-		kb = kb[:0]
-		for _, c := range st.boundCols {
-			kb = appendProjKey(kb, tu[c])
-		}
-		h[string(kb)] = append(h[string(kb)], int32(i))
+		k := projHash(tu, st.boundCols)
+		h[k] = append(h[k], int32(i))
 	}
 	p.deltaHash = h
 	p.hjBuilds++
@@ -374,11 +377,12 @@ func (p *pipeline) next(depth int) (bool, error) {
 		}
 		cs.done = true
 		p.ticks++
-		p.keyBuf = p.keyBuf[:0]
+		t := p.tupBuf[:0]
 		for _, pt := range st.negTerms {
-			p.keyBuf = appendProjKey(p.keyBuf, pt.value(p.env))
+			t = append(t, pt.value(p.env))
 		}
-		if p.db.Rel(st.pred).containsKey(p.keyBuf) {
+		p.tupBuf = t
+		if _, ok := p.db.Rel(st.pred).find(t.Hash(), t); ok {
 			return false, nil
 		}
 		cs.prov = p.prevProv(depth)
@@ -401,7 +405,7 @@ func (p *pipeline) next(depth int) (bool, error) {
 						return false, err
 					}
 				}
-				if !applyActions(st, df.tuple, p.env) {
+				if !probesMatch(st, df.tuple, p.env) || !applyActions(st, df.tuple, p.env) {
 					continue
 				}
 				cs.prov = p.stepProv(depth, df.prov)
@@ -430,19 +434,21 @@ func (p *pipeline) next(depth int) (bool, error) {
 		p.bump(n)
 		return false, nil
 	}
-	for cs.pos < len(cs.bucket) {
-		f := cs.bucket[cs.pos]
-		cs.pos++
+	for cs.slot != noSlot {
+		s := cs.slot
+		if s == cs.end {
+			cs.slot = noSlot
+		} else {
+			cs.slot = cs.ci.next[s]
+		}
+		f := cs.rel.fact(s)
 		if n++; n&(pipeCancelStride-1) == 0 {
 			if err := p.ctx.Err(); err != nil {
 				p.bump(n)
 				return false, err
 			}
 		}
-		if len(f.Tuple) != arity {
-			continue
-		}
-		if !applyActions(st, f.Tuple, p.env) {
+		if len(f.Tuple) != arity || !probesMatch(st, f.Tuple, p.env) || !applyActions(st, f.Tuple, p.env) {
 			continue
 		}
 		cs.prov = p.stepProv(depth, f.Prov)
@@ -460,8 +466,9 @@ func (p *pipeline) bump(n int) {
 	p.candidates += int64(n)
 }
 
-// probesMatch checks a delta candidate against the step's probe columns,
-// which the hash index guarantees for every other candidate source.
+// probesMatch checks a candidate against the step's probe columns: an index
+// chain or delta hash bucket holds every projection with the probed hash,
+// and an unhashed delta scan holds everything.
 func probesMatch(st *planStep, tu schema.Tuple, env []schema.Value) bool {
 	for i, c := range st.boundCols {
 		if !st.probes[i].value(env).Equal(tu[c]) {
@@ -486,9 +493,9 @@ func applyActions(st *planStep, tu schema.Tuple, env []schema.Value) bool {
 	return true
 }
 
-// emitRow instantiates the head over the environment, encodes its storage
-// key into the reused buffer, and hands the row to the sink — giving the
-// sink a chance to veto it before the tuple is allocated.
+// emitRow instantiates the head over the environment into the reused
+// buffer, hashes it, and hands the row to the sink — giving the sink a
+// chance to veto it before the tuple is allocated.
 func (p *pipeline) emitRow(prov provenance.Poly, sink rowSink) error {
 	pln := p.pln
 	if pln.headErr != nil {
@@ -497,11 +504,18 @@ func (p *pipeline) emitRow(prov provenance.Poly, sink rowSink) error {
 	out := p.headBuf[:0]
 	for _, ha := range pln.head {
 		if ha.skolem != nil {
-			args := make([]string, len(ha.args))
+			// The term spells fn(k1,k2,...) over the arguments' Value.Key
+			// encodings, built in one buffer and converted once.
+			b := append(p.keyBuf[:0], ha.skolem.Fn...)
+			b = append(b, '(')
 			for j, at := range ha.args {
-				args[j] = at.value(p.env).Key()
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = at.value(p.env).AppendKeyTo(b)
 			}
-			out = append(out, schema.LabeledNull(ha.skolem.Fn+"("+strings.Join(args, ",")+")"))
+			p.keyBuf = append(b, ')')
+			out = append(out, schema.LabeledNull(string(p.keyBuf)))
 			continue
 		}
 		out = append(out, ha.term.value(p.env))
@@ -516,18 +530,15 @@ func (p *pipeline) emitRow(prov provenance.Poly, sink rowSink) error {
 	if p.opts.ChaseSubsumption && out.HasLabeledNull() && subsumedByExisting(p.db.Rel(p.rule.Head.Pred), out) {
 		return nil
 	}
-	p.keyBuf = p.keyBuf[:0]
-	for _, v := range out {
-		p.keyBuf = appendProjKey(p.keyBuf, v)
-	}
-	if sink.skip(p.keyBuf, prov) {
+	h := out.Hash()
+	if sink.skip(h, out, prov) {
 		p.suppressed++
 		return nil
 	}
 	p.emitted++
 	t := make(schema.Tuple, len(out))
 	copy(t, out)
-	sink.emit(p.keyBuf, t, prov)
+	sink.emit(h, t, prov)
 	return nil
 }
 

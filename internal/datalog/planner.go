@@ -67,7 +67,6 @@ type planStep struct {
 	pred      string
 	isDelta   bool
 	boundCols []int      // columns probed through the hash index
-	colKey    string     // encodeCols(boundCols), precomputed
 	probes    []planTerm // value sources for boundCols, aligned
 	actions   []scanAction
 	// pushed counts boundCols entries that exist only because an OpEq
@@ -433,7 +432,6 @@ func buildPlan(r Rule, deltaIdx int, db *DB, noReorder bool) *plan {
 				}
 			}
 		}
-		st.colKey = encodeCols(st.boundCols)
 		return st
 	}
 	take := func(bi int, isDelta bool) {

@@ -494,8 +494,8 @@ func TestIndexMaintainedAcrossPutAndRemove(t *testing.T) {
 	if n := len(r.Lookup([]int{0}, schema.NewTuple(schema.Int(0)))); n != 6 {
 		t.Fatalf("col-0 probe after insert = %d, want 6", n)
 	}
-	r.remove(tu(0, 100).Key())
-	r.remove(tu(0, 0).Key())
+	removeTuple(r, tu(0, 100))
+	removeTuple(r, tu(0, 0))
 	if n := len(r.Lookup([]int{0}, schema.NewTuple(schema.Int(0)))); n != 4 {
 		t.Fatalf("col-0 probe after remove = %d, want 4", n)
 	}
@@ -505,29 +505,5 @@ func TestIndexMaintainedAcrossPutAndRemove(t *testing.T) {
 	// Probing a drained bucket must be empty, not stale.
 	if n := len(r.Lookup([]int{1}, schema.NewTuple(schema.Int(100)))); n != 0 {
 		t.Fatalf("removed key still indexed: %d facts", n)
-	}
-}
-
-func TestOversizedBucketDropsIndexOnRemove(t *testing.T) {
-	// Buckets beyond bucketScanLimit are not scanned on removal: the whole
-	// index is dropped and must rebuild correctly on the next probe.
-	r := NewRel()
-	for i := int64(0); i < 3*bucketScanLimit; i++ {
-		r.put(schema.NewTuple(schema.Int(0), schema.Int(i)), provenance.One())
-	}
-	if n := len(r.Lookup(nil, nil)); n != 3*bucketScanLimit {
-		t.Fatalf("full scan = %d", n)
-	}
-	if n := len(r.Lookup([]int{0}, schema.NewTuple(schema.Int(0)))); n != 3*bucketScanLimit {
-		t.Fatalf("col-0 probe = %d", n)
-	}
-	for i := int64(0); i < bucketScanLimit; i++ {
-		r.remove(schema.NewTuple(schema.Int(0), schema.Int(i)).Key())
-	}
-	if n := len(r.Lookup(nil, nil)); n != 2*bucketScanLimit {
-		t.Fatalf("full scan after bulk remove = %d, want %d", n, 2*bucketScanLimit)
-	}
-	if n := len(r.Lookup([]int{0}, schema.NewTuple(schema.Int(0)))); n != 2*bucketScanLimit {
-		t.Fatalf("col-0 probe after bulk remove = %d, want %d", n, 2*bucketScanLimit)
 	}
 }

@@ -12,114 +12,150 @@ func slabTuple(i int) schema.Tuple {
 	return schema.NewTuple(schema.Int(int64(i)), schema.String(fmt.Sprintf("v%d", i)))
 }
 
-// Stored fact pointers must stay valid as slabs fill and new slabs start:
-// the facts map and every index bucket hold *Fact into slab memory.
+// slotOf returns the slot holding t, failing the test if t is absent.
+func slotOf(t *testing.T, r *Rel, tu schema.Tuple) uint32 {
+	t.Helper()
+	s, ok := r.find(tu.Hash(), tu)
+	if !ok {
+		t.Fatalf("%v not stored", tu)
+	}
+	return s
+}
+
+// removeTuple deletes tu from r, if present.
+func removeTuple(r *Rel, tu schema.Tuple) {
+	if s, ok := r.find(tu.Hash(), tu); ok {
+		r.remove(s)
+	}
+}
+
+// A fact keeps its slot as chunks fill, the first chunk is reallocated, and
+// new chunks start: the membership table, the index chains and an
+// incremental engine's token index all name facts by slot.
 func TestSlabPointerStability(t *testing.T) {
 	r := NewRel()
-	const n = 3*relSlabSize + 17
-	ptrs := make([]*Fact, 0, n)
+	const n = 3*relChunkSize + 17
+	slots := make([]uint32, 0, n)
 	for i := 0; i < n; i++ {
 		tu := slabTuple(i)
 		r.put(tu, provenance.NewVar(provenance.Var(fmt.Sprintf("x%d", i))))
-		ptrs = append(ptrs, r.facts[tu.Key()])
+		slots = append(slots, slotOf(t, r, tu))
 	}
 	if r.Len() != n {
 		t.Fatalf("Len = %d, want %d", r.Len(), n)
 	}
-	for i, f := range ptrs {
-		if got := r.facts[slabTuple(i).Key()]; got != f {
-			t.Fatalf("fact %d moved: %p != %p", i, got, f)
+	for i, s := range slots {
+		if got := slotOf(t, r, slabTuple(i)); got != s {
+			t.Fatalf("fact %d moved: slot %d != %d", i, got, s)
 		}
-		if !f.Tuple.Equal(slabTuple(i)) {
+		if f := r.fact(s); !f.Tuple.Equal(slabTuple(i)) {
 			t.Fatalf("fact %d corrupted: %v", i, f.Tuple)
 		}
 	}
+	if len(r.chunks) != 4 {
+		t.Fatalf("%d chunks for %d facts, want 4", len(r.chunks), n)
+	}
 }
 
-// Removing a fact zeroes its slab slot so the dead entry stops pinning the
-// tuple and annotation memory.
+// Removing a fact zeroes its slot so the dead entry stops pinning the tuple
+// and annotation memory.
 func TestSlabRemoveZeroesSlot(t *testing.T) {
 	r := NewRel()
 	tu := slabTuple(1)
 	r.put(tu, provenance.NewVar("x"))
-	f := r.facts[tu.Key()]
-	r.remove(tu.Key())
-	if r.Contains(tu) {
+	s := slotOf(t, r, tu)
+	r.remove(s)
+	if r.Contains(tu) || r.live(s) || r.Len() != 0 {
 		t.Fatal("removed tuple still present")
 	}
-	if f.Tuple != nil || !f.Prov.IsZero() {
-		t.Fatalf("dead slab slot not zeroed: %+v", *f)
+	if f := r.fact(s); f.Tuple != nil || !f.Prov.IsZero() {
+		t.Fatalf("dead slot not zeroed: %+v", *f)
 	}
 }
 
 // Freed slots are reused by later insertions, so delete-heavy churn
-// recycles slab capacity instead of pinning mostly dead slabs.
+// recycles chunk capacity instead of pinning mostly dead chunks.
 func TestSlabFreeSlotReuse(t *testing.T) {
 	r := NewRel()
 	r.put(slabTuple(1), provenance.NewVar("x"))
-	f := r.facts[slabTuple(1).Key()]
-	r.remove(slabTuple(1).Key())
+	r.put(slabTuple(3), provenance.NewVar("z"))
+	s := slotOf(t, r, slabTuple(1))
+	r.remove(s)
 	if len(r.free) != 1 {
 		t.Fatalf("free list = %d entries, want 1", len(r.free))
 	}
-	used := len(r.slab)
+	used := len(r.meta)
 	r.put(slabTuple(2), provenance.NewVar("y"))
-	if got := r.facts[slabTuple(2).Key()]; got != f {
-		t.Fatalf("freed slot not reused: %p vs %p", got, f)
+	if got := slotOf(t, r, slabTuple(2)); got != s {
+		t.Fatalf("freed slot %d not reused: got %d", s, got)
 	}
-	if len(r.free) != 0 || len(r.slab) != used {
-		t.Fatalf("reuse grew the slab: free=%d slab=%d (was %d)", len(r.free), len(r.slab), used)
+	if len(r.free) != 0 || len(r.meta) != used {
+		t.Fatalf("reuse grew the extent: free=%d slots=%d (was %d)", len(r.free), len(r.meta), used)
 	}
-	if !f.Tuple.Equal(slabTuple(2)) {
-		t.Fatalf("reused slot holds %v", f.Tuple)
+	if !r.Contains(slabTuple(3)) || r.Contains(slabTuple(1)) {
+		t.Fatal("reuse disturbed membership")
 	}
 }
 
-// A COW clone must land in one exactly-sized slab and stay independent of
-// the original.
+// A COW clone copies the arrays: both sides keep every fact at its slot,
+// and a write on either side — an insertion, a removal, an in-place
+// annotation change — is invisible to the other.
 func TestSlabCowCloneDense(t *testing.T) {
 	db := NewDB()
-	const n = relSlabSize + 31
+	const n = relChunkSize + 31
 	for i := 0; i < n; i++ {
 		db.Add("R", slabTuple(i), provenance.NewVar("x"))
 	}
+	db.Remove("R", slabTuple(5))
 	snap := db.Snapshot()
 	// First write after the snapshot clones the shard.
 	db.Add("R", slabTuple(n), provenance.NewVar("y"))
-	if got := snap.Rel("R").Len(); got != n {
-		t.Fatalf("snapshot grew through COW boundary: %d", got)
+	db.Add("R", slabTuple(0), provenance.NewVar("z"))
+	snap.Remove("R", slabTuple(1))
+	if got := snap.Rel("R").Len(); got != n-2 {
+		t.Fatalf("snapshot extent = %d, want %d", got, n-2)
 	}
-	if got := db.Rel("R").Len(); got != n+1 {
-		t.Fatalf("post-clone extent = %d, want %d", got, n+1)
+	if got := db.Rel("R").Len(); got != n {
+		t.Fatalf("post-clone extent = %d, want %d", got, n)
 	}
-	// The clone's facts live in a single contiguous slab (plus the one slab
-	// started for the post-clone insert).
-	if c := cap(db.Rel("R").slab); c != relSlabSize {
-		t.Fatalf("current slab cap = %d, want fresh slab of %d", c, relSlabSize)
+	if slotOf(t, db.Rel("R"), slabTuple(7)) != slotOf(t, snap.Rel("R"), slabTuple(7)) {
+		t.Fatal("clone moved a fact to another slot")
+	}
+	if f, _ := snap.Rel("R").Get(slabTuple(0)); f.Prov.String() != "x" {
+		t.Fatalf("annotation change leaked into the snapshot: %s", f.Prov)
+	}
+	if !db.Rel("R").Contains(slabTuple(1)) || snap.Rel("R").Contains(slabTuple(n)) {
+		t.Fatal("a write crossed the COW boundary")
 	}
 	for i := 0; i <= n; i++ {
-		if !db.Rel("R").Contains(slabTuple(i)) {
-			t.Fatalf("clone lost tuple %d", i)
+		if want := i != 5; db.Rel("R").Contains(slabTuple(i)) != want {
+			t.Fatalf("clone membership of tuple %d = %v, want %v", i, !want, want)
 		}
 	}
 }
 
-// Slabs double from one fact up to relSlabSize: a one-fact extent costs one
-// fact of slab, and a large extent still allocates relSlabSize at a time.
+// The first chunk doubles from one fact up to relChunkSize: a one-fact
+// extent costs one fact of storage, and a large extent allocates
+// relChunkSize at a time.
 func TestSlabGrowsGeometrically(t *testing.T) {
 	r := NewRel()
 	var caps []int
-	for i := 0; i < 3*relSlabSize; i++ {
+	for i := 0; i < 3*relChunkSize; i++ {
 		r.put(slabTuple(i), provenance.NewVar("x"))
-		if c := cap(r.slab); len(caps) == 0 || caps[len(caps)-1] != c {
+		if c := cap(r.chunks[0]); len(caps) == 0 || caps[len(caps)-1] != c {
 			caps = append(caps, c)
 		}
 	}
 	want := []int{}
-	for c := 1; c <= relSlabSize; c *= 2 {
+	for c := 1; c <= relChunkSize; c *= 2 {
 		want = append(want, c)
 	}
 	if fmt.Sprint(caps) != fmt.Sprint(want) {
-		t.Fatalf("slab capacities %v, want %v", caps, want)
+		t.Fatalf("first chunk capacities %v, want %v", caps, want)
+	}
+	for i, ch := range r.chunks[1:] {
+		if cap(ch) != relChunkSize {
+			t.Fatalf("chunk %d cap = %d, want %d", i+1, cap(ch), relChunkSize)
+		}
 	}
 }

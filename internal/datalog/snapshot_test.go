@@ -14,8 +14,8 @@ import (
 
 // fingerprint renders the complete observable state of a database —
 // predicates, tuples in canonical order, and provenance strings — so
-// aliasing bugs that leak through any path (facts map, *Fact in-place
-// provenance writes, index buckets) show up as a diff.
+// aliasing bugs that leak through any path (membership table, in-place
+// provenance writes, index chains) show up as a diff.
 func fingerprint(db *DB) string {
 	var b strings.Builder
 	for _, pred := range db.Preds() {
@@ -36,9 +36,8 @@ func randTuple(rng *rand.Rand, space int64) schema.Tuple {
 // a database with a live snapshot and asserts, after every step, that the
 // frozen view still fingerprints exactly as it did at snapshot time. The
 // mutations deliberately cover the two in-place-write hazards: provenance
-// merges on existing tuples (putKeyed writes through the shared *Fact
-// pointer) and index maintenance (indexInsert/indexRemove rewrite shared
-// buckets).
+// merges on existing tuples (in-place writes to a stored fact) and index
+// maintenance (indexInsert/indexRemove relink chains).
 func TestSnapshotIsolationProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	preds := []string{"A", "B", "C"}
@@ -68,11 +67,7 @@ func TestSnapshotIsolationProperty(t *testing.T) {
 					provenance.NewVar(provenance.Var(fmt.Sprintf("e%d_%d", round, step))),
 					Options{Provenance: true})
 			case 2: // deletion (index removal path)
-				r := db.MutableRel(pred)
-				for k := range r.facts {
-					r.remove(k)
-					break
-				}
+				removeFirst(db.MutableRel(pred))
 			}
 			if got := fingerprint(snap); got != want {
 				t.Fatalf("round %d step %d: mutation leaked into snapshot:\nwant:\n%s\ngot:\n%s", round, step, want, got)
@@ -99,11 +94,7 @@ func TestSnapshotReverseIsolation(t *testing.T) {
 		tu := randTuple(rng, 8)
 		snap.Add("A", tu, provenance.NewVar(provenance.Var(fmt.Sprintf("s%d", step))))
 		if step%5 == 0 {
-			r := snap.MutableRel("A")
-			for k := range r.facts {
-				r.remove(k)
-				break
-			}
+			removeFirst(snap.MutableRel("A"))
 		}
 		if got := fingerprint(db); got != want {
 			t.Fatalf("step %d: snapshot mutation leaked into original:\nwant:\n%s\ngot:\n%s", step, want, got)
@@ -223,7 +214,17 @@ func TestSnapshotEvalByteIdentical(t *testing.T) {
 	}
 }
 
-func factTuples(fs []*Fact) []schema.Tuple {
+// removeFirst deletes the fact at the lowest live slot, if any.
+func removeFirst(r *Rel) {
+	for s := range r.meta {
+		if r.live(uint32(s)) {
+			r.remove(uint32(s))
+			return
+		}
+	}
+}
+
+func factTuples(fs []Fact) []schema.Tuple {
 	out := make([]schema.Tuple, 0, len(fs))
 	for _, f := range fs {
 		out = append(out, f.Tuple)

@@ -132,7 +132,7 @@ func (o *incOracle) insert(label string, groups ...[]Fact2) {
 	after := o.check(label)
 	sums := map[string]provenance.Poly{}
 	for _, c := range changes {
-		k := c.Pred + "\x00" + c.Key
+		k := c.Pred + "\x00" + c.Tuple.Key()
 		sum, seen := sums[k]
 		if !seen {
 			if f, ok := before.Rel(c.Pred).Get(c.Tuple); ok {

@@ -18,6 +18,7 @@
 package exchange
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -502,6 +503,33 @@ func (e *Engine) minimalKillSet(p provenance.Poly) []provenance.Var {
 	return out
 }
 
+// compareQualifiedKeys orders (pred, tuple) pairs exactly as sort.Strings
+// orders the strings pred+"/"+tuple.Key(), without building them when the
+// predicates decide: comparing pred+"/" first is exact unless one of those
+// is a proper prefix of the other, which needs a '/' inside a predicate
+// name, and then the strings are built.
+func compareQualifiedKeys(pa string, ta schema.Tuple, pb string, tb schema.Tuple) int {
+	if pa == pb {
+		return schema.CompareKeys(ta, tb)
+	}
+	n := min(len(pa), len(pb))
+	if c := strings.Compare(pa[:n], pb[:n]); c != 0 {
+		return c
+	}
+	// One predicate is a proper prefix of the other; '/' follows the
+	// shorter one.
+	at := func(p string) byte {
+		if n < len(p) {
+			return p[n]
+		}
+		return '/'
+	}
+	if x, y := at(pa), at(pb); x != y {
+		return cmp.Compare(x, y)
+	}
+	return strings.Compare(pa+"/"+ta.Key(), pb+"/"+tb.Key())
+}
+
 // collate turns raw changes into per-peer net updates, pairing same-key
 // delete/insert into modifications and dropping provenance-only changes.
 // Each inserted update carries the tuple's full stored annotation as of
@@ -513,28 +541,32 @@ func (e *Engine) minimalKillSet(p provenance.Poly) []provenance.Var {
 func (e *Engine) collate(txn *updates.Transaction, changes []datalog.Change, depSet map[updates.TxnID]bool, asOf func(provenance.Poly) provenance.Poly) (*Result, error) {
 	type slot struct {
 		pred     string
+		tuple    schema.Tuple
 		inserted *datalog.Change
 		removed  *datalog.Change
 	}
-	// Net effect per (pred, full tuple key): insertion cancelled by
-	// removal and vice versa.
-	net := map[string]*slot{}
-	order := []string{}
+	// Net effect per (pred, full tuple): insertion cancelled by removal
+	// and vice versa. Slots are found by tuple hash, the predicate and
+	// Equal settling a shared one.
+	net := map[uint64][]*slot{}
+	order := []*slot{}
 	for i := range changes {
 		c := &changes[i]
 		if !c.Fresh && !c.Removed {
 			continue // provenance-only growth or shrink
 		}
-		tk := c.Key
-		if tk == "" {
-			tk = c.Tuple.Key()
+		k := c.Tuple.Hash()
+		var s *slot
+		for _, x := range net[k] {
+			if x.pred == c.Pred && x.tuple.Equal(c.Tuple) {
+				s = x
+				break
+			}
 		}
-		k := c.Pred + "/" + tk
-		s, ok := net[k]
-		if !ok {
-			s = &slot{pred: c.Pred}
-			net[k] = s
-			order = append(order, k)
+		if s == nil {
+			s = &slot{pred: c.Pred, tuple: c.Tuple}
+			net[k] = append(net[k], s)
+			order = append(order, s)
 		}
 		if c.Removed {
 			if s.inserted != nil {
@@ -550,7 +582,7 @@ func (e *Engine) collate(txn *updates.Transaction, changes []datalog.Change, dep
 			}
 		}
 	}
-	sort.Strings(order)
+	slices.SortFunc(order, func(a, b *slot) int { return compareQualifiedKeys(a.pred, a.tuple, b.pred, b.tuple) })
 
 	res := &Result{PerPeer: map[string][]updates.Update{}, ExtraDeps: map[string][]updates.TxnID{}}
 	extra := map[string]map[updates.TxnID]bool{}
@@ -561,8 +593,7 @@ func (e *Engine) collate(txn *updates.Transaction, changes []datalog.Change, dep
 	// First pass: collect deletes per (peer, rel, key) so inserts can be
 	// paired into modifies.
 	pendingDel := map[string]map[string]schema.Tuple{} // peer.rel -> keyKey -> old tuple
-	for _, k := range order {
-		s := net[k]
+	for _, s := range order {
 		if s.removed == nil {
 			continue
 		}
@@ -582,8 +613,7 @@ func (e *Engine) collate(txn *updates.Transaction, changes []datalog.Change, dep
 		m[r.KeyOf(s.removed.Tuple).Key()] = s.removed.Tuple
 	}
 	// Second pass: emit updates.
-	for _, k := range order {
-		s := net[k]
+	for _, s := range order {
 		if s.inserted == nil {
 			continue
 		}

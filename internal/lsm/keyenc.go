@@ -19,8 +19,9 @@ import (
 )
 
 // The key encoding is order-preserving: for any two tuples a and b,
-// bytes.Compare(EncodeTuple(a), EncodeTuple(b)) equals a.Compare(b). That is
-// what lets SSTable segments keep index orderings on disk — a range scan
+// bytes.Compare(AppendTuple(nil, a), AppendTuple(nil, b)) equals
+// a.Compare(b). That is what lets SSTable segments keep index orderings on
+// disk — a range scan
 // over an encoded prefix enumerates tuples in exactly the order the
 // in-memory tables and iterator pipelines expect.
 //
@@ -178,9 +179,6 @@ func AppendTuple(b []byte, t schema.Tuple) []byte {
 	}
 	return b
 }
-
-// EncodeTuple is AppendTuple into a fresh slice.
-func EncodeTuple(t schema.Tuple) []byte { return AppendTuple(nil, t) }
 
 // DecodeTuple decodes a tuple encoding produced by AppendTuple, consuming
 // b entirely. Every failure wraps ErrBadKey.

@@ -46,7 +46,7 @@ func TestTupleEncodingOrderPreserving(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 20000; i++ {
 		a, b := randTuple(rng), randTuple(rng)
-		ea, eb := EncodeTuple(a), EncodeTuple(b)
+		ea, eb := AppendTuple(nil, a), AppendTuple(nil, b)
 		want := a.Compare(b)
 		got := bytes.Compare(ea, eb)
 		if sign(got) != sign(want) {
@@ -59,7 +59,7 @@ func TestTupleEncodingRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 5000; i++ {
 		tu := randTuple(rng)
-		enc := EncodeTuple(tu)
+		enc := AppendTuple(nil, tu)
 		back, err := DecodeTuple(enc)
 		if err != nil {
 			t.Fatalf("decode %v: %v", tu, err)
@@ -73,12 +73,12 @@ func TestTupleEncodingRoundTrip(t *testing.T) {
 func TestTuplePrefixSortsFirst(t *testing.T) {
 	a := schema.NewTuple(schema.String("ab"))
 	b := schema.NewTuple(schema.String("ab"), schema.Int(0))
-	if bytes.Compare(EncodeTuple(a), EncodeTuple(b)) >= 0 {
+	if bytes.Compare(AppendTuple(nil, a), AppendTuple(nil, b)) >= 0 {
 		t.Fatal("prefix tuple must sort first")
 	}
 	// A string that extends another must also sort after it.
 	c := schema.NewTuple(schema.String("ab\x00"))
-	if bytes.Compare(EncodeTuple(a), EncodeTuple(c)) >= 0 {
+	if bytes.Compare(AppendTuple(nil, a), AppendTuple(nil, c)) >= 0 {
 		t.Fatal("extended string must sort after its prefix")
 	}
 }
@@ -130,7 +130,7 @@ func TestDecodeRefusesNonCanonicalBytes(t *testing.T) {
 func FuzzDecodeTuple(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 8; i++ {
-		f.Add(EncodeTuple(randTuple(rng)))
+		f.Add(AppendTuple(nil, randTuple(rng)))
 	}
 	f.Add([]byte{byte(schema.KindBool), 0x07})
 	f.Add([]byte{byte(schema.KindString), 0x00, 0xff, 0x00, 0x01, byte(schema.KindNull)})
@@ -142,7 +142,7 @@ func FuzzDecodeTuple(f *testing.F) {
 			}
 			return
 		}
-		if got := EncodeTuple(tu); !bytes.Equal(got, b) {
+		if got := AppendTuple(nil, tu); !bytes.Equal(got, b) {
 			t.Fatalf("DecodeTuple(% x) = %v, which re-encodes as % x", b, tu, got)
 		}
 	})

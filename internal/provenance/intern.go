@@ -115,15 +115,3 @@ func (p Poly) Intern() Poly {
 	slot.Store(p.n)
 	return p
 }
-
-// InternTableSize returns the number of resident interned polynomials — an
-// observability hook for tests and memory diagnostics.
-func InternTableSize() int {
-	n := 0
-	for i := range internCache {
-		if internCache[i].Load() != nil {
-			n++
-		}
-	}
-	return n
-}

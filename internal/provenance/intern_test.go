@@ -146,3 +146,14 @@ func TestTokenTableConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// InternTableSize returns the number of resident interned polynomials.
+func InternTableSize() int {
+	n := 0
+	for i := range internCache {
+		if internCache[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}

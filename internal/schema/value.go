@@ -210,26 +210,21 @@ func (v Value) Key() string {
 // AppendKeyTo appends the value's canonical Key encoding to b and returns
 // the extended slice — the allocation-free form of Key for hot paths.
 func (v Value) AppendKeyTo(b []byte) []byte {
+	b = append(b, keyKindBytes[v.kind])
 	switch v.kind {
-	case KindString:
-		b = append(b, 's', ':')
-		return append(b, v.s...)
-	case KindLabeledNull:
-		b = append(b, 'n', ':')
-		return append(b, v.s...)
+	case KindString, KindLabeledNull:
+		return append(append(b, ':'), v.s...)
 	case KindInt:
-		b = append(b, 'i', ':')
-		return strconv.AppendInt(b, v.i, 10)
+		return strconv.AppendInt(append(b, ':'), v.i, 10)
 	case KindBool:
 		if v.i == 1 {
-			return append(b, 'b', ':', '1')
+			return append(b, ':', '1')
 		}
-		return append(b, 'b', ':', '0')
+		return append(b, ':', '0')
 	case KindFloat:
-		b = append(b, 'f', ':')
-		return strconv.AppendFloat(b, v.f, 'g', -1, 64)
+		return strconv.AppendFloat(append(b, ':'), v.f, 'g', -1, 64)
 	default:
-		return append(b, '_')
+		return b
 	}
 }
 

@@ -144,7 +144,7 @@ func (t *Table) GetByKey(key schema.Tuple) (Row, bool) {
 		return t.ext().Get(key)
 	}
 	if fs := t.ext().Lookup(t.rel.Key, key); len(fs) > 0 {
-		return *fs[0], true
+		return fs[0], true
 	}
 	return Row{}, false
 }

@@ -3,6 +3,7 @@ package orchestra
 import (
 	"encoding/json"
 	"net/http"
+	"runtime/metrics"
 
 	"orchestra/internal/datalog"
 	"orchestra/internal/obs"
@@ -40,7 +41,7 @@ type SpanRecord = obs.SpanRecord
 // internal/datalog for them. All counts accumulate over the system's
 // lifetime, across every peer's reconciliations and queries.
 type EvalCounters struct {
-	// Probes counts index-bucket probes; PushdownProbes the subset whose key
+	// Probes counts index probes; PushdownProbes the subset whose key
 	// carried at least one pushed-down filter column.
 	Probes         int64 `json:"probes"`
 	PushdownProbes int64 `json:"pushdown_probes"`
@@ -142,8 +143,49 @@ func (s *System) obsSnapshot() (*obs.Snapshot, EvalCounters) {
 		snap.Counters["provenance_truncations_total"] = ev.Truncations
 		snap.Counters["datalog_token_index_builds_total"] = ev.TokenIndexBuilds
 		snap.Gauges["provenance_tokens"] = int64(provenance.NumTokens())
+		rt := readRuntimeSample()
+		snap.Counters["runtime_gc_cpu_ns_total"] = rt.gcCPUNs
+		snap.Counters["runtime_cpu_ns_total"] = rt.cpuNs
+		snap.Gauges["runtime_heap_live_bytes"] = rt.heapLiveBytes
 	}
 	return snap, ev
+}
+
+// runtimeSample is the Go runtime's view of the collector's cost: its
+// estimate of CPU time spent in GC, the CPU capacity (GOMAXPROCS × wall
+// time) the process had, and the heap the last GC cycle marked live. The
+// ratio of two snapshots' CPU deltas is the collector's share of that
+// interval.
+type runtimeSample struct {
+	gcCPUNs, cpuNs, heapLiveBytes int64
+}
+
+// runtimeMetricNames are the runtime/metrics series readRuntimeSample
+// reads, in runtimeSample's field order.
+var runtimeMetricNames = [...]string{
+	"/cpu/classes/gc/total:cpu-seconds",
+	"/cpu/classes/total:cpu-seconds",
+	"/gc/heap/live:bytes",
+}
+
+// readRuntimeSample reads runtimeMetricNames; a series this Go release does
+// not support reads as 0.
+func readRuntimeSample() runtimeSample {
+	var ss [len(runtimeMetricNames)]metrics.Sample
+	for i, name := range runtimeMetricNames {
+		ss[i].Name = name
+	}
+	metrics.Read(ss[:])
+	val := func(s metrics.Sample) int64 {
+		switch s.Value.Kind() {
+		case metrics.KindFloat64:
+			return int64(s.Value.Float64() * 1e9) // seconds to nanoseconds
+		case metrics.KindUint64:
+			return int64(s.Value.Uint64())
+		}
+		return 0
+	}
+	return runtimeSample{gcCPUNs: val(ss[0]), cpuNs: val(ss[1]), heapLiveBytes: val(ss[2])}
 }
 
 // Metrics returns a snapshot of every metric the system has recorded.

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -70,6 +71,17 @@ func TestMetricsDurableRoundTrip(t *testing.T) {
 	// The published row minted at least one token in the process-wide table.
 	if got := m.Gauges["provenance_tokens"]; got < 1 {
 		t.Errorf("provenance_tokens = %d after a publish and a reconcile, want ≥ 1", got)
+	}
+	// The runtime series are sampled into every snapshot: GC CPU is part
+	// of the CPU capacity, and the last cycle marked some heap live.
+	runtime.GC()
+	m2 := sys.Metrics()
+	gcNs, cpuNs := m2.Counters["runtime_gc_cpu_ns_total"], m2.Counters["runtime_cpu_ns_total"]
+	if cpuNs <= 0 || gcNs <= 0 || gcNs > cpuNs {
+		t.Errorf("runtime_gc_cpu_ns_total = %d, runtime_cpu_ns_total = %d: want 0 < gc ≤ total", gcNs, cpuNs)
+	}
+	if got := m2.Gauges["runtime_heap_live_bytes"]; got <= 0 {
+		t.Errorf("runtime_heap_live_bytes = %d after a GC, want > 0", got)
 	}
 	// Nothing was deleted, so no engine built its deletion index.
 	if got, ok := m.Counters["datalog_token_index_builds_total"]; !ok || got != 0 || m.Eval.TokenIndexBuilds != 0 {
@@ -248,6 +260,8 @@ func TestDebugEndpoint(t *testing.T) {
 		"orchestra_core_reconcile_ns{quantile=\"0.99\"}",
 		"orchestra_datalog_rounds_total",
 		"orchestra_provenance_tokens",
+		"# TYPE orchestra_runtime_gc_cpu_ns_total counter",
+		"orchestra_runtime_heap_live_bytes",
 		"orchestra_core_query_prepares_total 1",
 		"# TYPE orchestra_core_query_replans_total counter",
 	} {
