@@ -105,7 +105,10 @@ bench-e2e:
 ## alternating pairs of bench/run.sh per workload in WORKLOADS, with BASE
 ## checked out into a temporary git worktree as the parent side and this
 ## working tree as the change side. Prints every end-to-end metric's median
-## [quartiles] per side and the change-better count, and writes them to OUT
+## [quartiles] per side and the change-better count, writes them to OUT,
+## and prints each metric's verdict against its BENCHMARK.json bound and,
+## for each CLAIM=workload:metric, the claim's verdict; FROM=FILE prints
+## the verdicts of a summary written before and runs nothing
 ## (scripts/bench_pairs.sh). Not part of ci: ten 15 s pairs take minutes.
 BASE ?= HEAD
 PAIRS ?= 10
@@ -113,7 +116,8 @@ WORKLOADS ?= query-point
 OUT ?= bench-pairs.json
 bench-pairs:
 	BASE='$(BASE)' PAIRS='$(PAIRS)' WORKLOADS='$(WORKLOADS)' SEED='$(SEED)' \
-		BENCH_SECONDS='$(SECONDS)' OUT='$(OUT)' bash scripts/bench_pairs.sh
+		BENCH_SECONDS='$(SECONDS)' OUT='$(OUT)' CLAIM='$(CLAIM)' FROM='$(FROM)' \
+		bash scripts/bench_pairs.sh
 
 ## same-program: the repo benchmark's results at BASE against this working
 ## tree — one traced 3 s run per workload per side, failing on any

@@ -122,14 +122,16 @@ type trustEvent struct {
 // encodeProv/provDecoder are the binary form of a provenance polynomial: a
 // sum of monomials as varints with length-prefixed variable names, in the
 // layout of N[X]'s coef·x1^k1·…·xn^kn — encodeProv writes 1 in every
-// coefficient and power slot. Serializing through Monomials keeps the codec
-// independent of the polynomial's interned in-memory representation;
-// checkpoint rows decode on every recovery, so the format is sized for that
-// hot path (the earlier JSON form dominated snapshot-restore time).
+// coefficient and power slot. The codec writes names, read monomial by
+// monomial through NumMonomials/Monomial, so it is independent of the
+// polynomial's in-memory token ids and node layout; provDecoder writes
+// straight into that layout through a provenance.Arena. Checkpoint rows
+// decode on every recovery, so the format is sized for that hot path (the
+// earlier JSON form dominated snapshot-restore time).
 func encodeProv(p provenance.Poly) ([]byte, error) {
-	ms := p.Monomials()
-	buf := binary.AppendUvarint(nil, uint64(len(ms)))
-	for _, m := range ms {
+	buf := binary.AppendUvarint(nil, uint64(p.NumMonomials()))
+	for i := range p.NumMonomials() {
+		m := p.Monomial(i)
 		buf = binary.AppendUvarint(buf, 1) // coefficient
 		buf = binary.AppendUvarint(buf, uint64(len(m)))
 		for _, t := range m {
@@ -175,7 +177,7 @@ func (d *provDecoder) decode(data []byte) (provenance.Poly, error) {
 	if !ok || nMonos > uint64(len(data))/2 {
 		return bad("truncated")
 	}
-	ms := d.arena.Monomials(int(nMonos))
+	d.arena.Begin(int(nMonos))
 	for i := uint64(0); i < nMonos; i++ {
 		coef, ok := uvar()
 		if !ok {
@@ -188,7 +190,6 @@ func (d *provDecoder) decode(data []byte) (provenance.Poly, error) {
 		if !ok || nVars > uint64(len(data))/2 {
 			return bad("truncated")
 		}
-		m := d.arena.Tokens(int(nVars))
 		for j := uint64(0); j < nVars; j++ {
 			l, ok := uvar()
 			if !ok || uint64(len(data)) < l {
@@ -203,14 +204,14 @@ func (d *provDecoder) decode(data []byte) (provenance.Poly, error) {
 			if pow != 1 {
 				return bad(fmt.Sprintf("power %d: a witness holds each variable once", pow))
 			}
-			m = append(m, x)
+			d.arena.Add(x)
 		}
-		ms = append(ms, m)
+		d.arena.End()
 	}
 	if len(data) != 0 {
 		return bad(fmt.Sprintf("%d trailing bytes", len(data)))
 	}
-	p, err := d.arena.Poly(ms)
+	p, err := d.arena.Poly()
 	if err != nil {
 		return provenance.Poly{}, fmt.Errorf("%w: %w", ErrBadProv, err)
 	}

@@ -280,7 +280,8 @@ func (p *Peer) Explain(rel string, tu schema.Tuple) (prov provenance.Poly, suppo
 // mapping tokens.
 func DecodeSupports(p provenance.Poly) []Support {
 	var out []Support
-	for _, m := range p.Monomials() {
+	for i := range p.NumMonomials() {
+		m := p.Monomial(i)
 		var sup Support
 		seenTxn := map[updates.TxnID]bool{}
 		for _, t := range m {

@@ -98,10 +98,8 @@ func EncodeDB(db *DB) ([]byte, error) {
 		factPolys[i] = make([]int, len(ext.facts))
 		for j, f := range ext.facts {
 			factPolys[i][j] = polyIndex(f.Prov)
-			for _, m := range f.Prov.Monomials() {
-				for _, x := range m {
-					varSet[x] = struct{}{}
-				}
+			for _, x := range f.Prov.Tokens() {
+				varSet[x] = struct{}{}
 			}
 		}
 	}
@@ -123,9 +121,9 @@ func EncodeDB(db *DB) ([]byte, error) {
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(table)))
 	for _, p := range table {
-		monos := p.Monomials()
-		buf = binary.AppendUvarint(buf, uint64(len(monos)))
-		for _, m := range monos {
+		buf = binary.AppendUvarint(buf, uint64(p.NumMonomials()))
+		for i := range p.NumMonomials() {
+			m := p.Monomial(i)
 			buf = binary.AppendUvarint(buf, 1) // coefficient
 			buf = binary.AppendUvarint(buf, uint64(len(m)))
 			for _, x := range m {
@@ -209,13 +207,14 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 	// the table retains them, so their storage comes from one arena.
 	var arena provenance.Arena
 	for i := 0; i < nPolys && r.err == nil; i++ {
-		monos := arena.Monomials(r.count("monomial", 2))
-		for j := 0; j < cap(monos) && r.err == nil; j++ {
+		nMonos := r.count("monomial", 2)
+		arena.Begin(nMonos)
+		for j := 0; j < nMonos && r.err == nil; j++ {
 			if coef := r.uvarint(); coef == 0 && r.err == nil {
 				r.fail("zero coefficient")
 			}
-			m := arena.Tokens(r.count("monomial variable", 2))
-			for k := 0; k < cap(m) && r.err == nil; k++ {
+			nToks := r.count("monomial variable", 2)
+			for k := 0; k < nToks && r.err == nil; k++ {
 				vi, pow := r.uvarint(), r.uvarint()
 				switch {
 				case r.err != nil:
@@ -225,15 +224,15 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 					r.fail(fmt.Sprintf("power %d: a witness holds each variable once", pow))
 				default:
 					used[vi] = true
-					m = append(m, vars[vi])
+					arena.Add(vars[vi])
 				}
 			}
-			monos = append(monos, m)
+			arena.End()
 		}
 		if r.err != nil {
 			break
 		}
-		p, err := arena.Poly(monos)
+		p, err := arena.Poly()
 		if err != nil {
 			return stats, fmt.Errorf("%w: polynomial %d: %w", ErrBadSnapshot, i, err)
 		}

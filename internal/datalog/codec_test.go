@@ -121,7 +121,11 @@ func TestCodecOrderIndependent(t *testing.T) {
 			e := entries[i]
 			// Rebuild the polynomial from scratch so the two databases do
 			// not share construction history.
-			db.Set(e.pred, e.t, provenance.FromMonomials(e.p.Monomials()))
+			monos := make([]provenance.Monomial, e.p.NumMonomials())
+			for j := range monos {
+				monos[j] = e.p.Monomial(j)
+			}
+			db.Set(e.pred, e.t, provenance.FromMonomials(monos))
 		}
 		return db
 	}

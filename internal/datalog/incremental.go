@@ -177,23 +177,21 @@ func (inc *Incremental) indexFact(pred string, s uint32, p provenance.Poly) {
 	if inc.tokenIndex == nil {
 		return
 	}
-	for _, m := range p.Monomials() {
-		for _, x := range m {
-			if inc.ruleToks[x] {
-				continue
-			}
-			preds := inc.tokenIndex[x]
-			if preds == nil {
-				preds = map[string]map[uint32]struct{}{}
-				inc.tokenIndex[x] = preds
-			}
-			slots := preds[pred]
-			if slots == nil {
-				slots = map[uint32]struct{}{}
-				preds[pred] = slots
-			}
-			slots[s] = struct{}{}
+	for _, x := range p.Tokens() {
+		if inc.ruleToks[x] {
+			continue
 		}
+		preds := inc.tokenIndex[x]
+		if preds == nil {
+			preds = map[string]map[uint32]struct{}{}
+			inc.tokenIndex[x] = preds
+		}
+		slots := preds[pred]
+		if slots == nil {
+			slots = map[uint32]struct{}{}
+			preds[pred] = slots
+		}
+		slots[s] = struct{}{}
 	}
 }
 
@@ -218,12 +216,7 @@ func (inc *Incremental) tokens() map[provenance.Token]map[string]map[uint32]stru
 
 // mentions reports whether some monomial of p uses the token v.
 func mentions(p provenance.Poly, v provenance.Token) bool {
-	for _, m := range p.Monomials() {
-		if slices.Contains(m, v) {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(p.Tokens(), v)
 }
 
 // Insert adds base facts and propagates them through the program. It
@@ -363,10 +356,9 @@ func (inc *Incremental) InsertGroups(ctx context.Context, groups [][]Fact2) ([][
 	tokenFree := false
 	for _, facts := range groups {
 		for _, bf := range facts {
-			for _, m := range bf.Prov.Monomials() {
-				if len(m) == 0 {
-					tokenFree = true
-				}
+			// The empty monomial sorts first.
+			if bf.Prov.NumMonomials() > 0 && len(bf.Prov.Monomial(0)) == 0 {
+				tokenFree = true
 			}
 		}
 	}
@@ -437,11 +429,9 @@ func (inc *Incremental) insertGroupRun(ctx context.Context, groups [][]Fact2) ([
 	tokenGroup := map[provenance.Token]int{}
 	for gi, facts := range groups {
 		for _, bf := range facts {
-			for _, m := range bf.Prov.Monomials() {
-				for _, x := range m {
-					if old, ok := tokenGroup[x]; !ok || gi > old {
-						tokenGroup[x] = gi
-					}
+			for _, x := range bf.Prov.Tokens() {
+				if old, ok := tokenGroup[x]; !ok || gi > old {
+					tokenGroup[x] = gi
 				}
 			}
 		}
@@ -477,31 +467,29 @@ func (inc *Incremental) insertGroupRun(ctx context.Context, groups [][]Fact2) ([
 	}
 	derived := func(mr mergeResult) {
 		a := touch(mr)
-		monos := mr.newPart.Monomials()
+		p := mr.newPart
+		gi := owner(p.Monomial(0))
 		single := true
-		gi := owner(monos[0])
-		for _, m := range monos[1:] {
-			if owner(m) != gi {
+		for i := 1; i < p.NumMonomials(); i++ {
+			if owner(p.Monomial(i)) != gi {
 				single = false
 				break
 			}
 		}
 		if single {
-			a.parts = append(a.parts, groupPart{group: gi, prov: mr.newPart})
+			a.parts = append(a.parts, groupPart{group: gi, prov: p})
 			return
 		}
-		byGroup := map[int][]provenance.Monomial{}
-		order := []int{}
-		for _, m := range monos {
-			g := owner(m)
-			if _, ok := byGroup[g]; !ok {
+		var order []int
+		for i := range p.NumMonomials() {
+			if g := owner(p.Monomial(i)); !slices.Contains(order, g) {
 				order = append(order, g)
 			}
-			byGroup[g] = append(byGroup[g], m)
 		}
 		sort.Ints(order)
 		for _, g := range order {
-			a.parts = append(a.parts, groupPart{group: g, prov: provenance.FromMonomials(byGroup[g])})
+			part := p.Filter(func(m provenance.Monomial) bool { return owner(m) == g })
+			a.parts = append(a.parts, groupPart{group: g, prov: part})
 		}
 	}
 	if err := inc.insertSeeded(ctx, groups, seeded, derived); err != nil {

@@ -438,9 +438,9 @@ func (e *Engine) minimalKillSet(p provenance.Poly) []provenance.Var {
 		toks []provenance.Token
 	}
 	var monos []mono
-	for _, m := range p.Monomials() {
+	for i := range p.NumMonomials() {
 		var toks []provenance.Token
-		for _, x := range m {
+		for _, x := range p.Monomial(i) {
 			if _, isTok := updates.TokenTxn(x.Var()); isTok {
 				toks = append(toks, x)
 			}
@@ -745,9 +745,9 @@ func minimalDeps(p provenance.Poly, self updates.TxnID) []updates.TxnID {
 	var best []updates.TxnID
 	found := false
 	var ids []updates.TxnID // reused across monomials; winners are copied out
-	for _, m := range p.Monomials() {
+	for i := range p.NumMonomials() {
 		ids = ids[:0]
-		for _, x := range m {
+		for _, x := range p.Monomial(i) {
 			id, ok := updates.TokenTxn(x.Var())
 			if !ok || id == self {
 				continue

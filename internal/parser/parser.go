@@ -11,11 +11,11 @@ import (
 	"orchestra/internal/schema"
 )
 
-// ErrSyntax is wrapped by every error ParseRules, ParseMapping and
-// ParseMappings report about their input's text: whatever text they are
-// given, they return its rules or mappings, or an error that matches
-// ErrSyntax with errors.Is. (A mapping that parses can still fail the
-// mapping package's validation, with its error.)
+// ErrSyntax is wrapped by every error ParseRules and ParseMapping report
+// about their input's text: whatever text they are given, they return its
+// rules or mapping, or an error that matches ErrSyntax with errors.Is. (A
+// mapping that parses can still fail the mapping package's validation,
+// with its error.)
 var ErrSyntax = errors.New("parser: syntax error")
 
 // syntaxError is one ErrSyntax with its message.
@@ -258,43 +258,6 @@ func ParseMapping(id, src string) (*mapping.Mapping, error) {
 		return nil, syntaxErrorf("parser: mapping %s: trailing input after rule", id)
 	}
 	return mappingFromRule(id, rt)
-}
-
-// ParseMappings parses a block of "Mid: tgd." declarations, one mapping per
-// rule, where each rule is preceded by "<id>:" on the same logical line:
-//
-//	M_AC: crete.OPS(org, prot, seq) :- alaska.O(org, oid), ... .
-//
-// For convenience it also accepts rules without an id prefix, naming them
-// "M<n>".
-func ParseMappings(src string) ([]*mapping.Mapping, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	var out []*mapping.Mapping
-	for !p.at(tokEOF) {
-		id := fmt.Sprintf("M%d", len(out))
-		// Optional "ident :" prefix — detected as ident followed by an
-		// arrow NOT preceded by an atom; simplest reliable signal: ident
-		// followed by tokOp "="? We instead require the explicit form
-		// "id = rule": ident '=' rule.
-		if p.at(tokIdent) && p.toks[p.i+1].kind == tokOp && p.toks[p.i+1].text == "=" {
-			id = p.next().text
-			p.next() // '='
-		}
-		rt, err := p.parseRuleText()
-		if err != nil {
-			return nil, err
-		}
-		m, err := mappingFromRule(id, rt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }
 
 func mappingFromRule(id string, rt *ruleText) (*mapping.Mapping, error) {

@@ -190,30 +190,6 @@ func TestParseMappingErrors(t *testing.T) {
 	}
 }
 
-func TestParseMappingsBlock(t *testing.T) {
-	ms, err := ParseMappings(`
-		# the Figure 2 non-identity mappings
-		M_AC = crete.OPS(org, prot, seq) :-
-			alaska.O(org, oid), alaska.P(prot, pid), alaska.S(oid, pid, seq).
-		M_CA = alaska.O(org, oid), alaska.P(prot, pid), alaska.S(oid, pid, seq) :-
-			crete.OPS(org, prot, seq).
-		// anonymous mapping gets a generated id
-		dresden.OPS(o, p, s) :- crete.OPS(o, p, s).
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 3 {
-		t.Fatalf("mappings = %d", len(ms))
-	}
-	if ms[0].ID != "M_AC" || ms[1].ID != "M_CA" || ms[2].ID != "M2" {
-		t.Errorf("ids = %s %s %s", ms[0].ID, ms[1].ID, ms[2].ID)
-	}
-	if _, err := mapping.Compile(ms); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestParsedEqualsHandBuilt(t *testing.T) {
 	// The parsed join mapping produces the same rules as workload's
 	// hand-built one (modulo rule ids).

@@ -34,9 +34,9 @@ func TestInternSharing(t *testing.T) {
 // (simulating a slot eviction between their constructions) still compare
 // equal through the hash-guarded structural path.
 func TestEqualStructuralFallback(t *testing.T) {
-	m := mono("a", "b")
-	a := Poly{n: &polyNode{monos: []Monomial{m}, hash: hashMonos([]Monomial{m})}}
-	b := Poly{n: &polyNode{monos: []Monomial{m}, hash: a.n.hash}}
+	monos := []Monomial{mono("a", "b")}
+	a := Poly{n: &polyNode{hash: hashMonos(monos), buf: flatten(monos)}}
+	b := Poly{n: &polyNode{hash: a.n.hash, buf: flatten(monos)}}
 	if a.n == b.n {
 		t.Fatal("test needs two distinct nodes")
 	}

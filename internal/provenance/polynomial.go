@@ -10,9 +10,10 @@
 // by an assignment of the variables (see Eval).
 //
 // Inside a polynomial a token is a Token, a dense uint32 id from one
-// append-only, process-wide table (token.go); a monomial is a slice of ids
-// sorted by name and a node holds only its monomials and a hash. No key
-// string is cached per monomial: canonical order is defined on names — a
+// append-only, process-wide table (token.go); a monomial is a set of ids
+// sorted by name, and a node holds its monomials flattened into one
+// pointer-free token buffer beside a hash (intern.go). No key string is
+// cached per monomial: canonical order is defined on names — a
 // monomial's key is each name followed by ';', compared as bytes — and is
 // computed id by id, reading names only where two monomials first differ.
 // Ids exist only in memory: every codec writes names, so an encoding and
@@ -22,6 +23,7 @@ package provenance
 import (
 	"slices"
 	"strings"
+	"sync"
 )
 
 // Var names a provenance token: in ORCHESTRA, one token is minted per base
@@ -33,6 +35,8 @@ type Var string
 
 // Monomial is one witness: the set of tokens that jointly derive a tuple,
 // sorted by name and without repeats. The empty monomial is the constant 1.
+// A Monomial read from a polynomial is a view into its node's buffer,
+// clipped to its own length: read it, never write it.
 type Monomial []Token
 
 // String renders the monomial, e.g. "x·y"; the empty monomial is "1".
@@ -61,14 +65,16 @@ func (m Monomial) String() string {
 // process. The zero polynomial is the zero value. Poly values are
 // immutable; operations return new polynomials.
 //
-// Every polynomial points at a canonical node carrying its monomials and a
-// precomputed structural hash over their ids, built through the bounded
-// hash-consing cache in intern.go: recurring polynomials share one
-// allocation, so equality on them is a pointer comparison (with a
-// hash-guarded structural fallback when two equal values missed each other
-// in the cache). No key string is stored: Add, Subsumes and the witness
-// kernel merge the sorted monomial lists id by id, reading names only where
-// two monomials first differ.
+// Every polynomial points at a canonical node — its monomials flattened
+// into one token buffer, and a precomputed structural hash over their ids —
+// built through the bounded hash-consing cache in intern.go: recurring
+// polynomials share one allocation, so equality on them is a pointer
+// comparison (with a hash-guarded comparison of the buffers when two equal
+// values missed each other in the cache). No key string is stored: Add,
+// Subsumes and the witness kernel merge the sorted monomial lists id by id,
+// reading names only where two monomials first differ. Results are built
+// from views in pooled scratch space and copied into a node buffer only
+// when the cache holds no equal node.
 type Poly struct {
 	n *polyNode
 }
@@ -94,15 +100,29 @@ func (p Poly) IsZero() bool { return p.n == nil }
 
 // IsOne reports whether p is the constant 1.
 func (p Poly) IsOne() bool {
-	return p.n != nil && len(p.n.monos) == 1 && len(p.n.monos[0]) == 0
+	return p.n != nil && len(p.n.buf) == 2 && p.n.buf[0] == 1
 }
 
-// Monomials returns the canonical monomial list (shared; do not modify).
-func (p Poly) Monomials() []Monomial {
+// NumMonomials returns the number of monomials (distinct witnesses).
+func (p Poly) NumMonomials() int {
+	if p.n == nil {
+		return 0
+	}
+	return p.n.num()
+}
+
+// Monomial returns monomial i in canonical order, 0 ≤ i < NumMonomials():
+// a view into the polynomial's buffer that must not be modified.
+func (p Poly) Monomial(i int) Monomial { return p.n.mono(i) }
+
+// Tokens returns the tokens of every monomial, monomial after monomial in
+// canonical order — each token as often as monomials hold it. It is a view
+// into the polynomial's buffer that must not be modified.
+func (p Poly) Tokens() []Token {
 	if p.n == nil {
 		return nil
 	}
-	return p.n.monos
+	return p.n.tokens()
 }
 
 // Hash returns the precomputed structural hash of the polynomial. It is a
@@ -114,19 +134,11 @@ func (p Poly) Hash() uint64 {
 	return p.n.hash
 }
 
-// NumMonomials returns the number of monomials (distinct witnesses).
-func (p Poly) NumMonomials() int {
-	if p.n == nil {
-		return 0
-	}
-	return len(p.n.monos)
-}
-
 // Degree returns the maximum monomial degree, or 0 for constants/zero.
 func (p Poly) Degree() int {
 	d := 0
-	for _, m := range p.Monomials() {
-		d = max(d, len(m))
+	for i := range p.NumMonomials() {
+		d = max(d, len(p.n.mono(i)))
 	}
 	return d
 }
@@ -134,10 +146,8 @@ func (p Poly) Degree() int {
 // Vars returns the sorted set of variables mentioned in p.
 func (p Poly) Vars() []Var {
 	set := map[Token]bool{}
-	for _, m := range p.Monomials() {
-		for _, x := range m {
-			set[x] = true
-		}
+	for _, x := range p.Tokens() {
+		set[x] = true
 	}
 	out := make([]Var, 0, len(set))
 	for x := range set {
@@ -149,34 +159,65 @@ func (p Poly) Vars() []Var {
 
 // FromMonomials builds the polynomial whose witnesses are monos: each
 // monomial's tokens are sorted by name and deduplicated, then repeated
-// monomials merge. The input is copied; the caller keeps ownership of its
-// slices.
+// monomials merge. The input is only read: the polynomial owns a copy.
 func FromMonomials(monos []Monomial) Poly {
-	out := make([]Monomial, len(monos))
-	for i, m := range monos {
-		m = slices.Clone(m)
-		slices.SortFunc(m, cmpName)
-		out[i] = slices.Compact(m)
+	s := getScratch()
+	defer s.put()
+	size := 0
+	for _, m := range monos {
+		size += len(m)
 	}
-	return canonicalize(out)
+	s.toks = slices.Grow(s.toks, size)
+	for _, m := range monos {
+		start := len(s.toks)
+		s.toks = append(s.toks, m...)
+		run := s.toks[start:]
+		slices.SortFunc(run, cmpName)
+		run = slices.Compact(run)
+		s.toks = s.toks[:start+len(run)]
+		s.monos = append(s.monos, run[:len(run):len(run)])
+	}
+	return canonicalize(s.monos)
 }
 
-// canonicalize sorts a raw (owned) monomial list into canonical order,
-// drops repeats, and interns the result.
+// canonicalize sorts a scratch monomial list into canonical order, drops
+// repeats, and interns the result.
 func canonicalize(monos []Monomial) Poly {
-	if len(monos) == 0 {
-		return Poly{}
-	}
 	slices.SortFunc(monos, cmpMono)
-	w := 0
-	for r := range monos {
-		if r > 0 && slices.Equal(monos[r], monos[w-1]) {
-			continue
+	return newNode(slices.CompactFunc(monos, slices.Equal))
+}
+
+// strictlySorted reports whether monos is already canonical: strictly
+// increasing in cmpMono order.
+func strictlySorted(monos []Monomial) bool {
+	for i := 1; i < len(monos); i++ {
+		if cmpMono(monos[i-1], monos[i]) >= 0 {
+			return false
 		}
-		monos[w] = monos[r]
-		w++
 	}
-	return newNode(monos[:w])
+	return true
+}
+
+// scratch is the pooled working space of the operations that build a
+// polynomial: views of the survivors (into the operands' buffers or into
+// toks), and the token runs of new monomials. Nothing in it outlives the
+// operation — newNode copies what a node keeps.
+type scratch struct {
+	monos, more []Monomial
+	toks        []Token
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// put empties s — dropping its views, so the pool pins no operand — and
+// returns it to the pool.
+func (s *scratch) put() {
+	clear(s.monos)
+	clear(s.more)
+	s.monos, s.more, s.toks = s.monos[:0], s.more[:0], s.toks[:0]
+	scratchPool.Put(s)
 }
 
 // Add returns p + q, the union of the two witness sets: one merge of the
@@ -188,8 +229,10 @@ func (p Poly) Add(q Poly) Poly {
 }
 
 // Mul returns p · q: each pair of monomials contributes the union of their
-// tokens, merged in name order into one shared token array, and the pairs
-// are then sorted and deduplicated.
+// tokens, merged in name order into scratch, and the pairs are then sorted
+// and deduplicated. When one operand is a single monomial the products come
+// out in canonical order more often than not, and are only sorted if they
+// do not; so a product of two single monomials is one union, never sorted.
 func (p Poly) Mul(q Poly) Poly {
 	if p.IsZero() || q.IsZero() {
 		return Poly{}
@@ -200,39 +243,42 @@ func (p Poly) Mul(q Poly) Poly {
 	if q.IsOne() {
 		return p
 	}
-	pm, qm := p.n.monos, q.n.monos
-	nv := 0
-	for _, a := range pm {
-		nv += len(qm) * len(a)
-	}
-	for _, b := range qm {
-		nv += len(pm) * len(b)
-	}
-	vars := make([]Token, 0, nv)
-	monos := make([]Monomial, 0, len(pm)*len(qm))
-	for _, a := range pm {
-		for _, b := range qm {
-			start := len(vars)
-			i, j := 0, 0
-			for i < len(a) && j < len(b) {
-				switch c := cmpName(a[i], b[j]); {
-				case c < 0:
-					vars = append(vars, a[i])
-					i++
-				case c > 0:
-					vars = append(vars, b[j])
-					j++
-				default:
-					vars = append(vars, a[i])
-					i++
-					j++
-				}
-			}
-			vars = append(append(vars, a[i:]...), b[j:]...)
-			monos = append(monos, vars[start:len(vars):len(vars)])
+	pn, qn := p.n, q.n
+	s := getScratch()
+	defer s.put()
+	s.toks = slices.Grow(s.toks, len(pn.tokens())*qn.num()+len(qn.tokens())*pn.num())
+	for i := range pn.num() {
+		a := pn.mono(i)
+		for j := range qn.num() {
+			start := len(s.toks)
+			s.toks = union(s.toks, a, qn.mono(j))
+			s.monos = append(s.monos, s.toks[start:len(s.toks):len(s.toks)])
 		}
 	}
-	return canonicalize(monos)
+	if (pn.num() == 1 || qn.num() == 1) && strictlySorted(s.monos) {
+		return newNode(s.monos)
+	}
+	return canonicalize(s.monos)
+}
+
+// union appends a ∪ b to dst in name order.
+func union(dst []Token, a, b Monomial) []Token {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := cmpName(a[i], b[j]); {
+		case c < 0:
+			dst = append(dst, a[i])
+			i++
+		case c > 0:
+			dst = append(dst, b[j])
+			j++
+		default:
+			dst = append(dst, a[i])
+			i++
+			j++
+		}
+	}
+	return append(append(dst, a[i:]...), b[j:]...)
 }
 
 // Equal reports canonical equality of two polynomials. Every canonical
@@ -247,7 +293,7 @@ func (p Poly) Equal(q Poly) bool {
 	if p.n == nil || q.n == nil || p.n.hash != q.n.hash {
 		return false
 	}
-	return sameMonos(p.n.monos, q.n.monos)
+	return slices.Equal(p.n.buf, q.n.buf)
 }
 
 // String renders the polynomial, e.g. "x·y + z".
@@ -255,9 +301,9 @@ func (p Poly) String() string {
 	if p.IsZero() {
 		return "0"
 	}
-	parts := make([]string, len(p.n.monos))
-	for i, m := range p.n.monos {
-		parts[i] = m.String()
+	parts := make([]string, p.n.num())
+	for i := range parts {
+		parts[i] = p.n.mono(i).String()
 	}
 	return strings.Join(parts, " + ")
 }
@@ -270,7 +316,8 @@ func (p Poly) String() string {
 // answers derivability, trust and clearance questions alike.
 func Eval[T any](p Poly, s Semiring[T], assign func(Var) T) T {
 	acc := s.Zero()
-	for _, m := range p.Monomials() {
+	for i := range p.NumMonomials() {
+		m := p.n.mono(i)
 		term := s.One()
 		for _, x := range m {
 			term = s.Mul(term, assign(x.Var()))
@@ -286,8 +333,8 @@ func Eval[T any](p Poly, s Semiring[T], assign func(Var) T) T {
 // that drives provenance-based deletion propagation in update exchange.
 func (p Poly) Derivable(alive func(Var) bool) bool {
 	live := func(t Token) bool { return alive(t.Var()) }
-	for _, m := range p.Monomials() {
-		if allAlive(m, live) {
+	for i := range p.NumMonomials() {
+		if allAlive(p.n.mono(i), live) {
 			return true
 		}
 	}
@@ -311,19 +358,27 @@ func (p Poly) Restrict(alive func(Var) bool) Poly {
 
 // RestrictTokens is Restrict with liveness decided on token ids.
 func (p Poly) RestrictTokens(alive func(Token) bool) Poly {
+	return p.Filter(func(m Monomial) bool { return allAlive(m, alive) })
+}
+
+// Filter returns the polynomial of the monomials of p that keep accepts,
+// calling keep once per monomial in canonical order. It returns p itself
+// when keep accepts them all.
+func (p Poly) Filter(keep func(Monomial) bool) Poly {
 	if p.IsZero() {
 		return p
 	}
-	out := make([]Monomial, 0, len(p.n.monos))
-	for _, m := range p.n.monos {
-		if allAlive(m, alive) {
-			out = append(out, m)
+	s := getScratch()
+	defer s.put()
+	for i := range p.n.num() {
+		if m := p.n.mono(i); keep(m) {
+			s.monos = append(s.monos, m)
 		}
 	}
-	if len(out) == len(p.n.monos) {
+	if len(s.monos) == p.n.num() {
 		return p
 	}
-	return newNode(out)
+	return newNode(s.monos)
 }
 
 // Subsumes reports whether every monomial of q is present in p: the ≤ test
@@ -333,16 +388,17 @@ func (p Poly) Subsumes(q Poly) bool {
 	if q.IsZero() || p.n == q.n {
 		return true
 	}
-	pm, qm := p.Monomials(), q.Monomials()
-	if len(qm) > len(pm) {
+	np, nq := p.NumMonomials(), q.n.num()
+	if nq > np {
 		return false
 	}
 	i := 0
-	for _, m := range qm {
-		for i < len(pm) && cmpMono(pm[i], m) < 0 {
+	for j := range nq {
+		m := q.n.mono(j)
+		for i < np && cmpMono(p.n.mono(i), m) < 0 {
 			i++
 		}
-		if i == len(pm) || !slices.Equal(pm[i], m) {
+		if i == np || !slices.Equal(p.n.mono(i), m) {
 			return false
 		}
 		i++

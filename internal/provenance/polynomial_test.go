@@ -7,6 +7,16 @@ import (
 
 func v(name string) Poly { return NewVar(Var(name)) }
 
+// monomialsOf returns p's monomials in canonical order, as views into its
+// buffer.
+func monomialsOf(p Poly) []Monomial {
+	out := make([]Monomial, p.NumMonomials())
+	for i := range out {
+		out[i] = p.Monomial(i)
+	}
+	return out
+}
+
 func TestPolyBasics(t *testing.T) {
 	if !Zero().IsZero() {
 		t.Error("Zero not zero")
@@ -200,7 +210,7 @@ func TestWitnessSemiringLaws(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	checkSemiringLaws[Poly](t, "B[X]", witnessSemiring{}, func() Poly { return randPoly(rng) })
 	checkMulIdempotent[Poly](t, "B[X] monomials", witnessSemiring{}, func() Poly {
-		ms := randPoly(rng).Monomials()
+		ms := monomialsOf(randPoly(rng))
 		return FromMonomials(ms[:min(1, len(ms))])
 	})
 }

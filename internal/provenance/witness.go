@@ -9,8 +9,9 @@ import (
 // a stored one under the MaxMonomials cut, which is also Poly.Add when no
 // cut applies. A node's monomial list is the sorted set of its witnesses, so
 // the union of two nodes is a merge of two sorted lists, compared id by id
-// (cmpMono), and a monomial that survives into a result is carried over
-// as it is: no token list is copied and no key is built.
+// (cmpMono). The survivors are gathered as views into the two operands'
+// buffers and copied once, into the result's buffer, only when the intern
+// cache holds no equal node; no key is built.
 
 // witnessWalk enumerates the union of two nodes (either may be nil) in
 // canonical order — the monomial order of their sum — reporting for each
@@ -21,11 +22,11 @@ type witnessWalk struct {
 }
 
 func (w *witnessWalk) next() (m Monomial, onlyB, ok bool) {
-	inA := w.a != nil && w.i < len(w.a.monos)
-	inB := w.b != nil && w.j < len(w.b.monos)
+	inA := w.a != nil && w.i < w.a.num()
+	inB := w.b != nil && w.j < w.b.num()
 	switch {
 	case inA && inB:
-		ma, mb := w.a.monos[w.i], w.b.monos[w.j]
+		ma, mb := w.a.mono(w.i), w.b.mono(w.j)
 		switch c := cmpMono(ma, mb); {
 		case c < 0:
 			w.i++
@@ -39,10 +40,10 @@ func (w *witnessWalk) next() (m Monomial, onlyB, ok bool) {
 		return ma, false, true
 	case inA:
 		w.i++
-		return w.a.monos[w.i-1], false, true
+		return w.a.mono(w.i - 1), false, true
 	case inB:
 		w.j++
-		return w.b.monos[w.j-1], true, true
+		return w.b.mono(w.j - 1), true, true
 	}
 	return nil, false, false
 }
@@ -83,8 +84,9 @@ func (c *witnessCut) keeps(m Monomial) bool {
 // The merge is one pass over the two monomial lists that finds the new monomials
 // and builds a degree histogram of the union, from which the cut follows. It
 // allocates nothing when no new monomial survives the cut (the
-// re-derivation of a known or of a too-long witness); otherwise it builds
-// exactly the two result nodes, from the monomials of its inputs.
+// re-derivation of a known or of a too-long witness); otherwise it gathers
+// the survivors in pooled scratch and builds at most the two result nodes,
+// each a node and its buffer, none when the intern cache holds them.
 func MergeWitness(stored, derived Poly, k int) (merged, fresh Poly, changed, truncated bool) {
 	return mergeWitness(stored, derived, k, true)
 }
@@ -149,12 +151,10 @@ func mergeWitness(stored, derived Poly, k int, wantFresh bool) (merged, fresh Po
 	reuseMerged := !truncated && total == dn
 	reuseFresh := keptNew == dn
 	buildFresh := wantFresh && !reuseFresh && s != nil
-	var monos, fmonos []Monomial
-	if !reuseMerged {
-		monos = make([]Monomial, 0, keptNew+keptOld)
-	}
-	if buildFresh {
-		fmonos = make([]Monomial, 0, keptNew)
+	var sc *scratch
+	if !reuseMerged || buildFresh {
+		sc = getScratch()
+		defer sc.put()
 	}
 	w = witnessWalk{a: s, b: d}
 	for m, onlyD, ok := w.next(); ok; m, onlyD, ok = w.next() {
@@ -162,22 +162,22 @@ func mergeWitness(stored, derived Poly, k int, wantFresh bool) (merged, fresh Po
 			continue
 		}
 		if !reuseMerged {
-			monos = append(monos, m)
+			sc.monos = append(sc.monos, m)
 		}
 		if onlyD && buildFresh {
-			fmonos = append(fmonos, m)
+			sc.more = append(sc.more, m)
 		}
 	}
 	merged, fresh = derived, derived
 	if !reuseMerged {
-		merged = newNode(monos)
+		merged = newNode(sc.monos)
 	}
 	switch {
 	case s == nil:
 		// Nothing was stored: the new part is the whole result.
 		fresh = merged
 	case buildFresh:
-		fresh = newNode(fmonos)
+		fresh = newNode(sc.more)
 	}
 	return merged, fresh, true, truncated
 }

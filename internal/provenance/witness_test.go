@@ -31,7 +31,7 @@ func truncate(p Poly, k int) Poly {
 	if k <= 0 || p.NumMonomials() <= k {
 		return p
 	}
-	ms := slices.Clone(p.Monomials())
+	ms := slices.Clone(monomialsOf(p))
 	slices.SortFunc(ms, byDegreeThenKey)
 	return FromMonomials(ms[:k])
 }
@@ -41,11 +41,11 @@ func truncate(p Poly, k int) Poly {
 // sorted by (degree, key) and cut to k, then what the stored side lacks.
 func refMerge(stored, derived Poly, k int) (merged, fresh Poly, changed, truncated bool) {
 	union := map[string]Monomial{}
-	for _, m := range stored.Monomials() {
+	for _, m := range monomialsOf(stored) {
 		union[monoKey(m)] = m
 	}
 	grows := false
-	for _, m := range derived.Monomials() {
+	for _, m := range monomialsOf(derived) {
 		if _, ok := union[monoKey(m)]; !ok {
 			union[monoKey(m)] = m
 			grows = true
@@ -63,7 +63,7 @@ func refMerge(stored, derived Poly, k int) (merged, fresh Poly, changed, truncat
 		return stored, Zero(), false, truncated
 	}
 	had := map[string]bool{}
-	for _, m := range stored.Monomials() {
+	for _, m := range monomialsOf(stored) {
 		had[monoKey(m)] = true
 	}
 	var add []Monomial
@@ -79,8 +79,8 @@ func refMerge(stored, derived Poly, k int) (merged, fresh Poly, changed, truncat
 // monomials.
 func refMul(p, q Poly) Poly {
 	var ms []Monomial
-	for _, a := range p.Monomials() {
-		for _, b := range q.Monomials() {
+	for _, a := range monomialsOf(p) {
+		for _, b := range monomialsOf(q) {
 			ms = append(ms, append(slices.Clone(a), b...))
 		}
 	}
@@ -91,7 +91,7 @@ func refMul(p, q Poly) Poly {
 // in canonical order by names: each monomial's names strictly increasing,
 // and each monomial's key, spelled out as a string, above the one before.
 func samePoly(a, b Poly) bool {
-	ms := a.Monomials()
+	ms := monomialsOf(a)
 	for i, m := range ms {
 		if i > 0 && monoKey(ms[i-1]) >= monoKey(m) {
 			return false
@@ -102,7 +102,7 @@ func samePoly(a, b Poly) bool {
 			}
 		}
 	}
-	return a.Equal(b) && slices.EqualFunc(ms, b.Monomials(), slices.Equal)
+	return a.Equal(b) && slices.EqualFunc(ms, monomialsOf(b), slices.Equal)
 }
 
 // checkMergeWitness compares the kernel, Add and Mul against their set
@@ -115,7 +115,7 @@ func checkMergeWitness(t *testing.T, stored, derived Poly, k int) {
 		t.Fatalf("MergeWitness(%v, %v, %d)\n got merged=%v fresh=%v changed=%v truncated=%v\nwant merged=%v fresh=%v changed=%v truncated=%v",
 			stored, derived, k, gm, gf, gc, gt, wm, wf, wc, wt)
 	}
-	if got, want := stored.Add(derived), FromMonomials(append(slices.Clone(stored.Monomials()), derived.Monomials()...)); !samePoly(got, want) {
+	if got, want := stored.Add(derived), FromMonomials(append(slices.Clone(monomialsOf(stored)), monomialsOf(derived)...)); !samePoly(got, want) {
 		t.Fatalf("%v + %v = %v, want %v", stored, derived, got, want)
 	}
 	if got, want := stored.Mul(derived), refMul(stored, derived); !samePoly(got, want) {
@@ -255,6 +255,27 @@ func BenchmarkMergeWitness(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				benchSink, _, _, _ = MergeWitness(stored, c.derived, 8)
+			}
+		})
+	}
+}
+
+// BenchmarkMul runs the products the evaluator forms, with the result
+// resident in the intern cache as in a steady fixpoint: 1x1 is the
+// emitRow step prov · tokProv (a two-token witness times a token), 1x8 a
+// token times a saturated witness set, 8x8 two saturated sets.
+func BenchmarkMul(b *testing.B) {
+	set := benchWitnessSet()
+	pair := NewVar("p:1/0").Mul(NewVar("m:0"))
+	tok := NewVar("M_AB")
+	for _, c := range []struct {
+		name string
+		p, q Poly
+	}{{"1x1", pair, tok}, {"1x8", tok, set}, {"8x8", set, set.Mul(tok)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = c.p.Mul(c.q)
 			}
 		})
 	}

@@ -12,14 +12,101 @@
 # quartile] and in how many pairs the change was better, and writes the
 # same (plus every run's value) as JSON to OUT.
 #
+# It then prints a verdict per workload and metric against the metric's
+# bound in BENCHMARK.json, taken as that fraction of the parent's median:
+# "unresolved" when either side's interquartile range exceeds it (the
+# runs spread too widely to tell) — unless every run of the change is
+# better than every run of the parent, which is "within" — else "beyond"
+# when the change's median is worse than the parent's by more than it,
+# else "within". With
+# CLAIM="workload:metric ..." it also judges each claimed gain: "met" when
+# the change was better in at least nine pairs of ten and its median beats
+# the parent's by more than the parent's interquartile range.
+#
 #   ./scripts/bench_pairs.sh                      # 10 pairs of query-point vs HEAD
 #   BASE=HEAD~1 PAIRS=3 WORKLOADS="exchange-insert conflict-churn" ./scripts/bench_pairs.sh
+#   FROM=BENCH_30.json CLAIM=query-point:query_p50_ms ./scripts/bench_pairs.sh
+#
+# FROM=FILE runs nothing: it prints the verdicts for a summary this script
+# wrote before (such as a committed BENCH_<n>.json).
 #
 # Tunables: BASE (HEAD), PAIRS (10), WORKLOADS (query-point), SEED (1),
 # BENCH_SECONDS (15; `make bench-pairs` passes SECONDS), OUT
-# (bench-pairs.json). Exits non-zero if any run failed its own
-# verification; the summary still covers the runs that succeeded.
+# (bench-pairs.json), CLAIM (none), FROM (none). Exits non-zero if any run
+# failed its own verification; the summary still covers the runs that
+# succeeded.
 set -euo pipefail
+
+root="$(git rev-parse --show-toplevel)"
+cd "$root"
+
+# verdicts FILE prints the bound verdicts, and the CLAIM verdicts, for the
+# summary FILE.
+verdicts() {
+    awk -v claims="${CLAIM:-}" '
+    FILENAME == ARGV[1] {
+        if (/"end_to_end"/) on = 1
+        if (/"per_layer"/) on = 0
+        if (on && /"name"/) { gsub(/[",]/, "", $2); name = $2 }
+        if (on && /"bound"/) { gsub(/[",]/, "", $2); bound[name] = $2 }
+        next
+    }
+    # A workload opens a line of its own; each metric is one line.
+    /^    "[^"]*": \{$/ { split($0, f, "\""); w = f[2]; next }
+    /"change_better"/ {
+        split($0, f, "\""); m = f[2]
+        # "better" "lower" ... "median" X, "q1" Y, "q3" Z, "runs" R... (parent,
+        # then change); lo[s]/hi[s] are side s'"'"'s smallest and largest run.
+        n = split($0, tok, /[:,{}\[\] ]+/)
+        k = 0; s = 0; inruns = 0
+        for (i = 1; i <= n; i++) {
+            if (tok[i] ~ /^"/) inruns = 0
+            else if (inruns) {
+                x = tok[i] + 0
+                if (!(s in lo) || x < lo[s]) lo[s] = x
+                if (!(s in hi) || x > hi[s]) hi[s] = x
+            }
+            if (tok[i] == "\"better\"") better = tok[i + 1]
+            if (tok[i] == "\"median\"" || tok[i] == "\"q1\"" || tok[i] == "\"q3\"") v[++k] = tok[i + 1] + 0
+            if (tok[i] == "\"runs\"") { inruns = 1; s++ }
+            if (tok[i] == "\"change_better\"") wins = tok[i + 1] + 0
+            if (tok[i] == "\"pairs\"") pairs = tok[i + 1] + 0
+        }
+        gsub(/"/, "", better)
+        pm = v[1]; piqr = v[3] - v[2]; cm = v[4]; ciqr = v[6] - v[5]
+        worse = (better == "lower") ? cm - pm : pm - cm
+        # Every change run better than every parent run (sides 1 and 2).
+        apart = (better == "lower") ? hi[2] < lo[1] : lo[2] > hi[1]
+        delete lo; delete hi
+        if (!(m in bound)) next
+        allowed = bound[m] * (pm < 0 ? -pm : pm)
+        verdict = "within"; note = ""
+        if (piqr > allowed || ciqr > allowed) {
+            verdict = apart ? "within" : "unresolved"
+            if (apart) note = "; spread beyond the bound, but every change run better"
+        } else if (worse > allowed) verdict = "beyond"
+        if (!(w in shown)) { shown[w] = 1; printf "\n== %s: bound verdicts (change median vs parent median; allowed = bound x parent median) ==\n", w }
+        printf "  %-20s %-12s parent %-10.4g change %-10.4g x%-8.3f allowed %-10.4g IQR %.4g / %.4g%s\n",
+            m, verdict, pm, cm, (pm != 0 ? cm / pm : 0), allowed, piqr, ciqr,
+            note
+        key = w ":" m
+        cwins[key] = wins; cpairs[key] = pairs; cgain[key] = -worse; cpiqr[key] = piqr
+    }
+    END {
+        nc = split(claims, c, " ")
+        for (i = 1; i <= nc; i++) {
+            if (!(c[i] in cwins)) { printf "claim %s: no such workload and metric in the summary\n", c[i]; continue }
+            met = cwins[c[i]] * 10 >= 9 * cpairs[c[i]] && cgain[c[i]] > cpiqr[c[i]]
+            printf "claim %s: %s (better in %d of %d pairs; median gain %.4g vs parent IQR %.4g)\n",
+                c[i], (met ? "met" : "not met"), cwins[c[i]], cpairs[c[i]], cgain[c[i]], cpiqr[c[i]]
+        }
+    }' BENCHMARK.json "$1"
+}
+
+if [ -n "${FROM:-}" ]; then
+    verdicts "$FROM"
+    exit 0
+fi
 
 base="${BASE:-HEAD}"
 pairs="${PAIRS:-10}"
@@ -28,8 +115,6 @@ seed="${SEED:-1}"
 seconds="${BENCH_SECONDS:-15}"
 out="${OUT:-bench-pairs.json}"
 
-root="$(git rev-parse --show-toplevel)"
-cd "$root"
 base_sha="$(git rev-parse --verify "$base^{commit}")"
 tmp="$(mktemp -d)"
 cleanup() {
@@ -142,4 +227,5 @@ END {
     printf "\n  }\n}\n" > out
 }' "$tmp/metrics" "$tmp/samples"
 echo "bench_pairs: wrote $out"
+verdicts "$out"
 [ "$failed" -eq 0 ]
