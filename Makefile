@@ -10,8 +10,8 @@ build:
 test: build
 	$(GO) test ./...
 
-## race: full test suite under the race detector (exercises the parallel
-## probe fan-out of the stratum executor, see internal/datalog/executor.go;
+## race: full test suite under the race detector (exercises concurrent
+## evaluations building indexes on shared extents, internal/datalog/index.go;
 ## internal/lsm's lock-free memtable
 ## readers and model schedules; and internal/core's seeded schedules —
 ## query == instance, and delta checkpoint == full / recovered == twin, each
@@ -107,8 +107,10 @@ bench-e2e:
 ## working tree as the change side. Prints every end-to-end metric's median
 ## [quartiles] per side and the change-better count, writes them to OUT,
 ## and prints each metric's verdict against its BENCHMARK.json bound and,
-## for each CLAIM=workload:metric, the claim's verdict; FROM=FILE prints
-## the verdicts of a summary written before and runs nothing
+## for each CLAIM=workload:metric, the claim's verdict; FROM="FILE..."
+## prints the verdicts of summaries written before and runs nothing, and
+## given several (make bench-pairs FROM="$(echo BENCH_*.json)") the
+## trajectory of median ratios and wins across them
 ## (scripts/bench_pairs.sh). Not part of ci: ten 15 s pairs take minutes.
 BASE ?= HEAD
 PAIRS ?= 10

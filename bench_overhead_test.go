@@ -3,7 +3,7 @@ package orchestra_test
 // Instrumentation-overhead pairs: three evaluator workloads run with the
 // stats sink disabled and enabled — incremental maintenance of the Figure 2
 // CDSS, one full fixpoint of the 3-way join mapping, and one stratum of
-// independent join rules under the adaptive parallel executor. Each
+// independent join rules. Each
 // benchmark reports the enabled/disabled time ratio as "on/off";
 // scripts/bench_overhead.sh takes its median over COUNT runs and fails past
 // OVERHEAD_TOLERANCE (3% in CI). DESIGN.md §12 records the methodology and
@@ -136,8 +136,7 @@ func BenchmarkOverheadJoin(b *testing.B) {
 
 // BenchmarkOverheadStratum is one stratum of four independent two-way join
 // rules over disjoint 500-row relations — the shape where many mapping rules
-// fire in the same round — under the adaptive executor, where per-probe
-// stats recording is hottest.
+// fire in the same round — where per-probe stats recording is hottest.
 func BenchmarkOverheadStratum(b *testing.B) {
 	const nrules, nrows = 4, 500
 	prog := &datalog.Program{}

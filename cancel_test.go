@@ -83,7 +83,7 @@ func TestReconcileDeadlineOnLongTranslation(t *testing.T) {
 			Identity(fmt.Sprintf("M_h%02d", i), "hub", name).
 			Identity(fmt.Sprintf("M_%02dh", i), name, "hub")
 	}
-	sys, err := orchestra.Open(sch, orchestra.WithParallelism(-1))
+	sys, err := orchestra.Open(sch)
 	if err != nil {
 		t.Fatal(err)
 	}

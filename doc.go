@@ -10,7 +10,7 @@
 // textual format), open it with Open, and drive peers through the handles
 // System.Peer returns:
 //
-//	sys, _ := orchestra.Open(sch, orchestra.WithParallelism(4))
+//	sys, _ := orchestra.Open(sch)
 //	defer sys.Close()
 //	alice, _ := sys.Peer("alice")
 //	id, _ := alice.Begin().Insert("Gene", tuple).Commit()

@@ -24,7 +24,7 @@ func exampleSchema() *orchestra.Schema {
 }
 
 func ExampleOpen() {
-	sys, err := orchestra.Open(exampleSchema(), orchestra.WithParallelism(-1))
+	sys, err := orchestra.Open(exampleSchema())
 	if err != nil {
 		log.Fatal(err)
 	}

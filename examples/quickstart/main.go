@@ -34,7 +34,7 @@ func main() {
 		Identity("M_ab", "alice", "bob").
 		Identity("M_ba", "bob", "alice")
 
-	sys, err := orchestra.Open(sch, orchestra.WithParallelism(-1))
+	sys, err := orchestra.Open(sch)
 	if err != nil {
 		log.Fatal(err)
 	}

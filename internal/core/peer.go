@@ -115,7 +115,7 @@ func NewPeer(name string, sys *System, store p2p.Store, policy *recon.Policy) (*
 }
 
 // NewPeerWith is NewPeer with explicit tuning for the peer's translation
-// engine (parallelism, witness bound, batch window, stats sink).
+// engine (witness bound, batch window, stats sink).
 func NewPeerWith(name string, sys *System, store p2p.Store, policy *recon.Policy, cfg exchange.Config) (*Peer, error) {
 	s := sys.Schema(name)
 	if s == nil {

@@ -143,9 +143,8 @@ func (p *Peer) QueryGoal(ctx context.Context, q GoalQuery) ([]Answer, error) {
 	edb, release := p.local.EDB()
 	defer release()
 	opts := datalog.Options{
-		Provenance:  !q.NoProvenance,
-		Parallelism: p.engCfg.Parallelism,
-		Stats:       q.Stats,
+		Provenance: !q.NoProvenance,
+		Stats:      q.Stats,
 	}
 	if opts.Stats == nil {
 		// Fold un-redirected query evaluation into the peer's shared stats, so

@@ -49,7 +49,7 @@ func TestEvalCtxDeadlineStopsLongFixpoint(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := EvalCtx(ctx, prog, edb, Options{Provenance: true, Parallelism: -1})
+	_, err := EvalCtx(ctx, prog, edb, Options{Provenance: true})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("EvalCtx = %v, want DeadlineExceeded", err)
@@ -58,27 +58,6 @@ func TestEvalCtxDeadlineStopsLongFixpoint(t *testing.T) {
 		t.Fatalf("cancellation took %v", elapsed)
 	}
 	t.Logf("deadline honored after %v", elapsed)
-}
-
-// TestEvalCtxCancelParallelWorkers: cancellation also reaches the parallel
-// stratum workers' per-job checks.
-func TestEvalCtxCancelParallelWorkers(t *testing.T) {
-	prog, edb := tcProgram(), pathEDB(2000)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := EvalCtx(ctx, prog, edb, Options{Provenance: true, Parallelism: 4})
-		done <- err
-	}()
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallel EvalCtx = %v, want Canceled", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("parallel evaluation ignored cancellation")
-	}
 }
 
 // TestIncrementalInsertExpiredContext: an expired context stops Insert

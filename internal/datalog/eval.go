@@ -3,7 +3,6 @@ package datalog
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -34,43 +33,14 @@ type Options struct {
 	// C→A split — from echoing Skolem-padded variants of data the target
 	// already has in concrete form.
 	ChaseSubsumption bool
-	// Parallelism bounds how many goroutines fire the independent rules (and
-	// delta positions, in semi-naive rounds) of one stratum round
-	// concurrently. 0 (the zero value) means adaptive: each round picks a
-	// worker count from its estimated probe work, up to
-	// runtime.GOMAXPROCS(0), and rounds too small to amortize the fan-out
-	// and merge barrier run on the plain sequential path (see
-	// AdaptiveWorkers). 1 evaluates sequentially, as does any negative value
-	// (the explicit escape hatch); n > 1 gives every round up to n workers,
-	// bypassing the gate even past the CPU count — an explicit count is the
-	// caller's decision, never a hint. Workers probe a frozen database and
-	// buffer their head facts; the coordinator then merges the buffers in
-	// job order, so fixpoints and provenance polynomials do not depend on
-	// goroutine scheduling — results are byte-identical at every setting.
-	Parallelism int
 	// Stats, when non-nil, receives evaluation counters (probe counts,
-	// pushdown hit rate, peak live intermediate tuples — see EvalStats). The
-	// struct may be shared across evaluations; counters accumulate.
+	// pushdown hit rate, rounds — see EvalStats). The struct may be shared
+	// across evaluations; counters accumulate.
 	Stats *EvalStats
 }
 
 // DefaultMaxIterations is the fixpoint iteration bound when unspecified.
 const DefaultMaxIterations = 100000
-
-// EffectiveParallelism resolves Options.Parallelism to a concrete worker
-// cap: 0 (unset) takes runtime.GOMAXPROCS(0) — the goroutines that can
-// actually run at once — negative values force sequential evaluation, and
-// positive values are taken as-is. AdaptiveWorkers applies it per round.
-func EffectiveParallelism(n int) int {
-	switch {
-	case n == 0:
-		return runtime.GOMAXPROCS(0)
-	case n < 0:
-		return 1
-	default:
-		return n
-	}
-}
 
 // Eval evaluates the program over the EDB and returns a database containing
 // both EDB and derived facts. The input database is not modified. It is
@@ -82,11 +52,11 @@ func Eval(p *Program, edb *DB, opts Options) (*DB, error) {
 
 // EvalCtx is Eval under a context: Prepare followed by one Prepared.Eval.
 // Cancellation is cooperative: the context is checked before evaluation
-// starts, before every fixpoint iteration of each stratum, and before each
-// rule firing of a round (including on the parallel workers), so an expired
-// context returns ctx.Err() — typically context.DeadlineExceeded — without
-// completing a single iteration, and a runaway recursive program stops
-// within one round of the deadline.
+// starts, before every fixpoint iteration of each stratum, before each rule
+// firing of a round, and every pipeCancelStride candidate rows within a
+// firing, so an expired context returns ctx.Err() — typically
+// context.DeadlineExceeded — without completing a single iteration, and a
+// runaway recursive program stops within one round of the deadline.
 func EvalCtx(ctx context.Context, p *Program, edb *DB, opts Options) (*DB, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -217,7 +187,10 @@ func (pp *Prepared) plansAt(si int, db *DB) []rulePlans {
 }
 
 // ensurePreds materializes an extent for every predicate the program can
-// touch, so that parallel firings never create map entries concurrently.
+// touch. A firing only creates the extents it reaches (a body literal after
+// an empty one is never probed), so without it the predicates a result
+// lists — and with them its snapshot encoding — would depend on which
+// rules happened to derive something.
 func ensurePreds(p *Program, db *DB) {
 	for _, r := range p.Rules {
 		db.Rel(r.Head.Pred)
@@ -257,6 +230,20 @@ func (delta pendingDelta) add(mr mergeResult) {
 	}
 }
 
+// deltaList flattens one predicate's pending delta into the slice form jobs
+// consume, in storage-key order (schema.CompareKeys: the order of the
+// tuples' Key encodings), so the enumeration order of every downstream
+// join — and with it the change log — is identical across runs instead of
+// following map iteration order.
+func deltaList(m map[uint32]deltaFact) []deltaFact {
+	out := make([]deltaFact, 0, len(m))
+	for _, df := range m {
+		out = append(out, df)
+	}
+	slices.SortFunc(out, func(a, b deltaFact) int { return schema.CompareKeys(a.tuple, b.tuple) })
+	return out
+}
+
 // deltaJobs appends one semi-naive job per (rule, positive body position)
 // whose predicate has pending delta, each joining the rule with that
 // predicate's delta at the position. Each predicate's delta is flattened
@@ -286,6 +273,12 @@ func deltaJobs(jobs []job, rules []Rule, plans []rulePlans, delta pendingDelta) 
 // semi-naive from that delta, which it takes over (incremental insertion).
 // need names the predicates whose changes can seed further rounds; observe,
 // when non-nil, sees every effective merge, needed or not.
+//
+// A round fires its jobs in order on the caller's goroutine, and each
+// emitted head fact merges as soon as it is derived, so a later rule of the
+// round sees facts an earlier one merged. The merge order, and with it the
+// fixpoint and its provenance, is fixed by the job order and deltaList's
+// key order.
 func evalStratum(ctx context.Context, rules []Rule, plans []rulePlans, need map[string]bool, db *DB, opts Options, seed pendingDelta, observe func(mergeResult)) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -294,28 +287,43 @@ func evalStratum(ctx context.Context, rules []Rule, plans []rulePlans, need map[
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIterations
 	}
-	var re roundExec
 	delta := seed
-	absorb := func(mr mergeResult) {
+	sink := mergeSink{opts: opts, absorb: func(mr mergeResult) {
 		if observe != nil {
 			observe(mr)
 		}
 		if need[mr.pred] {
 			delta.add(mr)
 		}
-	}
+	}}
+	var scratch pipeScratch
 	jobs := make([]job, 0, len(rules))
 	if seed == nil {
 		delta = pendingDelta{}
 		for ri, r := range rules {
 			jobs = append(jobs, job{rule: r, pln: plans[ri].full})
 		}
-		if err := re.runRound(ctx, jobs, db, opts, absorb); err != nil {
-			return err
-		}
 	}
-	// Semi-naive rounds: join each rule with the delta at one position.
-	for iter := 0; len(delta) > 0; iter++ {
+	// Round 0 is the naive round (no jobs when seeded); every later round
+	// joins each rule with the previous round's delta at one position.
+	for iter := 0; ; iter++ {
+		if len(jobs) > 0 && opts.Stats != nil {
+			opts.Stats.Rounds.Add(1)
+		}
+		for i := range jobs {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			j := &jobs[i]
+			sink.pred = j.rule.Head.Pred
+			sink.rel = db.MutableRel(sink.pred)
+			if err := fireRuleStream(ctx, j.rule, j.pln, db, j.delta, opts, &sink, &scratch); err != nil {
+				return err
+			}
+		}
+		if len(delta) == 0 {
+			return nil
+		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -324,11 +332,7 @@ func evalStratum(ctx context.Context, rules []Rule, plans []rulePlans, need map[
 		}
 		jobs = deltaJobs(jobs[:0], rules, plans, delta)
 		delta = pendingDelta{}
-		if err := re.runRound(ctx, jobs, db, opts, absorb); err != nil {
-			return err
-		}
 	}
-	return nil
 }
 
 // job is one rule firing scheduled within a stratum round: a rule, its

@@ -73,6 +73,36 @@ func TestChaseSubsumptionKeepsNovelNulls(t *testing.T) {
 	}
 }
 
+// TestChaseSubsumptionWithinRound: both rules fire in the naive round, the
+// concrete one first, so each Skolem-padded T(k, f(k)) meets its concrete
+// subsumer T(k, v) already merged earlier in the same round; only B(99),
+// which has none, keeps its padded fact.
+func TestChaseSubsumptionWithinRound(t *testing.T) {
+	prog := &Program{Rules: []Rule{
+		{ID: "concrete", Head: NewHead("T", HV("k"), HV("v")), Body: []Literal{Pos(NewAtom("A", V("k"), V("v")))}},
+		{ID: "padded", Head: NewHead("T", HV("k"), HSkolem("f", V("k"))), Body: []Literal{Pos(NewAtom("B", V("k")))}},
+	}}
+	edb := NewDB()
+	for i := int64(0); i < 4; i++ {
+		edb.AddTuple("A", schema.NewTuple(schema.Int(i), schema.Int(10+i)))
+		edb.AddTuple("B", schema.NewTuple(schema.Int(i)))
+	}
+	edb.AddTuple("B", schema.NewTuple(schema.Int(99))) // no concrete subsumer
+	opts := Options{Provenance: true, ChaseSubsumption: true}
+	got, err := Eval(prog, edb, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := got.Rel("T").Len(); n != 5 {
+		t.Fatalf("T has %d facts, want 5 (4 concrete + 1 padded): %v", n, got.Rel("T").Facts())
+	}
+	want, err := oracleEval(prog, edb, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireDBsEqual(t, "chase-within-round", want, got)
+}
+
 func TestMaxMonomialsBoundsAnnotations(t *testing.T) {
 	// A tuple derivable via many alternative paths: U(x) :- E_i(x) for
 	// many i.

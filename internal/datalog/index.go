@@ -24,13 +24,14 @@ import (
 // can share a hash and so a chain: a probe compares each candidate's probed
 // columns (see pipeline.next).
 //
-// The mutex doubles as the relation's merge lock: during a parallel stratum
-// round many workers probe the same relation concurrently (read lock), and a
-// worker that needs a not-yet-built index takes the write lock to build it
-// against the fact set, which is frozen for the duration of the probe phase.
-// Chains are only mutated between rounds (eager sequential merges, the
-// coordinator's buffered merge, or incremental deletion), never while
-// workers are probing.
+// The mutex guards the lazy builds. An extent is shared between a database
+// and its snapshots until a write copies it, so concurrent evaluations —
+// two Evals of one EDB, or a reader of a frozen snapshot beside the live
+// database's own evaluation — can probe the same extent at once (read
+// lock), and one that needs a not-yet-built index takes the write lock to
+// build it. Chains are only mutated through the extent's owning database
+// (merges and incremental deletion, after the copy-on-write), never on an
+// extent another evaluation can see.
 type relIndex struct {
 	mu     sync.RWMutex
 	byCols []*colIndex

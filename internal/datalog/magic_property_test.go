@@ -32,9 +32,6 @@ func TestGoalDirectedEquivalenceProperty(t *testing.T) {
 		rules := randomProgram(rng)
 		goal := randomGoal(rng, domain)
 		opts := datalog.Options{Provenance: true}
-		if rng.Intn(2) == 0 {
-			opts.Parallelism = 1 + rng.Intn(4)
-		}
 		ctx := context.Background()
 		prog := &datalog.Program{Rules: append(append([]datalog.Rule(nil), rules...), magic.AnswerRule(goal))}
 

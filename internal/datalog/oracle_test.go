@@ -9,7 +9,7 @@ import (
 )
 
 // The reference evaluator the streaming pipelines (pipeline.go) and the
-// round executor (executor.go) are tested against. It shares plan
+// stratum driver (evalStratum, eval.go) are tested against. It shares plan
 // compilation and the merge algebra with production — those have their own
 // tests — and nothing else: its plans join in written order rather than the
 // greedy planner's, rule bodies are enumerated by plain recursion, head

@@ -25,7 +25,7 @@ import (
 // scan cursor holds the chain's first slot and the last slot present at the
 // probe, so it walks exactly the facts stored when it was entered.
 //
-// Head rows leave the pipeline through a rowSink. The sink sees the head
+// Head rows leave the pipeline through a mergeSink. The sink sees the head
 // tuple's hash and values (in a reused buffer) before the tuple is
 // materialized, so it can both merge without hashing again and veto
 // provably redundant emissions before they allocate anything.
@@ -41,22 +41,42 @@ const pipeCancelStride = 4096
 // linear scan wins (and the build allocation is not worth it).
 const deltaHashMin = 16
 
-// rowSink consumes the head facts a pipeline emits.
-type rowSink interface {
-	// skip reports whether emitting (t, prov) provably could not change
-	// the target relation, letting the pipeline drop the row before the
-	// head tuple is materialized. h is t.Hash(), and t aliases a reused
-	// buffer valid only for the call. Implementations must be
-	// conservative: false is always safe.
-	skip(h uint64, t schema.Tuple, prov provenance.Poly) bool
-	// emit delivers one head fact; t is freshly allocated and h is its
-	// Hash.
-	emit(h uint64, t schema.Tuple, prov provenance.Poly)
+// mergeSink merges every head fact a pipeline emits into the live head
+// relation as soon as it is derived, so a later rule of the same round sees
+// facts merged by an earlier one. It reports each effective change through
+// absorb.
+type mergeSink struct {
+	rel    *Rel
+	pred   string
+	opts   Options
+	absorb func(mergeResult)
+}
+
+// skip reports whether emitting (t, prov) provably could not change the
+// head relation, letting the pipeline drop the row before the head tuple
+// is materialized: the relation already stores t (hash h) with an
+// annotation that absorbs prov. t aliases a reused buffer valid only for
+// the call.
+func (s *mergeSink) skip(h uint64, t schema.Tuple, prov provenance.Poly) bool {
+	slot, ok := s.rel.find(h, t)
+	if !ok {
+		return false
+	}
+	return !s.opts.Provenance || s.rel.fact(slot).Prov.Subsumes(prov)
+}
+
+// emit merges one head fact; t is freshly allocated and h is its Hash.
+func (s *mergeSink) emit(h uint64, t schema.Tuple, prov provenance.Poly) {
+	mr, changed := mergeHashed(s.rel, h, t, prov, s.opts)
+	if changed {
+		mr.pred = s.pred
+		s.absorb(mr)
+	}
 }
 
 // EvalStats collects evaluation counters when installed via Options.Stats.
-// All fields are atomic: one stats struct may be shared by the parallel
-// workers of a round, and by concurrent evaluations. Counters accumulate
+// All fields are atomic: one stats struct may be shared by concurrent
+// evaluations (every peer of a system feeds one). Counters accumulate
 // across rounds, strata, and (if the caller reuses the struct) evaluations.
 type EvalStats struct {
 	// Probes counts index probes issued by scan steps.
@@ -76,17 +96,13 @@ type EvalStats struct {
 	HashJoinBuilds atomic.Int64
 	// Rounds counts executed stratum rounds (naive and semi-naive).
 	Rounds atomic.Int64
-	// ParallelRounds counts rounds that ran with more than one worker; the
-	// ratio to Rounds is the adaptive scheduler's fan-out decision rate.
+	// ParallelRounds, WorkersUsed and PeakLive are always zero: every round
+	// fires its rules in order on the caller's goroutine and merges each
+	// head fact as it is derived. They are kept only because the repo
+	// benchmark (bench/) reads them.
 	ParallelRounds atomic.Int64
-	// WorkersUsed sums the worker count over all rounds, so
-	// WorkersUsed/Rounds is mean per-round worker utilization.
-	WorkersUsed atomic.Int64
-	// PeakLive is the maximum number of intermediate head emissions buffered
-	// at any single round barrier. The streaming sequential path merges
-	// eagerly and buffers nothing, so it reports 0; parallel rounds report
-	// their probe-phase buffer occupancy.
-	PeakLive atomic.Int64
+	WorkersUsed    atomic.Int64
+	PeakLive       atomic.Int64
 	// Truncations counts merges whose MaxMonomials cut dropped at least one
 	// witness monomial (provenance.MergeWitness).
 	Truncations atomic.Int64
@@ -109,21 +125,10 @@ func (s *EvalStats) PushdownRate() float64 {
 // String renders the counters on one line, for logs and test failures.
 func (s *EvalStats) String() string {
 	return fmt.Sprintf(
-		"probes=%d pushdown=%d candidates=%d emitted=%d suppressed=%d hashjoins=%d rounds=%d parrounds=%d workers=%d peaklive=%d truncations=%d tokenindexbuilds=%d",
+		"probes=%d pushdown=%d candidates=%d emitted=%d suppressed=%d hashjoins=%d rounds=%d truncations=%d tokenindexbuilds=%d",
 		s.Probes.Load(), s.PushdownProbes.Load(), s.Candidates.Load(), s.Emitted.Load(),
-		s.Suppressed.Load(), s.HashJoinBuilds.Load(), s.Rounds.Load(),
-		s.ParallelRounds.Load(), s.WorkersUsed.Load(), s.PeakLive.Load(), s.Truncations.Load(),
+		s.Suppressed.Load(), s.HashJoinBuilds.Load(), s.Rounds.Load(), s.Truncations.Load(),
 		s.TokenIndexBuilds.Load())
-}
-
-// atomicMax raises a to at least v.
-func atomicMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // pipeCursor is one operator's mutable state: its candidate source, scan
@@ -173,9 +178,8 @@ type pipeline struct {
 
 // pipeScratch carries a pipeline's reusable buffers across firings, so a
 // round of many small firings pays the environment, cursor, and key-buffer
-// allocations once instead of per rule. A scratch is single-goroutine
-// state: sequential rounds keep one on the executor, parallel workers pass
-// nil (their firings are large enough that per-firing setup is noise).
+// allocations once instead of per rule. Each fixpoint (evalStratum) keeps
+// one.
 type pipeScratch struct {
 	env     []schema.Value
 	cur     []pipeCursor
@@ -188,10 +192,10 @@ type pipeScratch struct {
 // a composed iterator pipeline, feeding each head fact to sink, in the
 // plan's step order (depth-first, candidates in chain or delta order). If
 // the plan's delta position is set, that body literal ranges over the delta
-// slice (with delta annotations) instead of the full extent. sc may be nil; when given, its buffers are borrowed for this firing and
-// returned grown.
+// slice (with delta annotations) instead of the full extent. sc's buffers
+// are borrowed for this firing and returned grown.
 func fireRuleStream(ctx context.Context, r Rule, pln *plan, db *DB, delta []deltaFact,
-	opts Options, sink rowSink, sc *pipeScratch) error {
+	opts Options, sink *mergeSink, sc *pipeScratch) error {
 
 	p := pipeline{
 		rule:    r,
@@ -201,9 +205,11 @@ func fireRuleStream(ctx context.Context, r Rule, pln *plan, db *DB, delta []delt
 		opts:    opts,
 		ctx:     ctx,
 		useProv: opts.Provenance && !pln.provNeutral,
-	}
-	if sc != nil {
-		p.env, p.cur, p.keyBuf, p.tupBuf, p.headBuf = sc.env, sc.cur, sc.keyBuf, sc.tupBuf, sc.headBuf
+		env:     sc.env,
+		cur:     sc.cur,
+		keyBuf:  sc.keyBuf,
+		tupBuf:  sc.tupBuf,
+		headBuf: sc.headBuf,
 	}
 	if cap(p.env) < pln.nslots {
 		p.env = make([]schema.Value, pln.nslots)
@@ -221,9 +227,7 @@ func fireRuleStream(ctx context.Context, r Rule, pln *plan, db *DB, delta []delt
 	}
 	err := p.run(ctx, sink)
 	p.flushStats()
-	if sc != nil {
-		sc.env, sc.cur, sc.keyBuf, sc.tupBuf, sc.headBuf = p.env, p.cur, p.keyBuf, p.tupBuf, p.headBuf
-	}
+	sc.env, sc.cur, sc.keyBuf, sc.tupBuf, sc.headBuf = p.env, p.cur, p.keyBuf, p.tupBuf, p.headBuf
 	return err
 }
 
@@ -231,7 +235,7 @@ func fireRuleStream(ctx context.Context, r Rule, pln *plan, db *DB, delta []delt
 // row, back up on exhaustion, emit at the bottom: a depth-first walk in
 // candidate order, which the recursive test oracle (oracle_test.go) mirrors
 // row for row.
-func (p *pipeline) run(ctx context.Context, sink rowSink) error {
+func (p *pipeline) run(ctx context.Context, sink *mergeSink) error {
 	n := len(p.pln.steps)
 	if n == 0 {
 		return p.emitRow(provenance.One(), sink)
@@ -496,7 +500,7 @@ func applyActions(st *planStep, tu schema.Tuple, env []schema.Value) bool {
 // emitRow instantiates the head over the environment into the reused
 // buffer, hashes it, and hands the row to the sink — giving the sink a
 // chance to veto it before the tuple is allocated.
-func (p *pipeline) emitRow(prov provenance.Poly, sink rowSink) error {
+func (p *pipeline) emitRow(prov provenance.Poly, sink *mergeSink) error {
 	pln := p.pln
 	if pln.headErr != nil {
 		return pln.headErr

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -14,8 +13,7 @@ import (
 
 // Cancellation must land mid-pipeline — inside one rule firing's
 // enumeration, not just at round boundaries — and a half-consumed pipeline
-// must leave the caller's EDB untouched, no worker goroutine behind, and the
-// maintained state usable.
+// must leave the caller's EDB untouched and the maintained state usable.
 
 // crossProductWorkload is a three-way cross product big enough that a single
 // firing enumerates millions of candidate rows (far past pipeCancelStride),
@@ -49,33 +47,33 @@ func requireEDBUntouched(t *testing.T, edb *DB, n int) {
 }
 
 func TestEvalCancellationMidPipeline(t *testing.T) {
-	for _, par := range []int{-1, 4} {
-		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
-			prog, edb := crossProductWorkload(200) // 8M rows if run to completion
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
-			defer cancel()
-			res, err := EvalCtx(ctx, prog, edb, Options{Parallelism: par})
-			if err == nil {
-				t.Skip("machine fast enough to finish 8M rows in 2ms; nothing to assert")
-			}
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-			}
-			if res != nil {
-				t.Fatal("cancelled evaluation returned a non-nil DB")
-			}
-			requireEDBUntouched(t, edb, 200)
-			// The same EDB must evaluate cleanly afterwards.
-			small, smallEDB := crossProductWorkload(8)
-			got, err := Eval(small, smallEDB, Options{Parallelism: par})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Rel("X").Len() != 512 {
-				t.Fatalf("post-cancel evaluation derived %d facts, want 512", got.Rel("X").Len())
-			}
-		})
-	}
+	// The subtest is named for the sequential setting (parallelism=-1),
+	// which is the only evaluation path.
+	t.Run("parallelism=-1", func(t *testing.T) {
+		prog, edb := crossProductWorkload(200) // 8M rows if run to completion
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+		defer cancel()
+		res, err := EvalCtx(ctx, prog, edb, Options{})
+		if err == nil {
+			t.Skip("machine fast enough to finish 8M rows in 2ms; nothing to assert")
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+		if res != nil {
+			t.Fatal("cancelled evaluation returned a non-nil DB")
+		}
+		requireEDBUntouched(t, edb, 200)
+		// The same EDB must evaluate cleanly afterwards.
+		small, smallEDB := crossProductWorkload(8)
+		got, err := Eval(small, smallEDB, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Rel("X").Len() != 512 {
+			t.Fatalf("post-cancel evaluation derived %d facts, want 512", got.Rel("X").Len())
+		}
+	})
 }
 
 func TestEvalPreCancelledContextTouchesNothing(t *testing.T) {
@@ -88,11 +86,9 @@ func TestEvalPreCancelledContextTouchesNothing(t *testing.T) {
 	requireEDBUntouched(t, edb, 4)
 }
 
-func TestIncrementalCancellationJoinsWorkers(t *testing.T) {
-	// A cancelled parallel propagation must join every worker it started
-	// and leave the Incremental usable: the next Insert on the same
-	// instance derives everything. The -race CI job watches the fan-out
-	// here.
+func TestIncrementalCancellationLeavesStateUsable(t *testing.T) {
+	// A cancelled propagation must leave the Incremental usable: the next
+	// Insert on the same instance derives everything.
 	prog := &Program{Rules: []Rule{{
 		ID:   "pair",
 		Head: NewHead("Pair", HV("x"), HV("y")),
@@ -102,28 +98,20 @@ func TestIncrementalCancellationJoinsWorkers(t *testing.T) {
 	for i := int64(0); i < 1500; i++ {
 		edb.AddTuple("R", schema.NewTuple(schema.Int(i)))
 	}
-	inc, err := NewIncremental(prog, edb, Options{Parallelism: 4})
+	inc, err := NewIncremental(prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each L seed joins all 1500 R facts: a large parallel round.
+	// Each L seed joins all 1500 R facts: one long round.
 	batch := make([]Fact2, 0, 600)
 	for i := int64(0); i < 600; i++ {
 		batch = append(batch, Fact2{Pred: "L", Tuple: schema.NewTuple(schema.Int(i)),
 			Prov: provenance.NewVar(provenance.Var(fmt.Sprint("l", i)))})
 	}
-	goroutines := runtime.NumGoroutine()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 	if _, err := inc.Insert(ctx, batch); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want nil or context.DeadlineExceeded", err)
-	}
-	// A joined worker can still be between its wg.Done and its exit.
-	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got != goroutines {
-		t.Fatalf("%d goroutines after the cancelled Insert, want %d", got, goroutines)
 	}
 	// Whatever the first insert managed, the next one must run in full.
 	cs, err := inc.Insert(context.Background(), []Fact2{

@@ -94,9 +94,6 @@ func TestPreparedGoalProperty(t *testing.T) {
 			return datalog.NewAtom(pred, terms...)
 		}
 		opts := datalog.Options{Provenance: true}
-		if rng.Intn(2) == 0 {
-			opts.Parallelism = 1 + rng.Intn(3)
-		}
 		for _, sip := range []magic.SIP{magic.LeftToRight, magic.MostBound} {
 			prep, err := magic.Prepare(rules, goalFor(), magic.Options{SIP: sip})
 			if err != nil {

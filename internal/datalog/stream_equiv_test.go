@@ -9,11 +9,10 @@ import (
 	"orchestra/internal/schema"
 )
 
-// The streaming iterator pipelines (pipeline.go) and the round executor
-// (executor.go) must produce byte-identical databases — tuples AND
+// The streaming iterator pipelines (pipeline.go) and the stratum driver
+// (evalStratum, eval.go) must produce byte-identical databases — tuples AND
 // provenance polynomials — to the recursive reference evaluator
-// (oracle_test.go), across every workload shape, provenance mode, and
-// parallelism setting.
+// (oracle_test.go), across every workload shape and provenance mode.
 
 func TestStreamingEquivalentToOracle(t *testing.T) {
 	for name, build := range equivPrograms() {
@@ -28,14 +27,11 @@ func TestStreamingEquivalentToOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, par := range []int{1, 2, 3, 4} {
-					opts.Parallelism = par
-					got, err := Eval(prog, edb, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireDBsEqual(t, fmt.Sprintf("%s/prov=%v/max=%d/par=%d", name, prov, maxMono, par), want, got)
+				got, err := Eval(prog, edb, opts)
+				if err != nil {
+					t.Fatal(err)
 				}
+				requireDBsEqual(t, fmt.Sprintf("%s/prov=%v/max=%d", name, prov, maxMono), want, got)
 			}
 		}
 	}
@@ -181,39 +177,36 @@ func (o *incOracle) delete(label string, tokens ...provenance.Var) {
 }
 
 func TestIncrementalMatchesOracleFullEval(t *testing.T) {
-	for _, par := range []int{-1, 4} {
-		edb := NewDB()
-		for i := 0; i < 8; i++ {
-			edb.Add("E", edge(fmt.Sprint("n", i), fmt.Sprint("n", i+1)),
-				provenance.NewVar(provenance.Var(fmt.Sprint("e", i))))
-		}
-		o := newIncOracle(t, tcProgram(), edb, Options{Parallelism: par})
-		o.insert(fmt.Sprintf("par=%d/insert", par), []Fact2{
-			{Pred: "E", Tuple: edge("n8", "n0"), Prov: provenance.NewVar("loop")},
-			{Pred: "E", Tuple: edge("x", "y"), Prov: provenance.NewVar("xy")},
-		})
-		o.delete(fmt.Sprintf("par=%d/delete", par), "loop", "e3")
-		// A group-committed burst: two groups meeting in one derived tuple
-		// (y→z and z→n0 both extend x→y), and a second witness for one that
-		// is already stored.
-		o.insert(fmt.Sprintf("par=%d/groups", par),
-			[]Fact2{{Pred: "E", Tuple: edge("y", "z"), Prov: provenance.NewVar("yz")}},
-			[]Fact2{{Pred: "E", Tuple: edge("z", "n0"), Prov: provenance.NewVar("zn0")}},
-			[]Fact2{{Pred: "E", Tuple: edge("n3", "n4"), Prov: provenance.NewVar("e3b")}},
-		)
-		o.delete(fmt.Sprintf("par=%d/delete-group", par), "yz")
+	edb := NewDB()
+	for i := 0; i < 8; i++ {
+		edb.Add("E", edge(fmt.Sprint("n", i), fmt.Sprint("n", i+1)),
+			provenance.NewVar(provenance.Var(fmt.Sprint("e", i))))
 	}
+	o := newIncOracle(t, tcProgram(), edb, Options{})
+	o.insert("insert", []Fact2{
+		{Pred: "E", Tuple: edge("n8", "n0"), Prov: provenance.NewVar("loop")},
+		{Pred: "E", Tuple: edge("x", "y"), Prov: provenance.NewVar("xy")},
+	})
+	o.delete("delete", "loop", "e3")
+	// A group-committed burst: two groups meeting in one derived tuple
+	// (y→z and z→n0 both extend x→y), and a second witness for one that
+	// is already stored.
+	o.insert("groups",
+		[]Fact2{{Pred: "E", Tuple: edge("y", "z"), Prov: provenance.NewVar("yz")}},
+		[]Fact2{{Pred: "E", Tuple: edge("z", "n0"), Prov: provenance.NewVar("zn0")}},
+		[]Fact2{{Pred: "E", Tuple: edge("n3", "n4"), Prov: provenance.NewVar("e3b")}},
+	)
+	o.delete("delete-group", "yz")
 }
 
-func TestStreamingLargeDeltaParallelEquivalence(t *testing.T) {
-	// A large delta over few jobs: each job buffers a long emission run,
-	// and the merge must replay the runs in deterministic (job, emission)
-	// order.
+func TestStreamingLargeDeltaEquivalence(t *testing.T) {
+	// A large delta over few jobs: each job emits a long run of head facts,
+	// each merged as it is derived, in the delta's key order.
 	edb := NewDB()
 	for i := int64(0); i < 8; i++ {
 		edb.AddTuple("E", schema.NewTuple(schema.Int(i), schema.Int(i+1)))
 	}
-	o := newIncOracle(t, tcProgram(), edb, Options{Parallelism: 4})
+	o := newIncOracle(t, tcProgram(), edb, Options{})
 	// Disjoint edges: a big delta without a combinatorial closure.
 	batch := make([]Fact2, 0, 1200)
 	for i := int64(0); i < 1200; i++ {
@@ -223,7 +216,7 @@ func TestStreamingLargeDeltaParallelEquivalence(t *testing.T) {
 			Prov:  provenance.NewVar(provenance.Var(fmt.Sprint("t", i))),
 		})
 	}
-	o.insert("large-delta-parallel", batch)
+	o.insert("large-delta", batch)
 }
 
 func TestDeltaHashJoinEquivalence(t *testing.T) {
@@ -295,32 +288,5 @@ func TestEvalStatsCounters(t *testing.T) {
 	}
 	if stats.String() == "" {
 		t.Error("String() empty")
-	}
-}
-
-func TestEvalStatsPeakLiveParallel(t *testing.T) {
-	// Parallel rounds buffer emissions at the round barrier; PeakLive must
-	// report the high-water mark. Sequential streaming buffers nothing.
-	prog := &Program{Rules: []Rule{
-		{ID: "a", Head: NewHead("A", HV("x"), HV("y")), Body: []Literal{Pos(NewAtom("E", V("x"), V("y")))}},
-		{ID: "b", Head: NewHead("B", HV("x"), HV("y")), Body: []Literal{Pos(NewAtom("E", V("x"), V("y")))}},
-	}}
-	edb := NewDB()
-	for i := int64(0); i < 2000; i++ {
-		edb.AddTuple("E", schema.NewTuple(schema.Int(i), schema.Int(i+1)))
-	}
-	var seq EvalStats
-	if _, err := Eval(prog, edb, Options{Parallelism: -1, Stats: &seq}); err != nil {
-		t.Fatal(err)
-	}
-	if got := seq.PeakLive.Load(); got != 0 {
-		t.Errorf("sequential PeakLive = %d, want 0 (eager merge buffers nothing)", got)
-	}
-	var par EvalStats
-	if _, err := Eval(prog, edb, Options{Parallelism: 4, Stats: &par}); err != nil {
-		t.Fatal(err)
-	}
-	if got := par.PeakLive.Load(); got != 4000 {
-		t.Errorf("parallel PeakLive = %d, want 4000 (both rules' round-0 buffers)", got)
 	}
 }

@@ -63,13 +63,6 @@ type Engine struct {
 // Config tunes the datalog evaluation behind the engine's provenance-aware
 // translation. The zero value is the default configuration.
 type Config struct {
-	// Parallelism bounds how many goroutines fire independent mapping rules
-	// (and delta positions) within a stratum round of the maintained
-	// fixpoint, as datalog.Options.Parallelism does: 0 (unset) adapts to
-	// each round's work, up to runtime.GOMAXPROCS(0); n > 1 allows n workers
-	// even past the CPU count; 1 or less is sequential. Results are
-	// byte-identical at every setting.
-	Parallelism int
 	// MaxMonomials bounds each stored annotation's witness set; 0 means
 	// DefaultMaxMonomials, negative means unbounded (exact witness sets, at
 	// combinatorial cost on dense mapping graphs).
@@ -84,9 +77,8 @@ type Config struct {
 	// settings, but never between two runs at one setting.
 	ReconcileWindow int
 	// Stats, when non-nil, receives the engine's datalog evaluation counters
-	// (probes, emissions, fixpoint rounds, worker utilization). The struct is
-	// shared with the evaluator's workers and survives engine rebuilds, so an
-	// owner installs one struct for the peer's lifetime.
+	// (probes, emissions, fixpoint rounds). The struct survives engine
+	// rebuilds, so an owner installs one struct for the peer's lifetime.
 	Stats *datalog.EvalStats
 }
 
@@ -127,7 +119,6 @@ func NewEngineWith(peers map[string]*schema.Schema, mappings []*mapping.Mapping,
 		Provenance:       true,
 		ChaseSubsumption: true,
 		MaxMonomials:     cfg.maxMonomials(),
-		Parallelism:      cfg.Parallelism,
 		Stats:            cfg.Stats,
 	}
 	inc, err := datalog.NewIncremental(prog, datalog.NewDB(), opts)

@@ -53,15 +53,15 @@ type EvalCounters struct {
 	Suppressed int64 `json:"suppressed"`
 	// HashJoinBuilds counts transient hash tables built over delta extents.
 	HashJoinBuilds int64 `json:"hash_join_builds"`
-	// Rounds counts fixpoint rounds; ParallelRounds the subset that fanned
-	// out to more than one worker; WorkersUsed sums per-round worker counts
-	// (WorkersUsed/Rounds is mean utilization).
-	Rounds         int64 `json:"rounds"`
-	ParallelRounds int64 `json:"parallel_rounds"`
-	WorkersUsed    int64 `json:"workers_used"`
-	// PeakLive is the maximum number of intermediate emissions buffered at
-	// any round barrier.
-	PeakLive int64 `json:"peak_live"`
+	// Rounds counts fixpoint rounds.
+	Rounds int64 `json:"rounds"`
+	// ParallelRounds, WorkersUsed and PeakLive are always zero and left out
+	// of the JSON: every fixpoint round runs sequentially and buffers
+	// nothing. They are kept only because the repo benchmark (bench/) reads
+	// them.
+	ParallelRounds int64 `json:"-"`
+	WorkersUsed    int64 `json:"-"`
+	PeakLive       int64 `json:"-"`
 	// Truncations counts merges whose witness-set bound (WithMaxMonomials)
 	// dropped at least one derivation.
 	Truncations int64 `json:"truncations"`
@@ -114,9 +114,6 @@ func (s *System) evalCounters() EvalCounters {
 		Suppressed:       st.Suppressed.Load(),
 		HashJoinBuilds:   st.HashJoinBuilds.Load(),
 		Rounds:           st.Rounds.Load(),
-		ParallelRounds:   st.ParallelRounds.Load(),
-		WorkersUsed:      st.WorkersUsed.Load(),
-		PeakLive:         st.PeakLive.Load(),
 		Truncations:      st.Truncations.Load(),
 		TokenIndexBuilds: st.TokenIndexBuilds.Load(),
 	}
@@ -137,9 +134,6 @@ func (s *System) obsSnapshot() (*obs.Snapshot, EvalCounters) {
 		snap.Counters["datalog_suppressed_total"] = ev.Suppressed
 		snap.Counters["datalog_hash_join_builds_total"] = ev.HashJoinBuilds
 		snap.Counters["datalog_rounds_total"] = ev.Rounds
-		snap.Counters["datalog_parallel_rounds_total"] = ev.ParallelRounds
-		snap.Counters["datalog_workers_used_total"] = ev.WorkersUsed
-		snap.Gauges["datalog_peak_live"] = ev.PeakLive
 		snap.Counters["provenance_truncations_total"] = ev.Truncations
 		snap.Counters["datalog_token_index_builds_total"] = ev.TokenIndexBuilds
 		snap.Gauges["provenance_tokens"] = int64(provenance.NumTokens())

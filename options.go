@@ -10,7 +10,6 @@ type Option func(*settings)
 // settings is the resolved option set. A peer starts from the system's
 // settings and applies its own options on top.
 type settings struct {
-	parallelism     int
 	maxMonomials    int
 	reconcileWindow int
 	provenance      bool
@@ -32,15 +31,6 @@ func (s settings) apply(opts []Option) settings {
 	}
 	return s
 }
-
-// WithParallelism bounds how many goroutines evaluate independent mapping
-// rules within a fixpoint round. 0 (the default) adapts: each round picks
-// a worker count from its delta size, up to runtime.GOMAXPROCS(0), falling
-// back to sequential evaluation when the round is too small to amortize
-// fan-out.
-// n > 1 allows n workers, even past the CPU count; 1 or negative forces
-// sequential evaluation. Results are byte-identical at every setting.
-func WithParallelism(n int) Option { return func(s *settings) { s.parallelism = n } }
 
 // WithReconcileWindow caps how many fetched transactions one Reconcile
 // feeds through a single group-committed translation batch: n > 0 means at

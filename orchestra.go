@@ -48,7 +48,7 @@ type System struct {
 }
 
 // Open validates the confederation description and opens a System over it.
-// Options set system-wide defaults (parallelism, witness bounds, the shared
+// Options set system-wide defaults (witness bounds, the shared
 // store, the default trust policy); System.Peer can override the trust
 // policy per peer.
 func Open(sch *Schema, opts ...Option) (*System, error) {
@@ -133,7 +133,6 @@ func (s *System) Peer(name string, opts ...Option) (*Peer, error) {
 		pol = policyFor(s.policies, s.base.policy, name)
 	}
 	cfg := exchange.Config{
-		Parallelism:     set.parallelism,
 		MaxMonomials:    set.maxMonomials,
 		ReconcileWindow: set.reconcileWindow,
 		Stats:           s.stats,

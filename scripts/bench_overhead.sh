@@ -1,9 +1,9 @@
 #!/bin/sh
 # Instrumentation-overhead gate: runs the BenchmarkOverhead* benchmarks
 # (bench_overhead_test.go — incremental maintenance, a join fixpoint and a
-# parallel stratum, each built once with the evaluator stats sink off and
-# once with it on) COUNT times, and fails when the median of a benchmark's
-# on/off time ratio exceeds 1 + OVERHEAD_TOLERANCE percent.
+# stratum of independent joins, each built once with the evaluator stats
+# sink off and once with it on) COUNT times, and fails when the median of
+# a benchmark's on/off time ratio exceeds 1 + OVERHEAD_TOLERANCE percent.
 #
 #   ./scripts/bench_overhead.sh                       # 3% tolerance
 #   OVERHEAD_TOLERANCE=5 ./scripts/bench_overhead.sh

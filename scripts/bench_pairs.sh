@@ -26,9 +26,13 @@
 #   ./scripts/bench_pairs.sh                      # 10 pairs of query-point vs HEAD
 #   BASE=HEAD~1 PAIRS=3 WORKLOADS="exchange-insert conflict-churn" ./scripts/bench_pairs.sh
 #   FROM=BENCH_30.json CLAIM=query-point:query_p50_ms ./scripts/bench_pairs.sh
+#   FROM="$(echo BENCH_*.json)" ./scripts/bench_pairs.sh  # the trajectory
 #
-# FROM=FILE runs nothing: it prints the verdicts for a summary this script
-# wrote before (such as a committed BENCH_<n>.json).
+# FROM="FILE..." runs nothing: it prints the verdicts for summaries this
+# script wrote before (such as the committed BENCH_<n>.json), and, given
+# more than one, the trajectory over them: per workload and metric, each
+# set's change/parent median ratio and wins. A ratio compares the two
+# sides of one set only; the host drifts between sets.
 #
 # Tunables: BASE (HEAD), PAIRS (10), WORKLOADS (query-point), SEED (1),
 # BENCH_SECONDS (15; `make bench-pairs` passes SECONDS), OUT
@@ -40,8 +44,12 @@ set -euo pipefail
 root="$(git rev-parse --show-toplevel)"
 cd "$root"
 
-# verdicts FILE prints the bound verdicts, and the CLAIM verdicts, for the
-# summary FILE.
+# verdicts FILE... prints, for each summary FILE (one set of pairs), the
+# bound verdicts with each metric's change/parent median ratio and wins,
+# the set's verdict counts and the CLAIM verdicts; given more than one
+# FILE it then prints the trajectory: one row per workload and metric,
+# one ratio (wins/pairs) per set. Ratios compare the two sides of one set
+# only, because the host drifts between sets.
 verdicts() {
     awk -v claims="${CLAIM:-}" '
     FILENAME == ARGV[1] {
@@ -51,6 +59,7 @@ verdicts() {
         if (on && /"bound"/) { gsub(/[",]/, "", $2); bound[name] = $2 }
         next
     }
+    FNR == 1 { endset(); set[++ns] = FILENAME; printf "\n#### %s\n", FILENAME }
     # A workload opens a line of its own; each metric is one line.
     /^    "[^"]*": \{$/ { split($0, f, "\""); w = f[2]; next }
     /"change_better"/ {
@@ -85,14 +94,21 @@ verdicts() {
             verdict = apart ? "within" : "unresolved"
             if (apart) note = "; spread beyond the bound, but every change run better"
         } else if (worse > allowed) verdict = "beyond"
+        count[verdict]++
         if (!(w in shown)) { shown[w] = 1; printf "\n== %s: bound verdicts (change median vs parent median; allowed = bound x parent median) ==\n", w }
-        printf "  %-20s %-12s parent %-10.4g change %-10.4g x%-8.3f allowed %-10.4g IQR %.4g / %.4g%s\n",
-            m, verdict, pm, cm, (pm != 0 ? cm / pm : 0), allowed, piqr, ciqr,
+        ratio = (pm != 0 ? cm / pm : 0)
+        printf "  %-20s %-12s parent %-10.4g change %-10.4g x%-8.3f better %2d/%-3d allowed %-10.4g IQR %.4g / %.4g%s\n",
+            m, verdict, pm, cm, ratio, wins, pairs, allowed, piqr, ciqr,
             note
         key = w ":" m
+        if (!(key in row)) { row[key] = 1; rows[++nr] = key }
+        cell[ns, key] = sprintf("x%.3f %d/%d", ratio, wins, pairs)
         cwins[key] = wins; cpairs[key] = pairs; cgain[key] = -worse; cpiqr[key] = piqr
     }
-    END {
+    # endset closes the open set: its verdict counts and its claims.
+    function endset(    nc, c, i, met) {
+        if (ns == 0) return
+        printf "\n  verdicts: %d within, %d beyond, %d unresolved\n", count["within"], count["beyond"], count["unresolved"]
         nc = split(claims, c, " ")
         for (i = 1; i <= nc; i++) {
             if (!(c[i] in cwins)) { printf "claim %s: no such workload and metric in the summary\n", c[i]; continue }
@@ -100,11 +116,26 @@ verdicts() {
             printf "claim %s: %s (better in %d of %d pairs; median gain %.4g vs parent IQR %.4g)\n",
                 c[i], (met ? "met" : "not met"), cwins[c[i]], cpairs[c[i]], cgain[c[i]], cpiqr[c[i]]
         }
-    }' BENCHMARK.json "$1"
+        delete count; delete shown; delete cwins; delete cpairs; delete cgain; delete cpiqr
+    }
+    END {
+        endset()
+        if (ns < 2) exit
+        printf "\n#### trajectory: change/parent median ratio and wins per set (ratios compare within a set only)\n"
+        printf "  %-36s", "workload:metric"
+        for (i = 1; i <= ns; i++) { name = set[i]; sub(/.*\//, "", name); sub(/\.json$/, "", name); printf " %-16s", name }
+        printf "\n"
+        for (r = 1; r <= nr; r++) {
+            printf "  %-36s", rows[r]
+            for (i = 1; i <= ns; i++) printf " %-16s", ((i, rows[r]) in cell ? cell[i, rows[r]] : "-")
+            printf "\n"
+        }
+    }' BENCHMARK.json "$@"
 }
 
 if [ -n "${FROM:-}" ]; then
-    verdicts "$FROM"
+    # shellcheck disable=SC2086 # FROM is a list of files
+    verdicts $FROM
     exit 0
 fi
 
