@@ -178,11 +178,14 @@ recovery-scaling:
 reconcile-scaling:
 	sh scripts/reconcile_scaling.sh
 
-## examples-check: build every example and golden-check quickstart's output,
-## so API drift that breaks user-facing examples fails the gate
+## examples-check: build every example and golden-check quickstart's output
+## and the SIGMOD'07 demo's (all but its line naming the store replicas'
+## OS-assigned ports), so API drift that breaks user-facing examples, or a
+## translation change that moves a demo scenario, fails the gate
 examples-check:
 	$(GO) build ./examples/...
 	$(GO) run ./examples/quickstart | diff -u examples/quickstart/golden.txt -
+	$(GO) run ./cmd/orchestra-demo | grep -v '^Update store replicas at ' | diff -u cmd/orchestra-demo/golden.txt -
 	@echo examples OK
 
 ## ci: everything the CI workflow runs, in one command (lint and vuln are

@@ -345,17 +345,14 @@ type job struct {
 }
 
 // mergeResult describes the outcome of folding one derived fact into its
-// relation: the slot it is stored at, the genuinely new annotation part,
-// whether the tuple itself was absent before the merge, and the annotation
-// the tuple carried before (zero when fresh) — batched insertion replays
-// per-transaction merges from it (see Incremental.InsertGroups).
+// relation: the slot it is stored at, the genuinely new annotation part, and
+// whether the tuple itself was absent before the merge.
 type mergeResult struct {
 	pred    string
 	slot    uint32
 	tuple   schema.Tuple
 	newPart provenance.Poly
 	fresh   bool
-	prior   provenance.Poly
 }
 
 // merge folds a derived annotation into the stored fact. It returns the
@@ -393,7 +390,7 @@ func mergeHashed(rel *Rel, h uint64, t schema.Tuple, p provenance.Poly, opts Opt
 		return mergeResult{slot: s, tuple: t}, false
 	}
 	rel.fact(s).Prov = merged.Intern()
-	return mergeResult{slot: s, tuple: t, newPart: newPart, prior: stored}, true
+	return mergeResult{slot: s, tuple: t, newPart: newPart}, true
 }
 
 // compare applies a builtin comparison to two values.

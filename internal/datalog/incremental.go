@@ -220,56 +220,54 @@ func mentions(p provenance.Poly, v provenance.Token) bool {
 }
 
 // Insert adds base facts and propagates them through the program. It
-// returns every change to the database in deterministic order. Cancellation
-// is cooperative: the context is checked before the seed merge and once per
+// returns every change to the database sorted by predicate and tuple, one
+// tuple's changes adjacent and in merge order (seed merges first). A seed
+// merge that changes its tuple is reported Fresh even when the tuple was
+// already stored: publishing a tuple is an insertion at its publisher
+// whether or not the mappings had derived it there before. Cancellation is
+// cooperative: the context is checked before the seed merge and once per
 // semi-naive iteration, so a propagation started with an expired context
 // returns ctx.Err() before mutating the database.
 func (inc *Incremental) Insert(ctx context.Context, facts []Fact2) ([]Change, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	st := &inc.pp.strata[0]
 	var changes []Change
-	err := inc.insertSeeded(ctx, [][]Fact2{facts}, func(_ int, mr mergeResult) {
+	delta := pendingDelta{}
+	for _, bf := range facts {
+		mr, changed := merge(inc.db.MutableRel(bf.Pred), bf.Tuple, bf.Prov, inc.opts)
+		if !changed {
+			continue
+		}
+		mr.pred = bf.Pred
+		inc.indexFact(mr.pred, mr.slot, mr.newPart)
+		// Only seeds of predicates some rule body reads enter the delta: a
+		// seed no rule reads cannot propagate.
+		if st.need[mr.pred] {
+			delta.add(mr)
+		}
 		changes = append(changes, Change{Pred: mr.pred, Tuple: mr.tuple, Prov: mr.newPart, Fresh: true})
-	}, func(mr mergeResult) {
-		changes = append(changes, Change{Pred: mr.pred, Tuple: mr.tuple, Prov: mr.newPart, Fresh: mr.fresh})
-	})
-	if err != nil {
-		return nil, err
+	}
+	if len(delta) > 0 {
+		err := evalStratum(ctx, st.rules, inc.pp.plansAt(0, inc.db), st.need, inc.db, inc.opts, delta, func(mr mergeResult) {
+			inc.indexFact(mr.pred, mr.slot, mr.newPart)
+			changes = append(changes, Change{Pred: mr.pred, Tuple: mr.tuple, Prov: mr.newPart, Fresh: mr.fresh})
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	sortChanges(changes)
 	return changes, nil
 }
 
-// insertSeeded merges each group's base facts, in group order, reporting
-// every effective merge to seeded, and then runs the program's stratum
-// semi-naive from their delta, reporting every effective derived merge to
-// derived. Only seeds of predicates some rule body reads enter the delta: a
-// seed no rule reads cannot propagate.
-func (inc *Incremental) insertSeeded(ctx context.Context, groups [][]Fact2, seeded func(gi int, mr mergeResult), derived func(mergeResult)) error {
-	st := &inc.pp.strata[0]
-	delta := pendingDelta{}
-	for gi, facts := range groups {
-		for _, bf := range facts {
-			mr, changed := merge(inc.db.MutableRel(bf.Pred), bf.Tuple, bf.Prov, inc.opts)
-			if !changed {
-				continue
-			}
-			mr.pred = bf.Pred
-			inc.indexFact(mr.pred, mr.slot, mr.newPart)
-			if st.need[mr.pred] {
-				delta.add(mr)
-			}
-			seeded(gi, mr)
-		}
-	}
-	if len(delta) == 0 {
-		return nil
-	}
-	return evalStratum(ctx, st.rules, inc.pp.plansAt(0, inc.db), st.need, inc.db, inc.opts, delta, func(mr mergeResult) {
-		inc.indexFact(mr.pred, mr.slot, mr.newPart)
-		derived(mr)
-	})
+// InsertGroups inserts the facts of every group with one Insert. The
+// repository benchmark's layer replay (bench/replay.go), which changes only
+// together with the benchmark, still calls it by this name; attributing a
+// batch's changes to its transactions is exchange.Engine.ApplyAll's job.
+func (inc *Incremental) InsertGroups(ctx context.Context, groups [][]Fact2) ([]Change, error) {
+	return inc.Insert(ctx, slices.Concat(groups...))
 }
 
 // predSlot names a stored fact: its predicate and its slot there.
@@ -278,266 +276,12 @@ type predSlot struct {
 	slot uint32
 }
 
-// seedSet holds the base facts of a run of insertion groups by tuple hash,
-// the predicate and Tuple.Equal settling a shared hash.
-type seedSet map[uint64][]Fact2
-
-func (ss seedSet) has(bf Fact2) bool {
-	for _, f := range ss[bf.Tuple.Hash()] {
-		if f.Pred == bf.Pred && f.Tuple.Equal(bf.Tuple) {
-			return true
-		}
-	}
-	return false
-}
-
-func (ss seedSet) add(bf Fact2) {
-	if !ss.has(bf) {
-		h := bf.Tuple.Hash()
-		ss[h] = append(ss[h], bf)
-	}
-}
-
 // Fact2 is a base fact targeted at a predicate (the name Fact is taken by
 // the annotated-tuple type).
 type Fact2 struct {
 	Pred  string
 	Tuple schema.Tuple
 	Prov  provenance.Poly
-}
-
-// groupPart is one batched merge's contribution to a tuple, attributed to
-// the insertion group that owns it (see InsertGroups).
-type groupPart struct {
-	group int
-	seed  bool // a base-fact seed merge, not a derived one
-	prov  provenance.Poly
-}
-
-// groupAcc collects everything a batched propagation did to one tuple, in
-// arrival order, so per-group change lists can be replayed afterwards.
-type groupAcc struct {
-	pred    string
-	tuple   schema.Tuple
-	existed bool            // stored before the batch
-	prior   provenance.Poly // annotation before the batch (zero if !existed)
-	parts   []groupPart
-}
-
-// InsertGroups is the group-commit form of Insert: it merges every group's
-// base facts and runs one semi-naive propagation per seed-disjoint run of
-// groups — for a burst of transactions touching distinct tuples, one
-// fixpoint for the whole burst — then reconstructs per-group change lists
-// equivalent to inserting the groups one Insert call at a time, in order.
-// The returned slice is aligned with groups.
-//
-// Attribution works through the provenance tokens: a monomial derived by
-// the batch belongs to the latest group whose seed tokens it mentions —
-// exactly the group whose sequential Insert would first derive it, since
-// evaluation is monotone and earlier groups' facts are all in place by
-// then. For each touched tuple the per-group annotation deltas are then
-// replayed in group order through provenance.MergeWitness, the merge the
-// sequential inserts run, so reported Prov deltas and Fresh flags match the
-// sequential ones. Two groups seeding the SAME tuple would defeat this
-// (their pooled delta annotation makes downstream rule firings emit
-// monomial mixes that sequential insertion splits across separate merges),
-// so the batch is partitioned into runs at every seed overlap and the runs
-// propagate sequentially. The one remaining divergence window is a binding
-// MaxMonomials bound: when truncation discards witnesses mid-propagation,
-// sequential insertion may retain already-derived products of a witness the
-// batch never materializes. Both results are valid bounded witness sets;
-// they can simply retain different short derivations (see DESIGN.md §8).
-func (inc *Incremental) InsertGroups(ctx context.Context, groups [][]Fact2) ([][]Change, error) {
-	out := make([][]Change, len(groups))
-	// Attribution needs every seed annotation to mention at least one
-	// variable (update-exchange seeds are single tokens): a monomial derived
-	// from a token-free seed carries no trace of its group. Fall back to
-	// sequential insertion for such batches rather than misattribute.
-	tokenFree := false
-	for _, facts := range groups {
-		for _, bf := range facts {
-			// The empty monomial sorts first.
-			if bf.Prov.NumMonomials() > 0 && len(bf.Prov.Monomial(0)) == 0 {
-				tokenFree = true
-			}
-		}
-	}
-	if tokenFree {
-		for j, g := range groups {
-			cs, err := inc.Insert(ctx, g)
-			if err != nil {
-				return nil, err
-			}
-			out[j] = cs
-		}
-		return out, nil
-	}
-	start := 0
-	seen := seedSet{}
-	flush := func(end int) error {
-		if start >= end {
-			return nil
-		}
-		cs, err := inc.insertGroupRun(ctx, groups[start:end])
-		if err != nil {
-			return err
-		}
-		copy(out[start:end], cs)
-		start = end
-		return nil
-	}
-	for gi, facts := range groups {
-		overlap := false
-		for _, bf := range facts {
-			if seen.has(bf) {
-				overlap = true
-				break
-			}
-		}
-		if overlap {
-			if err := flush(gi); err != nil {
-				return nil, err
-			}
-			clear(seen)
-		}
-		for _, bf := range facts {
-			seen.add(bf)
-		}
-	}
-	if err := flush(len(groups)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// insertGroupRun batches one seed-disjoint run of groups through a single
-// seeded propagation. See InsertGroups.
-func (inc *Incremental) insertGroupRun(ctx context.Context, groups [][]Fact2) ([][]Change, error) {
-	out := make([][]Change, len(groups))
-	if len(groups) == 1 {
-		cs, err := inc.Insert(ctx, groups[0])
-		if err != nil {
-			return nil, err
-		}
-		out[0] = cs
-		return out, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Map each seed token to the latest group that mints it.
-	tokenGroup := map[provenance.Token]int{}
-	for gi, facts := range groups {
-		for _, bf := range facts {
-			for _, x := range bf.Prov.Tokens() {
-				if old, ok := tokenGroup[x]; !ok || gi > old {
-					tokenGroup[x] = gi
-				}
-			}
-		}
-	}
-	accs := map[predSlot]*groupAcc{}
-	touch := func(mr mergeResult) *groupAcc {
-		ak := predSlot{mr.pred, mr.slot}
-		a := accs[ak]
-		if a == nil {
-			a = &groupAcc{pred: mr.pred, tuple: mr.tuple, existed: !mr.fresh, prior: mr.prior}
-			accs[ak] = a
-		}
-		return a
-	}
-	// owner returns the group a derived monomial belongs to: the latest
-	// group among its seed tokens. Foreign factors (mapping tokens,
-	// pre-batch data) do not contribute.
-	owner := func(m provenance.Monomial) int {
-		gi := 0
-		for _, x := range m {
-			if g, ok := tokenGroup[x]; ok && g > gi {
-				gi = g
-			}
-		}
-		return gi
-	}
-	// Seed every group's base facts, in group order, then run one
-	// propagation for the whole batch. Each merge's new monomials are split
-	// by owning group, preserving arrival order.
-	seeded := func(gi int, mr mergeResult) {
-		a := touch(mr)
-		a.parts = append(a.parts, groupPart{group: gi, seed: true, prov: mr.newPart})
-	}
-	derived := func(mr mergeResult) {
-		a := touch(mr)
-		p := mr.newPart
-		gi := owner(p.Monomial(0))
-		single := true
-		for i := 1; i < p.NumMonomials(); i++ {
-			if owner(p.Monomial(i)) != gi {
-				single = false
-				break
-			}
-		}
-		if single {
-			a.parts = append(a.parts, groupPart{group: gi, prov: p})
-			return
-		}
-		var order []int
-		for i := range p.NumMonomials() {
-			if g := owner(p.Monomial(i)); !slices.Contains(order, g) {
-				order = append(order, g)
-			}
-		}
-		sort.Ints(order)
-		for _, g := range order {
-			part := p.Filter(func(m provenance.Monomial) bool { return owner(m) == g })
-			a.parts = append(a.parts, groupPart{group: g, prov: part})
-		}
-	}
-	if err := inc.insertSeeded(ctx, groups, seeded, derived); err != nil {
-		return nil, err
-	}
-	// Replay each touched tuple's contributions in group order, rebasing
-	// every part onto the group-ordered annotation chain, so each group's
-	// reported deltas are the ones its own sequential Insert would produce.
-	for _, a := range accs {
-		sameGroup := true
-		for _, p := range a.parts[1:] {
-			if p.group != a.parts[0].group {
-				sameGroup = false
-				break
-			}
-		}
-		if sameGroup {
-			// Single-group tuples (the common case): the batched merges ARE
-			// the sequential ones; emit their deltas directly.
-			gi := a.parts[0].group
-			present := a.existed
-			for _, p := range a.parts {
-				out[gi] = append(out[gi], Change{Pred: a.pred, Tuple: a.tuple, Prov: p.prov, Fresh: p.seed || !present})
-				present = true
-			}
-			continue
-		}
-		prev := a.prior
-		present := a.existed
-		for gi := range groups {
-			for _, p := range a.parts {
-				if p.group != gi {
-					continue
-				}
-				merged, newPart, changed, _ := provenance.MergeWitness(prev, p.prov, inc.opts.MaxMonomials)
-				if !changed {
-					continue
-				}
-				out[gi] = append(out[gi], Change{Pred: a.pred, Tuple: a.tuple, Prov: newPart, Fresh: p.seed || !present})
-				present = true
-				prev = merged
-			}
-		}
-	}
-	for gi := range out {
-		sortChanges(out[gi])
-	}
-	return out, nil
 }
 
 // DeleteBase removes base facts by killing their provenance tokens. Every

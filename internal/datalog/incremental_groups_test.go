@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"orchestra/internal/provenance"
@@ -81,57 +81,14 @@ func dbsEqual(t *testing.T, label string, a, b *DB) {
 	}
 }
 
-// changesEqual compares two change lists on the projection that is stable
-// under batching: which tuples changed freshly (or were removed), and the
-// accumulated annotation delta per tuple. Individual merge granularity —
-// how many Change records a tuple's new monomials split across, and which
-// split carries the Fresh flag's provenance — legitimately differs on
-// adversarial recursive programs, because batched propagation measures
-// derivation heights from the batch seeds rather than each group's seeds.
-// The exchange-layer equivalence tests check the collated per-transaction
-// results (provenance included) strictly on update-exchange workloads.
-func changesEqual(t *testing.T, label string, a, b []Change) {
-	t.Helper()
-	project := func(cs []Change) (visible []string, growth map[string]provenance.Poly) {
-		growth = map[string]provenance.Poly{}
-		for _, c := range cs {
-			if c.Fresh || c.Removed {
-				visible = append(visible, fmt.Sprintf("%s|%s|fresh=%v|removed=%v", c.Pred, c.Tuple.Key(), c.Fresh, c.Removed))
-			}
-			k := c.Pred + "|" + c.Tuple.Key()
-			growth[k] = growth[k].Add(c.Prov)
-		}
-		sort.Strings(visible)
-		return visible, growth
-	}
-	av, ag := project(a)
-	bv, bg := project(b)
-	if len(av) != len(bv) {
-		t.Fatalf("%s: %d vs %d visible changes\n a=%v\n b=%v", label, len(av), len(bv), av, bv)
-	}
-	for i := range av {
-		if av[i] != bv[i] {
-			t.Fatalf("%s: visible change %d differs:\n a=%s\n b=%s", label, i, av[i], bv[i])
-		}
-	}
-	if len(ag) != len(bg) {
-		t.Fatalf("%s: %d vs %d touched tuples", label, len(ag), len(bg))
-	}
-	for k, ap := range ag {
-		if bp, ok := bg[k]; !ok || !ap.Equal(bp) {
-			t.Fatalf("%s: accumulated delta for %s differs: %v vs %v", label, k, ap, bg[k])
-		}
-	}
-}
-
-// InsertGroups must yield, per group, exactly the changes sequential Insert
-// calls would, and leave the maintained database in the same state.
+// One Insert of several groups' facts — the form update exchange feeds a
+// seed-disjoint stretch of a batch in — must leave the maintained database
+// exactly as one Insert per group does, annotations included, while the
+// witness bound does not bind.
 func TestInsertGroupsMatchesSequentialInserts(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		prog := groupsProgram(t)
-		// Unbounded witness sets: the equivalence guarantee is exact when
-		// the MaxMonomials bound does not bind (see InsertGroups doc).
 		opts := Options{Provenance: true}
 		seq, err := NewIncremental(prog, NewDB(), opts)
 		if err != nil {
@@ -142,95 +99,14 @@ func TestInsertGroupsMatchesSequentialInserts(t *testing.T) {
 			t.Fatal(err)
 		}
 		groups := randomGroups(rng, 2+rng.Intn(6), 1+rng.Intn(4), 4+rng.Intn(4))
-
-		var want [][]Change
 		for _, g := range groups {
-			cs, err := seq.Insert(context.Background(), g)
-			if err != nil {
+			if _, err := seq.Insert(context.Background(), g); err != nil {
 				t.Fatal(err)
 			}
-			want = append(want, cs)
 		}
-		got, err := bat.InsertGroups(context.Background(), groups)
-		if err != nil {
+		if _, err := bat.Insert(context.Background(), slices.Concat(groups...)); err != nil {
 			t.Fatal(err)
-		}
-		for gi := range groups {
-			changesEqual(t, fmt.Sprintf("trial %d group %d", trial, gi), want[gi], got[gi])
 		}
 		dbsEqual(t, fmt.Sprintf("trial %d", trial), seq.DB(), bat.DB())
 	}
-}
-
-// A token-free seed annotation (provenance.One) leaves derived monomials
-// with no trace of their group, so InsertGroups must fall back to
-// sequential insertion rather than misattribute them to group 0.
-func TestInsertGroupsTokenFreeSeedsFallBack(t *testing.T) {
-	prog := groupsProgram(t)
-	opts := Options{Provenance: true}
-	seq, _ := NewIncremental(prog, NewDB(), opts)
-	bat, _ := NewIncremental(prog, NewDB(), opts)
-	e := func(a, b int64) schema.Tuple { return schema.NewTuple(schema.Int(a), schema.Int(b)) }
-	groups := [][]Fact2{
-		{{Pred: "E", Tuple: e(1, 2), Prov: provenance.NewVar("p:1/0")}},
-		{{Pred: "E", Tuple: e(2, 3), Prov: provenance.One()}}, // token-free
-	}
-	var want [][]Change
-	for _, g := range groups {
-		cs, err := seq.Insert(context.Background(), g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, cs)
-	}
-	got, err := bat.InsertGroups(context.Background(), groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for gi := range groups {
-		if len(got[gi]) != len(want[gi]) {
-			t.Fatalf("group %d: %d vs %d changes\n want=%v\n got=%v", gi, len(want[gi]), len(got[gi]), want[gi], got[gi])
-		}
-		for i := range got[gi] {
-			w, g := want[gi][i], got[gi][i]
-			if w.Pred != g.Pred || !w.Tuple.Equal(g.Tuple) || w.Fresh != g.Fresh || !w.Prov.Equal(g.Prov) {
-				t.Fatalf("group %d change %d: want %+v, got %+v", gi, i, w, g)
-			}
-		}
-	}
-	dbsEqual(t, "token-free", seq.DB(), bat.DB())
-}
-
-// A batch where later groups re-insert tuples earlier groups created (same
-// tuple, fresh token) exercises the cross-group replay path.
-func TestInsertGroupsCrossGroupTuples(t *testing.T) {
-	prog := groupsProgram(t)
-	opts := Options{Provenance: true, MaxMonomials: 8}
-	seq, _ := NewIncremental(prog, NewDB(), opts)
-	bat, _ := NewIncremental(prog, NewDB(), opts)
-	e := func(a, b int64) schema.Tuple { return schema.NewTuple(schema.Int(a), schema.Int(b)) }
-	groups := [][]Fact2{
-		{{Pred: "E", Tuple: e(1, 2), Prov: provenance.NewVar("p:1/0")}},
-		{{Pred: "E", Tuple: e(2, 3), Prov: provenance.NewVar("p:2/0")}},
-		// Same edge again under a new token: annotation growth, not a fresh
-		// tuple, and the T-closure gains mixed-group monomials.
-		{{Pred: "E", Tuple: e(1, 2), Prov: provenance.NewVar("p:3/0")},
-			{Pred: "F", Tuple: e(3, 4), Prov: provenance.NewVar("p:3/1")}},
-	}
-	var want [][]Change
-	for _, g := range groups {
-		cs, err := seq.Insert(context.Background(), g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, cs)
-	}
-	got, err := bat.InsertGroups(context.Background(), groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for gi := range groups {
-		changesEqual(t, fmt.Sprintf("group %d", gi), want[gi], got[gi])
-	}
-	dbsEqual(t, "final", seq.DB(), bat.DB())
 }

@@ -3,6 +3,7 @@ package datalog
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"orchestra/internal/provenance"
@@ -96,29 +97,17 @@ func (o *incOracle) check(label string) *DB {
 	return want
 }
 
-// insert runs groups through Insert (one group) or InsertGroups and checks
-// the state and the change log against full evaluations before and after:
-// a tuple's reported annotation deltas, added to what it carried before,
-// give what it carries now; a change is Fresh exactly when the tuple was
-// absent; and every tuple whose annotation grew is reported.
+// insert runs the facts of every group through one Insert and checks the
+// state and the change log against full evaluations before and after: a
+// tuple's reported annotation deltas, added to what it carried before, give
+// what it carries now; a change is Fresh exactly when the tuple was absent;
+// and every tuple whose annotation grew is reported.
 func (o *incOracle) insert(label string, groups ...[]Fact2) {
 	o.t.Helper()
 	before := o.check(label + "/before")
-	var changes []Change
-	if len(groups) == 1 {
-		cs, err := o.inc.Insert(context.Background(), groups[0])
-		if err != nil {
-			o.t.Fatal(err)
-		}
-		changes = cs
-	} else {
-		css, err := o.inc.InsertGroups(context.Background(), groups)
-		if err != nil {
-			o.t.Fatal(err)
-		}
-		for _, cs := range css {
-			changes = append(changes, cs...)
-		}
+	changes, err := o.inc.Insert(context.Background(), slices.Concat(groups...))
+	if err != nil {
+		o.t.Fatal(err)
 	}
 	for _, g := range groups {
 		for _, f := range g {

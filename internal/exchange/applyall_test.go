@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"orchestra/internal/mapping"
@@ -80,15 +83,15 @@ func unionDBsEqual(t *testing.T, label string, a, b *Engine) {
 }
 
 // checkApplyAllEquivalence applies txns one at a time to one engine and as
-// a single batch to its twin, then compares every per-transaction result
-// and the final union databases.
-func checkApplyAllEquivalence(t *testing.T, label string, peers func() map[string]*schema.Schema, mappings func() []*mapping.Mapping, txns []*updates.Transaction) {
+// a single batch to its twin, both at the given witness bound (-1 for
+// unbounded), then compares every per-transaction result and the final union
+// databases. Unbounded, batched and sequential translation are identical on
+// every input; under a binding bound they may keep different — equally
+// valid — short derivations (see Engine.ApplyAll), so bounded inputs are
+// ones where they agree.
+func checkApplyAllEquivalence(t *testing.T, label string, maxMonomials int, peers func() map[string]*schema.Schema, mappings func() []*mapping.Mapping, txns []*updates.Transaction) {
 	t.Helper()
-	// Unbounded witness sets: batched and sequential translation are
-	// identical exactly when the MaxMonomials truncation does not bind (a
-	// binding bound may keep different — equally valid — short derivations
-	// on the two paths; see Engine.ApplyAll).
-	cfg := Config{MaxMonomials: -1}
+	cfg := Config{MaxMonomials: maxMonomials}
 	seqE, err := NewEngineWith(peers(), mappings(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +129,7 @@ func TestApplyAllEquivalenceFigure2Burst(t *testing.T) {
 	for i := range sa {
 		txns = append(txns, sa[i], sb[i])
 	}
-	checkApplyAllEquivalence(t, "fig2", workload.Figure2Peers, workload.Figure2Mappings, txns)
+	checkApplyAllEquivalence(t, "fig2", -1, workload.Figure2Peers, workload.Figure2Mappings, txns)
 }
 
 // Deletions and modifications split the batch: the run around them must
@@ -148,28 +151,104 @@ func TestApplyAllEquivalenceWithDeletes(t *testing.T) {
 		txn(workload.Alaska, 5, updates.Modify("S", workload.STuple(2, 3, "GGGG"), workload.STuple(2, 3, "TTTT"))),
 		txn(workload.Beijing, 3, updates.Insert("S", workload.STuple(0, 3, "AATT"))),
 	)
-	checkApplyAllEquivalence(t, "deletes", workload.Figure2Peers, workload.Figure2Mappings, txns)
+	checkApplyAllEquivalence(t, "deletes", -1, workload.Figure2Peers, workload.Figure2Mappings, txns)
 }
 
 // An identity mesh: every insert echoes through every peer, the same logical
-// tuple is published by different peers (cross-group shared derived tuples),
-// and one peer re-publishes its own tuple (seed overlap, which must split
-// the batched propagation into runs).
+// tuple is published by different peers (cross-transaction shared derived
+// tuples), and one peer re-publishes its own tuple (seed overlap, which must
+// split the batched propagation into stretches).
 func TestApplyAllEquivalenceMeshOverlap(t *testing.T) {
 	topo := workload.Mesh(3)
 	s := func(k int64, seq string) schema.Tuple { return workload.STuple(k, k, seq) }
-	txns := []*updates.Transaction{
-		txn("p00", 1, updates.Insert("S", s(1, "AA"))),
-		txn("p01", 1, updates.Insert("S", s(1, "AA"))), // same tuple, different peer
-		txn("p02", 1, updates.Insert("S", s(2, "CC"))),
-		txn("p00", 2, updates.Insert("S", s(2, "CC"))), // echo of p02's data
-		txn("p00", 3, updates.Insert("S", s(1, "AA"))), // re-publish: seed overlap with own txn 1
-		txn("p01", 2, updates.Insert("S", s(3, "GG"))),
+	for name, txns := range map[string][]*updates.Transaction{
+		"overlap": {
+			txn("p00", 1, updates.Insert("S", s(1, "AA"))),
+			txn("p01", 1, updates.Insert("S", s(1, "AA"))), // same tuple, different peer
+			txn("p02", 1, updates.Insert("S", s(2, "CC"))),
+			txn("p00", 2, updates.Insert("S", s(2, "CC"))), // echo of p02's data
+			txn("p00", 3, updates.Insert("S", s(1, "AA"))), // re-publish: seed overlap with own txn 1
+			txn("p01", 2, updates.Insert("S", s(3, "GG"))),
+		},
+		// p01.S(1) exists before the insert run (the delete ends the run
+		// before it). In the run, p00's re-publish derives it again and p01
+		// publishes it: only p01's transaction reports it as an insert.
+		"pre-existing": {
+			txn("p00", 1, updates.Insert("S", s(1, "AA")), updates.Insert("S", s(2, "CC"))),
+			txn("p00", 2, updates.Delete("S", s(2, "CC"))),
+			txn("p00", 3, updates.Insert("S", s(1, "AA"))),
+			txn("p01", 1, updates.Insert("S", s(1, "AA"))),
+		},
+	} {
+		checkApplyAllEquivalence(t, "mesh "+name, -1,
+			func() map[string]*schema.Schema { return topo.Peers },
+			func() []*mapping.Mapping { return topo.Mappings },
+			txns)
 	}
-	checkApplyAllEquivalence(t, "mesh",
-		func() map[string]*schema.Schema { return topo.Peers },
-		func() []*mapping.Mapping { return topo.Mappings },
-		txns)
+}
+
+// Under a binding witness bound a batched insert keeps an annotation: when
+// Beijing's publication, in a later stretch of the run, evicts Alaska's
+// derivation of beijing.O(ot) from the stored witness set, Alaska's insert
+// carries the witness its own Apply gives it, not an empty one.
+func TestApplyAllEquivalenceEvictedWitness(t *testing.T) {
+	ot := workload.OTuple("mouse", 3)
+	checkApplyAllEquivalence(t, "evicted", 1, workload.Figure2Peers, workload.Figure2Mappings, []*updates.Transaction{
+		txn(workload.Alaska, 1, updates.Insert("O", ot)),
+		txn(workload.Alaska, 2, updates.Insert("O", ot)), // re-seeds alaska.O(ot): a new stretch
+		txn(workload.Beijing, 1, updates.Insert("O", ot)),
+	})
+}
+
+// Alaska's transaction derives beijing.S(st), and three later ones
+// re-publish it at Beijing, at witness bound 3. Pooled into one propagation,
+// their three single-token seeds would fill the bound before Alaska's
+// derivation arrived, and Alaska's transaction would lose the insert its own
+// Apply reports. The later seeds evict earlier witnesses from the stored
+// sets, so annotations may differ from the sequential ones here; the updates
+// may not.
+func TestApplyAllSplitsAtReseededTuple(t *testing.T) {
+	st := workload.STuple(1, 2, "ACGT")
+	txns := []*updates.Transaction{
+		txn(workload.Alaska, 1, updates.Insert("S", st)),
+		txn(workload.Beijing, 1, updates.Insert("S", st)),
+		txn(workload.Beijing, 2, updates.Insert("S", st)),
+		txn(workload.Beijing, 3, updates.Insert("S", st)),
+	}
+	cfg := Config{MaxMonomials: 3}
+	seqE, err := NewEngineWith(workload.Figure2Peers(), workload.Figure2Mappings(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batE, err := NewEngineWith(workload.Figure2Peers(), workload.Figure2Mappings(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := batE.ApplyAll(context.Background(), txns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := func(r *Result) string {
+		var b strings.Builder
+		for _, peer := range slices.Sorted(maps.Keys(r.PerPeer)) {
+			for _, u := range r.PerPeer[peer] {
+				fmt.Fprintf(&b, "%s %v %s %v %v\n", peer, u.Op, u.Rel, u.Old, u.New)
+			}
+		}
+		return b.String()
+	}
+	for i, txn := range txns {
+		want, err := seqE.Apply(context.Background(), txn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, g := ops(want), ops(got[i]); w != g {
+			t.Fatalf("txn %s: sequential updates\n%s batched\n%s", txn.ID, w, g)
+		}
+	}
+	if len(got[0].PerPeer[workload.Beijing]) != 1 {
+		t.Fatalf("alaska:1 must report beijing's derived S insert, got %v", got[0].PerPeer)
+	}
 }
 
 // Randomized property: arbitrary multi-peer insert/delete/modify streams
@@ -191,6 +270,10 @@ func TestApplyAllEquivalenceProperty(t *testing.T) {
 			k := 1 + rng.Intn(2)
 			for j := 0; j < k; j++ {
 				switch {
+				case len(live) > 0 && rng.Intn(4) == 0:
+					// Re-publish a live tuple, at its publisher or at a peer
+					// that holds it as derived data.
+					ups = append(ups, updates.Insert("S", live[rng.Intn(len(live))]))
 				case len(live) > 0 && rng.Intn(5) == 0:
 					// Delete a random previously inserted tuple (possibly at
 					// a peer that only holds it as derived data).
@@ -209,7 +292,7 @@ func TestApplyAllEquivalenceProperty(t *testing.T) {
 			}
 			txns = append(txns, &updates.Transaction{ID: id, Updates: ups})
 		}
-		checkApplyAllEquivalence(t, fmt.Sprintf("property trial %d", trial),
+		checkApplyAllEquivalence(t, fmt.Sprintf("property trial %d", trial), -1,
 			workload.Figure2Peers, workload.Figure2Mappings, txns)
 	}
 }

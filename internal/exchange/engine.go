@@ -189,13 +189,15 @@ func (e *Engine) Apply(ctx context.Context, txn *updates.Transaction) (*Result, 
 
 // ApplyAll is the group-commit form of Apply: it feeds a causally ordered
 // batch of published transactions through the engine, running one seeded
-// semi-naive fixpoint per run of insert-only transactions instead of one
-// per transaction, with per-transaction change attribution through the
-// provenance tokens (datalog.Incremental.InsertGroups). Transactions that
-// delete or modify split the batch: they must observe the union database
-// exactly as the preceding transactions left it. The returned results are
-// aligned with txns and identical to applying the transactions one Apply
-// call at a time, in order.
+// semi-naive fixpoint per seed-disjoint stretch of each run of insert-only
+// transactions instead of one per transaction, and attributes the run's
+// changes to its transactions through the provenance tokens they mint (see
+// applyInsertRun). Transactions that delete or modify split the batch: they
+// must observe the union database exactly as the preceding transactions left
+// it. The returned results are aligned with txns. With unbounded witness
+// sets they are identical to applying the transactions one Apply call at a
+// time, in order; under a binding MaxMonomials bound the two schedules may
+// keep different, equally valid, short derivations (DESIGN.md §8).
 //
 // The whole batch is validated before anything is applied; a validation
 // error leaves the engine untouched. After validation, an error (typically
@@ -259,9 +261,25 @@ func (e *Engine) ApplyAll(ctx context.Context, txns []*updates.Transaction) ([]*
 	return results, nil
 }
 
-// applyInsertRun group-commits a run of insert-only transactions through
-// one batched propagation, collating each transaction's attributed changes
-// separately.
+// applyInsertRun translates a run of insert-only transactions with one
+// Incremental.Insert per seed-disjoint stretch of the run, attributes each
+// change to the transaction whose own Apply would report it, and collates
+// every transaction once the last stretch is in.
+//
+// A stretch ends before a transaction that re-seeds a tuple an earlier
+// transaction of the stretch seeded, so a seeded tuple has one seeding
+// transaction per stretch. Pooled into one Insert, the later seeds would
+// fill a binding MaxMonomials bound before the earlier transactions'
+// derivations reach the tuple, which sequential application never lets them
+// do.
+//
+// Attribution reads laterTokens, the run's token -> transaction map. A
+// monomial belongs to the latest transaction whose token it mentions: the
+// first whose sequential Apply could derive it. An effective seed merge is
+// reported by its token's transaction, and a tuple the run created (absent
+// from the union database before the run) by the earliest owner of a
+// monomial merged into it. Any other change only grows an annotation and
+// reports nothing.
 func (e *Engine) applyInsertRun(ctx context.Context, txns []*updates.Transaction, results []*Result) error {
 	groups := make([][]datalog.Fact2, len(txns))
 	toks := make([][]provenance.Var, len(txns)) // minted once, reused below
@@ -281,35 +299,156 @@ func (e *Engine) applyInsertRun(ctx context.Context, txns []*updates.Transaction
 			})
 		}
 	}
-	changes, err := e.inc.InsertGroups(ctx, groups)
-	if err != nil {
+	// owner returns the transaction a monomial of the stretch starting at
+	// transaction start belongs to.
+	owner := func(m provenance.Monomial, start int) int {
+		o := start
+		for _, x := range m {
+			if j, ok := laterTokens[x]; ok && j > o {
+				o = j
+			}
+		}
+		return o
+	}
+	db := e.inc.DB()
+	seeds := runSeeds{}
+	inserted := make([][]datalog.Change, len(txns)) // per transaction: the tuples it reports inserted
+	var logs [][]datalog.Change                     // each stretch's change log, in run order
+	type report struct{ txn, at int }               // txn reports the tuple of the stretch log's change at
+	var reports []report
+	start := 0
+	flush := func(end int) error {
+		cs, err := e.inc.Insert(ctx, slices.Concat(groups[start:end]...))
+		if err != nil {
+			return err
+		}
+		logs = append(logs, cs)
+		// Insert lists a tuple's changes together in merge order, so its seed
+		// merges, or the merge that created it, come first.
+		reports = reports[:0]
+		for i, j := 0, 0; i < len(cs); i = j {
+			for j = i + 1; j < len(cs) && cs[j].Pred == cs[i].Pred && cs[j].Tuple.Equal(cs[i].Tuple); j++ {
+			}
+			if !cs[i].Fresh {
+				continue // only grew an annotation
+			}
+			created := true // by a derived merge, unless seeded in this stretch
+			if sd := seeds.find(cs[i].Pred, cs[i].Tuple); sd != nil && sd.txn >= start {
+				reports = append(reports, report{sd.txn, i})
+				created, sd.absent = sd.absent, false
+			}
+			if created {
+				o := math.MaxInt
+				for _, c := range cs[i:j] {
+					for m := range c.Prov.NumMonomials() {
+						o = min(o, owner(c.Prov.Monomial(m), start))
+					}
+				}
+				reports = append(reports, report{o, i})
+			}
+		}
+		slices.SortFunc(reports, func(a, b report) int { return cmp.Compare(a.txn, b.txn) })
+		out := make([]datalog.Change, len(reports))
+		for k, r := range reports {
+			out[k] = cs[r.at]
+		}
+		for k, l := 0, 0; k < len(reports); k = l {
+			for l = k + 1; l < len(reports) && reports[l].txn == reports[k].txn; l++ {
+			}
+			inserted[reports[k].txn] = out[k:l]
+		}
+		start = end
+		return nil
+	}
+	for i := range txns {
+		for _, f := range groups[i] {
+			if sd := seeds.find(f.Pred, f.Tuple); sd != nil && sd.txn >= start && sd.txn < i {
+				if err := flush(i); err != nil {
+					return err
+				}
+				break
+			}
+		}
+		for _, f := range groups[i] {
+			if sd := seeds.find(f.Pred, f.Tuple); sd != nil {
+				sd.txn = i
+				continue
+			}
+			seeds.add(f.Pred, f.Tuple, i, !db.Has(f.Pred) || !db.Rel(f.Pred).Contains(f.Tuple))
+		}
+	}
+	if err := flush(len(txns)); err != nil {
 		return err
 	}
-	// Collation reads each inserted tuple's stored annotation, which after a
-	// batched propagation already includes later transactions' derivations;
-	// restricting to the tokens published up to each transaction recovers
-	// the annotation exactly as that transaction's own Apply would have left
-	// it.
 	for i, txn := range txns {
-		for ui, u := range txn.Updates {
-			k := mapping.Qualify(txn.ID.Peer, u.Rel) + "/" + u.New.Key()
+		for ui, f := range groups[i] {
+			k := f.Pred + "/" + f.Tuple.Key()
 			e.baseTokens[k] = append(e.baseTokens[k], toks[i][ui])
 		}
 		e.applied[txn.ID] = true
-		upTo := i
-		asOf := func(p provenance.Poly) provenance.Poly {
-			return p.RestrictTokens(func(t provenance.Token) bool {
-				gi, ok := laterTokens[t]
-				return !ok || gi <= upTo
-			})
+		upTo := func(t provenance.Token) bool {
+			j, ok := laterTokens[t]
+			return !ok || j <= i
 		}
-		res, err := e.collate(txn, changes[i], map[updates.TxnID]bool{}, asOf)
+		// Collation reads each inserted tuple's stored annotation, which
+		// already holds the later transactions' derivations; restricted to
+		// the tokens published up to this transaction it is the annotation
+		// this transaction's own Apply would have left. When later witnesses
+		// of lower rank evicted every one of those under the bound, the
+		// insert is annotated instead with the lowest witnesses the run
+		// merged into the tuple up to this transaction.
+		asOf := func(pred string, tu schema.Tuple, stored provenance.Poly) provenance.Poly {
+			if p := stored.RestrictTokens(upTo); !p.IsZero() {
+				return p
+			}
+			var p provenance.Poly
+			for _, cs := range logs {
+				for _, c := range cs {
+					if c.Pred == pred && c.Tuple.Equal(tu) {
+						p, _, _, _ = provenance.MergeWitness(p, c.Prov.RestrictTokens(upTo), e.opts.MaxMonomials)
+					}
+				}
+			}
+			return p
+		}
+		res, err := e.collate(txn, inserted[i], map[updates.TxnID]bool{}, asOf)
 		if err != nil {
 			return err
 		}
 		results[i] = res
 	}
 	return nil
+}
+
+// runSeed is a tuple an insert run seeds.
+type runSeed struct {
+	tuple  schema.Tuple
+	txn    int      // the latest run transaction seeding it so far
+	absent bool     // absent from the union database before the run, and its creation not yet reported
+	next   *runSeed // another seed of the same predicate and hash
+}
+
+type runKey struct {
+	pred string
+	hash uint64
+}
+
+// runSeeds finds an insert run's seeds by predicate and tuple hash, Equal
+// settling a shared hash.
+type runSeeds map[runKey]*runSeed
+
+func (rs runSeeds) find(pred string, tu schema.Tuple) *runSeed {
+	for sd := rs[runKey{pred, tu.Hash()}]; sd != nil; sd = sd.next {
+		if sd.tuple.Equal(tu) {
+			return sd
+		}
+	}
+	return nil
+}
+
+func (rs runSeeds) add(pred string, tu schema.Tuple, txn int, absent bool) {
+	k := runKey{pred, tu.Hash()}
+	rs[k] = &runSeed{tuple: tu, txn: txn, absent: absent, next: rs[k]}
 }
 
 // applyOne translates one (already validated) transaction, the
@@ -526,10 +665,11 @@ func compareQualifiedKeys(pa string, ta schema.Tuple, pb string, tb schema.Tuple
 // Each inserted update carries the tuple's full stored annotation as of
 // this transaction — the complete witness set trust evaluation and
 // subscribers should see, not just the fixpoint's first-emission slice. The
-// optional asOf restriction masks tokens of transactions applied after this
-// one in the same group-commit batch (nil means the union database already
-// reflects exactly this transaction's application point).
-func (e *Engine) collate(txn *updates.Transaction, changes []datalog.Change, depSet map[updates.TxnID]bool, asOf func(provenance.Poly) provenance.Poly) (*Result, error) {
+// optional asOf turns an inserted tuple's stored annotation into the one as
+// of this transaction, inside a group-commit batch that already holds later
+// transactions' derivations (nil means the union database reflects exactly
+// this transaction's application point).
+func (e *Engine) collate(txn *updates.Transaction, changes []datalog.Change, depSet map[updates.TxnID]bool, asOf func(pred string, tu schema.Tuple, stored provenance.Poly) provenance.Poly) (*Result, error) {
 	type slot struct {
 		pred     string
 		tuple    schema.Tuple
@@ -633,7 +773,7 @@ func (e *Engine) collate(txn *updates.Transaction, changes []datalog.Change, dep
 		if f, ok := e.inc.DB().Rel(s.pred).Get(s.inserted.Tuple); ok {
 			u.Prov = f.Prov
 			if asOf != nil {
-				u.Prov = asOf(u.Prov)
+				u.Prov = asOf(s.pred, s.inserted.Tuple, u.Prov)
 			}
 		}
 		res.PerPeer[peer] = append(res.PerPeer[peer], u)
