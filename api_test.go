@@ -219,9 +219,8 @@ func TestStrictConflictsOption(t *testing.T) {
 	}
 }
 
-func TestParseSchemaAndTrustBlocks(t *testing.T) {
-	ctx := context.Background()
-	sch, err := orchestra.ParseSchemaString(`
+// trustBlockSchema declares b's trust in a in the schema text.
+const trustBlockSchema = `
 peer a {
     relation R(x int, y string) key(x)
 }
@@ -231,7 +230,11 @@ trust b {
     peer a 2
     default 0
 }
-`)
+`
+
+func TestParseSchemaAndTrustBlocks(t *testing.T) {
+	ctx := context.Background()
+	sch, err := orchestra.ParseSchemaString(trustBlockSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,6 +263,45 @@ trust b {
 	}
 	if got := b.Status(id); got != orchestra.StatusAccepted {
 		t.Fatalf("status = %v, want accepted (trust block applied)", got)
+	}
+}
+
+// TestWithTrustPolicyOverridesSchemaTrust: a policy given at System.Peer
+// replaces the one the schema text declared for that peer.
+func TestWithTrustPolicyOverridesSchemaTrust(t *testing.T) {
+	ctx := context.Background()
+	sch, err := orchestra.ParseSchemaString(trustBlockSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := orchestra.Open(sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	a, err := sys.Peer("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sys.Peer("b", orchestra.WithTrustPolicy(orchestra.TrustAll(orchestra.Distrusted)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := a.Begin().Insert("R", orchestra.NewTuple(orchestra.Int(1), orchestra.String("v"))).Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Publish(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Reconcile(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Status(id); got != orchestra.StatusPending {
+		t.Fatalf("status = %v, want pending: untrusted under WithTrustPolicy, which overrides the trust block", got)
+	}
+	if rows, err := b.Rows("R"); err != nil || len(rows) != 0 {
+		t.Fatalf("b rows = %v, %v; want none", rows, err)
 	}
 }
 

@@ -106,7 +106,7 @@ func BenchmarkRecovery(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if p.Instance().Size() == 0 {
+				if rows, _ := p.Instance().Rows("S"); len(rows) == 0 {
 					b.Fatal("recovered empty")
 				}
 			}

@@ -103,7 +103,7 @@ func BenchmarkOverheadIncremental(b *testing.B) {
 func evalOnce(b *testing.B, prog *datalog.Program, edb *datalog.DB) func(stats *datalog.EvalStats) func() {
 	return func(stats *datalog.EvalStats) func() {
 		return func() {
-			if _, err := datalog.Eval(prog, edb, datalog.Options{Provenance: true, Stats: stats}); err != nil {
+			if _, err := datalog.EvalCtx(context.Background(), prog, edb, datalog.Options{Provenance: true, Stats: stats}); err != nil {
 				b.Fatal(err)
 			}
 		}

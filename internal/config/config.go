@@ -36,7 +36,6 @@ import (
 	"strconv"
 	"strings"
 
-	"orchestra/internal/core"
 	"orchestra/internal/mapping"
 	"orchestra/internal/parser"
 	"orchestra/internal/recon"
@@ -48,19 +47,6 @@ type Config struct {
 	Peers    map[string]*schema.Schema
 	Mappings []*mapping.Mapping
 	Policies map[string]*recon.Policy
-}
-
-// System builds the core.System for the configuration.
-func (c *Config) System() (*core.System, error) {
-	return core.NewSystem(c.Peers, c.Mappings)
-}
-
-// Policy returns the trust policy for a peer (default: trust all at 1).
-func (c *Config) Policy(peer string) *recon.Policy {
-	if p, ok := c.Policies[peer]; ok {
-		return p
-	}
-	return recon.TrustAll(1)
 }
 
 // Parse reads a configuration.

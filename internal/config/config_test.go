@@ -12,6 +12,15 @@ import (
 	"orchestra/internal/workload"
 )
 
+// policyFor returns the peer's parsed trust policy, or trust-all at
+// priority 1 when the configuration declares none.
+func policyFor(cfg *Config, peer string) *recon.Policy {
+	if p, ok := cfg.Policies[peer]; ok {
+		return p
+	}
+	return recon.TrustAll(1)
+}
+
 const fig2Conf = `
 # The paper's Figure 2 CDSS.
 peer alaska {
@@ -59,7 +68,7 @@ func TestParseFigure2Config(t *testing.T) {
 	if len(cfg.Mappings) != 10 {
 		t.Errorf("mappings = %d", len(cfg.Mappings))
 	}
-	sys, err := cfg.System()
+	sys, err := core.NewSystem(cfg.Peers, cfg.Mappings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +76,10 @@ func TestParseFigure2Config(t *testing.T) {
 		t.Error("dresden schema wrong")
 	}
 	// Policies: crete custom, others default trust-all.
-	if cfg.Policy("crete").Default != recon.Distrusted {
+	if policyFor(cfg, "crete").Default != recon.Distrusted {
 		t.Error("crete default wrong")
 	}
-	if cfg.Policy("alaska").Default != 1 {
+	if policyFor(cfg, "alaska").Default != 1 {
 		t.Error("alaska fallback policy wrong")
 	}
 }
@@ -81,13 +90,13 @@ func TestConfigDrivenScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := cfg.System()
+	sys, err := core.NewSystem(cfg.Peers, cfg.Mappings)
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := p2p.NewMemoryStore()
 	mk := func(name string) *core.Peer {
-		p, err := core.NewPeer(name, sys, store, cfg.Policy(name))
+		p, err := core.NewPeer(name, sys, store, policyFor(cfg, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +126,7 @@ func TestConfigDrivenScenario(t *testing.T) {
 	if crete.Status(dTxn.ID) != recon.StatusRejected {
 		t.Errorf("dresden at crete = %s", crete.Status(dTxn.ID))
 	}
-	if !crete.Instance().Contains("OPS", workload.OPSTuple("mouse", "p53", "AAAA")) {
+	if _, ok := crete.Instance().Table("OPS").Get(workload.OPSTuple("mouse", "p53", "AAAA")); !ok {
 		t.Error("beijing's tuple missing at crete")
 	}
 	_ = updates.TxnID{}
@@ -173,7 +182,7 @@ trust a {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := cfg.Policy("a")
+	pol := policyFor(cfg, "a")
 	if len(pol.Conditions) != 3 || pol.Default != 1 {
 		t.Fatalf("policy = %+v", pol)
 	}

@@ -115,7 +115,7 @@ func TestTornEngineCheckpointRecoveryFallsBack(t *testing.T) {
 		// torn checkpoint costs only replay length, never state.
 		if !d2.Instance().Equal(dresden.Instance()) {
 			t.Fatalf("cut %d: recovered instance (%d tuples) != live (%d tuples)",
-				cut, d2.Instance().Size(), dresden.Instance().Size())
+				cut, instSize(d2.Instance()), instSize(dresden.Instance()))
 		}
 		if d2.Epoch() != dresden.Epoch() {
 			t.Errorf("cut %d: epoch %d, live %d", cut, d2.Epoch(), dresden.Epoch())
@@ -213,7 +213,7 @@ func testResolveSurvivesCrash(t *testing.T, ckBeforeResolve bool) {
 	}
 	if !d2.Instance().Equal(dresden.Instance()) {
 		t.Fatalf("recovered instance (%d tuples) != live (%d tuples)",
-			d2.Instance().Size(), dresden.Instance().Size())
+			instSize(d2.Instance()), instSize(dresden.Instance()))
 	}
 	winRow := workload.OPSTuple("fly", "tnf", "XXXX")
 	got, ok := d2.Instance().Table("OPS").Get(winRow)
@@ -336,7 +336,7 @@ func TestResolveSurvivesDirtyCheckpointCrash(t *testing.T) {
 	}
 	if !d2.Instance().Equal(dresden.Instance()) {
 		t.Fatalf("recovered instance (%d tuples) != live (%d tuples)",
-			d2.Instance().Size(), dresden.Instance().Size())
+			instSize(d2.Instance()), instSize(dresden.Instance()))
 	}
 	// The decisive check: the winner's row carries the live provenance, not a
 	// doubled polynomial from applying the winner's updates twice.

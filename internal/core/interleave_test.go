@@ -179,7 +179,7 @@ func runInterleaving(t *testing.T, seed int64) {
 				}
 			} else {
 				v := provenance.NewVar(provenance.Var(fmt.Sprintf("oob%d", step)))
-				if err := p.Instance().Insert(rel.Name, randomTuple(rel), v); err != nil && !isKeyViolation(err) {
+				if _, err := p.Instance().Upsert(rel.Name, randomTuple(rel), v); err != nil {
 					t.Fatalf("step %d: direct insert at %s: %v", step, p.Name(), err)
 				}
 			}

@@ -70,12 +70,12 @@ func TestQuickInsertOnlyConvergence(t *testing.T) {
 		for i := 1; i < len(peers); i++ {
 			if !peers[0].Instance().Equal(peers[i].Instance()) {
 				t.Fatalf("trial %d: %s (%d tuples) != %s (%d tuples)",
-					trial, peers[0].Name(), peers[0].Instance().Size(),
-					peers[i].Name(), peers[i].Instance().Size())
+					trial, peers[0].Name(), instSize(peers[0].Instance()),
+					peers[i].Name(), instSize(peers[i].Instance()))
 			}
 		}
 		// Cross-check against the declarative materialization.
-		eng, err := exchange.NewEngine(topo.Peers, topo.Mappings)
+		eng, err := exchange.NewEngineWith(topo.Peers, topo.Mappings, exchange.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestQuickInsertOnlyConvergence(t *testing.T) {
 		}
 		if !mat.Equal(peers[0].Instance()) {
 			t.Fatalf("trial %d: replay (%d tuples) != materialization (%d tuples)",
-				trial, peers[0].Instance().Size(), mat.Size())
+				trial, instSize(peers[0].Instance()), instSize(mat))
 		}
 	}
 }
@@ -162,7 +162,7 @@ func TestQuickConflictingPublishersEventualAgreement(t *testing.T) {
 		}
 		for c := 0; c < nConf; c++ {
 			k := int64(c)
-			if !subs[0].Instance().Contains("S", workload.STuple(k, k, fmt.Sprintf("V1-%d", c))) {
+			if !instHas(subs[0].Instance(), "S", workload.STuple(k, k, fmt.Sprintf("V1-%d", c))) {
 				t.Errorf("trial %d: winner's value missing for key %d", trial, c)
 			}
 		}

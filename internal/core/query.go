@@ -13,26 +13,6 @@ import (
 	"orchestra/internal/updates"
 )
 
-// Query is a conjunctive query (with optional builtins and negation)
-// against a peer's local instance. Body atoms use the peer's local
-// relation names; Select lists the output variables.
-//
-//	q := core.Query{
-//	    Select: []string{"org", "seq"},
-//	    Body: []datalog.Literal{
-//	        datalog.Pos(datalog.NewAtom("O", datalog.V("org"), datalog.V("oid"))),
-//	        datalog.Pos(datalog.NewAtom("S", datalog.V("oid"), datalog.V("pid"), datalog.V("seq"))),
-//	    },
-//	}
-//
-// Query is sugar over QueryGoal: the body becomes a view rule and the
-// select list its goal, so the REPL's conjunctive queries run through the
-// same goal-directed engine as the public SDK's.
-type Query struct {
-	Select []string
-	Body   []datalog.Literal
-}
-
 // Answer is one query result: the selected values plus the provenance
 // polynomial combining the provenance of every tuple joined to produce it.
 type Answer struct {
@@ -69,9 +49,6 @@ type GoalQuery struct {
 	Rules []datalog.Rule
 	// Mode selects the evaluation strategy; the zero value is GoalDirected.
 	Mode QueryMode
-	// SIP is the sideways-information-passing strategy for the magic
-	// rewrite; the zero value is magic.LeftToRight.
-	SIP magic.SIP
 	// NoProvenance skips annotation bookkeeping: answers carry a zero
 	// polynomial. Faster when the caller only wants tuples.
 	NoProvenance bool
@@ -80,33 +57,6 @@ type GoalQuery struct {
 	// datalog.EvalStats). Counters accumulate across queries sharing the
 	// struct.
 	Stats *datalog.EvalStats
-}
-
-// queryPred is the reserved head predicate of the conjunctive Query form.
-const queryPred = "_query"
-
-// Query evaluates a conjunctive query over the peer's current local
-// instance. Answers carry provenance, so trust conditions and Explain work
-// on query results exactly as on stored tuples. The context bounds the
-// evaluation.
-func (p *Peer) Query(ctx context.Context, q Query) ([]Answer, error) {
-	if len(q.Select) == 0 {
-		return nil, fmt.Errorf("%w: query selects no variables", ErrInvalidQuery)
-	}
-	head := make([]datalog.HeadTerm, len(q.Select))
-	goalTerms := make([]datalog.Term, len(q.Select))
-	for i, v := range q.Select {
-		head[i] = datalog.HV(v)
-		goalTerms[i] = datalog.V(v)
-	}
-	return p.QueryGoal(ctx, GoalQuery{
-		Goal: datalog.NewAtom(queryPred, goalTerms...),
-		Rules: []datalog.Rule{{
-			ID:   "query",
-			Head: datalog.Head{Pred: queryPred, Terms: head},
-			Body: q.Body,
-		}},
-	})
 }
 
 // QueryGoal solves a goal query over the peer's current local instance.
@@ -180,11 +130,11 @@ const queryShapeCap = 64
 // evalShape answers a GoalDirected query through the peer's compiled shape
 // for it, compiling the shape on a miss. The caller holds p.mu.
 func (p *Peer) evalShape(ctx context.Context, q GoalQuery, edb *datalog.DB, opts datalog.Options) ([]datalog.Fact, error) {
-	p.shapeKey = magic.Shape(p.shapeKey[:0], q.Rules, q.Goal, q.SIP)
+	p.shapeKey = magic.Shape(p.shapeKey[:0], q.Rules, q.Goal)
 	prep := p.shapes[string(p.shapeKey)]
 	if prep == nil {
 		var err error
-		if prep, err = magic.Prepare(q.Rules, q.Goal, magic.Options{SIP: q.SIP}); err != nil {
+		if prep, err = magic.Prepare(q.Rules, q.Goal); err != nil {
 			return nil, err
 		}
 		if p.shapes == nil || len(p.shapes) >= queryShapeCap {

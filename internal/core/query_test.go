@@ -12,6 +12,21 @@ import (
 	"orchestra/internal/workload"
 )
 
+// conjunctive answers the conjunctive query sel :- body as a goal query: the
+// body becomes one view rule whose head the goal names.
+func conjunctive(p *Peer, sel []string, body ...datalog.Literal) ([]Answer, error) {
+	head := make([]datalog.HeadTerm, len(sel))
+	goal := make([]datalog.Term, len(sel))
+	for i, v := range sel {
+		head[i] = datalog.HV(v)
+		goal[i] = datalog.V(v)
+	}
+	return p.QueryGoal(context.Background(), GoalQuery{
+		Goal:  datalog.NewAtom("q", goal...),
+		Rules: []datalog.Rule{{ID: "q", Head: datalog.Head{Pred: "q", Terms: head}, Body: body}},
+	})
+}
+
 func TestQueryJoin(t *testing.T) {
 	peers, _ := fig2(t)
 	alaska := peers[workload.Alaska]
@@ -22,15 +37,11 @@ func TestQueryJoin(t *testing.T) {
 		Insert("S", workload.STuple(1, 10, "ACGT")))
 
 	// Organisms with a known sequence for p53.
-	q := Query{
-		Select: []string{"org", "seq"},
-		Body: []datalog.Literal{
-			datalog.Pos(datalog.NewAtom("O", datalog.V("org"), datalog.V("oid"))),
-			datalog.Pos(datalog.NewAtom("P", datalog.C(schema.String("p53")), datalog.V("pid"))),
-			datalog.Pos(datalog.NewAtom("S", datalog.V("oid"), datalog.V("pid"), datalog.V("seq"))),
-		},
-	}
-	ans, err := alaska.Query(context.Background(), q)
+	ans, err := conjunctive(alaska, []string{"org", "seq"},
+		datalog.Pos(datalog.NewAtom("O", datalog.V("org"), datalog.V("oid"))),
+		datalog.Pos(datalog.NewAtom("P", datalog.C(schema.String("p53")), datalog.V("pid"))),
+		datalog.Pos(datalog.NewAtom("S", datalog.V("oid"), datalog.V("pid"), datalog.V("seq"))),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,21 +65,18 @@ func TestQueryNegationAndBuiltin(t *testing.T) {
 		Insert("S", workload.STuple(1, 10, "ACGT")))
 
 	// Organisms with oid < 5 that have NO sequence entry for pid 10.
-	q := Query{
-		Select: []string{"org"},
-		Body: []datalog.Literal{
-			datalog.Pos(datalog.NewAtom("O", datalog.V("org"), datalog.V("oid"))),
-			datalog.Cmp(datalog.V("oid"), datalog.OpLt, datalog.C(schema.Int(5))),
-			datalog.Neg(datalog.NewAtom("S", datalog.V("oid"), datalog.C(schema.Int(10)), datalog.V("seq"))),
-		},
+	body := []datalog.Literal{
+		datalog.Pos(datalog.NewAtom("O", datalog.V("org"), datalog.V("oid"))),
+		datalog.Cmp(datalog.V("oid"), datalog.OpLt, datalog.C(schema.Int(5))),
+		datalog.Neg(datalog.NewAtom("S", datalog.V("oid"), datalog.C(schema.Int(10)), datalog.V("seq"))),
 	}
 	// Negated atom has an unbound variable seq — unsafe; expect an error.
-	if _, err := alaska.Query(context.Background(), q); err == nil {
+	if _, err := conjunctive(alaska, []string{"org"}, body...); err == nil {
 		t.Fatal("unsafe query accepted")
 	}
 	// Bind seq via a constant instead.
-	q.Body[2] = datalog.Neg(datalog.NewAtom("S", datalog.V("oid"), datalog.C(schema.Int(10)), datalog.C(schema.String("ACGT"))))
-	ans, err := alaska.Query(context.Background(), q)
+	body[2] = datalog.Neg(datalog.NewAtom("S", datalog.V("oid"), datalog.C(schema.Int(10)), datalog.C(schema.String("ACGT"))))
+	ans, err := conjunctive(alaska, []string{"org"}, body...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +88,8 @@ func TestQueryNegationAndBuiltin(t *testing.T) {
 func TestQueryValidation(t *testing.T) {
 	peers, _ := fig2(t)
 	alaska := peers[workload.Alaska]
-	if _, err := alaska.Query(context.Background(), Query{}); err == nil {
-		t.Error("empty select accepted")
-	}
 	// Unknown relation: evaluates over an empty extent, no answers.
-	ans, err := alaska.Query(context.Background(), Query{
-		Select: []string{"x"},
-		Body:   []datalog.Literal{datalog.Pos(datalog.NewAtom("NOPE", datalog.V("x")))},
-	})
+	ans, err := conjunctive(alaska, []string{"x"}, datalog.Pos(datalog.NewAtom("NOPE", datalog.V("x"))))
 	if err != nil || len(ans) != 0 {
 		t.Errorf("unknown relation: %v %v", ans, err)
 	}
@@ -310,13 +312,9 @@ func TestQuerySeesOnlyAcceptedData(t *testing.T) {
 	publish(t, dresden)
 	reconcile(t, crete)
 
-	ans, err := crete.Query(context.Background(), Query{
-		Select: []string{"seq"},
-		Body: []datalog.Literal{
-			datalog.Pos(datalog.NewAtom("OPS",
-				datalog.C(schema.String("mouse")), datalog.C(schema.String("p53")), datalog.V("seq"))),
-		},
-	})
+	ans, err := conjunctive(crete, []string{"seq"},
+		datalog.Pos(datalog.NewAtom("OPS",
+			datalog.C(schema.String("mouse")), datalog.C(schema.String("p53")), datalog.V("seq"))))
 	if err != nil {
 		t.Fatal(err)
 	}

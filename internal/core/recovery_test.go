@@ -44,7 +44,7 @@ func TestPeerRecoveryFromArchive(t *testing.T) {
 	reconcile(t, dresden2)
 	if !dresden2.Instance().Equal(dresden.Instance()) {
 		t.Fatalf("recovered instance (%d tuples) != original (%d tuples)\nrecovered: %v\noriginal: %v",
-			dresden2.Instance().Size(), dresden.Instance().Size(),
+			instSize(dresden2.Instance()), instSize(dresden.Instance()),
 			dresden2.Instance().Table("OPS").Rows(), dresden.Instance().Table("OPS").Rows())
 	}
 	if dresden2.Epoch() != dresden.Epoch() {
@@ -88,7 +88,7 @@ func TestPeerRecoveryOverDurableStore(t *testing.T) {
 	if len(r.Accepted) != 1 {
 		t.Fatalf("report = %+v", r)
 	}
-	if !crete.Instance().Contains("OPS", workload.OPSTuple("mouse", "p53", "ACGT")) {
+	if !instHas(crete.Instance(), "OPS", workload.OPSTuple("mouse", "p53", "ACGT")) {
 		t.Errorf("crete OPS = %v", crete.Instance().Table("OPS").Rows())
 	}
 }

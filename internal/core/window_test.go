@@ -72,8 +72,8 @@ func TestReconcileWindowEquivalence(t *testing.T) {
 	for i := 1; i < len(receivers); i++ {
 		if !receivers[0].Instance().Equal(receivers[i].Instance()) {
 			t.Errorf("window %d instance (size %d) differs from window %d (size %d)",
-				windows[i], receivers[i].Instance().Size(),
-				windows[0], receivers[0].Instance().Size())
+				windows[i], instSize(receivers[i].Instance()),
+				windows[0], instSize(receivers[0].Instance()))
 		}
 	}
 	if n := receivers[0].Instance().Table("O").Len(); n != burst {

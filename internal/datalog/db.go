@@ -359,15 +359,6 @@ func (db *DB) Remove(pred string, t schema.Tuple) {
 	}
 }
 
-// Size returns the total number of facts.
-func (db *DB) Size() int {
-	n := 0
-	for _, r := range db.rels {
-		n += r.n
-	}
-	return n
-}
-
 // Snapshot returns an O(#preds) frozen view of the database: the snapshot
 // shares every extent with db, and both sides give up ownership of the
 // shared extents, so the first mutation of each extent — on either side —
@@ -399,17 +390,4 @@ func (db *DB) Snapshot() *DB {
 // safe; it only costs the clone.
 func (db *DB) Release(snap *DB) {
 	db.owner.CompareAndSwap(snap.lentTo, snap.lentFrom)
-}
-
-// Clone deep-copies the database eagerly (indexes are not copied). Most
-// callers want Snapshot instead; Clone remains for tests and for callers
-// that need a guaranteed-private copy regardless of mutation patterns.
-func (db *DB) Clone() *DB {
-	c := NewDB()
-	for p, r := range db.rels {
-		r = r.cowClone()
-		r.owner = c.owner.Load()
-		c.rels[p] = r
-	}
-	return c
 }

@@ -42,15 +42,9 @@ type Options struct {
 // DefaultMaxIterations is the fixpoint iteration bound when unspecified.
 const DefaultMaxIterations = 100000
 
-// Eval evaluates the program over the EDB and returns a database containing
-// both EDB and derived facts. The input database is not modified. It is
-// EvalCtx with a background context — use EvalCtx to bound or cancel long
-// fixpoints.
-func Eval(p *Program, edb *DB, opts Options) (*DB, error) {
-	return EvalCtx(context.Background(), p, edb, opts)
-}
-
-// EvalCtx is Eval under a context: Prepare followed by one Prepared.Eval.
+// EvalCtx evaluates the program over the EDB and returns a database
+// containing both EDB and derived facts; the input database is not
+// modified. It is Prepare followed by one Prepared.Eval.
 // Cancellation is cooperative: the context is checked before evaluation
 // starts, before every fixpoint iteration of each stratum, before each rule
 // firing of a round, and every pipeCancelStride candidate rows within a

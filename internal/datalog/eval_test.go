@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -24,7 +25,7 @@ func TestTransitiveClosure(t *testing.T) {
 	for _, e := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}} {
 		edb.AddTuple("E", edge(e[0], e[1]))
 	}
-	res, err := Eval(tcProgram(), edb, Options{})
+	res, err := EvalCtx(context.Background(), tcProgram(), edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestTransitiveClosureCyclicGraph(t *testing.T) {
 	for _, e := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "a"}} {
 		edb.AddTuple("E", edge(e[0], e[1]))
 	}
-	res, err := Eval(tcProgram(), edb, Options{Provenance: true})
+	res, err := EvalCtx(context.Background(), tcProgram(), edb, Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestStratifiedNegation(t *testing.T) {
 	edb := NewDB()
 	edb.AddTuple("E", edge("a", "b"))
 	edb.AddTuple("E", edge("c", "d"))
-	res, err := Eval(prog, edb, Options{})
+	res, err := EvalCtx(context.Background(), prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestNonStratifiable(t *testing.T) {
 		{ID: "q", Head: NewHead("Q", HV("x")), Body: []Literal{
 			Pos(NewAtom("E", V("x"), V("x"))), Neg(NewAtom("P", V("x")))}},
 	}}
-	if _, err := Eval(prog, NewDB(), Options{}); err == nil {
+	if _, err := EvalCtx(context.Background(), prog, NewDB(), Options{}); err == nil {
 		t.Error("non-stratifiable program accepted")
 	}
 }
@@ -113,7 +114,7 @@ func TestUnsafeRules(t *testing.T) {
 	}
 	for _, r := range cases {
 		prog := &Program{Rules: []Rule{r}}
-		if _, err := Eval(prog, NewDB(), Options{}); err == nil {
+		if _, err := EvalCtx(context.Background(), prog, NewDB(), Options{}); err == nil {
 			t.Errorf("unsafe rule %s accepted", r.ID)
 		}
 	}
@@ -131,7 +132,7 @@ func TestBuiltins(t *testing.T) {
 	for i := int64(1); i <= 3; i++ {
 		edb.AddTuple("N", schema.NewTuple(schema.Int(i)))
 	}
-	res, err := Eval(prog, edb, Options{})
+	res, err := EvalCtx(context.Background(), prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestBuiltins(t *testing.T) {
 			Head: NewHead("R", HV("x"), HV("y")),
 			Body: []Literal{Pos(NewAtom("N", V("x"))), Pos(NewAtom("N", V("y"))), Cmp(V("x"), c.op, V("y"))},
 		}}}
-		res, err := Eval(p, edb, Options{})
+		res, err := EvalCtx(context.Background(), p, edb, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +169,7 @@ func TestConstantsInAtoms(t *testing.T) {
 	edb := NewDB()
 	edb.AddTuple("E", edge("a", "b"))
 	edb.AddTuple("E", edge("c", "d"))
-	res, err := Eval(prog, edb, Options{})
+	res, err := EvalCtx(context.Background(), prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestConstantsInAtoms(t *testing.T) {
 		Head: NewHead("Tagged", HC(schema.String("tag")), HV("x")),
 		Body: []Literal{Pos(NewAtom("E", V("x"), V("y")))},
 	}}}
-	res2, err := Eval(prog2, edb, Options{})
+	res2, err := EvalCtx(context.Background(), prog2, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestRepeatedVariable(t *testing.T) {
 	edb := NewDB()
 	edb.AddTuple("E", edge("a", "a"))
 	edb.AddTuple("E", edge("a", "b"))
-	res, err := Eval(prog, edb, Options{})
+	res, err := EvalCtx(context.Background(), prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestSkolemHeads(t *testing.T) {
 	edb.AddTuple("OPS", schema.NewTuple(schema.String("mouse"), schema.String("p53"), schema.String("ACGT")))
 	edb.AddTuple("OPS", schema.NewTuple(schema.String("mouse"), schema.String("brca1"), schema.String("TTTT")))
 	edb.AddTuple("OPS", schema.NewTuple(schema.String("rat"), schema.String("p53"), schema.String("GGGG")))
-	res, err := Eval(prog, edb, Options{})
+	res, err := EvalCtx(context.Background(), prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestExactProvenance(t *testing.T) {
 	edb.Add("B", one, provenance.NewVar("b"))
 	edb.Add("C", one, provenance.NewVar("c"))
 	edb.Add("D", one, provenance.NewVar("d"))
-	res, err := Eval(prog, edb, Options{Provenance: true})
+	res, err := EvalCtx(context.Background(), prog, edb, Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestExactProvenanceMultiLevel(t *testing.T) {
 	one := schema.NewTuple(schema.Int(1))
 	edb := NewDB()
 	edb.Add("A", one, provenance.NewVar("a"))
-	res, err := Eval(prog, edb, Options{Provenance: true})
+	res, err := EvalCtx(context.Background(), prog, edb, Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestRuleProvToken(t *testing.T) {
 	one := schema.NewTuple(schema.Int(1))
 	edb := NewDB()
 	edb.Add("A", one, provenance.NewVar("a"))
-	res, err := Eval(prog, edb, Options{Provenance: true})
+	res, err := EvalCtx(context.Background(), prog, edb, Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestFixpointProvenanceOnCycle(t *testing.T) {
 	one := schema.NewTuple(schema.Int(1))
 	edb := NewDB()
 	edb.Add("A", one, provenance.NewVar("a"))
-	res, err := Eval(prog, edb, Options{Provenance: true})
+	res, err := EvalCtx(context.Background(), prog, edb, Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +344,7 @@ func TestProvenanceDisabledIsFast(t *testing.T) {
 	for _, e := range [][2]string{{"a", "b"}, {"b", "c"}} {
 		edb.AddTuple("E", edge(e[0], e[1]))
 	}
-	res, err := Eval(tcProgram(), edb, Options{Provenance: false})
+	res, err := EvalCtx(context.Background(), tcProgram(), edb, Options{Provenance: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +361,7 @@ func TestMaxIterations(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		edb.AddTuple("E", edge(fmt.Sprint("n", i), fmt.Sprint("n", i+1)))
 	}
-	if _, err := Eval(tcProgram(), edb, Options{MaxIterations: 2}); err == nil {
+	if _, err := EvalCtx(context.Background(), tcProgram(), edb, Options{MaxIterations: 2}); err == nil {
 		t.Error("iteration bound not enforced")
 	}
 }
@@ -396,7 +397,7 @@ func TestQuickTCMatchesBFS(t *testing.T) {
 				}
 			}
 		}
-		res, err := Eval(tcProgram(), edb, Options{Provenance: withProv})
+		res, err := EvalCtx(context.Background(), tcProgram(), edb, Options{Provenance: withProv})
 		if err != nil {
 			t.Fatal(err)
 		}

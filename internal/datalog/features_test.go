@@ -33,7 +33,7 @@ func TestChaseSubsumptionSuppressesEcho(t *testing.T) {
 	edb.Add("S", schema.NewTuple(schema.Int(1), schema.String("ACGT")), provenance.NewVar("s"))
 
 	// Without the chase check, the O tuple echoes back as a Skolem variant.
-	plain, err := Eval(splitJoinProgram(), edb, Options{Provenance: true})
+	plain, err := EvalCtx(context.Background(), splitJoinProgram(), edb, Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestChaseSubsumptionSuppressesEcho(t *testing.T) {
 	}
 
 	// With it, the concrete tuple subsumes the null-padded variant.
-	chased, err := Eval(splitJoinProgram(), edb, Options{Provenance: true, ChaseSubsumption: true})
+	chased, err := EvalCtx(context.Background(), splitJoinProgram(), edb, Options{Provenance: true, ChaseSubsumption: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestChaseSubsumptionKeepsNovelNulls(t *testing.T) {
 	// A split with NO concrete counterpart must still materialize.
 	edb := NewDB()
 	edb.Add("OPS", schema.NewTuple(schema.String("fly"), schema.String("GGGG")), provenance.NewVar("x"))
-	res, err := Eval(splitJoinProgram(), edb, Options{Provenance: true, ChaseSubsumption: true})
+	res, err := EvalCtx(context.Background(), splitJoinProgram(), edb, Options{Provenance: true, ChaseSubsumption: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestChaseSubsumptionWithinRound(t *testing.T) {
 	}
 	edb.AddTuple("B", schema.NewTuple(schema.Int(99))) // no concrete subsumer
 	opts := Options{Provenance: true, ChaseSubsumption: true}
-	got, err := Eval(prog, edb, opts)
+	got, err := EvalCtx(context.Background(), prog, edb, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestMaxMonomialsBoundsAnnotations(t *testing.T) {
 		})
 		edb.Add(pred, one, provenance.NewVar(provenance.Var(fmt.Sprint("e", i))))
 	}
-	res, err := Eval(prog, edb, Options{Provenance: true, MaxMonomials: 4})
+	res, err := EvalCtx(context.Background(), prog, edb, Options{Provenance: true, MaxMonomials: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestMaxMonomialsBoundsAnnotations(t *testing.T) {
 		t.Errorf("annotation has %d monomials, bound was 4", f.Prov.NumMonomials())
 	}
 	// Unbounded keeps all 20.
-	res2, err := Eval(prog, edb, Options{Provenance: true})
+	res2, err := EvalCtx(context.Background(), prog, edb, Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestJoinOrderIndependence(t *testing.T) {
 		prog := &Program{Rules: []Rule{{
 			ID: fmt.Sprint("q", i), Head: NewHead("Out", HV("x"), HV("y")), Body: body,
 		}}}
-		res, err := Eval(prog, edb, Options{})
+		res, err := EvalCtx(context.Background(), prog, edb, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestRepeatedVariableAcrossAtoms(t *testing.T) {
 	edb.AddTuple("A", schema.NewTuple(schema.Int(3), schema.Int(3)))
 	edb.AddTuple("B", schema.NewTuple(schema.Int(1)))
 	edb.AddTuple("B", schema.NewTuple(schema.Int(3)))
-	res, err := Eval(prog, edb, Options{})
+	res, err := EvalCtx(context.Background(), prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -35,7 +36,7 @@ func TestFloatsFollowTupleIdentity(t *testing.T) {
 		{ID: "range", Head: NewHead("W", HV("x")), Body: []Literal{
 			Pos(NewAtom("G", V("x"))), Cmp(V("x"), OpLe, C(zero)), Cmp(V("x"), OpGe, C(zero))}},
 	}}
-	out, err := Eval(prog, edb, Options{Provenance: true})
+	out, err := EvalCtx(context.Background(), prog, edb, Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}

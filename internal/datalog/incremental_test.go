@@ -42,7 +42,7 @@ func TestIncrementalInsertMatchesBatch(t *testing.T) {
 	}
 	// Compare against batch evaluation from scratch.
 	edb.Add("E", edge("c", "d"), provenance.NewVar("e2"))
-	batch, err := Eval(tcProgram(), edb, Options{Provenance: true})
+	batch, err := EvalCtx(context.Background(), tcProgram(), edb, Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestIncrementalDeleteMatchesBatch(t *testing.T) {
 		for _, k := range all[len(all)/2:] {
 			edb2.Add("E", edge(fmt.Sprint("v", k[0]), fmt.Sprint("v", k[1])), provenance.NewVar(tok(k[0], k[1])))
 		}
-		batch, err := Eval(tcProgram(), edb2, Options{Provenance: true})
+		batch, err := EvalCtx(context.Background(), tcProgram(), edb2, Options{Provenance: true})
 		if err != nil {
 			t.Fatal(err)
 		}

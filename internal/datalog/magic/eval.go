@@ -42,7 +42,7 @@ func AnswerRule(goal datalog.Atom) datalog.Rule {
 
 // Prepared is a goal query compiled for its shape: the view rules, the goal
 // predicate, the goal's binding pattern (which positions hold constants,
-// and which variables repeat) and the SIP. Everything a query of that shape
+// and which variables repeat). Everything a query of that shape
 // needs but its constants — the magic rewrite, validation, stratification
 // and the plans — is done once; Eval then seeds the demand predicate with
 // one goal's constants, runs the kept plans, and reads the answers from the
@@ -63,7 +63,7 @@ type Prepared struct {
 // Shape appends an injective encoding of a goal query's shape (see
 // Prepared) to b: two queries with equal encodings differ at most in the
 // goal's constants and variable names, so one Prepared answers both.
-func Shape(b []byte, rules []datalog.Rule, goal datalog.Atom, sip SIP) []byte {
+func Shape(b []byte, rules []datalog.Rule, goal datalog.Atom) []byte {
 	b = strconv.AppendInt(b, int64(len(rules)), 10)
 	b = append(b, ':')
 	for _, r := range rules {
@@ -73,7 +73,6 @@ func Shape(b []byte, rules []datalog.Rule, goal datalog.Atom, sip SIP) []byte {
 	b = strconv.AppendInt(b, int64(len(goal.Pred)), 10)
 	b = append(b, ':')
 	b = append(b, goal.Pred...)
-	b = append(b, byte('0'+sip))
 	for i, t := range goal.Terms {
 		switch {
 		case !t.IsVar():
@@ -106,7 +105,7 @@ func firstUse(terms []datalog.Term, i int) int {
 // unusable, the full program is prepared instead and Eval filters its
 // extent of the goal predicate — the answers are the same either way.
 // Errors are the input program's (unsafe rules, unstratifiable negation).
-func Prepare(rules []datalog.Rule, goal datalog.Atom, opts Options) (*Prepared, error) {
+func Prepare(rules []datalog.Rule, goal datalog.Atom) (*Prepared, error) {
 	p := &Prepared{arity: len(goal.Terms)}
 	pattern := make([]byte, len(goal.Terms))
 	for i, t := range goal.Terms {
@@ -138,7 +137,7 @@ func Prepare(rules []datalog.Rule, goal datalog.Atom, opts Options) (*Prepared, 
 			Body: []datalog.Literal{datalog.Pos(datalog.NewAtom(goal.Pred, vars...))},
 		})}
 	}
-	if res, err := Rewrite(prog, pred, string(pattern), opts); err == nil {
+	if res, err := Rewrite(prog, pred, string(pattern)); err == nil {
 		p.prog, p.seedPred, p.answerPred = res.Prepared, res.SeedPred, res.AnswerPred
 		return p, nil
 	}
@@ -218,9 +217,9 @@ next:
 // is unusable (see Rewrite) EvalGoal transparently falls back to full
 // evaluation, so callers always get the right answers.
 func EvalGoal(ctx context.Context, rules []datalog.Rule, goal datalog.Atom, edb *datalog.DB,
-	opts datalog.Options, mopts Options) (answers []datalog.Fact, goalDirected bool, err error) {
+	opts datalog.Options, _ Options) (answers []datalog.Fact, goalDirected bool, err error) {
 
-	p, err := Prepare(rules, goal, mopts)
+	p, err := Prepare(rules, goal)
 	if err != nil {
 		return nil, false, err
 	}

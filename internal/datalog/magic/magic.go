@@ -1,9 +1,9 @@
 // Package magic implements goal-directed evaluation of datalog programs by
-// the magic-sets rewrite: predicate adornment, sideways-information-passing
-// (SIP) strategies, constant-binding specialization, and generation of
-// magic (demand) predicates that gate rule firing, so that a bottom-up
-// fixpoint over the rewritten program derives only the facts reachable from
-// a goal instead of the whole model.
+// the magic-sets rewrite: predicate adornment, left-to-right sideways
+// information passing (SIP), constant-binding specialization, and
+// generation of magic (demand) predicates that gate rule firing, so that a
+// bottom-up fixpoint over the rewritten program derives only the facts
+// reachable from a goal instead of the whole model.
 //
 // The rewrite is the textbook generalized-magic-sets construction over
 // stratified programs:
@@ -11,8 +11,8 @@
 //   - Every IDB predicate is specialized per binding pattern ("adornment"):
 //     a string of 'b'/'f' marking which argument positions arrive bound.
 //     Bindings originate in the goal's binding pattern and propagate
-//     sideways through rule bodies in SIP order. The goal's constants are
-//     not part of the rewrite: they are the tuple that seeds the goal's
+//     sideways through rule bodies in written order. The goal's constants
+//     are not part of the rewrite: they are the tuple that seeds the goal's
 //     magic predicate, so one rewritten program (see Prepare) answers every
 //     goal of its shape.
 //   - For each adorned predicate p^a a magic predicate magic@a@p holds the
@@ -47,42 +47,10 @@ import (
 	"orchestra/internal/datalog"
 )
 
-// SIP selects the sideways-information-passing strategy: the order in which
-// a rule body's positive literals are considered when propagating bindings,
-// which determines both each IDB occurrence's adornment and the prefix its
-// magic rule joins.
-type SIP uint8
-
-const (
-	// LeftToRight passes bindings through positive literals in their
-	// written order — the classic strategy; predictable, and right when the
-	// author ordered the body selectively.
-	LeftToRight SIP = iota
-	// MostBound greedily picks the next positive literal with the most
-	// bound arguments (constants plus already-bound variables), mirroring
-	// the evaluator's greedy join planner, so demand propagates along the
-	// same selective path the joins will take.
-	MostBound
-)
-
-// String renders the strategy name.
-func (s SIP) String() string {
-	switch s {
-	case LeftToRight:
-		return "left-to-right"
-	case MostBound:
-		return "most-bound"
-	default:
-		return fmt.Sprintf("sip(%d)", uint8(s))
-	}
-}
-
-// Options configures the rewrite.
-type Options struct {
-	// SIP is the sideways-information-passing strategy (default
-	// LeftToRight).
-	SIP SIP
-}
+// Options configures the rewrite. It has no fields: bindings pass through
+// a rule body's positive literals in written order, the one strategy the
+// engine runs (DESIGN.md §7).
+type Options struct{}
 
 // Result is the outcome of a magic-sets rewrite.
 type Result struct {
@@ -130,7 +98,7 @@ type demand struct {
 // rewrite cannot be used (most notably a stratification conflict introduced
 // by adornment under negation) and the caller should evaluate the original
 // program in full.
-func Rewrite(p *datalog.Program, goal, pattern string, opts Options) (*Result, error) {
+func Rewrite(p *datalog.Program, goal, pattern string) (*Result, error) {
 	idb := p.IDBPreds()
 	if !idb[goal] {
 		return nil, fmt.Errorf("magic: goal predicate %q is not defined by any rule", goal)
@@ -154,7 +122,7 @@ func Rewrite(p *datalog.Program, goal, pattern string, opts Options) (*Result, e
 		d := worklist[0]
 		worklist = worklist[1:]
 		for _, r := range rulesByHead[d.pred] {
-			adornedRule, magicRules, demands := adornRule(r, d.pattern, idb, opts.SIP)
+			adornedRule, magicRules, demands := adornRule(r, d.pattern, idb)
 			out.Rules = append(out.Rules, adornedRule)
 			out.Rules = append(out.Rules, magicRules...)
 			for _, nd := range demands {
@@ -180,7 +148,7 @@ func Rewrite(p *datalog.Program, goal, pattern string, opts Options) (*Result, e
 // adornRule specializes one rule to the head binding pattern: it builds the
 // guarded adorned rule, the magic rules demanded by its IDB body literals,
 // and the list of adorned predicates those literals reference.
-func adornRule(r datalog.Rule, pattern string, idb map[string]bool, sip SIP) (datalog.Rule, []datalog.Rule, []demand) {
+func adornRule(r datalog.Rule, pattern string, idb map[string]bool) (datalog.Rule, []datalog.Rule, []demand) {
 	bound := map[string]bool{}
 	// The rule's own magic literal: the head terms at bound positions. A
 	// Skolem head term cannot be joined against the demanded binding — the
@@ -206,7 +174,7 @@ func adornRule(r datalog.Rule, pattern string, idb map[string]bool, sip SIP) (da
 	}
 	magicLit := datalog.Pos(datalog.NewAtom(magicName(r.Head.Pred, pattern), magicTerms...))
 
-	posOrder := sipOrder(r.Body, bound, sip)
+	posOrder := sipOrder(r.Body)
 	newBody := make([]datalog.Literal, 0, len(r.Body)+1)
 	newBody = append(newBody, magicLit)
 	prefix := []datalog.Literal{magicLit}
@@ -284,52 +252,14 @@ func patternFor(terms []datalog.Term, bound map[string]bool) string {
 	return string(b)
 }
 
-// sipOrder returns the indexes of the body's positive literals in SIP
-// order. LeftToRight keeps written order; MostBound repeatedly picks the
-// literal with the most bound arguments under the bindings accumulated so
-// far (ties broken by written order), simulating the binding growth as it
-// goes. The caller's bound set is not modified.
-func sipOrder(body []datalog.Literal, bound map[string]bool, sip SIP) []int {
+// sipOrder returns the indexes of the body's positive literals in the order
+// bindings pass sideways through them: written order.
+func sipOrder(body []datalog.Literal) []int {
 	var positives []int
 	for i, l := range body {
 		if l.Builtin == nil && !l.Negated {
 			positives = append(positives, i)
 		}
 	}
-	if sip == LeftToRight || len(positives) < 2 {
-		return positives
-	}
-	sim := make(map[string]bool, len(bound))
-	for v := range bound {
-		sim[v] = true
-	}
-	order := make([]int, 0, len(positives))
-	remaining := append([]int(nil), positives...)
-	for len(remaining) > 0 {
-		best, bestBound := -1, -1
-		for _, bi := range remaining {
-			nb := 0
-			for _, t := range body[bi].Atom.Terms {
-				if !t.IsVar() || sim[t.Name] {
-					nb++
-				}
-			}
-			if nb > bestBound {
-				best, bestBound = bi, nb
-			}
-		}
-		order = append(order, best)
-		for i, bi := range remaining {
-			if bi == best {
-				remaining = append(remaining[:i], remaining[i+1:]...)
-				break
-			}
-		}
-		for _, t := range body[best].Atom.Terms {
-			if t.IsVar() {
-				sim[t.Name] = true
-			}
-		}
-	}
-	return order
+	return positives
 }

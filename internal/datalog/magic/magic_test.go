@@ -52,39 +52,37 @@ var twoComponents = [][2]string{
 func TestRewriteBoundReachability(t *testing.T) {
 	edb := edgeDB(twoComponents)
 	goal := datalog.NewAtom("reach", datalog.C(str("a")), datalog.V("y"))
-	for _, sip := range []SIP{LeftToRight, MostBound} {
-		t.Run(sip.String(), func(t *testing.T) {
-			got, goalDirected, err := EvalGoal(context.Background(), tcRules(), goal, edb,
-				datalog.Options{Provenance: true}, Options{SIP: sip})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !goalDirected {
-				t.Fatal("rewrite unexpectedly fell back to full evaluation")
-			}
-			want, err := EvalGoalFull(context.Background(), tcRules(), goal, edb, datalog.Options{Provenance: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameAnswers(t, got, want)
-			if len(got) != 3 { // b, c, d
-				t.Fatalf("answers = %v", got)
-			}
-		})
-	}
+	t.Run("left-to-right", func(t *testing.T) {
+		got, goalDirected, err := EvalGoal(context.Background(), tcRules(), goal, edb,
+			datalog.Options{Provenance: true}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !goalDirected {
+			t.Fatal("rewrite unexpectedly fell back to full evaluation")
+		}
+		want, err := EvalGoalFull(context.Background(), tcRules(), goal, edb, datalog.Options{Provenance: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameAnswers(t, got, want)
+		if len(got) != 3 { // b, c, d
+			t.Fatalf("answers = %v", got)
+		}
+	})
 }
 
 // The goal-directed fixpoint must not materialize the undemanded component:
 // that is the whole point of the rewrite.
 func TestRewriteDerivesOnlyDemandedFacts(t *testing.T) {
 	edb := edgeDB(twoComponents)
-	res, err := Rewrite(&datalog.Program{Rules: tcRules()}, "reach", "bf", Options{})
+	res, err := Rewrite(&datalog.Program{Rules: tcRules()}, "reach", "bf")
 	if err != nil {
 		t.Fatal(err)
 	}
 	seeded := edb.Snapshot()
 	seeded.Set(res.SeedPred, schema.NewTuple(str("a")), provenance.One())
-	out, err := datalog.Eval(res.Program, seeded, datalog.Options{Provenance: true})
+	out, err := datalog.EvalCtx(context.Background(), res.Program, seeded, datalog.Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +97,7 @@ func TestRewriteDerivesOnlyDemandedFacts(t *testing.T) {
 	}
 	// Full evaluation derives the whole transitive closure of both
 	// components: 6 pairs on the a->b->c->d path, 9 on the u/v/w cycle.
-	full, err := datalog.Eval(&datalog.Program{Rules: tcRules()}, edb, datalog.Options{Provenance: true})
+	full, err := datalog.EvalCtx(context.Background(), &datalog.Program{Rules: tcRules()}, edb, datalog.Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,13 +110,13 @@ func TestRewriteDerivesOnlyDemandedFacts(t *testing.T) {
 // product of the prefix they were derived through.
 func TestMagicFactsCarryNoProvenance(t *testing.T) {
 	edb := edgeDB(twoComponents)
-	res, err := Rewrite(&datalog.Program{Rules: tcRules()}, "reach", "bf", Options{})
+	res, err := Rewrite(&datalog.Program{Rules: tcRules()}, "reach", "bf")
 	if err != nil {
 		t.Fatal(err)
 	}
 	seeded := edb.Snapshot()
 	seeded.Set(res.SeedPred, schema.NewTuple(str("a")), provenance.One())
-	out, err := datalog.Eval(res.Program, seeded, datalog.Options{Provenance: true})
+	out, err := datalog.EvalCtx(context.Background(), res.Program, seeded, datalog.Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +194,7 @@ func TestRewriteSkolemHeadDemoted(t *testing.T) {
 }
 
 func TestRewriteRejectsNonIDBGoal(t *testing.T) {
-	if _, err := Rewrite(&datalog.Program{Rules: tcRules()}, "edge", "ff", Options{}); err == nil {
+	if _, err := Rewrite(&datalog.Program{Rules: tcRules()}, "edge", "ff"); err == nil {
 		t.Fatal("EDB goal accepted")
 	}
 }
@@ -297,11 +295,11 @@ func TestShapeTellsTermKindsApart(t *testing.T) {
 	cache := map[string]*Prepared{}
 	answers := map[string]string{}
 	for _, v := range views {
-		key := string(Shape(nil, v.rules, goal, LeftToRight))
+		key := string(Shape(nil, v.rules, goal))
 		p, ok := cache[key]
 		if !ok {
 			var err error
-			if p, err = Prepare(v.rules, goal, Options{}); err != nil {
+			if p, err = Prepare(v.rules, goal); err != nil {
 				t.Fatal(err)
 			}
 			cache[key] = p

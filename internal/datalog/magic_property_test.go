@@ -17,7 +17,7 @@ import (
 // and goal binding pattern, goal-directed evaluation returns exactly the
 // tuples AND exactly the provenance polynomials of the full fixpoint — across
 // randomized recursive programs, stratified negation, comparisons, repeated
-// variables, and both SIP strategies. The test lives here, not in package
+// variables. The test lives here, not in package
 // magic, because its second half needs the reference evaluator: the
 // streaming pipelines must agree with it on the rewritten programs too, not
 // just on hand-written ones.
@@ -45,34 +45,32 @@ func TestGoalDirectedEquivalenceProperty(t *testing.T) {
 			t.Fatalf("trial %d: streaming full fixpoint diverges from the oracle\ngoal: %v\nrules: %s\n got: %v\nwant: %v",
 				trial, goal, formatRules(rules), want, oracleWant)
 		}
-		for _, sip := range []magic.SIP{magic.LeftToRight, magic.MostBound} {
-			got, _, err := magic.EvalGoal(ctx, rules, goal, edb, opts, magic.Options{SIP: sip})
-			if (err != nil) != (fullErr != nil) {
-				t.Fatalf("trial %d sip %s: error divergence: goal-directed %v, full %v\nrules: %v\ngoal: %v",
-					trial, sip, err, fullErr, rules, goal)
+		got, _, err := magic.EvalGoal(ctx, rules, goal, edb, opts, magic.Options{})
+		if (err != nil) != (fullErr != nil) {
+			t.Fatalf("trial %d: error divergence: goal-directed %v, full %v\nrules: %v\ngoal: %v",
+				trial, err, fullErr, rules, goal)
+		}
+		if fullErr != nil {
+			continue
+		}
+		if !sameAnswers(got, want) {
+			t.Fatalf("trial %d: answers diverge\ngoal: %v\nrules: %s\n got: %v\nwant: %v",
+				trial, goal, formatRules(rules), got, want)
+		}
+		// The rewrite of the answer rule's program for the all-free
+		// @goal, whose demand seed is the empty tuple, by the oracle.
+		oracleGot := oracleWant
+		allFree := strings.Repeat("f", len(magic.AnswerRule(goal).Head.Terms))
+		if res, rerr := magic.Rewrite(prog, magic.AnswerPred, allFree); rerr == nil {
+			seeded := edb.Snapshot()
+			seeded.Set(res.SeedPred, schema.Tuple{}, provenance.One())
+			if oracleGot, err = oracleAnswers(res.Program, res.AnswerPred, seeded, opts); err != nil {
+				t.Fatalf("trial %d: oracle goal-directed error: %v", trial, err)
 			}
-			if fullErr != nil {
-				continue
-			}
-			if !sameAnswers(got, want) {
-				t.Fatalf("trial %d sip %s: answers diverge\ngoal: %v\nrules: %s\n got: %v\nwant: %v",
-					trial, sip, goal, formatRules(rules), got, want)
-			}
-			// The rewrite of the answer rule's program for the all-free
-			// @goal, whose demand seed is the empty tuple, by the oracle.
-			oracleGot := oracleWant
-			allFree := strings.Repeat("f", len(magic.AnswerRule(goal).Head.Terms))
-			if res, rerr := magic.Rewrite(prog, magic.AnswerPred, allFree, magic.Options{SIP: sip}); rerr == nil {
-				seeded := edb.Snapshot()
-				seeded.Set(res.SeedPred, schema.Tuple{}, provenance.One())
-				if oracleGot, err = oracleAnswers(res.Program, res.AnswerPred, seeded, opts); err != nil {
-					t.Fatalf("trial %d sip %s: oracle goal-directed error: %v", trial, sip, err)
-				}
-			}
-			if !sameAnswers(oracleGot, got) {
-				t.Fatalf("trial %d sip %s: streaming goal-directed diverges from the oracle\ngoal: %v\nrules: %s\n got: %v\nwant: %v",
-					trial, sip, goal, formatRules(rules), got, oracleGot)
-			}
+		}
+		if !sameAnswers(oracleGot, got) {
+			t.Fatalf("trial %d: streaming goal-directed diverges from the oracle\ngoal: %v\nrules: %s\n got: %v\nwant: %v",
+				trial, goal, formatRules(rules), got, oracleGot)
 		}
 	}
 }

@@ -112,16 +112,6 @@ type EvalStats struct {
 	TokenIndexBuilds atomic.Int64
 }
 
-// PushdownRate returns the fraction of index probes whose key carried at
-// least one pushed-down filter column — the pushdown hit rate.
-func (s *EvalStats) PushdownRate() float64 {
-	p := s.Probes.Load()
-	if p == 0 {
-		return 0
-	}
-	return float64(s.PushdownProbes.Load()) / float64(p)
-}
-
 // String renders the counters on one line, for logs and test failures.
 func (s *EvalStats) String() string {
 	return fmt.Sprintf(

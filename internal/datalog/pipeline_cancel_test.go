@@ -66,7 +66,7 @@ func TestEvalCancellationMidPipeline(t *testing.T) {
 		requireEDBUntouched(t, edb, 200)
 		// The same EDB must evaluate cleanly afterwards.
 		small, smallEDB := crossProductWorkload(8)
-		got, err := Eval(small, smallEDB, Options{})
+		got, err := EvalCtx(context.Background(), small, smallEDB, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -149,15 +149,6 @@ func (p *plan) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// order returns the body indexes in scheduled order.
-func (p *plan) order() []int {
-	out := make([]int, len(p.steps))
-	for i, s := range p.steps {
-		out[i] = s.bodyIdx
-	}
-	return out
-}
-
 // appendLP appends a length-prefixed string, keeping concatenations of
 // arbitrary names unambiguous.
 func appendLP(b []byte, s string) []byte {

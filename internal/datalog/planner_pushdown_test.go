@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -106,7 +107,7 @@ func TestPushdownEquivalenceOnData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Eval(prog, edb, Options{Provenance: true})
+	got, err := EvalCtx(context.Background(), prog, edb, Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestConstGateEquivalenceOnData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Eval(prog, edb, Options{})
+		got, err := EvalCtx(context.Background(), prog, edb, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,15 @@ import (
 	"orchestra/internal/schema"
 )
 
+// order returns the body indexes in scheduled order.
+func (p *plan) order() []int {
+	out := make([]int, len(p.steps))
+	for i, s := range p.steps {
+		out[i] = s.bodyIdx
+	}
+	return out
+}
+
 // --- plan ordering ---
 
 func TestPlanDimensionTablesBeforeWideScan(t *testing.T) {
@@ -164,7 +173,7 @@ func TestPlanCacheKeyIsStructural(t *testing.T) {
 	edb.AddTuple("R", schema.NewTuple(schema.String("viaInt"), schema.Int(1)))
 	edb.AddTuple("R", schema.NewTuple(schema.String("viaFloat"), schema.Float(1)))
 	edb.AddTuple("S", schema.NewTuple(schema.String("viaVar"), schema.String("anything")))
-	res, err := Eval(prog, edb, Options{})
+	res, err := EvalCtx(context.Background(), prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +343,7 @@ func TestPlannerEquivalentToWrittenOrder(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := Eval(prog, edb, base)
+				got, err := EvalCtx(context.Background(), prog, edb, base)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -355,7 +364,7 @@ func TestAllUnboundCrossProductEnumeratesFully(t *testing.T) {
 		edb.AddTuple("B", schema.NewTuple(schema.Int(i)))
 		edb.AddTuple("C", schema.NewTuple(schema.Int(i)))
 	}
-	res, err := Eval(prog, edb, Options{})
+	res, err := EvalCtx(context.Background(), prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +379,7 @@ func TestNegationAgainstEmptyRelation(t *testing.T) {
 		Pos(NewAtom("A", V("x"))), Neg(NewAtom("Gone", V("x")))}}}}
 	edb := NewDB()
 	edb.AddTuple("A", schema.NewTuple(schema.Int(1)))
-	res, err := Eval(prog, edb, Options{})
+	res, err := EvalCtx(context.Background(), prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +395,7 @@ func TestEmptyBodyIntermediateTerminatesEarly(t *testing.T) {
 		Pos(NewAtom("A", V("x"), V("y"))), Pos(NewAtom("Empty", V("y"), V("z")))}}}}
 	edb := NewDB()
 	edb.AddTuple("A", schema.NewTuple(schema.Int(1), schema.Int(2)))
-	res, err := Eval(prog, edb, Options{})
+	res, err := EvalCtx(context.Background(), prog, edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +420,7 @@ func TestStressTransitiveClosureMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Eval(tcProgram(), edb, Options{})
+	got, err := EvalCtx(context.Background(), tcProgram(), edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func fallbackRules() []datalog.Rule {
 // One prepared shape answers many goals: for random programs (recursion,
 // negation, the rewrite's stratification fallback) and goals on views and
 // stored relations — boolean goals, repeated variables, and constants
-// drawn from mixedDomain — each shape is prepared once per SIP and
+// drawn from mixedDomain — each shape is prepared once and
 // evaluated for a run of constant sets, with writes that change relation
 // sizes, and so flip the plans' size ties, in between. Every evaluation
 // must equal EvalGoalFull's answers: rows, polynomials and order.
@@ -94,32 +94,30 @@ func TestPreparedGoalProperty(t *testing.T) {
 			return datalog.NewAtom(pred, terms...)
 		}
 		opts := datalog.Options{Provenance: true}
-		for _, sip := range []magic.SIP{magic.LeftToRight, magic.MostBound} {
-			prep, err := magic.Prepare(rules, goalFor(), magic.Options{SIP: sip})
-			if err != nil {
-				t.Fatalf("trial %d sip %s: prepare: %v\nrules: %s", trial, sip, err, formatRules(rules))
-			}
-			if !prep.GoalDirected() {
-				fallbacks++
-			}
-			for run := 0; run < 10; run++ {
-				goal := goalFor()
-				got, err := prep.Eval(ctx, goal, edb, opts)
-				if err != nil {
-					t.Fatalf("trial %d sip %s run %d: %v", trial, sip, run, err)
-				}
-				want, err := magic.EvalGoalFull(ctx, rules, goal, edb, opts)
-				if err != nil {
-					t.Fatalf("trial %d sip %s run %d: full: %v", trial, sip, run, err)
-				}
-				if !sameAnswers(got, want) {
-					t.Fatalf("trial %d sip %s run %d: answers diverge\ngoal: %v\nrules: %s\n got: %v\nwant: %v",
-						trial, sip, run, goal, formatRules(rules), got, want)
-				}
-				write()
-			}
-			replans += prep.Replans()
+		prep, err := magic.Prepare(rules, goalFor())
+		if err != nil {
+			t.Fatalf("trial %d: prepare: %v\nrules: %s", trial, err, formatRules(rules))
 		}
+		if !prep.GoalDirected() {
+			fallbacks++
+		}
+		for run := 0; run < 10; run++ {
+			goal := goalFor()
+			got, err := prep.Eval(ctx, goal, edb, opts)
+			if err != nil {
+				t.Fatalf("trial %d run %d: %v", trial, run, err)
+			}
+			want, err := magic.EvalGoalFull(ctx, rules, goal, edb, opts)
+			if err != nil {
+				t.Fatalf("trial %d run %d: full: %v", trial, run, err)
+			}
+			if !sameAnswers(got, want) {
+				t.Fatalf("trial %d run %d: answers diverge\ngoal: %v\nrules: %s\n got: %v\nwant: %v",
+					trial, run, goal, formatRules(rules), got, want)
+			}
+			write()
+		}
+		replans += prep.Replans()
 	}
 	if fallbacks == 0 {
 		t.Error("no trial exercised the stratification fallback")

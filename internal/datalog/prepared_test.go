@@ -39,7 +39,7 @@ func TestPreparedPlansFollowSizeTies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Eval(prog, edb, Options{Provenance: true})
+		want, err := EvalCtx(context.Background(), prog, edb, Options{Provenance: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,10 +12,23 @@ import (
 	"orchestra/internal/schema"
 )
 
+// deepClone copies every extent of db eagerly (indexes are not copied): the
+// private copy evaluation made before copy-on-write snapshots.
+func deepClone(db *DB) *DB {
+	c := NewDB()
+	for p, r := range db.rels {
+		r = r.cowClone()
+		r.owner = c.owner.Load()
+		c.rels[p] = r
+	}
+	return c
+}
+
 // fingerprint renders the complete observable state of a database —
 // predicates, tuples in canonical order, and provenance strings — so
 // aliasing bugs that leak through any path (membership table, in-place
 // provenance writes, index chains) show up as a diff.
+
 func fingerprint(db *DB) string {
 	var b strings.Builder
 	for _, pred := range db.Preds() {
@@ -195,13 +208,13 @@ func TestSnapshotEvalByteIdentical(t *testing.T) {
 		edb.Add("B", schema.NewTuple(node(5), node(7)), provenance.NewVar("bshort"))
 		before := fingerprint(edb)
 		// Snapshot-based evaluation (Eval's internal path).
-		got, err := Eval(prog, edb, opts)
+		got, err := EvalCtx(context.Background(), prog, edb, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Deep-copy evaluation: the pre-COW semantics, reproduced by
 		// evaluating over an eagerly cloned EDB.
-		want, err := Eval(prog, edb.Clone(), opts)
+		want, err := EvalCtx(context.Background(), prog, deepClone(edb), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

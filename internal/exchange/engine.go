@@ -103,12 +103,6 @@ func (c Config) maxMonomials() int {
 	}
 }
 
-// NewEngine builds an engine for the given peers and mappings, starting
-// from an empty union database.
-func NewEngine(peers map[string]*schema.Schema, mappings []*mapping.Mapping) (*Engine, error) {
-	return NewEngineWith(peers, mappings, Config{})
-}
-
 // NewEngineWith builds an engine with explicit evaluation tuning.
 func NewEngineWith(peers map[string]*schema.Schema, mappings []*mapping.Mapping, cfg Config) (*Engine, error) {
 	prog, err := mapping.Compile(mappings)
@@ -949,28 +943,19 @@ func (e *Engine) MaterializePeer(ctx context.Context, peer string, trusts func(u
 			if !f.Prov.Derivable(alive) {
 				continue
 			}
-			if err := inst.Insert(rel.Name, f.Tuple, f.Prov.Restrict(alive)); err != nil {
-				// Key violations can occur when two trusted transactions
-				// disagree; materialization is first-writer-wins here, and
-				// reconciliation is responsible for not trusting
-				// conflicting transactions simultaneously.
-				var kv *storage.ErrKeyViolation
-				if asKeyViolation(err, &kv) {
-					continue
-				}
+			// Two trusted transactions can disagree on a key;
+			// materialization is first-writer-wins here, and
+			// reconciliation is responsible for not trusting conflicting
+			// transactions simultaneously.
+			if prev, ok := inst.Table(rel.Name).GetByKey(rel.KeyOf(f.Tuple)); ok && !prev.Tuple.Equal(f.Tuple) {
+				continue
+			}
+			if _, err := inst.Upsert(rel.Name, f.Tuple, f.Prov.Restrict(alive)); err != nil {
 				return nil, err
 			}
 		}
 	}
 	return inst, nil
-}
-
-func asKeyViolation(err error, target **storage.ErrKeyViolation) bool {
-	kv, ok := err.(*storage.ErrKeyViolation)
-	if ok {
-		*target = kv
-	}
-	return ok
 }
 
 // Recompute rebuilds the union database from scratch using the base facts

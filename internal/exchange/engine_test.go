@@ -283,7 +283,7 @@ func TestMaterializePeerTrustFiltering(t *testing.T) {
 		t.Fatal(err)
 	}
 	if onlyD.Table("OPS").Len() != 1 ||
-		!onlyD.Contains("OPS", workload.OPSTuple("rat", "ins", "CCCC")) {
+		!onlyD.Table("OPS").Rows()[0].Tuple.Equal(workload.OPSTuple("rat", "ins", "CCCC")) {
 		t.Errorf("crete(trust dresden) = %v", onlyD.Table("OPS").Rows())
 	}
 }

@@ -182,9 +182,6 @@ func (db *DB) Close() error {
 	return firstErr
 }
 
-// Dir returns the DB directory.
-func (db *DB) Dir() string { return db.dir }
-
 // Batch is an ordered set of writes applied and logged atomically: one WAL
 // record, one checksum, at most one fsync.
 type Batch struct {
@@ -336,13 +333,6 @@ func (db *DB) Put(key, val []byte, sync bool) error {
 	return db.Apply(b, sync)
 }
 
-// Delete tombstones one key (a one-op batch).
-func (db *DB) Delete(key []byte, sync bool) error {
-	b := NewBatch()
-	b.Delete(key)
-	return db.Apply(b, sync)
-}
-
 func (db *DB) usable() error {
 	if db.closed {
 		return fmt.Errorf("lsm: db is closed")
@@ -380,19 +370,6 @@ func (db *DB) maybeFlushLocked() error {
 		db.walSegs++
 	}
 	return nil
-}
-
-// Flush forces the memtable (and any frozen predecessors) into an SSTable
-// segment and advances the WAL floor past their log records. Callers use it
-// as a checkpoint barrier: once Flush returns, recovery cost for the
-// flushed data is a manifest read, not a log replay.
-func (db *DB) Flush() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.usable(); err != nil {
-		return err
-	}
-	return db.flushLocked()
 }
 
 func (db *DB) flushLocked() error {

@@ -7,6 +7,25 @@ import (
 	"testing"
 )
 
+// flush forces the memtable (and any frozen predecessors) into an SSTable
+// segment and advances the WAL floor past their log records, so a test can
+// place data in a segment without writing a memtable's worth of it.
+func (db *DB) flush() error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := db.usable(); err != nil {
+		return err
+	}
+	return db.flushLocked()
+}
+
+// del tombstones one key (a one-op batch).
+func (db *DB) del(key []byte, sync bool) error {
+	b := NewBatch()
+	b.Delete(key)
+	return db.Apply(b, sync)
+}
+
 func mustOpen(t *testing.T, dir string, opt Options) *DB {
 	t.Helper()
 	db, err := Open(dir, opt)
@@ -31,7 +50,7 @@ func TestDBBasicPutGetDelete(t *testing.T) {
 	if err != nil || !ok || string(v) != "v1" {
 		t.Fatalf("get: %q %v %v", v, ok, err)
 	}
-	if err := db.Delete([]byte("k1"), true); err != nil {
+	if err := db.del([]byte("k1"), true); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := db.Get([]byte("k1")); ok {
@@ -54,7 +73,7 @@ func TestDBRandomizedVsOracle(t *testing.T) {
 		k := fmt.Sprintf("key-%03d", rng.Intn(300))
 		if rng.Intn(4) == 0 {
 			delete(oracle, k)
-			if err := db.Delete([]byte(k), false); err != nil {
+			if err := db.del([]byte(k), false); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -121,8 +140,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		db.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("new"), false)
 	}
-	db.Delete([]byte("k00"), false)
-	if err := db.Flush(); err != nil {
+	db.del([]byte("k00"), false)
+	if err := db.flush(); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
@@ -216,11 +235,11 @@ func TestTombstonesMaskOlderSegments(t *testing.T) {
 	db := mustOpen(t, t.TempDir(), smallOpts())
 	defer db.Close()
 	db.Put([]byte("gone"), []byte("v"), false)
-	if err := db.Flush(); err != nil { // "gone" now lives in a segment
+	if err := db.flush(); err != nil { // "gone" now lives in a segment
 		t.Fatal(err)
 	}
-	db.Delete([]byte("gone"), false)
-	if err := db.Flush(); err != nil { // tombstone in a newer segment
+	db.del([]byte("gone"), false)
+	if err := db.flush(); err != nil { // tombstone in a newer segment
 		t.Fatal(err)
 	}
 	if _, ok, _ := db.Get([]byte("gone")); ok {

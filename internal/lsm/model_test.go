@@ -155,7 +155,7 @@ func runModel(t *testing.T, seed int64) {
 				closeHeld(rng.Intn(len(held)))
 			}
 		case op < 19:
-			if err := db.Flush(); err != nil {
+			if err := db.flush(); err != nil {
 				t.Fatalf("step %d: flush: %v", step, err)
 			}
 		default:

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -113,7 +114,7 @@ func TestJoinMappingEvaluation(t *testing.T) {
 	edb.Add("alaska.S", schema.NewTuple(schema.Int(1), schema.Int(10), str("ACGT")), provenance.NewVar("s1"))
 	// A dangling S tuple with no matching P: must not produce OPS.
 	edb.Add("alaska.S", schema.NewTuple(schema.Int(1), schema.Int(99), str("TTTT")), provenance.NewVar("s2"))
-	res, err := datalog.Eval(prog, edb, datalog.Options{Provenance: true})
+	res, err := datalog.EvalCtx(context.Background(), prog, edb, datalog.Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestSplitMappingSharedSkolems(t *testing.T) {
 	edb := datalog.NewDB()
 	edb.AddTuple("crete.OPS", schema.NewTuple(str("mouse"), str("p53"), str("ACGT")))
 	edb.AddTuple("crete.OPS", schema.NewTuple(str("mouse"), str("brca1"), str("GGGG")))
-	res, err := datalog.Eval(prog, edb, datalog.Options{Provenance: true})
+	res, err := datalog.EvalCtx(context.Background(), prog, edb, datalog.Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestIdentityMappings(t *testing.T) {
 	}
 	edb := datalog.NewDB()
 	edb.AddTuple("alaska.O", schema.NewTuple(str("mouse"), schema.Int(1)))
-	res, err := datalog.Eval(prog, edb, datalog.Options{})
+	res, err := datalog.EvalCtx(context.Background(), prog, edb, datalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestMappingWithBuiltin(t *testing.T) {
 	edb := datalog.NewDB()
 	edb.AddTuple("a.S", schema.NewTuple(schema.Int(5), str("AA")))
 	edb.AddTuple("a.S", schema.NewTuple(schema.Int(500), str("BB")))
-	res, err := datalog.Eval(prog, edb, datalog.Options{})
+	res, err := datalog.EvalCtx(context.Background(), prog, edb, datalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestRoundTripJoinSplit(t *testing.T) {
 	edb.AddTuple("alaska.O", schema.NewTuple(str("mouse"), schema.Int(1)))
 	edb.AddTuple("alaska.P", schema.NewTuple(str("p53"), schema.Int(10)))
 	edb.AddTuple("alaska.S", schema.NewTuple(schema.Int(1), schema.Int(10), str("ACGT")))
-	res, err := datalog.Eval(prog, edb, datalog.Options{Provenance: true})
+	res, err := datalog.EvalCtx(context.Background(), prog, edb, datalog.Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}

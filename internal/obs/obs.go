@@ -131,14 +131,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Quantile returns the value at quantile q in [0, 1]: the upper bound of
 // the first bucket whose cumulative count reaches q of the total. Returns
 // 0 with no observations.
@@ -351,39 +343,6 @@ type Snapshot struct {
 	Gauges     map[string]int64             `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 	Spans      []SpanRecord                 `json:"spans,omitempty"`
-}
-
-// Delta returns the change from prev to s: counters and histogram
-// count/sum subtract, gauges and percentiles carry s's current values, and
-// spans are s's. Metrics absent from prev report their full value. Both
-// snapshots must come from the same registry for the result to mean
-// anything.
-func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
-	out := &Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
-		Histograms: map[string]HistogramSnapshot{},
-		Spans:      s.Spans,
-	}
-	for k, v := range s.Counters {
-		if d := v - prev.Counters[k]; d != 0 {
-			out.Counters[k] = d
-		}
-	}
-	for k, v := range s.Gauges {
-		out.Gauges[k] = v
-	}
-	for k, v := range s.Histograms {
-		p := prev.Histograms[k]
-		d := v
-		d.Count -= p.Count
-		d.Sum -= p.Sum
-		d.Buckets = nil
-		if d.Count > 0 {
-			out.Histograms[k] = d
-		}
-	}
-	return out
 }
 
 // SortedCounterNames returns the snapshot's counter names in order, for

@@ -2,7 +2,6 @@ package p2p
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -19,9 +18,6 @@ import (
 type Client struct {
 	addr    string
 	timeout time.Duration
-	// ctx, when set via WithContext, bounds every request: cancellation
-	// aborts the dial and unblocks in-flight I/O.
-	ctx context.Context
 }
 
 // DefaultClientTimeout bounds each request's dial and I/O when no explicit
@@ -41,48 +37,14 @@ func NewClientWith(addr string, timeout time.Duration) *Client {
 	return &Client{addr: addr, timeout: timeout}
 }
 
-// WithContext returns a client whose requests additionally honor ctx:
-// cancellation aborts the dial and any blocked read or write, and the
-// returned error is the context's. The receiver is unchanged.
-func (c *Client) WithContext(ctx context.Context) *Client {
-	cp := *c
-	cp.ctx = ctx
-	return &cp
-}
-
 func (c *Client) roundTrip(req request) (response, error) {
-	ctx := c.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return response{}, err
-	}
-	d := net.Dialer{Timeout: c.timeout}
-	conn, err := d.DialContext(ctx, "tcp", c.addr)
+	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
 	if err != nil {
-		if ce := ctx.Err(); ce != nil {
-			return response{}, ce
-		}
 		return response{}, fmt.Errorf("p2p: dial %s: %w", c.addr, err)
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(c.timeout))
-	// The watcher yanks the deadline on cancellation so a blocked read or
-	// write returns immediately instead of waiting out the full timeout.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			_ = conn.SetDeadline(time.Now())
-		case <-done:
-		}
-	}()
 	fail := func(stage string, err error) (response, error) {
-		if ce := ctx.Err(); ce != nil {
-			return response{}, ce
-		}
 		return response{}, fmt.Errorf("p2p: %s %s: %w", stage, c.addr, err)
 	}
 	enc := json.NewEncoder(conn)
@@ -182,7 +144,7 @@ func (r *ReplicatedStore) Publish(txns []*updates.Transaction) (uint64, error) {
 		}
 	}
 	if okCount == 0 {
-		return 0, fmt.Errorf("p2p: publish failed on all %d replicas: %v", len(r.replicas), firstErr)
+		return 0, fmt.Errorf("p2p: publish failed on all %d replicas: %w", len(r.replicas), firstErr)
 	}
 	return best, nil
 }
@@ -210,7 +172,7 @@ func (r *ReplicatedStore) Since(since uint64) ([]*updates.Transaction, uint64, e
 		reachable = true
 	}
 	if !reachable {
-		return nil, 0, fmt.Errorf("p2p: all %d replicas unreachable: %v", len(r.replicas), firstErr)
+		return nil, 0, fmt.Errorf("p2p: all %d replicas unreachable: %w", len(r.replicas), firstErr)
 	}
 	return bestTxns, bestEpoch, nil
 }
@@ -236,7 +198,7 @@ func (r *ReplicatedStore) Epoch() (uint64, error) {
 		reachable = true
 	}
 	if !reachable {
-		return 0, fmt.Errorf("p2p: all %d replicas unreachable: %v", len(r.replicas), firstErr)
+		return 0, fmt.Errorf("p2p: all %d replicas unreachable: %w", len(r.replicas), firstErr)
 	}
 	return best, nil
 }

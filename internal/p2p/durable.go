@@ -15,7 +15,7 @@ import (
 // archive is disk-resident: Publish commits one lsm.Batch (one WAL record,
 // one fsync — the group-commit window a PublishAll hands us), and Since
 // streams transactions out of a snapshot range scan. Only the epoch counter
-// and a record count live in memory, so the archive is not capped by RAM.
+// lives in memory, so the archive is not capped by RAM.
 //
 // The store may share its lsm.DB with other keyspaces (peer checkpoints use
 // the same database under a different prefix); all its keys live under
@@ -24,7 +24,6 @@ type DurableStore struct {
 	mu    sync.Mutex
 	db    *lsm.DB
 	epoch uint64
-	count int
 	// Metric handles (nil when no registry is installed; see SetMetrics).
 	pubBatches *obs.Counter   // p2p_publish_batches_total
 	pubTxns    *obs.Counter   // p2p_published_txns_total
@@ -90,7 +89,6 @@ func NewDurableStore(db *lsm.DB) (*DurableStore, error) {
 				s.epoch = e
 			}
 		}
-		s.count++
 		return true
 	})
 	if err != nil {
@@ -137,7 +135,6 @@ func (s *DurableStore) Publish(txns []*updates.Transaction) (uint64, error) {
 		return 0, err
 	}
 	s.epoch = epoch
-	s.count += len(txns)
 	s.pubBatches.Inc()
 	s.pubTxns.Add(int64(len(txns)))
 	s.pubBytes.Add(bytes)
@@ -183,13 +180,6 @@ func (s *DurableStore) Epoch() (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.epoch, nil
-}
-
-// Len returns the number of archived transactions.
-func (s *DurableStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
 }
 
 var _ Store = (*DurableStore)(nil)

@@ -37,8 +37,8 @@ func TestDurableStoreRoundTrip(t *testing.T) {
 	if e, err := ds.Publish([]*updates.Transaction{t2}); err != nil || e != 2 {
 		t.Fatalf("publish 2: %d %v", e, err)
 	}
-	if ds.Len() != 2 {
-		t.Errorf("Len = %d", ds.Len())
+	if n := archived(t, ds); n != 2 {
+		t.Errorf("archived %d transactions, want 2", n)
 	}
 	if _, err := ds.Publish([]*updates.Transaction{txn("a", 1)}); !errors.Is(err, ErrAlreadyPublished) {
 		t.Errorf("duplicate publish: %v", err)
@@ -98,8 +98,8 @@ func TestDurableStoreBatchIsAtomic(t *testing.T) {
 	if _, err := ds.Publish([]*updates.Transaction{txn("c", 1), txn("c", 1)}); !errors.Is(err, ErrAlreadyPublished) {
 		t.Fatalf("intra-batch duplicate: %v", err)
 	}
-	if ds.Len() != 3 {
-		t.Fatalf("failed publish left traces: Len = %d", ds.Len())
+	if n := archived(t, ds); n != 3 {
+		t.Fatalf("failed publish left traces: %d transactions archived", n)
 	}
 	if _, err := ds.Publish([]*updates.Transaction{txn("c", 1)}); err != nil {
 		t.Fatalf("peer c's txn should still be publishable: %v", err)

@@ -15,13 +15,12 @@ import (
 // per line, one response per line. It plays the role of one node of the
 // paper's distributed update store.
 type Server struct {
-	store    Store
-	ln       net.Listener
-	mu       sync.Mutex
-	conns    map[net.Conn]bool
-	closed   bool
-	wg       sync.WaitGroup
-	PeerAddr string // informational
+	store  Store
+	ln     net.Listener
+	mu     sync.Mutex
+	conns  map[net.Conn]bool
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // NewServer starts a store server on addr (e.g. "127.0.0.1:0"). Any Store
@@ -40,9 +39,6 @@ func NewServer(store Store, addr string) (*Server, error) {
 
 // Addr returns the listening address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Store returns the underlying store (for anti-entropy between replicas).
-func (s *Server) Store() Store { return s.store }
 
 // Close stops the server and drops open connections.
 func (s *Server) Close() error {

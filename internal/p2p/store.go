@@ -92,13 +92,6 @@ func (s *MemoryStore) Epoch() (uint64, error) {
 	return s.epoch, nil
 }
 
-// Len returns the number of archived transactions.
-func (s *MemoryStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.log)
-}
-
 // merge folds remote transactions into the store during anti-entropy,
 // keeping the maximum epoch. Duplicates are skipped.
 func (s *MemoryStore) merge(txns []*updates.Transaction, epoch uint64) {

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -27,7 +28,7 @@ func TestParseRulesTC(t *testing.T) {
 	edb := datalog.NewDB()
 	edb.AddTuple("E", schema.NewTuple(schema.String("a"), schema.String("b")))
 	edb.AddTuple("E", schema.NewTuple(schema.String("b"), schema.String("c")))
-	res, err := datalog.Eval(prog, edb, datalog.Options{})
+	res, err := datalog.EvalCtx(context.Background(), prog, edb, datalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestParseMappingSplitWithExistentials(t *testing.T) {
 	edb := datalog.NewDB()
 	edb.Add("crete.OPS", schema.NewTuple(schema.String("fly"), schema.String("myc"), schema.String("G")),
 		provenance.NewVar("x"))
-	res, err := datalog.Eval(prog, edb, datalog.Options{Provenance: true})
+	res, err := datalog.EvalCtx(context.Background(), prog, edb, datalog.Options{Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,9 @@
 // the formal foundation ORCHESTRA uses to trace where exchanged data came
 // from. Derived tuples carry polynomials in B[X], the witness-set semiring:
 // each monomial is a set of base-tuple tokens that jointly derive the tuple.
-// ORCHESTRA reads provenance for trust conditions and for deletion, and both
-// evaluate it under semirings whose + and · are idempotent. Evaluation into
-// any such semiring factors through B[X], so each of those annotations is
-// obtained by evaluating the witness set under the homomorphism determined
-// by an assignment of the variables (see Eval).
+// ORCHESTRA reads provenance for trust conditions (which tokens a tuple
+// derives from) and for deletion (Derivable): both questions are answered
+// by the witness sets themselves.
 //
 // Inside a polynomial a token is a Token, a dense uint32 id from one
 // append-only, process-wide table (token.go); a monomial is a set of ids
@@ -53,11 +51,7 @@ func (m Monomial) String() string {
 
 // Poly is a provenance polynomial in B[X], the witness-set semiring: a set
 // of monomials, each a set of tokens. + is set union and · the pairwise
-// union of monomials, so p + p = p and x·x = x. Evaluation into any
-// semiring whose + and · are idempotent factors through B[X], so witness
-// sets answer every question those semirings ask — derivability
-// (BoolSemiring), trust (TrustSemiring), clearance (SecuritySemiring) —
-// exactly; see Eval.
+// union of monomials, so p + p = p and x·x = x.
 //
 // A Poly is kept in canonical form: monomials sorted by key (each name
 // followed by ';', compared as bytes; see cmpMono), no repeats. The order
@@ -132,15 +126,6 @@ func (p Poly) Hash() uint64 {
 		return 0
 	}
 	return p.n.hash
-}
-
-// Degree returns the maximum monomial degree, or 0 for constants/zero.
-func (p Poly) Degree() int {
-	d := 0
-	for i := range p.NumMonomials() {
-		d = max(d, len(p.n.mono(i)))
-	}
-	return d
 }
 
 // Vars returns the sorted set of variables mentioned in p.
@@ -308,29 +293,10 @@ func (p Poly) String() string {
 	return strings.Join(parts, " + ")
 }
 
-// Eval evaluates p under the semiring homomorphism determined by assign:
-// each variable x is replaced by assign(x) and +/· are interpreted in s.
-// For every s whose + and · are idempotent — BoolSemiring, TrustSemiring,
-// SecuritySemiring — this is a homomorphism from B[X]: Eval(p + q) =
-// Eval(p) + Eval(q) and Eval(p · q) = Eval(p) · Eval(q). So one witness set
-// answers derivability, trust and clearance questions alike.
-func Eval[T any](p Poly, s Semiring[T], assign func(Var) T) T {
-	acc := s.Zero()
-	for i := range p.NumMonomials() {
-		m := p.n.mono(i)
-		term := s.One()
-		for _, x := range m {
-			term = s.Mul(term, assign(x.Var()))
-		}
-		acc = s.Add(acc, term)
-	}
-	return acc
-}
-
 // Derivable reports whether p is still derivable when exactly the variables
-// in alive are present (all others deleted). It is Eval under the boolean
-// semiring with the characteristic assignment of alive, and is the test
-// that drives provenance-based deletion propagation in update exchange.
+// in alive are present (all others deleted): some monomial has every token
+// alive. It is the test that drives provenance-based deletion propagation
+// in update exchange.
 func (p Poly) Derivable(alive func(Var) bool) bool {
 	live := func(t Token) bool { return alive(t.Var()) }
 	for i := range p.NumMonomials() {

@@ -7,7 +7,17 @@ import (
 	"orchestra/internal/config"
 	"orchestra/internal/core"
 	"orchestra/internal/p2p"
+	"orchestra/internal/recon"
 )
+
+// policyFor returns the peer's parsed trust policy, or trust-all at
+// priority 1 when the configuration declares none.
+func policyFor(cfg *config.Config, peer string) *recon.Policy {
+	if p, ok := cfg.Policies[peer]; ok {
+		return p
+	}
+	return recon.TrustAll(1)
+}
 
 // TestConfigNodesOverTCP drives the exact deployment shape of
 // `orchestra node -config examples/fig2.conf -store ADDR`: a config-built
@@ -29,7 +39,7 @@ mapping M_AC = crete.OPS(org, prot, seq) :-
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := cfg.System()
+	sys, err := core.NewSystem(cfg.Peers, cfg.Mappings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +50,7 @@ mapping M_AC = crete.OPS(org, prot, seq) :-
 	defer srv.Close()
 
 	mkNode := func(name string) (*REPL, *strings.Builder) {
-		peer, err := core.NewPeer(name, sys, p2p.NewClient(srv.Addr()), cfg.Policy(name))
+		peer, err := core.NewPeer(name, sys, p2p.NewClient(srv.Addr()), policyFor(cfg, name))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,17 +54,6 @@ func (in *Instance) Table(name string) *Table {
 	return &t
 }
 
-// Insert adds a tuple to the named relation.
-func (in *Instance) Insert(rel string, tu schema.Tuple, prov provenance.Poly) error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	t, ok := in.view(rel)
-	if !ok {
-		return fmt.Errorf("%w %s", ErrUnknownRelation, rel)
-	}
-	return t.Insert(tu, prov)
-}
-
 // Upsert inserts or key-replaces a tuple in the named relation.
 func (in *Instance) Upsert(rel string, tu schema.Tuple, prov provenance.Poly) (*schema.Tuple, error) {
 	in.mu.Lock()
@@ -101,21 +90,6 @@ func (in *Instance) Rows(rel string) (rows []Row, ok bool) {
 	return t.Rows(), true
 }
 
-// Contains reports whether the named relation holds the exact tuple.
-func (in *Instance) Contains(rel string, tu schema.Tuple) bool {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	t, ok := in.view(rel)
-	return ok && t.Contains(tu)
-}
-
-// Size returns the total number of tuples across all relations.
-func (in *Instance) Size() int {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return in.db.Size()
-}
-
 // EDB lends the instance's rows to an evaluation as a datalog EDB, one
 // predicate per relation: an O(#relations) copy-on-write snapshot of the DB
 // the instance itself writes, so queries read the stored extents (and build
@@ -146,76 +120,33 @@ func (in *Instance) Snapshot() *Instance {
 	return &Instance{schema: in.schema, db: in.db.Snapshot()}
 }
 
-// Delta is the difference between two instances over the same schema,
-// expressed as tuples to insert and tuples to delete per relation.
-type Delta struct {
-	Inserts map[string][]schema.Tuple
-	Deletes map[string][]schema.Tuple
-}
-
-// Empty reports whether the delta contains no changes.
-func (d Delta) Empty() bool {
-	for _, ts := range d.Inserts {
-		if len(ts) > 0 {
-			return false
-		}
-	}
-	for _, ts := range d.Deletes {
-		if len(ts) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Count returns the total number of changed tuples.
-func (d Delta) Count() int {
-	n := 0
-	for _, ts := range d.Inserts {
-		n += len(ts)
-	}
-	for _, ts := range d.Deletes {
-		n += len(ts)
-	}
-	return n
-}
-
-// Diff computes the delta that transforms base into in: tuples present in
-// in but not base are inserts; tuples present in base but not in are
-// deletes. Both instances must share a schema.
-func (in *Instance) Diff(base *Instance) (Delta, error) {
-	if in.schema != base.schema && in.schema.Name != base.schema.Name {
-		return Delta{}, fmt.Errorf("storage: diff across schemas %s and %s", in.schema.Name, base.schema.Name)
+// Equal reports whether two instances hold exactly the same tuples in each
+// of in's relations (ignoring provenance).
+func (in *Instance) Equal(o *Instance) bool {
+	if in.schema != o.schema && in.schema.Name != o.schema.Name {
+		return false
 	}
 	in.mu.RLock()
 	defer in.mu.RUnlock()
-	base.mu.RLock()
-	defer base.mu.RUnlock()
-
-	d := Delta{Inserts: map[string][]schema.Tuple{}, Deletes: map[string][]schema.Tuple{}}
+	o.mu.RLock()
+	defer o.mu.RUnlock()
 	for _, rel := range in.schema.Relations() {
-		name := rel.Name
-		t, _ := in.view(name)
-		bt, inBase := base.view(name)
-		for _, row := range t.Rows() {
-			if !inBase || !bt.Contains(row.Tuple) {
-				d.Inserts[name] = append(d.Inserts[name], row.Tuple)
+		t, _ := in.view(rel.Name)
+		ot, ok := o.view(rel.Name)
+		if !ok {
+			if t.Len() > 0 {
+				return false
 			}
+			continue
 		}
-		if inBase {
-			for _, row := range bt.Rows() {
-				if !t.Contains(row.Tuple) {
-					d.Deletes[name] = append(d.Deletes[name], row.Tuple)
-				}
+		if t.Len() != ot.Len() {
+			return false
+		}
+		for _, row := range t.Rows() {
+			if _, ok := ot.Get(row.Tuple); !ok {
+				return false
 			}
 		}
 	}
-	return d, nil
-}
-
-// Equal reports whether two instances hold exactly the same tuples
-// (ignoring provenance).
-func (in *Instance) Equal(o *Instance) bool {
-	d, err := in.Diff(o)
-	return err == nil && d.Empty()
+	return true
 }

@@ -20,6 +20,22 @@ func sigma1() *schema.Schema {
 	return s
 }
 
+// size counts the instance's rows across its relations.
+func size(in *Instance) int {
+	n := 0
+	for _, rel := range in.Schema().Relations() {
+		rows, _ := in.Rows(rel.Name)
+		n += len(rows)
+	}
+	return n
+}
+
+// contains reports whether the named relation holds the exact tuple.
+func contains(in *Instance, rel string, tu schema.Tuple) bool {
+	_, ok := in.Table(rel).Get(tu)
+	return ok
+}
+
 func TestInstanceBasics(t *testing.T) {
 	in := NewInstance(sigma1())
 	if in.Table("O") == nil || in.Table("P") == nil || in.Table("S") == nil {
@@ -29,17 +45,14 @@ func TestInstanceBasics(t *testing.T) {
 		t.Error("phantom table")
 	}
 	tu := schema.NewTuple(schema.String("mouse"), schema.Int(1))
-	if err := in.Insert("O", tu, provenance.One()); err != nil {
+	if _, err := in.Upsert("O", tu, provenance.One()); err != nil {
 		t.Fatal(err)
 	}
-	if !in.Contains("O", tu) {
+	if !contains(in, "O", tu) {
 		t.Error("insert lost")
 	}
-	if in.Size() != 1 {
-		t.Errorf("size = %d", in.Size())
-	}
-	if err := in.Insert("missing", tu, provenance.One()); err == nil {
-		t.Error("insert into unknown relation accepted")
+	if size(in) != 1 {
+		t.Errorf("size = %d", size(in))
 	}
 	ok, err := in.Delete("O", tu)
 	if err != nil || !ok {
@@ -56,78 +69,67 @@ func TestInstanceBasics(t *testing.T) {
 func TestInstanceSnapshot(t *testing.T) {
 	in := NewInstance(sigma1())
 	tu := schema.NewTuple(schema.String("mouse"), schema.Int(1))
-	if err := in.Insert("O", tu, provenance.One()); err != nil {
+	if _, err := in.Upsert("O", tu, provenance.One()); err != nil {
 		t.Fatal(err)
 	}
 	snap := in.Snapshot()
 	// Continue editing the local instance; the snapshot must not change.
 	tu2 := schema.NewTuple(schema.String("rat"), schema.Int(2))
-	if err := in.Insert("O", tu2, provenance.One()); err != nil {
+	if _, err := in.Upsert("O", tu2, provenance.One()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := in.Delete("O", tu); err != nil {
 		t.Fatal(err)
 	}
-	if !snap.Contains("O", tu) || snap.Contains("O", tu2) {
+	if !contains(snap, "O", tu) || contains(snap, "O", tu2) {
 		t.Error("snapshot leaked local edits")
 	}
 }
 
+// TestInstanceDiff checks that Equal sees every tuple-level difference
+// between two instances of one schema, and none in provenance alone.
 func TestInstanceDiff(t *testing.T) {
 	base := NewInstance(sigma1())
 	cur := NewInstance(sigma1())
+	if !cur.Equal(base) {
+		t.Error("empty instances differ")
+	}
 	a := schema.NewTuple(schema.String("mouse"), schema.Int(1))
 	b := schema.NewTuple(schema.String("rat"), schema.Int(2))
 	c := schema.NewTuple(schema.String("fly"), schema.Int(3))
-	if err := base.Insert("O", a, provenance.One()); err != nil {
+	for _, w := range []struct {
+		in *Instance
+		tu schema.Tuple
+	}{{base, a}, {base, b}, {cur, b}, {cur, c}} {
+		if _, err := w.in.Upsert("O", w.tu, provenance.One()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !cur.Equal(cur) || cur.Equal(base) || base.Equal(cur) {
+		t.Error("same-size instances with different tuples compare equal")
+	}
+	if _, err := cur.Delete("O", c); err != nil {
 		t.Fatal(err)
 	}
-	if err := base.Insert("O", b, provenance.One()); err != nil {
+	if cur.Equal(base) || base.Equal(cur) {
+		t.Error("instances of different sizes compare equal")
+	}
+	if _, err := cur.Upsert("O", a, provenance.NewVar("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := cur.Insert("O", b, provenance.One()); err != nil {
-		t.Fatal(err)
-	}
-	if err := cur.Insert("O", c, provenance.One()); err != nil {
-		t.Fatal(err)
-	}
-	d, err := cur.Diff(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Inserts["O"]) != 1 || !d.Inserts["O"][0].Equal(c) {
-		t.Errorf("inserts = %v", d.Inserts)
-	}
-	if len(d.Deletes["O"]) != 1 || !d.Deletes["O"][0].Equal(a) {
-		t.Errorf("deletes = %v", d.Deletes)
-	}
-	if d.Empty() {
-		t.Error("non-empty delta reported empty")
-	}
-	if d.Count() != 2 {
-		t.Errorf("count = %d", d.Count())
-	}
-	// Diff against self is empty.
-	d2, err := cur.Diff(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d2.Empty() || d2.Count() != 0 {
-		t.Error("self-diff non-empty")
-	}
-	if !cur.Equal(cur) || cur.Equal(base) {
-		t.Error("Equal wrong")
+	if !cur.Equal(base) || !base.Equal(cur) {
+		t.Error("instances with the same tuples under different provenance differ")
 	}
 }
 
+// TestInstanceDiffSchemaMismatch checks that instances of different schemas
+// are never equal.
 func TestInstanceDiffSchemaMismatch(t *testing.T) {
 	other := schema.NewSchema("Σ2")
 	other.MustAddRelation(schema.MustRelation("OPS",
 		[]schema.Attribute{{Name: "org", Type: schema.KindString}}))
-	a := NewInstance(sigma1())
-	b := NewInstance(other)
-	if _, err := a.Diff(b); err == nil {
-		t.Error("cross-schema diff accepted")
+	if NewInstance(sigma1()).Equal(NewInstance(other)) {
+		t.Error("instances of different schemas compare equal")
 	}
 }
 
@@ -140,12 +142,10 @@ func TestInstanceConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				tu := schema.NewTuple(schema.Int(int64(g*1000+i)), schema.Int(int64(i)), schema.String("s"))
-				if err := in.Insert("S", tu, provenance.One()); err != nil {
+				if _, err := in.Upsert("S", tu, provenance.One()); err != nil {
 					t.Error(err)
 					return
 				}
-				in.Contains("S", tu)
-				in.Size()
 			}
 		}(g)
 	}
@@ -197,8 +197,8 @@ func TestInstanceConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if in.Size() != 802 { // 800 S rows, two O keys
-		t.Errorf("size = %d, want 802", in.Size())
+	if n := size(in); n != 802 { // 800 S rows, two O keys
+		t.Errorf("size = %d, want 802", n)
 	}
 	if edb, _ := in.EDB(); edb.Has("view") {
 		t.Error("a write to an EDB created an extent in the instance")

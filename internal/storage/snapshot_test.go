@@ -59,7 +59,7 @@ func TestInstanceSnapshotIsolationProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 			case 1: // provenance merge on an identical tuple
-				if err := in.Insert("S", seqTuple(k, k, "GGGG"), provenance.NewVar(provenance.Var(fmt.Sprintf("p%d", step)))); err != nil {
+				if _, err := in.Upsert("S", seqTuple(k, k, "GGGG"), provenance.NewVar(provenance.Var(fmt.Sprintf("p%d", step)))); err != nil {
 					if _, isKey := err.(*ErrKeyViolation); !isKey {
 						t.Fatal(err)
 					}
@@ -84,7 +84,7 @@ func TestInstanceSnapshotIsolationProperty(t *testing.T) {
 func TestInstanceSnapshotReverseIsolation(t *testing.T) {
 	in := NewInstance(sigma1())
 	for i := int64(0); i < 20; i++ {
-		if err := in.Insert("S", seqTuple(i, i, "ACGT"), provenance.One()); err != nil {
+		if _, err := in.Upsert("S", seqTuple(i, i, "ACGT"), provenance.One()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +113,7 @@ func TestSnapshotChainAcrossPublishes(t *testing.T) {
 	var snaps []*Instance
 	var wants []string
 	for cycle := int64(0); cycle < 6; cycle++ {
-		if err := in.Insert("S", seqTuple(cycle, cycle, "ACGT"), provenance.One()); err != nil {
+		if _, err := in.Upsert("S", seqTuple(cycle, cycle, "ACGT"), provenance.One()); err != nil {
 			t.Fatal(err)
 		}
 		s := in.Snapshot()

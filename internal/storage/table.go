@@ -4,8 +4,8 @@
 // query evaluator reads, so an applied update is written exactly once. This
 // package adds what the evaluator's extents do not have: schema validation,
 // primary-key enforcement (answered from the extent's own lazily built
-// column index), set-semantics provenance merging, O(#relations) snapshots,
-// and instance comparison.
+// column index), set-semantics provenance merging and O(#relations)
+// snapshots.
 //
 // The full ORCHESTRA prototype sat on an RDBMS; this embedded engine is the
 // laptop-scale substitute documented in DESIGN.md. It preserves the
@@ -34,26 +34,16 @@ type Table struct {
 	db  *datalog.DB
 }
 
-// NewTable creates an empty standalone table for the relation.
-func NewTable(rel *schema.Relation) *Table {
-	db := datalog.NewDB()
-	db.Rel(rel.Name)
-	return &Table{rel: rel, db: db}
-}
-
 // ext returns the relation's current extent, read-only. Every Table is
-// built over a DB that already holds the extent (NewTable, NewInstance), so
-// Rel never takes its creating branch here — reads stay reads.
+// built over a DB that already holds the extent (NewInstance), so Rel never
+// takes its creating branch here — reads stay reads.
 func (t *Table) ext() *datalog.Rel { return t.db.Rel(t.rel.Name) }
-
-// Relation returns the table's relation descriptor.
-func (t *Table) Relation() *schema.Relation { return t.rel }
 
 // Len returns the number of stored tuples.
 func (t *Table) Len() int { return t.ext().Len() }
 
-// ErrKeyViolation is returned by Insert when a different tuple with the
-// same primary key already exists.
+// ErrKeyViolation reports a write of a tuple whose primary key a different
+// stored tuple already holds.
 type ErrKeyViolation struct {
 	Relation string
 	Key      schema.Tuple
@@ -65,25 +55,6 @@ type ErrKeyViolation struct {
 func (e *ErrKeyViolation) Error() string {
 	return fmt.Sprintf("storage: key violation in %s: key %v held by %v, attempted %v",
 		e.Relation, e.Key, e.Existing, e.New)
-}
-
-// Insert adds a tuple with provenance. Inserting an identical tuple merges
-// provenance by addition — the union of the two witness sets. Inserting a different
-// tuple with an existing key returns *ErrKeyViolation.
-func (t *Table) Insert(tu schema.Tuple, prov provenance.Poly) error {
-	if err := t.rel.Validate(tu); err != nil {
-		return err
-	}
-	key := t.rel.KeyOf(tu)
-	if prev, ok := t.GetByKey(key); ok {
-		if !prev.Tuple.Equal(tu) {
-			return &ErrKeyViolation{Relation: t.rel.Name, Key: key, Existing: prev.Tuple, New: tu}
-		}
-		t.merge(prev, prov)
-		return nil
-	}
-	t.put(tu, prov)
-	return nil
 }
 
 // Upsert inserts the tuple, replacing any existing tuple with the same
@@ -128,9 +99,6 @@ func (t *Table) Delete(tu schema.Tuple) bool {
 	return true
 }
 
-// Contains reports whether the exact tuple is stored.
-func (t *Table) Contains(tu schema.Tuple) bool { return t.ext().Contains(tu) }
-
 // Get returns the row for the exact tuple.
 func (t *Table) Get(tu schema.Tuple) (Row, bool) { return t.ext().Get(tu) }
 
@@ -147,15 +115,6 @@ func (t *Table) GetByKey(key schema.Tuple) (Row, bool) {
 		return fs[0], true
 	}
 	return Row{}, false
-}
-
-// Scan calls fn for every row; returning false stops the scan early.
-func (t *Table) Scan(fn func(Row) bool) {
-	for _, row := range t.Rows() {
-		if !fn(row) {
-			return
-		}
-	}
 }
 
 // Rows returns all rows sorted by tuple order (deterministic).

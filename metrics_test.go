@@ -7,16 +7,19 @@ package orchestra_test
 // text; and a system opened with WithMetrics(false) must report nothing.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"orchestra"
 )
@@ -309,5 +312,45 @@ func TestMetricsDisabled(t *testing.T) {
 	defer res.Body.Close()
 	if body := readAll(t, res); strings.TrimSpace(body) != "" {
 		t.Errorf("disabled scrape returned series:\n%s", body)
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe for the concurrent writes of a
+// logger shared by background goroutines.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestSlowOpThresholdLogs: with WithSlowOpThreshold every operation slower
+// than the threshold logs one warning naming the operation and the peer.
+func TestSlowOpThresholdLogs(t *testing.T) {
+	var logs lockedBuffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logs, nil)))
+	t.Cleanup(func() { slog.SetDefault(prev) })
+
+	_, alice, _ := openGenes(t, orchestra.WithSlowOpThreshold(time.Nanosecond))
+	if _, err := alice.Begin().Insert("Gene", gene("BRCA1", 17)).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.Publish(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	out := logs.String()
+	if !strings.Contains(out, "slow operation") || !strings.Contains(out, "peer=alice") {
+		t.Fatalf("no slow-operation warning for alice's publish; log:\n%s", out)
 	}
 }

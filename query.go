@@ -7,7 +7,6 @@ import (
 
 	"orchestra/internal/core"
 	"orchestra/internal/datalog"
-	"orchestra/internal/datalog/magic"
 )
 
 // This file is the public query surface: a goal-directed, provenance-
@@ -44,19 +43,6 @@ type Answer = core.Answer
 // fields are atomic and accumulate across the queries that share the
 // struct, so a single EvalStats can meter a whole workload.
 type EvalStats = datalog.EvalStats
-
-// SIPStrategy selects how the magic-sets rewrite passes bindings sideways
-// through rule bodies; see the constants.
-type SIPStrategy = magic.SIP
-
-const (
-	// SIPLeftToRight propagates bindings through body literals in written
-	// order (the default).
-	SIPLeftToRight = magic.LeftToRight
-	// SIPMostBound propagates bindings greedily through the most-bound
-	// literal first, mirroring the evaluator's join planner.
-	SIPMostBound = magic.MostBound
-)
 
 // CmpOp is a comparison operator for Filter literals.
 type CmpOp = datalog.CmpOp
@@ -182,13 +168,6 @@ func (q *Query) Rule(pred string, vars []string, body ...QueryLiteral) *Query {
 		Head: datalog.Head{Pred: pred, Terms: head},
 		Body: lits,
 	})
-	return q
-}
-
-// SIP selects the sideways-information-passing strategy for the magic
-// rewrite (default SIPLeftToRight).
-func (q *Query) SIP(s SIPStrategy) *Query {
-	q.gq.SIP = s
 	return q
 }
 

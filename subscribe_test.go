@@ -147,6 +147,41 @@ func TestSubscribeDeliversLocalAndRemote(t *testing.T) {
 	}
 }
 
+// TestSubscribeWithRelationsFilters: a subscription restricted to other
+// relations sees none of the changes one restricted to Gene sees.
+func TestSubscribeWithRelationsFilters(t *testing.T) {
+	ctx := context.Background()
+	_, alice, bob := openGenes(t)
+	subCtx, cancel := context.WithCancel(ctx)
+	genes := bob.Subscribe(subCtx, orchestra.WithoutAutoReconcile(), orchestra.WithRelations("Gene"))
+	others := bob.Subscribe(subCtx, orchestra.WithoutAutoReconcile(), orchestra.WithRelations("Protein"))
+	if _, err := alice.Begin().Insert("Gene", gene("BRCA1", 17)).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.Publish(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bob.Reconcile(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	count := func(feed func(func(orchestra.Change, error) bool)) int {
+		n := 0
+		for _, err := range feed {
+			if err == nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := count(genes); n != 1 {
+		t.Errorf("Gene subscription saw %d changes, want 1", n)
+	}
+	if n := count(others); n != 0 {
+		t.Errorf("Protein subscription saw %d changes, want 0", n)
+	}
+}
+
 // TestSubscribeAutoReconcilePushes proves the push path: the subscriber
 // never calls Reconcile, yet another peer's publish reaches it.
 func TestSubscribeAutoReconcilePushes(t *testing.T) {
