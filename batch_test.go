@@ -28,9 +28,7 @@ func triSchema(t testing.TB) *orchestra.Schema {
 
 func openTri(t testing.TB) (*orchestra.System, *orchestra.Peer, *orchestra.Peer, *orchestra.Peer) {
 	t.Helper()
-	// Unbounded witness sets: batched and sequential reconciliation are
-	// identical exactly when MaxMonomials truncation does not bind.
-	sys, err := orchestra.Open(triSchema(t), orchestra.WithMaxMonomials(-1))
+	sys, err := orchestra.Open(triSchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +124,9 @@ func runBurst(t *testing.T, n int, grouped bool) []orchestra.Change {
 	return got
 }
 
-// A publication burst drained through one group-committed Reconcile must
-// feed subscribers exactly the change stream per-transaction reconciliation
-// does: same transactions, same tuples, same provenance. (Epochs differ by
+// A publication burst drained through one Reconcile must feed subscribers
+// exactly the change stream per-transaction reconciliation does: same
+// transactions, same tuples, same provenance. (Epochs differ by
 // construction — coalescing archives many transactions per epoch — so they
 // are not compared.)
 func TestSubscriptionStreamEquivalenceGroupedReconcile(t *testing.T) {
@@ -158,8 +156,8 @@ func TestSubscriptionStreamEquivalenceGroupedReconcile(t *testing.T) {
 	}
 }
 
-// ReconcileAll drains every open peer in one call, group-committing each
-// peer's backlog.
+// ReconcileAll drains every open peer in one call, each peer's backlog in
+// one round.
 func TestReconcileAllDrainsBurst(t *testing.T) {
 	ctx := context.Background()
 	sys, alice, bob, carol := openTri(t)

@@ -63,11 +63,11 @@ func TestDeltaCheckpointAndRecovery(t *testing.T) {
 // directory, the archive in it, and the peers recovered from it. The peers
 // share Σ1 under identity mappings in a full mesh: every commit reaches
 // every peer, so the small value space makes them conflict. Two things a
-// translation's result still owes to how its input was batched are kept out,
-// because they are not what this test is about (both are ROADMAP items): no
-// mapping invents labeled nulls (which of several null-padded variants a
-// chase keeps), and witness sets are exact (which monomials a binding
-// witness bound keeps).
+// translation's result still owes to the evaluator's firing order, which a
+// recovered engine's fresh plans can change, are kept out, because they are
+// not what this test is about (both are ROADMAP items): no mapping invents
+// labeled nulls (which of several null-padded variants a chase keeps), and
+// witness sets are exact (which monomials a binding witness bound keeps).
 type deltaSystem struct {
 	dir   string
 	db    *lsm.DB

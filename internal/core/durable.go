@@ -333,10 +333,10 @@ func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 
 // replayEngine brings an engine restored to epoch since — loaded from an
 // engine blob of that watermark, or fresh at 0 — to where a live peer's
-// stood at epoch upTo: it replays through eng, in the batches Reconcile
-// would use, what was published after since up to upTo. It returns the
-// replayed transactions with their translations, and the store's epoch.
-func replayEngine(ctx context.Context, eng *exchange.Engine, cfg exchange.Config, store p2p.Store, since, upTo uint64) ([]*updates.Transaction, []*exchange.Result, uint64, error) {
+// stood at epoch upTo: it replays through eng what was published after since
+// up to upTo. It returns the replayed transactions with their translations,
+// and the store's epoch.
+func replayEngine(ctx context.Context, eng *exchange.Engine, store p2p.Store, since, upTo uint64) ([]*updates.Transaction, []*exchange.Result, uint64, error) {
 	txns, head, err := store.Since(since)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("fetch history: %w", err)
@@ -344,15 +344,9 @@ func replayEngine(ctx context.Context, eng *exchange.Engine, cfg exchange.Config
 	if i := slices.IndexFunc(txns, func(t *updates.Transaction) bool { return t.Epoch > upTo }); i >= 0 {
 		txns = txns[:i]
 	}
-	results := make([]*exchange.Result, 0, len(txns))
-	for rest := txns; len(rest) > 0; {
-		n := cfg.BatchLen(len(rest))
-		rs, err := eng.ApplyAll(ctx, rest[:n])
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("replay translations: %w", err)
-		}
-		results = append(results, rs...)
-		rest = rest[n:]
+	results, err := eng.ApplyAll(ctx, txns)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("replay translations: %w", err)
 	}
 	return txns, results, head, nil
 }
@@ -367,12 +361,12 @@ func replayEngine(ctx context.Context, eng *exchange.Engine, cfg exchange.Config
 // There is one path. The image — engine, trust state, tracker and instance
 // rows — restores as a whole at its watermark W; with no usable blob
 // everything starts empty and W is 0. Everything published after W is
-// fetched and its translations replayed — relying on ApplyAll's pinned
-// batch-composition property — then its trust decisions replay in epoch
-// order, every outcome into the trust state, the tracker and the instance,
-// with the journaled rounds, commits and Resolve decisions at their recorded
-// positions. blobRebaseDue keeps W close enough to the head that the replay
-// is at most a ninth of the history.
+// fetched and its translations replayed — a translation depends only on the
+// transactions before it, never on how they were batched — then its trust
+// decisions replay in epoch order, every outcome into the trust state, the
+// tracker and the instance, with the journaled rounds, commits and Resolve
+// decisions at their recorded positions. blobRebaseDue keeps W close enough
+// to the head that the replay is at most a ninth of the history.
 func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.Store, policy *recon.Policy, cfg exchange.Config, db *lsm.DB) (*Peer, error) {
 	p, err := NewPeerWith(name, sys, store, policy, cfg)
 	if err != nil {
@@ -507,7 +501,7 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 
 	// Phase 2 — replay translations of the history the image does not
 	// cover, leaving the engine exactly where a live peer's would be.
-	txns, results, storeEpoch, err := replayEngine(ctx, p.engine, cfg, store, W, math.MaxUint64)
+	txns, results, storeEpoch, err := replayEngine(ctx, p.engine, store, W, math.MaxUint64)
 	if err != nil {
 		return fail("replay history", err)
 	}

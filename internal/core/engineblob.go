@@ -142,10 +142,19 @@ func decodeEngineBlob(blob []byte) (*engineSnapshot, error) {
 	snap.Watermark = r.uvarint()
 	snap.Engine = r.bytes()
 
+	// Every count below sizes its slice up front, capped by what the bytes
+	// left could hold, and transactions are carved from shared chunks:
+	// recovery decodes one entry per transaction of the covered history.
 	nTxns := r.uvarint()
+	snap.State.Txns = make([]recon.SavedTxn, 0, r.capFor(nTxns, 7))
+	var chunk []updates.Transaction
 	for i := uint64(0); i < nTxns && r.err == nil; i++ {
-		t := &updates.Transaction{}
-		t.ID.Peer = r.string()
+		if len(chunk) == 0 {
+			chunk = make([]updates.Transaction, min(nTxns-i, 256))
+		}
+		t := &chunk[0]
+		chunk = chunk[1:]
+		t.ID.Peer = r.name()
 		t.ID.Seq = r.uvarint()
 		t.Epoch = r.uvarint()
 		status := recon.Status(r.uvarint())
@@ -158,8 +167,11 @@ func decodeEngineBlob(blob []byte) (*engineSnapshot, error) {
 			r.failf("full flag %d on a %v transaction", full, status)
 		} else if full == 1 {
 			nUps := r.uvarint()
+			if nUps > 0 {
+				t.Updates = make([]updates.Update, 0, r.capFor(nUps, 5))
+			}
 			for j := uint64(0); j < nUps && r.err == nil; j++ {
-				u := updates.Update{Rel: r.string(), Op: updates.Op(r.byte())}
+				u := updates.Update{Rel: r.name(), Op: updates.Op(r.byte())}
 				if r.err == nil && u.Op > updates.OpModify {
 					r.failf("unknown op %d", u.Op)
 				}
@@ -170,8 +182,11 @@ func decodeEngineBlob(blob []byte) (*engineSnapshot, error) {
 			}
 		}
 		nDeps := r.uvarint()
+		if nDeps > 0 {
+			t.Deps = make([]updates.TxnID, 0, r.capFor(nDeps, 2))
+		}
 		for j := uint64(0); j < nDeps && r.err == nil; j++ {
-			d := updates.TxnID{Peer: r.string()}
+			d := updates.TxnID{Peer: r.name()}
 			d.Seq = r.uvarint()
 			t.Deps = append(t.Deps, d)
 		}
@@ -179,22 +194,25 @@ func decodeEngineBlob(blob []byte) (*engineSnapshot, error) {
 	}
 
 	nOrder := r.uvarint()
+	snap.State.AppliedOrder = make([]updates.TxnID, 0, r.capFor(nOrder, 2))
 	for i := uint64(0); i < nOrder && r.err == nil; i++ {
-		id := updates.TxnID{Peer: r.string()}
+		id := updates.TxnID{Peer: r.name()}
 		id.Seq = r.uvarint()
 		snap.State.AppliedOrder = append(snap.State.AppliedOrder, id)
 	}
 	nWrites := r.uvarint()
+	snap.State.Writes = make([]recon.SavedWrite, 0, r.capFor(nWrites, 5))
 	for i := uint64(0); i < nWrites && r.err == nil; i++ {
-		w := recon.SavedWrite{Key: r.string(), Writer: updates.TxnID{Peer: r.string()}}
+		w := recon.SavedWrite{Key: r.string(), Writer: updates.TxnID{Peer: r.name()}}
 		w.Writer.Seq = r.uvarint()
 		w.Del = r.byte() == 1
 		w.TupKey = r.string()
 		snap.State.Writes = append(snap.State.Writes, w)
 	}
 	nWriters := r.uvarint()
+	snap.Writers = make([]updates.SavedWriter, 0, r.capFor(nWriters, 3))
 	for i := uint64(0); i < nWriters && r.err == nil; i++ {
-		w := updates.SavedWriter{Key: r.string(), Writer: updates.TxnID{Peer: r.string()}}
+		w := updates.SavedWriter{Key: r.string(), Writer: updates.TxnID{Peer: r.name()}}
 		w.Writer.Seq = r.uvarint()
 		snap.Writers = append(snap.Writers, w)
 	}
@@ -258,9 +276,10 @@ func appendBlobString(buf []byte, s string) []byte {
 
 // blobReader is a cursor over the blob body with sticky error handling.
 type blobReader struct {
-	buf []byte
-	err error
-	pd  provDecoder
+	buf   []byte
+	err   error
+	pd    provDecoder
+	names map[string]string // see name
 }
 
 // failf records the first error, wrapping ErrBadEngineBlob.
@@ -324,6 +343,28 @@ func (r *blobReader) bytes() []byte {
 }
 
 func (r *blobReader) string() string { return string(r.bytes()) }
+
+// name reads a string that repeats throughout the blob — a peer or a
+// relation name — and returns one shared copy of each.
+func (r *blobReader) name() string {
+	b := r.bytes()
+	if s, ok := r.names[string(b)]; ok {
+		return s
+	}
+	if r.names == nil {
+		r.names = map[string]string{}
+	}
+	s := string(b)
+	r.names[s] = s
+	return s
+}
+
+// capFor bounds a slice capacity for a count of entries that each take at
+// least minBytes, so a corrupt count cannot size an allocation beyond what
+// the remaining bytes could hold.
+func (r *blobReader) capFor(n uint64, minBytes int) int {
+	return int(min(n, uint64(len(r.buf)/minBytes)))
+}
 
 // tuple reads an update's old or new tuple key: an empty key means a nil
 // tuple (updates never carry empty tuples on their nil side; schema-level

@@ -115,7 +115,7 @@ func NewPeer(name string, sys *System, store p2p.Store, policy *recon.Policy) (*
 }
 
 // NewPeerWith is NewPeer with explicit tuning for the peer's translation
-// engine (witness bound, batch window, stats sink).
+// engine (witness bound, stats sink).
 func NewPeerWith(name string, sys *System, store p2p.Store, policy *recon.Policy, cfg exchange.Config) (*Peer, error) {
 	s := sys.Schema(name)
 	if s == nil {
@@ -442,19 +442,15 @@ func (p *Peer) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 			fresh = append(fresh, txn)
 		}
 	}
-	// Group-commit: the fetched backlog translates through one seeded
-	// fixpoint per insert-only run (exchange.Engine.ApplyAll) instead of one
-	// per transaction, which is what lets the subscription push pump
-	// coalesce publication bursts. A configured ReconcileWindow caps each
-	// batch; otherwise the whole backlog is one.
-	results := make([]*exchange.Result, 0, len(fresh))
-	for rest := fresh; len(rest) > 0; {
-		n := p.engCfg.BatchLen(len(rest))
+	// The fetched backlog goes to the engine in one call, which translates
+	// it one transaction at a time.
+	var results []*exchange.Result
+	if len(fresh) > 0 {
 		dsp := sp.Child("exchange_drain")
 		start := time.Now()
-		rs, err := p.engine.ApplyAll(ctx, rest[:n])
+		results, err = p.engine.ApplyAll(ctx, fresh)
 		if err != nil {
-			// ApplyAll can fail partway through the batch (cooperative
+			// ApplyAll can fail partway through the backlog (cooperative
 			// cancellation abandons a half-propagated fixpoint), which the
 			// engine declares fatal: mark it for rebuild rather than ever
 			// re-using the partial state.
@@ -463,9 +459,7 @@ func (p *Peer) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 		}
 		elapsed := time.Since(start)
 		dsp.End()
-		p.obsv.observeDrain(n, elapsed)
-		results = append(results, rs...)
-		rest = rest[n:]
+		p.obsv.observeDrain(len(fresh), elapsed)
 	}
 	var candidates []*updates.Transaction
 	for i, txn := range fresh {
@@ -522,7 +516,7 @@ func (p *Peer) rebuildEngine(ctx context.Context) error {
 			return err
 		}
 	}
-	if _, _, _, err := replayEngine(ctx, eng, p.engCfg, p.store, since, p.lastEpoch); err != nil {
+	if _, _, _, err := replayEngine(ctx, eng, p.store, since, p.lastEpoch); err != nil {
 		return err
 	}
 	p.engine = eng

@@ -260,6 +260,7 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 	// next one; at the end every entry must have been referenced.
 	nextPoly := 0
 	var prevPred string
+	var vals schema.Tuple
 	nPreds := r.count("predicate", 2)
 	for i := 0; i < nPreds && r.err == nil; i++ {
 		pred := r.string()
@@ -271,6 +272,7 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 		var rel *Rel
 		if db != nil && r.err == nil {
 			rel = db.MutableRel(pred)
+			rel.reserve(nFacts)
 		}
 		for j := 0; j < nFacts && r.err == nil; j++ {
 			key := r.string()
@@ -285,9 +287,20 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 				nextPoly++
 			}
 			if rel != nil {
-				t, err := schema.ParseTupleKey(key)
+				// Tuples are carved from shared chunks, one allocation per
+				// few hundred facts instead of one per fact.
+				if cap(vals)-len(vals) < 64 {
+					vals = make(schema.Tuple, 0, 1024)
+				}
+				start := len(vals)
+				var err error
+				vals, err = schema.AppendParsedTupleKey(vals, key)
 				if err != nil {
 					return stats, fmt.Errorf("%w: tuple in %s: %w", ErrBadSnapshot, pred, err)
+				}
+				var t schema.Tuple
+				if len(vals) > start {
+					t = vals[start:len(vals):len(vals)]
 				}
 				h := t.Hash()
 				if _, dup := rel.find(h, t); dup {

@@ -87,6 +87,17 @@ func NewRel() *Rel {
 // relChunkSize is the most facts one contiguous chunk holds.
 const relChunkSize = 256
 
+// reserve sizes an empty extent for n facts, so a decoder that knows the
+// count fills it without growing the hash table and slot arrays as it goes.
+func (r *Rel) reserve(n int) {
+	if len(r.meta) > 0 || n <= 0 {
+		return
+	}
+	r.table = make(map[uint64]uint32, n)
+	r.meta = make([]slotMeta, 0, n)
+	r.chunks = append(r.chunks[:0], make([]Fact, 0, min(n, relChunkSize)))
+}
+
 // fact returns the fact at slot s. The pointer is valid until the next
 // insertion (which may move the first chunk).
 func (r *Rel) fact(s uint32) *Fact {

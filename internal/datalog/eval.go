@@ -136,12 +136,13 @@ func (pp *Prepared) Eval(ctx context.Context, edb *DB, opts Options) (*DB, error
 	// mutates (head predicates) are ever copied.
 	result := edb.Snapshot()
 	ensurePreds(pp.prog, result)
+	var sc stratumScratch
 	for si := range pp.strata {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		st := &pp.strata[si]
-		if err := evalStratum(ctx, st.rules, pp.plansAt(si, result), st.need, result, opts, nil, nil); err != nil {
+		if err := evalStratum(ctx, st.rules, pp.plansAt(si, result), st.need, result, opts, &sc, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -204,76 +205,135 @@ type deltaFact struct {
 }
 
 // pendingDelta is a stratum's delta under construction: per predicate, the
-// new annotation part of each changed fact, keyed by the fact's slot.
-type pendingDelta map[string]map[uint32]deltaFact
+// new annotation part of every effective merge, in merge order (a tuple
+// merged more than once has one entry per merge until fold), and the
+// predicates that have any. The zero value is empty; reset empties it but
+// keeps every predicate's buffer.
+type pendingDelta struct {
+	facts map[string]*[]deltaFact
+	preds []string // the predicates with pending facts, in first-merge order
+}
 
-// add folds one merge's genuinely new annotation part into the delta. The
-// same tuple can reach a delta more than once (distinct derivations or
-// tokens): its delta annotation accumulates, never overwrites.
-func (delta pendingDelta) add(mr mergeResult) {
-	m := delta[mr.pred]
-	if m == nil {
-		m = map[uint32]deltaFact{}
-		delta[mr.pred] = m
+// add appends one merge's genuinely new annotation part to the delta.
+func (d *pendingDelta) add(mr mergeResult) {
+	dl := d.facts[mr.pred]
+	if dl == nil {
+		if d.facts == nil {
+			d.facts = map[string]*[]deltaFact{}
+		}
+		dl = new([]deltaFact)
+		d.facts[mr.pred] = dl
 	}
-	if df, ok := m[mr.slot]; ok {
-		df.prov = df.prov.Add(mr.newPart)
-		m[mr.slot] = df
-	} else {
-		m[mr.slot] = deltaFact{tuple: mr.tuple, prov: mr.newPart}
+	if len(*dl) == 0 {
+		d.preds = append(d.preds, mr.pred)
+	}
+	*dl = append(*dl, deltaFact{tuple: mr.tuple, prov: mr.newPart})
+}
+
+// of returns pred's pending facts.
+func (d *pendingDelta) of(pred string) []deltaFact {
+	if dl := d.facts[pred]; dl != nil {
+		return *dl
+	}
+	return nil
+}
+
+// empty reports whether no fact is pending.
+func (d *pendingDelta) empty() bool { return len(d.preds) == 0 }
+
+// reset empties the delta, keeping every predicate's buffer. The entries
+// are cleared, not just cut off, so a kept buffer holds no tuple or
+// annotation of a finished round for the collector to trace.
+func (d *pendingDelta) reset() {
+	for _, pred := range d.preds {
+		dl := d.facts[pred]
+		clear(*dl)
+		*dl = (*dl)[:0]
+	}
+	d.preds = d.preds[:0]
+}
+
+// fold turns every predicate's pending facts, in place, into its delta list
+// (deltaList).
+func (d *pendingDelta) fold() {
+	for _, pred := range d.preds {
+		dl := d.facts[pred]
+		*dl = deltaList(*dl)
 	}
 }
 
-// deltaList flattens one predicate's pending delta into the slice form jobs
-// consume, in storage-key order (schema.CompareKeys: the order of the
-// tuples' Key encodings), so the enumeration order of every downstream
-// join — and with it the change log — is identical across runs instead of
-// following map iteration order.
-func deltaList(m map[uint32]deltaFact) []deltaFact {
-	out := make([]deltaFact, 0, len(m))
-	for _, df := range m {
+// deltaList turns one predicate's pending delta, in place, into the slice
+// form jobs consume: in storage-key order (schema.CompareKeys: the order of
+// the tuples' Key encodings), with the entries of one tuple folded into one
+// whose annotation is the union of theirs. The order makes the enumeration
+// order of every downstream join — and with it the change log — identical
+// across runs.
+func deltaList(dl []deltaFact) []deltaFact {
+	slices.SortFunc(dl, func(a, b deltaFact) int { return schema.CompareKeys(a.tuple, b.tuple) })
+	out := dl[:0]
+	for _, df := range dl {
+		if n := len(out); n > 0 && schema.CompareKeys(out[n-1].tuple, df.tuple) == 0 {
+			out[n-1].prov = out[n-1].prov.Add(df.prov)
+			continue
+		}
 		out = append(out, df)
 	}
-	slices.SortFunc(out, func(a, b deltaFact) int { return schema.CompareKeys(a.tuple, b.tuple) })
+	clear(dl[len(out):]) // the entries folded away, which reset no longer sees
 	return out
 }
 
-// deltaJobs appends one semi-naive job per (rule, positive body position)
-// whose predicate has pending delta, each joining the rule with that
-// predicate's delta at the position. Each predicate's delta is flattened
-// once and shared by every job that reads it.
-func deltaJobs(jobs []job, rules []Rule, plans []rulePlans, delta pendingDelta) []job {
-	lists := map[string][]deltaFact{}
+// stratumScratch is what evalStratum works in: the delta the current round
+// merges into, the previous round's delta folded into the lists its jobs
+// read, the job list and the pipeline buffers. The two deltas trade places
+// every round, and every buffer keeps its capacity but is cleared as it is
+// emptied, so no fact outlives the round that used it. A one-shot
+// evaluation keeps one for its strata; an Incremental keeps one for its
+// lifetime, so a stream of small insertions does not allocate them per
+// call.
+type stratumScratch struct {
+	delta, lists pendingDelta
+	jobs         []job
+	pipe         pipeScratch
+}
+
+// deltaJobs makes the pending delta the lists and fills sc.jobs with one
+// semi-naive job per (rule, positive body position) whose predicate has
+// pending delta, each joining the rule with that predicate's list at the
+// position. Each predicate's delta is folded once and shared by every job
+// that reads it; the delta left for the next round is empty.
+func (sc *stratumScratch) deltaJobs(rules []Rule, plans []rulePlans) {
+	sc.delta, sc.lists = sc.lists, sc.delta
+	sc.delta.reset()
+	sc.lists.fold()
+	clear(sc.jobs)
+	sc.jobs = sc.jobs[:0]
 	for ri, r := range rules {
 		for i, l := range r.Body {
-			if l.Builtin != nil || l.Negated || len(delta[l.Atom.Pred]) == 0 {
+			if l.Builtin != nil || l.Negated {
 				continue
 			}
-			dl, ok := lists[l.Atom.Pred]
-			if !ok {
-				dl = deltaList(delta[l.Atom.Pred])
-				lists[l.Atom.Pred] = dl
+			if dl := sc.lists.of(l.Atom.Pred); len(dl) > 0 {
+				sc.jobs = append(sc.jobs, job{rule: r, pln: plans[ri].delta[i], delta: dl})
 			}
-			jobs = append(jobs, job{rule: r, pln: plans[ri].delta[i], delta: dl})
 		}
 	}
-	return jobs
 }
 
 // evalStratum runs one stratum to fixpoint under its plans, checking the
 // context once per iteration so runaway recursion stops on cancellation or
-// deadline. With a nil seed it opens with a naive round that fires every
-// rule over the whole database (full evaluation); with a seed it starts
-// semi-naive from that delta, which it takes over (incremental insertion).
-// need names the predicates whose changes can seed further rounds; observe,
-// when non-nil, sees every effective merge, needed or not.
+// deadline. With an empty sc.delta it opens with a naive round that fires
+// every rule over the whole database (full evaluation); otherwise it starts
+// semi-naive from that delta (incremental insertion). need names the
+// predicates whose changes can seed further rounds; observe, when non-nil,
+// sees every effective merge, needed or not. It returns with sc.delta empty
+// unless it fails.
 //
 // A round fires its jobs in order on the caller's goroutine, and each
 // emitted head fact merges as soon as it is derived, so a later rule of the
 // round sees facts an earlier one merged. The merge order, and with it the
 // fixpoint and its provenance, is fixed by the job order and deltaList's
 // key order.
-func evalStratum(ctx context.Context, rules []Rule, plans []rulePlans, need map[string]bool, db *DB, opts Options, seed pendingDelta, observe func(mergeResult)) error {
+func evalStratum(ctx context.Context, rules []Rule, plans []rulePlans, need map[string]bool, db *DB, opts Options, sc *stratumScratch, observe func(mergeResult)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -281,41 +341,41 @@ func evalStratum(ctx context.Context, rules []Rule, plans []rulePlans, need map[
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIterations
 	}
-	delta := seed
 	sink := mergeSink{opts: opts, absorb: func(mr mergeResult) {
 		if observe != nil {
 			observe(mr)
 		}
 		if need[mr.pred] {
-			delta.add(mr)
+			sc.delta.add(mr)
 		}
 	}}
-	var scratch pipeScratch
-	jobs := make([]job, 0, len(rules))
-	if seed == nil {
-		delta = pendingDelta{}
+	clear(sc.jobs)
+	sc.jobs = slices.Grow(sc.jobs[:0], len(rules))
+	if sc.delta.empty() {
 		for ri, r := range rules {
-			jobs = append(jobs, job{rule: r, pln: plans[ri].full})
+			sc.jobs = append(sc.jobs, job{rule: r, pln: plans[ri].full})
 		}
 	}
 	// Round 0 is the naive round (no jobs when seeded); every later round
 	// joins each rule with the previous round's delta at one position.
 	for iter := 0; ; iter++ {
-		if len(jobs) > 0 && opts.Stats != nil {
+		if len(sc.jobs) > 0 && opts.Stats != nil {
 			opts.Stats.Rounds.Add(1)
 		}
-		for i := range jobs {
+		for i := range sc.jobs {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			j := &jobs[i]
+			j := &sc.jobs[i]
 			sink.pred = j.rule.Head.Pred
 			sink.rel = db.MutableRel(sink.pred)
-			if err := fireRuleStream(ctx, j.rule, j.pln, db, j.delta, opts, &sink, &scratch); err != nil {
+			if err := fireRuleStream(ctx, j.rule, j.pln, db, j.delta, opts, &sink, &sc.pipe); err != nil {
 				return err
 			}
 		}
-		if len(delta) == 0 {
+		if sc.delta.empty() {
+			sc.lists.reset()
+			clear(sc.jobs)
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
@@ -324,8 +384,7 @@ func evalStratum(ctx context.Context, rules []Rule, plans []rulePlans, need map[
 		if iter >= maxIter {
 			return fmt.Errorf("datalog: fixpoint not reached after %d iterations", maxIter)
 		}
-		jobs = deltaJobs(jobs[:0], rules, plans, delta)
-		delta = pendingDelta{}
+		sc.deltaJobs(rules, plans)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 
 	"orchestra/internal/provenance"
@@ -62,6 +61,8 @@ type Incremental struct {
 	// would be most of the index.
 	ruleToks map[provenance.Token]bool
 	dead     map[provenance.Token]bool
+	// scratch is every Insert's evaluation state, reused across calls.
+	scratch stratumScratch
 }
 
 // DeadTokens returns the sorted set of tokens killed by DeleteBase since
@@ -234,7 +235,8 @@ func (inc *Incremental) Insert(ctx context.Context, facts []Fact2) ([]Change, er
 	}
 	st := &inc.pp.strata[0]
 	var changes []Change
-	delta := pendingDelta{}
+	sc := &inc.scratch
+	sc.delta.reset() // a failed Insert can leave a delta behind
 	for _, bf := range facts {
 		mr, changed := merge(inc.db.MutableRel(bf.Pred), bf.Tuple, bf.Prov, inc.opts)
 		if !changed {
@@ -245,12 +247,12 @@ func (inc *Incremental) Insert(ctx context.Context, facts []Fact2) ([]Change, er
 		// Only seeds of predicates some rule body reads enter the delta: a
 		// seed no rule reads cannot propagate.
 		if st.need[mr.pred] {
-			delta.add(mr)
+			sc.delta.add(mr)
 		}
 		changes = append(changes, Change{Pred: mr.pred, Tuple: mr.tuple, Prov: mr.newPart, Fresh: true})
 	}
-	if len(delta) > 0 {
-		err := evalStratum(ctx, st.rules, inc.pp.plansAt(0, inc.db), st.need, inc.db, inc.opts, delta, func(mr mergeResult) {
+	if !sc.delta.empty() {
+		err := evalStratum(ctx, st.rules, inc.pp.plansAt(0, inc.db), st.need, inc.db, inc.opts, sc, func(mr mergeResult) {
 			inc.indexFact(mr.pred, mr.slot, mr.newPart)
 			changes = append(changes, Change{Pred: mr.pred, Tuple: mr.tuple, Prov: mr.newPart, Fresh: mr.fresh})
 		})
@@ -262,10 +264,11 @@ func (inc *Incremental) Insert(ctx context.Context, facts []Fact2) ([]Change, er
 	return changes, nil
 }
 
-// InsertGroups inserts the facts of every group with one Insert. The
-// repository benchmark's layer replay (bench/replay.go), which changes only
-// together with the benchmark, still calls it by this name; attributing a
-// batch's changes to its transactions is exchange.Engine.ApplyAll's job.
+// InsertGroups inserts the facts of every group with one Insert. Nothing in
+// the program pools transactions any more (exchange.Engine.ApplyAll runs one
+// Insert per transaction); the repository benchmark's layer replay
+// (bench/replay.go), which changes only together with the benchmark, still
+// calls it by this name.
 func (inc *Incremental) InsertGroups(ctx context.Context, groups [][]Fact2) ([]Change, error) {
 	return inc.Insert(ctx, slices.Concat(groups...))
 }
@@ -412,10 +415,10 @@ func (inc *Incremental) Affected(tokens []provenance.Var) []Change {
 // sortChanges orders a change log by (pred, tuple); the stable sort keeps
 // multiple changes to one tuple in derivation (round) order.
 func sortChanges(cs []Change) {
-	sort.SliceStable(cs, func(i, j int) bool {
-		if cs[i].Pred != cs[j].Pred {
-			return cs[i].Pred < cs[j].Pred
+	slices.SortStableFunc(cs, func(a, b Change) int {
+		if c := strings.Compare(a.Pred, b.Pred); c != 0 {
+			return c
 		}
-		return cs[i].Tuple.Compare(cs[j].Tuple) < 0
+		return a.Tuple.Compare(b.Tuple)
 	})
 }

@@ -69,24 +69,24 @@ func oracleStratum(rules []Rule, db *DB, opts Options, maxIter int) error {
 			}
 		})
 	}
-	delta = pendingDelta{}
 	for ri, r := range rules {
 		if err := fire(r, plans[ri].full, nil); err != nil {
 			return err
 		}
 	}
-	for iter := 0; len(delta) > 0; iter++ {
+	for iter := 0; !delta.empty(); iter++ {
 		if iter >= maxIter {
 			return fmt.Errorf("datalog: fixpoint not reached after %d iterations", maxIter)
 		}
 		prev := delta
+		prev.fold()
 		delta = pendingDelta{}
 		for ri, r := range rules {
 			for i, l := range r.Body {
-				if l.Builtin != nil || l.Negated || len(prev[l.Atom.Pred]) == 0 {
+				if l.Builtin != nil || l.Negated || len(prev.of(l.Atom.Pred)) == 0 {
 					continue
 				}
-				if err := fire(r, plans[ri].delta[i], deltaList(prev[l.Atom.Pred])); err != nil {
+				if err := fire(r, plans[ri].delta[i], prev.of(l.Atom.Pred)); err != nil {
 					return err
 				}
 			}

@@ -323,7 +323,7 @@ func evalWrittenOrder(p *Program, edb *DB, opts Options) (*DB, error) {
 	db := edb.Snapshot()
 	ensurePreds(p, db)
 	for _, stratum := range strata {
-		if err := evalStratum(context.Background(), stratum, writtenOrderPlans(stratum, db), stratumNeed(stratum), db, opts, nil, nil); err != nil {
+		if err := evalStratum(context.Background(), stratum, writtenOrderPlans(stratum, db), stratumNeed(stratum), db, opts, &stratumScratch{}, nil); err != nil {
 			return nil, err
 		}
 	}

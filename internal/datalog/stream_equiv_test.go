@@ -177,7 +177,7 @@ func TestIncrementalMatchesOracleFullEval(t *testing.T) {
 		{Pred: "E", Tuple: edge("x", "y"), Prov: provenance.NewVar("xy")},
 	})
 	o.delete("delete", "loop", "e3")
-	// A group-committed burst: two groups meeting in one derived tuple
+	// One insertion of several groups: two meeting in one derived tuple
 	// (y→z and z→n0 both extend x→y), and a second witness for one that
 	// is already stored.
 	o.insert("groups",

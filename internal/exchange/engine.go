@@ -67,28 +67,14 @@ type Config struct {
 	// DefaultMaxMonomials, negative means unbounded (exact witness sets, at
 	// combinatorial cost on dense mapping graphs).
 	MaxMonomials int
-	// ReconcileWindow caps how many fetched transactions a reconciliation
-	// feeds through one ApplyAll batch: n > 0 means at most n, anything else
-	// the whole fetched backlog at once (see BatchLen). Tuples are identical
-	// at every setting — ApplyAll over consecutive sub-batches equals one
-	// batched call — so the cap only trades peak memory and
-	// time-to-first-change against per-batch fixpoint amortization; under a
-	// binding MaxMonomials bound the surviving witnesses can differ between
-	// settings, but never between two runs at one setting.
+	// ReconcileWindow is kept so existing callers compile; it has no
+	// effect. ApplyAll translates one transaction at a time, so there is no
+	// batch for a window to cap.
 	ReconcileWindow int
 	// Stats, when non-nil, receives the engine's datalog evaluation counters
 	// (probes, emissions, fixpoint rounds). The struct survives engine
 	// rebuilds, so an owner installs one struct for the peer's lifetime.
 	Stats *datalog.EvalStats
-}
-
-// BatchLen returns how many of a backlog of fetched transactions the next
-// ApplyAll takes under the configured ReconcileWindow.
-func (c Config) BatchLen(backlog int) int {
-	if c.ReconcileWindow > 0 && c.ReconcileWindow < backlog {
-		return c.ReconcileWindow
-	}
-	return backlog
 }
 
 // maxMonomials resolves the configured witness bound.
@@ -181,17 +167,11 @@ func (e *Engine) Apply(ctx context.Context, txn *updates.Transaction) (*Result, 
 	return rs[0], nil
 }
 
-// ApplyAll is the group-commit form of Apply: it feeds a causally ordered
-// batch of published transactions through the engine, running one seeded
-// semi-naive fixpoint per seed-disjoint stretch of each run of insert-only
-// transactions instead of one per transaction, and attributes the run's
-// changes to its transactions through the provenance tokens they mint (see
-// applyInsertRun). Transactions that delete or modify split the batch: they
-// must observe the union database exactly as the preceding transactions left
-// it. The returned results are aligned with txns. With unbounded witness
-// sets they are identical to applying the transactions one Apply call at a
-// time, in order; under a binding MaxMonomials bound the two schedules may
-// keep different, equally valid, short derivations (DESIGN.md §8).
+// ApplyAll feeds a causally ordered batch of published transactions
+// through the engine, one at a time: the returned results are aligned with
+// txns and identical to calling Apply on each transaction in order, at every
+// witness bound, so what a peer is offered never depends on how its backlog
+// was batched (DESIGN.md §8).
 //
 // The whole batch is validated before anything is applied; a validation
 // error leaves the engine untouched. After validation, an error (typically
@@ -225,228 +205,17 @@ func (e *Engine) ApplyAll(ctx context.Context, txns []*updates.Transaction) ([]*
 	}
 	e.unionSnap = nil // the memoized UnionDB view goes stale on mutation
 	results := make([]*Result, len(txns))
-	insertOnly := func(txn *updates.Transaction) bool {
-		for _, u := range txn.Updates {
-			if u.Op != updates.OpInsert {
-				return false
-			}
-		}
-		return true
-	}
-	for i := 0; i < len(txns); {
-		if !insertOnly(txns[i]) {
-			res, err := e.applyOne(ctx, txns[i])
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(txns) && insertOnly(txns[j]) {
-			j++
-		}
-		if err := e.applyInsertRun(ctx, txns[i:j], results[i:j]); err != nil {
+	for i, txn := range txns {
+		res, err := e.applyOne(ctx, txn)
+		if err != nil {
 			return nil, err
 		}
-		i = j
+		results[i] = res
 	}
 	return results, nil
 }
 
-// applyInsertRun translates a run of insert-only transactions with one
-// Incremental.Insert per seed-disjoint stretch of the run, attributes each
-// change to the transaction whose own Apply would report it, and collates
-// every transaction once the last stretch is in.
-//
-// A stretch ends before a transaction that re-seeds a tuple an earlier
-// transaction of the stretch seeded, so a seeded tuple has one seeding
-// transaction per stretch. Pooled into one Insert, the later seeds would
-// fill a binding MaxMonomials bound before the earlier transactions'
-// derivations reach the tuple, which sequential application never lets them
-// do.
-//
-// Attribution reads laterTokens, the run's token -> transaction map. A
-// monomial belongs to the latest transaction whose token it mentions: the
-// first whose sequential Apply could derive it. An effective seed merge is
-// reported by its token's transaction, and a tuple the run created (absent
-// from the union database before the run) by the earliest owner of a
-// monomial merged into it. Any other change only grows an annotation and
-// reports nothing.
-func (e *Engine) applyInsertRun(ctx context.Context, txns []*updates.Transaction, results []*Result) error {
-	groups := make([][]datalog.Fact2, len(txns))
-	toks := make([][]provenance.Var, len(txns)) // minted once, reused below
-	// laterTokens maps each token the run mints to its transaction's index.
-	laterTokens := map[provenance.Token]int{}
-	for i, txn := range txns {
-		origin := txn.ID.Peer
-		toks[i] = make([]provenance.Var, len(txn.Updates))
-		for ui, u := range txn.Updates {
-			toks[i][ui] = txn.Token(ui)
-			t := provenance.Mint(toks[i][ui])
-			laterTokens[t] = i
-			groups[i] = append(groups[i], datalog.Fact2{
-				Pred:  mapping.Qualify(origin, u.Rel),
-				Tuple: u.New,
-				Prov:  provenance.NewToken(t),
-			})
-		}
-	}
-	// owner returns the transaction a monomial of the stretch starting at
-	// transaction start belongs to.
-	owner := func(m provenance.Monomial, start int) int {
-		o := start
-		for _, x := range m {
-			if j, ok := laterTokens[x]; ok && j > o {
-				o = j
-			}
-		}
-		return o
-	}
-	db := e.inc.DB()
-	seeds := runSeeds{}
-	inserted := make([][]datalog.Change, len(txns)) // per transaction: the tuples it reports inserted
-	var logs [][]datalog.Change                     // each stretch's change log, in run order
-	type report struct{ txn, at int }               // txn reports the tuple of the stretch log's change at
-	var reports []report
-	start := 0
-	flush := func(end int) error {
-		cs, err := e.inc.Insert(ctx, slices.Concat(groups[start:end]...))
-		if err != nil {
-			return err
-		}
-		logs = append(logs, cs)
-		// Insert lists a tuple's changes together in merge order, so its seed
-		// merges, or the merge that created it, come first.
-		reports = reports[:0]
-		for i, j := 0, 0; i < len(cs); i = j {
-			for j = i + 1; j < len(cs) && cs[j].Pred == cs[i].Pred && cs[j].Tuple.Equal(cs[i].Tuple); j++ {
-			}
-			if !cs[i].Fresh {
-				continue // only grew an annotation
-			}
-			created := true // by a derived merge, unless seeded in this stretch
-			if sd := seeds.find(cs[i].Pred, cs[i].Tuple); sd != nil && sd.txn >= start {
-				reports = append(reports, report{sd.txn, i})
-				created, sd.absent = sd.absent, false
-			}
-			if created {
-				o := math.MaxInt
-				for _, c := range cs[i:j] {
-					for m := range c.Prov.NumMonomials() {
-						o = min(o, owner(c.Prov.Monomial(m), start))
-					}
-				}
-				reports = append(reports, report{o, i})
-			}
-		}
-		slices.SortFunc(reports, func(a, b report) int { return cmp.Compare(a.txn, b.txn) })
-		out := make([]datalog.Change, len(reports))
-		for k, r := range reports {
-			out[k] = cs[r.at]
-		}
-		for k, l := 0, 0; k < len(reports); k = l {
-			for l = k + 1; l < len(reports) && reports[l].txn == reports[k].txn; l++ {
-			}
-			inserted[reports[k].txn] = out[k:l]
-		}
-		start = end
-		return nil
-	}
-	for i := range txns {
-		for _, f := range groups[i] {
-			if sd := seeds.find(f.Pred, f.Tuple); sd != nil && sd.txn >= start && sd.txn < i {
-				if err := flush(i); err != nil {
-					return err
-				}
-				break
-			}
-		}
-		for _, f := range groups[i] {
-			if sd := seeds.find(f.Pred, f.Tuple); sd != nil {
-				sd.txn = i
-				continue
-			}
-			seeds.add(f.Pred, f.Tuple, i, !db.Has(f.Pred) || !db.Rel(f.Pred).Contains(f.Tuple))
-		}
-	}
-	if err := flush(len(txns)); err != nil {
-		return err
-	}
-	for i, txn := range txns {
-		for ui, f := range groups[i] {
-			k := f.Pred + "/" + f.Tuple.Key()
-			e.baseTokens[k] = append(e.baseTokens[k], toks[i][ui])
-		}
-		e.applied[txn.ID] = true
-		upTo := func(t provenance.Token) bool {
-			j, ok := laterTokens[t]
-			return !ok || j <= i
-		}
-		// Collation reads each inserted tuple's stored annotation, which
-		// already holds the later transactions' derivations; restricted to
-		// the tokens published up to this transaction it is the annotation
-		// this transaction's own Apply would have left. When later witnesses
-		// of lower rank evicted every one of those under the bound, the
-		// insert is annotated instead with the lowest witnesses the run
-		// merged into the tuple up to this transaction.
-		asOf := func(pred string, tu schema.Tuple, stored provenance.Poly) provenance.Poly {
-			if p := stored.RestrictTokens(upTo); !p.IsZero() {
-				return p
-			}
-			var p provenance.Poly
-			for _, cs := range logs {
-				for _, c := range cs {
-					if c.Pred == pred && c.Tuple.Equal(tu) {
-						p, _, _, _ = provenance.MergeWitness(p, c.Prov.RestrictTokens(upTo), e.opts.MaxMonomials)
-					}
-				}
-			}
-			return p
-		}
-		res, err := e.collate(txn, inserted[i], map[updates.TxnID]bool{}, asOf)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-	}
-	return nil
-}
-
-// runSeed is a tuple an insert run seeds.
-type runSeed struct {
-	tuple  schema.Tuple
-	txn    int      // the latest run transaction seeding it so far
-	absent bool     // absent from the union database before the run, and its creation not yet reported
-	next   *runSeed // another seed of the same predicate and hash
-}
-
-type runKey struct {
-	pred string
-	hash uint64
-}
-
-// runSeeds finds an insert run's seeds by predicate and tuple hash, Equal
-// settling a shared hash.
-type runSeeds map[runKey]*runSeed
-
-func (rs runSeeds) find(pred string, tu schema.Tuple) *runSeed {
-	for sd := rs[runKey{pred, tu.Hash()}]; sd != nil; sd = sd.next {
-		if sd.tuple.Equal(tu) {
-			return sd
-		}
-	}
-	return nil
-}
-
-func (rs runSeeds) add(pred string, tu schema.Tuple, txn int, absent bool) {
-	k := runKey{pred, tu.Hash()}
-	rs[k] = &runSeed{tuple: tu, txn: txn, absent: absent, next: rs[k]}
-}
-
-// applyOne translates one (already validated) transaction, the
-// deletion-capable path.
+// applyOne translates one (already validated) transaction.
 func (e *Engine) applyOne(ctx context.Context, txn *updates.Transaction) (*Result, error) {
 	origin := txn.ID.Peer
 	var all []datalog.Change
@@ -490,7 +259,7 @@ func (e *Engine) applyOne(ctx context.Context, txn *updates.Transaction) (*Resul
 		return nil, err
 	}
 	e.applied[txn.ID] = true
-	return e.collate(txn, all, depSet, nil)
+	return e.collate(txn, all, depSet)
 }
 
 // pendingInsert is one insertion awaiting batched propagation.
@@ -658,12 +427,8 @@ func compareQualifiedKeys(pa string, ta schema.Tuple, pb string, tb schema.Tuple
 // delete/insert into modifications and dropping provenance-only changes.
 // Each inserted update carries the tuple's full stored annotation as of
 // this transaction — the complete witness set trust evaluation and
-// subscribers should see, not just the fixpoint's first-emission slice. The
-// optional asOf turns an inserted tuple's stored annotation into the one as
-// of this transaction, inside a group-commit batch that already holds later
-// transactions' derivations (nil means the union database reflects exactly
-// this transaction's application point).
-func (e *Engine) collate(txn *updates.Transaction, changes []datalog.Change, depSet map[updates.TxnID]bool, asOf func(pred string, tu schema.Tuple, stored provenance.Poly) provenance.Poly) (*Result, error) {
+// subscribers should see, not just the fixpoint's first-emission slice.
+func (e *Engine) collate(txn *updates.Transaction, changes []datalog.Change, depSet map[updates.TxnID]bool) (*Result, error) {
 	type slot struct {
 		pred     string
 		tuple    schema.Tuple
@@ -766,9 +531,6 @@ func (e *Engine) collate(txn *updates.Transaction, changes []datalog.Change, dep
 		u.Prov = s.inserted.Prov
 		if f, ok := e.inc.DB().Rel(s.pred).Get(s.inserted.Tuple); ok {
 			u.Prov = f.Prov
-			if asOf != nil {
-				u.Prov = asOf(s.pred, s.inserted.Tuple, u.Prov)
-			}
 		}
 		res.PerPeer[peer] = append(res.PerPeer[peer], u)
 		// Extra dependencies: the candidate needs *one* derivation of the

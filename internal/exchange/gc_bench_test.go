@@ -20,21 +20,44 @@ func gcCPU() (gc, total float64) {
 	return ss[0].Value.Float64(), ss[1].Value.Float64()
 }
 
-// BenchmarkApplyAllChain translates bursts of S insertions published at the
-// head of a four-peer identity chain through Engine.ApplyAll — every
-// insertion propagates three mapping hops down the chain — and reports beside
-// time and allocation the garbage collector's share of the CPU capacity
-// over the timed loop (gc-cpu-frac, from runtime/metrics; a run too short
-// for a GC cycle can read 0).
+// BenchmarkApplyAllChain translates bursts of 32 four-insert transactions
+// published at the head of a four-peer identity chain through
+// Engine.ApplyAll: every insertion propagates three mapping hops down the
+// chain.
 func BenchmarkApplyAllChain(b *testing.B) {
-	const burst = 32
-	topo := workload.Chain(4)
+	benchApplyAll(b, workload.Chain(4), 32, 4, 0)
+}
+
+// BenchmarkApplyAllMesh translates bursts of 14 single-insert transactions
+// published at one peer of a three-peer identity mesh: each transaction is
+// one small Incremental.Insert, so its fixed per-call cost shows. Another
+// peer's bulk transaction of 5,000 inserts goes first, untimed: evaluation
+// state an Insert keeps across calls must not make every later small one
+// pay for the large one.
+func BenchmarkApplyAllMesh(b *testing.B) {
+	benchApplyAll(b, workload.Mesh(3), 14, 1, 5000)
+}
+
+// benchApplyAll feeds bursts of burst transactions of txnSize S insertions,
+// published at topo's first peer, through one engine's ApplyAll, after one
+// untimed transaction of bulk insertions at its second peer when bulk > 0.
+// It reports
+// beside time and allocation the garbage collector's share of the CPU
+// capacity over the timed loop (gc-cpu-frac, from runtime/metrics; a run too
+// short for a GC cycle can read 0).
+func benchApplyAll(b *testing.B, topo *workload.Topology, burst, txnSize, bulk int) {
 	e, err := NewEngineWith(topo.Peers, topo.Mappings, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	txns := workload.Stream(topo.Names[0], 1, b.N*burst, workload.StreamOpts{TxnSize: 4, Seed: 1})
 	ctx := context.Background()
+	if bulk > 0 {
+		pre := workload.Stream(topo.Names[1], 1, 1, workload.StreamOpts{TxnSize: bulk, Seed: 2})
+		if _, err := e.ApplyAll(ctx, pre); err != nil {
+			b.Fatal(err)
+		}
+	}
+	txns := workload.Stream(topo.Names[0], 1, b.N*burst, workload.StreamOpts{TxnSize: txnSize, Seed: 1})
 	runtime.GC()
 	gc0, total0 := gcCPU()
 	b.ReportAllocs()

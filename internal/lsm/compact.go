@@ -61,7 +61,7 @@ func (db *DB) compactRun(start, n int) error {
 	dropTombstones := start == 0
 	// Newest-wins merge, the same one scans and flushes use; tombstones
 	// survive it unless the run sits at the bottom.
-	m := newMerger(nil, in, nil, 0)
+	m := newMerger(nil, in, nil, nil, 0)
 	var entries []sstEntry
 	for m.next() {
 		if m.del && dropTombstones {

@@ -401,7 +401,7 @@ func (db *DB) doFlush() error {
 	db.walSegs++
 	floor := db.wal.seq
 	// Newest-wins merge across the frozen memtables, already in key order.
-	m := newMerger(frozen, nil, nil, db.seq)
+	m := newMerger(frozen, nil, nil, nil, db.seq)
 	var entries []sstEntry
 	for m.next() {
 		if m.del && len(db.tables) == 0 {

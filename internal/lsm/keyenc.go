@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"orchestra/internal/schema"
 )
@@ -183,7 +184,9 @@ func AppendTuple(b []byte, t schema.Tuple) []byte {
 // DecodeTuple decodes a tuple encoding produced by AppendTuple, consuming
 // b entirely. Every failure wraps ErrBadKey.
 func DecodeTuple(b []byte) (schema.Tuple, error) {
-	var t schema.Tuple
+	// One allocation at the exact length, as in schema.ParseTupleKey.
+	var buf [8]schema.Value
+	t := buf[:0]
 	for len(b) > 0 {
 		v, rest, err := DecodeValue(b)
 		if err != nil {
@@ -192,7 +195,10 @@ func DecodeTuple(b []byte) (schema.Tuple, error) {
 		t = append(t, v)
 		b = rest
 	}
-	return t, nil
+	if len(t) == 0 {
+		return nil, nil
+	}
+	return slices.Clone(t), nil
 }
 
 // PrefixEnd returns the tightest key upper-bounding every key with the

@@ -108,11 +108,12 @@ func (sn *Snapshot) Walk(lo, hi []byte, fn func(key, val []byte) error) error {
 }
 
 // Iter returns a pull-based iterator over live keys in [lo, hi) — the shape
-// the PR 7 pipeline cursors consume: position with Next, read Key/Value,
-// check Err at the end. Every source seeks to lo, so a bounded scan costs
-// the range it covers, not the tiers it covers it in.
+// the pipeline cursors consume: position with Next, read Key/Value,
+// check Err at the end. Every source seeks to lo, and a segment reads only
+// the blocks that overlap [lo, hi), so a bounded scan costs the range it
+// covers, not the tiers it covers it in.
 func (sn *Snapshot) Iter(lo, hi []byte) *Iterator {
-	return &Iterator{m: newMerger(sn.mems, sn.tables, lo, sn.seq), hi: hi}
+	return &Iterator{m: newMerger(sn.mems, sn.tables, lo, hi, sn.seq), hi: hi}
 }
 
 // source is one ordered input to the merge: a memtable or a segment.
@@ -156,15 +157,16 @@ type merger struct {
 }
 
 // newMerger positions a merge at lo (nil: the start) over the given tiers,
-// reading memtables at the sequence bound. Memtables are newer than every
+// reading memtables at the sequence bound; segments read no block that
+// starts at or past hi (nil: no bound). Memtables are newer than every
 // table; within each group, later elements are newer.
-func newMerger(mems []*memtable, tables []*sstReader, lo []byte, bound uint64) *merger {
+func newMerger(mems []*memtable, tables []*sstReader, lo, hi []byte, bound uint64) *merger {
 	m := &merger{srcs: make([]source, 0, len(mems)+len(tables))}
 	for i := len(mems) - 1; i >= 0; i-- {
 		m.srcs = append(m.srcs, &memSource{m: mems[i], bound: bound, lo: lo})
 	}
 	for i := len(tables) - 1; i >= 0; i-- {
-		m.srcs = append(m.srcs, &sstSource{it: tables[i].iter(lo)})
+		m.srcs = append(m.srcs, &sstSource{it: tables[i].iter(lo, hi)})
 	}
 	for _, s := range m.srcs {
 		s.next()

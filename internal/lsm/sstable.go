@@ -19,13 +19,16 @@ import (
 //
 // Data blocks hold sorted entries, each framed
 // `uvarint klen · uvarint (vlen<<1 | tombstone) · key · value`, split at
-// ~BlockBytes boundaries. The index block is sparse — one entry per data
-// block: the block's first key, its offset and length, and a CRC-32C over
-// its bytes, verified on every read. The bloom block summarizes every key
-// in the segment (10 bits/key, 7 probes) so point lookups skip segments
-// that cannot contain the key. The fixed-size footer locates the index and
-// bloom blocks, checksums them, and carries a magic number that guards
-// against opening foreign or truncated files.
+// ~BlockBytes boundaries; an entry of BlockBytes or more starts a block of
+// its own, so a scan of its neighbours never reads it (an engine blob is
+// megabytes, next to the checkpoint rows recovery walks). The index block
+// is sparse — one entry per data block: the block's first key, its offset
+// and length, and a CRC-32C over its bytes, verified on every read. The
+// bloom block summarizes every key in the segment (10 bits/key, 7 probes)
+// so point lookups skip segments that cannot contain the key. The
+// fixed-size footer locates the index and bloom blocks, checksums them,
+// and carries a magic number that guards against opening foreign or
+// truncated files.
 
 const (
 	sstMagic     = 0x4f52434845535431 // "ORCHEST1"
@@ -149,6 +152,9 @@ func writeSSTable(dir string, num uint64, entries []sstEntry, blockBytes int) (t
 	}
 	for _, e := range entries {
 		bloom.add(e.key)
+		if len(e.key)+len(e.val) >= blockBytes {
+			flushBlock() // a large entry gets a block of its own
+		}
 		if first == nil {
 			first = append([]byte(nil), e.key...)
 			blockAt = off
@@ -395,18 +401,25 @@ func (c *blockCursor) next() bool {
 }
 
 // sstIter streams a segment's entries in key order, starting at the first
-// key >= lo (nil = from the start). The caller stops it by bound checks.
+// key >= lo (nil = from the start). It never loads a block that starts at
+// or past hi (nil = no bound), so a scan reads only the blocks its range
+// overlaps; within the last one the caller stops it by bound checks.
 type sstIter struct {
 	r     *sstReader
+	hi    []byte
 	bi    int
 	cur   *blockCursor
 	valid bool
 	err   error
 }
 
-// iter positions an iterator at the first entry >= lo.
-func (r *sstReader) iter(lo []byte) *sstIter {
-	it := &sstIter{r: r, bi: 0}
+// iter positions an iterator at the first entry >= lo, or leaves it invalid
+// without reading a block when the segment holds no key in [lo, hi).
+func (r *sstReader) iter(lo, hi []byte) *sstIter {
+	it := &sstIter{r: r, hi: hi, bi: 0}
+	if lo != nil && bytes.Compare(lo, r.meta.Max) > 0 || hi != nil && bytes.Compare(r.meta.Min, hi) >= 0 {
+		return it
+	}
 	if lo != nil {
 		if bi := r.blockFor(lo); bi > 0 {
 			it.bi = bi
@@ -421,6 +434,9 @@ func (r *sstReader) iter(lo []byte) *sstIter {
 
 func (it *sstIter) advanceBlock() {
 	for it.bi < len(it.r.index) {
+		if it.hi != nil && bytes.Compare(it.r.index[it.bi].firstKey, it.hi) >= 0 {
+			break
+		}
 		block, err := it.r.loadBlock(it.bi)
 		if err != nil {
 			it.err, it.valid = err, false

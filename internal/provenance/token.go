@@ -60,8 +60,9 @@ func Mint(x Var) Token {
 		tokens.ids = map[Var]Token{}
 	}
 	// The table keeps its own copy, so it never pins the buffer a decoder
-	// sliced the name from.
-	x = Var(strings.Clone(string(x)))
+	// sliced the name from, and x never escapes: a caller converting bytes
+	// to a Var for a lookup pays no allocation when the token exists.
+	name := Var(strings.Clone(string(x)))
 	c, off := tokSlot(n)
 	chunk := tokens.chunks[c].Load()
 	if chunk == nil {
@@ -69,8 +70,8 @@ func Mint(x Var) Token {
 		chunk = &s
 		tokens.chunks[c].Store(chunk)
 	}
-	(*chunk)[off] = x
-	tokens.ids[x] = Token(n)
+	(*chunk)[off] = name
+	tokens.ids[name] = Token(n)
 	tokens.n.Store(n + 1)
 	return Token(n)
 }

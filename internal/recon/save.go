@@ -74,6 +74,8 @@ func (s *State) Save() *SavedState {
 // error the state is unusable and must be discarded.
 func (s *State) Restore(sv *SavedState) error {
 	fresh := NewState(s.keyOf)
+	fresh.nodes = make(map[updates.TxnID]*node, len(sv.Txns))
+	fresh.acceptedWrites = make(map[string]writeVal, len(sv.Writes))
 	fresh.visited = s.visited
 	fresh.appliedOrder = append([]updates.TxnID(nil), sv.AppliedOrder...)
 	for _, st := range sv.Txns {

@@ -2,6 +2,7 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -121,7 +122,21 @@ func (t Tuple) String() string {
 // refuses any other text: a key it accepts is the Key of the tuple it
 // returns.
 func ParseTupleKey(key string) (Tuple, error) {
-	var t Tuple
+	// Components collect in a stack buffer and the result is copied out
+	// once, at its exact length: recovery parses every stored tuple, and
+	// growing the slice by append cost three allocations per tuple.
+	var buf [8]Value
+	t, err := AppendParsedTupleKey(buf[:0], key)
+	if err != nil || len(t) == 0 {
+		return nil, err
+	}
+	return slices.Clone(t), nil
+}
+
+// AppendParsedTupleKey is ParseTupleKey appending the components to dst:
+// a decoder that parses thousands of tuples carves them from one buffer.
+// On error dst's contents past its original length are unspecified.
+func AppendParsedTupleKey(dst Tuple, key string) (Tuple, error) {
 	for len(key) > 0 {
 		bar := strings.IndexByte(key, '|')
 		if bar < 0 {
@@ -139,8 +154,8 @@ func ParseTupleKey(key string) (Tuple, error) {
 		if verr != nil {
 			return nil, verr
 		}
-		t = append(t, v)
+		dst = append(dst, v)
 		key = key[bar+1+n:]
 	}
-	return t, nil
+	return dst, nil
 }

@@ -14,7 +14,7 @@ import (
 // (enabled by default; WithMetrics(false) turns it off) that every layer
 // records into: the LSM tier (WAL fsync latency, flushes, compactions,
 // bloom-filter hit rate), the published archive (batch sizes and bytes), the
-// exchange layer (group-commit batch sizes, per-transaction drain
+// exchange layer (transactions per reconciliation, per-transaction drain
 // latency), the datalog evaluator (via the shared
 // EvalStats, folded into every snapshot), and the core operations
 // (publish/reconcile/checkpoint/query spans with parent/child timing).

@@ -10,15 +10,14 @@ type Option func(*settings)
 // settings is the resolved option set. A peer starts from the system's
 // settings and applies its own options on top.
 type settings struct {
-	maxMonomials    int
-	reconcileWindow int
-	provenance      bool
-	store           Store
-	policy          *TrustPolicy
-	strict          bool
-	durableDir      string
-	metrics         bool
-	slowOp          time.Duration
+	maxMonomials int
+	provenance   bool
+	store        Store
+	policy       *TrustPolicy
+	strict       bool
+	durableDir   string
+	metrics      bool
+	slowOp       time.Duration
 }
 
 func defaultSettings() settings {
@@ -32,12 +31,10 @@ func (s settings) apply(opts []Option) settings {
 	return s
 }
 
-// WithReconcileWindow caps how many fetched transactions one Reconcile
-// feeds through a single group-committed translation batch: n > 0 means at
-// most n; 0 (the default) or negative translates the whole backlog as one
-// batch. Tuples are identical at every setting — the cap only trades peak
-// memory and time-to-first-change against per-batch amortization.
-func WithReconcileWindow(n int) Option { return func(s *settings) { s.reconcileWindow = n } }
+// WithReconcileWindow has no effect; it is kept so existing callers
+// compile. A reconciliation translates its fetched backlog one transaction
+// at a time, so there is no batch for a window to cap.
+func WithReconcileWindow(int) Option { return func(*settings) {} }
 
 // WithMaxMonomials bounds each tuple's provenance witness set. 0 (the
 // default) keeps the engine default (8); negative removes the bound, at

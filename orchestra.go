@@ -133,9 +133,8 @@ func (s *System) Peer(name string, opts ...Option) (*Peer, error) {
 		pol = policyFor(s.policies, s.base.policy, name)
 	}
 	cfg := exchange.Config{
-		MaxMonomials:    set.maxMonomials,
-		ReconcileWindow: set.reconcileWindow,
-		Stats:           s.stats,
+		MaxMonomials: set.maxMonomials,
+		Stats:        s.stats,
 	}
 	var cp *core.Peer
 	var err error
@@ -170,13 +169,10 @@ func (s *System) Epoch() (uint64, error) { return s.store.Epoch() }
 
 // ReconcileAll reconciles every open peer once, in deterministic (name)
 // order, and returns the per-peer reports. Each peer translates its
-// fetched backlog as one group-committed batch (see Peer.Reconcile and
-// WithReconcileWindow), so draining a publication burst across the
-// confederation costs a handful of seeded fixpoints per peer rather than
-// one per transaction. On error the partial report map is returned
-// alongside it; with WithStrictConflicts a deferred conflict at
-// any peer surfaces as ErrConflictPending, after later peers have still
-// been reconciled.
+// fetched backlog one transaction at a time (see Peer.Reconcile). On error
+// the partial report map is returned alongside it; with WithStrictConflicts
+// a deferred conflict at any peer surfaces as ErrConflictPending, after
+// later peers have still been reconciled.
 func (s *System) ReconcileAll(ctx context.Context) (map[string]*ReconcileReport, error) {
 	if s.ctx.Err() != nil {
 		return nil, ErrClosed

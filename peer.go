@@ -88,10 +88,9 @@ func (p *Peer) Publish(ctx context.Context) (uint64, error) {
 
 // PublishAll is Publish additionally reporting how many committed
 // transactions were archived, so callers driving publication bursts can
-// tell a no-op publish from a real one. The archived burst is translated as
-// one group-committed batch when receiving peers reconcile (each run of
-// insert-only transactions shares a single seeded fixpoint — see
-// Peer.Reconcile).
+// tell a no-op publish from a real one. A receiving peer fetches the
+// archived burst in one Reconcile and translates it one transaction at a
+// time (see Peer.Reconcile).
 func (p *Peer) PublishAll(ctx context.Context) (uint64, int, error) {
 	if err := p.sys.ctx.Err(); err != nil {
 		return 0, 0, ErrClosed
@@ -180,11 +179,10 @@ func (p *Peer) SnapshotStats() (stats SnapshotStats, ok bool, err error) {
 // Reconcile fetches newly published transactions, translates them into the
 // local schema through the mappings (maintaining provenance), applies the
 // trust policy, and applies the accepted transactions locally. The fetched
-// backlog group-commits as one batch (WithReconcileWindow caps it): within
-// a batch, every run of insert-only transactions propagates through one
-// seeded semi-naive fixpoint with per-transaction provenance attribution,
-// so reconciling after a burst of publications costs far less than
-// reconciling after each. The context bounds the translation
+// backlog translates one transaction at a time, each through one seeded
+// semi-naive fixpoint over the union database, so the instance and its
+// provenance are the same whether the peer reconciles after every
+// publication or once after a burst. The context bounds the translation
 // fixpoints: an expired context returns before any local state changes, and
 // a runaway recursive chase stops within one fixpoint iteration of the
 // deadline.

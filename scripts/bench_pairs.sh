@@ -10,7 +10,12 @@
 # drift of the host's speed moves both sides alike. For every end-to-end
 # metric the script prints each side's median [first quartile, third
 # quartile] and in how many pairs the change was better, and writes the
-# same (plus every run's value) as JSON to OUT.
+# same (plus every run's value) as JSON to OUT. Beside the end-to-end
+# metrics it records cpu_s, the user + sys CPU seconds of each run.sh
+# invocation (its build, a cache hit after the first, included), which
+# counts what the wall-clock metrics miss, such as collector threads; it is
+# for information and gets no verdict, because BENCHMARK.json gives it no
+# bound.
 #
 # It then prints a verdict per workload and metric against the metric's
 # bound in BENCHMARK.json, taken as that fraction of the parent's median:
@@ -160,17 +165,23 @@ git worktree add --detach "$tmp/base" "$base_sha" >/dev/null
 awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
     on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
     on && /"better"/ { gsub(/[",]/, "", $2); print name, $2 }' BENCHMARK.json > "$tmp/metrics"
+echo "cpu_s lower" >> "$tmp/metrics"
 
-# run SIDE DIR W PAIR appends "W SIDE PAIR metric value" lines to samples.
+# run SIDE DIR W PAIR appends "W SIDE PAIR metric value" lines to samples,
+# cpu_s among them: bash's time keyword reports the user and sys seconds of
+# the run and every process it waited for.
 failed=0
 run() {
-    local side="$1" dir="$2" w="$3" i="$4" log="$tmp/$3.$1.$4.log"
+    local side="$1" dir="$2" w="$3" i="$4" log="$tmp/$3.$1.$4.log" TIMEFORMAT='%3U %3S'
     echo "bench_pairs: $w pair $i/$pairs: $side" >&2
-    if ! (cd "$dir" && bash bench/run.sh --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0) > "$log" 2>&1; then
+    # The inner braces keep the run's own redirections away from time's
+    # report, which goes to the outer group's stderr.
+    if ! { time { (cd "$dir" && bash bench/run.sh --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0) > "$log" 2>&1; }; } 2> "$tmp/cpu"; then
         echo "bench_pairs: $w pair $i $side FAILED (log: $(tail -n 3 "$log"))" >&2
         failed=$((failed + 1))
         return
     fi
+    awk -v w="$w" -v s="$side" -v i="$i" '{ print w, s, i, "cpu_s", $1 + $2 }' "$tmp/cpu" >> "$tmp/samples"
     tail -n 1 "$log" | grep -o '"[a-z0-9_.]*":{"value":[-+0-9.eE]*' |
         sed 's/^"\([^"]*\)":{"value":/\1 /' |
         while read -r m v; do echo "$w $side $i $m $v"; done >> "$tmp/samples"

@@ -4,7 +4,6 @@ import (
 	"context"
 	"iter"
 	"sync"
-	"time"
 
 	"orchestra/internal/core"
 	"orchestra/internal/provenance"
@@ -190,45 +189,19 @@ func (p *Peer) Subscribe(ctx context.Context, opts ...SubscribeOption) iter.Seq2
 	}
 }
 
-// pumpMaxCoalesce caps the pump's adaptive coalescing delay, so push
-// latency stays bounded no matter how slow reconciliation gets.
-const pumpMaxCoalesce = 5 * time.Millisecond
-
 // pump is the peer's auto-reconcile loop: each poke (another peer
 // published) triggers one reconciliation; resulting changes reach the
 // subscriptions through the apply hook. Reconciliation errors are delivered
-// to every subscriber.
-//
-// The pump sizes its group-commit window adaptively: before reconciling it
-// waits a small fraction of the observed drain latency (EWMA, capped at
-// pumpMaxCoalesce) so a publication burst lands as one group-committed
-// batch instead of one fixpoint per epoch. When reconciliation is fast the
-// delay rounds to zero and pushes stay immediate; only a pump that cannot
-// keep up trades a bounded sliver of latency for batch amortization.
+// to every subscriber. The wake channel holds one poke, so publications
+// that arrive while a round runs are fetched together by the next round.
 func (p *Peer) pump() {
-	var drain time.Duration // EWMA of observed reconcile latency
 	for {
 		select {
 		case <-p.sys.ctx.Done():
 			return
 		case <-p.wake:
-			if d := min(drain/4, pumpMaxCoalesce); d > 0 {
-				t := time.NewTimer(d)
-				select {
-				case <-p.sys.ctx.Done():
-					t.Stop()
-					return
-				case <-t.C:
-				}
-			}
 			p.pumpRuns.Inc()
-			start := time.Now()
 			_, err := p.core.Reconcile(p.sys.ctx)
-			if el := time.Since(start); drain == 0 {
-				drain = el
-			} else {
-				drain += (el - drain) / 4
-			}
 			if err != nil && p.sys.ctx.Err() == nil {
 				p.mu.Lock()
 				for sub := range p.subs {
