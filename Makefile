@@ -107,17 +107,20 @@ bench-e2e:
 ## working tree as the change side. Prints every end-to-end metric's median
 ## [quartiles] per side and the change-better count, writes them to OUT,
 ## and prints each metric's verdict against its BENCHMARK.json bound and,
-## for each CLAIM=workload:metric, the claim's verdict; FROM="FILE..."
-## prints the verdicts of summaries written before and runs nothing, and
-## given several (make bench-pairs FROM="$(echo BENCH_*.json)") the
-## trajectory of median ratios and wins across them
-## (scripts/bench_pairs.sh). Not part of ci: ten 15 s pairs take minutes.
+## for each CLAIM=workload:metric, the claim's verdict; ANCHOR=<commit>
+## adds a third arm, the anchor, in a second worktree (the arms' order
+## rotates from pair to pair), and the same verdicts against it;
+## FROM="FILE..." prints the verdicts of summaries written before and runs
+## nothing, and given several (make bench-pairs FROM="$(echo BENCH_*.json)")
+## the trajectory of median ratios and wins across them and the anchored
+## series (scripts/bench_pairs.sh). Not part of ci: ten 15 s pairs take
+## minutes.
 BASE ?= HEAD
 PAIRS ?= 10
 WORKLOADS ?= query-point
 OUT ?= bench-pairs.json
 bench-pairs:
-	BASE='$(BASE)' PAIRS='$(PAIRS)' WORKLOADS='$(WORKLOADS)' SEED='$(SEED)' \
+	BASE='$(BASE)' ANCHOR='$(ANCHOR)' PAIRS='$(PAIRS)' WORKLOADS='$(WORKLOADS)' SEED='$(SEED)' \
 		BENCH_SECONDS='$(SECONDS)' OUT='$(OUT)' CLAIM='$(CLAIM)' FROM='$(FROM)' \
 		bash scripts/bench_pairs.sh
 

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -258,6 +259,11 @@ func requireTwin(t *testing.T, label string, got, want *Peer) {
 		if g, w := got.Status(id), want.Status(id); g != w {
 			t.Fatalf("%s: status of %s: recovered %s, twin %s", label, id, g, w)
 		}
+	}
+	// The accepted-write index decides the dependencies of every later
+	// commit, so a recovered peer must hold the twin's exactly.
+	if g, w := got.state.Save().Writes, want.state.Save().Writes; !slices.Equal(g, w) {
+		t.Fatalf("%s: accepted writes: recovered %v, twin %v", label, g, w)
 	}
 	if g, w := fmt.Sprint(txnIDs(got.unpublished)), fmt.Sprint(txnIDs(want.unpublished)); g != w {
 		t.Fatalf("%s: unpublished queue: recovered %s, twin %s", label, g, w)

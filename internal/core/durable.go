@@ -45,10 +45,10 @@ import (
 //
 // The image turns recovery from O(history) into O(suffix): the "e/" blob
 // captures the translation engine (union database, dead and base tokens,
-// applied set), the reconciliation state and the dependency tracker, and the
-// "c/" rows the instance, all valid at the blob's watermark W. The published
-// archive is the image's delta log: recovery restores the image and replays
-// Since(W). The "r/" journal holds what that log cannot — when the peer did
+// applied set) and the reconciliation state, and the "c/" rows the
+// instance, all valid at the blob's watermark W. The published archive is
+// the image's delta log: recovery restores the image and replays Since(W).
+// The "r/" journal holds what that log cannot — when the peer did
 // what with it since the image: where each reconciliation round ended
 // (candidates judged together defer each other, candidates of separate
 // rounds do not), where each local commit was accepted (the archive has the
@@ -289,7 +289,7 @@ func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 		if err != nil {
 			return fail("engine state", err)
 		}
-		blob, err := encodeEngineBlob(p.lastEpoch, engBlob, p.state.Save(), p.tracker.Save())
+		blob, err := encodeEngineBlob(p.lastEpoch, engBlob, p.state.Save())
 		if err != nil {
 			return fail("engine snapshot", err)
 		}
@@ -354,19 +354,19 @@ func replayEngine(ctx context.Context, eng *exchange.Engine, store p2p.Store, si
 // RecoverPeerWith reconstructs a peer from its durable checkpoint in db
 // plus the published history in store. The invariant it restores: the
 // recovered peer is indistinguishable — instance rows, provenance, trust
-// state, dependency tracker, engine state, unpublished queue, sequence
-// counter, settled conflicts — from the same peer having processed the same
-// history live.
+// state (with it the last-writer index a commit's dependencies come from),
+// engine state, unpublished queue, sequence counter, settled conflicts —
+// from the same peer having processed the same history live.
 //
-// There is one path. The image — engine, trust state, tracker and instance
-// rows — restores as a whole at its watermark W; with no usable blob
-// everything starts empty and W is 0. Everything published after W is
-// fetched and its translations replayed — a translation depends only on the
-// transactions before it, never on how they were batched — then its trust
-// decisions replay in epoch order, every outcome into the trust state, the
-// tracker and the instance, with the journaled rounds, commits and Resolve
-// decisions at their recorded positions. blobRebaseDue keeps W close enough
-// to the head that the replay is at most a ninth of the history.
+// There is one path. The image — engine, trust state and instance rows —
+// restores as a whole at its watermark W; with no usable blob everything
+// starts empty and W is 0. Everything published after W is fetched and its
+// translations replayed — a translation depends only on the transactions
+// before it, never on how they were batched — then its trust decisions
+// replay in epoch order, every outcome into the trust state and the
+// instance, with the journaled rounds, commits and Resolve decisions at
+// their recorded positions. blobRebaseDue keeps W close enough to the head
+// that the replay is at most a ninth of the history.
 func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.Store, policy *recon.Policy, cfg exchange.Config, db *lsm.DB) (*Peer, error) {
 	p, err := NewPeerWith(name, sys, store, policy, cfg)
 	if err != nil {
@@ -494,7 +494,6 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 		if err := p.state.Restore(snap.State); err != nil {
 			return fail("restore trust state", err)
 		}
-		p.tracker.Restore(snap.Writers)
 		W, p.hasBlob, p.blobTxns = snap.Watermark, true, p.engine.AppliedCount()
 	}
 	p.recLoadNs = time.Since(loadStart).Nanoseconds()
@@ -543,16 +542,13 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 			if err := p.applyUpdates(t.Updates); err != nil {
 				return err
 			}
-			// RecordWrites, not Record: replay must restore the archived
-			// dependency edges, not recompute them against replay-time state.
-			p.tracker.RecordWrites(t)
 		}
 		run = nil
 		return nil
 	}
-	// acceptOwn re-enters one of our own transactions into the trust state,
-	// the tracker and the instance, unless the blob already holds it — and
-	// then so do the rows.
+	// acceptOwn re-enters one of our own transactions into the trust state
+	// and the instance, unless the blob already holds it — and then so do
+	// the rows.
 	acceptOwn := func(t *updates.Transaction) error {
 		if p.state.Status(t.ID) != recon.StatusUnknown {
 			return nil
@@ -560,11 +556,7 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 		if err := p.applyUpdates(t.Updates); err != nil {
 			return err
 		}
-		if err := p.state.AcceptLocal(t); err != nil {
-			return err
-		}
-		p.tracker.RecordWrites(t)
-		return nil
+		return p.state.AcceptLocal(t)
 	}
 	applyEvent := func(d trustEvent) error {
 		id := updates.TxnID{Peer: d.WinnerPeer, Seq: d.WinnerSeq}
@@ -591,7 +583,6 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 			if err := p.applyUpdates(t.Updates); err != nil {
 				return err
 			}
-			p.tracker.RecordWrites(t)
 		}
 		return nil
 	}

@@ -17,34 +17,35 @@ import (
 // Engine-snapshot blob (DESIGN.md §13): the single value under the "e/"
 // keyspace that captures everything a peer accumulates outside its instance
 // rows — the translation engine (through exchange.Engine.SaveState), the
-// reconciliation state, the dependency tracker, and the epoch watermark the
-// snapshot is valid at. A recovered peer that finds this blob restores
+// reconciliation state (whose accepted-write index is also where a local
+// commit's dependencies come from), and the epoch watermark the snapshot is
+// valid at. A recovered peer that finds this blob restores
 // instead of replaying: only transactions with epoch > the watermark
 // re-enter the engine and the trust state.
 //
 // Layout (uvarint integers, uvarint-length-prefixed strings, provenance as
 // the checkpoint codec's binary encodeProv bytes):
 //
-//	magic "OEB4"
+//	magic "OEB5"
 //	watermark epoch
 //	engLen, then the exchange.Engine.SaveState blob
 //	nTxns · { peer, seq, epoch, status, prio (zig-zag), full flag,
 //	          [full: nUps · { rel, op, oldKey, newKey, provBytes }],
 //	          nDeps · { peer, seq } }
-//	nOrder · { peer, seq }             (acceptance order)
 //	nWrites · { key, peer, seq, del flag, tupleKey }
-//	nWriters · { key, peer, seq }      (tracker last-writer index)
 //
 // Accepted and Rejected graph nodes serialize as skeletons (no update
 // list): reconciliation never reads their updates again — see
 // recon.NeedsFullTxn — and stripping them keeps the blob proportional to
 // the live conflict frontier, not the whole history.
 
-// engineBlobMagic names the layout. Version 4 has version 3's bytes; what
-// changed is the rows beside it, which since version 4 are at the blob's
-// watermark. A version-3 image has rows ahead of its blob, so it must take
-// the errBlobVersion path with its rows.
-const engineBlobMagic = "OEB4"
+// engineBlobMagic names the layout. Version 5 drops version 4's
+// acceptance-order section, which nothing read, and its dependency-tracker
+// section, whose last-writer index the trust state's accepted writes
+// replace. Since version 4 the rows beside the blob are at its watermark; a
+// version-3 image has rows ahead of its blob. An older image takes the
+// errBlobVersion path with its rows.
+const engineBlobMagic = "OEB5"
 
 // errBlobVersion reports an engine blob written in another version of the
 // layout (its magic differs in the version digit only). Such a blob is
@@ -62,10 +63,9 @@ type engineSnapshot struct {
 	Watermark uint64
 	Engine    []byte
 	State     *recon.SavedState
-	Writers   []updates.SavedWriter
 }
 
-func encodeEngineBlob(watermark uint64, engineBlob []byte, st *recon.SavedState, writers []updates.SavedWriter) ([]byte, error) {
+func encodeEngineBlob(watermark uint64, engineBlob []byte, st *recon.SavedState) ([]byte, error) {
 	buf := append([]byte(nil), engineBlobMagic...)
 	buf = binary.AppendUvarint(buf, watermark)
 	buf = binary.AppendUvarint(buf, uint64(len(engineBlob)))
@@ -104,11 +104,6 @@ func encodeEngineBlob(watermark uint64, engineBlob []byte, st *recon.SavedState,
 		}
 	}
 
-	buf = binary.AppendUvarint(buf, uint64(len(st.AppliedOrder)))
-	for _, id := range st.AppliedOrder {
-		buf = appendBlobString(buf, id.Peer)
-		buf = binary.AppendUvarint(buf, id.Seq)
-	}
 	buf = binary.AppendUvarint(buf, uint64(len(st.Writes)))
 	for _, w := range st.Writes {
 		buf = appendBlobString(buf, w.Key)
@@ -120,12 +115,6 @@ func encodeEngineBlob(watermark uint64, engineBlob []byte, st *recon.SavedState,
 			buf = append(buf, 0)
 		}
 		buf = appendBlobString(buf, w.TupKey)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(writers)))
-	for _, w := range writers {
-		buf = appendBlobString(buf, w.Key)
-		buf = appendBlobString(buf, w.Writer.Peer)
-		buf = binary.AppendUvarint(buf, w.Writer.Seq)
 	}
 	return buf, nil
 }
@@ -193,13 +182,6 @@ func decodeEngineBlob(blob []byte) (*engineSnapshot, error) {
 		snap.State.Txns = append(snap.State.Txns, recon.SavedTxn{Txn: t, Status: status, Prio: prio})
 	}
 
-	nOrder := r.uvarint()
-	snap.State.AppliedOrder = make([]updates.TxnID, 0, r.capFor(nOrder, 2))
-	for i := uint64(0); i < nOrder && r.err == nil; i++ {
-		id := updates.TxnID{Peer: r.name()}
-		id.Seq = r.uvarint()
-		snap.State.AppliedOrder = append(snap.State.AppliedOrder, id)
-	}
 	nWrites := r.uvarint()
 	snap.State.Writes = make([]recon.SavedWrite, 0, r.capFor(nWrites, 5))
 	for i := uint64(0); i < nWrites && r.err == nil; i++ {
@@ -208,13 +190,6 @@ func decodeEngineBlob(blob []byte) (*engineSnapshot, error) {
 		w.Del = r.byte() == 1
 		w.TupKey = r.string()
 		snap.State.Writes = append(snap.State.Writes, w)
-	}
-	nWriters := r.uvarint()
-	snap.Writers = make([]updates.SavedWriter, 0, r.capFor(nWriters, 3))
-	for i := uint64(0); i < nWriters && r.err == nil; i++ {
-		w := updates.SavedWriter{Key: r.string(), Writer: updates.TxnID{Peer: r.name()}}
-		w.Writer.Seq = r.uvarint()
-		snap.Writers = append(snap.Writers, w)
 	}
 	if r.err == nil && len(r.buf) != 0 {
 		r.failf("%d trailing bytes", len(r.buf))

@@ -23,7 +23,7 @@ func engineBlobOf(t testing.TB, p *Peer) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := encodeEngineBlob(p.lastEpoch, eng, p.state.Save(), p.tracker.Save())
+	blob, err := encodeEngineBlob(p.lastEpoch, eng, p.state.Save())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func acceptedWithUpdates(t testing.TB) []byte {
 	b = appendBlobString(b, schema.NewTuple(schema.String("x")).Key())
 	b = binary.AppendUvarint(b, uint64(len(prov)))
 	b = append(b, prov...)
-	return append(b, 0, 0, 0, 0) // no deps, order, writes or writers
+	return append(b, 0, 0) // no deps or writes
 }
 
 // sameEngineSnapshot compares two decoded blobs: tuples by canonical key
@@ -100,9 +100,8 @@ func sameEngineSnapshot(a, b *engineSnapshot) error {
 	if a.Watermark != b.Watermark || !bytes.Equal(a.Engine, b.Engine) {
 		return fmt.Errorf("watermark %d vs %d, or engine bytes differ", a.Watermark, b.Watermark)
 	}
-	if !reflect.DeepEqual(a.State.AppliedOrder, b.State.AppliedOrder) ||
-		!reflect.DeepEqual(a.State.Writes, b.State.Writes) || !reflect.DeepEqual(a.Writers, b.Writers) {
-		return fmt.Errorf("acceptance order, accepted writes or last writers differ")
+	if !reflect.DeepEqual(a.State.Writes, b.State.Writes) {
+		return fmt.Errorf("accepted writes differ")
 	}
 	if len(a.State.Txns) != len(b.State.Txns) {
 		return fmt.Errorf("%d vs %d transactions", len(a.State.Txns), len(b.State.Txns))
@@ -145,7 +144,7 @@ func FuzzDecodeEngineBlob(f *testing.F) {
 			}
 			return
 		}
-		again, err := encodeEngineBlob(snap.Watermark, snap.Engine, snap.State, snap.Writers)
+		again, err := encodeEngineBlob(snap.Watermark, snap.Engine, snap.State)
 		if err != nil {
 			t.Fatalf("re-encoding: %v", err)
 		}

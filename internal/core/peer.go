@@ -33,7 +33,6 @@ type Peer struct {
 	local     *storage.Instance
 	engine    *exchange.Engine
 	state     *recon.State
-	tracker   *updates.Tracker
 	nextSeq   uint64
 	lastEpoch uint64
 	// engCfg is retained so the engine can be rebuilt after a mid-Apply
@@ -141,7 +140,6 @@ func NewPeerWith(name string, sys *System, store p2p.Store, policy *recon.Policy
 		local:   storage.NewInstance(s),
 		engine:  eng,
 		state:   recon.NewState(keyOf),
-		tracker: updates.NewTracker(keyOf),
 		nextSeq: 1,
 	}, nil
 }
@@ -272,8 +270,8 @@ func (t *Txn) Commit() (*updates.Transaction, error) {
 			return nil, fmt.Errorf("core: commit at peer %s: %w", p.name, err)
 		}
 	}
-	// Dependencies: the last writers of every key this txn touches.
-	p.tracker.Record(txn)
+	// Dependencies: the last accepted writers of every key this txn touches.
+	txn.Deps = p.state.LastWriters(txn)
 	// Apply to the local instance.
 	if err := p.applyUpdates(txn.Updates); err != nil {
 		return nil, err
@@ -574,7 +572,6 @@ func (p *Peer) applyOutcome(outcome *recon.Outcome, report *ReconcileReport) err
 		if err := p.applyUpdates(txn.Updates); err != nil {
 			return err
 		}
-		p.tracker.RecordWrites(txn)
 		if p.applyHook != nil {
 			p.applyHook(ApplyEvent{Txn: txn.ID, Epoch: txn.Epoch, Local: false, Updates: txn.Updates})
 		}

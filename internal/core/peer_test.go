@@ -203,6 +203,21 @@ func TestOwnTransactionsNotReapplied(t *testing.T) {
 	}
 }
 
+// A Modify that moves a tuple to another key vacates the old key, so the
+// next insert at that key depends on the Modify, not on the transaction
+// whose tuple used to sit there: a peer that rejected the move must not
+// accept the insert over a row its author never saw at that key.
+func TestCommitAfterKeyMoveDependsOnTheMove(t *testing.T) {
+	peers, _ := fig2(t)
+	alaska := peers[workload.Alaska]
+	commit(t, alaska.NewTransaction().Insert("O", workload.OTuple("fly", 3)))
+	t2 := commit(t, alaska.NewTransaction().Modify("O", workload.OTuple("fly", 3), workload.OTuple("fly", 4)))
+	t3 := commit(t, alaska.NewTransaction().Insert("O", workload.OTuple("bee", 3)))
+	if len(t3.Deps) != 1 || t3.Deps[0] != t2.ID {
+		t.Fatalf("t3 deps = %v, want [%s]", t3.Deps, t2.ID)
+	}
+}
+
 func TestConvergenceAcrossSharedSchemaPeers(t *testing.T) {
 	peers, _ := fig2(t)
 	alaska, beijing := peers[workload.Alaska], peers[workload.Beijing]

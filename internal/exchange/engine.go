@@ -45,19 +45,14 @@ const DefaultMaxMonomials = 8
 
 // Engine maintains the global union database and translates transactions.
 type Engine struct {
-	peers    map[string]*schema.Schema
-	mappings []*mapping.Mapping
-	prog     *datalog.Program
-	inc      *datalog.Incremental
+	peers map[string]*schema.Schema
+	prog  *datalog.Program
+	inc   *datalog.Incremental
 	// baseTokens maps (qualified pred, tuple key) to the tokens of the
 	// published inserts that created the tuple; deletes kill them.
 	baseTokens map[string][]provenance.Var
 	applied    map[updates.TxnID]bool
 	opts       datalog.Options
-	// unionSnap memoizes the frozen view handed out by UnionDB between
-	// mutations, so polling after every Apply freezes each extent at most
-	// once per mutation epoch.
-	unionSnap *datalog.DB
 }
 
 // Config tunes the datalog evaluation behind the engine's provenance-aware
@@ -112,7 +107,6 @@ func NewEngineWith(peers map[string]*schema.Schema, mappings []*mapping.Mapping,
 	}
 	return &Engine{
 		peers:      peers,
-		mappings:   mappings,
 		prog:       prog,
 		inc:        inc,
 		baseTokens: map[string][]provenance.Var{},
@@ -138,19 +132,11 @@ func (e *Engine) Applied(id updates.TxnID) bool { return e.applied[id] }
 // AppliedCount returns how many transactions the engine has applied.
 func (e *Engine) AppliedCount() int { return len(e.applied) }
 
-// UnionDB exposes the maintained union database as an O(#preds)
-// copy-on-write snapshot: the returned view is frozen — later transactions
+// UnionDB returns a fresh O(#preds) copy-on-write snapshot of the
+// maintained union database: the view is frozen — later transactions
 // applied to the engine do not show through it, and mutating it cannot
-// corrupt the engine's incremental state. Callers that previously relied on
-// the returned database tracking the engine live should re-call UnionDB
-// after each Apply. The snapshot is memoized until the next Apply, so
-// polling is cheap.
-func (e *Engine) UnionDB() *datalog.DB {
-	if e.unionSnap == nil {
-		e.unionSnap = e.inc.DB().Snapshot()
-	}
-	return e.unionSnap
-}
+// corrupt the engine's incremental state.
+func (e *Engine) UnionDB() *datalog.DB { return e.inc.DB().Snapshot() }
 
 // Apply feeds one published transaction into the union database,
 // propagates it through the mappings, and returns the per-peer net changes.
@@ -203,7 +189,6 @@ func (e *Engine) ApplyAll(ctx context.Context, txns []*updates.Transaction) ([]*
 	if len(txns) == 0 {
 		return nil, nil
 	}
-	e.unionSnap = nil // the memoized UnionDB view goes stale on mutation
 	results := make([]*Result, len(txns))
 	for i, txn := range txns {
 		res, err := e.applyOne(ctx, txn)

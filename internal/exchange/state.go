@@ -128,7 +128,6 @@ func (e *Engine) LoadState(blob []byte) error {
 	e.inc = inc
 	e.baseTokens = base
 	e.applied = applied
-	e.unionSnap = nil
 	return nil
 }
 

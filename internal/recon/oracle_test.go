@@ -130,19 +130,16 @@ type oracleState struct {
 	status         map[updates.TxnID]Status
 	prio           map[updates.TxnID]int
 	acceptedWrites map[string]writeVal
-	appliedOrder   []updates.TxnID
 	// undo, while non-nil, journals every status and accepted-write change
 	// so Resolve can take back a resolution that fails (see rollback).
 	undo *oracleUndoLog
 }
 
 // oracleUndoLog is what one Resolve call changed, in order: the previous value of
-// each status and accepted write it overwrote, and how long appliedOrder
-// was when it began.
+// each status and accepted write it overwrote.
 type oracleUndoLog struct {
-	status  []oracleUndoStatus
-	writes  []oracleUndoWrite
-	applied int
+	status []oracleUndoStatus
+	writes []oracleUndoWrite
 }
 
 type oracleUndoStatus struct {
@@ -178,7 +175,6 @@ func (s *oracleState) rollback() {
 			delete(s.acceptedWrites, w.key)
 		}
 	}
-	s.appliedOrder = s.appliedOrder[:u.applied]
 }
 
 // newOracleState creates reconciliation state. keyOf must project a tuple of the
@@ -195,11 +191,6 @@ func newOracleState(keyOf func(rel string, tu schema.Tuple) schema.Tuple) *oracl
 
 // Status returns the disposition of a transaction.
 func (s *oracleState) Status(id updates.TxnID) Status { return s.status[id] }
-
-// AppliedOrder returns all accepted transactions in application order.
-func (s *oracleState) AppliedOrder() []updates.TxnID {
-	return append([]updates.TxnID(nil), s.appliedOrder...)
-}
 
 // Reconcile feeds a batch of candidate transactions (translated into the
 // local schema) through the trust policy and the greedy consistent-set
@@ -232,7 +223,6 @@ func (s *oracleState) AcceptLocal(t *updates.Transaction) error {
 		return err
 	}
 	s.status[t.ID] = StatusAccepted
-	s.appliedOrder = append(s.appliedOrder, t.ID)
 	for k, w := range s.netWrites([]*updates.Transaction{t}) {
 		s.acceptedWrites[k] = w
 	}
@@ -456,7 +446,6 @@ func (s *oracleState) accept(g *oracleGroup, out *Outcome) {
 			continue
 		}
 		s.setStatus(m.ID, StatusAccepted)
-		s.appliedOrder = append(s.appliedOrder, m.ID)
 		out.Accepted = append(out.Accepted, m)
 	}
 	for k, w := range g.writes {
@@ -649,7 +638,7 @@ func (s *oracleState) Resolve(winner updates.TxnID) (*Outcome, error) {
 	if s.status[winner] != StatusDeferred {
 		return nil, fmt.Errorf("%w: %s (status %s)", ErrNotDeferred, winner, s.status[winner])
 	}
-	s.undo = &oracleUndoLog{applied: len(s.appliedOrder)}
+	s.undo = &oracleUndoLog{}
 	out := &Outcome{}
 	wt, _ := s.graph.Get(winner)
 	wWrites := s.netWrites([]*updates.Transaction{wt})
@@ -713,7 +702,7 @@ func (s *oracleState) Resolve(winner updates.TxnID) (*Outcome, error) {
 // Save flattens the state. The returned transactions are the graph's own
 // (not copies); callers serialize, they do not mutate.
 func (s *oracleState) Save() *SavedState {
-	sv := &SavedState{AppliedOrder: s.AppliedOrder()}
+	sv := &SavedState{}
 	for _, id := range s.graph.IDs() {
 		t, _ := s.graph.Get(id)
 		sv.Txns = append(sv.Txns, SavedTxn{Txn: t, Status: s.status[id], Prio: s.prio[id]})
@@ -738,7 +727,6 @@ func (s *oracleState) Restore(sv *SavedState) error {
 	s.status = make(map[updates.TxnID]Status, len(sv.Txns))
 	s.prio = make(map[updates.TxnID]int, len(sv.Txns))
 	s.acceptedWrites = make(map[string]writeVal, len(sv.Writes))
-	s.appliedOrder = append([]updates.TxnID(nil), sv.AppliedOrder...)
 	for _, st := range sv.Txns {
 		if st.Txn == nil {
 			return fmt.Errorf("recon: saved state has a nil transaction")
@@ -758,7 +746,7 @@ func (s *oracleState) Restore(sv *SavedState) error {
 // The differential test. Both implementations are driven through the same
 // seeded schedule and must agree after every step: same Outcome (Accepted
 // in application order; Rejected, Deferred and Pending element for
-// element), same error, same AppliedOrder, same Save().
+// element), same error, same Save().
 
 var oracleSeeds = flag.Int("seeds", 25, "seeded schedules for TestOpenSetEqualsFullScan")
 
@@ -1045,9 +1033,6 @@ func TestOpenSetEqualsFullScan(t *testing.T) {
 						deferredCascades++
 					}
 				}
-			}
-			if !slices.Equal(s.AppliedOrder(), o.AppliedOrder()) {
-				fail("applied order %v, full scan %v", s.AppliedOrder(), o.AppliedOrder())
 			}
 			if !reflect.DeepEqual(s.Save(), o.Save()) {
 				fail("saved state differs from the full scan's")

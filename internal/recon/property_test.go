@@ -38,8 +38,9 @@ func randInstance(rng *rand.Rand, n, keys int, depProb float64) []*updates.Trans
 }
 
 // checkInvariants verifies conflict-freedom, dependency-closure, and
-// maximality of the accepted set.
-func checkInvariants(t *testing.T, s *State, txns []*updates.Transaction) {
+// maximality of the accepted set. order is every accepted transaction in
+// the order the outcomes reported it.
+func checkInvariants(t *testing.T, s *State, txns []*updates.Transaction, order []updates.TxnID) {
 	t.Helper()
 	byID := map[updates.TxnID]*updates.Transaction{}
 	for _, tx := range txns {
@@ -51,11 +52,14 @@ func checkInvariants(t *testing.T, s *State, txns []*updates.Transaction) {
 			accepted[tx.ID] = true
 		}
 	}
-	// (1) conflict-free: replay accepted writes in applied order; a write
-	// to a key held by a different value must come from a txn that depends
-	// (transitively) on the current writer.
+	// (1) conflict-free: replay accepted writes in application order; a
+	// write to a key held by a different value must come from a txn that
+	// depends (transitively) on the current writer.
+	if len(order) != len(accepted) {
+		t.Fatalf("outcomes reported %d acceptances, %d transactions are accepted", len(order), len(accepted))
+	}
 	writes := map[string]writeVal{}
-	for _, id := range s.AppliedOrder() {
+	for _, id := range order {
 		tx, ok := byID[id]
 		if !ok {
 			continue
@@ -158,10 +162,11 @@ func TestQuickGreedyInvariants(t *testing.T) {
 				},
 			})
 		}
-		if _, err := s.Reconcile(pol, txns); err != nil {
+		out, err := s.Reconcile(pol, txns)
+		if err != nil {
 			t.Fatal(err)
 		}
-		checkInvariants(t, s, txns)
+		checkInvariants(t, s, txns, ids(out.Accepted))
 	}
 }
 
@@ -172,10 +177,11 @@ func TestQuickEqualPriorityDeferralInvariants(t *testing.T) {
 		keys := 1 + rng.Intn(3)
 		txns := randInstance(rng, n, keys, 0.3)
 		s := NewState(keyFirst)
-		if _, err := s.Reconcile(TrustAll(1), txns); err != nil {
+		out, err := s.Reconcile(TrustAll(1), txns)
+		if err != nil {
 			t.Fatal(err)
 		}
-		checkInvariants(t, s, txns)
+		checkInvariants(t, s, txns, ids(out.Accepted))
 		// Deferred transactions must actually have a potential conflict:
 		// for every deferred txn there exists another deferred or accepted
 		// txn writing one of its keys with a different value.
@@ -242,9 +248,11 @@ func TestQuickResolutionTerminates(t *testing.T) {
 		n := 2 + rng.Intn(10)
 		txns := randInstance(rng, n, 1+rng.Intn(2), 0.2)
 		s := NewState(keyFirst)
-		if _, err := s.Reconcile(TrustAll(1), txns); err != nil {
+		out, err := s.Reconcile(TrustAll(1), txns)
+		if err != nil {
 			t.Fatal(err)
 		}
+		order := ids(out.Accepted)
 		for iter := 0; iter < n+1; iter++ {
 			var deferred []updates.TxnID
 			for _, tx := range txns {
@@ -255,15 +263,17 @@ func TestQuickResolutionTerminates(t *testing.T) {
 			if len(deferred) == 0 {
 				break
 			}
-			if _, err := s.Resolve(deferred[0]); err != nil {
+			out, err := s.Resolve(deferred[0])
+			if err != nil {
 				t.Fatalf("resolve %s: %v", deferred[0], err)
 			}
+			order = append(order, ids(out.Accepted)...)
 		}
 		for _, tx := range txns {
 			if s.Status(tx.ID) == StatusDeferred {
 				t.Fatalf("deferred %s survives full resolution", tx.ID)
 			}
 		}
-		checkInvariants(t, s, txns)
+		checkInvariants(t, s, txns, order)
 	}
 }

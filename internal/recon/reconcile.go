@@ -123,9 +123,11 @@ type State struct {
 	// begins, not before: a deferred transaction rejected by a cascade in
 	// the middle of a pass still blocks the candidates judged after it in
 	// that pass.
-	undeferred     []*node
+	undeferred []*node
+	// acceptedWrites is the last accepted write of each (relation, key):
+	// what conflicts are judged against, and what a local commit depends on
+	// (LastWriters).
 	acceptedWrites map[string]writeVal
-	appliedOrder   []updates.TxnID
 	// undo, while non-nil, journals every status and accepted-write change
 	// so Resolve can take back a resolution that fails (see rollback).
 	undo *undoLog
@@ -135,12 +137,10 @@ type State struct {
 }
 
 // undoLog is what one Resolve call changed, in order: the previous value of
-// each status and accepted write it overwrote, and how long appliedOrder
-// was when it began.
+// each status and accepted write it overwrote.
 type undoLog struct {
-	status  []undoStatus
-	writes  []undoWrite
-	applied int
+	status []undoStatus
+	writes []undoWrite
 }
 
 type undoStatus struct {
@@ -230,7 +230,6 @@ func (s *State) rollback() {
 			delete(s.acceptedWrites, w.key)
 		}
 	}
-	s.appliedOrder = s.appliedOrder[:u.applied]
 }
 
 // NewState creates reconciliation state. keyOf must project a tuple of the
@@ -306,11 +305,6 @@ func (s *State) Stats() Stats {
 	return Stats{Visited: s.visited, Pending: len(s.pending), Deferred: len(s.deferred)}
 }
 
-// AppliedOrder returns all accepted transactions in application order.
-func (s *State) AppliedOrder() []updates.TxnID {
-	return append([]updates.TxnID(nil), s.appliedOrder...)
-}
-
 // Outcome reports the effects of one Reconcile or Resolve call.
 type Outcome struct {
 	// Accepted lists newly accepted transactions in application order;
@@ -351,11 +345,30 @@ func (s *State) AcceptLocal(t *updates.Transaction) error {
 		return fmt.Errorf("%w: %s (status %s)", ErrAlreadyReconciled, t.ID, st)
 	}
 	s.move(s.add(t), StatusAccepted)
-	s.appliedOrder = append(s.appliedOrder, t.ID)
 	for k, w := range s.netWrites(t) {
 		s.acceptedWrites[k] = w
 	}
 	return nil
+}
+
+// LastWriters returns the accepted transactions that last wrote the keys t
+// touches, t itself excluded, in TxnID order: the dependencies a local
+// commit declares. A delete or modify depends on the writer of the key of
+// the tuple it replaces, an insert on the writer of the key it writes (a
+// re-insert after a delete depends on the delete).
+func (s *State) LastWriters(t *updates.Transaction) []updates.TxnID {
+	var out []updates.TxnID
+	for _, u := range t.Updates {
+		probe := u.New
+		if u.Old != nil {
+			probe = u.Old
+		}
+		if w, ok := s.acceptedWrites[u.Rel+"/"+s.keyOf(u.Rel, probe).Key()]; ok && w.writer != t.ID {
+			out = append(out, w.writer)
+		}
+	}
+	slices.SortFunc(out, updates.TxnID.Compare)
+	return slices.Compact(out)
 }
 
 // netWrites computes the final (relation, key) -> value effect of applying
@@ -594,7 +607,6 @@ func (s *State) accept(g *group, out *Outcome) {
 			continue
 		}
 		s.setStatus(m, StatusAccepted)
-		s.appliedOrder = append(s.appliedOrder, m.id)
 		out.Accepted = append(out.Accepted, m.txn)
 	}
 	for k, w := range g.writes {
@@ -763,7 +775,7 @@ func (s *State) Resolve(winner updates.TxnID) (*Outcome, error) {
 	if wn == nil || wn.status != StatusDeferred {
 		return nil, fmt.Errorf("%w: %s (status %s)", ErrNotDeferred, winner, s.Status(winner))
 	}
-	s.undo = &undoLog{applied: len(s.appliedOrder)}
+	s.undo = &undoLog{}
 	out := &Outcome{}
 	wWrites := s.netWrites(wn.txn)
 	// Reject conflicting deferred losers. Deferred transactions that

@@ -2,6 +2,7 @@ package recon
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"orchestra/internal/schema"
@@ -368,20 +369,42 @@ func TestPriorityIsMinOverUpdates(t *testing.T) {
 	}
 }
 
-func TestAppliedOrderAccumulates(t *testing.T) {
+// TestLastWriters: a local commit depends on the accepted writers of the
+// keys it touches — the old tuple's key for a delete or modify, the new
+// tuple's for an insert — itself excluded, once each, in TxnID order.
+func TestLastWriters(t *testing.T) {
 	s := NewState(keyFirst)
-	a := txn("a", 1, updates.Insert("R", tup(1, 1)))
-	b := txn("b", 1, updates.Insert("R", tup(2, 2)))
-	if _, err := s.Reconcile(TrustAll(1), []*updates.Transaction{a}); err != nil {
-		t.Fatal(err)
+	commit := func(tx *updates.Transaction, want ...updates.TxnID) {
+		t.Helper()
+		tx.Deps = s.LastWriters(tx)
+		if !reflect.DeepEqual(tx.Deps, want) {
+			t.Errorf("%s deps = %v, want %v", tx.ID, tx.Deps, want)
+		}
+		if err := s.AcceptLocal(tx); err != nil {
+			t.Fatal(err)
+		}
+		if self := s.LastWriters(tx); slices.Contains(self, tx.ID) {
+			t.Errorf("%s depends on itself: %v", tx.ID, self)
+		}
 	}
-	if _, err := s.Reconcile(TrustAll(1), []*updates.Transaction{b}); err != nil {
-		t.Fatal(err)
-	}
-	order := s.AppliedOrder()
-	if len(order) != 2 || order[0] != a.ID || order[1] != b.ID {
-		t.Errorf("order = %v", order)
-	}
+	t1 := txn("alaska", 1, updates.Insert("R", tup(1, 10)))
+	commit(t1)
+	// t2 modifies the tuple t1 inserted: depends on t1.
+	t2 := txn("beijing", 1, updates.Modify("R", tup(1, 10), tup(1, 11)))
+	commit(t2, t1.ID)
+	// t3 deletes it: depends on t2 (the last writer), not t1.
+	t3 := txn("crete", 1, updates.Delete("R", tup(1, 11)))
+	commit(t3, t2.ID)
+	// Unrelated key: no deps.
+	t4 := txn("dresden", 1, updates.Insert("R", tup(9, 9)))
+	commit(t4)
+	// A multi-update transaction picks up deps from each touched key, once:
+	// key 9's writer t4, and key 1's, t3, whose delete a re-insert follows.
+	t5 := txn("e", 1,
+		updates.Modify("R", tup(9, 9), tup(9, 10)),
+		updates.Insert("R", tup(1, 50)),
+		updates.Modify("R", tup(9, 10), tup(9, 11)))
+	commit(t5, t3.ID, t4.ID)
 }
 
 // A Resolve whose winner turns out not to be applicable — here it lost to a

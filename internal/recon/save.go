@@ -9,7 +9,7 @@ import (
 
 // Serializable reconciliation state (DESIGN.md §13). Save flattens the
 // peer's accumulated trust state — every graph node with its disposition
-// and priority, the application order, and the accepted-write index — into
+// and priority, and the accepted-write index — into
 // plain data the durability layer encodes; Restore rebuilds the state
 // exactly. The split matters for snapshot size: process() and Resolve only
 // ever read the full Updates of Pending and Deferred nodes (group assembly
@@ -35,9 +35,8 @@ type SavedWrite struct {
 
 // SavedState is the serializable form of a State.
 type SavedState struct {
-	Txns         []SavedTxn // in TxnID order
-	AppliedOrder []updates.TxnID
-	Writes       []SavedWrite // in key order
+	Txns   []SavedTxn   // in TxnID order
+	Writes []SavedWrite // in key order
 }
 
 // NeedsFullTxn reports whether reconciliation can still read the node's
@@ -51,7 +50,7 @@ func NeedsFullTxn(st Status) bool {
 // Save flattens the state. The returned transactions are the state's own
 // (not copies); callers serialize, they do not mutate.
 func (s *State) Save() *SavedState {
-	sv := &SavedState{AppliedOrder: s.AppliedOrder()}
+	sv := &SavedState{}
 	for _, id := range s.IDs() {
 		n := s.nodes[id]
 		sv.Txns = append(sv.Txns, SavedTxn{Txn: n.txn, Status: n.status, Prio: n.prio})
@@ -77,7 +76,6 @@ func (s *State) Restore(sv *SavedState) error {
 	fresh.nodes = make(map[updates.TxnID]*node, len(sv.Txns))
 	fresh.acceptedWrites = make(map[string]writeVal, len(sv.Writes))
 	fresh.visited = s.visited
-	fresh.appliedOrder = append([]updates.TxnID(nil), sv.AppliedOrder...)
 	for _, st := range sv.Txns {
 		if st.Txn == nil {
 			return fmt.Errorf("recon: saved state has a nil transaction")

@@ -1,11 +1,12 @@
 // Package updates defines the CDSS's basic unit of information transfer:
 // tuple-level updates grouped into transactions, together with the logical
-// clock (epochs) and the tracker that derives a transaction's dependencies.
-// As Section 2 of the ORCHESTRA paper describes, the CDSS propagates,
-// translates, and detects conflicts among *transactions*, not bare tuples,
-// and data dependencies between transactions (one modifies a tuple inserted
-// by another) induce a dependency graph that reconciliation must respect
-// (internal/recon holds that graph, one node per transaction).
+// clock (epochs). As Section 2 of the ORCHESTRA paper describes, the CDSS
+// propagates, translates, and detects conflicts among *transactions*, not
+// bare tuples, and data dependencies between transactions (one modifies a
+// tuple inserted by another) induce a dependency graph that reconciliation
+// must respect. internal/recon holds that graph, one node per transaction,
+// and the last accepted writer of each key, from which a local commit's
+// dependencies are derived (recon.State.LastWriters).
 package updates
 
 import (

@@ -15,9 +15,6 @@ func tup(vs ...int64) schema.Tuple {
 	return out
 }
 
-// keyFirst projects every tuple onto its first column (the "key").
-func keyFirst(rel string, tu schema.Tuple) schema.Tuple { return tu.Project([]int{0}) }
-
 func TestUpdateConstructors(t *testing.T) {
 	ins := Insert("R", tup(1, 2))
 	if ins.Op != OpInsert || !ins.Target().Equal(tup(1, 2)) || ins.Old != nil {
@@ -81,42 +78,6 @@ func TestTokenRoundTrip(t *testing.T) {
 		t.Error("mapping token misparsed as update token")
 	}
 }
-func TestTrackerDependencies(t *testing.T) {
-	tr := NewTracker(keyFirst)
-	t1 := &Transaction{ID: TxnID{Peer: "alaska", Seq: 1}, Updates: []Update{Insert("R", tup(1, 10))}}
-	tr.Record(t1)
-	if len(t1.Deps) != 0 {
-		t.Errorf("t1 deps = %v", t1.Deps)
-	}
-	// t2 modifies the tuple t1 inserted: depends on t1.
-	t2 := &Transaction{ID: TxnID{Peer: "beijing", Seq: 1}, Updates: []Update{Modify("R", tup(1, 10), tup(1, 11))}}
-	tr.Record(t2)
-	if len(t2.Deps) != 1 || t2.Deps[0] != t1.ID {
-		t.Errorf("t2 deps = %v", t2.Deps)
-	}
-	// t3 deletes it: depends on t2 (the last writer), not t1.
-	t3 := &Transaction{ID: TxnID{Peer: "crete", Seq: 1}, Updates: []Update{Delete("R", tup(1, 11))}}
-	tr.Record(t3)
-	if len(t3.Deps) != 1 || t3.Deps[0] != t2.ID {
-		t.Errorf("t3 deps = %v", t3.Deps)
-	}
-	// Unrelated key: no deps.
-	t4 := &Transaction{ID: TxnID{Peer: "dresden", Seq: 1}, Updates: []Update{Insert("R", tup(9, 9))}}
-	tr.Record(t4)
-	if len(t4.Deps) != 0 {
-		t.Errorf("t4 deps = %v", t4.Deps)
-	}
-	// Multi-update transaction picks up deps from each touched key, once.
-	t5 := &Transaction{ID: TxnID{Peer: "e", Seq: 1}, Updates: []Update{
-		Modify("R", tup(9, 9), tup(9, 10)),
-		Insert("R", tup(1, 50)), // key 1's last writer is t3
-	}}
-	tr.Record(t5)
-	if len(t5.Deps) != 2 {
-		t.Errorf("t5 deps = %v", t5.Deps)
-	}
-}
-
 func TestTransactionString(t *testing.T) {
 	txn := &Transaction{ID: TxnID{Peer: "p", Seq: 1}, Epoch: 3,
 		Updates: []Update{Insert("R", tup(1))}}
