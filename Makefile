@@ -58,7 +58,8 @@ series-check:
 	./scripts/check_series_docs.sh
 
 ## fuzz-smoke: each native fuzz target for FUZZTIME — tuple keys
-## (internal/schema), wire transactions and
+## (internal/schema), the durable transaction codec, byte for byte
+## (internal/updates), wire transactions and
 ## store-server request frames (internal/p2p), DB snapshots and extent
 ## operations against a naive model (internal/datalog),
 ## engine snapshots (internal/exchange), the peer's engine blob and its
@@ -71,6 +72,7 @@ series-check:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTupleKey$$' -fuzztime $(FUZZTIME) ./internal/schema/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTxn$$' -fuzztime $(FUZZTIME) ./internal/updates/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTxn$$' -fuzztime $(FUZZTIME) ./internal/p2p/
 	$(GO) test -run '^$$' -fuzz '^FuzzServerRequest$$' -fuzztime $(FUZZTIME) ./internal/p2p/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDB$$' -fuzztime $(FUZZTIME) ./internal/datalog/

@@ -7,7 +7,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -304,15 +303,15 @@ func TestResolveSurvivesDirtyCheckpointCrash(t *testing.T) {
 	// decision.
 	var decisions []trustEvent
 	err = sn.Scan(rb, lsm.PrefixEnd(rb), func(k, v []byte) bool {
-		var d trustEvent
-		if e := json.Unmarshal(v, &d); e != nil {
+		d, e := decodeEvent(v)
+		if e != nil {
 			t.Errorf("bad archived event: %v", e)
 			return false
 		}
 		if len(k) != len(rb)+8 {
 			t.Errorf("malformed event key %x", k)
 		}
-		if d.WinnerPeer != "" && d.WinnerPeer != workload.Dresden {
+		if d.ID.Peer != "" && d.ID.Peer != workload.Dresden {
 			decisions = append(decisions, d)
 		}
 		return true
@@ -321,7 +320,7 @@ func TestResolveSurvivesDirtyCheckpointCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decisions) != 1 || decisions[0].WinnerSeq != bTxn.ID.Seq {
+	if len(decisions) != 1 || decisions[0].ID != bTxn.ID {
 		t.Fatalf("archived decisions after dirty checkpoint: %+v", decisions)
 	}
 

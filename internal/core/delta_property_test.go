@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -182,11 +181,7 @@ func requireQueueAndMeta(t *testing.T, label string, sn *lsm.Snapshot, p *Peer) 
 	var queued []updates.TxnID
 	up := ckUnpubPrefix(p.name)
 	err := sn.Scan(up, lsm.PrefixEnd(up), func(k, v []byte) bool {
-		var w p2p.WireTxn
-		if derr = json.Unmarshal(v, &w); derr != nil {
-			return false
-		}
-		tx, e := p2p.DecodeTxn(w)
+		tx, e := decodeQueued(v)
 		if e != nil {
 			derr = e
 			return false
@@ -209,7 +204,10 @@ func requireQueueAndMeta(t *testing.T, label string, sn *lsm.Snapshot, p *Peer) 
 	}
 	raw, ok, err := sn.Get(ckMetaKey(p.name))
 	var meta checkpointMeta
-	if err != nil || !ok || json.Unmarshal(raw, &meta) != nil {
+	if err == nil && ok {
+		meta, err = decodeMeta(raw)
+	}
+	if err != nil || !ok {
 		t.Fatalf("%s: image meta: ok=%v err=%v", label, ok, err)
 	}
 	if meta.NextSeq != p.nextSeq || meta.LastEpoch != p.lastEpoch {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
@@ -11,6 +10,7 @@ import (
 	"slices"
 	"time"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/exchange"
 	"orchestra/internal/lsm"
 	"orchestra/internal/p2p"
@@ -31,13 +31,14 @@ import (
 //
 // Checkpoint key layout (esc is lsm.AppendString, the order-preserving
 // escaped string encoding); the "c/", "e/", and "r/" prefixes cannot
-// collide with each other or with the archive keyspace:
+// collide with each other or with the archive keyspace. Every value is
+// binary and reads back through one codec.Reader:
 //
-//	c/<esc peer>m                        -> JSON checkpointMeta
-//	c/<esc peer>r<esc rel><tuple bytes>  -> binary provenance polynomial (encodeProv)
-//	c/<esc peer>u<index be32>            -> JSON p2p.WireTxn (unpublished)
+//	c/<esc peer>m                        -> checkpointMeta (appendMeta)
+//	c/<esc peer>r<esc rel><tuple bytes>  -> provenance polynomial (appendProv)
+//	c/<esc peer>u<index be32>            -> unpublished transaction (updates.AppendTxn)
 //	e/<esc peer>                         -> engine snapshot blob (engineblob.go)
-//	r/<esc peer><seq be64>               -> JSON trustEvent
+//	r/<esc peer><seq be64>               -> trustEvent (appendEvent)
 //
 // The tuple decodes from the row key itself; the value holds only the
 // stored annotation, so a checkpoint relation is a contiguous, key-ordered
@@ -65,8 +66,28 @@ const (
 // peer had reconciled up to, and where the local transaction counter stood.
 // Both can be ahead of the image, whose own epoch is the blob's watermark.
 type checkpointMeta struct {
-	NextSeq   uint64 `json:"next_seq"`
-	LastEpoch uint64 `json:"last_epoch"`
+	NextSeq   uint64
+	LastEpoch uint64
+}
+
+// appendMeta appends the meta record: nextSeq, lastEpoch as uvarints.
+func appendMeta(buf []byte, m checkpointMeta) []byte {
+	buf = binary.AppendUvarint(buf, m.NextSeq)
+	return binary.AppendUvarint(buf, m.LastEpoch)
+}
+
+func decodeMeta(data []byte) (checkpointMeta, error) {
+	r := codec.NewReader(data, ErrBadEngineBlob)
+	m := checkpointMeta{NextSeq: r.Uvarint(), LastEpoch: r.Uvarint()}
+	return m, r.Done()
+}
+
+// decodeQueued decodes one unpublished-queue value.
+func decodeQueued(data []byte) (*updates.Transaction, error) {
+	r := codec.NewReader(data, ErrBadEngineBlob)
+	t := &updates.Transaction{}
+	updates.ReadTxn(r, t)
+	return t, r.Done()
 }
 
 func ckBase(peer string) []byte {
@@ -111,46 +132,56 @@ func rkKey(peer string, seq uint64) []byte {
 // last two AfterEpoch is the peer's lastEpoch at the time. Recovery replays
 // the journal in order against the published history: a round judges the
 // candidates up to its epoch together, a commit or decision lands after the
-// round its epoch names and before any later one. (The field names predate
-// the other two kinds.)
+// round its epoch names and before any later one.
 type trustEvent struct {
-	WinnerPeer string `json:"winner_peer"`
-	WinnerSeq  uint64 `json:"winner_seq"`
-	AfterEpoch uint64 `json:"after_epoch"`
+	ID         updates.TxnID // zero for the end of a round
+	AfterEpoch uint64
 }
 
-// encodeProv/provDecoder are the binary form of a provenance polynomial: a
+// appendEvent appends a journal record: peer, seq, afterEpoch.
+func appendEvent(buf []byte, d trustEvent) []byte {
+	buf = codec.AppendString(buf, d.ID.Peer)
+	buf = binary.AppendUvarint(buf, d.ID.Seq)
+	return binary.AppendUvarint(buf, d.AfterEpoch)
+}
+
+func decodeEvent(data []byte) (trustEvent, error) {
+	r := codec.NewReader(data, ErrBadEngineBlob)
+	d := trustEvent{ID: updates.TxnID{Peer: r.Str(), Seq: r.Uvarint()}, AfterEpoch: r.Uvarint()}
+	return d, r.Done()
+}
+
+// appendProv/provDecoder are the binary form of a provenance polynomial: a
 // sum of monomials as varints with length-prefixed variable names, in the
-// layout of N[X]'s coef·x1^k1·…·xn^kn — encodeProv writes 1 in every
+// layout of N[X]'s coef·x1^k1·…·xn^kn — appendProv writes 1 in every
 // coefficient and power slot. The codec writes names, read monomial by
 // monomial through NumMonomials/Monomial, so it is independent of the
 // polynomial's in-memory token ids and node layout; provDecoder writes
 // straight into that layout through a provenance.Arena. Checkpoint rows
 // decode on every recovery, so the format is sized for that hot path (the
 // earlier JSON form dominated snapshot-restore time).
-func encodeProv(p provenance.Poly) ([]byte, error) {
-	buf := binary.AppendUvarint(nil, uint64(p.NumMonomials()))
+func appendProv(buf []byte, p provenance.Poly) []byte {
+	buf = binary.AppendUvarint(buf, uint64(p.NumMonomials()))
 	for i := range p.NumMonomials() {
 		m := p.Monomial(i)
 		buf = binary.AppendUvarint(buf, 1) // coefficient
 		buf = binary.AppendUvarint(buf, uint64(len(m)))
 		for _, t := range m {
-			x := t.Var()
-			buf = binary.AppendUvarint(buf, uint64(len(x)))
-			buf = append(buf, x...)
+			buf = codec.AppendString(buf, string(t.Var()))
 			buf = binary.AppendUvarint(buf, 1) // power
 		}
 	}
-	return buf, nil
+	return buf
 }
 
-// ErrBadProv reports bytes provDecoder refuses: cut short, followed by
-// trailing bytes, or holding a zero coefficient, a power other than 1, or
-// monomials out of canonical order. Any coefficient from 1 up reads as
-// presence: rows written while the instance summed re-inserts hold 2.
+// ErrBadProv reports a checkpoint row's value provDecoder refuses: cut
+// short, followed by trailing bytes, or holding a zero coefficient, a power
+// other than 1, or monomials out of canonical order. Any coefficient from 1
+// up reads as presence: rows written while the instance summed re-inserts
+// hold 2.
 var ErrBadProv = errors.New("core: malformed provenance encoding")
 
-// provDecoder decodes a run of encodeProv values — a recovery scan over
+// provDecoder decodes a run of appendProv values — a recovery scan over
 // thousands of checkpoint rows, an engine blob's transactions — carving
 // their storage from one provenance.Arena, so the run pays a handful of
 // allocations instead of several per value.
@@ -158,64 +189,43 @@ type provDecoder struct {
 	arena provenance.Arena
 }
 
+// decode decodes one checkpoint row's value.
 func (d *provDecoder) decode(data []byte) (provenance.Poly, error) {
-	bad := func(what string) (provenance.Poly, error) {
-		return provenance.Poly{}, fmt.Errorf("%w: %s", ErrBadProv, what)
-	}
-	uvar := func() (uint64, bool) {
-		v, n := binary.Uvarint(data)
-		if n <= 0 {
-			return 0, false
+	r := codec.NewReader(data, ErrBadProv)
+	p := d.read(r)
+	return p, r.Done()
+}
+
+// read reads one appendProv value from r. Every monomial takes at least
+// two bytes and every variable at least two, so a count the remaining
+// bytes cannot hold is refused before it sizes an arena reservation.
+func (d *provDecoder) read(r *codec.Reader) provenance.Poly {
+	nMonos := r.Count("monomial", 2)
+	d.arena.Begin(nMonos)
+	for range nMonos {
+		if coef := r.Uvarint(); coef == 0 && r.Err() == nil {
+			r.Fail("zero coefficient")
 		}
-		data = data[n:]
-		return v, true
-	}
-	// Every monomial takes at least two bytes and every variable at least
-	// two, so a count the remaining bytes cannot hold is corrupt — refused
-	// before it sizes an arena reservation.
-	nMonos, ok := uvar()
-	if !ok || nMonos > uint64(len(data))/2 {
-		return bad("truncated")
-	}
-	d.arena.Begin(int(nMonos))
-	for i := uint64(0); i < nMonos; i++ {
-		coef, ok := uvar()
-		if !ok {
-			return bad("truncated")
-		}
-		if coef == 0 {
-			return bad("zero coefficient")
-		}
-		nVars, ok := uvar()
-		if !ok || nVars > uint64(len(data))/2 {
-			return bad("truncated")
-		}
-		for j := uint64(0); j < nVars; j++ {
-			l, ok := uvar()
-			if !ok || uint64(len(data)) < l {
-				return bad("truncated")
+		for range r.Count("variable", 2) {
+			x := r.Bytes()
+			if pow := r.Uvarint(); pow != 1 && r.Err() == nil {
+				r.Fail("power %d: a witness holds each variable once", pow)
 			}
-			x := provenance.Mint(provenance.Var(data[:l]))
-			data = data[l:]
-			pow, ok := uvar()
-			if !ok {
-				return bad("truncated")
+			if r.Err() != nil {
+				return provenance.Poly{}
 			}
-			if pow != 1 {
-				return bad(fmt.Sprintf("power %d: a witness holds each variable once", pow))
-			}
-			d.arena.Add(x)
+			d.arena.Add(provenance.Mint(provenance.Var(x)))
 		}
 		d.arena.End()
 	}
-	if len(data) != 0 {
-		return bad(fmt.Sprintf("%d trailing bytes", len(data)))
+	if r.Err() != nil {
+		return provenance.Poly{}
 	}
 	p, err := d.arena.Poly()
 	if err != nil {
-		return provenance.Poly{}, fmt.Errorf("%w: %w", ErrBadProv, err)
+		r.Fail("%w", err)
 	}
-	return p, nil
+	return p
 }
 
 // blobRebaseDue is the rule that decides which checkpoints carry an engine
@@ -266,20 +276,12 @@ func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 	}
 
 	for i, t := range p.unpublished {
-		data, err := json.Marshal(p2p.EncodeTxn(t))
-		if err != nil {
-			return fail("encode unpublished txn", err)
-		}
-		put(ckUnpubKey(p.name, i), data)
+		put(ckUnpubKey(p.name, i), updates.AppendTxn(nil, t))
 	}
 	for i := len(p.unpublished); i < p.ckUnpub; i++ {
 		b.Delete(ckUnpubKey(p.name, i))
 	}
-	meta, err := json.Marshal(checkpointMeta{NextSeq: p.nextSeq, LastEpoch: p.lastEpoch})
-	if err != nil {
-		return fail("encode meta", err)
-	}
-	put(ckMetaKey(p.name), meta)
+	put(ckMetaKey(p.name), appendMeta(nil, checkpointMeta{NextSeq: p.nextSeq, LastEpoch: p.lastEpoch}))
 
 	applied := p.engine.AppliedCount()
 	image := !p.engineDirty && (!p.hasBlob || blobRebaseDue(p.blobTxns, applied))
@@ -289,11 +291,7 @@ func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 		if err != nil {
 			return fail("engine state", err)
 		}
-		blob, err := encodeEngineBlob(p.lastEpoch, engBlob, p.state.Save())
-		if err != nil {
-			return fail("engine snapshot", err)
-		}
-		put(ekKey(p.name), blob)
+		put(ekKey(p.name), encodeEngineBlob(p.lastEpoch, engBlob, p.state.Save()))
 		// Sorted, so the batch — and with it the WAL — is a function of the
 		// schedule, not of map iteration order.
 		keys = slices.Sorted(maps.Keys(p.dirty))
@@ -304,11 +302,7 @@ func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 				b.Delete([]byte(k))
 				continue
 			}
-			val, err := encodeProv(row.Prov)
-			if err != nil {
-				return fail("encode provenance", err)
-			}
-			put([]byte(k), val)
+			put([]byte(k), appendProv(nil, row.Prov))
 		}
 		// The saved trust state already reflects every journaled event.
 		for i := range p.journalLen {
@@ -387,7 +381,7 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 	sn := db.Snapshot()
 	raw, ok, err := sn.Get(ckMetaKey(name))
 	if err == nil && ok {
-		err = json.Unmarshal(raw, &meta)
+		meta, err = decodeMeta(raw)
 	}
 	if err != nil {
 		sn.Close()
@@ -441,11 +435,7 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 	}
 	up := ckUnpubPrefix(name)
 	err = sn.Walk(up, lsm.PrefixEnd(up), func(k, v []byte) error {
-		var w p2p.WireTxn
-		if err := json.Unmarshal(v, &w); err != nil {
-			return err
-		}
-		t, err := p2p.DecodeTxn(w)
+		t, err := decodeQueued(v)
 		if err == nil {
 			ckUnpublished = append(ckUnpublished, t)
 		}
@@ -458,8 +448,8 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 	var events []trustEvent
 	rb := rkBase(name)
 	err = sn.Walk(rb, lsm.PrefixEnd(rb), func(k, v []byte) error {
-		var d trustEvent
-		if err := json.Unmarshal(v, &d); err != nil {
+		d, err := decodeEvent(v)
+		if err != nil {
 			return err
 		}
 		// The journal is written at consecutive sequences from 0 and cleared
@@ -471,8 +461,8 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 		// A commit record whose transaction the crash took back still burns
 		// its sequence number: reissuing it would leave two records for one
 		// transaction id.
-		if d.WinnerPeer == name && d.WinnerSeq >= p.nextSeq {
-			p.nextSeq = d.WinnerSeq + 1
+		if d.ID.Peer == name && d.ID.Seq >= p.nextSeq {
+			p.nextSeq = d.ID.Seq + 1
 		}
 		return nil
 	})
@@ -559,7 +549,7 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 		return p.state.AcceptLocal(t)
 	}
 	applyEvent := func(d trustEvent) error {
-		id := updates.TxnID{Peer: d.WinnerPeer, Seq: d.WinnerSeq}
+		id := d.ID
 		if id.Peer == "" {
 			return nil // the end of a round: the flush before this call was it
 		}

@@ -190,7 +190,7 @@ func TestDurablePeerKillRestartEquivalence(t *testing.T) {
 func TestRecoverDropsEngineBlobOfOldVersion(t *testing.T) {
 	t.Run("old-version-blob", func(t *testing.T) {
 		testRecoverDropsImage(t, func(db *lsm.DB, blob []byte) error {
-			return db.Put(ekKey(workload.Dresden), append([]byte("OEB4"), blob[4:]...), true)
+			return db.Put(ekKey(workload.Dresden), append([]byte("OEB5"), blob[4:]...), true)
 		})
 	})
 	t.Run("rows-without-blob", func(t *testing.T) {
@@ -238,8 +238,7 @@ func testRecoverDropsImage(t *testing.T, spoil func(db *lsm.DB, blob []byte) err
 	// A row no history produced stands for rows the image holds at another
 	// epoch than any blob recovery can use: loaded, it would stay.
 	stale := ckRowKey(workload.Dresden, "OPS", workload.OPSTuple("stale", "row", "NNNN"))
-	val, _ := encodeProv(provenance.One())
-	if err := db.Put(stale, val, true); err != nil {
+	if err := db.Put(stale, appendProv(nil, provenance.One()), true); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {

@@ -5,12 +5,11 @@ import (
 	"errors"
 	"fmt"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/datalog"
 	"orchestra/internal/exchange"
 	"orchestra/internal/lsm"
-	"orchestra/internal/provenance"
 	"orchestra/internal/recon"
-	"orchestra/internal/schema"
 	"orchestra/internal/updates"
 )
 
@@ -23,15 +22,14 @@ import (
 // instead of replaying: only transactions with epoch > the watermark
 // re-enter the engine and the trust state.
 //
-// Layout (uvarint integers, uvarint-length-prefixed strings, provenance as
-// the checkpoint codec's binary encodeProv bytes):
+// Layout (uvarint integers, uvarint-length-prefixed strings, read back
+// through one codec.Reader):
 //
-//	magic "OEB5"
+//	magic "OEB6"
 //	watermark epoch
 //	engLen, then the exchange.Engine.SaveState blob
-//	nTxns · { peer, seq, epoch, status, prio (zig-zag), full flag,
-//	          [full: nUps · { rel, op, oldKey, newKey, provBytes }],
-//	          nDeps · { peer, seq } }
+//	nTxns · { status, prio (zig-zag), updates.AppendTxn bytes,
+//	          one appendProv value per update }
 //	nWrites · { key, peer, seq, del flag, tupleKey }
 //
 // Accepted and Rejected graph nodes serialize as skeletons (no update
@@ -39,13 +37,15 @@ import (
 // recon.NeedsFullTxn — and stripping them keeps the blob proportional to
 // the live conflict frontier, not the whole history.
 
-// engineBlobMagic names the layout. Version 5 drops version 4's
-// acceptance-order section, which nothing read, and its dependency-tracker
-// section, whose last-writer index the trust state's accepted writes
-// replace. Since version 4 the rows beside the blob are at its watermark; a
-// version-3 image has rows ahead of its blob. An older image takes the
-// errBlobVersion path with its rows.
-const engineBlobMagic = "OEB5"
+// engineBlobMagic names the layout. Version 6 stores each transaction in
+// the transaction codec the archive and the queue use, and drops version
+// 5's full-update flag, which the update count already said. Version 5
+// dropped version 4's acceptance-order section, which nothing read, and
+// its dependency-tracker section, whose last-writer index the trust
+// state's accepted writes replace. Since version 4 the rows beside the
+// blob are at its watermark; a version-3 image has rows ahead of its blob.
+// An older image takes the errBlobVersion path with its rows.
+const engineBlobMagic = "OEB6"
 
 // errBlobVersion reports an engine blob written in another version of the
 // layout (its magic differs in the version digit only). Such a blob is
@@ -53,10 +53,12 @@ const engineBlobMagic = "OEB5"
 // instance rows beside it.
 var errBlobVersion = errors.New("core: engine snapshot of another format version")
 
-// ErrBadEngineBlob reports bytes decodeEngineBlob refuses: not an engine
-// blob, truncated, or carrying content encodeEngineBlob never writes. A
-// recovery that meets one fails; only errBlobVersion means "absent".
-var ErrBadEngineBlob = errors.New("core: malformed engine snapshot")
+// ErrBadEngineBlob reports checkpoint bytes core's decoders refuse: an
+// engine blob, a meta record, a queued transaction or a journal record that
+// is truncated, followed by trailing bytes, or carrying content its writer
+// never writes. A recovery that meets one fails; only errBlobVersion means
+// "absent". (The instance rows' annotations have their own, ErrBadProv.)
+var ErrBadEngineBlob = errors.New("core: malformed checkpoint")
 
 // engineSnapshot is the decoded form of the blob.
 type engineSnapshot struct {
@@ -65,7 +67,7 @@ type engineSnapshot struct {
 	State     *recon.SavedState
 }
 
-func encodeEngineBlob(watermark uint64, engineBlob []byte, st *recon.SavedState) ([]byte, error) {
+func encodeEngineBlob(watermark uint64, engineBlob []byte, st *recon.SavedState) []byte {
 	buf := append([]byte(nil), engineBlobMagic...)
 	buf = binary.AppendUvarint(buf, watermark)
 	buf = binary.AppendUvarint(buf, uint64(len(engineBlob)))
@@ -73,50 +75,31 @@ func encodeEngineBlob(watermark uint64, engineBlob []byte, st *recon.SavedState)
 
 	buf = binary.AppendUvarint(buf, uint64(len(st.Txns)))
 	for _, sv := range st.Txns {
-		t := sv.Txn
-		buf = appendBlobString(buf, t.ID.Peer)
-		buf = binary.AppendUvarint(buf, t.ID.Seq)
-		buf = binary.AppendUvarint(buf, t.Epoch)
 		buf = binary.AppendUvarint(buf, uint64(sv.Status))
 		buf = binary.AppendVarint(buf, int64(sv.Prio))
-		if recon.NeedsFullTxn(sv.Status) {
-			buf = append(buf, 1)
-			buf = binary.AppendUvarint(buf, uint64(len(t.Updates)))
-			for _, u := range t.Updates {
-				buf = appendBlobString(buf, u.Rel)
-				buf = append(buf, byte(u.Op))
-				buf = appendBlobString(buf, tupleKeyOrEmpty(u.Old))
-				buf = appendBlobString(buf, tupleKeyOrEmpty(u.New))
-				pv, err := encodeProv(u.Prov)
-				if err != nil {
-					return nil, err
-				}
-				buf = binary.AppendUvarint(buf, uint64(len(pv)))
-				buf = append(buf, pv...)
-			}
-		} else {
-			buf = append(buf, 0)
+		t := sv.Txn
+		if !recon.NeedsFullTxn(sv.Status) {
+			t = &updates.Transaction{ID: t.ID, Epoch: t.Epoch, Deps: t.Deps}
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(t.Deps)))
-		for _, d := range t.Deps {
-			buf = appendBlobString(buf, d.Peer)
-			buf = binary.AppendUvarint(buf, d.Seq)
+		buf = updates.AppendTxn(buf, t)
+		for _, u := range t.Updates {
+			buf = appendProv(buf, u.Prov)
 		}
 	}
 
 	buf = binary.AppendUvarint(buf, uint64(len(st.Writes)))
 	for _, w := range st.Writes {
-		buf = appendBlobString(buf, w.Key)
-		buf = appendBlobString(buf, w.Writer.Peer)
+		buf = codec.AppendString(buf, w.Key)
+		buf = codec.AppendString(buf, w.Writer.Peer)
 		buf = binary.AppendUvarint(buf, w.Writer.Seq)
 		if w.Del {
 			buf = append(buf, 1)
 		} else {
 			buf = append(buf, 0)
 		}
-		buf = appendBlobString(buf, w.TupKey)
+		buf = codec.AppendString(buf, w.TupKey)
 	}
-	return buf, nil
+	return buf
 }
 
 func decodeEngineBlob(blob []byte) (*engineSnapshot, error) {
@@ -126,76 +109,57 @@ func decodeEngineBlob(blob []byte) (*engineSnapshot, error) {
 	if string(blob[:len(engineBlobMagic)]) != engineBlobMagic {
 		return nil, fmt.Errorf("%w: %q", errBlobVersion, blob[:len(engineBlobMagic)])
 	}
-	r := &blobReader{buf: blob[len(engineBlobMagic):]}
+	r := codec.NewReader(blob[len(engineBlobMagic):], ErrBadEngineBlob)
 	snap := &engineSnapshot{State: &recon.SavedState{}}
-	snap.Watermark = r.uvarint()
-	snap.Engine = r.bytes()
+	snap.Watermark = r.Uvarint()
+	snap.Engine = r.Bytes()
 
-	// Every count below sizes its slice up front, capped by what the bytes
-	// left could hold, and transactions are carved from shared chunks:
-	// recovery decodes one entry per transaction of the covered history.
-	nTxns := r.uvarint()
-	snap.State.Txns = make([]recon.SavedTxn, 0, r.capFor(nTxns, 7))
+	// Every count below sizes its slice up front, and transactions are
+	// carved from shared chunks: recovery decodes one entry per transaction
+	// of the covered history. An entry takes at least seven bytes, a write
+	// five.
+	var pd provDecoder
+	nTxns := r.Count("transaction", 7)
+	snap.State.Txns = make([]recon.SavedTxn, 0, nTxns)
 	var chunk []updates.Transaction
-	for i := uint64(0); i < nTxns && r.err == nil; i++ {
+	for i := 0; i < nTxns && r.Err() == nil; i++ {
 		if len(chunk) == 0 {
 			chunk = make([]updates.Transaction, min(nTxns-i, 256))
 		}
 		t := &chunk[0]
 		chunk = chunk[1:]
-		t.ID.Peer = r.name()
-		t.ID.Seq = r.uvarint()
-		t.Epoch = r.uvarint()
-		status := recon.Status(r.uvarint())
-		if r.err == nil && status > recon.StatusDeferred {
-			r.failf("unknown status %d", status)
+		st := r.Uvarint()
+		if r.Err() == nil && st > uint64(recon.StatusDeferred) {
+			r.Fail("unknown status %d", st)
 		}
-		prio := int(r.varint())
-		// The full flag follows from the status; any other byte is corrupt.
-		if full := r.byte(); r.err == nil && (full > 1 || (full == 1) != recon.NeedsFullTxn(status)) {
-			r.failf("full flag %d on a %v transaction", full, status)
-		} else if full == 1 {
-			nUps := r.uvarint()
-			if nUps > 0 {
-				t.Updates = make([]updates.Update, 0, r.capFor(nUps, 5))
-			}
-			for j := uint64(0); j < nUps && r.err == nil; j++ {
-				u := updates.Update{Rel: r.name(), Op: updates.Op(r.byte())}
-				if r.err == nil && u.Op > updates.OpModify {
-					r.failf("unknown op %d", u.Op)
-				}
-				u.Old = r.tuple()
-				u.New = r.tuple()
-				u.Prov = r.prov()
-				t.Updates = append(t.Updates, u)
-			}
+		status := recon.Status(st)
+		prio := int(r.Varint())
+		updates.ReadTxn(r, t)
+		// A skeleton's update count is 0; any other is corrupt.
+		if r.Err() == nil && len(t.Updates) > 0 && !recon.NeedsFullTxn(status) {
+			r.Fail("updates on a %v transaction", status)
 		}
-		nDeps := r.uvarint()
-		if nDeps > 0 {
-			t.Deps = make([]updates.TxnID, 0, r.capFor(nDeps, 2))
-		}
-		for j := uint64(0); j < nDeps && r.err == nil; j++ {
-			d := updates.TxnID{Peer: r.name()}
-			d.Seq = r.uvarint()
-			t.Deps = append(t.Deps, d)
+		for j := range t.Updates {
+			t.Updates[j].Prov = pd.read(r)
 		}
 		snap.State.Txns = append(snap.State.Txns, recon.SavedTxn{Txn: t, Status: status, Prio: prio})
 	}
 
-	nWrites := r.uvarint()
-	snap.State.Writes = make([]recon.SavedWrite, 0, r.capFor(nWrites, 5))
-	for i := uint64(0); i < nWrites && r.err == nil; i++ {
-		w := recon.SavedWrite{Key: r.string(), Writer: updates.TxnID{Peer: r.name()}}
-		w.Writer.Seq = r.uvarint()
-		w.Del = r.byte() == 1
-		w.TupKey = r.string()
+	nWrites := r.Count("write", 5)
+	snap.State.Writes = make([]recon.SavedWrite, 0, nWrites)
+	for i := 0; i < nWrites && r.Err() == nil; i++ {
+		w := recon.SavedWrite{Key: r.Str(), Writer: updates.TxnID{Peer: r.Name(), Seq: r.Uvarint()}}
+		switch del := r.Byte(); {
+		case del == 1:
+			w.Del = true
+		case del > 1 && r.Err() == nil:
+			r.Fail("del flag %d", del)
+		}
+		w.TupKey = r.Str()
 		snap.State.Writes = append(snap.State.Writes, w)
 	}
-	if r.err == nil && len(r.buf) != 0 {
-		r.failf("%d trailing bytes", len(r.buf))
-	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return snap, nil
 }
@@ -235,136 +199,4 @@ func EngineSnapshotStats(db *lsm.DB, peer string) (stats datalog.DBStats, waterm
 	}
 	stats.Bytes = len(raw)
 	return stats, snap.Watermark, true, nil
-}
-
-func tupleKeyOrEmpty(t schema.Tuple) string {
-	if t == nil {
-		return ""
-	}
-	return t.Key()
-}
-
-func appendBlobString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// blobReader is a cursor over the blob body with sticky error handling.
-type blobReader struct {
-	buf   []byte
-	err   error
-	pd    provDecoder
-	names map[string]string // see name
-}
-
-// failf records the first error, wrapping ErrBadEngineBlob.
-func (r *blobReader) failf(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: "+format, append([]any{ErrBadEngineBlob}, args...)...)
-	}
-}
-
-func (r *blobReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.failf("truncated (bad varint)")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *blobReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf)
-	if n <= 0 {
-		r.failf("truncated (bad varint)")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *blobReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) == 0 {
-		r.failf("truncated (missing byte)")
-		return 0
-	}
-	b := r.buf[0]
-	r.buf = r.buf[1:]
-	return b
-}
-
-func (r *blobReader) bytes() []byte {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.buf)) {
-		r.failf("truncated (bytes overrun buffer)")
-		return nil
-	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b
-}
-
-func (r *blobReader) string() string { return string(r.bytes()) }
-
-// name reads a string that repeats throughout the blob — a peer or a
-// relation name — and returns one shared copy of each.
-func (r *blobReader) name() string {
-	b := r.bytes()
-	if s, ok := r.names[string(b)]; ok {
-		return s
-	}
-	if r.names == nil {
-		r.names = map[string]string{}
-	}
-	s := string(b)
-	r.names[s] = s
-	return s
-}
-
-// capFor bounds a slice capacity for a count of entries that each take at
-// least minBytes, so a corrupt count cannot size an allocation beyond what
-// the remaining bytes could hold.
-func (r *blobReader) capFor(n uint64, minBytes int) int {
-	return int(min(n, uint64(len(r.buf)/minBytes)))
-}
-
-// tuple reads an update's old or new tuple key: an empty key means a nil
-// tuple (updates never carry empty tuples on their nil side; schema-level
-// empty tuples do not appear in update old/new slots).
-func (r *blobReader) tuple() schema.Tuple {
-	key := r.string()
-	if r.err != nil || key == "" {
-		return nil
-	}
-	t, err := schema.ParseTupleKey(key)
-	if err != nil {
-		r.failf("%w", err)
-	}
-	return t
-}
-
-// prov reads one length-prefixed encodeProv value.
-func (r *blobReader) prov() provenance.Poly {
-	pv := r.bytes()
-	if r.err != nil {
-		return provenance.Poly{}
-	}
-	p, err := r.pd.decode(pv)
-	if err != nil {
-		r.failf("%w", err)
-	}
-	return p
 }

@@ -23,17 +23,13 @@ func engineBlobOf(t testing.TB, p *Peer) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := encodeEngineBlob(p.lastEpoch, eng, p.state.Save())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
+	return encodeEngineBlob(p.lastEpoch, eng, p.state.Save())
 }
 
 // engineBlobSeeds runs the conflict history of the resolve-crash tests over
 // the Figure 2 CDSS and returns the blobs a checkpoint would write along it:
-// an empty peer; Dresden holding the deferred pair, so the full-update
-// section is populated; Crete, whose policy accepted one side and rejected
+// an empty peer; Dresden holding the deferred pair, so transactions carry
+// their updates and annotations; Crete, whose policy accepted one side and rejected
 // the other; and Dresden after the resolve and a modify that depends on the
 // loser, when every transaction is a skeleton again.
 func engineBlobSeeds(t testing.TB) [][]byte {
@@ -71,27 +67,19 @@ func engineBlobSeeds(t testing.TB) [][]byte {
 
 // acceptedWithUpdates is a blob encodeEngineBlob never writes: an accepted
 // transaction, which a blob stores as a skeleton, carrying an update.
-func acceptedWithUpdates(t testing.TB) []byte {
-	prov, err := encodeProv(provenance.NewVar("a#1.0"))
-	if err != nil {
-		t.Fatal(err)
-	}
+func acceptedWithUpdates() []byte {
 	b := binary.AppendUvarint([]byte(engineBlobMagic), 1) // watermark
 	b = binary.AppendUvarint(b, 0)                        // no engine bytes
 	b = binary.AppendUvarint(b, 1)                        // one transaction
-	b = appendBlobString(b, "a")
-	b = binary.AppendUvarint(b, 1) // seq
-	b = binary.AppendUvarint(b, 1) // epoch
 	b = binary.AppendUvarint(b, uint64(recon.StatusAccepted))
 	b = binary.AppendVarint(b, 1) // prio
-	b = append(b, 1, 1)           // full flag, one update
-	b = appendBlobString(b, "R")
-	b = append(b, byte(updates.OpInsert))
-	b = appendBlobString(b, "")
-	b = appendBlobString(b, schema.NewTuple(schema.String("x")).Key())
-	b = binary.AppendUvarint(b, uint64(len(prov)))
-	b = append(b, prov...)
-	return append(b, 0, 0) // no deps or writes
+	b = updates.AppendTxn(b, &updates.Transaction{
+		ID:      updates.TxnID{Peer: "a", Seq: 1},
+		Epoch:   1,
+		Updates: []updates.Update{updates.Insert("R", schema.NewTuple(schema.String("x")))},
+	})
+	b = appendProv(b, provenance.NewVar("a#1.0"))
+	return append(b, 0) // no writes
 }
 
 // sameEngineSnapshot compares two decoded blobs: tuples by canonical key
@@ -114,8 +102,8 @@ func sameEngineSnapshot(a, b *engineSnapshot) error {
 		}
 		for j, u := range x.Txn.Updates {
 			v := y.Txn.Updates[j]
-			if u.Rel != v.Rel || u.Op != v.Op || tupleKeyOrEmpty(u.Old) != tupleKeyOrEmpty(v.Old) ||
-				tupleKeyOrEmpty(u.New) != tupleKeyOrEmpty(v.New) || !u.Prov.Equal(v.Prov) {
+			if u.Rel != v.Rel || u.Op != v.Op || u.Old.Key() != v.Old.Key() ||
+				u.New.Key() != v.New.Key() || !u.Prov.Equal(v.Prov) {
 				return fmt.Errorf("transaction %d update %d: %+v vs %+v", i, j, u, v)
 			}
 		}
@@ -133,8 +121,8 @@ func FuzzDecodeEngineBlob(f *testing.F) {
 		f.Add(blob)
 	}
 	f.Add(seeds[1][:len(seeds[1])/2])
-	f.Add(acceptedWithUpdates(f))
-	f.Add([]byte("OEB2"))
+	f.Add(acceptedWithUpdates())
+	f.Add(append([]byte("OEB5"), seeds[1][len(engineBlobMagic):]...))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		snap, err := decodeEngineBlob(blob)
@@ -144,10 +132,7 @@ func FuzzDecodeEngineBlob(f *testing.F) {
 			}
 			return
 		}
-		again, err := encodeEngineBlob(snap.Watermark, snap.Engine, snap.State)
-		if err != nil {
-			t.Fatalf("re-encoding: %v", err)
-		}
+		again := encodeEngineBlob(snap.Watermark, snap.Engine, snap.State)
 		back, err := decodeEngineBlob(again)
 		if err != nil {
 			t.Fatalf("decodeEngineBlob refuses its own re-encoding: %v\n%q", err, again)

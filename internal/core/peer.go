@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"slices"
 	"sync"
@@ -266,7 +265,7 @@ func (t *Txn) Commit() (*updates.Transaction, error) {
 		// transaction but not that. No fsync: the record needs to be durable
 		// only if the transaction becomes so, and whatever makes it so — a
 		// publish, a checkpoint — syncs the same log after this append.
-		if err := p.archiveEvent(trustEvent{WinnerPeer: p.name, WinnerSeq: txn.ID.Seq, AfterEpoch: p.lastEpoch}, false); err != nil {
+		if err := p.archiveEvent(trustEvent{ID: txn.ID, AfterEpoch: p.lastEpoch}, false); err != nil {
 			return nil, fmt.Errorf("core: commit at peer %s: %w", p.name, err)
 		}
 	}
@@ -545,7 +544,7 @@ func (p *Peer) Resolve(ctx context.Context, winner updates.TxnID) (*ReconcileRep
 		return nil, err
 	}
 	if p.db != nil {
-		if err := p.archiveEvent(trustEvent{WinnerPeer: winner.Peer, WinnerSeq: winner.Seq, AfterEpoch: p.lastEpoch}, true); err != nil {
+		if err := p.archiveEvent(trustEvent{ID: winner, AfterEpoch: p.lastEpoch}, true); err != nil {
 			return nil, fmt.Errorf("core: resolve at peer %s: %w", p.name, err)
 		}
 	}
@@ -556,11 +555,7 @@ func (p *Peer) Resolve(ctx context.Context, winner updates.TxnID) (*ReconcileRep
 // archiveEvent appends one trust event to the peer's "r/" journal, at the
 // next sequence.
 func (p *Peer) archiveEvent(d trustEvent, sync bool) error {
-	data, err := json.Marshal(d)
-	if err == nil {
-		err = p.db.Put(rkKey(p.name, uint64(p.journalLen)), data, sync)
-	}
-	if err != nil {
+	if err := p.db.Put(rkKey(p.name, uint64(p.journalLen)), appendEvent(nil, d), sync); err != nil {
 		return fmt.Errorf("archive trust event: %w", err)
 	}
 	p.journalLen++

@@ -9,7 +9,7 @@ import (
 	"orchestra/internal/provenance"
 )
 
-// provBytes assembles an encodeProv value from uvarints (int or uint64) and
+// provBytes assembles an appendProv value from uvarints (int or uint64) and
 // length-prefixed variable names (string).
 func provBytes(parts ...any) []byte {
 	var b []byte
@@ -27,15 +27,15 @@ func provBytes(parts ...any) []byte {
 	return b
 }
 
-// TestDecodeProvSlots pins the reading of encodeProv's coefficient and power
+// TestDecodeProvSlots pins the reading of appendProv's coefficient and power
 // slots: any coefficient from 1 up is presence — a checkpoint row written
 // while the instance summed re-inserts holds 2 — and a power other than 1,
 // which no witness set has, is refused. Everything else a value could break
 // is refused with ErrBadProv too.
 func TestDecodeProvSlots(t *testing.T) {
 	x := provenance.NewVar("a:1/0")
-	if enc, _ := encodeProv(x); !bytes.Equal(enc, provBytes(1, 1, 1, "a:1/0", 1)) {
-		t.Fatalf("encodeProv(x) = %x, want 1 in the coefficient and power slots", enc)
+	if enc := appendProv(nil, x); !bytes.Equal(enc, provBytes(1, 1, 1, "a:1/0", 1)) {
+		t.Fatalf("appendProv(x) = %x, want 1 in the coefficient and power slots", enc)
 	}
 	var pd provDecoder
 	for _, coef := range []uint64{1, 2, 1 << 40} {
@@ -63,15 +63,11 @@ func TestDecodeProvSlots(t *testing.T) {
 
 // FuzzDecodeProv: whatever bytes a checkpoint row or an engine blob holds as
 // an annotation, provDecoder refuses them with ErrBadProv or decodes a
-// polynomial whose encodeProv bytes decode to it again, and never panics.
+// polynomial whose appendProv bytes decode to it again, and never panics.
 func FuzzDecodeProv(f *testing.F) {
 	x, y, z := provenance.NewVar("a:1/0"), provenance.NewVar("b:2/1"), provenance.NewVar("M_AC")
 	for _, p := range []provenance.Poly{provenance.Zero(), provenance.One(), x, x.Mul(y).Add(z).Add(provenance.One())} {
-		enc, err := encodeProv(p)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(enc)
+		f.Add(appendProv(nil, p))
 	}
 	f.Add(provBytes(2, 1, 0, 2, 1, "a:1/0", 1))
 	f.Add(provBytes(1, 1, 1, "a:1/0", 2))
@@ -85,13 +81,9 @@ func FuzzDecodeProv(f *testing.F) {
 			}
 			return
 		}
-		enc, err := encodeProv(p)
+		back, err := pd.decode(appendProv(nil, p))
 		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := pd.decode(enc)
-		if err != nil {
-			t.Fatalf("decode refuses encodeProv(%v): %v", p, err)
+			t.Fatalf("decode refuses appendProv(%v): %v", p, err)
 		}
 		if !back.Equal(p) {
 			t.Fatalf("re-encoding changed the polynomial: %v vs %v", p, back)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/provenance"
 	"orchestra/internal/schema"
 )
@@ -117,7 +118,7 @@ func EncodeDB(db *DB) ([]byte, error) {
 	buf := append([]byte(nil), codecMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(vars)))
 	for _, t := range vars {
-		buf = appendString(buf, string(t.Var()))
+		buf = codec.AppendString(buf, string(t.Var()))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(table)))
 	for _, p := range table {
@@ -134,10 +135,10 @@ func EncodeDB(db *DB) ([]byte, error) {
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(extents)))
 	for i, ext := range extents {
-		buf = appendString(buf, ext.name)
+		buf = codec.AppendString(buf, ext.name)
 		buf = binary.AppendUvarint(buf, uint64(len(ext.facts)))
 		for j, f := range ext.facts {
-			buf = appendString(buf, f.Tuple.Key())
+			buf = codec.AppendString(buf, f.Tuple.Key())
 			buf = binary.AppendUvarint(buf, uint64(factPolys[i][j]))
 		}
 	}
@@ -184,15 +185,15 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 	if len(blob) < len(codecMagic) || string(blob[:len(codecMagic)]) != codecMagic {
 		return stats, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	r := &reader{buf: blob[len(codecMagic):]}
+	r := codec.NewReader(blob[len(codecMagic):], ErrBadSnapshot)
 
-	nVars := r.count("variable", 1)
+	nVars := r.Count("variable", 1)
 	vars := make([]provenance.Token, 0, nVars)
 	var prev string
-	for i := 0; i < nVars && r.err == nil; i++ {
-		v := r.string()
+	for i := 0; i < nVars && r.Err() == nil; i++ {
+		v := r.Str()
 		if i > 0 && prev >= v {
-			r.fail("variables out of order")
+			r.Fail("variables out of order")
 		}
 		prev = v
 		vars = append(vars, provenance.Mint(provenance.Var(v)))
@@ -200,28 +201,28 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 	used := make([]bool, nVars)
 	stats.Vars = len(vars)
 
-	nPolys := r.count("polynomial", 1)
+	nPolys := r.Count("polynomial", 1)
 	table := make([]provenance.Poly, 0, nPolys)
 	hashes := make(map[uint64]struct{}, nPolys)
 	// The polynomials are tiny, numerous, and all long-lived together once
 	// the table retains them, so their storage comes from one arena.
 	var arena provenance.Arena
-	for i := 0; i < nPolys && r.err == nil; i++ {
-		nMonos := r.count("monomial", 2)
+	for i := 0; i < nPolys && r.Err() == nil; i++ {
+		nMonos := r.Count("monomial", 2)
 		arena.Begin(nMonos)
-		for j := 0; j < nMonos && r.err == nil; j++ {
-			if coef := r.uvarint(); coef == 0 && r.err == nil {
-				r.fail("zero coefficient")
+		for j := 0; j < nMonos && r.Err() == nil; j++ {
+			if coef := r.Uvarint(); coef == 0 && r.Err() == nil {
+				r.Fail("zero coefficient")
 			}
-			nToks := r.count("monomial variable", 2)
-			for k := 0; k < nToks && r.err == nil; k++ {
-				vi, pow := r.uvarint(), r.uvarint()
+			nToks := r.Count("monomial variable", 2)
+			for k := 0; k < nToks && r.Err() == nil; k++ {
+				vi, pow := r.Uvarint(), r.Uvarint()
 				switch {
-				case r.err != nil:
+				case r.Err() != nil:
 				case vi >= uint64(len(vars)):
-					r.fail(fmt.Sprintf("variable index %d out of range", vi))
+					r.Fail("variable index %d out of range", vi)
 				case pow != 1:
-					r.fail(fmt.Sprintf("power %d: a witness holds each variable once", pow))
+					r.Fail("power %d: a witness holds each variable once", pow)
 				default:
 					used[vi] = true
 					arena.Add(vars[vi])
@@ -229,7 +230,7 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 			}
 			arena.End()
 		}
-		if r.err != nil {
+		if r.Err() != nil {
 			break
 		}
 		p, err := arena.Poly()
@@ -249,8 +250,8 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 		table = append(table, p)
 	}
 	for i := range used {
-		if !used[i] && r.err == nil {
-			r.fail(fmt.Sprintf("variable %d unused", i))
+		if !used[i] && r.Err() == nil {
+			r.Fail("variable %d unused", i)
 		}
 	}
 	stats.PolyNodes = len(table)
@@ -261,27 +262,27 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 	nextPoly := 0
 	var prevPred string
 	var vals schema.Tuple
-	nPreds := r.count("predicate", 2)
-	for i := 0; i < nPreds && r.err == nil; i++ {
-		pred := r.string()
+	nPreds := r.Count("predicate", 2)
+	for i := 0; i < nPreds && r.Err() == nil; i++ {
+		pred := r.Str()
 		if i > 0 && pred <= prevPred {
-			r.fail("predicates out of order")
+			r.Fail("predicates out of order")
 		}
 		prevPred = pred
-		nFacts := r.count("fact", 2)
+		nFacts := r.Count("fact", 2)
 		var rel *Rel
-		if db != nil && r.err == nil {
+		if db != nil && r.Err() == nil {
 			rel = db.MutableRel(pred)
 			rel.reserve(nFacts)
 		}
-		for j := 0; j < nFacts && r.err == nil; j++ {
-			key := r.string()
-			pi := r.uvarint()
+		for j := 0; j < nFacts && r.Err() == nil; j++ {
+			key := r.Str()
+			pi := r.Uvarint()
 			switch {
-			case r.err != nil:
+			case r.Err() != nil:
 				continue
 			case pi > uint64(nextPoly) || pi >= uint64(len(table)):
-				r.fail(fmt.Sprintf("polynomial index %d out of order", pi))
+				r.Fail("polynomial index %d out of order", pi)
 				continue
 			case pi == uint64(nextPoly):
 				nextPoly++
@@ -304,7 +305,7 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 				}
 				h := t.Hash()
 				if _, dup := rel.find(h, t); dup {
-					r.fail(fmt.Sprintf("tuple key %q in %s repeats", key, pred))
+					r.Fail("tuple key %q in %s repeats", key, pred)
 				} else {
 					// The extent is fresh and the tuple unseen: no merge, no
 					// index to maintain, and the table entry is interned.
@@ -315,77 +316,8 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 		}
 		stats.Preds++
 	}
-	if r.err == nil && nextPoly != len(table) {
-		r.fail(fmt.Sprintf("polynomial %d unreferenced", nextPoly))
+	if r.Err() == nil && nextPoly != len(table) {
+		r.Fail("polynomial %d unreferenced", nextPoly)
 	}
-	if r.err != nil {
-		return stats, r.err
-	}
-	if len(r.buf) != 0 {
-		return stats, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(r.buf))
-	}
-	return stats, nil
-}
-
-// appendString appends a varint-length-prefixed string.
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// reader is a cursor over the snapshot body with sticky error handling.
-type reader struct {
-	buf []byte
-	err error
-}
-
-// fail records the first error, wrapping ErrBadSnapshot.
-func (r *reader) fail(msg string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrBadSnapshot, msg)
-	}
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.fail("truncated (bad varint)")
-		return 0
-	}
-	if n > 1 && r.buf[n-1] == 0 {
-		r.fail("overlong varint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-// count reads the number of items of a section whose every item encodes to
-// at least minBytes, refusing a count the remaining bytes cannot hold.
-func (r *reader) count(what string, minBytes int) int {
-	n := r.uvarint()
-	if r.err == nil && n > uint64(len(r.buf)/minBytes) {
-		r.fail(fmt.Sprintf("%s count %d exceeds what the %d remaining bytes can hold", what, n, len(r.buf)))
-	}
-	if r.err != nil {
-		return 0
-	}
-	return int(n)
-}
-
-func (r *reader) string() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.buf)) {
-		r.fail("truncated (string overruns buffer)")
-		return ""
-	}
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s
+	return stats, r.Done()
 }

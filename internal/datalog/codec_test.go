@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/provenance"
 	"orchestra/internal/schema"
 )
@@ -181,7 +182,7 @@ func snapshot(parts ...any) []byte {
 		case int:
 			b = binary.AppendUvarint(b, uint64(p))
 		case string:
-			b = appendString(b, p)
+			b = codec.AppendString(b, p)
 		}
 	}
 	return b

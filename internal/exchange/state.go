@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/datalog"
 	"orchestra/internal/provenance"
 	"orchestra/internal/updates"
@@ -44,7 +45,7 @@ func (e *Engine) SaveState() ([]byte, error) {
 	dead := e.inc.DeadTokens()
 	buf = binary.AppendUvarint(buf, uint64(len(dead)))
 	for _, v := range dead {
-		buf = appendStateString(buf, string(v))
+		buf = codec.AppendString(buf, string(v))
 	}
 
 	baseKeys := make([]string, 0, len(e.baseTokens))
@@ -54,11 +55,11 @@ func (e *Engine) SaveState() ([]byte, error) {
 	sort.Strings(baseKeys)
 	buf = binary.AppendUvarint(buf, uint64(len(baseKeys)))
 	for _, k := range baseKeys {
-		buf = appendStateString(buf, k)
+		buf = codec.AppendString(buf, k)
 		toks := e.baseTokens[k]
 		buf = binary.AppendUvarint(buf, uint64(len(toks)))
 		for _, t := range toks {
-			buf = appendStateString(buf, string(t))
+			buf = codec.AppendString(buf, string(t))
 		}
 	}
 
@@ -69,7 +70,7 @@ func (e *Engine) SaveState() ([]byte, error) {
 	sort.Slice(applied, func(i, j int) bool { return applied[i].Less(applied[j]) })
 	buf = binary.AppendUvarint(buf, uint64(len(applied)))
 	for _, id := range applied {
-		buf = appendStateString(buf, id.Peer)
+		buf = codec.AppendString(buf, id.Peer)
 		buf = binary.AppendUvarint(buf, id.Seq)
 	}
 	return buf, nil
@@ -91,34 +92,31 @@ func (e *Engine) LoadState(blob []byte) error {
 		return fmt.Errorf("%w: %w", ErrBadState, err)
 	}
 
-	nDead := r.uvarint()
-	dead := make([]provenance.Var, 0, r.capHint(nDead))
-	for i := uint64(0); i < nDead && r.err == nil; i++ {
-		dead = append(dead, provenance.Var(r.string()))
+	// Every dead token, base key, token and applied id takes at least one
+	// byte.
+	nDead := r.Count("dead token", 1)
+	dead := make([]provenance.Var, 0, nDead)
+	for range nDead {
+		dead = append(dead, provenance.Var(r.Str()))
 	}
-	nBase := r.uvarint()
-	base := make(map[string][]provenance.Var, r.capHint(nBase))
-	for i := uint64(0); i < nBase && r.err == nil; i++ {
-		k := r.string()
-		nToks := r.uvarint()
-		toks := make([]provenance.Var, 0, r.capHint(nToks))
-		for j := uint64(0); j < nToks && r.err == nil; j++ {
-			toks = append(toks, provenance.Var(r.string()))
+	nBase := r.Count("base key", 1)
+	base := make(map[string][]provenance.Var, nBase)
+	for range nBase {
+		k := r.Str()
+		nToks := r.Count("base token", 1)
+		toks := make([]provenance.Var, 0, nToks)
+		for range nToks {
+			toks = append(toks, provenance.Var(r.Str()))
 		}
 		base[k] = toks
 	}
-	nApplied := r.uvarint()
-	applied := make(map[updates.TxnID]bool, r.capHint(nApplied))
-	for i := uint64(0); i < nApplied && r.err == nil; i++ {
-		id := updates.TxnID{Peer: r.string()}
-		id.Seq = r.uvarint()
-		applied[id] = true
+	nApplied := r.Count("applied transaction", 1)
+	applied := make(map[updates.TxnID]bool, nApplied)
+	for range nApplied {
+		applied[updates.TxnID{Peer: r.Name(), Seq: r.Uvarint()}] = true
 	}
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.buf) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadState, len(r.buf))
+	if err := r.Done(); err != nil {
+		return err
 	}
 
 	inc, err := datalog.RestoreIncremental(e.prog, db, e.opts, dead)
@@ -143,64 +141,11 @@ func StatState(blob []byte) (datalog.DBStats, error) {
 
 // openState checks a snapshot's magic and splits off its union-database
 // section, returning a reader positioned after it.
-func openState(blob []byte) ([]byte, *stateReader, error) {
+func openState(blob []byte) ([]byte, *codec.Reader, error) {
 	if len(blob) < len(stateMagic) || string(blob[:len(stateMagic)]) != stateMagic {
 		return nil, nil, fmt.Errorf("%w: bad magic", ErrBadState)
 	}
-	r := &stateReader{buf: blob[len(stateMagic):]}
-	dbLen := r.uvarint()
-	if r.err == nil && dbLen > uint64(len(r.buf)) {
-		r.err = fmt.Errorf("%w: db blob overruns buffer", ErrBadState)
-	}
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	dbBlob := r.buf[:dbLen]
-	r.buf = r.buf[dbLen:]
-	return dbBlob, r, nil
-}
-
-func appendStateString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// stateReader is a cursor over the snapshot body with sticky error handling.
-type stateReader struct {
-	buf []byte
-	err error
-}
-
-func (r *stateReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.err = fmt.Errorf("%w: bad varint", ErrBadState)
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-// capHint bounds a decoded count used as a capacity hint by the bytes left:
-// every counted item takes at least one, so a larger count is corrupt and
-// fails on the read that runs out, not on the allocation.
-func (r *stateReader) capHint(n uint64) int {
-	return int(min(n, uint64(len(r.buf))))
-}
-
-func (r *stateReader) string() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.buf)) {
-		r.err = fmt.Errorf("%w: string overruns buffer", ErrBadState)
-		return ""
-	}
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s
+	r := codec.NewReader(blob[len(stateMagic):], ErrBadState)
+	dbBlob := r.Bytes()
+	return dbBlob, r, r.Err()
 }

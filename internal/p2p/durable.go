@@ -2,10 +2,10 @@ package p2p
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"sync"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/lsm"
 	"orchestra/internal/obs"
 	"orchestra/internal/updates"
@@ -53,8 +53,8 @@ func (s *DurableStore) SetMetrics(r *obs.Registry) {
 
 // Key layout under the archive prefix:
 //
-//	a/t/<epoch be64><index be32> -> JSON WireTxn   (publish order == key order)
-//	a/s/<peer esc><seq be64>     -> ""             (TxnID seen marker)
+//	a/t/<epoch be64><index be32> -> updates.AppendTxn bytes (publish order == key order)
+//	a/s/<peer esc><seq be64>     -> ""                      (TxnID seen marker)
 var (
 	durTxnPrefix  = []byte("a/t/")
 	durSeenPrefix = []byte("a/s/")
@@ -123,10 +123,7 @@ func (s *DurableStore) Publish(txns []*updates.Transaction) (uint64, error) {
 	var bytes int64
 	for i, t := range txns {
 		t.Epoch = epoch
-		data, err := json.Marshal(EncodeTxn(t))
-		if err != nil {
-			return 0, err
-		}
+		data := updates.AppendTxn(nil, t)
 		bytes += int64(len(data))
 		b.Put(durTxnKey(epoch, i), data)
 		b.Put(durSeenKey(t.ID), nil)
@@ -155,14 +152,13 @@ func (s *DurableStore) Since(since uint64) ([]*updates.Transaction, uint64, erro
 	lo = append(lo, durTxnPrefix...)
 	lo = binary.BigEndian.AppendUint64(lo, since+1)
 	var out []*updates.Transaction
+	r := codec.NewReader(nil, ErrBadWire)
 	err := sn.Walk(lo, lsm.PrefixEnd(durTxnPrefix), func(k, v []byte) error {
-		var w WireTxn
-		if err := json.Unmarshal(v, &w); err != nil {
-			return fmt.Errorf("p2p: corrupt archived transaction: %w", err)
-		}
-		t, err := DecodeTxn(w)
-		if err != nil {
-			return fmt.Errorf("p2p: corrupt archived transaction: %w", err)
+		t := &updates.Transaction{}
+		r.Reset(v)
+		updates.ReadTxn(r, t)
+		if err := r.Done(); err != nil {
+			return fmt.Errorf("p2p: archived transaction at %x: %w", k[len(durTxnPrefix):], err)
 		}
 		out = append(out, t)
 		return nil

@@ -8,11 +8,13 @@ import (
 	"orchestra/internal/updates"
 )
 
-// ErrBadWire reports a malformed wire transaction: no publishing peer, a
-// sequence number 0 (no peer commits one: sequences start at 1), an unknown
-// update op, or an undecodable tuple/transaction-id encoding. Every DecodeTxn failure
-// wraps it (and the underlying parse error, when there is one), so callers
-// dispatch with errors.Is/errors.As like the rest of the error taxonomy.
+// ErrBadWire reports a malformed transaction, on the wire or in the
+// archive: no publishing peer, a sequence number 0 (no peer commits one:
+// sequences start at 1), an unknown update op, or an undecodable
+// tuple/transaction-id encoding. Every DecodeTxn failure and every archived
+// value DurableStore.Since cannot read wraps it (and the underlying parse
+// error, when there is one), so callers dispatch with errors.Is/errors.As
+// like the rest of the error taxonomy.
 var ErrBadWire = errors.New("p2p: malformed wire transaction")
 
 // MaxRequestBytes caps one request frame a Server will buffer. A publish of
@@ -24,10 +26,12 @@ const MaxRequestBytes = 32 << 20
 // server answers with it and closes the connection.
 var ErrFrameTooLarge = errors.New("p2p: request frame too large")
 
-// Wire representations: transactions travel as JSON with tuples encoded by
-// their canonical injective keys (schema.Tuple.Key), which round-trip
-// exactly. Provenance does not travel — published transactions carry
-// original updates whose provenance (their own tokens) is re-minted
+// Wire representations: over the TCP protocol transactions travel as JSON
+// with tuples encoded by their canonical injective keys (schema.Tuple.Key),
+// which round-trip exactly; `orchestra log` prints the same form. The
+// durable archive stores the binary updates.AppendTxn encoding instead.
+// Provenance does not travel — published transactions carry original
+// updates whose provenance (their own tokens) is re-minted
 // deterministically by the receiving side's exchange engine.
 
 // WireUpdate is the wire form of updates.Update.
@@ -38,7 +42,8 @@ type WireUpdate struct {
 	New string `json:"new,omitempty"`
 }
 
-// WireTxn is the wire form of updates.Transaction.
+// WireTxn is the JSON form of updates.Transaction: the TCP protocol's, and
+// the one kept for inspection.
 type WireTxn struct {
 	Peer    string       `json:"peer"`
 	Seq     uint64       `json:"seq"`
@@ -47,7 +52,7 @@ type WireTxn struct {
 	Deps    []string     `json:"deps,omitempty"`
 }
 
-// EncodeTxn converts a transaction to wire form.
+// EncodeTxn converts a transaction to its JSON form (WireTxn).
 func EncodeTxn(t *updates.Transaction) WireTxn {
 	w := WireTxn{Peer: t.ID.Peer, Seq: t.ID.Seq, Epoch: t.Epoch}
 	for _, u := range t.Updates {

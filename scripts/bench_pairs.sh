@@ -31,7 +31,8 @@
 # runs spread too widely to tell) — unless every run of the change is
 # better than every run of the parent, which is "within" — else "beyond"
 # when the change's median is worse than the parent's by more than it,
-# else "within". With
+# else "within"; a metric one side of which has no successful run gets
+# "no runs" instead of a verdict. With
 # CLAIM="workload:metric ..." it also judges each claimed gain: "met" when
 # the change was better in at least nine pairs of ten and its median beats
 # the parent's by more than the parent's interquartile range.
@@ -103,6 +104,10 @@ verdicts() {
             if (tok[i] == "\"anchor_pairs\"") apairs = tok[i + 1] + 0
         }
         gsub(/"/, "", better)
+        # A side with no successful run has nothing to compare: no verdict.
+        # (Tested before the comparisons below, which create what they read.)
+        none = !(1 in lo) || !(2 in lo)
+        anone = !(2 in lo) || !(3 in lo)
         pm = v[1]; piqr = v[3] - v[2]; cm = v[4]; ciqr = v[6] - v[5]
         worse = (better == "lower") ? cm - pm : pm - cm
         # Every change run better than every parent run (sides 1 and 2).
@@ -115,7 +120,7 @@ verdicts() {
         delete lo; delete hi
         if (!(m in bound)) next
         allowed = bound[m] * (pm < 0 ? -pm : pm)
-        verdict = judge(allowed, piqr, ciqr, worse, apart)
+        verdict = none ? "no runs" : judge(allowed, piqr, ciqr, worse, apart)
         count[verdict]++
         if (!(w in shown)) { shown[w] = 1; printf "\n== %s: bound verdicts (change median vs parent median; allowed = bound x parent median) ==\n", w }
         ratio = (pm != 0 ? cm / pm : 0)
@@ -129,7 +134,7 @@ verdicts() {
         if (s < 3) next
         # The same judgement with the anchor as the reference side.
         allowed = bound[m] * (am < 0 ? -am : am)
-        verdict = judge(allowed, aiqr, ciqr, aworse, aapart)
+        verdict = anone ? "no runs" : judge(allowed, aiqr, ciqr, aworse, aapart)
         acount[verdict]++
         ratio = (am != 0 ? cm / am : 0)
         printf "    %-18s %-12s anchor %-10.4g change %-10.4g x%-8.3f better %2d/%-3d allowed %-10.4g IQR %.4g / %.4g%s\n",
@@ -137,7 +142,7 @@ verdicts() {
         acell[ns, key] = sprintf("x%.3f %d/%d", ratio, awins, apairs)
     }
     # judge returns the bound verdict of the change against a reference side
-    # and sets note: "unresolved" when either interquartile range exceeds
+    # (each with at least one run) and sets note: "unresolved" when either interquartile range exceeds
     # allowed, unless every change run is better (apart), else "beyond" when
     # the change is worse by more than allowed, else "within".
     function judge(allowed, riqr, ciqr, worse, apart) {
@@ -152,9 +157,9 @@ verdicts() {
     # endset closes the open set: its verdict counts and its claims.
     function endset(    nc, c, i, met) {
         if (ns == 0) return
-        printf "\n  verdicts: %d within, %d beyond, %d unresolved\n", count["within"], count["beyond"], count["unresolved"]
+        printf "\n  verdicts: %d within, %d beyond, %d unresolved%s\n", count["within"], count["beyond"], count["unresolved"], noruns(count)
         if (ns in anchor)
-            printf "  against the anchor %s: %d within, %d beyond, %d unresolved\n", anchor[ns], acount["within"], acount["beyond"], acount["unresolved"]
+            printf "  against the anchor %s: %d within, %d beyond, %d unresolved%s\n", anchor[ns], acount["within"], acount["beyond"], acount["unresolved"], noruns(acount)
         nc = split(claims, c, " ")
         for (i = 1; i <= nc; i++) {
             if (!(c[i] in cwins)) { printf "claim %s: no such workload and metric in the summary\n", c[i]; continue }
@@ -164,6 +169,8 @@ verdicts() {
         }
         delete count; delete acount; delete shown; delete cwins; delete cpairs; delete cgain; delete cpiqr
     }
+    # noruns counts the metrics left without a verdict, if any.
+    function noruns(c) { return ("no runs" in c) ? sprintf(", %d with no runs on a side", c["no runs"]) : "" }
     # series prints one table: a row per workload and metric, a column per
     # set that has cells in tab (anchored only: the anchored series).
     function series(tab, anchored,    i, r, name) {
