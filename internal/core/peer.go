@@ -113,12 +113,14 @@ func NewPeer(name string, sys *System, store p2p.Store, policy *recon.Policy) (*
 }
 
 // NewPeerWith is NewPeer with explicit tuning for the peer's translation
-// engine (witness bound, stats sink).
+// engine (witness bound, stats sink). The engine translates for this peer
+// alone: cfg.Owner is set to name.
 func NewPeerWith(name string, sys *System, store p2p.Store, policy *recon.Policy, cfg exchange.Config) (*Peer, error) {
 	s := sys.Schema(name)
 	if s == nil {
 		return nil, fmt.Errorf("%w %q", ErrUnknownPeer, name)
 	}
+	cfg.Owner = name
 	eng, err := exchange.NewEngineWith(sys.Peers(), sys.Mappings(), cfg)
 	if err != nil {
 		return nil, err
@@ -600,21 +602,9 @@ func (p *Peer) candidate(txn *updates.Transaction, res *exchange.Result) *update
 	}
 }
 
+// mergeDeps returns the sorted union of a and b.
 func mergeDeps(a, b []updates.TxnID) []updates.TxnID {
-	seen := map[updates.TxnID]bool{}
-	var out []updates.TxnID
-	for _, id := range a {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	for _, id := range b {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
+	out := slices.Concat(a, b)
 	slices.SortFunc(out, updates.TxnID.Compare)
-	return out
+	return slices.Compact(out)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"orchestra/internal/mapping"
@@ -21,35 +22,35 @@ func resultsEqual(t *testing.T, label string, want, got *Result) {
 		t.Fatalf("%s: peers with updates: %d vs %d\n want=%v\n got=%v", label, len(want.PerPeer), len(got.PerPeer), want.PerPeer, got.PerPeer)
 	}
 	for peer, wus := range want.PerPeer {
-		gus := got.PerPeer[peer]
-		if len(wus) != len(gus) {
-			t.Fatalf("%s: %s updates: %d vs %d\n want=%v\n got=%v", label, peer, len(wus), len(gus), wus, gus)
-		}
-		for i := range wus {
-			w, g := wus[i], gus[i]
-			tupEq := func(a, b schema.Tuple) bool {
-				if (a == nil) != (b == nil) {
-					return false
-				}
-				return a == nil || a.Equal(b)
-			}
-			if w.Rel != g.Rel || w.Op != g.Op || !tupEq(w.Old, g.Old) || !tupEq(w.New, g.New) || !w.Prov.Equal(g.Prov) {
-				t.Fatalf("%s: %s update %d differs:\n want=%+v prov=%v\n got=%+v prov=%v", label, peer, i, w, w.Prov, g, g.Prov)
-			}
-		}
+		updatesEqual(t, label+": "+peer, wus, got.PerPeer[peer])
 	}
 	if len(want.ExtraDeps) != len(got.ExtraDeps) {
 		t.Fatalf("%s: extra-dep peers: %v vs %v", label, want.ExtraDeps, got.ExtraDeps)
 	}
 	for peer, wd := range want.ExtraDeps {
-		gd := got.ExtraDeps[peer]
-		if len(wd) != len(gd) {
+		if gd := got.ExtraDeps[peer]; !slices.Equal(wd, gd) {
 			t.Fatalf("%s: %s extra deps: %v vs %v", label, peer, wd, gd)
 		}
-		for i := range wd {
-			if wd[i] != gd[i] {
-				t.Fatalf("%s: %s extra deps: %v vs %v", label, peer, wd, gd)
-			}
+	}
+}
+
+// updatesEqual asserts two update lists are identical: ops, tuples and
+// provenance, in order.
+func updatesEqual(t *testing.T, label string, want, got []updates.Update) {
+	t.Helper()
+	tupEq := func(a, b schema.Tuple) bool {
+		if (a == nil) != (b == nil) {
+			return false
+		}
+		return a == nil || a.Equal(b)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%s: updates: %d vs %d\n want=%v\n got=%v", label, len(want), len(got), want, got)
+	}
+	for i := range want {
+		w, g := want[i], got[i]
+		if w.Rel != g.Rel || w.Op != g.Op || !tupEq(w.Old, g.Old) || !tupEq(w.New, g.New) || !w.Prov.Equal(g.Prov) {
+			t.Fatalf("%s: update %d differs:\n want=%+v prov=%v\n got=%+v prov=%v", label, i, w, w.Prov, g, g.Prov)
 		}
 	}
 }

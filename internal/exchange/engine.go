@@ -21,6 +21,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -53,6 +54,8 @@ type Engine struct {
 	baseTokens map[string][]provenance.Var
 	applied    map[updates.TxnID]bool
 	opts       datalog.Options
+	// owner is Config.Owner; ownerPrefix qualifies its predicates.
+	owner, ownerPrefix string
 }
 
 // Config tunes the datalog evaluation behind the engine's provenance-aware
@@ -70,6 +73,11 @@ type Config struct {
 	// (probes, emissions, fixpoint rounds). The struct survives engine
 	// rebuilds, so an owner installs one struct for the peer's lifetime.
 	Stats *datalog.EvalStats
+	// Owner, when set, names the one peer the engine translates for: a
+	// Result holds only the owner's updates and dependencies, and is empty
+	// for the owner's own transactions. The union database is the same
+	// either way. Empty means every peer's (benchmark replay, oracles).
+	Owner string
 }
 
 // maxMonomials resolves the configured witness bound.
@@ -84,7 +92,9 @@ func (c Config) maxMonomials() int {
 	}
 }
 
-// NewEngineWith builds an engine with explicit evaluation tuning.
+// NewEngineWith builds an engine with explicit evaluation tuning. A peer's
+// engine names the peer as cfg.Owner; an engine without one collates every
+// peer's updates.
 func NewEngineWith(peers map[string]*schema.Schema, mappings []*mapping.Mapping, cfg Config) (*Engine, error) {
 	prog, err := mapping.Compile(mappings)
 	if err != nil {
@@ -106,19 +116,23 @@ func NewEngineWith(peers map[string]*schema.Schema, mappings []*mapping.Mapping,
 		}
 	}
 	return &Engine{
-		peers:      peers,
-		prog:       prog,
-		inc:        inc,
-		baseTokens: map[string][]provenance.Var{},
-		applied:    map[updates.TxnID]bool{},
-		opts:       opts,
+		peers:       peers,
+		prog:        prog,
+		inc:         inc,
+		baseTokens:  map[string][]provenance.Var{},
+		applied:     map[updates.TxnID]bool{},
+		opts:        opts,
+		owner:       cfg.Owner,
+		ownerPrefix: mapping.Qualify(cfg.Owner, ""),
 	}, nil
 }
 
-// Result is the outcome of translating one transaction.
+// Result is the outcome of translating one transaction. An owner's engine
+// (Config.Owner) fills in the owner's entries only.
 type Result struct {
 	// PerPeer maps each peer to the net updates the transaction induces in
-	// that peer's schema (including the origin peer's own updates).
+	// that peer's schema (including the origin peer's own updates, except
+	// at an owner's engine).
 	PerPeer map[string][]updates.Update
 	// ExtraDeps maps each peer to transactions (other than the applied one)
 	// whose published data contributed to a derived insert — the candidate
@@ -244,6 +258,9 @@ func (e *Engine) applyOne(ctx context.Context, txn *updates.Transaction) (*Resul
 		return nil, err
 	}
 	e.applied[txn.ID] = true
+	if e.owner != "" && origin == e.owner {
+		return &Result{}, nil // the owner applied its own updates at commit
+	}
 	return e.collate(txn, all, depSet)
 }
 
@@ -409,7 +426,8 @@ func compareQualifiedKeys(pa string, ta schema.Tuple, pb string, tb schema.Tuple
 }
 
 // collate turns raw changes into per-peer net updates, pairing same-key
-// delete/insert into modifications and dropping provenance-only changes.
+// delete/insert into modifications and dropping provenance-only changes,
+// and at an owner's engine every change outside the owner's schema.
 // Each inserted update carries the tuple's full stored annotation as of
 // this transaction — the complete witness set trust evaluation and
 // subscribers should see, not just the fixpoint's first-emission slice.
@@ -429,6 +447,9 @@ func (e *Engine) collate(txn *updates.Transaction, changes []datalog.Change, dep
 		c := &changes[i]
 		if !c.Fresh && !c.Removed {
 			continue // provenance-only growth or shrink
+		}
+		if e.owner != "" && !strings.HasPrefix(c.Pred, e.ownerPrefix) {
+			continue
 		}
 		k := c.Tuple.Hash()
 		var s *slot
@@ -460,11 +481,6 @@ func (e *Engine) collate(txn *updates.Transaction, changes []datalog.Change, dep
 	slices.SortFunc(order, func(a, b *slot) int { return compareQualifiedKeys(a.pred, a.tuple, b.pred, b.tuple) })
 
 	res := &Result{PerPeer: map[string][]updates.Update{}, ExtraDeps: map[string][]updates.TxnID{}}
-	extra := map[string]map[updates.TxnID]bool{}
-	type keyed struct {
-		dels map[string]updates.Update // relation-key -> delete update
-		rel  *schema.Relation
-	}
 	// First pass: collect deletes per (peer, rel, key) so inserts can be
 	// paired into modifies.
 	pendingDel := map[string]map[string]schema.Tuple{} // peer.rel -> keyKey -> old tuple
@@ -523,47 +539,25 @@ func (e *Engine) collate(txn *updates.Transaction, changes []datalog.Change, dep
 		// with the fewest foreign contributors — not the union over all
 		// alternative derivations (which would turn genuine conflicts
 		// between independent publishers into false dependencies).
-		for _, id := range minimalDeps(u.Prov, txn.ID) {
-			if extra[peer] == nil {
-				extra[peer] = map[updates.TxnID]bool{}
-			}
-			extra[peer][id] = true
-		}
+		res.ExtraDeps[peer] = append(res.ExtraDeps[peer], minimalDeps(u.Prov, txn.ID)...)
 	}
-	// Remaining unpaired deletes.
-	for pred, m := range pendingDel {
+	// Remaining unpaired deletes, in (predicate, key) order.
+	for _, pred := range slices.Sorted(maps.Keys(pendingDel)) {
+		m := pendingDel[pred]
 		peer, rel, err := mapping.SplitQualified(pred)
 		if err != nil {
 			return nil, err
 		}
-		keys := make([]string, 0, len(m))
-		for kk := range m {
-			keys = append(keys, kk)
-		}
-		sort.Strings(keys)
-		for _, kk := range keys {
+		for _, kk := range slices.Sorted(maps.Keys(m)) {
 			res.PerPeer[peer] = append(res.PerPeer[peer], updates.Delete(rel, m[kk]))
 		}
 	}
 	// Dependencies from foreign deletions apply to every peer that
 	// received updates from this transaction.
 	for peer := range res.PerPeer {
-		ids := extra[peer]
-		if ids == nil {
-			ids = map[updates.TxnID]bool{}
-			extra[peer] = ids
-		}
-		for id := range depSet {
-			ids[id] = true
-		}
-	}
-	for peer, ids := range extra {
-		out := make([]updates.TxnID, 0, len(ids))
-		for id := range ids {
-			out = append(out, id)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-		res.ExtraDeps[peer] = out
+		ids := append(res.ExtraDeps[peer], slices.Collect(maps.Keys(depSet))...)
+		slices.SortFunc(ids, updates.TxnID.Compare)
+		res.ExtraDeps[peer] = slices.Compact(ids)
 	}
 	return res, nil
 }
