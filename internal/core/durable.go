@@ -45,7 +45,7 @@ import (
 // range.
 //
 // The image turns recovery from O(history) into O(suffix): the "e/" blob
-// captures the translation engine (union database, dead and base tokens,
+// captures the translation engine (union database, base tokens,
 // applied set) and the reconciliation state, and the "c/" rows the
 // instance, all valid at the blob's watermark W. The published archive is
 // the image's delta log: recovery restores the image and replays Since(W).

@@ -190,7 +190,7 @@ func TestDurablePeerKillRestartEquivalence(t *testing.T) {
 func TestRecoverDropsEngineBlobOfOldVersion(t *testing.T) {
 	t.Run("old-version-blob", func(t *testing.T) {
 		testRecoverDropsImage(t, func(db *lsm.DB, blob []byte) error {
-			return db.Put(ekKey(workload.Dresden), append([]byte("OEB5"), blob[4:]...), true)
+			return db.Put(ekKey(workload.Dresden), append([]byte("OEB6"), blob[4:]...), true)
 		})
 	})
 	t.Run("rows-without-blob", func(t *testing.T) {

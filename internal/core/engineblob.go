@@ -25,27 +25,28 @@ import (
 // Layout (uvarint integers, uvarint-length-prefixed strings, read back
 // through one codec.Reader):
 //
-//	magic "OEB6"
+//	magic "OEB7"
 //	watermark epoch
 //	engLen, then the exchange.Engine.SaveState blob
 //	nTxns · { status, prio (zig-zag), updates.AppendTxn bytes,
 //	          one appendProv value per update }
 //	nWrites · { key, peer, seq, del flag, tupleKey }
 //
-// Accepted and Rejected graph nodes serialize as skeletons (no update
-// list): reconciliation never reads their updates again — see
-// recon.NeedsFullTxn — and stripping them keeps the blob proportional to
-// the live conflict frontier, not the whole history.
+// Each graph node is written as the trust state holds it: Accepted and
+// Rejected nodes are skeletons (no update list; see recon.State), so the
+// blob's transaction bodies are those of the open conflict frontier, not of
+// the whole history.
 
-// engineBlobMagic names the layout. Version 6 stores each transaction in
-// the transaction codec the archive and the queue use, and drops version
-// 5's full-update flag, which the update count already said. Version 5
-// dropped version 4's acceptance-order section, which nothing read, and
-// its dependency-tracker section, whose last-writer index the trust
-// state's accepted writes replace. Since version 4 the rows beside the
-// blob are at its watermark; a version-3 image has rows ahead of its blob.
-// An older image takes the errBlobVersion path with its rows.
-const engineBlobMagic = "OEB6"
+// engineBlobMagic names the layout. Version 7 embeds version 3 of the
+// engine state, which drops the dead-token section. Version 6 stores each
+// transaction in the transaction codec the archive and the queue use, and
+// drops version 5's full-update flag, which the update count already said.
+// Version 5 dropped version 4's acceptance-order section, which nothing
+// read, and its dependency-tracker section, whose last-writer index the
+// trust state's accepted writes replace. Since version 4 the rows beside
+// the blob are at its watermark; a version-3 image has rows ahead of its
+// blob. An older image takes the errBlobVersion path with its rows.
+const engineBlobMagic = "OEB7"
 
 // errBlobVersion reports an engine blob written in another version of the
 // layout (its magic differs in the version digit only). Such a blob is
@@ -77,12 +78,8 @@ func encodeEngineBlob(watermark uint64, engineBlob []byte, st *recon.SavedState)
 	for _, sv := range st.Txns {
 		buf = binary.AppendUvarint(buf, uint64(sv.Status))
 		buf = binary.AppendVarint(buf, int64(sv.Prio))
-		t := sv.Txn
-		if !recon.NeedsFullTxn(sv.Status) {
-			t = &updates.Transaction{ID: t.ID, Epoch: t.Epoch, Deps: t.Deps}
-		}
-		buf = updates.AppendTxn(buf, t)
-		for _, u := range t.Updates {
+		buf = updates.AppendTxn(buf, sv.Txn)
+		for _, u := range sv.Txn.Updates {
 			buf = appendProv(buf, u.Prov)
 		}
 	}
@@ -135,8 +132,9 @@ func decodeEngineBlob(blob []byte) (*engineSnapshot, error) {
 		status := recon.Status(st)
 		prio := int(r.Varint())
 		updates.ReadTxn(r, t)
-		// A skeleton's update count is 0; any other is corrupt.
-		if r.Err() == nil && len(t.Updates) > 0 && !recon.NeedsFullTxn(status) {
+		// A closed node is a skeleton, whose update count is 0; any other
+		// is corrupt.
+		if r.Err() == nil && len(t.Updates) > 0 && (status == recon.StatusAccepted || status == recon.StatusRejected) {
 			r.Fail("updates on a %v transaction", status)
 		}
 		for j := range t.Updates {

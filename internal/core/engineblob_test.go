@@ -50,7 +50,7 @@ func engineBlobSeeds(t testing.TB) [][]byte {
 	publish(t, alaska)
 	reconcile(t, dresden)
 	reconcile(t, crete)
-	if st := dresden.Status(bTxn.ID); !recon.NeedsFullTxn(st) {
+	if st := dresden.Status(bTxn.ID); st != recon.StatusDeferred {
 		t.Fatalf("setup: beijing's transaction is %s at dresden, want deferred", st)
 	}
 	seeds = append(seeds, engineBlobOf(t, dresden), engineBlobOf(t, crete))
@@ -122,7 +122,7 @@ func FuzzDecodeEngineBlob(f *testing.F) {
 	}
 	f.Add(seeds[1][:len(seeds[1])/2])
 	f.Add(acceptedWithUpdates())
-	f.Add(append([]byte("OEB5"), seeds[1][len(engineBlobMagic):]...))
+	f.Add(append([]byte("OEB6"), seeds[1][len(engineBlobMagic):]...))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		snap, err := decodeEngineBlob(blob)

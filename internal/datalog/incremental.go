@@ -60,22 +60,8 @@ type Incremental struct {
 	// mapping's token is in every fact derived through it, so its entries
 	// would be most of the index.
 	ruleToks map[provenance.Token]bool
-	dead     map[provenance.Token]bool
 	// scratch is every Insert's evaluation state, reused across calls.
 	scratch stratumScratch
-}
-
-// DeadTokens returns the sorted set of tokens killed by DeleteBase since
-// construction — part of the serializable engine state: a restored engine
-// must keep treating them as dead when later deletions restrict
-// annotations.
-func (inc *Incremental) DeadTokens() []provenance.Var {
-	out := make([]provenance.Var, 0, len(inc.dead))
-	for t := range inc.dead {
-		out = append(out, t.Var())
-	}
-	slices.Sort(out)
-	return out
 }
 
 // RestoreIncremental rebuilds maintained state around a database already at
@@ -83,19 +69,15 @@ func (inc *Incremental) DeadTokens() []provenance.Var {
 // the initial evaluation entirely (the caller warrants db is the fixpoint
 // of p over its base facts, e.g. a DecodeDB of a snapshot taken from a
 // live Incremental) and prepares the program; plans are built at the first
-// insertion, over db as it then stands. The dead set is restored; the
-// deletion index is not saved, and is built on first use like a live
-// engine's. Ownership of db transfers to the returned Incremental.
-func RestoreIncremental(p *Program, db *DB, opts Options, dead []provenance.Var) (*Incremental, error) {
+// insertion, over db as it then stands. The deletion index is not saved,
+// and is built on first use like a live engine's. Ownership of db
+// transfers to the returned Incremental.
+func RestoreIncremental(p *Program, db *DB, opts Options) (*Incremental, error) {
 	pp, err := prepareIncremental(p)
 	if err != nil {
 		return nil, err
 	}
-	inc := newIncremental(pp, db, opts)
-	for _, v := range dead {
-		inc.dead[provenance.Mint(v)] = true
-	}
-	return inc, nil
+	return newIncremental(pp, db, opts), nil
 }
 
 // NewIncremental computes the initial fixpoint over edb and returns the
@@ -139,7 +121,6 @@ func newIncremental(pp *Prepared, db *DB, opts Options) *Incremental {
 		db:       db,
 		opts:     opts,
 		ruleToks: map[provenance.Token]bool{},
-		dead:     map[provenance.Token]bool{},
 	}
 	for _, r := range pp.prog.Rules {
 		if r.ProvToken != "" {
@@ -298,15 +279,20 @@ type Fact2 struct {
 // ORCHESTRA each published tuple carries a unique token, which the exchange
 // layer passes in. A rule's ProvToken is not a base fact's and is ignored
 // here, as by Affected and DependentCount.
+//
+// Nothing outlives the call: once the facts the index lists are restricted,
+// no annotation mentions a killed token, and none can again — a derivation
+// joins only stored facts, and the exchange layer never reuses a token.
 func (inc *Incremental) DeleteBase(tokens []provenance.Var) []Change {
 	index := inc.tokens()
 	touched := map[string]map[uint32]struct{}{} // pred -> slots
+	killed := map[provenance.Token]bool{}
 	for _, v := range tokens {
 		tok := provenance.Mint(v)
 		if inc.ruleToks[tok] {
 			continue
 		}
-		inc.dead[tok] = true
+		killed[tok] = true
 		for pred, slots := range index[tok] {
 			tm := touched[pred]
 			if tm == nil {
@@ -320,7 +306,7 @@ func (inc *Incremental) DeleteBase(tokens []provenance.Var) []Change {
 		// Once killed, the token leaves every annotation below.
 		delete(index, tok)
 	}
-	alive := func(t provenance.Token) bool { return !inc.dead[t] }
+	alive := func(t provenance.Token) bool { return !killed[t] }
 	var changes []Change
 	for pred, slots := range touched {
 		rel := inc.db.MutableRel(pred)
@@ -376,12 +362,12 @@ func (inc *Incremental) DependentCount(v provenance.Var) int {
 func (inc *Incremental) Affected(tokens []provenance.Var) []Change {
 	index := inc.tokens()
 	toks := make([]provenance.Token, len(tokens))
-	tmpDead := map[provenance.Token]bool{}
+	killed := map[provenance.Token]bool{}
 	for i, v := range tokens {
 		toks[i] = provenance.Mint(v)
-		tmpDead[toks[i]] = !inc.ruleToks[toks[i]]
+		killed[toks[i]] = !inc.ruleToks[toks[i]]
 	}
-	alive := func(t provenance.Token) bool { return !inc.dead[t] && !tmpDead[t] }
+	alive := func(t provenance.Token) bool { return !killed[t] }
 	var changes []Change
 	seen := map[predSlot]bool{}
 	for _, tok := range toks {

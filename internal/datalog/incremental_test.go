@@ -297,7 +297,7 @@ func TestTokenIndexBuiltOnFirstDeletion(t *testing.T) {
 		t.Fatalf("%d index builds after later deletions, want 1", n)
 	}
 
-	restored, err := RestoreIncremental(tcProgram(), inc.DB().Snapshot(), Options{Stats: &st}, inc.DeadTokens())
+	restored, err := RestoreIncremental(tcProgram(), inc.DB().Snapshot(), Options{Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}

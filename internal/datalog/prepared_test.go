@@ -115,7 +115,7 @@ func TestIncrementalPlansFollowSizeTies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		twin, err := RestoreIncremental(prog, db, Options{}, nil)
+		twin, err := RestoreIncremental(prog, db, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,3 +78,52 @@ func TestCollateOrdersDeletesAcrossRelations(t *testing.T) {
 		}
 	}
 }
+
+// A transaction that removes two tuples of one relation under one key hands
+// each peer a delete for each. Alaska publishes S(1,10,AAAA), Beijing
+// S(1,10,CCCC), and the mappings copy each to the other; Alaska then deletes
+// both in one transaction, the one it published and the one it derived.
+// Collation used to index removed tuples by key alone, so the second
+// overwrote the first and both peers were handed only -S(1,10,CCCC). When
+// the same transaction also inserts at that key, the insert pairs with one
+// removed tuple into a modify and the other delete comes before it:
+// reconciliation takes a key's last update as the transaction's write there.
+func TestCollateKeepsEveryDeleteAtAKey(t *testing.T) {
+	a, c, g := workload.STuple(1, 10, "AAAA"), workload.STuple(1, 10, "CCCC"), workload.STuple(1, 10, "GGGG")
+	for _, tc := range []struct {
+		name string
+		del  *updates.Transaction
+		want []updates.Update
+	}{
+		{"delete both", txn(workload.Alaska, 2, updates.Delete("S", a), updates.Delete("S", c)),
+			[]updates.Update{updates.Delete("S", a), updates.Delete("S", c)}},
+		{"delete both and insert", txn(workload.Alaska, 2, updates.Delete("S", a), updates.Delete("S", c), updates.Insert("S", g)),
+			[]updates.Update{updates.Delete("S", a), updates.Modify("S", c, g)}},
+	} {
+		e := fig2Engine(t)
+		for _, pub := range []*updates.Transaction{
+			txn(workload.Alaska, 1, updates.Insert("S", a)),
+			txn(workload.Beijing, 1, updates.Insert("S", c)),
+		} {
+			if _, err := e.Apply(context.Background(), pub); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := e.Apply(context.Background(), tc.del)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, peer := range []string{workload.Alaska, workload.Beijing} {
+			got := res.PerPeer[peer]
+			if len(got) != len(tc.want) {
+				t.Fatalf("%s: %s is handed %v, want %v", tc.name, peer, got, tc.want)
+			}
+			for i, u := range got {
+				w := tc.want[i]
+				if u.Op != w.Op || u.Rel != w.Rel || !u.Old.Equal(w.Old) || !u.New.Equal(w.New) {
+					t.Fatalf("%s: %s is handed %v, want %v", tc.name, peer, got, tc.want)
+				}
+			}
+		}
+	}
+}

@@ -40,8 +40,10 @@ import (
 // derivation paths is combinatorial; ORCHESTRA's prototype avoided the
 // blowup by storing provenance one mapping-hop at a time, and bounded
 // witness sets are this implementation's equivalent compromise: the
-// shortest derivations — the ones trust conditions and deletion
-// propagation act on — are always retained. See DESIGN.md §4.
+// lowest-degree derivations are retained. A derivation along a longer path
+// can be cut, so a trust condition that asks whether some witness mentions
+// a token (recon.ThroughMapping, recon.DerivedFromPeer) can decide
+// differently at another bound. See DESIGN.md §4.1 and §6.1.
 const DefaultMaxMonomials = 8
 
 // Engine maintains the global union database and translates transactions.
@@ -482,8 +484,9 @@ func (e *Engine) collate(txn *updates.Transaction, changes []datalog.Change, dep
 
 	res := &Result{PerPeer: map[string][]updates.Update{}, ExtraDeps: map[string][]updates.TxnID{}}
 	// First pass: collect deletes per (peer, rel, key) so inserts can be
-	// paired into modifies.
-	pendingDel := map[string]map[string]schema.Tuple{} // peer.rel -> keyKey -> old tuple
+	// paired into modifies. A key can lose several tuples (one published
+	// there, others derived there); each is kept, in tuple order.
+	pendingDel := map[string]map[string][]schema.Tuple{} // peer.rel -> keyKey -> old tuples
 	for _, s := range order {
 		if s.removed == nil {
 			continue
@@ -498,10 +501,11 @@ func (e *Engine) collate(txn *updates.Transaction, changes []datalog.Change, dep
 		}
 		m := pendingDel[s.pred]
 		if m == nil {
-			m = map[string]schema.Tuple{}
+			m = map[string][]schema.Tuple{}
 			pendingDel[s.pred] = m
 		}
-		m[r.KeyOf(s.removed.Tuple).Key()] = s.removed.Tuple
+		kk := r.KeyOf(s.removed.Tuple).Key()
+		m[kk] = append(m[kk], s.removed.Tuple)
 	}
 	// Second pass: emit updates.
 	for _, s := range order {
@@ -516,18 +520,19 @@ func (e *Engine) collate(txn *updates.Transaction, changes []datalog.Change, dep
 		if r == nil {
 			continue
 		}
-		var u updates.Update
-		matched := false
+		u := updates.Insert(rel, s.inserted.Tuple)
 		if len(pendingDel) > 0 { // key projection only needed when deletes can pair
 			kk := r.KeyOf(s.inserted.Tuple).Key()
-			if old, ok := pendingDel[s.pred][kk]; ok {
-				u = updates.Modify(rel, old, s.inserted.Tuple)
+			if olds := pendingDel[s.pred][kk]; len(olds) > 0 {
+				// The insert pairs with the last removed tuple; the others
+				// are deleted first, so the modify is the key's last update.
+				last := len(olds) - 1
+				for _, old := range olds[:last] {
+					res.PerPeer[peer] = append(res.PerPeer[peer], updates.Delete(rel, old))
+				}
+				u = updates.Modify(rel, olds[last], s.inserted.Tuple)
 				delete(pendingDel[s.pred], kk)
-				matched = true
 			}
-		}
-		if !matched {
-			u = updates.Insert(rel, s.inserted.Tuple)
 		}
 		u.Prov = s.inserted.Prov
 		if f, ok := e.inc.DB().Rel(s.pred).Get(s.inserted.Tuple); ok {
@@ -549,7 +554,9 @@ func (e *Engine) collate(txn *updates.Transaction, changes []datalog.Change, dep
 			return nil, err
 		}
 		for _, kk := range slices.Sorted(maps.Keys(m)) {
-			res.PerPeer[peer] = append(res.PerPeer[peer], updates.Delete(rel, m[kk]))
+			for _, old := range m[kk] {
+				res.PerPeer[peer] = append(res.PerPeer[peer], updates.Delete(rel, old))
+			}
 		}
 	}
 	// Dependencies from foreign deletions apply to every peer that

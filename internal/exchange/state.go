@@ -13,23 +13,23 @@ import (
 
 // Engine state serialization (DESIGN.md §13). SaveState captures everything
 // the translation engine accumulates over its lifetime — the union database
-// (through the datalog snapshot codec), the dead-token set, the base-token
-// map, and the applied-transaction set — so a recovered peer restores the
-// engine and replays only the post-checkpoint archive suffix instead of its
-// whole fetched history. The deletion index is not saved: the restored
-// engine builds it from the union database at its first deletion.
+// (through the datalog snapshot codec), the base-token map, and the
+// applied-transaction set — so a recovered peer restores the engine and
+// replays only the post-checkpoint archive suffix instead of its whole
+// fetched history. The deletion index is not saved: the restored engine
+// builds it from the union database at its first deletion.
 //
 // Layout (uvarint integers, uvarint-length-prefixed strings):
 //
-//	magic "OES2"
+//	magic "OES3"
 //	dbLen, then the EncodeDB blob
-//	deadCount · { var }                  (sorted)
 //	baseCount · { key, tokCount · tok }  (sorted by key)
 //	appliedCount · { peer, seq }         (sorted by TxnID)
 
 // stateMagic versions the engine-state layout; see codecMagic in
-// internal/datalog for the refusal contract.
-const stateMagic = "OES2"
+// internal/datalog for the refusal contract. Version 3 drops version 2's
+// dead-token section, which nothing read.
+const stateMagic = "OES3"
 
 // SaveState serializes the engine's accumulated state without mutating the
 // engine.
@@ -41,12 +41,6 @@ func (e *Engine) SaveState() ([]byte, error) {
 	buf := append([]byte(nil), stateMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(dbBlob)))
 	buf = append(buf, dbBlob...)
-
-	dead := e.inc.DeadTokens()
-	buf = binary.AppendUvarint(buf, uint64(len(dead)))
-	for _, v := range dead {
-		buf = codec.AppendString(buf, string(v))
-	}
 
 	baseKeys := make([]string, 0, len(e.baseTokens))
 	for k := range e.baseTokens {
@@ -92,13 +86,7 @@ func (e *Engine) LoadState(blob []byte) error {
 		return fmt.Errorf("%w: %w", ErrBadState, err)
 	}
 
-	// Every dead token, base key, token and applied id takes at least one
-	// byte.
-	nDead := r.Count("dead token", 1)
-	dead := make([]provenance.Var, 0, nDead)
-	for range nDead {
-		dead = append(dead, provenance.Var(r.Str()))
-	}
+	// Every base key, token and applied id takes at least one byte.
 	nBase := r.Count("base key", 1)
 	base := make(map[string][]provenance.Var, nBase)
 	for range nBase {
@@ -119,7 +107,7 @@ func (e *Engine) LoadState(blob []byte) error {
 		return err
 	}
 
-	inc, err := datalog.RestoreIncremental(e.prog, db, e.opts, dead)
+	inc, err := datalog.RestoreIncremental(e.prog, db, e.opts)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -29,7 +30,7 @@ func unionFingerprint(e *Engine) string {
 }
 
 // applyHistory drives a mixed workload: cross-peer inserts that derive
-// joined tuples, a modify, and a delete — exercising base tokens, dead
+// joined tuples, a modify, and a delete — exercising base tokens, killed
 // tokens, and the deletion index.
 func applyHistory(t testing.TB, e *Engine) []*Result {
 	t.Helper()
@@ -59,7 +60,7 @@ func applyHistory(t testing.TB, e *Engine) []*Result {
 // TestEngineStateRoundTrip pins that SaveState→LoadState reproduces the
 // engine exactly: same union database (tuples AND provenance), same applied
 // set, and identical behavior on subsequent transactions — including
-// deletions, which depend on the restored base tokens and dead set, and on a
+// deletions, which depend on the restored base tokens, and on a
 // deletion index the restored engine builds from its union database while
 // the live one has maintained (stale entries and all) since its first
 // deletion. It runs at the default witness bound and again at MaxMonomials
@@ -173,6 +174,8 @@ func TestEngineStateRejectsCorruptBlobs(t *testing.T) {
 	refused("bad magic", []byte("nope"))
 	// The previous layout carried a token-occurrence section.
 	refused("OES1 blob", append([]byte("OES1"), blob[len(stateMagic):]...))
+	// Version 2 carried a dead-token section after the union database.
+	refused("OES2 blob", oes2Of(t, blob))
 	for _, cut := range []int{5, len(blob) / 2, len(blob) - 1} {
 		refused(fmt.Sprintf("truncation at %d", cut), blob[:cut])
 	}
@@ -189,11 +192,27 @@ func TestEngineStateRejectsCorruptBlobs(t *testing.T) {
 	}
 }
 
+// oes2Of rewrites a snapshot in the version-2 layout, which had an (here
+// empty) dead-token section between the union database and the base
+// tokens.
+func oes2Of(t testing.TB, blob []byte) []byte {
+	t.Helper()
+	dbLen, n := binary.Uvarint(blob[len(stateMagic):])
+	if n <= 0 {
+		t.Fatal("snapshot without a union-database section")
+	}
+	end := len(stateMagic) + n + int(dbLen)
+	old := append([]byte("OES2"), blob[len(stateMagic):end]...)
+	old = append(old, 0) // no dead tokens
+	return append(old, blob[end:]...)
+}
+
 // FuzzLoadState: whatever bytes arrive as an engine snapshot — a corrupted
 // engine blob on recovery — LoadState refuses them with ErrBadState or
 // loads an engine whose SaveState loads again into the same union database,
-// dead set, base-token map and applied set, and never panics. Seeds are the
-// histories above at both witness bounds, and an empty engine.
+// base-token map and applied set, and never panics. Seeds are the
+// histories above at both witness bounds, an empty engine, and a history in
+// the previous layout.
 func FuzzLoadState(f *testing.F) {
 	empty := fig2EngineWith(f, Config{})
 	histories := []*Engine{fig2EngineWith(f, Config{}), fig2EngineWith(f, Config{MaxMonomials: 2})}
@@ -206,6 +225,9 @@ func FuzzLoadState(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(blob)
+		if e == histories[0] {
+			f.Add(oes2Of(f, blob))
+		}
 	}
 	// LoadState replaces an engine's whole state (and leaves it untouched on
 	// error), so two engines serve every input: building one per input made
@@ -228,10 +250,8 @@ func FuzzLoadState(f *testing.F) {
 		if err := sameUnion(e.inc.DB(), back.inc.DB()); err != nil {
 			t.Fatalf("save/load changed the union database: %v", err)
 		}
-		if !reflect.DeepEqual(e.inc.DeadTokens(), back.inc.DeadTokens()) ||
-			!reflect.DeepEqual(e.baseTokens, back.baseTokens) ||
-			!reflect.DeepEqual(e.applied, back.applied) {
-			t.Fatal("save/load changed the dead set, base tokens or applied set")
+		if !reflect.DeepEqual(e.baseTokens, back.baseTokens) || !reflect.DeepEqual(e.applied, back.applied) {
+			t.Fatal("save/load changed the base tokens or applied set")
 		}
 	})
 }

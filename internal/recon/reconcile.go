@@ -70,7 +70,10 @@ func (w writeVal) sameValue(o writeVal) bool {
 // node is everything the state knows about one transaction id: the
 // transaction itself (nil while the id has only been named as an antecedent
 // that has not arrived), its disposition and priority, and its dependency
-// edges in both directions as direct pointers.
+// edges in both directions as direct pointers. An open (pending or
+// deferred) node holds the whole transaction. A closed (accepted or
+// rejected) one holds its skeleton — ID, Epoch and Deps, no updates — since
+// a round reaches it only through its dependency edges.
 type node struct {
 	id     updates.TxnID
 	txn    *updates.Transaction
@@ -118,12 +121,13 @@ type State struct {
 	trusted        map[int]nodeSet
 	deferred       nodeSet
 	deferredWrites map[string][]writeVal
-	// undeferred holds the nodes that stopped being deferred since the last
-	// pass began. Their writes leave deferredWrites when the next pass
-	// begins, not before: a deferred transaction rejected by a cascade in
-	// the middle of a pass still blocks the candidates judged after it in
-	// that pass.
-	undeferred []*node
+	// undeferred holds the transactions of the nodes that stopped being
+	// deferred since the last pass began, as they were while deferred (the
+	// node may be closed by now, and hold only its skeleton). Their writes
+	// leave deferredWrites when the next pass begins, not before: a
+	// deferred transaction rejected by a cascade in the middle of a pass
+	// still blocks the candidates judged after it in that pass.
+	undeferred []*updates.Transaction
 	// acceptedWrites is the last accepted write of each (relation, key):
 	// what conflicts are judged against, and what a local commit depends on
 	// (LastWriters).
@@ -143,9 +147,12 @@ type undoLog struct {
 	writes []undoWrite
 }
 
+// undoStatus is a node's status before a change, and its transaction then,
+// which closing the node cut down to a skeleton.
 type undoStatus struct {
 	n    *node
 	prev Status
+	txn  *updates.Transaction
 }
 
 type undoWrite struct {
@@ -158,14 +165,15 @@ type undoWrite struct {
 // one while a Resolve is in flight.
 func (s *State) setStatus(n *node, st Status) {
 	if s.undo != nil {
-		s.undo.status = append(s.undo.status, undoStatus{n, n.status})
+		s.undo.status = append(s.undo.status, undoStatus{n, n.status, n.txn})
 	}
 	s.move(n, st)
 }
 
 // move is the only writer of node.status: it takes the node out of the open
 // set of its old status and puts it into the one of its new status, so the
-// indexes can never disagree with the statuses. n.txn and n.prio must be set.
+// indexes can never disagree with the statuses, and it cuts the transaction
+// of a node it closes down to a skeleton. n.txn and n.prio must be set.
 func (s *State) move(n *node, st Status) {
 	switch n.status {
 	case StatusPending:
@@ -179,7 +187,7 @@ func (s *State) move(n *node, st Status) {
 		}
 	case StatusDeferred:
 		s.deferred = s.deferred.remove(n)
-		s.undeferred = append(s.undeferred, n)
+		s.undeferred = append(s.undeferred, n.txn)
 	}
 	n.status = st
 	switch st {
@@ -193,19 +201,23 @@ func (s *State) move(n *node, st Status) {
 		for k, w := range s.netWrites(n.txn) {
 			s.deferredWrites[k] = append(s.deferredWrites[k], w)
 		}
+	case StatusAccepted, StatusRejected:
+		if len(n.txn.Updates) > 0 {
+			n.txn = &updates.Transaction{ID: n.txn.ID, Epoch: n.txn.Epoch, Deps: n.txn.Deps}
+		}
 	}
 }
 
-// dropUndeferred takes the writes of the nodes in undeferred out of the
-// deferred-writes index: one entry per key for each time a node stopped
+// dropUndeferred takes the writes of the transactions in undeferred out of
+// the deferred-writes index: one entry per key for each time a node stopped
 // being deferred, so a node that was deferred again in the meantime keeps
 // the entries its return added.
 func (s *State) dropUndeferred() {
-	for _, n := range s.undeferred {
+	for _, t := range s.undeferred {
 		s.visited++
-		for k := range s.netWrites(n.txn) {
+		for k := range s.netWrites(t) {
 			ws := s.deferredWrites[k]
-			i := slices.IndexFunc(ws, func(w writeVal) bool { return w.writer == n.id })
+			i := slices.IndexFunc(ws, func(w writeVal) bool { return w.writer == t.ID })
 			if ws = slices.Delete(ws, i, i+1); len(ws) > 0 {
 				s.deferredWrites[k] = ws
 			} else {
@@ -216,12 +228,15 @@ func (s *State) dropUndeferred() {
 	s.undeferred = s.undeferred[:0]
 }
 
-// rollback restores the state to where the journal began and drops it.
+// rollback restores the state to where the journal began and drops it,
+// giving the nodes it reopens their transactions back.
 func (s *State) rollback() {
 	u := s.undo
 	s.undo = nil
 	for i := len(u.status) - 1; i >= 0; i-- {
-		s.move(u.status[i].n, u.status[i].prev)
+		us := u.status[i]
+		us.n.txn = us.txn
+		s.move(us.n, us.prev)
 	}
 	for i := len(u.writes) - 1; i >= 0; i-- {
 		if w := u.writes[i]; w.had {
@@ -606,8 +621,8 @@ func (s *State) accept(g *group, out *Outcome) {
 		if m.status == StatusAccepted {
 			continue
 		}
+		out.Accepted = append(out.Accepted, m.txn) // before move cuts it
 		s.setStatus(m, StatusAccepted)
-		out.Accepted = append(out.Accepted, m.txn)
 	}
 	for k, w := range g.writes {
 		if s.undo != nil {

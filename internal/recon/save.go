@@ -11,12 +11,10 @@ import (
 // peer's accumulated trust state — every graph node with its disposition
 // and priority, and the accepted-write index — into
 // plain data the durability layer encodes; Restore rebuilds the state
-// exactly. The split matters for snapshot size: process() and Resolve only
-// ever read the full Updates of Pending and Deferred nodes (group assembly
-// and conflict-write computation), while Accepted and Rejected nodes
-// contribute nothing but ID/Epoch/Deps to antecedent closures — so the
-// encoder is free to strip their update lists down to skeletons, and
-// NeedsFullTxn tells it which is which.
+// exactly. Each transaction is saved as the state holds it: whole while
+// Pending or Deferred (group assembly and conflict-write computation read
+// its updates), a skeleton (ID, Epoch, Deps) once Accepted or Rejected,
+// when it contributes nothing else to antecedent closures.
 
 // SavedTxn is one graph node: the transaction plus its disposition.
 type SavedTxn struct {
@@ -37,14 +35,6 @@ type SavedWrite struct {
 type SavedState struct {
 	Txns   []SavedTxn   // in TxnID order
 	Writes []SavedWrite // in key order
-}
-
-// NeedsFullTxn reports whether reconciliation can still read the node's
-// update list after restore: true for Pending and Deferred (group building,
-// deferred-write indexing, Resolve's net-write computation), false for
-// Accepted and Rejected, whose updates are never consulted again.
-func NeedsFullTxn(st Status) bool {
-	return st == StatusPending || st == StatusDeferred
 }
 
 // Save flattens the state. The returned transactions are the state's own
@@ -69,8 +59,9 @@ func (s *State) Save() *SavedState {
 
 // Restore replaces the state's accumulated contents with a saved snapshot.
 // The keyOf projection and the work counter are kept; everything else,
-// the open-set indexes included, is rebuilt from the saved statuses. On
-// error the state is unusable and must be discarded.
+// the open-set indexes included, is rebuilt from the saved statuses, and a
+// closed transaction saved whole is held as its skeleton. On error the
+// state is unusable and must be discarded.
 func (s *State) Restore(sv *SavedState) error {
 	fresh := NewState(s.keyOf)
 	fresh.nodes = make(map[updates.TxnID]*node, len(sv.Txns))

@@ -74,7 +74,9 @@ func TupleWhere(rel string, pred func(schema.Tuple) bool, priority int) Conditio
 // mapping (its token appears in the update's provenance polynomial). This
 // is the provenance-based trust the CDSS model calls for: "a site will
 // assign a value judgment to a modification based on where it originated or
-// how it was assembled."
+// how it was assembled." It sees only the witnesses the engine's witness
+// bound kept (the lowest-degree ones): a derivation through the mapping
+// along a longer path can be cut, so the decision can change with the bound.
 func ThroughMapping(mappingID string, priority int) Condition {
 	return Condition{Priority: priority, Matches: func(origin string, u updates.Update) bool {
 		for _, v := range u.Prov.Vars() {
@@ -88,7 +90,8 @@ func ThroughMapping(mappingID string, priority int) Condition {
 
 // DerivedFromPeer matches updates whose provenance mentions a token minted
 // by the given peer — trusting data by its origin rather than by who
-// forwarded it.
+// forwarded it. Like ThroughMapping, it sees only the witnesses the
+// engine's witness bound kept.
 func DerivedFromPeer(peer string, priority int) Condition {
 	return Condition{Priority: priority, Matches: func(origin string, u updates.Update) bool {
 		for _, v := range u.Prov.Vars() {

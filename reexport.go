@@ -125,13 +125,17 @@ func TupleWhere(rel string, pred func(Tuple) bool, priority int) TrustCondition 
 }
 
 // ThroughMapping matches updates whose provenance passes through the given
-// mapping — trust by how data was assembled.
+// mapping — trust by how data was assembled. It sees only the witnesses
+// the witness bound kept (WithMaxMonomials): a derivation through the
+// mapping along a longer path can be cut, and the decision then differs
+// from the one at an unbounded engine.
 func ThroughMapping(mappingID string, priority int) TrustCondition {
 	return recon.ThroughMapping(mappingID, priority)
 }
 
 // DerivedFromPeer matches updates whose provenance mentions a token minted
-// by the given peer — trust by where data originated.
+// by the given peer — trust by where data originated. Like ThroughMapping,
+// it sees only the witnesses the witness bound kept.
 func DerivedFromPeer(peer string, priority int) TrustCondition {
 	return recon.DerivedFromPeer(peer, priority)
 }
