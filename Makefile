@@ -59,14 +59,15 @@ series-check:
 
 ## fuzz-smoke: each native fuzz target for FUZZTIME — tuple keys
 ## (internal/schema), the durable transaction codec, byte for byte
-## (internal/updates), wire transactions and
+## (internal/updates), JSON wire transactions and binary
 ## store-server request frames (internal/p2p), DB snapshots and extent
 ## operations against a naive model (internal/datalog),
 ## engine snapshots (internal/exchange), the peer's engine blob and its
 ## checkpoint-row annotations (internal/core), the witness-set merge
 ## kernel against its set definition (internal/provenance), the
-## order-preserving tuple key codec (internal/lsm) and the rule parser the
-## REPL's query command feeds (internal/parser); `go test -fuzz`
+## order-preserving tuple key codec, WAL batch payloads, whole SSTables
+## and the MANIFEST (internal/lsm), and the rule parser the REPL's query
+## command feeds and the mapping parser (internal/parser); `go test -fuzz`
 ## takes one target per run. A failing input lands in the package's
 ## testdata/fuzz/.
 FUZZTIME ?= 10s
@@ -82,7 +83,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeProv$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeWitness$$' -fuzztime $(FUZZTIME) ./internal/provenance/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTuple$$' -fuzztime $(FUZZTIME) ./internal/lsm/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/lsm/
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenSSTable$$' -fuzztime $(FUZZTIME) ./internal/lsm/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime $(FUZZTIME) ./internal/lsm/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME) ./internal/parser/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMapping$$' -fuzztime $(FUZZTIME) ./internal/parser/
 
 ## bench-build: vet and unit-test the repo benchmark (bench/ is its own Go
 ## module over the engine's internal packages, so `./...` never reaches it;

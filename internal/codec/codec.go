@@ -1,14 +1,14 @@
-// Package codec is the one reader of the repository's durable binary
-// formats (DESIGN.md §13): the transaction codec in internal/updates, the
-// engine blob, checkpoint and journal records in internal/core, the engine
-// state in internal/exchange and the union-database snapshot in
-// internal/datalog. Every format writes unsigned varints
-// (binary.AppendUvarint), zig-zag varints (binary.AppendVarint), single
-// bytes and varint-length-prefixed strings (AppendString), and reads them
-// back through a Reader, which refuses what no writer produces: a varint in
-// a longer spelling than its shortest, a length or count the remaining
-// bytes cannot hold, and bytes left over after the value. A format keeps
-// its own sentinel error, which every failure of its Reader wraps.
+// Package codec is the one reader of every variable-length binary record
+// the program reads from a file or a socket (DESIGN.md §13): transactions,
+// engine blobs, checkpoint, journal and snapshot records, the TCP store's
+// frames, and lsm's WAL batches, SSTable metadata and blocks and MANIFEST.
+// Every format writes unsigned and zig-zag varints, single bytes,
+// length-prefixed strings (AppendString) and byte runs whose length it
+// wrote elsewhere, and reads them back through a Reader, which refuses
+// what no writer produces: a varint in a longer spelling than its
+// shortest, a length or count the remaining bytes cannot hold, and bytes
+// left over after the value. A format keeps its own sentinel error, which
+// every failure of its Reader wraps.
 package codec
 
 import (
@@ -104,10 +104,13 @@ func (r *Reader) Byte() byte {
 	return b
 }
 
-// Bytes reads a length-prefixed byte string. The result aliases the
-// reader's buffer.
-func (r *Reader) Bytes() []byte {
-	n := r.Uvarint()
+// Len returns the number of bytes left, so a format without a count — a
+// run of records that ends where its buffer does — knows when to stop.
+func (r *Reader) Len() int { return len(r.buf) }
+
+// Next reads a run of n bytes whose length the format wrote elsewhere. The
+// result aliases the reader's buffer; it is nil after a failure.
+func (r *Reader) Next(n uint64) []byte {
 	if r.err != nil {
 		return nil
 	}
@@ -119,6 +122,10 @@ func (r *Reader) Bytes() []byte {
 	r.buf = r.buf[n:]
 	return b
 }
+
+// Bytes reads a length-prefixed byte string. The result aliases the
+// reader's buffer.
+func (r *Reader) Bytes() []byte { return r.Next(r.Uvarint()) }
 
 // Str reads a length-prefixed string.
 func (r *Reader) Str() string { return string(r.Bytes()) }

@@ -65,6 +65,8 @@ func TestReaderRefusals(t *testing.T) {
 		{"truncated string", []byte{0x03, 'a', 'b'}, func(r *Reader) { r.Str() }, "3 bytes overrun the 2 left"},
 		{"truncated name", []byte{0x02, 'a'}, func(r *Reader) { r.Name() }, "2 bytes overrun the 1 left"},
 		{"bytes overrun", []byte{0x05, 1, 2}, func(r *Reader) { r.Bytes() }, "5 bytes overrun the 2 left"},
+		{"run overrun", []byte{1, 2}, func(r *Reader) { r.Next(3) }, "3 bytes overrun the 2 left"},
+		{"run past any length", []byte{1}, func(r *Reader) { r.Next(1<<64 - 1) }, "18446744073709551615 bytes overrun the 1 left"},
 		{"count over remaining", []byte{0x02, 1, 1, 1}, func(r *Reader) { r.Count("rows", 2) }, "rows count 2 exceeds what the 3 remaining bytes can hold"},
 		{"trailing bytes", []byte{0x01, 0x02}, func(r *Reader) { r.Uvarint() }, "1 trailing bytes"},
 		{"format failure", []byte{0x09}, func(r *Reader) { r.Fail("unknown op %d", r.Byte()) }, "unknown op 9"},
@@ -80,6 +82,27 @@ func TestReaderRefusals(t *testing.T) {
 				t.Fatalf("Done = %q, want it to say %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// Next reads a run of the given length without a prefix, aliasing the
+// buffer with its capacity capped, and Len counts down to the end.
+func TestReaderNextAndLen(t *testing.T) {
+	buf := []byte{1, 2, 3, 4, 5}
+	r := NewReader(buf, errFormat)
+	if r.Len() != 5 {
+		t.Fatalf("Len = %d, want 5", r.Len())
+	}
+	run := r.Next(2)
+	if string(run) != "\x01\x02" || cap(run) != 2 || &run[0] != &buf[0] {
+		t.Fatalf("Next(2) = %v (cap %d), want the buffer's first two bytes", run, cap(run))
+	}
+	if r.Len() != 3 || len(r.Next(0)) != 0 || r.Len() != 3 {
+		t.Fatalf("Len after Next = %d, want 3", r.Len())
+	}
+	r.Next(3)
+	if err := r.Done(); err != nil || r.Len() != 0 {
+		t.Fatalf("Done = %v, Len = %d; want nil, 0", err, r.Len())
 	}
 }
 

@@ -1,9 +1,9 @@
 package datalog
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 
@@ -254,12 +254,6 @@ func (inc *Incremental) InsertGroups(ctx context.Context, groups [][]Fact2) ([]C
 	return inc.Insert(ctx, slices.Concat(groups...))
 }
 
-// predSlot names a stored fact: its predicate and its slot there.
-type predSlot struct {
-	pred string
-	slot uint32
-}
-
 // Fact2 is a base fact targeted at a predicate (the name Fact is taken by
 // the annotated-tuple type).
 type Fact2 struct {
@@ -284,55 +278,71 @@ type Fact2 struct {
 // no annotation mentions a killed token, and none can again — a derivation
 // joins only stored facts, and the exchange layer never reuses a token.
 func (inc *Incremental) DeleteBase(tokens []provenance.Var) []Change {
-	index := inc.tokens()
-	touched := map[string]map[uint32]struct{}{} // pred -> slots
-	killed := map[provenance.Token]bool{}
+	rs := inc.restrictions(tokens)
 	for _, v := range tokens {
-		tok := provenance.Mint(v)
-		if inc.ruleToks[tok] {
-			continue
-		}
-		killed[tok] = true
-		for pred, slots := range index[tok] {
-			tm := touched[pred]
-			if tm == nil {
-				tm = map[uint32]struct{}{}
-				touched[pred] = tm
-			}
-			for s := range slots {
-				tm[s] = struct{}{}
-			}
-		}
 		// Once killed, the token leaves every annotation below.
-		delete(index, tok)
+		delete(inc.tokenIndex, provenance.Mint(v))
 	}
-	alive := func(t provenance.Token) bool { return !killed[t] }
 	var changes []Change
-	for pred, slots := range touched {
-		rel := inc.db.MutableRel(pred)
-		// Ascending slots: the order slots are freed in, and so reused in,
-		// does not depend on map iteration.
-		for _, s := range slices.Sorted(maps.Keys(slots)) {
-			if !rel.live(s) {
-				continue
-			}
-			f := rel.fact(s)
-			rest := f.Prov.RestrictTokens(alive)
-			if rest.Equal(f.Prov) {
-				continue
-			}
-			if rest.IsZero() {
-				tu := f.Tuple // remove zeroes the slot; copy out first
-				rel.remove(s) // maintains the hash indexes incrementally
-				changes = append(changes, Change{Pred: pred, Tuple: tu, Removed: true})
-			} else {
-				f.Prov = rest.Intern() // in-place update of the stored fact
-				changes = append(changes, Change{Pred: pred, Tuple: f.Tuple, Prov: rest})
-			}
+	for _, r := range rs {
+		rel := inc.db.MutableRel(r.pred)
+		f := rel.fact(r.slot)
+		// Reported before remove zeroes the slot.
+		changes = append(changes, Change{Pred: r.pred, Tuple: f.Tuple, Prov: r.rest, Removed: r.rest.IsZero()})
+		if r.rest.IsZero() {
+			rel.remove(r.slot) // maintains the hash indexes incrementally
+		} else {
+			f.Prov = r.rest.Intern() // in-place update of the stored fact
 		}
 	}
 	sortChanges(changes)
 	return changes
+}
+
+// restriction is a stored fact whose annotation a kill changes, and what
+// is left of that annotation (zero when nothing is).
+type restriction struct {
+	pred string
+	slot uint32
+	rest provenance.Poly
+}
+
+// restrictions is the one deletion walk, which DeleteBase applies and
+// Affected only reports: it kills the tokens (not the rules' ProvTokens)
+// and returns every live fact the index lists under one whose annotation
+// that changes, by predicate and ascending slot, so the order DeleteBase
+// frees and reuses slots in never depends on map order.
+func (inc *Incremental) restrictions(tokens []provenance.Var) []restriction {
+	index := inc.tokens()
+	killed := map[provenance.Token]bool{}
+	var facts []restriction
+	for _, v := range tokens {
+		if tok := provenance.Mint(v); !inc.ruleToks[tok] {
+			killed[tok] = true
+			for pred, slots := range index[tok] {
+				for s := range slots {
+					facts = append(facts, restriction{pred: pred, slot: s})
+				}
+			}
+		}
+	}
+	slices.SortFunc(facts, func(a, b restriction) int {
+		return cmp.Or(strings.Compare(a.pred, b.pred), cmp.Compare(a.slot, b.slot))
+	})
+	facts = slices.CompactFunc(facts, func(a, b restriction) bool { return a.pred == b.pred && a.slot == b.slot })
+	alive := func(t provenance.Token) bool { return !killed[t] }
+	changed := facts[:0]
+	for _, f := range facts {
+		rel := inc.db.Rel(f.pred)
+		if !rel.live(f.slot) {
+			continue
+		}
+		prov := rel.fact(f.slot).Prov
+		if f.rest = prov.RestrictTokens(alive); !f.rest.Equal(prov) {
+			changed = append(changed, f)
+		}
+	}
+	return changed
 }
 
 // DependentCount returns how many stored facts currently mention the token
@@ -360,39 +370,11 @@ func (inc *Incremental) DependentCount(v provenance.Var) int {
 // (other peers may keep trusting them), while the deleting peer's candidate
 // transaction carries the would-be deletions.
 func (inc *Incremental) Affected(tokens []provenance.Var) []Change {
-	index := inc.tokens()
-	toks := make([]provenance.Token, len(tokens))
-	killed := map[provenance.Token]bool{}
-	for i, v := range tokens {
-		toks[i] = provenance.Mint(v)
-		killed[toks[i]] = !inc.ruleToks[toks[i]]
-	}
-	alive := func(t provenance.Token) bool { return !killed[t] }
+	rs := inc.restrictions(tokens)
 	var changes []Change
-	seen := map[predSlot]bool{}
-	for _, tok := range toks {
-		for pred, slots := range index[tok] {
-			rel := inc.db.Rel(pred)
-			for s := range slots {
-				if seen[predSlot{pred, s}] {
-					continue
-				}
-				seen[predSlot{pred, s}] = true
-				if !rel.live(s) {
-					continue
-				}
-				f := rel.fact(s)
-				rest := f.Prov.RestrictTokens(alive)
-				if rest.Equal(f.Prov) {
-					continue
-				}
-				if rest.IsZero() {
-					changes = append(changes, Change{Pred: pred, Tuple: f.Tuple, Removed: true})
-				} else {
-					changes = append(changes, Change{Pred: pred, Tuple: f.Tuple, Prov: rest})
-				}
-			}
-		}
+	for _, r := range rs {
+		tu := inc.db.Rel(r.pred).fact(r.slot).Tuple
+		changes = append(changes, Change{Pred: r.pred, Tuple: tu, Prov: r.rest, Removed: r.rest.IsZero()})
 	}
 	sortChanges(changes)
 	return changes

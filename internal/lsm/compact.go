@@ -83,12 +83,10 @@ func (db *DB) compactRun(start, n int) error {
 		if err != nil {
 			return err
 		}
-		r, err := openSSTable(db.dir, tm)
+		r, err := openSSTable(db.dir, tm, db.met)
 		if err != nil {
 			return err
 		}
-		r.refs.Store(1)
-		r.met = db.met
 		db.man.NextFile++
 		newTables = append(newTables, tm)
 		newReaders = append(newReaders, r)

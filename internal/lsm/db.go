@@ -2,12 +2,14 @@ package lsm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/obs"
 )
 
@@ -96,29 +98,30 @@ func (r *sstReader) unref() {
 // replaying the WAL suffix. A torn record at the tail of the final WAL
 // segment — the signature of a crash mid-append — is truncated away with a
 // warning; corruption anywhere else fails the open.
-func Open(dir string, opt Options) (*DB, error) {
+func Open(dir string, opt Options) (_ *DB, err error) {
 	opt = opt.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lsm: create db dir: %w", err)
 	}
-	man, _, err := loadManifest(dir)
+	man, err := loadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
 	db := &DB{dir: dir, opt: opt, man: man, mems: []*memtable{newMemtable()}, met: newDBMetrics(opt.Metrics)}
-	for _, tm := range man.Tables {
-		r, err := openSSTable(dir, tm)
+	defer func() {
 		if err != nil {
 			db.closeTables()
+		}
+	}()
+	for _, tm := range man.Tables {
+		r, err := openSSTable(dir, tm, db.met)
+		if err != nil {
 			return nil, err
 		}
-		r.refs.Store(1)
-		r.met = db.met
 		db.tables = append(db.tables, r)
 	}
 	seqs, err := listWALs(dir)
 	if err != nil {
-		db.closeTables()
 		return nil, err
 	}
 	var replay []uint64
@@ -135,15 +138,12 @@ func Open(dir string, opt Options) (*DB, error) {
 		}
 	}
 	if err := replayWAL(dir, replay, db.applyEncodedBatch); err != nil {
-		db.closeTables()
 		return nil, err
 	}
 	// Append to a fresh segment rather than the possibly-truncated tail; the
 	// replayed segments stay on disk until the next flush advances the floor
 	// past them.
-	db.wal, err = openWAL(dir, maxSeq+1, opt.WALSegmentBytes)
-	if err != nil {
-		db.closeTables()
+	if db.wal, err = openWAL(dir, maxSeq+1, opt.WALSegmentBytes); err != nil {
 		return nil, err
 	}
 	db.walSegs = len(replay) + 1
@@ -221,50 +221,43 @@ const (
 func (b *Batch) encode() []byte {
 	out := make([]byte, 0, b.payload)
 	for _, op := range b.ops {
+		kind := byte(opPut)
 		if op.del {
-			out = append(out, opDel)
-			out = binary.AppendUvarint(out, uint64(len(op.key)))
-			out = append(out, op.key...)
-			continue
+			kind = opDel
 		}
-		out = append(out, opPut)
-		out = binary.AppendUvarint(out, uint64(len(op.key)))
-		out = append(out, op.key...)
-		out = binary.AppendUvarint(out, uint64(len(op.val)))
-		out = append(out, op.val...)
+		out = append(binary.AppendUvarint(append(out, kind), uint64(len(op.key))), op.key...)
+		if !op.del {
+			out = append(binary.AppendUvarint(out, uint64(len(op.val))), op.val...)
+		}
 	}
 	return out
 }
 
-var errMalformedBatch = fmt.Errorf("lsm: malformed wal batch")
+// ErrCorrupt reports stored bytes no writer produces — a WAL batch,
+// SSTable metadata or block entry, or MANIFEST that codec.Reader refuses —
+// or that fail their checksum outside a WAL's torn tail.
+var ErrCorrupt = errors.New("lsm: corrupt data")
 
-// decodeField splits one uvarint-length-prefixed field off b.
-func decodeField(b []byte) (field, rest []byte, ok bool) {
-	l, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b[n:])) < l {
-		return nil, nil, false
+// decodeBatch calls fn on each operation of an encoded batch in order, key
+// and value aliasing payload, until the first failure, which it returns.
+func decodeBatch(payload []byte, fn func(key, val []byte, del bool)) error {
+	r := codec.NewReader(payload, ErrCorrupt)
+	for r.Len() > 0 {
+		kind := r.Byte()
+		if kind != opPut && kind != opDel {
+			r.Fail("unknown wal batch op %d", kind)
+		}
+		key := r.Bytes()
+		var val []byte
+		if kind == opPut {
+			val = r.Bytes()
+		}
+		if r.Err() != nil {
+			return r.Err()
+		}
+		fn(key, val, kind == opDel)
 	}
-	return b[n : n+int(l) : n+int(l)], b[n+int(l):], true
-}
-
-// decodeOp splits the first operation off an encoded batch. Key and value
-// are sub-slices of payload.
-func decodeOp(payload []byte) (op batchOp, rest []byte, err error) {
-	kind := payload[0]
-	if kind != opPut && kind != opDel {
-		return op, nil, fmt.Errorf("lsm: unknown wal batch op %d", kind)
-	}
-	var ok bool
-	if op.key, rest, ok = decodeField(payload[1:]); !ok {
-		return op, nil, errMalformedBatch
-	}
-	if op.del = kind == opDel; op.del {
-		return op, rest, nil
-	}
-	if op.val, rest, ok = decodeField(rest); !ok {
-		return op, nil, errMalformedBatch
-	}
-	return op, rest, nil
+	return nil
 }
 
 // applyEncodedBatch writes one encoded batch — a WAL record being replayed
@@ -273,16 +266,11 @@ func decodeOp(payload []byte) (op batchOp, rest []byte, err error) {
 // it. The sequence advances per operation: the later of two writes to one
 // key in the same batch wins.
 func (db *DB) applyEncodedBatch(payload []byte) error {
-	for len(payload) > 0 {
-		op, rest, err := decodeOp(payload)
-		if err != nil {
-			return err
-		}
+	mem := db.mut()
+	return decodeBatch(payload, func(key, val []byte, del bool) {
 		db.seq++
-		db.mut().set(op.key, op.val, op.del, db.seq)
-		payload = rest
-	}
-	return nil
+		mem.set(key, val, del, db.seq)
+	})
 }
 
 // Apply commits the batch: logged to the WAL (fsynced when sync is true and
@@ -419,12 +407,10 @@ func (db *DB) doFlush() error {
 		if err != nil {
 			return err
 		}
-		r, err := openSSTable(db.dir, tm)
+		r, err := openSSTable(db.dir, tm, db.met)
 		if err != nil {
 			return err
 		}
-		r.refs.Store(1)
-		r.met = db.met
 		db.man.NextFile++
 		db.man.Tables = append(db.man.Tables, tm)
 		db.man.WALFloor = floor

@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync/atomic"
+
+	"orchestra/internal/codec"
 )
 
 // SSTable segment format (sst-NNNNNN.sst):
@@ -42,13 +44,11 @@ func sstName(num uint64) string { return fmt.Sprintf("sst-%06d.sst", num) }
 
 // tableMeta is the manifest's record of one live segment.
 type tableMeta struct {
-	Num   uint64 `json:"num"`
-	Size  int64  `json:"size"`
-	Count int    `json:"count"`
-	// Min and Max are the segment's first and last keys (inclusive),
-	// base64-encoded in the manifest JSON.
-	Min []byte `json:"min"`
-	Max []byte `json:"max"`
+	Num  uint64
+	Size int64
+	// Min and Max are the segment's first and last keys (inclusive).
+	Min []byte
+	Max []byte
 }
 
 type blockMeta struct {
@@ -210,11 +210,10 @@ func writeSSTable(dir string, num uint64, entries []sstEntry, blockBytes int) (t
 		return tableMeta{}, err
 	}
 	return tableMeta{
-		Num:   num,
-		Size:  st.Size(),
-		Count: len(entries),
-		Min:   append([]byte(nil), entries[0].key...),
-		Max:   append([]byte(nil), entries[len(entries)-1].key...),
+		Num:  num,
+		Size: st.Size(),
+		Min:  append([]byte(nil), entries[0].key...),
+		Max:  append([]byte(nil), entries[len(entries)-1].key...),
 	}, nil
 }
 
@@ -234,80 +233,82 @@ type sstReader struct {
 	refs atomic.Int32
 }
 
-func openSSTable(dir string, meta tableMeta) (*sstReader, error) {
+// openSSTable opens segment meta.Num of dir with one reference, the DB's,
+// reporting reads to met.
+func openSSTable(dir string, meta tableMeta, met dbMetrics) (_ *sstReader, err error) {
 	path := filepath.Join(dir, sstName(meta.Num))
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: open sstable: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			err = fmt.Errorf("lsm: sstable %s: %w", path, err)
+		}
+	}()
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	if st.Size() < sstFooterLen {
-		f.Close()
-		return nil, fmt.Errorf("lsm: sstable %s truncated (%d bytes)", path, st.Size())
+		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrCorrupt, st.Size())
 	}
 	var footer [sstFooterLen]byte
 	if _, err := f.ReadAt(footer[:], st.Size()-sstFooterLen); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("lsm: read sstable footer: %w", err)
+		return nil, fmt.Errorf("read footer: %w", err)
 	}
 	if binary.LittleEndian.Uint64(footer[36:]) != sstMagic {
-		f.Close()
-		return nil, fmt.Errorf("lsm: sstable %s has no valid footer magic", path)
+		return nil, fmt.Errorf("%w: no valid footer magic", ErrCorrupt)
 	}
 	indexOff := binary.LittleEndian.Uint64(footer[0:])
 	indexLen := binary.LittleEndian.Uint64(footer[8:])
 	bloomLen := binary.LittleEndian.Uint64(footer[24:])
-	wantCRC := binary.LittleEndian.Uint32(footer[32:])
-	if indexOff+indexLen+bloomLen+sstFooterLen != uint64(st.Size()) {
-		f.Close()
-		return nil, fmt.Errorf("lsm: sstable %s metadata does not span the file", path)
+	// The blocks tile the file up to the footer, checked without sums that wrap.
+	body := uint64(st.Size()) - sstFooterLen
+	if indexOff > body || indexLen > body-indexOff || bloomLen != body-indexOff-indexLen {
+		return nil, fmt.Errorf("%w: metadata does not span the file", ErrCorrupt)
 	}
 	metaBytes := make([]byte, indexLen+bloomLen)
 	if _, err := f.ReadAt(metaBytes, int64(indexOff)); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("lsm: read sstable metadata: %w", err)
+		return nil, fmt.Errorf("read metadata: %w", err)
 	}
-	if crc32.Checksum(metaBytes, crcTable) != wantCRC {
-		f.Close()
-		return nil, fmt.Errorf("lsm: sstable %s metadata checksum mismatch", path)
+	if crc32.Checksum(metaBytes, crcTable) != binary.LittleEndian.Uint32(footer[32:]) {
+		return nil, fmt.Errorf("%w: metadata checksum mismatch", ErrCorrupt)
 	}
-	r := &sstReader{f: f, meta: meta}
-	buf := metaBytes
-	nBlocks, n := binary.Uvarint(buf)
-	if n <= 0 {
-		f.Close()
-		return nil, fmt.Errorf("lsm: sstable %s malformed index", path)
-	}
-	buf = buf[n:]
-	for i := uint64(0); i < nBlocks; i++ {
-		klen, n := binary.Uvarint(buf)
-		if n <= 0 || uint64(len(buf)) < uint64(n)+klen+4 {
-			f.Close()
-			return nil, fmt.Errorf("lsm: sstable %s malformed index entry", path)
+	r := &sstReader{f: f, meta: meta, met: met}
+	r.refs.Store(1)
+	r.index, r.bloom, err = decodeSSTMeta(metaBytes[:indexLen], metaBytes[indexLen:], indexOff)
+	return r, err
+}
+
+// decodeSSTMeta reads a segment's index and bloom blocks. An index entry's
+// block must lie inside the data region [0, dataLen), so a block read never
+// sizes its buffer from unchecked bytes. Index keys alias index.
+func decodeSSTMeta(index, bloom []byte, dataLen uint64) ([]blockMeta, bloomFilter, error) {
+	r := codec.NewReader(index, ErrCorrupt)
+	// An entry takes at least seven bytes: three varints and its CRC.
+	blocks := make([]blockMeta, 0, r.Count("index entry", 7))
+	for range cap(blocks) {
+		bm := blockMeta{firstKey: r.Bytes(), off: r.Uvarint(), len: r.Uvarint()}
+		if crc := r.Next(4); crc != nil {
+			bm.crc = binary.LittleEndian.Uint32(crc)
 		}
-		buf = buf[n:]
-		var bm blockMeta
-		bm.firstKey = append([]byte(nil), buf[:klen]...)
-		buf = buf[klen:]
-		bm.off, n = binary.Uvarint(buf)
-		buf = buf[n:]
-		bm.len, n = binary.Uvarint(buf)
-		buf = buf[n:]
-		bm.crc = binary.LittleEndian.Uint32(buf)
-		buf = buf[4:]
-		r.index = append(r.index, bm)
+		if r.Err() == nil && (bm.off > dataLen || bm.len > dataLen-bm.off) {
+			r.Fail("index entry %d: block [%d, +%d) outside the %d-byte data region", len(blocks), bm.off, bm.len, dataLen)
+		}
+		blocks = append(blocks, bm)
 	}
-	nbits, n := binary.Uvarint(buf)
-	if n <= 0 || uint64(len(buf[n:])) != (nbits+7)/8 {
-		f.Close()
-		return nil, fmt.Errorf("lsm: sstable %s malformed bloom block", path)
+	if err := r.Done(); err != nil {
+		return nil, bloomFilter{}, fmt.Errorf("index: %w", err)
 	}
-	r.bloom = bloomFilter{bits: buf[n:], nbits: nbits}
-	return r, nil
+	r.Reset(bloom)
+	b := bloomFilter{nbits: r.Uvarint()}
+	b.bits = r.Next(b.nbits/8 + min(b.nbits%8, 1))
+	if err := r.Done(); err != nil {
+		return nil, bloomFilter{}, fmt.Errorf("bloom block: %w", err)
+	}
+	return blocks, b, nil
 }
 
 // loadBlock reads and checksum-verifies one data block.
@@ -318,7 +319,7 @@ func (r *sstReader) loadBlock(i int) ([]byte, error) {
 		return nil, fmt.Errorf("lsm: read sstable block: %w", err)
 	}
 	if crc32.Checksum(buf, crcTable) != bm.crc {
-		return nil, fmt.Errorf("lsm: sstable %s block %d checksum mismatch", r.f.Name(), i)
+		return nil, fmt.Errorf("%w: sstable %s block %d checksum mismatch", ErrCorrupt, r.f.Name(), i)
 	}
 	r.met.blockReads.Inc()
 	return buf, nil
@@ -350,7 +351,8 @@ func (r *sstReader) get(key []byte) (val []byte, del, ok bool, err error) {
 	if err != nil {
 		return nil, false, false, err
 	}
-	for cur := newBlockCursor(block); cur.next(); {
+	cur := blockCursor{r: *codec.NewReader(block, ErrCorrupt)}
+	for cur.next() {
 		switch bytes.Compare(cur.key, key) {
 		case 0:
 			return cur.val, cur.del, true, nil
@@ -358,46 +360,36 @@ func (r *sstReader) get(key []byte) (val []byte, del, ok bool, err error) {
 			return nil, false, false, nil
 		}
 	}
-	return nil, false, false, nil
+	return nil, false, false, r.blockErr(bi, cur.r.Err())
 }
 
-// blockCursor walks the entries of one data block.
+// blockErr names the segment and block of a data-block entry the cursor
+// refused (nil when it refused none).
+func (r *sstReader) blockErr(i int, err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("lsm: sstable %s block %d: %w", r.f.Name(), i, err)
+}
+
+// blockCursor walks the entries of one data block; a failure stays in r,
+// wrapping ErrCorrupt.
 type blockCursor struct {
-	buf  []byte
-	key  []byte
-	val  []byte
-	del  bool
-	fail error
+	r   codec.Reader
+	key []byte
+	val []byte
+	del bool
 }
 
-func newBlockCursor(buf []byte) *blockCursor { return &blockCursor{buf: buf} }
-
+// next moves to the following entry, reporting false at the block's end or
+// on a failure.
 func (c *blockCursor) next() bool {
-	if len(c.buf) == 0 || c.fail != nil {
+	if c.r.Len() == 0 || c.r.Err() != nil {
 		return false
 	}
-	klen, n := binary.Uvarint(c.buf)
-	if n <= 0 {
-		c.fail = fmt.Errorf("lsm: malformed block entry")
-		return false
-	}
-	c.buf = c.buf[n:]
-	flag, n := binary.Uvarint(c.buf)
-	if n <= 0 {
-		c.fail = fmt.Errorf("lsm: malformed block entry")
-		return false
-	}
-	c.buf = c.buf[n:]
-	vlen := flag >> 1
-	if uint64(len(c.buf)) < klen+vlen {
-		c.fail = fmt.Errorf("lsm: truncated block entry")
-		return false
-	}
-	c.key = c.buf[:klen]
-	c.val = c.buf[klen : klen+vlen]
-	c.del = flag&1 == 1
-	c.buf = c.buf[klen+vlen:]
-	return true
+	klen, flag := c.r.Uvarint(), c.r.Uvarint()
+	c.key, c.val, c.del = c.r.Next(klen), c.r.Next(flag>>1), flag&1 == 1
+	return c.r.Err() == nil
 }
 
 // sstIter streams a segment's entries in key order, starting at the first
@@ -408,7 +400,7 @@ type sstIter struct {
 	r     *sstReader
 	hi    []byte
 	bi    int
-	cur   *blockCursor
+	cur   blockCursor
 	valid bool
 	err   error
 }
@@ -432,36 +424,31 @@ func (r *sstReader) iter(lo, hi []byte) *sstIter {
 	return it
 }
 
+// advanceBlock leaves the current block's cursor, which has ended, for the
+// first entry of the next block that starts below hi. A cursor that ended
+// on a failure ends the iteration with it.
 func (it *sstIter) advanceBlock() {
-	for it.bi < len(it.r.index) {
-		if it.hi != nil && bytes.Compare(it.r.index[it.bi].firstKey, it.hi) >= 0 {
-			break
+	for {
+		it.valid = false
+		if it.err = it.r.blockErr(it.bi-1, it.cur.r.Err()); it.err != nil || it.bi == len(it.r.index) ||
+			it.hi != nil && bytes.Compare(it.r.index[it.bi].firstKey, it.hi) >= 0 {
+			return
 		}
 		block, err := it.r.loadBlock(it.bi)
 		if err != nil {
-			it.err, it.valid = err, false
+			it.err = err
 			return
 		}
-		it.cur = newBlockCursor(block)
+		it.cur = blockCursor{r: *codec.NewReader(block, ErrCorrupt)}
 		it.bi++
-		if it.cur.next() {
-			it.valid = true
+		if it.valid = it.cur.next(); it.valid {
 			return
 		}
 	}
-	it.valid = false
 }
 
 func (it *sstIter) next() {
-	if !it.valid {
-		return
+	if it.valid && !it.cur.next() {
+		it.advanceBlock()
 	}
-	if it.cur.next() {
-		return
-	}
-	if it.cur.fail != nil {
-		it.err, it.valid = it.cur.fail, false
-		return
-	}
-	it.advanceBlock()
 }

@@ -164,14 +164,14 @@ func replaySegment(path string, allowTornTail bool, fn func(payload []byte) erro
 				torn = "checksum mismatch"
 			} else {
 				if err := fn(rest[walHeaderLen : walHeaderLen+n]); err != nil {
-					return err
+					return fmt.Errorf("lsm: wal record in %s at offset %d: %w", path, off, err)
 				}
 				off += walHeaderLen + n
 				continue
 			}
 		}
 		if !allowTornTail {
-			return fmt.Errorf("lsm: corrupt wal record in %s at offset %d: %s", path, off, torn)
+			return fmt.Errorf("%w: wal record in %s at offset %d: %s", ErrCorrupt, path, off, torn)
 		}
 		log.Printf("lsm: truncating torn wal tail in %s at offset %d (%s): keeping the longest durable prefix", path, off, torn)
 		if err := os.Truncate(path, int64(off)); err != nil {

@@ -11,6 +11,7 @@
 package mapping
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -19,6 +20,10 @@ import (
 	"orchestra/internal/schema"
 )
 
+// ErrInvalid is wrapped by every error Validate, SplitQualified and Compile
+// report about a mapping that is not a well-formed tgd.
+var ErrInvalid = errors.New("mapping: invalid")
+
 // Qualify returns the qualified predicate name for a peer's relation.
 func Qualify(peer, rel string) string { return peer + "." + rel }
 
@@ -26,7 +31,7 @@ func Qualify(peer, rel string) string { return peer + "." + rel }
 func SplitQualified(pred string) (peer, rel string, err error) {
 	i := strings.IndexByte(pred, '.')
 	if i < 0 {
-		return "", "", fmt.Errorf("mapping: unqualified predicate %q", pred)
+		return "", "", fmt.Errorf("%w: unqualified predicate %q", ErrInvalid, pred)
 	}
 	return pred[:i], pred[i+1:], nil
 }
@@ -86,21 +91,21 @@ func (m *Mapping) ExistentialVars() []string {
 // head, no negated body atoms, and all builtin variables bound.
 func (m *Mapping) Validate() error {
 	if m.ID == "" {
-		return fmt.Errorf("mapping: missing ID")
+		return fmt.Errorf("%w: missing ID", ErrInvalid)
 	}
 	if len(m.Body) == 0 || len(m.Head) == 0 {
-		return fmt.Errorf("mapping %s: empty body or head", m.ID)
+		return fmt.Errorf("%w: mapping %s: empty body or head", ErrInvalid, m.ID)
 	}
 	uni := m.universalVars()
 	hasPositive := false
 	for _, l := range m.Body {
 		if l.Negated {
-			return fmt.Errorf("mapping %s: negated body atoms are not allowed in tgds", m.ID)
+			return fmt.Errorf("%w: mapping %s: negated body atoms are not allowed in tgds", ErrInvalid, m.ID)
 		}
 		if l.Builtin != nil {
 			for _, t := range []datalog.Term{l.Builtin.Left, l.Builtin.Right} {
 				if t.IsVar() && !uni[t.Name] {
-					return fmt.Errorf("mapping %s: builtin uses unbound variable %s", m.ID, t.Name)
+					return fmt.Errorf("%w: mapping %s: builtin uses unbound variable %s", ErrInvalid, m.ID, t.Name)
 				}
 			}
 			continue
@@ -111,7 +116,7 @@ func (m *Mapping) Validate() error {
 		}
 	}
 	if !hasPositive {
-		return fmt.Errorf("mapping %s: body has no positive atom", m.ID)
+		return fmt.Errorf("%w: mapping %s: body has no positive atom", ErrInvalid, m.ID)
 	}
 	for _, a := range m.Head {
 		if _, _, err := SplitQualified(a.Pred); err != nil {
@@ -182,7 +187,7 @@ func Compile(mappings []*Mapping) (*datalog.Program, error) {
 	seen := map[string]bool{}
 	for _, m := range mappings {
 		if seen[m.ID] {
-			return nil, fmt.Errorf("mapping: duplicate mapping ID %s", m.ID)
+			return nil, fmt.Errorf("%w: duplicate mapping ID %s", ErrInvalid, m.ID)
 		}
 		seen[m.ID] = true
 		rules, err := m.Rules()

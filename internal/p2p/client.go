@@ -1,8 +1,7 @@
 package p2p
 
 import (
-	"bufio"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -37,75 +36,55 @@ func NewClientWith(addr string, timeout time.Duration) *Client {
 	return &Client{addr: addr, timeout: timeout}
 }
 
-func (c *Client) roundTrip(req request) (response, error) {
+// roundTrip sends one request frame on a fresh connection and decodes the
+// response frame.
+func (c *Client) roundTrip(frame []byte) ([]*updates.Transaction, uint64, error) {
+	if len(frame)-frameHeaderLen > MaxRequestBytes {
+		return nil, 0, fmt.Errorf("p2p: send to %s: %w: a %d-byte request, cap %d", c.addr, ErrFrameTooLarge, len(frame)-frameHeaderLen, MaxRequestBytes)
+	}
 	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
 	if err != nil {
-		return response{}, fmt.Errorf("p2p: dial %s: %w", c.addr, err)
+		return nil, 0, fmt.Errorf("p2p: dial %s: %w", c.addr, err)
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(c.timeout))
-	fail := func(stage string, err error) (response, error) {
-		return response{}, fmt.Errorf("p2p: %s %s: %w", stage, c.addr, err)
+	if _, err := conn.Write(endFrame(frame)); err != nil {
+		return nil, 0, fmt.Errorf("p2p: send to %s: %w", c.addr, err)
 	}
-	enc := json.NewEncoder(conn)
-	if err := enc.Encode(req); err != nil {
-		return fail("send to", err)
+	payload, err := readFrame(conn)
+	if err != nil {
+		return nil, 0, fmt.Errorf("p2p: recv from %s: %w", c.addr, err)
 	}
-	var resp response
-	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&resp); err != nil {
-		return fail("recv from", err)
+	txns, epoch, err := readReply(payload)
+	if err != nil {
+		return nil, 0, fmt.Errorf("p2p: server %s: %w", c.addr, err)
 	}
-	if resp.Error != "" {
-		if s := sentinelForCode(resp.Code); s != nil {
-			return response{}, fmt.Errorf("p2p: server %s: %w", c.addr, &wireError{msg: resp.Error, sentinel: s})
-		}
-		return response{}, fmt.Errorf("p2p: server %s: %s", c.addr, resp.Error)
-	}
-	return resp, nil
+	return txns, epoch, nil
 }
 
 // Publish implements Store.
 func (c *Client) Publish(txns []*updates.Transaction) (uint64, error) {
-	req := request{Op: "publish"}
-	for _, t := range txns {
-		req.Txns = append(req.Txns, EncodeTxn(t))
-	}
-	resp, err := c.roundTrip(req)
+	_, epoch, err := c.roundTrip(appendTxns(append(beginFrame(nil), opPublish), txns))
 	if err != nil {
 		return 0, err
 	}
 	// Mirror the server-side epoch assignment locally so the caller's
 	// transaction objects agree with the archive.
 	for _, t := range txns {
-		t.Epoch = resp.Epoch
+		t.Epoch = epoch
 	}
-	return resp.Epoch, nil
+	return epoch, nil
 }
 
 // Since implements Store.
 func (c *Client) Since(since uint64) ([]*updates.Transaction, uint64, error) {
-	resp, err := c.roundTrip(request{Op: "since", Epoch: since})
-	if err != nil {
-		return nil, 0, err
-	}
-	var out []*updates.Transaction
-	for _, w := range resp.Txns {
-		t, err := DecodeTxn(w)
-		if err != nil {
-			return nil, 0, err
-		}
-		out = append(out, t)
-	}
-	return out, resp.Epoch, nil
+	return c.roundTrip(binary.AppendUvarint(append(beginFrame(nil), opSince), since))
 }
 
 // Epoch implements Store.
 func (c *Client) Epoch() (uint64, error) {
-	resp, err := c.roundTrip(request{Op: "epoch"})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Epoch, nil
+	_, epoch, err := c.roundTrip(append(beginFrame(nil), opEpoch))
+	return epoch, err
 }
 
 // ReplicatedStore fans a Store out over several replicas: publishes go to
@@ -122,29 +101,34 @@ func NewReplicatedStore(replicas ...Store) *ReplicatedStore {
 	return &ReplicatedStore{replicas: replicas}
 }
 
-// Publish implements Store: best-effort to all replicas, error only if none
-// accepted. Epoch is the maximum assigned.
-func (r *ReplicatedStore) Publish(txns []*updates.Transaction) (uint64, error) {
+// each calls fn on every replica in turn, returning how many calls
+// succeeded and the first failure.
+func (r *ReplicatedStore) each(fn func(Store) error) (ok int, first error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var best uint64
-	okCount := 0
-	var firstErr error
 	for _, rep := range r.replicas {
-		epoch, err := rep.Publish(txns)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
+		if err := fn(rep); err != nil {
+			if first == nil {
+				first = err
 			}
 			continue
 		}
-		okCount++
-		if epoch > best {
-			best = epoch
-		}
+		ok++
 	}
-	if okCount == 0 {
-		return 0, fmt.Errorf("p2p: publish failed on all %d replicas: %w", len(r.replicas), firstErr)
+	return ok, first
+}
+
+// Publish implements Store: best-effort to all replicas, error only if none
+// accepted. Epoch is the maximum assigned.
+func (r *ReplicatedStore) Publish(txns []*updates.Transaction) (uint64, error) {
+	var best uint64
+	ok, err := r.each(func(s Store) error {
+		epoch, err := s.Publish(txns)
+		best = max(best, epoch)
+		return err
+	})
+	if ok == 0 {
+		return 0, fmt.Errorf("p2p: publish failed on all %d replicas: %w", len(r.replicas), err)
 	}
 	return best, nil
 }
@@ -152,53 +136,32 @@ func (r *ReplicatedStore) Publish(txns []*updates.Transaction) (uint64, error) {
 // Since implements Store: reads from the reachable replica with the highest
 // epoch.
 func (r *ReplicatedStore) Since(since uint64) ([]*updates.Transaction, uint64, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var bestTxns []*updates.Transaction
 	var bestEpoch uint64
-	reachable := false
-	var firstErr error
-	for _, rep := range r.replicas {
-		txns, epoch, err := rep.Since(since)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+	reached := false
+	ok, err := r.each(func(s Store) error {
+		txns, epoch, err := s.Since(since)
+		if err == nil && (!reached || epoch > bestEpoch) {
+			bestTxns, bestEpoch, reached = txns, epoch, true
 		}
-		if !reachable || epoch > bestEpoch {
-			bestTxns, bestEpoch = txns, epoch
-		}
-		reachable = true
-	}
-	if !reachable {
-		return nil, 0, fmt.Errorf("p2p: all %d replicas unreachable: %w", len(r.replicas), firstErr)
+		return err
+	})
+	if ok == 0 {
+		return nil, 0, fmt.Errorf("p2p: all %d replicas unreachable: %w", len(r.replicas), err)
 	}
 	return bestTxns, bestEpoch, nil
 }
 
 // Epoch implements Store.
 func (r *ReplicatedStore) Epoch() (uint64, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var best uint64
-	reachable := false
-	var firstErr error
-	for _, rep := range r.replicas {
-		epoch, err := rep.Epoch()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if epoch > best {
-			best = epoch
-		}
-		reachable = true
-	}
-	if !reachable {
-		return 0, fmt.Errorf("p2p: all %d replicas unreachable: %w", len(r.replicas), firstErr)
+	ok, err := r.each(func(s Store) error {
+		epoch, err := s.Epoch()
+		best = max(best, epoch)
+		return err
+	})
+	if ok == 0 {
+		return 0, fmt.Errorf("p2p: all %d replicas unreachable: %w", len(r.replicas), err)
 	}
 	return best, nil
 }

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -9,34 +10,17 @@ import (
 	"orchestra/internal/updates"
 )
 
-// wireSeeds are the frames the protocol tests send, good and bad.
-var wireSeeds = []string{
-	`{"op":"epoch"}`,
-	`{"op":"since","epoch":3}`,
-	`{"op":"frobnicate"}`,
-	`{not json`,
-	`{"op":"publish","txns":[{"peer":"a","seq":1,"updates":[{"rel":"R","op":9}]}]}`,
-	`{"op":"publish","txns":[{"peer":"a","seq":1,"epoch":0,"updates":[{"rel":"R","op":0,"new":"3|s:x"}]}]}`,
-	`{"op":"publish","txns":[{"peer":"beijing","seq":7,"epoch":3,"updates":[{"rel":"S","op":2,"old":"3|i:1|5|s:AAA","new":"3|i:1|5|s:CCC"},{"rel":"S","op":1,"old":"3|i:2"}],"deps":["alaska:3","crete:11"]}]}`,
-}
-
 // FuzzDecodeTxn: whatever JSON names a wire transaction, DecodeTxn either
 // refuses it with ErrBadWire or returns a transaction of a named peer with a
-// sequence number from 1 that survives the wire exactly — encoding it and
-// decoding that yields the same encoding.
+// sequence number from 1 that survives the JSON form exactly — encoding it
+// and decoding that yields the same encoding.
 func FuzzDecodeTxn(f *testing.F) {
-	for _, seed := range wireSeeds {
-		var req request
-		if json.Unmarshal([]byte(seed), &req) != nil {
-			continue
-		}
-		for _, w := range req.Txns {
-			data, err := json.Marshal(w)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(data)
-		}
+	for _, seed := range []string{
+		`{"peer":"a","seq":1,"updates":[{"rel":"R","op":9}]}`,
+		`{"peer":"a","seq":1,"epoch":0,"updates":[{"rel":"R","op":0,"new":"3|s:x"}]}`,
+		`{"peer":"beijing","seq":7,"epoch":3,"updates":[{"rel":"S","op":2,"old":"3|i:1|5|s:AAA","new":"3|i:1|5|s:CCC"},{"rel":"S","op":1,"old":"3|i:2"}],"deps":["alaska:3","crete:11"]}`,
+	} {
+		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var w WireTxn
@@ -68,37 +52,44 @@ func FuzzDecodeTxn(f *testing.F) {
 	})
 }
 
-// FuzzServerRequest: whatever line a connection sends, the server answers
-// with a well-formed response — OK with a decodable payload, or an error
-// message — and never panics.
+// FuzzServerRequest: whatever payload a request frame carries, the server
+// answers with a well-formed response frame — a success with the store's
+// epoch and decodable transactions, or an error — and never panics.
 func FuzzServerRequest(f *testing.F) {
-	for _, seed := range wireSeeds {
-		f.Add([]byte(seed))
+	payload := func(frame []byte) []byte { return frame[frameHeaderLen:] }
+	for _, seed := range [][]byte{
+		{opEpoch},
+		{opSince, 0},
+		{opSince, 3},
+		{0x7f},
+		{},
+		{opEpoch, 0},
+		{opSince, 0x80, 0x00},
+		{opPublish, 5, 1, 'a'},
+		payload(publishFrame(txn("a", 1, updates.Update{Rel: "R", Op: 9}))),
+		payload(publishFrame(txn("a", 2, updates.Insert("R", tup("x"))))),
+		payload(publishFrame(txn("z", 1, updates.Insert("R", tup("x"))))),
+		payload(publishFrame(&updates.Transaction{
+			ID: updates.TxnID{Peer: "beijing", Seq: 7}, Epoch: 3,
+			Updates: []updates.Update{updates.Modify("S", tup("1", "AAA"), tup("1", "CCC")), updates.Delete("S", tup("2"))},
+			Deps:    []updates.TxnID{{Peer: "alaska", Seq: 3}, {Peer: "crete", Seq: 11}},
+		})),
+	} {
+		f.Add(seed)
 	}
-	f.Fuzz(func(t *testing.T, line []byte) {
+	f.Fuzz(func(t *testing.T, req []byte) {
 		store := NewMemoryStore()
 		if _, err := store.Publish([]*updates.Transaction{txn("z", 1, updates.Insert("R", tup("x")))}); err != nil {
 			t.Fatal(err)
 		}
-		resp := (&Server{store: store}).respond(line)
-		if resp.OK == (resp.Error != "") {
-			t.Fatalf("response is neither a success nor an error: %+v", resp)
+		out := (&Server{store: store}).respond(nil, req)
+		payload, err := readFrame(bytes.NewReader(out))
+		if err != nil || len(payload) != len(out)-frameHeaderLen {
+			t.Fatalf("response frame % x: %v", out, err)
 		}
-		data, err := json.Marshal(resp)
-		if err != nil {
-			t.Fatalf("unencodable response %+v: %v", resp, err)
-		}
-		var back response
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatalf("undecodable response %s: %v", data, err)
-		}
-		for _, w := range back.Txns {
-			if _, err := DecodeTxn(w); err != nil {
-				t.Fatalf("response carries an undecodable transaction %+v: %v", w, err)
-			}
-		}
-		if epoch, err := store.Epoch(); err != nil || (resp.OK && resp.Epoch != epoch) {
-			t.Fatalf("response epoch %d, store epoch %d (%v)", resp.Epoch, epoch, err)
+		rep := decodeReply(t, payload)
+		if epoch, err := store.Epoch(); err != nil || (rep.err == nil && rep.epoch != epoch) {
+			t.Fatalf("response epoch %d, store epoch %d (%v)", rep.epoch, epoch, err)
 		}
 	})
 }

@@ -3,18 +3,63 @@ package p2p
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"orchestra/internal/schema"
 	"orchestra/internal/updates"
 )
 
-// rawRequest sends a raw line to the server and decodes one response.
-func rawRequest(t *testing.T, addr, line string) response {
+// frame wraps a request payload in its length prefix.
+func frame(payload ...byte) []byte { return endFrame(append(beginFrame(nil), payload...)) }
+
+// publishFrame is the request frame publishing txns.
+func publishFrame(txns ...*updates.Transaction) []byte {
+	return endFrame(appendTxns(append(beginFrame(nil), opPublish), txns))
+}
+
+// reply is a decoded response: a success's transactions and epoch, or
+// the error the server reported.
+type reply struct {
+	txns  []*updates.Transaction
+	epoch uint64
+	err   error
+}
+
+// decodeReply decodes one response payload, failing t on a payload no
+// server writes.
+func decodeReply(t *testing.T, payload []byte) reply {
+	t.Helper()
+	var rep reply
+	rep.txns, rep.epoch, rep.err = readReply(payload)
+	var reported *wireError
+	if rep.err != nil && !errors.As(rep.err, &reported) {
+		t.Fatalf("undecodable response % x: %v", payload, rep.err)
+	}
+	return rep
+}
+
+// exchange writes one request frame on conn and decodes one response.
+func exchange(t *testing.T, conn net.Conn, r *bufio.Reader, req []byte) reply {
+	t.Helper()
+	if _, err := conn.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := readFrame(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decodeReply(t, payload)
+}
+
+// rawRequest sends one raw request frame on a fresh connection and decodes
+// one response.
+func rawRequest(t *testing.T, addr string, req []byte) reply {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, time.Second)
 	if err != nil {
@@ -22,35 +67,44 @@ func rawRequest(t *testing.T, addr, line string) response {
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
-	if _, err := conn.Write([]byte(line + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	return resp
+	return exchange(t, conn, bufio.NewReader(conn), req)
 }
 
+// A malformed request gets an error response, and the connection it came
+// on goes on serving.
 func TestServerRejectsMalformedRequests(t *testing.T) {
 	srv, err := NewServer(NewMemoryStore(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-
-	if resp := rawRequest(t, srv.Addr(), "{not json"); resp.Error == "" {
-		t.Error("malformed JSON accepted")
+	conn, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if resp := rawRequest(t, srv.Addr(), `{"op":"frobnicate"}`); resp.Error == "" {
-		t.Error("unknown op accepted")
-	}
-	if resp := rawRequest(t, srv.Addr(), `{"op":"publish","txns":[{"peer":"a","seq":1,"updates":[{"rel":"R","op":9}]}]}`); resp.Error == "" {
-		t.Error("bad wire txn accepted")
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
+	r := bufio.NewReader(conn)
+	for name, req := range map[string][]byte{
+		"empty":             frame(),
+		"unknown op":        frame(0x7f),
+		"cut-short since":   frame(opSince, 0x80),
+		"overlong epoch":    frame(opSince, 0x80, 0x00),
+		"trailing bytes":    frame(opEpoch, 0),
+		"count past bytes":  frame(opPublish, 5, 1, 'a'),
+		"bad update op":     publishFrame(txn("a", 1, updates.Update{Rel: "R", Op: 9, New: tup("x")})),
+		"cut-short publish": endFrame(publishFrame(txn("a", 1, updates.Insert("R", tup("x"))))[:12]),
+	} {
+		rep := exchange(t, conn, r, req)
+		if rep.err == nil {
+			t.Errorf("%s: request accepted (epoch %d)", name, rep.epoch)
+		} else if name == "unknown op" && !strings.Contains(rep.err.Error(), "unknown op 127") {
+			t.Errorf("unknown op answered %v", rep.err)
+		}
 	}
 	// The connection survives bad requests: a good request still works.
-	if resp := rawRequest(t, srv.Addr(), `{"op":"epoch"}`); !resp.OK {
-		t.Errorf("epoch after errors: %+v", resp)
+	if rep := exchange(t, conn, r, frame(opEpoch)); rep.err != nil {
+		t.Errorf("epoch after errors: %v", rep.err)
 	}
 }
 
@@ -65,14 +119,14 @@ func TestServerRefusesTxnWithoutCommitID(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	for _, frame := range []string{
-		`{"op":"publish","txns":[{}]}`,
-		`{"op":"publish","txns":[{"peer":"a","seq":0}]}`,
-		`{"op":"publish","txns":[{"seq":3,"updates":[{"rel":"R","op":0,"new":"3|s:x"}]}]}`,
-		`{"op":"publish","txns":[{"peer":"a","seq":1},{"peer":"","seq":2}]}`,
+	for name, req := range map[string][]byte{
+		"no id":          publishFrame(&updates.Transaction{}),
+		"seq 0":          publishFrame(txn("a", 0)),
+		"no peer":        publishFrame(txn("", 3, updates.Insert("R", tup("x")))),
+		"second no peer": publishFrame(txn("a", 1), txn("", 2)),
 	} {
-		if resp := rawRequest(t, srv.Addr(), frame); resp.OK || resp.Error == "" {
-			t.Errorf("%s answered %+v, want an error", frame, resp)
+		if rep := rawRequest(t, srv.Addr(), req); rep.err == nil {
+			t.Errorf("%s: answered epoch %d, want an error", name, rep.epoch)
 		}
 	}
 	if txns, epoch, err := store.Since(0); err != nil || len(txns) != 0 || epoch != 0 {
@@ -80,9 +134,9 @@ func TestServerRefusesTxnWithoutCommitID(t *testing.T) {
 	}
 }
 
-// A request that never ends must not make the replica buffer without bound:
-// once MaxRequestBytes have arrived without a terminator the server answers
-// with the typed error and drops the connection, and goes on serving others.
+// A frame announcing more than MaxRequestBytes must not make the replica
+// allocate it: the server answers with the typed error before reading any
+// of it, drops the connection, and goes on serving others.
 func TestServerCapsRequestFrame(t *testing.T) {
 	srv, err := NewServer(NewMemoryStore(), "127.0.0.1:0")
 	if err != nil {
@@ -94,25 +148,66 @@ func TestServerCapsRequestFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
-	go func() {
-		// One read buffer past the cap, so the server sees the overflow
-		// without waiting for more; it may hang up before the last write.
-		_, _ = conn.Write(bytes.Repeat([]byte{'x'}, MaxRequestBytes+4096))
-	}()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	var hdr [frameHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[:], MaxRequestBytes+1)
+	if _, err := conn.Write(append(hdr[:], opEpoch)); err != nil {
+		t.Fatal(err)
+	}
 	r := bufio.NewReader(conn)
-	var resp response
-	if err := json.NewDecoder(r).Decode(&resp); err != nil {
+	payload, err := readFrame(r)
+	if err != nil {
 		t.Fatalf("no answer to an oversized frame: %v", err)
 	}
-	if resp.OK || !errors.Is(sentinelForCode(resp.Code), ErrFrameTooLarge) {
-		t.Errorf("oversized frame answered %+v, want ErrFrameTooLarge", resp)
+	if rep := decodeReply(t, payload); !errors.Is(rep.err, ErrFrameTooLarge) {
+		t.Errorf("oversized frame answered %+v, want ErrFrameTooLarge", rep)
 	}
 	if _, err := r.ReadByte(); err == nil {
 		t.Error("connection survived an oversized frame")
 	}
-	if resp := rawRequest(t, srv.Addr(), `{"op":"epoch"}`); !resp.OK {
-		t.Errorf("epoch after an oversized frame: %+v", resp)
+	if rep := rawRequest(t, srv.Addr(), frame(opEpoch)); rep.err != nil {
+		t.Errorf("epoch after an oversized frame: %v", rep.err)
+	}
+	// The client refuses to send such a frame at all.
+	big := bytes.Repeat([]byte{'x'}, MaxRequestBytes)
+	huge := txn("a", 1, updates.Insert("R", schema.Tuple{schema.String(string(big))}))
+	if _, err := NewClient(srv.Addr()).Publish([]*updates.Transaction{huge}); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("client sent an oversized publish: %v", err)
+	}
+}
+
+// A response frame announcing more than MaxRequestBytes is refused by the
+// client before it reads or allocates any of it.
+func TestClientCapsResponseFrame(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := readFrame(conn); err != nil {
+			return
+		}
+		var hdr [frameHeaderLen]byte
+		binary.LittleEndian.PutUint32(hdr[:], MaxRequestBytes+1)
+		_, _ = conn.Write(append(hdr[:], statusOK, 0, 0))
+		// Hold the connection open: the client must not wait for the rest.
+		_, _ = conn.Read(make([]byte, 1))
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = NewClient(ln.Addr().String()).Epoch()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized response: %v, want ErrFrameTooLarge", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > MaxRequestBytes/8 {
+		t.Fatalf("refusing an oversized response allocated %d bytes", grew)
 	}
 }
 
@@ -130,16 +225,17 @@ func TestServerMultipleRequestsPerConnection(t *testing.T) {
 	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
 	r := bufio.NewReader(conn)
 	for i := 0; i < 5; i++ {
-		if _, err := conn.Write([]byte(`{"op":"epoch"}` + "\n")); err != nil {
-			t.Fatal(err)
+		req := frame(opEpoch)
+		if i%2 == 1 {
+			req = publishFrame(txn("a", uint64(i), updates.Insert("R", tup("x"))))
 		}
-		var resp response
-		if err := json.NewDecoder(r).Decode(&resp); err != nil {
-			t.Fatal(err)
+		if rep := exchange(t, conn, r, req); rep.err != nil || rep.epoch != uint64(i+1)/2 {
+			t.Fatalf("request %d: epoch %d, %v", i, rep.epoch, rep.err)
 		}
-		if !resp.OK {
-			t.Fatalf("request %d: %+v", i, resp)
-		}
+	}
+	rep := exchange(t, conn, r, endFrame(binary.AppendUvarint(append(beginFrame(nil), opSince), 1)))
+	if rep.err != nil || rep.epoch != 2 || len(rep.txns) != 1 || rep.txns[0].ID.Seq != 3 {
+		t.Fatalf("since 1 = %+v", rep)
 	}
 }
 

@@ -2,18 +2,20 @@ package p2p
 
 import (
 	"bufio"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/updates"
 )
 
-// Server exposes a Store over TCP with a JSON-lines protocol: one request
-// per line, one response per line. It plays the role of one node of the
-// paper's distributed update store.
+// Server exposes a Store over TCP with a length-prefixed binary protocol
+// (wire.go): one response frame per request frame, in order, on one
+// connection. It plays the role of one node of the paper's distributed
+// update store.
 type Server struct {
 	store  Store
 	ln     net.Listener
@@ -82,80 +84,67 @@ func (s *Server) serve(conn net.Conn) {
 		conn.Close()
 	}()
 	r := bufio.NewReader(conn)
-	enc := json.NewEncoder(conn)
+	var out []byte
 	for {
-		line, err := readFrame(r)
+		req, err := readFrame(r)
 		if err != nil {
 			if errors.Is(err, ErrFrameTooLarge) {
 				// The rest of the frame is still in flight and there is no
 				// way to find the next one: answer, then drop the connection.
-				_ = enc.Encode(response{Error: err.Error(), Code: errCodeFor(err)})
+				_, _ = conn.Write(endFrame(appendError(beginFrame(out), err)))
 			}
 			return
 		}
-		_ = enc.Encode(s.respond(line))
-	}
-}
-
-// readFrame reads one newline-terminated request, giving up with
-// ErrFrameTooLarge once it has buffered MaxRequestBytes without seeing the
-// terminator.
-func readFrame(r *bufio.Reader) ([]byte, error) {
-	var frame []byte
-	for {
-		chunk, err := r.ReadSlice('\n')
-		if len(frame)+len(chunk) > MaxRequestBytes {
-			return nil, ErrFrameTooLarge
-		}
-		frame = append(frame, chunk...)
-		if err != bufio.ErrBufferFull {
-			return frame, err
+		out = s.respond(out, req)
+		if _, err := conn.Write(out); err != nil {
+			return
 		}
 	}
 }
 
-// respond answers one request frame.
-func (s *Server) respond(line []byte) response {
-	var req request
-	if err := json.Unmarshal(line, &req); err != nil {
-		return response{Error: fmt.Sprintf("bad request: %v", err)}
+// respond builds, in buf, the response frame to one request payload. A
+// response that would pass MaxRequestBytes is replaced by ErrFrameTooLarge,
+// which the client can read.
+func (s *Server) respond(buf, req []byte) []byte {
+	out := beginFrame(buf)
+	txns, epoch, err := s.handle(req)
+	if err == nil {
+		out = appendTxns(binary.AppendUvarint(append(out, statusOK), epoch), txns)
+		if len(out)-frameHeaderLen <= MaxRequestBytes {
+			return endFrame(out)
+		}
+		err = fmt.Errorf("%w: a %d-byte response, cap %d", ErrFrameTooLarge, len(out)-frameHeaderLen, MaxRequestBytes)
+		out = beginFrame(out)
 	}
-	return s.handle(req)
+	return endFrame(appendError(out, err))
 }
 
-func (s *Server) handle(req request) response {
-	switch req.Op {
-	case "publish":
-		txns := make([]*updates.Transaction, 0, len(req.Txns))
-		for _, w := range req.Txns {
-			t, err := DecodeTxn(w)
-			if err != nil {
-				return response{Error: err.Error()}
-			}
-			txns = append(txns, t)
-		}
-		epoch, err := s.store.Publish(txns)
-		if err != nil {
-			return response{Error: err.Error(), Code: errCodeFor(err)}
-		}
-		return response{OK: true, Epoch: epoch}
-	case "since":
-		txns, epoch, err := s.store.Since(req.Epoch)
-		if err != nil {
-			return response{Error: err.Error()}
-		}
-		resp := response{OK: true, Epoch: epoch}
-		for _, t := range txns {
-			resp.Txns = append(resp.Txns, EncodeTxn(t))
-		}
-		return resp
-	case "epoch":
-		epoch, err := s.store.Epoch()
-		if err != nil {
-			return response{Error: err.Error()}
-		}
-		return response{OK: true, Epoch: epoch}
+// handle decodes and serves one request, returning the transactions (for
+// opSince) and the epoch of the success, or why it failed.
+func (s *Server) handle(req []byte) ([]*updates.Transaction, uint64, error) {
+	r := codec.NewReader(req, ErrBadWire)
+	var txns []*updates.Transaction
+	var since uint64
+	op := r.Byte()
+	switch op {
+	case opPublish:
+		txns = readTxns(r)
+	case opSince:
+		since = r.Uvarint()
+	case opEpoch:
 	default:
-		return response{Error: fmt.Sprintf("unknown op %q", req.Op)}
+		r.Fail("unknown op %d", op)
 	}
+	if err := r.Done(); err != nil {
+		return nil, 0, fmt.Errorf("bad request: %w", err)
+	}
+	switch op {
+	case opPublish:
+		epoch, err := s.store.Publish(txns)
+		return nil, epoch, err
+	case opSince:
+		return s.store.Since(since)
+	}
+	epoch, err := s.store.Epoch()
+	return nil, epoch, err
 }

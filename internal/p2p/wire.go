@@ -1,40 +1,44 @@
 package p2p
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 
-	"orchestra/internal/schema"
+	"orchestra/internal/codec"
 	"orchestra/internal/updates"
 )
 
-// ErrBadWire reports a malformed transaction, on the wire or in the
-// archive: no publishing peer, a sequence number 0 (no peer commits one:
-// sequences start at 1), an unknown update op, or an undecodable
-// tuple/transaction-id encoding. Every DecodeTxn failure and every archived
-// value DurableStore.Since cannot read wraps it (and the underlying parse
-// error, when there is one), so callers dispatch with errors.Is/errors.As
-// like the rest of the error taxonomy.
-var ErrBadWire = errors.New("p2p: malformed wire transaction")
+// ErrBadWire reports TCP store frames or archived transactions no writer
+// produces: an unknown op or status, bytes cut short or left over, and a
+// transaction with no publishing peer, sequence number 0 (sequences start
+// at 1), an unknown update op or an undecodable tuple or transaction id.
+// Every failure of the protocol's and the archive's readers, and of
+// DecodeTxn, wraps it (and the underlying parse error, when there is one).
+var ErrBadWire = errors.New("p2p: malformed wire data")
 
-// MaxRequestBytes caps one request frame a Server will buffer. A publish of
-// a hundred thousand typical transactions fits; a peer that never sends the
-// terminator cannot make a replica allocate more than this per connection.
+// MaxRequestBytes caps one frame of the TCP store protocol, request or
+// response: both sides read a frame's length first and refuse one longer
+// than this before allocating anything. A publish of a hundred thousand
+// typical transactions fits.
 const MaxRequestBytes = 32 << 20
 
-// ErrFrameTooLarge reports a request frame longer than MaxRequestBytes. The
-// server answers with it and closes the connection.
-var ErrFrameTooLarge = errors.New("p2p: request frame too large")
+// ErrFrameTooLarge reports a frame longer than MaxRequestBytes. A server
+// answers an oversized request with it and closes the connection; a client
+// returns it for an oversized response, or for a request it will not send.
+var ErrFrameTooLarge = errors.New("p2p: frame too large")
 
-// Wire representations: over the TCP protocol transactions travel as JSON
-// with tuples encoded by their canonical injective keys (schema.Tuple.Key),
-// which round-trip exactly; `orchestra log` prints the same form. The
-// durable archive stores the binary updates.AppendTxn encoding instead.
-// Provenance does not travel — published transactions carry original
-// updates whose provenance (their own tokens) is re-minted
-// deterministically by the receiving side's exchange engine.
+// The JSON form below is for inspection only: `orchestra log` prints it
+// (EncodeTxn), and the repository benchmark's layer replay
+// (bench/replay.go) prices it both ways. The TCP protocol and the durable
+// archive both carry the binary updates.AppendTxn encoding. Tuples are
+// their canonical injective keys (schema.Tuple.Key). Provenance does not
+// travel — published transactions carry original updates whose provenance
+// (their own tokens) is re-minted deterministically by the receiving
+// side's exchange engine.
 
-// WireUpdate is the wire form of updates.Update.
+// WireUpdate is the JSON form of updates.Update.
 type WireUpdate struct {
 	Rel string `json:"rel"`
 	Op  uint8  `json:"op"`
@@ -42,8 +46,7 @@ type WireUpdate struct {
 	New string `json:"new,omitempty"`
 }
 
-// WireTxn is the JSON form of updates.Transaction: the TCP protocol's, and
-// the one kept for inspection.
+// WireTxn is the JSON form of updates.Transaction.
 type WireTxn struct {
 	Peer    string       `json:"peer"`
 	Seq     uint64       `json:"seq"`
@@ -52,18 +55,11 @@ type WireTxn struct {
 	Deps    []string     `json:"deps,omitempty"`
 }
 
-// EncodeTxn converts a transaction to its JSON form (WireTxn).
+// EncodeTxn converts a transaction to its JSON form.
 func EncodeTxn(t *updates.Transaction) WireTxn {
 	w := WireTxn{Peer: t.ID.Peer, Seq: t.ID.Seq, Epoch: t.Epoch}
 	for _, u := range t.Updates {
-		wu := WireUpdate{Rel: u.Rel, Op: uint8(u.Op)}
-		if u.Old != nil {
-			wu.Old = u.Old.Key()
-		}
-		if u.New != nil {
-			wu.New = u.New.Key()
-		}
-		w.Updates = append(w.Updates, wu)
+		w.Updates = append(w.Updates, WireUpdate{Rel: u.Rel, Op: uint8(u.Op), Old: u.Old.Key(), New: u.New.Key()})
 	}
 	for _, d := range t.Deps {
 		w.Deps = append(w.Deps, d.String())
@@ -71,88 +67,141 @@ func EncodeTxn(t *updates.Transaction) WireTxn {
 	return w
 }
 
-// DecodeTxn converts wire form back to a transaction.
+// DecodeTxn converts the JSON form back to a transaction. It spells the
+// form in the AppendTxn layout and reads that with updates.ReadTxn, so the
+// two forms refuse the same transactions; a dependency must also parse as
+// "peer:seq". Every failure wraps ErrBadWire.
 func DecodeTxn(w WireTxn) (*updates.Transaction, error) {
-	if w.Peer == "" || w.Seq == 0 {
-		return nil, fmt.Errorf("%w: transaction id %q:%d", ErrBadWire, w.Peer, w.Seq)
+	buf := codec.AppendString(nil, w.Peer)
+	buf = binary.AppendUvarint(binary.AppendUvarint(buf, w.Seq), w.Epoch)
+	buf = binary.AppendUvarint(buf, uint64(len(w.Updates)))
+	for _, u := range w.Updates {
+		buf = append(codec.AppendString(buf, u.Rel), u.Op)
+		buf = codec.AppendString(codec.AppendString(buf, u.Old), u.New)
 	}
-	t := &updates.Transaction{
-		ID:    updates.TxnID{Peer: w.Peer, Seq: w.Seq},
-		Epoch: w.Epoch,
-	}
-	for _, wu := range w.Updates {
-		u := updates.Update{Rel: wu.Rel, Op: updates.Op(wu.Op)}
-		if wu.Op > uint8(updates.OpModify) {
-			return nil, fmt.Errorf("%w: unknown op %d", ErrBadWire, wu.Op)
-		}
-		if wu.Old != "" {
-			tu, err := schema.ParseTupleKey(wu.Old)
-			if err != nil {
-				return nil, fmt.Errorf("%w: bad old tuple: %w", ErrBadWire, err)
-			}
-			u.Old = tu
-		}
-		if wu.New != "" {
-			tu, err := schema.ParseTupleKey(wu.New)
-			if err != nil {
-				return nil, fmt.Errorf("%w: bad new tuple: %w", ErrBadWire, err)
-			}
-			u.New = tu
-		}
-		t.Updates = append(t.Updates, u)
-	}
+	buf = binary.AppendUvarint(buf, uint64(len(w.Deps)))
 	for _, d := range w.Deps {
 		id, err := updates.ParseTxnID(d)
 		if err != nil {
 			return nil, fmt.Errorf("%w: bad dep: %w", ErrBadWire, err)
 		}
-		t.Deps = append(t.Deps, id)
+		buf = binary.AppendUvarint(codec.AppendString(buf, id.Peer), id.Seq)
+	}
+	t := &updates.Transaction{}
+	r := codec.NewReader(buf, ErrBadWire)
+	if updates.ReadTxn(r, t); r.Done() != nil {
+		return nil, r.Err()
 	}
 	return t, nil
 }
 
-// request and response are the TCP protocol frames (JSON, one per line).
-type request struct {
-	Op    string    `json:"op"` // "publish", "since", "epoch"
-	Epoch uint64    `json:"epoch,omitempty"`
-	Txns  []WireTxn `json:"txns,omitempty"`
+// The TCP store protocol (DESIGN.md §1). Every frame, in both directions,
+// is a 4-byte little-endian payload length and the payload, read through
+// codec.Reader with ErrBadWire as its sentinel:
+//
+//	request:  opPublish · count · count × updates.AppendTxn
+//	          opSince · epoch
+//	          opEpoch
+//	response: statusOK · epoch · count · count × updates.AppendTxn (opSince only)
+//	          statusErr · code byte (its index in wireSentinels, 0 for none) · message
+const (
+	opPublish, opSince, opEpoch = 1, 2, 3
+	statusOK, statusErr         = 0, 1
+	frameHeaderLen              = 4
+)
+
+// wireSentinels are the errors whose identity survives the protocol.
+var wireSentinels = []error{nil, ErrAlreadyPublished, ErrFrameTooLarge}
+
+// beginFrame starts a frame in buf, reserving its length prefix.
+func beginFrame(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0) }
+
+// endFrame fills in the length prefix of a frame beginFrame started.
+func endFrame(frame []byte) []byte {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-frameHeaderLen))
+	return frame
 }
 
-type response struct {
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
-	// Code carries the sentinel identity of well-known errors across the
-	// wire (errCodeFor/sentinelForCode), so clients rebuild an error that
-	// still matches errors.Is even though Error itself is just a string.
-	Code  string    `json:"code,omitempty"`
-	Epoch uint64    `json:"epoch,omitempty"`
-	Txns  []WireTxn `json:"txns,omitempty"`
+// appendTxns appends a count and the transactions' AppendTxn encodings.
+func appendTxns(buf []byte, txns []*updates.Transaction) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(txns)))
+	for _, t := range txns {
+		buf = updates.AppendTxn(buf, t)
+	}
+	return buf
 }
 
-// Wire error codes. Every sentinel that must survive the TCP protocol gets
-// a stable code; unknown codes degrade to a plain string error.
-var wireSentinels = map[string]error{
-	"already_published": ErrAlreadyPublished,
-	"frame_too_large":   ErrFrameTooLarge,
-}
-
-// errCodeFor maps an error to its wire code ("" when it has none).
-func errCodeFor(err error) string {
-	for code, sentinel := range wireSentinels {
-		if errors.Is(err, sentinel) {
-			return code
+// readTxns reads what appendTxns wrote. A transaction ReadTxn accepts
+// takes six bytes at least: a one-byte peer, seq, epoch and two counts.
+func readTxns(r *codec.Reader) []*updates.Transaction {
+	txns := make([]*updates.Transaction, r.Count("transaction", 6))
+	for i := range txns {
+		txns[i] = &updates.Transaction{}
+		if updates.ReadTxn(r, txns[i]) != nil {
+			return nil
 		}
 	}
-	return ""
+	return txns
 }
 
-// sentinelForCode maps a wire code back to the sentinel it stands for (nil
-// for an unknown code).
-func sentinelForCode(code string) error { return wireSentinels[code] }
+// readFrame reads one frame's payload, refusing a length over
+// MaxRequestBytes with ErrFrameTooLarge before reading or allocating any of
+// it. The buffer grows with the bytes that arrive, not with the length
+// announced, so a peer that announces the cap and goes quiet holds no more
+// memory than it sent.
+func readFrame(r io.Reader) ([]byte, error) {
+	var hdr [frameHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[:])
+	if n > MaxRequestBytes {
+		return nil, fmt.Errorf("%w: %d-byte frame, cap %d", ErrFrameTooLarge, n, MaxRequestBytes)
+	}
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && len(payload) < int(n) {
+		err = io.ErrUnexpectedEOF
+	}
+	return payload, err
+}
 
-// wireError is a server-reported error rebuilt on the client with its
-// sentinel identity: Error() keeps the server's exact message, Unwrap makes
-// errors.Is(err, sentinel) hold across the protocol boundary.
+// appendError appends an error response's payload.
+func appendError(buf []byte, err error) []byte {
+	code := 0
+	for i, sentinel := range wireSentinels[1:] {
+		if errors.Is(err, sentinel) {
+			code = i + 1
+		}
+	}
+	return codec.AppendString(append(buf, statusErr, byte(code)), err.Error())
+}
+
+// readReply decodes a response payload: a success's transactions and
+// epoch, or the error the server reported, rebuilt as a *wireError. A
+// payload no server writes fails with ErrBadWire.
+func readReply(payload []byte) (txns []*updates.Transaction, epoch uint64, err error) {
+	r := codec.NewReader(payload, ErrBadWire)
+	switch status := r.Byte(); status {
+	case statusOK:
+		epoch, txns = r.Uvarint(), readTxns(r)
+	case statusErr:
+		e := &wireError{}
+		if code := int(r.Byte()); code < len(wireSentinels) {
+			e.sentinel = wireSentinels[code]
+		}
+		e.msg, err = r.Str(), e
+	default:
+		r.Fail("unknown response status %d", status)
+	}
+	if r.Done() != nil {
+		return nil, 0, r.Err()
+	}
+	return txns, epoch, err
+}
+
+// wireError is a server-reported error rebuilt on the client: Error()
+// keeps the server's exact message, and Unwrap returns the sentinel its
+// code named, so errors.Is(err, sentinel) holds across the protocol.
 type wireError struct {
 	msg      string
 	sentinel error

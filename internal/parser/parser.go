@@ -15,7 +15,7 @@ import (
 // about their input's text: whatever text they are given, they return its
 // rules or mapping, or an error that matches ErrSyntax with errors.Is. (A
 // mapping that parses can still fail the mapping package's validation,
-// with its error.)
+// with an error that matches mapping.ErrInvalid.)
 var ErrSyntax = errors.New("parser: syntax error")
 
 // syntaxError is one ErrSyntax with its message.
@@ -35,7 +35,6 @@ type parser struct {
 	i    int
 }
 
-func (p *parser) peek() token       { return p.toks[p.i] }
 func (p *parser) next() token       { t := p.toks[p.i]; p.i++; return t }
 func (p *parser) at(k tokKind) bool { return p.toks[p.i].kind == k }
 

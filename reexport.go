@@ -179,9 +179,9 @@ type (
 	Store = p2p.Store
 	// StoreServer serves a Store over TCP.
 	StoreServer = p2p.Server
-	// WireTxn is the JSON form of a Transaction: what the TCP store
-	// protocol carries and `orchestra log` prints. The durable archive
-	// stores a binary encoding instead.
+	// WireTxn is the JSON form of a Transaction, which `orchestra log`
+	// prints. The TCP store protocol and the durable archive carry a
+	// binary encoding instead.
 	WireTxn = p2p.WireTxn
 )
 
@@ -225,6 +225,6 @@ func NewReplicatedStore(replicas ...Store) Store { return p2p.NewReplicatedStore
 // rejoined replica back in sync.
 func AntiEntropy(a, b *p2p.MemoryStore) { p2p.AntiEntropy(a, b) }
 
-// EncodeTxn converts a transaction to its JSON form, the one the TCP store
-// protocol carries, for inspection and log dumps.
+// EncodeTxn converts a transaction to its JSON form, for inspection and
+// log dumps.
 func EncodeTxn(t *Transaction) WireTxn { return p2p.EncodeTxn(t) }
