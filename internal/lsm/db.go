@@ -221,14 +221,17 @@ const (
 func (b *Batch) encode() []byte {
 	out := make([]byte, 0, b.payload)
 	for _, op := range b.ops {
-		kind := byte(opPut)
 		if op.del {
-			kind = opDel
+			out = append(out, opDel)
+			out = binary.AppendUvarint(out, uint64(len(op.key)))
+			out = append(out, op.key...)
+			continue
 		}
-		out = append(binary.AppendUvarint(append(out, kind), uint64(len(op.key))), op.key...)
-		if !op.del {
-			out = append(binary.AppendUvarint(out, uint64(len(op.val))), op.val...)
-		}
+		out = append(out, opPut)
+		out = binary.AppendUvarint(out, uint64(len(op.key)))
+		out = append(out, op.key...)
+		out = binary.AppendUvarint(out, uint64(len(op.val)))
+		out = append(out, op.val...)
 	}
 	return out
 }

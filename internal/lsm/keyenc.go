@@ -70,7 +70,9 @@ var ErrBadKey = errors.New("lsm: malformed key encoding")
 // DecodeString decodes one AppendString-encoded string from the front of b,
 // returning the string and the remaining bytes. Composite-key layers (the
 // checkpoint keyspace) use it to take keys back apart.
-func DecodeString(b []byte) (string, []byte, error) {
+func DecodeString(b []byte) (string, []byte, error) { return decodeString(b) }
+
+func decodeString(b []byte) (string, []byte, error) {
 	var out []byte
 	for i := 0; i < len(b); {
 		c := b[i]
@@ -131,7 +133,7 @@ func DecodeValue(b []byte) (schema.Value, []byte, error) {
 	b = b[1:]
 	switch kind {
 	case schema.KindString, schema.KindLabeledNull:
-		s, rest, err := DecodeString(b)
+		s, rest, err := decodeString(b)
 		if err != nil {
 			return schema.Value{}, nil, err
 		}

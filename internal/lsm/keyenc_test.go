@@ -87,7 +87,7 @@ func TestStringEncodingEdgeCases(t *testing.T) {
 	cases := []string{"", "\x00", "\x00\x00", "a\x00b", "\xff", "a\x01", "\x00\x01"}
 	for _, s := range cases {
 		enc := AppendString(nil, s)
-		got, rest, err := DecodeString(enc)
+		got, rest, err := decodeString(enc)
 		if err != nil || got != s || len(rest) != 0 {
 			t.Fatalf("string %q: got %q rest %d err %v", s, got, len(rest), err)
 		}

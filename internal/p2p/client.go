@@ -37,34 +37,35 @@ func NewClientWith(addr string, timeout time.Duration) *Client {
 }
 
 // roundTrip sends one request frame on a fresh connection and decodes the
-// response frame.
-func (c *Client) roundTrip(frame []byte) ([]*updates.Transaction, uint64, error) {
+// response frame: the transactions and epoch of a success, and whether the
+// server cut a since answer short (statusMore).
+func (c *Client) roundTrip(frame []byte) ([]*updates.Transaction, uint64, bool, error) {
 	if len(frame)-frameHeaderLen > MaxRequestBytes {
-		return nil, 0, fmt.Errorf("p2p: send to %s: %w: a %d-byte request, cap %d", c.addr, ErrFrameTooLarge, len(frame)-frameHeaderLen, MaxRequestBytes)
+		return nil, 0, false, fmt.Errorf("p2p: send to %s: %w: a %d-byte request, cap %d", c.addr, ErrFrameTooLarge, len(frame)-frameHeaderLen, MaxRequestBytes)
 	}
 	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
 	if err != nil {
-		return nil, 0, fmt.Errorf("p2p: dial %s: %w", c.addr, err)
+		return nil, 0, false, fmt.Errorf("p2p: dial %s: %w", c.addr, err)
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(c.timeout))
 	if _, err := conn.Write(endFrame(frame)); err != nil {
-		return nil, 0, fmt.Errorf("p2p: send to %s: %w", c.addr, err)
+		return nil, 0, false, fmt.Errorf("p2p: send to %s: %w", c.addr, err)
 	}
 	payload, err := readFrame(conn)
 	if err != nil {
-		return nil, 0, fmt.Errorf("p2p: recv from %s: %w", c.addr, err)
+		return nil, 0, false, fmt.Errorf("p2p: recv from %s: %w", c.addr, err)
 	}
-	txns, epoch, err := readReply(payload)
+	txns, epoch, more, err := readReply(payload)
 	if err != nil {
-		return nil, 0, fmt.Errorf("p2p: server %s: %w", c.addr, err)
+		return nil, 0, false, fmt.Errorf("p2p: server %s: %w", c.addr, err)
 	}
-	return txns, epoch, nil
+	return txns, epoch, more, nil
 }
 
 // Publish implements Store.
 func (c *Client) Publish(txns []*updates.Transaction) (uint64, error) {
-	_, epoch, err := c.roundTrip(appendTxns(append(beginFrame(nil), opPublish), txns))
+	_, epoch, _, err := c.roundTrip(appendTxns(append(beginFrame(nil), opPublish), txns))
 	if err != nil {
 		return 0, err
 	}
@@ -76,14 +77,32 @@ func (c *Client) Publish(txns []*updates.Transaction) (uint64, error) {
 	return epoch, nil
 }
 
-// Since implements Store.
+// Since implements Store. An answer longer than one frame arrives in
+// pieces, each cut after a whole epoch: Since asks again from the last
+// epoch it received until the server reports the whole tail sent.
 func (c *Client) Since(since uint64) ([]*updates.Transaction, uint64, error) {
-	return c.roundTrip(binary.AppendUvarint(append(beginFrame(nil), opSince), since))
+	var all []*updates.Transaction
+	for {
+		txns, epoch, more, err := c.roundTrip(binary.AppendUvarint(append(beginFrame(nil), opSince), since))
+		if err != nil {
+			return nil, 0, err
+		}
+		all = append(all, txns...)
+		if !more {
+			return all, epoch, nil
+		}
+		// A cut answer holds at least one epoch past since; one that holds
+		// none would have the client ask forever.
+		if len(txns) == 0 || epoch <= since {
+			return nil, 0, fmt.Errorf("p2p: server %s: %w: a cut answer from epoch %d ends at %d with %d transactions", c.addr, ErrBadWire, since, epoch, len(txns))
+		}
+		since = epoch
+	}
 }
 
 // Epoch implements Store.
 func (c *Client) Epoch() (uint64, error) {
-	_, epoch, err := c.roundTrip(append(beginFrame(nil), opEpoch))
+	_, epoch, _, err := c.roundTrip(append(beginFrame(nil), opEpoch))
 	return epoch, err
 }
 
@@ -101,34 +120,29 @@ func NewReplicatedStore(replicas ...Store) *ReplicatedStore {
 	return &ReplicatedStore{replicas: replicas}
 }
 
-// each calls fn on every replica in turn, returning how many calls
-// succeeded and the first failure.
-func (r *ReplicatedStore) each(fn func(Store) error) (ok int, first error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, rep := range r.replicas {
-		if err := fn(rep); err != nil {
-			if first == nil {
-				first = err
-			}
-			continue
-		}
-		ok++
-	}
-	return ok, first
-}
-
 // Publish implements Store: best-effort to all replicas, error only if none
 // accepted. Epoch is the maximum assigned.
 func (r *ReplicatedStore) Publish(txns []*updates.Transaction) (uint64, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var best uint64
-	ok, err := r.each(func(s Store) error {
-		epoch, err := s.Publish(txns)
-		best = max(best, epoch)
-		return err
-	})
-	if ok == 0 {
-		return 0, fmt.Errorf("p2p: publish failed on all %d replicas: %w", len(r.replicas), err)
+	okCount := 0
+	var firstErr error
+	for _, rep := range r.replicas {
+		epoch, err := rep.Publish(txns)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		okCount++
+		if epoch > best {
+			best = epoch
+		}
+	}
+	if okCount == 0 {
+		return 0, fmt.Errorf("p2p: publish failed on all %d replicas: %w", len(r.replicas), firstErr)
 	}
 	return best, nil
 }
@@ -136,32 +150,53 @@ func (r *ReplicatedStore) Publish(txns []*updates.Transaction) (uint64, error) {
 // Since implements Store: reads from the reachable replica with the highest
 // epoch.
 func (r *ReplicatedStore) Since(since uint64) ([]*updates.Transaction, uint64, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var bestTxns []*updates.Transaction
 	var bestEpoch uint64
-	reached := false
-	ok, err := r.each(func(s Store) error {
-		txns, epoch, err := s.Since(since)
-		if err == nil && (!reached || epoch > bestEpoch) {
-			bestTxns, bestEpoch, reached = txns, epoch, true
+	reachable := false
+	var firstErr error
+	for _, rep := range r.replicas {
+		txns, epoch, err := rep.Since(since)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
 		}
-		return err
-	})
-	if ok == 0 {
-		return nil, 0, fmt.Errorf("p2p: all %d replicas unreachable: %w", len(r.replicas), err)
+		if !reachable || epoch > bestEpoch {
+			bestTxns, bestEpoch = txns, epoch
+		}
+		reachable = true
+	}
+	if !reachable {
+		return nil, 0, fmt.Errorf("p2p: all %d replicas unreachable: %w", len(r.replicas), firstErr)
 	}
 	return bestTxns, bestEpoch, nil
 }
 
 // Epoch implements Store.
 func (r *ReplicatedStore) Epoch() (uint64, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var best uint64
-	ok, err := r.each(func(s Store) error {
-		epoch, err := s.Epoch()
-		best = max(best, epoch)
-		return err
-	})
-	if ok == 0 {
-		return 0, fmt.Errorf("p2p: all %d replicas unreachable: %w", len(r.replicas), err)
+	reachable := false
+	var firstErr error
+	for _, rep := range r.replicas {
+		epoch, err := rep.Epoch()
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		if epoch > best {
+			best = epoch
+		}
+		reachable = true
+	}
+	if !reachable {
+		return 0, fmt.Errorf("p2p: all %d replicas unreachable: %w", len(r.replicas), firstErr)
 	}
 	return best, nil
 }

@@ -82,7 +82,7 @@ func FuzzServerRequest(f *testing.F) {
 		if _, err := store.Publish([]*updates.Transaction{txn("z", 1, updates.Insert("R", tup("x")))}); err != nil {
 			t.Fatal(err)
 		}
-		out := (&Server{store: store}).respond(nil, req)
+		out := (&Server{store: store}).respond(req)
 		payload, err := readFrame(bytes.NewReader(out))
 		if err != nil || len(payload) != len(out)-frameHeaderLen {
 			t.Fatalf("response frame % x: %v", out, err)

@@ -23,11 +23,12 @@ func publishFrame(txns ...*updates.Transaction) []byte {
 	return endFrame(appendTxns(append(beginFrame(nil), opPublish), txns))
 }
 
-// reply is a decoded response: a success's transactions and epoch, or
-// the error the server reported.
+// reply is a decoded response: a success's transactions and epoch, and
+// whether the server cut it short, or the error the server reported.
 type reply struct {
 	txns  []*updates.Transaction
 	epoch uint64
+	more  bool
 	err   error
 }
 
@@ -36,7 +37,7 @@ type reply struct {
 func decodeReply(t *testing.T, payload []byte) reply {
 	t.Helper()
 	var rep reply
-	rep.txns, rep.epoch, rep.err = readReply(payload)
+	rep.txns, rep.epoch, rep.more, rep.err = readReply(payload)
 	var reported *wireError
 	if rep.err != nil && !errors.As(rep.err, &reported) {
 		t.Fatalf("undecodable response % x: %v", payload, rep.err)
@@ -208,6 +209,77 @@ func TestClientCapsResponseFrame(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > MaxRequestBytes/8 {
 		t.Fatalf("refusing an oversized response allocated %d bytes", grew)
+	}
+}
+
+// A since answer past MaxRequestBytes comes in pieces, each cut after a
+// whole epoch, and Client.Since joins them into the whole tail. An epoch
+// that alone passes the cap is refused with ErrFrameTooLarge rather than
+// cut inside.
+func TestClientSinceFetchesPastFrameCap(t *testing.T) {
+	// Every transaction inserts the same one-MiB tuple, so the store holds
+	// one copy of it; ten epochs of four come to a little over the cap.
+	big := tup(strings.Repeat("x", 1<<20))
+	store := NewMemoryStore()
+	publish := func(seq uint64, n int) {
+		var txns []*updates.Transaction
+		for i := range n {
+			txns = append(txns, txn("a", seq+uint64(i), updates.Insert("R", big)))
+		}
+		if _, err := store.Publish(txns); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for e := range 10 {
+		publish(uint64(4*e+1), 4)
+	}
+	srv, err := NewServer(store, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if rep := rawRequest(t, srv.Addr(), frame(opSince, 0)); rep.err != nil || !rep.more || rep.epoch != 7 || len(rep.txns) != 28 {
+		t.Fatalf("first answer: more %v, epoch %d, %d txns (%v); want cut after epoch 7, 28 txns", rep.more, rep.epoch, len(rep.txns), rep.err)
+	}
+	c := NewClient(srv.Addr())
+	txns, epoch, err := c.Since(0)
+	if err != nil || epoch != 10 || len(txns) != 40 {
+		t.Fatalf("Since(0) = %d txns at epoch %d (%v), want 40 at 10", len(txns), epoch, err)
+	}
+	key := big.Key()
+	for i, tx := range txns {
+		if tx.ID.Seq != uint64(i+1) || tx.Epoch != uint64(i/4+1) || tx.Updates[0].New.Key() != key {
+			t.Fatalf("txn %d: %s at epoch %d", i, tx.ID, tx.Epoch)
+		}
+	}
+	publish(41, 33)
+	if _, _, err := c.Since(10); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("Since over an epoch past the cap: %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// A server that cuts a since answer without getting past the epoch asked
+// from would have the client ask forever; the client refuses the answer.
+func TestClientRefusesCutAnswerWithoutProgress(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if _, err := readFrame(conn); err == nil {
+				_, _ = conn.Write(frame(statusMore, 3, 0))
+			}
+			conn.Close()
+		}
+	}()
+	if _, _, err := NewClient(ln.Addr().String()).Since(3); !errors.Is(err, ErrBadWire) {
+		t.Fatalf("cut answer with no progress: %v, want ErrBadWire", err)
 	}
 }
 

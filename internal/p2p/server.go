@@ -2,7 +2,6 @@ package p2p
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -84,39 +83,32 @@ func (s *Server) serve(conn net.Conn) {
 		conn.Close()
 	}()
 	r := bufio.NewReader(conn)
-	var out []byte
 	for {
 		req, err := readFrame(r)
 		if err != nil {
 			if errors.Is(err, ErrFrameTooLarge) {
 				// The rest of the frame is still in flight and there is no
 				// way to find the next one: answer, then drop the connection.
-				_, _ = conn.Write(endFrame(appendError(beginFrame(out), err)))
+				_, _ = conn.Write(endFrame(appendError(beginFrame(nil), err)))
 			}
 			return
 		}
-		out = s.respond(out, req)
-		if _, err := conn.Write(out); err != nil {
+		if _, err := conn.Write(s.respond(req)); err != nil {
 			return
 		}
 	}
 }
 
-// respond builds, in buf, the response frame to one request payload. A
-// response that would pass MaxRequestBytes is replaced by ErrFrameTooLarge,
-// which the client can read.
-func (s *Server) respond(buf, req []byte) []byte {
-	out := beginFrame(buf)
+// respond builds the response frame to one request payload.
+func (s *Server) respond(req []byte) []byte {
 	txns, epoch, err := s.handle(req)
 	if err == nil {
-		out = appendTxns(binary.AppendUvarint(append(out, statusOK), epoch), txns)
-		if len(out)-frameHeaderLen <= MaxRequestBytes {
-			return endFrame(out)
+		var frame []byte
+		if frame, err = replyFrame(txns, epoch); err == nil {
+			return frame
 		}
-		err = fmt.Errorf("%w: a %d-byte response, cap %d", ErrFrameTooLarge, len(out)-frameHeaderLen, MaxRequestBytes)
-		out = beginFrame(out)
 	}
-	return endFrame(appendError(out, err))
+	return endFrame(appendError(beginFrame(nil), err))
 }
 
 // handle decodes and serves one request, returning the transactions (for

@@ -55,11 +55,18 @@ type WireTxn struct {
 	Deps    []string     `json:"deps,omitempty"`
 }
 
-// EncodeTxn converts a transaction to its JSON form.
+// EncodeTxn converts a transaction to its JSON form (WireTxn).
 func EncodeTxn(t *updates.Transaction) WireTxn {
 	w := WireTxn{Peer: t.ID.Peer, Seq: t.ID.Seq, Epoch: t.Epoch}
 	for _, u := range t.Updates {
-		w.Updates = append(w.Updates, WireUpdate{Rel: u.Rel, Op: uint8(u.Op), Old: u.Old.Key(), New: u.New.Key()})
+		wu := WireUpdate{Rel: u.Rel, Op: uint8(u.Op)}
+		if u.Old != nil {
+			wu.Old = u.Old.Key()
+		}
+		if u.New != nil {
+			wu.New = u.New.Key()
+		}
+		w.Updates = append(w.Updates, wu)
 	}
 	for _, d := range t.Deps {
 		w.Deps = append(w.Deps, d.String())
@@ -73,11 +80,14 @@ func EncodeTxn(t *updates.Transaction) WireTxn {
 // "peer:seq". Every failure wraps ErrBadWire.
 func DecodeTxn(w WireTxn) (*updates.Transaction, error) {
 	buf := codec.AppendString(nil, w.Peer)
-	buf = binary.AppendUvarint(binary.AppendUvarint(buf, w.Seq), w.Epoch)
+	buf = binary.AppendUvarint(buf, w.Seq)
+	buf = binary.AppendUvarint(buf, w.Epoch)
 	buf = binary.AppendUvarint(buf, uint64(len(w.Updates)))
 	for _, u := range w.Updates {
-		buf = append(codec.AppendString(buf, u.Rel), u.Op)
-		buf = codec.AppendString(codec.AppendString(buf, u.Old), u.New)
+		buf = codec.AppendString(buf, u.Rel)
+		buf = append(buf, u.Op)
+		buf = codec.AppendString(buf, u.Old)
+		buf = codec.AppendString(buf, u.New)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(w.Deps)))
 	for _, d := range w.Deps {
@@ -85,7 +95,8 @@ func DecodeTxn(w WireTxn) (*updates.Transaction, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: bad dep: %w", ErrBadWire, err)
 		}
-		buf = binary.AppendUvarint(codec.AppendString(buf, id.Peer), id.Seq)
+		buf = codec.AppendString(buf, id.Peer)
+		buf = binary.AppendUvarint(buf, id.Seq)
 	}
 	t := &updates.Transaction{}
 	r := codec.NewReader(buf, ErrBadWire)
@@ -103,11 +114,18 @@ func DecodeTxn(w WireTxn) (*updates.Transaction, error) {
 //	          opSince · epoch
 //	          opEpoch
 //	response: statusOK · epoch · count · count × updates.AppendTxn (opSince only)
+//	          statusMore · epoch · count · count × updates.AppendTxn
 //	          statusErr · code byte (its index in wireSentinels, 0 for none) · message
+//
+// A since answer that would pass MaxRequestBytes is cut after the last
+// whole epoch that fits and sent as statusMore with that epoch: the client
+// asks again from it until an answer comes back statusOK.
 const (
-	opPublish, opSince, opEpoch = 1, 2, 3
-	statusOK, statusErr         = 0, 1
-	frameHeaderLen              = 4
+	opPublish, opSince, opEpoch     = 1, 2, 3
+	statusOK, statusErr, statusMore = 0, 1, 2
+	frameHeaderLen                  = 4
+	// replyHeaderRoom holds the longest status, epoch and count.
+	replyHeaderRoom = 1 + 2*binary.MaxVarintLen64
 )
 
 // wireSentinels are the errors whose identity survives the protocol.
@@ -144,6 +162,35 @@ func readTxns(r *codec.Reader) []*updates.Transaction {
 	return txns
 }
 
+// replyFrame builds the success frame carrying txns, in epoch order as
+// Store.Since returns them, and epoch. Past MaxRequestBytes the answer is
+// cut after the last whole epoch that fits (statusMore); when not even the
+// first epoch fits it fails with ErrFrameTooLarge. The transactions are
+// encoded once, behind room for the longest header, and the header is
+// written right before them.
+func replyFrame(txns []*updates.Transaction, epoch uint64) ([]byte, error) {
+	out := make([]byte, frameHeaderLen+replyHeaderRoom)
+	status, n := byte(statusOK), len(txns)
+	cutLen, cutN := 0, 0 // the frame's length and count at the last epoch boundary
+	for i, t := range txns {
+		if i > 0 && t.Epoch != txns[i-1].Epoch {
+			cutLen, cutN = len(out), i
+		}
+		if out = updates.AppendTxn(out, t); len(out)-frameHeaderLen <= MaxRequestBytes {
+			continue
+		}
+		if cutN == 0 {
+			return nil, fmt.Errorf("%w: epoch %d alone passes the %d-byte cap", ErrFrameTooLarge, t.Epoch, MaxRequestBytes)
+		}
+		out, status, n, epoch = out[:cutLen], statusMore, cutN, txns[cutN-1].Epoch
+		break
+	}
+	hdr := binary.AppendUvarint(binary.AppendUvarint([]byte{status}, epoch), uint64(n))
+	start := frameHeaderLen + replyHeaderRoom - len(hdr)
+	copy(out[start:], hdr)
+	return endFrame(out[start-frameHeaderLen:]), nil
+}
+
 // readFrame reads one frame's payload, refusing a length over
 // MaxRequestBytes with ErrFrameTooLarge before reading or allocating any of
 // it. The buffer grows with the bytes that arrive, not with the length
@@ -177,13 +224,14 @@ func appendError(buf []byte, err error) []byte {
 }
 
 // readReply decodes a response payload: a success's transactions and
-// epoch, or the error the server reported, rebuilt as a *wireError. A
-// payload no server writes fails with ErrBadWire.
-func readReply(payload []byte) (txns []*updates.Transaction, epoch uint64, err error) {
+// epoch, and whether the server cut the answer (statusMore), or the error
+// the server reported, rebuilt as a *wireError. A payload no server writes
+// fails with ErrBadWire.
+func readReply(payload []byte) (txns []*updates.Transaction, epoch uint64, more bool, err error) {
 	r := codec.NewReader(payload, ErrBadWire)
 	switch status := r.Byte(); status {
-	case statusOK:
-		epoch, txns = r.Uvarint(), readTxns(r)
+	case statusOK, statusMore:
+		epoch, txns, more = r.Uvarint(), readTxns(r), status == statusMore
 	case statusErr:
 		e := &wireError{}
 		if code := int(r.Byte()); code < len(wireSentinels) {
@@ -194,9 +242,9 @@ func readReply(payload []byte) (txns []*updates.Transaction, epoch uint64, err e
 		r.Fail("unknown response status %d", status)
 	}
 	if r.Done() != nil {
-		return nil, 0, r.Err()
+		return nil, 0, false, r.Err()
 	}
-	return txns, epoch, err
+	return txns, epoch, more, err
 }
 
 // wireError is a server-reported error rebuilt on the client: Error()

@@ -35,6 +35,7 @@ type parser struct {
 	i    int
 }
 
+func (p *parser) peek() token       { return p.toks[p.i] }
 func (p *parser) next() token       { t := p.toks[p.i]; p.i++; return t }
 func (p *parser) at(k tokKind) bool { return p.toks[p.i].kind == k }
 
