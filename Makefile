@@ -134,7 +134,9 @@ bench-pairs:
 ## same-program: the repo benchmark's results at BASE against this working
 ## tree — one traced 3 s run per workload per side, failing on any
 ## difference in the final-state digests, the failed count or the traced
-## lsm.wal_bytes, exchange.state_bytes and core.checkpoint_bytes
+## lsm.wal_bytes, exchange.state_bytes and core.checkpoint_bytes, and
+## printing both sides' traced datalog.probes_per_op, candidates_per_emit,
+## suppressed_frac and rounds_per_op for information, with no verdict
 ## (scripts/same_program.sh). Not part of ci: it builds and runs BASE too.
 same-program:
 	BASE='$(BASE)' bash scripts/same_program.sh

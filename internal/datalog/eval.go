@@ -412,38 +412,44 @@ type mergeResult struct {
 // merge outcome (pred left for the caller to fill) and whether anything
 // changed.
 func merge(rel *Rel, t schema.Tuple, p provenance.Poly, opts Options) (mergeResult, bool) {
-	return mergeHashed(rel, t.Hash(), t, p, opts)
+	h := t.Hash()
+	if s, ok := rel.find(h, t); ok {
+		return mergeStored(rel, s, p, opts)
+	}
+	return mergeAbsent(rel, h, t, p, opts), true
 }
 
-// mergeHashed is merge with the tuple's Hash supplied by the caller: the
-// streaming pipelines hash head tuples once, for the skip check and the
-// merge alike.
-func mergeHashed(rel *Rel, h uint64, t schema.Tuple, p provenance.Poly, opts Options) (mergeResult, bool) {
-	s, ok := rel.find(h, t)
+// mergeStored folds p into the fact stored at slot s. The result carries
+// the stored tuple, so a derivation of a stored row never copies it.
+func mergeStored(rel *Rel, s uint32, p provenance.Poly, opts Options) (mergeResult, bool) {
+	f := rel.fact(s)
 	if !opts.Provenance {
-		if ok {
-			return mergeResult{slot: s, tuple: t}, false
-		}
-		s = rel.insert(h, t, provenance.One().Intern())
-		return mergeResult{slot: s, tuple: t, newPart: provenance.One(), fresh: true}, true
+		return mergeResult{slot: s, tuple: f.Tuple}, false
 	}
-	var stored provenance.Poly
-	if ok {
-		stored = rel.fact(s).Prov
-	}
-	merged, newPart, changed, truncated := provenance.MergeWitness(stored, p, opts.MaxMonomials)
+	merged, newPart, changed, truncated := provenance.MergeWitness(f.Prov, p, opts.MaxMonomials)
 	if truncated && opts.Stats != nil {
 		opts.Stats.Truncations.Add(1)
 	}
-	if !ok {
-		s = rel.insert(h, t, merged.Intern())
-		return mergeResult{slot: s, tuple: t, newPart: merged, fresh: true}, true
-	}
 	if !changed {
-		return mergeResult{slot: s, tuple: t}, false
+		return mergeResult{slot: s, tuple: f.Tuple}, false
 	}
-	rel.fact(s).Prov = merged.Intern()
-	return mergeResult{slot: s, tuple: t, newPart: newPart}, true
+	f.Prov = merged.Intern()
+	return mergeResult{slot: s, tuple: f.Tuple, newPart: newPart}, true
+}
+
+// mergeAbsent stores t, whose hash is h and which rel does not hold, with
+// the annotation p; t is kept, not copied.
+func mergeAbsent(rel *Rel, h uint64, t schema.Tuple, p provenance.Poly, opts Options) mergeResult {
+	if !opts.Provenance {
+		s := rel.insert(h, t, provenance.One().Intern())
+		return mergeResult{slot: s, tuple: t, newPart: provenance.One(), fresh: true}
+	}
+	merged, _, _, truncated := provenance.MergeWitness(provenance.Poly{}, p, opts.MaxMonomials)
+	if truncated && opts.Stats != nil {
+		opts.Stats.Truncations.Add(1)
+	}
+	s := rel.insert(h, t, merged.Intern())
+	return mergeResult{slot: s, tuple: t, newPart: merged, fresh: true}
 }
 
 // compare applies a builtin comparison to two values.

@@ -62,6 +62,9 @@ type Incremental struct {
 	ruleToks map[provenance.Token]bool
 	// scratch is every Insert's evaluation state, reused across calls.
 	scratch stratumScratch
+	// keep, when set, limits the change log to fresh and removed facts of
+	// the predicates it accepts (LogOnly).
+	keep func(pred string) bool
 }
 
 // RestoreIncremental rebuilds maintained state around a database already at
@@ -196,16 +199,30 @@ func (inc *Incremental) tokens() map[provenance.Token]map[string]map[uint32]stru
 	return inc.tokenIndex
 }
 
+// LogOnly limits the change log of later Insert, DeleteBase and Affected
+// calls to the facts that are fresh or removed and whose predicate keep
+// accepts: a change that only grows or shrinks an annotation is not logged.
+// A nil keep, the default, logs every change. The database, and with it
+// what every later call does, is the same either way.
+func (inc *Incremental) LogOnly(keep func(pred string) bool) { inc.keep = keep }
+
+// logs reports whether a change to a fact of pred, fresh or removed or
+// neither, belongs in the change log.
+func (inc *Incremental) logs(pred string, freshOrRemoved bool) bool {
+	return inc.keep == nil || freshOrRemoved && inc.keep(pred)
+}
+
 // mentions reports whether some monomial of p uses the token v.
 func mentions(p provenance.Poly, v provenance.Token) bool {
 	return slices.Contains(p.Tokens(), v)
 }
 
 // Insert adds base facts and propagates them through the program. It
-// returns every change to the database sorted by predicate and tuple, one
-// tuple's changes adjacent and in merge order (seed merges first). A seed
-// merge that changes its tuple is reported Fresh even when the tuple was
-// already stored: publishing a tuple is an insertion at its publisher
+// returns every change to the database (or those LogOnly keeps) sorted by
+// predicate and tuple, one tuple's changes adjacent and in merge order
+// (seed merges first). A change to a stored fact carries the stored tuple.
+// A seed merge that changes its tuple is reported Fresh even when the tuple
+// was already stored: publishing a tuple is an insertion at its publisher
 // whether or not the mappings had derived it there before. Cancellation is
 // cooperative: the context is checked before the seed merge and once per
 // semi-naive iteration, so a propagation started with an expired context
@@ -230,12 +247,16 @@ func (inc *Incremental) Insert(ctx context.Context, facts []Fact2) ([]Change, er
 		if st.need[mr.pred] {
 			sc.delta.add(mr)
 		}
-		changes = append(changes, Change{Pred: mr.pred, Tuple: mr.tuple, Prov: mr.newPart, Fresh: true})
+		if inc.logs(mr.pred, true) {
+			changes = append(changes, Change{Pred: mr.pred, Tuple: mr.tuple, Prov: mr.newPart, Fresh: true})
+		}
 	}
 	if !sc.delta.empty() {
 		err := evalStratum(ctx, st.rules, inc.pp.plansAt(0, inc.db), st.need, inc.db, inc.opts, sc, func(mr mergeResult) {
 			inc.indexFact(mr.pred, mr.slot, mr.newPart)
-			changes = append(changes, Change{Pred: mr.pred, Tuple: mr.tuple, Prov: mr.newPart, Fresh: mr.fresh})
+			if inc.logs(mr.pred, mr.fresh) {
+				changes = append(changes, Change{Pred: mr.pred, Tuple: mr.tuple, Prov: mr.newPart, Fresh: mr.fresh})
+			}
 		})
 		if err != nil {
 			return nil, err
@@ -266,7 +287,7 @@ type Fact2 struct {
 // fact whose annotation mentions a killed token is re-examined: monomials
 // using dead tokens are dropped, and facts with no surviving derivation are
 // removed. The returned changes list removed facts (Removed=true) and facts
-// that survived with reduced provenance.
+// that survived with reduced provenance, or those of them LogOnly keeps.
 //
 // The tokens killed are exactly the variables of the given facts' CURRENT
 // base annotations that look like update tokens owned by those facts; in
@@ -287,9 +308,12 @@ func (inc *Incremental) DeleteBase(tokens []provenance.Var) []Change {
 	for _, r := range rs {
 		rel := inc.db.MutableRel(r.pred)
 		f := rel.fact(r.slot)
+		removed := r.rest.IsZero()
 		// Reported before remove zeroes the slot.
-		changes = append(changes, Change{Pred: r.pred, Tuple: f.Tuple, Prov: r.rest, Removed: r.rest.IsZero()})
-		if r.rest.IsZero() {
+		if inc.logs(r.pred, removed) {
+			changes = append(changes, Change{Pred: r.pred, Tuple: f.Tuple, Prov: r.rest, Removed: removed})
+		}
+		if removed {
 			rel.remove(r.slot) // maintains the hash indexes incrementally
 		} else {
 			f.Prov = r.rest.Intern() // in-place update of the stored fact
@@ -368,13 +392,16 @@ func (inc *Incremental) DependentCount(v provenance.Var) int {
 // killed. The exchange layer uses it to translate a peer's deletion of
 // *derived* data: the union database keeps the original publisher's tuples
 // (other peers may keep trusting them), while the deleting peer's candidate
-// transaction carries the would-be deletions.
+// transaction carries the would-be deletions. LogOnly limits the report as
+// it limits DeleteBase's.
 func (inc *Incremental) Affected(tokens []provenance.Var) []Change {
 	rs := inc.restrictions(tokens)
 	var changes []Change
 	for _, r := range rs {
-		tu := inc.db.Rel(r.pred).fact(r.slot).Tuple
-		changes = append(changes, Change{Pred: r.pred, Tuple: tu, Prov: r.rest, Removed: r.rest.IsZero()})
+		if removed := r.rest.IsZero(); inc.logs(r.pred, removed) {
+			tu := inc.db.Rel(r.pred).fact(r.slot).Tuple
+			changes = append(changes, Change{Pred: r.pred, Tuple: tu, Prov: r.rest, Removed: removed})
+		}
 	}
 	sortChanges(changes)
 	return changes

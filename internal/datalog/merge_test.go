@@ -15,10 +15,9 @@ func TestMergeRederivationAllocatesNothing(t *testing.T) {
 	x, y, z := provenance.NewVar("x"), provenance.NewVar("y"), provenance.NewVar("z")
 	rel := NewRel()
 	tu := schema.NewTuple(schema.Int(1))
-	h := tu.Hash()
 	opts := Options{Provenance: true, MaxMonomials: 2, Stats: &EvalStats{}}
 	for _, p := range []provenance.Poly{x, y} {
-		if _, changed := mergeHashed(rel, h, tu, p, opts); !changed {
+		if _, changed := merge(rel, tu, p, opts); !changed {
 			t.Fatalf("merging %v into a fresh witness set changed nothing", p)
 		}
 	}
@@ -27,7 +26,7 @@ func TestMergeRederivationAllocatesNothing(t *testing.T) {
 		"cut witness":    y.Mul(z),
 	} {
 		if n := testing.AllocsPerRun(100, func() {
-			if _, changed := mergeHashed(rel, h, tu, p, opts); changed {
+			if _, changed := merge(rel, tu, p, opts); changed {
 				t.Fatalf("%s: re-derivation changed the fact", name)
 			}
 		}); n != 0 {

@@ -25,10 +25,11 @@ import (
 // scan cursor holds the chain's first slot and the last slot present at the
 // probe, so it walks exactly the facts stored when it was entered.
 //
-// Head rows leave the pipeline through a mergeSink. The sink sees the head
-// tuple's hash and values (in a reused buffer) before the tuple is
-// materialized, so it can both merge without hashing again and veto
-// provably redundant emissions before they allocate anything.
+// Head rows leave the pipeline through a mergeSink. The sink gets the head
+// row's hash and values in a reused buffer and looks the row up once: a
+// stored row is vetoed when its annotation already absorbs the new one, and
+// otherwise merges into the stored fact, so only a row the relation does
+// not hold is ever copied into a tuple of its own.
 
 // pipeCancelStride is how many candidate rows a pipeline examines between
 // cooperative context checks, so cancellation lands mid-enumeration instead
@@ -52,26 +53,30 @@ type mergeSink struct {
 	absorb func(mergeResult)
 }
 
-// skip reports whether emitting (t, prov) provably could not change the
-// head relation, letting the pipeline drop the row before the head tuple
-// is materialized: the relation already stores t (hash h) with an
-// annotation that absorbs prov. t aliases a reused buffer valid only for
-// the call.
-func (s *mergeSink) skip(h uint64, t schema.Tuple, prov provenance.Poly) bool {
-	slot, ok := s.rel.find(h, t)
-	if !ok {
-		return false
+// emit merges one head row, whose hash is h, looking it up once. A stored
+// row whose annotation already absorbs prov is suppressed: emit reports
+// false and nothing changes. A stored row that gains a witness merges into
+// the stored fact, and its merge result carries the stored tuple. Only an
+// absent row is copied out of row, which aliases the pipeline's reused
+// head buffer, and inserted.
+func (s *mergeSink) emit(h uint64, row schema.Tuple, prov provenance.Poly) bool {
+	var mr mergeResult
+	changed := true
+	if slot, ok := s.rel.find(h, row); ok {
+		if !s.opts.Provenance || s.rel.fact(slot).Prov.Subsumes(prov) {
+			return false
+		}
+		mr, changed = mergeStored(s.rel, slot, prov, s.opts)
+	} else {
+		t := make(schema.Tuple, len(row))
+		copy(t, row)
+		mr = mergeAbsent(s.rel, h, t, prov, s.opts)
 	}
-	return !s.opts.Provenance || s.rel.fact(slot).Prov.Subsumes(prov)
-}
-
-// emit merges one head fact; t is freshly allocated and h is its Hash.
-func (s *mergeSink) emit(h uint64, t schema.Tuple, prov provenance.Poly) {
-	mr, changed := mergeHashed(s.rel, h, t, prov, s.opts)
 	if changed {
 		mr.pred = s.pred
 		s.absorb(mr)
 	}
+	return true
 }
 
 // EvalStats collects evaluation counters when installed via Options.Stats.
@@ -488,8 +493,8 @@ func applyActions(st *planStep, tu schema.Tuple, env []schema.Value) bool {
 }
 
 // emitRow instantiates the head over the environment into the reused
-// buffer, hashes it, and hands the row to the sink — giving the sink a
-// chance to veto it before the tuple is allocated.
+// buffer, hashes it, and hands the row to the sink, which allocates a tuple
+// only for a row its relation does not hold.
 func (p *pipeline) emitRow(prov provenance.Poly, sink *mergeSink) error {
 	pln := p.pln
 	if pln.headErr != nil {
@@ -524,15 +529,11 @@ func (p *pipeline) emitRow(prov provenance.Poly, sink *mergeSink) error {
 	if p.opts.ChaseSubsumption && out.HasLabeledNull() && subsumedByExisting(p.db.Rel(p.rule.Head.Pred), out) {
 		return nil
 	}
-	h := out.Hash()
-	if sink.skip(h, out, prov) {
+	if sink.emit(out.Hash(), out, prov) {
+		p.emitted++
+	} else {
 		p.suppressed++
-		return nil
 	}
-	p.emitted++
-	t := make(schema.Tuple, len(out))
-	copy(t, out)
-	sink.emit(h, t, prov)
 	return nil
 }
 

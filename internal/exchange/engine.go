@@ -218,9 +218,29 @@ func (e *Engine) ApplyAll(ctx context.Context, txns []*updates.Transaction) ([]*
 
 // applyOne translates one (already validated) transaction.
 func (e *Engine) applyOne(ctx context.Context, txn *updates.Transaction) (*Result, error) {
-	origin := txn.ID.Peer
-	var all []datalog.Change
 	depSet := map[updates.TxnID]bool{}
+	all, err := e.changeLog(ctx, txn, depSet)
+	if err != nil {
+		return nil, err
+	}
+	if e.owner != "" && txn.ID.Peer == e.owner {
+		return &Result{}, nil // the owner applied its own updates at commit
+	}
+	return e.collate(txn, all, depSet)
+}
+
+// changeLog applies one transaction to the union database and returns the
+// change log collate reads, adding to depSet the transactions a derived
+// deletion depends on. An owner's engine logs only the fresh and removed
+// facts of the owner's predicates, and nothing for the owner's own
+// transactions; an owner-less engine logs every change.
+func (e *Engine) changeLog(ctx context.Context, txn *updates.Transaction, depSet map[updates.TxnID]bool) ([]datalog.Change, error) {
+	origin := txn.ID.Peer
+	if e.owner != "" {
+		own := origin == e.owner
+		e.inc.LogOnly(func(pred string) bool { return !own && strings.HasPrefix(pred, e.ownerPrefix) })
+	}
+	var all []datalog.Change
 	// Consecutive insertions batch into one semi-naive propagation: a run
 	// of inserts seeds a single fixpoint instead of cascading per tuple.
 	// Runs break at deletions (and the delete half of a modification),
@@ -260,10 +280,7 @@ func (e *Engine) applyOne(ctx context.Context, txn *updates.Transaction) (*Resul
 		return nil, err
 	}
 	e.applied[txn.ID] = true
-	if e.owner != "" && origin == e.owner {
-		return &Result{}, nil // the owner applied its own updates at commit
-	}
-	return e.collate(txn, all, depSet)
+	return all, nil
 }
 
 // pendingInsert is one insertion awaiting batched propagation.
@@ -428,8 +445,9 @@ func compareQualifiedKeys(pa string, ta schema.Tuple, pb string, tb schema.Tuple
 }
 
 // collate turns raw changes into per-peer net updates, pairing same-key
-// delete/insert into modifications and dropping provenance-only changes,
-// and at an owner's engine every change outside the owner's schema.
+// delete/insert into modifications and dropping provenance-only changes
+// (an owner's engine never logs them, nor a change outside its owner's
+// schema).
 // Each inserted update carries the tuple's full stored annotation as of
 // this transaction — the complete witness set trust evaluation and
 // subscribers should see, not just the fixpoint's first-emission slice.
@@ -449,9 +467,6 @@ func (e *Engine) collate(txn *updates.Transaction, changes []datalog.Change, dep
 		c := &changes[i]
 		if !c.Fresh && !c.Removed {
 			continue // provenance-only growth or shrink
-		}
-		if e.owner != "" && !strings.HasPrefix(c.Pred, e.ownerPrefix) {
-			continue
 		}
 		k := c.Tuple.Hash()
 		var s *slot

@@ -25,7 +25,7 @@ func gcCPU() (gc, total float64) {
 // Engine.ApplyAll: every insertion propagates three mapping hops down the
 // chain.
 func BenchmarkApplyAllChain(b *testing.B) {
-	benchApplyAll(b, workload.Chain(4), 32, 4, 0)
+	benchApplyAllArms(b, workload.Chain(4), 32, 4, 0)
 }
 
 // BenchmarkApplyAllMesh translates bursts of 14 single-insert transactions
@@ -35,18 +35,32 @@ func BenchmarkApplyAllChain(b *testing.B) {
 // state an Insert keeps across calls must not make every later small one
 // pay for the large one.
 func BenchmarkApplyAllMesh(b *testing.B) {
-	benchApplyAll(b, workload.Mesh(3), 14, 1, 5000)
+	benchApplyAllArms(b, workload.Mesh(3), 14, 1, 5000)
 }
 
-// benchApplyAll feeds bursts of burst transactions of txnSize S insertions,
-// published at topo's first peer, through one engine's ApplyAll, after one
-// untimed transaction of bulk insertions at its second peer when bulk > 0.
-// It reports
-// beside time and allocation the garbage collector's share of the CPU
-// capacity over the timed loop (gc-cpu-frac, from runtime/metrics; a run too
-// short for a GC cycle can read 0).
-func benchApplyAll(b *testing.B, topo *workload.Topology, burst, txnSize, bulk int) {
-	e, err := NewEngineWith(topo.Peers, topo.Mappings, Config{})
+// benchApplyAllArms runs benchApplyAll on two engines: an owner-less one,
+// which collates every peer's updates as the benchmark replay and the
+// oracles do, and the engine a peer runs, owned by topo's last peer, which
+// reads the published updates and logs only its own.
+func benchApplyAllArms(b *testing.B, topo *workload.Topology, burst, txnSize, bulk int) {
+	for _, arm := range []struct{ name, owner string }{
+		{"ownerless", ""},
+		{"owner", topo.Names[len(topo.Names)-1]},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			benchApplyAll(b, topo, Config{Owner: arm.owner}, burst, txnSize, bulk)
+		})
+	}
+}
+
+// benchApplyAll feeds bursts of burst transactions of txnSize insertions,
+// published at topo's first peer, through the ApplyAll of one engine built
+// with cfg, after one untimed transaction of bulk insertions at its second
+// peer when bulk > 0. It reports beside time and allocation the garbage
+// collector's share of the CPU capacity over the timed loop (gc-cpu-frac,
+// from runtime/metrics; a run too short for a GC cycle can read 0).
+func benchApplyAll(b *testing.B, topo *workload.Topology, cfg Config, burst, txnSize, bulk int) {
+	e, err := NewEngineWith(topo.Peers, topo.Mappings, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

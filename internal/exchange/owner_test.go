@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
+	"orchestra/internal/datalog"
 	"orchestra/internal/mapping"
 	"orchestra/internal/schema"
 	"orchestra/internal/updates"
@@ -128,6 +130,102 @@ func checkOwnerEquivalence(t *testing.T, label string, topo *workload.Topology, 
 		unionDBsEqual(t, label+" at "+topo.Names[k], ref, e)
 	}
 	return derivedDeletes, skolemUpdates
+}
+
+// An owner's engine logs only what collate reads at the owner: for the
+// owner's own transactions nothing, and for every other transaction the
+// owner-less engine's change log filtered to the fresh and removed facts of
+// the owner's predicates, in the same order. The random histories insert,
+// delete published tuples (DeleteBase), delete derived ones (Affected) and
+// modify, on the Chain, Mesh and ChainJoinSplit topologies.
+func TestOwnerChangeLog(t *testing.T) {
+	ctx := context.Background()
+	ops := map[string]int{}
+	for _, tc := range []struct {
+		name string
+		topo *workload.Topology
+	}{
+		{"chain", workload.Chain(3)},
+		{"mesh", workload.Mesh(3)},
+		{"chainjoinsplit", workload.ChainJoinSplit(4)},
+	} {
+		for trial := range 3 {
+			label := fmt.Sprintf("%s trial %d", tc.name, trial)
+			topo := tc.topo
+			newEngine := func(owner string) *Engine {
+				e, err := NewEngineWith(topo.Peers, topo.Mappings, Config{Owner: owner})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			ref := newEngine("")
+			owned := make([]*Engine, len(topo.Names))
+			for i, n := range topo.Names {
+				owned[i] = newEngine(n)
+			}
+			rng := rand.New(rand.NewSource(int64(trial + 1)))
+			seqs := map[string]uint64{}
+			for i := range 24 {
+				peer := topo.Names[rng.Intn(len(topo.Names))]
+				seqs[peer]++
+				tx := &updates.Transaction{ID: updates.TxnID{Peer: peer, Seq: seqs[peer]}}
+				for j := range 1 + rng.Intn(3) {
+					u, derived := randomUpdate(rng, ref, peer, topo.Peers[peer], fmt.Sprintf("%d_%d", i, j))
+					switch {
+					case u.Op == updates.OpInsert:
+						ops["insert"]++
+					case u.Op == updates.OpModify:
+						ops["modify"]++
+					case derived:
+						ops["derived delete"]++
+					default:
+						ops["published delete"]++
+					}
+					tx.Updates = append(tx.Updates, u)
+				}
+				full, err := ref.changeLog(ctx, tx, map[updates.TxnID]bool{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, e := range owned {
+					owner := topo.Names[k]
+					got, err := e.changeLog(ctx, tx, map[updates.TxnID]bool{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want []datalog.Change
+					if owner != peer {
+						for _, c := range full {
+							if (c.Fresh || c.Removed) && strings.HasPrefix(c.Pred, owner+".") {
+								want = append(want, c)
+							}
+						}
+					}
+					changesEqual(t, fmt.Sprintf("%s: %s at %s", label, tx.ID, owner), want, got)
+				}
+			}
+		}
+	}
+	for _, op := range []string{"insert", "modify", "published delete", "derived delete"} {
+		if ops[op] == 0 {
+			t.Errorf("the histories drew no %s: %v", op, ops)
+		}
+	}
+}
+
+// changesEqual asserts two change logs are equal entry by entry.
+func changesEqual(t *testing.T, label string, want, got []datalog.Change) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d changes, want %d\n want=%v\n got=%v", label, len(got), len(want), want, got)
+	}
+	for i, w := range want {
+		g := got[i]
+		if w.Pred != g.Pred || !w.Tuple.Equal(g.Tuple) || !w.Prov.Equal(g.Prov) || w.Fresh != g.Fresh || w.Removed != g.Removed {
+			t.Fatalf("%s: change %d = %+v, want %+v", label, i, g, w)
+		}
+	}
 }
 
 // randomUpdate draws one update at peer: a fresh insert, or a re-publish,

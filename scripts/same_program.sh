@@ -11,6 +11,9 @@
 # lsm.wal_bytes, exchange.state_bytes and core.checkpoint_bytes. It names
 # every difference and exits non-zero if there is one, or if a run fails
 # its own verification. A change that moves them on purpose says so.
+# Beside them it prints both sides' traced evaluator work counters
+# (datalog.probes_per_op, candidates_per_emit, suppressed_frac and
+# rounds_per_op), for information only: they get no verdict.
 #
 #   BASE=HEAD~1 ./scripts/same_program.sh
 #   BASE=HEAD~1 WORKLOADS=query-point ./scripts/same_program.sh
@@ -34,7 +37,7 @@ git worktree add --detach "$tmp/base" "$base_sha" >/dev/null
 
 # run SIDE DIR W writes the compared facts of one traced run to
 # $tmp/W.SIDE, one "name: value" line each; a run that exits non-zero
-# records its exit status too.
+# records its exit status too. The work counters go to $tmp/W.SIDE.work.
 run() {
     local side="$1" dir="$2" w="$3" log="$tmp/$3.$1.log" status=0
     echo "same_program: $w: $side" >&2
@@ -46,9 +49,17 @@ run() {
         echo "final state: $(grep -m 1 '^final state' "$log" | sed 's/^final state ([^)]*): //')"
         echo "failed: $(grep -o '"failed":[0-9]*' <<<"$last" | cut -d: -f2)"
         for m in lsm.wal_bytes exchange.state_bytes core.checkpoint_bytes; do
-            echo "$m: $(grep -o "\"$m\":{\"value\":[-+0-9.eE]*" <<<"$last" | sed 's/.*://')"
+            echo "$m: $(metric "$m" "$last")"
         done
     } > "$tmp/$w.$side"
+    for m in probes_per_op candidates_per_emit suppressed_frac rounds_per_op; do
+        echo "datalog.$m: $(metric "datalog.$m" "$last")"
+    done > "$tmp/$w.$side.work"
+}
+
+# metric NAME LINE prints NAME's value in a run's final metrics line.
+metric() {
+    grep -o "\"$1\":{\"value\":[-+0-9.eE]*" <<<"$2" | sed 's/.*://'
 }
 
 bad=0
@@ -73,6 +84,9 @@ for w in $workloads; do
     else
         bad=1
     fi
+    while IFS= read -r b && IFS= read -r t <&3; do
+        echo "same_program: $w: ${b%%: *}: base ${b#*: }, tree ${t#*: }"
+    done < "$tmp/$w.base.work" 3< "$tmp/$w.tree.work"
 done
 if [ "$bad" -ne 0 ]; then
     echo "same_program: FAILED against $base_sha"
