@@ -15,10 +15,9 @@ import (
 
 // Answer is one query result: the selected values plus the provenance
 // polynomial combining the provenance of every tuple joined to produce it.
-type Answer struct {
-	Tuple schema.Tuple
-	Prov  provenance.Poly
-}
+// It is the evaluator's fact type, so the answers evaluation returns reach
+// the caller without a copy.
+type Answer = datalog.Fact
 
 // QueryMode selects the evaluation strategy for a goal query.
 type QueryMode uint8
@@ -63,13 +62,15 @@ type GoalQuery struct {
 //
 // The evaluator reads the instance's own extents through an O(#relations)
 // copy-on-write snapshot (storage.Instance.EDB), returned to the instance
-// when the query is done — queries never copy table rows, the fixpoint only
-// clones the extents it derives into, and a write between two queries keeps
-// the indexes the first one built. Under the default GoalDirected mode the
-// program is magic-rewritten for the goal's binding pattern, so selective
-// queries touch only the data their bindings can reach; the rewrite, its
-// validation and its plans are kept per query shape (see evalShape), and a
-// later query of the shape only seeds the goal's constants.
+// when the query is done — queries never copy table rows, and a write
+// between two queries keeps the indexes the first one built. Under the
+// default GoalDirected mode the program is magic-rewritten for the goal's
+// binding pattern, so selective queries touch only the data their bindings
+// can reach; the rewrite, its validation and its plans are kept per query
+// shape (see evalShape), and a later query of the shape only seeds the
+// goal's constants and derives into the extents the shape's last query
+// left emptied (magic.Prepared.Eval). The answers are the evaluation's own
+// slice, handed over without a copy.
 //
 // Answers list one tuple per binding of the goal's distinct free variables
 // (first-occurrence order), in deterministic order, annotated with exactly
@@ -88,8 +89,8 @@ func (p *Peer) QueryGoal(ctx context.Context, q GoalQuery) ([]Answer, error) {
 	p.obsv.queries.Inc()
 	defer p.obsv.observeRounds(p.obsv.roundsNow())
 	// The peer mutex serializes this evaluation against the peer's own
-	// writes, and the answers below are copied out of the evaluator's
-	// extents, so the borrowed EDB is dead when QueryGoal returns.
+	// writes, and the answers hold no extent of the evaluation, so the
+	// borrowed EDB is dead when QueryGoal returns.
 	edb, release := p.local.EDB()
 	defer release()
 	opts := datalog.Options{
@@ -101,20 +102,18 @@ func (p *Peer) QueryGoal(ctx context.Context, q GoalQuery) ([]Answer, error) {
 		// System.Metrics() reflects query work without callers wiring a struct.
 		opts.Stats = p.obsv.stats
 	}
-	var facts []datalog.Fact
+	var out []Answer
 	var err error
 	if q.Mode == FullFixpoint {
-		facts, err = magic.EvalGoalFull(ctx, q.Rules, q.Goal, edb, opts)
+		out, err = magic.EvalGoalFull(ctx, q.Rules, q.Goal, edb, opts)
 	} else {
-		facts, err = p.evalShape(ctx, q, edb, opts)
+		out, err = p.evalShape(ctx, q, edb, opts)
 	}
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Answer, len(facts))
-	for i, f := range facts {
-		out[i] = Answer{Tuple: f.Tuple, Prov: f.Prov}
-		if q.NoProvenance {
+	if q.NoProvenance {
+		for i := range out {
 			out[i].Prov = provenance.Poly{}
 		}
 	}

@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"cmp"
+	"iter"
 	"maps"
 	"slices"
 	"sort"
@@ -133,11 +134,15 @@ func (r *Rel) insert(h uint64, t schema.Tuple, p provenance.Poly) uint32 {
 		s = uint32(len(r.meta))
 		c := int(s / relChunkSize)
 		if c == len(r.chunks) {
-			n := relChunkSize
-			if c == 0 {
-				n = 1 // the first chunk doubles from one fact
+			if c < cap(r.chunks) && cap(r.chunks[:c+1][c]) > 0 {
+				r.chunks = r.chunks[:c+1] // a chunk kept by reset
+			} else {
+				n := relChunkSize
+				if c == 0 {
+					n = 1 // the first chunk doubles from one fact
+				}
+				r.chunks = append(r.chunks, make([]Fact, 0, n))
 			}
-			r.chunks = append(r.chunks, make([]Fact, 0, n))
 		}
 		ch := r.chunks[c]
 		if len(ch) == cap(ch) { // only the first chunk fills before relChunkSize
@@ -218,6 +223,51 @@ func (r *Rel) remove(s uint32) {
 	r.meta[s] = slotMeta{}
 	r.free = append(r.free, s)
 	r.n--
+}
+
+// reset empties the extent and keeps its capacity — chunks, slot metadata,
+// hash table and built indexes — for the workspace that owns it (see
+// workspace). It costs the slots used since the last reset, never the
+// capacity: those fact slots are cleared, so the extent pins no tuple or
+// annotation, and the keys their facts put in the hash table and in every
+// index's chains are deleted one by one, because clearing a Go map costs
+// its capacity, which never shrinks.
+func (r *Rel) reset() {
+	for s := range r.meta {
+		m := &r.meta[s]
+		if m.seq == 0 {
+			continue // freed: already out of the table and the chains
+		}
+		delete(r.table, m.hash)
+		t := r.fact(uint32(s)).Tuple
+		for _, ci := range r.idx.byCols {
+			if len(t) >= ci.minArity {
+				delete(ci.chains, projHash(t, ci.cols))
+			}
+		}
+	}
+	for i := range r.chunks {
+		clear(r.chunks[i])
+		r.chunks[i] = r.chunks[i][:0]
+	}
+	r.chunks = r.chunks[:0]
+	r.meta = r.meta[:0]
+	r.free = r.free[:0]
+	r.clock, r.reused, r.n = 0, false, 0
+	for _, ci := range r.idx.byCols {
+		ci.next, ci.prev = ci.next[:0], ci.prev[:0]
+	}
+}
+
+// All yields the live facts in slot order, without copying the extent.
+func (r *Rel) All() iter.Seq[Fact] {
+	return func(yield func(Fact) bool) {
+		for s := range r.meta {
+			if r.meta[s].seq != 0 && !yield(*r.fact(uint32(s))) {
+				return
+			}
+		}
+	}
 }
 
 // live reports whether slot s holds a fact.

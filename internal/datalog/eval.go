@@ -67,13 +67,17 @@ func EvalCtx(ctx context.Context, p *Program, edb *DB, opts Options) (*DB, error
 // its stratum, as an Eval of the program alone would build it, and reused
 // while the relation sizes it broke ties by still order the same way (see
 // planTie); otherwise it is rebuilt. A Prepared is safe for concurrent
-// Evals and holds no database state.
+// evaluations. It holds no fact: between evaluations it keeps at most one
+// idle workspace for EvalScoped, which holds capacity only.
 type Prepared struct {
 	prog   *Program
 	strata []preparedStratum
 	// replans counts rules re-planned because a size tie came out
 	// differently.
 	replans atomic.Int64
+	// ws is the idle workspace, nil while an EvalScoped holds it (or
+	// before the first one).
+	ws atomic.Pointer[workspace]
 
 	mu sync.Mutex // guards each stratum's plans
 }
@@ -135,18 +139,157 @@ func (pp *Prepared) Eval(ctx context.Context, edb *DB, opts Options) (*DB, error
 	// caller's EDB is untouched, and only relations evaluation actually
 	// mutates (head predicates) are ever copied.
 	result := edb.Snapshot()
-	ensurePreds(pp.prog, result)
 	var sc stratumScratch
-	for si := range pp.strata {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		st := &pp.strata[si]
-		if err := evalStratum(ctx, st.rules, pp.plansAt(si, result), st.need, result, opts, &sc, nil); err != nil {
-			return nil, err
-		}
+	if err := pp.evalStrata(ctx, result, opts, &sc); err != nil {
+		return nil, err
 	}
 	return result, nil
+}
+
+// EvalScoped evaluates the prepared program as Eval does, over edb plus
+// one seed fact of seedPred annotated 1 (none when seedPred is empty), and
+// hands the result to read. The result lives only until read returns:
+// read must keep no database, extent, fact or tuple of it (annotations
+// are immutable and may be kept). In exchange the evaluation runs in the
+// Prepared's workspace and reuses the capacity of the last successful
+// one's derived extents and scratch. edb is never modified, and must not
+// be modified before EvalScoped returns. Concurrent calls are safe: the
+// workspace is taken by an atomic swap, so a call that finds it taken
+// builds its own. A workspace goes back only after read has run, so one
+// that a failed or cancelled evaluation left half-filled is dropped.
+func (pp *Prepared) EvalScoped(ctx context.Context, edb *DB, seedPred string, seed schema.Tuple, opts Options, read func(*DB)) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	ws := pp.ws.Swap(nil)
+	if ws == nil {
+		ws = &workspace{db: NewDB()}
+		ws.sc.arena = &ws.arena
+	}
+	db := ws.view(edb)
+	if seedPred != "" {
+		t := ws.arena.tuple(len(seed))
+		copy(t, seed)
+		db.Set(seedPred, t, provenance.One())
+	}
+	if err := pp.evalStrata(ctx, db, opts, &ws.sc); err != nil {
+		return err
+	}
+	read(db)
+	ws.reset()
+	pp.ws.Store(ws)
+	return nil
+}
+
+// evalStrata runs every stratum to fixpoint over db, in place.
+func (pp *Prepared) evalStrata(ctx context.Context, db *DB, opts Options, sc *stratumScratch) error {
+	ensurePreds(pp.prog, db)
+	for si := range pp.strata {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		st := &pp.strata[si]
+		if err := evalStratum(ctx, st.rules, pp.plansAt(si, db), st.need, db, opts, sc, nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// workspace is what EvalScoped evaluates in, kept by its Prepared for the
+// next scoped evaluation: a database whose map and derived extents keep
+// their capacity, the stratum scratch, and the arena the derived tuples
+// are carved from. Between evaluations it holds no fact, no value, and
+// nothing of any EDB.
+//
+// The database is a view, not a snapshot: for one evaluation its map holds
+// the EDB's extents beside the workspace's own, and the EDB keeps its
+// ownership. That is sound because the view dies before EvalScoped
+// returns, and the EDB is not written meanwhile. The view's ownership never
+// changes, so its own extents stay stamped with it and merge in place,
+// while an EDB extent it writes is copied on write as in any snapshot.
+type workspace struct {
+	db    *DB
+	sc    stratumScratch
+	arena valueArena
+}
+
+// view lends edb's extents to the workspace's database for one
+// evaluation; an EDB extent shadows a kept one of the same predicate.
+func (ws *workspace) view(edb *DB) *DB {
+	for p, r := range edb.rels {
+		ws.db.rels[p] = r
+	}
+	return ws.db
+}
+
+// reset ends an evaluation: it hands back the lent EDB extents, empties
+// the workspace's own in O(facts the evaluation derived) (see Rel.reset),
+// and drops the values the pipeline buffers still hold. Ranging over the
+// map costs its capacity, which the program's and the EDB's predicates
+// bound. The stratum's deltas and job list are empty already: evalStratum
+// leaves them so when it succeeds.
+func (ws *workspace) reset() {
+	own := ws.db.owner.Load()
+	for p, r := range ws.db.rels {
+		if r.owner != own {
+			delete(ws.db.rels, p)
+			continue
+		}
+		r.reset()
+	}
+	ws.sc.pipe.reset()
+	ws.arena.reset()
+}
+
+// valueArena carves tuples from arrays of values that it keeps across
+// scoped evaluations, so a warm evaluation allocates no tuple of its own.
+// Each new array is at least twice the one before, so the arrays hold at
+// most twice the values an evaluation used. A tuple it hands out is valid
+// until reset, which clears the values used since the last reset and
+// nothing else. A nil arena allocates every tuple.
+type valueArena struct {
+	chunks [][]schema.Value
+	used   int // chunks handed out from since the last reset
+}
+
+// tuple returns a zeroed tuple of n values.
+func (a *valueArena) tuple(n int) schema.Tuple {
+	if a == nil {
+		return make(schema.Tuple, n)
+	}
+	if a.used > 0 {
+		if c := a.chunks[a.used-1]; cap(c)-len(c) >= n {
+			a.chunks[a.used-1] = c[:len(c)+n]
+			return c[len(c) : len(c)+n : len(c)+n]
+		}
+	}
+	if a.used == len(a.chunks) || cap(a.chunks[a.used]) < n {
+		size := n
+		if a.used > 0 {
+			size = max(n, 2*cap(a.chunks[a.used-1]))
+		}
+		c := make([]schema.Value, 0, size)
+		if a.used == len(a.chunks) {
+			a.chunks = append(a.chunks, c)
+		} else {
+			a.chunks[a.used] = c
+		}
+	}
+	c := a.chunks[a.used][:n]
+	a.chunks[a.used] = c
+	a.used++
+	return c[:n:n]
+}
+
+// reset clears the values handed out since the last reset and keeps the
+// arrays.
+func (a *valueArena) reset() {
+	for i := range a.chunks[:a.used] {
+		clear(a.chunks[i])
+		a.chunks[i] = a.chunks[i][:0]
+	}
+	a.used = 0
 }
 
 // plansAt returns stratum si's plans for db as it stands at the stratum's
@@ -294,6 +437,9 @@ type stratumScratch struct {
 	delta, lists pendingDelta
 	jobs         []job
 	pipe         pipeScratch
+	// arena, when set, holds the tuples the sink stores: only a scoped
+	// evaluation's, whose extents are emptied when it ends (workspace).
+	arena *valueArena
 }
 
 // deltaJobs makes the pending delta the lists and fills sc.jobs with one
@@ -341,14 +487,7 @@ func evalStratum(ctx context.Context, rules []Rule, plans []rulePlans, need map[
 	if maxIter <= 0 {
 		maxIter = DefaultMaxIterations
 	}
-	sink := mergeSink{opts: opts, absorb: func(mr mergeResult) {
-		if observe != nil {
-			observe(mr)
-		}
-		if need[mr.pred] {
-			sc.delta.add(mr)
-		}
-	}}
+	sink := mergeSink{opts: opts, need: need, delta: &sc.delta, observe: observe, arena: sc.arena}
 	clear(sc.jobs)
 	sc.jobs = slices.Grow(sc.jobs[:0], len(rules))
 	if sc.delta.empty() {

@@ -118,12 +118,14 @@ func TestMixedArityLookup(t *testing.T) {
 }
 
 // FuzzRelOps drives an extent with put / remove / Get / Contains /
-// Lookup / snapshot-then-mutate operations decoded from the input, and
-// checks each against a naive model: a slice of facts in insertion order.
+// Lookup / snapshot-then-mutate / reset operations decoded from the input,
+// and checks each against a naive model: a slice of facts in insertion
+// order.
 func FuzzRelOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 3, 4, 4, 0, 1, 2, 1, 3, 3, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 0, 2, 5, 0, 3, 1, 0, 0, 4, 0, 1, 6, 0, 0})
 	f.Add([]byte{0, 9, 9, 0, 9, 8, 5, 1, 0, 9, 9, 4, 9, 0, 0, 7, 7, 6, 2})
+	f.Add([]byte{0, 1, 2, 0, 1, 3, 4, 1, 2, 2, 1, 2, 7, 0, 0, 0, 1, 3, 5, 1, 3, 0, 2, 2, 4, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		type mfact struct {
 			tuple schema.Tuple
@@ -150,7 +152,7 @@ func FuzzRelOps(f *testing.F) {
 			return pairTuple(int64(a%4), int64(b%5))
 		}
 		for i := 0; i+2 < len(ops); i += 3 {
-			op, tu := ops[i]%7, tupleAt(ops[i+1], ops[i+2])
+			op, tu := ops[i]%8, tupleAt(ops[i+1], ops[i+2])
 			switch op {
 			case 0, 1: // put, annotated with a token per operation
 				p := provenance.NewVar(provenance.Var(fmt.Sprintf("t%d", i)))
@@ -192,6 +194,11 @@ func FuzzRelOps(f *testing.F) {
 			case 6: // snapshot; the frozen side must not move from here on
 				frozen = db.Snapshot()
 				frozenModel = append([]mfact(nil), model...)
+			case 7: // reset, as a workspace empties an extent only it holds
+				if frozen == nil {
+					db.MutableRel("R").reset()
+					model = nil
+				}
 			}
 			if db.Rel("R").Len() != len(model) {
 				t.Fatalf("op %d: Len = %d, model %d", i, db.Rel("R").Len(), len(model))

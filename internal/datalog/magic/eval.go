@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"orchestra/internal/datalog"
-	"orchestra/internal/provenance"
 	"orchestra/internal/schema"
 )
 
@@ -46,8 +45,10 @@ func AnswerRule(goal datalog.Atom) datalog.Rule {
 // needs but its constants — the magic rewrite, validation, stratification
 // and the plans — is done once; Eval then seeds the demand predicate with
 // one goal's constants, runs the kept plans, and reads the answers from the
-// adorned goal's extent. A Prepared holds no database state and is safe for
-// concurrent Evals.
+// adorned goal's extent. A Prepared is safe for concurrent Evals. Between
+// them it keeps one evaluation workspace (datalog.Prepared.EvalScoped),
+// which holds the capacity of the last query's derived extents and
+// scratch, never a fact.
 type Prepared struct {
 	prog *datalog.Prepared
 	// seedPred is the demand predicate the constants seed; empty when the
@@ -162,51 +163,86 @@ func (p *Prepared) GoalDirected() bool { return p.seedPred != "" }
 func (p *Prepared) Replans() int64 { return p.prog.Replans() }
 
 // Eval answers goal, which must have the shape p was prepared for, over
-// edb. edb is never modified (the seed is planted in a copy-on-write
-// snapshot). The returned facts are the goal's answers — one per binding
+// edb, which is never modified and must not be modified before Eval
+// returns. The returned facts are the goal's answers — one per binding
 // of the goal's distinct free variables, in first-occurrence order and in
 // tuple order — annotated with exactly the provenance polynomials full
 // evaluation computes: each is an adorned (or, in the fallback, a full)
 // fact of the goal predicate that agrees with the goal's constants and
 // repeated variables, projected onto the free positions. The projection
 // merges no two facts, since they agree everywhere else.
+//
+// Only the answers leave the evaluation, so it runs scoped
+// (datalog.Prepared.EvalScoped): the seed is planted in the evaluation's
+// own view of edb, a warm query reuses the derived extents and scratch of
+// the last query of its shape, and the answers are read off the answer
+// extent into one backing array of values. They are the caller's.
 func (p *Prepared) Eval(ctx context.Context, goal datalog.Atom, edb *datalog.DB, opts datalog.Options) ([]datalog.Fact, error) {
 	if len(goal.Terms) != p.arity {
 		return nil, fmt.Errorf("magic: goal %v does not have the prepared shape", goal)
 	}
-	consts := make(schema.Tuple, len(p.bound))
-	for i, pos := range p.bound {
-		consts[i] = goal.Terms[pos].Value
+	var buf [4]schema.Value // EvalScoped copies the seed
+	consts := schema.Tuple(buf[:0])
+	for _, pos := range p.bound {
+		consts = append(consts, goal.Terms[pos].Value)
 	}
-	db := edb
-	if p.seedPred != "" {
-		db = edb.Snapshot()
-		db.Set(p.seedPred, consts, provenance.One())
-	}
-	out, err := p.prog.Eval(ctx, db, opts)
+	var answers []datalog.Fact
+	err := p.prog.EvalScoped(ctx, edb, p.seedPred, consts, opts, func(db *datalog.DB) {
+		answers = p.answers(db.Rel(p.answerPred), consts)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("magic: goal evaluation: %w", err)
 	}
-	cands := out.Rel(p.answerPred).Lookup(p.bound, consts)
-	answers := make([]datalog.Fact, 0, len(cands))
-next:
-	for _, f := range cands {
-		if len(f.Tuple) != p.arity {
+	return answers, nil
+}
+
+// answers scans the answer extent for the facts that agree with consts at
+// the bound positions and whose repeated variables agree with their first
+// occurrence, and projects them onto the free positions: one pass counts
+// them, so every answer tuple is carved from one array of values, and a
+// second fills it. They are sorted in tuple order.
+func (p *Prepared) answers(rel *datalog.Rel, consts schema.Tuple) []datalog.Fact {
+	n := 0
+	for f := range rel.All() {
+		if p.matches(f.Tuple, consts) {
+			n++
+		}
+	}
+	w := len(p.free)
+	vals := make([]schema.Value, n*w)
+	answers := make([]datalog.Fact, 0, n)
+	for f := range rel.All() {
+		if !p.matches(f.Tuple, consts) {
 			continue
 		}
-		for _, rp := range p.repeats {
-			if !f.Tuple[rp[0]].Equal(f.Tuple[rp[1]]) {
-				continue next
-			}
-		}
-		tu := make(schema.Tuple, len(p.free))
+		tu := vals[:w:w]
+		vals = vals[w:]
 		for i, pos := range p.free {
 			tu[i] = f.Tuple[pos]
 		}
 		answers = append(answers, datalog.Fact{Tuple: tu, Prov: f.Prov})
 	}
 	slices.SortFunc(answers, func(a, b datalog.Fact) int { return a.Tuple.Compare(b.Tuple) })
-	return answers, nil
+	return answers
+}
+
+// matches reports whether a fact of the answer extent answers the goal
+// whose constants are consts.
+func (p *Prepared) matches(t, consts schema.Tuple) bool {
+	if len(t) != p.arity {
+		return false
+	}
+	for i, pos := range p.bound {
+		if !t[pos].Equal(consts[i]) {
+			return false
+		}
+	}
+	for _, rp := range p.repeats {
+		if !t[rp[0]].Equal(t[rp[1]]) {
+			return false
+		}
+	}
+	return true
 }
 
 // EvalGoal evaluates the goal atom over edb, under the given view rules,

@@ -44,13 +44,16 @@ const deltaHashMin = 16
 
 // mergeSink merges every head fact a pipeline emits into the live head
 // relation as soon as it is derived, so a later rule of the same round sees
-// facts merged by an earlier one. It reports each effective change through
-// absorb.
+// facts merged by an earlier one. It adds each effective change of a
+// predicate in need to delta, and shows every one to observe, when set.
 type mergeSink struct {
-	rel    *Rel
-	pred   string
-	opts   Options
-	absorb func(mergeResult)
+	rel     *Rel
+	pred    string
+	opts    Options
+	need    map[string]bool
+	delta   *pendingDelta
+	observe func(mergeResult)
+	arena   *valueArena // where absent rows are copied to; nil allocates
 }
 
 // emit merges one head row, whose hash is h, looking it up once. A stored
@@ -68,13 +71,18 @@ func (s *mergeSink) emit(h uint64, row schema.Tuple, prov provenance.Poly) bool 
 		}
 		mr, changed = mergeStored(s.rel, slot, prov, s.opts)
 	} else {
-		t := make(schema.Tuple, len(row))
+		t := s.arena.tuple(len(row))
 		copy(t, row)
 		mr = mergeAbsent(s.rel, h, t, prov, s.opts)
 	}
 	if changed {
 		mr.pred = s.pred
-		s.absorb(mr)
+		if s.observe != nil {
+			s.observe(mr)
+		}
+		if s.need[mr.pred] {
+			s.delta.add(mr)
+		}
 	}
 	return true
 }
@@ -181,6 +189,16 @@ type pipeScratch struct {
 	keyBuf  []byte
 	tupBuf  schema.Tuple
 	headBuf schema.Tuple
+}
+
+// reset drops what the last firing left in the buffers — values, relation
+// and annotation references — keeping their capacity, which the largest
+// plan that used them bounds.
+func (sc *pipeScratch) reset() {
+	clear(sc.env[:cap(sc.env)])
+	clear(sc.cur[:cap(sc.cur)])
+	clear(sc.tupBuf[:cap(sc.tupBuf)])
+	clear(sc.headBuf[:cap(sc.headBuf)])
 }
 
 // fireRuleStream enumerates all satisfying assignments of the rule body as

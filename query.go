@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"strconv"
 
 	"orchestra/internal/core"
 	"orchestra/internal/datalog"
@@ -164,7 +165,7 @@ func (q *Query) Rule(pred string, vars []string, body ...QueryLiteral) *Query {
 		lits[i] = b.lit
 	}
 	q.gq.Rules = append(q.gq.Rules, datalog.Rule{
-		ID:   fmt.Sprintf("%s/%d", pred, len(q.gq.Rules)),
+		ID:   pred + "/" + strconv.Itoa(len(q.gq.Rules)),
 		Head: datalog.Head{Pred: pred, Terms: head},
 		Body: lits,
 	})
@@ -197,17 +198,9 @@ func (q *Query) Stats(s *EvalStats) *Query {
 // query against the then-current instance.
 func (q *Query) Stream() iter.Seq2[Answer, error] {
 	return func(yield func(Answer, error) bool) {
-		if q.err != nil {
-			yield(Answer{}, &taggedError{sentinel: ErrInvalidQuery, err: q.err})
-			return
-		}
-		if q.peer.sys.ctx.Err() != nil {
-			yield(Answer{}, ErrClosed)
-			return
-		}
-		answers, err := q.peer.core.QueryGoal(q.ctx, q.gq)
+		answers, err := q.All()
 		if err != nil {
-			yield(Answer{}, wrapErr(err))
+			yield(Answer{}, err)
 			return
 		}
 		for _, a := range answers {
@@ -218,14 +211,19 @@ func (q *Query) Stream() iter.Seq2[Answer, error] {
 	}
 }
 
-// All evaluates the query and collects every answer.
+// All evaluates the query and returns every answer, in Stream's order
+// and with its errors. The slice is the evaluation's own; it is the
+// caller's to keep.
 func (q *Query) All() ([]Answer, error) {
-	var out []Answer
-	for a, err := range q.Stream() {
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
+	if q.err != nil {
+		return nil, &taggedError{sentinel: ErrInvalidQuery, err: q.err}
 	}
-	return out, nil
+	if q.peer.sys.ctx.Err() != nil {
+		return nil, ErrClosed
+	}
+	answers, err := q.peer.core.QueryGoal(q.ctx, q.gq)
+	if err != nil {
+		return nil, wrapErr(err)
+	}
+	return answers, nil
 }
