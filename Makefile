@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt fmt-check lint vuln series-check fuzz-smoke bench-build bench-e2e bench-pairs same-program bench-smoke bench-overhead endpoint-smoke examples-check recovery-check recovery-scaling reconcile-scaling ci
+.PHONY: build test race vet fmt fmt-check lint vuln series-check fuzz-check fuzz-smoke bench-build bench-e2e bench-pairs same-program bench-smoke bench-overhead endpoint-smoke examples-check recovery-check recovery-scaling reconcile-scaling ci
 
 ## build: compile every package
 build:
@@ -57,13 +57,18 @@ vuln:
 series-check:
 	./scripts/check_series_docs.sh
 
+## fuzz-check: every native fuzz target in a _test.go file has its line in
+## fuzz-smoke below, and every line there names a target that exists
+fuzz-check:
+	./scripts/check_fuzz_smoke.sh
+
 ## fuzz-smoke: each native fuzz target for FUZZTIME — tuple keys
 ## (internal/schema), the durable transaction codec, byte for byte
 ## (internal/updates), JSON wire transactions and binary
 ## store-server request frames (internal/p2p), DB snapshots and extent
 ## operations against a naive model (internal/datalog),
-## engine snapshots (internal/exchange), the peer's engine blob and its
-## checkpoint-row annotations (internal/core), the witness-set merge
+## engine snapshots (internal/exchange), the peer's engine blob and the
+## annotations of the transactions it holds (internal/core), the witness-set merge
 ## kernel against its set definition (internal/provenance), the
 ## order-preserving tuple key codec, WAL batch payloads, whole SSTables
 ## and the MANIFEST (internal/lsm), and the rule parser the REPL's query
@@ -203,4 +208,4 @@ examples-check:
 ## ci: everything the CI workflow runs, in one command (lint and vuln are
 ## separate because they need tools on PATH; run `make lint vuln` too when
 ## you have them installed)
-ci: build vet fmt-check series-check race fuzz-smoke bench-build bench-smoke bench-overhead recovery-check recovery-scaling reconcile-scaling examples-check endpoint-smoke
+ci: build vet fmt-check series-check fuzz-check race fuzz-smoke bench-build bench-smoke bench-overhead recovery-check recovery-scaling reconcile-scaling examples-check endpoint-smoke

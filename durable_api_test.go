@@ -197,7 +197,7 @@ func TestCheckpointOnDemandAndOnMemorySystems(t *testing.T) {
 
 // The steady state of the durable tier is on the debug endpoint: what the
 // memtable holds, how many frozen memtables, WAL segments and tables there
-// are, and how many checkpoint rows and engine blobs have been written.
+// are, and how many images (engine blobs) have been written.
 func TestDurableSteadyStateSeriesOnDebugEndpoint(t *testing.T) {
 	ctx := context.Background()
 	sys, err := orchestra.Open(geneSchema(t), orchestra.WithDurableDir(t.TempDir()))
@@ -212,7 +212,7 @@ func TestDurableSteadyStateSeriesOnDebugEndpoint(t *testing.T) {
 	if _, err := alice.Begin().Insert("Gene", gene("BRCA1", 17)).Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := alice.Publish(ctx); err != nil { // the ride-along checkpoint writes the row and the first blob
+	if _, err := alice.Publish(ctx); err != nil { // the ride-along checkpoint writes the first image
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(sys.DebugHandler())
@@ -234,7 +234,7 @@ func TestDurableSteadyStateSeriesOnDebugEndpoint(t *testing.T) {
 	if m.Gauges["lsm_memtable_bytes"] == 0 || m.Gauges["lsm_wal_segments"] != 1 || m.Gauges["lsm_frozen_memtables"] != 0 {
 		t.Errorf("steady-state gauges after one publish: %v", m.Gauges)
 	}
-	if m.Counters["core_checkpoint_rows_written_total"] != 1 || m.Counters["core_engine_blob_writes_total"] != 1 {
+	if m.Counters["core_engine_blob_writes_total"] != 1 {
 		t.Errorf("checkpoint counters after one single-row publish: %v", m.Counters)
 	}
 }

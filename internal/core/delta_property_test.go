@@ -5,7 +5,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -37,12 +36,12 @@ type recoveryKinds struct{ noImage, atHead, behind int }
 // modify / identical re-insert), publish, reconcile, resolve, checkpoint,
 // forced engine failure, and kill-and-reopen from a copy of the directory.
 //
-// delta == full: after every checkpoint the unpublished queue is slot for
+// image == memory: after every checkpoint the unpublished queue is slot for
 // slot what memory holds, with no stale slot behind it, and so is the meta
-// record. After every checkpoint that writes an image, the image's rows,
-// decoded, are exactly what a full rewrite would have left — every instance
-// row with its polynomial and nothing else; a checkpoint that writes no
-// image writes no row.
+// record. After every checkpoint that writes an image, the image's
+// instance, restored, is exactly the peer's — every row with its polynomial
+// and nothing else; a checkpoint that writes no image leaves the last one
+// as it was.
 //
 // recovered == never-crashed: after every reopen each recovered peer equals
 // the twin that was never killed — rows, polynomials, trust statuses,
@@ -136,39 +135,33 @@ func activeWAL(t *testing.T, dir string) (string, int64) {
 	return filepath.Base(segs[len(segs)-1]), st.Size()
 }
 
-// requireImageEqualsInstance decodes the rows of the peer's durable image
-// and compares them with the peer's memory, then does the same for the
-// queue and meta record: delta == full.
+// requireImageEqualsInstance restores the peer's durable image into a
+// fresh peer and compares its instance with the peer's memory, then does the
+// same for the queue and meta record: the image is the instance as it
+// stands.
 func requireImageEqualsInstance(t *testing.T, label string, db *lsm.DB, p *Peer) {
 	t.Helper()
 	sn := db.Snapshot()
 	defer sn.Close()
-	byRel := map[string][]storage.Row{}
-	rp := ckRowPrefix(p.name)
-	err := sn.Walk(rp, lsm.PrefixEnd(rp), func(k, v []byte) error {
-		rel, rest, err := lsm.DecodeString(k[len(rp):])
-		if err != nil {
-			return err
-		}
-		tu, err := lsm.DecodeTuple(rest)
-		if err != nil {
-			return err
-		}
-		var pd provDecoder
-		prov, err := pd.decode(v)
-		byRel[rel] = append(byRel[rel], storage.Row{Tuple: tu, Prov: prov})
-		return err
-	})
+	blob, ok, err := sn.Get(ekKey(p.name))
+	if err != nil || !ok {
+		t.Fatalf("%s: no image: ok=%v err=%v", label, ok, err)
+	}
+	fresh, err := NewPeerWith(p.name, p.sys, p.store, p.policy, p.engCfg)
 	if err != nil {
-		t.Fatalf("%s: decode image rows: %v", label, err)
+		t.Fatal(err)
+	}
+	w, err := decodeImage(fresh, blob)
+	if err != nil {
+		t.Fatalf("%s: decode image: %v", label, err)
+	}
+	if w != p.lastEpoch {
+		t.Fatalf("%s: image watermark %d, memory epoch %d", label, w, p.lastEpoch)
 	}
 	for _, rel := range p.Instance().Schema().Relations() {
+		got, _ := fresh.Instance().Rows(rel.Name)
 		want, _ := p.Instance().Rows(rel.Name)
-		requireSameRows(t, label+": image of "+rel.Name, byRel[rel.Name], want)
-		delete(byRel, rel.Name)
-	}
-	if len(byRel) != 0 {
-		t.Fatalf("%s: image holds rows of undeclared relations: %v", label, byRel)
+		requireSameRows(t, label+": image of "+rel.Name, got, want)
 	}
 	requireQueueAndMeta(t, label, sn, p)
 }
@@ -215,20 +208,14 @@ func requireQueueAndMeta(t *testing.T, label string, sn *lsm.Snapshot, p *Peer) 
 	}
 }
 
-// imageRows returns the peer's image rows in db, raw key to raw value.
-func imageRows(t *testing.T, db *lsm.DB, peer string) map[string]string {
+// imageBlob returns the peer's image in db, or "" when there is none.
+func imageBlob(t *testing.T, db *lsm.DB, peer string) string {
 	t.Helper()
-	sn := db.Snapshot()
-	defer sn.Close()
-	rows := map[string]string{}
-	rp := ckRowPrefix(peer)
-	if err := sn.Scan(rp, lsm.PrefixEnd(rp), func(k, v []byte) bool {
-		rows[string(k)] = string(v)
-		return true
-	}); err != nil {
+	blob, _, err := db.Get(ekKey(peer))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return rows
+	return string(blob)
 }
 
 func txnIDs(ts []*updates.Transaction) []updates.TxnID {
@@ -320,7 +307,7 @@ func runDeltaSchedule(t *testing.T, seed int64, kinds *recoveryKinds) {
 	checkpointPeer := func(step, pi int) {
 		p := sys.peers[pi]
 		label := fmt.Sprintf("step %d: checkpoint of %s", step, p.Name())
-		rows, rowsWritten, images := imageRows(t, sys.db, p.name), p.obsv.checkpointRows.Value(), p.obsv.blobWrites.Value()
+		blob, images := imageBlob(t, sys.db, p.name), p.obsv.blobWrites.Value()
 		if err := p.SaveCheckpoint(sys.db); err != nil {
 			t.Fatalf("step %d: checkpoint %s: %v", step, p.Name(), err)
 		}
@@ -330,9 +317,8 @@ func runDeltaSchedule(t *testing.T, seed int64, kinds *recoveryKinds) {
 			requireImageEqualsInstance(t, label, sys.db, p)
 			return
 		}
-		if got := imageRows(t, sys.db, p.name); !maps.Equal(got, rows) || p.obsv.checkpointRows.Value() != rowsWritten {
-			t.Fatalf("%s: wrote no image, but rows changed (%d -> %d rows, %d -> %d written)",
-				label, len(rows), len(got), rowsWritten, p.obsv.checkpointRows.Value())
+		if imageBlob(t, sys.db, p.name) != blob {
+			t.Fatalf("%s: wrote no image, but the image changed", label)
 		}
 		sn := sys.db.Snapshot()
 		defer sn.Close()

@@ -1,11 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"time"
@@ -14,9 +13,7 @@ import (
 	"orchestra/internal/exchange"
 	"orchestra/internal/lsm"
 	"orchestra/internal/p2p"
-	"orchestra/internal/provenance"
 	"orchestra/internal/recon"
-	"orchestra/internal/schema"
 	"orchestra/internal/updates"
 )
 
@@ -24,10 +21,10 @@ import (
 // their state into the same LSM database that holds the published archive
 // (p2p.DurableStore, prefix "a/"), and recover after a crash by loading the
 // checkpoint image and replaying only the published suffix it does not
-// already cover. The image is the engine blob and the instance rows, both at
-// one epoch W; a checkpoint rewrites it when there is none yet or
-// blobRebaseDue says so, and otherwise writes only the meta record and the
-// unpublished queue.
+// already cover. The image is one value, the engine blob (engineblob.go):
+// engine, instance and trust state at one epoch W. A checkpoint rewrites it
+// when there is none yet or blobRebaseDue says so, and otherwise writes only
+// the meta record and the unpublished queue.
 //
 // Checkpoint key layout (esc is lsm.AppendString, the order-preserving
 // escaped string encoding); the "c/", "e/", and "r/" prefixes cannot
@@ -35,21 +32,17 @@ import (
 // binary and reads back through one codec.Reader:
 //
 //	c/<esc peer>m                        -> checkpointMeta (appendMeta)
-//	c/<esc peer>r<esc rel><tuple bytes>  -> provenance polynomial (appendProv)
 //	c/<esc peer>u<index be32>            -> unpublished transaction (updates.AppendTxn)
-//	e/<esc peer>                         -> engine snapshot blob (engineblob.go)
+//	e/<esc peer>                         -> the image (engineblob.go)
 //	r/<esc peer><seq be64>               -> trustEvent (appendEvent)
 //
-// The tuple decodes from the row key itself; the value holds only the
-// stored annotation, so a checkpoint relation is a contiguous, key-ordered
-// range.
+// Earlier layouts also kept the instance as one row per tuple under
+// c/<esc peer>r; a recovery that meets them replays the whole archive, and
+// the next image deletes them.
 //
-// The image turns recovery from O(history) into O(suffix): the "e/" blob
-// captures the translation engine (union database, base tokens,
-// applied set) and the reconciliation state, and the "c/" rows the
-// instance, all valid at the blob's watermark W. The published archive is
-// the image's delta log: recovery restores the image and replays Since(W).
-// The "r/" journal holds what that log cannot — when the peer did
+// The image turns recovery from O(history) into O(suffix). The published
+// archive is the image's delta log: recovery restores the image and replays
+// Since(W). The "r/" journal holds what that log cannot — when the peer did
 // what with it since the image: where each reconciliation round ended
 // (candidates judged together defer each other, candidates of separate
 // rounds do not), where each local commit was accepted (the archive has the
@@ -96,16 +89,6 @@ func ckBase(peer string) []byte {
 
 func ckMetaKey(peer string) []byte { return append(ckBase(peer), 'm') }
 
-func ckRowPrefix(peer string) []byte { return append(ckBase(peer), 'r') }
-
-func ckRelPrefix(peer, rel string) []byte {
-	return lsm.AppendString(ckRowPrefix(peer), rel)
-}
-
-func ckRowKey(peer, rel string, tu schema.Tuple) []byte {
-	return lsm.AppendTuple(ckRelPrefix(peer, rel), tu)
-}
-
 func ckUnpubPrefix(peer string) []byte { return append(ckBase(peer), 'u') }
 
 func ckUnpubKey(peer string, idx int) []byte {
@@ -151,83 +134,6 @@ func decodeEvent(data []byte) (trustEvent, error) {
 	return d, r.Done()
 }
 
-// appendProv/provDecoder are the binary form of a provenance polynomial: a
-// sum of monomials as varints with length-prefixed variable names, in the
-// layout of N[X]'s coef·x1^k1·…·xn^kn — appendProv writes 1 in every
-// coefficient and power slot. The codec writes names, read monomial by
-// monomial through NumMonomials/Monomial, so it is independent of the
-// polynomial's in-memory token ids and node layout; provDecoder writes
-// straight into that layout through a provenance.Arena. Checkpoint rows
-// decode on every recovery, so the format is sized for that hot path (the
-// earlier JSON form dominated snapshot-restore time).
-func appendProv(buf []byte, p provenance.Poly) []byte {
-	buf = binary.AppendUvarint(buf, uint64(p.NumMonomials()))
-	for i := range p.NumMonomials() {
-		m := p.Monomial(i)
-		buf = binary.AppendUvarint(buf, 1) // coefficient
-		buf = binary.AppendUvarint(buf, uint64(len(m)))
-		for _, t := range m {
-			buf = codec.AppendString(buf, string(t.Var()))
-			buf = binary.AppendUvarint(buf, 1) // power
-		}
-	}
-	return buf
-}
-
-// ErrBadProv reports a checkpoint row's value provDecoder refuses: cut
-// short, followed by trailing bytes, or holding a zero coefficient, a power
-// other than 1, or monomials out of canonical order. Any coefficient from 1
-// up reads as presence: rows written while the instance summed re-inserts
-// hold 2.
-var ErrBadProv = errors.New("core: malformed provenance encoding")
-
-// provDecoder decodes a run of appendProv values — a recovery scan over
-// thousands of checkpoint rows, an engine blob's transactions — carving
-// their storage from one provenance.Arena, so the run pays a handful of
-// allocations instead of several per value.
-type provDecoder struct {
-	arena provenance.Arena
-}
-
-// decode decodes one checkpoint row's value.
-func (d *provDecoder) decode(data []byte) (provenance.Poly, error) {
-	r := codec.NewReader(data, ErrBadProv)
-	p := d.read(r)
-	return p, r.Done()
-}
-
-// read reads one appendProv value from r. Every monomial takes at least
-// two bytes and every variable at least two, so a count the remaining
-// bytes cannot hold is refused before it sizes an arena reservation.
-func (d *provDecoder) read(r *codec.Reader) provenance.Poly {
-	nMonos := r.Count("monomial", 2)
-	d.arena.Begin(nMonos)
-	for range nMonos {
-		if coef := r.Uvarint(); coef == 0 && r.Err() == nil {
-			r.Fail("zero coefficient")
-		}
-		for range r.Count("variable", 2) {
-			x := r.Bytes()
-			if pow := r.Uvarint(); pow != 1 && r.Err() == nil {
-				r.Fail("power %d: a witness holds each variable once", pow)
-			}
-			if r.Err() != nil {
-				return provenance.Poly{}
-			}
-			d.arena.Add(provenance.Mint(provenance.Var(x)))
-		}
-		d.arena.End()
-	}
-	if r.Err() != nil {
-		return provenance.Poly{}
-	}
-	p, err := d.arena.Poly()
-	if err != nil {
-		r.Fail("%w", err)
-	}
-	return p
-}
-
 // blobRebaseDue is the rule that decides which checkpoints carry an engine
 // blob. A blob is the whole engine, so writing one costs O(history); the
 // archive already holds every transaction since the last one, so skipping
@@ -246,16 +152,14 @@ func blobRebaseDue(covered, applied int) bool {
 // Every checkpoint writes the (nextSeq, lastEpoch) meta record and the
 // committed-but-unpublished queue, and its fsync makes the trust journal
 // durable with them. When there is no image yet or blobRebaseDue says so,
-// the batch also rewrites the image: the engine blob, and a Put of the
-// current annotation (or a Delete, if the tuple is gone) for every row
-// applyUpdates touched since the previous image. A crash leaves either the
-// old state or the new one, never a blend: the batch is a single WAL record,
-// and recovery replays it all or not at all.
+// the batch also rewrites the image, the engine blob. A crash leaves either
+// the old state or the new one, never a blend: the batch is a single WAL
+// record, and recovery replays it all or not at all.
 //
 // An image folds the whole trust journal into the saved trust state, so the
 // same batch clears the "r/" archive. A checkpoint without one (not due yet,
 // or a failed Apply left the engine undefined and unencodable) keeps the
-// previous image and the journal, and its dirty rows wait for the next.
+// previous image and the journal.
 func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -265,9 +169,6 @@ func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 	sp := p.obsv.startSpan("core_checkpoint", p.name)
 	defer p.obsv.endSpan(sp, p.name)
 	p.obsv.checkpoints.Inc()
-	fail := func(stage string, err error) error {
-		return fmt.Errorf("core: checkpoint %s: %s: %w", p.name, stage, err)
-	}
 	b := lsm.NewBatch()
 	var totalBytes int64
 	put := func(key, val []byte) {
@@ -285,24 +186,13 @@ func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 
 	applied := p.engine.AppliedCount()
 	image := !p.engineDirty && (!p.hasBlob || blobRebaseDue(p.blobTxns, applied))
-	var keys []string
 	if image {
-		engBlob, err := p.engine.SaveState()
-		if err != nil {
-			return fail("engine state", err)
-		}
-		put(ekKey(p.name), encodeEngineBlob(p.lastEpoch, engBlob, p.state.Save()))
-		// Sorted, so the batch — and with it the WAL — is a function of the
-		// schedule, not of map iteration order.
-		keys = slices.Sorted(maps.Keys(p.dirty))
-		for _, k := range keys {
-			d := p.dirty[k]
-			row, ok := p.local.Table(d.rel).Get(d.tu)
-			if !ok {
-				b.Delete([]byte(k))
-				continue
-			}
-			put([]byte(k), appendProv(nil, row.Prov))
+		// The batch is encoded into the log record, so the image buffer is
+		// free again once Apply returns: the next image reuses it.
+		p.imageBuf = p.appendImage(p.imageBuf[:0])
+		put(ekKey(p.name), p.imageBuf)
+		for _, k := range p.staleRows {
+			b.Delete(k)
 		}
 		// The saved trust state already reflects every journaled event.
 		for i := range p.journalLen {
@@ -316,11 +206,8 @@ func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 	p.obsv.checkpointBytes.Set(totalBytes)
 	p.ckUnpub = len(p.unpublished)
 	if image {
-		// The image now matches memory; only now forget what made it differ.
-		p.obsv.checkpointRows.Add(int64(len(keys)))
 		p.obsv.blobWrites.Inc()
-		clear(p.dirty)
-		p.hasBlob, p.blobTxns, p.journalLen = true, applied, 0
+		p.hasBlob, p.blobTxns, p.journalLen, p.staleRows = true, applied, 0, nil
 	}
 	return nil
 }
@@ -352,7 +239,7 @@ func replayEngine(ctx context.Context, eng *exchange.Engine, store p2p.Store, si
 // engine state, unpublished queue, sequence counter, settled conflicts —
 // from the same peer having processed the same history live.
 //
-// There is one path. The image — engine, trust state and instance rows —
+// There is one path. The image — engine, instance and trust state —
 // restores as a whole at its watermark W; with no usable blob everything
 // starts empty and W is 0. Everything published after W is fetched and its
 // translations replayed — a translation depends only on the transactions
@@ -366,16 +253,16 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 	if err != nil {
 		return nil, err
 	}
-	p.db, p.dirty = db, map[string]dirtyRow{}
+	p.db = db
 	fail := func(stage string, err error) (*Peer, error) {
 		return nil, fmt.Errorf("core: recover peer %s: %s: %w", name, stage, err)
 	}
 	loadStart := time.Now()
 
-	// Phase 1 — load the checkpoint: meta record, engine snapshot blob,
-	// instance rows, unpublished queue, journal. No meta record means no
-	// checkpoint was ever taken: recovery degenerates to a full-history
-	// replay from a fresh peer, the same code path.
+	// Phase 1 — load the checkpoint: meta record, image, unpublished queue,
+	// journal. No meta record means no checkpoint was ever taken: recovery
+	// degenerates to a full-history replay from a fresh peer, the same code
+	// path.
 	meta := checkpointMeta{NextSeq: 1}
 	var ckUnpublished []*updates.Transaction
 	sn := db.Snapshot()
@@ -392,46 +279,25 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 	// folded in are gone from the journal, so everything up to its epoch is
 	// judged as one round: exact when that history held no conflict, and a
 	// valid reconciliation of it otherwise.
-	snap, err := readEngineBlob(sn.Get, name)
-	if err == nil && snap != nil && snap.Watermark > meta.LastEpoch {
-		// A blob is written in the same atomic batch as a meta record of its
-		// own epoch, and later checkpoints only raise that; a blob from the
-		// future means the keyspace was tampered with.
-		err = fmt.Errorf("watermark %d is past checkpoint epoch %d", snap.Watermark, meta.LastEpoch)
-	}
+	image, err := readEngineBlob(sn.Get, name)
 	if err != nil {
 		sn.Close()
 		return fail("engine snapshot", err)
 	}
-	rp := ckRowPrefix(name)
-	var pd provDecoder
-	err = sn.Walk(rp, lsm.PrefixEnd(rp), func(k, v []byte) error {
-		rel, rest, err := lsm.DecodeString(k[len(rp):])
+	if image == nil {
+		// Instance rows an earlier layout kept beside its blob are at an
+		// epoch the replay cannot start from: loading them and replaying the
+		// whole archive would apply their history twice. They are dropped,
+		// and the next image deletes them.
+		rows := append(ckBase(name), 'r')
+		err = sn.Scan(rows, lsm.PrefixEnd(rows), func(k, _ []byte) bool {
+			p.staleRows = append(p.staleRows, bytes.Clone(k))
+			return true
+		})
 		if err != nil {
-			return err
+			sn.Close()
+			return fail("earlier-layout rows", err)
 		}
-		tu, err := lsm.DecodeTuple(rest)
-		if err != nil {
-			return err
-		}
-		if snap == nil {
-			// Rows without a usable blob are at an epoch the replay cannot
-			// start from: loading them and replaying the whole archive would
-			// apply their history twice. They are dropped, and the next
-			// image deletes whichever the replay does not rewrite.
-			p.touch(rel, tu)
-			return nil
-		}
-		prov, err := pd.decode(v)
-		if err != nil {
-			return err
-		}
-		_, err = p.local.Upsert(rel, tu, prov)
-		return err
-	})
-	if err != nil {
-		sn.Close()
-		return fail("checkpoint rows", err)
 	}
 	up := ckUnpubPrefix(name)
 	err = sn.Walk(up, lsm.PrefixEnd(up), func(k, v []byte) error {
@@ -477,14 +343,18 @@ func RecoverPeerWith(ctx context.Context, name string, sys *System, store p2p.St
 	p.journalLen = len(events)
 
 	W := uint64(0)
-	if snap != nil {
-		if err := p.engine.LoadState(snap.Engine); err != nil {
-			return fail("restore engine", err)
+	if image != nil {
+		W, err = p.readImage(image)
+		if err == nil && W > meta.LastEpoch {
+			// A blob is written in the same atomic batch as a meta record of
+			// its own epoch, and later checkpoints only raise that; a blob
+			// from the future means the keyspace was tampered with.
+			err = fmt.Errorf("watermark %d is past checkpoint epoch %d", W, meta.LastEpoch)
 		}
-		if err := p.state.Restore(snap.State); err != nil {
-			return fail("restore trust state", err)
+		if err != nil {
+			return fail("engine snapshot", err)
 		}
-		W, p.hasBlob, p.blobTxns = snap.Watermark, true, p.engine.AppliedCount()
+		p.hasBlob, p.blobTxns = true, p.engine.AppliedCount()
 	}
 	p.recLoadNs = time.Since(loadStart).Nanoseconds()
 

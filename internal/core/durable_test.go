@@ -181,16 +181,20 @@ func TestDurablePeerKillRestartEquivalence(t *testing.T) {
 	}
 }
 
-// TestRecoverDropsEngineBlobOfOldVersion: a directory whose engine blob was
-// written in an earlier layout (its magic ends in another version digit), or
-// that holds instance rows and no blob at all, recovers cleanly — the rows
-// are dropped with the blob and the whole archive replayed — to the state of
-// the never-killed twin. The next checkpoint writes an image in the current
-// layout, without the dropped rows.
+// legacyRowPrefix is where layouts before OEB8 kept the peer's instance,
+// one row per tuple beside the blob.
+func legacyRowPrefix(peer string) []byte { return append(ckBase(peer), 'r') }
+
+// TestRecoverDropsEngineBlobOfOldVersion: a directory in the layout that
+// kept the instance as rows beside the blob — its blob's magic ends in
+// another version digit, or it holds instance rows and no blob at all —
+// recovers cleanly — the rows are dropped with the blob and the whole
+// archive replayed — to the state of the never-killed twin. The next
+// checkpoint writes an image in the current layout and deletes the rows.
 func TestRecoverDropsEngineBlobOfOldVersion(t *testing.T) {
 	t.Run("old-version-blob", func(t *testing.T) {
 		testRecoverDropsImage(t, func(db *lsm.DB, blob []byte) error {
-			return db.Put(ekKey(workload.Dresden), append([]byte("OEB6"), blob[4:]...), true)
+			return db.Put(ekKey(workload.Dresden), append([]byte("OEB7"), blob[4:]...), true)
 		})
 	})
 	t.Run("rows-without-blob", func(t *testing.T) {
@@ -235,9 +239,9 @@ func testRecoverDropsImage(t *testing.T, spoil func(db *lsm.DB, blob []byte) err
 	if err := spoil(db, blob); err != nil {
 		t.Fatal(err)
 	}
-	// A row no history produced stands for rows the image holds at another
-	// epoch than any blob recovery can use: loaded, it would stay.
-	stale := ckRowKey(workload.Dresden, "OPS", workload.OPSTuple("stale", "row", "NNNN"))
+	// An instance row of the layout that kept the instance beside the blob,
+	// which no history produced: loaded, it would stay.
+	stale := append(lsm.AppendString(legacyRowPrefix(workload.Dresden), "OPS"), "stale row"...)
 	if err := db.Put(stale, appendProv(nil, provenance.One()), true); err != nil {
 		t.Fatal(err)
 	}
@@ -266,6 +270,9 @@ func testRecoverDropsImage(t *testing.T, spoil func(db *lsm.DB, blob []byte) err
 	}
 	if _, ok, err := db2.Get(stale); err != nil || ok {
 		t.Errorf("the next image kept a dropped row (ok=%v, err=%v)", ok, err)
+	}
+	if n := countKeys(t, db2, legacyRowPrefix(workload.Dresden)); n != 0 {
+		t.Errorf("the next image left %d rows of the earlier layout", n)
 	}
 	requireImageEqualsInstance(t, "the next image", db2, dresden2)
 }

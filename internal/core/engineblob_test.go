@@ -5,10 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"reflect"
 	"testing"
 
+	"orchestra/internal/datalog"
 	"orchestra/internal/provenance"
 	"orchestra/internal/recon"
 	"orchestra/internal/schema"
@@ -16,27 +15,32 @@ import (
 	"orchestra/internal/workload"
 )
 
-// engineBlobOf encodes p's engine snapshot exactly as SaveCheckpoint does.
-func engineBlobOf(t testing.TB, p *Peer) []byte {
-	t.Helper()
-	eng, err := p.engine.SaveState()
+// engineBlobOf encodes p's image exactly as SaveCheckpoint does.
+func engineBlobOf(p *Peer) []byte { return p.appendImage(nil) }
+
+// decodeImage restores p from an engine blob and returns its watermark.
+func decodeImage(p *Peer, blob []byte) (uint64, error) {
+	r, err := openEngineBlob(blob)
 	if err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
-	return encodeEngineBlob(p.lastEpoch, eng, p.state.Save())
+	return p.readImage(r)
 }
 
 // engineBlobSeeds runs the conflict history of the resolve-crash tests over
 // the Figure 2 CDSS and returns the blobs a checkpoint would write along it:
 // an empty peer; Dresden holding the deferred pair, so transactions carry
-// their updates and annotations; Crete, whose policy accepted one side and rejected
-// the other; and Dresden after the resolve and a modify that depends on the
-// loser, when every transaction is a skeleton again.
+// their updates and annotations; Crete, whose policy accepted one side and
+// rejected the other, so its instance section holds that side's rows; and
+// Dresden after the resolve and a modify that depends on the loser, when
+// every transaction is a skeleton again and the instance holds the
+// winner's modified row. Crete and Dresden share a schema, so any of the
+// blobs restores into a Dresden peer.
 func engineBlobSeeds(t testing.TB) [][]byte {
 	peers, _ := fig2(t)
 	alaska, beijing := peers[workload.Alaska], peers[workload.Beijing]
 	crete, dresden := peers[workload.Crete], peers[workload.Dresden]
-	seeds := [][]byte{engineBlobOf(t, dresden)}
+	seeds := [][]byte{engineBlobOf(dresden)}
 
 	bTxn := commit(t, beijing.NewTransaction().
 		Insert("O", workload.OTuple("fly", 3)).
@@ -53,7 +57,7 @@ func engineBlobSeeds(t testing.TB) [][]byte {
 	if st := dresden.Status(bTxn.ID); st != recon.StatusDeferred {
 		t.Fatalf("setup: beijing's transaction is %s at dresden, want deferred", st)
 	}
-	seeds = append(seeds, engineBlobOf(t, dresden), engineBlobOf(t, crete))
+	seeds = append(seeds, engineBlobOf(dresden), engineBlobOf(crete))
 
 	if _, err := dresden.Resolve(context.Background(), bTxn.ID); err != nil {
 		t.Fatal(err)
@@ -62,15 +66,17 @@ func engineBlobSeeds(t testing.TB) [][]byte {
 		Modify("S", workload.STuple(3, 30, "XXXX"), workload.STuple(3, 30, "QQQQ")))
 	publish(t, beijing)
 	reconcile(t, dresden)
-	return append(seeds, engineBlobOf(t, dresden))
+	return append(seeds, engineBlobOf(dresden))
 }
 
-// acceptedWithUpdates is a blob encodeEngineBlob never writes: an accepted
-// transaction, which a blob stores as a skeleton, carrying an update.
-func acceptedWithUpdates() []byte {
+// acceptedWithUpdates is a blob appendImage never writes: an accepted
+// transaction, which a blob stores as a skeleton, carrying an update. Its
+// engine and instance sections are those of the empty peer p.
+func acceptedWithUpdates(p *Peer) []byte {
 	b := binary.AppendUvarint([]byte(engineBlobMagic), 1) // watermark
-	b = binary.AppendUvarint(b, 0)                        // no engine bytes
-	b = binary.AppendUvarint(b, 1)                        // one transaction
+	b = p.engine.AppendState(b)
+	b = datalog.AppendDB(b, datalog.NewDB())
+	b = binary.AppendUvarint(b, 1) // one transaction
 	b = binary.AppendUvarint(b, uint64(recon.StatusAccepted))
 	b = binary.AppendVarint(b, 1) // prio
 	b = updates.AppendTxn(b, &updates.Transaction{
@@ -82,63 +88,41 @@ func acceptedWithUpdates() []byte {
 	return append(b, 0) // no writes
 }
 
-// sameEngineSnapshot compares two decoded blobs: tuples by canonical key
-// (parsing canonicalizes them, so bytes may differ), provenance by Equal.
-func sameEngineSnapshot(a, b *engineSnapshot) error {
-	if a.Watermark != b.Watermark || !bytes.Equal(a.Engine, b.Engine) {
-		return fmt.Errorf("watermark %d vs %d, or engine bytes differ", a.Watermark, b.Watermark)
-	}
-	if !reflect.DeepEqual(a.State.Writes, b.State.Writes) {
-		return fmt.Errorf("accepted writes differ")
-	}
-	if len(a.State.Txns) != len(b.State.Txns) {
-		return fmt.Errorf("%d vs %d transactions", len(a.State.Txns), len(b.State.Txns))
-	}
-	for i, x := range a.State.Txns {
-		y := b.State.Txns[i]
-		if x.Status != y.Status || x.Prio != y.Prio || x.Txn.ID != y.Txn.ID || x.Txn.Epoch != y.Txn.Epoch ||
-			!reflect.DeepEqual(x.Txn.Deps, y.Txn.Deps) || len(x.Txn.Updates) != len(y.Txn.Updates) {
-			return fmt.Errorf("transaction %d: %+v/%+v vs %+v/%+v", i, x, x.Txn, y, y.Txn)
-		}
-		for j, u := range x.Txn.Updates {
-			v := y.Txn.Updates[j]
-			if u.Rel != v.Rel || u.Op != v.Op || u.Old.Key() != v.Old.Key() ||
-				u.New.Key() != v.New.Key() || !u.Prov.Equal(v.Prov) {
-				return fmt.Errorf("transaction %d update %d: %+v vs %+v", i, j, u, v)
-			}
-		}
-	}
-	return nil
-}
-
 // FuzzDecodeEngineBlob: a peer's engine blob is read back on every
-// recovery, so decodeEngineBlob must refuse any bytes with ErrBadEngineBlob
-// (or errBlobVersion, for another layout's magic) or decode a snapshot that
-// survives re-encoding.
+// recovery, so readImage must refuse any bytes with ErrBadEngineBlob (or
+// errBlobVersion, for another layout's magic) or restore a peer whose image
+// restores again and re-encodes to the same bytes.
 func FuzzDecodeEngineBlob(f *testing.F) {
 	seeds := engineBlobSeeds(f)
 	for _, blob := range seeds {
 		f.Add(blob)
 	}
+	first, _ := fig2(f)
+	second, _ := fig2(f)
+	got, back := first[workload.Dresden], second[workload.Dresden]
 	f.Add(seeds[1][:len(seeds[1])/2])
-	f.Add(acceptedWithUpdates())
-	f.Add(append([]byte("OEB6"), seeds[1][len(engineBlobMagic):]...))
+	f.Add(acceptedWithUpdates(got))
+	f.Add(append([]byte("OEB7"), seeds[1][len(engineBlobMagic):]...))
 	f.Add([]byte{})
+	f.Add(seeds[3][:len(seeds[3])-3])
+	// Restoring replaces a peer's engine, instance and trust state, so two
+	// peers serve every input.
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		snap, err := decodeEngineBlob(blob)
+		w, err := decodeImage(got, blob)
 		if err != nil {
 			if !errors.Is(err, ErrBadEngineBlob) && !errors.Is(err, errBlobVersion) {
 				t.Fatalf("untyped decode error: %v", err)
 			}
 			return
 		}
-		again := encodeEngineBlob(snap.Watermark, snap.Engine, snap.State)
-		back, err := decodeEngineBlob(again)
-		if err != nil {
-			t.Fatalf("decodeEngineBlob refuses its own re-encoding: %v\n%q", err, again)
+		got.lastEpoch = w
+		again := got.appendImage(nil)
+		if w, err = decodeImage(back, again); err != nil {
+			t.Fatalf("readImage refuses its own re-encoding: %v\n%q", err, again)
 		}
-		if err := sameEngineSnapshot(snap, back); err != nil {
-			t.Fatalf("re-encoding changed the snapshot: %v", err)
+		back.lastEpoch = w
+		if twice := back.appendImage(nil); !bytes.Equal(twice, again) {
+			t.Fatalf("re-encoding changed the image:\n%q\n%q", again, twice)
 		}
 	})
 }

@@ -47,7 +47,6 @@ type observer struct {
 	recoveryTxns    *obs.Histogram // recovery_replay_txns (suffix length per recovery)
 	recoveryLoadNs  *obs.Histogram // recovery_load_ns (checkpoint+snapshot load time)
 	checkpointBytes *obs.Gauge     // checkpoint_bytes (last checkpoint batch size)
-	checkpointRows  *obs.Counter   // core_checkpoint_rows_written_total (row Puts + Deletes)
 	blobWrites      *obs.Counter   // core_engine_blob_writes_total (checkpoints that rebased the blob)
 }
 
@@ -89,7 +88,6 @@ func (p *Peer) SetObserver(reg *obs.Registry, slowOp time.Duration) {
 		recoveryTxns:    reg.Histogram("recovery_replay_txns"),
 		recoveryLoadNs:  reg.Histogram("recovery_load_ns"),
 		checkpointBytes: reg.Gauge("checkpoint_bytes"),
-		checkpointRows:  reg.Counter("core_checkpoint_rows_written_total"),
 		blobWrites:      reg.Counter("core_engine_blob_writes_total"),
 	}
 	// Recovery runs before the observer is installed (RecoverPeerWith is

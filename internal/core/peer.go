@@ -47,16 +47,11 @@ type Peer struct {
 	unpublished []*updates.Transaction
 	// db is the durable tier backing this peer (nil for in-memory systems):
 	// RecoverPeerWith attaches it so Commit, Reconcile and Resolve can
-	// journal their trust events in the "r/" keyspace, applyUpdates can note
-	// which image rows went stale, and rebuildEngine can restore from the
-	// engine blob instead of replaying the full history. The fields after it,
-	// up to blobTxns, describe the peer's checkpoint in db and are unused
-	// without one.
+	// journal their trust events in the "r/" keyspace, and rebuildEngine can
+	// restore from the engine blob instead of replaying the full history.
+	// The fields after it, up to staleRows, describe the peer's checkpoint in
+	// db and are unused without one.
 	db *lsm.DB
-	// dirty holds the checkpoint row key of every tuple applyUpdates has
-	// written or removed since the last image — all that the next one has to
-	// bring up to date.
-	dirty map[string]dirtyRow
 	// ckUnpub is how many unpublished-queue slots the last checkpoint wrote.
 	ckUnpub int
 	// journalLen is how many trust events (reconciliation rounds, local
@@ -69,6 +64,13 @@ type Peer struct {
 	// blobRebaseDue).
 	hasBlob  bool
 	blobTxns int
+	// imageBuf is the buffer the last image was encoded into, kept for the
+	// next one.
+	imageBuf []byte
+	// staleRows are the keys of instance rows an earlier layout kept beside
+	// its blob, found by a recovery that could not use that blob; the next
+	// image deletes them.
+	staleRows [][]byte
 	// pendingRecovery buffers recovery metrics until SetObserver installs
 	// the registry (recovery runs before the observer exists — see
 	// orchestra's System.Peer).
@@ -289,27 +291,10 @@ func (t *Txn) Commit() (*updates.Transaction, error) {
 // Abort discards the transaction.
 func (t *Txn) Abort() { t.done = true }
 
-// dirtyRow names a tuple whose checkpoint row is out of date.
-type dirtyRow struct {
-	rel string
-	tu  schema.Tuple
-}
-
-// touch notes that the tuple's checkpoint row no longer matches the
-// instance. Only a durable peer keeps the set: without a database there is
-// no checkpoint to bring up to date, and nothing would ever clear it.
-func (p *Peer) touch(rel string, tu schema.Tuple) {
-	if p.db != nil {
-		p.dirty[string(ckRowKey(p.name, rel, tu))] = dirtyRow{rel, tu}
-	}
-}
-
 // applyUpdates applies translated or local updates to the local instance —
 // the one in-memory copy of the peer's rows, which queries read directly
-// (QueryGoal evaluates over Instance.EDB) — and is the one place that does,
-// so it is also where a durable peer learns which checkpoint rows changed:
-// the tuple written, the tuple removed, and the tuple an upsert pushed out
-// from under the same key.
+// (QueryGoal evaluates over Instance.EDB) and the next checkpoint image
+// encodes whole.
 func (p *Peer) applyUpdates(ups []updates.Update) error {
 	for _, u := range ups {
 		var err error
@@ -317,10 +302,10 @@ func (p *Peer) applyUpdates(ups []updates.Update) error {
 		case updates.OpInsert:
 			err = p.upsertRow(u.Rel, u.New, u.Prov)
 		case updates.OpDelete:
-			err = p.removeRow(u.Rel, u.Old)
+			_, err = p.local.Delete(u.Rel, u.Old)
 		case updates.OpModify:
 			if u.Old != nil {
-				err = p.removeRow(u.Rel, u.Old)
+				_, err = p.local.Delete(u.Rel, u.Old)
 			}
 			if err == nil {
 				err = p.upsertRow(u.Rel, u.New, u.Prov)
@@ -333,21 +318,11 @@ func (p *Peer) applyUpdates(ups []updates.Update) error {
 	return nil
 }
 
-func (p *Peer) removeRow(rel string, tu schema.Tuple) error {
-	p.touch(rel, tu)
-	_, err := p.local.Delete(rel, tu)
-	return err
-}
-
 func (p *Peer) upsertRow(rel string, tu schema.Tuple, prov provenance.Poly) error {
 	if prov.IsZero() {
 		prov = provenance.One()
 	}
-	p.touch(rel, tu)
-	replaced, err := p.local.Upsert(rel, tu, prov)
-	if replaced != nil {
-		p.touch(rel, *replaced)
-	}
+	_, err := p.local.Upsert(rel, tu, prov)
 	return err
 }
 
@@ -506,10 +481,10 @@ func (p *Peer) rebuildEngine(ctx context.Context) error {
 	}
 	since := uint64(0)
 	if p.db != nil {
-		snap, err := readEngineBlob(p.db.Get, p.name)
-		if err == nil && snap != nil {
-			err = eng.LoadState(snap.Engine)
-			since = snap.Watermark
+		r, err := readEngineBlob(p.db.Get, p.name)
+		if err == nil && r != nil {
+			since = r.Uvarint()
+			err = eng.ReadState(r)
 		}
 		if err != nil {
 			return err

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/provenance"
 )
 
@@ -27,11 +28,19 @@ func provBytes(parts ...any) []byte {
 	return b
 }
 
+// decodeProv reads data as one whole appendProv value, as an engine blob's
+// reader meets it.
+func (d *provDecoder) decodeProv(data []byte) (provenance.Poly, error) {
+	r := codec.NewReader(data, ErrBadEngineBlob)
+	p := d.read(r)
+	return p, r.Done()
+}
+
 // TestDecodeProvSlots pins the reading of appendProv's coefficient and power
-// slots: any coefficient from 1 up is presence — a checkpoint row written
-// while the instance summed re-inserts holds 2 — and a power other than 1,
-// which no witness set has, is refused. Everything else a value could break
-// is refused with ErrBadProv too.
+// slots: any coefficient from 1 up is presence — a value written while the
+// instance summed re-inserts holds 2 — and a power other than 1, which no
+// witness set has, is refused. Everything else a value could break is
+// refused with ErrBadEngineBlob too.
 func TestDecodeProvSlots(t *testing.T) {
 	x := provenance.NewVar("a:1/0")
 	if enc := appendProv(nil, x); !bytes.Equal(enc, provBytes(1, 1, 1, "a:1/0", 1)) {
@@ -39,7 +48,7 @@ func TestDecodeProvSlots(t *testing.T) {
 	}
 	var pd provDecoder
 	for _, coef := range []uint64{1, 2, 1 << 40} {
-		got, err := pd.decode(provBytes(1, coef, 1, "a:1/0", 1))
+		got, err := pd.decodeProv(provBytes(1, coef, 1, "a:1/0", 1))
 		if err != nil || !got.Equal(x) {
 			t.Errorf("coefficient %d: decode = %v, %v; want %v", coef, got, err, x)
 		}
@@ -55,15 +64,15 @@ func TestDecodeProvSlots(t *testing.T) {
 		"vars out of order":   provBytes(1, 1, 2, "b", 1, "a", 1),
 		"repeated monomial":   provBytes(2, 1, 1, "a", 1, 1, 1, "a", 1),
 	} {
-		if _, err := pd.decode(data); !errors.Is(err, ErrBadProv) {
-			t.Errorf("%s: decode = %v, want ErrBadProv", name, err)
+		if _, err := pd.decodeProv(data); !errors.Is(err, ErrBadEngineBlob) {
+			t.Errorf("%s: decode = %v, want ErrBadEngineBlob", name, err)
 		}
 	}
 }
 
-// FuzzDecodeProv: whatever bytes a checkpoint row or an engine blob holds as
-// an annotation, provDecoder refuses them with ErrBadProv or decodes a
-// polynomial whose appendProv bytes decode to it again, and never panics.
+// FuzzDecodeProv: whatever bytes an engine blob holds as an update's
+// annotation, provDecoder.read refuses them with ErrBadEngineBlob or decodes
+// a polynomial whose appendProv bytes decode to it again, and never panics.
 func FuzzDecodeProv(f *testing.F) {
 	x, y, z := provenance.NewVar("a:1/0"), provenance.NewVar("b:2/1"), provenance.NewVar("M_AC")
 	for _, p := range []provenance.Poly{provenance.Zero(), provenance.One(), x, x.Mul(y).Add(z).Add(provenance.One())} {
@@ -74,14 +83,14 @@ func FuzzDecodeProv(f *testing.F) {
 	f.Add(provBytes(uint64(1 << 62)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var pd provDecoder
-		p, err := pd.decode(data)
+		p, err := pd.decodeProv(data)
 		if err != nil {
-			if !errors.Is(err, ErrBadProv) {
+			if !errors.Is(err, ErrBadEngineBlob) {
 				t.Fatalf("untyped decode error: %v", err)
 			}
 			return
 		}
-		back, err := pd.decode(appendProv(nil, p))
+		back, err := pd.decodeProv(appendProv(nil, p))
 		if err != nil {
 			t.Fatalf("decode refuses appendProv(%v): %v", p, err)
 		}

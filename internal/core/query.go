@@ -52,7 +52,7 @@ type GoalQuery struct {
 	// polynomial. Faster when the caller only wants tuples.
 	NoProvenance bool
 	// Stats, when non-nil, receives the evaluation's pipeline counters
-	// (probe counts, pushdown hit rate, peak live intermediates — see
+	// (probe counts, pushdown hit rate, emissions, rounds — see
 	// datalog.EvalStats). Counters accumulate across queries sharing the
 	// struct.
 	Stats *datalog.EvalStats

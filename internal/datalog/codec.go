@@ -3,8 +3,6 @@ package datalog
 import (
 	"cmp"
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"slices"
 
 	"orchestra/internal/codec"
@@ -13,38 +11,34 @@ import (
 )
 
 // Binary snapshot codec for a DB: the durable form of the translation
-// engine's union database (DESIGN.md §13). The format is a pure function
-// of the database's logical content — the set of (predicate, tuple,
-// polynomial) facts — so two databases that are Equal encode to identical
-// bytes regardless of insertion order, intern-cache state, or slot layout.
+// engine's union database and of a peer's instance, both sections of the
+// peer's engine blob (DESIGN.md §13). The format is a pure function of the
+// database's logical content — the set of (predicate, tuple, polynomial)
+// facts — so two databases that are Equal encode to identical bytes
+// regardless of insertion order, intern-cache state, or slot layout.
 // Provenance polynomials are encoded once each against a node table and
 // referenced by index, so the hash-consed sharing the in-memory
 // representation relies on survives the round trip: every fact that shared
-// an annotation before EncodeDB shares one interned node after DecodeDB.
+// an annotation before AppendDB shares one interned node after ReadDB.
 //
-// Layout (all integers unsigned varints, all strings varint-length-prefixed):
+// Layout (all integers unsigned varints, all strings varint-length-prefixed;
+// the section carries no magic of its own — the value that embeds it names
+// the layout):
 //
-//	magic "ODB1"
 //	varCount, then each provenance.Var (sorted ascending)
 //	polyCount, then each polynomial: monoCount ·
 //	    { coef, varCount, { varIndex, pow }* }*
 //	predCount, then each predicate (sorted ascending): name, factCount,
 //	    { tupleKey, polyIndex }*
 //
-// The coefficient and power slots date from N[X] annotations: EncodeDB
-// writes 1 in both, DecodeDB reads any coefficient ≥ 1 as presence and
+// The coefficient and power slots date from N[X] annotations: AppendDB
+// writes 1 in both, ReadDB reads any coefficient ≥ 1 as presence and
 // refuses a power other than 1. Tuples travel as schema.Tuple.Key() strings
 // (injective, parsed back with schema.ParseTupleKey, which refuses any other
 // spelling of a tuple); polynomials rebuild through a provenance.Arena and
 // re-intern on decode. A polynomial table entry with zero monomials is the
 // zero polynomial. A predicate with no facts is written (and decoded back)
 // as an empty extent.
-
-// codecMagic identifies (and versions) the snapshot format. Bump the digit
-// on any layout change: DecodeDB refuses unknown magics instead of
-// misparsing, which is what lets recovery fall back to full replay when it
-// meets a snapshot written by a different build.
-const codecMagic = "ODB1"
 
 // DBStats summarizes an encoded DB snapshot without materializing it.
 type DBStats struct {
@@ -55,67 +49,65 @@ type DBStats struct {
 	Bytes     int // encoded size
 }
 
-// EncodeDB serializes the database. Lazy extents are materialized first so
-// the snapshot is truthful. The encoding is deterministic (see the package
-// comment above): preds and vars are sorted, facts ride in Rel.Facts()
-// tuple order, and polynomial table indices are assigned in first-encounter
-// order over that fixed walk.
-func EncodeDB(db *DB) ([]byte, error) {
+// AppendDB appends the database's snapshot to buf. Lazy extents are
+// materialized first so the snapshot is truthful. The encoding is
+// deterministic (see the package comment above): preds and vars are sorted,
+// facts ride in Rel.Facts() tuple order, and polynomial table indices are
+// assigned in first-encounter order over that fixed walk.
+func AppendDB(buf []byte, db *DB) []byte {
 	preds := db.Preds()
-	type extent struct {
-		name  string
-		facts []Fact
-	}
-	extents := make([]extent, 0, len(preds))
-	for _, p := range preds {
-		extents = append(extents, extent{name: p, facts: db.Rel(p).Facts()})
+	extents := make([][]Fact, len(preds))
+	nFacts := 0
+	for i, p := range preds {
+		extents[i] = db.Rel(p).Facts()
+		nFacts += len(extents[i])
 	}
 
 	// Pass 1: collect the variable universe and deduplicate polynomials by
-	// content (hash-bucketed, Equal-confirmed), so structurally equal
+	// content (hash-chained, Equal-confirmed), so structurally equal
 	// annotations share one table entry even when the bounded intern cache
-	// let them diverge into distinct nodes in memory.
-	varSet := map[provenance.Token]struct{}{}
-	type bucket struct {
-		poly provenance.Poly
-		idx  int
-	}
-	table := []provenance.Poly{}
-	buckets := map[uint64][]bucket{}
+	// let them diverge into distinct nodes in memory. sameHash[i] is the
+	// next table entry after i with its hash, or -1. A fact adds at most one
+	// entry, so sized for the facts the table never grows.
+	varIdx := map[provenance.Token]int{}
+	table := make([]provenance.Poly, 0, nFacts)
+	sameHash := make([]int, 0, nFacts)
+	byHash := make(map[uint64]int, nFacts)
 	polyIndex := func(p provenance.Poly) int {
 		h := p.Hash()
-		for _, b := range buckets[h] {
-			if b.poly.Equal(p) {
-				return b.idx
+		i, ok := byHash[h]
+		if !ok {
+			i = -1
+		}
+		for j := i; j >= 0; j = sameHash[j] {
+			if table[j].Equal(p) {
+				return j
 			}
 		}
-		idx := len(table)
+		byHash[h] = len(table)
+		sameHash = append(sameHash, i)
 		table = append(table, p)
-		buckets[h] = append(buckets[h], bucket{poly: p, idx: idx})
-		return idx
+		for _, x := range p.Tokens() {
+			varIdx[x] = 0
+		}
+		return len(table) - 1
 	}
-	factPolys := make([][]int, len(extents))
-	for i, ext := range extents {
-		factPolys[i] = make([]int, len(ext.facts))
-		for j, f := range ext.facts {
-			factPolys[i][j] = polyIndex(f.Prov)
-			for _, x := range f.Prov.Tokens() {
-				varSet[x] = struct{}{}
-			}
+	factPolys := make([]int, 0, nFacts)
+	for _, facts := range extents {
+		for _, f := range facts {
+			factPolys = append(factPolys, polyIndex(f.Prov))
 		}
 	}
-	vars := make([]provenance.Token, 0, len(varSet))
-	for t := range varSet {
+	vars := make([]provenance.Token, 0, len(varIdx))
+	for t := range varIdx {
 		vars = append(vars, t)
 	}
 	slices.SortFunc(vars, func(a, b provenance.Token) int { return cmp.Compare(a.Var(), b.Var()) })
-	varIdx := make(map[provenance.Token]int, len(vars))
 	for i, t := range vars {
 		varIdx[t] = i
 	}
 
 	// Pass 2: emit.
-	buf := append([]byte(nil), codecMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(vars)))
 	for _, t := range vars {
 		buf = codec.AppendString(buf, string(t.Var()))
@@ -134,58 +126,54 @@ func EncodeDB(db *DB) ([]byte, error) {
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(extents)))
-	for i, ext := range extents {
-		buf = codec.AppendString(buf, ext.name)
-		buf = binary.AppendUvarint(buf, uint64(len(ext.facts)))
-		for j, f := range ext.facts {
-			buf = codec.AppendString(buf, f.Tuple.Key())
-			buf = binary.AppendUvarint(buf, uint64(factPolys[i][j]))
+	var key []byte
+	k := 0
+	for i, facts := range extents {
+		buf = codec.AppendString(buf, preds[i])
+		buf = binary.AppendUvarint(buf, uint64(len(facts)))
+		for _, f := range facts {
+			key = f.Tuple.AppendKeyTo(key[:0])
+			buf = binary.AppendUvarint(buf, uint64(len(key)))
+			buf = append(buf, key...)
+			buf = binary.AppendUvarint(buf, uint64(factPolys[k]))
+			k++
 		}
 	}
-	return buf, nil
+	return buf
 }
 
-// ErrBadSnapshot reports bytes DecodeDB or StatDB refuses: not a DB
-// snapshot, cut short, holding a count its remaining bytes cannot, or
-// breaking a rule EncodeDB's output always keeps. A blob DecodeDB accepts
-// re-encodes to one that decodes to an Equal database. Only the order of
-// tuples within an extent goes unchecked: EncodeDB writes Tuple.Compare
-// order, a total order since Value.Compare follows Value.Key, but a
-// snapshot written while Compare tied 0.0 with -0.0 and could not place a
-// NaN may hold such tuples in another order, and must still decode.
-var ErrBadSnapshot = errors.New("datalog: malformed DB snapshot")
-
-// DecodeDB materializes a database from an EncodeDB snapshot. Each
-// polynomial table entry is rebuilt and interned exactly once, then shared
-// by every fact that references it.
-func DecodeDB(blob []byte) (*DB, error) {
+// ReadDB materializes a database from a snapshot AppendDB wrote, read from
+// r. Each polynomial table entry is rebuilt and interned exactly once, then
+// shared by every fact that references it. Bytes AppendDB never writes fail
+// r: cut short, holding a count its remaining bytes cannot, or breaking a
+// rule AppendDB's output always keeps. A snapshot ReadDB accepts re-encodes
+// to one that reads back to an Equal database. Only the order of tuples
+// within an extent goes unchecked: AppendDB writes Tuple.Compare order, a
+// total order since Value.Compare follows Value.Key, but a snapshot written
+// while Compare tied 0.0 with -0.0 and could not place a NaN may hold such
+// tuples in another order, and must still decode.
+func ReadDB(r *codec.Reader) *DB {
 	db := NewDB()
-	if _, err := walkSnapshot(blob, db); err != nil {
-		return nil, err
-	}
-	return db, nil
+	walkSnapshot(r, db)
+	return db
 }
 
-// StatDB parses an encoded snapshot's structure without building a DB —
-// the cheap path behind `orchestra inspect`.
-func StatDB(blob []byte) (DBStats, error) {
-	return walkSnapshot(blob, nil)
+// SkimDB reads past a snapshot in r, parsing its structure without building
+// a DB — the cheap path behind `orchestra inspect`.
+func SkimDB(r *codec.Reader) DBStats {
+	return walkSnapshot(r, nil)
 }
 
 // walkSnapshot decodes the snapshot into db (when non-nil; tuples are only
 // parsed then) and returns the structural stats either way. Every count is
 // checked against the bytes left before it sizes anything — an entry of
 // any section takes at least one byte per counted item, two for monomials,
-// monomial variables, predicates and facts — and the rules of ErrBadSnapshot
-// are checked as they are read, so hostile bytes fail with ErrBadSnapshot
-// instead of panicking or allocating without bound.
-func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
+// monomial variables, predicates and facts — and the rules of ReadDB are
+// checked as they are read, so hostile bytes fail r instead of panicking or
+// allocating without bound.
+func walkSnapshot(r *codec.Reader, db *DB) DBStats {
 	var stats DBStats
-	stats.Bytes = len(blob)
-	if len(blob) < len(codecMagic) || string(blob[:len(codecMagic)]) != codecMagic {
-		return stats, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	r := codec.NewReader(blob[len(codecMagic):], ErrBadSnapshot)
+	before := r.Len()
 
 	nVars := r.Count("variable", 1)
 	vars := make([]provenance.Token, 0, nVars)
@@ -235,15 +223,15 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 		}
 		p, err := arena.Poly()
 		if err != nil {
-			return stats, fmt.Errorf("%w: polynomial %d: %w", ErrBadSnapshot, i, err)
+			r.Fail("polynomial %d: %w", i, err)
+			break
 		}
-		// EncodeDB writes each distinct polynomial once. A repeated hash is
+		// AppendDB writes each distinct polynomial once. A repeated hash is
 		// a repeated entry or, all but never, a collision: compare.
 		if _, seen := hashes[p.Hash()]; seen {
-			for j := range table {
-				if table[j].Equal(p) {
-					return stats, fmt.Errorf("%w: polynomials %d and %d are equal", ErrBadSnapshot, j, i)
-				}
+			if j := slices.IndexFunc(table, p.Equal); j >= 0 {
+				r.Fail("polynomials %d and %d are equal", j, i)
+				break
 			}
 		}
 		hashes[p.Hash()] = struct{}{}
@@ -297,7 +285,8 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 				var err error
 				vals, err = schema.AppendParsedTupleKey(vals, key)
 				if err != nil {
-					return stats, fmt.Errorf("%w: tuple in %s: %w", ErrBadSnapshot, pred, err)
+					r.Fail("tuple in %s: %w", pred, err)
+					continue
 				}
 				var t schema.Tuple
 				if len(vals) > start {
@@ -319,5 +308,6 @@ func walkSnapshot(blob []byte, db *DB) (DBStats, error) {
 	if r.Err() == nil && nextPoly != len(table) {
 		r.Fail("polynomial %d unreferenced", nextPoly)
 	}
-	return stats, r.Done()
+	stats.Bytes = before - r.Len()
+	return stats
 }

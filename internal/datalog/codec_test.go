@@ -15,6 +15,48 @@ import (
 	"orchestra/internal/schema"
 )
 
+// The standalone form of a snapshot: a magic, then AppendDB's section. The
+// program embeds the section in larger values and never writes this form;
+// the tests use it to exercise the section codec on its own.
+const codecMagic = "ODB1"
+
+// ErrBadSnapshot is the sentinel of DecodeDB's and StatDB's failures.
+var ErrBadSnapshot = errors.New("datalog: malformed DB snapshot")
+
+func EncodeDB(db *DB) ([]byte, error) {
+	return AppendDB([]byte(codecMagic), db), nil
+}
+
+// openSnapshot checks the magic and returns a reader over the section.
+func openSnapshot(blob []byte) (*codec.Reader, error) {
+	if len(blob) < len(codecMagic) || string(blob[:len(codecMagic)]) != codecMagic {
+		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
+	}
+	return codec.NewReader(blob[len(codecMagic):], ErrBadSnapshot), nil
+}
+
+func DecodeDB(blob []byte) (*DB, error) {
+	r, err := openSnapshot(blob)
+	if err != nil {
+		return nil, err
+	}
+	db := ReadDB(r)
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+func StatDB(blob []byte) (DBStats, error) {
+	r, err := openSnapshot(blob)
+	if err != nil {
+		return DBStats{}, err
+	}
+	stats := SkimDB(r)
+	stats.Bytes = len(blob)
+	return stats, r.Done()
+}
+
 // buildCodecDB constructs a database with shared annotations, multi-variable
 // monomials, the constant monomial, and several predicates — the shapes the snapshot
 // codec must carry exactly.

@@ -70,7 +70,7 @@ type Incremental struct {
 // RestoreIncremental rebuilds maintained state around a database already at
 // fixpoint — the snapshot-restore counterpart of NewIncremental. It skips
 // the initial evaluation entirely (the caller warrants db is the fixpoint
-// of p over its base facts, e.g. a DecodeDB of a snapshot taken from a
+// of p over its base facts, e.g. a ReadDB of a snapshot taken from a
 // live Incremental) and prepares the program; plans are built at the first
 // insertion, over db as it then stands. The deletion index is not saved,
 // and is built on first use like a live engine's. Ownership of db

@@ -14,7 +14,7 @@ var (
 	// ErrAlreadyApplied reports a transaction fed to Apply twice.
 	ErrAlreadyApplied = errors.New("exchange: transaction already applied")
 	// ErrBadState reports engine-snapshot bytes LoadState cannot read: a
-	// wrong magic, a truncated or overlong section, or a malformed union
-	// database (which also wraps datalog.ErrBadSnapshot).
+	// wrong magic, a truncated or overlong section, a malformed union
+	// database, or trailing bytes.
 	ErrBadState = errors.New("exchange: malformed engine snapshot")
 )

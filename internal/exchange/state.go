@@ -11,36 +11,34 @@ import (
 	"orchestra/internal/updates"
 )
 
-// Engine state serialization (DESIGN.md §13). SaveState captures everything
-// the translation engine accumulates over its lifetime — the union database
-// (through the datalog snapshot codec), the base-token map, and the
-// applied-transaction set — so a recovered peer restores the engine and
-// replays only the post-checkpoint archive suffix instead of its whole
+// Engine state serialization (DESIGN.md §13). AppendState captures
+// everything the translation engine accumulates over its lifetime — the
+// union database (through the datalog snapshot codec), the base-token map,
+// and the applied-transaction set — so a recovered peer restores the engine
+// and replays only the post-checkpoint archive suffix instead of its whole
 // fetched history. The deletion index is not saved: the restored engine
 // builds it from the union database at its first deletion.
 //
-// Layout (uvarint integers, uvarint-length-prefixed strings):
+// Section layout (uvarint integers, uvarint-length-prefixed strings; a
+// peer's engine blob embeds it after its own magic):
 //
-//	magic "OES3"
-//	dbLen, then the EncodeDB blob
+//	the datalog.AppendDB section of the union database
 //	baseCount · { key, tokCount · tok }  (sorted by key)
 //	appliedCount · { peer, seq }         (sorted by TxnID)
+//
+// SaveState and LoadState frame the section on its own, after the magic
+// "OES4".
 
-// stateMagic versions the engine-state layout; see codecMagic in
-// internal/datalog for the refusal contract. Version 3 drops version 2's
-// dead-token section, which nothing read.
-const stateMagic = "OES3"
+// stateMagic versions SaveState's framing of the section. Version 4 holds
+// the union database as a bare section, where version 3 held a
+// length-prefixed snapshot with its own magic; version 3 dropped version
+// 2's dead-token section, which nothing read.
+const stateMagic = "OES4"
 
-// SaveState serializes the engine's accumulated state without mutating the
-// engine.
-func (e *Engine) SaveState() ([]byte, error) {
-	dbBlob, err := datalog.EncodeDB(e.inc.DB())
-	if err != nil {
-		return nil, err
-	}
-	buf := append([]byte(nil), stateMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(dbBlob)))
-	buf = append(buf, dbBlob...)
+// AppendState appends the engine's state section to buf without mutating
+// the engine.
+func (e *Engine) AppendState(buf []byte) []byte {
+	buf = datalog.AppendDB(buf, e.inc.DB())
 
 	baseKeys := make([]string, 0, len(e.baseTokens))
 	for k := range e.baseTokens {
@@ -67,29 +65,60 @@ func (e *Engine) SaveState() ([]byte, error) {
 		buf = codec.AppendString(buf, id.Peer)
 		buf = binary.AppendUvarint(buf, id.Seq)
 	}
-	return buf, nil
+	return buf
 }
 
-// LoadState replaces the engine's accumulated state with a SaveState
-// snapshot: the union database is decoded and wrapped in restored
+// SaveState serializes the engine's accumulated state on its own: the
+// magic, then the AppendState section.
+func (e *Engine) SaveState() ([]byte, error) {
+	return e.AppendState([]byte(stateMagic)), nil
+}
+
+// ReadState replaces the engine's accumulated state with the AppendState
+// section read from r: the union database is decoded and wrapped in restored
 // incremental maintenance (no re-evaluation — the snapshot is already at
 // fixpoint), and the base-token map and applied set are rebuilt exactly.
-// Malformed bytes fail with an error wrapping ErrBadState, and on any error
-// the engine is left unchanged.
+// Malformed bytes fail r; on any error the engine is left unchanged.
+func (e *Engine) ReadState(r *codec.Reader) error {
+	st, err := e.readState(r)
+	if err == nil {
+		e.inc, e.baseTokens, e.applied = st.inc, st.base, st.applied
+	}
+	return err
+}
+
+// LoadState is ReadState over a SaveState snapshot, which must hold nothing
+// after its section. Malformed bytes fail with an error wrapping
+// ErrBadState.
 func (e *Engine) LoadState(blob []byte) error {
-	dbBlob, r, err := openState(blob)
-	if err != nil {
-		return err
+	if len(blob) < len(stateMagic) || string(blob[:len(stateMagic)]) != stateMagic {
+		return fmt.Errorf("%w: bad magic", ErrBadState)
 	}
-	db, err := datalog.DecodeDB(dbBlob)
-	if err != nil {
-		return fmt.Errorf("%w: %w", ErrBadState, err)
+	r := codec.NewReader(blob[len(stateMagic):], ErrBadState)
+	st, err := e.readState(r)
+	if err == nil {
+		err = r.Done()
 	}
+	if err == nil {
+		e.inc, e.baseTokens, e.applied = st.inc, st.base, st.applied
+	}
+	return err
+}
+
+// engineState is a state section as read, before it replaces the engine's.
+type engineState struct {
+	inc     *datalog.Incremental
+	base    map[string][]provenance.Var
+	applied map[updates.TxnID]bool
+}
+
+func (e *Engine) readState(r *codec.Reader) (engineState, error) {
+	db := datalog.ReadDB(r)
 
 	// Every base key, token and applied id takes at least one byte.
 	nBase := r.Count("base key", 1)
 	base := make(map[string][]provenance.Var, nBase)
-	for range nBase {
+	for i := 0; i < nBase && r.Err() == nil; i++ {
 		k := r.Str()
 		nToks := r.Count("base token", 1)
 		toks := make([]provenance.Var, 0, nToks)
@@ -100,40 +129,19 @@ func (e *Engine) LoadState(blob []byte) error {
 	}
 	nApplied := r.Count("applied transaction", 1)
 	applied := make(map[updates.TxnID]bool, nApplied)
-	for range nApplied {
+	for i := 0; i < nApplied && r.Err() == nil; i++ {
 		applied[updates.TxnID{Peer: r.Name(), Seq: r.Uvarint()}] = true
 	}
-	if err := r.Done(); err != nil {
-		return err
+	if err := r.Err(); err != nil {
+		return engineState{}, err
 	}
-
 	inc, err := datalog.RestoreIncremental(e.prog, db, e.opts)
-	if err != nil {
-		return err
-	}
-	e.inc = inc
-	e.baseTokens = base
-	e.applied = applied
-	return nil
+	return engineState{inc, base, applied}, err
 }
 
-// StatState summarizes an engine snapshot's union-database section without
-// materializing it — the path behind `orchestra inspect`.
-func StatState(blob []byte) (datalog.DBStats, error) {
-	dbBlob, _, err := openState(blob)
-	if err != nil {
-		return datalog.DBStats{}, err
-	}
-	return datalog.StatDB(dbBlob)
-}
-
-// openState checks a snapshot's magic and splits off its union-database
-// section, returning a reader positioned after it.
-func openState(blob []byte) ([]byte, *codec.Reader, error) {
-	if len(blob) < len(stateMagic) || string(blob[:len(stateMagic)]) != stateMagic {
-		return nil, nil, fmt.Errorf("%w: bad magic", ErrBadState)
-	}
-	r := codec.NewReader(blob[len(stateMagic):], ErrBadState)
-	dbBlob := r.Bytes()
-	return dbBlob, r, r.Err()
+// StatState skims a state section in r, summarizing its union database
+// without materializing it — the path behind `orchestra inspect`. It reads
+// no further than the union database.
+func StatState(r *codec.Reader) datalog.DBStats {
+	return datalog.SkimDB(r)
 }

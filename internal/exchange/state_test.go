@@ -2,13 +2,13 @@ package exchange
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/datalog"
 	"orchestra/internal/updates"
 	"orchestra/internal/workload"
@@ -187,8 +187,9 @@ func TestEngineStateRejectsCorruptBlobs(t *testing.T) {
 	if err := fresh.LoadState(blob); err != nil {
 		t.Fatal(err)
 	}
-	if stats, err := StatState(blob); err != nil || stats.Facts == 0 || stats.Preds == 0 {
-		t.Fatalf("StatState = %+v, %v", stats, err)
+	r := codec.NewReader(blob[len(stateMagic):], ErrBadState)
+	if stats := StatState(r); r.Err() != nil || stats.Facts == 0 || stats.Preds == 0 {
+		t.Fatalf("StatState = %+v, %v", stats, r.Err())
 	}
 }
 
@@ -197,11 +198,11 @@ func TestEngineStateRejectsCorruptBlobs(t *testing.T) {
 // tokens.
 func oes2Of(t testing.TB, blob []byte) []byte {
 	t.Helper()
-	dbLen, n := binary.Uvarint(blob[len(stateMagic):])
-	if n <= 0 {
-		t.Fatal("snapshot without a union-database section")
+	r := codec.NewReader(blob[len(stateMagic):], ErrBadState)
+	if StatState(r); r.Err() != nil {
+		t.Fatalf("snapshot without a union-database section: %v", r.Err())
 	}
-	end := len(stateMagic) + n + int(dbLen)
+	end := len(blob) - r.Len()
 	old := append([]byte("OES2"), blob[len(stateMagic):end]...)
 	old = append(old, 0) // no dead tokens
 	return append(old, blob[end:]...)

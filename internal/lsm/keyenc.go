@@ -20,7 +20,7 @@ import (
 )
 
 // The key encoding is order-preserving: for any two tuples a and b,
-// bytes.Compare(AppendTuple(nil, a), AppendTuple(nil, b)) equals
+// bytes.Compare(appendTuple(nil, a), appendTuple(nil, b)) equals
 // a.Compare(b). That is what lets SSTable segments keep index orderings on
 // disk — a range scan
 // over an encoded prefix enumerates tuples in exactly the order the
@@ -61,17 +61,14 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, stringTerm1, stringTerm2)
 }
 
-// ErrBadKey reports key bytes DecodeValue, DecodeTuple or DecodeString
+// ErrBadKey reports key bytes decodeValue, decodeTuple or decodeString
 // refuses: cut short, holding an unknown kind tag or escape, or not in the
 // one form the encoder writes (a bool byte other than 0 or 1). A value
 // they accept re-encodes to exactly the bytes it was decoded from.
 var ErrBadKey = errors.New("lsm: malformed key encoding")
 
-// DecodeString decodes one AppendString-encoded string from the front of b,
-// returning the string and the remaining bytes. Composite-key layers (the
-// checkpoint keyspace) use it to take keys back apart.
-func DecodeString(b []byte) (string, []byte, error) { return decodeString(b) }
-
+// decodeString decodes one AppendString-encoded string from the front of b,
+// returning the string and the remaining bytes.
 func decodeString(b []byte) (string, []byte, error) {
 	var out []byte
 	for i := 0; i < len(b); {
@@ -97,8 +94,8 @@ func decodeString(b []byte) (string, []byte, error) {
 	return "", nil, fmt.Errorf("%w: unterminated string", ErrBadKey)
 }
 
-// AppendValue appends the order-preserving encoding of one value.
-func AppendValue(b []byte, v schema.Value) []byte {
+// appendValue appends the order-preserving encoding of one value.
+func appendValue(b []byte, v schema.Value) []byte {
 	b = append(b, byte(v.Kind()))
 	switch v.Kind() {
 	case schema.KindString, schema.KindLabeledNull:
@@ -123,9 +120,9 @@ func AppendValue(b []byte, v schema.Value) []byte {
 	}
 }
 
-// DecodeValue decodes one value off the front of b, returning the rest.
+// decodeValue decodes one value off the front of b, returning the rest.
 // Every failure wraps ErrBadKey.
-func DecodeValue(b []byte) (schema.Value, []byte, error) {
+func decodeValue(b []byte) (schema.Value, []byte, error) {
 	if len(b) == 0 {
 		return schema.Value{}, nil, fmt.Errorf("%w: empty value", ErrBadKey)
 	}
@@ -173,22 +170,22 @@ func DecodeValue(b []byte) (schema.Value, []byte, error) {
 	}
 }
 
-// AppendTuple appends the order-preserving encoding of a whole tuple.
-func AppendTuple(b []byte, t schema.Tuple) []byte {
+// appendTuple appends the order-preserving encoding of a whole tuple.
+func appendTuple(b []byte, t schema.Tuple) []byte {
 	for _, v := range t {
-		b = AppendValue(b, v)
+		b = appendValue(b, v)
 	}
 	return b
 }
 
-// DecodeTuple decodes a tuple encoding produced by AppendTuple, consuming
+// decodeTuple decodes a tuple encoding produced by appendTuple, consuming
 // b entirely. Every failure wraps ErrBadKey.
-func DecodeTuple(b []byte) (schema.Tuple, error) {
+func decodeTuple(b []byte) (schema.Tuple, error) {
 	// One allocation at the exact length, as in schema.ParseTupleKey.
 	var buf [8]schema.Value
 	t := buf[:0]
 	for len(b) > 0 {
-		v, rest, err := DecodeValue(b)
+		v, rest, err := decodeValue(b)
 		if err != nil {
 			return nil, err
 		}

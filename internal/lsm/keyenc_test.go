@@ -46,7 +46,7 @@ func TestTupleEncodingOrderPreserving(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 20000; i++ {
 		a, b := randTuple(rng), randTuple(rng)
-		ea, eb := AppendTuple(nil, a), AppendTuple(nil, b)
+		ea, eb := appendTuple(nil, a), appendTuple(nil, b)
 		want := a.Compare(b)
 		got := bytes.Compare(ea, eb)
 		if sign(got) != sign(want) {
@@ -59,8 +59,8 @@ func TestTupleEncodingRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 5000; i++ {
 		tu := randTuple(rng)
-		enc := AppendTuple(nil, tu)
-		back, err := DecodeTuple(enc)
+		enc := appendTuple(nil, tu)
+		back, err := decodeTuple(enc)
 		if err != nil {
 			t.Fatalf("decode %v: %v", tu, err)
 		}
@@ -73,12 +73,12 @@ func TestTupleEncodingRoundTrip(t *testing.T) {
 func TestTuplePrefixSortsFirst(t *testing.T) {
 	a := schema.NewTuple(schema.String("ab"))
 	b := schema.NewTuple(schema.String("ab"), schema.Int(0))
-	if bytes.Compare(AppendTuple(nil, a), AppendTuple(nil, b)) >= 0 {
+	if bytes.Compare(appendTuple(nil, a), appendTuple(nil, b)) >= 0 {
 		t.Fatal("prefix tuple must sort first")
 	}
 	// A string that extends another must also sort after it.
 	c := schema.NewTuple(schema.String("ab\x00"))
-	if bytes.Compare(AppendTuple(nil, a), AppendTuple(nil, c)) >= 0 {
+	if bytes.Compare(appendTuple(nil, a), appendTuple(nil, c)) >= 0 {
 		t.Fatal("extended string must sort after its prefix")
 	}
 }
@@ -116,34 +116,34 @@ func TestDecodeRefusesNonCanonicalBytes(t *testing.T) {
 		{byte(schema.KindString), 'a'},
 		{0x7f},
 	} {
-		if tu, err := DecodeTuple(b); !errors.Is(err, ErrBadKey) {
-			t.Errorf("DecodeTuple(% x) = %v, %v; want ErrBadKey", b, tu, err)
+		if tu, err := decodeTuple(b); !errors.Is(err, ErrBadKey) {
+			t.Errorf("decodeTuple(% x) = %v, %v; want ErrBadKey", b, tu, err)
 		}
 	}
-	if _, _, err := DecodeString([]byte{'a', 0x00}); !errors.Is(err, ErrBadKey) {
-		t.Errorf("DecodeString of a cut terminator: %v, want ErrBadKey", err)
+	if _, _, err := decodeString([]byte{'a', 0x00}); !errors.Is(err, ErrBadKey) {
+		t.Errorf("decodeString of a cut terminator: %v, want ErrBadKey", err)
 	}
 }
 
-// FuzzDecodeTuple holds DecodeTuple to its contract on arbitrary bytes: a
+// FuzzDecodeTuple holds decodeTuple to its contract on arbitrary bytes: a
 // typed error, or a tuple that re-encodes to exactly the input.
 func FuzzDecodeTuple(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 8; i++ {
-		f.Add(AppendTuple(nil, randTuple(rng)))
+		f.Add(appendTuple(nil, randTuple(rng)))
 	}
 	f.Add([]byte{byte(schema.KindBool), 0x07})
 	f.Add([]byte{byte(schema.KindString), 0x00, 0xff, 0x00, 0x01, byte(schema.KindNull)})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		tu, err := DecodeTuple(b)
+		tu, err := decodeTuple(b)
 		if err != nil {
 			if !errors.Is(err, ErrBadKey) {
-				t.Fatalf("DecodeTuple(% x): untyped error %v", b, err)
+				t.Fatalf("decodeTuple(% x): untyped error %v", b, err)
 			}
 			return
 		}
-		if got := AppendTuple(nil, tu); !bytes.Equal(got, b) {
-			t.Fatalf("DecodeTuple(% x) = %v, which re-encodes as % x", b, tu, got)
+		if got := appendTuple(nil, tu); !bytes.Equal(got, b) {
+			t.Fatalf("decodeTuple(% x) = %v, which re-encodes as % x", b, tu, got)
 		}
 	})
 }

@@ -23,7 +23,7 @@ import (
 // `uvarint klen · uvarint (vlen<<1 | tombstone) · key · value`, split at
 // ~BlockBytes boundaries; an entry of BlockBytes or more starts a block of
 // its own, so a scan of its neighbours never reads it (an engine blob is
-// megabytes, next to the checkpoint rows recovery walks). The index block
+// megabytes, next to the checkpoint records recovery walks). The index block
 // is sparse — one entry per data block: the block's first key, its offset
 // and length, and a CRC-32C over its bytes, verified on every read. The
 // bloom block summarizes every key in the segment (10 bits/key, 7 probes)

@@ -202,7 +202,9 @@ func (r *ReplicatedStore) Epoch() (uint64, error) {
 }
 
 // AntiEntropy copies missing transactions between two memory stores so
-// replicas converge (used by the replica maintenance loop and tests).
+// replicas converge (used by the replica maintenance loop and tests). A
+// copied transaction keeps the epoch its source assigned, so a peer that
+// has already read the receiving replica past that epoch never gets it.
 func AntiEntropy(a, b *MemoryStore) {
 	at, ae, _ := a.Since(0)
 	bt, be, _ := b.Since(0)

@@ -327,6 +327,38 @@ func TestReplicatedStoreAllDown(t *testing.T) {
 	}
 }
 
+// TestReplicasKeepTheirOwnEpochs: two in-process replicas archive one
+// published transaction at different epochs, and each keeps its own, while
+// the caller's transaction carries the epoch of the replica that took it
+// last.
+func TestReplicasKeepTheirOwnEpochs(t *testing.T) {
+	a, b := NewMemoryStore(), NewMemoryStore()
+	if _, err := b.Publish([]*updates.Transaction{txn("b", 1)}); err != nil {
+		t.Fatal(err)
+	}
+	shared := txn("a", 1, updates.Insert("R", tup("x")))
+	if _, err := NewReplicatedStore(a, b).Publish([]*updates.Transaction{shared}); err != nil {
+		t.Fatal(err)
+	}
+	if shared.Epoch != 2 {
+		t.Errorf("caller's transaction at epoch %d, want 2 (b's)", shared.Epoch)
+	}
+	for _, c := range []struct {
+		name  string
+		store *MemoryStore
+		epoch uint64
+	}{{"a", a, 1}, {"b", b, 2}} {
+		txns, _, err := c.store.Since(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(txns, func(x *updates.Transaction) bool { return x.ID == shared.ID })
+		if i < 0 || txns[i].Epoch != c.epoch {
+			t.Errorf("replica %s archived %v, want %s at epoch %d", c.name, txns, shared.ID, c.epoch)
+		}
+	}
+}
+
 func TestAntiEntropy(t *testing.T) {
 	a, b := NewMemoryStore(), NewMemoryStore()
 	ta := txn("a", 1, updates.Insert("R", tup("x")))

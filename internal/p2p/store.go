@@ -51,7 +51,10 @@ func NewMemoryStore() *MemoryStore {
 	return &MemoryStore{seen: map[updates.TxnID]bool{}}
 }
 
-// Publish archives transactions and advances the epoch.
+// Publish archives transactions and advances the epoch. The store keeps
+// its own copy of each transaction, stamped with the epoch it assigned, and
+// stamps the caller's too: replicas that archive one transaction each keep
+// the epoch they gave it.
 func (s *MemoryStore) Publish(txns []*updates.Transaction) (uint64, error) {
 	if len(txns) == 0 {
 		return s.Epoch()
@@ -66,10 +69,12 @@ func (s *MemoryStore) Publish(txns []*updates.Transaction) (uint64, error) {
 		dup[t.ID] = true
 	}
 	s.epoch++
-	for _, t := range txns {
+	copies := make([]updates.Transaction, len(txns))
+	for i, t := range txns {
 		t.Epoch = s.epoch
+		copies[i] = *t
 		s.seen[t.ID] = true
-		s.log = append(s.log, t)
+		s.log = append(s.log, &copies[i])
 	}
 	return s.epoch, nil
 }

@@ -95,16 +95,9 @@ func TestIDOrderDoesNotLeak(t *testing.T) {
 		dbA.Add("R", tu, sa.Mul(da))
 		dbB.Add("R", tu, sb.Mul(db))
 	}
-	encA, err := datalog.EncodeDB(dbA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encB, err := datalog.EncodeDB(dbB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	encA, encB := datalog.AppendDB(nil, dbA), datalog.AppendDB(nil, dbB)
 	if !bytes.Equal(bytes.ReplaceAll(encA, []byte(pa), []byte(pb)), encB) {
-		t.Fatal("EncodeDB bytes differ between the two id orders")
+		t.Fatal("AppendDB bytes differ between the two id orders")
 	}
 	if len(encA) < 100 {
 		t.Fatalf("snapshot of %d bytes: the test built nothing", len(encA))

@@ -57,15 +57,14 @@ func (t Tuple) Compare(o Tuple) int {
 
 // Key returns a canonical injective encoding of the whole tuple, usable as
 // a map key. Component keys are length-prefixed so that no two distinct
-// tuples collide. Results are memoized in a bounded process-wide cache
-// (keycache.go): every layer of the update-exchange path re-encodes the
-// tuples it is handed, and all but the first encoding of a hot tuple is a
-// cache hit.
+// tuples collide. A key of up to 64 bytes is encoded on the stack and costs
+// one allocation, the string; AppendKeyTo costs none.
 func (t Tuple) Key() string {
 	if len(t) == 0 {
 		return ""
 	}
-	return t.memoizedKey()
+	var buf [64]byte
+	return string(t.AppendKeyTo(buf[:0]))
 }
 
 // AppendKeyTo appends the tuple's canonical Key encoding to b and returns

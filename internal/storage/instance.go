@@ -32,6 +32,35 @@ func NewInstance(s *schema.Schema) *Instance {
 	return &Instance{schema: s, db: db}
 }
 
+// NewInstanceFrom makes db, holding a saved instance's rows, the instance
+// over s. It refuses a db whose rows s could not hold: a relation s does not
+// declare (ErrUnknownRelation), a tuple the relation's Validate rejects, or
+// two tuples under one primary key (ErrKeyViolation). Relations db has no
+// extent for start empty. The instance takes db over.
+func NewInstanceFrom(s *schema.Schema, db *datalog.DB) (*Instance, error) {
+	in := &Instance{schema: s, db: db}
+	for _, name := range db.Preds() {
+		t, ok := in.view(name)
+		if !ok {
+			return nil, fmt.Errorf("%w %s", ErrUnknownRelation, name)
+		}
+		for row := range t.ext().All() {
+			if err := t.rel.Validate(row.Tuple); err != nil {
+				return nil, err
+			}
+			// The first of two tuples under one key answers for it.
+			key := t.rel.KeyOf(row.Tuple)
+			if held, _ := t.GetByKey(key); !held.Tuple.Equal(row.Tuple) {
+				return nil, &ErrKeyViolation{Relation: name, Key: key, Existing: held.Tuple, New: row.Tuple}
+			}
+		}
+	}
+	for _, r := range s.Relations() {
+		db.Rel(r.Name)
+	}
+	return in, nil
+}
+
 // Schema returns the instance's schema.
 func (in *Instance) Schema() *schema.Schema { return in.schema }
 

@@ -120,10 +120,10 @@ func (p *Peer) PublishAll(ctx context.Context) (uint64, int, error) {
 // tier, as one atomic fsynced batch: the committed-but-unpublished
 // transaction queue and the sequence/epoch record, plus, on a geometric
 // schedule (whenever the engine has translated an eighth as many
-// transactions again as the last image covered), a new image — a snapshot
-// of the translation engine and the trust state (whose accepted-write index
-// also gives a commit its dependencies), with the instance rows written or removed since the previous image (with
-// provenance). It bounds the *loss* window: local commits made after the
+// transactions again as the last image covered), a new image — one value
+// holding the translation engine, the instance with its provenance, and the
+// trust state (whose accepted-write index also gives a commit its
+// dependencies). It bounds the *loss* window: local commits made after the
 // last checkpoint or publish are the only thing a crash can lose. Recovery
 // *time* is bounded by that schedule, not by this call: System.Peer
 // restores the last image and replays the published history after it, at

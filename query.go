@@ -39,8 +39,8 @@ import (
 type Answer = core.Answer
 
 // EvalStats collects evaluation counters — index probes, filter-pushdown
-// hit rate, peak live intermediate tuples, suppressed emissions — from the
-// streaming evaluator under a query. Attach one with Query.Stats; all
+// hit rate, candidates, emitted and suppressed head facts, rounds — from
+// the streaming evaluator under a query. Attach one with Query.Stats; all
 // fields are atomic and accumulate across the queries that share the
 // struct, so a single EvalStats can meter a whole workload.
 type EvalStats = datalog.EvalStats
@@ -182,8 +182,8 @@ func (q *Query) FullFixpoint() *Query {
 }
 
 // Stats attaches an evaluation-counter collector: every evaluation of this
-// query (each Stream/All call) accumulates its probe, pushdown, and
-// peak-live-intermediate counters into s. Pass the same collector to
+// query (each Stream/All call) accumulates its probe, pushdown, emission
+// and round counters into s. Pass the same collector to
 // several queries to meter them together.
 func (q *Query) Stats(s *EvalStats) *Query {
 	q.gq.Stats = s

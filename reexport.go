@@ -217,12 +217,14 @@ func NewStoreServer(store Store, addr string) (*StoreServer, error) {
 // DialStore returns a Store backed by a remote store replica.
 func DialStore(addr string) Store { return p2p.NewClient(addr) }
 
-// NewReplicatedStore fans publishes out to every replica and reads from the
-// first live one.
+// NewReplicatedStore fans publishes out to every reachable replica and reads
+// from the reachable replica with the highest epoch.
 func NewReplicatedStore(replicas ...Store) Store { return p2p.NewReplicatedStore(replicas...) }
 
 // AntiEntropy merges the contents of two in-process stores, bringing a
-// rejoined replica back in sync.
+// rejoined replica back in sync. A merged transaction keeps the epoch the
+// replica that had it assigned, so one a replica missed while it was down is
+// not delivered to a peer that has already read past that epoch.
 func AntiEntropy(a, b *p2p.MemoryStore) { p2p.AntiEntropy(a, b) }
 
 // EncodeTxn converts a transaction to its JSON form, for inspection and
