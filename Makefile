@@ -67,32 +67,32 @@ fuzz-check:
 ## (internal/updates), JSON wire transactions and binary
 ## store-server request frames (internal/p2p), DB snapshots and extent
 ## operations against a naive model (internal/datalog),
-## engine snapshots (internal/exchange), the peer's engine blob and the
-## annotations of the transactions it holds (internal/core), the witness-set merge
-## kernel against its set definition (internal/provenance), the
-## order-preserving tuple key codec, WAL batch payloads, whole SSTables
+## engine snapshots (internal/exchange), the peer's engine blob
+## (internal/core), the witness-set merge kernel against its set
+## definition (internal/provenance), WAL batch payloads, whole SSTables
 ## and the MANIFEST (internal/lsm), and the rule parser the REPL's query
 ## command feeds and the mapping parser (internal/parser); `go test -fuzz`
-## takes one target per run. A failing input lands in the package's
-## testdata/fuzz/.
+## takes one target per run. -fuzzminimizetime 10x caps the minimizing of
+## each new-coverage input at ten runs: the default (60 s) spends most of
+## a short run minimizing engine blobs of several KB, each run a whole
+## restore, and reports 0 execs/sec meanwhile. A failing input lands in the
+## package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzParseTupleKey$$' -fuzztime $(FUZZTIME) ./internal/schema/
-	$(GO) test -run '^$$' -fuzz '^FuzzReadTxn$$' -fuzztime $(FUZZTIME) ./internal/updates/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTxn$$' -fuzztime $(FUZZTIME) ./internal/p2p/
-	$(GO) test -run '^$$' -fuzz '^FuzzServerRequest$$' -fuzztime $(FUZZTIME) ./internal/p2p/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDB$$' -fuzztime $(FUZZTIME) ./internal/datalog/
-	$(GO) test -run '^$$' -fuzz '^FuzzRelOps$$' -fuzztime $(FUZZTIME) ./internal/datalog/
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadState$$' -fuzztime $(FUZZTIME) ./internal/exchange/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEngineBlob$$' -fuzztime $(FUZZTIME) ./internal/core/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeProv$$' -fuzztime $(FUZZTIME) ./internal/core/
-	$(GO) test -run '^$$' -fuzz '^FuzzMergeWitness$$' -fuzztime $(FUZZTIME) ./internal/provenance/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTuple$$' -fuzztime $(FUZZTIME) ./internal/lsm/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/lsm/
-	$(GO) test -run '^$$' -fuzz '^FuzzOpenSSTable$$' -fuzztime $(FUZZTIME) ./internal/lsm/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime $(FUZZTIME) ./internal/lsm/
-	$(GO) test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME) ./internal/parser/
-	$(GO) test -run '^$$' -fuzz '^FuzzParseMapping$$' -fuzztime $(FUZZTIME) ./internal/parser/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTupleKey$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/schema/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTxn$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/updates/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTxn$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/p2p/
+	$(GO) test -run '^$$' -fuzz '^FuzzServerRequest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/p2p/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDB$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/datalog/
+	$(GO) test -run '^$$' -fuzz '^FuzzRelOps$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/datalog/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadState$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/exchange/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEngineBlob$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzMergeWitness$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/provenance/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/lsm/
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenSSTable$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/lsm/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/lsm/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/parser/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMapping$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/parser/
 
 ## bench-build: vet and unit-test the repo benchmark (bench/ is its own Go
 ## module over the engine's internal packages, so `./...` never reaches it;

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -12,10 +13,12 @@ import (
 	"sort"
 	"testing"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/exchange"
 	"orchestra/internal/lsm"
 	"orchestra/internal/obs"
 	"orchestra/internal/p2p"
+	"orchestra/internal/provenance"
 	"orchestra/internal/recon"
 	"orchestra/internal/storage"
 	"orchestra/internal/updates"
@@ -246,9 +249,15 @@ func requireTwin(t *testing.T, label string, got, want *Peer) {
 		}
 	}
 	// The accepted-write index decides the dependencies of every later
-	// commit, so a recovered peer must hold the twin's exactly.
-	if g, w := got.state.Save().Writes, want.state.Save().Writes; !slices.Equal(g, w) {
-		t.Fatalf("%s: accepted writes: recovered %v, twin %v", label, g, w)
+	// commit, so a recovered peer must hold the twin's exactly; so must
+	// every node's priority, body and annotations be.
+	gotTxns, gotWrites := splitTrustSection(t, got.state.AppendState(nil))
+	wantTxns, wantWrites := splitTrustSection(t, want.state.AppendState(nil))
+	if !slices.Equal(gotTxns, wantTxns) {
+		t.Fatalf("%s: trust state transactions: recovered %v, twin %v", label, gotTxns, wantTxns)
+	}
+	if !bytes.Equal(gotWrites, wantWrites) {
+		t.Fatalf("%s: accepted writes: recovered %q, twin %q", label, gotWrites, wantWrites)
 	}
 	if g, w := fmt.Sprint(txnIDs(got.unpublished)), fmt.Sprint(txnIDs(want.unpublished)); g != w {
 		t.Fatalf("%s: unpublished queue: recovered %s, twin %s", label, g, w)
@@ -485,4 +494,30 @@ func TestCheckpointDeletesRowReplacedByUpsert(t *testing.T) {
 		t.Fatal("the checkpoint wrote no image")
 	}
 	requireImageEqualsInstance(t, "after a key-replacing upsert", sys.db, p)
+}
+
+// splitTrustSection reads a recon.State.AppendState section and returns
+// each transaction entry rendered without its epoch — a peer's own
+// transactions hold 0 there until a recovery reads them back from the
+// archive, and the trust state never reads it — and the bytes of the
+// accepted writes.
+func splitTrustSection(t *testing.T, sec []byte) (txns []string, writes []byte) {
+	t.Helper()
+	r := codec.NewReader(sec, ErrBadEngineBlob)
+	table := provenance.ReadTable(r)
+	for range r.Count("transaction", 7) {
+		status, prio := r.Uvarint(), r.Varint()
+		var txn updates.Transaction
+		updates.ReadTxn(r, &txn)
+		provs := make([]provenance.Poly, len(txn.Updates))
+		for i := range provs {
+			provs[i] = table.Ref(r)
+		}
+		txns = append(txns, fmt.Sprint(status, prio, txn.ID, txn.Updates, provs, txn.Deps))
+	}
+	table.Finish(r)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return txns, sec[len(sec)-r.Len():]
 }

@@ -20,7 +20,6 @@ import (
 	"orchestra/internal/lsm"
 	"orchestra/internal/mapping"
 	"orchestra/internal/p2p"
-	"orchestra/internal/provenance"
 	"orchestra/internal/recon"
 	"orchestra/internal/schema"
 	"orchestra/internal/storage"
@@ -240,9 +239,10 @@ func testRecoverDropsImage(t *testing.T, spoil func(db *lsm.DB, blob []byte) err
 		t.Fatal(err)
 	}
 	// An instance row of the layout that kept the instance beside the blob,
-	// which no history produced: loaded, it would stay.
+	// which no history produced: loaded, it would stay. Its value is the
+	// row layout's annotation 1: one monomial, coefficient 1, no variables.
 	stale := append(lsm.AppendString(legacyRowPrefix(workload.Dresden), "OPS"), "stale row"...)
-	if err := db.Put(stale, appendProv(nil, provenance.One()), true); err != nil {
+	if err := db.Put(stale, []byte{1, 1, 0}, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {

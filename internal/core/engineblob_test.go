@@ -3,11 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"testing"
 
-	"orchestra/internal/datalog"
 	"orchestra/internal/provenance"
 	"orchestra/internal/recon"
 	"orchestra/internal/schema"
@@ -69,25 +67,6 @@ func engineBlobSeeds(t testing.TB) [][]byte {
 	return append(seeds, engineBlobOf(dresden))
 }
 
-// acceptedWithUpdates is a blob appendImage never writes: an accepted
-// transaction, which a blob stores as a skeleton, carrying an update. Its
-// engine and instance sections are those of the empty peer p.
-func acceptedWithUpdates(p *Peer) []byte {
-	b := binary.AppendUvarint([]byte(engineBlobMagic), 1) // watermark
-	b = p.engine.AppendState(b)
-	b = datalog.AppendDB(b, datalog.NewDB())
-	b = binary.AppendUvarint(b, 1) // one transaction
-	b = binary.AppendUvarint(b, uint64(recon.StatusAccepted))
-	b = binary.AppendVarint(b, 1) // prio
-	b = updates.AppendTxn(b, &updates.Transaction{
-		ID:      updates.TxnID{Peer: "a", Seq: 1},
-		Epoch:   1,
-		Updates: []updates.Update{updates.Insert("R", schema.NewTuple(schema.String("x")))},
-	})
-	b = appendProv(b, provenance.NewVar("a#1.0"))
-	return append(b, 0) // no writes
-}
-
 // FuzzDecodeEngineBlob: a peer's engine blob is read back on every
 // recovery, so readImage must refuse any bytes with ErrBadEngineBlob (or
 // errBlobVersion, for another layout's magic) or restore a peer whose image
@@ -101,7 +80,17 @@ func FuzzDecodeEngineBlob(f *testing.F) {
 	second, _ := fig2(f)
 	got, back := first[workload.Dresden], second[workload.Dresden]
 	f.Add(seeds[1][:len(seeds[1])/2])
-	f.Add(acceptedWithUpdates(got))
+	valid, hostile := trustSections()
+	f.Add(withTrust(got, valid))
+	for _, c := range hostile {
+		f.Add(withTrust(got, c.section))
+	}
+	// A deferred update whose tuple no relation of the schema can hold:
+	// restoring it keys the tuple to index the deferred writes.
+	short := &updates.Transaction{ID: updates.TxnID{Peer: workload.Alaska, Seq: 1}, Epoch: 1,
+		Updates: []updates.Update{updates.Insert("OPS", schema.NewTuple(schema.String("rat")))}}
+	f.Add(withTrust(got, trustSection([]provenance.Poly{provenance.One()},
+		[]trustEntry{{uint64(recon.StatusDeferred), short, []int{0}}})))
 	f.Add(append([]byte("OEB7"), seeds[1][len(engineBlobMagic):]...))
 	f.Add([]byte{})
 	f.Add(seeds[3][:len(seeds[3])-3])

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
+	"orchestra/internal/codec"
 	"orchestra/internal/datalog"
 	"orchestra/internal/exchange"
 	"orchestra/internal/lsm"
@@ -14,6 +17,7 @@ import (
 	"orchestra/internal/provenance"
 	"orchestra/internal/recon"
 	"orchestra/internal/schema"
+	"orchestra/internal/updates"
 	"orchestra/internal/workload"
 )
 
@@ -199,6 +203,142 @@ func TestRecoverRefusesHostileInstance(t *testing.T) {
 			case c.ok && err != nil:
 				t.Fatalf("recovery refused the image: %v", err)
 			case !c.ok && !errors.Is(err, ErrBadEngineBlob):
+				t.Fatalf("recovery = %v, want ErrBadEngineBlob", err)
+			}
+		})
+	}
+}
+
+// trustEntry is one transaction of a hand-assembled trust section: its
+// status code, the transaction, and the table index of each update's
+// annotation.
+type trustEntry struct {
+	status uint64
+	txn    *updates.Transaction
+	refs   []int
+}
+
+// trustSection assembles a trust section by hand: the polynomial table of
+// annots, one entry per transaction at priority 1, and an accepted write
+// under each key.
+func trustSection(annots []provenance.Poly, entries []trustEntry, keys ...string) []byte {
+	w := provenance.NewTableWriter(len(annots))
+	for _, p := range annots {
+		w.Index(p)
+	}
+	b := w.AppendTable(nil)
+	b = binary.AppendUvarint(b, uint64(len(entries)))
+	for _, e := range entries {
+		b = binary.AppendUvarint(b, e.status)
+		b = binary.AppendVarint(b, 1)
+		b = updates.AppendTxn(b, e.txn)
+		for _, i := range e.refs {
+			b = binary.AppendUvarint(b, uint64(i))
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(keys)))
+	for _, k := range keys {
+		b = codec.AppendString(b, k)
+		b = codec.AppendString(b, workload.Alaska)
+		b = binary.AppendUvarint(b, 2)
+		b = append(b, 0) // not deleted
+		b = codec.AppendString(b, workload.OPSTuple("rat", "brca1", "TTTT").Key())
+	}
+	return b
+}
+
+// withTrust returns p's image with trust in place of its trust section,
+// which is the image's last.
+func withTrust(p *Peer, trust []byte) []byte {
+	img := p.appendImage(nil)
+	head := len(img) - len(p.state.AppendState(nil))
+	return append(img[:head:head], trust...)
+}
+
+// hostileSection is a trust section AppendState never writes, named by
+// the one rule it breaks.
+type hostileSection struct {
+	name    string
+	section []byte
+}
+
+// trustSections returns a hand-assembled trust section that ReadState
+// accepts — a pending transaction with two annotated updates and an
+// accepted skeleton — and hostile variations of that assembly.
+func trustSections() (valid []byte, hostile []hostileSection) {
+	x, y := provenance.NewVar("alaska#1.0"), provenance.NewVar("alaska#1.1")
+	txn := func(seq uint64, nUpdates int) *updates.Transaction {
+		t := &updates.Transaction{ID: updates.TxnID{Peer: workload.Alaska, Seq: seq}, Epoch: 1}
+		for i := range nUpdates {
+			t.Updates = append(t.Updates, updates.Insert("OPS", workload.OPSTuple("rat", fmt.Sprint(i), "TTTT")))
+		}
+		return t
+	}
+	pending, accepted := uint64(recon.StatusPending), uint64(recon.StatusAccepted)
+	open := trustEntry{pending, txn(1, 2), []int{0, 1}}
+	closed := trustEntry{accepted, txn(2, 0), nil}
+	valid = trustSection([]provenance.Poly{x, y}, []trustEntry{open, closed}, "OPS/a", "OPS/b")
+	return valid, []hostileSection{
+		{"unknown status", trustSection(nil, []trustEntry{{9, txn(1, 0), nil}})},
+		{"status 0", trustSection(nil, []trustEntry{{0, txn(1, 0), nil}})},
+		{"updates on an accepted node", trustSection([]provenance.Poly{x}, []trustEntry{{accepted, txn(1, 1), []int{0}}})},
+		{"one id twice", trustSection(nil, []trustEntry{{pending, txn(1, 0), nil}, {pending, txn(1, 0), nil}})},
+		{"ids out of order", trustSection(nil, []trustEntry{closed, {pending, txn(1, 0), nil}})},
+		{"index past the table", trustSection([]provenance.Poly{x}, []trustEntry{{pending, txn(1, 2), []int{0, 1}}})},
+		{"index out of first-reference order", trustSection([]provenance.Poly{x, y}, []trustEntry{{pending, txn(1, 2), []int{1, 0}}})},
+		{"unreferenced table entry", trustSection([]provenance.Poly{x, y}, []trustEntry{{pending, txn(1, 1), []int{0}}})},
+		{"writes out of key order", trustSection([]provenance.Poly{x, y}, []trustEntry{open, closed}, "OPS/b", "OPS/a")},
+		{"trailing bytes", append(slices.Clone(valid), 0)},
+	}
+}
+
+// TestRecoverRefusesHostileTrustState: an image whose trust section breaks
+// a rule AppendState keeps — an unknown status, updates on a closed node,
+// an id twice or out of order, an annotation index past the table or out
+// of first-reference order, a table entry nothing references, writes out
+// of key order, trailing bytes — fails recovery with ErrBadEngineBlob,
+// while the image as written and the canonical hand assembly restore.
+func TestRecoverRefusesHostileTrustState(t *testing.T) {
+	db, ds := openDurableTier(t, t.TempDir())
+	defer db.Close()
+	sys, err := NewSystem(workload.Figure2Peers(), workload.Figure2Mappings())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresden := durablePeer(t, workload.Dresden, sys, ds, recon.TrustAll(1), db)
+	commit(t, dresden.NewTransaction().Insert("OPS", workload.OPSTuple("rat", "brca1", "TTTT")))
+	checkpoint(t, dresden, db)
+	blob, ok, err := db.Get(ekKey(workload.Dresden))
+	if err != nil || !ok {
+		t.Fatalf("no image: ok=%v err=%v", ok, err)
+	}
+	if spliced := withTrust(dresden, dresden.state.AppendState(nil)); !bytes.Equal(spliced, blob) {
+		t.Fatal("the image as spliced differs from the image as written")
+	}
+	recoverImage := func(blob []byte) (*Peer, error) {
+		if err := db.Put(ekKey(workload.Dresden), blob, true); err != nil {
+			t.Fatal(err)
+		}
+		return RecoverPeerWith(context.Background(), workload.Dresden, sys, ds, recon.TrustAll(1), exchange.Config{}, db)
+	}
+	valid, hostile := trustSections()
+	t.Run("as written", func(t *testing.T) {
+		if _, err := recoverImage(blob); err != nil {
+			t.Fatalf("recovery refused the image: %v", err)
+		}
+	})
+	t.Run("assembled", func(t *testing.T) {
+		p, err := recoverImage(withTrust(dresden, valid))
+		if err != nil {
+			t.Fatalf("recovery refused the image: %v", err)
+		}
+		if st := p.Status(updates.TxnID{Peer: workload.Alaska, Seq: 1}); st != recon.StatusPending {
+			t.Fatalf("the assembled pending transaction is %s after recovery", st)
+		}
+	})
+	for _, c := range hostile {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := recoverImage(withTrust(dresden, c.section)); !errors.Is(err, ErrBadEngineBlob) {
 				t.Fatalf("recovery = %v, want ErrBadEngineBlob", err)
 			}
 		})

@@ -127,9 +127,11 @@ func NewPeerWith(name string, sys *System, store p2p.Store, policy *recon.Policy
 	if err != nil {
 		return nil, err
 	}
+	// A tuple of the wrong arity (only a hostile image holds one) keys as
+	// itself.
 	keyOf := func(rel string, tu schema.Tuple) schema.Tuple {
 		r := s.Relation(rel)
-		if r == nil {
+		if r == nil || len(tu) != r.Arity() {
 			return tu
 		}
 		return r.KeyOf(tu)

@@ -54,10 +54,10 @@ func TestParseRuleFeatures(t *testing.T) {
 	if r.Head.Terms[2].Term.Value.IntVal() != 42 {
 		t.Errorf("int constant = %v", r.Head.Terms[2])
 	}
-	if r.Head.Terms[3].Term.Value.FloatVal() != 2.5 {
+	if !r.Head.Terms[3].Term.Value.Equal(schema.Float(2.5)) {
 		t.Errorf("float constant = %v", r.Head.Terms[3])
 	}
-	if !r.Head.Terms[4].Term.Value.BoolVal() {
+	if !r.Head.Terms[4].Term.Value.Equal(schema.Bool(true)) {
 		t.Errorf("bool constant = %v", r.Head.Terms[4])
 	}
 	if len(r.Body) != 4 {

@@ -9,6 +9,7 @@ package recon
 // compared against step by step.
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -1008,7 +1009,7 @@ func TestOpenSetEqualsFullScan(t *testing.T) {
 					winner = s.deferred[sc.rng.Intn(len(s.deferred))].id
 				}
 				log = append(log, fmt.Sprintf("resolve %s", winner))
-				before := s.Save()
+				before := s.AppendState(nil)
 				got, gerr = s.Resolve(winner)
 				want, werr = o.Resolve(winner)
 				if !errors.Is(gerr, ErrNotDeferred) {
@@ -1018,16 +1019,16 @@ func TestOpenSetEqualsFullScan(t *testing.T) {
 					if !errors.Is(gerr, ErrNotDeferred) {
 						failedResolves++
 					}
-					if !reflect.DeepEqual(before, s.Save()) {
+					if !bytes.Equal(before, s.AppendState(nil)) {
 						fail("failed Resolve changed the state")
 					}
 				}
 			default:
 				log = append(log, "save and restore")
-				sv, osv := s.Save(), o.Save()
-				s, o = NewState(keyFirst), newOracleState(keyFirst)
-				if err := s.Restore(sv); err != nil {
-					fail("restore: %v", err)
+				sv, osv := saved(s), o.Save()
+				s, o = roundTrip(t, s), newOracleState(keyFirst)
+				if !reflect.DeepEqual(saved(s), sv) {
+					fail("restore changed the saved state")
 				}
 				if err := o.Restore(osv); err != nil {
 					fail("oracle restore: %v", err)
@@ -1052,7 +1053,7 @@ func TestOpenSetEqualsFullScan(t *testing.T) {
 					}
 				}
 			}
-			if !reflect.DeepEqual(s.Save(), closedAsSkeletons(o.Save())) {
+			if !reflect.DeepEqual(saved(s), closedAsSkeletons(o.Save())) {
 				fail("saved state differs from the full scan's")
 			}
 			checkIndexes(t, s)

@@ -293,7 +293,8 @@ func (s *State) Status(id updates.TxnID) Status {
 }
 
 // IDs returns the id of every transaction seen, in TxnID order. It is the
-// one walk over all of history, for Save and for tests; no round takes it.
+// one walk over all of history, for AppendState and for tests; no round
+// takes it.
 func (s *State) IDs() []updates.TxnID {
 	out := make([]updates.TxnID, 0, len(s.nodes))
 	for id, n := range s.nodes {

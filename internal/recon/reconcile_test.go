@@ -1,6 +1,7 @@
 package recon
 
 import (
+	"bytes"
 	"reflect"
 	"slices"
 	"testing"
@@ -428,7 +429,7 @@ func TestFailedResolveLeavesStateUntouched(t *testing.T) {
 	if err := s.AcceptLocal(local); err != nil {
 		t.Fatal(err)
 	}
-	before := s.Save()
+	before := s.AppendState(nil)
 	if o, err := s.Resolve(a.ID); err == nil {
 		t.Fatalf("resolving in favour of a transaction that lost to a local write succeeded: %+v", o)
 	}
@@ -437,9 +438,14 @@ func TestFailedResolveLeavesStateUntouched(t *testing.T) {
 			t.Errorf("%s is %s after the failed Resolve, want deferred", tx.ID, st)
 		}
 	}
-	if after := s.Save(); !reflect.DeepEqual(before, after) {
-		t.Errorf("failed Resolve changed the state:\nbefore %+v\n after %+v", before, after)
+	if after := s.AppendState(nil); !bytes.Equal(before, after) {
+		t.Errorf("failed Resolve changed the state:\nbefore %q\n after %q", before, after)
 	}
+	// What the section holds reads back to the state it was written from.
+	if back := roundTrip(t, s); !reflect.DeepEqual(saved(back), saved(s)) {
+		t.Errorf("the state after a failed Resolve does not survive a save and restore:\nwrote %+v\n read %+v", saved(s), saved(back))
+	}
+	s = roundTrip(t, s)
 	// The state is still live: resolving for b settles all three.
 	o, err = s.Resolve(b.ID)
 	if err == nil {

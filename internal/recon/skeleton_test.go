@@ -1,6 +1,7 @@
 package recon
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -154,14 +155,24 @@ func TestClosedNodesHoldSkeletons(t *testing.T) {
 		if closed != 0 || open != rounds+2 {
 			t.Fatalf("after %d rounds closed nodes hold %d updates and open ones %d, want 0 and %d", rounds, closed, open, rounds+2)
 		}
-		for _, st := range c.s.Save().Txns {
+		back := roundTrip(t, c.s)
+		for _, st := range saved(back).Txns {
 			if closedNode := st.Status == StatusAccepted || st.Status == StatusRejected; closedNode == (len(st.Txn.Updates) > 0) {
-				t.Fatalf("after %d rounds Save holds %s %s with %d updates", rounds, st.Status, st.Txn.ID, len(st.Txn.Updates))
+				t.Fatalf("after %d rounds and a save and restore the state holds %s %s with %d updates", rounds, st.Status, st.Txn.ID, len(st.Txn.Updates))
 			}
 		}
-		back := NewState(keyFirst)
-		if err := back.Restore(c.s.Save()); err != nil {
-			t.Fatal(err)
+		if closed, open := heldUpdates(back); closed != 0 || open != rounds+2 {
+			t.Fatalf("after %d rounds and a save and restore closed nodes hold %d updates and open ones %d, want 0 and %d", rounds, closed, open, rounds+2)
+		}
+		// The restored open nodes hold copies of what was sent, which
+		// later rounds hand over in their place.
+		for id, tx := range c.sent {
+			if n := back.nodes[id]; n.status == StatusPending || n.status == StatusDeferred {
+				if !reflect.DeepEqual(n.txn, tx) {
+					t.Fatalf("%s node %s restored as %+v, want %+v", n.status, id, n.txn, tx)
+				}
+				c.sent[id] = n.txn
+			}
 		}
 		c.s = back
 		checkBodies(t, c, nil)

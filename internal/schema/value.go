@@ -101,12 +101,6 @@ func (v Value) Str() string { return v.s }
 // IntVal returns the integer payload (0 for non-integer values).
 func (v Value) IntVal() int64 { return v.i }
 
-// FloatVal returns the float payload (0 for non-float values).
-func (v Value) FloatVal() float64 { return v.f }
-
-// BoolVal returns the boolean payload (false for non-bool values).
-func (v Value) BoolVal() bool { return v.kind == KindBool && v.i == 1 }
-
 // Equal reports whether two values are identical in kind and payload. It
 // agrees with Key, which identifies tuples: -0 and 0 are different floats,
 // and every NaN is the same one.

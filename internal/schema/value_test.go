@@ -30,11 +30,11 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 	if Int(7).IntVal() != 7 {
 		t.Error("IntVal() lost payload")
 	}
-	if Float(2.5).FloatVal() != 2.5 {
-		t.Error("FloatVal() lost payload")
+	if Float(2.5).Equal(Float(2.25)) {
+		t.Error("Float lost payload")
 	}
-	if !Bool(true).BoolVal() || Bool(false).BoolVal() {
-		t.Error("BoolVal() wrong")
+	if Bool(true).Equal(Bool(false)) {
+		t.Error("Bool lost payload")
 	}
 	if !LabeledNull("t").IsLabeledNull() {
 		t.Error("IsLabeledNull() false for labeled null")
