@@ -70,9 +70,10 @@ fuzz-check:
 ## engine snapshots (internal/exchange), the peer's engine blob
 ## (internal/core), the witness-set merge kernel against its set
 ## definition (internal/provenance), WAL batch payloads, whole SSTables
-## and the MANIFEST (internal/lsm), and the rule parser the REPL's query
-## command feeds and the mapping parser (internal/parser); `go test -fuzz`
-## takes one target per run. -fuzzminimizetime 10x caps the minimizing of
+## and the MANIFEST (internal/lsm), the rule parser the REPL's query
+## command feeds and the mapping parser (internal/parser), and the shape
+## key a public Query records as it is built (the root package, ./.);
+## `go test -fuzz` takes one target per run. -fuzzminimizetime 10x caps the minimizing of
 ## each new-coverage input at ten runs: the default (60 s) spends most of
 ## a short run minimizing engine blobs of several KB, each run a whole
 ## restore, and reports 0 execs/sec meanwhile. A failing input lands in the
@@ -93,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/lsm/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMapping$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/parser/
+	$(GO) test -run '^$$' -fuzz '^FuzzQueryShapeKey$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./.
 
 ## bench-build: vet and unit-test the repo benchmark (bench/ is its own Go
 ## module over the engine's internal packages, so `./...` never reaches it;

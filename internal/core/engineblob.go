@@ -10,6 +10,7 @@ import (
 	"orchestra/internal/exchange"
 	"orchestra/internal/lsm"
 	"orchestra/internal/storage"
+	"orchestra/internal/updates"
 )
 
 // Engine blob (DESIGN.md §13): the single value under the "e/" keyspace that
@@ -50,7 +51,8 @@ var errBlobVersion = errors.New("core: engine snapshot of another format version
 // ErrBadEngineBlob reports checkpoint bytes core's decoders refuse: an
 // engine blob, a meta record, a queued transaction or a journal record that
 // is truncated, followed by trailing bytes, or carrying content its writer
-// never writes — among it an instance a peer of this schema could not hold.
+// never writes — among it an instance, or an open transaction's update, that
+// a peer of this schema could not hold.
 // A recovery that meets one fails; only errBlobVersion means "absent".
 var ErrBadEngineBlob = errors.New("core: malformed checkpoint")
 
@@ -60,9 +62,7 @@ func (p *Peer) appendImage(buf []byte) []byte {
 	buf = append(buf, engineBlobMagic...)
 	buf = binary.AppendUvarint(buf, p.lastEpoch)
 	buf = p.engine.AppendState(buf)
-	edb, release := p.local.EDB()
-	buf = datalog.AppendDB(buf, edb)
-	release()
+	p.local.EDB(func(edb *datalog.DB) { buf = datalog.AppendDB(buf, edb) })
 	return p.state.AppendState(buf)
 }
 
@@ -104,12 +104,18 @@ func (p *Peer) readImage(r *codec.Reader) (uint64, error) {
 	if err := r.Err(); err != nil {
 		return 0, err
 	}
-	local, err := storage.NewInstanceFrom(p.local.Schema(), db)
+	s := p.local.Schema()
+	local, err := storage.NewInstanceFrom(s, db)
 	if err != nil {
 		return 0, fmt.Errorf("%w: instance: %w", ErrBadEngineBlob, err)
 	}
 
-	if err := p.state.ReadState(r); err != nil {
+	// An open transaction's updates must fit the schema, as a commit's do.
+	valid := func(u *updates.Update) error {
+		_, err := checkUpdate(s, p.name, u)
+		return err
+	}
+	if err := p.state.ReadState(r, valid); err != nil {
 		return 0, fmt.Errorf("trust state: %w", err)
 	}
 	if err := r.Done(); err != nil {

@@ -85,8 +85,9 @@ func FuzzDecodeEngineBlob(f *testing.F) {
 	for _, c := range hostile {
 		f.Add(withTrust(got, c.section))
 	}
-	// A deferred update whose tuple no relation of the schema can hold:
-	// restoring it keys the tuple to index the deferred writes.
+	// A deferred update whose tuple no relation of the schema can hold,
+	// which restoring refuses before it keys the tuple to index the
+	// deferred writes.
 	short := &updates.Transaction{ID: updates.TxnID{Peer: workload.Alaska, Seq: 1}, Epoch: 1,
 		Updates: []updates.Update{updates.Insert("OPS", schema.NewTuple(schema.String("rat")))}}
 	f.Add(withTrust(got, trustSection([]provenance.Poly{provenance.One()},

@@ -289,15 +289,30 @@ func trustSections() (valid []byte, hostile []hostileSection) {
 		{"unreferenced table entry", trustSection([]provenance.Poly{x, y}, []trustEntry{{pending, txn(1, 1), []int{0}}})},
 		{"writes out of key order", trustSection([]provenance.Poly{x, y}, []trustEntry{open, closed}, "OPS/b", "OPS/a")},
 		{"trailing bytes", append(slices.Clone(valid), 0)},
+		// An open transaction's updates must fit the peer's schema, as a
+		// commit's must.
+		{"update of the wrong arity", trustSection([]provenance.Poly{x}, []trustEntry{{uint64(recon.StatusDeferred),
+			withUpdate(txn(1, 0), updates.Insert("OPS", schema.NewTuple(schema.String("rat")))), []int{0}}})},
+		{"update of the wrong type", trustSection([]provenance.Poly{x}, []trustEntry{{pending,
+			withUpdate(txn(1, 0), updates.Insert("OPS", schema.NewTuple(schema.String("rat"), schema.Int(1), schema.String("TTTT")))), []int{0}}})},
+		{"update on an undeclared relation", trustSection([]provenance.Poly{x}, []trustEntry{{pending,
+			withUpdate(txn(1, 0), updates.Insert("Nope", workload.OPSTuple("rat", "brca1", "TTTT"))), []int{0}}})},
 	}
+}
+
+// withUpdate appends u to t's updates and returns t.
+func withUpdate(t *updates.Transaction, u updates.Update) *updates.Transaction {
+	t.Updates = append(t.Updates, u)
+	return t
 }
 
 // TestRecoverRefusesHostileTrustState: an image whose trust section breaks
 // a rule AppendState keeps — an unknown status, updates on a closed node,
 // an id twice or out of order, an annotation index past the table or out
 // of first-reference order, a table entry nothing references, writes out
-// of key order, trailing bytes — fails recovery with ErrBadEngineBlob,
-// while the image as written and the canonical hand assembly restore.
+// of key order, trailing bytes, an open update the peer's schema could not
+// hold — fails recovery with ErrBadEngineBlob, while the image as written
+// and the canonical hand assembly restore.
 func TestRecoverRefusesHostileTrustState(t *testing.T) {
 	db, ds := openDurableTier(t, t.TempDir())
 	defer db.Close()

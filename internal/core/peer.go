@@ -88,10 +88,12 @@ type Peer struct {
 	// logging); the zero value is disabled. See SetObserver.
 	obsv observer
 	// shapes holds the goal queries this peer has compiled, by shape
-	// (magic.Shape), at most queryShapeCap of them; shapeKey is the buffer
-	// the next key is encoded into. See QueryGoal.
-	shapes   map[string]*magic.Prepared
-	shapeKey []byte
+	// (magic.Shape), at most queryShapeCap of them. QueryGoal writes a
+	// GoalQuery's shape key and constants into shapeKey and shapeConsts.
+	// See QueryShape.
+	shapes      map[string]*magic.Prepared
+	shapeKey    []byte
+	shapeConsts schema.Tuple
 }
 
 // ApplyEvent is one observed transaction application; see SetApplyHook.
@@ -127,8 +129,8 @@ func NewPeerWith(name string, sys *System, store p2p.Store, policy *recon.Policy
 	if err != nil {
 		return nil, err
 	}
-	// A tuple of the wrong arity (only a hostile image holds one) keys as
-	// itself.
+	// A tuple of the wrong arity keys as itself. (Commits validate theirs,
+	// and restoring an image refuses an open update that would not fit.)
 	keyOf := func(rel string, tu schema.Tuple) schema.Tuple {
 		r := s.Relation(rel)
 		if r == nil || len(tu) != r.Arity() {
@@ -199,6 +201,25 @@ func (t *Txn) Modify(rel string, old, new schema.Tuple) *Txn {
 	return t
 }
 
+// checkUpdate returns the relation of peer's schema s that u writes, or an
+// error when s declares no such relation or a tuple of u does not conform
+// to it.
+func checkUpdate(s *schema.Schema, peer string, u *updates.Update) (*schema.Relation, error) {
+	rel := s.Relation(u.Rel)
+	if rel == nil {
+		return nil, fmt.Errorf("%w: peer %s has no relation %s", ErrUnknownRelation, peer, u.Rel)
+	}
+	for _, tu := range [2]schema.Tuple{u.Old, u.New} {
+		if tu == nil {
+			continue
+		}
+		if err := rel.Validate(tu); err != nil {
+			return nil, err
+		}
+	}
+	return rel, nil
+}
+
 // Commit validates the updates, applies them atomically to the local
 // instance, and queues the transaction for the next Publish. On error
 // nothing is applied.
@@ -217,17 +238,9 @@ func (t *Txn) Commit() (*updates.Transaction, error) {
 	type slot struct{ rel, key string }
 	held := map[slot]schema.Tuple{}
 	for _, u := range t.ups {
-		rel := s.Relation(u.Rel)
-		if rel == nil {
-			return nil, fmt.Errorf("%w: peer %s has no relation %s", ErrUnknownRelation, p.name, u.Rel)
-		}
-		for _, tu := range []schema.Tuple{u.Old, u.New} {
-			if tu == nil {
-				continue
-			}
-			if err := rel.Validate(tu); err != nil {
-				return nil, err
-			}
+		rel, err := checkUpdate(s, p.name, &u)
+		if err != nil {
+			return nil, err
 		}
 		// A Delete or Modify of exactly the tuple this transaction wrote
 		// frees its key again.

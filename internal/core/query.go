@@ -58,19 +58,25 @@ type GoalQuery struct {
 	Stats *datalog.EvalStats
 }
 
-// QueryGoal solves a goal query over the peer's current local instance.
-//
-// The evaluator reads the instance's own extents through an O(#relations)
-// copy-on-write snapshot (storage.Instance.EDB), returned to the instance
-// when the query is done — queries never copy table rows, and a write
-// between two queries keeps the indexes the first one built. Under the
-// default GoalDirected mode the program is magic-rewritten for the goal's
-// binding pattern, so selective queries touch only the data their bindings
-// can reach; the rewrite, its validation and its plans are kept per query
-// shape (see evalShape), and a later query of the shape only seeds the
-// goal's constants and derives into the extents the shape's last query
-// left emptied (magic.Prepared.Eval). The answers are the evaluation's own
-// slice, handed over without a copy.
+// ShapeQuery is a goal query as what answering it reads: its shape, the
+// magic.Shape encoding of its view rules, goal predicate and binding
+// pattern, and the goal's constants apart from it. It is how the public
+// SDK hands over a query it records as the caller builds it (see
+// QueryShape).
+type ShapeQuery struct {
+	// Key is the query's magic.Shape encoding.
+	Key []byte
+	// Consts are the goal's constants, in position order.
+	Consts schema.Tuple
+	// Mode, NoProvenance and Stats are GoalQuery's.
+	Mode         QueryMode
+	NoProvenance bool
+	Stats        *datalog.EvalStats
+}
+
+// QueryGoal solves a goal query over the peer's current local instance. It
+// writes the query's shape key and passes its constants apart, and answers
+// as QueryShape does.
 //
 // Answers list one tuple per binding of the goal's distinct free variables
 // (first-occurrence order), in deterministic order, annotated with exactly
@@ -80,19 +86,74 @@ type GoalQuery struct {
 func (p *Peer) QueryGoal(ctx context.Context, q GoalQuery) ([]Answer, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := p.sys.Schema(p.name)
-	if err := validateGoalQuery(s, q); err != nil {
-		return nil, err
+	p.shapeKey = magic.Shape(p.shapeKey[:0], q.Rules, q.Goal)
+	p.shapeConsts = magic.GoalConsts(p.shapeConsts[:0], q.Goal)
+	return p.queryShape(ctx, ShapeQuery{Key: p.shapeKey, Consts: p.shapeConsts,
+		Mode: q.Mode, NoProvenance: q.NoProvenance, Stats: q.Stats})
+}
+
+// QueryShape solves the goal query q over the peer's current local
+// instance. It reads neither q.Key nor q.Consts after it returns.
+//
+// A GoalDirected query whose shape the peer has compiled (see queryShape)
+// builds no rule and repeats no validation: its constants go straight to
+// the compiled shape's seed. Only a shape the peer has not compiled, or a
+// FullFixpoint query, decodes its rules from the key (magic.ParseShape)
+// and validates them. The evaluator reads the instance's own extents in
+// place, under the instance's read lock (storage.Instance.EDB): queries
+// copy neither rows nor the relation table, and a write between two
+// queries keeps the indexes the first one built. Under GoalDirected the
+// program is magic-rewritten for the goal's binding pattern, so selective
+// queries touch only the data their bindings can reach, and a later query
+// of the shape derives into the extents the shape's last query left
+// emptied (magic.Prepared.Eval). The answers are the evaluation's own
+// slice, handed over without a copy.
+func (p *Peer) QueryShape(ctx context.Context, q ShapeQuery) ([]Answer, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.queryShape(ctx, q)
+}
+
+// queryShapeCap bounds how many compiled goal query shapes a peer keeps
+// (DESIGN.md §14). An application asks a handful of shapes; a caller that
+// builds a fresh shape per query overflows the cache, which then starts
+// over rather than tracking recency.
+const queryShapeCap = 64
+
+// queryShape answers q, through the peer's compiled shape for q.Key when
+// it is GoalDirected, compiling the shape on a miss. The caller holds
+// p.mu, which serializes the evaluation against the peer's own writes.
+func (p *Peer) queryShape(ctx context.Context, q ShapeQuery) ([]Answer, error) {
+	var prep *magic.Prepared
+	if q.Mode != FullFixpoint {
+		prep = p.shapes[string(q.Key)]
+	}
+	var rules []datalog.Rule
+	var goal datalog.Atom
+	if prep == nil {
+		var err error
+		if rules, goal, err = magic.ParseShape(q.Key, q.Consts); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrInvalidQuery, err)
+		}
+		if err := validateGoalQuery(p.sys.Schema(p.name), rules, goal); err != nil {
+			return nil, err
+		}
 	}
 	sp := p.obsv.startSpan("core_query", p.name)
 	defer p.obsv.endSpan(sp, p.name)
 	p.obsv.queries.Inc()
 	defer p.obsv.observeRounds(p.obsv.roundsNow())
-	// The peer mutex serializes this evaluation against the peer's own
-	// writes, and the answers hold no extent of the evaluation, so the
-	// borrowed EDB is dead when QueryGoal returns.
-	edb, release := p.local.EDB()
-	defer release()
+	if q.Mode != FullFixpoint && prep == nil {
+		var err error
+		if prep, err = magic.Prepare(rules, goal); err != nil {
+			return nil, err
+		}
+		if p.shapes == nil || len(p.shapes) >= queryShapeCap {
+			p.shapes = make(map[string]*magic.Prepared, queryShapeCap)
+		}
+		p.shapes[string(q.Key)] = prep
+		p.obsv.prepares.Inc()
+	}
 	opts := datalog.Options{
 		Provenance: !q.NoProvenance,
 		Stats:      q.Stats,
@@ -104,11 +165,15 @@ func (p *Peer) QueryGoal(ctx context.Context, q GoalQuery) ([]Answer, error) {
 	}
 	var out []Answer
 	var err error
-	if q.Mode == FullFixpoint {
-		out, err = magic.EvalGoalFull(ctx, q.Rules, q.Goal, edb, opts)
-	} else {
-		out, err = p.evalShape(ctx, q, edb, opts)
-	}
+	p.local.EDB(func(edb *datalog.DB) {
+		if q.Mode == FullFixpoint {
+			out, err = magic.EvalGoalFull(ctx, rules, goal, edb, opts)
+			return
+		}
+		replans := prep.Replans()
+		out, err = prep.Eval(ctx, q.Consts, edb, opts)
+		p.obsv.replans.Add(prep.Replans() - replans)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -120,45 +185,18 @@ func (p *Peer) QueryGoal(ctx context.Context, q GoalQuery) ([]Answer, error) {
 	return out, nil
 }
 
-// queryShapeCap bounds how many compiled goal query shapes a peer keeps
-// (DESIGN.md §14). An application asks a handful of shapes; a caller that
-// builds a fresh shape per query overflows the cache, which then starts
-// over rather than tracking recency.
-const queryShapeCap = 64
-
-// evalShape answers a GoalDirected query through the peer's compiled shape
-// for it, compiling the shape on a miss. The caller holds p.mu.
-func (p *Peer) evalShape(ctx context.Context, q GoalQuery, edb *datalog.DB, opts datalog.Options) ([]datalog.Fact, error) {
-	p.shapeKey = magic.Shape(p.shapeKey[:0], q.Rules, q.Goal)
-	prep := p.shapes[string(p.shapeKey)]
-	if prep == nil {
-		var err error
-		if prep, err = magic.Prepare(q.Rules, q.Goal); err != nil {
-			return nil, err
-		}
-		if p.shapes == nil || len(p.shapes) >= queryShapeCap {
-			p.shapes = make(map[string]*magic.Prepared, queryShapeCap)
-		}
-		p.shapes[string(p.shapeKey)] = prep
-		p.obsv.prepares.Inc()
-	}
-	replans := prep.Replans()
-	facts, err := prep.Eval(ctx, q.Goal, edb, opts)
-	p.obsv.replans.Add(prep.Replans() - replans)
-	return facts, err
-}
-
 // validateGoalQuery rejects malformed goal queries with ErrInvalidQuery
 // detail before any evaluation work: missing goals, view heads that shadow
 // stored relations or use reserved names, and goal/definition arity
 // mismatches. Unknown body predicates are not errors — they evaluate over
-// empty extents, like querying an empty relation.
-func validateGoalQuery(s *schema.Schema, q GoalQuery) error {
-	if q.Goal.Pred == "" {
+// empty extents, like querying an empty relation. It reads only what a
+// query's shape holds, so a compiled shape needs no second validation.
+func validateGoalQuery(s *schema.Schema, rules []datalog.Rule, goal datalog.Atom) error {
+	if goal.Pred == "" {
 		return fmt.Errorf("%w: empty goal", ErrInvalidQuery)
 	}
 	ruleArity := map[string]int{}
-	for _, r := range q.Rules {
+	for _, r := range rules {
 		h := r.Head.Pred
 		switch {
 		case h == "":
@@ -183,17 +221,17 @@ func validateGoalQuery(s *schema.Schema, q GoalQuery) error {
 			}
 		}
 	}
-	if strings.Contains(q.Goal.Pred, "@") {
-		return fmt.Errorf("%w: goal %q uses a reserved name", ErrInvalidQuery, q.Goal.Pred)
+	if strings.Contains(goal.Pred, "@") {
+		return fmt.Errorf("%w: goal %q uses a reserved name", ErrInvalidQuery, goal.Pred)
 	}
-	if rel := s.Relation(q.Goal.Pred); rel != nil {
-		if len(q.Goal.Terms) != rel.Arity() {
+	if rel := s.Relation(goal.Pred); rel != nil {
+		if len(goal.Terms) != rel.Arity() {
 			return fmt.Errorf("%w: goal %s has %d arguments; relation has arity %d",
-				ErrInvalidQuery, q.Goal.Pred, len(q.Goal.Terms), rel.Arity())
+				ErrInvalidQuery, goal.Pred, len(goal.Terms), rel.Arity())
 		}
-	} else if n, ok := ruleArity[q.Goal.Pred]; ok && n != len(q.Goal.Terms) {
+	} else if n, ok := ruleArity[goal.Pred]; ok && n != len(goal.Terms) {
 		return fmt.Errorf("%w: goal %s has %d arguments; view has arity %d",
-			ErrInvalidQuery, q.Goal.Pred, len(q.Goal.Terms), n)
+			ErrInvalidQuery, goal.Pred, len(goal.Terms), n)
 	}
 	return nil
 }

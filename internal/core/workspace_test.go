@@ -54,9 +54,10 @@ func TestWarmShapeAcrossWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		edb, release := beijing.local.EDB()
-		fresh, err := prep.Eval(ctx, q.Goal, edb, datalog.Options{Provenance: true})
-		release()
+		var fresh []Answer
+		beijing.local.EDB(func(edb *datalog.DB) {
+			fresh, err = prep.Eval(ctx, magic.GoalConsts(nil, q.Goal), edb, datalog.Options{Provenance: true})
+		})
 		if err != nil {
 			t.Fatalf("%s: fresh shape: %v", what, err)
 		}

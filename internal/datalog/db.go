@@ -308,9 +308,6 @@ type DB struct {
 	// evaluations over one shared EDB each snapshot it at entry, and a
 	// snapshot replaces the token.
 	owner atomic.Pointer[ownership]
-	// lentFrom and lentTo record, on a snapshot, the ownership its source
-	// held before the snapshot and the one it was handed; see Release.
-	lentFrom, lentTo *ownership
 }
 
 // NewDB creates an empty database.
@@ -431,24 +428,11 @@ func (db *DB) Remove(pred string, t schema.Tuple) {
 // like the deep Clone it replaces, provided all mutations go through the DB
 // API (Add, MutableRel, and the evaluator's merge paths).
 func (db *DB) Snapshot() *DB {
-	c := &DB{rels: make(map[string]*Rel, len(db.rels)), lentTo: new(ownership)}
+	c := &DB{rels: make(map[string]*Rel, len(db.rels))}
 	c.owner.Store(new(ownership))
 	for p, r := range db.rels {
 		c.rels[p] = r
 	}
-	c.lentFrom = db.owner.Swap(c.lentTo)
+	db.owner.Store(new(ownership))
 	return c
-}
-
-// Release ends snap's life: the caller promises that neither snap nor
-// anything derived from it (snapshots of it, evaluations over it) will be
-// read again. If snap is db's latest snapshot (or every later one has been
-// released too), db takes back the ownership it held before snap was taken,
-// so the extents that only snap shared are db's to mutate in place again —
-// indexes intact, nothing cloned. Extents that an earlier, still unreleased
-// snapshot shares carry an older ownership and stay copy-on-write, and a
-// release out of order simply does nothing. Not calling Release is always
-// safe; it only costs the clone.
-func (db *DB) Release(snap *DB) {
-	db.owner.CompareAndSwap(snap.lentTo, snap.lentFrom)
 }

@@ -1,6 +1,7 @@
 package magic
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -63,14 +64,23 @@ type Prepared struct {
 
 // Shape appends an injective encoding of a goal query's shape (see
 // Prepared) to b: two queries with equal encodings differ at most in the
-// goal's constants and variable names, so one Prepared answers both.
+// goal's constants and variable names, so one Prepared answers both. It is
+// the goal's AppendGoalShape and then, for each rule, a 0 byte and the
+// rule's datalog.AppendRuleKey. The goal comes first, so a caller can
+// write a query's shape as the query is built, goal first and then one rule
+// at a time, and ParseShape reads it back.
 func Shape(b []byte, rules []datalog.Rule, goal datalog.Atom) []byte {
-	b = strconv.AppendInt(b, int64(len(rules)), 10)
-	b = append(b, ':')
+	b = AppendGoalShape(b, goal)
 	for _, r := range rules {
-		b = datalog.AppendRuleKey(b, r)
-		b = append(b, 0)
+		b = datalog.AppendRuleKey(append(b, 0), r)
 	}
+	return b
+}
+
+// AppendGoalShape appends the goal's part of its shape: the predicate,
+// length-prefixed, then per position 'b' for a constant or 'f' and the
+// first position holding the same variable.
+func AppendGoalShape(b []byte, goal datalog.Atom) []byte {
 	b = strconv.AppendInt(b, int64(len(goal.Pred)), 10)
 	b = append(b, ':')
 	b = append(b, goal.Pred...)
@@ -84,6 +94,73 @@ func Shape(b []byte, rules []datalog.Rule, goal datalog.Atom) []byte {
 		}
 	}
 	return b
+}
+
+// GoalConsts appends the goal's constants, in position order, to dst: what
+// a Prepared of its shape evaluates with.
+func GoalConsts(dst schema.Tuple, goal datalog.Atom) schema.Tuple {
+	for _, t := range goal.Terms {
+		if !t.IsVar() {
+			dst = append(dst, t.Value)
+		}
+	}
+	return dst
+}
+
+// ParseShape inverts Shape: it returns the rules and a goal whose shape is
+// key and whose constants are consts, in position order. The goal's
+// variable at position i is named "v" and i's first position, which
+// Shape does not record.
+func ParseShape(key []byte, consts schema.Tuple) ([]datalog.Rule, datalog.Atom, error) {
+	bad := func(what string) error { return fmt.Errorf("magic: malformed query shape: %s", what) }
+	colon := bytes.IndexByte(key, ':')
+	if colon < 0 {
+		return nil, datalog.Atom{}, bad("no goal predicate")
+	}
+	n, err := strconv.Atoi(string(key[:colon]))
+	if err != nil || n < 0 || n > len(key)-colon-1 {
+		return nil, datalog.Atom{}, bad("goal predicate length")
+	}
+	goal := datalog.Atom{Pred: string(key[colon+1 : colon+1+n])}
+	rest := key[colon+1+n:]
+	for len(rest) > 0 && rest[0] != 0 {
+		switch rest[0] {
+		case 'b':
+			if len(consts) == 0 {
+				return nil, datalog.Atom{}, bad("fewer constants than bound positions")
+			}
+			goal.Terms = append(goal.Terms, datalog.C(consts[0]))
+			consts, rest = consts[1:], rest[1:]
+		case 'f':
+			end := 1
+			for end < len(rest) && '0' <= rest[end] && rest[end] <= '9' {
+				end++
+			}
+			first, err := strconv.Atoi(string(rest[1:end]))
+			if err != nil || first > len(goal.Terms) {
+				return nil, datalog.Atom{}, bad("free position")
+			}
+			goal.Terms = append(goal.Terms, datalog.V("v"+strconv.Itoa(first)))
+			rest = rest[end:]
+		default:
+			return nil, datalog.Atom{}, bad("binding pattern")
+		}
+	}
+	if len(consts) > 0 {
+		return nil, datalog.Atom{}, bad("more constants than bound positions")
+	}
+	var rules []datalog.Rule
+	for len(rest) > 0 {
+		r, after, err := datalog.ParseRuleKey(rest[1:])
+		if err != nil {
+			return nil, datalog.Atom{}, err
+		}
+		if len(after) > 0 && after[0] != 0 {
+			return nil, datalog.Atom{}, bad("bytes after a rule")
+		}
+		rules, rest = append(rules, r), after
+	}
+	return rules, goal, nil
 }
 
 // firstUse returns the first position holding the same variable as
@@ -162,29 +239,26 @@ func (p *Prepared) GoalDirected() bool { return p.seedPred != "" }
 // datalog.Prepared).
 func (p *Prepared) Replans() int64 { return p.prog.Replans() }
 
-// Eval answers goal, which must have the shape p was prepared for, over
-// edb, which is never modified and must not be modified before Eval
-// returns. The returned facts are the goal's answers — one per binding
-// of the goal's distinct free variables, in first-occurrence order and in
-// tuple order — annotated with exactly the provenance polynomials full
-// evaluation computes: each is an adorned (or, in the fallback, a full)
-// fact of the goal predicate that agrees with the goal's constants and
-// repeated variables, projected onto the free positions. The projection
-// merges no two facts, since they agree everywhere else.
+// Eval answers the goal of p's shape whose constants are consts (in
+// position order, see GoalConsts) over edb, which is never modified and
+// must not be modified before Eval returns. The returned facts are the
+// goal's answers — one per binding of the goal's distinct free variables,
+// in first-occurrence order and in tuple order — annotated with exactly
+// the provenance polynomials full evaluation computes: each is an adorned
+// (or, in the fallback, a full) fact of the goal predicate that agrees
+// with the goal's constants and repeated variables, projected onto the
+// free positions. The projection merges no two facts, since they agree
+// everywhere else.
 //
 // Only the answers leave the evaluation, so it runs scoped
-// (datalog.Prepared.EvalScoped): the seed is planted in the evaluation's
-// own view of edb, a warm query reuses the derived extents and scratch of
-// the last query of its shape, and the answers are read off the answer
-// extent into one backing array of values. They are the caller's.
-func (p *Prepared) Eval(ctx context.Context, goal datalog.Atom, edb *datalog.DB, opts datalog.Options) ([]datalog.Fact, error) {
-	if len(goal.Terms) != p.arity {
-		return nil, fmt.Errorf("magic: goal %v does not have the prepared shape", goal)
-	}
-	var buf [4]schema.Value // EvalScoped copies the seed
-	consts := schema.Tuple(buf[:0])
-	for _, pos := range p.bound {
-		consts = append(consts, goal.Terms[pos].Value)
+// (datalog.Prepared.EvalScoped): the constants seed the demand predicate
+// in the evaluation's own view of edb, a warm query reuses the derived
+// extents and scratch of the last query of its shape, and the answers are
+// read off the answer extent into one backing array of values. They are
+// the caller's, and Eval keeps nothing of consts.
+func (p *Prepared) Eval(ctx context.Context, consts schema.Tuple, edb *datalog.DB, opts datalog.Options) ([]datalog.Fact, error) {
+	if len(consts) != len(p.bound) {
+		return nil, fmt.Errorf("magic: %d constants for a shape with %d bound positions", len(consts), len(p.bound))
 	}
 	var answers []datalog.Fact
 	err := p.prog.EvalScoped(ctx, edb, p.seedPred, consts, opts, func(db *datalog.DB) {
@@ -259,7 +333,7 @@ func EvalGoal(ctx context.Context, rules []datalog.Rule, goal datalog.Atom, edb 
 	if err != nil {
 		return nil, false, err
 	}
-	answers, err = p.Eval(ctx, goal, edb, opts)
+	answers, err = p.Eval(ctx, GoalConsts(nil, goal), edb, opts)
 	return answers, p.GoalDirected(), err
 }
 

@@ -304,7 +304,7 @@ func TestShapeTellsTermKindsApart(t *testing.T) {
 			}
 			cache[key] = p
 		}
-		got, err := p.Eval(ctx, goal, edb, opts)
+		got, err := p.Eval(ctx, GoalConsts(nil, goal), edb, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

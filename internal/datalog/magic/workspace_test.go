@@ -48,7 +48,7 @@ func TestPreparedConcurrentEvals(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
 				src := (i + g) % sources
-				got, err := prep.Eval(ctx, goal(src*4), edb, opts)
+				got, err := prep.Eval(ctx, GoalConsts(nil, goal(src*4)), edb, opts)
 				if err != nil {
 					t.Error(err)
 					return

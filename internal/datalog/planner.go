@@ -2,7 +2,6 @@ package datalog
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"orchestra/internal/provenance"
@@ -147,74 +146,6 @@ func (p *plan) String() string {
 		parts[i] = s.lit.String()
 	}
 	return strings.Join(parts, ", ")
-}
-
-// appendLP appends a length-prefixed string, keeping concatenations of
-// arbitrary names unambiguous.
-func appendLP(b []byte, s string) []byte {
-	b = strconv.AppendInt(b, int64(len(s)), 10)
-	b = append(b, ':')
-	return append(b, s...)
-}
-
-// appendTermKey appends an injective encoding of a term: variables and
-// constants are tagged, and constant values use schema.Value.Key (which
-// distinguishes kinds).
-func appendTermKey(b []byte, t Term) []byte {
-	if t.IsVar() {
-		b = append(b, 'v')
-		return appendLP(b, t.Name)
-	}
-	b = append(b, 'c')
-	return appendLP(b, t.Value.Key())
-}
-
-// AppendRuleKey appends an injective structural encoding of the rule:
-// unlike Rule.String, it tells the variable x from the constant "x" and
-// Int(1) from Float(1), and it covers the ID and provenance token, which
-// compiled plans bake in.
-func AppendRuleKey(b []byte, r Rule) []byte {
-	if r.ProvNeutral {
-		b = append(b, '0')
-	} else {
-		b = append(b, '1')
-	}
-	b = appendLP(b, r.ID)
-	b = appendLP(b, r.ProvToken)
-	b = appendLP(b, r.Head.Pred)
-	for _, ht := range r.Head.Terms {
-		if ht.Skolem != nil {
-			b = append(b, 'k')
-			b = appendLP(b, ht.Skolem.Fn)
-			for _, a := range ht.Skolem.Args {
-				b = appendTermKey(b, a)
-			}
-			b = append(b, ';')
-			continue
-		}
-		b = appendTermKey(b, ht.Term)
-	}
-	for _, l := range r.Body {
-		switch {
-		case l.Builtin != nil:
-			b = append(b, 'b', byte('0'+l.Builtin.Op))
-			b = appendTermKey(b, l.Builtin.Left)
-			b = appendTermKey(b, l.Builtin.Right)
-		case l.Negated:
-			b = append(b, 'n')
-			b = appendLP(b, l.Atom.Pred)
-			for _, t := range l.Atom.Terms {
-				b = appendTermKey(b, t)
-			}
-		default:
-			b = append(b, 'p')
-			b = appendLP(b, l.Atom.Pred)
-			for _, t := range l.Atom.Terms {
-				b = appendTermKey(b, t)
-			}
-		}
-	}
-	return b
 }
 
 // rulePlans holds one rule's resolved plans: the full (naive) plan and one

@@ -103,7 +103,7 @@ func TestPreparedGoalProperty(t *testing.T) {
 		}
 		for run := 0; run < 10; run++ {
 			goal := goalFor()
-			got, err := prep.Eval(ctx, goal, edb, opts)
+			got, err := prep.Eval(ctx, magic.GoalConsts(nil, goal), edb, opts)
 			if err != nil {
 				t.Fatalf("trial %d run %d: %v", trial, run, err)
 			}

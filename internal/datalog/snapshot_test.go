@@ -246,13 +246,11 @@ func factTuples(fs []Fact) []schema.Tuple {
 	return out
 }
 
-// TestReleaseReturnsOwnership pins the lending half of the copy-on-write
-// protocol. A released snapshot gives the source its extents back — same
-// *Rel, indexes intact, no clone on the next write — but only the extents no
-// other snapshot can still see: under random snapshot / release / write
-// interleavings (out-of-order and repeated releases included) no write ever
-// reaches a snapshot that has not been released.
-func TestReleaseReturnsOwnership(t *testing.T) {
+// TestSnapshotsNeverSeeLaterWrites pins the copy-on-write protocol across
+// many live snapshots: a write under a snapshot clones the extent (and the
+// clone starts without indexes), and under random snapshot / write
+// interleavings no write ever reaches a snapshot taken before it.
+func TestSnapshotsNeverSeeLaterWrites(t *testing.T) {
 	key := schema.NewTuple(schema.Int(3))
 	db := NewDB()
 	for i := int64(0); i < 20; i++ {
@@ -261,71 +259,38 @@ func TestReleaseReturnsOwnership(t *testing.T) {
 	db.Rel("A").Lookup([]int{0}, key)
 	owned := db.Rel("A")
 
-	// Unreleased: the write clones, and the clone starts without indexes.
 	lease := db.Snapshot()
 	db.AddTuple("A", schema.NewTuple(schema.Int(3), schema.Int(100)))
 	if db.Rel("A") == owned || len(db.Rel("A").idx.byCols) != 0 {
-		t.Fatal("write under an unreleased snapshot did not clone")
+		t.Fatal("write under a snapshot did not clone")
 	}
 	if n := len(lease.Rel("A").Lookup([]int{0}, key)); n != 4 {
 		t.Fatalf("snapshot bucket = %d facts, want 4", n)
 	}
 
-	// Released: the next write lands in place and maintains the index.
-	owned = db.Rel("A")
-	owned.Lookup([]int{0}, key)
-	lease = db.Snapshot()
-	db.Release(lease)
-	db.AddTuple("A", schema.NewTuple(schema.Int(3), schema.Int(101)))
-	if db.Rel("A") != owned {
-		t.Fatal("write after Release cloned the extent")
-	}
-	if n := len(owned.idx.byCols); n != 1 {
-		t.Fatalf("indexes after in-place write = %d, want 1", n)
-	}
-	if n := len(owned.Lookup([]int{0}, key)); n != 6 {
-		t.Fatalf("maintained bucket = %d facts, want 6", n)
-	}
-
-	// Every snapshot not yet released keeps reading exactly what it read when
-	// taken, whatever is released around it and in whatever order.
 	type view struct {
-		db       *DB
-		want     string
-		released bool
+		db   *DB
+		want string
 	}
 	rng := rand.New(rand.NewSource(11))
 	for round := 0; round < 50; round++ {
 		var views []*view
 		for step := 0; step < 40; step++ {
-			switch rng.Intn(4) {
+			switch rng.Intn(3) {
 			case 0:
 				s := db.Snapshot()
 				views = append(views, &view{db: s, want: fingerprint(s)})
 			case 1:
-				if len(views) > 0 {
-					v := views[rng.Intn(len(views))]
-					db.Release(v.db) // possibly a second time
-					v.released = true
-				}
-			case 2:
 				db.Add([]string{"A", "B"}[rng.Intn(2)], randTuple(rng, 6),
 					provenance.NewVar(provenance.Var(fmt.Sprintf("r%d_%d", round, step))))
-			case 3:
+			case 2:
 				db.Remove("A", randTuple(rng, 6))
 			}
 			for i, v := range views {
-				if v.released {
-					continue
-				}
 				if got := fingerprint(v.db); got != v.want {
 					t.Fatalf("round %d step %d: a write reached live snapshot %d:\nwant:\n%s\ngot:\n%s", round, step, i, v.want, got)
 				}
 			}
-		}
-		// Hand everything back, newest first, for the next round.
-		for i := len(views) - 1; i >= 0; i-- {
-			db.Release(views[i].db)
 		}
 	}
 }

@@ -77,9 +77,11 @@ func (s *State) AppendState(buf []byte) []byte {
 // statuses. Bytes AppendState never writes fail r: an unknown status, a
 // closed transaction with updates, transactions out of TxnID order (an id
 // twice among them), writes out of key order, a del flag other than 0 or
-// 1, and any fault provenance.ReadTable or updates.ReadTxn finds. On error
-// the state is left as it was.
-func (s *State) ReadState(r *codec.Reader) error {
+// 1, any fault provenance.ReadTable or updates.ReadTxn finds, and an
+// update of an open transaction that valid refuses (the peer's schema has
+// no such relation, or a tuple does not conform to it). On error the state
+// is left as it was.
+func (s *State) ReadState(r *codec.Reader, valid func(*updates.Update) error) error {
 	table := provenance.ReadTable(r)
 	// Transactions are carved from shared chunks: recovery reads one per
 	// transaction of the history. An entry takes at least seven bytes, a
@@ -113,6 +115,11 @@ func (s *State) ReadState(r *codec.Reader) error {
 		prev = t.ID
 		for j := range t.Updates {
 			t.Updates[j].Prov = table.Ref(r)
+		}
+		for j := 0; j < len(t.Updates) && r.Err() == nil; j++ {
+			if err := valid(&t.Updates[j]); err != nil {
+				r.Fail("transaction %s: %v", t.ID, err)
+			}
 		}
 		if r.Err() != nil {
 			break

@@ -31,7 +31,7 @@ func TestReadStateLeavesStateOnError(t *testing.T) {
 	s, _ := historyState(t, 64)
 	sec := s.AppendState(nil)
 	for cut := range len(sec) {
-		if err := s.ReadState(codec.NewReader(sec[:cut], errBadSection)); !errors.Is(err, errBadSection) {
+		if err := s.ReadState(codec.NewReader(sec[:cut], errBadSection), anyUpdate); !errors.Is(err, errBadSection) {
 			t.Fatalf("section cut at %d of %d bytes: ReadState = %v, want errBadSection", cut, len(sec), err)
 		}
 		if after := s.AppendState(nil); !bytes.Equal(after, sec) {

@@ -54,13 +54,17 @@ func saved(s *State) *SavedState {
 
 var errBadSection = errors.New("recon test: malformed trust section")
 
+// anyUpdate is the update check ReadState gets in these tests, whose
+// states belong to no schema: it accepts every update.
+func anyUpdate(*updates.Update) error { return nil }
+
 // roundTrip writes s's image section and reads it back into a fresh State
 // with s's keyOf, as a recovery does.
 func roundTrip(t testing.TB, s *State) *State {
 	t.Helper()
 	r := codec.NewReader(s.AppendState(nil), errBadSection)
 	back := NewState(s.keyOf)
-	if err := back.ReadState(r); err != nil {
+	if err := back.ReadState(r, anyUpdate); err != nil {
 		t.Fatalf("ReadState refuses AppendState's section: %v", err)
 	}
 	if err := r.Done(); err != nil {

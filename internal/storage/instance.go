@@ -13,8 +13,8 @@ import (
 // per relation) over a single datalog.DB that holds every row. An Instance
 // is safe for concurrent use; a coarse RW mutex suffices at the scales a
 // single CDSS peer handles between update exchanges. Readers of a Snapshot
-// or an EDB never take the lock: the DB's copy-on-write protocol keeps every
-// extent they can reach frozen.
+// never take the lock: the DB's copy-on-write protocol keeps every extent
+// they can reach frozen. An EDB reader holds the read lock instead.
 type Instance struct {
 	mu     sync.RWMutex
 	schema *schema.Schema
@@ -119,24 +119,19 @@ func (in *Instance) Rows(rel string) (rows []Row, ok bool) {
 	return t.Rows(), true
 }
 
-// EDB lends the instance's rows to an evaluation as a datalog EDB, one
-// predicate per relation: an O(#relations) copy-on-write snapshot of the DB
-// the instance itself writes, so queries read the stored extents (and build
-// their indexes on them) instead of a copy. The borrower owns the returned DB
-// — evaluation may derive into it — and neither side observes the other's
-// writes. Calling release when the evaluation is over (the EDB and everything
-// derived from it must not be read again) lets the instance go on writing
-// its extents in place, indexes intact, instead of cloning each one on its
-// next write; skipping release is safe and merely costs those clones.
-func (in *Instance) EDB() (edb *datalog.DB, release func()) {
-	in.mu.Lock() // a snapshot replaces the DB's ownership token
-	defer in.mu.Unlock()
-	edb = in.db.Snapshot()
-	return edb, func() {
-		in.mu.Lock()
-		defer in.mu.Unlock()
-		in.db.Release(edb)
-	}
+// EDB hands read the DB the instance itself writes, one predicate per
+// relation, and holds the instance's read lock until read returns: the
+// evaluation reads the stored extents in place (and builds its indexes on
+// them), with no snapshot and nothing to give back. read must not write
+// the DB, create an extent in it, or keep it: an evaluation over it derives
+// into a view or snapshot of its own (datalog.Prepared.EvalScoped,
+// Prepared.Eval), which never write its extents. (A snapshot does hand the
+// DB a fresh ownership token, so the instance's next write to each extent
+// copies it.)
+func (in *Instance) EDB(read func(edb *datalog.DB)) {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	read(in.db)
 }
 
 // Snapshot returns an O(#relations) copy-on-write frozen view: it shares

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"orchestra/internal/datalog"
 	"orchestra/internal/provenance"
 	"orchestra/internal/schema"
 )
@@ -149,10 +150,10 @@ func TestInstanceConcurrentAccess(t *testing.T) {
 			}
 		}(g)
 	}
-	// Key-replacing writers, lock-taking readers, and readers of EDB
-	// snapshots (which probe the shared extents and build their indexes
-	// outside the instance lock) all run against the inserters: every read
-	// path must stay a read, and every write must copy a shared extent first.
+	// Key-replacing writers, lock-taking readers, and EDB readers (which
+	// probe the stored extents in place and build their indexes on them,
+	// under the read lock) all run against the inserters: every read path
+	// must stay a read.
 	for g := 0; g < 2; g++ {
 		wg.Add(3)
 		go func(g int) {
@@ -179,28 +180,18 @@ func TestInstanceConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				edb, release := in.EDB()
-				n := edb.Rel("S").Len()
-				if got := len(edb.Rel("S").Lookup(nil, nil)); got != n {
-					t.Errorf("EDB scan saw %d of %d facts", got, n)
-					return
-				}
-				edb.Rel("O").Lookup([]int{1}, schema.NewTuple(schema.Int(int64(g))))
-				if edb.Rel("view").Len() != 0 { // creating an extent in the EDB is the caller's own write
-					t.Error("fresh predicate not empty")
-					return
-				}
-				if g == 0 {
-					release() // the other reader never releases: both must be safe
-				}
+				in.EDB(func(edb *datalog.DB) {
+					n := edb.Rel("S").Len()
+					if got := len(edb.Rel("S").Lookup(nil, nil)); got != n {
+						t.Errorf("EDB scan saw %d of %d facts", got, n)
+					}
+					edb.Rel("O").Lookup([]int{1}, schema.NewTuple(schema.Int(int64(g))))
+				})
 			}
 		}(g)
 	}
 	wg.Wait()
 	if n := size(in); n != 802 { // 800 S rows, two O keys
 		t.Errorf("size = %d, want 802", n)
-	}
-	if edb, _ := in.EDB(); edb.Has("view") {
-		t.Error("a write to an EDB created an extent in the instance")
 	}
 }

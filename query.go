@@ -2,12 +2,14 @@ package orchestra
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"iter"
 	"strconv"
 
 	"orchestra/internal/core"
 	"orchestra/internal/datalog"
+	"orchestra/internal/datalog/magic"
 )
 
 // This file is the public query surface: a goal-directed, provenance-
@@ -61,72 +63,86 @@ const (
 // QueryTerm is one argument of a goal or body atom: bound to a constant
 // (Bind) or a named free variable (Free).
 type QueryTerm struct {
-	term datalog.Term
-	err  error
+	name  string // the variable, when free
+	value Value  // the constant, when bound
+	free  bool
 }
 
 // Bind makes a bound argument: the position must equal the value. Bound
 // goal arguments are what goal-directed evaluation specializes on.
-func Bind(v Value) QueryTerm { return QueryTerm{term: datalog.C(v)} }
+func Bind(v Value) QueryTerm { return QueryTerm{value: v} }
 
 // Free makes a free (variable) argument. Repeating a name joins the
 // positions; in a goal, each distinct name contributes one output column.
-func Free(name string) QueryTerm {
-	if name == "" {
-		return QueryTerm{err: fmt.Errorf("orchestra: Free with an empty variable name")}
+// The name must not be empty.
+func Free(name string) QueryTerm { return QueryTerm{name: name, free: true} }
+
+// term returns the argument as a datalog term; ok is false for Free("").
+func (t QueryTerm) term() (_ datalog.Term, ok bool) {
+	if t.free {
+		return datalog.V(t.name), t.name != ""
 	}
-	return QueryTerm{term: datalog.V(name)}
+	return datalog.C(t.value), true
 }
 
+// errEmptyFree is the error of a query that uses Free("").
+var errEmptyFree = errors.New("orchestra: Free with an empty variable name")
+
 // QueryLiteral is one body element of a view rule: an atom, a negated
-// atom, or a comparison filter.
+// atom, or a comparison filter. It refers to the arguments it was made
+// with until Rule has read it.
 type QueryLiteral struct {
-	lit datalog.Literal
-	err error
+	pred string
+	args []QueryTerm // a filter's two operands
+	kind literalKind
+	op   CmpOp
 }
+
+type literalKind uint8
+
+const (
+	literalAtom literalKind = iota
+	literalNot
+	literalFilter
+)
 
 // Atom matches the named relation or view with the given argument modes.
 func Atom(pred string, args ...QueryTerm) QueryLiteral {
-	terms, err := termList(args)
-	return QueryLiteral{lit: datalog.Pos(datalog.NewAtom(pred, terms...)), err: err}
+	return QueryLiteral{pred: pred, args: args}
 }
 
 // Not matches when no fact of the relation or view matches; every variable
 // it uses must also appear in a positive atom of the same rule.
 func Not(pred string, args ...QueryTerm) QueryLiteral {
-	terms, err := termList(args)
-	return QueryLiteral{lit: datalog.Neg(datalog.NewAtom(pred, terms...)), err: err}
+	return QueryLiteral{pred: pred, args: args, kind: literalNot}
 }
 
 // Filter compares two terms; its variables must appear in positive atoms
 // of the same rule.
 func Filter(left QueryTerm, op CmpOp, right QueryTerm) QueryLiteral {
-	err := left.err
-	if err == nil {
-		err = right.err
-	}
-	return QueryLiteral{lit: datalog.Cmp(left.term, op, right.term), err: err}
-}
-
-func termList(args []QueryTerm) ([]datalog.Term, error) {
-	terms := make([]datalog.Term, len(args))
-	for i, a := range args {
-		if a.err != nil {
-			return nil, a.err
-		}
-		terms[i] = a.term
-	}
-	return terms, nil
+	return QueryLiteral{args: []QueryTerm{left, right}, kind: literalFilter, op: op}
 }
 
 // Query is an in-flight query description; build it with Peer.Query, add
 // view rules and options, then consume Stream or All. A Query is not safe
 // for concurrent mutation, but the terminal operations only read it.
+//
+// A Query records itself as it is built, as what answering it reads: the
+// key of its shape (its view rules, goal predicate and binding pattern)
+// and, apart from it, the goal's constants, both in storage the Query
+// owns. A query of a shape the peer has compiled is answered from them
+// alone; the peer decodes the rules from the key only to compile a shape
+// it has not seen.
 type Query struct {
-	peer *Peer
-	ctx  context.Context
-	gq   core.GoalQuery
-	err  error
+	peer  *Peer
+	ctx   context.Context
+	sq    core.ShapeQuery // Key and Consts point into key and consts below
+	err   error
+	rules int // view rules added, for the next rule's ID
+	// consts and key hold a small query's constants and shape key; a
+	// larger one's spill to the heap.
+	consts [2]Value
+	key    [128]byte
 }
 
 // Query starts a goal-directed query: goal names a stored relation or a
@@ -138,10 +154,18 @@ func (p *Peer) Query(ctx context.Context, goal string, args ...QueryTerm) *Query
 		ctx = context.Background()
 	}
 	q := &Query{peer: p, ctx: ctx}
-	terms, err := termList(args)
-	q.err = err
-	q.gq.Goal = datalog.NewAtom(goal, terms...)
-	q.gq.NoProvenance = !p.set.provenance
+	q.sq.NoProvenance = !p.set.provenance
+	var buf [8]datalog.Term
+	g := datalog.Atom{Pred: goal, Terms: buf[:0]}
+	for _, a := range args {
+		t, ok := a.term()
+		if !ok && q.err == nil {
+			q.err = errEmptyFree
+		}
+		g.Terms = append(g.Terms, t)
+	}
+	q.sq.Key = magic.AppendGoalShape(q.key[:0], g)
+	q.sq.Consts = magic.GoalConsts(q.consts[:0], g)
 	return q
 }
 
@@ -150,25 +174,32 @@ func (p *Peer) Query(ctx context.Context, goal string, args ...QueryTerm) *Query
 // other views, and themselves (recursion); negation must be stratified.
 // Rule heads must not shadow stored relations.
 func (q *Query) Rule(pred string, vars []string, body ...QueryLiteral) *Query {
-	head := make([]datalog.HeadTerm, len(vars))
-	for i, v := range vars {
+	// The rule's ID is pred/i for the query's i-th rule (from 0).
+	var idBuf [48]byte
+	id := strconv.AppendInt(append(append(idBuf[:0], pred...), '/'), int64(q.rules), 10)
+	q.rules++
+	k := datalog.AppendRuleKeyStart(append(q.sq.Key, 0), false, id, "", pred)
+	for _, v := range vars {
 		if v == "" && q.err == nil {
 			q.err = fmt.Errorf("orchestra: rule %s: empty head variable name", pred)
 		}
-		head[i] = datalog.HV(v)
+		k = datalog.AppendTermKey(k, datalog.V(v))
 	}
-	lits := make([]datalog.Literal, len(body))
-	for i, b := range body {
-		if b.err != nil && q.err == nil {
-			q.err = b.err
+	for _, l := range body {
+		if l.kind == literalFilter {
+			k = datalog.AppendCmpKey(k, l.op)
+		} else {
+			k = datalog.AppendAtomKey(k, l.kind == literalNot, l.pred)
 		}
-		lits[i] = b.lit
+		for _, a := range l.args {
+			t, ok := a.term()
+			if !ok && q.err == nil {
+				q.err = errEmptyFree
+			}
+			k = datalog.AppendTermKey(k, t)
+		}
 	}
-	q.gq.Rules = append(q.gq.Rules, datalog.Rule{
-		ID:   pred + "/" + strconv.Itoa(len(q.gq.Rules)),
-		Head: datalog.Head{Pred: pred, Terms: head},
-		Body: lits,
-	})
+	q.sq.Key = k
 	return q
 }
 
@@ -177,7 +208,7 @@ func (q *Query) Rule(pred string, vars []string, body ...QueryLiteral) *Query {
 // Answers are identical to the default mode — this is the reference
 // baseline, kept callable for verification and benchmarking.
 func (q *Query) FullFixpoint() *Query {
-	q.gq.Mode = core.FullFixpoint
+	q.sq.Mode = core.FullFixpoint
 	return q
 }
 
@@ -186,7 +217,7 @@ func (q *Query) FullFixpoint() *Query {
 // and round counters into s. Pass the same collector to
 // several queries to meter them together.
 func (q *Query) Stats(s *EvalStats) *Query {
-	q.gq.Stats = s
+	q.sq.Stats = s
 	return q
 }
 
@@ -221,7 +252,7 @@ func (q *Query) All() ([]Answer, error) {
 	if q.peer.sys.ctx.Err() != nil {
 		return nil, ErrClosed
 	}
-	answers, err := q.peer.core.QueryGoal(q.ctx, q.gq)
+	answers, err := q.peer.core.QueryShape(q.ctx, q.sq)
 	if err != nil {
 		return nil, wrapErr(err)
 	}

@@ -10,7 +10,7 @@ import (
 
 // graphSystem opens a one-peer system holding a small directed graph: a
 // path ann->bea->cal->dan plus a disconnected eve->fay edge.
-func graphSystem(t *testing.T) (*orchestra.System, *orchestra.Peer) {
+func graphSystem(t *testing.T, opts ...orchestra.Option) (*orchestra.System, *orchestra.Peer) {
 	t.Helper()
 	links := orchestra.NewPeerSchema("links")
 	links.MustAddRelation(orchestra.MustRelation("Follows",
@@ -18,7 +18,7 @@ func graphSystem(t *testing.T) (*orchestra.System, *orchestra.Peer) {
 			{Name: "src", Type: orchestra.KindString},
 			{Name: "dst", Type: orchestra.KindString},
 		}, "src", "dst"))
-	sys, err := orchestra.Open(orchestra.NewSchema().Peer("alice", links))
+	sys, err := orchestra.Open(orchestra.NewSchema().Peer("alice", links), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
