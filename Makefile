@@ -210,4 +210,4 @@ examples-check:
 ## ci: everything the CI workflow runs, in one command (lint and vuln are
 ## separate because they need tools on PATH; run `make lint vuln` too when
 ## you have them installed)
-ci: build vet fmt-check series-check fuzz-check race fuzz-smoke bench-build bench-smoke bench-overhead recovery-check recovery-scaling reconcile-scaling examples-check endpoint-smoke
+ci: build vet fmt-check series-check fuzz-check test race fuzz-smoke bench-build bench-smoke bench-overhead recovery-check recovery-scaling reconcile-scaling examples-check endpoint-smoke

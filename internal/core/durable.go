@@ -166,7 +166,7 @@ func (p *Peer) SaveCheckpoint(db *lsm.DB) error {
 	if db == nil || p.db != db {
 		return fmt.Errorf("core: checkpoint %s: peer was not recovered from this database", p.name)
 	}
-	sp := p.obsv.startSpan("core_checkpoint", p.name)
+	sp := p.obsv.checkpointSpan.Start(p.name)
 	defer p.obsv.endSpan(sp, p.name)
 	p.obsv.checkpoints.Inc()
 	b := lsm.NewBatch()

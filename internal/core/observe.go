@@ -48,6 +48,10 @@ type observer struct {
 	recoveryLoadNs  *obs.Histogram // recovery_load_ns (checkpoint+snapshot load time)
 	checkpointBytes *obs.Gauge     // checkpoint_bytes (last checkpoint batch size)
 	blobWrites      *obs.Counter   // core_engine_blob_writes_total (checkpoints that rebased the blob)
+
+	// The operations' spans, resolved once so an operation's span allocates
+	// nothing; drainSpan is the reconcile span's per-window child.
+	publishSpan, reconcileSpan, drainSpan, checkpointSpan, querySpan *obs.SpanKind
 }
 
 // SetObserver installs the peer's observability surface: operation spans and
@@ -89,6 +93,12 @@ func (p *Peer) SetObserver(reg *obs.Registry, slowOp time.Duration) {
 		recoveryLoadNs:  reg.Histogram("recovery_load_ns"),
 		checkpointBytes: reg.Gauge("checkpoint_bytes"),
 		blobWrites:      reg.Counter("core_engine_blob_writes_total"),
+
+		publishSpan:    reg.SpanKind("core_publish"),
+		reconcileSpan:  reg.SpanKind("core_reconcile"),
+		drainSpan:      reg.SpanKind("exchange_drain"),
+		checkpointSpan: reg.SpanKind("core_checkpoint"),
+		querySpan:      reg.SpanKind("core_query"),
 	}
 	// Recovery runs before the observer is installed (RecoverPeerWith is
 	// called by the facade before SetObserver); the peer buffers its
@@ -100,20 +110,10 @@ func (p *Peer) SetObserver(reg *obs.Registry, slowOp time.Duration) {
 	}
 }
 
-// startSpan opens an operation span (nil when observation is disabled).
-func (o *observer) startSpan(name, peer string) *obs.Span {
-	if o.reg == nil {
-		return nil
-	}
-	return o.reg.StartSpan(name, peer)
-}
-
 // endSpan completes sp and emits the slow-operation warning when its
-// duration crosses the configured threshold. Safe on a nil span.
-func (o *observer) endSpan(sp *obs.Span, peer string) {
-	if sp == nil {
-		return
-	}
+// duration crosses the configured threshold. Safe on the zero span, which
+// a disabled observer's nil kinds start.
+func (o *observer) endSpan(sp obs.Span, peer string) {
 	d := sp.End()
 	if o.slowOp > 0 && d > o.slowOp {
 		slog.Warn("orchestra: slow operation",

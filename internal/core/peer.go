@@ -363,7 +363,7 @@ func (p *Peer) PublishAll(ctx context.Context) (uint64, int, error) {
 		epoch, err := p.store.Epoch()
 		return epoch, 0, err
 	}
-	sp := p.obsv.startSpan("core_publish", p.name)
+	sp := p.obsv.publishSpan.Start(p.name)
 	defer p.obsv.endSpan(sp, p.name)
 	p.obsv.publishes.Inc()
 	published := p.unpublished
@@ -411,7 +411,7 @@ func (p *Peer) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sp := p.obsv.startSpan("core_reconcile", p.name)
+	sp := p.obsv.reconcileSpan.Start(p.name)
 	defer p.obsv.endSpan(sp, p.name)
 	p.obsv.reconciles.Inc()
 	defer p.obsv.observeRounds(p.obsv.roundsNow())
@@ -435,7 +435,7 @@ func (p *Peer) Reconcile(ctx context.Context) (*ReconcileReport, error) {
 	// it one transaction at a time.
 	var results []*exchange.Result
 	if len(fresh) > 0 {
-		dsp := sp.Child("exchange_drain")
+		dsp := sp.Child(p.obsv.drainSpan)
 		start := time.Now()
 		results, err = p.engine.ApplyAll(ctx, fresh)
 		if err != nil {

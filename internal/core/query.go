@@ -139,7 +139,7 @@ func (p *Peer) queryShape(ctx context.Context, q ShapeQuery) ([]Answer, error) {
 			return nil, err
 		}
 	}
-	sp := p.obsv.startSpan("core_query", p.name)
+	sp := p.obsv.querySpan.Start(p.name)
 	defer p.obsv.endSpan(sp, p.name)
 	p.obsv.queries.Inc()
 	defer p.obsv.observeRounds(p.obsv.roundsNow())

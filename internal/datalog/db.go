@@ -20,13 +20,14 @@ type Fact struct {
 
 // Rel is the annotated extent of one predicate — the per-predicate shard of
 // a DB. Facts are addressed by slot: a uint32 that names the fact's place
-// in fixed chunks of relChunkSize facts, so the extent is a few large
-// allocations rather than one heap object per fact, which keeps the
-// long-lived union database dense and the GC's pointer-chasing scan load
-// low. The first chunk grows geometrically up to relChunkSize, so the many
-// tiny extents a goal query derives stay tiny. Per-slot metadata (hash,
+// in the extent's slot arrays, each kept in pages of relChunkSize entries
+// (see pages), so the extent is a few large allocations rather than one
+// heap object per fact, which keeps the long-lived union database dense and
+// the GC's pointer-chasing scan load low, and growing it never copies what
+// it holds. The first page doubles up to relChunkSize, so the many tiny
+// extents a goal query derives stay tiny. Per-slot metadata (hash,
 // same-hash link, insertion number) sits in a pointer-free array beside
-// the chunks, and membership is a pointer-free table from a tuple's
+// the facts, and membership is a pointer-free table from a tuple's
 // structural hash (schema.Tuple.Hash) to its first slot; a shared hash is
 // settled with Tuple.Equal. Freed slots are reused. A provenance update is
 // a single in-place write to the slot's fact.
@@ -34,21 +35,21 @@ type Fact struct {
 // A Rel may be mutated in place only by the DB that owns it (see ownership).
 // DB.Snapshot retires the ownership of every extent the two sides then
 // share: each must copy-on-write (DB.MutableRel) before its next mutation,
-// because the chunks are reachable from the other view. Read paths (Get,
+// because the pages are reachable from the other view. Read paths (Get,
 // Contains, Lookup, Facts) never need the copy; lazy index builds are
 // semantically read-only and stay safe on a shared Rel.
 type Rel struct {
-	// chunks hold the facts: slot s lives at
-	// chunks[s/relChunkSize][s%relChunkSize]. Every chunk but the first is
-	// allocated at full size; the first is reallocated as it doubles, so a
-	// fact is read through its slot, never through a retained pointer.
-	chunks [][]Fact
-	meta   []slotMeta
+	// facts holds the facts and meta their bookkeeping, both indexed by
+	// slot; meta's length is the number of slots ever used. A fact is read
+	// through its slot, never through a retained pointer, because the
+	// first page moves as it doubles.
+	facts pages[Fact]
+	meta  pages[slotMeta]
 	// table maps a tuple hash to the first live slot holding that hash;
 	// slotMeta.next links the rest.
 	table map[uint64]uint32
 	// free lists the slots of removed facts for reuse, so delete-heavy
-	// churn recycles chunk capacity instead of pinning mostly dead chunks
+	// churn recycles page capacity instead of pinning mostly dead pages
 	// behind a few live stragglers.
 	free []uint32
 	// clock numbers insertions, so a reused slot still reports when its
@@ -85,24 +86,104 @@ func NewRel() *Rel {
 	return &Rel{table: map[uint64]uint32{}}
 }
 
-// relChunkSize is the most facts one contiguous chunk holds.
+// relChunkSize is the most entries one page of a slot array holds: facts,
+// their metadata, and each index's chain links.
 const relChunkSize = 256
 
+// pages is a slot-indexed array kept in pages of relChunkSize entries:
+// entry s lives at p[s/relChunkSize][s%relChunkSize]. Growing it never
+// copies what it holds — a slice grown by append copies each entry about
+// four times over and leaves the old arrays to the collector — except in
+// the first page, which doubles from one entry up to relChunkSize so a tiny
+// array stays tiny. Every later page is allocated at full size. Entries at
+// or past the length are zero, and truncate keeps the pages for reuse.
+type pages[T any] struct {
+	p [][]T // allocated pages; every one but the first has relChunkSize entries
+	n int   // entries in use
+}
+
+// len returns the number of entries in use.
+func (a *pages[T]) len() int { return a.n }
+
+// at returns entry s, which must be below the length. The pointer is valid
+// until the next grow, which may move the first page.
+func (a *pages[T]) at(s uint32) *T {
+	return &a.p[s/relChunkSize][s%relChunkSize]
+}
+
+// grow extends the array to n entries when n is longer; the new entries
+// are zero.
+func (a *pages[T]) grow(n int) {
+	if n <= a.n {
+		return
+	}
+	if len(a.p) == 0 {
+		a.p = append(a.p, nil)
+	}
+	if first := len(a.p[0]); first < relChunkSize && first < n {
+		size := max(first, 1)
+		for size < n {
+			size *= 2
+		}
+		size = min(size, relChunkSize)
+		a.p[0] = append(make([]T, 0, size), a.p[0]...)[:size]
+	}
+	for len(a.p)*relChunkSize < n {
+		a.p = append(a.p, make([]T, relChunkSize))
+	}
+	a.n = n
+}
+
+// push appends v and returns its index.
+func (a *pages[T]) push(v T) uint32 {
+	s := uint32(a.n)
+	a.grow(a.n + 1)
+	*a.at(s) = v
+	return s
+}
+
+// reserve sizes the first page of an empty array for n entries.
+func (a *pages[T]) reserve(n int) {
+	if len(a.p) == 0 && n > 0 {
+		a.p = append(a.p, make([]T, min(n, relChunkSize)))
+	}
+}
+
+// truncate empties the array and keeps its pages. It clears the entries in
+// use, so it costs the length, never the capacity.
+func (a *pages[T]) truncate() {
+	for i := 0; i < a.n; i += relChunkSize {
+		pg := a.p[i/relChunkSize]
+		clear(pg[:min(len(pg), a.n-i)])
+	}
+	a.n = 0
+}
+
+// clone copies the pages in use into new ones of the same sizes.
+func (a *pages[T]) clone() pages[T] {
+	used := (a.n + relChunkSize - 1) / relChunkSize
+	c := pages[T]{p: make([][]T, used), n: a.n}
+	for i, pg := range a.p[:used] {
+		c.p[i] = slices.Clone(pg)
+	}
+	return c
+}
+
 // reserve sizes an empty extent for n facts, so a decoder that knows the
-// count fills it without growing the hash table and slot arrays as it goes.
+// count fills it without growing the hash table as it goes.
 func (r *Rel) reserve(n int) {
-	if len(r.meta) > 0 || n <= 0 {
+	if r.meta.len() > 0 || n <= 0 {
 		return
 	}
 	r.table = make(map[uint64]uint32, n)
-	r.meta = make([]slotMeta, 0, n)
-	r.chunks = append(r.chunks[:0], make([]Fact, 0, min(n, relChunkSize)))
+	r.facts.reserve(n)
+	r.meta.reserve(n)
 }
 
 // fact returns the fact at slot s. The pointer is valid until the next
-// insertion (which may move the first chunk).
+// insertion (which may move the first page).
 func (r *Rel) fact(s uint32) *Fact {
-	return &r.chunks[s/relChunkSize][s%relChunkSize]
+	return r.facts.at(s)
 }
 
 // find returns the live slot holding t, whose hash is h.
@@ -111,7 +192,7 @@ func (r *Rel) find(h uint64, t schema.Tuple) (uint32, bool) {
 	if !ok {
 		return noSlot, false
 	}
-	for ; s != noSlot; s = r.meta[s].next {
+	for ; s != noSlot; s = r.meta.at(s).next {
 		if r.fact(s).Tuple.Equal(t) {
 			return s, true
 		}
@@ -121,42 +202,24 @@ func (r *Rel) find(h uint64, t schema.Tuple) (uint32, bool) {
 
 // insert stores a fact known to be absent and folds it into every
 // maintained index. It returns the fact's slot: a freed one when one
-// exists, otherwise the next slot of the current chunk. A full first chunk
-// doubles (up to relChunkSize); later chunks are allocated at full size.
+// exists, otherwise the next slot.
 func (r *Rel) insert(h uint64, t schema.Tuple, p provenance.Poly) uint32 {
 	var s uint32
 	if n := len(r.free); n > 0 {
 		s = r.free[n-1]
 		r.free = r.free[:n-1]
 		r.reused = true
-		*r.fact(s) = Fact{Tuple: t, Prov: p}
 	} else {
-		s = uint32(len(r.meta))
-		c := int(s / relChunkSize)
-		if c == len(r.chunks) {
-			if c < cap(r.chunks) && cap(r.chunks[:c+1][c]) > 0 {
-				r.chunks = r.chunks[:c+1] // a chunk kept by reset
-			} else {
-				n := relChunkSize
-				if c == 0 {
-					n = 1 // the first chunk doubles from one fact
-				}
-				r.chunks = append(r.chunks, make([]Fact, 0, n))
-			}
-		}
-		ch := r.chunks[c]
-		if len(ch) == cap(ch) { // only the first chunk fills before relChunkSize
-			ch = append(make([]Fact, 0, min(relChunkSize, 2*cap(ch))), ch...)
-		}
-		r.chunks[c] = append(ch, Fact{Tuple: t, Prov: p})
-		r.meta = append(r.meta, slotMeta{})
+		s = r.meta.push(slotMeta{})
+		r.facts.grow(r.meta.len())
 	}
+	*r.fact(s) = Fact{Tuple: t, Prov: p}
 	next := noSlot
 	if head, ok := r.table[h]; ok {
 		next = head
 	}
 	r.clock++
-	r.meta[s] = slotMeta{hash: h, seq: r.clock, next: next}
+	*r.meta.at(s) = slotMeta{hash: h, seq: r.clock, next: next}
 	r.table[h] = s
 	r.n++
 	r.indexInsert(s)
@@ -204,66 +267,62 @@ func (r *Rel) put(t schema.Tuple, p provenance.Poly) bool {
 // contents must copy them out first.
 func (r *Rel) remove(s uint32) {
 	r.indexRemove(s)
-	h := r.meta[s].hash
-	if head := r.table[h]; head == s {
-		if nx := r.meta[s].next; nx == noSlot {
-			delete(r.table, h)
+	m := r.meta.at(s)
+	if head := r.table[m.hash]; head == s {
+		if m.next == noSlot {
+			delete(r.table, m.hash)
 		} else {
-			r.table[h] = nx
+			r.table[m.hash] = m.next
 		}
 	} else {
-		for p := head; ; p = r.meta[p].next {
-			if r.meta[p].next == s {
-				r.meta[p].next = r.meta[s].next
+		for p := r.meta.at(head); ; p = r.meta.at(p.next) {
+			if p.next == s {
+				p.next = m.next
 				break
 			}
 		}
 	}
 	*r.fact(s) = Fact{}
-	r.meta[s] = slotMeta{}
+	*m = slotMeta{}
 	r.free = append(r.free, s)
 	r.n--
 }
 
-// reset empties the extent and keeps its capacity — chunks, slot metadata,
-// hash table and built indexes — for the workspace that owns it (see
-// workspace). It costs the slots used since the last reset, never the
-// capacity: those fact slots are cleared, so the extent pins no tuple or
-// annotation, and the keys their facts put in the hash table and in every
-// index's chains are deleted one by one, because clearing a Go map costs
-// its capacity, which never shrinks.
+// reset empties the extent and keeps its capacity — slot pages, hash table
+// and built indexes — for the workspace that owns it (see workspace). It
+// costs the slots used since the last reset, never the capacity: those
+// slots are cleared, so the extent pins no tuple or annotation, and the
+// keys their facts put in the hash table and in every index's chains are
+// deleted one by one, because clearing a Go map costs its capacity, which
+// never shrinks.
 func (r *Rel) reset() {
-	for s := range r.meta {
-		m := &r.meta[s]
+	for s := range uint32(r.meta.len()) {
+		m := r.meta.at(s)
 		if m.seq == 0 {
 			continue // freed: already out of the table and the chains
 		}
 		delete(r.table, m.hash)
-		t := r.fact(uint32(s)).Tuple
+		t := r.fact(s).Tuple
 		for _, ci := range r.idx.byCols {
 			if len(t) >= ci.minArity {
 				delete(ci.chains, projHash(t, ci.cols))
 			}
 		}
 	}
-	for i := range r.chunks {
-		clear(r.chunks[i])
-		r.chunks[i] = r.chunks[i][:0]
-	}
-	r.chunks = r.chunks[:0]
-	r.meta = r.meta[:0]
+	r.facts.truncate()
+	r.meta.truncate()
 	r.free = r.free[:0]
 	r.clock, r.reused, r.n = 0, false, 0
 	for _, ci := range r.idx.byCols {
-		ci.next, ci.prev = ci.next[:0], ci.prev[:0]
+		ci.links.truncate()
 	}
 }
 
 // All yields the live facts in slot order, without copying the extent.
 func (r *Rel) All() iter.Seq[Fact] {
 	return func(yield func(Fact) bool) {
-		for s := range r.meta {
-			if r.meta[s].seq != 0 && !yield(*r.fact(uint32(s))) {
+		for s := range uint32(r.meta.len()) {
+			if r.meta.at(s).seq != 0 && !yield(*r.fact(s)) {
 				return
 			}
 		}
@@ -272,19 +331,19 @@ func (r *Rel) All() iter.Seq[Fact] {
 
 // live reports whether slot s holds a fact.
 func (r *Rel) live(s uint32) bool {
-	return int(s) < len(r.meta) && r.meta[s].seq != 0
+	return int(s) < r.meta.len() && r.meta.at(s).seq != 0
 }
 
 // slotsInOrder returns the live slots in insertion order.
 func (r *Rel) slotsInOrder() []uint32 {
 	out := make([]uint32, 0, r.n)
-	for s := range r.meta {
-		if r.meta[s].seq != 0 {
-			out = append(out, uint32(s))
+	for s := range uint32(r.meta.len()) {
+		if r.meta.at(s).seq != 0 {
+			out = append(out, s)
 		}
 	}
 	if r.reused {
-		slices.SortFunc(out, func(a, b uint32) int { return cmp.Compare(r.meta[a].seq, r.meta[b].seq) })
+		slices.SortFunc(out, func(a, b uint32) int { return cmp.Compare(r.meta.at(a).seq, r.meta.at(b).seq) })
 	}
 	return out
 }
@@ -292,9 +351,9 @@ func (r *Rel) slotsInOrder() []uint32 {
 // Facts returns all facts in deterministic (tuple) order.
 func (r *Rel) Facts() []Fact {
 	out := make([]Fact, 0, r.n)
-	for s := range r.meta {
-		if r.meta[s].seq != 0 {
-			out = append(out, *r.fact(uint32(s)))
+	for s := range uint32(r.meta.len()) {
+		if r.meta.at(s).seq != 0 {
+			out = append(out, *r.fact(s))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tuple.Compare(out[j].Tuple) < 0 })
@@ -348,23 +407,19 @@ func (db *DB) MutableRel(pred string) *Rel {
 }
 
 // cowClone copies the extent's arrays (facts are mutated in place by
-// provenance merges, so the chunks cannot be shared across the COW
+// provenance merges, so the pages cannot be shared across the COW
 // boundary). Every fact keeps its slot. Indexes are not copied — the clone
 // rebuilds them lazily on first probe, while the frozen side keeps its own.
 func (r *Rel) cowClone() *Rel {
-	nr := &Rel{
-		chunks: make([][]Fact, len(r.chunks)),
-		meta:   slices.Clone(r.meta),
+	return &Rel{
+		facts:  r.facts.clone(),
+		meta:   r.meta.clone(),
 		table:  maps.Clone(r.table),
 		free:   slices.Clone(r.free),
 		clock:  r.clock,
 		reused: r.reused,
 		n:      r.n,
 	}
-	for i, ch := range r.chunks {
-		nr.chunks[i] = append(make([]Fact, 0, cap(ch)), ch...)
-	}
-	return nr
 }
 
 // Has reports whether the predicate has a (possibly empty) extent.

@@ -627,7 +627,7 @@ func subsumedByExisting(rel *Rel, t schema.Tuple) bool {
 		}
 	}
 	ci := rel.ensureIndex(cols)
-	for s, end := ci.probe(h); s != noSlot; s = ci.next[s] {
+	for s, end := ci.probe(h); s != noSlot; s = ci.links.at(s).next {
 		if subsumes(rel.fact(s).Tuple, t, cols) {
 			return true
 		}

@@ -44,17 +44,23 @@ type Incremental struct {
 	pp   *Prepared
 	db   *DB
 	opts Options
-	// tokenIndex maps a provenance token to the facts whose annotation
-	// mentions it, as pred -> slots; only deletions read it. It stays
-	// nil until the first deletion-side call (DeleteBase, Affected,
-	// DependentCount), which builds it with one scan of the database (see
-	// tokens); from then on every merge records its new occurrences here.
-	// Insert-only streams — the common update-exchange shape — never pay
-	// for it. Beyond a killed token's own entry, nothing is pruned when a
-	// fact is removed or the witness cut drops a monomial, so readers check
-	// each candidate's current annotation; a slot freed and reused by
-	// another fact since fails that check like any stale entry.
-	tokenIndex map[provenance.Token]map[string]map[uint32]struct{}
+	// tokenIndex is the deletion index: for each provenance token, the
+	// facts whose annotation mentions it, as one list of (pred, slot)
+	// entries that every effective merge bringing the token in appends to.
+	// Only deletions read it. It stays nil until the first deletion-side
+	// call (DeleteBase, Affected, DependentCount), which builds it with one
+	// scan of the database (see tokens). Insert-only streams — the common
+	// update-exchange shape — never pay for it. A list may name a fact more
+	// than once, so its readers sort and compact it before use (so does an
+	// append that would grow it). Beyond a killed token's own list, nothing
+	// is pruned when a fact is removed or the witness cut drops a monomial,
+	// so readers check each entry's current annotation; a slot freed and
+	// reused by another fact since fails that check like any stale entry.
+	tokenIndex map[provenance.Token][]tokenRef
+	// predNames names the predicates tokenRef entries number, and predIDs
+	// numbers them.
+	predNames []string
+	predIDs   map[string]uint32
 	// ruleToks holds the rules' ProvTokens. They name mappings, not base
 	// facts, so they are never deleted and the index leaves them out: a
 	// mapping's token is in every fact derived through it, so its entries
@@ -155,6 +161,10 @@ func (inc *Incremental) Plans() string {
 // DB returns the maintained database (read-only by convention).
 func (inc *Incremental) DB() *DB { return inc.db }
 
+// tokenRef is one deletion-index entry: the fact at slot of the predicate
+// Incremental.predNames[pred].
+type tokenRef struct{ pred, slot uint32 }
+
 // indexFact records, for every token mentioned in p, that the fact stored
 // at slot s of pred depends on it. Before the index is built there is
 // nothing to maintain: the build scans what the merges stored.
@@ -162,33 +172,63 @@ func (inc *Incremental) indexFact(pred string, s uint32, p provenance.Poly) {
 	if inc.tokenIndex == nil {
 		return
 	}
+	ref := tokenRef{pred: inc.predID(pred), slot: s}
 	for _, x := range p.Tokens() {
 		if inc.ruleToks[x] {
 			continue
 		}
-		preds := inc.tokenIndex[x]
-		if preds == nil {
-			preds = map[string]map[uint32]struct{}{}
-			inc.tokenIndex[x] = preds
+		refs := inc.tokenIndex[x]
+		if len(refs) == cap(refs) {
+			// Compacting before the list grows keeps it within about twice
+			// its distinct entries, however often merges repeat the token.
+			refs = compactRefs(refs)
 		}
-		slots := preds[pred]
-		if slots == nil {
-			slots = map[uint32]struct{}{}
-			preds[pred] = slots
-		}
-		slots[s] = struct{}{}
+		inc.tokenIndex[x] = append(refs, ref)
 	}
+}
+
+// predID returns pred's number in tokenRef entries, numbering it on first
+// use.
+func (inc *Incremental) predID(pred string) uint32 {
+	id, ok := inc.predIDs[pred]
+	if !ok {
+		id = uint32(len(inc.predNames))
+		inc.predNames = append(inc.predNames, pred)
+		inc.predIDs[pred] = id
+	}
+	return id
+}
+
+// compactRefs sorts refs and drops repeated entries, in place.
+func compactRefs(refs []tokenRef) []tokenRef {
+	slices.SortFunc(refs, func(a, b tokenRef) int {
+		return cmp.Or(cmp.Compare(a.pred, b.pred), cmp.Compare(a.slot, b.slot))
+	})
+	return slices.Compact(refs)
+}
+
+// refs returns the deletion index's list for tok, sorted and compacted
+// (and stored back so), building the index on first use.
+func (inc *Incremental) refs(tok provenance.Token) []tokenRef {
+	index := inc.tokens()
+	refs, ok := index[tok]
+	if ok {
+		refs = compactRefs(refs)
+		index[tok] = refs
+	}
+	return refs
 }
 
 // tokens returns the token index, building it on first use with one scan of
 // the database.
-func (inc *Incremental) tokens() map[provenance.Token]map[string]map[uint32]struct{} {
+func (inc *Incremental) tokens() map[provenance.Token][]tokenRef {
 	if inc.tokenIndex == nil {
-		inc.tokenIndex = map[provenance.Token]map[string]map[uint32]struct{}{}
+		inc.tokenIndex = map[provenance.Token][]tokenRef{}
+		inc.predIDs = map[string]uint32{}
 		for pred, rel := range inc.db.rels {
-			for s := range rel.meta {
-				if rel.live(uint32(s)) {
-					inc.indexFact(pred, uint32(s), rel.fact(uint32(s)).Prov)
+			for s := range uint32(rel.meta.len()) {
+				if rel.live(s) {
+					inc.indexFact(pred, s, rel.fact(s).Prov)
 				}
 			}
 		}
@@ -337,16 +377,13 @@ type restriction struct {
 // that changes, by predicate and ascending slot, so the order DeleteBase
 // frees and reuses slots in never depends on map order.
 func (inc *Incremental) restrictions(tokens []provenance.Var) []restriction {
-	index := inc.tokens()
 	killed := map[provenance.Token]bool{}
 	var facts []restriction
 	for _, v := range tokens {
 		if tok := provenance.Mint(v); !inc.ruleToks[tok] {
 			killed[tok] = true
-			for pred, slots := range index[tok] {
-				for s := range slots {
-					facts = append(facts, restriction{pred: pred, slot: s})
-				}
+			for _, r := range inc.refs(tok) {
+				facts = append(facts, restriction{pred: inc.predNames[r.pred], slot: r.slot})
 			}
 		}
 	}
@@ -371,17 +408,16 @@ func (inc *Incremental) restrictions(tokens []provenance.Var) []restriction {
 
 // DependentCount returns how many stored facts currently mention the token
 // in their provenance — a cheap measure of the collateral damage of killing
-// it, used by the exchange layer's view-deletion heuristic. Facts the index
-// still lists but that were removed, or whose mention of the token the
-// witness cut dropped, do not count.
+// it, used by the exchange layer's view-deletion heuristic. Each fact
+// counts once, however often the index lists it; facts the index still
+// lists but that were removed, or whose mention of the token the witness
+// cut dropped, do not count.
 func (inc *Incremental) DependentCount(v provenance.Var) int {
 	n, tok := 0, provenance.Mint(v)
-	for pred, slots := range inc.tokens()[tok] {
-		rel := inc.db.Rel(pred)
-		for s := range slots {
-			if rel.live(s) && mentions(rel.fact(s).Prov, tok) {
-				n++
-			}
+	for _, r := range inc.refs(tok) {
+		rel := inc.db.Rel(inc.predNames[r.pred])
+		if rel.live(r.slot) && mentions(rel.fact(r.slot).Prov, tok) {
+			n++
 		}
 	}
 	return n

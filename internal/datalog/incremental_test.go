@@ -256,6 +256,36 @@ func TestDependentCountCountsLiveMentionsOnly(t *testing.T) {
 	}
 }
 
+// A fact whose later merges bring a token in again is listed under it once
+// per merge, and DependentCount still counts it once; so does the
+// deletion walk. J(1) = a·b·Mab is listed under b at the index build, and
+// again when A(1) gains a2 and J(1) the witness a2·b·Mab.
+func TestDependentCountCountsRepeatedEntriesOnce(t *testing.T) {
+	inc, err := NewIncremental(joinProgram(), NewDB(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertOne(t, inc, "A", "1", "a")
+	insertOne(t, inc, "B", "1", "b")
+	if n := inc.DependentCount("b"); n != 2 { // B(1), J(1)
+		t.Fatalf("DependentCount(b) = %d, want 2", n)
+	}
+	insertOne(t, inc, "A", "1", "a2")
+	if refs := inc.tokenIndex[provenance.Mint("b")]; len(refs) != 3 {
+		t.Fatalf("b's list = %v, want B(1) once and J(1) twice", refs)
+	}
+	if n := inc.DependentCount("b"); n != 2 {
+		t.Errorf("DependentCount(b) = %d with J(1) listed twice, want 2", n)
+	}
+	if refs := inc.tokenIndex[provenance.Mint("b")]; len(refs) != 2 {
+		t.Errorf("b's list = %v after DependentCount, want it compacted to 2 entries", refs)
+	}
+	insertOne(t, inc, "A", "1", "a3")
+	if cs := inc.DeleteBase([]provenance.Var{"b"}); len(cs) != 2 || !cs[0].Removed || !cs[1].Removed {
+		t.Errorf("DeleteBase(b) = %v, want B(1) and J(1) removed once each", cs)
+	}
+}
+
 // The deletion index is built by the first deletion-side call, once, and
 // kept up to date by later merges; inserts alone never build it, and a
 // restored engine builds its own on first use.

@@ -16,13 +16,14 @@ import (
 // column set is an index too: its single chain is the relation's full-scan
 // order.
 //
-// Chains are insertion-ordered and doubly linked through per-slot next/prev
-// arrays, so appending and unlinking are O(1) and nothing in the layer holds
-// a pointer. A lazy build walks the slots in insertion order (slot order,
-// unless a freed slot was reused), so no chain's order comes from map
-// iteration. Distinct projections
-// can share a hash and so a chain: a probe compares each candidate's probed
-// columns (see pipeline.next).
+// Chains are insertion-ordered and doubly linked through per-slot links
+// kept in pages like the extent's own slot arrays (see pages), so appending
+// and unlinking are O(1), an index grows with its extent without copying,
+// and nothing in the layer holds a pointer. A lazy build walks the slots in
+// insertion order (slot order, unless a freed slot was reused), so no
+// chain's order comes from map iteration. Distinct projections can share a
+// hash and so a chain: a probe compares each candidate's probed columns
+// (see pipeline.next).
 //
 // The mutex guards the lazy builds. An extent is shared between a database
 // and its snapshots until a write copies it, so concurrent evaluations —
@@ -37,20 +38,27 @@ type relIndex struct {
 	byCols []*colIndex
 }
 
-// colIndex is one hash index over a fixed bound-column set.
+// colIndex is one hash index over a fixed bound-column set: a table from a
+// projection's hash to the ends of its chain, and per-slot links that
+// thread each chain through the extent's slots. The links are paged by slot
+// (see pages), so they grow with the extent without copying; an entry is
+// meaningful only for a slot the index holds.
 type colIndex struct {
 	cols []int
 	// minArity is max(cols)+1: shorter tuples have no projection on cols
 	// and are left out of the index.
 	minArity int
 	chains   map[uint64]chain // projection hash -> slots
-	// next and prev link each indexed slot to its chain neighbors (noSlot
-	// at the ends); they are indexed by slot.
-	next, prev []uint32
+	// links holds each indexed slot's chain neighbors (noSlot at the ends),
+	// indexed by slot.
+	links pages[link]
 }
 
 // chain is one hash bucket's ends.
 type chain struct{ head, tail uint32 }
+
+// link is one slot's neighbors in its chain.
+type link struct{ next, prev uint32 }
 
 // projHash hashes t's projection on cols.
 func projHash(t schema.Tuple, cols []int) uint64 {
@@ -78,6 +86,7 @@ func (r *Rel) ensureIndex(cols []int) *colIndex {
 	for _, c := range cols {
 		ci.minArity = max(ci.minArity, c+1)
 	}
+	ci.links.grow(r.meta.len())
 	for _, s := range r.slotsInOrder() {
 		ci.link(s, r.fact(s).Tuple)
 	}
@@ -100,20 +109,16 @@ func (ci *colIndex) link(s uint32, t schema.Tuple) {
 	if len(t) < ci.minArity {
 		return
 	}
-	if n := int(s) + 1; n > len(ci.next) {
-		ci.next = append(ci.next, make([]uint32, n-len(ci.next))...)
-		ci.prev = append(ci.prev, make([]uint32, n-len(ci.prev))...)
-	}
+	ci.links.grow(int(s) + 1)
 	h := projHash(t, ci.cols)
-	ci.next[s] = noSlot
 	c, ok := ci.chains[h]
 	if !ok {
-		ci.prev[s] = noSlot
+		*ci.links.at(s) = link{next: noSlot, prev: noSlot}
 		ci.chains[h] = chain{head: s, tail: s}
 		return
 	}
-	ci.prev[s] = c.tail
-	ci.next[c.tail] = s
+	*ci.links.at(s) = link{next: noSlot, prev: c.tail}
+	ci.links.at(c.tail).next = s
 	c.tail = s
 	ci.chains[h] = c
 }
@@ -125,16 +130,16 @@ func (ci *colIndex) unlink(s uint32, t schema.Tuple) {
 	}
 	h := projHash(t, ci.cols)
 	c := ci.chains[h]
-	p, n := ci.prev[s], ci.next[s]
-	if p == noSlot {
-		c.head = n
+	l := *ci.links.at(s)
+	if l.prev == noSlot {
+		c.head = l.next
 	} else {
-		ci.next[p] = n
+		ci.links.at(l.prev).next = l.next
 	}
-	if n == noSlot {
-		c.tail = p
+	if l.next == noSlot {
+		c.tail = l.prev
 	} else {
-		ci.prev[n] = p
+		ci.links.at(l.next).prev = l.prev
 	}
 	if c.head == noSlot {
 		delete(ci.chains, h)
@@ -168,7 +173,7 @@ func (r *Rel) Lookup(cols []int, vals schema.Tuple) []Fact {
 	}
 	ci := r.ensureIndex(cols)
 	var out []Fact
-	for s, end := ci.probe(h); s != noSlot; s = ci.next[s] {
+	for s, end := ci.probe(h); s != noSlot; s = ci.links.at(s).next {
 		f := r.fact(s)
 		if projEqual(f.Tuple, cols, vals) {
 			out = append(out, *f)

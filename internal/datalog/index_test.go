@@ -120,12 +120,21 @@ func TestMixedArityLookup(t *testing.T) {
 // FuzzRelOps drives an extent with put / remove / Get / Contains /
 // Lookup / snapshot-then-mutate / reset operations decoded from the input,
 // and checks each against a naive model: a slice of facts in insertion
-// order.
+// order. A bulk operation puts or removes a run of fresh tuples, so the
+// extent's slot pages fill past the first, freed slots spread across
+// pages for later puts to reuse, and reset and the copy-on-write clone run
+// on extents of several pages.
 func FuzzRelOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 3, 4, 4, 0, 1, 2, 1, 3, 3, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 0, 2, 5, 0, 3, 1, 0, 0, 4, 0, 1, 6, 0, 0})
 	f.Add([]byte{0, 9, 9, 0, 9, 8, 5, 1, 0, 9, 9, 4, 9, 0, 0, 7, 7, 6, 2})
 	f.Add([]byte{0, 1, 2, 0, 1, 3, 4, 1, 2, 2, 1, 2, 7, 0, 0, 0, 1, 3, 5, 1, 3, 0, 2, 2, 4, 0, 0})
+	// 319 fresh tuples (past slot 256), every third out, two puts into
+	// freed slots, a probe whose chain crosses pages, a snapshot, then
+	// writes that clone the multi-page extent.
+	f.Add([]byte{15, 0, 255, 15, 1, 0, 0, 1, 2, 0, 2, 3, 4, 2, 1, 6, 0, 0, 15, 0, 10, 15, 1, 1, 0, 3, 0, 4, 0, 0, 2, 1, 2})
+	// A reset of a multi-page extent with freed slots, then refilled.
+	f.Add([]byte{15, 0, 255, 15, 1, 2, 7, 0, 0, 15, 0, 200, 0, 1, 1, 15, 1, 1, 0, 2, 2, 4, 2, 2, 4, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		type mfact struct {
 			tuple schema.Tuple
@@ -143,6 +152,11 @@ func FuzzRelOps(f *testing.F) {
 			}
 			return -1
 		}
+		// Bulk tuples are (4+k, k%5) for a counter k, so none collides with
+		// another or with tupleAt's, and the model stays small enough to
+		// check naively.
+		const bulkOp, bulkMax = 15, 2000
+		var fresh int64
 		// Tuples come from a small space so operations collide; arity 1
 		// and 2 share the extent.
 		tupleAt := func(a, b byte) schema.Tuple {
@@ -153,6 +167,9 @@ func FuzzRelOps(f *testing.F) {
 		}
 		for i := 0; i+2 < len(ops); i += 3 {
 			op, tu := ops[i]%8, tupleAt(ops[i+1], ops[i+2])
+			if ops[i]%16 == bulkOp {
+				op = bulkOp
+			}
 			switch op {
 			case 0, 1: // put, annotated with a token per operation
 				p := provenance.NewVar(provenance.Var(fmt.Sprintf("t%d", i)))
@@ -196,9 +213,39 @@ func FuzzRelOps(f *testing.F) {
 				frozenModel = append([]mfact(nil), model...)
 			case 7: // reset, as a workspace empties an extent only it holds
 				if frozen == nil {
-					db.MutableRel("R").reset()
+					r := db.MutableRel("R")
+					r.reset()
 					model = nil
+					for _, pg := range r.facts.p {
+						for _, f := range pg {
+							if f.Tuple != nil || !f.Prov.IsZero() {
+								t.Fatalf("op %d: a page kept by reset still holds %v", i, f.Tuple)
+							}
+						}
+					}
 				}
+			case bulkOp: // put 64..319 fresh tuples, or remove every third bulk tuple
+				if ops[i+1]%2 == 0 {
+					p := provenance.NewVar(provenance.Var(fmt.Sprintf("t%d", i)))
+					for n := 64 + int(ops[i+2]); n > 0 && len(model) < bulkMax; n-- {
+						tu := pairTuple(4+fresh, fresh%5)
+						fresh++
+						db.Add("R", tu, p)
+						model = append(model, mfact{tuple: tu, prov: p})
+					}
+					break
+				}
+				k, kept := 0, model[:0:0]
+				for _, m := range model {
+					if m.tuple[0].IntVal() >= 4 {
+						if k++; k%3 == int(ops[i+2]%3) {
+							db.Remove("R", m.tuple)
+							continue
+						}
+					}
+					kept = append(kept, m)
+				}
+				model = kept
 			}
 			if db.Rel("R").Len() != len(model) {
 				t.Fatalf("op %d: Len = %d, model %d", i, db.Rel("R").Len(), len(model))

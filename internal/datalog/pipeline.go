@@ -3,7 +3,9 @@ package datalog
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync/atomic"
+	"unsafe"
 
 	"orchestra/internal/provenance"
 	"orchestra/internal/schema"
@@ -61,8 +63,9 @@ type mergeSink struct {
 // false and nothing changes. A stored row that gains a witness merges into
 // the stored fact, and its merge result carries the stored tuple. Only an
 // absent row is copied out of row, which aliases the pipeline's reused
-// head buffer, and inserted.
-func (s *mergeSink) emit(h uint64, row schema.Tuple, prov provenance.Poly) bool {
+// head buffer, and inserted; its Skolem terms, at the columns skolem, view
+// the pipeline's key buffer and are cloned then, and only then.
+func (s *mergeSink) emit(h uint64, row schema.Tuple, skolem []int, prov provenance.Poly) bool {
 	var mr mergeResult
 	changed := true
 	if slot, ok := s.rel.find(h, row); ok {
@@ -73,6 +76,9 @@ func (s *mergeSink) emit(h uint64, row schema.Tuple, prov provenance.Poly) bool 
 	} else {
 		t := s.arena.tuple(len(row))
 		copy(t, row)
+		for _, c := range skolem {
+			t[c] = schema.LabeledNull(strings.Clone(t[c].Str()))
+		}
 		mr = mergeAbsent(s.rel, h, t, prov, s.opts)
 	}
 	if changed {
@@ -162,7 +168,7 @@ type pipeline struct {
 
 	env     []schema.Value
 	cur     []pipeCursor
-	keyBuf  []byte       // Skolem terms under construction
+	keyBuf  []byte       // the Skolem terms of the row being emitted
 	tupBuf  schema.Tuple // negation probe tuples
 	headBuf schema.Tuple // head values, reused across emissions
 
@@ -456,7 +462,7 @@ func (p *pipeline) next(depth int) (bool, error) {
 		if s == cs.end {
 			cs.slot = noSlot
 		} else {
-			cs.slot = cs.ci.next[s]
+			cs.slot = cs.ci.links.at(s).next
 		}
 		f := cs.rel.fact(s)
 		if n++; n&(pipeCancelStride-1) == 0 {
@@ -511,19 +517,28 @@ func applyActions(st *planStep, tu schema.Tuple, env []schema.Value) bool {
 }
 
 // emitRow instantiates the head over the environment into the reused
-// buffer, hashes it, and hands the row to the sink, which allocates a tuple
-// only for a row its relation does not hold.
+// buffer, hashes it, and hands the row to the sink, which allocates a tuple,
+// and the strings of its Skolem terms, only for a row its relation does not
+// hold.
 func (p *pipeline) emitRow(prov provenance.Poly, sink *mergeSink) error {
 	pln := p.pln
 	if pln.headErr != nil {
 		return pln.headErr
 	}
 	out := p.headBuf[:0]
+	b := p.keyBuf[:0]
 	for _, ha := range pln.head {
 		if ha.skolem != nil {
 			// The term spells fn(k1,k2,...) over the arguments' Value.Key
-			// encodings, built in one buffer and converted once.
-			b := append(p.keyBuf[:0], ha.skolem.Fn...)
+			// encodings. The row's terms follow one another in the key
+			// buffer, and each labeled null views its own bytes without
+			// copying them. The view lives until the next row rewrites the
+			// buffer: the sink reads it, and clones it only when it stores
+			// the row (mergeSink.emit). No two terms of a row share bytes,
+			// and when the buffer grows, the terms already viewed stay on
+			// the old array, which nothing writes again.
+			start := len(b)
+			b = append(b, ha.skolem.Fn...)
 			b = append(b, '(')
 			for j, at := range ha.args {
 				if j > 0 {
@@ -531,13 +546,13 @@ func (p *pipeline) emitRow(prov provenance.Poly, sink *mergeSink) error {
 				}
 				b = at.value(p.env).AppendKeyTo(b)
 			}
-			p.keyBuf = append(b, ')')
-			out = append(out, schema.LabeledNull(string(p.keyBuf)))
+			b = append(b, ')')
+			out = append(out, schema.LabeledNull(unsafe.String(&b[start], len(b)-start)))
 			continue
 		}
 		out = append(out, ha.term.value(p.env))
 	}
-	p.headBuf = out
+	p.headBuf, p.keyBuf = out, b
 	if p.opts.Provenance && !pln.tokProv.IsZero() {
 		prov = prov.Mul(pln.tokProv)
 	}
@@ -547,7 +562,7 @@ func (p *pipeline) emitRow(prov provenance.Poly, sink *mergeSink) error {
 	if p.opts.ChaseSubsumption && out.HasLabeledNull() && subsumedByExisting(p.db.Rel(p.rule.Head.Pred), out) {
 		return nil
 	}
-	if sink.emit(out.Hash(), out, prov) {
+	if sink.emit(out.Hash(), out, pln.skolemCols, prov) {
 		p.emitted++
 	} else {
 		p.suppressed++

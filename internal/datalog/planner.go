@@ -101,7 +101,10 @@ type plan struct {
 	deltaIdx int
 	nslots   int
 	head     []headAction
-	headErr  error // unbound head variable (unvalidated rules only)
+	// skolemCols lists the head columns built by a Skolem application,
+	// whose emitted values view the pipeline's key buffer (emitRow).
+	skolemCols []int
+	headErr    error // unbound head variable (unvalidated rules only)
 	// tokProv is the rule's provenance-token polynomial (zero if the rule
 	// has none), built once at plan time so emitting a head fact does not
 	// re-derive the canonical single-variable polynomial per emission.
@@ -476,6 +479,7 @@ func buildPlan(r Rule, deltaIdx int, db *DB, noReorder bool) *plan {
 				}
 			}
 			p.head[i] = ha
+			p.skolemCols = append(p.skolemCols, i)
 			continue
 		}
 		pt, ok := compileTerm(ht.Term)

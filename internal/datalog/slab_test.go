@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"orchestra/internal/provenance"
@@ -29,8 +30,8 @@ func removeTuple(r *Rel, tu schema.Tuple) {
 	}
 }
 
-// A fact keeps its slot as chunks fill, the first chunk is reallocated, and
-// new chunks start: the membership table, the index chains and an
+// A fact keeps its slot as pages fill, the first page is reallocated, and
+// new pages start: the membership table, the index chains and an
 // incremental engine's token index all name facts by slot.
 func TestSlabPointerStability(t *testing.T) {
 	r := NewRel()
@@ -52,8 +53,8 @@ func TestSlabPointerStability(t *testing.T) {
 			t.Fatalf("fact %d corrupted: %v", i, f.Tuple)
 		}
 	}
-	if len(r.chunks) != 4 {
-		t.Fatalf("%d chunks for %d facts, want 4", len(r.chunks), n)
+	if len(r.facts.p) != 4 {
+		t.Fatalf("%d pages for %d facts, want 4", len(r.facts.p), n)
 	}
 }
 
@@ -74,7 +75,7 @@ func TestSlabRemoveZeroesSlot(t *testing.T) {
 }
 
 // Freed slots are reused by later insertions, so delete-heavy churn
-// recycles chunk capacity instead of pinning mostly dead chunks.
+// recycles page capacity instead of pinning mostly dead pages.
 func TestSlabFreeSlotReuse(t *testing.T) {
 	r := NewRel()
 	r.put(slabTuple(1), provenance.NewVar("x"))
@@ -84,13 +85,13 @@ func TestSlabFreeSlotReuse(t *testing.T) {
 	if len(r.free) != 1 {
 		t.Fatalf("free list = %d entries, want 1", len(r.free))
 	}
-	used := len(r.meta)
+	used := r.meta.len()
 	r.put(slabTuple(2), provenance.NewVar("y"))
 	if got := slotOf(t, r, slabTuple(2)); got != s {
 		t.Fatalf("freed slot %d not reused: got %d", s, got)
 	}
-	if len(r.free) != 0 || len(r.meta) != used {
-		t.Fatalf("reuse grew the extent: free=%d slots=%d (was %d)", len(r.free), len(r.meta), used)
+	if len(r.free) != 0 || r.meta.len() != used {
+		t.Fatalf("reuse grew the extent: free=%d slots=%d (was %d)", len(r.free), r.meta.len(), used)
 	}
 	if !r.Contains(slabTuple(3)) || r.Contains(slabTuple(1)) {
 		t.Fatal("reuse disturbed membership")
@@ -134,7 +135,7 @@ func TestSlabCowCloneDense(t *testing.T) {
 	}
 }
 
-// The first chunk doubles from one fact up to relChunkSize: a one-fact
+// The first page doubles from one fact up to relChunkSize: a one-fact
 // extent costs one fact of storage, and a large extent allocates
 // relChunkSize at a time.
 func TestSlabGrowsGeometrically(t *testing.T) {
@@ -142,7 +143,7 @@ func TestSlabGrowsGeometrically(t *testing.T) {
 	var caps []int
 	for i := 0; i < 3*relChunkSize; i++ {
 		r.put(slabTuple(i), provenance.NewVar("x"))
-		if c := cap(r.chunks[0]); len(caps) == 0 || caps[len(caps)-1] != c {
+		if c := len(r.facts.p[0]); len(caps) == 0 || caps[len(caps)-1] != c {
 			caps = append(caps, c)
 		}
 	}
@@ -151,11 +152,75 @@ func TestSlabGrowsGeometrically(t *testing.T) {
 		want = append(want, c)
 	}
 	if fmt.Sprint(caps) != fmt.Sprint(want) {
-		t.Fatalf("first chunk capacities %v, want %v", caps, want)
+		t.Fatalf("first page sizes %v, want %v", caps, want)
 	}
-	for i, ch := range r.chunks[1:] {
-		if cap(ch) != relChunkSize {
-			t.Fatalf("chunk %d cap = %d, want %d", i+1, cap(ch), relChunkSize)
+	for i, pg := range r.facts.p[1:] {
+		if len(pg) != relChunkSize {
+			t.Fatalf("page %d holds %d, want %d", i+1, len(pg), relChunkSize)
 		}
 	}
+}
+
+// Growing an extent from n to 2n facts allocates the new pages of its slot
+// arrays — facts, slot metadata, and the links of every built index — and
+// what the membership table's own growth costs, and nothing beyond a small
+// constant: no array the extent already holds is copied, as a slice grown
+// by append would copy it about four times over.
+func TestSlotArraysGrowWithoutCopying(t *testing.T) {
+	const n = 32 * relChunkSize
+	tuples := make([]schema.Tuple, 2*n)
+	for i := range tuples {
+		tuples[i] = slabTuple(i)
+	}
+	one := provenance.One().Intern()
+	r := NewRel()
+	table := map[uint64]uint32{} // grows as the extent's table does
+	for _, tu := range tuples[:n] {
+		r.insert(tu.Hash(), tu, one)
+		table[tu.Hash()] = 0
+	}
+	r.ensureIndex(nil) // the full-scan chain: one chain, so no map growth
+	tableBytes := allocBytes(func() {
+		for _, tu := range tuples[n:] {
+			table[tu.Hash()] = 0
+		}
+	})
+	got := allocBytes(func() {
+		for _, tu := range tuples[n:] {
+			r.insert(tu.Hash(), tu, one)
+		}
+	})
+	// A page costs its size class, which for facts, whose pages hold
+	// pointers and so carry a malloc header, is more than its entries.
+	pages := n / relChunkSize * allocBytes(func() {
+		pageSink.facts = make([]Fact, relChunkSize)
+		pageSink.meta = make([]slotMeta, relChunkSize)
+		pageSink.links = make([]link, relChunkSize)
+	})
+	// Beyond the pages, only each array's list of pages grows. Copying on
+	// growth would cost several times the pages.
+	const slack = 16 << 10
+	if got > pages+tableBytes+slack {
+		t.Errorf("growing %d to %d facts allocated %d bytes, want at most %d (pages) + %d (hash table) + %d",
+			n, 2*n, got, pages, tableBytes, slack)
+	}
+	if r.Len() != 2*n || len(r.Lookup(nil, nil)) != 2*n {
+		t.Fatalf("extent holds %d facts, full scan %d, want %d", r.Len(), len(r.Lookup(nil, nil)), 2*n)
+	}
+}
+
+// pageSink keeps the pages a test allocates only to weigh them.
+var pageSink struct {
+	facts []Fact
+	meta  []slotMeta
+	links []link
+}
+
+// allocBytes returns the bytes f allocates on the heap.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

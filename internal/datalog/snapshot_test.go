@@ -229,9 +229,9 @@ func TestSnapshotEvalByteIdentical(t *testing.T) {
 
 // removeFirst deletes the fact at the lowest live slot, if any.
 func removeFirst(r *Rel) {
-	for s := range r.meta {
-		if r.live(uint32(s)) {
-			r.remove(uint32(s))
+	for s := range uint32(r.meta.len()) {
+		if r.live(s) {
+			r.remove(s)
 			return
 		}
 	}

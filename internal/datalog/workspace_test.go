@@ -75,19 +75,19 @@ func requireCapacityOnly(t *testing.T, ws *workspace) {
 		if r.owner != own {
 			t.Errorf("%s: the workspace keeps an extent it does not own", p)
 		}
-		if r.n != 0 || len(r.meta) != 0 || len(r.table) != 0 || len(r.chunks) != 0 || len(r.free) != 0 || r.clock != 0 {
-			t.Errorf("%s: not empty: %d facts, %d slots, %d hashes, %d chunks", p, r.n, len(r.meta), len(r.table), len(r.chunks))
+		if r.n != 0 || r.meta.len() != 0 || len(r.table) != 0 || r.facts.len() != 0 || len(r.free) != 0 || r.clock != 0 {
+			t.Errorf("%s: not empty: %d facts, %d slots, %d hashes, %d fact slots", p, r.n, r.meta.len(), len(r.table), r.facts.len())
 		}
-		for _, c := range r.chunks[:cap(r.chunks)] {
-			for _, f := range c[:cap(c)] {
+		for _, pg := range r.facts.p {
+			for _, f := range pg {
 				if f.Tuple != nil || !f.Prov.IsZero() {
-					t.Fatalf("%s: a kept chunk still holds %v %v", p, f.Tuple, f.Prov)
+					t.Fatalf("%s: a kept page still holds %v %v", p, f.Tuple, f.Prov)
 				}
 			}
 		}
 		for _, ci := range r.idx.byCols {
 			indexes++
-			if len(ci.chains) != 0 || len(ci.next) != 0 {
+			if len(ci.chains) != 0 || ci.links.len() != 0 {
 				t.Errorf("%s: index on %v keeps %d chains", p, ci.cols, len(ci.chains))
 			}
 		}

@@ -101,8 +101,8 @@ func TestNilSafety(t *testing.T) {
 	if r.Counter("c").Value() != 0 || r.Gauge("g").Value() != 0 || r.Histogram("h").Quantile(1) != 0 {
 		t.Fatal("nil registry handles must read as zero")
 	}
-	sp := r.StartSpan("op")
-	child := sp.Child("sub")
+	sp := r.SpanKind("op").Start("")
+	child := sp.Child(r.SpanKind("sub"))
 	if sp.End() != 0 || child.End() != 0 {
 		t.Fatal("nil spans must end with zero duration")
 	}
@@ -162,8 +162,8 @@ func TestConcurrentRecording(t *testing.T) {
 
 func TestSpanParentChild(t *testing.T) {
 	r := NewRegistry()
-	root := r.StartSpan("core_reconcile", "alice")
-	child := root.Child("exchange_drain")
+	root := r.SpanKind("core_reconcile").Start("alice")
+	child := root.Child(r.SpanKind("exchange_drain"))
 	if child.End() < 0 {
 		t.Fatal("child duration must be non-negative")
 	}
@@ -190,8 +190,9 @@ func TestSpanParentChild(t *testing.T) {
 
 func TestSpanRingBounded(t *testing.T) {
 	r := NewRegistry()
+	k := r.SpanKind("op")
 	for i := 0; i < spanRingSize+10; i++ {
-		r.StartSpan("op").End()
+		k.Start("").End()
 	}
 	if got := len(r.Snapshot().Spans); got != spanRingSize {
 		t.Fatalf("ring holds %d spans, want %d", got, spanRingSize)
@@ -230,5 +231,27 @@ func TestWriteProm(t *testing.T) {
 		if fields := strings.Fields(line); len(fields) != 2 {
 			t.Errorf("malformed prom line %q", line)
 		}
+	}
+}
+
+// Starting and ending a span of a resolved kind allocates nothing, for a
+// root span and for a child.
+func TestWarmSpanAllocs(t *testing.T) {
+	r := NewRegistry()
+	k, drain := r.SpanKind("core_query"), r.SpanKind("exchange_drain")
+	for name, f := range map[string]func(){
+		"root": func() { k.Start("alice").End() },
+		"child": func() {
+			sp := k.Start("alice")
+			sp.Child(drain).End()
+			sp.End()
+		},
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s: a warm span allocates %v times, want 0", name, n)
+		}
+	}
+	if got := r.Histogram("core_query_ns").snapshot().Count; got == 0 {
+		t.Error("spans of a held kind did not reach its histogram")
 	}
 }

@@ -6,17 +6,20 @@ import (
 	"time"
 )
 
-// Span tracing: StartSpan opens a timed operation, Child opens a nested
-// one, End stamps the duration. Every ended span lands in two places —
+// Span tracing: SpanKind.Start opens a timed operation, Child opens a
+// nested one, End stamps the duration. Every ended span lands in two places —
 // a duration histogram named "<span name>_ns" (so p50/p95/p99 per
 // operation come for free) and a fixed-size ring of recent SpanRecords the
 // introspection endpoint exposes for "what has the system been doing"
 // questions. Parent/child linkage is by span id, so a reconcile span's
 // per-window drain children are attributable to their round.
 //
-// Spans are allocation-light (one small struct per span, no maps, no
-// context plumbing) and, like everything in this package, nil-safe: a nil
-// registry starts nil spans, whose Child and End are no-ops returning 0.
+// A span is a small value, with no maps and no context plumbing. Each
+// operation resolves its SpanKind — the name and its histogram — once and
+// holds it, so starting and ending a span allocates nothing. Like
+// everything in this package, spans are nil-safe: a nil registry resolves
+// nil kinds, which start zero spans, whose Child and End are no-ops
+// returning 0.
 
 // spanRingSize bounds the recent-span ring. Power of two for cheap masking.
 const spanRingSize = 256
@@ -76,68 +79,73 @@ func (r *spanRing) recent() []SpanRecord {
 // counter is fine: ids only need to be unique and non-zero.
 var spanIDs atomic.Uint64
 
-// Span is one in-flight timed operation. The nil Span is a valid no-op.
+// SpanKind is one operation's spans resolved once: the registry, the name
+// and the "<name>_ns" histogram every span of it ends into.
+type SpanKind struct {
+	reg  *Registry
+	hist *Histogram
+	name string
+}
+
+// SpanKind resolves the spans named name (nil on a nil registry). It
+// allocates; resolve each kind once and keep it.
+func (r *Registry) SpanKind(name string) *SpanKind {
+	if r == nil {
+		return nil
+	}
+	return &SpanKind{reg: r, hist: r.Histogram(name + "_ns"), name: name}
+}
+
+// Start opens a root span of the kind with a peer label ("" for none). A
+// nil kind starts the zero span.
+func (k *SpanKind) Start(peer string) Span {
+	if k == nil {
+		return Span{}
+	}
+	return Span{kind: k, peer: peer, id: spanIDs.Add(1), start: time.Now()}
+}
+
+// Span is one in-flight timed operation. The zero Span is a valid no-op.
 type Span struct {
-	reg    *Registry
-	hist   *Histogram
-	name   string
+	kind   *SpanKind
 	peer   string
 	id     uint64
 	parent uint64
 	start  time.Time
 }
 
-// StartSpan opens a root span named name with an optional peer label (the
-// first label argument is used, if given). Returns nil on a nil registry.
-func (r *Registry) StartSpan(name string, peer ...string) *Span {
-	if r == nil {
-		return nil
+// Child opens a nested span of kind k with s's peer label; its record
+// links back to s. Returns the zero span on the zero span or a nil kind.
+func (s Span) Child(k *SpanKind) Span {
+	if s.kind == nil || k == nil {
+		return Span{}
 	}
-	s := &Span{
-		reg:   r,
-		hist:  r.Histogram(name + "_ns"),
-		name:  name,
-		id:    spanIDs.Add(1),
-		start: time.Now(),
-	}
-	if len(peer) > 0 {
-		s.peer = peer[0]
-	}
-	return s
-}
-
-// Child opens a nested span; its record links back to s. Returns nil on a
-// nil span.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	c := s.reg.StartSpan(name)
+	c := k.Start(s.peer)
 	c.parent = s.id
-	c.peer = s.peer
 	return c
 }
 
-// Name returns the span's operation name ("" on nil).
-func (s *Span) Name() string {
-	if s == nil {
+// Name returns the span's operation name ("" on the zero span).
+func (s Span) Name() string {
+	if s.kind == nil {
 		return ""
 	}
-	return s.name
+	return s.kind.name
 }
 
-// End completes the span, records it, and returns its duration (0 on nil).
-// End is idempotent in effect only by caller discipline — call it once.
-func (s *Span) End() time.Duration {
-	if s == nil {
+// End completes the span, records it, and returns its duration (0 on the
+// zero span). End is idempotent in effect only by caller discipline — call
+// it once.
+func (s Span) End() time.Duration {
+	if s.kind == nil {
 		return 0
 	}
 	d := time.Since(s.start)
-	s.hist.Observe(d.Nanoseconds())
-	s.reg.spans.record(SpanRecord{
+	s.kind.hist.Observe(d.Nanoseconds())
+	s.kind.reg.spans.record(SpanRecord{
 		ID:         s.id,
 		Parent:     s.parent,
-		Name:       s.name,
+		Name:       s.kind.name,
 		Peer:       s.peer,
 		Start:      s.start.UnixNano(),
 		DurationNs: d.Nanoseconds(),

@@ -175,20 +175,31 @@ func TestQueryConcurrentWithWrites(t *testing.T) {
 	}
 }
 
-// sdkWarmQueryAllocs bounds what a warm query costs through the builder,
-// with metrics off (a span allocates): the Query itself, and the answers
-// (their slice and one array of values). Building the query allocates
-// nothing else, and evaluation reads the instance in place.
+// sdkWarmQueryAllocs bounds what a warm query costs through the builder:
+// the Query itself, and the answers (their slice and one array of values).
+// Building the query allocates nothing else, evaluation reads the instance
+// in place, and the query's span, with metrics on, allocates nothing.
 const sdkWarmQueryAllocs = 3
 
 // A warm query asked through Peer.Query(...).Rule(...).All() — a point
 // join and a recursive reach, each with alternating constants — allocates
-// only the Query and its answers.
+// only the Query and its answers, with metrics off and with metrics on
+// (the default), where the query also records its span and counters.
 func TestWarmSDKQueryAllocs(t *testing.T) {
 	if !poolKeeps() {
 		t.Skip("sync.Pool drops what it is given (as under the race detector), so pooled provenance scratch allocates")
 	}
-	_, alice := graphSystem(t, orchestra.WithMetrics(false))
+	for _, metrics := range []bool{false, true} {
+		t.Run(fmt.Sprintf("metrics=%v", metrics), func(t *testing.T) {
+			warmSDKQueryAllocs(t, metrics)
+		})
+	}
+}
+
+// warmSDKQueryAllocs is TestWarmSDKQueryAllocs on a system with metrics
+// on or off.
+func warmSDKQueryAllocs(t *testing.T, metrics bool) {
+	_, alice := graphSystem(t, orchestra.WithMetrics(metrics))
 	ctx := context.Background()
 	srcs := [2]string{"ann", "bea"}
 	for _, c := range []struct {
